@@ -10,7 +10,7 @@
 //! | Knobs | `K001` | `"CBS_*"` literals naming a knob missing from the README registry |
 //! | Knobs | `K002` | registry rows not classified `fingerprint` / `neutral` |
 //! | Knobs | `K003` | registry rows no code references (stale docs) |
-//! | Allocation | `A001` | raw `vec!` / `with_capacity` in the hot kernel / assembled / SMW modules (route through `cbs_sparse` scratch) |
+//! | Allocation | `A001` | raw `vec!` / `with_capacity` / `.collect()` into a `Vec` in the hot kernel / assembled / SMW modules (route through `cbs_sparse` scratch, or iterate without materializing) |
 //! | Meta | `M001` | allowlist directive without a `reason="..."` |
 //! | Meta | `M002` | allowlist directive naming an unknown lint |
 //!
@@ -336,7 +336,9 @@ fn a001(file: &SourceFile, findings: &mut Vec<Finding>) {
         if line.in_test {
             continue;
         }
-        for pat in ["vec!", "with_capacity("] {
+        // A bare `.collect()` takes its target from the binding, which may
+        // sit on another line; in these modules every such target is a `Vec`.
+        for pat in ["vec!", "with_capacity(", ".collect()", "collect::<Vec"] {
             if line.code.contains(pat) {
                 push(
                     findings,
@@ -344,8 +346,8 @@ fn a001(file: &SourceFile, findings: &mut Vec<Finding>) {
                     idx,
                     "A001",
                     format!(
-                        "raw `{}` allocation in a hot module: per-apply buffers must route through the `cbs_sparse` thread-local scratch pool; allow only setup-time allocations, with a reason",
-                        pat.trim_end_matches('(')
+                        "raw `{}` allocation in a hot module: per-apply buffers must route through the `cbs_sparse` thread-local scratch pool (or be iterated without materializing a `Vec`); allow only setup-time allocations, with a reason",
+                        pat.trim_start_matches('.').trim_end_matches(['(', ')'])
                     ),
                 );
             }

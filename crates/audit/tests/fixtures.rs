@@ -55,6 +55,16 @@ fn a001_hot_allocation_fires_exactly_once() {
 }
 
 #[test]
+fn a001_hot_collect_fires_exactly_once() {
+    // Materializing a `Vec` of column slices per apply is the allocation the
+    // ILU(0) block sweeps used to make twice per call.
+    let hot = lints_for("crates/sparse/src/assembled.rs", include_str!("fixtures/a001_collect.rs"));
+    assert_eq!(hot, ["A001"]);
+    let cold = lints_for("crates/core/src/bad.rs", include_str!("fixtures/a001_collect.rs"));
+    assert!(cold.is_empty(), "A001 fired outside the hot modules: {cold:?}");
+}
+
+#[test]
 fn k001_unregistered_knob_fires_exactly_once() {
     let got = lints_for("crates/core/src/bad.rs", include_str!("fixtures/k001_knob.rs"));
     assert_eq!(got, ["K001"]);

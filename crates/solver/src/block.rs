@@ -431,8 +431,8 @@ pub fn bicg_dual_block_precond<A: LinearOperator + ?Sized, M: Preconditioner + ?
 
     // Initial states per column, then ONE blocked preconditioner pass over
     // all columns: `solve_block` / `solve_adjoint_block` stream the factor
-    // once per level across the whole slab instead of once per column, and
-    // are contractually bitwise equivalent to the per-column applies.
+    // once per column tile of the slab instead of once per column, and are
+    // contractually bitwise equivalent to the per-column applies.
     let init: Vec<(CVector, CVector, CVector, CVector, usize)> = (0..nvecs)
         .map(|c| {
             assert_eq!(b[c].len(), n, "rhs length mismatch");

@@ -24,11 +24,12 @@
 //!   forward/backward triangular solves *and their adjoints*, so one
 //!   factorization `M ≈ P(z)` also preconditions the dual system through
 //!   `M† ≈ P(z)† = P(1/z̄)` — the paper's dual-circle trick survives
-//!   preconditioning.  Through the assembled path the solves run as
-//!   **level-scheduled sweeps** over a [`TriSchedule`] computed once per
-//!   pattern (the levels are symbolic, shared by every quadrature node and
-//!   sweep energy), with the adjoint sweeps converted from column scatters
-//!   to transposed-index gathers — bit-identical to the sequential loops.
+//!   preconditioning.  All four substitutions are **streaming sweeps**: the
+//!   rows are visited in storage order, blocked over right-hand sides, the
+//!   adjoints as column scatters over the same CSR rows — bit-identical to
+//!   the textbook one-column loops.  A pattern's [`TriSchedule`]
+//!   (dependency levels plus transposed triangle indices, symbolic, computed
+//!   once on first use) is walked only under `CBS_TRI_PAR`.
 
 use std::borrow::Cow;
 use std::sync::OnceLock;
@@ -40,7 +41,7 @@ use crate::csr::{
 };
 use crate::kernels::{
     spmv_split_adjoint_block_into, spmv_split_adjoint_into, spmv_split_block_into, spmv_split_into,
-    KernelLayout, SplitValues,
+    KernelLayout, SplitValues, ROW_BLOCK,
 };
 use crate::ops::{LinearOperator, Preconditioner};
 use crate::projector::FactoredProjector;
@@ -159,6 +160,16 @@ impl AssembledPattern {
         self.col_idx.len()
     }
 
+    /// CSR row pointers of the union pattern (`dim() + 1` entries).
+    pub fn row_ptr(&self) -> &[usize] {
+        &self.row_ptr
+    }
+
+    /// CSR column indices of the union pattern, ascending within each row.
+    pub fn col_idx(&self) -> &[usize] {
+        &self.col_idx
+    }
+
     /// Storage footprint of the pattern (indices + the three value streams).
     pub fn memory_bytes(&self) -> usize {
         self.row_ptr.len() * std::mem::size_of::<usize>()
@@ -167,9 +178,10 @@ impl AssembledPattern {
             + 3 * self.h00_vals.len() * std::mem::size_of::<Complex64>()
     }
 
-    /// The level-scheduled triangular-solve structure of this pattern,
+    /// The dependency-level structure of this pattern's triangular solves,
     /// computed on first use and shared by every ILU(0) factorization on
-    /// the pattern (all quadrature nodes, all sweep energies).
+    /// the pattern.  Only the `CBS_TRI_PAR` level walk reads it; the default
+    /// streaming sweeps never build it.
     pub fn tri_schedule(&self) -> &TriSchedule {
         self.schedule
             .get_or_init(|| TriSchedule::build(&self.row_ptr, &self.col_idx, &self.diag_idx))
@@ -246,15 +258,16 @@ impl<'p> AssembledOp<'p> {
 
     /// ILU(0)-factor this operator.  The factorization borrows the shared
     /// pattern (reusing its precomputed diagonal positions — no per-node
-    /// rescan) and its once-per-pattern [`TriSchedule`], and owns only its
-    /// `nnz` factor values (scratch-pooled across nodes).
+    /// rescan) and owns only its `nnz` factor values (scratch-pooled across
+    /// nodes).  The pattern's [`TriSchedule`] is built only if a sweep runs
+    /// under `CBS_TRI_PAR`.
     pub fn ilu0(&self) -> Ilu0<'p> {
         Ilu0::factor_inner(
             &self.pattern.row_ptr,
             &self.pattern.col_idx,
             Cow::Borrowed(&self.pattern.diag_idx[..]),
             &self.values,
-            Some(self.pattern.tri_schedule()),
+            Some(self.pattern),
         )
     }
 
@@ -366,26 +379,41 @@ impl LinearOperator for AssembledOp<'_> {
     }
 }
 
-/// The symbolic triangular-solve structure of one assembled pattern,
-/// computed once ([`AssembledPattern::tri_schedule`]) and shared by every
-/// ILU(0) factorization on the pattern.
+/// The dependency-level structure of one assembled pattern's triangular
+/// solves, computed once ([`AssembledPattern::tri_schedule`]) and shared by
+/// every ILU(0) factorization on the pattern.
+///
+/// It is **not** part of the default solve path: [`Ilu0`] streams the rows
+/// in storage order, which needs no schedule.  The schedule exists for the
+/// `CBS_TRI_PAR` level walk, the one mode that runs independent rows
+/// concurrently.
 ///
 /// Two ingredients, both pattern-only (no values):
 ///
 /// * **Level schedules** — for each of the four sweeps (forward `L`,
 ///   backward `U`, adjoint-forward `U†`, adjoint-backward `L†`) the rows
 ///   (resp. columns) grouped into dependency levels: every row of level
-///   `ℓ` depends only on rows of levels `< ℓ`.  Executing level by level,
-///   ascending rows within a level, performs each row's own gather in the
-///   exact order of the sequential loop, so the sweeps are **bit-identical**
-///   to the unscheduled substitutions.
+///   `ℓ` depends only on rows of levels `< ℓ`.  Executing level by level
+///   performs each row's own gather in the order of the one-column
+///   substitution, so the walk is **bit-identical** to the streaming sweeps.
 /// * **Transposed triangle indices** — the adjoint solves are column
-///   scatters in row-major storage; the strict-upper and strict-lower
-///   transpose lists (`(row, position-in-lu)` pairs per column) convert
-///   them into gathers with unit-stride accumulator writes.  Iterating the
-///   `U†` lists in ascending row order and the `L†` lists in descending row
-///   order replays the scatter update order of each output element exactly,
-///   zero-skip guards included.
+///   scatters in row-major storage, and a scatter cannot run rows
+///   concurrently; the strict-upper and strict-lower transpose lists
+///   (`(row, position-in-lu)` pairs per column) convert them into gathers.
+///   Iterating the `U†` lists in ascending row order and the `L†` lists in
+///   descending row order replays the scatter update order of each output
+///   element exactly, zero-skip guards included.
+///
+/// There is no crossover to record: on the 12167-point Al(100) pattern (67
+/// levels of mean width 182, 4 columns, 2 cores) the level walk loses to
+/// the streaming sweeps at every threshold — 1.2 / 1.1 ns per nnz·column
+/// (forward+backward / adjoint) streaming, against 2.7 / 3.1 ns with the
+/// threshold above every level width (the walk alone, no thread) and
+/// 7.7–15 / 8.8–16 ns once any level goes through the fork-join
+/// (thresholds 256, 64, 1; the vendored rayon spawns its workers per
+/// dispatch).  The benchmark package calls `tri_schedule`, so deleting the
+/// schedule and the knob needs a `benchmark` issue first; that is the
+/// follow-up.
 #[derive(Clone, Debug)]
 pub struct TriSchedule {
     /// Forward (`L y = r`) levels: `fwd_rows[fwd_level_ptr[l]..fwd_level_ptr[l+1]]`.
@@ -590,18 +618,32 @@ fn guarded(pivot: Complex64, floor: f64) -> Complex64 {
     }
 }
 
-/// Parse the `CBS_TRI_PAR` level-width threshold once per process: levels
-/// with at least this many rows run their independent gathers through the
-/// rayon fork-join (the same order-preserving, join-before-return backend
-/// the `RayonExecutor` dispatches node solves through), narrower levels
-/// stay serial.  Unset, `0`, or unparsable keeps every level serial.
+/// Parse the `CBS_TRI_PAR` level-width threshold once per process: set, the
+/// sweeps leave the streaming kernel for the [`TriSchedule`] level walk, and
+/// levels with at least this many rows run their independent gathers through
+/// the rayon fork-join (the same order-preserving, join-before-return backend
+/// the `RayonExecutor` dispatches node solves through).  Unset, `0`, or
+/// unparsable keeps the streaming sweeps.
 ///
-/// Parallel level execution is **bitwise identical** to serial (each row's
-/// gather chain is unchanged; writes are scattered after the join), so the
-/// knob is *not* part of the sweep-resume fingerprint.
+/// The level walk is **bitwise identical** to the streaming sweeps (each
+/// row's update chain is unchanged; parallel writes are scattered after the
+/// join), so the knob is *not* part of the sweep-resume fingerprint.
 fn tri_par_threshold() -> Option<usize> {
     static THRESHOLD: OnceLock<Option<usize>> = OnceLock::new();
     *THRESHOLD.get_or_init(|| cbs_trace::knob::<usize>("CBS_TRI_PAR").filter(|&t| t > 0))
+}
+
+/// The four triangular sweeps of an ILU(0) apply.
+#[derive(Clone, Copy)]
+enum Sweep {
+    /// `L y = r` (unit diagonal), rows ascending, gather.
+    Forward,
+    /// `U x = y`, rows descending, gather.
+    Backward,
+    /// `U† w = r`, rows of `U` ascending, scatter.
+    AdjointForward,
+    /// `L† x = w` (unit diagonal), rows of `L` descending, scatter.
+    AdjointBackward,
 }
 
 /// A complex ILU(0) factorization `M = L U ≈ A` on the sparsity pattern of
@@ -613,22 +655,50 @@ fn tri_par_threshold() -> Option<usize> {
 /// the exact adjoint `z = L⁻† U⁻† r` — which is what preconditions the dual
 /// BiCG system `P(z)† x̃ = ṽ` with the *same* factorization.
 ///
-/// Factorizations obtained through [`AssembledOp::ilu0`] carry the
-/// pattern's [`TriSchedule`] and run all four substitutions as
-/// level-scheduled sweeps (adjoints as transposed gathers) — bit-identical
-/// to the sequential loops, which remain in place for factorizations built
-/// without a schedule ([`factor`](Self::factor) / [`from_csr`](Self::from_csr)).
+/// # The streaming sweeps
 ///
-/// Two further execution modes stack on the schedule, both bit-identical:
+/// All four entry points (`solve`, `solve_adjoint` and their `_block`
+/// forms; width 1 is the degenerate slab) run one kernel: the rows are
+/// visited in **storage order** (`0..n` or `n..0`), so `lu` and `col_idx`
+/// are read contiguously exactly like an SpMM, and the slab advances in
+/// 4/2/1-wide column tiles (entry-outer / column-inner: each factor value
+/// and index loads once per tile).  The forward/backward sweeps gather
+/// along each row; the adjoint sweeps are column **scatters over the same
+/// CSR rows** (`z[col] -= conj(lu[k])·w`, one zero-skip per column), so no
+/// transposed index list is touched.  The rows are walked in
+/// `ROW_BLOCK`-row (512) blocks with the column tiles inside, so a slab wider
+/// than one tile (the SMW setup solves, 40…224 columns) re-reads each
+/// factor block from cache.  An apply allocates nothing.
 ///
-/// * **Blocked multi-RHS sweeps** ([`solve_block`](Preconditioner::solve_block)
-///   / [`solve_adjoint_block`](Preconditioner::solve_adjoint_block)) advance
-///   all columns of a slab through each level together, so a row's `lu`
-///   values and column indices stream once per level instead of once per
-///   column — the block solver's per-iteration preconditioner path.
-/// * **Parallel levels** (`CBS_TRI_PAR=<width>`): levels at least that wide
-///   compute their independent row gathers through the rayon fork-join and
-///   scatter the results after the join (`CBS_TRI_PAR`).
+/// Every output element receives the same updates in the same order as in
+/// the textbook one-column substitution — tiling only reorders independent
+/// elements — so the result is bitwise that of the substitution, whatever
+/// the slab width (`tests/properties.rs`).
+///
+/// Measured on the 12167-point Al(100) pattern (nnz 298 885, 4 columns;
+/// the traced pass of benchmark workload `al12k_solve_ilu0`, two alternated
+/// runs per side, ns per nnz·column), against the level walk this replaced
+/// as the serial path and against the SpMM over the same pattern:
+///
+/// | kernel | level walk | streaming | SpMM |
+/// |---|---|---|---|
+/// | forward + backward | 3.61, 3.09 | 1.50, 1.29 | 1.15, 1.08 |
+/// | adjoint | 3.43, 3.19 | 1.30, 1.48 | 1.15, 1.25 |
+///
+/// (the issue's prototype, on a quieter host: 3.49 → 1.27 and 3.98 → 1.28
+/// against 1.18).  On a 3-D stencil a dependency level is a hyperplane of
+/// rows scattered through `lu`, so the level walk never streamed the
+/// 4.6 MiB of factors; on the cache-resident 343-point pattern the two
+/// orders cost the same.  End to end the workload's solve went from a
+/// median 19.5 s to 11.6 s over ten alternated pairs, with the SMW setup
+/// (40 columns through the same kernel) from 117–127 ms to 63–70 ms.
+///
+/// # `CBS_TRI_PAR`
+///
+/// With the knob set (or [`with_tri_par`](Self::with_tri_par)), a
+/// factorization obtained through [`AssembledOp::ilu0`] walks the pattern's
+/// [`TriSchedule`] instead: level by level, levels at least the threshold
+/// wide through the rayon fork-join.  Bitwise the streaming result.
 pub struct Ilu0<'p> {
     n: usize,
     row_ptr: &'p [usize],
@@ -637,10 +707,11 @@ pub struct Ilu0<'p> {
     lu: Vec<Complex64>,
     /// Scale-relative pivot floor fixed at factor time (see [`pivot_floor`]).
     floor: f64,
-    /// Once-per-pattern level schedule; `None` runs the sequential sweeps.
-    schedule: Option<&'p TriSchedule>,
+    /// The pattern whose [`TriSchedule`] the `CBS_TRI_PAR` level walk uses;
+    /// `None` (a factorization of a bare CSR triple) always streams.
+    pattern: Option<&'p AssembledPattern>,
     /// Minimum level width for parallel level execution (`CBS_TRI_PAR`);
-    /// `None` keeps every level serial.
+    /// `None` runs the streaming sweeps.
     par_threshold: Option<usize>,
 }
 
@@ -689,7 +760,7 @@ impl<'p> Ilu0<'p> {
         col_idx: &'p [usize],
         diag_idx: Cow<'p, [usize]>,
         values: &[Complex64],
-        schedule: Option<&'p TriSchedule>,
+        pattern: Option<&'p AssembledPattern>,
     ) -> Self {
         let n = row_ptr.len() - 1;
         assert_eq!(col_idx.len(), values.len(), "ILU(0): pattern/value length mismatch");
@@ -733,7 +804,7 @@ impl<'p> Ilu0<'p> {
                 diag_idx,
                 lu,
                 floor,
-                schedule,
+                pattern,
                 par_threshold: tri_par_threshold(),
             }
         })
@@ -745,28 +816,20 @@ impl<'p> Ilu0<'p> {
         Self::factor(m.row_ptr(), m.col_idx(), m.values())
     }
 
-    /// Attach a level schedule to an existing factorization (the schedule
-    /// must describe the same pattern).  The scheduled sweeps are
-    /// bit-identical to the sequential ones; this is how the equivalence is
-    /// tested.
-    pub fn with_schedule(mut self, schedule: &'p TriSchedule) -> Self {
-        self.schedule = Some(schedule);
-        self
-    }
-
-    /// Override the `CBS_TRI_PAR` parallel level-width threshold (tests
-    /// exercise both executors regardless of the environment).  Parallel
-    /// levels are bitwise identical to serial ones, so this never changes
-    /// results — only which backend walks the wide levels.
+    /// Override the `CBS_TRI_PAR` level-width threshold (tests exercise the
+    /// level walk regardless of the environment).  The level walk is bitwise
+    /// the streaming sweeps, so this never changes results — only which
+    /// kernel runs.
     pub fn with_tri_par(mut self, threshold: Option<usize>) -> Self {
         self.par_threshold = threshold;
         self
     }
 
-    /// Should a level of `width` rows run through the parallel backend?
-    #[inline]
-    fn par_level(&self, width: usize) -> bool {
-        self.par_threshold.is_some_and(|t| width >= t)
+    /// The factor values, aligned with the pattern's indices: in each row
+    /// the strict-lower entries hold `L` (unit diagonal implied), the
+    /// diagonal and strict-upper entries hold `U`.
+    pub fn lu(&self) -> &[Complex64] {
+        &self.lu
     }
 
     /// Storage footprint of the factor values (the pattern is shared).
@@ -782,56 +845,166 @@ impl<'p> Ilu0<'p> {
         z
     }
 
-    /// One forward-substitution row: `z[i] = r[i] - Σ_L lu·z` (unit diag).
+    /// The guarded pivot of row `i`.
     #[inline(always)]
-    fn forward_row(&self, i: usize, r: &[Complex64], z: &mut [Complex64]) {
-        let v = self.fwd_gather(i, r[i], z);
-        z[i] = v;
+    fn pivot(&self, i: usize) -> Complex64 {
+        guarded(self.lu[self.diag_idx[i]], self.floor)
     }
 
-    /// One backward-substitution row: `z[i] = (z[i] - Σ_U lu·z) / pivot`.
+    /// One sweep over the rows `rows` of the leading `W`-column tile of
+    /// `slab`, in place; returns the rest of the slab.
+    ///
+    /// Entry-outer / column-inner: every factor value and column index
+    /// loads once for the whole tile, and every column replays its
+    /// one-column update chain in the same order.
     #[inline(always)]
-    fn backward_row(&self, i: usize, z: &mut [Complex64]) {
-        let v = self.bwd_gather(i, z);
-        z[i] = v;
+    fn sweep_tile<'z, const W: usize>(
+        &self,
+        sweep: Sweep,
+        rows: std::ops::Range<usize>,
+        slab: &'z mut [Complex64],
+    ) -> &'z mut [Complex64] {
+        let (tile, rest) = slab.split_at_mut(W * self.n);
+        let mut cols = tile.chunks_exact_mut(self.n);
+        let mut zs: [&mut [Complex64]; W] =
+            std::array::from_fn(|_| cols.next().expect("a tile holds W whole columns"));
+        match sweep {
+            Sweep::Forward => {
+                for i in rows {
+                    let acc = self.gather_row(self.row_ptr[i]..self.diag_idx[i], i, &zs);
+                    for (zc, a) in zs.iter_mut().zip(acc) {
+                        zc[i] = a;
+                    }
+                }
+            }
+            Sweep::Backward => {
+                for i in rows.rev() {
+                    let acc = self.gather_row((self.diag_idx[i] + 1)..self.row_ptr[i + 1], i, &zs);
+                    let piv = self.pivot(i);
+                    for (zc, a) in zs.iter_mut().zip(acc) {
+                        zc[i] = a / piv;
+                    }
+                }
+            }
+            Sweep::AdjointForward => {
+                for j in rows {
+                    let piv = self.pivot(j).conj();
+                    let w: [Complex64; W] = std::array::from_fn(|c| zs[c][j] / piv);
+                    for (zc, &wc) in zs.iter_mut().zip(&w) {
+                        zc[j] = wc;
+                    }
+                    self.scatter_row((self.diag_idx[j] + 1)..self.row_ptr[j + 1], &w, &mut zs);
+                }
+            }
+            Sweep::AdjointBackward => {
+                for j in rows.rev() {
+                    let x: [Complex64; W] = std::array::from_fn(|c| zs[c][j]);
+                    self.scatter_row(self.row_ptr[j]..self.diag_idx[j], &x, &mut zs);
+                }
+            }
+        }
+        rest
     }
 
-    /// The forward-substitution gather: `rhs - Σ_L lu·z` (unit diagonal).
+    /// `z[i] - Σ lu[k]·z[col]` over the entries `ks` of row `i`, for every
+    /// column of the tile.
     #[inline(always)]
-    fn fwd_gather(&self, i: usize, rhs: Complex64, z: &[Complex64]) -> Complex64 {
-        let mut acc = rhs;
+    fn gather_row<const W: usize>(
+        &self,
+        ks: std::ops::Range<usize>,
+        i: usize,
+        zs: &[&mut [Complex64]; W],
+    ) -> [Complex64; W] {
+        let mut acc: [Complex64; W] = std::array::from_fn(|c| zs[c][i]);
+        for k in ks {
+            let v = self.lu[k];
+            let j = self.col_idx[k];
+            for (a, zc) in acc.iter_mut().zip(zs) {
+                *a -= v * zc[j];
+            }
+        }
+        acc
+    }
+
+    /// `z[col] -= conj(lu[k])·w` over the entries `ks` of one row, for every
+    /// column of the tile whose `w` is nonzero: the zero-skip is a
+    /// per-column decision on that column's multiplicand.
+    #[inline(always)]
+    fn scatter_row<const W: usize>(
+        &self,
+        ks: std::ops::Range<usize>,
+        w: &[Complex64; W],
+        zs: &mut [&mut [Complex64]; W],
+    ) {
+        if w.iter().all(|&wc| wc == Complex64::ZERO) {
+            return;
+        }
+        let dense = w.iter().all(|&wc| wc != Complex64::ZERO);
+        for k in ks {
+            let vc = self.lu[k].conj();
+            let col = self.col_idx[k];
+            for (zc, &wc) in zs.iter_mut().zip(w) {
+                if dense || wc != Complex64::ZERO {
+                    zc[col] -= vc * wc;
+                }
+            }
+        }
+    }
+
+    /// One streaming sweep over a whole column-major slab, in place: row
+    /// blocks in sweep order, 4/2/1-wide column tiles inside each block.
+    fn stream(&self, sweep: Sweep, z: &mut [Complex64]) {
+        let n = self.n;
+        let descending = matches!(sweep, Sweep::Backward | Sweep::AdjointBackward);
+        let blocks = n.div_ceil(ROW_BLOCK);
+        for b in 0..blocks {
+            let r0 = if descending { blocks - 1 - b } else { b } * ROW_BLOCK;
+            let rows = r0..(r0 + ROW_BLOCK).min(n);
+            let mut rest = &mut *z;
+            while !rest.is_empty() {
+                rest = match rest.len() / n {
+                    4.. => self.sweep_tile::<4>(sweep, rows.clone(), rest),
+                    2 | 3 => self.sweep_tile::<2>(sweep, rows.clone(), rest),
+                    _ => self.sweep_tile::<1>(sweep, rows.clone(), rest),
+                };
+            }
+        }
+    }
+
+    /// The forward-substitution gather of row `i`: `z_i - Σ_L lu·z`.
+    fn fwd_gather(&self, i: usize, z: &[Complex64]) -> Complex64 {
+        let mut acc = z[i];
         for k in self.row_ptr[i]..self.diag_idx[i] {
             acc -= self.lu[k] * z[self.col_idx[k]];
         }
         acc
     }
 
-    /// The backward-substitution gather: `(z_i - Σ_U lu·z) / pivot`.
-    #[inline(always)]
+    /// The backward-substitution gather of row `i`: `(z_i - Σ_U lu·z) / pivot`.
     fn bwd_gather(&self, i: usize, z: &[Complex64]) -> Complex64 {
         let mut acc = z[i];
         for k in (self.diag_idx[i] + 1)..self.row_ptr[i + 1] {
             acc -= self.lu[k] * z[self.col_idx[k]];
         }
-        acc / guarded(self.lu[self.diag_idx[i]], self.floor)
+        acc / self.pivot(i)
     }
 
-    /// One `U†` column gather (ascending rows, zero-skip) with the conjugate
-    /// pivot division — replays the sequential scatter order exactly.
-    #[inline(always)]
-    fn utf_gather(&self, s: &TriSchedule, j: usize, rhs: Complex64, z: &[Complex64]) -> Complex64 {
-        let mut acc = rhs;
+    /// The `U†` scatter of column `j` turned into a gather over its
+    /// transpose list (ascending rows, zero-skip, conjugate pivot) — the
+    /// update order of the streaming scatter.
+    fn utf_gather(&self, s: &TriSchedule, j: usize, z: &[Complex64]) -> Complex64 {
+        let mut acc = z[j];
         for t in s.ut_ptr[j]..s.ut_ptr[j + 1] {
             let wi = z[s.ut_row[t]];
             if wi != Complex64::ZERO {
                 acc -= self.lu[s.ut_pos[t]].conj() * wi;
             }
         }
-        acc / guarded(self.lu[self.diag_idx[j]], self.floor).conj()
+        acc / self.pivot(j).conj()
     }
 
-    /// One `L†` column gather (descending rows, zero-skip, unit diagonal).
-    #[inline(always)]
+    /// The `L†` scatter of column `j` as a gather (descending rows,
+    /// zero-skip, unit diagonal).
     fn ltb_gather(&self, s: &TriSchedule, j: usize, z: &[Complex64]) -> Complex64 {
         let mut acc = z[j];
         for t in (s.lt_ptr[j]..s.lt_ptr[j + 1]).rev() {
@@ -843,306 +1016,46 @@ impl<'p> Ilu0<'p> {
         acc
     }
 
-    /// Stream one forward level over a chunk of exactly `W` columns:
-    /// entry-outer / column-inner, so each row's `lu` value and column index
-    /// load once for the whole chunk, while every column replays its
-    /// sequential gather chain in the exact per-entry order — bitwise
-    /// identical to [`fwd_gather`](Self::fwd_gather) per column.
-    #[inline(always)]
-    fn fwd_level_chunk<const W: usize>(
+    /// The `CBS_TRI_PAR` walk of one sweep's dependency levels over a slab,
+    /// in place.  The rows of a level never depend on each other: a level at
+    /// least `threshold` wide computes every `(row, column)` gather from the
+    /// pre-level state through the rayon fork-join and scatters the results
+    /// after the join; a narrower one updates in place.
+    fn level_walk(
         &self,
-        level: &[usize],
-        rs: &[&[Complex64]],
-        zs: &mut [&mut [Complex64]],
+        level_ptr: &[usize],
+        items: &[usize],
+        threshold: usize,
+        z: &mut [Complex64],
+        gather: impl Fn(usize, &[Complex64]) -> Complex64 + Sync,
     ) {
-        debug_assert_eq!(zs.len(), W);
-        for &i in level {
-            let mut acc = [Complex64::ZERO; W];
-            for (a, rc) in acc.iter_mut().zip(rs) {
-                *a = rc[i];
-            }
-            for k in self.row_ptr[i]..self.diag_idx[i] {
-                let v = self.lu[k];
-                let j = self.col_idx[k];
-                for (a, zc) in acc.iter_mut().zip(zs.iter()) {
-                    *a -= v * zc[j];
-                }
-            }
-            for (zc, a) in zs.iter_mut().zip(acc) {
-                zc[i] = a;
-            }
-        }
-    }
-
-    /// Execute one forward level over `zs.len()` columns.  Serial mode
-    /// streams each row's `lu` entries once per column chunk
-    /// (entry-outer / column-inner with fixed-width accumulators); parallel
-    /// mode computes every `(row, column)` gather from the pre-level state
-    /// (rows within a level never depend on each other) and scatters the
-    /// results after the join.  Both replay the per-column sequential gather
-    /// chains exactly — bitwise identical.
-    fn fwd_level(
-        &self,
-        level: &[usize],
-        par: bool,
-        rs: &[&[Complex64]],
-        zs: &mut [&mut [Complex64]],
-    ) {
-        let w = zs.len();
-        if par {
-            let vals: Vec<Complex64> = {
-                let shared: Vec<&[Complex64]> = zs.iter().map(|zc| &**zc).collect();
+        let n = self.n;
+        for level in TriSchedule::levels(level_ptr, items) {
+            if level.len() >= threshold {
                 use rayon::prelude::*;
-                (0..level.len() * w)
+                let width = z.len() / n;
+                let pre = &*z;
+                let vals: Vec<Complex64> = (0..level.len() * width)
                     .into_par_iter()
-                    .map(|t| self.fwd_gather(level[t / w], rs[t % w][level[t / w]], shared[t % w]))
-                    .collect()
-            };
-            for (t, &v) in vals.iter().enumerate() {
-                zs[t % w][level[t / w]] = v;
-            }
-        } else {
-            for (zch, rch) in zs.chunks_mut(4).zip(rs.chunks(4)) {
-                match zch.len() {
-                    4 => self.fwd_level_chunk::<4>(level, rch, zch),
-                    3 => {
-                        let (z2, z1) = zch.split_at_mut(2);
-                        self.fwd_level_chunk::<2>(level, &rch[..2], z2);
-                        self.fwd_level_chunk::<1>(level, &rch[2..], z1);
-                    }
-                    2 => self.fwd_level_chunk::<2>(level, rch, zch),
-                    _ => self.fwd_level_chunk::<1>(level, rch, zch),
+                    .map(|t| gather(level[t / width], &pre[(t % width) * n..][..n]))
+                    .collect(); // cbs-audit: allow(A001) reason="CBS_TRI_PAR level walk only; the default streaming sweeps allocate nothing"
+                for (t, v) in vals.into_iter().enumerate() {
+                    z[(t % width) * n + level[t / width]] = v;
                 }
-            }
-        }
-    }
-
-    /// The backward streaming chunk: as
-    /// [`fwd_level_chunk`](Self::fwd_level_chunk) over the `U` part, with the
-    /// guarded pivot loaded once per row (the division order per column is
-    /// unchanged — bitwise identical to [`bwd_gather`](Self::bwd_gather)).
-    #[inline(always)]
-    fn bwd_level_chunk<const W: usize>(&self, level: &[usize], zs: &mut [&mut [Complex64]]) {
-        debug_assert_eq!(zs.len(), W);
-        for &i in level {
-            let mut acc = [Complex64::ZERO; W];
-            for (a, zc) in acc.iter_mut().zip(zs.iter()) {
-                *a = zc[i];
-            }
-            for k in (self.diag_idx[i] + 1)..self.row_ptr[i + 1] {
-                let v = self.lu[k];
-                let j = self.col_idx[k];
-                for (a, zc) in acc.iter_mut().zip(zs.iter()) {
-                    *a -= v * zc[j];
-                }
-            }
-            let piv = guarded(self.lu[self.diag_idx[i]], self.floor);
-            for (zc, a) in zs.iter_mut().zip(acc) {
-                zc[i] = a / piv;
-            }
-        }
-    }
-
-    /// Execute one backward level; modes as in [`fwd_level`](Self::fwd_level).
-    fn bwd_level(&self, level: &[usize], par: bool, zs: &mut [&mut [Complex64]]) {
-        let w = zs.len();
-        if par {
-            let vals: Vec<Complex64> = {
-                let shared: Vec<&[Complex64]> = zs.iter().map(|zc| &**zc).collect();
-                use rayon::prelude::*;
-                (0..level.len() * w)
-                    .into_par_iter()
-                    .map(|t| self.bwd_gather(level[t / w], shared[t % w]))
-                    .collect()
-            };
-            for (t, &v) in vals.iter().enumerate() {
-                zs[t % w][level[t / w]] = v;
-            }
-        } else {
-            for zch in zs.chunks_mut(4) {
-                match zch.len() {
-                    4 => self.bwd_level_chunk::<4>(level, zch),
-                    3 => {
-                        let (z2, z1) = zch.split_at_mut(2);
-                        self.bwd_level_chunk::<2>(level, z2);
-                        self.bwd_level_chunk::<1>(level, z1);
-                    }
-                    2 => self.bwd_level_chunk::<2>(level, zch),
-                    _ => self.bwd_level_chunk::<1>(level, zch),
-                }
-            }
-        }
-    }
-
-    /// Execute one `U†` adjoint-forward level; modes as in
-    /// [`fwd_level`](Self::fwd_level).
-    fn utf_level(
-        &self,
-        s: &TriSchedule,
-        level: &[usize],
-        par: bool,
-        rs: &[&[Complex64]],
-        zs: &mut [&mut [Complex64]],
-    ) {
-        let w = zs.len();
-        if par {
-            let vals: Vec<Complex64> = {
-                let shared: Vec<&[Complex64]> = zs.iter().map(|zc| &**zc).collect();
-                use rayon::prelude::*;
-                (0..level.len() * w)
-                    .into_par_iter()
-                    .map(|t| {
-                        self.utf_gather(s, level[t / w], rs[t % w][level[t / w]], shared[t % w])
-                    })
-                    .collect()
-            };
-            for (t, &v) in vals.iter().enumerate() {
-                zs[t % w][level[t / w]] = v;
-            }
-        } else {
-            for (zch, rch) in zs.chunks_mut(4).zip(rs.chunks(4)) {
-                match zch.len() {
-                    4 => self.utf_level_chunk::<4>(s, level, rch, zch),
-                    3 => {
-                        let (z2, z1) = zch.split_at_mut(2);
-                        self.utf_level_chunk::<2>(s, level, &rch[..2], z2);
-                        self.utf_level_chunk::<1>(s, level, &rch[2..], z1);
-                    }
-                    2 => self.utf_level_chunk::<2>(s, level, rch, zch),
-                    _ => self.utf_level_chunk::<1>(s, level, rch, zch),
-                }
-            }
-        }
-    }
-
-    /// The `U†` streaming chunk: the conjugated factor value and row index
-    /// load once per entry for the whole chunk; the zero-skip stays a
-    /// per-(entry, column) decision on that column's multiplicand, and the
-    /// conjugate pivot division closes each column's chain — bitwise
-    /// identical to [`utf_gather`](Self::utf_gather) per column.
-    #[inline(always)]
-    fn utf_level_chunk<const W: usize>(
-        &self,
-        s: &TriSchedule,
-        level: &[usize],
-        rs: &[&[Complex64]],
-        zs: &mut [&mut [Complex64]],
-    ) {
-        debug_assert_eq!(zs.len(), W);
-        for &j in level {
-            let mut acc = [Complex64::ZERO; W];
-            for (a, rc) in acc.iter_mut().zip(rs) {
-                *a = rc[j];
-            }
-            for t in s.ut_ptr[j]..s.ut_ptr[j + 1] {
-                let lc = self.lu[s.ut_pos[t]].conj();
-                let row = s.ut_row[t];
-                for (a, zc) in acc.iter_mut().zip(zs.iter()) {
-                    let wi = zc[row];
-                    if wi != Complex64::ZERO {
-                        *a -= lc * wi;
+            } else {
+                for zc in z.chunks_exact_mut(n) {
+                    for &i in level {
+                        zc[i] = gather(i, zc);
                     }
                 }
             }
-            let piv = guarded(self.lu[self.diag_idx[j]], self.floor).conj();
-            for (zc, a) in zs.iter_mut().zip(acc) {
-                zc[j] = a / piv;
-            }
         }
     }
 
-    /// Execute one `L†` adjoint-backward level; modes as in
-    /// [`fwd_level`](Self::fwd_level).
-    fn ltb_level(&self, s: &TriSchedule, level: &[usize], par: bool, zs: &mut [&mut [Complex64]]) {
-        let w = zs.len();
-        if par {
-            let vals: Vec<Complex64> = {
-                let shared: Vec<&[Complex64]> = zs.iter().map(|zc| &**zc).collect();
-                use rayon::prelude::*;
-                (0..level.len() * w)
-                    .into_par_iter()
-                    .map(|t| self.ltb_gather(s, level[t / w], shared[t % w]))
-                    .collect()
-            };
-            for (t, &v) in vals.iter().enumerate() {
-                zs[t % w][level[t / w]] = v;
-            }
-        } else {
-            for zch in zs.chunks_mut(4) {
-                match zch.len() {
-                    4 => self.ltb_level_chunk::<4>(s, level, zch),
-                    3 => {
-                        let (z2, z1) = zch.split_at_mut(2);
-                        self.ltb_level_chunk::<2>(s, level, z2);
-                        self.ltb_level_chunk::<1>(s, level, z1);
-                    }
-                    2 => self.ltb_level_chunk::<2>(s, level, zch),
-                    _ => self.ltb_level_chunk::<1>(s, level, zch),
-                }
-            }
-        }
-    }
-
-    /// The `L†` streaming chunk: descending entry order, per-(entry, column)
-    /// zero-skip, unit diagonal — bitwise identical to
-    /// [`ltb_gather`](Self::ltb_gather) per column.
-    #[inline(always)]
-    fn ltb_level_chunk<const W: usize>(
-        &self,
-        s: &TriSchedule,
-        level: &[usize],
-        zs: &mut [&mut [Complex64]],
-    ) {
-        debug_assert_eq!(zs.len(), W);
-        for &j in level {
-            let mut acc = [Complex64::ZERO; W];
-            for (a, zc) in acc.iter_mut().zip(zs.iter()) {
-                *a = zc[j];
-            }
-            for t in (s.lt_ptr[j]..s.lt_ptr[j + 1]).rev() {
-                let lc = self.lu[s.lt_pos[t]].conj();
-                let row = s.lt_row[t];
-                for (a, zc) in acc.iter_mut().zip(zs.iter()) {
-                    let xi = zc[row];
-                    if xi != Complex64::ZERO {
-                        *a -= lc * xi;
-                    }
-                }
-            }
-            for (zc, a) in zs.iter_mut().zip(acc) {
-                zc[j] = a;
-            }
-        }
-    }
-
-    /// The four scheduled sweeps over a column slab (forward then backward).
-    fn scheduled_solve_slab(
-        &self,
-        s: &TriSchedule,
-        rs: &[&[Complex64]],
-        zs: &mut [&mut [Complex64]],
-    ) {
-        for level in TriSchedule::levels(&s.fwd_level_ptr, &s.fwd_rows) {
-            self.fwd_level(level, self.par_level(level.len()), rs, zs);
-        }
-        for level in TriSchedule::levels(&s.bwd_level_ptr, &s.bwd_rows) {
-            self.bwd_level(level, self.par_level(level.len()), zs);
-        }
-    }
-
-    /// The scheduled adjoint sweeps over a column slab (`U†` then `L†`).
-    fn scheduled_adjoint_slab(
-        &self,
-        s: &TriSchedule,
-        rs: &[&[Complex64]],
-        zs: &mut [&mut [Complex64]],
-    ) {
-        for level in TriSchedule::levels(&s.utf_level_ptr, &s.utf_cols) {
-            self.utf_level(s, level, self.par_level(level.len()), rs, zs);
-        }
-        for level in TriSchedule::levels(&s.ltb_level_ptr, &s.ltb_cols) {
-            self.ltb_level(s, level, self.par_level(level.len()), zs);
-        }
+    /// The schedule and threshold of the `CBS_TRI_PAR` level walk, when the
+    /// knob is set and the factorization came from an assembled pattern.
+    fn level_schedule(&self) -> Option<(&'p TriSchedule, usize)> {
+        Some((self.pattern?.tri_schedule(), self.par_threshold?))
     }
 }
 
@@ -1164,105 +1077,58 @@ impl Preconditioner for Ilu0<'_> {
     fn solve(&self, r: &[Complex64], z: &mut [Complex64]) {
         assert_eq!(r.len(), self.n, "ILU solve: r length mismatch");
         assert_eq!(z.len(), self.n, "ILU solve: z length mismatch");
-        time_tri_sweep(|| match self.schedule {
-            Some(s) => {
-                // Level-scheduled sweeps: every row's own gather runs in
-                // sequential order (serial or parallel per level), so the
-                // result is bit-identical to the `None` branch below.
-                let rs = [r];
-                let mut zs = [&mut *z];
-                self.scheduled_solve_slab(s, &rs, &mut zs);
-            }
-            None => {
-                // Forward: L y = r (unit diagonal).
-                for i in 0..self.n {
-                    self.forward_row(i, r, z);
-                }
-                // Backward: U x = y.
-                for i in (0..self.n).rev() {
-                    self.backward_row(i, z);
-                }
-            }
-        });
+        self.solve_block(r, z, 1);
     }
 
     fn solve_adjoint(&self, r: &[Complex64], z: &mut [Complex64]) {
         assert_eq!(r.len(), self.n, "ILU adjoint solve: r length mismatch");
         assert_eq!(z.len(), self.n, "ILU adjoint solve: z length mismatch");
-        time_tri_sweep(|| match self.schedule {
-            Some(s) => {
-                // Gather form over the transposed triangle lists.  Per
-                // output element the update order and zero-skip guards
-                // replay the sequential scatter exactly (ascending rows for
-                // U†, descending for L†), so the result is bit-identical
-                // to the `None` branch below.
-                let rs = [r];
-                let mut zs = [&mut *z];
-                self.scheduled_adjoint_slab(s, &rs, &mut zs);
-            }
-            None => {
-                z.copy_from_slice(r);
-                // Forward: U† w = r.  U† is lower triangular; process
-                // columns of U ascending, scattering each finalized w_j
-                // down its row of U.
-                for j in 0..self.n {
-                    let wj = z[j] / guarded(self.lu[self.diag_idx[j]], self.floor).conj();
-                    z[j] = wj;
-                    if wj != Complex64::ZERO {
-                        for k in (self.diag_idx[j] + 1)..self.row_ptr[j + 1] {
-                            z[self.col_idx[k]] -= self.lu[k].conj() * wj;
-                        }
-                    }
-                }
-                // Backward: L† x = w.  L† is unit upper triangular; process
-                // columns of L descending.
-                for j in (0..self.n).rev() {
-                    let xj = z[j];
-                    if xj != Complex64::ZERO {
-                        for k in self.row_ptr[j]..self.diag_idx[j] {
-                            z[self.col_idx[k]] -= self.lu[k].conj() * xj;
-                        }
-                    }
-                }
-            }
-        });
+        self.solve_adjoint_block(r, z, 1);
     }
 
     fn solve_block(&self, r: &[Complex64], z: &mut [Complex64], nvecs: usize) {
         assert!(r.len() >= self.n * nvecs, "ILU block solve: r slab too short");
         assert!(z.len() >= self.n * nvecs, "ILU block solve: z slab too short");
-        let Some(s) = self.schedule else {
-            // No level schedule: the sequential per-column sweeps.
-            for (rc, zc) in r.chunks_exact(self.n).zip(z.chunks_exact_mut(self.n)).take(nvecs) {
-                self.solve(rc, zc);
-            }
-            return;
-        };
         time_tri_sweep(|| {
-            // Blocked sweeps: all columns advance through each level
-            // together, so a row's `lu` values and indices stream once per
-            // level instead of once per column.  Per column the gather
-            // chains are the sequential ones — bitwise identical to the
-            // per-column default.
-            let rs: Vec<&[Complex64]> = r.chunks_exact(self.n).take(nvecs).collect();
-            let mut zs: Vec<&mut [Complex64]> = z.chunks_exact_mut(self.n).take(nvecs).collect();
-            self.scheduled_solve_slab(s, &rs, &mut zs);
+            let z = &mut z[..self.n * nvecs];
+            z.copy_from_slice(&r[..self.n * nvecs]);
+            match self.level_schedule() {
+                None => {
+                    self.stream(Sweep::Forward, z);
+                    self.stream(Sweep::Backward, z);
+                }
+                Some((s, t)) => {
+                    self.level_walk(&s.fwd_level_ptr, &s.fwd_rows, t, z, |i, zc| {
+                        self.fwd_gather(i, zc)
+                    });
+                    self.level_walk(&s.bwd_level_ptr, &s.bwd_rows, t, z, |i, zc| {
+                        self.bwd_gather(i, zc)
+                    });
+                }
+            }
         });
     }
 
     fn solve_adjoint_block(&self, r: &[Complex64], z: &mut [Complex64], nvecs: usize) {
         assert!(r.len() >= self.n * nvecs, "ILU adjoint block solve: r slab too short");
         assert!(z.len() >= self.n * nvecs, "ILU adjoint block solve: z slab too short");
-        let Some(s) = self.schedule else {
-            for (rc, zc) in r.chunks_exact(self.n).zip(z.chunks_exact_mut(self.n)).take(nvecs) {
-                self.solve_adjoint(rc, zc);
-            }
-            return;
-        };
         time_tri_sweep(|| {
-            let rs: Vec<&[Complex64]> = r.chunks_exact(self.n).take(nvecs).collect();
-            let mut zs: Vec<&mut [Complex64]> = z.chunks_exact_mut(self.n).take(nvecs).collect();
-            self.scheduled_adjoint_slab(s, &rs, &mut zs);
+            let z = &mut z[..self.n * nvecs];
+            z.copy_from_slice(&r[..self.n * nvecs]);
+            match self.level_schedule() {
+                None => {
+                    self.stream(Sweep::AdjointForward, z);
+                    self.stream(Sweep::AdjointBackward, z);
+                }
+                Some((s, t)) => {
+                    self.level_walk(&s.utf_level_ptr, &s.utf_cols, t, z, |j, zc| {
+                        self.utf_gather(s, j, zc)
+                    });
+                    self.level_walk(&s.ltb_level_ptr, &s.ltb_cols, t, z, |j, zc| {
+                        self.ltb_gather(s, j, zc)
+                    });
+                }
+            }
         });
     }
 }
@@ -1455,45 +1321,42 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_solves_are_bitwise_identical_to_sequential() {
+    fn level_walk_is_bitwise_the_streaming_sweeps() {
         let (h00, h01) = random_blocks(19, 0.2, 914);
         let pattern = AssembledPattern::build(&h00, &h01);
         let op = pattern.assemble(0.07, c64(1.4, 0.6));
-        // `ilu0()` carries the pattern's schedule; a schedule-free twin
-        // factored from the same values runs the sequential loops.
-        let scheduled = op.ilu0();
-        let sequential =
-            Ilu0::factor(pattern.row_ptr.as_slice(), pattern.col_idx.as_slice(), op.values());
-        assert_eq!(scheduled.lu, sequential.lu, "factor values must agree bitwise");
+        // `ilu0()` streams; `with_tri_par` moves the same factors onto the
+        // pattern's level schedule (threshold 1: every level through rayon,
+        // threshold MAX: every level in place); a pattern-free twin has no
+        // schedule to walk and streams whatever the threshold.
+        let streaming = op.ilu0().with_tri_par(None);
+        let bare =
+            Ilu0::factor(pattern.row_ptr.as_slice(), pattern.col_idx.as_slice(), op.values())
+                .with_tri_par(Some(1));
+        assert_eq!(streaming.lu(), bare.lu(), "factor values must agree bitwise");
         let schedule = pattern.tri_schedule();
         assert!(schedule.forward_levels() >= 1);
         assert!(schedule.backward_levels() >= 1);
         assert!(schedule.memory_bytes() > 0);
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(915);
         let n = pattern.dim();
-        for _ in 0..4 {
+        for threshold in [1, usize::MAX] {
+            let levels = op.ilu0().with_tri_par(Some(threshold));
             let mut r = CVector::random(n, &mut rng).into_vec();
             r[2] = Complex64::ZERO; // exercise the zero-skip guards
-            let mut z_sched = vec![Complex64::ZERO; n];
-            let mut z_seq = vec![Complex64::ZERO; n];
-            scheduled.solve(&r, &mut z_sched);
-            sequential.solve(&r, &mut z_seq);
-            assert_eq!(z_sched, z_seq, "scheduled forward/backward differs");
-            scheduled.solve_adjoint(&r, &mut z_sched);
-            sequential.solve_adjoint(&r, &mut z_seq);
-            assert_eq!(z_sched, z_seq, "scheduled adjoint differs");
+            let mut z_stream = vec![Complex64::ZERO; n];
+            let mut z = vec![Complex64::ZERO; n];
+            streaming.solve(&r, &mut z_stream);
+            levels.solve(&r, &mut z);
+            assert_eq!(z, z_stream, "level walk (threshold {threshold}) differs");
+            bare.solve(&r, &mut z);
+            assert_eq!(z, z_stream, "pattern-free factorization differs");
+            streaming.solve_adjoint(&r, &mut z_stream);
+            levels.solve_adjoint(&r, &mut z);
+            assert_eq!(z, z_stream, "adjoint level walk (threshold {threshold}) differs");
+            bare.solve_adjoint(&r, &mut z);
+            assert_eq!(z, z_stream, "pattern-free adjoint differs");
         }
-        // `with_schedule` upgrades a sequential factorization in place.
-        let upgraded =
-            Ilu0::factor(pattern.row_ptr.as_slice(), pattern.col_idx.as_slice(), op.values())
-                .with_schedule(schedule);
-        let mut r2 = vec![Complex64::ZERO; n];
-        r2[0] = c64(1.0, -2.0);
-        let mut za = vec![Complex64::ZERO; n];
-        let mut zb = vec![Complex64::ZERO; n];
-        upgraded.solve_adjoint(&r2, &mut za);
-        sequential.solve_adjoint(&r2, &mut zb);
-        assert_eq!(za, zb);
     }
 
     #[test]

@@ -11,9 +11,11 @@
 //! * [`AssembledPattern`] / [`AssembledOp`] — the shifted QEP operator
 //!   `P(z)` materialized as one CSR by numeric refill of a shared symbolic
 //!   union pattern (one storage traversal per matvec instead of three),
-//! * [`Ilu0`] / [`Preconditioner`] — complex ILU(0) with level-scheduled
-//!   forward/backward and adjoint triangular solves for the preconditioned
-//!   dual BiCG,
+//! * [`Ilu0`] / [`Preconditioner`] — complex ILU(0) whose forward/backward
+//!   and adjoint triangular solves stream the factor rows in storage order
+//!   (blocked over right-hand sides) for the preconditioned dual BiCG;
+//!   [`TriSchedule`], the dependency-level structure of a pattern, is walked
+//!   only under `CBS_TRI_PAR`,
 //! * [`FactoredProjector`] — the non-local projector part of `P(z)` kept in
 //!   factored low-rank form alongside an assembled CSR part,
 //! * [`SmwPrecond`] — the Sherman-Morrison-Woodbury completion folding that

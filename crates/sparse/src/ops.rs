@@ -122,8 +122,8 @@ pub trait Preconditioner: Sync {
     ///
     /// The default loops [`Preconditioner::solve`] per column, so every
     /// implementation is *bitwise* equivalent to the per-column path out of
-    /// the box.  Implementations that override it (the level-scheduled
-    /// ILU(0) blocked sweeps) must preserve that bitwise equivalence — the
+    /// the box.  Implementations that override it (the ILU(0) blocked
+    /// streaming sweeps) must preserve that bitwise equivalence — the
     /// block solver's parity contract with the per-column reference solver
     /// is test-locked on top of this seam.
     fn solve_block(&self, r: &[Complex64], z: &mut [Complex64], nvecs: usize) {

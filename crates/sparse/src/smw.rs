@@ -21,7 +21,8 @@
 //! of the capacitance `C` (via [`cbs_linalg::LuDecomposition`]) are computed
 //! **once per quadrature node** at factor time — through the *blocked*
 //! multi-RHS sweeps ([`Preconditioner::solve_block`]), so the `2k` setup
-//! solves stream the factor values per level instead of per column.  Each
+//! solves re-read each row block of the factors from cache across their
+//! column tiles instead of streaming the whole factorization per column.  Each
 //! apply then costs the usual triangular sweeps plus the correction:
 //! `V†z` / `U†z` accumulate over the **sparse** Kleinman-Bylander bras and
 //! kets (`O(nnz(V))`, not `O(nk)`), a `k×k` capacitance solve, and one
@@ -105,8 +106,8 @@ impl<'p> SmwPrecond<'p> {
                 for term in op.terms() {
                     let s = alpha * term.coeff;
                     let uc: Vec<(usize, Complex64)> =
-                        term.ket.iter().map(|(i, val)| (i, s * val)).collect();
-                    let vc: Vec<(usize, Complex64)> = term.bra.iter().collect();
+                        term.ket.iter().map(|(i, val)| (i, s * val)).collect(); // cbs-audit: allow(A001) reason="SMW factor setup, memoized once per (pattern, z) node"
+                    let vc: Vec<(usize, Complex64)> = term.bra.iter().collect(); // cbs-audit: allow(A001) reason="SMW factor setup, memoized once per (pattern, z) node"
                     for &(i, val) in &uc {
                         u_slab[m * n + i] = val;
                     }
@@ -121,9 +122,9 @@ impl<'p> SmwPrecond<'p> {
             debug_assert_eq!(m, k, "SMW: term count drifted from projector rank");
             (u_cols, v_cols, u_slab, v_slab)
         });
-        // A⁻¹U and A⁻†V through the blocked multi-RHS sweeps: the factor
-        // values stream once per level across all k columns instead of
-        // re-walking the pattern 2k times.
+        // A⁻¹U and A⁻†V through the blocked multi-RHS sweeps: each row block
+        // of the factors is read from memory once and reused from cache by
+        // all k columns, instead of re-walking the pattern 2k times.
         let mut aiu = vec![Complex64::ZERO; n * k]; // cbs-audit: allow(A001) reason="once per (pattern, z) factorization; k << n dense slabs"
         let mut adv = vec![Complex64::ZERO; n * k]; // cbs-audit: allow(A001) reason="once per (pattern, z) factorization; k << n dense slabs"
         ilu.solve_block(&u_slab, &mut aiu, k);

@@ -53,7 +53,7 @@ const AUTO_MAX_SLICES: u32 = 4;
 /// Process-wide memo of probe measurements ("wisdom", FFTW-style), keyed
 /// by everything the probe counters depend on (system identity, probe
 /// configuration, candidate set).  Two sweeps of the same workload in one
-/// process — serial and rayon, or back-to-back runs in a test — reuse the
+/// process — serial and rayon, back-to-back or concurrent — reuse the
 /// first probe's samples and therefore commit the *same* decision; without
 /// the memo, millisecond-scale wall jitter could rank two near-tied cells
 /// differently between runs.  Across processes the checkpoint replay (not
@@ -631,15 +631,22 @@ impl<'a> EnergySweep<'a> {
             key.push(block as u64);
             key.push(precond.trace_code() as u64);
         }
-        let memoized = probe_memo()
-            .lock()
-            .unwrap()
-            .iter()
-            .find(|(k, _, _)| *k == key)
-            .map(|(_, s, p)| (s.clone(), p.clone()));
-        let (samples, probe) = match memoized {
-            Some(hit) => hit,
-            None => self.measure_probe_candidates(energy, &candidates, &probe_ss, n, nnz, key),
+        // Get-or-measure under one lock: a second sweep probing the same key
+        // waits for the first one's samples instead of committing its own
+        // wall clocks.  The probe runs on `SerialExecutor` and never looks
+        // the memo up again, so holding the lock across it cannot deadlock;
+        // entries are only ever pushed whole, so a lock poisoned by a
+        // panicking probe still guards a valid memo.
+        let (samples, probe) = {
+            let mut memo = probe_memo().lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let hit =
+                memo.iter().find(|(k, _, _)| *k == key).map(|(_, s, p)| (s.clone(), p.clone()));
+            hit.unwrap_or_else(|| {
+                let (samples, probe) =
+                    self.measure_probe_candidates(energy, &candidates, &probe_ss, n, nnz);
+                memo.push((key, samples.clone(), probe.clone()));
+                (samples, probe)
+            })
         };
         let workload =
             WorkloadSpec { dimension: n, nnz, n_rh: nominal.n_rh, energies: n_energies.max(1) };
@@ -664,9 +671,8 @@ impl<'a> EnergySweep<'a> {
         }
     }
 
-    /// Measure every candidate cell with one throwaway probe solve each and
-    /// record the resulting samples in the process-wide [`probe_memo`]
-    /// under `key`.
+    /// Measure every candidate cell with one throwaway probe solve each
+    /// (the caller records the samples in the process-wide [`probe_memo`]).
     fn measure_probe_candidates(
         &self,
         energy: f64,
@@ -674,7 +680,6 @@ impl<'a> EnergySweep<'a> {
         probe_ss: &SsConfig,
         n: usize,
         nnz: usize,
-        key: Vec<u64>,
     ) -> (Vec<CalibrationSample>, Vec<ProbeSample>) {
         let mut samples = Vec::with_capacity(candidates.len());
         let mut probe = Vec::with_capacity(candidates.len());
@@ -730,7 +735,6 @@ impl<'a> EnergySweep<'a> {
                 wall_ns,
             });
         }
-        probe_memo().lock().unwrap().push((key, samples.clone(), probe.clone()));
         (samples, probe)
     }
 

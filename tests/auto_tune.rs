@@ -204,6 +204,33 @@ fn auto_decision_is_deterministic_across_executors_and_kill_resume() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Two sweeps that reach the probe of one memo key at the same moment share
+/// one measurement: the memo is a get-or-measure under one lock, so the
+/// second waits for the first one's samples (wall-ns included) rather than
+/// committing its own.  The seed is this test's alone, so no other test has
+/// filled the key; the barrier releases both sweeps together, and both miss
+/// the memo unless the lookup and the measurement are one critical section.
+#[test]
+fn concurrent_probes_of_one_key_share_one_measurement() {
+    let h = fig6_hamiltonian();
+    let ss = SsConfig { seed: 0x00c0_ffee_0012, ..auto_ss() };
+    let config = SweepConfig { initial_round: 2, ..SweepConfig::new(ss) };
+    let start = std::sync::Barrier::new(2);
+    let probe = || {
+        start.wait();
+        run_auto(&h, config, &SerialExecutor, RunOptions::default())
+            .expect("no checkpoint I/O")
+            .expect_complete("no budget set")
+            .auto
+            .expect("auto sweep must commit a decision")
+    };
+    let (a, b) = std::thread::scope(|s| {
+        let other = s.spawn(probe);
+        (probe(), other.join().expect("concurrent sweep panicked"))
+    });
+    assert_eq!(a, b, "concurrent sweeps of one key must commit one set of probe samples");
+}
+
 /// The `CBS_AUTO=1` env knob drives a sweep whose `SsConfig` never set
 /// `auto` programmatically: the sweep probes, commits a cell, and the
 /// decision matches what `SsConfig::auto()` would have picked (same

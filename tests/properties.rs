@@ -9,11 +9,13 @@ use proptest::prelude::*;
 use cbs::core::{
     merge_claimed, ContourPartition, QepEigenpair, QepProblem, RingContour, SlicePolicy,
 };
+use cbs::dft::{bulk_al_100, grid_for_structure, BlockHamiltonian, HamiltonianParams};
 use cbs::grid::{DomainDecomposition, FdOrder, Grid3};
 use cbs::linalg::{c64, CMatrix, CVector, Complex64};
 use cbs::parallel::DomainDecomposedOp;
 use cbs::sparse::{
     AssembledPattern, CooBuilder, CsrMatrix, DenseOp, KernelLayout, LinearOperator, Preconditioner,
+    SmwPrecond,
 };
 
 /// Circular distance from angle `t` to the arc `[lo, hi]` (all radians,
@@ -63,6 +65,136 @@ fn laplacian_like(grid: Grid3, diag: f64) -> CsrMatrix {
         }
     }
     b.build()
+}
+
+/// Textbook one-column ILU(0) substitution `x = U⁻¹ L⁻¹ r` over a CSR
+/// triple holding `L` (strict lower, unit diagonal) and `U` in one array:
+/// rows ascending for `L`, descending for `U`, each row gathered left to
+/// right.  The oracle of the tri-sweep tests — independent of `Ilu0`'s
+/// kernels, tiling and schedules.
+fn oracle_solve(
+    row_ptr: &[usize],
+    col_idx: &[usize],
+    lu: &[Complex64],
+    r: &[Complex64],
+) -> Vec<Complex64> {
+    let n = r.len();
+    let mut x = r.to_vec();
+    for i in 0..n {
+        let mut acc = x[i];
+        for k in row_ptr[i]..row_ptr[i + 1] {
+            if col_idx[k] < i {
+                acc -= lu[k] * x[col_idx[k]];
+            }
+        }
+        x[i] = acc;
+    }
+    for i in (0..n).rev() {
+        let mut acc = x[i];
+        let mut pivot = None;
+        for k in row_ptr[i]..row_ptr[i + 1] {
+            match col_idx[k].cmp(&i) {
+                std::cmp::Ordering::Less => {}
+                std::cmp::Ordering::Equal => pivot = Some(lu[k]),
+                std::cmp::Ordering::Greater => acc -= lu[k] * x[col_idx[k]],
+            }
+        }
+        x[i] = acc / pivot.expect("stored diagonal");
+    }
+    x
+}
+
+/// Textbook one-column adjoint substitution `x = L⁻† U⁻† r` in column-scatter
+/// form: `U†` is lower triangular, so each finalized `w_j` is scattered down
+/// row `j` of `U` (ascending `j`); then `L†` likewise with `j` descending.
+/// A zero multiplicand scatters nothing (subtracting `v·0` could flip the
+/// sign of a zero or spread a non-finite factor).
+fn oracle_solve_adjoint(
+    row_ptr: &[usize],
+    col_idx: &[usize],
+    lu: &[Complex64],
+    r: &[Complex64],
+) -> Vec<Complex64> {
+    let n = r.len();
+    let diag = |j: usize| {
+        (row_ptr[j]..row_ptr[j + 1]).find(|&k| col_idx[k] == j).expect("stored diagonal")
+    };
+    let mut x = r.to_vec();
+    for j in 0..n {
+        let w = x[j] / lu[diag(j)].conj();
+        x[j] = w;
+        if w != Complex64::ZERO {
+            for k in (diag(j) + 1)..row_ptr[j + 1] {
+                x[col_idx[k]] -= lu[k].conj() * w;
+            }
+        }
+    }
+    for j in (0..n).rev() {
+        let w = x[j];
+        if w != Complex64::ZERO {
+            for k in row_ptr[j]..diag(j) {
+                x[col_idx[k]] -= lu[k].conj() * w;
+            }
+        }
+    }
+    x
+}
+
+/// A column-major `n × nvecs` slab of random right-hand sides with exact
+/// zeros sprinkled in and, from two columns up, one all-zero column — the
+/// inputs on which the adjoint sweeps' per-column zero-skip decides.
+fn slab_with_zeros(n: usize, nvecs: usize, rng: &mut rand_chacha::ChaCha8Rng) -> Vec<Complex64> {
+    use rand::Rng;
+    let mut r: Vec<Complex64> = CVector::random(n * nvecs, rng).into_vec();
+    for _ in 0..(n * nvecs).div_ceil(5) {
+        r[rng.gen_range(0..n * nvecs)] = Complex64::ZERO;
+    }
+    if nvecs >= 2 {
+        let c = rng.gen_range(0..nvecs);
+        r[c * n..(c + 1) * n].fill(Complex64::ZERO);
+    }
+    r
+}
+
+/// All four sweeps of `P(E, z)`'s ILU(0) on `pattern`, as slabs of `nvecs`
+/// columns and column by column, streaming (`None`) and on the
+/// `CBS_TRI_PAR` level walk at `threshold` and at 1 (every level through
+/// rayon), against the textbook oracle — bit for bit.
+fn assert_tri_sweeps_match_the_oracle(
+    pattern: &AssembledPattern,
+    energy: f64,
+    z: Complex64,
+    nvecs: usize,
+    threshold: usize,
+    rng: &mut rand_chacha::ChaCha8Rng,
+) {
+    let n = pattern.dim();
+    let op = pattern.assemble(energy, z);
+    let r = slab_with_zeros(n, nvecs, rng);
+    let (mut z_ref, mut zt_ref) = (Vec::new(), Vec::new());
+    {
+        let ilu = op.ilu0();
+        for rc in r.chunks_exact(n) {
+            z_ref.extend(oracle_solve(pattern.row_ptr(), pattern.col_idx(), ilu.lu(), rc));
+            zt_ref.extend(oracle_solve_adjoint(pattern.row_ptr(), pattern.col_idx(), ilu.lu(), rc));
+        }
+    }
+    for par in [None, Some(threshold), Some(1)] {
+        let ilu = op.ilu0().with_tri_par(par);
+        let mut z = vec![Complex64::ZERO; n * nvecs];
+        ilu.solve_block(&r, &mut z, nvecs);
+        assert!(z == z_ref, "blocked sweep (par={par:?}) not bitwise the oracle");
+        ilu.solve_adjoint_block(&r, &mut z, nvecs);
+        assert!(z == zt_ref, "blocked adjoint sweep (par={par:?}) not bitwise the oracle");
+        let mut col = vec![Complex64::ZERO; n];
+        for c in 0..nvecs {
+            let cols = c * n..(c + 1) * n;
+            ilu.solve(&r[cols.clone()], &mut col);
+            assert!(col[..] == z_ref[cols.clone()], "one-column sweep (par={par:?}) column {c}");
+            ilu.solve_adjoint(&r[cols.clone()], &mut col);
+            assert!(col[..] == zt_ref[cols], "one-column adjoint sweep (par={par:?}) column {c}");
+        }
+    }
 }
 
 proptest! {
@@ -258,17 +390,17 @@ proptest! {
         check!(apply_adjoint_block, apply_adjoint, "adjoint");
     }
 
-    /// Blocked multi-RHS and parallel level-scheduled triangular sweeps are
-    /// bitwise identical to the sequential per-column reference, for
-    /// arbitrary sparsity, slab widths and `CBS_TRI_PAR` thresholds — the
-    /// contract that keeps the parallel-sweep knob out of the checkpoint
-    /// fingerprint.
+    /// The streaming ILU(0) sweeps (blocked or one column at a time) and the
+    /// `CBS_TRI_PAR` level walk are bitwise the textbook substitution, for
+    /// arbitrary sparsity, slab widths (1..=9 covers the 4+4+1 and 2+1 tile
+    /// splits) and thresholds — the contract that keeps the parallel-sweep
+    /// knob out of the checkpoint fingerprint.
     #[test]
     fn blocked_and_parallel_tri_sweeps_are_bitwise_sequential(
         seed in 0u64..1000,
         n in 6usize..60,
         per_row in 1usize..5,
-        nvecs in 1usize..6,
+        nvecs in 1usize..10,
         threshold in 1usize..8,
         zre in -2.0f64..2.0,
         zim in -2.0f64..2.0,
@@ -280,37 +412,9 @@ proptest! {
         let h00 = random_csr(n, per_row, &mut rng);
         let h01 = random_csr(n, per_row, &mut rng);
         let pattern = AssembledPattern::build(&h00, &h01);
-        let op = pattern.assemble(energy, c64(zre, zim));
-        let r: Vec<Complex64> = CVector::random(n * nvecs, &mut rng).into_vec();
-
-        // Sequential per-column reference (parallel mode forced off).
-        let reference = op.ilu0().with_tri_par(None);
-        let mut z_ref = vec![Complex64::ZERO; n * nvecs];
-        let mut zt_ref = vec![Complex64::ZERO; n * nvecs];
-        for c in 0..nvecs {
-            reference.solve(&r[c * n..(c + 1) * n], &mut z_ref[c * n..(c + 1) * n]);
-            reference.solve_adjoint(&r[c * n..(c + 1) * n], &mut zt_ref[c * n..(c + 1) * n]);
-        }
-
-        // Blocked sweeps, serial and parallel (threshold 1 parallelizes
-        // every level), must reproduce the reference bit for bit.
-        for par in [None, Some(threshold), Some(1)] {
-            let ilu = op.ilu0().with_tri_par(par);
-            let mut z = vec![Complex64::ZERO; n * nvecs];
-            ilu.solve_block(&r, &mut z, nvecs);
-            prop_assert!(z == z_ref, "blocked sweep (par={:?}) not bitwise", par);
-            ilu.solve_adjoint_block(&r, &mut z, nvecs);
-            prop_assert!(z == zt_ref, "blocked adjoint sweep (par={:?}) not bitwise", par);
-            let mut col = vec![Complex64::ZERO; n];
-            for c in 0..nvecs {
-                ilu.solve(&r[c * n..(c + 1) * n], &mut col);
-                prop_assert!(col[..] == z_ref[c * n..(c + 1) * n],
-                    "single-column sweep (par={:?}) column {} not bitwise", par, c);
-                ilu.solve_adjoint(&r[c * n..(c + 1) * n], &mut col);
-                prop_assert!(col[..] == zt_ref[c * n..(c + 1) * n],
-                    "single-column adjoint sweep (par={:?}) column {} not bitwise", par, c);
-            }
-        }
+        assert_tri_sweeps_match_the_oracle(
+            &pattern, energy, c64(zre, zim), nvecs, threshold, &mut rng,
+        );
     }
 
     /// Adjoint consistency of the block path: `⟨Y, A X⟩ = ⟨A† Y, X⟩`
@@ -688,4 +792,73 @@ proptest! {
             "fallback slicing is not the default"
         );
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// The same contract on a 3-D stencil of at least 1500 points: several
+    /// `ROW_BLOCK`s per sweep, dependency levels that are hyperplanes
+    /// scattered through the storage order, periodic wrap-around entries.
+    #[test]
+    fn tri_sweeps_on_a_3d_stencil_are_bitwise_the_textbook_substitution(
+        seed in 0u64..1000,
+        nx in 11usize..14,
+        ny in 11usize..14,
+        nvecs in 1usize..10,
+        threshold in 8usize..200,
+        zre in 0.4f64..1.6,
+        zim in -1.0f64..1.0,
+    ) {
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let grid = Grid3::isotropic(nx, ny, 13, 0.7);
+        prop_assert!(grid.npoints() >= 1500);
+        // Coupling along z only, as between neighbouring unit cells.
+        let mut b01 = CooBuilder::new(grid.npoints(), grid.npoints());
+        for (i, j, k, row) in grid.iter_points() {
+            if k + 1 == grid.nz {
+                b01.push(row, grid.index(i, j, 0), c64(-1.0, 0.2));
+            }
+        }
+        let pattern = AssembledPattern::build(&laplacian_like(grid, 6.5), &b01.build());
+        assert_tri_sweeps_match_the_oracle(
+            &pattern, 0.1, c64(zre, zim), nvecs, threshold, &mut rng,
+        );
+    }
+}
+
+/// The real stencil: the 343-point Al(100) factored pattern at a quadrature
+/// node.  Streaming ≡ level walk ≡ oracle for all four sweeps, and the SMW
+/// completion — whose `2k` setup solves go through the block kernel as one
+/// wide slab — is bitwise the same preconditioner on either path.
+#[test]
+fn al100_tri_sweeps_and_smw_are_bitwise_the_oracle() {
+    use rand::SeedableRng;
+    let structure = bulk_al_100(1);
+    let grid = grid_for_structure(&structure, 1.1);
+    let h = BlockHamiltonian::build(grid, &structure, HamiltonianParams::default());
+    let (pattern, projector) = h.qep_factored();
+    let n = pattern.dim();
+    assert_eq!(n, 343);
+    let (energy, z) = (0.1, RingContour::new(0.5, 12).outer_points()[0].z);
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(12);
+    for (nvecs, threshold) in [(9, 16), (4, 64), (1, 2)] {
+        assert_tri_sweeps_match_the_oracle(&pattern, energy, z, nvecs, threshold, &mut rng);
+    }
+
+    let op = pattern.assemble(energy, z);
+    let streaming = SmwPrecond::new(op.ilu0().with_tri_par(None), &projector, z);
+    let levels = SmwPrecond::new(op.ilu0().with_tri_par(Some(1)), &projector, z);
+    assert!(streaming.is_complete() && streaming.rank() == projector.rank());
+    assert!(projector.rank() > 8, "the setup slab must span several column tiles");
+    let nvecs = 5;
+    let r = slab_with_zeros(n, nvecs, &mut rng);
+    let (mut zs, mut zl) = (vec![Complex64::ZERO; n * nvecs], vec![Complex64::ZERO; n * nvecs]);
+    streaming.solve_block(&r, &mut zs, nvecs);
+    levels.solve_block(&r, &mut zl, nvecs);
+    assert!(zs == zl, "SMW apply differs between streaming and level-walk setup");
+    streaming.solve_adjoint_block(&r, &mut zs, nvecs);
+    levels.solve_adjoint_block(&r, &mut zl, nvecs);
+    assert!(zs == zl, "SMW adjoint apply differs between streaming and level-walk setup");
 }
