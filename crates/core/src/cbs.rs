@@ -234,7 +234,7 @@ pub fn compute_cbs_with<E: TaskExecutor>(
         stats.operator_traversals += result.total_traversals;
         stats.operator_assemblies += result.operator_assemblies;
         stats.cold_bicg_iterations += result.total_bicg_iterations;
-        stats.cold_solves += result.solve_histories.len();
+        stats.cold_solves += result.shifted_solves;
         stats.linear_solve_seconds += result.timings.linear_solve_seconds;
         stats.extraction_seconds += result.timings.extraction_seconds;
         stats.accepted += result.eigenpairs.len();

@@ -17,9 +17,19 @@
 //! node set as the paper's 1-based `θ_{j'} = 2π (j' − 1/2)/N_int` with
 //! `j' = j + 1`: the half-step offset keeps every node off the real axis,
 //! which is what makes the nodes conjugate-symmetric
-//! (`z_{N−1−j} = conj(z_j)`).  The inner-circle nodes are exactly
-//! `1 / conj(z_j^(1))`, which is why the dual BiCG solutions can serve
-//! them.
+//! (`z_{N−1−j} = conj(z_j)`, `ω_{N−1−j} = conj(ω_j)`).
+//!
+//! Two symmetries of this node set let the solver skip three quarters of
+//! it.  The inner-circle nodes are exactly `1 / conj(z_j^(1))` and
+//! `P(z)† = P(1/z̄)`, which is why the dual BiCG solutions can serve them —
+//! always.  And for a real Hamiltonian `P(z̄) = conj P(z)`, so with a real
+//! source block the solutions at the lower half-plane nodes are the
+//! conjugates of those at their mirror images: the solver then lists only
+//! the `Im z > 0` nodes (see
+//! [`ContourPartition::try_new`](crate::partition::ContourPartition::try_new))
+//! and never solves the rest.  `RingContour` itself always describes the
+//! full two-circle quadrature; which part of it is *solved* is the
+//! partition's business.
 
 use serde::{Deserialize, Serialize};
 

@@ -3,7 +3,10 @@
 //!
 //! The contour quadrature needs the solutions of `N_int x N_rh` independent
 //! linear systems `P(z_j) y = v_r` (plus their duals, which serve the inner
-//! circle for free).  Those solves are the dominant cost of the whole method
+//! circle for free) — or of half as many when the caller hands the engine
+//! only the upper half-plane nodes of a conjugate-symmetric problem; the
+//! engine solves the node list it is given and knows nothing of the
+//! symmetry.  Those solves are the dominant cost of the whole method
 //! and are embarrassingly parallel — the paper's top two parallel layers.
 //! This module factors them out of the eigensolver:
 //!
@@ -37,7 +40,7 @@ use cbs_sparse::{LinearOperator, Preconditioner};
 use cbs_trace::TraceHandle;
 use serde::{Deserialize, Serialize};
 
-use crate::contour::{QuadraturePoint, RingContour};
+use crate::contour::QuadraturePoint;
 
 /// Crate-private type-level placeholder instantiating the unpreconditioned
 /// [`ShiftedSolveEngine::solve_fold`] path through
@@ -415,8 +418,10 @@ pub struct ShiftedSolveStats {
     pub total_traversals: usize,
 }
 
-/// The engine: solves the outer-circle systems of a [`RingContour`] for a
-/// block of right-hand sides, through a pluggable [`TaskExecutor`].
+/// The engine: solves the shifted systems of a list of quadrature nodes —
+/// the outer circle of a [`RingContour`](crate::RingContour), or the part of
+/// it a `ContourSlice` lists — for a block of right-hand sides, through a
+/// pluggable [`TaskExecutor`].
 ///
 /// ```
 /// use cbs_core::{RingContour, ShiftedSolveEngine};
@@ -434,7 +439,8 @@ pub struct ShiftedSolveStats {
 /// let op = DenseOp::new(a);
 /// let rhs = vec![CVector::random(8, &mut rng)];
 /// let engine = ShiftedSolveEngine::new(&SerialExecutor, SolverOptions::default());
-/// let report = engine.solve(&RingContour::new(0.5, 8), &rhs, |z| ShiftedOp::new(&op, z));
+/// let nodes = RingContour::new(0.5, 8).outer_points();
+/// let report = engine.solve(&nodes, &rhs, |z| ShiftedOp::new(&op, z));
 /// assert_eq!(report.outcomes.len(), 8);
 /// ```
 pub struct ShiftedSolveEngine<'e, E: TaskExecutor> {
@@ -465,7 +471,12 @@ impl<'e, E: TaskExecutor> ShiftedSolveEngine<'e, E> {
         }
     }
 
-    /// Enable or disable the deterministic majority-stop rule.
+    /// Enable or disable the deterministic majority-stop rule: the first
+    /// `n/2 + 1` nodes of the list run uncapped, the rest under the cap they
+    /// set.  That split is the rule for a list of independent nodes; a
+    /// caller whose list is the mirrored half of a ring — where every node
+    /// belongs to the first stage, see
+    /// `ContourSlice::majority_stage_nodes` — leaves the rule off.
     pub fn with_majority_stop(mut self, enabled: bool) -> Self {
         self.majority_stop = enabled;
         self
@@ -504,16 +515,17 @@ impl<'e, E: TaskExecutor> ShiftedSolveEngine<'e, E> {
         self.executor.name()
     }
 
-    /// Solve all `N_int x N_rh` outer-circle systems of `contour` for the
-    /// right-hand-side block `rhs`, retaining every solution.
+    /// Solve the `points.len() x N_rh` systems of the node list `points`
+    /// (`points[i].index == i`) for the right-hand-side block `rhs`,
+    /// retaining every solution.
     ///
-    /// This materializes `2 N_int N_rh` solution vectors; callers that only
+    /// This materializes two solution vectors per system; callers that only
     /// reduce over the solutions (like the moment accumulation of
     /// `solve_qep`) should use [`solve_fold`](Self::solve_fold), which
     /// streams on the serial executor.
     pub fn solve<Op, F>(
         &self,
-        contour: &RingContour,
+        points: &[QuadraturePoint],
         rhs: &[CVector],
         operator_at: F,
     ) -> ShiftedSolveReport
@@ -522,7 +534,7 @@ impl<'e, E: TaskExecutor> ShiftedSolveEngine<'e, E> {
         F: Fn(Complex64) -> Op + Sync,
     {
         let (outcomes, stats) =
-            self.solve_fold(contour, rhs, operator_at, Vec::new(), |mut acc, outcome| {
+            self.solve_fold(points, rhs, operator_at, Vec::new(), |mut acc, outcome| {
                 acc.push(outcome);
                 acc
             });
@@ -535,7 +547,7 @@ impl<'e, E: TaskExecutor> ShiftedSolveEngine<'e, E> {
         }
     }
 
-    /// Solve all `N_int x N_rh` outer-circle systems and fold each
+    /// Solve the systems of the node list and fold each
     /// [`ShiftedSolveOutcome`] into an accumulator **in job order**
     /// (`j * N_rh + rhs`), on the calling thread.
     ///
@@ -550,7 +562,7 @@ impl<'e, E: TaskExecutor> ShiftedSolveEngine<'e, E> {
     /// order (space traded for concurrency).
     pub fn solve_fold<Op, F, A, G>(
         &self,
-        contour: &RingContour,
+        points: &[QuadraturePoint],
         rhs: &[CVector],
         operator_at: F,
         init: A,
@@ -561,7 +573,7 @@ impl<'e, E: TaskExecutor> ShiftedSolveEngine<'e, E> {
         F: Fn(Complex64) -> Op + Sync,
         G: FnMut(A, ShiftedSolveOutcome) -> A,
     {
-        self.solve_fold_precond(contour, rhs, |z| (operator_at(z), None::<NoPrecond>), init, fold)
+        self.solve_fold_precond(points, rhs, |z| (operator_at(z), None::<NoPrecond>), init, fold)
     }
 
     /// [`solve_fold`](Self::solve_fold) with a per-node preconditioner: the
@@ -574,11 +586,17 @@ impl<'e, E: TaskExecutor> ShiftedSolveEngine<'e, E> {
     ///
     /// Like the operator, the preconditioner is built **once per node** and
     /// shared across that node's right-hand sides, so an ILU(0)
-    /// factorization is paid `N_int` times per sweep energy, not
-    /// `N_int x N_rh` times.
+    /// factorization is paid once per solved node, not once per
+    /// `(node, rhs)` job.
+    ///
+    /// The node list (`points[i].index == i`) is the outer circle of a
+    /// ring (`RingContour::outer_points`), or whatever
+    /// `ContourSlice::primal_points` lists — for a conjugate-symmetric
+    /// problem only the upper half-plane nodes.  The engine solves what it
+    /// is given; it does not know about the symmetry.
     pub fn solve_fold_precond<Op, M, F, A, G>(
         &self,
-        contour: &RingContour,
+        points: &[QuadraturePoint],
         rhs: &[CVector],
         operator_at: F,
         init: A,
@@ -590,17 +608,19 @@ impl<'e, E: TaskExecutor> ShiftedSolveEngine<'e, E> {
         F: Fn(Complex64) -> (Op, Option<M>) + Sync,
         G: FnMut(A, ShiftedSolveOutcome) -> A,
     {
-        let outer = contour.outer_points();
-        let n_int = outer.len();
+        let n_int = points.len();
         let n_rh = rhs.len();
 
         // One operator (+ optional preconditioner) per quadrature node.
-        // Under `PerRhs` the cell is filled by whichever job of that node
-        // runs first and shared by the rest (`LinearOperator: Sync`); under
-        // `PerNode` the node *is* the job, so the factory is likewise
-        // invoked exactly once per node.
-        let op_cells: Vec<OnceLock<(Op, Option<M>)>> =
-            (0..n_int).map(|_| OnceLock::new()).collect();
+        // Under `PerRhs` the node's jobs share a cell, filled by whichever
+        // of them runs first (`LinearOperator: Sync`) and alive until the
+        // contour is folded.  Under `PerNode` the node *is* the job: the
+        // pair is built inside it and dropped when it returns, so at most
+        // one `(P(z), ILU)` per worker is alive — not `N_int` of them.
+        let op_cells: Vec<OnceLock<(Op, Option<M>)>> = match self.block {
+            BlockPolicy::PerRhs => (0..n_int).map(|_| OnceLock::new()).collect(),
+            BlockPolicy::PerNode => Vec::new(),
+        };
 
         let run_job = |job: ShiftedSolveJob, cap: Option<usize>| -> (ShiftedSolveOutcome, usize) {
             let _solve_span = self.trace.solve_scope(job.point.index);
@@ -634,7 +654,7 @@ impl<'e, E: TaskExecutor> ShiftedSolveEngine<'e, E> {
         let run_node =
             |point: QuadraturePoint, cap: Option<usize>| -> (Vec<ShiftedSolveOutcome>, usize) {
                 let _solve_span = self.trace.solve_scope(point.index);
-                let (op, prec) = op_cells[point.index].get_or_init(|| operator_at(point.z));
+                let (op, prec) = &operator_at(point.z);
                 let stop_at = cap.map(|c| c.max(1));
                 let stop_cb = move |iter: usize| stop_at.is_some_and(|c| iter >= c);
                 let external: Option<&(dyn Fn(usize) -> bool + Sync)> =
@@ -715,12 +735,12 @@ impl<'e, E: TaskExecutor> ShiftedSolveEngine<'e, E> {
         };
 
         let (acc, cap, capped_solves) = if !self.majority_stop {
-            (run_stage(&outer, None, init, &mut tracking, &mut fold), None, 0)
+            (run_stage(points, None, init, &mut tracking, &mut fold), None, 0)
         } else {
             // Deterministic majority stop, stage 1: strictly more than half
             // of the quadrature points always run to convergence.
             let stage1_points = (n_int / 2 + 1).min(n_int);
-            let acc = run_stage(&outer[..stage1_points], None, init, &mut tracking, &mut fold);
+            let acc = run_stage(&points[..stage1_points], None, init, &mut tracking, &mut fold);
 
             // The rule may fire only if the whole first stage converged
             // (then `converged * 2 > n_int` holds by construction, as in
@@ -737,7 +757,7 @@ impl<'e, E: TaskExecutor> ShiftedSolveEngine<'e, E> {
             };
 
             let capped_solves = if cap.is_some() { (n_int - stage1_points) * n_rh } else { 0 };
-            let acc = run_stage(&outer[stage1_points..], cap, acc, &mut tracking, &mut fold);
+            let acc = run_stage(&points[stage1_points..], cap, acc, &mut tracking, &mut fold);
             (acc, cap, capped_solves)
         };
 
@@ -794,6 +814,7 @@ impl ConvergenceTracking {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::contour::RingContour;
     use cbs_linalg::{c64, CMatrix};
     use cbs_parallel::RayonExecutor;
     use cbs_sparse::{DenseOp, ShiftedOp};
@@ -818,9 +839,9 @@ mod tests {
         let a = diag_dominant(12, 31);
         let op = DenseOp::new(a);
         let rhs = rhs_block(12, 3, 32);
-        let contour = RingContour::new(0.5, 6);
+        let points = RingContour::new(0.5, 6).outer_points();
         let engine = ShiftedSolveEngine::new(&SerialExecutor, SolverOptions::default());
-        let report = engine.solve(&contour, &rhs, |z| ShiftedOp::new(&op, z));
+        let report = engine.solve(&points, &rhs, |z| ShiftedOp::new(&op, z));
         assert_eq!(report.outcomes.len(), 6 * 3);
         for (idx, o) in report.outcomes.iter().enumerate() {
             assert_eq!(o.point_index, idx / 3);
@@ -836,15 +857,15 @@ mod tests {
         let a = diag_dominant(16, 33);
         let op = DenseOp::new(a);
         let rhs = rhs_block(16, 4, 34);
-        let contour = RingContour::new(0.5, 8);
+        let points = RingContour::new(0.5, 8).outer_points();
         let opts = SolverOptions::default().with_tolerance(1e-11);
         for majority in [false, true] {
             let serial = ShiftedSolveEngine::new(&SerialExecutor, opts)
                 .with_majority_stop(majority)
-                .solve(&contour, &rhs, |z| ShiftedOp::new(&op, z));
+                .solve(&points, &rhs, |z| ShiftedOp::new(&op, z));
             let rayon = ShiftedSolveEngine::new(&RayonExecutor, opts)
                 .with_majority_stop(majority)
-                .solve(&contour, &rhs, |z| ShiftedOp::new(&op, z));
+                .solve(&points, &rhs, |z| ShiftedOp::new(&op, z));
             assert_eq!(serial.outcomes.len(), rayon.outcomes.len());
             for (s, r) in serial.outcomes.iter().zip(&rayon.outcomes) {
                 assert_eq!(s.x, r.x, "primal solutions must be bit-identical");
@@ -861,10 +882,10 @@ mod tests {
         let a = diag_dominant(20, 35);
         let op = DenseOp::new(a);
         let rhs = rhs_block(20, 2, 36);
-        let contour = RingContour::new(0.5, 8);
+        let points = RingContour::new(0.5, 8).outer_points();
         let engine = ShiftedSolveEngine::new(&SerialExecutor, SolverOptions::default())
             .with_majority_stop(true);
-        let report = engine.solve(&contour, &rhs, |z| ShiftedOp::new(&op, z));
+        let report = engine.solve(&points, &rhs, |z| ShiftedOp::new(&op, z));
         // A well-conditioned system converges everywhere, so the rule fires.
         assert!(report.iteration_cap.is_some());
         assert_eq!(report.capped_solves, (8 - (8 / 2 + 1)) * 2);
@@ -884,12 +905,12 @@ mod tests {
         let a = diag_dominant(10, 38);
         let op = DenseOp::new(a);
         let rhs = rhs_block(10, 4, 39);
-        let contour = RingContour::new(0.5, 6);
+        let points = RingContour::new(0.5, 6).outer_points();
         for majority in [false, true] {
             let calls = AtomicUsize::new(0);
             let engine = ShiftedSolveEngine::new(&SerialExecutor, SolverOptions::default())
                 .with_majority_stop(majority);
-            let report = engine.solve(&contour, &rhs, |z| {
+            let report = engine.solve(&points, &rhs, |z| {
                 calls.fetch_add(1, Ordering::Relaxed);
                 ShiftedOp::new(&op, z)
             });
@@ -899,17 +920,81 @@ mod tests {
         }
     }
 
+    /// An operator that tracks how many of its kind are alive.
+    struct Tracked<'a> {
+        inner: ShiftedOp<&'a DenseOp>,
+        live: &'a std::sync::atomic::AtomicUsize,
+    }
+
+    impl<'a> Tracked<'a> {
+        fn new(
+            op: &'a DenseOp,
+            z: Complex64,
+            live: &'a std::sync::atomic::AtomicUsize,
+            peak: &std::sync::atomic::AtomicUsize,
+        ) -> Self {
+            use std::sync::atomic::Ordering::SeqCst;
+            peak.fetch_max(live.fetch_add(1, SeqCst) + 1, SeqCst);
+            Self { inner: ShiftedOp::new(op, z), live }
+        }
+    }
+
+    impl Drop for Tracked<'_> {
+        fn drop(&mut self) {
+            self.live.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+
+    impl LinearOperator for Tracked<'_> {
+        fn nrows(&self) -> usize {
+            self.inner.nrows()
+        }
+        fn ncols(&self) -> usize {
+            self.inner.ncols()
+        }
+        fn apply(&self, x: &[Complex64], y: &mut [Complex64]) {
+            self.inner.apply(x, y);
+        }
+        fn apply_adjoint(&self, x: &[Complex64], y: &mut [Complex64]) {
+            self.inner.apply_adjoint(x, y);
+        }
+    }
+
+    #[test]
+    fn per_node_jobs_drop_their_operator_on_return() {
+        // The peak-memory contract: under `PerNode` the node is the job, so
+        // its operator (+ preconditioner) lives only as long as the job —
+        // one alive at a time on the serial executor — instead of being
+        // parked until the whole contour is folded.  `PerRhs` shares one
+        // cell per node across that node's jobs and keeps them all.
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+        let a = diag_dominant(10, 48);
+        let op = DenseOp::new(a);
+        let rhs = rhs_block(10, 3, 49);
+        let points = RingContour::new(0.5, 6).outer_points();
+        for (policy, expected_peak) in [(BlockPolicy::PerNode, 1), (BlockPolicy::PerRhs, 6)] {
+            let (live, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let report = ShiftedSolveEngine::new(&SerialExecutor, SolverOptions::default())
+                .with_majority_stop(true)
+                .with_block_policy(policy)
+                .solve(&points, &rhs, |z| Tracked::new(&op, z, &live, &peak));
+            assert_eq!(report.outcomes.len(), 6 * 3);
+            assert_eq!(peak.load(SeqCst), expected_peak, "{policy:?}");
+            assert_eq!(live.load(SeqCst), 0, "{policy:?}: operators leaked");
+        }
+    }
+
     #[test]
     fn solve_fold_matches_solve() {
         let a = diag_dominant(12, 40);
         let op = DenseOp::new(a);
         let rhs = rhs_block(12, 3, 41);
-        let contour = RingContour::new(0.5, 8);
+        let points = RingContour::new(0.5, 8).outer_points();
         let engine = ShiftedSolveEngine::new(&SerialExecutor, SolverOptions::default())
             .with_majority_stop(true);
-        let report = engine.solve(&contour, &rhs, |z| ShiftedOp::new(&op, z));
+        let report = engine.solve(&points, &rhs, |z| ShiftedOp::new(&op, z));
         let (collected, stats) = engine.solve_fold(
-            &contour,
+            &points,
             &rhs,
             |z| ShiftedOp::new(&op, z),
             Vec::new(),
@@ -937,16 +1022,16 @@ mod tests {
         let a = diag_dominant(14, 42);
         let op = DenseOp::new(a);
         let rhs = rhs_block(14, 3, 43);
-        let contour = RingContour::new(0.5, 6);
+        let points = RingContour::new(0.5, 6).outer_points();
         let opts = SolverOptions::default().with_tolerance(1e-11);
 
         // Cold sweep, then reuse its own solutions as seeds: every solve now
         // starts at the exact answer and converges without iterating.
         let cold = ShiftedSolveEngine::new(&SerialExecutor, opts)
-            .solve(&contour, &rhs, |z| ShiftedOp::new(&op, z));
+            .solve(&points, &rhs, |z| ShiftedOp::new(&op, z));
         let seeds = StoredSeeds::from_outcomes(6, 3, &cold.outcomes);
         let warm = ShiftedSolveEngine::new(&SerialExecutor, opts).with_seed_hook(&seeds).solve(
-            &contour,
+            &points,
             &rhs,
             |z| ShiftedOp::new(&op, z),
         );
@@ -964,7 +1049,7 @@ mod tests {
         // Seeded runs stay bit-identical across executors.
         let warm_rayon = ShiftedSolveEngine::new(&RayonExecutor, opts)
             .with_seed_hook(&seeds)
-            .solve(&contour, &rhs, |z| ShiftedOp::new(&op, z));
+            .solve(&points, &rhs, |z| ShiftedOp::new(&op, z));
         for (s, r) in warm.outcomes.iter().zip(&warm_rayon.outcomes) {
             assert_eq!(s.x, r.x);
             assert_eq!(s.dual_x, r.dual_x);
@@ -973,7 +1058,7 @@ mod tests {
         // An empty table is a no-op seed hook.
         let none = StoredSeeds::empty(6, 3);
         let cold2 = ShiftedSolveEngine::new(&SerialExecutor, opts).with_seed_hook(&none).solve(
-            &contour,
+            &points,
             &rhs,
             |z| ShiftedOp::new(&op, z),
         );
@@ -989,17 +1074,17 @@ mod tests {
         let op = DenseOp::new(a);
         let n_rh = 4;
         let rhs = rhs_block(18, n_rh, 45);
-        let contour = RingContour::new(0.5, 6);
+        let points = RingContour::new(0.5, 6).outer_points();
         let opts = SolverOptions::default().with_tolerance(1e-11);
         for majority in [false, true] {
             let per_rhs = ShiftedSolveEngine::new(&SerialExecutor, opts)
                 .with_majority_stop(majority)
                 .with_block_policy(BlockPolicy::PerRhs)
-                .solve(&contour, &rhs, |z| ShiftedOp::new(&op, z));
+                .solve(&points, &rhs, |z| ShiftedOp::new(&op, z));
             let per_node = ShiftedSolveEngine::new(&SerialExecutor, opts)
                 .with_majority_stop(majority)
                 .with_block_policy(BlockPolicy::PerNode)
-                .solve(&contour, &rhs, |z| ShiftedOp::new(&op, z));
+                .solve(&points, &rhs, |z| ShiftedOp::new(&op, z));
             assert_eq!(per_rhs.outcomes.len(), per_node.outcomes.len());
             for (a, b) in per_rhs.outcomes.iter().zip(&per_node.outcomes) {
                 assert_eq!((a.point_index, a.rhs_index), (b.point_index, b.rhs_index));
@@ -1029,17 +1114,17 @@ mod tests {
         let a = diag_dominant(16, 46);
         let op = DenseOp::new(a);
         let rhs = rhs_block(16, 3, 47);
-        let contour = RingContour::new(0.5, 8);
+        let points = RingContour::new(0.5, 8).outer_points();
         let opts = SolverOptions::default().with_tolerance(1e-11);
         for majority in [false, true] {
             let serial = ShiftedSolveEngine::new(&SerialExecutor, opts)
                 .with_majority_stop(majority)
                 .with_block_policy(BlockPolicy::PerNode)
-                .solve(&contour, &rhs, |z| ShiftedOp::new(&op, z));
+                .solve(&points, &rhs, |z| ShiftedOp::new(&op, z));
             let rayon = ShiftedSolveEngine::new(&RayonExecutor, opts)
                 .with_majority_stop(majority)
                 .with_block_policy(BlockPolicy::PerNode)
-                .solve(&contour, &rhs, |z| ShiftedOp::new(&op, z));
+                .solve(&points, &rhs, |z| ShiftedOp::new(&op, z));
             for (s, r) in serial.outcomes.iter().zip(&rayon.outcomes) {
                 assert_eq!(s.x, r.x);
                 assert_eq!(s.dual_x, r.dual_x);
@@ -1112,7 +1197,7 @@ mod tests {
         let pattern = AssembledPattern::build(&h00, &h01);
         let energy = 0.2;
         let rhs = rhs_block(n, 3, 48);
-        let contour = RingContour::new(0.5, 6);
+        let points = RingContour::new(0.5, 6).outer_points();
         let opts = SolverOptions::default().with_tolerance(1e-10);
         let engine = ShiftedSolveEngine::new(&SerialExecutor, opts);
 
@@ -1121,7 +1206,7 @@ mod tests {
             v
         };
         let (plain, plain_stats) = engine.solve_fold_precond(
-            &contour,
+            &points,
             &rhs,
             |z| (pattern.assemble(energy, z), None::<NoPrecond>),
             Vec::new(),
@@ -1133,7 +1218,7 @@ mod tests {
             (op, Some(ilu))
         };
         let (pre, pre_stats) =
-            engine.solve_fold_precond(&contour, &rhs, precond_factory, Vec::new(), collect);
+            engine.solve_fold_precond(&points, &rhs, precond_factory, Vec::new(), collect);
         assert_eq!(plain.len(), pre.len());
         for o in &pre {
             assert!(o.history.converged() && o.dual_history.converged());
@@ -1148,7 +1233,7 @@ mod tests {
         // Preconditioned runs stay bit-identical across executors.
         let rayon_engine = ShiftedSolveEngine::new(&RayonExecutor, opts);
         let (pre_rayon, pre_rayon_stats) =
-            rayon_engine.solve_fold_precond(&contour, &rhs, precond_factory, Vec::new(), collect);
+            rayon_engine.solve_fold_precond(&points, &rhs, precond_factory, Vec::new(), collect);
         for (s, r) in pre.iter().zip(&pre_rayon) {
             assert_eq!(s.x, r.x);
             assert_eq!(s.dual_x, r.dual_x);
@@ -1168,13 +1253,13 @@ mod tests {
         }
         let m = b.build();
         let rhs = rhs_block(10, 2, 37);
-        let contour = RingContour::new(0.5, 4);
+        let points = RingContour::new(0.5, 4).outer_points();
         let engine = ShiftedSolveEngine::new(&SerialExecutor, SolverOptions::default());
-        let report = engine.solve(&contour, &rhs, |z| ShiftedOp::new(&m, z));
+        let report = engine.solve(&points, &rhs, |z| ShiftedOp::new(&m, z));
         assert_eq!(report.converged_points, 4);
         for o in &report.outcomes {
             // Verify the primal solution truly solves (A - zI) x = b.
-            let z = contour.outer_points()[o.point_index].z;
+            let z = points[o.point_index].z;
             let shifted = ShiftedOp::new(&m, z);
             let residual = &shifted.apply_vec(&o.x) - &rhs[o.rhs_index];
             assert!(residual.norm() <= 1e-8 * rhs[o.rhs_index].norm());

@@ -17,7 +17,9 @@
 //!
 //! The linear systems at the quadrature nodes are solved matrix-free with
 //! the dual BiCG from `cbs-solver`, exploiting `P(z)† = P(1/z̄)` so only the
-//! outer-circle systems are ever iterated.
+//! outer-circle systems are ever iterated — and, for a real Hamiltonian
+//! (`P(z̄) = conj P(z)`, [`QepProblem::is_conjugate_symmetric`]), only the
+//! upper half-plane half of those (see the [`ss`] module docs).
 //!
 //! The `N_int x N_rh` independent shifted solves run through the
 //! [`ShiftedSolveEngine`], which is generic over both the operator family

@@ -56,6 +56,23 @@
 //! for free (`P(z)† = P(1/z̄)`).  Radially split cells lose that pairing
 //! (their boundary is not inversion-symmetric); their nodes carry a zero
 //! dual weight and the dual solutions are simply unused.
+//!
+//! # The conjugate-symmetric single ring
+//!
+//! The trapezoid nodes of the whole-annulus slice come in conjugate pairs
+//! (`z_{N−1−j} = z̄_j`, `ω_{N−1−j} = ω̄_j`).  For a real Hamiltonian
+//! (`QepProblem::is_conjugate_symmetric`: `P(z̄) = conj P(z)`) and a real
+//! source block the solutions at `z̄_j` are the conjugates of those at
+//! `z_j`, so [`ContourPartition::try_new`] builds the single
+//! slice from the `Im z > 0` half only and flags it
+//! [`mirrored`](ContourSlice::is_mirrored): everything downstream (engine,
+//! pool, seed tables) iterates a node list half as long, and the
+//! extraction adds the missing half back as `Ŝ_k ← Ŝ_k + conj Ŝ_k`.  An
+//! odd `N` has one self-conjugate node at `θ = π`; it stays in the list
+//! with half its weights, so the closing sum counts it once.  Sector and
+//! radial slices (`S > 1`) are not individually symmetric about the real
+//! axis (the cuts carry a quarter-step rotation) and always keep their full
+//! node lists, as does every slice of a complex problem.
 
 use serde::{Deserialize, Serialize};
 
@@ -349,6 +366,7 @@ pub struct ContourSlice {
     pub index: usize,
     region: SliceRegion,
     nodes: Vec<SliceNode>,
+    mirrored: bool,
 }
 
 impl ContourSlice {
@@ -366,6 +384,30 @@ impl ContourSlice {
     /// this slice (per right-hand side).
     pub fn n_nodes(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// `true` when [`nodes`](Self::nodes) holds only the `Im z > 0` half of
+    /// a conjugate-symmetric ring: each node also stands for its mirror
+    /// image `(z̄, ω̄)`, whose solutions are the conjugates of the node's
+    /// own and are folded in by the extraction, never solved (see the
+    /// module docs).
+    pub fn is_mirrored(&self) -> bool {
+        self.mirrored
+    }
+
+    /// How many leading nodes form the first, uncapped stage of the
+    /// majority-stop rule: strictly more than half of the slice's contour
+    /// nodes, `n/2 + 1` of a full list.  The full ring's first stage is its
+    /// upper half plus one node, and every node after it is the mirror of
+    /// one already solved — so on a mirrored ring the first stage is the
+    /// whole list and there is nothing left to cap.
+    pub fn majority_stage_nodes(&self) -> usize {
+        let n = self.nodes.len();
+        if self.mirrored {
+            n
+        } else {
+            (n / 2 + 1).min(n)
+        }
     }
 
     /// The primal shifts as engine-compatible [`QuadraturePoint`]s
@@ -388,11 +430,16 @@ impl ContourSlice {
     /// ≈ `λ^k` inside the integration region, ≈ 0 outside (the slice twin
     /// of [`RingContour::filter_value`]).
     pub fn filter_value(&self, k: usize, lambda: Complex64) -> Complex64 {
+        let term = |w: Complex64, z: Complex64| w * z.powi(k as i32) / (z - lambda);
         let mut acc = Complex64::ZERO;
         for n in &self.nodes {
-            acc += n.weight * n.z.powi(k as i32) / (n.z - lambda);
+            acc += term(n.weight, n.z);
             if n.dual_weight != Complex64::ZERO {
-                acc += n.dual_weight * n.dual_z.powi(k as i32) / (n.dual_z - lambda);
+                acc += term(n.dual_weight, n.dual_z);
+            }
+            if self.mirrored {
+                acc += term(n.weight.conj(), n.z.conj());
+                acc += term(n.dual_weight.conj(), n.dual_z.conj());
             }
         }
         acc
@@ -408,18 +455,27 @@ pub struct ContourPartition {
 }
 
 impl ContourPartition {
-    /// Build the partition of `contour` described by `policy`, panicking on
-    /// invalid parameters ([`try_new`](Self::try_new) is the non-panicking
-    /// form).
+    /// Build the partition of `contour` described by `policy` with every
+    /// slice's full node list, panicking on invalid parameters
+    /// ([`try_new`](Self::try_new) is the non-panicking form).
     pub fn new(contour: RingContour, policy: SlicePolicy) -> Self {
-        match Self::try_new(contour, policy) {
+        match Self::try_new(contour, policy, false) {
             Ok(p) => p,
             Err(e) => panic!("{e}"),
         }
     }
 
-    /// Build the partition, validating the policy.
-    pub fn try_new(contour: RingContour, policy: SlicePolicy) -> Result<Self, ContourError> {
+    /// Build the partition, validating the policy, for a problem that is
+    /// (or is not) conjugate-symmetric
+    /// (`QepProblem::is_conjugate_symmetric`).  When it is **and** the
+    /// policy is the single ring, the one slice holds only its `Im z > 0`
+    /// nodes and is flagged [`mirrored`](ContourSlice::is_mirrored); in
+    /// every other case every slice carries its full node list.
+    pub fn try_new(
+        contour: RingContour,
+        policy: SlicePolicy,
+        conjugate_symmetric: bool,
+    ) -> Result<Self, ContourError> {
         // Re-validate the contour itself so a partition can never exist
         // around NaN radii.
         let contour = RingContour::try_new(contour.lambda_min, contour.n_int)?;
@@ -499,6 +555,7 @@ impl ContourPartition {
                     int_r_hi,
                     full_circle,
                 };
+                let mirrored = conjugate_symmetric && trivial;
                 let nodes = build_nodes(
                     &contour,
                     &region,
@@ -506,8 +563,9 @@ impl ContourPartition {
                     r_cnt,
                     if r_cnt == 1 { arc_nodes } else { band_arc_nodes },
                     policy.radial_nodes,
+                    mirrored,
                 );
-                slices.push(ContourSlice { index, region, nodes });
+                slices.push(ContourSlice { index, region, nodes, mirrored });
             }
         }
         Ok(Self { contour, policy, slices })
@@ -559,7 +617,9 @@ impl ContourPartition {
 /// Build the node set of one slice.  Four shapes:
 ///
 /// 1. whole annulus (`A = R = 1`): the classic two-circle trapezoid,
-///    bit-identical to `RingContour::outer_points` + `paired_inner`;
+///    bit-identical to `RingContour::outer_points` + `paired_inner` —
+///    truncated to its upper half-plane nodes when `mirrored` (the only
+///    shape that flag applies to);
 /// 2. full-circle sub-annulus (`A = 1, R > 1`): trapezoid on both circles,
 ///    all nodes primal (the band is not inversion-symmetric);
 /// 3. sector over the full radial span (`A > 1, R = 1`): Gauss-Legendre
@@ -573,21 +633,28 @@ fn build_nodes(
     r_cnt: usize,
     arc_nodes: usize,
     radial_nodes: usize,
+    mirrored: bool,
 ) -> Vec<SliceNode> {
     let mut nodes = Vec::new();
     if a_cnt == 1 && r_cnt == 1 {
         // Case 1 — keep the exact floating-point formulas of contour.rs so
-        // the single-slice path is bitwise the monolithic ring.
+        // the single-slice path is bitwise the monolithic ring.  The
+        // mirrored ring stops after the upper half-plane (`θ_j < π`, plus
+        // the self-conjugate `θ = π` node of an odd `N`, which enters with
+        // half weights because the extraction's `Ŝ + conj Ŝ` counts every
+        // listed node twice).
         let n_int = contour.n_int;
-        for j in 0..n_int {
+        let n_listed = if mirrored { n_int.div_ceil(2) } else { n_int };
+        for j in 0..n_listed {
             let theta = TAU * (j as f64 + 0.5) / n_int as f64;
             let z = Complex64::polar(contour.outer_radius(), theta);
             let dual_z = Complex64::ONE / z.conj();
+            let share = if mirrored && 2 * j + 1 == n_int { 0.5 } else { 1.0 };
             nodes.push(SliceNode {
                 z,
-                weight: z / n_int as f64,
+                weight: (z / n_int as f64).scale(share),
                 dual_z,
-                dual_weight: -(dual_z / n_int as f64),
+                dual_weight: -(dual_z / n_int as f64).scale(share),
             });
         }
         return nodes;
@@ -799,6 +866,68 @@ mod tests {
     }
 
     #[test]
+    fn mirrored_ring_is_the_upper_half_of_the_full_ring_bitwise() {
+        for n_int in [2usize, 7, 8, 12, 13] {
+            let contour = RingContour::new(0.5, n_int);
+            let full = ContourPartition::new(contour, SlicePolicy::single());
+            let half = ContourPartition::try_new(contour, SlicePolicy::single(), true)
+                .expect("valid contour");
+            let (full, half) = (&full.slices()[0], &half.slices()[0]);
+            assert!(half.is_mirrored() && !full.is_mirrored());
+            assert_eq!(half.n_nodes(), n_int.div_ceil(2));
+            for (j, (h, f)) in half.nodes().iter().zip(full.nodes()).enumerate() {
+                // Same shifts, bit for bit: the solved systems are exactly
+                // the full ring's upper half-plane ones.
+                assert_eq!(h.z.re.to_bits(), f.z.re.to_bits());
+                assert_eq!(h.z.im.to_bits(), f.z.im.to_bits());
+                assert_eq!(h.dual_z.re.to_bits(), f.dual_z.re.to_bits());
+                assert_eq!(h.dual_z.im.to_bits(), f.dual_z.im.to_bits());
+                // Same weights, except the self-conjugate θ = π node of an
+                // odd ring (real up to the rounding of `sin π`), which the
+                // closing sum would otherwise count twice.
+                let self_conjugate = 2 * j + 1 == n_int;
+                if self_conjugate {
+                    assert!(h.z.im.abs() < 1e-15 * h.z.abs());
+                } else {
+                    assert!(h.z.im > 0.0, "n_int = {n_int}: node {j} is below the real axis");
+                }
+                let share = if self_conjugate { 0.5 } else { 1.0 };
+                assert_eq!(h.weight, f.weight.scale(share));
+                assert_eq!(h.dual_weight, f.dual_weight.scale(share));
+                // The node it stands for is the full ring's mirror node.
+                let mirror = &full.nodes()[n_int - 1 - j];
+                assert!((mirror.z - f.z.conj()).abs() < 1e-13);
+                assert!((mirror.weight - f.weight.conj()).abs() < 1e-13);
+            }
+            // The two quadratures are the same filter.
+            for lambda in [Complex64::polar(1.1, 0.7), Complex64::new(-0.8, 0.0)] {
+                for k in 0..4 {
+                    let (a, b) = (half.filter_value(k, lambda), full.filter_value(k, lambda));
+                    assert!((a - b).abs() < 1e-13 * (1.0 + b.abs()), "n_int {n_int} k {k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn only_the_single_ring_of_a_symmetric_problem_is_mirrored() {
+        let contour = RingContour::new(0.5, 16);
+        for policy in [
+            SlicePolicy::sectors(2),
+            SlicePolicy::sectors(4),
+            SlicePolicy { angular: 1, radial: 2, ..SlicePolicy::single() },
+        ] {
+            let plain = ContourPartition::new(contour, policy);
+            let symmetric = ContourPartition::try_new(contour, policy, true).expect("valid policy");
+            assert_eq!(plain.total_nodes(), symmetric.total_nodes());
+            assert!(symmetric.slices().iter().all(|s| !s.is_mirrored()));
+        }
+        let single = ContourPartition::new(contour, SlicePolicy::single());
+        assert!(!single.slices()[0].is_mirrored());
+        assert_eq!(single.total_nodes(), 16);
+    }
+
+    #[test]
     fn sector_slices_tile_the_annulus() {
         let contour = RingContour::new(0.5, 32);
         for policy in [
@@ -916,7 +1045,7 @@ mod tests {
             SlicePolicy { slice_n_rh: Some(0), ..SlicePolicy::sectors(2) },
             SlicePolicy { merge_tol: 0.0, ..SlicePolicy::sectors(2) },
         ] {
-            match ContourPartition::try_new(RingContour::new(0.5, 8), bad) {
+            match ContourPartition::try_new(RingContour::new(0.5, 8), bad, false) {
                 Err(ContourError::InvalidSlicePolicy { .. }) => {}
                 other => panic!("policy {bad:?} accepted or misclassified: {other:?}"),
             }
@@ -924,7 +1053,7 @@ mod tests {
         // And an invalid contour surfaces as its own error class.
         let c = RingContour { lambda_min: 0.0, n_int: 8 };
         assert!(matches!(
-            ContourPartition::try_new(c, SlicePolicy::single()),
+            ContourPartition::try_new(c, SlicePolicy::single(), false),
             Err(ContourError::InvalidLambdaMin { .. })
         ));
     }

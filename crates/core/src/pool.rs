@@ -30,8 +30,9 @@
 //! bit-identical to running each group alone through
 //! [`ShiftedSolveEngine`](crate::ShiftedSolveEngine), on every executor and
 //! under either block policy.  The majority-stop rule is the engine's
-//! two-stage form evaluated **per group** over that group's own node list:
-//! the cap is a pure function of the group's first-stage results.
+//! two-stage form evaluated **per group** over that group's own node list
+//! (first stage: `ContourSlice::majority_stage_nodes`): the cap is a pure
+//! function of the group's first-stage results.
 
 use cbs_linalg::{CVector, Complex64};
 use cbs_parallel::TaskExecutor;
@@ -259,8 +260,10 @@ pub fn solve_pool<E: TaskExecutor>(
         (job.group, traversals, assemblies, outcomes)
     };
 
-    // Per-group stage-1 size: strictly more than half of the group's nodes.
-    let stage1_points: Vec<usize> = shifts.iter().map(|s| (s.len() / 2 + 1).min(s.len())).collect();
+    // Per-group stage-1 size: strictly more than half of the group's
+    // contour nodes — all of a mirrored half ring's.
+    let stage1_points: Vec<usize> =
+        accs.iter().map(MomentAccumulator::majority_stage_nodes).collect();
 
     let mut accs = accs;
     let mut counters: Vec<GroupCounters> =

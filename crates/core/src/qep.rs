@@ -9,7 +9,11 @@
 //!
 //! `QepProblem` bundles the two Hamiltonian blocks with the scan energy `E`
 //! and exposes the shifted operator `P(z)` matrix-free, together with the
-//! structural identity `P(z)† = P(1/z̄)` that the dual-BiCG trick exploits.
+//! two structural identities the quadrature exploits: `P(z)† = P(1/z̄)`
+//! (always — the dual-BiCG solutions serve the inner circle) and, when the
+//! blocks are real, `P(z̄) = conj P(z)`
+//! ([`QepProblem::is_conjugate_symmetric`] — the lower half-plane nodes are
+//! the conjugates of the upper half-plane ones and are never solved).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -46,6 +50,9 @@ pub struct QepProblem<'a> {
     /// computed on first use (two operator applications per *problem*, not
     /// per residual check).
     scales: OnceLock<(f64, f64)>,
+    /// Cached answer of [`is_conjugate_symmetric`](Self::is_conjugate_symmetric)
+    /// (one O(storage) scan per problem).
+    conjugate_symmetric: OnceLock<bool>,
     /// Operator applications performed by [`residual`](Self::residual)
     /// (matvec-equivalents), so extraction-phase work no longer bypasses
     /// the `total_matvecs` accounting.
@@ -75,6 +82,7 @@ impl<'a> QepProblem<'a> {
             pattern: None,
             projector: None,
             scales: OnceLock::new(),
+            conjugate_symmetric: OnceLock::new(),
             residual_matvecs: AtomicUsize::new(0),
             residual_traversals: AtomicUsize::new(0),
         }
@@ -88,6 +96,7 @@ impl<'a> QepProblem<'a> {
     pub fn with_pattern(mut self, pattern: &'a AssembledPattern) -> Self {
         assert_eq!(pattern.dim(), self.dim(), "pattern dimension mismatch");
         self.pattern = Some(pattern);
+        self.conjugate_symmetric = OnceLock::new();
         self
     }
 
@@ -107,6 +116,7 @@ impl<'a> QepProblem<'a> {
     pub fn with_projector(mut self, projector: &'a FactoredProjector) -> Self {
         assert_eq!(projector.dim(), self.dim(), "projector dimension mismatch");
         self.projector = Some(projector);
+        self.conjugate_symmetric = OnceLock::new();
         self
     }
 
@@ -128,6 +138,28 @@ impl<'a> QepProblem<'a> {
     /// Dimension of the blocks.
     pub fn dim(&self) -> usize {
         self.h00.nrows()
+    }
+
+    /// `true` when `P(z̄) = conj P(z)` for every shift `z`: both blocks —
+    /// and, when attached, the assembled pattern and the factored projector
+    /// the node operators are built from — report
+    /// [`LinearOperator::is_real`], and the scan energy is an `f64`.
+    ///
+    /// For a real source block the solutions then satisfy
+    /// `Y(z̄) = conj Y(z)`, so the single-ring quadrature keeps only its
+    /// `Im z > 0` nodes (`ContourPartition::try_new`) and the
+    /// extraction closes the sum with `Ŝ_k ← 2 Re Ŝ_k`.  This is a
+    /// property of the input, decided once per problem (the O(storage)
+    /// scans are cached here) — there is no knob: complex blocks (a random
+    /// Hermitian test pencil, a future `k_⊥ ≠ 0`) or an operator type that
+    /// does not implement `is_real` simply solve every node.
+    pub fn is_conjugate_symmetric(&self) -> bool {
+        *self.conjugate_symmetric.get_or_init(|| {
+            self.h00.is_real()
+                && self.h01.is_real()
+                && self.pattern.is_none_or(AssembledPattern::is_real)
+                && self.projector.is_none_or(FactoredProjector::is_real)
+        })
     }
 
     /// The matrix-free operator `P(z)` at the complex shift `z`.

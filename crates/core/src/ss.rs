@@ -14,8 +14,30 @@
 //!    eigenvectors as `Ŝ W₁ Σ₁⁻¹ φ`.
 //! 4. Keep only eigenpairs inside the annulus whose explicit QEP residual is
 //!    small.
+//!
+//! # Symmetries that cut the solve count
+//!
+//! Three identities keep the `2 N_int N_rh` systems of step 1 down to a
+//! quarter of that for the Hamiltonians this repository builds:
+//!
+//! * `P(z)† = P(1/z̄)` (Hermitian `H₀₀`, `H₁₀ = H₀₁†`; always holds): the
+//!   dual BiCG solutions are the inner-circle solutions — only the outer
+//!   circle is iterated.
+//! * `P(z̄) = conj P(z)` (real blocks, real `E`;
+//!   [`QepProblem::is_conjugate_symmetric`]): the lower half-plane nodes
+//!   of the single ring mirror the upper ones — only the `Im z > 0` nodes
+//!   are listed ([`ContourSlice::is_mirrored`]) and step 2 closes with
+//!   `Ŝ_k ← Ŝ_k + conj Ŝ_k = 2 Re Ŝ_k`.
+//! * a **real** source block `V` ([`source_block`]), which is what turns
+//!   the operator identity into `Y(z̄) = conj Y(z)`.
+//!
+//! The second shortcut engages by itself whenever the problem reports it
+//! and the contour is the single ring; it silently does not for complex
+//! blocks, for operator types that do not implement
+//! `LinearOperator::is_real`, and for sector/radial slices (`S > 1`) —
+//! those run the full node list through the same code.
 
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
@@ -54,6 +76,10 @@ pub struct SsConfig {
     pub seed: u64,
     /// Enable the paper's load-balancing rule: once more than half of the
     /// quadrature points have converged, the stragglers are stopped early.
+    /// The deterministic form runs the first `N/2 + 1` nodes of a contour
+    /// uncapped and caps the rest; on the mirrored half ring of a real
+    /// Hamiltonian those first nodes are every node that is solved (the rest
+    /// are their mirror images), so the rule then caps nothing.
     pub majority_stop: bool,
     /// Job granularity of the shifted solves (see
     /// [`BlockPolicy`](crate::engine::BlockPolicy)).  Results are
@@ -106,7 +132,7 @@ pub struct SsConfig {
     /// the first scan energy, fits a `cbs_parallel::CostModel` from the
     /// measured counters + trace wall-ns, and commits the rest of the sweep
     /// to the predicted winner.  The committed cell is recorded in the
-    /// sweep checkpoint (format v5), so kill/resume *replays* the recorded
+    /// sweep checkpoint, so kill/resume *replays* the recorded
     /// decision instead of re-probing: results stay bit-identical to the
     /// fixed configuration the probe selected.  Single `solve_qep` calls
     /// ignore the flag (they have no sweep to amortize a probe over).
@@ -250,7 +276,7 @@ impl SsConfig {
 /// A committed auto-tuning decision: the policy cell the calibration probe
 /// selected.  Produced by `cbs-sweep`'s probe, consumed by
 /// [`SsConfig::resolve_auto`], and serialized into sweep checkpoints
-/// (format v5) so kill/resume replays the decision instead of re-probing.
+/// so kill/resume replays the decision instead of re-probing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AutoCell {
     /// Committed job granularity.
@@ -296,13 +322,27 @@ pub struct SsResult {
     pub hankel_singular_values: Vec<f64>,
     /// Per-quadrature-point convergence histories of the primal systems
     /// (one entry per `(j, rhs)` pair) — the curves of the paper's Figure 5.
+    ///
+    /// Always one entry per node of the *full* contour, in node order
+    /// (`n_int x n_rh` for the single ring): on a mirrored ring the entry of
+    /// node `N-1-j` is a clone of node `j`'s — the iterates are complex
+    /// conjugates, so the residual curve is the same.  The work counters
+    /// ([`shifted_solves`](Self::shifted_solves),
+    /// [`total_bicg_iterations`](Self::total_bicg_iterations), …) count only
+    /// the solves actually run.
     pub solve_histories: Vec<ConvergenceHistory>,
+    /// Shifted (primal + dual) BiCG solves actually run — half of
+    /// [`solve_histories`](Self::solve_histories)`.len()` on a mirrored
+    /// ring.
+    pub shifted_solves: usize,
     /// The projected complex moments `µ̂_k = V† Ŝ_k` (`2 N_mm` matrices of
     /// shape `N_rh x N_rh`).  Diagnostics, and the quantity the
     /// deterministic-parallelism regression test compares bit-for-bit
     /// across executors.
     pub projected_moments: Vec<CMatrix>,
-    /// Total number of BiCG iterations summed over all systems.
+    /// Total number of BiCG iterations summed over all systems **solved**
+    /// (mirrored nodes cost nothing and count nothing — likewise for the
+    /// matvec, traversal and assembly counters below).
     pub total_bicg_iterations: usize,
     /// Total number of operator applications (matvec-equivalents; identical
     /// under every [`BlockPolicy`](crate::engine::BlockPolicy)), including
@@ -362,7 +402,7 @@ pub struct SliceStats {
     pub assemblies: usize,
     /// Solves run under the majority-stop cap.
     pub capped_solves: usize,
-    /// Total solves (primal+dual pairs) of the slice.
+    /// Solves (primal+dual pairs) actually run for the slice.
     pub solves: usize,
     /// Numerical rank selected by the slice's Hankel SVD.
     pub numerical_rank: usize,
@@ -385,9 +425,16 @@ impl SsResult {
 /// implied by a configuration.  Depends only on `n`, `config.n_rh` and
 /// `config.seed`, so every scan energy of a sweep shares the same block —
 /// which is what makes cross-energy solution reuse meaningful.
+///
+/// The entries are **real** (uniform in `[-1, 1)`), always: a real block is
+/// as generic as a complex one for the method, and it is what lets a real
+/// Hamiltonian's lower half-plane solutions be read off as conjugates (see
+/// the module docs).  One path for `V`, whatever the problem.
 pub fn source_block(n: usize, config: &SsConfig) -> Vec<CVector> {
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-    (0..config.n_rh).map(|_| CVector::random(n, &mut rng)).collect()
+    (0..config.n_rh)
+        .map(|_| (0..n).map(|_| Complex64::real(rng.gen_range(-1.0..1.0))).collect())
+        .collect()
 }
 
 /// Streaming accumulator for step 2 of the method: folds each
@@ -399,13 +446,19 @@ pub fn source_block(n: usize, config: &SsConfig) -> Vec<CVector> {
 /// `cbs-sweep` crate's cross-energy pool, [`solve_qep_sliced_with`]'s
 /// cross-slice pool) can run one accumulator per group while the underlying
 /// solves of *all* groups share a single flattened task pool.  The
-/// accumulator is generic over the contour piece it integrates: the classic
-/// two-circle ring ([`new`](Self::new) — arithmetic bit-identical to the
-/// in-line fold it replaced) or any [`ContourSlice`]
-/// ([`for_slice`](Self::for_slice)).
+/// accumulator is generic over the contour piece it integrates: any
+/// [`ContourSlice`] ([`for_slice`](Self::for_slice)) — the whole-annulus
+/// slice of the single-contour policy is the classic two-circle ring, full
+/// or mirrored.
 pub struct MomentAccumulator {
     nodes: Vec<SliceNode>,
     region: SliceRegion,
+    /// The node list is the upper half of a conjugate-symmetric ring
+    /// ([`ContourSlice::is_mirrored`]): the extraction completes the
+    /// moments with their conjugates.
+    mirrored: bool,
+    /// [`ContourSlice::majority_stage_nodes`] of the node list.
+    majority_stage_nodes: usize,
     /// `Ŝ_k` for `k = 0 .. 2 N_mm`, stored as `N_rh` columns each.
     s_moments: Vec<Vec<CVector>>,
     /// Primal convergence histories in job order.
@@ -413,19 +466,14 @@ pub struct MomentAccumulator {
 }
 
 impl MomentAccumulator {
-    /// Fresh zeroed moments for an `n`-dimensional problem under `config`,
-    /// integrating the full two-circle ring contour.
-    pub fn new(n: usize, config: &SsConfig) -> Self {
-        let partition = ContourPartition::new(config.contour(), SlicePolicy::single());
-        Self::for_slice(n, &partition.slices()[0], config.n_mm, config.n_rh)
-    }
-
     /// Fresh zeroed moments integrating one [`ContourSlice`], with the
     /// slice's own subspace dimensions.
     pub fn for_slice(n: usize, slice: &ContourSlice, n_mm: usize, n_rh: usize) -> Self {
         Self {
             nodes: slice.nodes().to_vec(),
             region: slice.region(),
+            mirrored: slice.is_mirrored(),
+            majority_stage_nodes: slice.majority_stage_nodes(),
             s_moments: vec![vec![CVector::zeros(n); n_rh]; 2 * n_mm],
             histories: Vec::with_capacity(slice.n_nodes() * n_rh),
         }
@@ -434,6 +482,12 @@ impl MomentAccumulator {
     /// Number of primal quadrature nodes this accumulator integrates.
     pub fn n_nodes(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// Leading nodes of the majority-stop rule's uncapped first stage
+    /// ([`ContourSlice::majority_stage_nodes`]).
+    pub fn majority_stage_nodes(&self) -> usize {
+        self.majority_stage_nodes
     }
 
     /// The primal shift of node `j` — what the pool solves for this
@@ -496,7 +550,17 @@ pub fn solve_qep_with<E: TaskExecutor>(
     executor: &E,
 ) -> SsResult {
     let n = problem.dim();
-    let contour = config.contour();
+    // The single ring as a one-slice partition: the full two-circle node
+    // list, or — for a conjugate-symmetric problem — its upper half-plane
+    // nodes only.  The engine, the accumulator and the extraction all read
+    // the node list from here, so they do not fork on which one it is.
+    let partition = ContourPartition::try_new(
+        config.contour(),
+        SlicePolicy::single(),
+        problem.is_conjugate_symmetric(),
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
+    let ring = &partition.slices()[0];
 
     // Random source block V (N x N_rh).
     let v_cols = source_block(n, config);
@@ -510,8 +574,10 @@ pub fn solve_qep_with<E: TaskExecutor>(
     // index — the calling thread has installed.
     let trace = TraceHandle::resolve(config.trace).with_policy(config.precond.trace_code());
 
+    // On the mirrored half ring the rule's uncapped first stage is the whole
+    // node list (`ContourSlice::majority_stage_nodes`): nothing to cap.
     let engine = ShiftedSolveEngine::new(executor, config.solver_options())
-        .with_majority_stop(config.majority_stop)
+        .with_majority_stop(config.majority_stop && ring.majority_stage_nodes() < ring.n_nodes())
         .with_block_policy(config.block)
         .with_trace(trace);
 
@@ -521,17 +587,17 @@ pub fn solve_qep_with<E: TaskExecutor>(
     // and therefore the result, bitwise — is executor-independent.  On the
     // serial executor the fold streams (one solution pair alive at a
     // time), keeping the peak footprint at the O(N_mm N_rh N) moments
-    // instead of the full N_int x N_rh solution set.
+    // instead of the full node x N_rh solution set.
     //
     // The node factory resolves `config.precond` into the per-node operator
     // representation (matrix-free view, assembled CSR, or assembled CSR +
-    // ILU(0)); it runs once per quadrature node, so assembly and
-    // factorization costs are paid `N_int` times, never per right-hand
-    // side.  Under the `MatrixFree` policy (or with no pattern attached)
-    // this is bitwise the pre-policy path.
+    // ILU(0)); it runs once per solved quadrature node, so assembly and
+    // factorization costs are never paid per right-hand side.  Under the
+    // `MatrixFree` policy (or with no pattern attached) this is bitwise the
+    // pre-policy path.
     let assemblies = std::sync::atomic::AtomicUsize::new(0);
     let (acc, stats) = engine.solve_fold_precond(
-        &contour,
+        &ring.primal_points(),
         &v_cols,
         |z| {
             let (op, prec) = problem.node_solve(config.precond, z);
@@ -540,7 +606,7 @@ pub fn solve_qep_with<E: TaskExecutor>(
             }
             (op, prec)
         },
-        MomentAccumulator::new(n, config),
+        MomentAccumulator::for_slice(n, ring, config.n_mm, config.n_rh),
         |mut acc, outcome| {
             acc.record(outcome);
             acc
@@ -587,10 +653,36 @@ pub fn extract_from_moments(
     // `RingContour::contains`), the guarded slice region for slices.
     let region = acc.region();
     let n_moments = 2 * config.n_mm;
-    let MomentAccumulator { s_moments, histories, .. } = acc;
+    let MomentAccumulator { mut s_moments, mut histories, mirrored, .. } = acc;
+    let shifted_solves = histories.len();
 
     let t_extract = std::time::Instant::now(); // cbs-audit: allow(D002) reason="extraction wall-clock statistic; reported, never fingerprinted"
     let trace_t0 = cbs_trace::now_ns();
+    if mirrored {
+        // `Y(z̄) = conj Y(z)` needs a real right-hand side: `source_block`
+        // always draws one, a caller-supplied block must be real too.
+        assert!(
+            v_cols.iter().all(|v| v.iter().all(|z| z.im == 0.0)),
+            "a mirrored (conjugate-symmetric) ring needs a real source block"
+        );
+        // Close the quadrature sum over the lower half-plane nodes that
+        // were never solved: node `N-1-j` contributes the conjugate of node
+        // `j`'s term, so Ŝ_k ← Ŝ_k + conj Ŝ_k = 2 Re Ŝ_k — O(N_mm N_rh N),
+        // noise next to a single BiCG iteration.
+        for v in s_moments.iter_mut().flatten().flat_map(CVector::as_mut_slice) {
+            *v = Complex64::real(2.0 * v.re);
+        }
+        // Report one history per node of the full ring, in node order: the
+        // mirrored node's iterates are the conjugates of its twin's, so its
+        // residual curve *is* the twin's.
+        let n_int = config.n_int;
+        histories = (0..n_int)
+            .flat_map(|j| {
+                let twin = j.min(n_int - 1 - j);
+                histories[twin * config.n_rh..(twin + 1) * config.n_rh].to_vec()
+            })
+            .collect();
+    }
     // Residual checks below run through `problem.residual`, whose operator
     // applications are metered on the problem; the delta is folded into the
     // totals so extraction work no longer bypasses the counters.
@@ -635,8 +727,21 @@ pub fn extract_from_moments(
     let mut eigenpairs = Vec::new();
     let mut discarded = 0usize;
     for (idx, &lambda) in eig.values.iter().enumerate() {
+        // On a mirrored ring the moments are real, so the spectrum is closed
+        // under conjugation: the candidates with `Im λ ≥ 0` are recovered and
+        // residual-checked, each accepted complex one also emits its
+        // conjugate, and the `Im λ < 0` ones are their computed twins.
+        let (lambda, copies) = if !mirrored {
+            (lambda, 1)
+        } else if lambda.im.abs() <= REAL_AXIS_ROUNDING * lambda.abs() {
+            (Complex64::real(lambda.re), 1)
+        } else if lambda.im > 0.0 {
+            (lambda, 2)
+        } else {
+            continue;
+        };
         if !region.contains_integration(lambda, 0.0) {
-            discarded += 1;
+            discarded += copies;
             continue;
         }
         let phi = eig.vectors.column(idx);
@@ -665,14 +770,20 @@ pub fn extract_from_moments(
         }
         let (psi, norm) = psi.normalized();
         if norm == 0.0 {
-            discarded += 1;
+            discarded += copies;
             continue;
         }
         let residual = problem.residual(lambda, &psi);
         if residual <= config.residual_cutoff {
+            if copies == 2 {
+                // `P(λ̄) ψ̄ = conj(P(λ) ψ)` for a real Hamiltonian: the
+                // conjugate of an accepted pair is an eigenpair with the
+                // same residual.
+                eigenpairs.push(QepEigenpair { lambda: lambda.conj(), psi: psi.conj(), residual });
+            }
             eigenpairs.push(QepEigenpair { lambda, psi, residual });
         } else {
-            discarded += 1;
+            discarded += copies;
         }
     }
     // Deterministic ordering: by |λ| then phase.
@@ -692,6 +803,7 @@ pub fn extract_from_moments(
         numerical_rank: rank,
         hankel_singular_values: decomposition.singular_values,
         solve_histories: histories,
+        shifted_solves,
         projected_moments: mu,
         total_bicg_iterations: total_iters,
         total_matvecs: total_matvecs + extraction_matvecs,
@@ -705,14 +817,23 @@ pub fn extract_from_moments(
     }
 }
 
-/// Everything a sliced solve precomputes once per `(problem dimension,
-/// configuration)`: the [`ContourPartition`], the effective per-slice
-/// configurations, and each slice's deterministic random source block.
+/// Relative `|Im λ|` under which a computed eigenvalue of the real reduced
+/// matrix of a mirrored ring is taken for a real one carrying the complex
+/// eigensolver's rounding noise (1e-16 times the eigenvalue's condition
+/// number) and put back on the real axis.  No larger than the default BiCG
+/// tolerance, so it never moves an eigenvalue by more than the solves
+/// already have.
+const REAL_AXIS_ROUNDING: f64 = 1e-10;
+
+/// Everything a sliced solve precomputes once per `(problem dimension and
+/// symmetry, configuration)`: the [`ContourPartition`], the effective
+/// per-slice configurations, and each slice's deterministic random source
+/// block.
 ///
 /// Shared between [`solve_qep_sliced_with`] (one energy) and the
 /// `cbs-sweep` orchestrator (which reuses one plan across every scan
-/// energy, exactly as the per-slice source blocks depend only on dimension
-/// and configuration).
+/// energy: the source blocks depend only on dimension and configuration,
+/// and whether the blocks are real does not depend on the energy).
 pub struct SlicedPlan {
     /// The partition geometry.
     pub partition: ContourPartition,
@@ -723,9 +844,17 @@ pub struct SlicedPlan {
 }
 
 impl SlicedPlan {
-    /// Build the plan for an `n`-dimensional problem under `config`.
-    pub fn build(n: usize, config: &SsConfig) -> Result<Self, ContourError> {
-        let partition = ContourPartition::try_new(config.contour(), config.slice)?;
+    /// Build the plan for `problem` under `config`.  Only the problem's
+    /// dimension and its conjugate symmetry enter (a symmetric problem on
+    /// the single-contour policy gets the mirrored half ring), so the plan
+    /// serves every scan energy of the same Hamiltonian blocks.
+    pub fn build(problem: &QepProblem<'_>, config: &SsConfig) -> Result<Self, ContourError> {
+        let n = problem.dim();
+        let partition = ContourPartition::try_new(
+            config.contour(),
+            config.slice,
+            problem.is_conjugate_symmetric(),
+        )?;
         let configs: Vec<SsConfig> =
             (0..partition.len()).map(|s| config.slice_ss_config(s)).collect();
         let v_cols: Vec<Vec<CVector>> = configs.iter().map(|c| source_block(n, c)).collect();
@@ -748,6 +877,12 @@ impl SlicedPlan {
         self.partition.is_single()
     }
 
+    /// `true` when the plan is the mirrored half ring of a
+    /// conjugate-symmetric problem ([`ContourSlice::is_mirrored`]).
+    pub fn is_mirrored(&self) -> bool {
+        self.partition.slices().iter().any(ContourSlice::is_mirrored)
+    }
+
     /// Fresh zeroed per-slice accumulators for an `n`-dimensional problem.
     pub fn accumulators(&self, n: usize) -> Vec<MomentAccumulator> {
         self.partition
@@ -759,7 +894,8 @@ impl SlicedPlan {
     }
 
     /// Length of slice `s`'s warm-start seed table
-    /// (`n_nodes(s) * n_rh(s)`, engine job order).
+    /// (`n_nodes(s) * n_rh(s)`, engine job order — solved nodes only, so
+    /// half the ring on a mirrored plan).
     pub fn seed_table_len(&self, s: usize) -> usize {
         self.partition.slices()[s].n_nodes() * self.configs[s].n_rh
     }
@@ -796,10 +932,7 @@ pub fn solve_qep_sliced_with<E: TaskExecutor>(
     executor: &E,
 ) -> SsResult {
     let n = problem.dim();
-    let plan = match SlicedPlan::build(n, config) {
-        Ok(p) => p,
-        Err(e) => panic!("{e}"),
-    };
+    let plan = SlicedPlan::build(problem, config).unwrap_or_else(|e| panic!("{e}"));
     let t_solve = std::time::Instant::now(); // cbs-audit: allow(D002) reason="linear-solve wall-clock statistic; reported, never fingerprinted"
     let trace = TraceHandle::resolve(config.trace).with_policy(config.precond.trace_code());
     let groups: Vec<PoolGroup<'_, '_>> = (0..plan.len())
@@ -840,6 +973,7 @@ pub fn extract_sliced(
         numerical_rank: 0,
         hankel_singular_values: Vec::new(),
         solve_histories: Vec::new(),
+        shifted_solves: 0,
         projected_moments: Vec::new(),
         total_bicg_iterations: 0,
         total_matvecs: 0,
@@ -902,6 +1036,7 @@ pub fn extract_sliced(
         total.numerical_rank += result.numerical_rank;
         total.hankel_singular_values.extend(result.hankel_singular_values);
         total.solve_histories.extend(result.solve_histories);
+        total.shifted_solves += result.shifted_solves;
         total.projected_moments.extend(result.projected_moments);
         total.total_bicg_iterations += result.total_bicg_iterations;
         total.total_matvecs += result.total_matvecs;

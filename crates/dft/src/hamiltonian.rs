@@ -108,6 +108,9 @@ impl LinearOperator for BlockOp<'_> {
     fn memory_bytes(&self) -> usize {
         self.sparse.storage_bytes() + self.lowrank.memory_bytes()
     }
+    fn is_real(&self) -> bool {
+        self.sparse.is_real() && self.lowrank.is_real()
+    }
 }
 
 impl BlockHamiltonian {

@@ -241,6 +241,9 @@ impl LinearOperator for DomainDecomposedOp {
     fn memory_bytes(&self) -> usize {
         self.matrix.storage_bytes()
     }
+    fn is_real(&self) -> bool {
+        self.matrix.is_real()
+    }
 }
 
 /// Solve the systems of one quadrature point for all right-hand sides in

@@ -22,8 +22,8 @@
 //!   configurable hysteresis margin ([`CostModel::best_cell`]), so the
 //!   ranking is stable against timing jitter whenever the real gap between
 //!   cells exceeds the margin;
-//! * the committed decision is recorded in the sweep checkpoint (format
-//!   v5), so a killed sweep *replays* the recorded cell instead of
+//! * the committed decision is recorded in the sweep checkpoint, so a
+//!   killed sweep *replays* the recorded cell instead of
 //!   re-probing — resume never re-decides.
 //!
 //! The slice-count tuner ([`CostModel::tune_slices`]) models a partitioned
@@ -119,6 +119,12 @@ impl CalibrationSample {
 }
 
 /// The workload a prediction is asked for.
+///
+/// There is no node count here: a cell's fitted `solve_unit` is per
+/// `(energy x nnz x rhs)` *of the probe's own node list*, so predictions
+/// rank cells against each other rather than in absolute seconds.  What
+/// does matter is [`mirrored`](Self::mirrored), because it is the one case
+/// where two candidates solve different fractions of their node lists.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct WorkloadSpec {
     /// Hamiltonian dimension.
@@ -129,6 +135,12 @@ pub struct WorkloadSpec {
     pub n_rh: usize,
     /// Scan energies in the sweep.
     pub energies: usize,
+    /// The single contour runs on the mirrored half ring (real Hamiltonian:
+    /// only the upper half-plane nodes are solved, and the probe measured
+    /// exactly that).  Sector slices are not conjugate-symmetric and solve
+    /// every node they list, so relative to the probed single contour a
+    /// sliced candidate pays for twice the nodes.
+    pub mirrored: bool,
 }
 
 impl WorkloadSpec {
@@ -253,10 +265,12 @@ impl CostModel {
     /// (`slice_ss_config`): each of the `S` slices solves its own full
     /// quadrature grid over `n_rh_s = clamp(ceil(2 n_rh / S), 2, n_rh-1)`
     /// right-hand sides (solve volume `S x n_rh_s >= 2 n_rh` — always at
-    /// least doubled), while extraction shrinks cubically with the
-    /// per-slice subspace (the Hankel SVD term).  Slicing therefore only
-    /// wins when extraction dominates the solve phase, which at bench
-    /// scale it never does.
+    /// least doubled, and doubled again when the single contour is
+    /// [`mirrored`](WorkloadSpec::mirrored), because slices solve every node
+    /// they list), while extraction shrinks cubically with the per-slice
+    /// subspace (the Hankel SVD term).  Slicing therefore only wins when
+    /// extraction dominates the solve phase, which at bench scale it never
+    /// does.
     pub fn tune_slices(&self, cell: CellId, w: &WorkloadSpec, max_slices: u32, margin: f64) -> u32 {
         let Some(single) = self.predict(cell, w) else { return 1 };
         let Some((_, fit)) = self.cells.iter().find(|(c, _)| *c == cell) else { return 1 };
@@ -268,7 +282,8 @@ impl CostModel {
             let n_rh_s =
                 (2 * w.n_rh).div_ceil(s as usize).max(2).min(w.n_rh.saturating_sub(1).max(1));
             let shrink = n_rh_s as f64 / w.n_rh as f64;
-            let solve = fit.solve_unit * (w.nnz * n_rh_s) as f64 * s as f64;
+            let solved_nodes = if w.mirrored { 2.0 } else { 1.0 };
+            let solve = fit.solve_unit * (w.nnz * n_rh_s) as f64 * s as f64 * solved_nodes;
             let extraction = fit.extraction_per_energy * s as f64 * shrink.powi(3);
             let sliced = w.energies as f64 * (solve + extraction);
             if sliced < best.1 * (1.0 - margin) {
@@ -325,8 +340,12 @@ pub struct WorkloadModel {
     pub plane_size: usize,
     /// Finite-difference half-width (halo depth).
     pub nf: usize,
-    /// Number of quadrature points (`N_int`).
+    /// Number of quadrature points per circle (`N_int`).
     pub n_int: usize,
+    /// The Hamiltonian is real and the contour the single ring, so only the
+    /// upper half-plane nodes are solved ([`solved_nodes`](Self::solved_nodes)).
+    /// `false` models the paper's runs, which solve all `N_int`.
+    pub conjugate_symmetric: bool,
     /// Number of right-hand sides (`N_rh`).
     pub n_rh: usize,
     /// Average BiCG iterations needed per linear system.
@@ -359,6 +378,19 @@ impl PredictedTime {
     }
 }
 
+impl WorkloadModel {
+    /// Quadrature nodes actually solved per right-hand side — the width of
+    /// the middle parallel layer: `N_int`, or `ceil(N_int / 2)` under the
+    /// conjugate-symmetric quadrature.
+    pub fn solved_nodes(&self) -> usize {
+        if self.conjugate_symmetric {
+            self.n_int.div_ceil(2)
+        } else {
+            self.n_int
+        }
+    }
+}
+
 /// The performance model: machine + workload.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct PerformanceModel {
@@ -375,11 +407,12 @@ impl PerformanceModel {
         let w = &self.workload;
         let m = &self.machine;
 
-        // Work per process: the (N_int x N_rh) systems are distributed over
-        // the top and middle layers; each system costs `bicg_iterations`
-        // iterations over `dimension / domains` local points.
-        let systems_total = (w.n_int * w.n_rh) as f64;
-        let systems_per_group = (w.n_int as f64 / layout.quadrature_groups as f64).ceil()
+        // Work per process: the (solved nodes x N_rh) systems are
+        // distributed over the top and middle layers; each system costs
+        // `bicg_iterations` iterations over `dimension / domains` local
+        // points.
+        let nodes = w.solved_nodes() as f64;
+        let systems_per_group = (nodes / layout.quadrature_groups as f64).ceil()
             * (w.n_rh as f64 / layout.rhs_groups as f64).ceil();
         let local_points = w.dimension as f64 / layout.domains as f64;
 
@@ -422,12 +455,10 @@ impl PerformanceModel {
         // group determines its finish time.  With `g` points per group the
         // expected maximum of the iteration spread grows roughly with the
         // fraction of points handled per group.
-        let quad_per_group = (w.n_int as f64 / layout.quadrature_groups as f64).ceil();
-        let imbalance_factor = w.convergence_spread * (1.0 - quad_per_group / w.n_int as f64);
+        let quad_per_group = (nodes / layout.quadrature_groups as f64).ceil();
+        let imbalance_factor = w.convergence_spread * (1.0 - quad_per_group / nodes);
         let imbalance_seconds = compute_seconds * imbalance_factor;
 
-        // Normalize so that the serial layout reproduces the full workload.
-        let _ = systems_total;
         PredictedTime { compute_seconds, halo_seconds, reduction_seconds, imbalance_seconds }
     }
 
@@ -474,6 +505,7 @@ impl PerformanceModel {
         let mut model = *self;
         // Table 2 measures a single linear system.
         model.workload.n_int = 1;
+        model.workload.conjugate_symmetric = false;
         model.workload.n_rh = 1;
         model.workload.bicg_iterations = iterations;
         // Intra-node "messages" are memory copies: far lower latency.
@@ -513,6 +545,7 @@ pub fn default_workload(dimension: usize, plane_size: usize) -> WorkloadModel {
         plane_size,
         nf: 4,
         n_int: 32,
+        conjugate_symmetric: false,
         n_rh: 16,
         bicg_iterations: 500.0,
         seconds_per_point_iteration: 2.0e-8,
@@ -630,6 +663,27 @@ mod tests {
     }
 
     #[test]
+    fn conjugate_symmetric_workload_counts_solved_nodes() {
+        let full = model();
+        let mut half = full;
+        half.workload.conjugate_symmetric = true;
+        assert_eq!(full.workload.solved_nodes(), 32);
+        assert_eq!(half.workload.solved_nodes(), 16);
+        let layout = |quadrature_groups| ParallelLayout {
+            rhs_groups: 1,
+            quadrature_groups,
+            domains: 1,
+            threads_per_process: 68,
+        };
+        // Half the systems per group while both rings fill their groups ...
+        let (f, h) = (full.predict(&layout(16)), half.predict(&layout(16)));
+        assert!((h.compute_seconds - 0.5 * f.compute_seconds).abs() < 1e-9 * f.compute_seconds);
+        // ... and the middle layer saturates at the 16 solved nodes.
+        assert_eq!(half.predict(&layout(32)).compute_seconds, h.compute_seconds);
+        assert!(full.predict(&layout(32)).compute_seconds < f.compute_seconds);
+    }
+
+    #[test]
     fn effective_threads_monotone_but_sublinear() {
         assert_eq!(effective_threads(1, 0.9), 1.0);
         let t4 = effective_threads(4, 0.9);
@@ -671,7 +725,8 @@ mod tests {
             sample(2, 55_000_000, 400_000),
         ])
         .unwrap();
-        let w = WorkloadSpec { dimension: 512, nnz: 18 * 512, n_rh: 4, energies: 8 };
+        let w =
+            WorkloadSpec { dimension: 512, nnz: 18 * 512, n_rh: 4, energies: 8, mirrored: false };
         assert_eq!(m.best_cell(&w, 0.10), Some(cell(2)));
     }
 
@@ -681,14 +736,16 @@ mod tests {
         // first-fitted (priority) cell wins regardless of jitter sign.
         let m = CostModel::fit(&[sample(1, 100_000_000, 400_000), sample(2, 95_000_000, 400_000)])
             .unwrap();
-        let w = WorkloadSpec { dimension: 512, nnz: 18 * 512, n_rh: 4, energies: 8 };
+        let w =
+            WorkloadSpec { dimension: 512, nnz: 18 * 512, n_rh: 4, energies: 8, mirrored: false };
         assert_eq!(m.best_cell(&w, 0.10), Some(cell(1)));
     }
 
     #[test]
     fn predictions_scale_with_workload() {
         let m = CostModel::fit(&[sample(2, 55_000_000, 400_000)]).unwrap();
-        let w1 = WorkloadSpec { dimension: 512, nnz: 18 * 512, n_rh: 4, energies: 1 };
+        let w1 =
+            WorkloadSpec { dimension: 512, nnz: 18 * 512, n_rh: 4, energies: 1, mirrored: false };
         let w8 = WorkloadSpec { energies: 8, ..w1 };
         let wide = WorkloadSpec { nnz: 36 * 512, ..w1 };
         let p1 = m.predict(cell(2), &w1).unwrap();
@@ -712,7 +769,8 @@ mod tests {
         // Bench-scale shape: extraction is ~0.3% of wall, so the doubled
         // solve volume of any S>1 partition can never pay for itself.
         let m = CostModel::fit(&[sample(2, 55_000_000, 165_000)]).unwrap();
-        let w = WorkloadSpec { dimension: 512, nnz: 18 * 512, n_rh: 4, energies: 8 };
+        let w =
+            WorkloadSpec { dimension: 512, nnz: 18 * 512, n_rh: 4, energies: 8, mirrored: false };
         assert_eq!(m.tune_slices(cell(2), &w, 4, 0.10), 1);
     }
 
@@ -721,7 +779,21 @@ mod tests {
         // A synthetic extraction-bound sample: cubically shrinking the
         // Hankel work across slices beats the extra solve volume.
         let m = CostModel::fit(&[sample(2, 100_000_000, 99_900_000)]).unwrap();
-        let w = WorkloadSpec { dimension: 512, nnz: 18 * 512, n_rh: 16, energies: 8 };
+        let w =
+            WorkloadSpec { dimension: 512, nnz: 18 * 512, n_rh: 16, energies: 8, mirrored: false };
         assert!(m.tune_slices(cell(2), &w, 4, 0.10) > 1);
+    }
+
+    #[test]
+    fn slice_tuner_charges_slices_for_the_nodes_a_mirrored_ring_skips() {
+        // A sample balanced so that slicing just pays off against a full
+        // single contour: against a mirrored one — whose probe solved half
+        // the nodes, while slices solve all of theirs — it no longer does.
+        let m = CostModel::fit(&[sample(2, 100_000_000, 95_000_000)]).unwrap();
+        let full =
+            WorkloadSpec { dimension: 512, nnz: 18 * 512, n_rh: 16, energies: 8, mirrored: false };
+        assert!(m.tune_slices(cell(2), &full, 4, 0.10) > 1);
+        let mirrored = WorkloadSpec { mirrored: true, ..full };
+        assert_eq!(m.tune_slices(cell(2), &mirrored, 4, 0.10), 1);
     }
 }

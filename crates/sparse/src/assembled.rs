@@ -170,6 +170,14 @@ impl AssembledPattern {
         &self.col_idx
     }
 
+    /// `true` when the `H₀₀` and `H₀₁` value streams are real (`H₁₀ =
+    /// H₀₁†` is then real too), so every operator refilled from this
+    /// pattern satisfies `P(z̄) = conj P(z)` — the pattern's share of
+    /// `cbs_core::QepProblem`'s conjugate-symmetry decision.
+    pub fn is_real(&self) -> bool {
+        crate::ops::all_real(&self.h00_vals) && crate::ops::all_real(&self.h01_vals)
+    }
+
     /// Storage footprint of the pattern (indices + the three value streams).
     pub fn memory_bytes(&self) -> usize {
         self.row_ptr.len() * std::mem::size_of::<usize>()

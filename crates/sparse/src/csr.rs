@@ -404,6 +404,9 @@ impl LinearOperator for CsrMatrix {
     fn memory_bytes(&self) -> usize {
         self.storage_bytes()
     }
+    fn is_real(&self) -> bool {
+        crate::ops::all_real(&self.values)
+    }
 }
 
 // --- Shared CSR kernels on raw (row_ptr, col_idx, values) triples. ---------

@@ -84,6 +84,11 @@ impl SparseVec {
         self.values.iter().map(|v| v.norm_sqr()).sum()
     }
 
+    /// `true` when every stored value is real.
+    pub fn is_real(&self) -> bool {
+        crate::ops::all_real(&self.values)
+    }
+
     /// Memory footprint in bytes.
     pub fn storage_bytes(&self) -> usize {
         self.indices.len() * std::mem::size_of::<usize>()
@@ -319,6 +324,12 @@ impl LinearOperator for LowRankOp {
     }
     fn memory_bytes(&self) -> usize {
         self.storage_bytes()
+    }
+    fn is_real(&self) -> bool {
+        // Entry (i, j) of a term is `c · u_i · conj(v_j)`: real factors and
+        // a real coefficient are sufficient (and what the Kleinman-Bylander
+        // projectors of a real Hamiltonian are made of).
+        self.terms.iter().all(|t| t.coeff.im == 0.0 && t.ket.is_real() && t.bra.is_real())
     }
 }
 

@@ -97,6 +97,20 @@ pub trait LinearOperator: Sync {
     fn traversal_weight(&self) -> usize {
         1
     }
+
+    /// `true` when every matrix entry of the operator is known to be real,
+    /// i.e. `conj(A x) = A conj(x)`.
+    ///
+    /// An *observable property of the stored data*, not a configuration:
+    /// explicit operators scan their values (O(storage), so callers cache
+    /// the answer — `cbs_core::QepProblem` asks once per problem), and
+    /// compositions are real when their parts and coefficients are.  The
+    /// default `false` is always safe: it only means the Sakurai-Sugiura
+    /// quadrature cannot use the `P(z̄) = conj P(z)` shortcut and solves
+    /// every contour node.
+    fn is_real(&self) -> bool {
+        false
+    }
 }
 
 /// Approximate inverse `M ≈ A⁻¹` applied as a solve, together with its
@@ -168,6 +182,9 @@ impl<T: LinearOperator + ?Sized> LinearOperator for &T {
     fn traversal_weight(&self) -> usize {
         (**self).traversal_weight()
     }
+    fn is_real(&self) -> bool {
+        (**self).is_real()
+    }
 }
 
 impl<T: LinearOperator + ?Sized> LinearOperator for Box<T> {
@@ -194,6 +211,9 @@ impl<T: LinearOperator + ?Sized> LinearOperator for Box<T> {
     }
     fn traversal_weight(&self) -> usize {
         (**self).traversal_weight()
+    }
+    fn is_real(&self) -> bool {
+        (**self).is_real()
     }
 }
 
@@ -232,6 +252,9 @@ impl LinearOperator for IdentityOp {
         assert_eq!(x.len(), self.n * nvecs, "apply_adjoint_block: x slab length mismatch");
         assert_eq!(y.len(), self.n * nvecs, "apply_adjoint_block: y slab length mismatch");
         y.copy_from_slice(x);
+    }
+    fn is_real(&self) -> bool {
+        true
     }
 }
 
@@ -283,6 +306,9 @@ impl<A: LinearOperator> LinearOperator for ScaledOp<A> {
     }
     fn memory_bytes(&self) -> usize {
         self.inner.memory_bytes()
+    }
+    fn is_real(&self) -> bool {
+        self.alpha.im == 0.0 && self.inner.is_real()
     }
 }
 
@@ -337,6 +363,9 @@ impl<A: LinearOperator, B: LinearOperator> LinearOperator for SumOp<A, B> {
     }
     fn memory_bytes(&self) -> usize {
         self.a.memory_bytes() + self.b.memory_bytes()
+    }
+    fn is_real(&self) -> bool {
+        self.alpha.im == 0.0 && self.beta.im == 0.0 && self.a.is_real() && self.b.is_real()
     }
 }
 
@@ -393,6 +422,9 @@ impl<A: LinearOperator> LinearOperator for ShiftedOp<A> {
     fn memory_bytes(&self) -> usize {
         self.inner.memory_bytes()
     }
+    fn is_real(&self) -> bool {
+        self.sigma.im == 0.0 && self.inner.is_real()
+    }
 }
 
 /// Wrap a dense matrix as a `LinearOperator` (used in tests and for the
@@ -444,6 +476,15 @@ impl LinearOperator for DenseOp {
     fn memory_bytes(&self) -> usize {
         self.m.memory_bytes()
     }
+    fn is_real(&self) -> bool {
+        (0..self.m.nrows()).all(|i| all_real(self.m.row(i)))
+    }
+}
+
+/// `true` when no entry of `values` has a non-zero imaginary part — the
+/// scan behind every explicit operator's [`LinearOperator::is_real`].
+pub(crate) fn all_real(values: &[Complex64]) -> bool {
+    values.iter().all(|v| v.im == 0.0)
 }
 
 /// Measure the largest relative defect of the adjoint identity

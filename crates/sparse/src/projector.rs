@@ -82,6 +82,12 @@ impl FactoredProjector {
         &self.vnl10
     }
 
+    /// `true` when both projector blocks are real (see
+    /// [`LinearOperator::is_real`]; `V₁₀ = V₀₁†` is then real too).
+    pub fn is_real(&self) -> bool {
+        self.vnl00.is_real() && self.vnl01.is_real()
+    }
+
     /// Total factor storage in bytes.
     pub fn storage_bytes(&self) -> usize {
         self.vnl00.storage_bytes() + self.vnl01.storage_bytes() + self.vnl10.storage_bytes()

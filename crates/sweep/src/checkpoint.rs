@@ -42,7 +42,7 @@ pub struct ProbeSample {
 }
 
 /// The committed auto-tuning decision of a sweep: the selected policy cell
-/// plus the probe measurements it was derived from.  Serialized in the v5
+/// plus the probe measurements it was derived from.  Serialized in the
 /// checkpoint so kill/resume *replays* the decision instead of re-probing
 /// — the replayed sweep is bit-identical to the uninterrupted one even
 /// though probe wall-clocks are not reproducible.
@@ -73,7 +73,7 @@ pub struct SweepCheckpoint {
     /// ([`crate::SweepConfig::fingerprint`]).
     pub fingerprint: Vec<u64>,
     /// The committed auto-tuning decision, when the sweep ran with
-    /// `SsConfig::auto()` / `CBS_AUTO=1` (v5).  Resume replays this cell
+    /// `SsConfig::auto()` / `CBS_AUTO=1`.  Resume replays this cell
     /// instead of re-probing.
     pub auto: Option<AutoDecision>,
     /// The initial (pre-refinement) energy grid, ascending.
@@ -96,9 +96,9 @@ pub struct SweepCheckpoint {
 pub enum CheckpointError {
     /// Truncated, corrupt or otherwise unparseable checkpoint text.
     Malformed(String),
-    /// A checkpoint written by an older (or newer) incompatible on-disk
-    /// format — the counters it carries cannot be restored faithfully.
-    /// Delete the checkpoint and re-sweep.
+    /// A checkpoint written by any on-disk format version other than the
+    /// current one — older or newer, its counters, sections or seed tables
+    /// cannot be restored faithfully.  Delete the checkpoint and re-sweep.
     IncompatibleVersion {
         /// The magic line found in the file.
         found: String,
@@ -133,18 +133,22 @@ impl std::error::Error for CheckpointError {}
 //   v3  added `operator_assemblies` (the assembled-operator fast path),
 //   v4  contour partitioning: the `SlicePolicy` knobs joined the
 //       fingerprint and seed tables became slice-major concatenations
-//       whose length depends on the partition — a v3 bank restored into a
-//       sliced sweep would mis-split, so the version gates it.
+//       whose length depends on the partition,
 //   v5  calibrated auto-tuning: an `auto` section (the committed policy
 //       cell + the probe samples behind it) between fingerprint and grid,
-//       and the fingerprint gained the auto-enabled bit plus, when
-//       auto-tuning, the committed cell — a v4 reader would choke on the
-//       section and a v4 writer cannot carry the decision resume needs to
-//       replay, so the version gates both directions.
-// Older checkpoints are rejected with a dedicated
-// [`CheckpointError::IncompatibleVersion`] rather than read with silently
-// zeroed or misaligned counters.
-const MAGIC: &str = "cbs-sweep-checkpoint v5";
+//       and the fingerprint gained the auto-enabled bit plus the committed
+//       cell,
+//   v6  conjugate-symmetric quadrature: the source block is real (every
+//       stored solution is a solution for a different right-hand side than
+//       a v5 one), a real Hamiltonian's seed tables hold only the solved
+//       upper half-plane nodes (`n_solved x n_rh` pairs per energy), and
+//       the fingerprint gained the mirrored-ring bit.
+// There is exactly one compatibility rule: the version found must be the
+// current one.  Anything else announcing itself through the shared magic
+// prefix is refused with [`CheckpointError::IncompatibleVersion`], naming
+// both versions, rather than read with silently zeroed or misaligned
+// fields.
+const MAGIC: &str = "cbs-sweep-checkpoint v6";
 
 /// Prefix shared by every version's magic line; anything with this prefix
 /// but the wrong version is an incompatible (not malformed) checkpoint.
@@ -332,9 +336,10 @@ impl SweepCheckpoint {
         let (_, magic) = lines.inner.next().ok_or_else(|| err("empty checkpoint"))?;
         let magic = magic.trim();
         if magic != MAGIC {
-            // An old (or future) format announces itself through the shared
-            // magic prefix: report it as a version problem, not a parse
-            // error, so the caller can tell the user to delete and re-sweep.
+            // The one version check: any other format — older or newer —
+            // announces itself through the shared magic prefix and is a
+            // version problem, not a parse error, so the caller can tell
+            // the user to delete and re-sweep.
             if magic.starts_with(MAGIC_PREFIX) {
                 return Err(CheckpointError::IncompatibleVersion { found: magic.to_string() });
             }
@@ -613,6 +618,12 @@ mod tests {
         }
     }
 
+    /// A syntactically current checkpoint relabelled as format `version`.
+    fn relabelled(version: &str) -> String {
+        let current = MAGIC.strip_prefix(MAGIC_PREFIX).expect("magic carries the prefix");
+        sample().serialize_to_string().replacen(&format!("v{current}"), version, 1)
+    }
+
     #[test]
     fn old_checkpoint_versions_are_reported_as_incompatible() {
         // A v1 checkpoint (pre-`operator_traversals`): the body does not
@@ -627,13 +638,11 @@ mod tests {
         }
         // The v2 layout (pre-`operator_assemblies`) is likewise refused up
         // front instead of being parsed with misaligned counters.
-        let v2 = sample().serialize_to_string().replacen("v5", "v2", 1);
-        let err = SweepCheckpoint::parse(&v2).unwrap_err();
+        let err = SweepCheckpoint::parse(&relabelled("v2")).unwrap_err();
         assert!(matches!(err, CheckpointError::IncompatibleVersion { .. }));
         // And v3 (pre-slicing): its fingerprint lacks the slice-policy
         // fields and its seed tables predate the slice-major layout.
-        let v3 = sample().serialize_to_string().replacen("v5", "v3", 1);
-        let err = SweepCheckpoint::parse(&v3).unwrap_err();
+        let err = SweepCheckpoint::parse(&relabelled("v3")).unwrap_err();
         assert!(matches!(err, CheckpointError::IncompatibleVersion { .. }));
         // The message tells the operator what to do.
         let msg = err.to_string();
@@ -642,21 +651,29 @@ mod tests {
     }
 
     #[test]
-    fn v4_checkpoints_are_refused_and_the_message_names_the_version() {
-        // v4 predates the auto section (and the auto fingerprint bits): it
-        // must hit the dedicated incompatible-version path, and the error
-        // message must name the version found so the operator knows which
-        // file is stale.
-        let v4 = sample().serialize_to_string().replacen("v5", "v4", 1);
-        match SweepCheckpoint::parse(&v4) {
-            Err(CheckpointError::IncompatibleVersion { ref found }) => {
-                assert_eq!(found, "cbs-sweep-checkpoint v4");
-                let msg = CheckpointError::IncompatibleVersion { found: found.clone() }.to_string();
-                assert!(msg.contains("cbs-sweep-checkpoint v4"), "{msg}");
-                assert!(msg.contains("cbs-sweep-checkpoint v5"), "{msg}");
+    fn v4_and_v5_checkpoints_are_refused_and_the_message_names_both_versions() {
+        // v4 predates the auto section; v5 predates the real source block
+        // and the half-ring seed tables (a v5 bank restored into a mirrored
+        // sweep would seed node `j` with the solution of a different
+        // right-hand side).  Both must hit the dedicated
+        // incompatible-version path, and the error message must name the
+        // version found *and* the one expected.  A format from the future
+        // is refused the same way — there is one check, not one per
+        // version.
+        for version in ["v4", "v5", "v7"] {
+            let stale = format!("cbs-sweep-checkpoint {version}");
+            match SweepCheckpoint::parse(&relabelled(version)) {
+                Err(CheckpointError::IncompatibleVersion { ref found }) => {
+                    assert_eq!(found, &stale);
+                    let msg =
+                        CheckpointError::IncompatibleVersion { found: found.clone() }.to_string();
+                    assert!(msg.contains(&stale), "{msg}");
+                    assert!(msg.contains(MAGIC), "{msg}");
+                }
+                other => panic!("{version}: expected IncompatibleVersion, got {other:?}"),
             }
-            other => panic!("expected IncompatibleVersion, got {other:?}"),
         }
+        assert!(SweepCheckpoint::parse(&relabelled("v6")).is_ok(), "v6 is the current format");
     }
 
     #[test]

@@ -32,8 +32,9 @@ pub struct SweepConfig {
     pub min_refine_spacing: f64,
     /// Maximum number of completed energies whose solutions are retained
     /// as warm-start donors; the oldest completion is evicted first.  Each
-    /// entry holds `2 · N_int · N_rh` length-`N` vectors, so this bounds
-    /// the sweep's dominant memory cost.
+    /// entry holds `2 · N_solved · N_rh` length-`N` vectors (`N_solved` =
+    /// `N_int`, or `N_int / 2` on the mirrored ring of a real Hamiltonian),
+    /// so this bounds the sweep's dominant memory cost.
     pub seed_bank_capacity: usize,
 }
 

@@ -352,6 +352,20 @@ impl<'a> EnergySweep<'a> {
         &self.config
     }
 
+    /// The QEP at one scan energy, with the sweep's assembled backend
+    /// (pattern, projector) attached.
+    fn problem_at(&self, energy: f64) -> QepProblem<'_> {
+        let p = QepProblem::new(self.h00, self.h01, energy, self.period);
+        let p = match &self.pattern {
+            Some(pattern) => p.with_pattern(pattern),
+            None => p,
+        };
+        match &self.projector {
+            Some(proj) => p.with_projector(proj),
+            None => p,
+        }
+    }
+
     /// Run the sweep to completion with no checkpointing.
     pub fn run<E: TaskExecutor>(&self, energies: &[f64], executor: &E) -> SweepResult {
         self.run_with(energies, executor, RunOptions::default())
@@ -368,7 +382,6 @@ impl<'a> EnergySweep<'a> {
         opts: RunOptions<'_>,
     ) -> Result<RunOutcome, CheckpointError> {
         let mut opts = opts;
-        let n = self.h00.dim();
         let stage_start = cbs_sparse::stage_snapshot();
         let cpu_start = cbs_trace::cpu_totals();
         let trace_t0 = cbs_trace::now_ns();
@@ -404,6 +417,16 @@ impl<'a> EnergySweep<'a> {
             None => self.config.ss,
         };
 
+        // The sliced plan (partition geometry, per-slice configurations and
+        // source blocks) depends only on the Hamiltonian blocks — their
+        // dimension and whether they are real, neither of which varies with
+        // the scan energy — and the *effective* configuration, so one
+        // instance serves every scan energy of the sweep.  The
+        // single-contour policy yields a trivial one-slice plan: the full
+        // ring, or its upper half for real blocks.
+        let plan = SlicedPlan::build(&self.problem_at(grid[0]), &ss_eff)
+            .expect("invalid slice policy in sweep configuration");
+
         let mut fingerprint = self.config.fingerprint(self.period);
         // The *effective* operator policy is part of the resume contract:
         // an assembled `PrecondPolicy` without an attached pattern silently
@@ -435,6 +458,11 @@ impl<'a> EnergySweep<'a> {
             fingerprint.push(d.precond.trace_code() as u64);
             fingerprint.push(d.slices as u64);
         }
+        // Whether the ring is mirrored (real blocks) decides the node list
+        // and therefore the layout of every seed table in the checkpoint
+        // (`n_solved x n_rh` per energy): a table written for one must not
+        // seed the other.
+        fingerprint.push(plan.is_mirrored() as u64);
 
         let mut st = State {
             records: Vec::new(),
@@ -468,13 +496,6 @@ impl<'a> EnergySweep<'a> {
             st.pending = cp.pending_donations;
         }
 
-        // The sliced plan (partition geometry, per-slice configurations and
-        // source blocks) depends only on the dimension and the *effective*
-        // configuration, so one instance serves every scan energy of the
-        // sweep — the single-contour policy yields a trivial one-slice
-        // plan whose source block is bitwise the historical `source_block`.
-        let plan =
-            SlicedPlan::build(n, &ss_eff).expect("invalid slice policy in sweep configuration");
         let checkpoint = |st: &State| SweepCheckpoint {
             fingerprint: fingerprint.clone(),
             auto: decision.clone(),
@@ -573,7 +594,7 @@ impl<'a> EnergySweep<'a> {
     /// sweep of the same workload in a process derives its decision from
     /// one consistent sample set — serial and rayon runs of the same
     /// system commit the *same* cell; and the decision is recorded in the
-    /// v5 checkpoint (so kill/resume *replays* it rather than re-probing,
+    /// checkpoint (so kill/resume *replays* it rather than re-probing,
     /// across process boundaries where the memo cannot reach).  Probe
     /// solves are throwaway — their solutions never enter the warm-start
     /// bank, so an auto sweep stays bit-identical to the fixed
@@ -648,8 +669,13 @@ impl<'a> EnergySweep<'a> {
                 (samples, probe)
             })
         };
-        let workload =
-            WorkloadSpec { dimension: n, nnz, n_rh: nominal.n_rh, energies: n_energies.max(1) };
+        let workload = WorkloadSpec {
+            dimension: n,
+            nnz,
+            n_rh: nominal.n_rh,
+            energies: n_energies.max(1),
+            mirrored: self.problem_at(energy).is_conjugate_symmetric(),
+        };
         let cell = CostModel::fit(&samples).and_then(|model| {
             let best = model.best_cell(&workload, AUTO_MARGIN)?;
             let slices = model.tune_slices(best, &workload, AUTO_MAX_SLICES, AUTO_MARGIN);
@@ -685,15 +711,7 @@ impl<'a> EnergySweep<'a> {
         let mut probe = Vec::with_capacity(candidates.len());
         for &(block, precond) in candidates {
             let cfg = SsConfig { block, precond, ..*probe_ss };
-            let problem = QepProblem::new(self.h00, self.h01, energy, self.period);
-            let problem = match &self.pattern {
-                Some(pattern) => problem.with_pattern(pattern),
-                None => problem,
-            };
-            let problem = match &self.projector {
-                Some(proj) => problem.with_projector(proj),
-                None => problem,
-            };
+            let problem = self.problem_at(energy);
             // Stage wall-ns needs a recording session; when an outer one is
             // already active we piggyback on it, otherwise we open our own
             // for the duration of the probe solve.
@@ -780,20 +798,8 @@ impl<'a> EnergySweep<'a> {
         let trace = TraceHandle::resolve(ss.trace).with_policy(ss.precond.trace_code());
 
         if !to_solve.is_empty() {
-            let problems: Vec<QepProblem<'_>> = to_solve
-                .iter()
-                .map(|&(e, _)| {
-                    let p = QepProblem::new(self.h00, self.h01, e, self.period);
-                    let p = match &self.pattern {
-                        Some(pattern) => p.with_pattern(pattern),
-                        None => p,
-                    };
-                    match &self.projector {
-                        Some(proj) => p.with_projector(proj),
-                        None => p,
-                    }
-                })
-                .collect();
+            let problems: Vec<QepProblem<'_>> =
+                to_solve.iter().map(|&(e, _)| self.problem_at(e)).collect();
             let donors: Vec<Option<(f64, &SeedTable)>> = to_solve
                 .iter()
                 .map(|&(e, _)| if warm { st.bank.nearest(e) } else { None })

@@ -40,6 +40,7 @@ fn main() {
             plane_size: h.grid.nx * h.grid.ny,
             nf: h.fd.nf,
             n_int: 32,
+            conjugate_symmetric: false, // the paper's run: all 32 nodes solved
             n_rh: 16,
             bicg_iterations: 2000.0,
             seconds_per_point_iteration: per_point,

@@ -31,7 +31,7 @@ fn main() {
     let energies: Vec<f64> =
         (0..n_energies).map(|i| ef - 0.06 + 0.12 * i as f64 / (n_energies - 1) as f64).collect();
     let ss =
-        SsConfig { n_int: 8, n_mm: 4, n_rh: 4, bicg_max_iterations: 2_000, ..SsConfig::small() };
+        SsConfig { n_int: 12, n_mm: 4, n_rh: 4, bicg_max_iterations: 2_000, ..SsConfig::small() };
 
     // 3. Cold reference: one flat round, no cross-energy reuse.
     let (h00, h01) = (h.h00(), h.h01());
@@ -89,14 +89,16 @@ fn main() {
         println!("   {e:>8.4}   {channels:>8}   {:>6}   {origin}", warm.cbs.at_energy(i).count());
     }
 
-    // 5. Resume the finished checkpoint: everything is already done, so
-    //    this is a no-op returning the same band structure bit for bit.
+    // 5. Resume the finished checkpoint (same configuration, same
+    //    refinement predicate — the replayed refinement decisions depend on
+    //    it): everything is already done, so this is a no-op returning the
+    //    same band structure bit for bit.
     let cp = cbs::sweep::SweepCheckpoint::load(&cp_path).expect("load checkpoint");
     let resumed = sweep
         .run_with(
             &energies,
             &RayonExecutor,
-            RunOptions { resume: Some(cp), ..RunOptions::default() },
+            RunOptions { resume: Some(cp), predicate: Some(&refiner), ..RunOptions::default() },
         )
         .expect("resume")
         .expect_complete("nothing left to solve");

@@ -7,7 +7,7 @@
 //!   only thing that feeds back;
 //! * the probe→commit decision is deterministic across the serial and
 //!   rayon executors (the probe itself always runs serially) and replays
-//!   bit-identically on kill/resume (the decision is recorded in the v5
+//!   bit-identically on kill/resume (the decision is recorded in the
 //!   checkpoint, never re-probed);
 //! * at bench scale the cost model never selects `S > 1` — the known
 //!   crossover fact from `BENCH_sweep.json` (a 2-sector partition costs
@@ -15,34 +15,22 @@
 //!   is a fraction of a percent of the sweep).
 
 use cbs::core::SsConfig;
-use cbs::dft::{bulk_al_100, grid_for_structure, BlockHamiltonian, HamiltonianParams};
+use cbs::dft::BlockHamiltonian;
 use cbs::parallel::{
     CalibrationSample, CellId, CostModel, RayonExecutor, SerialExecutor, TaskExecutor, WorkloadSpec,
 };
 use cbs::sweep::{EnergySweep, RunOptions, RunOutcome, SweepConfig, SweepResult};
 
-/// The fig6 Al(100) system at the regression-test resolution (identical to
-/// `tests/cross_validate.rs`).
-fn fig6_hamiltonian() -> BlockHamiltonian {
-    let s = bulk_al_100(1);
-    let grid = grid_for_structure(&s, 1.5);
-    BlockHamiltonian::build(
-        grid,
-        &s,
-        HamiltonianParams { fd: cbs::grid::FdOrder::new(1), include_nonlocal: true },
-    )
-}
+mod common;
+use common::fig6_hamiltonian;
 
 /// A sweep-affordable configuration with auto-tuning on.
 fn auto_ss() -> SsConfig {
     SsConfig {
-        n_int: 8,
-        n_mm: 4,
-        n_rh: 4,
         bicg_max_iterations: 2_000,
         residual_cutoff: 1e-6,
         auto: true,
-        ..SsConfig::small()
+        ..common::fig6_config()
     }
 }
 
@@ -117,7 +105,7 @@ fn auto_sweep_is_bitwise_the_fixed_cell_it_selects() {
 }
 
 /// (b) The probe→commit decision is deterministic across executors, and a
-/// killed auto sweep resumes from its v5 checkpoint bit-identically —
+/// killed auto sweep resumes from its checkpoint bit-identically —
 /// replaying the recorded decision instead of re-probing.
 #[test]
 fn auto_decision_is_deterministic_across_executors_and_kill_resume() {
@@ -263,9 +251,10 @@ fn cbs_auto_env_knob_drives_the_sweep() {
 }
 
 /// (c) At bench scale the model never selects `S > 1`: fed the measured
-/// shape of `BENCH_sweep.json` (ILU(0) cold sweep 0.47 s wall of which
-/// extraction is ~3.3 ms — 0.7%), slicing's doubled solve volume can never
-/// be paid for by cubic extraction shrinkage.
+/// shape of `BENCH_sweep.json` (ILU(0) cold sweep 0.28 s wall of which
+/// extraction is ~2.1 ms — 0.8%), slicing's doubled solve volume — doubled
+/// again because slices cannot use the mirrored half ring — can never be
+/// paid for by cubic extraction shrinkage.
 #[test]
 fn bench_scale_model_never_selects_slices() {
     // The tracked bench numbers: Al(100) 8-energy cold ILU(0) sweep.
@@ -276,16 +265,16 @@ fn bench_scale_model_never_selects_slices() {
         nnz: 37 * 1620,
         n_rh: 4,
         energies: 8,
-        iterations: 8220,
-        traversals: 4216,
-        assemblies: 64,
-        wall_ns: 470_000_000,
-        kernel_wall_ns: 150_000_000,
-        precond_wall_ns: 120_000_000,
-        extraction_wall_ns: 3_300_000,
+        iterations: 6123,
+        traversals: 3158,
+        assemblies: 48,
+        wall_ns: 278_000_000,
+        kernel_wall_ns: 135_000_000,
+        precond_wall_ns: 107_000_000,
+        extraction_wall_ns: 2_100_000,
     };
     let model = CostModel::fit(&[sample]).expect("valid sample must fit");
-    let w = WorkloadSpec { dimension: 1620, nnz: 37 * 1620, n_rh: 4, energies: 8 };
+    let w = WorkloadSpec { dimension: 1620, nnz: 37 * 1620, n_rh: 4, energies: 8, mirrored: true };
     for max_s in [2, 4, 8] {
         assert_eq!(
             model.tune_slices(cell, &w, max_s, 0.10),

@@ -7,11 +7,13 @@
 use rand::SeedableRng;
 
 use cbs::core::{solve_qep_with, BlockPolicy, QepProblem, SsConfig};
-use cbs::dft::{bulk_al_100, grid_for_structure, BlockHamiltonian, HamiltonianParams};
 use cbs::linalg::{c64, CMatrix};
 use cbs::parallel::{RayonExecutor, SerialExecutor};
 use cbs::sparse::DenseOp;
 use cbs::sweep::{sweep_cbs, RunOptions, RunOutcome, SweepCheckpoint, SweepConfig};
+
+mod common;
+use common::fig6_hamiltonian;
 
 fn random_blocks(n: usize, seed: u64) -> (CMatrix, CMatrix) {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
@@ -21,19 +23,8 @@ fn random_blocks(n: usize, seed: u64) -> (CMatrix, CMatrix) {
     (h00, h01)
 }
 
-/// The fig6 Al(100) system at the bench resolution.
-fn fig6_hamiltonian() -> BlockHamiltonian {
-    let s = bulk_al_100(1);
-    let grid = grid_for_structure(&s, 1.5);
-    BlockHamiltonian::build(
-        grid,
-        &s,
-        HamiltonianParams { fd: cbs::grid::FdOrder::new(1), include_nonlocal: true },
-    )
-}
-
 fn fig6_config(block: BlockPolicy) -> SsConfig {
-    SsConfig { n_int: 8, n_mm: 4, n_rh: 4, bicg_max_iterations: 400, block, ..SsConfig::small() }
+    SsConfig { block, ..common::fig6_config() }
 }
 
 /// Per-node block solves on the fig6 Al(100) system reproduce the per-rhs

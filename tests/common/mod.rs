@@ -1,0 +1,37 @@
+//! Fixtures shared by the integration tests: the fig6 Al(100) system at the
+//! bench resolution and the solver configuration every suite runs it under.
+//!
+//! One definition on purpose.  The node count is pinned at 12: at 8 the
+//! quadrature error leaves the eigenpair residuals at 1e-6…3e-4, straddling
+//! the 1e-5 acceptance filter, so whether a pair survives depends on the
+//! realization of the random source block (4 of 10 seeds lose pairs).  At 12
+//! the worst residual is ~1e-8 for every seed, and — the Hamiltonian being
+//! real — only 6 of the 12 nodes are solved.
+#![allow(dead_code)] // each test crate uses its own subset
+
+use cbs::core::SsConfig;
+use cbs::dft::{bulk_al_100, grid_for_structure, BlockHamiltonian, HamiltonianParams};
+
+/// Quadrature nodes per circle of [`fig6_config`].
+pub const FIG6_N_INT: usize = 12;
+
+/// Nodes of [`fig6_config`] that are actually solved on the (real) fig6
+/// system: the upper half-plane half of the ring.
+pub const FIG6_SOLVED_NODES: usize = FIG6_N_INT / 2;
+
+/// The fig6 Al(100) system at the bench resolution (343 grid points).
+pub fn fig6_hamiltonian() -> BlockHamiltonian {
+    let s = bulk_al_100(1);
+    let grid = grid_for_structure(&s, 1.5);
+    BlockHamiltonian::build(
+        grid,
+        &s,
+        HamiltonianParams { fd: cbs::grid::FdOrder::new(1), include_nonlocal: true },
+    )
+}
+
+/// The fig6 solver configuration; suites override the policy fields with
+/// struct-update syntax.
+pub fn fig6_config() -> SsConfig {
+    SsConfig { n_int: FIG6_N_INT, n_mm: 4, n_rh: 4, bicg_max_iterations: 400, ..SsConfig::small() }
+}

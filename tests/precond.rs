@@ -15,25 +15,16 @@
 use rand::SeedableRng;
 
 use cbs::core::{solve_qep_with, PrecondPolicy, QepProblem, SsConfig};
-use cbs::dft::{bulk_al_100, grid_for_structure, BlockHamiltonian, HamiltonianParams};
 use cbs::linalg::{c64, CMatrix};
 use cbs::parallel::{RayonExecutor, SerialExecutor};
 use cbs::sparse::{AssembledPattern, CsrMatrix};
 use cbs::sweep::{EnergySweep, RunOptions, RunOutcome, SweepCheckpoint, SweepConfig};
 
-/// The fig6 Al(100) system at the bench resolution.
-fn fig6_hamiltonian() -> BlockHamiltonian {
-    let s = bulk_al_100(1);
-    let grid = grid_for_structure(&s, 1.5);
-    BlockHamiltonian::build(
-        grid,
-        &s,
-        HamiltonianParams { fd: cbs::grid::FdOrder::new(1), include_nonlocal: true },
-    )
-}
+mod common;
+use common::{fig6_hamiltonian, FIG6_SOLVED_NODES};
 
 fn fig6_config(precond: PrecondPolicy) -> SsConfig {
-    SsConfig { n_int: 8, n_mm: 4, n_rh: 4, bicg_max_iterations: 400, precond, ..SsConfig::small() }
+    SsConfig { precond, ..common::fig6_config() }
 }
 
 /// Counter-locked traversal ratio: with the iteration count pinned (a
@@ -76,7 +67,7 @@ fn fig6_assembled_traversals_per_iteration_are_one_third_of_matrix_free() {
     let asm_rate = asm_solve as f64 / asm.total_bicg_iterations as f64;
     assert!(asm_rate <= mf_rate / 3.0 + 1e-12, "assembled {asm_rate} vs matrix-free {mf_rate}");
     // Assembly accounting: one refill per quadrature node, none matrix-free.
-    assert_eq!(asm.operator_assemblies, 8);
+    assert_eq!(asm.operator_assemblies, FIG6_SOLVED_NODES);
     assert_eq!(mf.operator_assemblies, 0);
 }
 

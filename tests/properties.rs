@@ -544,7 +544,7 @@ proptest! {
     ) {
         let contour = RingContour::new(lambda_min, n_int);
         let policy = SlicePolicy { angular, radial, ..SlicePolicy::single() };
-        let p = ContourPartition::try_new(contour, policy).expect("valid policy");
+        let p = ContourPartition::try_new(contour, policy, false).expect("valid policy");
         prop_assert!(p.len() == policy.slice_count());
 
         // A strictly in-annulus sample point.
@@ -728,7 +728,13 @@ proptest! {
             extraction_wall_ns: (wall_ns as f64 * extraction_frac) as u64,
         };
         let model = CostModel::fit(&[sample]).expect("valid sample must fit");
-        let w = WorkloadSpec { dimension: dim, nnz: nnz * w_nnz_scale, n_rh, energies: w_energies };
+        let w = WorkloadSpec {
+            dimension: dim,
+            nnz: nnz * w_nnz_scale,
+            n_rh,
+            energies: w_energies,
+            mirrored: w_energies % 2 == 0,
+        };
         let t = model.predict(cell, &w).expect("fitted cell must predict");
         prop_assert!(t.is_finite() && t > 0.0, "prediction {t} is not finite-positive");
         let t_more_nnz = model.predict(cell, &WorkloadSpec { nnz: w.nnz * 2, ..w }).unwrap();

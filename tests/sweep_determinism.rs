@@ -130,7 +130,18 @@ fn warm_sweep_beats_cold_loop_on_fig6_style_scan() {
         let wp: Vec<_> = warm.cbs.at_energy(i).collect();
         let cp: Vec<_> = cold.cbs.at_energy(i).collect();
         assert_eq!(wp.len(), cp.len(), "point count differs at energy {i}");
-        for (w, c) in wp.iter().zip(&cp) {
+        // Matched one to one: the points are ordered by (|λ|, arg λ), and
+        // two propagating states both have |λ| = 1 up to solver noise, so
+        // their relative order is not comparable across trajectories.  Each
+        // warm point consumes its nearest remaining cold point.
+        let mut cp = cp;
+        for w in &wp {
+            let nearest = (0..cp.len())
+                .min_by(|&a, &b| {
+                    (cp[a].lambda - w.lambda).abs().total_cmp(&(cp[b].lambda - w.lambda).abs())
+                })
+                .expect("same point count");
+            let c = cp.swap_remove(nearest);
             assert!(
                 (w.lambda - c.lambda).abs() < 1e-6,
                 "λ drifted: {:?} vs {:?}",
@@ -278,7 +289,7 @@ fn resume_is_bit_identical_under_seed_bank_eviction() {
 }
 
 /// A sliced (partitioned-contour) sweep killed mid-round resumes from its
-/// v5 checkpoint to results bit-identical with an uninterrupted run, on
+/// checkpoint to results bit-identical with an uninterrupted run, on
 /// both executors; the slice policy is part of the resume fingerprint; and
 /// pre-slicing v3 checkpoints are refused with the dedicated
 /// `IncompatibleVersion` error instead of a mis-split seed bank.
@@ -338,11 +349,11 @@ fn sliced_sweep_kill_resume_is_bit_identical_and_v3_is_refused() {
         }
     }
 
-    // The checkpoint on disk is v5; a v3 (pre-slicing) one is refused with
+    // The checkpoint on disk is v6; a v3 (pre-slicing) one is refused with
     // the dedicated error, not parsed into a mis-split seed bank.
     let text = std::fs::read_to_string(&path).unwrap();
-    assert!(text.starts_with("cbs-sweep-checkpoint v5"), "unexpected magic in {path:?}");
-    let v3 = text.replacen("cbs-sweep-checkpoint v5", "cbs-sweep-checkpoint v3", 1);
+    assert!(text.starts_with("cbs-sweep-checkpoint v6"), "unexpected magic in {path:?}");
+    let v3 = text.replacen("cbs-sweep-checkpoint v6", "cbs-sweep-checkpoint v3", 1);
     match cbs::sweep::SweepCheckpoint::parse(&v3) {
         Err(cbs::sweep::CheckpointError::IncompatibleVersion { found }) => {
             assert_eq!(found, "cbs-sweep-checkpoint v3");

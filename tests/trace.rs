@@ -34,8 +34,10 @@ fn al100() -> BlockHamiltonian {
     BlockHamiltonian::build(grid, &s, HamiltonianParams::default())
 }
 
+mod common;
+
 fn al_ss() -> SsConfig {
-    SsConfig { n_int: 8, n_mm: 4, n_rh: 4, bicg_max_iterations: 400, ..SsConfig::small() }
+    common::fig6_config()
 }
 
 fn random_blocks(n: usize, seed: u64) -> (CMatrix, CMatrix) {
