@@ -1,12 +1,12 @@
 //! Criterion microbenchmarks of the hot kernels behind the paper's serial
 //! performance numbers: sparse matvec (single-vector and fused block), QEP
-//! application, BiCG iterations (per-rhs and block), moment accumulation
+//! application, BiCG iterations (width 1 and block), moment accumulation
 //! and the Hankel post-processing.
 use cbs_core::{solve_qep, QepProblem, SsConfig};
 use cbs_dft::{bulk_al_100, grid_for_structure, BlockHamiltonian, HamiltonianParams};
 use cbs_linalg::{c64, CVector, Complex64};
-use cbs_solver::{bicg_dual, bicg_dual_block, SolverOptions};
-use cbs_sparse::LinearOperator;
+use cbs_solver::{bicg_dual, bicg_dual_block_precond, SolverOptions};
+use cbs_sparse::{LinearOperator, Preconditioner};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
 
@@ -72,7 +72,10 @@ fn bench_kernels(c: &mut Criterion) {
         let rhs: Vec<CVector> =
             (0..4).map(|c| CVector::from_vec(x_slab[c * n..(c + 1) * n].to_vec())).collect();
         let opts = SolverOptions { tolerance: 1e-300, max_iterations: 20, record_history: false };
-        b.iter(|| bicg_dual_block(&op, &rhs, &rhs, None, &opts, None));
+        b.iter(|| {
+            let m = None::<&dyn Preconditioner>;
+            bicg_dual_block_precond(&op, m, &rhs, &rhs, None, &opts, None)
+        });
     });
 
     let mut group = c.benchmark_group("sakurai_sugiura");

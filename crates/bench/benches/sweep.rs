@@ -1,19 +1,11 @@
 //! Criterion benchmarks of the `cbs-sweep` orchestrator: the same small
 //! Al(100) multi-energy scan run cold (flat pool, no seeding — the
 //! per-energy-loop equivalent) and warm-started (dyadic wavefront with
-//! cross-energy BiCG seeding), under both job granularities
-//! (`BlockPolicy::PerNode` fused block solves vs `BlockPolicy::PerRhs`
-//! single-vector solves), the operator-policy ladder
+//! cross-energy BiCG seeding), under the operator-policy ladder
 //! (`PrecondPolicy::MatrixFree` / `Assembled` / `AssembledIlu0` /
 //! `AssembledIlu0Smw`), and the calibrated auto-tuned cell
 //! (`SsConfig::auto()` — the probe commits a policy, and `bench_check`
-//! holds the `_auto` rows to within 10% of the best fixed row).  The
-//! committed baseline lives in `baselines/sweep_cbs.json`; regenerate with
-//!
-//! ```sh
-//! CRITERION_JSON=$PWD/crates/bench/baselines/sweep_cbs.json \
-//!     cargo bench -p cbs-bench --bench sweep
-//! ```
+//! holds the `_auto` rows to within 10% of the best fixed row).
 //!
 //! In addition to the criterion timings, every run writes a
 //! machine-readable `BENCH_sweep.json` at the repository root — wall time,
@@ -25,7 +17,7 @@
 use std::io::Write as _;
 use std::time::Instant;
 
-use cbs_core::{BlockPolicy, PrecondPolicy, SlicePolicy, SsConfig};
+use cbs_core::{PrecondPolicy, SlicePolicy, SsConfig};
 use cbs_dft::{bulk_al_100, grid_for_structure, BlockHamiltonian, HamiltonianParams};
 use cbs_parallel::SerialExecutor;
 use cbs_sweep::{EnergySweep, SweepConfig, SweepResult};
@@ -44,13 +36,12 @@ fn small_hamiltonian() -> BlockHamiltonian {
 /// residual is ~1e-8 and — the Hamiltonian being real — only 6 nodes are
 /// solved.  Same choice, for the same reason, as `benchmark/`'s
 /// `al100_sweep8` workload.
-fn ss(block: BlockPolicy, precond: PrecondPolicy, slice: SlicePolicy, auto: bool) -> SsConfig {
+fn ss(precond: PrecondPolicy, slice: SlicePolicy, auto: bool) -> SsConfig {
     SsConfig {
         n_int: 12,
         n_mm: 4,
         n_rh: 4,
         bicg_max_iterations: 400,
-        block,
         precond,
         slice,
         auto,
@@ -87,7 +78,6 @@ fn run_sweep(h: &BlockHamiltonian, energies: &[f64], config: SweepConfig) -> Swe
 struct BenchRow {
     name: String,
     sweep: &'static str,
-    block: BlockPolicy,
     precond: PrecondPolicy,
     slice: SlicePolicy,
     wall_seconds: f64,
@@ -96,7 +86,7 @@ struct BenchRow {
 
 /// Write `BENCH_sweep.json` at the repository root: one entry per policy
 /// combination with wall time and the solver counters that track the perf
-/// levers (traversals for the block/assembled data paths, iteration splits
+/// levers (traversals for the assembled data path, iteration splits
 /// for warm-starting and ILU preconditioning).
 fn emit_bench_json(rows: &[BenchRow]) {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -108,18 +98,15 @@ fn emit_bench_json(rows: &[BenchRow]) {
         let s = &row.result.stats;
         // Auto rows report the cell the probe committed, fixed rows the
         // configured one.
-        let (block, precond, slices) = match &row.result.auto {
+        let (precond, slices) = match &row.result.auto {
             Some(d) => (
-                d.block.name().to_string(),
                 d.precond.name().to_string(),
                 if d.slices > 1 { d.slices.to_string() } else { "single".to_string() },
             ),
-            None => {
-                (row.block.name().to_string(), row.precond.name().to_string(), row.slice.name())
-            }
+            None => (row.precond.name().to_string(), row.slice.name()),
         };
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"sweep\": \"{}\", \"auto\": {}, \"block\": \"{}\", \
+            "    {{\"name\": \"{}\", \"sweep\": \"{}\", \"auto\": {}, \
              \"precond\": \"{}\", \"slices\": \"{}\", \"wall_seconds\": {:.6}, \
              \"bicg_iterations\": {}, \"cold_iterations\": {}, \
              \"warm_iterations\": {}, \"matvecs\": {}, \"traversals\": {}, \
@@ -129,7 +116,6 @@ fn emit_bench_json(rows: &[BenchRow]) {
             row.name,
             row.sweep,
             row.result.auto.is_some(),
-            block,
             precond,
             slices,
             row.wall_seconds,
@@ -159,26 +145,24 @@ fn emit_bench_json(rows: &[BenchRow]) {
 fn bench_sweep(c: &mut Criterion) {
     let h = small_hamiltonian();
     let energies: Vec<f64> = (0..8).map(|i| 0.05 + 0.02 * i as f64).collect();
-    let cold = |b, p, s, a| SweepConfig::cold(ss(b, p, s, a));
-    let warm = |b, p, s, a| SweepConfig { initial_round: 2, ..SweepConfig::new(ss(b, p, s, a)) };
+    let cold = |p, s, a| SweepConfig::cold(ss(p, s, a));
+    let warm = |p, s, a| SweepConfig { initial_round: 2, ..SweepConfig::new(ss(p, s, a)) };
     let single = SlicePolicy::single();
 
-    // The benchmark matrix: (cold, warm) x per-node {matrix-free,
-    // assembled, ilu0} plus the legacy per-rhs matrix-free shape, the
-    // sliced-vs-single contour comparison (2-sector partition), and the
+    // The benchmark matrix: (cold, warm) x {matrix-free, assembled, ilu0,
+    // ilu0+smw}, the sliced-vs-single contour comparison (2-sector partition), and the
     // calibrated auto-tuned row (`SsConfig::auto()`: the probe picks the
     // cell; `bench_check` gates its wall to within 10% of the best fixed
     // row of the same sweep kind).
-    let matrix: Vec<(&'static str, BlockPolicy, PrecondPolicy, SlicePolicy, bool)> = vec![
-        ("", BlockPolicy::PerNode, PrecondPolicy::MatrixFree, single, false),
-        ("_per_rhs", BlockPolicy::PerRhs, PrecondPolicy::MatrixFree, single, false),
-        ("_assembled", BlockPolicy::PerNode, PrecondPolicy::Assembled, single, false),
-        ("_ilu0", BlockPolicy::PerNode, PrecondPolicy::AssembledIlu0, single, false),
+    let matrix: Vec<(&'static str, PrecondPolicy, SlicePolicy, bool)> = vec![
+        ("", PrecondPolicy::MatrixFree, single, false),
+        ("_assembled", PrecondPolicy::Assembled, single, false),
+        ("_ilu0", PrecondPolicy::AssembledIlu0, single, false),
         // The auto row sits right after the ilu0 row it is expected to
         // commit to, so the gate's comparison pair shares machine state.
-        ("_auto", BlockPolicy::PerNode, PrecondPolicy::MatrixFree, single, true),
-        ("_ilu0_smw", BlockPolicy::PerNode, PrecondPolicy::AssembledIlu0Smw, single, false),
-        ("_sliced2", BlockPolicy::PerNode, PrecondPolicy::MatrixFree, lean_sectors(2), false),
+        ("_auto", PrecondPolicy::MatrixFree, single, true),
+        ("_ilu0_smw", PrecondPolicy::AssembledIlu0Smw, single, false),
+        ("_sliced2", PrecondPolicy::MatrixFree, lean_sectors(2), false),
     ];
 
     // `CBS_BENCH_SMOKE=1` skips the sampled criterion group and keeps only
@@ -188,13 +172,13 @@ fn bench_sweep(c: &mut Criterion) {
     if !smoke {
         let mut group = c.benchmark_group("sweep_cbs");
         group.sample_size(10);
-        for &(tag, block, precond, slice, auto) in &matrix {
+        for &(tag, precond, slice, auto) in &matrix {
             group.bench_function(&format!("cold_8_energies{tag}"), |b| {
-                let config = cold(block, precond, slice, auto);
+                let config = cold(precond, slice, auto);
                 b.iter(|| run_sweep(&h, &energies, config));
             });
             group.bench_function(&format!("warm_8_energies{tag}"), |b| {
-                let config = warm(block, precond, slice, auto);
+                let config = warm(precond, slice, auto);
                 b.iter(|| run_sweep(&h, &energies, config));
             });
         }
@@ -220,11 +204,10 @@ fn bench_sweep(c: &mut Criterion) {
         }
     });
     let mut rows = Vec::new();
-    for &(tag, block, precond, slice, auto) in &matrix {
-        for (sweep_kind, config) in [
-            ("cold", cold(block, precond, slice, auto)),
-            ("warm", warm(block, precond, slice, auto)),
-        ] {
+    for &(tag, precond, slice, auto) in &matrix {
+        for (sweep_kind, config) in
+            [("cold", cold(precond, slice, auto)), ("warm", warm(precond, slice, auto))]
+        {
             let name = format!("{sweep_kind}_8_energies{tag}");
             let _warmup = run_sweep(&h, &energies, config);
             // Three timed runs, keeping the fastest (result, wall and
@@ -259,15 +242,7 @@ fn bench_sweep(c: &mut Criterion) {
                     }
                 }
             }
-            rows.push(BenchRow {
-                name,
-                sweep: sweep_kind,
-                block,
-                precond,
-                slice,
-                wall_seconds,
-                result,
-            });
+            rows.push(BenchRow { name, sweep: sweep_kind, precond, slice, wall_seconds, result });
         }
     }
     emit_bench_json(&rows);

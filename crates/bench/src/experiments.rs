@@ -4,8 +4,8 @@
 //! and returns the key numbers so integration tests can assert on them.
 
 use cbs_core::{
-    solve_qep_sliced_with, solve_qep_with, BlockPolicy, PrecondPolicy, QepProblem, SlicePolicy,
-    SsConfig, SsResult,
+    solve_qep_sliced_with, solve_qep_with, PrecondPolicy, QepProblem, SlicePolicy, SsConfig,
+    SsResult,
 };
 use cbs_dft::{band_structure, BlockHamiltonian};
 use cbs_linalg::Complex64;
@@ -19,11 +19,9 @@ use cbs_sweep::{EnergySweep, SweepConfig, SweepResult};
 
 use crate::systems::{self, BenchSystem};
 
-/// Solve one QEP through the shifted-solve engine, with the executor chosen
+/// Solve one QEP through the shifted-solve pool, with the executor chosen
 /// by the `CBS_EXECUTOR` environment variable (`serial` default, `rayon`
-/// for the threaded fan-out), the job granularity by `CBS_BLOCK`
-/// (`per-node` block solves by default, `per-rhs` reverts to single-vector
-/// jobs; the results are bit-identical whatever the combination) and the
+/// for the threaded fan-out; the results are bit-identical either way), the
 /// operator representation by `CBS_PRECOND` (`matrix-free` default,
 /// `assembled` for the single-CSR fast path, `ilu0` to add the ILU(0)
 /// preconditioner; the assembled policies need a pattern on the problem —
@@ -32,7 +30,6 @@ use crate::systems::{self, BenchSystem};
 /// extraction).
 pub fn solve_qep_env(problem: &QepProblem<'_>, config: &SsConfig) -> SsResult {
     let config = SsConfig {
-        block: block_policy_env(config.block),
         precond: precond_policy_env(config.precond),
         slice: slice_policy_env(config.slice),
         ..*config
@@ -54,7 +51,6 @@ pub fn solve_qep_env(problem: &QepProblem<'_>, config: &SsConfig) -> SsResult {
 /// once and shared across the whole sweep.
 pub fn compute_cbs_env(h: &BlockHamiltonian, energies: &[f64], config: &SsConfig) -> SweepResult {
     let config = SsConfig {
-        block: block_policy_env(config.block),
         precond: precond_policy_env(config.precond),
         slice: slice_policy_env(config.slice),
         ..*config
@@ -110,24 +106,16 @@ impl cbs_trace::Knob for SweepMode {
     }
 }
 
-/// `CBS_BLOCK` overrides the configured job granularity only when it is
-/// set to a *valid* policy name; unset (or malformed, which warns once)
-/// keeps the caller's choice — it can no longer silently snap to the hard
-/// default the way the old `from_name` fallback did.
-fn block_policy_env(configured: BlockPolicy) -> BlockPolicy {
-    cbs_trace::knob("CBS_BLOCK").unwrap_or(configured)
-}
-
 /// `CBS_PRECOND` overrides the configured operator representation /
-/// preconditioning only when it is set to a valid policy name (same
-/// keep-the-configured-value contract as [`block_policy_env`]).
+/// preconditioning only when it is set to a *valid* policy name; unset (or
+/// malformed, which warns once) keeps the caller's choice.
 fn precond_policy_env(configured: PrecondPolicy) -> PrecondPolicy {
     cbs_trace::knob("CBS_PRECOND").unwrap_or(configured)
 }
 
 /// `CBS_SLICES` overrides the configured contour partitioning only when it
 /// is set to a valid policy name (same keep-the-configured-value contract
-/// as [`block_policy_env`]).
+/// as [`precond_policy_env`]).
 fn slice_policy_env(configured: SlicePolicy) -> SlicePolicy {
     cbs_trace::knob("CBS_SLICES").unwrap_or(configured)
 }

@@ -86,8 +86,8 @@ impl ComplexBandStructure {
 pub struct CbsStatistics {
     /// Total BiCG iterations over the whole sweep.
     pub total_bicg_iterations: usize,
-    /// Total operator applications (matvec-equivalents; identical under
-    /// every `BlockPolicy`).
+    /// Total operator applications (matvec-equivalents: the per-column
+    /// work, however the applies were fused).
     pub total_matvecs: usize,
     /// Operator-storage traversals actually performed (weighted by the
     /// operator's `traversal_weight`) — the figure the per-node block data
@@ -222,8 +222,8 @@ pub fn compute_cbs_with<E: TaskExecutor>(
         // context through `TraceHandle::resolve`.
         let _energy_ctx = cbs_trace::ctx_scope(cbs_trace::SpanCtx::NONE.with_energy(energy_index));
         let problem = QepProblem::new(h00, h01, energy, period);
-        // The single-contour policy takes the historical (bitwise-unchanged)
-        // engine path; partitioned contours run the flattened slice pool.
+        // The single-contour policy runs the ring as one pool group;
+        // partitioned contours run one group per slice and merge.
         let result = if config.slice.is_single() {
             solve_qep_with(&problem, config, executor)
         } else {

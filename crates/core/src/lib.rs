@@ -21,10 +21,10 @@
 //! (`P(z̄) = conj P(z)`, [`QepProblem::is_conjugate_symmetric`]), only the
 //! upper half-plane half of those (see the [`ss`] module docs).
 //!
-//! The `N_int x N_rh` independent shifted solves run through the
-//! [`ShiftedSolveEngine`], which is generic over both the operator family
-//! (any `cbs_sparse::LinearOperator`) and the execution strategy (any
-//! `cbs_parallel::TaskExecutor`); [`solve_qep_with`] / [`compute_cbs_with`]
+//! The `N_int x N_rh` independent shifted solves run through one road,
+//! [`solve_pool`]: a job per solved quadrature node (all of its right-hand
+//! sides in one block dual-BiCG), dispatched through any
+//! `cbs_parallel::TaskExecutor`; [`solve_qep_with`] / [`compute_cbs_with`]
 //! expose the executor choice, and the plain [`solve_qep`] /
 //! [`compute_cbs`] entry points default to serial execution.
 
@@ -32,8 +32,8 @@
 
 pub mod cbs;
 pub mod contour;
-pub mod engine;
 pub mod partition;
+pub mod policy;
 pub mod pool;
 pub mod qep;
 pub mod ss;
@@ -43,12 +43,9 @@ pub use cbs::{
     ComplexBandStructure, PROPAGATING_TOLERANCE,
 };
 pub use contour::{ContourError, QuadraturePoint, RingContour};
-pub use engine::{
-    BlockPolicy, PrecondPolicy, SeedProvider, ShiftedSolveEngine, ShiftedSolveJob,
-    ShiftedSolveOutcome, ShiftedSolveReport, ShiftedSolveStats, StoredSeeds,
-};
 pub use partition::{ContourPartition, ContourSlice, SliceNode, SlicePolicy, SliceRegion};
-pub use pool::{solve_pool, PoolGroup, PoolOutcome, PoolPolicy};
+pub use policy::{BlockPolicy, PrecondPolicy};
+pub use pool::{solve_pool, PoolGroup, PoolOutcome, PoolPolicy, ShiftedSolveOutcome};
 pub use qep::{QepNodeOp, QepNodePrecond, QepOperator, QepProblem};
 pub use ss::{
     extract_from_moments, extract_sliced, merge_claimed, solve_qep, solve_qep_sliced,

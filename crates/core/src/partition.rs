@@ -65,7 +65,7 @@
 //! source block the solutions at `z̄_j` are the conjugates of those at
 //! `z_j`, so [`ContourPartition::try_new`] builds the single
 //! slice from the `Im z > 0` half only and flags it
-//! [`mirrored`](ContourSlice::is_mirrored): everything downstream (engine,
+//! [`mirrored`](ContourSlice::is_mirrored): everything downstream (the
 //! pool, seed tables) iterates a node list half as long, and the
 //! extraction adds the missing half back as `Ŝ_k ← Ŝ_k + conj Ŝ_k`.  An
 //! odd `N` has one self-conjugate node at `θ = π`; it stays in the list
@@ -78,7 +78,7 @@ use serde::{Deserialize, Serialize};
 
 use cbs_linalg::Complex64;
 
-use crate::contour::{ContourError, QuadraturePoint, RingContour};
+use crate::contour::{ContourError, RingContour};
 
 const TAU: f64 = 2.0 * std::f64::consts::PI;
 
@@ -168,7 +168,7 @@ impl SlicePolicy {
     }
 
     /// Read the policy from an environment variable (mirrors
-    /// [`BlockPolicy::from_env`](crate::BlockPolicy::from_env)): `"S"`
+    /// [`PrecondPolicy::from_env`](crate::PrecondPolicy::from_env)): `"S"`
     /// selects `sectors(S)`, `"AxR"` selects `A` angular times `R` radial
     /// slices; anything else — including unset — is the default single
     /// contour.
@@ -408,16 +408,6 @@ impl ContourSlice {
         } else {
             (n / 2 + 1).min(n)
         }
-    }
-
-    /// The primal shifts as engine-compatible [`QuadraturePoint`]s
-    /// (`index` = position in [`nodes`](Self::nodes)).
-    pub fn primal_points(&self) -> Vec<QuadraturePoint> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .map(|(index, n)| QuadraturePoint { index, z: n.z, weight: n.weight, outer: true })
-            .collect()
     }
 
     /// `true` if this slice claims `λ` (see [`SliceRegion::claims`]).
@@ -857,11 +847,6 @@ mod tests {
             assert_eq!(n.dual_z.im.to_bits(), paired.z.im.to_bits());
             assert_eq!(n.dual_weight.re.to_bits(), paired.weight.re.to_bits());
             assert_eq!(n.dual_weight.im.to_bits(), paired.weight.im.to_bits());
-        }
-        // The primal points carry engine-compatible indices.
-        for (j, q) in slice.primal_points().iter().enumerate() {
-            assert_eq!(q.index, j);
-            assert!(q.outer);
         }
     }
 

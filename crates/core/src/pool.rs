@@ -1,48 +1,72 @@
-//! The flattened multi-group shifted-solve pool.
+//! Step 1 of the method: the flattened multi-group shifted-solve pool —
+//! the **one** road from a solve entry point to the BiCG kernel.
 //!
-//! One "group" is an independent set of shifted dual-BiCG systems sharing a
-//! [`QepProblem`], a node set and a source block: a scan energy of a sweep,
+//! The contour quadrature needs the solutions of `N_int x N_rh` independent
+//! linear systems `P(z_j) y = v_r` (plus their duals, which serve the inner
+//! circle for free).  One "group" is such a set sharing a [`QepProblem`], a
+//! node set and a source block: the single ring of
+//! [`solve_qep_with`](crate::ss::solve_qep_with), a scan energy of a sweep,
 //! one [`ContourSlice`](crate::partition::ContourSlice) of a sliced solve,
 //! or a `(scan energy x slice)` cell of a sliced sweep.  Instead of running
 //! the groups one after another (each dispatching its own small batch),
-//! this module concatenates the jobs of **all** groups into a single batch
-//! per majority-stop stage and dispatches that through the
-//! [`TaskExecutor`] seam — so a wide executor stays saturated even when a
-//! single group's grid is smaller than the machine.  It is the shared
-//! engine room of `cbs_sweep`'s cross-energy round pool and of
-//! [`solve_qep_sliced_with`](crate::ss::solve_qep_sliced_with)'s
-//! cross-slice pool.
+//! [`solve_pool`] concatenates the jobs of **all** groups into a single
+//! batch per majority-stop stage and dispatches that through the
+//! [`TaskExecutor`] seam.
 //!
-//! The job granularity follows [`BlockPolicy`]: under `PerRhs` the pool
-//! flattens `(group x node x rhs)` single-vector solves, under the default
-//! `PerNode` it flattens `(group x node)` **block** jobs — each advancing
-//! all of the group's right-hand sides in lockstep through
-//! `cbs_solver::bicg_dual_block`'s fused block matvecs.  The operator
-//! representation follows [`PrecondPolicy`] through
-//! [`QepProblem::node_solve`].
+//! A job is one quadrature node of one group: it builds that node's
+//! operator (and preconditioner) through [`QepProblem::node_solve`] under
+//! the pool's [`PrecondPolicy`], advances all of the group's right-hand
+//! sides in lockstep through `cbs_solver::bicg_dual_block_precond`'s fused
+//! block matvecs, and drops the `(P(z), M)` pair when it returns — so at
+//! most one pair per worker is alive, and assembly / factorization are paid
+//! once per solved node, never per right-hand side.  A stage therefore
+//! dispatches *solved nodes x groups* jobs; an executor wider than that
+//! idles (the remedy, should a wide-machine workload ever show it, is
+//! column tiles chosen from `executor.threads()` inside this one job
+//! runner).
 //!
-//! Determinism contract (inherited verbatim from the former `cbs-sweep`
-//! round pool, which this module generalizes): jobs are listed group-major
-//! in engine job order (`j * N_rh + rhs`; a block job unpacks its outcomes
-//! in rhs order), executors return results in input order, and each
-//! group's [`MomentAccumulator`] folds only its own outcomes in that order
-//! — so the accumulated moments (and everything extracted from them) are
-//! bit-identical to running each group alone through
-//! [`ShiftedSolveEngine`](crate::ShiftedSolveEngine), on every executor and
-//! under either block policy.  The majority-stop rule is the engine's
-//! two-stage form evaluated **per group** over that group's own node list
-//! (first stage: `ContourSlice::majority_stage_nodes`): the cap is a pure
-//! function of the group's first-stage results.
+//! Determinism contract: jobs are listed group-major in node order, a job
+//! unpacks its outcomes in rhs order (overall `j * N_rh + rhs`), executors
+//! return results in input order, and each group's [`MomentAccumulator`]
+//! folds only its own outcomes in that order on the calling thread — so the
+//! accumulated moments (and everything extracted from them) are
+//! bit-identical to running each group alone, on every executor.
+//!
+//! The paper's majority-stop load-balancing rule runs in a deterministic
+//! two-stage form, **per group**: the group's first
+//! `ContourSlice::majority_stage_nodes` nodes (strictly more than half of
+//! its contour — all of a mirrored half ring's) are always solved to
+//! convergence; if they all converge, the remaining nodes run with their
+//! iteration count capped at the worst converged count of the first stage.
+//! The cap is a pure function of the group's completed first-stage results,
+//! independent of scheduling.
 
 use cbs_linalg::{CVector, Complex64};
 use cbs_parallel::TaskExecutor;
-use cbs_solver::{bicg_dual_block_precond, bicg_dual_precond_seeded, SolverOptions};
-use cbs_sparse::LinearOperator;
+use cbs_solver::{bicg_dual_block_precond, ConvergenceHistory, SolverOptions};
 use cbs_trace::TraceHandle;
 
-use crate::engine::{BlockPolicy, PrecondPolicy, ShiftedSolveOutcome};
+use crate::policy::PrecondPolicy;
 use crate::qep::QepProblem;
 use crate::ss::{MomentAccumulator, SsConfig};
+
+/// The solution of one shifted system and its dual.
+#[derive(Clone, Debug)]
+pub struct ShiftedSolveOutcome {
+    /// Index `j` of the outer-circle quadrature point.
+    pub point_index: usize,
+    /// Index of the right-hand side.
+    pub rhs_index: usize,
+    /// Solution of `P(z_j^(1)) x = v` (outer circle).
+    pub x: CVector,
+    /// Solution of `P(z_j^(1))† x̃ = v`, i.e. the system at the paired
+    /// inner-circle node `z_j^(2) = 1/conj(z_j^(1))`.
+    pub dual_x: CVector,
+    /// Convergence history of the primal solve.
+    pub history: ConvergenceHistory,
+    /// Convergence history of the dual solve.
+    pub dual_history: ConvergenceHistory,
+}
 
 /// One group entering the pool.  The group's node set travels with its
 /// [`MomentAccumulator`] (passed alongside to [`solve_pool`]).
@@ -76,11 +100,8 @@ pub struct PoolOutcome {
     /// block applies count the operator's `traversal_weight`).
     pub traversals: usize,
     /// Numeric refills of the assembled pattern (ILU factorizations
-    /// included) performed for the group; zero under
-    /// `PrecondPolicy::MatrixFree`.  Under `BlockPolicy::PerNode` this is
-    /// one per quadrature node; the legacy `PerRhs` flattening assembles
-    /// per job because the pool shares no per-node cell — the counter
-    /// reports what actually happened.
+    /// included) performed for the group: one per solved quadrature node,
+    /// zero under `PrecondPolicy::MatrixFree`.
     pub assemblies: usize,
     /// Solves that ran under the majority-stop cap.
     pub capped_solves: usize,
@@ -97,8 +118,6 @@ pub struct PoolPolicy {
     pub options: SolverOptions,
     /// Enable the deterministic per-group majority-stop rule.
     pub majority_stop: bool,
-    /// Job granularity.
-    pub block: BlockPolicy,
     /// Operator representation / preconditioning.
     pub precond: PrecondPolicy,
 }
@@ -109,13 +128,12 @@ impl PoolPolicy {
         Self {
             options: config.solver_options(),
             majority_stop: config.majority_stop,
-            block: config.block,
             precond: config.precond,
         }
     }
 }
 
-/// Majority-stop bookkeeping for one group (the engine's rule, per group).
+/// Majority-stop bookkeeping for one group.
 struct GroupTracking {
     point_converged: Vec<bool>,
     converged_iter_max: usize,
@@ -150,19 +168,10 @@ struct GroupCounters {
     solutions: Vec<(CVector, CVector)>,
 }
 
-/// One single-vector job of the flattened `PerRhs` pool.
+/// One job of the flattened pool: a whole quadrature node of one group
+/// (all of that group's right-hand sides).
 #[derive(Clone, Copy)]
-struct FlatJob {
-    group: usize,
-    point_index: usize,
-    rhs_index: usize,
-    cap: Option<usize>,
-}
-
-/// One block job of the flattened `PerNode` pool: a whole quadrature node
-/// of one group (all of that group's right-hand sides).
-#[derive(Clone, Copy)]
-struct FlatNodeJob {
+struct NodeJob {
     group: usize,
     point_index: usize,
     cap: Option<usize>,
@@ -184,39 +193,7 @@ pub fn solve_pool<E: TaskExecutor>(
     let n_rh: Vec<usize> = groups.iter().map(|g| g.v_cols.len()).collect();
     let options = policy.options;
 
-    let run_job = |job: FlatJob| -> (usize, usize, usize, Vec<ShiftedSolveOutcome>) {
-        let group = &groups[job.group];
-        let _solve_span = group.trace.solve_scope(job.point_index);
-        let (op, prec) =
-            group.problem.node_solve(policy.precond, shifts[job.group][job.point_index]);
-        let assemblies = op.is_assembled() as usize;
-        let v = &group.v_cols[job.rhs_index];
-        let stop_at = job.cap.map(|c| c.max(1));
-        let stop_cb = move |iter: usize| stop_at.is_some_and(|c| iter >= c);
-        let external: Option<&(dyn Fn(usize) -> bool + Sync)> =
-            if stop_at.is_some() { Some(&stop_cb) } else { None };
-        let seed = group
-            .seeds
-            .map(|t| &t[job.point_index * n_rh[job.group] + job.rhs_index])
-            .map(|(x, xt)| (x, xt));
-        let res = bicg_dual_precond_seeded(&op, prec.as_ref(), v, v, seed, &options, external);
-        let traversals = res.history.matvecs * op.traversal_weight();
-        (
-            job.group,
-            traversals,
-            assemblies,
-            vec![ShiftedSolveOutcome {
-                point_index: job.point_index,
-                rhs_index: job.rhs_index,
-                x: res.x,
-                dual_x: res.dual_x,
-                history: res.history,
-                dual_history: res.dual_history,
-            }],
-        )
-    };
-
-    let run_node_job = |job: FlatNodeJob| -> (usize, usize, usize, Vec<ShiftedSolveOutcome>) {
+    let run_job = |job: NodeJob| -> (usize, usize, usize, Vec<ShiftedSolveOutcome>) {
         let group = &groups[job.group];
         let _solve_span = group.trace.solve_scope(job.point_index);
         let (op, prec) =
@@ -276,10 +253,9 @@ pub fn solve_pool<E: TaskExecutor>(
     let mut tracking: Vec<GroupTracking> =
         shifts.iter().map(|s| GroupTracking::new(s.len())).collect();
 
-    // Fold step shared by both stages and both policies: runs on the
-    // calling thread in input (= group-major job) order on every executor.
-    // Takes its mutable state explicitly so the borrows end with each
-    // stage.
+    // Fold step shared by both stages: runs on the calling thread in input
+    // (= group-major job) order on every executor.  Takes its mutable state
+    // explicitly so the borrows end with each stage.
     let record = |tracking: &mut [GroupTracking],
                   accs: &mut [MomentAccumulator],
                   counters: &mut [GroupCounters],
@@ -304,9 +280,8 @@ pub fn solve_pool<E: TaskExecutor>(
         }
     };
 
-    // Dispatch one stage over each group's `stage`-range of nodes, at the
-    // configured granularity.  0 = full node list (no majority stop),
-    // 1 = first stage, 2 = second stage.
+    // Dispatch one stage over each group's `stage`-range of nodes.
+    // 0 = full node list (no majority stop), 1 = first stage, 2 = second.
     let run_stage = |stage: u8,
                      caps: &[Option<usize>],
                      tracking: &mut Vec<GroupTracking>,
@@ -317,31 +292,14 @@ pub fn solve_pool<E: TaskExecutor>(
             1 => 0..stage1_points[g],
             _ => stage1_points[g]..shifts[g].len(),
         };
-        match policy.block {
-            BlockPolicy::PerRhs => {
-                let mut jobs = Vec::new();
-                for (g, &cap) in caps.iter().enumerate() {
-                    for point_index in range(g) {
-                        for rhs_index in 0..n_rh[g] {
-                            jobs.push(FlatJob { group: g, point_index, rhs_index, cap });
-                        }
-                    }
-                }
-                executor
-                    .execute_fold(jobs, run_job, (), |(), o| record(tracking, accs, counters, o));
-            }
-            BlockPolicy::PerNode => {
-                let mut jobs = Vec::new();
-                for (g, &cap) in caps.iter().enumerate() {
-                    for point_index in range(g) {
-                        jobs.push(FlatNodeJob { group: g, point_index, cap });
-                    }
-                }
-                executor.execute_fold(jobs, run_node_job, (), |(), o| {
-                    record(tracking, accs, counters, o);
-                });
-            }
-        }
+        let jobs: Vec<NodeJob> = caps
+            .iter()
+            .enumerate()
+            .flat_map(|(group, &cap)| {
+                range(group).map(move |point_index| NodeJob { group, point_index, cap })
+            })
+            .collect();
+        executor.execute_fold(jobs, run_job, (), |(), o| record(tracking, accs, counters, o));
     };
 
     if !policy.majority_stop {
@@ -353,8 +311,10 @@ pub fn solve_pool<E: TaskExecutor>(
         let caps = vec![None; groups.len()];
         run_stage(1, &caps, &mut tracking, &mut accs, &mut counters);
 
-        // Per-group cap: the engine's rule, from the group's own stage-1
-        // results only.
+        // Per-group cap, from the group's own stage-1 results only: the rule
+        // fires once more than half of the group's points have converged
+        // (the paper's condition), and caps at the worst iteration count
+        // among the converged stage-1 solves.
         let caps: Vec<Option<usize>> = tracking
             .iter()
             .enumerate()
@@ -388,4 +348,287 @@ pub fn solve_pool<E: TaskExecutor>(
             solutions: c.solutions,
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ss::{extract_from_moments, SlicedPlan, SsResult};
+    use cbs_linalg::{c64, CMatrix};
+    use cbs_parallel::{RayonExecutor, SerialExecutor};
+    use cbs_solver::StopReason;
+    use cbs_sparse::{AssembledPattern, CooBuilder, CsrMatrix, DenseOp, LinearOperator};
+    use rand::SeedableRng;
+
+    /// Well-conditioned complex (so: never mirrored) dense blocks.
+    fn dense_blocks(n: usize, seed: u64) -> (DenseOp, DenseOp) {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let a = CMatrix::random(n, n, &mut rng);
+        let mut h00 = (&a + &a.adjoint()).scale(c64(0.5, 0.0));
+        for i in 0..n {
+            h00[(i, i)] += c64(3.0 * n as f64, 0.0);
+        }
+        (DenseOp::new(h00), DenseOp::new(CMatrix::random(n, n, &mut rng)))
+    }
+
+    /// Sparse complex blocks an assembled pattern can be built from; the
+    /// phase of `coupling` decides where on the ring the hard nodes sit.
+    fn sparse_blocks(n: usize, coupling: Complex64) -> (CsrMatrix, CsrMatrix) {
+        let (mut b00, mut b01) = (CooBuilder::new(n, n), CooBuilder::new(n, n));
+        for i in 0..n {
+            b00.push(i, i, c64(-4.0, 0.0));
+            if i + 1 < n {
+                b00.push(i, i + 1, c64(1.0, 0.2));
+                b00.push(i + 1, i, c64(1.0, -0.2));
+            }
+            b01.push(i, (i + 2) % n, coupling);
+        }
+        (b00.build(), b01.build())
+    }
+
+    fn config(n_int: usize, n_rh: usize, majority_stop: bool) -> SsConfig {
+        SsConfig {
+            n_int,
+            n_rh,
+            n_mm: 2,
+            bicg_tolerance: 1e-11,
+            majority_stop,
+            precond: PrecondPolicy::MatrixFree,
+            ..SsConfig::paper()
+        }
+    }
+
+    /// What one single-ring group produced: the pool's counters and donor
+    /// table, and the extraction of its moments (for the per-solve
+    /// histories and the projected moments).
+    struct Ring {
+        solutions: Vec<(CVector, CVector)>,
+        iterations: usize,
+        matvecs: usize,
+        traversals: usize,
+        assemblies: usize,
+        capped_solves: usize,
+        solves: usize,
+        result: SsResult,
+    }
+
+    impl Ring {
+        fn counters(&self) -> [usize; 6] {
+            let r = self;
+            [r.iterations, r.matvecs, r.traversals, r.assemblies, r.capped_solves, r.solves]
+        }
+    }
+
+    /// One single-ring group through the pool, solutions retained.
+    fn run_ring<E: TaskExecutor>(
+        qep: &QepProblem<'_>,
+        config: &SsConfig,
+        seeds: Option<&[(CVector, CVector)]>,
+        executor: &E,
+    ) -> Ring {
+        let plan = SlicedPlan::build(qep, config).unwrap();
+        assert!(!plan.is_mirrored(), "these tests solve every node of the ring");
+        let group = PoolGroup {
+            problem: qep,
+            v_cols: &plan.v_cols[0],
+            seeds,
+            keep_solutions: true,
+            trace: TraceHandle::disabled(),
+        };
+        let policy = PoolPolicy::from_config(config);
+        let o = solve_pool(&[group], plan.accumulators(qep.dim()), &policy, executor)
+            .pop()
+            .expect("one outcome per group");
+        let result = extract_from_moments(
+            qep,
+            config,
+            &plan.v_cols[0],
+            o.acc,
+            o.iterations,
+            o.matvecs,
+            o.traversals,
+            o.assemblies,
+            0.0,
+        );
+        Ring {
+            solutions: o.solutions,
+            iterations: o.iterations,
+            matvecs: o.matvecs,
+            traversals: o.traversals,
+            assemblies: o.assemblies,
+            capped_solves: o.capped_solves,
+            solves: o.solves,
+            result,
+        }
+    }
+
+    fn assert_bitwise_eq(a: &Ring, b: &Ring) {
+        assert_eq!(a.solutions, b.solutions, "solutions must be bit-identical");
+        assert_eq!(a.result.projected_moments, b.result.projected_moments);
+        for (ha, hb) in a.result.solve_histories.iter().zip(&b.result.solve_histories) {
+            assert_eq!(ha.residuals, hb.residuals);
+            assert_eq!(ha.stop_reason, hb.stop_reason);
+        }
+        assert_eq!(a.counters(), b.counters());
+    }
+
+    #[test]
+    fn outcomes_fold_in_job_order() {
+        let (h00, h01) = dense_blocks(12, 31);
+        let qep = QepProblem::new(&h00, &h01, 0.1, 1.0);
+        let cfg = config(6, 3, false);
+        let ring = run_ring(&qep, &cfg, None, &SerialExecutor);
+        let Ring { iterations, matvecs, traversals, .. } = ring;
+        assert_eq!((ring.solves, ring.solutions.len()), (6 * 3, 6 * 3));
+        assert_eq!(ring.result.solve_histories.len(), 6 * 3);
+        // Entry `j * N_rh + r` is node `j`, right-hand side `r`: it solves
+        // `P(z_j) x = v_r`, and its dual the adjoint system.
+        let v = crate::ss::source_block(12, &cfg);
+        let nodes = cfg.contour().outer_points();
+        for (idx, (x, xt)) in ring.solutions.iter().enumerate() {
+            let (op, rhs) = (qep.operator(nodes[idx / 3].z), &v[idx % 3]);
+            assert!((&op.apply_vec(x) - rhs).norm() <= 1e-9 * rhs.norm(), "job {idx}");
+            assert!((&op.apply_adjoint_vec(xt) - rhs).norm() <= 1e-9 * rhs.norm(), "job {idx}");
+        }
+        let histories = &ring.result.solve_histories;
+        assert_eq!(iterations, histories.iter().map(ConvergenceHistory::iterations).sum::<usize>());
+        assert!(matvecs >= 2 * iterations);
+        // Fused applies: far fewer storage walks than per-column matvecs
+        // (weight 3 per matrix-free apply).
+        assert!(traversals < 3 * matvecs / 2);
+    }
+
+    #[test]
+    fn serial_and_rayon_executors_agree_bitwise() {
+        let (h00, h01) = dense_blocks(16, 33);
+        let qep = QepProblem::new(&h00, &h01, 0.1, 1.0);
+        for majority in [false, true] {
+            let cfg = config(8, 4, majority);
+            let serial = run_ring(&qep, &cfg, None, &SerialExecutor);
+            let rayon = run_ring(&qep, &cfg, None, &RayonExecutor);
+            assert_bitwise_eq(&serial, &rayon);
+        }
+    }
+
+    #[test]
+    fn majority_stop_caps_exactly_the_second_stage() {
+        let (h00, h01) = sparse_blocks(40, c64(-0.1, 0.25));
+        let qep = QepProblem::new(&h00, &h01, 0.2, 1.0);
+        let (n_int, n_rh) = (8, 2);
+        let stage1 = n_int / 2 + 1;
+        let free = run_ring(&qep, &config(n_int, n_rh, false), None, &SerialExecutor);
+        let capped = run_ring(&qep, &config(n_int, n_rh, true), None, &SerialExecutor);
+        assert_eq!(free.capped_solves, 0);
+        // Every first-stage solve converges, so the rule fires.
+        assert_eq!(capped.capped_solves, (n_int - stage1) * n_rh);
+        // The first stage is untouched by the rule …
+        let split = stage1 * n_rh;
+        assert_eq!(capped.solutions[..split], free.solutions[..split]);
+        // … and its worst converged iteration count is the cap of the rest.
+        let h = &capped.result.solve_histories;
+        let cap = h[..split].iter().map(ConvergenceHistory::iterations).max().unwrap();
+        let mut stopped = 0;
+        for (idx, (hist, uncapped)) in h.iter().zip(&free.result.solve_histories).enumerate() {
+            if idx < split || uncapped.iterations() <= cap {
+                assert_eq!(hist.residuals, uncapped.residuals, "job {idx}");
+            } else {
+                assert_eq!(hist.iterations(), cap, "job {idx} ran past the cap");
+                assert_eq!(hist.stop_reason, StopReason::ExternalStop);
+                stopped += 1;
+            }
+        }
+        assert!(stopped > 0, "the hard nodes of this system sit in the second stage");
+    }
+
+    #[test]
+    fn every_solved_node_assembles_and_factors_once_and_ilu_cuts_iterations() {
+        let (h00, h01) = sparse_blocks(40, c64(0.25, -0.1));
+        let pattern = AssembledPattern::build(&h00, &h01);
+        let qep = QepProblem::new(&h00, &h01, 0.2, 1.0).with_pattern(&pattern);
+        let run = |precond, majority, seeds: Option<&[(CVector, CVector)]>| {
+            let cfg = SsConfig { precond, bicg_tolerance: 1e-10, ..config(6, 3, majority) };
+            (
+                run_ring(&qep, &cfg, seeds, &SerialExecutor),
+                run_ring(&qep, &cfg, seeds, &RayonExecutor),
+            )
+        };
+        for majority in [false, true] {
+            let (mf, _) = run(PrecondPolicy::MatrixFree, majority, None);
+            let (plain, plain_rayon) = run(PrecondPolicy::Assembled, majority, None);
+            let (ilu, ilu_rayon) = run(PrecondPolicy::AssembledIlu0, majority, None);
+            assert_bitwise_eq(&plain, &plain_rayon);
+            assert_bitwise_eq(&ilu, &ilu_rayon);
+            // One `node_solve` per solved node — shared by its 3 right-hand
+            // sides, in one stage or two.
+            assert_eq!((mf.assemblies, plain.assemblies, ilu.assemblies), (0, 6, 6));
+            assert!(ilu.result.solve_histories.iter().all(ConvergenceHistory::converged));
+            assert!(
+                ilu.iterations < plain.iterations,
+                "ILU(0) did not cut iterations: {} vs {}",
+                ilu.iterations,
+                plain.iterations
+            );
+        }
+        // A warm-started ILU group: seeded and preconditioned at once.
+        let (cold, _) = run(PrecondPolicy::AssembledIlu0, false, None);
+        let (warm, warm_rayon) = run(PrecondPolicy::AssembledIlu0, false, Some(&cold.solutions));
+        assert_bitwise_eq(&warm, &warm_rayon);
+        assert_eq!(warm.iterations, 0);
+    }
+
+    #[test]
+    fn seed_table_cuts_iterations_and_stays_executor_deterministic() {
+        let (h00, h01) = dense_blocks(14, 42);
+        let qep = QepProblem::new(&h00, &h01, 0.1, 1.0);
+        let cfg = config(6, 3, false);
+        // Cold group, then reuse its own solutions as the seed table: every
+        // solve now starts at the exact answer and converges without
+        // iterating.
+        let cold = run_ring(&qep, &cfg, None, &SerialExecutor);
+        let warm = run_ring(&qep, &cfg, Some(&cold.solutions), &SerialExecutor);
+        assert!(cold.iterations > 0);
+        assert!(
+            warm.iterations < cold.iterations / 4,
+            "warm {} vs cold {}",
+            warm.iterations,
+            cold.iterations
+        );
+        assert!(warm.result.solve_histories.iter().all(ConvergenceHistory::converged));
+        // The two seed-residual applies per solve are on the books.
+        assert!(warm.matvecs >= 2 * warm.solves);
+        let warm_rayon = run_ring(&qep, &cfg, Some(&cold.solutions), &RayonExecutor);
+        assert_bitwise_eq(&warm, &warm_rayon);
+    }
+
+    #[test]
+    fn groups_are_independent_of_their_pool_mates() {
+        // Two groups (two "scan energies") through one pool: each comes out
+        // bit-identical to running alone, with its own majority-stop cap.
+        let (h00, h01) = dense_blocks(16, 46);
+        let cfg = config(8, 3, true);
+        let problems =
+            [QepProblem::new(&h00, &h01, 0.1, 1.0), QepProblem::new(&h00, &h01, 0.4, 1.0)];
+        let plan = SlicedPlan::build(&problems[0], &cfg).unwrap();
+        let groups: Vec<PoolGroup<'_, '_>> = problems
+            .iter()
+            .map(|problem| PoolGroup {
+                problem,
+                v_cols: &plan.v_cols[0],
+                seeds: None,
+                keep_solutions: true,
+                trace: TraceHandle::disabled(),
+            })
+            .collect();
+        let accs = problems.iter().flat_map(|_| plan.accumulators(16)).collect();
+        let pooled = solve_pool(&groups, accs, &PoolPolicy::from_config(&cfg), &RayonExecutor);
+        for (qep, together) in problems.iter().zip(&pooled) {
+            let alone = run_ring(qep, &cfg, None, &SerialExecutor);
+            assert_eq!(alone.solutions, together.solutions);
+            let t = together;
+            assert_eq!(
+                alone.counters(),
+                [t.iterations, t.matvecs, t.traversals, t.assemblies, t.capped_solves, t.solves]
+            );
+        }
+    }
 }

@@ -24,7 +24,7 @@ use cbs_sparse::{
     SmwPrecond,
 };
 
-use crate::engine::PrecondPolicy;
+use crate::policy::PrecondPolicy;
 
 /// The QEP `P(λ)ψ = 0` for a fixed scan energy.
 pub struct QepProblem<'a> {
@@ -723,7 +723,7 @@ mod tests {
 
     #[test]
     fn node_solve_dispatches_on_policy_and_pattern() {
-        use crate::engine::PrecondPolicy;
+        use crate::policy::PrecondPolicy;
         let n = 9;
         let (h00, h01) = random_blocks(n, 411);
         let csr00 = cbs_sparse::CsrMatrix::from_dense(&h00, 0.0);
@@ -783,7 +783,7 @@ mod tests {
 
     #[test]
     fn factored_projector_node_matches_dense_expansion() {
-        use crate::engine::PrecondPolicy;
+        use crate::policy::PrecondPolicy;
         use cbs_sparse::{CsrMatrix, FactoredProjector, LowRankOp, SparseVec};
         let n = 10;
         let (h00d, h01d) = random_blocks(n, 413);

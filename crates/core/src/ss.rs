@@ -47,9 +47,9 @@ use cbs_solver::{ConvergenceHistory, SolverOptions};
 use cbs_trace::{Stage, TraceHandle};
 
 use crate::contour::{ContourError, RingContour};
-use crate::engine::{ShiftedSolveEngine, ShiftedSolveOutcome};
 use crate::partition::{ContourPartition, ContourSlice, SliceNode, SlicePolicy, SliceRegion};
-use crate::pool::{solve_pool, PoolGroup, PoolOutcome, PoolPolicy};
+use crate::policy::PrecondPolicy;
+use crate::pool::{solve_pool, PoolGroup, PoolOutcome, PoolPolicy, ShiftedSolveOutcome};
 use crate::qep::QepProblem;
 
 /// Parameters of the Sakurai-Sugiura solve (paper notation).
@@ -81,34 +81,26 @@ pub struct SsConfig {
     /// Hamiltonian those first nodes are every node that is solved (the rest
     /// are their mirror images), so the rule then caps nothing.
     pub majority_stop: bool,
-    /// Job granularity of the shifted solves (see
-    /// [`BlockPolicy`](crate::engine::BlockPolicy)).  Results are
-    /// bit-identical under both policies, so this knob is *not* part of the
-    /// sweep checkpoint fingerprint; the default
-    /// [`BlockPolicy::PerNode`](crate::engine::BlockPolicy::PerNode) fuses
-    /// each node's `N_rh` solves into block matvecs.
-    pub block: crate::engine::BlockPolicy,
     /// Operator representation / preconditioning of the shifted solves (see
-    /// [`PrecondPolicy`](crate::engine::PrecondPolicy)).  Unlike
-    /// [`block`](Self::block) this *does* change the floating-point
-    /// trajectory (assembled arithmetic, ILU-preconditioned recurrences),
-    /// so it **is** part of the sweep checkpoint fingerprint; the
-    /// [`MatrixFree`](crate::engine::PrecondPolicy::MatrixFree) path is
+    /// [`PrecondPolicy`]).  This changes the floating-point trajectory
+    /// (assembled arithmetic, ILU-preconditioned recurrences), so it **is**
+    /// part of the sweep checkpoint fingerprint; the
+    /// [`MatrixFree`](PrecondPolicy::MatrixFree) path is
     /// bitwise unchanged.  The default is
-    /// [`Assembled`](crate::engine::PrecondPolicy::Assembled): on the
+    /// [`Assembled`](PrecondPolicy::Assembled): on the
     /// tracked Al(100) sweep bench every assembled row beats matrix-free
     /// wall-clock (see `BENCH_sweep.json` at the repo root).  The assembled
     /// policies require a pattern on the [`QepProblem`] (see
     /// [`QepProblem::with_pattern`]) and fall back to matrix-free without
     /// one — problems that never attach a pattern are bitwise unaffected by
     /// the default.
-    /// [`AssembledIlu0Smw`](crate::engine::PrecondPolicy::AssembledIlu0Smw)
+    /// [`AssembledIlu0Smw`](PrecondPolicy::AssembledIlu0Smw)
     /// additionally folds an attached factored projector into the
     /// preconditioner via Sherman-Morrison-Woodbury; it is a *distinct*
     /// fingerprint value (appended last, so checkpoints written under the
     /// older policies resume unchanged), and without a projector its
     /// trajectory is bitwise the plain ILU(0) one.
-    pub precond: crate::engine::PrecondPolicy,
+    pub precond: PrecondPolicy,
     /// Contour partitioning (see [`SlicePolicy`], env knob `CBS_SLICES`):
     /// the default single contour runs the monolithic pipeline, bitwise
     /// unchanged; `sectors(S)` splits the annulus into `S` slices, each
@@ -123,9 +115,9 @@ pub struct SsConfig {
     /// this knob can *raise* the session's level (e.g. to
     /// [`TraceLevel::Iter`](cbs_trace::TraceLevel::Iter) for per-iteration
     /// residual events) but cannot start recording on its own.  Tracing
-    /// observes the solves without feeding anything back, so like
-    /// [`block`](Self::block) it is **not** part of the sweep checkpoint
-    /// fingerprint: results are bitwise identical with tracing on or off.
+    /// observes the solves without feeding anything back, so it is **not**
+    /// part of the sweep checkpoint fingerprint: results are bitwise
+    /// identical with tracing on or off.
     pub trace: cbs_trace::TraceLevel,
     /// Calibrated auto-tuning (env knob `CBS_AUTO`, fingerprint class): a
     /// sweep-level flag — `cbs-sweep` probes 2-3 candidate policy cells on
@@ -161,8 +153,7 @@ impl SsConfig {
             residual_cutoff: 1e-5,
             seed: 0x5a5a_5a5a,
             majority_stop: true,
-            block: crate::engine::BlockPolicy::PerNode,
-            precond: crate::engine::PrecondPolicy::Assembled,
+            precond: PrecondPolicy::Assembled,
             slice: SlicePolicy::single(),
             trace: cbs_trace::TraceLevel::Stage,
             auto: false,
@@ -199,7 +190,6 @@ impl SsConfig {
     pub fn resolve_auto(&self, cell: Option<AutoCell>) -> SsConfig {
         match cell {
             Some(c) => Self {
-                block: c.block,
                 precond: c.precond,
                 slice: if c.slices > 1 {
                     SlicePolicy::sectors(c.slices)
@@ -218,7 +208,7 @@ impl SsConfig {
                     );
                 });
                 let d = Self::default();
-                Self { block: d.block, precond: d.precond, slice: d.slice, auto: false, ..*self }
+                Self { precond: d.precond, slice: d.slice, auto: false, ..*self }
             }
         }
     }
@@ -279,10 +269,8 @@ impl SsConfig {
 /// so kill/resume replays the decision instead of re-probing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AutoCell {
-    /// Committed job granularity.
-    pub block: crate::engine::BlockPolicy,
     /// Committed operator representation / preconditioning.
-    pub precond: crate::engine::PrecondPolicy,
+    pub precond: PrecondPolicy,
     /// Committed slice count (1 = single contour).
     pub slices: usize,
 }
@@ -344,16 +332,15 @@ pub struct SsResult {
     /// (mirrored nodes cost nothing and count nothing — likewise for the
     /// matvec, traversal and assembly counters below).
     pub total_bicg_iterations: usize,
-    /// Total number of operator applications (matvec-equivalents; identical
-    /// under every [`BlockPolicy`](crate::engine::BlockPolicy)), including
-    /// the [`extraction_matvecs`](Self::extraction_matvecs).
+    /// Total number of operator applications (matvec-equivalents: the
+    /// per-column work, however the applies were fused), including the
+    /// [`extraction_matvecs`](Self::extraction_matvecs).
     pub total_matvecs: usize,
     /// Operator-storage traversals actually performed, weighted by the
     /// operator's `traversal_weight` (3 per matrix-free `P(z)` apply, 1 per
-    /// assembled apply) — under `BlockPolicy::PerNode` one fused block
-    /// apply per iteration per node replaces `N_rh` single matvecs, and
-    /// under `PrecondPolicy::Assembled` each apply is one traversal instead
-    /// of three.  Includes
+    /// assembled apply) — one fused block apply per iteration per node
+    /// serves all `N_rh` columns, and under `PrecondPolicy::Assembled` each
+    /// apply is one traversal instead of three.  Includes
     /// [`extraction_traversals`](Self::extraction_traversals).
     pub total_traversals: usize,
     /// Operator applications spent in the extraction-phase residual checks
@@ -539,91 +526,63 @@ pub fn solve_qep(problem: &QepProblem<'_>, config: &SsConfig) -> SsResult {
 }
 
 /// Solve the QEP with the shifted systems dispatched through the given
-/// [`TaskExecutor`].
+/// [`TaskExecutor`]: the single ring as a one-group [`solve_pool`], then
+/// [`extract_from_moments`] — what a sweep does per scan energy.
 ///
-/// All executors produce bit-identical results: the engine's majority-stop
-/// rule is deterministic and the moment accumulation below always walks the
-/// solve outcomes in job order, independent of how they were scheduled.
+/// Always the single ring (`config.slice` is not consulted; see
+/// [`solve_qep_sliced_with`] for partitioned contours), with slice-less
+/// trace spans and empty [`SsResult::slice_stats`].  All executors produce
+/// bit-identical results: the pool's majority-stop rule is deterministic
+/// and its moment accumulation always walks the solve outcomes in job
+/// order, independent of how they were scheduled.
 pub fn solve_qep_with<E: TaskExecutor>(
     problem: &QepProblem<'_>,
     config: &SsConfig,
     executor: &E,
 ) -> SsResult {
-    let n = problem.dim();
-    // The single ring as a one-slice partition: the full two-circle node
-    // list, or — for a conjugate-symmetric problem — its upper half-plane
-    // nodes only.  The engine, the accumulator and the extraction all read
-    // the node list from here, so they do not fork on which one it is.
-    let partition = ContourPartition::try_new(
-        config.contour(),
-        SlicePolicy::single(),
-        problem.is_conjugate_symmetric(),
-    )
-    .unwrap_or_else(|e| panic!("{e}"));
-    let ring = &partition.slices()[0];
+    // The single ring as a one-slice plan: the full two-circle node list,
+    // or — for a conjugate-symmetric problem — its upper half-plane nodes
+    // only.  The pool, the accumulator and the extraction all read the node
+    // list from here, so they do not fork on which one it is.
+    let single = SsConfig { slice: SlicePolicy::single(), ..*config };
+    let plan = SlicedPlan::build(problem, &single).unwrap_or_else(|e| panic!("{e}"));
 
-    // Random source block V (N x N_rh).
-    let v_cols = source_block(n, config);
-
-    // --- Step 1: shifted linear solves (the dominant cost), fanned out
-    // through the operator-generic engine. --------------------------------
     let t_solve = std::time::Instant::now(); // cbs-audit: allow(D002) reason="linear-solve wall-clock statistic; reported, never fingerprinted"
 
     // The trace handle resolves against the active session (no-op when none
     // is recording) and inherits any context — e.g. a sweep's scan-energy
     // index — the calling thread has installed.
     let trace = TraceHandle::resolve(config.trace).with_policy(config.precond.trace_code());
-
-    // On the mirrored half ring the rule's uncapped first stage is the whole
-    // node list (`ContourSlice::majority_stage_nodes`): nothing to cap.
-    let engine = ShiftedSolveEngine::new(executor, config.solver_options())
-        .with_majority_stop(config.majority_stop && ring.majority_stage_nodes() < ring.n_nodes())
-        .with_block_policy(config.block)
-        .with_trace(trace);
-
-    // Moment accumulators Ŝ_k (N x N_rh each), stored as columns, folded
-    // directly off the engine: outcomes arrive in job order `j * N_rh +
-    // rhs` on every executor, so the floating-point accumulation order —
-    // and therefore the result, bitwise — is executor-independent.  On the
-    // serial executor the fold streams (one solution pair alive at a
-    // time), keeping the peak footprint at the O(N_mm N_rh N) moments
-    // instead of the full node x N_rh solution set.
-    //
-    // The node factory resolves `config.precond` into the per-node operator
-    // representation (matrix-free view, assembled CSR, or assembled CSR +
-    // ILU(0)); it runs once per solved quadrature node, so assembly and
-    // factorization costs are never paid per right-hand side.  Under the
-    // `MatrixFree` policy (or with no pattern attached) this is bitwise the
-    // pre-policy path.
-    let assemblies = std::sync::atomic::AtomicUsize::new(0);
-    let (acc, stats) = engine.solve_fold_precond(
-        &ring.primal_points(),
-        &v_cols,
-        |z| {
-            let (op, prec) = problem.node_solve(config.precond, z);
-            if op.is_assembled() {
-                assemblies.fetch_add(1, std::sync::atomic::Ordering::Relaxed); // cbs-audit: allow(D003) reason="commutative integer counter (fetch_add), order-independent"
-            }
-            (op, prec)
-        },
-        MomentAccumulator::for_slice(n, ring, config.n_mm, config.n_rh),
-        |mut acc, outcome| {
-            acc.record(outcome);
-            acc
-        },
-    );
+    let ring = PoolGroup {
+        problem,
+        v_cols: &plan.v_cols[0],
+        seeds: None,
+        // Each solution pair is dropped after its moment contribution, so
+        // on the serial executor the peak footprint stays at the
+        // O(N_mm N_rh N) moments plus one node's solutions.
+        keep_solutions: false,
+        trace,
+    };
+    let outcome = solve_pool(
+        &[ring],
+        plan.accumulators(problem.dim()),
+        &PoolPolicy::from_config(config),
+        executor,
+    )
+    .pop()
+    .expect("one pool outcome per group");
     let linear_solve_seconds = t_solve.elapsed().as_secs_f64();
 
     let _trace_ctx = trace.enter();
     extract_from_moments(
         problem,
         config,
-        &v_cols,
-        acc,
-        stats.total_iterations,
-        stats.total_matvecs,
-        stats.total_traversals,
-        assemblies.load(std::sync::atomic::Ordering::Relaxed), // cbs-audit: allow(D003) reason="counter read after the parallel region has joined"
+        &plan.v_cols[0],
+        outcome.acc,
+        outcome.iterations,
+        outcome.matvecs,
+        outcome.traversals,
+        outcome.assemblies,
         linear_solve_seconds,
     )
 }
@@ -634,7 +593,8 @@ pub fn solve_qep_with<E: TaskExecutor>(
 ///
 /// Public so that multi-energy drivers (`cbs-sweep`) can run the extraction
 /// per energy on accumulators filled from a flattened cross-energy task
-/// pool; [`solve_qep_with`] is exactly `engine fold` + this function.
+/// pool; [`solve_qep_with`] is exactly a one-group [`solve_pool`] + this
+/// function.
 #[allow(clippy::too_many_arguments)]
 pub fn extract_from_moments(
     problem: &QepProblem<'_>,
@@ -894,7 +854,7 @@ impl SlicedPlan {
     }
 
     /// Length of slice `s`'s warm-start seed table
-    /// (`n_nodes(s) * n_rh(s)`, engine job order — solved nodes only, so
+    /// (`n_nodes(s) * n_rh(s)`, pool job order — solved nodes only, so
     /// half the ring on a mirrored plan).
     pub fn seed_table_len(&self, s: usize) -> usize {
         self.partition.slices()[s].n_nodes() * self.configs[s].n_rh
@@ -909,8 +869,7 @@ impl SlicedPlan {
 
 /// Solve the QEP through the sliced (partitioned-contour) pipeline,
 /// serially.  With the single-slice policy this produces the same output
-/// as [`solve_qep`] (bit-identical under the default
-/// `BlockPolicy::PerNode`).
+/// as [`solve_qep`], bit for bit.
 pub fn solve_qep_sliced(problem: &QepProblem<'_>, config: &SsConfig) -> SsResult {
     solve_qep_sliced_with(problem, config, &SerialExecutor)
 }
@@ -1337,11 +1296,11 @@ mod tests {
     }
 
     #[test]
-    fn sliced_single_slice_is_bitwise_the_engine_path() {
-        // The S = 1 "sliced" pipeline (flattened pool + generalized
-        // accumulator + merge) must reproduce solve_qep_with bit for bit:
-        // same nodes, same job order, same fold arithmetic, vacuous claim
-        // test and dedup.
+    fn sliced_single_slice_is_bitwise_the_single_contour() {
+        // The S = 1 "sliced" pipeline (pool + `extract_sliced`: claim test
+        // and merge) must reproduce solve_qep_with (pool +
+        // `extract_from_moments`) bit for bit: the claim test and the dedup
+        // are vacuous on one slice.
         let n = 14;
         let (h00, h01) = random_qep(n, 509);
         let op00 = DenseOp::new(h00);

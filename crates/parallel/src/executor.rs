@@ -10,7 +10,7 @@ use rayon::prelude::*;
 
 use cbs_grid::{DomainDecomposition, FdOrder};
 use cbs_linalg::{CVector, Complex64};
-use cbs_solver::{bicg_dual, BicgResult, SolverOptions};
+use cbs_solver::{bicg_dual, SolverOptions};
 use cbs_sparse::{CsrMatrix, LinearOperator};
 
 /// Pluggable execution strategy for a batch of independent tasks — the seam
@@ -246,34 +246,6 @@ impl LinearOperator for DomainDecomposedOp {
     }
 }
 
-/// Solve the systems of one quadrature point for all right-hand sides in
-/// parallel (the top layer): embarrassingly parallel, no communication.
-pub fn solve_rhs_parallel<A: LinearOperator + Sync + ?Sized>(
-    op: &A,
-    rhs: &[CVector],
-    opts: &SolverOptions,
-) -> Vec<BicgResult> {
-    RayonExecutor.execute(rhs.iter().collect(), |b| bicg_dual(op, b, b, opts, None))
-}
-
-/// Solve a batch of (shift, right-hand side) tasks in parallel across both
-/// the middle (quadrature) and top (right-hand side) layers.  The operator
-/// factory builds `P(z_j)` for task `j`.
-pub fn solve_tasks_parallel<'a, F, O>(
-    tasks: &[(usize, CVector)],
-    make_operator: F,
-    opts: &SolverOptions,
-) -> Vec<BicgResult>
-where
-    F: Fn(usize) -> O + Sync,
-    O: LinearOperator + 'a,
-{
-    RayonExecutor.execute(tasks.iter().collect(), |(j, b)| {
-        let op = make_operator(*j);
-        bicg_dual(&op, b, b, opts, None)
-    })
-}
-
 /// Measure the wall-clock seconds of `iterations` BiCG iterations on the
 /// given operator — the calibration measurement that anchors the
 /// performance model (and the quantity reported in the paper's Table 2).
@@ -335,42 +307,6 @@ mod tests {
         assert!((&y_par - &y_ser).norm() < 1e-12);
         assert_eq!(op.n_domains(), 4);
         assert!(op.halo_volume() > 0);
-    }
-
-    #[test]
-    fn parallel_rhs_solves_match_sequential() {
-        let grid = Grid3::isotropic(4, 4, 6, 0.5);
-        let m = laplacian_like(grid);
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(702);
-        let rhs: Vec<CVector> = (0..4).map(|_| CVector::random(grid.npoints(), &mut rng)).collect();
-        let opts = SolverOptions::default().with_tolerance(1e-11);
-        let par = solve_rhs_parallel(&m, &rhs, &opts);
-        for (b, r) in rhs.iter().zip(&par) {
-            assert!(r.history.converged());
-            let seq = bicg_dual(&m, b, b, &opts, None);
-            assert!((&r.x - &seq.x).norm() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn task_parallel_solves_with_per_task_shifts() {
-        let grid = Grid3::isotropic(4, 4, 4, 0.5);
-        let m = laplacian_like(grid);
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(703);
-        let tasks: Vec<(usize, CVector)> =
-            (0..3).map(|j| (j, CVector::random(grid.npoints(), &mut rng))).collect();
-        let opts = SolverOptions::default().with_tolerance(1e-11);
-        let shifts = [c64(0.5, 0.2), c64(-0.3, 0.6), c64(1.0, -0.4)];
-        let results =
-            solve_tasks_parallel(&tasks, |j| cbs_sparse::ShiftedOp::new(&m, shifts[j]), &opts);
-        assert_eq!(results.len(), 3);
-        for ((j, b), r) in tasks.iter().zip(&results) {
-            assert!(r.history.converged());
-            // Verify against a direct solve with the same shift.
-            let op = cbs_sparse::ShiftedOp::new(&m, shifts[*j]);
-            let seq = bicg_dual(&op, b, b, &opts, None);
-            assert!((&r.x - &seq.x).norm() < 1e-9);
-        }
     }
 
     #[test]

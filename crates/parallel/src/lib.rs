@@ -7,13 +7,12 @@
 //!   top-layer-first rule,
 //! * [`TaskExecutor`] with [`SerialExecutor`] / [`RayonExecutor`] — the
 //!   pluggable, order-preserving batch-execution seam the Sakurai-Sugiura
-//!   shifted-solve engine in `cbs-core` fans out through,
+//!   shifted-solve pool in `cbs-core` fans out through,
 //! * [`SweepSchedule`] — the sweep-level release policy (flat vs dyadic
 //!   wavefront) that `cbs-sweep` uses to trade task-pool flattening against
 //!   cross-energy warm-start reuse,
-//! * [`DomainDecomposedOp`], [`solve_rhs_parallel`], [`solve_tasks_parallel`]
-//!   — threaded, functionally exact execution of the layers (validated
-//!   against the serial path),
+//! * [`DomainDecomposedOp`] — threaded, functionally exact execution of
+//!   the bottom (grid-domain) layer (validated against the serial path),
 //! * [`PerformanceModel`] — a calibrated analytic model of an
 //!   Oakforest-PACS-like cluster used to produce the strong-scaling curves
 //!   of Figures 8-10 and the intra-node sweep of Table 2 on hardware that
@@ -31,8 +30,8 @@ pub mod perf_model;
 pub mod schedule;
 
 pub use executor::{
-    measure_bicg_iteration_cost, solve_rhs_parallel, solve_tasks_parallel, DomainDecomposedOp,
-    ExecutorChoice, RayonExecutor, SerialExecutor, TaskExecutor,
+    measure_bicg_iteration_cost, DomainDecomposedOp, ExecutorChoice, RayonExecutor, SerialExecutor,
+    TaskExecutor,
 };
 pub use hierarchy::ParallelLayout;
 pub use perf_model::{

@@ -55,17 +55,14 @@ use serde::{Deserialize, Serialize};
 
 use crate::hierarchy::ParallelLayout;
 
-/// One `(block, precond, slices)` policy cell, identified by neutral
+/// One `(precond, slices)` policy cell, identified by neutral
 /// discriminants (this crate sits below `cbs-core` in the crate graph, so
 /// the policy enums themselves cannot appear here).  The discriminants
-/// match `cbs_core`'s: `per_rhs` is the `BlockPolicy` choice, `precond` is
-/// `PrecondPolicy as u8` (0 matrix-free, 1 assembled, 2 ILU(0), 3
-/// ILU(0)+SMW), `slices` the angular slice count (1 = single contour).
+/// match `cbs_core`'s: `precond` is `PrecondPolicy as u8` (0 matrix-free,
+/// 1 assembled, 2 ILU(0), 3 ILU(0)+SMW), `slices` the angular slice count
+/// (1 = single contour).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct CellId {
-    /// `true` for per-rhs single-vector jobs, `false` for fused per-node
-    /// block solves.
-    pub per_rhs: bool,
     /// `PrecondPolicy` discriminant (0–3).
     pub precond: u8,
     /// Angular slice count of the contour partition (1 = single).
@@ -695,7 +692,7 @@ mod tests {
     // ---- calibrated cost model -------------------------------------------
 
     fn cell(precond: u8) -> CellId {
-        CellId { per_rhs: false, precond, slices: 1 }
+        CellId { precond, slices: 1 }
     }
 
     fn sample(precond: u8, wall_ns: u64, extraction_wall_ns: u64) -> CalibrationSample {

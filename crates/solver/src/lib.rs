@@ -2,23 +2,16 @@
 //!
 //! Iterative solvers for the CBS workspace:
 //!
-//! * [`bicg_dual`] — BiCG solving `A x = b` *and* `A† x̃ = b̃` in one sweep;
-//!   this is the kernel the paper uses to halve the cost of the contour
-//!   quadrature (`P(z)† = P(1/z̄)`),
-//! * [`bicg_dual_seeded`] — the same iteration warm-started from initial
-//!   guesses (the energy-sweep cross-energy reuse seam),
-//! * [`bicg_dual_precond_seeded`] — the preconditioned variant (`M⁻¹` on
-//!   the primal residuals, `M⁻†` on the dual — e.g. `cbs_sparse::Ilu0` of
-//!   the assembled `P(z)`, preserving the `P(z)† = P(1/z̄)` trick); `None`
-//!   delegates to the unpreconditioned solver bitwise,
-//! * [`bicg_dual_block`] — all right-hand sides of one shifted system
-//!   advanced in lockstep through fused block matvecs, with per-column
-//!   deflation and bitwise parity with the per-column solver,
-//! * [`bicg_dual_block_precond`] — the block solver with the same optional
-//!   preconditioner seam,
-//! * [`bicg()`], [`bicgstab`], [`cg`] — single-system Krylov solvers,
-//! * [`lanczos_lowest`] — Hermitian Lanczos with full reorthogonalization for
-//!   the conventional band-structure reference,
+//! * [`bicg_dual_block_precond`] — *the* dual BiCG: all right-hand sides of
+//!   one shifted system advanced in lockstep through fused block matvecs,
+//!   solving `A x = b` *and* `A† x̃ = b̃` in one sweep (the kernel the paper
+//!   uses to halve the cost of the contour quadrature, `P(z)† = P(1/z̄)`),
+//!   with per-column deflation, optional warm-start seeds (the energy-sweep
+//!   cross-energy reuse seam) and an optional preconditioner (`M⁻¹` on the
+//!   primal residuals, `M⁻†` on the dual — e.g. `cbs_sparse::Ilu0` of the
+//!   assembled `P(z)`),
+//! * [`bicg_dual`], [`bicg()`] — its width-1, unpreconditioned, unseeded
+//!   calls for single systems,
 //! * [`ConvergenceHistory`] / [`SolverOptions`] — the residual-history
 //!   bookkeeping behind the paper's Figure 5 and Table 1.
 
@@ -27,11 +20,7 @@
 pub mod bicg;
 pub mod block;
 pub mod history;
-pub mod lanczos;
 
-pub use bicg::{
-    bicg, bicg_dual, bicg_dual_precond_seeded, bicg_dual_seeded, bicgstab, cg, BicgResult,
-};
-pub use block::{bicg_dual_block, bicg_dual_block_precond, BlockBicgResult};
+pub use bicg::{bicg, bicg_dual, BicgResult};
+pub use block::{bicg_dual_block_precond, BlockBicgResult};
 pub use history::{ConvergenceHistory, SolverOptions, StopReason};
-pub use lanczos::{lanczos_lowest, LanczosOptions, LanczosResult};

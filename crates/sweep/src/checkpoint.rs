@@ -27,8 +27,6 @@ use crate::sweep::{EnergyOrigin, EnergyRecord, EnergyStats, SeedTable};
 /// bit-deterministic per cell; only `wall_ns` is a measurement.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ProbeSample {
-    /// Probed job granularity.
-    pub block: BlockPolicy,
     /// Probed operator representation.
     pub precond: PrecondPolicy,
     /// BiCG iterations of the probe solve.
@@ -48,7 +46,10 @@ pub struct ProbeSample {
 /// though probe wall-clocks are not reproducible.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AutoDecision {
-    /// Committed job granularity.
+    /// **Vestigial**, always [`BlockPolicy::PerNode`] and not serialized:
+    /// kept only because the repo benchmark (`benchmark/src/layers.rs`, out
+    /// of bounds for library PRs) prints `decision.block.name()`; the next
+    /// `benchmark` issue deletes that line and this field with it.
     pub block: BlockPolicy,
     /// Committed operator representation / preconditioning.
     pub precond: PrecondPolicy,
@@ -62,7 +63,7 @@ impl AutoDecision {
     /// The committed policy cell, in the form
     /// [`cbs_core::SsConfig::resolve_auto`] consumes.
     pub fn cell(&self) -> AutoCell {
-        AutoCell { block: self.block, precond: self.precond, slices: self.slices }
+        AutoCell { precond: self.precond, slices: self.slices }
     }
 }
 
@@ -142,13 +143,15 @@ impl std::error::Error for CheckpointError {}
 //       stored solution is a solution for a different right-hand side than
 //       a v5 one), a real Hamiltonian's seed tables hold only the solved
 //       upper half-plane nodes (`n_solved x n_rh` pairs per energy), and
-//       the fingerprint gained the mirrored-ring bit.
+//       the fingerprint gained the mirrored-ring bit,
+//   v7  one job shape: the block-policy column left the `cell` line and
+//       the `sample` lines.
 // There is exactly one compatibility rule: the version found must be the
 // current one.  Anything else announcing itself through the shared magic
 // prefix is refused with [`CheckpointError::IncompatibleVersion`], naming
 // both versions, rather than read with silently zeroed or misaligned
 // fields.
-const MAGIC: &str = "cbs-sweep-checkpoint v6";
+const MAGIC: &str = "cbs-sweep-checkpoint v7";
 
 /// Prefix shared by every version's magic line; anything with this prefix
 /// but the wrong version is an incompatible (not malformed) checkpoint.
@@ -225,19 +228,12 @@ impl SweepCheckpoint {
             }
             Some(d) => {
                 let _ = writeln!(out, "auto 1");
-                let _ = writeln!(
-                    out,
-                    "cell {:x} {:x} {:x}",
-                    d.block as u64,
-                    d.precond.trace_code(),
-                    d.slices
-                );
+                let _ = writeln!(out, "cell {:x} {:x}", d.precond.trace_code(), d.slices);
                 let _ = writeln!(out, "probe {:x}", d.probe.len());
                 for s in &d.probe {
                     let _ = writeln!(
                         out,
-                        "sample {:x} {:x} {:x} {:x} {:x} {:x}",
-                        s.block as u64,
+                        "sample {:x} {:x} {:x} {:x} {:x}",
                         s.precond.trace_code(),
                         s.iterations,
                         s.traversals,
@@ -353,9 +349,6 @@ impl SweepCheckpoint {
         let mut t = lines.expect("auto")?;
         let auto = if t.bool()? {
             let mut t = lines.expect("cell")?;
-            let block_idx = t.u64()?;
-            let block = BlockPolicy::from_index(block_idx)
-                .ok_or_else(|| err(format!("unknown block policy index `{block_idx}`")))?;
             let precond_idx = t.u64()?;
             let precond = PrecondPolicy::from_index(precond_idx)
                 .ok_or_else(|| err(format!("unknown precond policy index `{precond_idx}`")))?;
@@ -365,14 +358,10 @@ impl SweepCheckpoint {
             let mut probe = Vec::with_capacity(np);
             for _ in 0..np {
                 let mut t = lines.expect("sample")?;
-                let block_idx = t.u64()?;
-                let block = BlockPolicy::from_index(block_idx)
-                    .ok_or_else(|| err(format!("unknown block policy index `{block_idx}`")))?;
                 let precond_idx = t.u64()?;
                 let precond = PrecondPolicy::from_index(precond_idx)
                     .ok_or_else(|| err(format!("unknown precond policy index `{precond_idx}`")))?;
                 probe.push(ProbeSample {
-                    block,
                     precond,
                     iterations: t.u64()?,
                     traversals: t.u64()?,
@@ -380,7 +369,7 @@ impl SweepCheckpoint {
                     wall_ns: t.u64()?,
                 });
             }
-            Some(AutoDecision { block, precond, slices, probe })
+            Some(AutoDecision { block: BlockPolicy::PerNode, precond, slices, probe })
         } else {
             None
         };
@@ -651,16 +640,17 @@ mod tests {
     }
 
     #[test]
-    fn v4_and_v5_checkpoints_are_refused_and_the_message_names_both_versions() {
+    fn v4_to_v6_checkpoints_are_refused_and_the_message_names_both_versions() {
         // v4 predates the auto section; v5 predates the real source block
         // and the half-ring seed tables (a v5 bank restored into a mirrored
         // sweep would seed node `j` with the solution of a different
-        // right-hand side).  Both must hit the dedicated
+        // right-hand side); v6 carries a block-policy column in its auto
+        // section.  All must hit the dedicated
         // incompatible-version path, and the error message must name the
         // version found *and* the one expected.  A format from the future
         // is refused the same way — there is one check, not one per
         // version.
-        for version in ["v4", "v5", "v7"] {
+        for version in ["v4", "v5", "v6", "v8"] {
             let stale = format!("cbs-sweep-checkpoint {version}");
             match SweepCheckpoint::parse(&relabelled(version)) {
                 Err(CheckpointError::IncompatibleVersion { ref found }) => {
@@ -673,7 +663,7 @@ mod tests {
                 other => panic!("{version}: expected IncompatibleVersion, got {other:?}"),
             }
         }
-        assert!(SweepCheckpoint::parse(&relabelled("v6")).is_ok(), "v6 is the current format");
+        assert!(SweepCheckpoint::parse(&relabelled("v7")).is_ok(), "v7 is the current format");
     }
 
     #[test]
@@ -685,7 +675,6 @@ mod tests {
             slices: 1,
             probe: vec![
                 ProbeSample {
-                    block: BlockPolicy::PerNode,
                     precond: PrecondPolicy::MatrixFree,
                     iterations: 3090,
                     traversals: 4686,
@@ -693,7 +682,6 @@ mod tests {
                     wall_ns: 120_000_000,
                 },
                 ProbeSample {
-                    block: BlockPolicy::PerNode,
                     precond: PrecondPolicy::AssembledIlu0,
                     iterations: 1033,
                     traversals: 533,
@@ -707,7 +695,7 @@ mod tests {
         assert_eq!(back.auto, cp.auto);
         assert_eq!(back.auto.as_ref().unwrap().cell().precond, PrecondPolicy::AssembledIlu0);
         // A corrupted policy discriminant is malformed, not silently mapped.
-        let bad = text.replacen("cell 1 2 1", "cell 1 9 1", 1);
+        let bad = text.replacen("cell 2 1", "cell 9 1", 1);
         assert!(matches!(SweepCheckpoint::parse(&bad), Err(CheckpointError::Malformed(_))));
     }
 }

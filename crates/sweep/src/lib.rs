@@ -11,19 +11,17 @@
 //!
 //! * **Flattening** — a release round's solve grid becomes one task pool
 //!   dispatched through the `cbs_parallel::TaskExecutor` seam — `(energy ×
-//!   quadrature-node)` block jobs under the default
-//!   `cbs_core::BlockPolicy::PerNode` (each advancing all `N_rh`
-//!   right-hand sides through fused block matvecs), `(energy ×
-//!   quadrature-node × rhs)` single-vector jobs under `PerRhs` — so a
-//!   sweep saturates a wide executor even when one energy's grid is small.
+//!   quadrature-node)` block jobs, each advancing all `N_rh` right-hand
+//!   sides through fused block matvecs — so a sweep saturates a wide
+//!   executor even when one energy's grid is small.
 //!   Under a partitioned contour (`cbs_core::SlicePolicy`) the grid
 //!   flattens further to `(energy × slice × node)`, each energy merging
 //!   its per-slice extractions; the `pool` module adapts the shared
 //!   `cbs_core::solve_pool`.
 //! * **Warm starting** — each energy's dual-BiCG solves are seeded from
 //!   the nearest already-completed energy's solutions (`P(z; E')` differs
-//!   from `P(z; E)` only by `(E' − E) I`), via
-//!   `cbs_solver::bicg_dual_seeded`; the dyadic wavefront schedule
+//!   from `P(z; E)` only by `(E' − E) I`), via the seed table of
+//!   `cbs_core::PoolGroup`; the dyadic wavefront schedule
 //!   (`cbs_parallel::SweepSchedule`) keeps donors close while releasing
 //!   geometrically growing rounds.  Cold-vs-warm iteration counts land in
 //!   `cbs_core::CbsStatistics`.

@@ -4,20 +4,20 @@
 //! partitioned contour ([`SlicePolicy`](cbs_core::SlicePolicy)) each energy
 //! further splits into per-slice sub-groups with their own node sets and
 //! source blocks.  This module flattens the whole
-//! `(energy x slice x node [x rhs])` grid of one round into a single batch
+//! `(energy x slice x node)` grid of one round into a single batch
 //! per majority-stop stage through the **shared multi-group pool of
 //! `cbs-core`** (`cbs_core::solve_pool`, which this crate's round pool
 //! originally pioneered and which now also powers
 //! `cbs_core::solve_qep_sliced_with`) — so a wide executor stays saturated
 //! even when a single energy's grid is smaller than the machine.
 //!
-//! Determinism contract: unchanged from the engine — jobs are listed
-//! group-major (energy-major, then slice, then engine job order), executors
-//! return results in input order, and each `(energy, slice)` accumulator
-//! folds only its own outcomes in that order, so the accumulated moments
-//! are bit-identical to running each group alone, on every executor and
-//! under either block policy.  The majority-stop cap is evaluated per
-//! `(energy, slice)` group from that group's own first-stage results.
+//! Determinism contract: `solve_pool`'s — jobs are listed group-major
+//! (energy-major, then slice, then node order), executors return results
+//! in input order, and each `(energy, slice)` accumulator folds only its
+//! own outcomes in that order, so the accumulated moments are bit-identical
+//! to running each group alone, on every executor.  The majority-stop cap
+//! is evaluated per `(energy, slice)` group from that group's own
+//! first-stage results.
 //!
 //! Warm-start seed tables are stored **concatenated slice-major** per
 //! energy (slice 0's `n_nodes x n_rh` job-order table, then slice 1's, …),

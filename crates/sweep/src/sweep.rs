@@ -42,9 +42,8 @@ use crate::pool::{solve_round, SolveGroup};
 /// Hysteresis margin of the auto-tuning decision: a challenger cell only
 /// displaces the incumbent when its predicted wall-clock wins by this
 /// fraction, so probe timing jitter below the margin cannot flip the
-/// committed decision (the measured gaps between cells — ILU(0) roughly
-/// halving the assembled wall, per-node ~20% under per-rhs — are well
-/// above it).
+/// committed decision (the measured gap between cells — ILU(0) roughly
+/// halving the assembled wall — is well above it).
 const AUTO_MARGIN: f64 = 0.10;
 
 /// Largest slice count the auto-tuning slice tuner will consider.
@@ -67,7 +66,7 @@ fn probe_memo(
     MEMO.get_or_init(|| std::sync::Mutex::new(Vec::new()))
 }
 
-/// A full `(x, x̃)` solution table in engine job order
+/// A full `(x, x̃)` solution table in pool job order
 /// (`point_index * N_rh + rhs_index`) — the currency of warm-starting: each
 /// completed energy donates its table, each new energy seeds from the
 /// nearest donor.
@@ -94,13 +93,13 @@ pub enum EnergyOrigin {
 pub struct EnergyStats {
     /// Primal BiCG iterations over the energy's solves.
     pub bicg_iterations: usize,
-    /// Operator applications over the energy's solves (matvec-equivalents;
-    /// identical under every `BlockPolicy`).
+    /// Operator applications over the energy's solves (matvec-equivalents:
+    /// the per-column work, however the applies were fused).
     pub matvecs: usize,
     /// Operator-storage traversals actually performed (fused block applies
     /// count the operator's `traversal_weight`; up to `N_rh`x below
-    /// [`matvecs`](Self::matvecs) under `BlockPolicy::PerNode`, and 3x
-    /// fewer per apply under the assembled operator).
+    /// [`matvecs`](Self::matvecs), and 3x fewer per apply under the
+    /// assembled operator).
     pub operator_traversals: usize,
     /// Numeric refills of the assembled `P(z)` pattern (ILU(0)
     /// factorizations included); zero under `PrecondPolicy::MatrixFree`.
@@ -604,21 +603,14 @@ impl<'a> EnergySweep<'a> {
         let nominal = self.config.ss;
         let nnz = self.pattern.as_ref().map_or(n * n, cbs_sparse::AssembledPattern::nnz);
         // Candidate cells, cheapest-to-assemble first (the fixed priority
-        // order the hysteresis respects).  With a pattern attached the
-        // interesting axis is the preconditioner ladder; without one every
-        // assembled policy would silently fall back to matrix-free, so the
-        // axis left is the block granularity.
-        let candidates: Vec<(BlockPolicy, PrecondPolicy)> = if self.pattern.is_some() {
-            vec![
-                (nominal.block, PrecondPolicy::MatrixFree),
-                (nominal.block, PrecondPolicy::Assembled),
-                (nominal.block, PrecondPolicy::AssembledIlu0),
-            ]
+        // order the hysteresis respects).  With a pattern attached the axis
+        // is the preconditioner ladder; without one every assembled policy
+        // would silently fall back to matrix-free, so that one cell is
+        // probed (its sample still feeds the slice tuner).
+        let candidates: &[PrecondPolicy] = if self.pattern.is_some() {
+            &[PrecondPolicy::MatrixFree, PrecondPolicy::Assembled, PrecondPolicy::AssembledIlu0]
         } else {
-            vec![
-                (BlockPolicy::PerNode, PrecondPolicy::MatrixFree),
-                (BlockPolicy::PerRhs, PrecondPolicy::MatrixFree),
-            ]
+            &[PrecondPolicy::MatrixFree]
         };
         // The reduced probe configuration: enough quadrature and sources to
         // exercise the real kernels, cheap enough that the probe stays a
@@ -648,10 +640,7 @@ impl<'a> EnergySweep<'a> {
             energy.to_bits(),
             self.period.to_bits(),
         ];
-        for &(block, precond) in &candidates {
-            key.push(block as u64);
-            key.push(precond.trace_code() as u64);
-        }
+        key.extend(candidates.iter().map(|p| p.trace_code() as u64));
         // Get-or-measure under one lock: a second sweep probing the same key
         // waits for the first one's samples instead of committing its own
         // wall clocks.  The probe runs on `SerialExecutor` and never looks
@@ -664,7 +653,7 @@ impl<'a> EnergySweep<'a> {
                 memo.iter().find(|(k, _, _)| *k == key).map(|(_, s, p)| (s.clone(), p.clone()));
             hit.unwrap_or_else(|| {
                 let (samples, probe) =
-                    self.measure_probe_candidates(energy, &candidates, &probe_ss, n, nnz);
+                    self.measure_probe_candidates(energy, candidates, &probe_ss, n, nnz);
                 memo.push((key, samples.clone(), probe.clone()));
                 (samples, probe)
             })
@@ -680,7 +669,6 @@ impl<'a> EnergySweep<'a> {
             let best = model.best_cell(&workload, AUTO_MARGIN)?;
             let slices = model.tune_slices(best, &workload, AUTO_MAX_SLICES, AUTO_MARGIN);
             Some(cbs_core::AutoCell {
-                block: if best.per_rhs { BlockPolicy::PerRhs } else { BlockPolicy::PerNode },
                 precond: PrecondPolicy::from_index(best.precond as u64)?,
                 slices: slices as usize,
             })
@@ -690,7 +678,7 @@ impl<'a> EnergySweep<'a> {
         // the checkpoint commits, so resume replays exactly what ran.
         let resolved = nominal.resolve_auto(cell);
         AutoDecision {
-            block: resolved.block,
+            block: BlockPolicy::PerNode,
             precond: resolved.precond,
             slices: resolved.slice.slice_count(),
             probe,
@@ -702,15 +690,15 @@ impl<'a> EnergySweep<'a> {
     fn measure_probe_candidates(
         &self,
         energy: f64,
-        candidates: &[(BlockPolicy, PrecondPolicy)],
+        candidates: &[PrecondPolicy],
         probe_ss: &SsConfig,
         n: usize,
         nnz: usize,
     ) -> (Vec<CalibrationSample>, Vec<ProbeSample>) {
         let mut samples = Vec::with_capacity(candidates.len());
         let mut probe = Vec::with_capacity(candidates.len());
-        for &(block, precond) in candidates {
-            let cfg = SsConfig { block, precond, ..*probe_ss };
+        for &precond in candidates {
+            let cfg = SsConfig { precond, ..*probe_ss };
             let problem = self.problem_at(energy);
             // Stage wall-ns needs a recording session; when an outer one is
             // already active we piggyback on it, otherwise we open our own
@@ -726,11 +714,7 @@ impl<'a> EnergySweep<'a> {
             }
             let stage_wall = |stage: cbs_trace::Stage| agg.as_ref().map_or(0, |a| a.wall(stage));
             samples.push(CalibrationSample {
-                cell: CellId {
-                    per_rhs: block == BlockPolicy::PerRhs,
-                    precond: precond.trace_code(),
-                    slices: 1,
-                },
+                cell: CellId { precond: precond.trace_code(), slices: 1 },
                 dimension: n,
                 nnz,
                 n_rh: cfg.n_rh,
@@ -745,7 +729,6 @@ impl<'a> EnergySweep<'a> {
                 extraction_wall_ns: stage_wall(cbs_trace::Stage::Extraction),
             });
             probe.push(ProbeSample {
-                block,
                 precond,
                 iterations: result.total_bicg_iterations as u64,
                 traversals: result.total_traversals as u64,

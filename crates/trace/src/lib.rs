@@ -497,8 +497,8 @@ impl Drop for CtxScope {
     }
 }
 
-/// The tracing capability plumbed through `ShiftedSolveEngine`,
-/// `solve_pool` and `EnergySweep`: a `Copy` context carrier that is a
+/// The tracing capability plumbed through `solve_pool` and
+/// `EnergySweep`: a `Copy` context carrier that is a
 /// no-op when tracing is disabled.
 ///
 /// A handle is resolved once per solve ([`TraceHandle::resolve`]) on the

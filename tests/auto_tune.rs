@@ -258,7 +258,7 @@ fn cbs_auto_env_knob_drives_the_sweep() {
 #[test]
 fn bench_scale_model_never_selects_slices() {
     // The tracked bench numbers: Al(100) 8-energy cold ILU(0) sweep.
-    let cell = CellId { per_rhs: false, precond: 2, slices: 1 };
+    let cell = CellId { precond: 2, slices: 1 };
     let sample = CalibrationSample {
         cell,
         dimension: 1620,

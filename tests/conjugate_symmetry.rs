@@ -11,8 +11,8 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 
 use cbs::core::{
-    solve_qep_sliced_with, solve_qep_with, BlockPolicy, PrecondPolicy, QepProblem, SlicePolicy,
-    SsConfig, SsResult,
+    solve_qep_sliced_with, solve_qep_with, PrecondPolicy, QepProblem, SlicePolicy, SsConfig,
+    SsResult,
 };
 use cbs::dft::{carbon_nanotube, grid_for_structure, BlockHamiltonian, HamiltonianParams};
 use cbs::linalg::{c64, CMatrix, Complex64};
@@ -305,8 +305,8 @@ fn assert_bitwise(what: &str, a: &SsResult, b: &SsResult) {
     assert_eq!(a.operator_assemblies, b.operator_assemblies, "{what}");
 }
 
-/// The mirrored path keeps the determinism contract: serial ≡ rayon and
-/// per-rhs ≡ per-node, bitwise, with the majority-stop rule on.
+/// The mirrored path keeps the determinism contract: serial ≡ rayon,
+/// bitwise, with the majority-stop rule on.
 #[test]
 fn mirrored_ring_is_executor_and_block_policy_invariant() {
     let h = common::fig6_hamiltonian();
@@ -323,13 +323,6 @@ fn mirrored_ring_is_executor_and_block_policy_invariant() {
             &reference,
             &solve_qep_with(&problem, &config, &RayonExecutor),
         );
-        let per_rhs = SsConfig { block: BlockPolicy::PerRhs, ..config };
-        for (what, run) in [
-            ("per-rhs serial", solve_qep_with(&problem, &per_rhs, &SerialExecutor)),
-            ("per-rhs rayon", solve_qep_with(&problem, &per_rhs, &RayonExecutor)),
-        ] {
-            assert_bitwise(&format!("{precond:?} {what}"), &reference, &run);
-        }
     }
 }
 

@@ -7,17 +7,16 @@
 //! * `S ∈ {2, 4, 8}` merged eigenvalue sets agree with the single contour
 //!   to ≤ 1e-10 on the interior annulus, with every per-slice subspace
 //!   strictly smaller than the monolithic one;
-//! * the agreement holds over the
-//!   `{BlockPolicy} x {PrecondPolicy} x {serial, rayon}` matrix, with
-//!   serial ≡ rayon and per-node ≡ per-rhs **bitwise** within each policy;
+//! * the agreement holds over the `{PrecondPolicy} x {serial, rayon}`
+//!   matrix, with serial ≡ rayon **bitwise** within each policy;
 //! * sliced and single-contour spectra both agree with the OBM baseline;
-//! * an env-driven entry point (`CBS_EXECUTOR` / `CBS_BLOCK` /
-//!   `CBS_PRECOND` / `CBS_SLICES`) lets CI exercise any single combination
-//!   of the policy matrix.
+//! * an env-driven entry point (`CBS_EXECUTOR` / `CBS_PRECOND` /
+//!   `CBS_SLICES`) lets CI exercise any single combination of the policy
+//!   matrix.
 
 use cbs::core::{
-    solve_qep_sliced_with, solve_qep_with, BlockPolicy, PrecondPolicy, QepProblem, SlicePolicy,
-    SsConfig, SsResult,
+    solve_qep_sliced_with, solve_qep_with, PrecondPolicy, QepProblem, SlicePolicy, SsConfig,
+    SsResult,
 };
 use cbs::dft::{bulk_al_100, grid_for_structure, BlockHamiltonian, HamiltonianParams};
 use cbs::linalg::Complex64;
@@ -166,19 +165,17 @@ fn fig6_sliced_sets_match_single_contour_to_1e10() {
     }
 }
 
-/// The policy matrix: `{per-node, per-rhs} x {matrix-free, assembled,
-/// assembled-ilu0} x {serial, rayon}`, at `S = 4`.  Within each
-/// `(precond)` cell all four `(block, executor)` variants must be
-/// **bitwise identical** (block policies and executors do not change
-/// results), and each cell's sliced set matches its own single-contour
-/// reference to ≤ 1e-10.
+/// The policy matrix: `{matrix-free, assembled, assembled-ilu0} x {serial,
+/// rayon}`, at `S = 4`.  Within each `(precond)` cell both executors must
+/// be **bitwise identical** (executors do not change results), and each
+/// cell's sliced set matches its own single-contour reference to ≤ 1e-10.
 #[test]
 fn fig6_policy_matrix_cross_validation() {
     let h = fig6_hamiltonian();
     let h00 = h.h00();
     let h01 = h.h01();
     let pattern = h.qep_pattern();
-    // A cheaper spectrum (2 propagating states) keeps the 12-run matrix
+    // A cheaper spectrum (2 propagating states) keeps the 6-run matrix
     // affordable; the richer-spectrum agreement is covered above.
     let config = SsConfig { n_mm: 4, n_rh: 4, ..fig6_config() };
 
@@ -190,26 +187,19 @@ fn fig6_policy_matrix_cross_validation() {
         assert!(!single.eigenpairs.is_empty());
 
         let mut reference: Option<SsResult> = None;
-        for block in [BlockPolicy::PerNode, BlockPolicy::PerRhs] {
-            let cfg = SsConfig { precond, block, slice: sectors(4), ..config };
-            for rayon in [false, true] {
-                let sliced = if rayon {
-                    solve_qep_sliced_with(&problem, &cfg, &RayonExecutor)
-                } else {
-                    solve_qep_sliced_with(&problem, &cfg, &SerialExecutor)
-                };
-                let what = format!(
-                    "{}/{}/{}",
-                    precond.name(),
-                    block.name(),
-                    if rayon { "rayon" } else { "serial" }
-                );
-                assert_interior_sets_match(&single, &sliced, 1e-10, &what);
-                assert_interior_sets_match(&sliced, &single, 1e-10, &what);
-                match &reference {
-                    None => reference = Some(sliced),
-                    Some(r) => assert_bitwise_eigenpairs(r, &sliced, &what),
-                }
+        let cfg = SsConfig { precond, slice: sectors(4), ..config };
+        for rayon in [false, true] {
+            let sliced = if rayon {
+                solve_qep_sliced_with(&problem, &cfg, &RayonExecutor)
+            } else {
+                solve_qep_sliced_with(&problem, &cfg, &SerialExecutor)
+            };
+            let what = format!("{}/{}", precond.name(), if rayon { "rayon" } else { "serial" });
+            assert_interior_sets_match(&single, &sliced, 1e-10, &what);
+            assert_interior_sets_match(&sliced, &single, 1e-10, &what);
+            match &reference {
+                None => reference = Some(sliced),
+                Some(r) => assert_bitwise_eigenpairs(r, &sliced, &what),
             }
         }
     }
@@ -256,8 +246,8 @@ fn fig6_sliced_and_single_agree_with_obm() {
 }
 
 /// Env-driven single-combination entry point for the CI policy-matrix job:
-/// `CBS_EXECUTOR` / `CBS_BLOCK` / `CBS_PRECOND` / `CBS_SLICES` select the
-/// cell (defaults: serial / per-node / matrix-free / 4 slices).
+/// `CBS_EXECUTOR` / `CBS_PRECOND` / `CBS_SLICES` select the cell (defaults:
+/// serial / matrix-free / 4 slices).
 #[test]
 fn policy_matrix_cell_from_env() {
     let h = fig6_hamiltonian();
@@ -265,13 +255,12 @@ fn policy_matrix_cell_from_env() {
     let h01 = h.h01();
     let pattern = h.qep_pattern();
     let (pattern_sparse, projector) = h.qep_factored();
-    let block = BlockPolicy::from_env("CBS_BLOCK");
     let precond = PrecondPolicy::from_env("CBS_PRECOND");
     let slice = match SlicePolicy::from_env("CBS_SLICES") {
         p if p.is_single() => sectors(4),
         p => SlicePolicy { arc_nodes: Some(32), ..p },
     };
-    let config = SsConfig { n_mm: 4, n_rh: 4, block, precond, ..fig6_config() };
+    let config = SsConfig { n_mm: 4, n_rh: 4, precond, ..fig6_config() };
     // The SMW cell needs the factored problem (sparse-only pattern plus
     // projector tail) for the completion to be distinct from plain ILU(0).
     let problem = if precond == PrecondPolicy::AssembledIlu0Smw {
@@ -296,9 +285,8 @@ fn policy_matrix_cell_from_env() {
         )
     };
     let what = format!(
-        "env cell {}/{}/{}/{}",
+        "env cell {}/{}/{}",
         if rayon { "rayon" } else { "serial" },
-        block.name(),
         precond.name(),
         sliced_cfg.slice.name()
     );

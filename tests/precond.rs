@@ -312,7 +312,7 @@ fn random_csr_blocks(n: usize, seed: u64) -> (CsrMatrix, CsrMatrix) {
 
 /// An ILU-preconditioned warm sweep checkpoints and resumes bit-identically,
 /// and switching the precond policy is refused on resume (it is part of the
-/// fingerprint — unlike the block policy, it changes the results).
+/// fingerprint: it changes the results).
 #[test]
 fn assembled_warm_sweep_resumes_bit_identically_and_fingerprints_the_policy() {
     let (h00, h01) = random_csr_blocks(10, 91);

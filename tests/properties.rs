@@ -696,7 +696,6 @@ proptest! {
     /// energy count — more work never predicts a shorter sweep.
     #[test]
     fn cost_model_predictions_are_finite_positive_and_monotone(
-        per_rhs_bit in 0u8..2,
         precond in 0u8..4,
         dim in 8usize..4096,
         per_row in 1usize..64,
@@ -710,7 +709,7 @@ proptest! {
         w_nnz_scale in 1usize..8,
     ) {
         use cbs::parallel::{CalibrationSample, CellId, CostModel, WorkloadSpec};
-        let cell = CellId { per_rhs: per_rhs_bit == 1, precond, slices: 1 };
+        let cell = CellId { precond, slices: 1 };
         let nnz = dim * per_row;
         let wall_ns = wall_us * 1_000;
         let sample = CalibrationSample {
@@ -754,7 +753,6 @@ proptest! {
     /// with `auto` cleared.
     #[test]
     fn degenerate_samples_fall_back_to_the_default_cell(
-        per_rhs_bit in 0u8..2,
         precond in 0u8..4,
         dim in 1usize..64,
         zero_field in 0usize..4,
@@ -762,7 +760,7 @@ proptest! {
         use cbs::core::SsConfig;
         use cbs::parallel::{CalibrationSample, CellId, CostModel};
         let mut s = CalibrationSample {
-            cell: CellId { per_rhs: per_rhs_bit == 1, precond, slices: 1 },
+            cell: CellId { precond, slices: 1 },
             dimension: dim,
             nnz: dim * 7,
             n_rh: 2,
@@ -791,7 +789,6 @@ proptest! {
         let resolved = SsConfig::auto().resolve_auto(None);
         let default = SsConfig::default();
         prop_assert!(!resolved.auto, "fallback must clear auto");
-        prop_assert!(resolved.block == default.block, "fallback block is not the default");
         prop_assert!(resolved.precond == default.precond, "fallback precond is not the default");
         prop_assert!(
             resolved.slice.slice_count() == default.slice.slice_count(),
