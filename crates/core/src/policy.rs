@@ -33,8 +33,8 @@ impl BlockPolicy {
 /// (instead of per application) and ILU(0) changes the Krylov trajectory
 /// entirely.  What every policy preserves is the solution contract (relative
 /// residual ≤ tolerance) and serial ≡ rayon bit-identity *within* the
-/// policy; the [`MatrixFree`](Self::MatrixFree) path is bitwise unchanged
-/// from before this knob existed.
+/// policy; the [`MatrixFree`](Self::MatrixFree) path does not depend on
+/// whether a pattern or projector is attached.
 ///
 /// `PrecondPolicy::default()` (and the `CBS_PRECOND` fallback) stays
 /// [`MatrixFree`](Self::MatrixFree) — the historical baseline that old
@@ -42,11 +42,14 @@ impl BlockPolicy {
 /// however selects [`Assembled`](Self::Assembled): every assembled row of
 /// the tracked sweep bench beats matrix-free wall-clock (see
 /// `BENCH_sweep.json`), and problems without an attached pattern fall back
-/// to matrix-free bitwise-unchanged.
+/// to matrix-free, bitwise.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PrecondPolicy {
-    /// Apply `P(z)` matrix-free (three storage traversals per application:
-    /// `H₀₀`, `H₀₁`, `H₀₁†`), unpreconditioned.  The historical default.
+    /// Apply `P(z)` matrix-free, unpreconditioned: one fused row pass over
+    /// `f64` coefficients when the blocks are real `sparse + low-rank`
+    /// storage (`cbs_sparse::RealStencil`, one storage traversal), else the
+    /// generic composition of `H₀₀`, `H₀₁`, `H₀₁†` (three).  The historical
+    /// default.
     #[default]
     MatrixFree,
     /// Materialize `P(z)` once per quadrature node as a single CSR by

@@ -494,7 +494,7 @@ mod tests {
         assert_eq!(iterations, histories.iter().map(ConvergenceHistory::iterations).sum::<usize>());
         assert!(matvecs >= 2 * iterations);
         // Fused applies: far fewer storage walks than per-column matvecs
-        // (weight 3 per matrix-free apply).
+        // (weight 3 per generic matrix-free apply: dense pencils).
         assert!(traversals < 3 * matvecs / 2);
     }
 

@@ -14,6 +14,16 @@
 //! blocks are real, `P(z̄) = conj P(z)`
 //! ([`QepProblem::is_conjugate_symmetric`] — the lower half-plane nodes are
 //! the conjugates of the upper half-plane ones and are never solved).
+//!
+//! The matrix-free apply has two implementations, chosen by what the blocks
+//! are, not by a setting.  Blocks that expose real `sparse + low-rank`
+//! storage ([`LinearOperator::sparse_lowrank_parts`] — every Hamiltonian
+//! `cbs-dft` builds) are converted once per problem, by
+//! [`QepProblem::operator`], into a [`RealStencil`]: one row pass over `f64`
+//! coefficients, storage-traversal weight 1.  Everything else (dense
+//! pencils, complex blocks, composed operators) keeps the generic
+//! three-pass composition `H₀₀`, `H₀₁`, `H₀₁†` through thread-local
+//! scratch, weight 3.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -21,7 +31,7 @@ use std::sync::OnceLock;
 use cbs_linalg::{CVector, Complex64};
 use cbs_sparse::{
     AssembledOp, AssembledPattern, FactoredProjector, Ilu0, LinearOperator, Preconditioner,
-    SmwPrecond,
+    RealStencil, SmwPrecond,
 };
 
 use crate::policy::PrecondPolicy;
@@ -53,12 +63,16 @@ pub struct QepProblem<'a> {
     /// Cached answer of [`is_conjugate_symmetric`](Self::is_conjugate_symmetric)
     /// (one O(storage) scan per problem).
     conjugate_symmetric: OnceLock<bool>,
+    /// The fused real-arithmetic form of `P(z)`, converted by
+    /// [`operator`](Self::operator) on first use; `Some(None)` once the
+    /// blocks turned out not to be real `sparse + low-rank` storage.
+    stencil: OnceLock<Option<RealStencil>>,
     /// Operator applications performed by [`residual`](Self::residual)
     /// (matvec-equivalents), so extraction-phase work no longer bypasses
     /// the `total_matvecs` accounting.
     residual_matvecs: AtomicUsize,
-    /// Storage traversals performed by [`residual`](Self::residual) (the
-    /// matrix-free `P(λ)` apply walks three stores).
+    /// Storage traversals performed by [`residual`](Self::residual), at
+    /// the matrix-free apply's [`traversal_weight`](Self::traversal_weight).
     residual_traversals: AtomicUsize,
 }
 
@@ -83,6 +97,7 @@ impl<'a> QepProblem<'a> {
             projector: None,
             scales: OnceLock::new(),
             conjugate_symmetric: OnceLock::new(),
+            stencil: OnceLock::new(),
             residual_matvecs: AtomicUsize::new(0),
             residual_traversals: AtomicUsize::new(0),
         }
@@ -163,15 +178,41 @@ impl<'a> QepProblem<'a> {
     }
 
     /// The matrix-free operator `P(z)` at the complex shift `z`.
+    ///
+    /// The first call converts blocks that expose real
+    /// [`sparse_lowrank_parts`](LinearOperator::sparse_lowrank_parts) into
+    /// the problem's [`RealStencil`]; every later apply of this problem —
+    /// [`residual`](Self::residual) included — then runs through it.  This
+    /// is the only place the stencil is built: a problem solved under an
+    /// assembled policy never pays its memory.
     pub fn operator(&self, z: Complex64) -> QepOperator<'a, '_> {
+        self.stencil.get_or_init(|| {
+            RealStencil::try_new(self.h00.sparse_lowrank_parts()?, self.h01.sparse_lowrank_parts()?)
+        });
         QepOperator { problem: self, z }
+    }
+
+    /// The fused stencil, if [`operator`](Self::operator) has built one.
+    pub fn real_stencil(&self) -> Option<&RealStencil> {
+        self.stencil.get().and_then(Option::as_ref)
+    }
+
+    /// Storage traversals one matrix-free apply of this problem performs
+    /// right now: 1 through the [`RealStencil`] (one pass over one store),
+    /// 3 through the generic composition (`H₀₀`, `H₀₁`, `H₀₁†`).
+    pub fn traversal_weight(&self) -> usize {
+        if self.real_stencil().is_some() {
+            1
+        } else {
+            3
+        }
     }
 
     /// The per-node solve context under a [`PrecondPolicy`]: the operator
     /// representation of `P(z)` plus an optional preconditioner.
     ///
     /// * [`PrecondPolicy::MatrixFree`] — the matrix-free view, no
-    ///   preconditioner (bitwise the historical path).
+    ///   preconditioner.
     /// * [`PrecondPolicy::Assembled`] — numeric refill of the shared
     ///   pattern into one CSR (one traversal per apply instead of three).
     /// * [`PrecondPolicy::AssembledIlu0`] — the assembled CSR plus its
@@ -213,9 +254,9 @@ impl<'a> QepProblem<'a> {
         }
     }
 
-    /// Apply `P(z)` to a vector, writing into `y`.  The internal temporary
-    /// comes from the thread-local scratch pool (`cbs_sparse::with_scratch`),
-    /// so steady-state application performs no allocation — this is the
+    /// Apply `P(z)` to a vector, writing into `y`.  Steady-state application
+    /// performs no allocation (the stencil needs no temporary; the generic
+    /// path takes its own from `cbs_sparse::with_scratch`) — this is the
     /// innermost kernel of every BiCG iteration.
     pub fn apply(&self, z: Complex64, x: &[Complex64], y: &mut [Complex64]) {
         self.apply_block(z, x, y, 1);
@@ -230,16 +271,20 @@ impl<'a> QepProblem<'a> {
 
     /// Apply `P(z)` to a block of `nvecs` vectors stored column-major in
     /// contiguous slabs (the layout of
-    /// [`LinearOperator::apply_block`]): the three Hamiltonian-block
-    /// traversals are each fused over all columns, so the sparse structure
-    /// of `H₀₀`/`H₀₁` is read once per application instead of once per
-    /// column.  Per column the arithmetic order is identical to
-    /// [`apply`](Self::apply), so the slab result is bit-identical to the
-    /// column-by-column loop.
+    /// [`LinearOperator::apply_block`]): through the [`RealStencil`] when
+    /// [`operator`](Self::operator) has built one, else as three
+    /// Hamiltonian-block traversals, each fused over all columns.  On
+    /// either path the sparse structure is read once per application
+    /// instead of once per column, and per column the arithmetic order is
+    /// identical to [`apply`](Self::apply), so the slab result is
+    /// bit-identical to the column-by-column loop.
     pub fn apply_block(&self, z: Complex64, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
         let n = self.dim();
         assert_eq!(x.len(), n * nvecs);
         assert_eq!(y.len(), n * nvecs);
+        if let Some(stencil) = self.real_stencil() {
+            return stencil.apply_block(self.energy, z, x, y, nvecs);
+        }
         cbs_sparse::with_scratch(n * nvecs, |tmp| {
             // y = (E - H00) X
             self.h00.apply_block(x, y, nvecs);
@@ -288,8 +333,9 @@ impl<'a> QepProblem<'a> {
     }
 
     /// Operator applications performed so far by the residual checks, as
-    /// `(matvecs, storage_traversals)` — one `P(λ)` apply (three storage
-    /// walks) per [`residual`](Self::residual) call.  Extraction folds the
+    /// `(matvecs, storage_traversals)` — one `P(λ)` apply at
+    /// [`traversal_weight`](Self::traversal_weight) per
+    /// [`residual`](Self::residual) call.  Extraction folds the
     /// delta of these into `SsResult::total_matvecs` / `total_traversals`,
     /// so the residual filter no longer runs off the books.
     ///
@@ -310,7 +356,9 @@ impl<'a> QepProblem<'a> {
     ///
     /// Costs **one** operator application per call (the `P(λ)ψ` matvec);
     /// the `||P(λ)||` scale estimate is cached on the problem, so checking
-    /// `k` candidates performs `k + O(1)` applications, not `3k`.
+    /// `k` candidates performs `k + O(1)` applications, not `3k`.  Uses the
+    /// [`RealStencil`] when the solve built one and never builds it itself,
+    /// so a residual check after an assembled solve allocates nothing.
     pub fn residual(&self, lambda: Complex64, psi: &CVector) -> f64 {
         let n = self.dim();
         // Scale estimate of ||P(λ)||: |E| + ||H00|| + (|λ| + 1/|λ|) ||H01||.
@@ -318,7 +366,7 @@ impl<'a> QepProblem<'a> {
         let mut r = vec![Complex64::ZERO; n];
         self.apply(lambda, psi.as_slice(), &mut r);
         self.residual_matvecs.fetch_add(1, Ordering::Relaxed); // cbs-audit: allow(D003) reason="commutative integer counter (fetch_add), order-independent"
-        self.residual_traversals.fetch_add(3, Ordering::Relaxed); // cbs-audit: allow(D003) reason="commutative integer counter (fetch_add), order-independent"
+        self.residual_traversals.fetch_add(self.traversal_weight(), Ordering::Relaxed); // cbs-audit: allow(D003) reason="commutative integer counter (fetch_add), order-independent"
         let rnorm = r.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
         let scale = self.energy.abs()
             + h00_scale
@@ -370,20 +418,21 @@ impl LinearOperator for QepOperator<'_, '_> {
         self.problem.apply_adjoint_block(self.z, x, y, nvecs);
     }
     fn memory_bytes(&self) -> usize {
-        self.problem.h00.memory_bytes() + self.problem.h01.memory_bytes()
+        self.problem.h00.memory_bytes()
+            + self.problem.h01.memory_bytes()
+            + self.problem.real_stencil().map_or(0, RealStencil::memory_bytes)
     }
     fn traversal_weight(&self) -> usize {
-        // Every matrix-free application walks H00 once and H01 twice
-        // (primal + adjoint leg) — three operator-storage traversals.
-        3
+        self.problem.traversal_weight()
     }
 }
 
 /// The per-node operator representation resolved from a [`PrecondPolicy`]
-/// by [`QepProblem::node_solve`]: the matrix-free view (three storage
-/// traversals per apply) or the assembled single-CSR form (one).
+/// by [`QepProblem::node_solve`]: the matrix-free view (one storage
+/// traversal per apply through the real stencil, three through the generic
+/// composition) or the assembled single-CSR form (one).
 pub enum QepNodeOp<'a, 'p> {
-    /// Matrix-free `P(z)` — the historical, bitwise-unchanged default.
+    /// Matrix-free `P(z)` — the default.
     MatrixFree(QepOperator<'a, 'p>),
     /// `P(z)` materialized by numeric refill of the shared pattern.
     Assembled(AssembledOp<'a>),
@@ -718,6 +767,122 @@ mod tests {
             // The metered counters cover the per-candidate applications
             // only (the one-time scale estimate is excluded by design).
             assert_eq!(qep.residual_op_counters(), (k, 3 * k));
+        }
+    }
+
+    /// A `sparse + low-rank` block that can hide its parts.
+    struct PartsOp {
+        sparse: cbs_sparse::CsrMatrix,
+        lowrank: cbs_sparse::LowRankOp,
+        expose: bool,
+    }
+
+    impl LinearOperator for PartsOp {
+        fn nrows(&self) -> usize {
+            self.sparse.nrows()
+        }
+        fn ncols(&self) -> usize {
+            self.sparse.ncols()
+        }
+        fn apply(&self, x: &[Complex64], y: &mut [Complex64]) {
+            self.sparse.apply(x, y);
+            self.lowrank.apply_block_accumulate(Complex64::ONE, x, y, 1);
+        }
+        fn apply_adjoint(&self, x: &[Complex64], y: &mut [Complex64]) {
+            self.sparse.apply_adjoint(x, y);
+            self.lowrank.apply_adjoint_block_accumulate(Complex64::ONE, x, y, 1);
+        }
+        fn sparse_lowrank_parts(&self) -> Option<(&cbs_sparse::CsrMatrix, &cbs_sparse::LowRankOp)> {
+            self.expose.then_some((&self.sparse, &self.lowrank))
+        }
+    }
+
+    /// Real symmetric `H₀₀` / real `H₀₁` with one projector term each;
+    /// `imag` is added to one `H₀₁` entry.
+    fn parts_blocks(n: usize, seed: u64, imag: f64, expose: bool) -> (PartsOp, PartsOp) {
+        use cbs_sparse::{CsrMatrix, LowRankOp, SparseVec};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let real = |m: CMatrix| CMatrix::from_fn(n, n, |i, j| c64(m[(i, j)].re, 0.0));
+        let a = real(CMatrix::random(n, n, &mut rng));
+        let mut b = real(CMatrix::random(n, n, &mut rng)).scale(c64(0.3, 0.0));
+        b[(1, 2)] += c64(0.0, imag);
+        let p = SparseVec::new(vec![(0, c64(0.4, 0.0)), (n - 1, c64(-0.7, 0.0))]);
+        let mut v00 = LowRankOp::new(n, n);
+        v00.push(p.clone(), p.clone(), c64(1.1, 0.0));
+        let mut v01 = LowRankOp::new(n, n);
+        v01.push(p, SparseVec::new(vec![(2, c64(0.9, 0.0))]), c64(-0.6, 0.0));
+        (
+            PartsOp {
+                sparse: CsrMatrix::from_dense(&(&a + &a.adjoint()), 0.0),
+                lowrank: v00,
+                expose,
+            },
+            PartsOp { sparse: CsrMatrix::from_dense(&b, 0.0), lowrank: v01, expose },
+        )
+    }
+
+    /// The stencil is a property of the blocks: real exposed parts convert
+    /// (weight 1, same operator to rounding), anything else keeps the
+    /// generic composition (weight 3) — and only `operator()` converts.
+    #[test]
+    fn real_stencil_engages_on_real_exposed_parts_only() {
+        let n = 9;
+        let z = c64(0.9, 0.5);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(416);
+        let nvecs = 3;
+        let x: Vec<Complex64> = CVector::random(n * nvecs, &mut rng).into_vec();
+        let psi = CVector::random(n, &mut rng);
+        let apply = |qep: &QepProblem<'_>| {
+            let mut y = vec![Complex64::ZERO; n * nvecs];
+            qep.operator(z).apply_block(&x, &mut y, nvecs);
+            let mut ya = vec![Complex64::ZERO; n * nvecs];
+            qep.operator(z).apply_adjoint_block(&x, &mut ya, nvecs);
+            (y, ya)
+        };
+
+        // Reference: the same real blocks with their parts hidden.
+        let (g00, g01) = parts_blocks(n, 415, 0.0, false);
+        let generic = QepProblem::new(&g00, &g01, 0.2, 1.0);
+        let (y_generic, ya_generic) = apply(&generic);
+        assert!(generic.real_stencil().is_none());
+        assert_eq!(generic.operator(z).traversal_weight(), 3);
+
+        let (h00, h01) = parts_blocks(n, 415, 0.0, true);
+        let fused = QepProblem::new(&h00, &h01, 0.2, 1.0);
+        // Nothing but `operator()` builds the stencil: a residual check on a
+        // fresh problem runs (and is charged as) the generic composition.
+        let r_generic = fused.residual(z, &psi);
+        assert!(fused.real_stencil().is_none());
+        assert_eq!(fused.residual_op_counters(), (1, 3));
+        let (y, ya) = apply(&fused);
+        assert_eq!(fused.real_stencil().map(RealStencil::dim), Some(n));
+        assert_eq!(fused.operator(z).traversal_weight(), 1);
+        let (node_op, _) = fused.node_solve(PrecondPolicy::MatrixFree, z);
+        assert_eq!(node_op.traversal_weight(), 1);
+        assert!(fused.operator(z).memory_bytes() > generic.operator(z).memory_bytes());
+        for (got, want) in [(&y, &y_generic), (&ya, &ya_generic)] {
+            let err: f64 = got.iter().zip(want).map(|(a, b)| (*a - *b).norm_sqr()).sum();
+            let norm: f64 = want.iter().map(|v| v.norm_sqr()).sum();
+            assert!(err.sqrt() <= 1e-14 * norm.sqrt(), "stencil drifted: {:.2e}", err.sqrt());
+        }
+        // ... and once it exists, the residual uses it at its weight.
+        let r_fused = fused.residual(z, &psi);
+        assert_eq!(fused.residual_op_counters(), (2, 3 + 1));
+        assert!((r_fused - r_generic).abs() <= 1e-14 * r_generic);
+
+        // One complex entry, a dense pencil: generic, weight 3.
+        let (c00, c01) = parts_blocks(n, 415, 1e-3, true);
+        let complex = QepProblem::new(&c00, &c01, 0.2, 1.0);
+        let (d00, d01) = random_blocks(n, 417);
+        let (d00, d01) = (DenseOp::new(d00), DenseOp::new(d01));
+        let dense = QepProblem::new(&d00, &d01, 0.2, 1.0);
+        for qep in [&complex, &dense] {
+            assert_eq!(qep.operator(z).traversal_weight(), 3);
+            assert!(qep.real_stencil().is_none());
+            let (node_op, _) = qep.node_solve(PrecondPolicy::MatrixFree, z);
+            assert_eq!(node_op.traversal_weight(), 3);
+            let _ = qep.residual(z, &psi);
+            assert_eq!(qep.residual_op_counters(), (1, 3));
         }
     }
 

@@ -84,9 +84,7 @@ pub struct SsConfig {
     /// Operator representation / preconditioning of the shifted solves (see
     /// [`PrecondPolicy`]).  This changes the floating-point trajectory
     /// (assembled arithmetic, ILU-preconditioned recurrences), so it **is**
-    /// part of the sweep checkpoint fingerprint; the
-    /// [`MatrixFree`](PrecondPolicy::MatrixFree) path is
-    /// bitwise unchanged.  The default is
+    /// part of the sweep checkpoint fingerprint.  The default is
     /// [`Assembled`](PrecondPolicy::Assembled): on the
     /// tracked Al(100) sweep bench every assembled row beats matrix-free
     /// wall-clock (see `BENCH_sweep.json` at the repo root).  The assembled
@@ -337,10 +335,10 @@ pub struct SsResult {
     /// [`extraction_matvecs`](Self::extraction_matvecs).
     pub total_matvecs: usize,
     /// Operator-storage traversals actually performed, weighted by the
-    /// operator's `traversal_weight` (3 per matrix-free `P(z)` apply, 1 per
+    /// operator's `traversal_weight` (per matrix-free `P(z)` apply 1 through
+    /// the real stencil and 3 through the generic composition, 1 per
     /// assembled apply) — one fused block apply per iteration per node
-    /// serves all `N_rh` columns, and under `PrecondPolicy::Assembled` each
-    /// apply is one traversal instead of three.  Includes
+    /// serves all `N_rh` columns.  Includes
     /// [`extraction_traversals`](Self::extraction_traversals).
     pub total_traversals: usize,
     /// Operator applications spent in the extraction-phase residual checks

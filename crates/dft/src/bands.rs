@@ -168,13 +168,16 @@ mod tests {
     use cbs_grid::{FdOrder, Grid3};
 
     fn small_hamiltonian() -> BlockHamiltonian {
+        // The period exceeds two projector cutoffs (2 x 2.2 bohr), so the
+        // atom's sphere reaches one neighbouring cell (the previous), never
+        // both — the nearest-neighbour form `build` insists on.
         let s = AtomicStructure {
             name: "chain".into(),
             atoms: vec![Atom::new(Element::C, [1.2, 1.2, 1.2])],
             lateral: (2.4, 2.4),
-            period: 2.4,
+            period: 4.8,
         };
-        let grid = Grid3::isotropic(4, 4, 4, 0.6);
+        let grid = Grid3::isotropic(4, 4, 8, 0.6);
         BlockHamiltonian::build(
             grid,
             &s,

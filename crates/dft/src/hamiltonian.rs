@@ -111,14 +111,20 @@ impl LinearOperator for BlockOp<'_> {
     fn is_real(&self) -> bool {
         self.sparse.is_real() && self.lowrank.is_real()
     }
+    fn sparse_lowrank_parts(&self) -> Option<(&CsrMatrix, &LowRankOp)> {
+        Some((self.sparse, self.lowrank))
+    }
 }
 
 impl BlockHamiltonian {
     /// Assemble the blocks for `structure` discretized on `grid`.
     ///
-    /// Panics if the finite-difference stencil or the projector cutoff would
-    /// couple beyond nearest-neighbour cells (`nf > nz`, or cutoff ≥ period),
-    /// because then the block-tridiagonal form (and the QEP) would not hold.
+    /// Panics if the finite-difference stencil or a projector would couple
+    /// beyond nearest-neighbour cells — `nf > nz`, cutoff ≥ period, or a
+    /// projector sphere wide enough (`2·cutoff > period`, atom mid-cell) that
+    /// its previous- *and* next-cell images both reach the home cell, which
+    /// is an `H₀₂` term `|P₊₁⟩⟨P₋₁|` — because then the block-tridiagonal
+    /// form (and the QEP) would not hold.
     pub fn build(grid: Grid3, structure: &AtomicStructure, params: HamiltonianParams) -> Self {
         structure.validate().expect("invalid atomic structure");
         assert!(
@@ -180,14 +186,17 @@ impl BlockHamiltonian {
             let lz = grid.lz();
             for atom in &structure.atoms {
                 let pseudo = atom.element.pseudo();
-                assert!(
-                    pseudo.projector_cutoff < lz,
-                    "projector cutoff {} of {} must be smaller than the period {} \
-                     (otherwise the Hamiltonian couples beyond nearest-neighbour cells)",
-                    pseudo.projector_cutoff,
-                    atom.element.symbol(),
-                    lz
-                );
+                let assert_nearest_neighbour = |holds: bool| {
+                    assert!(
+                        holds,
+                        "projector cutoff {} of {} must be smaller than the period {} \
+                         (otherwise the Hamiltonian couples beyond nearest-neighbour cells)",
+                        pseudo.projector_cutoff,
+                        atom.element.symbol(),
+                        lz
+                    );
+                };
+                assert_nearest_neighbour(pseudo.projector_cutoff < lz);
                 for ch in &pseudo.channels {
                     for m in 0..channel_multiplicity(ch) {
                         // Projector of the atom and of its images in the
@@ -195,6 +204,10 @@ impl BlockHamiltonian {
                         let p_m1 = projector_on_grid(&grid, atom, ch, m, -lz);
                         let p_0 = projector_on_grid(&grid, atom, ch, m, 0.0);
                         let p_p1 = projector_on_grid(&grid, atom, ch, m, lz);
+                        // Both images in the home cell would need the
+                        // next-nearest block |P₊₁⟩⟨P₋₁|, which the QEP has
+                        // no place for: dropping it silently is wrong.
+                        assert_nearest_neighbour(p_m1.is_empty() || p_p1.is_empty());
                         let e = Complex64::real(ch.energy);
                         // H00 gets |P_s⟩⟨P_s| for every image that touches the cell.
                         for p in [&p_m1, &p_0, &p_p1] {
@@ -541,6 +554,37 @@ mod tests {
         assert!(d01.block(0, 0, n, n).fro_norm() < 1e-12 * scale);
         assert!(d01.block(0, n, n, n).fro_norm() < 1e-12 * scale);
         assert!(d01.block(n, n, n, n).fro_norm() < 1e-12 * scale);
+    }
+
+    /// One carbon atom mid-cell in a period of 1.5 cutoffs: the sphere
+    /// reaches both neighbouring cells, so both of its images reach the
+    /// home cell and `H₀₂ ≠ 0`.
+    #[test]
+    #[should_panic(expected = "couples beyond nearest-neighbour cells")]
+    fn projector_spanning_more_than_one_period_is_refused() {
+        let period = 1.5 * Element::C.pseudo().projector_cutoff;
+        let s = AtomicStructure {
+            name: "wide projector".into(),
+            atoms: vec![Atom::new(Element::C, [1.5, 1.5, 0.5 * period])],
+            lateral: (3.0, 3.0),
+            period,
+        };
+        let grid = Grid3::new(6, 6, 11, 0.5, 0.5, period / 11.0);
+        BlockHamiltonian::build(grid, &s, HamiltonianParams::default());
+    }
+
+    /// The shipped structures stay inside the nearest-neighbour form.
+    #[test]
+    fn shipped_structures_still_build() {
+        use crate::structures::carbon_nanotube;
+        for s in [bulk_al_100(1), carbon_nanotube(8, 0, 5.0), carbon_nanotube(6, 6, 5.0)] {
+            let h = BlockHamiltonian::build(
+                grid_for_structure(&s, 1.2),
+                &s,
+                HamiltonianParams::default(),
+            );
+            assert!(h.vnl01.rank() > 0, "{}: no projector straddles the boundary", s.name);
+        }
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! The assembled shifted operator: `P(z) = -z⁻¹H₀₁† + (E−H₀₀) − zH₀₁` as a
 //! single CSR matrix with a shared symbolic pattern.
 //!
-//! The matrix-free QEP operator walks three sparse stores per application
-//! (`H₀₀`, `H₀₁`, `H₀₁†`).  Since the contour solves apply `P(z)` thousands
-//! of times per quadrature node, those traversals dominate the whole
-//! Sakurai-Sugiura run.  This module trades one symbolic analysis per
-//! Hamiltonian for a 3×-cheaper matvec:
+//! The generic matrix-free QEP operator walks three sparse stores per
+//! application (`H₀₀`, `H₀₁`, `H₀₁†`).  Since the contour solves apply
+//! `P(z)` thousands of times per quadrature node, those traversals dominate
+//! the whole Sakurai-Sugiura run.  This module trades one symbolic analysis
+//! per Hamiltonian for a single-traversal matvec — and, unlike the
+//! matrix-free [`RealStencil`](crate::RealStencil), for a matrix ILU(0) can
+//! factor:
 //!
 //! * [`AssembledPattern::build`] computes the **union pattern** of
 //!   `H₀₀ ∪ H₀₁ ∪ H₀₁† ∪ diag` once and stores the three source value

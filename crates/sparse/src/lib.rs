@@ -10,7 +10,8 @@
 //! * [`LowRankOp`] / [`SparseVec`] — factored non-local projector operators,
 //! * [`AssembledPattern`] / [`AssembledOp`] — the shifted QEP operator
 //!   `P(z)` materialized as one CSR by numeric refill of a shared symbolic
-//!   union pattern (one storage traversal per matvec instead of three),
+//!   union pattern (one storage traversal per matvec, and something
+//!   ILU(0) can factor),
 //! * [`Ilu0`] / [`Preconditioner`] — complex ILU(0) whose forward/backward
 //!   and adjoint triangular solves stream the factor rows in storage order
 //!   (blocked over right-hand sides) for the preconditioned dual BiCG;
@@ -20,6 +21,10 @@
 //!   factored low-rank form alongside an assembled CSR part,
 //! * [`SmwPrecond`] — the Sherman-Morrison-Woodbury completion folding that
 //!   low-rank tail into the ILU(0) apply (`M ≈ P(z)` in full),
+//! * [`RealStencil`] — `P(z)` of a *real* Hamiltonian as one fused row pass
+//!   over `f64` coefficients (real×complex arithmetic, explicit `H₀₁ᵀ`, no
+//!   scratch slab): what the matrix-free path runs whenever both blocks
+//!   expose real [`LinearOperator::sparse_lowrank_parts`],
 //! * [`KernelLayout`] / [`SplitValues`] — the interleaved-vs-planar value
 //!   layout experiment of the CSR kernels (`CBS_KERNEL_LAYOUT`),
 //! * composition helpers ([`SumOp`], [`ScaledOp`], [`ShiftedOp`], [`DenseOp`],
@@ -33,6 +38,7 @@ pub mod kernels;
 pub mod lowrank;
 pub mod ops;
 pub mod projector;
+pub mod real_stencil;
 pub mod scratch;
 pub mod smw;
 pub mod timers;
@@ -45,6 +51,7 @@ pub use ops::{
     adjoint_defect, DenseOp, IdentityOp, LinearOperator, Preconditioner, ScaledOp, ShiftedOp, SumOp,
 };
 pub use projector::FactoredProjector;
+pub use real_stencil::RealStencil;
 pub use scratch::{recycle_scratch, take_scratch, with_scratch};
 pub use smw::SmwPrecond;
 pub use timers::{stage_delta, stage_snapshot, StageTimes};

@@ -10,6 +10,9 @@
 
 use cbs_linalg::{CVector, Complex64};
 
+use crate::csr::CsrMatrix;
+use crate::lowrank::LowRankOp;
+
 /// A complex linear operator `A : C^ncols -> C^nrows` that can be applied to
 /// vectors, together with its Hermitian adjoint.
 pub trait LinearOperator: Sync {
@@ -91,9 +94,9 @@ pub trait LinearOperator: Sync {
     ///
     /// Most operators walk one backing store per application and keep the
     /// default of `1`.  Compositions that stream several stores override it:
-    /// the matrix-free QEP operator `P(z)` reads `H₀₀`, `H₀₁` and `H₀₁†`
-    /// (weight 3), while its assembled single-CSR form is back to 1 — which
-    /// is exactly the ratio the assembled fast path exists to win.
+    /// the generic matrix-free QEP operator `P(z)` reads `H₀₀`, `H₀₁` and
+    /// `H₀₁†` (weight 3), while its fused real-stencil form and its assembled
+    /// single-CSR form make one pass over one store (weight 1).
     fn traversal_weight(&self) -> usize {
         1
     }
@@ -110,6 +113,18 @@ pub trait LinearOperator: Sync {
     /// every contour node.
     fn is_real(&self) -> bool {
         false
+    }
+
+    /// The operator's explicit storage, when it *is* `sparse + low-rank`:
+    /// a CSR matrix plus a factored projector sum (either may be empty).
+    ///
+    /// This is how `cbs_core::QepProblem` discovers that it can apply
+    /// `P(z)` through the fused [`RealStencil`](crate::RealStencil) instead
+    /// of composing three block applications.  The default `None` is always
+    /// safe — it keeps the generic path — and wrappers that delegate
+    /// `apply*` unchanged may forward it.
+    fn sparse_lowrank_parts(&self) -> Option<(&CsrMatrix, &LowRankOp)> {
+        None
     }
 }
 
@@ -185,6 +200,9 @@ impl<T: LinearOperator + ?Sized> LinearOperator for &T {
     fn is_real(&self) -> bool {
         (**self).is_real()
     }
+    fn sparse_lowrank_parts(&self) -> Option<(&CsrMatrix, &LowRankOp)> {
+        (**self).sparse_lowrank_parts()
+    }
 }
 
 impl<T: LinearOperator + ?Sized> LinearOperator for Box<T> {
@@ -214,6 +232,9 @@ impl<T: LinearOperator + ?Sized> LinearOperator for Box<T> {
     }
     fn is_real(&self) -> bool {
         (**self).is_real()
+    }
+    fn sparse_lowrank_parts(&self) -> Option<(&CsrMatrix, &LowRankOp)> {
+        (**self).sparse_lowrank_parts()
     }
 }
 

@@ -54,6 +54,9 @@ impl<Op: LinearOperator> LinearOperator for NotReal<Op> {
     fn traversal_weight(&self) -> usize {
         self.0.traversal_weight()
     }
+    fn sparse_lowrank_parts(&self) -> Option<(&CsrMatrix, &LowRankOp)> {
+        self.0.sparse_lowrank_parts()
+    }
 }
 
 /// Number of nodes a mirrored `n_int`-ring actually solves.

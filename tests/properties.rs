@@ -14,8 +14,8 @@ use cbs::grid::{DomainDecomposition, FdOrder, Grid3};
 use cbs::linalg::{c64, CMatrix, CVector, Complex64};
 use cbs::parallel::DomainDecomposedOp;
 use cbs::sparse::{
-    AssembledPattern, CooBuilder, CsrMatrix, DenseOp, KernelLayout, LinearOperator, Preconditioner,
-    SmwPrecond,
+    AssembledPattern, CooBuilder, CsrMatrix, DenseOp, KernelLayout, LinearOperator, LowRankOp,
+    Preconditioner, SmwPrecond, SparseVec,
 };
 
 /// Circular distance from angle `t` to the arc `[lo, hi]` (all radians,
@@ -195,6 +195,74 @@ fn assert_tri_sweeps_match_the_oracle(
             assert!(col[..] == zt_ref[cols], "one-column adjoint sweep (par={par:?}) column {c}");
         }
     }
+}
+
+/// A real `sparse + low-rank` block that exposes its parts (so a
+/// `QepProblem` over two of them runs the fused `RealStencil`) or hides
+/// them (the generic three-pass composition on the very same data).
+struct RealBlock {
+    sparse: CsrMatrix,
+    lowrank: LowRankOp,
+    expose: bool,
+}
+
+impl LinearOperator for RealBlock {
+    fn nrows(&self) -> usize {
+        self.sparse.nrows()
+    }
+    fn ncols(&self) -> usize {
+        self.sparse.ncols()
+    }
+    fn apply(&self, x: &[Complex64], y: &mut [Complex64]) {
+        self.sparse.apply(x, y);
+        self.lowrank.apply_block_accumulate(Complex64::ONE, x, y, 1);
+    }
+    fn apply_adjoint(&self, x: &[Complex64], y: &mut [Complex64]) {
+        self.sparse.apply_adjoint(x, y);
+        self.lowrank.apply_adjoint_block_accumulate(Complex64::ONE, x, y, 1);
+    }
+    fn sparse_lowrank_parts(&self) -> Option<(&CsrMatrix, &LowRankOp)> {
+        self.expose.then_some((&self.sparse, &self.lowrank))
+    }
+}
+
+/// Random real blocks of a QEP: a symmetric `H₀₀` with `per_row` random
+/// couplings per row, an `H₀₁` populated on its last `n / 3` rows only, and
+/// `rank` random real projector terms on each.
+fn random_real_blocks(
+    n: usize,
+    per_row: usize,
+    rank: usize,
+    expose: bool,
+    rng: &mut rand_chacha::ChaCha8Rng,
+) -> (RealBlock, RealBlock) {
+    use rand::Rng;
+    let real = |rng: &mut rand_chacha::ChaCha8Rng| c64(rng.gen_range(-1.0..1.0), 0.0);
+    let (mut a, mut b) = (CooBuilder::new(n, n), CooBuilder::new(n, n));
+    for row in 0..n {
+        a.push(row, row, c64(rng.gen_range(1.0..4.0), 0.0));
+        for _ in 0..per_row {
+            let (col, v) = (rng.gen_range(0..n), real(rng));
+            a.push(row, col, v);
+            a.push(col, row, v);
+            if row >= n - n / 3 {
+                b.push(row, rng.gen_range(0..n), real(rng));
+            }
+        }
+    }
+    let sparse_vec = |rng: &mut rand_chacha::ChaCha8Rng| {
+        SparseVec::new((0..4).map(|_| (rng.gen_range(0..n), real(rng))).collect())
+    };
+    let (mut v00, mut v01) = (LowRankOp::new(n, n), LowRankOp::new(n, n));
+    for _ in 0..rank {
+        let p = sparse_vec(rng);
+        v00.push(p.clone(), p, real(rng));
+        v01.push(sparse_vec(rng), sparse_vec(rng), real(rng));
+    }
+    (
+        RealBlock { sparse: a.build(), lowrank: v00, expose },
+        RealBlock { sparse: b.build(), lowrank: v01, expose },
+    )
 }
 
 proptest! {
@@ -415,6 +483,66 @@ proptest! {
         assert_tri_sweeps_match_the_oracle(
             &pattern, energy, c64(zre, zim), nvecs, threshold, &mut rng,
         );
+    }
+
+    /// The fused real stencil is the generic three-pass `P(z)` on random
+    /// real sparse + low-rank blocks — to rounding, in both apply
+    /// directions, at every block width — and keeps the block ≡
+    /// column-by-column bitwise contract and the adjoint identity.
+    #[test]
+    fn real_stencil_is_the_generic_qep_operator(
+        seed in 0u64..1000,
+        n in 6usize..80,
+        per_row in 0usize..5,
+        rank in 0usize..4,
+        nvecs in 1usize..10,
+        zre in -2.0f64..2.0,
+        zim in -2.0f64..2.0,
+        energy in -1.0f64..1.0,
+    ) {
+        prop_assume!(zre * zre + zim * zim > 0.05);
+        use rand::SeedableRng;
+        let z = c64(zre, zim);
+        let blocks = |expose| {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            random_real_blocks(n, per_row, rank, expose, &mut rng)
+        };
+        let (h00, h01) = blocks(true);
+        let (g00, g01) = blocks(false);
+        let fused = QepProblem::new(&h00, &h01, energy, 1.0);
+        let generic = QepProblem::new(&g00, &g01, energy, 1.0);
+        let (fused_op, generic_op) = (fused.operator(z), generic.operator(z));
+        prop_assert!((fused_op.traversal_weight(), generic_op.traversal_weight()) == (1, 3));
+
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
+        let x = slab_with_zeros(n, nvecs, &mut rng);
+        let mut y = vec![Complex64::ZERO; n * nvecs];
+        let mut want = vec![Complex64::ZERO; n * nvecs];
+        let mut col = vec![Complex64::ZERO; n];
+        for adjoint in [false, true] {
+            if adjoint {
+                fused_op.apply_adjoint_block(&x, &mut y, nvecs);
+                generic_op.apply_adjoint_block(&x, &mut want, nvecs);
+            } else {
+                fused_op.apply_block(&x, &mut y, nvecs);
+                generic_op.apply_block(&x, &mut want, nvecs);
+            }
+            let err: f64 = y.iter().zip(&want).map(|(a, b)| (*a - *b).norm_sqr()).sum();
+            let norm: f64 = want.iter().map(|v| v.norm_sqr()).sum();
+            prop_assert!(err.sqrt() <= 1e-14 * norm.sqrt(),
+                "adjoint {}: stencil is {:.2e} relative from the generic path",
+                adjoint, err.sqrt() / norm.sqrt());
+            for c in 0..nvecs {
+                if adjoint {
+                    fused_op.apply_adjoint(&x[c * n..(c + 1) * n], &mut col);
+                } else {
+                    fused_op.apply(&x[c * n..(c + 1) * n], &mut col);
+                }
+                prop_assert!(y[c * n..(c + 1) * n] == col[..],
+                    "adjoint {}: column {} of the block apply differs", adjoint, c);
+            }
+        }
+        prop_assert!(cbs::sparse::adjoint_defect(&fused_op, 2, &mut rng) < 1e-12);
     }
 
     /// Adjoint consistency of the block path: `⟨Y, A X⟩ = ⟨A† Y, X⟩`
