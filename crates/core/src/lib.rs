@@ -46,7 +46,7 @@ pub use contour::{ContourError, QuadraturePoint, RingContour};
 pub use partition::{ContourPartition, ContourSlice, SliceNode, SlicePolicy, SliceRegion};
 pub use policy::{BlockPolicy, PrecondPolicy};
 pub use pool::{solve_pool, PoolGroup, PoolOutcome, PoolPolicy, ShiftedSolveOutcome};
-pub use qep::{QepNodeOp, QepNodePrecond, QepOperator, QepProblem};
+pub use qep::{QepNodeOp, QepNodePrecond, QepOperator, QepProblem, StencilCache};
 pub use ss::{
     extract_from_moments, extract_sliced, merge_claimed, solve_qep, solve_qep_sliced,
     solve_qep_sliced_with, solve_qep_with, source_block, AutoCell, MomentAccumulator, QepEigenpair,

@@ -39,10 +39,16 @@ impl BlockPolicy {
 /// `PrecondPolicy::default()` (and the `CBS_PRECOND` fallback) stays
 /// [`MatrixFree`](Self::MatrixFree) — the historical baseline that old
 /// checkpoints and unset env knobs resolve to.  `SsConfig::default()`
-/// however selects [`Assembled`](Self::Assembled): every assembled row of
-/// the tracked sweep bench beats matrix-free wall-clock (see
-/// `BENCH_sweep.json`), and problems without an attached pattern fall back
-/// to matrix-free, bitwise.
+/// however selects [`Assembled`](Self::Assembled), and problems without an
+/// attached pattern fall back to matrix-free, bitwise.  That default dates
+/// from when every assembled row beat the three-pass matrix-free apply; the
+/// real stencil has since taken the reason away (per block apply about half
+/// the assembled CSR + factored tail, and no per-node refill — 12k-point Al
+/// cell, 4 columns: 890–900 µs against 2 100 µs plus 860–930 µs of
+/// assembly), which is why the two ILU policies apply `P(z)` through it
+/// themselves.  [`Assembled`](Self::Assembled) is the one policy that still
+/// applies the CSR on a stencil-eligible Hamiltonian; ROADMAP's
+/// policy-collapse item deletes it, default included.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PrecondPolicy {
     /// Apply `P(z)` matrix-free, unpreconditioned: one fused row pass over
@@ -56,10 +62,12 @@ pub enum PrecondPolicy {
     /// numeric refill of the shared `cbs_sparse::AssembledPattern` — one
     /// storage traversal per application — still unpreconditioned.
     Assembled,
-    /// The assembled operator plus a complex ILU(0) factorization per node,
-    /// applied as a preconditioner on both the primal (`M⁻¹`) and dual
-    /// (`M⁻†`, i.e. the `P(1/z̄)` side) recurrences — the iteration-count
-    /// lever on top of the traversal lever.
+    /// A complex ILU(0) factorization of the assembled CSR per node, applied
+    /// as a preconditioner on both the primal (`M⁻¹`) and dual (`M⁻†`, i.e.
+    /// the `P(1/z̄)` side) recurrences — the iteration-count lever.  The
+    /// operator itself is the real stencil where the blocks convert (the
+    /// refill is then factored in place as ILU input only) and the assembled
+    /// CSR otherwise; one storage traversal per apply either way.
     AssembledIlu0,
     /// [`AssembledIlu0`](Self::AssembledIlu0) completed by a
     /// Sherman-Morrison-Woodbury correction for the factored low-rank
@@ -126,7 +134,8 @@ impl PrecondPolicy {
         }
     }
 
-    /// `true` for the policies that materialize the assembled CSR.
+    /// `true` for the policies that refill the assembled pattern per node
+    /// (as the operator, as ILU input, or both).
     pub fn is_assembled(self) -> bool {
         !matches!(self, Self::MatrixFree)
     }

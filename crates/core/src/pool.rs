@@ -19,7 +19,9 @@
 //! sides in lockstep through `cbs_solver::bicg_dual_block_precond`'s fused
 //! block matvecs, and drops the `(P(z), M)` pair when it returns — so at
 //! most one pair per worker is alive, and assembly / factorization are paid
-//! once per solved node, never per right-hand side.  A stage therefore
+//! once per solved node, never per right-hand side (`assemblies` counts the
+//! pattern refills the job performed, whether the refill became the
+//! operator or only the ILU input).  A stage therefore
 //! dispatches *solved nodes x groups* jobs; an executor wider than that
 //! idles (the remedy, should a wide-machine workload ever show it, is
 //! column tiles chosen from `executor.threads()` inside this one job
@@ -196,9 +198,8 @@ pub fn solve_pool<E: TaskExecutor>(
     let run_job = |job: NodeJob| -> (usize, usize, usize, Vec<ShiftedSolveOutcome>) {
         let group = &groups[job.group];
         let _solve_span = group.trace.solve_scope(job.point_index);
-        let (op, prec) =
-            group.problem.node_solve(policy.precond, shifts[job.group][job.point_index]);
-        let assemblies = op.is_assembled() as usize;
+        let (op, prec, assemblies) =
+            group.problem.node_solve_counted(policy.precond, shifts[job.group][job.point_index]);
         let stop_at = job.cap.map(|c| c.max(1));
         let stop_cb = move |iter: usize| stop_at.is_some_and(|c| iter >= c);
         let external: Option<&(dyn Fn(usize) -> bool + Sync)> =

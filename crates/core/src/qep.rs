@@ -18,12 +18,21 @@
 //! The matrix-free apply has two implementations, chosen by what the blocks
 //! are, not by a setting.  Blocks that expose real `sparse + low-rank`
 //! storage ([`LinearOperator::sparse_lowrank_parts`] — every Hamiltonian
-//! `cbs-dft` builds) are converted once per problem, by
-//! [`QepProblem::operator`], into a [`RealStencil`]: one row pass over `f64`
-//! coefficients, storage-traversal weight 1.  Everything else (dense
-//! pencils, complex blocks, composed operators) keeps the generic
-//! three-pass composition `H₀₀`, `H₀₁`, `H₀₁†` through thread-local
-//! scratch, weight 3.
+//! `cbs-dft` builds) are converted once, by [`QepProblem::operator`], into a
+//! [`RealStencil`]: one row pass over `f64` coefficients, storage-traversal
+//! weight 1.  Everything else (dense pencils, complex blocks, composed
+//! operators) keeps the generic three-pass composition `H₀₀`, `H₀₁`, `H₀₁†`
+//! through thread-local scratch, weight 3.
+//!
+//! The stencil is the apply of the ILU policies too: when the blocks
+//! convert, [`QepProblem::node_solve`] under
+//! [`PrecondPolicy::AssembledIlu0`] / [`PrecondPolicy::AssembledIlu0Smw`]
+//! refills the attached pattern only to factor it (in place —
+//! [`cbs_sparse::AssembledOp::into_ilu0`]) and hands BiCG the stencil view;
+//! blocks that do not convert keep the assembled CSR as their operator.  The
+//! conversion does not depend on the scan energy, so the problems of a sweep
+//! share one through a [`StencilCache`]
+//! ([`QepProblem::with_stencil_cache`]).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -35,6 +44,26 @@ use cbs_sparse::{
 };
 
 use crate::policy::PrecondPolicy;
+
+/// The [`RealStencil`] of one pair of Hamiltonian blocks, converted on first
+/// use — or the remembered answer that the blocks do not convert, so a
+/// non-eligible pair is scanned once and not again.  Every [`QepProblem`]
+/// owns one; [`QepProblem::with_stencil_cache`] points a problem at a cache
+/// that outlives it instead, which is how the scan energies of a sweep share
+/// a single conversion.
+#[derive(Default)]
+pub struct StencilCache(OnceLock<Option<RealStencil>>);
+
+impl StencilCache {
+    /// An empty cache: nothing converted, nothing refused yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    fn get(&self) -> Option<&RealStencil> {
+        self.0.get().and_then(Option::as_ref)
+    }
+}
 
 /// The QEP `P(λ)ψ = 0` for a fixed scan energy.
 pub struct QepProblem<'a> {
@@ -64,9 +93,11 @@ pub struct QepProblem<'a> {
     /// (one O(storage) scan per problem).
     conjugate_symmetric: OnceLock<bool>,
     /// The fused real-arithmetic form of `P(z)`, converted by
-    /// [`operator`](Self::operator) on first use; `Some(None)` once the
-    /// blocks turned out not to be real `sparse + low-rank` storage.
-    stencil: OnceLock<Option<RealStencil>>,
+    /// [`operator`](Self::operator) on first use — into `shared_stencil`
+    /// when a longer-lived cache was attached.
+    stencil: StencilCache,
+    /// The cache of [`with_stencil_cache`](Self::with_stencil_cache).
+    shared_stencil: Option<&'a StencilCache>,
     /// Operator applications performed by [`residual`](Self::residual)
     /// (matvec-equivalents), so extraction-phase work no longer bypasses
     /// the `total_matvecs` accounting.
@@ -97,7 +128,8 @@ impl<'a> QepProblem<'a> {
             projector: None,
             scales: OnceLock::new(),
             conjugate_symmetric: OnceLock::new(),
-            stencil: OnceLock::new(),
+            stencil: StencilCache::new(),
+            shared_stencil: None,
             residual_matvecs: AtomicUsize::new(0),
             residual_traversals: AtomicUsize::new(0),
         }
@@ -124,10 +156,16 @@ impl<'a> QepProblem<'a> {
     /// pattern.  **Contract:** the pattern must then be built from the
     /// *sparse-only* Hamiltonian blocks (the projector contribution must
     /// not also be expanded into the CSR streams, or it would be applied
-    /// twice).  With a non-empty projector attached, the assembled
-    /// policies resolve to [`QepNodeOp::Factored`]: the CSR part is
-    /// refilled per node as usual and the low-rank part is accumulated on
-    /// top through the factored kernels; ILU(0) factors the CSR part only.
+    /// twice).  With a non-empty projector attached, an assembled node
+    /// operator is a [`QepNodeOp::Factored`]: the CSR part is refilled per
+    /// node as usual and the low-rank part is accumulated on top through
+    /// the factored kernels; ILU(0) factors the CSR part only.
+    ///
+    /// A sparse-only pattern attached *without* its projector makes such an
+    /// operator drop the projectors from `P(z)`.  Where the ILU policies
+    /// apply `P(z)` through the [`RealStencil`] (built from the blocks
+    /// themselves, projectors included) the same omission only weakens the
+    /// preconditioner.
     pub fn with_projector(mut self, projector: &'a FactoredProjector) -> Self {
         assert_eq!(projector.dim(), self.dim(), "projector dimension mismatch");
         self.projector = Some(projector);
@@ -138,6 +176,20 @@ impl<'a> QepProblem<'a> {
     /// The attached factored projector, if any.
     pub fn projector(&self) -> Option<&'a FactoredProjector> {
         self.projector
+    }
+
+    /// Convert into (and read from) `cache` instead of this problem's own
+    /// slot, so that every problem pointed at it shares one [`RealStencil`]
+    /// — or one remembered refusal.  **Contract:** the cache serves exactly
+    /// one pair of blocks, the `h00` / `h01` of every problem attached to
+    /// it; the stencil holds no energy, so the problems may differ in that.
+    pub fn with_stencil_cache(mut self, cache: &'a StencilCache) -> Self {
+        self.shared_stencil = Some(cache);
+        self
+    }
+
+    fn stencil_cache(&self) -> &StencilCache {
+        self.shared_stencil.unwrap_or(&self.stencil)
     }
 
     /// Wrap a freshly assembled CSR into the node operator, attaching the
@@ -181,20 +233,23 @@ impl<'a> QepProblem<'a> {
     ///
     /// The first call converts blocks that expose real
     /// [`sparse_lowrank_parts`](LinearOperator::sparse_lowrank_parts) into
-    /// the problem's [`RealStencil`]; every later apply of this problem —
-    /// [`residual`](Self::residual) included — then runs through it.  This
-    /// is the only place the stencil is built: a problem solved under an
-    /// assembled policy never pays its memory.
+    /// the problem's [`RealStencil`] (its [`StencilCache`]'s, when one is
+    /// attached); every later apply — [`residual`](Self::residual) included
+    /// — then runs through it.  This is the only place the stencil is
+    /// built, and [`node_solve`](Self::node_solve) comes here under every
+    /// policy but [`PrecondPolicy::Assembled`]: only a problem solved under
+    /// that one never pays the stencil's memory.
     pub fn operator(&self, z: Complex64) -> QepOperator<'a, '_> {
-        self.stencil.get_or_init(|| {
+        self.stencil_cache().0.get_or_init(|| {
             RealStencil::try_new(self.h00.sparse_lowrank_parts()?, self.h01.sparse_lowrank_parts()?)
         });
         QepOperator { problem: self, z }
     }
 
-    /// The fused stencil, if [`operator`](Self::operator) has built one.
+    /// The fused stencil, if [`operator`](Self::operator) has built one —
+    /// for this problem or, through a shared [`StencilCache`], for another.
     pub fn real_stencil(&self) -> Option<&RealStencil> {
-        self.stencil.get().and_then(Option::as_ref)
+        self.stencil_cache().get()
     }
 
     /// Storage traversals one matrix-free apply of this problem performs
@@ -215,14 +270,17 @@ impl<'a> QepProblem<'a> {
     ///   preconditioner.
     /// * [`PrecondPolicy::Assembled`] — numeric refill of the shared
     ///   pattern into one CSR (one traversal per apply instead of three).
-    /// * [`PrecondPolicy::AssembledIlu0`] — the assembled CSR plus its
-    ///   ILU(0), whose adjoint triangular solves precondition the dual
-    ///   (`P(1/z̄)`) recurrence from the same factorization.
-    /// * [`PrecondPolicy::AssembledIlu0Smw`] — the ILU(0) completed by the
-    ///   Sherman-Morrison-Woodbury correction for the attached factored
-    ///   projector tail, so `M` approximates the full `P(z)`.  Without a
-    ///   non-empty projector this degrades (bitwise) to the plain ILU(0)
-    ///   context.
+    /// * [`PrecondPolicy::AssembledIlu0`] — the ILU(0) of the refilled
+    ///   pattern, whose adjoint triangular solves precondition the dual
+    ///   (`P(1/z̄)`) recurrence from the same factorization.  The operator is
+    ///   the [`RealStencil`] view when the blocks convert — the refill is
+    ///   then ILU input only and is factored where it lies — and the
+    ///   assembled CSR otherwise.
+    /// * [`PrecondPolicy::AssembledIlu0Smw`] — the same, with the ILU(0)
+    ///   completed by the Sherman-Morrison-Woodbury correction for the
+    ///   attached factored projector tail, so `M` approximates the full
+    ///   `P(z)`.  Without a non-empty projector this degrades (bitwise) to
+    ///   the plain ILU(0) context.
     ///
     /// Assembled policies require [`with_pattern`](Self::with_pattern);
     /// without it they fall back to the matrix-free context.
@@ -231,25 +289,44 @@ impl<'a> QepProblem<'a> {
         policy: PrecondPolicy,
         z: Complex64,
     ) -> (QepNodeOp<'a, '_>, Option<QepNodePrecond<'a>>) {
+        let (op, prec, _refills) = self.node_solve_counted(policy, z);
+        (op, prec)
+    }
+
+    /// [`node_solve`](Self::node_solve) plus the number of pattern refills it
+    /// performed (0 or 1) — what the pool books as `operator_assemblies`,
+    /// whichever operator representation comes back.
+    pub(crate) fn node_solve_counted(
+        &self,
+        policy: PrecondPolicy,
+        z: Complex64,
+    ) -> (QepNodeOp<'a, '_>, Option<QepNodePrecond<'a>>, usize) {
         match (policy, self.pattern) {
             (PrecondPolicy::MatrixFree, _) | (_, None) => {
-                (QepNodeOp::MatrixFree(self.operator(z)), None)
+                (QepNodeOp::MatrixFree(self.operator(z)), None, 0)
             }
             (PrecondPolicy::Assembled, Some(pattern)) => {
-                (self.wrap_assembled(pattern.assemble(self.energy, z)), None)
+                (self.wrap_assembled(pattern.assemble(self.energy, z)), None, 1)
             }
-            (PrecondPolicy::AssembledIlu0, Some(pattern)) => {
-                let op = pattern.assemble(self.energy, z);
-                let ilu = op.ilu0();
-                (self.wrap_assembled(op), Some(QepNodePrecond::Ilu0(ilu)))
-            }
-            (PrecondPolicy::AssembledIlu0Smw, Some(pattern)) => {
-                let op = pattern.assemble(self.energy, z);
-                let prec = match self.projector {
-                    Some(proj) if !proj.is_empty() => QepNodePrecond::Smw(op.ilu0_smw(proj)),
-                    _ => QepNodePrecond::Ilu0(op.ilu0()),
-                };
-                (self.wrap_assembled(op), Some(prec))
+            (PrecondPolicy::AssembledIlu0 | PrecondPolicy::AssembledIlu0Smw, Some(pattern)) => {
+                let refill = pattern.assemble(self.energy, z);
+                let tail = self
+                    .projector
+                    .filter(|p| policy == PrecondPolicy::AssembledIlu0Smw && !p.is_empty());
+                let stencil_view = self.operator(z);
+                if self.real_stencil().is_some() {
+                    let prec = match tail {
+                        Some(proj) => QepNodePrecond::Smw(refill.into_ilu0_smw(proj)),
+                        None => QepNodePrecond::Ilu0(refill.into_ilu0()),
+                    };
+                    (QepNodeOp::MatrixFree(stencil_view), Some(prec), 1)
+                } else {
+                    let prec = match tail {
+                        Some(proj) => QepNodePrecond::Smw(refill.ilu0_smw(proj)),
+                        None => QepNodePrecond::Ilu0(refill.ilu0()),
+                    };
+                    (self.wrap_assembled(refill), Some(prec), 1)
+                }
             }
         }
     }
@@ -357,8 +434,10 @@ impl<'a> QepProblem<'a> {
     /// Costs **one** operator application per call (the `P(λ)ψ` matvec);
     /// the `||P(λ)||` scale estimate is cached on the problem, so checking
     /// `k` candidates performs `k + O(1)` applications, not `3k`.  Uses the
-    /// [`RealStencil`] when the solve built one and never builds it itself,
-    /// so a residual check after an assembled solve allocates nothing.
+    /// [`RealStencil`] when the solve built one (every policy but
+    /// [`PrecondPolicy::Assembled`], on blocks that convert) and never
+    /// builds it itself, so a residual check after a solve that ran without
+    /// one allocates nothing.
     pub fn residual(&self, lambda: Complex64, psi: &CVector) -> f64 {
         let n = self.dim();
         // Scale estimate of ||P(λ)||: |E| + ||H00|| + (|λ| + 1/|λ|) ||H01||.
@@ -432,7 +511,8 @@ impl LinearOperator for QepOperator<'_, '_> {
 /// traversal per apply through the real stencil, three through the generic
 /// composition) or the assembled single-CSR form (one).
 pub enum QepNodeOp<'a, 'p> {
-    /// Matrix-free `P(z)` — the default.
+    /// Matrix-free `P(z)`: [`PrecondPolicy::MatrixFree`], any policy without
+    /// a pattern, and the ILU policies on blocks the [`RealStencil`] covers.
     MatrixFree(QepOperator<'a, 'p>),
     /// `P(z)` materialized by numeric refill of the shared pattern.
     Assembled(AssembledOp<'a>),
@@ -442,7 +522,9 @@ pub enum QepNodeOp<'a, 'p> {
 }
 
 impl QepNodeOp<'_, '_> {
-    /// `true` for the assembled representations (plain or factored).
+    /// `true` for the assembled representations (plain or factored).  Not a
+    /// count of pattern refills: the ILU policies refill for the
+    /// factorization even when the operator comes back matrix-free.
     pub fn is_assembled(&self) -> bool {
         matches!(self, Self::Assembled(_) | Self::Factored(..))
     }
@@ -873,8 +955,8 @@ mod tests {
         // One complex entry, a dense pencil: generic, weight 3.
         let (c00, c01) = parts_blocks(n, 415, 1e-3, true);
         let complex = QepProblem::new(&c00, &c01, 0.2, 1.0);
-        let (d00, d01) = random_blocks(n, 417);
-        let (d00, d01) = (DenseOp::new(d00), DenseOp::new(d01));
+        let (m00, m01) = random_blocks(n, 417);
+        let (d00, d01) = (DenseOp::new(m00.clone()), DenseOp::new(m01.clone()));
         let dense = QepProblem::new(&d00, &d01, 0.2, 1.0);
         for qep in [&complex, &dense] {
             assert_eq!(qep.operator(z).traversal_weight(), 3);
@@ -884,6 +966,67 @@ mod tests {
             let _ = qep.residual(z, &psi);
             assert_eq!(qep.residual_op_counters(), (1, 3));
         }
+
+        // The ILU policies dispatch on the same property.  Blocks that
+        // convert are applied through the stencil and their refill is only
+        // factored; all others keep the assembled operator, bit for bit.
+        // Either way the node refilled the pattern once, and the
+        // preconditioner is the ILU(0) of that refill.
+        let check = |b00: &dyn LinearOperator,
+                     b01: &dyn LinearOperator,
+                     sparse: (&cbs_sparse::CsrMatrix, &cbs_sparse::CsrMatrix),
+                     tails: Option<(&cbs_sparse::LowRankOp, &cbs_sparse::LowRankOp)>,
+                     converts: bool| {
+            let pattern = AssembledPattern::build(sparse.0, sparse.1);
+            let projector =
+                tails.map(|(v00, v01)| FactoredProjector::new(v00.clone(), v01.clone()));
+            let qep = QepProblem::new(b00, b01, 0.2, 1.0).with_pattern(&pattern);
+            let qep = match &projector {
+                Some(p) => qep.with_projector(p),
+                None => qep,
+            };
+            let block = |op: &dyn LinearOperator| {
+                let mut y = vec![Complex64::ZERO; n * nvecs];
+                op.apply_block(&x, &mut y, nvecs);
+                y
+            };
+            let precond = |prec: &dyn Preconditioner| {
+                let mut y = vec![Complex64::ZERO; n * nvecs];
+                prec.solve_adjoint_block(&x, &mut y, nvecs);
+                y
+            };
+            for policy in [PrecondPolicy::AssembledIlu0, PrecondPolicy::AssembledIlu0Smw] {
+                let (op, prec, refills) = qep.node_solve_counted(policy, z);
+                let prec = prec.expect("the ILU policies precondition");
+                assert_eq!(refills, 1);
+                assert_eq!(op.traversal_weight(), 1);
+                assert_eq!(qep.real_stencil().is_some(), converts);
+                let smw = policy == PrecondPolicy::AssembledIlu0Smw && projector.is_some();
+                assert_eq!(prec.is_smw_complete(), smw);
+                if converts {
+                    assert!(matches!(op, QepNodeOp::MatrixFree(_)));
+                    assert_eq!(block(&op), block(&qep.operator(z)));
+                } else {
+                    let (assembled, _, refills) =
+                        qep.node_solve_counted(PrecondPolicy::Assembled, z);
+                    assert_eq!(refills, 1);
+                    assert!(op.is_assembled());
+                    assert_eq!(block(&op), block(&assembled));
+                }
+                let refill = pattern.assemble(0.2, z);
+                let want = match &projector {
+                    Some(p) if smw => precond(&refill.ilu0_smw(p)),
+                    _ => precond(&refill.ilu0()),
+                };
+                assert_eq!(precond(&prec), want);
+            }
+        };
+        for (b00, b01, converts) in [(&h00, &h01, true), (&g00, &g01, false), (&c00, &c01, false)] {
+            let tails = Some((&b00.lowrank, &b01.lowrank));
+            check(b00, b01, (&b00.sparse, &b01.sparse), tails, converts);
+        }
+        let dense_csr = |m: &CMatrix| cbs_sparse::CsrMatrix::from_dense(m, 0.0);
+        check(&d00, &d01, (&dense_csr(&m00), &dense_csr(&m01)), None, false);
     }
 
     #[test]

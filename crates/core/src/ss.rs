@@ -85,9 +85,12 @@ pub struct SsConfig {
     /// [`PrecondPolicy`]).  This changes the floating-point trajectory
     /// (assembled arithmetic, ILU-preconditioned recurrences), so it **is**
     /// part of the sweep checkpoint fingerprint.  The default is
-    /// [`Assembled`](PrecondPolicy::Assembled): on the
-    /// tracked Al(100) sweep bench every assembled row beats matrix-free
-    /// wall-clock (see `BENCH_sweep.json` at the repo root).  The assembled
+    /// [`Assembled`](PrecondPolicy::Assembled) — a choice that predates the
+    /// real stencil and no longer has a measurement behind it (see
+    /// [`PrecondPolicy`]; every measured row since is won by
+    /// [`AssembledIlu0`](PrecondPolicy::AssembledIlu0)); it stays until the
+    /// policy-collapse item of the ROADMAP removes the variant, because
+    /// moving it moves every default user's trajectory.  The assembled
     /// policies require a pattern on the [`QepProblem`] (see
     /// [`QepProblem::with_pattern`]) and fall back to matrix-free without
     /// one — problems that never attach a pattern are bitwise unaffected by

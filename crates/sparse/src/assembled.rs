@@ -22,7 +22,13 @@
 //!   traversal via the same fused kernels `CsrMatrix` uses — or via the
 //!   planar FMA kernels when the pattern's
 //!   [`KernelLayout`] is `Split`.
-//! * [`Ilu0`] factors the assembled CSR in place (no fill-in) and exposes
+//! * A refill is ILU input as much as an operator: [`AssembledOp::ilu0`]
+//!   factors a copy and leaves the operator usable,
+//!   [`AssembledOp::into_ilu0`] eliminates in the refilled buffer itself —
+//!   the route of a caller that applies `P(z)` some other way (the
+//!   [`RealStencil`](crate::RealStencil)) and wants one `nnz`-sized array
+//!   per node, not two.
+//! * [`Ilu0`] factors the assembled CSR on its pattern (no fill-in) and exposes
 //!   forward/backward triangular solves *and their adjoints*, so one
 //!   factorization `M ≈ P(z)` also preconditions the dual system through
 //!   `M† ≈ P(z)† = P(1/z̄)` — the paper's dual-circle trick survives
@@ -220,15 +226,7 @@ impl AssembledPattern {
             for &d in &self.diag_idx {
                 values[d] += e;
             }
-            let split = match self.layout {
-                KernelLayout::Interleaved => None,
-                KernelLayout::Split => {
-                    let mut s = SplitValues::take();
-                    s.refill(&values);
-                    Some(s)
-                }
-            };
-            AssembledOp { pattern: self, z, values, split }
+            AssembledOp { pattern: self, z, values, split: OnceLock::new() }
         })
     }
 }
@@ -246,8 +244,10 @@ pub struct AssembledOp<'p> {
     pattern: &'p AssembledPattern,
     z: Complex64,
     values: Vec<Complex64>,
-    /// Planar twin of `values`, present iff the pattern's layout is `Split`.
-    split: Option<SplitValues>,
+    /// Planar twin of `values`, built by the first apply under the `Split`
+    /// layout: a refill that only feeds a factorization
+    /// ([`into_ilu0`](Self::into_ilu0)) never pays for it.
+    split: OnceLock<SplitValues>,
 }
 
 impl<'p> AssembledOp<'p> {
@@ -266,17 +266,44 @@ impl<'p> AssembledOp<'p> {
         self.pattern
     }
 
+    /// The planar twin of the values under the `Split` layout, `None` under
+    /// `Interleaved`.
+    fn split(&self) -> Option<&SplitValues> {
+        (self.pattern.layout == KernelLayout::Split).then(|| {
+            self.split.get_or_init(|| {
+                let mut s = SplitValues::take();
+                s.refill(&self.values);
+                s
+            })
+        })
+    }
+
     /// ILU(0)-factor this operator.  The factorization borrows the shared
     /// pattern (reusing its precomputed diagonal positions — no per-node
     /// rescan) and owns only its `nnz` factor values (scratch-pooled across
     /// nodes).  The pattern's [`TriSchedule`] is built only if a sweep runs
     /// under `CBS_TRI_PAR`.
     pub fn ilu0(&self) -> Ilu0<'p> {
-        Ilu0::factor_inner(
+        self.factor(crate::scratch::copy_to_scratch(&self.values))
+    }
+
+    /// [`ilu0`](Self::ilu0) for a refill that exists only to be factored
+    /// (the operator itself is applied some other way, e.g. through the
+    /// [`RealStencil`](crate::RealStencil)): the elimination runs **in the
+    /// buffer [`assemble`](AssembledPattern::assemble) filled**, so the node
+    /// holds one `nnz`-sized array instead of two.  Same factors as
+    /// [`ilu0`](Self::ilu0), bit for bit.
+    pub fn into_ilu0(mut self) -> Ilu0<'p> {
+        let values = std::mem::take(&mut self.values);
+        self.factor(values)
+    }
+
+    fn factor(&self, lu: Vec<Complex64>) -> Ilu0<'p> {
+        Ilu0::factor_in_place(
             &self.pattern.row_ptr,
             &self.pattern.col_idx,
             Cow::Borrowed(&self.pattern.diag_idx[..]),
-            &self.values,
+            lu,
             Some(self.pattern),
         )
     }
@@ -288,6 +315,13 @@ impl<'p> AssembledOp<'p> {
     /// projector degrades to the plain ILU(0) apply bitwise.
     pub fn ilu0_smw(&self, projector: &FactoredProjector) -> crate::smw::SmwPrecond<'p> {
         crate::smw::SmwPrecond::new(self.ilu0(), projector, self.z)
+    }
+
+    /// The consuming twin of [`ilu0_smw`](Self::ilu0_smw): the completion
+    /// over [`into_ilu0`](Self::into_ilu0)'s in-place factors.
+    pub fn into_ilu0_smw(self, projector: &FactoredProjector) -> crate::smw::SmwPrecond<'p> {
+        let z = self.z;
+        crate::smw::SmwPrecond::new(self.into_ilu0(), projector, z)
     }
 }
 
@@ -310,7 +344,7 @@ impl LinearOperator for AssembledOp<'_> {
     fn apply(&self, x: &[Complex64], y: &mut [Complex64]) {
         assert_eq!(x.len(), self.pattern.n, "assembled apply: x length mismatch");
         assert_eq!(y.len(), self.pattern.n, "assembled apply: y length mismatch");
-        time_kernel(|| match &self.split {
+        time_kernel(|| match self.split() {
             Some(s) => spmv_split_into(&self.pattern.row_ptr, &self.pattern.col_idx, s, x, y),
             None => spmv_into(&self.pattern.row_ptr, &self.pattern.col_idx, &self.values, x, y),
         });
@@ -318,7 +352,7 @@ impl LinearOperator for AssembledOp<'_> {
     fn apply_adjoint(&self, x: &[Complex64], y: &mut [Complex64]) {
         assert_eq!(x.len(), self.pattern.n, "assembled adjoint: x length mismatch");
         assert_eq!(y.len(), self.pattern.n, "assembled adjoint: y length mismatch");
-        time_kernel(|| match &self.split {
+        time_kernel(|| match self.split() {
             Some(s) => {
                 spmv_split_adjoint_into(&self.pattern.row_ptr, &self.pattern.col_idx, s, x, y);
             }
@@ -331,7 +365,7 @@ impl LinearOperator for AssembledOp<'_> {
         let n = self.pattern.n;
         assert_eq!(x.len(), n * nvecs, "assembled block apply: x slab length mismatch");
         assert_eq!(y.len(), n * nvecs, "assembled block apply: y slab length mismatch");
-        time_kernel(|| match &self.split {
+        time_kernel(|| match self.split() {
             Some(s) => spmv_split_block_into(
                 &self.pattern.row_ptr,
                 &self.pattern.col_idx,
@@ -358,7 +392,7 @@ impl LinearOperator for AssembledOp<'_> {
         let n = self.pattern.n;
         assert_eq!(x.len(), n * nvecs, "assembled block adjoint: x slab length mismatch");
         assert_eq!(y.len(), n * nvecs, "assembled block adjoint: y slab length mismatch");
-        time_kernel(|| match &self.split {
+        time_kernel(|| match self.split() {
             Some(s) => spmv_split_adjoint_block_into(
                 &self.pattern.row_ptr,
                 &self.pattern.col_idx,
@@ -758,28 +792,27 @@ impl<'p> Ilu0<'p> {
         diag_idx: Vec<usize>,
         values: &[Complex64],
     ) -> Self {
-        Self::factor_inner(row_ptr, col_idx, Cow::Owned(diag_idx), values, None)
+        let lu = crate::scratch::copy_to_scratch(values);
+        Self::factor_in_place(row_ptr, col_idx, Cow::Owned(diag_idx), lu, None)
     }
 
     /// The factorization kernel: numeric IKJ elimination over the pattern,
-    /// with the factor array and the column-position scatter map drawn from
-    /// the thread-local scratch pools (returned on drop), so per-node
-    /// factorizations perform no steady-state allocation.
-    fn factor_inner(
+    /// in place in `lu` — the matrix values on entry, the factors on return
+    /// (recycled to the thread-local scratch pool on drop, like the
+    /// column-position scatter map), so per-node factorizations perform no
+    /// steady-state allocation.
+    fn factor_in_place(
         row_ptr: &'p [usize],
         col_idx: &'p [usize],
         diag_idx: Cow<'p, [usize]>,
-        values: &[Complex64],
+        mut lu: Vec<Complex64>,
         pattern: Option<&'p AssembledPattern>,
     ) -> Self {
         let n = row_ptr.len() - 1;
-        assert_eq!(col_idx.len(), values.len(), "ILU(0): pattern/value length mismatch");
+        assert_eq!(col_idx.len(), lu.len(), "ILU(0): pattern/value length mismatch");
         assert_eq!(diag_idx.len(), n, "ILU(0): diagonal index length mismatch");
         time_ilu_factor(|| {
-            let floor = pivot_floor(values);
-
-            let mut lu = crate::scratch::take_scratch(0);
-            lu.extend_from_slice(values);
+            let floor = pivot_floor(&lu);
             // Scatter map column -> position within the current row.
             let mut pos = crate::scratch::take_usize_scratch(n, usize::MAX);
             for i in 0..n {
@@ -1367,6 +1400,60 @@ mod tests {
             bare.solve_adjoint(&r, &mut z);
             assert_eq!(z, z_stream, "pattern-free adjoint differs");
         }
+    }
+
+    /// `into_ilu0` eliminates in the buffer the refill filled: the factors of
+    /// the copying `ilu0`, bit for bit, in one pooled `nnz`-sized array where
+    /// that route holds two — and, under the `Split` layout, without the
+    /// planar copy only an apply needs.
+    #[test]
+    fn into_ilu0_is_ilu0_bitwise_in_the_refills_own_buffer() {
+        let (h00, h01) = random_blocks(23, 0.2, 916);
+        let (e, z) = (0.07, c64(1.4, 0.6));
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(917);
+        let r = CVector::random(23 * 3, &mut rng).into_vec();
+        for layout in [KernelLayout::Interleaved, KernelLayout::Split] {
+            let pattern = AssembledPattern::build(&h00, &h01).with_layout(layout);
+            let op = pattern.assemble(e, z);
+            assert!(op.split.get().is_none(), "a refill builds no planar copy");
+            let copied = op.ilu0();
+            let in_place = pattern.assemble(e, z).into_ilu0();
+            assert_eq!(in_place.lu(), copied.lu());
+            assert_eq!(in_place.floor.to_bits(), copied.floor.to_bits());
+            let (mut za, mut zb) = (r.clone(), r.clone());
+            in_place.solve_block(&r, &mut za, 3);
+            copied.solve_block(&r, &mut zb, 3);
+            assert_eq!(za, zb);
+            in_place.solve_adjoint_block(&r, &mut za, 3);
+            copied.solve_adjoint_block(&r, &mut zb, 3);
+            assert_eq!(za, zb);
+            // The first apply is what pays for the planes.
+            let _ = op.apply_vec(&CVector::random(23, &mut rng));
+            assert_eq!(op.split.get().is_some(), layout == KernelLayout::Split);
+        }
+
+        // A fresh thread starts with an empty pool, so what a node job
+        // leaves in it is what the job held.
+        let pattern = AssembledPattern::build(&h00, &h01);
+        let nnz_sized_buffers_held = |job: fn(&AssembledPattern, f64, Complex64)| {
+            let pooled = std::thread::scope(|s| {
+                s.spawn(|| {
+                    job(&pattern, e, z);
+                    crate::scratch::pooled_capacities()
+                })
+                .join()
+                .expect("the node job does not panic")
+            });
+            pooled.into_iter().filter(|&c| c >= pattern.nnz()).count()
+        };
+        assert_eq!(nnz_sized_buffers_held(|p, e, z| drop(p.assemble(e, z).into_ilu0())), 1);
+        assert_eq!(
+            nnz_sized_buffers_held(|p, e, z| {
+                let op = p.assemble(e, z);
+                drop(op.ilu0());
+            }),
+            2
+        );
     }
 
     #[test]

@@ -17,11 +17,11 @@
 //!   `≤ 1e-14` columnwise (relative to the column norm), **not** bitwise,
 //!   which is why the layout is opt-in (`CBS_KERNEL_LAYOUT=split`).
 //!
-//! Both layouts share the same traversal schedule: row-blocked outer loops
-//! (one block of rows' index/value stream stays cache-hot across all
-//! column groups of a block right-hand side) around 4/2/1-wide column-group
-//! SpMM tiles.  The raw interleaved kernels live in [`crate::csr`]; this
-//! module holds the planar value store and its kernels.
+//! Both layouts share one traversal schedule (row-blocked outer loops around
+//! 4/2/1-wide column-group SpMM tiles); the interleaved kernels live in
+//! [`crate::csr`], the planar store and its kernels here.  The layout governs
+//! *applies* only: under the ILU policies on a Hamiltonian the `RealStencil`
+//! covers, the refill is factored, never applied, and the knob is inert.
 
 use std::sync::OnceLock;
 
@@ -33,14 +33,14 @@ use cbs_linalg::{c64, Complex64};
 /// re-streaming it once per column group is served from cache.
 pub(crate) const ROW_BLOCK: usize = 512;
 
-/// Which value layout the assembled-operator kernels run.
+/// Value layout of assembled-CSR *applies*; inert where the CSR is only refilled and factored.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum KernelLayout {
     /// Interleaved `Complex64` values — bitwise-compatible default.
     #[default]
     Interleaved,
-    /// Planar `re[]` / `im[]` values with FMA-chain kernels (`≤ 1e-14`
-    /// columnwise agreement, not bitwise).
+    /// Planar `re[]` / `im[]` planes, built by an operator's first apply; FMA-chain kernels
+    /// (`≤ 1e-14` columnwise agreement, not bitwise).  ILU(0) factors stay interleaved.
     Split,
 }
 

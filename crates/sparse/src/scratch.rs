@@ -46,9 +46,28 @@ pub fn take_scratch(len: usize) -> Vec<Complex64> {
 }
 
 /// Return a buffer obtained from [`take_scratch`] (or any `Vec<Complex64>`
-/// whose allocation is worth keeping) to the current thread's pool.
+/// whose allocation is worth keeping) to the current thread's pool.  A
+/// buffer without an allocation (a value whose storage was moved out, e.g.
+/// by `AssembledOp::into_ilu0`) is dropped instead: pooling it would hand
+/// the next taker nothing to reuse.
 pub fn recycle_scratch(buf: Vec<Complex64>) {
-    POOL.with(|p| p.borrow_mut().push(buf));
+    if buf.capacity() > 0 {
+        POOL.with(|p| p.borrow_mut().push(buf));
+    }
+}
+
+/// A pooled copy of `values` (crate-internal: the factor array of an ILU(0)
+/// that must leave its matrix intact).
+pub(crate) fn copy_to_scratch(values: &[Complex64]) -> Vec<Complex64> {
+    let mut buf = take_scratch(0);
+    buf.extend_from_slice(values);
+    buf
+}
+
+/// Capacities of the `Complex64` buffers pooled on the current thread.
+#[cfg(test)]
+pub(crate) fn pooled_capacities() -> Vec<usize> {
+    POOL.with(|p| p.borrow().iter().map(Vec::capacity).collect())
 }
 
 /// Owned `usize` scratch of length `len`, every element set to `fill`

@@ -402,6 +402,24 @@ mod tests {
         }
     }
 
+    /// The completion over in-place factors is the completion over copied
+    /// ones: same factors, same solved slabs, same capacitance, bit for bit.
+    #[test]
+    fn consuming_smw_is_bitwise_the_borrowing_one() {
+        let n = 14;
+        let pattern = crate::AssembledPattern::build(&random_csr(n, 41), &random_csr(n, 42));
+        let proj = sample_projector(n, 43);
+        let (e, z) = (0.2, c64(0.9, -0.5));
+        let borrowed = pattern.assemble(e, z).ilu0_smw(&proj);
+        let consumed = pattern.assemble(e, z).into_ilu0_smw(&proj);
+        assert_eq!(consumed.ilu.lu(), borrowed.ilu.lu());
+        let (a, b) = (consumed.tail.expect("rank > 0"), borrowed.tail.expect("rank > 0"));
+        assert_eq!((&a.aiu, &a.adv), (&b.aiu, &b.adv));
+        assert_eq!(a.cap.inverse(), b.cap.inverse());
+        let (da, db) = (a.cap.determinant(), b.cap.determinant());
+        assert_eq!((da.re.to_bits(), da.im.to_bits()), (db.re.to_bits(), db.im.to_bits()));
+    }
+
     #[test]
     fn empty_projector_degrades_to_plain_ilu_bitwise() {
         let n = 9;

@@ -150,13 +150,18 @@ impl std::error::Error for CheckpointError {}
 //       over real `sparse + low-rank` blocks runs a differently associated
 //       apply, so its trajectory (histories, counters, seed tables) is not
 //       bitwise a v7 one's — resuming a v7 file would splice two
-//       arithmetics into one result.
+//       arithmetics into one result,
+//   v9  stencil apply under ILU(0): same layout again, but a sweep under
+//       `AssembledIlu0` / `AssembledIlu0Smw` over such blocks now applies
+//       `P(z)` through the real stencil instead of the assembled CSR (the
+//       refill only feeds the factorization), so its trajectory differs
+//       from a v8 one's in rounding.
 // There is exactly one compatibility rule: the version found must be the
 // current one.  Anything else announcing itself through the shared magic
 // prefix is refused with [`CheckpointError::IncompatibleVersion`], naming
 // both versions, rather than read with silently zeroed or misaligned
 // fields.
-const MAGIC: &str = "cbs-sweep-checkpoint v8";
+const MAGIC: &str = "cbs-sweep-checkpoint v9";
 
 /// Prefix shared by every version's magic line; anything with this prefix
 /// but the wrong version is an incompatible (not malformed) checkpoint.
@@ -645,18 +650,19 @@ mod tests {
     }
 
     #[test]
-    fn v4_to_v7_checkpoints_are_refused_and_the_message_names_both_versions() {
+    fn v4_to_v8_checkpoints_are_refused_and_the_message_names_both_versions() {
         // v4 predates the auto section; v5 predates the real source block
         // and the half-ring seed tables (a v5 bank restored into a mirrored
         // sweep would seed node `j` with the solution of a different
         // right-hand side); v6 carries a block-policy column in its auto
         // section; v7 parses field for field but was written by the
-        // three-pass matrix-free apply.  All must hit the dedicated
+        // three-pass matrix-free apply, v8 by ILU sweeps that applied the
+        // assembled CSR.  All must hit the dedicated
         // incompatible-version path, and the error message must name the
         // version found *and* the one expected.  A format from the future
         // is refused the same way — there is one check, not one per
         // version.
-        for version in ["v4", "v5", "v6", "v7", "v9"] {
+        for version in ["v4", "v5", "v6", "v7", "v8", "v10"] {
             let stale = format!("cbs-sweep-checkpoint {version}");
             match SweepCheckpoint::parse(&relabelled(version)) {
                 Err(CheckpointError::IncompatibleVersion { ref found }) => {
@@ -669,7 +675,7 @@ mod tests {
                 other => panic!("{version}: expected IncompatibleVersion, got {other:?}"),
             }
         }
-        assert!(SweepCheckpoint::parse(&relabelled("v8")).is_ok(), "v8 is the current format");
+        assert!(SweepCheckpoint::parse(&relabelled("v9")).is_ok(), "v9 is the current format");
     }
 
     #[test]

@@ -25,6 +25,7 @@ use std::path::Path;
 use cbs_core::{
     classify_point, extract_from_moments, extract_sliced, solve_qep_with, BlockPolicy, CbsPoint,
     CbsStatistics, ComplexBandStructure, PrecondPolicy, QepProblem, SlicedPlan, SsConfig,
+    StencilCache,
 };
 use cbs_dft::BandStructure;
 use cbs_linalg::CVector;
@@ -306,6 +307,10 @@ pub struct EnergySweep<'a> {
     /// to cover the sparse-only blocks and the projector tail is applied in
     /// factored form by every assembled node.
     projector: Option<FactoredProjector>,
+    /// The blocks' real stencil, converted by the first node solve that
+    /// wants it (or found not to exist, once) and shared by every scan
+    /// energy: it depends on the blocks only, not on `E`.
+    stencil: StencilCache,
 }
 
 impl<'a> EnergySweep<'a> {
@@ -322,7 +327,15 @@ impl<'a> EnergySweep<'a> {
         assert_eq!(h00.nrows(), h01.nrows(), "H00 and H01 must have the same size");
         assert!(period > 0.0, "period must be positive");
         assert!(config.ss.n_rh > 0, "need at least one right-hand side");
-        Self { h00, h01, period, config, pattern: None, projector: None }
+        Self {
+            h00,
+            h01,
+            period,
+            config,
+            pattern: None,
+            projector: None,
+            stencil: StencilCache::new(),
+        }
     }
 
     /// Attach the assembled-operator pattern
@@ -351,9 +364,18 @@ impl<'a> EnergySweep<'a> {
         &self.config
     }
 
-    /// The QEP at one scan energy, with the sweep's assembled backend
-    /// (pattern, projector) attached.
-    fn problem_at(&self, energy: f64) -> QepProblem<'_> {
+    /// The QEP at one scan energy as the sweep solves it: the assembled
+    /// backend (pattern, projector) attached, the real stencil shared with
+    /// every other energy of this sweep.
+    pub fn problem_at(&self, energy: f64) -> QepProblem<'_> {
+        self.unshared_problem_at(energy).with_stencil_cache(&self.stencil)
+    }
+
+    /// [`problem_at`](Self::problem_at) with a stencil slot of its own, for
+    /// the throwaway probe solves: whether the sweep's stencil exists decides
+    /// which arithmetic its residual checks run, and that must not depend on
+    /// a probe having run (it does not on resume, nor on a memo hit).
+    fn unshared_problem_at(&self, energy: f64) -> QepProblem<'_> {
         let p = QepProblem::new(self.h00, self.h01, energy, self.period);
         let p = match &self.pattern {
             Some(pattern) => p.with_pattern(pattern),
@@ -699,7 +721,7 @@ impl<'a> EnergySweep<'a> {
         let mut probe = Vec::with_capacity(candidates.len());
         for &precond in candidates {
             let cfg = SsConfig { precond, ..*probe_ss };
-            let problem = self.problem_at(energy);
+            let problem = self.unshared_problem_at(energy);
             // Stage wall-ns needs a recording session; when an outer one is
             // already active we piggyback on it, otherwise we open our own
             // for the duration of the probe solve.

@@ -1,5 +1,6 @@
 //! Fixtures shared by the integration tests: the fig6 Al(100) system at the
-//! bench resolution and the solver configuration every suite runs it under.
+//! bench resolution, the solver configuration every suite runs it under, and
+//! the coarse (8,0) nanotube.
 //!
 //! One definition on purpose.  The node count is pinned at 12: at 8 the
 //! quadrature error leaves the eigenpair residuals at 1e-6…3e-4, straddling
@@ -10,7 +11,9 @@
 #![allow(dead_code)] // each test crate uses its own subset
 
 use cbs::core::SsConfig;
-use cbs::dft::{bulk_al_100, grid_for_structure, BlockHamiltonian, HamiltonianParams};
+use cbs::dft::{
+    bulk_al_100, carbon_nanotube, grid_for_structure, BlockHamiltonian, HamiltonianParams,
+};
 
 /// Quadrature nodes per circle of [`fig6_config`].
 pub const FIG6_N_INT: usize = 12;
@@ -26,6 +29,18 @@ pub fn fig6_hamiltonian() -> BlockHamiltonian {
     BlockHamiltonian::build(
         grid,
         &s,
+        HamiltonianParams { fd: cbs::grid::FdOrder::new(1), include_nonlocal: true },
+    )
+}
+
+/// A coarse (8,0) carbon nanotube (605 grid points, 32 atoms): the
+/// projector-heavy counterpart of fig6.
+pub fn cnt80_hamiltonian() -> BlockHamiltonian {
+    let tube = carbon_nanotube(8, 0, 3.0);
+    let grid = grid_for_structure(&tube, 1.6);
+    BlockHamiltonian::build(
+        grid,
+        &tube,
         HamiltonianParams { fd: cbs::grid::FdOrder::new(1), include_nonlocal: true },
     )
 }

@@ -14,7 +14,6 @@ use cbs::core::{
     solve_qep_sliced_with, solve_qep_with, PrecondPolicy, QepProblem, SlicePolicy, SsConfig,
     SsResult,
 };
-use cbs::dft::{carbon_nanotube, grid_for_structure, BlockHamiltonian, HamiltonianParams};
 use cbs::linalg::{c64, CMatrix, Complex64};
 use cbs::parallel::{RayonExecutor, SerialExecutor};
 use cbs::solver::ConvergenceHistory;
@@ -234,13 +233,7 @@ fn fig6_mirrored_ring_is_the_full_contour_at_half_the_work() {
 /// The (8,0) nanotube, matrix-free as a default user runs it.
 #[test]
 fn cnt80_mirrored_ring_is_the_full_contour_at_half_the_work() {
-    let tube = carbon_nanotube(8, 0, 3.0);
-    let grid = grid_for_structure(&tube, 1.6);
-    let h = BlockHamiltonian::build(
-        grid,
-        &tube,
-        HamiltonianParams { fd: cbs::grid::FdOrder::new(1), include_nonlocal: true },
-    );
+    let h = common::cnt80_hamiltonian();
     let config = SsConfig {
         n_int: 16,
         n_mm: 6,
