@@ -10,7 +10,7 @@
 //! Expected row shape (a GitHub-flavored markdown table):
 //!
 //! ```text
-//! | `CBS_PRECOND=assembled` … | fingerprint | effect text … |
+//! | `CBS_PRECOND=ilu0` … | fingerprint | effect text … |
 //! ```
 //!
 //! The knob name is the first `CBS_[A-Z0-9_]+` token of the first cell;

@@ -2,8 +2,8 @@
 //! Al(100) multi-energy scan run cold (flat pool, no seeding — the
 //! per-energy-loop equivalent) and warm-started (dyadic wavefront with
 //! cross-energy BiCG seeding), under the operator-policy ladder
-//! (`PrecondPolicy::MatrixFree` / `Assembled` / `AssembledIlu0` /
-//! `AssembledIlu0Smw`), and the calibrated auto-tuned cell
+//! (`PrecondPolicy::MatrixFree` / `AssembledIlu0` / `AssembledIlu0Smw`),
+//! and the calibrated auto-tuned cell
 //! (`SsConfig::auto()` — the probe commits a policy, and `bench_check`
 //! holds the `_auto` rows to within 10% of the best fixed row).
 //!
@@ -149,14 +149,13 @@ fn bench_sweep(c: &mut Criterion) {
     let warm = |p, s, a| SweepConfig { initial_round: 2, ..SweepConfig::new(ss(p, s, a)) };
     let single = SlicePolicy::single();
 
-    // The benchmark matrix: (cold, warm) x {matrix-free, assembled, ilu0,
-    // ilu0+smw}, the sliced-vs-single contour comparison (2-sector partition), and the
+    // The benchmark matrix: (cold, warm) x {matrix-free, ilu0, ilu0+smw},
+    // the sliced-vs-single contour comparison (2-sector partition), and the
     // calibrated auto-tuned row (`SsConfig::auto()`: the probe picks the
     // cell; `bench_check` gates its wall to within 10% of the best fixed
     // row of the same sweep kind).
     let matrix: Vec<(&'static str, PrecondPolicy, SlicePolicy, bool)> = vec![
         ("", PrecondPolicy::MatrixFree, single, false),
-        ("_assembled", PrecondPolicy::Assembled, single, false),
         ("_ilu0", PrecondPolicy::AssembledIlu0, single, false),
         // The auto row sits right after the ilu0 row it is expected to
         // commit to, so the gate's comparison pair shares machine state.

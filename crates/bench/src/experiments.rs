@@ -22,10 +22,11 @@ use crate::systems::{self, BenchSystem};
 /// Solve one QEP through the shifted-solve pool, with the executor chosen
 /// by the `CBS_EXECUTOR` environment variable (`serial` default, `rayon`
 /// for the threaded fan-out; the results are bit-identical either way), the
-/// operator representation by `CBS_PRECOND` (`matrix-free` default,
-/// `assembled` for the single-CSR fast path, `ilu0` to add the ILU(0)
-/// preconditioner; the assembled policies need a pattern on the problem —
-/// see [`env_pattern`]) and the contour partitioning by `CBS_SLICES`
+/// operator representation by `CBS_PRECOND` (`matrix-free`, `ilu0` or
+/// `ilu0-smw`; unset keeps the configured policy, which from
+/// `SsConfig::paper()` is ILU(0) where a pattern is attached — see
+/// [`env_pattern`] — and matrix-free otherwise) and the contour
+/// partitioning by `CBS_SLICES`
 /// (`single` default; `S` or `AxR` runs the sliced pipeline with merged
 /// extraction).
 pub fn solve_qep_env(problem: &QepProblem<'_>, config: &SsConfig) -> SsResult {

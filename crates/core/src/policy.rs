@@ -36,56 +36,46 @@ impl BlockPolicy {
 /// policy; the [`MatrixFree`](Self::MatrixFree) path does not depend on
 /// whether a pattern or projector is attached.
 ///
-/// `PrecondPolicy::default()` (and the `CBS_PRECOND` fallback) stays
-/// [`MatrixFree`](Self::MatrixFree) — the historical baseline that old
-/// checkpoints and unset env knobs resolve to.  `SsConfig::default()`
-/// however selects [`Assembled`](Self::Assembled), and problems without an
-/// attached pattern fall back to matrix-free, bitwise.  That default dates
-/// from when every assembled row beat the three-pass matrix-free apply; the
-/// real stencil has since taken the reason away (per block apply about half
-/// the assembled CSR + factored tail, and no per-node refill — 12k-point Al
-/// cell, 4 columns: 890–900 µs against 2 100 µs plus 860–930 µs of
-/// assembly), which is why the two ILU policies apply `P(z)` through it
-/// themselves.  [`Assembled`](Self::Assembled) is the one policy that still
-/// applies the CSR on a stencil-eligible Hamiltonian; ROADMAP's
-/// policy-collapse item deletes it, default included.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// There is no `Default`: `SsConfig::paper()` is the one place a default
+/// policy is written ([`AssembledIlu0`](Self::AssembledIlu0), which a
+/// problem without an attached pattern runs as
+/// [`MatrixFree`](Self::MatrixFree), bitwise).  An unset or malformed
+/// `CBS_PRECOND` resolves to [`MatrixFree`](Self::MatrixFree).  The
+/// discriminants are the checkpoint and trace codes; 1 was the retired
+/// unpreconditioned assembled-CSR policy and is never reused.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PrecondPolicy {
     /// Apply `P(z)` matrix-free, unpreconditioned: one fused row pass over
     /// `f64` coefficients when the blocks are real `sparse + low-rank`
     /// storage (`cbs_sparse::RealStencil`, one storage traversal), else the
-    /// generic composition of `H₀₀`, `H₀₁`, `H₀₁†` (three).  The historical
-    /// default.
-    #[default]
-    MatrixFree,
-    /// Materialize `P(z)` once per quadrature node as a single CSR by
-    /// numeric refill of the shared `cbs_sparse::AssembledPattern` — one
-    /// storage traversal per application — still unpreconditioned.
-    Assembled,
-    /// A complex ILU(0) factorization of the assembled CSR per node, applied
-    /// as a preconditioner on both the primal (`M⁻¹`) and dual (`M⁻†`, i.e.
-    /// the `P(1/z̄)` side) recurrences — the iteration-count lever.  The
-    /// operator itself is the real stencil where the blocks convert (the
-    /// refill is then factored in place as ILU input only) and the assembled
-    /// CSR otherwise; one storage traversal per apply either way.
-    AssembledIlu0,
+    /// generic composition of `H₀₀`, `H₀₁`, `H₀₁†` (three).
+    MatrixFree = 0,
+    /// A complex ILU(0) factorization of `P(z)`, materialized once per
+    /// quadrature node as a single CSR by numeric refill of the shared
+    /// `cbs_sparse::AssembledPattern`, applied as a preconditioner on both
+    /// the primal (`M⁻¹`) and dual (`M⁻†`, i.e. the `P(1/z̄)` side)
+    /// recurrences — the iteration-count lever.  The operator itself is the
+    /// real stencil where the blocks convert (the refill is then factored in
+    /// place as ILU input only) and the assembled CSR otherwise; one storage
+    /// traversal per apply either way.
+    AssembledIlu0 = 2,
     /// [`AssembledIlu0`](Self::AssembledIlu0) completed by a
     /// Sherman-Morrison-Woodbury correction for the factored low-rank
     /// projector tail (`cbs_sparse::SmwPrecond`): the preconditioner
     /// approximates the *full* `P(z)` instead of only its assembled CSR
     /// part.  Falls back to plain [`AssembledIlu0`](Self::AssembledIlu0)
     /// bitwise when no projector is attached (rank 0) or the capacitance
-    /// matrix is singular.  Appended last so existing checkpoint
-    /// fingerprints (which fold in the discriminant) are unchanged.
-    AssembledIlu0Smw,
+    /// matrix is singular.
+    AssembledIlu0Smw = 3,
 }
 
 impl PrecondPolicy {
-    /// Read the policy from an environment variable: `"assembled"` / `"asm"` select
-    /// [`Assembled`](Self::Assembled), `"assembled-ilu0"` / `"ilu0"` /
-    /// `"ilu"` select [`AssembledIlu0`](Self::AssembledIlu0); unset keeps
-    /// the [`MatrixFree`](Self::MatrixFree) env fallback and a malformed
-    /// value warns once and does the same (via [`cbs_trace::knob()`]).
+    /// Read the policy from an environment variable: `"assembled-ilu0"` /
+    /// `"ilu0"` / `"ilu"` select [`AssembledIlu0`](Self::AssembledIlu0),
+    /// `"assembled-ilu0-smw"` / `"smw"` its SMW completion; unset keeps the
+    /// [`MatrixFree`](Self::MatrixFree) env fallback and a malformed value
+    /// (the retired `"assembled"` / `"asm"` included) warns once and does
+    /// the same (via [`cbs_trace::knob()`]).
     pub fn from_env(var: &str) -> Self {
         cbs_trace::knob(var).unwrap_or(Self::MatrixFree)
     }
@@ -106,8 +96,6 @@ impl PrecondPolicy {
             || name.eq_ignore_ascii_case("ilu")
         {
             Some(Self::AssembledIlu0)
-        } else if name.eq_ignore_ascii_case("assembled") || name.eq_ignore_ascii_case("asm") {
-            Some(Self::Assembled)
         } else if name.eq_ignore_ascii_case("matrix-free")
             || name.eq_ignore_ascii_case("matrixfree")
             || name.eq_ignore_ascii_case("mf")
@@ -119,7 +107,7 @@ impl PrecondPolicy {
     }
 
     /// Parse a policy name (the `from_env` value syntax); unrecognized
-    /// names fall back to the default [`MatrixFree`](Self::MatrixFree).
+    /// names fall back to [`MatrixFree`](Self::MatrixFree).
     pub fn from_name(name: &str) -> Self {
         Self::try_from_name(name).unwrap_or(Self::MatrixFree)
     }
@@ -128,28 +116,22 @@ impl PrecondPolicy {
     pub fn name(self) -> &'static str {
         match self {
             Self::MatrixFree => "matrix-free",
-            Self::Assembled => "assembled",
             Self::AssembledIlu0 => "assembled-ilu0",
             Self::AssembledIlu0Smw => "assembled-ilu0-smw",
         }
     }
 
     /// `true` for the policies that refill the assembled pattern per node
-    /// (as the operator, as ILU input, or both).
+    /// (as ILU input, and as the operator where no stencil applies).
     pub fn is_assembled(self) -> bool {
         !matches!(self, Self::MatrixFree)
     }
 
     /// The policy's code in trace span contexts — the
-    /// [`cbs_trace::policy_name`] contract: 0 = matrix-free, 1 = assembled,
+    /// [`cbs_trace::policy_name`] contract: 0 = matrix-free,
     /// 2 = assembled-ilu0, 3 = assembled-ilu0-smw.
     pub fn trace_code(self) -> u8 {
-        match self {
-            Self::MatrixFree => 0,
-            Self::Assembled => 1,
-            Self::AssembledIlu0 => 2,
-            Self::AssembledIlu0Smw => 3,
-        }
+        self as u8
     }
 
     /// Decode the serialized discriminant (checkpoint format; same codes
@@ -157,7 +139,6 @@ impl PrecondPolicy {
     pub fn from_index(index: u64) -> Option<Self> {
         match index {
             0 => Some(Self::MatrixFree),
-            1 => Some(Self::Assembled),
             2 => Some(Self::AssembledIlu0),
             3 => Some(Self::AssembledIlu0Smw),
             _ => None,
@@ -181,8 +162,14 @@ mod tests {
             PrecondPolicy::from_env("CBS_PRECOND_TEST_UNSET_VAR"),
             PrecondPolicy::MatrixFree
         );
-        assert_eq!(PrecondPolicy::from_name("assembled"), PrecondPolicy::Assembled);
-        assert_eq!(PrecondPolicy::from_name("ASM"), PrecondPolicy::Assembled);
+        // Retired values take the malformed-value road: no parse, so the
+        // knob warns once and falls back to matrix-free.
+        for retired in ["assembled", "ASM"] {
+            assert_eq!(PrecondPolicy::try_from_name(retired), None);
+            assert_eq!(<PrecondPolicy as cbs_trace::Knob>::parse_knob(retired), None);
+            assert_eq!(PrecondPolicy::from_name(retired), PrecondPolicy::MatrixFree);
+        }
+        assert_eq!(PrecondPolicy::from_index(1), None, "code 1 is retired, never reused");
         assert_eq!(PrecondPolicy::from_name("assembled-ilu0"), PrecondPolicy::AssembledIlu0);
         assert_eq!(PrecondPolicy::from_name("assembled_ilu0"), PrecondPolicy::AssembledIlu0);
         assert_eq!(PrecondPolicy::from_name("ilu"), PrecondPolicy::AssembledIlu0);
@@ -193,14 +180,19 @@ mod tests {
         assert_eq!(PrecondPolicy::from_name("SMW"), PrecondPolicy::AssembledIlu0Smw);
         assert_eq!(PrecondPolicy::from_name("anything-else"), PrecondPolicy::MatrixFree);
         assert_eq!(PrecondPolicy::MatrixFree.name(), "matrix-free");
-        assert_eq!(PrecondPolicy::Assembled.name(), "assembled");
         assert_eq!(PrecondPolicy::AssembledIlu0.name(), "assembled-ilu0");
         assert_eq!(PrecondPolicy::AssembledIlu0Smw.name(), "assembled-ilu0-smw");
         assert!(!PrecondPolicy::MatrixFree.is_assembled());
-        assert!(PrecondPolicy::Assembled.is_assembled());
         assert!(PrecondPolicy::AssembledIlu0.is_assembled());
         assert!(PrecondPolicy::AssembledIlu0Smw.is_assembled());
+        for policy in [
+            PrecondPolicy::MatrixFree,
+            PrecondPolicy::AssembledIlu0,
+            PrecondPolicy::AssembledIlu0Smw,
+        ] {
+            assert_eq!(PrecondPolicy::from_index(u64::from(policy.trace_code())), Some(policy));
+        }
+        assert_eq!(PrecondPolicy::AssembledIlu0.trace_code(), 2);
         assert_eq!(PrecondPolicy::AssembledIlu0Smw.trace_code(), 3);
-        assert_eq!(PrecondPolicy::default(), PrecondPolicy::MatrixFree);
     }
 }

@@ -75,10 +75,9 @@ pub struct QepProblem<'a> {
     /// convert `λ = exp(i k a)` into a wave number.
     pub period: f64,
     /// Optional assembled-operator backend: the shared symbolic union
-    /// pattern of `H₀₀`/`H₀₁`/`H₀₁†`, enabling the
-    /// [`PrecondPolicy::Assembled`] fast path.  The pattern is
-    /// energy-independent, so one instance serves every scan energy of a
-    /// sweep.
+    /// pattern of `H₀₀`/`H₀₁`/`H₀₁†`, enabling the ILU(0) policies.  The
+    /// pattern is energy-independent, so one instance serves every scan
+    /// energy of a sweep.
     pattern: Option<&'a AssembledPattern>,
     /// Optional factored non-local projector riding alongside the pattern:
     /// when present, the assembled node operators keep the low-rank part of
@@ -137,9 +136,9 @@ impl<'a> QepProblem<'a> {
 
     /// Attach the assembled-operator pattern (see
     /// [`cbs_sparse::AssembledPattern::build`]), enabling the
-    /// [`PrecondPolicy::Assembled`] / [`PrecondPolicy::AssembledIlu0`] node
-    /// operators.  Without a pattern those policies silently fall back to
-    /// the matrix-free path.
+    /// [`PrecondPolicy::AssembledIlu0`] / [`PrecondPolicy::AssembledIlu0Smw`]
+    /// node contexts.  Without a pattern those policies silently fall back
+    /// to the matrix-free path.
     pub fn with_pattern(mut self, pattern: &'a AssembledPattern) -> Self {
         assert_eq!(pattern.dim(), self.dim(), "pattern dimension mismatch");
         self.pattern = Some(pattern);
@@ -237,8 +236,7 @@ impl<'a> QepProblem<'a> {
     /// attached); every later apply — [`residual`](Self::residual) included
     /// — then runs through it.  This is the only place the stencil is
     /// built, and [`node_solve`](Self::node_solve) comes here under every
-    /// policy but [`PrecondPolicy::Assembled`]: only a problem solved under
-    /// that one never pays the stencil's memory.
+    /// policy.
     pub fn operator(&self, z: Complex64) -> QepOperator<'a, '_> {
         self.stencil_cache().0.get_or_init(|| {
             RealStencil::try_new(self.h00.sparse_lowrank_parts()?, self.h01.sparse_lowrank_parts()?)
@@ -268,14 +266,12 @@ impl<'a> QepProblem<'a> {
     ///
     /// * [`PrecondPolicy::MatrixFree`] — the matrix-free view, no
     ///   preconditioner.
-    /// * [`PrecondPolicy::Assembled`] — numeric refill of the shared
-    ///   pattern into one CSR (one traversal per apply instead of three).
-    /// * [`PrecondPolicy::AssembledIlu0`] — the ILU(0) of the refilled
-    ///   pattern, whose adjoint triangular solves precondition the dual
-    ///   (`P(1/z̄)`) recurrence from the same factorization.  The operator is
-    ///   the [`RealStencil`] view when the blocks convert — the refill is
-    ///   then ILU input only and is factored where it lies — and the
-    ///   assembled CSR otherwise.
+    /// * [`PrecondPolicy::AssembledIlu0`] — the ILU(0) of the shared pattern
+    ///   refilled into one CSR, whose adjoint triangular solves precondition
+    ///   the dual (`P(1/z̄)`) recurrence from the same factorization.  The
+    ///   operator is the [`RealStencil`] view when the blocks convert — the
+    ///   refill is then ILU input only and is factored where it lies — and
+    ///   the assembled CSR otherwise.
     /// * [`PrecondPolicy::AssembledIlu0Smw`] — the same, with the ILU(0)
     ///   completed by the Sherman-Morrison-Woodbury correction for the
     ///   attached factored projector tail, so `M` approximates the full
@@ -304,9 +300,6 @@ impl<'a> QepProblem<'a> {
         match (policy, self.pattern) {
             (PrecondPolicy::MatrixFree, _) | (_, None) => {
                 (QepNodeOp::MatrixFree(self.operator(z)), None, 0)
-            }
-            (PrecondPolicy::Assembled, Some(pattern)) => {
-                (self.wrap_assembled(pattern.assemble(self.energy, z)), None, 1)
             }
             (PrecondPolicy::AssembledIlu0 | PrecondPolicy::AssembledIlu0Smw, Some(pattern)) => {
                 let refill = pattern.assemble(self.energy, z);
@@ -434,10 +427,9 @@ impl<'a> QepProblem<'a> {
     /// Costs **one** operator application per call (the `P(λ)ψ` matvec);
     /// the `||P(λ)||` scale estimate is cached on the problem, so checking
     /// `k` candidates performs `k + O(1)` applications, not `3k`.  Uses the
-    /// [`RealStencil`] when the solve built one (every policy but
-    /// [`PrecondPolicy::Assembled`], on blocks that convert) and never
-    /// builds it itself, so a residual check after a solve that ran without
-    /// one allocates nothing.
+    /// [`RealStencil`] when the solve built one (blocks that convert) and
+    /// never builds it itself, so a residual check after a solve that ran
+    /// without one allocates nothing.
     pub fn residual(&self, lambda: Complex64, psi: &CVector) -> f64 {
         let n = self.dim();
         // Scale estimate of ||P(λ)||: |E| + ||H00|| + (|λ| + 1/|λ|) ||H01||.
@@ -1007,9 +999,7 @@ mod tests {
                     assert!(matches!(op, QepNodeOp::MatrixFree(_)));
                     assert_eq!(block(&op), block(&qep.operator(z)));
                 } else {
-                    let (assembled, _, refills) =
-                        qep.node_solve_counted(PrecondPolicy::Assembled, z);
-                    assert_eq!(refills, 1);
+                    let assembled = qep.wrap_assembled(pattern.assemble(0.2, z));
                     assert!(op.is_assembled());
                     assert_eq!(block(&op), block(&assembled));
                 }
@@ -1045,7 +1035,6 @@ mod tests {
         let bare = QepProblem::new(&op00, &op01, 0.1, 1.0);
         for policy in [
             PrecondPolicy::MatrixFree,
-            PrecondPolicy::Assembled,
             PrecondPolicy::AssembledIlu0,
             PrecondPolicy::AssembledIlu0Smw,
         ] {
@@ -1055,23 +1044,19 @@ mod tests {
             assert_eq!(op.traversal_weight(), 3);
         }
 
-        // With a pattern, the assembled policies materialize the CSR (and
-        // the ILU policy factors it) — and agree with the matrix-free
-        // operator to rounding accuracy.
+        // With a pattern, the ILU policies materialize the CSR and factor
+        // it — and, on blocks that do not convert to a stencil, apply it,
+        // in agreement with the matrix-free operator to rounding accuracy.
         let with = QepProblem::new(&op00, &op01, 0.1, 1.0).with_pattern(&pattern);
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(412);
         let x = CVector::random(n, &mut rng);
         let (free_op, _) = with.node_solve(PrecondPolicy::MatrixFree, z);
         let y_free = free_op.apply_vec(&x);
-        for policy in [
-            PrecondPolicy::Assembled,
-            PrecondPolicy::AssembledIlu0,
-            PrecondPolicy::AssembledIlu0Smw,
-        ] {
+        for policy in [PrecondPolicy::AssembledIlu0, PrecondPolicy::AssembledIlu0Smw] {
             let (op, prec) = with.node_solve(policy, z);
             assert!(op.is_assembled());
             assert_eq!(op.traversal_weight(), 1);
-            assert_eq!(prec.is_some(), policy != PrecondPolicy::Assembled);
+            assert!(prec.is_some());
             // No projector attached: the SMW policy degrades to plain ILU(0).
             assert!(!prec.as_ref().is_some_and(QepNodePrecond::is_smw_complete));
             let y = op.apply_vec(&x);
@@ -1124,16 +1109,12 @@ mod tests {
         assert!(factored.projector().is_some());
 
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(414);
-        for policy in [
-            PrecondPolicy::Assembled,
-            PrecondPolicy::AssembledIlu0,
-            PrecondPolicy::AssembledIlu0Smw,
-        ] {
+        for policy in [PrecondPolicy::AssembledIlu0, PrecondPolicy::AssembledIlu0Smw] {
             let (op_full, _) = expanded.node_solve(policy, z);
             let (op_fact, prec) = factored.node_solve(policy, z);
             assert!(op_fact.is_assembled());
             assert!(matches!(op_fact, QepNodeOp::Factored(..)));
-            assert_eq!(prec.is_some(), policy != PrecondPolicy::Assembled);
+            assert!(prec.is_some());
             // With a non-empty projector, the SMW policy completes the
             // preconditioner with the low-rank tail.
             assert_eq!(

@@ -81,26 +81,16 @@ pub struct SsConfig {
     /// Hamiltonian those first nodes are every node that is solved (the rest
     /// are their mirror images), so the rule then caps nothing.
     pub majority_stop: bool,
-    /// Operator representation / preconditioning of the shifted solves (see
-    /// [`PrecondPolicy`]).  This changes the floating-point trajectory
-    /// (assembled arithmetic, ILU-preconditioned recurrences), so it **is**
-    /// part of the sweep checkpoint fingerprint.  The default is
-    /// [`Assembled`](PrecondPolicy::Assembled) — a choice that predates the
-    /// real stencil and no longer has a measurement behind it (see
-    /// [`PrecondPolicy`]; every measured row since is won by
-    /// [`AssembledIlu0`](PrecondPolicy::AssembledIlu0)); it stays until the
-    /// policy-collapse item of the ROADMAP removes the variant, because
-    /// moving it moves every default user's trajectory.  The assembled
-    /// policies require a pattern on the [`QepProblem`] (see
-    /// [`QepProblem::with_pattern`]) and fall back to matrix-free without
-    /// one — problems that never attach a pattern are bitwise unaffected by
-    /// the default.
-    /// [`AssembledIlu0Smw`](PrecondPolicy::AssembledIlu0Smw)
-    /// additionally folds an attached factored projector into the
-    /// preconditioner via Sherman-Morrison-Woodbury; it is a *distinct*
-    /// fingerprint value (appended last, so checkpoints written under the
-    /// older policies resume unchanged), and without a projector its
-    /// trajectory is bitwise the plain ILU(0) one.
+    /// Operator representation / preconditioning of the shifted solves: it
+    /// changes the floating-point trajectory, so it **is** part of the sweep
+    /// checkpoint fingerprint.  [`paper`](Self::paper) writes the one
+    /// default, [`AssembledIlu0`](PrecondPolicy::AssembledIlu0), which is
+    /// "ILU(0) if a pattern is attached ([`QepProblem::with_pattern`]), else
+    /// matrix-free": a problem that never attaches one runs the
+    /// [`MatrixFree`](PrecondPolicy::MatrixFree) trajectory, bitwise.
+    /// [`AssembledIlu0Smw`](PrecondPolicy::AssembledIlu0Smw) additionally
+    /// folds an attached factored projector into the preconditioner, and
+    /// without one is bitwise the plain ILU(0) trajectory.
     pub precond: PrecondPolicy,
     /// Contour partitioning (see [`SlicePolicy`], env knob `CBS_SLICES`):
     /// the default single contour runs the monolithic pipeline, bitwise
@@ -121,7 +111,7 @@ pub struct SsConfig {
     /// identical with tracing on or off.
     pub trace: cbs_trace::TraceLevel,
     /// Calibrated auto-tuning (env knob `CBS_AUTO`, fingerprint class): a
-    /// sweep-level flag — `cbs-sweep` probes 2-3 candidate policy cells on
+    /// sweep-level flag — `cbs-sweep` probes 1-2 candidate policy cells on
     /// the first scan energy, fits a `cbs_parallel::CostModel` from the
     /// measured counters + trace wall-ns, and commits the rest of the sweep
     /// to the predicted winner.  The committed cell is recorded in the
@@ -154,7 +144,7 @@ impl SsConfig {
             residual_cutoff: 1e-5,
             seed: 0x5a5a_5a5a,
             majority_stop: true,
-            precond: PrecondPolicy::Assembled,
+            precond: PrecondPolicy::AssembledIlu0,
             slice: SlicePolicy::single(),
             trace: cbs_trace::TraceLevel::Stage,
             auto: false,

@@ -275,8 +275,8 @@ impl BlockHamiltonian {
     /// The assembled-operator pattern of this Hamiltonian's QEP: the union
     /// sparsity of `H₀₀ ∪ H₀₁ ∪ H₀₁†` (projectors expanded into CSR) from
     /// which `P(z)` is materialized per quadrature node by numeric refill —
-    /// the backend of `PrecondPolicy::Assembled` / `AssembledIlu0`.  One
-    /// pattern serves every scan energy, so build it once per Hamiltonian.
+    /// the backend of `PrecondPolicy::AssembledIlu0`.  One pattern serves
+    /// every scan energy, so build it once per Hamiltonian.
     pub fn qep_pattern(&self) -> cbs_sparse::AssembledPattern {
         cbs_sparse::AssembledPattern::build(&self.h00_csr(), &self.h01_csr())
     }

@@ -59,7 +59,7 @@ use crate::hierarchy::ParallelLayout;
 /// discriminants (this crate sits below `cbs-core` in the crate graph, so
 /// the policy enums themselves cannot appear here).  The discriminants
 /// match `cbs_core`'s: `precond` is `PrecondPolicy as u8` (0 matrix-free,
-/// 1 assembled, 2 ILU(0), 3 ILU(0)+SMW), `slices` the angular slice count
+/// 2 ILU(0), 3 ILU(0)+SMW; 1 is retired), `slices` the angular slice count
 /// (1 = single contour).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct CellId {

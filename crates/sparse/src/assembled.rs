@@ -19,9 +19,7 @@
 //!   streams (into a scratch-pooled value buffer — steady state performs no
 //!   allocation), no symbolic work, no index duplication.  The resulting
 //!   [`AssembledOp`] applies `P(z)` (and its exact adjoint) in a single CSR
-//!   traversal via the same fused kernels `CsrMatrix` uses — or via the
-//!   planar FMA kernels when the pattern's
-//!   [`KernelLayout`] is `Split`.
+//!   traversal via the same fused kernels `CsrMatrix` uses.
 //! * A refill is ILU input as much as an operator: [`AssembledOp::ilu0`]
 //!   factors a copy and leaves the operator usable,
 //!   [`AssembledOp::into_ilu0`] eliminates in the refilled buffer itself —
@@ -35,9 +33,7 @@
 //!   preconditioning.  All four substitutions are **streaming sweeps**: the
 //!   rows are visited in storage order, blocked over right-hand sides, the
 //!   adjoints as column scatters over the same CSR rows — bit-identical to
-//!   the textbook one-column loops.  A pattern's [`TriSchedule`]
-//!   (dependency levels plus transposed triangle indices, symbolic, computed
-//!   once on first use) is walked only under `CBS_TRI_PAR`.
+//!   the textbook one-column loops.
 
 use std::borrow::Cow;
 use std::sync::OnceLock;
@@ -45,11 +41,7 @@ use std::sync::OnceLock;
 use cbs_linalg::{CVector, Complex64};
 
 use crate::csr::{
-    spmv_adjoint_block_into, spmv_adjoint_into, spmv_block_into, spmv_into, CsrMatrix,
-};
-use crate::kernels::{
-    spmv_split_adjoint_block_into, spmv_split_adjoint_into, spmv_split_block_into, spmv_split_into,
-    KernelLayout, SplitValues, ROW_BLOCK,
+    spmv_adjoint_block_into, spmv_adjoint_into, spmv_block_into, spmv_into, CsrMatrix, ROW_BLOCK,
 };
 use crate::ops::{LinearOperator, Preconditioner};
 use crate::projector::FactoredProjector;
@@ -72,11 +64,7 @@ pub struct AssembledPattern {
     h10_vals: Vec<Complex64>,
     /// Position of the diagonal entry of each row in `col_idx`/values.
     diag_idx: Vec<usize>,
-    /// Value layout the assembled operators of this pattern run their
-    /// kernels in (captured from `CBS_KERNEL_LAYOUT` at build time).
-    layout: KernelLayout,
-    /// Triangular-solve schedule, computed lazily on first ILU(0) use and
-    /// shared by every node/energy factored on this pattern.
+    /// The pattern's [`TriSchedule`], computed on first request.
     schedule: OnceLock<TriSchedule>,
 }
 
@@ -85,10 +73,6 @@ impl AssembledPattern {
     /// same size).  The diagonal is always part of the pattern, so the
     /// energy shift `E` and the ILU(0) pivots have a home even where the
     /// blocks store no diagonal entry.
-    ///
-    /// The kernel layout of the pattern's assembled operators is read from
-    /// the `CBS_KERNEL_LAYOUT` environment variable here (override with
-    /// [`with_layout`](Self::with_layout)).
     pub fn build(h00: &CsrMatrix, h01: &CsrMatrix) -> Self {
         assert_eq!(h00.nrows(), h00.ncols(), "H00 must be square");
         assert_eq!(h01.nrows(), h01.ncols(), "H01 must be square");
@@ -140,22 +124,8 @@ impl AssembledPattern {
             h01_vals,
             h10_vals,
             diag_idx,
-            layout: KernelLayout::from_env(),
             schedule: OnceLock::new(),
         }
-    }
-
-    /// Override the kernel layout captured at build time (tests / explicit
-    /// configuration; resets nothing else — the symbolic structure and any
-    /// computed [`TriSchedule`] are layout-independent).
-    pub fn with_layout(mut self, layout: KernelLayout) -> Self {
-        self.layout = layout;
-        self
-    }
-
-    /// The kernel layout the pattern's assembled operators run.
-    pub fn layout(&self) -> KernelLayout {
-        self.layout
     }
 
     /// Dimension of the (square) operator.
@@ -195,9 +165,8 @@ impl AssembledPattern {
     }
 
     /// The dependency-level structure of this pattern's triangular solves,
-    /// computed on first use and shared by every ILU(0) factorization on
-    /// the pattern.  Only the `CBS_TRI_PAR` level walk reads it; the default
-    /// streaming sweeps never build it.
+    /// computed on first use.  A vestige: no solve reads it (see
+    /// [`TriSchedule`]).
     pub fn tri_schedule(&self) -> &TriSchedule {
         self.schedule
             .get_or_init(|| TriSchedule::build(&self.row_ptr, &self.col_idx, &self.diag_idx))
@@ -226,7 +195,7 @@ impl AssembledPattern {
             for &d in &self.diag_idx {
                 values[d] += e;
             }
-            AssembledOp { pattern: self, z, values, split: OnceLock::new() }
+            AssembledOp { pattern: self, z, values }
         })
     }
 }
@@ -235,19 +204,13 @@ impl AssembledPattern {
 /// array.  Applies in a single CSR traversal ([`traversal_weight`] 1, vs 3
 /// for the matrix-free QEP operator) through the same fused kernels as
 /// [`CsrMatrix`], adjoint included (exact conjugate-transpose scatter, no
-/// Hermiticity assumption).  Under [`KernelLayout::Split`] the applies run
-/// the planar FMA kernels instead (≤ 1e-14 columnwise agreement, not
-/// bitwise — see [`crate::kernels`]).
+/// Hermiticity assumption).
 ///
 /// [`traversal_weight`]: LinearOperator::traversal_weight
 pub struct AssembledOp<'p> {
     pattern: &'p AssembledPattern,
     z: Complex64,
     values: Vec<Complex64>,
-    /// Planar twin of `values`, built by the first apply under the `Split`
-    /// layout: a refill that only feeds a factorization
-    /// ([`into_ilu0`](Self::into_ilu0)) never pays for it.
-    split: OnceLock<SplitValues>,
 }
 
 impl<'p> AssembledOp<'p> {
@@ -266,23 +229,10 @@ impl<'p> AssembledOp<'p> {
         self.pattern
     }
 
-    /// The planar twin of the values under the `Split` layout, `None` under
-    /// `Interleaved`.
-    fn split(&self) -> Option<&SplitValues> {
-        (self.pattern.layout == KernelLayout::Split).then(|| {
-            self.split.get_or_init(|| {
-                let mut s = SplitValues::take();
-                s.refill(&self.values);
-                s
-            })
-        })
-    }
-
     /// ILU(0)-factor this operator.  The factorization borrows the shared
     /// pattern (reusing its precomputed diagonal positions — no per-node
     /// rescan) and owns only its `nnz` factor values (scratch-pooled across
-    /// nodes).  The pattern's [`TriSchedule`] is built only if a sweep runs
-    /// under `CBS_TRI_PAR`.
+    /// nodes).
     pub fn ilu0(&self) -> Ilu0<'p> {
         self.factor(crate::scratch::copy_to_scratch(&self.values))
     }
@@ -304,7 +254,6 @@ impl<'p> AssembledOp<'p> {
             &self.pattern.col_idx,
             Cow::Borrowed(&self.pattern.diag_idx[..]),
             lu,
-            Some(self.pattern),
         )
     }
 
@@ -328,9 +277,6 @@ impl<'p> AssembledOp<'p> {
 impl Drop for AssembledOp<'_> {
     fn drop(&mut self) {
         crate::scratch::recycle_scratch(std::mem::take(&mut self.values));
-        if let Some(s) = self.split.take() {
-            s.recycle();
-        }
     }
 }
 
@@ -344,75 +290,29 @@ impl LinearOperator for AssembledOp<'_> {
     fn apply(&self, x: &[Complex64], y: &mut [Complex64]) {
         assert_eq!(x.len(), self.pattern.n, "assembled apply: x length mismatch");
         assert_eq!(y.len(), self.pattern.n, "assembled apply: y length mismatch");
-        time_kernel(|| match self.split() {
-            Some(s) => spmv_split_into(&self.pattern.row_ptr, &self.pattern.col_idx, s, x, y),
-            None => spmv_into(&self.pattern.row_ptr, &self.pattern.col_idx, &self.values, x, y),
-        });
+        let p = self.pattern;
+        time_kernel(|| spmv_into(&p.row_ptr, &p.col_idx, &self.values, x, y));
     }
     fn apply_adjoint(&self, x: &[Complex64], y: &mut [Complex64]) {
         assert_eq!(x.len(), self.pattern.n, "assembled adjoint: x length mismatch");
         assert_eq!(y.len(), self.pattern.n, "assembled adjoint: y length mismatch");
-        time_kernel(|| match self.split() {
-            Some(s) => {
-                spmv_split_adjoint_into(&self.pattern.row_ptr, &self.pattern.col_idx, s, x, y);
-            }
-            None => {
-                spmv_adjoint_into(&self.pattern.row_ptr, &self.pattern.col_idx, &self.values, x, y);
-            }
-        });
+        let p = self.pattern;
+        time_kernel(|| spmv_adjoint_into(&p.row_ptr, &p.col_idx, &self.values, x, y));
     }
     fn apply_block(&self, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
         let n = self.pattern.n;
         assert_eq!(x.len(), n * nvecs, "assembled block apply: x slab length mismatch");
         assert_eq!(y.len(), n * nvecs, "assembled block apply: y slab length mismatch");
-        time_kernel(|| match self.split() {
-            Some(s) => spmv_split_block_into(
-                &self.pattern.row_ptr,
-                &self.pattern.col_idx,
-                s,
-                n,
-                n,
-                x,
-                y,
-                nvecs,
-            ),
-            None => spmv_block_into(
-                &self.pattern.row_ptr,
-                &self.pattern.col_idx,
-                &self.values,
-                n,
-                n,
-                x,
-                y,
-                nvecs,
-            ),
-        });
+        let p = self.pattern;
+        time_kernel(|| spmv_block_into(&p.row_ptr, &p.col_idx, &self.values, n, n, x, y, nvecs));
     }
     fn apply_adjoint_block(&self, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
         let n = self.pattern.n;
         assert_eq!(x.len(), n * nvecs, "assembled block adjoint: x slab length mismatch");
         assert_eq!(y.len(), n * nvecs, "assembled block adjoint: y slab length mismatch");
-        time_kernel(|| match self.split() {
-            Some(s) => spmv_split_adjoint_block_into(
-                &self.pattern.row_ptr,
-                &self.pattern.col_idx,
-                s,
-                n,
-                n,
-                x,
-                y,
-                nvecs,
-            ),
-            None => spmv_adjoint_block_into(
-                &self.pattern.row_ptr,
-                &self.pattern.col_idx,
-                &self.values,
-                n,
-                n,
-                x,
-                y,
-                nvecs,
-            ),
+        let p = self.pattern;
+        time_kernel(|| {
+            spmv_adjoint_block_into(&p.row_ptr, &p.col_idx, &self.values, n, n, x, y, nvecs);
         });
     }
     fn memory_bytes(&self) -> usize {
@@ -424,40 +324,18 @@ impl LinearOperator for AssembledOp<'_> {
 }
 
 /// The dependency-level structure of one assembled pattern's triangular
-/// solves, computed once ([`AssembledPattern::tri_schedule`]) and shared by
-/// every ILU(0) factorization on the pattern.
+/// solves ([`AssembledPattern::tri_schedule`]): for each of the four sweeps
+/// (forward `L`, backward `U`, adjoint-forward `U†`, adjoint-backward `L†`)
+/// the rows (resp. columns) grouped into dependency levels, plus the
+/// strict-upper and strict-lower transpose lists that turn the adjoint
+/// column scatters into gathers.  Pattern-only, no values.
 ///
-/// It is **not** part of the default solve path: [`Ilu0`] streams the rows
-/// in storage order, which needs no schedule.  The schedule exists for the
-/// `CBS_TRI_PAR` level walk, the one mode that runs independent rows
-/// concurrently.
-///
-/// Two ingredients, both pattern-only (no values):
-///
-/// * **Level schedules** — for each of the four sweeps (forward `L`,
-///   backward `U`, adjoint-forward `U†`, adjoint-backward `L†`) the rows
-///   (resp. columns) grouped into dependency levels: every row of level
-///   `ℓ` depends only on rows of levels `< ℓ`.  Executing level by level
-///   performs each row's own gather in the order of the one-column
-///   substitution, so the walk is **bit-identical** to the streaming sweeps.
-/// * **Transposed triangle indices** — the adjoint solves are column
-///   scatters in row-major storage, and a scatter cannot run rows
-///   concurrently; the strict-upper and strict-lower transpose lists
-///   (`(row, position-in-lu)` pairs per column) convert them into gathers.
-///   Iterating the `U†` lists in ascending row order and the `L†` lists in
-///   descending row order replays the scatter update order of each output
-///   element exactly, zero-skip guards included.
-///
-/// There is no crossover to record: on the 12167-point Al(100) pattern (67
-/// levels of mean width 182, 4 columns, 2 cores) the level walk loses to
-/// the streaming sweeps at every threshold — 1.2 / 1.1 ns per nnz·column
-/// (forward+backward / adjoint) streaming, against 2.7 / 3.1 ns with the
-/// threshold above every level width (the walk alone, no thread) and
-/// 7.7–15 / 8.8–16 ns once any level goes through the fork-join
-/// (thresholds 256, 64, 1; the vendored rayon spawns its workers per
-/// dispatch).  The benchmark package calls `tri_schedule`, so deleting the
-/// schedule and the knob needs a `benchmark` issue first; that is the
-/// follow-up.
+/// **A vestige.**  [`Ilu0`] streams the rows in storage order, which needs
+/// no schedule, and the level walk that read this one is deleted: on the
+/// 12167-point Al(100) pattern it cost 2.7 / 3.1 ns per nnz·column before
+/// any thread, against 1.2 / 1.1 ns streaming.  The analysis stays only
+/// because the `benchmark/` package times it (`sparse.tri_schedule_ms`);
+/// it goes with that line (ROADMAP item 1(a)).
 #[derive(Clone, Debug)]
 pub struct TriSchedule {
     /// Forward (`L y = r`) levels: `fwd_rows[fwd_level_ptr[l]..fwd_level_ptr[l+1]]`.
@@ -634,10 +512,6 @@ impl TriSchedule {
                 + self.lt_row.len()
                 + self.lt_pos.len())
     }
-
-    fn levels<'a>(ptr: &'a [usize], items: &'a [usize]) -> impl Iterator<Item = &'a [usize]> {
-        ptr.windows(2).map(move |w| &items[w[0]..w[1]])
-    }
 }
 
 /// Floor applied to vanishing ILU(0) pivots, *relative to the matrix
@@ -660,21 +534,6 @@ fn guarded(pivot: Complex64, floor: f64) -> Complex64 {
     } else {
         pivot
     }
-}
-
-/// Parse the `CBS_TRI_PAR` level-width threshold once per process: set, the
-/// sweeps leave the streaming kernel for the [`TriSchedule`] level walk, and
-/// levels with at least this many rows run their independent gathers through
-/// the rayon fork-join (the same order-preserving, join-before-return backend
-/// the `RayonExecutor` dispatches node solves through).  Unset, `0`, or
-/// unparsable keeps the streaming sweeps.
-///
-/// The level walk is **bitwise identical** to the streaming sweeps (each
-/// row's update chain is unchanged; parallel writes are scattered after the
-/// join), so the knob is *not* part of the sweep-resume fingerprint.
-fn tri_par_threshold() -> Option<usize> {
-    static THRESHOLD: OnceLock<Option<usize>> = OnceLock::new();
-    *THRESHOLD.get_or_init(|| cbs_trace::knob::<usize>("CBS_TRI_PAR").filter(|&t| t > 0))
 }
 
 /// The four triangular sweeps of an ILU(0) apply.
@@ -736,13 +595,6 @@ enum Sweep {
 /// orders cost the same.  End to end the workload's solve went from a
 /// median 19.5 s to 11.6 s over ten alternated pairs, with the SMW setup
 /// (40 columns through the same kernel) from 117–127 ms to 63–70 ms.
-///
-/// # `CBS_TRI_PAR`
-///
-/// With the knob set (or [`with_tri_par`](Self::with_tri_par)), a
-/// factorization obtained through [`AssembledOp::ilu0`] walks the pattern's
-/// [`TriSchedule`] instead: level by level, levels at least the threshold
-/// wide through the rayon fork-join.  Bitwise the streaming result.
 pub struct Ilu0<'p> {
     n: usize,
     row_ptr: &'p [usize],
@@ -751,12 +603,6 @@ pub struct Ilu0<'p> {
     lu: Vec<Complex64>,
     /// Scale-relative pivot floor fixed at factor time (see [`pivot_floor`]).
     floor: f64,
-    /// The pattern whose [`TriSchedule`] the `CBS_TRI_PAR` level walk uses;
-    /// `None` (a factorization of a bare CSR triple) always streams.
-    pattern: Option<&'p AssembledPattern>,
-    /// Minimum level width for parallel level execution (`CBS_TRI_PAR`);
-    /// `None` runs the streaming sweeps.
-    par_threshold: Option<usize>,
 }
 
 impl<'p> Ilu0<'p> {
@@ -793,7 +639,7 @@ impl<'p> Ilu0<'p> {
         values: &[Complex64],
     ) -> Self {
         let lu = crate::scratch::copy_to_scratch(values);
-        Self::factor_in_place(row_ptr, col_idx, Cow::Owned(diag_idx), lu, None)
+        Self::factor_in_place(row_ptr, col_idx, Cow::Owned(diag_idx), lu)
     }
 
     /// The factorization kernel: numeric IKJ elimination over the pattern,
@@ -806,7 +652,6 @@ impl<'p> Ilu0<'p> {
         col_idx: &'p [usize],
         diag_idx: Cow<'p, [usize]>,
         mut lu: Vec<Complex64>,
-        pattern: Option<&'p AssembledPattern>,
     ) -> Self {
         let n = row_ptr.len() - 1;
         assert_eq!(col_idx.len(), lu.len(), "ILU(0): pattern/value length mismatch");
@@ -840,16 +685,7 @@ impl<'p> Ilu0<'p> {
                 }
             }
             crate::scratch::recycle_usize_scratch(pos);
-            Self {
-                n,
-                row_ptr,
-                col_idx,
-                diag_idx,
-                lu,
-                floor,
-                pattern,
-                par_threshold: tri_par_threshold(),
-            }
+            Self { n, row_ptr, col_idx, diag_idx, lu, floor }
         })
     }
 
@@ -857,15 +693,6 @@ impl<'p> Ilu0<'p> {
     pub fn from_csr(m: &'p CsrMatrix) -> Self {
         assert_eq!(m.nrows(), m.ncols(), "ILU(0) requires a square matrix");
         Self::factor(m.row_ptr(), m.col_idx(), m.values())
-    }
-
-    /// Override the `CBS_TRI_PAR` level-width threshold (tests exercise the
-    /// level walk regardless of the environment).  The level walk is bitwise
-    /// the streaming sweeps, so this never changes results — only which
-    /// kernel runs.
-    pub fn with_tri_par(mut self, threshold: Option<usize>) -> Self {
-        self.par_threshold = threshold;
-        self
     }
 
     /// The factor values, aligned with the pattern's indices: in each row
@@ -1013,93 +840,6 @@ impl<'p> Ilu0<'p> {
             }
         }
     }
-
-    /// The forward-substitution gather of row `i`: `z_i - Σ_L lu·z`.
-    fn fwd_gather(&self, i: usize, z: &[Complex64]) -> Complex64 {
-        let mut acc = z[i];
-        for k in self.row_ptr[i]..self.diag_idx[i] {
-            acc -= self.lu[k] * z[self.col_idx[k]];
-        }
-        acc
-    }
-
-    /// The backward-substitution gather of row `i`: `(z_i - Σ_U lu·z) / pivot`.
-    fn bwd_gather(&self, i: usize, z: &[Complex64]) -> Complex64 {
-        let mut acc = z[i];
-        for k in (self.diag_idx[i] + 1)..self.row_ptr[i + 1] {
-            acc -= self.lu[k] * z[self.col_idx[k]];
-        }
-        acc / self.pivot(i)
-    }
-
-    /// The `U†` scatter of column `j` turned into a gather over its
-    /// transpose list (ascending rows, zero-skip, conjugate pivot) — the
-    /// update order of the streaming scatter.
-    fn utf_gather(&self, s: &TriSchedule, j: usize, z: &[Complex64]) -> Complex64 {
-        let mut acc = z[j];
-        for t in s.ut_ptr[j]..s.ut_ptr[j + 1] {
-            let wi = z[s.ut_row[t]];
-            if wi != Complex64::ZERO {
-                acc -= self.lu[s.ut_pos[t]].conj() * wi;
-            }
-        }
-        acc / self.pivot(j).conj()
-    }
-
-    /// The `L†` scatter of column `j` as a gather (descending rows,
-    /// zero-skip, unit diagonal).
-    fn ltb_gather(&self, s: &TriSchedule, j: usize, z: &[Complex64]) -> Complex64 {
-        let mut acc = z[j];
-        for t in (s.lt_ptr[j]..s.lt_ptr[j + 1]).rev() {
-            let xi = z[s.lt_row[t]];
-            if xi != Complex64::ZERO {
-                acc -= self.lu[s.lt_pos[t]].conj() * xi;
-            }
-        }
-        acc
-    }
-
-    /// The `CBS_TRI_PAR` walk of one sweep's dependency levels over a slab,
-    /// in place.  The rows of a level never depend on each other: a level at
-    /// least `threshold` wide computes every `(row, column)` gather from the
-    /// pre-level state through the rayon fork-join and scatters the results
-    /// after the join; a narrower one updates in place.
-    fn level_walk(
-        &self,
-        level_ptr: &[usize],
-        items: &[usize],
-        threshold: usize,
-        z: &mut [Complex64],
-        gather: impl Fn(usize, &[Complex64]) -> Complex64 + Sync,
-    ) {
-        let n = self.n;
-        for level in TriSchedule::levels(level_ptr, items) {
-            if level.len() >= threshold {
-                use rayon::prelude::*;
-                let width = z.len() / n;
-                let pre = &*z;
-                let vals: Vec<Complex64> = (0..level.len() * width)
-                    .into_par_iter()
-                    .map(|t| gather(level[t / width], &pre[(t % width) * n..][..n]))
-                    .collect(); // cbs-audit: allow(A001) reason="CBS_TRI_PAR level walk only; the default streaming sweeps allocate nothing"
-                for (t, v) in vals.into_iter().enumerate() {
-                    z[(t % width) * n + level[t / width]] = v;
-                }
-            } else {
-                for zc in z.chunks_exact_mut(n) {
-                    for &i in level {
-                        zc[i] = gather(i, zc);
-                    }
-                }
-            }
-        }
-    }
-
-    /// The schedule and threshold of the `CBS_TRI_PAR` level walk, when the
-    /// knob is set and the factorization came from an assembled pattern.
-    fn level_schedule(&self) -> Option<(&'p TriSchedule, usize)> {
-        Some((self.pattern?.tri_schedule(), self.par_threshold?))
-    }
 }
 
 impl Drop for Ilu0<'_> {
@@ -1135,20 +875,8 @@ impl Preconditioner for Ilu0<'_> {
         time_tri_sweep(|| {
             let z = &mut z[..self.n * nvecs];
             z.copy_from_slice(&r[..self.n * nvecs]);
-            match self.level_schedule() {
-                None => {
-                    self.stream(Sweep::Forward, z);
-                    self.stream(Sweep::Backward, z);
-                }
-                Some((s, t)) => {
-                    self.level_walk(&s.fwd_level_ptr, &s.fwd_rows, t, z, |i, zc| {
-                        self.fwd_gather(i, zc)
-                    });
-                    self.level_walk(&s.bwd_level_ptr, &s.bwd_rows, t, z, |i, zc| {
-                        self.bwd_gather(i, zc)
-                    });
-                }
-            }
+            self.stream(Sweep::Forward, z);
+            self.stream(Sweep::Backward, z);
         });
     }
 
@@ -1158,20 +886,8 @@ impl Preconditioner for Ilu0<'_> {
         time_tri_sweep(|| {
             let z = &mut z[..self.n * nvecs];
             z.copy_from_slice(&r[..self.n * nvecs]);
-            match self.level_schedule() {
-                None => {
-                    self.stream(Sweep::AdjointForward, z);
-                    self.stream(Sweep::AdjointBackward, z);
-                }
-                Some((s, t)) => {
-                    self.level_walk(&s.utf_level_ptr, &s.utf_cols, t, z, |j, zc| {
-                        self.utf_gather(s, j, zc)
-                    });
-                    self.level_walk(&s.ltb_level_ptr, &s.ltb_cols, t, z, |j, zc| {
-                        self.ltb_gather(s, j, zc)
-                    });
-                }
-            }
+            self.stream(Sweep::AdjointForward, z);
+            self.stream(Sweep::AdjointBackward, z);
         });
     }
 }
@@ -1282,49 +998,6 @@ mod tests {
     }
 
     #[test]
-    fn split_layout_agrees_columnwise_with_interleaved() {
-        let (h00, h01) = random_blocks(17, 0.25, 912);
-        let pattern = AssembledPattern::build(&h00, &h01).with_layout(KernelLayout::Interleaved);
-        let split = pattern.clone().with_layout(KernelLayout::Split);
-        assert_eq!(split.layout(), KernelLayout::Split);
-        let op_i = pattern.assemble(0.12, c64(1.3, -0.8));
-        let op_s = split.assemble(0.12, c64(1.3, -0.8));
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(913);
-        let n = 17;
-        for nvecs in [1usize, 3, 5, 8] {
-            let x: Vec<Complex64> = CVector::random(n * nvecs, &mut rng).into_vec();
-            let mut yi = vec![Complex64::ZERO; n * nvecs];
-            let mut ys = vec![Complex64::ZERO; n * nvecs];
-            op_i.apply_block(&x, &mut yi, nvecs);
-            op_s.apply_block(&x, &mut ys, nvecs);
-            for c in 0..nvecs {
-                let norm: f64 =
-                    yi[c * n..(c + 1) * n].iter().map(|v| v.norm_sqr()).sum::<f64>().sqrt();
-                let err: f64 = yi[c * n..(c + 1) * n]
-                    .iter()
-                    .zip(&ys[c * n..(c + 1) * n])
-                    .map(|(a, b)| (*a - *b).norm_sqr())
-                    .sum::<f64>()
-                    .sqrt();
-                assert!(err <= 1e-14 * (1.0 + norm), "split column {c} err {err}");
-            }
-            op_i.apply_adjoint_block(&x, &mut yi, nvecs);
-            op_s.apply_adjoint_block(&x, &mut ys, nvecs);
-            for c in 0..nvecs {
-                let norm: f64 =
-                    yi[c * n..(c + 1) * n].iter().map(|v| v.norm_sqr()).sum::<f64>().sqrt();
-                let err: f64 = yi[c * n..(c + 1) * n]
-                    .iter()
-                    .zip(&ys[c * n..(c + 1) * n])
-                    .map(|(a, b)| (*a - *b).norm_sqr())
-                    .sum::<f64>()
-                    .sqrt();
-                assert!(err <= 1e-14 * (1.0 + norm), "split adjoint column {c} err {err}");
-            }
-        }
-    }
-
-    #[test]
     fn assembled_adjoint_is_exact_and_weight_is_one() {
         let (h00, h01) = random_blocks(12, 0.2, 906);
         let pattern = AssembledPattern::build(&h00, &h01);
@@ -1363,78 +1036,30 @@ mod tests {
         assert!((&xt - &x_true).norm() < 1e-10 * x_true.norm(), "adjoint ILU solve wrong");
     }
 
-    #[test]
-    fn level_walk_is_bitwise_the_streaming_sweeps() {
-        let (h00, h01) = random_blocks(19, 0.2, 914);
-        let pattern = AssembledPattern::build(&h00, &h01);
-        let op = pattern.assemble(0.07, c64(1.4, 0.6));
-        // `ilu0()` streams; `with_tri_par` moves the same factors onto the
-        // pattern's level schedule (threshold 1: every level through rayon,
-        // threshold MAX: every level in place); a pattern-free twin has no
-        // schedule to walk and streams whatever the threshold.
-        let streaming = op.ilu0().with_tri_par(None);
-        let bare =
-            Ilu0::factor(pattern.row_ptr.as_slice(), pattern.col_idx.as_slice(), op.values())
-                .with_tri_par(Some(1));
-        assert_eq!(streaming.lu(), bare.lu(), "factor values must agree bitwise");
-        let schedule = pattern.tri_schedule();
-        assert!(schedule.forward_levels() >= 1);
-        assert!(schedule.backward_levels() >= 1);
-        assert!(schedule.memory_bytes() > 0);
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(915);
-        let n = pattern.dim();
-        for threshold in [1, usize::MAX] {
-            let levels = op.ilu0().with_tri_par(Some(threshold));
-            let mut r = CVector::random(n, &mut rng).into_vec();
-            r[2] = Complex64::ZERO; // exercise the zero-skip guards
-            let mut z_stream = vec![Complex64::ZERO; n];
-            let mut z = vec![Complex64::ZERO; n];
-            streaming.solve(&r, &mut z_stream);
-            levels.solve(&r, &mut z);
-            assert_eq!(z, z_stream, "level walk (threshold {threshold}) differs");
-            bare.solve(&r, &mut z);
-            assert_eq!(z, z_stream, "pattern-free factorization differs");
-            streaming.solve_adjoint(&r, &mut z_stream);
-            levels.solve_adjoint(&r, &mut z);
-            assert_eq!(z, z_stream, "adjoint level walk (threshold {threshold}) differs");
-            bare.solve_adjoint(&r, &mut z);
-            assert_eq!(z, z_stream, "pattern-free adjoint differs");
-        }
-    }
-
     /// `into_ilu0` eliminates in the buffer the refill filled: the factors of
     /// the copying `ilu0`, bit for bit, in one pooled `nnz`-sized array where
-    /// that route holds two — and, under the `Split` layout, without the
-    /// planar copy only an apply needs.
+    /// that route holds two.
     #[test]
     fn into_ilu0_is_ilu0_bitwise_in_the_refills_own_buffer() {
         let (h00, h01) = random_blocks(23, 0.2, 916);
         let (e, z) = (0.07, c64(1.4, 0.6));
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(917);
         let r = CVector::random(23 * 3, &mut rng).into_vec();
-        for layout in [KernelLayout::Interleaved, KernelLayout::Split] {
-            let pattern = AssembledPattern::build(&h00, &h01).with_layout(layout);
-            let op = pattern.assemble(e, z);
-            assert!(op.split.get().is_none(), "a refill builds no planar copy");
-            let copied = op.ilu0();
-            let in_place = pattern.assemble(e, z).into_ilu0();
-            assert_eq!(in_place.lu(), copied.lu());
-            assert_eq!(in_place.floor.to_bits(), copied.floor.to_bits());
-            let (mut za, mut zb) = (r.clone(), r.clone());
-            in_place.solve_block(&r, &mut za, 3);
-            copied.solve_block(&r, &mut zb, 3);
-            assert_eq!(za, zb);
-            in_place.solve_adjoint_block(&r, &mut za, 3);
-            copied.solve_adjoint_block(&r, &mut zb, 3);
-            assert_eq!(za, zb);
-            // The first apply is what pays for the planes.
-            let _ = op.apply_vec(&CVector::random(23, &mut rng));
-            assert_eq!(op.split.get().is_some(), layout == KernelLayout::Split);
-        }
+        let pattern = AssembledPattern::build(&h00, &h01);
+        let copied = pattern.assemble(e, z).ilu0();
+        let in_place = pattern.assemble(e, z).into_ilu0();
+        assert_eq!(in_place.lu(), copied.lu());
+        assert_eq!(in_place.floor.to_bits(), copied.floor.to_bits());
+        let (mut za, mut zb) = (r.clone(), r.clone());
+        in_place.solve_block(&r, &mut za, 3);
+        copied.solve_block(&r, &mut zb, 3);
+        assert_eq!(za, zb);
+        in_place.solve_adjoint_block(&r, &mut za, 3);
+        copied.solve_adjoint_block(&r, &mut zb, 3);
+        assert_eq!(za, zb);
 
         // A fresh thread starts with an empty pool, so what a node job
         // leaves in it is what the job held.
-        let pattern = AssembledPattern::build(&h00, &h01);
         let nnz_sized_buffers_held = |job: fn(&AssembledPattern, f64, Complex64)| {
             let pooled = std::thread::scope(|s| {
                 s.spawn(|| {

@@ -229,13 +229,6 @@ impl CsrMatrix {
         });
     }
 
-    /// The value array split into planar `re[]` / `im[]` form, for the
-    /// [`KernelLayout::Split`](crate::KernelLayout::Split) kernels (tests
-    /// and benches; the assembled operator refills its planes per node).
-    pub fn split_values(&self) -> crate::SplitValues {
-        crate::SplitValues::from_values(&self.values)
-    }
-
     /// Fused block kernel `Y = A X` over column-major slabs (column `c` of
     /// `X` is `x[c * ncols .. (c+1) * ncols]`): the CSR values and indices
     /// are streamed once per group of up to four columns instead of once
@@ -413,26 +406,27 @@ impl LinearOperator for CsrMatrix {
 //
 // `CsrMatrix` delegates here, and so does the assembled shifted operator
 // (`crate::assembled`), whose many per-node value arrays share one symbolic
-// pattern: both storage layouts run the exact same loops, so the bitwise
+// pattern: both run the exact same loops, so the bitwise
 // column-equivalence guarantees of the block kernels hold for either.
 //
-// Layout / bitwise contract: these are the **interleaved**
-// (`KernelLayout::Interleaved`) kernels — the values array is one
-// `&[Complex64]`.  Every kernel here reproduces, per output element, the
+// Bitwise contract: every kernel here reproduces, per output element, the
 // exact accumulation order of the original scalar loops (`spmv_into` /
 // `spmv_adjoint_into`), so results are bit-identical to the column-by-column
 // reference regardless of row blocking or column-group width:
 //
 // * gather kernels accumulate each row's entries in ascending `k`, so
-//   blocking the row loop (`kernels::ROW_BLOCK`) only reorders *between*
-//   independent output elements;
+//   blocking the row loop (`ROW_BLOCK`) only reorders *between* independent
+//   output elements;
 // * scatter (adjoint) kernels zero the whole output slab once up front and
 //   then visit rows in ascending order within and across row blocks, so
 //   every `y[c]` receives its updates in the same ascending-row order as
 //   the unblocked loop, with the same per-column zero-skip guards.
-//
-// The planar-value (`KernelLayout::Split`) twins live in `crate::kernels`;
-// those trade the bitwise guarantee for FMA chains (≤ 1e-14 columnwise).
+
+/// Rows per cache block of the blocked SpMV/SpMM traversals.  One block's
+/// index + value stream (≈ `ROW_BLOCK · nnz/row · 24 B`) fits comfortably in
+/// L2 for the stencil-dominated operators of this crate, so re-streaming it
+/// once per column group is served from cache.
+pub(crate) const ROW_BLOCK: usize = 512;
 
 /// `y = A x` over a raw CSR triple (serial kernel).
 pub(crate) fn spmv_into(
@@ -477,7 +471,7 @@ pub(crate) fn spmv_adjoint_into(
 /// Fused block kernel `Y = A X` over a raw CSR triple; see
 /// [`CsrMatrix::matvec_block_into`] for the layout and bitwise contract.
 ///
-/// Row-blocked traversal: the outer loop walks [`crate::kernels::ROW_BLOCK`]
+/// Row-blocked traversal: the outer loop walks [`ROW_BLOCK`]
 /// rows at a time and re-streams that block's index/value stream across all
 /// 4/2/1-wide column groups while it is cache-hot.  Per (row, column) the
 /// accumulation order is unchanged, so the blocking is bitwise-invisible.
@@ -494,7 +488,7 @@ pub(crate) fn spmv_block_into(
 ) {
     let mut r0 = 0;
     while r0 < nr {
-        let r1 = (r0 + crate::kernels::ROW_BLOCK).min(nr);
+        let r1 = (r0 + ROW_BLOCK).min(nr);
         let mut j = 0;
         while j + 4 <= nvecs {
             let (x0, rest) = x[j * nc..].split_at(nc);
@@ -582,7 +576,7 @@ pub(crate) fn spmv_adjoint_block_into(
     }
     let mut r0 = 0;
     while r0 < nr {
-        let r1 = (r0 + crate::kernels::ROW_BLOCK).min(nr);
+        let r1 = (r0 + ROW_BLOCK).min(nr);
         let mut j = 0;
         while j + 4 <= nvecs {
             let (x0, rest) = x[j * nr..].split_at(nr);

@@ -14,9 +14,9 @@
 //!   ILU(0) can factor),
 //! * [`Ilu0`] / [`Preconditioner`] — complex ILU(0) whose forward/backward
 //!   and adjoint triangular solves stream the factor rows in storage order
-//!   (blocked over right-hand sides) for the preconditioned dual BiCG;
-//!   [`TriSchedule`], the dependency-level structure of a pattern, is walked
-//!   only under `CBS_TRI_PAR`,
+//!   (blocked over right-hand sides) for the preconditioned dual BiCG
+//!   ([`TriSchedule`], the dependency-level analysis of a pattern, is a
+//!   vestige no solve reads),
 //! * [`FactoredProjector`] — the non-local projector part of `P(z)` kept in
 //!   factored low-rank form alongside an assembled CSR part,
 //! * [`SmwPrecond`] — the Sherman-Morrison-Woodbury completion folding that
@@ -25,8 +25,6 @@
 //!   over `f64` coefficients (real×complex arithmetic, explicit `H₀₁ᵀ`, no
 //!   scratch slab): what the matrix-free path runs whenever both blocks
 //!   expose real [`LinearOperator::sparse_lowrank_parts`],
-//! * [`KernelLayout`] / [`SplitValues`] — the interleaved-vs-planar value
-//!   layout experiment of the CSR kernels (`CBS_KERNEL_LAYOUT`),
 //! * composition helpers ([`SumOp`], [`ScaledOp`], [`ShiftedOp`], [`DenseOp`],
 //!   [`IdentityOp`]) used to build the QEP operator `P(z)`.
 
@@ -34,7 +32,6 @@
 
 pub mod assembled;
 pub mod csr;
-pub mod kernels;
 pub mod lowrank;
 pub mod ops;
 pub mod projector;
@@ -45,7 +42,6 @@ pub mod timers;
 
 pub use assembled::{AssembledOp, AssembledPattern, Ilu0, TriSchedule};
 pub use csr::{CooBuilder, CsrMatrix};
-pub use kernels::{simd_mode, KernelLayout, SimdMode, SplitValues};
 pub use lowrank::{LowRankOp, RankOneTerm, SparseVec};
 pub use ops::{
     adjoint_defect, DenseOp, IdentityOp, LinearOperator, Preconditioner, ScaledOp, ShiftedOp, SumOp,

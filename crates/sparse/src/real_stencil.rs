@@ -33,7 +33,7 @@
 use cbs_linalg::Complex64;
 
 use crate::csr::CsrMatrix;
-use crate::kernels::ROW_BLOCK;
+use crate::csr::ROW_BLOCK;
 use crate::lowrank::LowRankOp;
 
 /// Real compressed-sparse-row storage: `f64` values, `u32` indices and row

@@ -17,7 +17,6 @@ use cbs_linalg::Complex64;
 thread_local! {
     static POOL: RefCell<Vec<Vec<Complex64>>> = const { RefCell::new(Vec::new()) };
     static POOL_USIZE: RefCell<Vec<Vec<usize>>> = const { RefCell::new(Vec::new()) };
-    static POOL_F64: RefCell<Vec<Vec<f64>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Run `f` with a zeroed scratch slice of length `len` drawn from the
@@ -82,19 +81,6 @@ pub(crate) fn take_usize_scratch(len: usize, fill: usize) -> Vec<usize> {
 /// Return a `usize` scratch buffer to the current thread's pool.
 pub(crate) fn recycle_usize_scratch(buf: Vec<usize>) {
     POOL_USIZE.with(|p| p.borrow_mut().push(buf));
-}
-
-/// Owned, emptied `f64` scratch (crate-internal: the planar value planes of
-/// the split kernel layout; callers `extend` it to the length they need).
-pub(crate) fn take_f64_scratch() -> Vec<f64> {
-    let mut buf = POOL_F64.with(|p| p.borrow_mut().pop()).unwrap_or_default();
-    buf.clear();
-    buf
-}
-
-/// Return an `f64` scratch buffer to the current thread's pool.
-pub(crate) fn recycle_f64_scratch(buf: Vec<f64>) {
-    POOL_F64.with(|p| p.borrow_mut().push(buf));
 }
 
 #[cfg(test)]

@@ -155,13 +155,16 @@ impl std::error::Error for CheckpointError {}
 //       `AssembledIlu0` / `AssembledIlu0Smw` over such blocks now applies
 //       `P(z)` through the real stencil instead of the assembled CSR (the
 //       refill only feeds the factorization), so its trajectory differs
-//       from a v8 one's in rounding.
+//       from a v8 one's in rounding,
+//   v10 three policies: the kernel-layout slot left the fingerprint, and
+//       policy code 1 (the unpreconditioned assembled CSR, a v9 default
+//       sweep's policy) is retired — `SsConfig::paper()` now means code 2.
 // There is exactly one compatibility rule: the version found must be the
 // current one.  Anything else announcing itself through the shared magic
 // prefix is refused with [`CheckpointError::IncompatibleVersion`], naming
 // both versions, rather than read with silently zeroed or misaligned
 // fields.
-const MAGIC: &str = "cbs-sweep-checkpoint v9";
+const MAGIC: &str = "cbs-sweep-checkpoint v10";
 
 /// Prefix shared by every version's magic line; anything with this prefix
 /// but the wrong version is an incompatible (not malformed) checkpoint.
@@ -657,12 +660,13 @@ mod tests {
         // right-hand side); v6 carries a block-policy column in its auto
         // section; v7 parses field for field but was written by the
         // three-pass matrix-free apply, v8 by ILU sweeps that applied the
-        // assembled CSR.  All must hit the dedicated
+        // assembled CSR; v9 fingerprints carry a kernel-layout slot and its
+        // default sweeps ran the retired policy 1.  All must hit the dedicated
         // incompatible-version path, and the error message must name the
         // version found *and* the one expected.  A format from the future
         // is refused the same way — there is one check, not one per
         // version.
-        for version in ["v4", "v5", "v6", "v7", "v8", "v10"] {
+        for version in ["v4", "v5", "v6", "v7", "v8", "v9", "v11"] {
             let stale = format!("cbs-sweep-checkpoint {version}");
             match SweepCheckpoint::parse(&relabelled(version)) {
                 Err(CheckpointError::IncompatibleVersion { ref found }) => {
@@ -675,7 +679,7 @@ mod tests {
                 other => panic!("{version}: expected IncompatibleVersion, got {other:?}"),
             }
         }
-        assert!(SweepCheckpoint::parse(&relabelled("v9")).is_ok(), "v9 is the current format");
+        assert!(SweepCheckpoint::parse(&relabelled("v10")).is_ok(), "v10 is the current format");
     }
 
     #[test]
@@ -707,7 +711,14 @@ mod tests {
         assert_eq!(back.auto, cp.auto);
         assert_eq!(back.auto.as_ref().unwrap().cell().precond, PrecondPolicy::AssembledIlu0);
         // A corrupted policy discriminant is malformed, not silently mapped.
-        let bad = text.replacen("cell 2 1", "cell 9 1", 1);
-        assert!(matches!(SweepCheckpoint::parse(&bad), Err(CheckpointError::Malformed(_))));
+        // Code 1 is retired, not reused: a cell or a probe row carrying it
+        // is refused like any other unknown discriminant.
+        for (good, bad) in
+            [("cell 2 1", "cell 9 1"), ("cell 2 1", "cell 1 1"), ("sample 0 c12 ", "sample 1 c12 ")]
+        {
+            assert!(text.contains(good), "{good}");
+            let bad = text.replacen(good, bad, 1);
+            assert!(matches!(SweepCheckpoint::parse(&bad), Err(CheckpointError::Malformed(_))));
+        }
     }
 }

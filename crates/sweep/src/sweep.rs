@@ -32,7 +32,7 @@ use cbs_linalg::CVector;
 use cbs_parallel::{
     CalibrationSample, CellId, CostModel, SerialExecutor, TaskExecutor, WorkloadSpec,
 };
-use cbs_sparse::{AssembledPattern, FactoredProjector, KernelLayout, LinearOperator};
+use cbs_sparse::{AssembledPattern, FactoredProjector, LinearOperator};
 use cbs_trace::TraceHandle;
 use serde::{Deserialize, Serialize};
 
@@ -456,18 +456,12 @@ impl<'a> EnergySweep<'a> {
         // pattern (or vice versa) — the two trajectories differ bitwise.
         let assembled_effective = ss_eff.precond.is_assembled() && self.pattern.is_some();
         fingerprint.push(assembled_effective as u64);
-        // Two further arithmetic-changing knobs of the assembled path: a
+        // One further arithmetic-changing input of the assembled path: a
         // non-empty factored projector (CSR + low-rank split instead of the
-        // expanded pattern) and the planar kernel layout (non-bitwise FMA
-        // kernels).  Either one changes the trajectory bitwise, so both are
-        // part of the resume contract.
+        // expanded pattern) changes the trajectory bitwise, so it is part of
+        // the resume contract.
         fingerprint.push(
             (assembled_effective && self.projector.as_ref().is_some_and(|p| !p.is_empty())) as u64,
-        );
-        fingerprint.push(
-            (assembled_effective
-                && self.pattern.as_ref().is_some_and(|p| p.layout() == KernelLayout::Split))
-                as u64,
         );
         // Auto-tuning joins the resume contract: the flag itself (an auto
         // and a fixed sweep of the same nominal config must not share
@@ -601,7 +595,7 @@ impl<'a> EnergySweep<'a> {
         )))
     }
 
-    /// Run the calibration probe: solve the first scan energy under 2-3
+    /// Run the calibration probe: solve the first scan energy under 1-2
     /// candidate policy cells with a reduced configuration, fit a
     /// [`CostModel`] from the measured counters + stage wall-ns, and commit
     /// the predicted winner (slice count included).
@@ -630,7 +624,7 @@ impl<'a> EnergySweep<'a> {
         // would silently fall back to matrix-free, so that one cell is
         // probed (its sample still feeds the slice tuner).
         let candidates: &[PrecondPolicy] = if self.pattern.is_some() {
-            &[PrecondPolicy::MatrixFree, PrecondPolicy::Assembled, PrecondPolicy::AssembledIlu0]
+            &[PrecondPolicy::MatrixFree, PrecondPolicy::AssembledIlu0]
         } else {
             &[PrecondPolicy::MatrixFree]
         };

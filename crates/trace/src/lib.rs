@@ -128,8 +128,8 @@ pub const POLICY_UNSET: u8 = u8::MAX;
 ///
 /// Fields are set to [`CTX_UNSET`] / [`POLICY_UNSET`] when unknown (e.g.
 /// spans recorded outside any solve).  The policy byte uses the encoding of
-/// `cbs_core::PrecondPolicy::trace_code` (0 = matrix-free, 1 = assembled,
-/// 2 = assembled-ilu0).
+/// `cbs_core::PrecondPolicy::trace_code` (0 = matrix-free,
+/// 2 = assembled-ilu0, 3 = assembled-ilu0-smw; 1 is retired).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SpanCtx {
     /// Scan-energy index within the sweep grid.
@@ -182,7 +182,6 @@ impl Default for SpanCtx {
 pub fn policy_name(code: u8) -> Option<&'static str> {
     match code {
         0 => Some("matrix-free"),
-        1 => Some("assembled"),
         2 => Some("assembled-ilu0"),
         3 => Some("assembled-ilu0-smw"),
         _ => None,

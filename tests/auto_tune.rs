@@ -14,7 +14,7 @@
 //!   ~2.9x wall because the solve volume at least doubles while extraction
 //!   is a fraction of a percent of the sweep).
 
-use cbs::core::SsConfig;
+use cbs::core::{PrecondPolicy, SsConfig};
 use cbs::dft::BlockHamiltonian;
 use cbs::parallel::{
     CalibrationSample, CellId, CostModel, RayonExecutor, SerialExecutor, TaskExecutor, WorkloadSpec,
@@ -85,7 +85,12 @@ fn auto_sweep_is_bitwise_the_fixed_cell_it_selects() {
         .expect("no checkpoint I/O")
         .expect_complete("no budget set");
     let decision = auto_run.auto.clone().expect("auto sweep must commit a decision");
-    assert!(decision.probe.len() >= 2, "probe must measure at least two candidate cells");
+    let ladder: Vec<PrecondPolicy> = decision.probe.iter().map(|s| s.precond).collect();
+    assert_eq!(
+        ladder,
+        [PrecondPolicy::MatrixFree, PrecondPolicy::AssembledIlu0],
+        "with a pattern attached the probe measures the two-cell ladder"
+    );
     // Probe counters are the deterministic leg of every sample.
     for s in &decision.probe {
         assert!(s.iterations > 0, "probe sample with zero iterations");

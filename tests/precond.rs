@@ -3,19 +3,19 @@
 //!
 //! * counter-locked: on the fig6 Al(100) system the assembled operator
 //!   performs exactly 1/3 of the generic matrix-free composition's storage
-//!   traversals per BiCG iteration (one CSR walk instead of H₀₀ + H₀₁ +
-//!   H₀₁†), and exactly as many as the real stencil's one row pass;
+//!   traversals per matvec (one CSR walk instead of H₀₀ + H₀₁ + H₀₁†), and
+//!   exactly as many as the real stencil's one row pass;
 //! * ILU(0) preconditioning reduces the total BiCG iteration count at equal
 //!   tolerance while finding the same physics;
 //! * serial and rayon executors stay bit-identical within every policy;
-//! * the default `MatrixFree` path is bitwise the same, pattern attached
-//!   or not;
+//! * the `MatrixFree` path is bitwise the same, pattern attached or not,
+//!   and the default policy is ILU(0) with a pattern, matrix-free without;
 //! * an assembled warm sweep checkpoints and resumes bit-identically, and
 //!   the precond policy is part of the resume fingerprint.
 
 use rand::SeedableRng;
 
-use cbs::core::{solve_qep_with, PrecondPolicy, QepProblem, SsConfig};
+use cbs::core::{solve_qep_with, PrecondPolicy, QepProblem, SsConfig, SsResult};
 use cbs::linalg::{c64, CMatrix};
 use cbs::parallel::{RayonExecutor, SerialExecutor};
 use cbs::sparse::{AssembledPattern, CsrMatrix};
@@ -29,11 +29,13 @@ fn fig6_config(precond: PrecondPolicy) -> SsConfig {
 }
 
 /// Counter-locked traversal ratio: with the iteration count pinned (a
-/// tolerance no solve can reach), the assembled path must perform *exactly*
-/// `1/w` of the matrix-free path's solve-phase storage traversals — per
-/// iteration, per node, in total — where `w` is the weight the matrix-free
-/// operator reports: 3 for the generic composition (plain CSR operators
-/// expose no parts), 1 for the real stencil (`BlockOp` does).
+/// tolerance no solve can reach), the assembled operator — what the ILU
+/// policy applies on blocks that expose no parts (plain CSR operators) —
+/// must perform *exactly* one solve-phase storage traversal per block apply
+/// (`1 / n_rh` per matvec), and the matrix-free operator `w`: 3 for the
+/// generic composition over those same CSR blocks, 1 for the real stencil
+/// (`BlockOp` exposes its parts), under the ILU policy as much as
+/// matrix-free.
 #[test]
 fn fig6_assembled_traversals_per_iteration_are_one_third_of_matrix_free() {
     let h = fig6_hamiltonian();
@@ -47,10 +49,25 @@ fn fig6_assembled_traversals_per_iteration_are_one_third_of_matrix_free() {
         majority_stop: false,
         ..fig6_config(precond)
     };
+    let ilu = pinned(PrecondPolicy::AssembledIlu0);
+    let n_rh = ilu.n_rh;
 
-    let asm_problem = QepProblem::new(&h00, &h01, 0.15, h.period()).with_pattern(&pattern);
-    let asm = solve_qep_with(&asm_problem, &pinned(PrecondPolicy::Assembled), &SerialExecutor);
-    let asm_solve = asm.total_traversals - asm.extraction_traversals;
+    // Solve-phase `traversals / matvecs`, in units of `1 / n_rh`: one block
+    // apply is `n_rh` matvecs through `weight` passes over the operator's
+    // storage.  (Extraction residual checks run matrix-free under every
+    // policy, so they are subtracted.)
+    let per_matvec = |r: &SsResult| {
+        let traversals = r.total_traversals - r.extraction_traversals;
+        let matvecs = r.total_matvecs - r.extraction_matvecs;
+        assert!(matvecs > 0);
+        assert_eq!((traversals * n_rh) % matvecs, 0, "a block apply is whole storage passes");
+        traversals * n_rh / matvecs
+    };
+
+    let asm_problem = QepProblem::new(&csr00, &csr01, 0.15, h.period()).with_pattern(&pattern);
+    let asm = solve_qep_with(&asm_problem, &ilu, &SerialExecutor);
+    assert!(asm_problem.real_stencil().is_none(), "CSR blocks keep the assembled operator");
+    assert_eq!(per_matvec(&asm), 1);
 
     let stencil_problem = QepProblem::new(&h00, &h01, 0.15, h.period());
     let generic_problem = QepProblem::new(&csr00, &csr01, 0.15, h.period());
@@ -61,27 +78,31 @@ fn fig6_assembled_traversals_per_iteration_are_one_third_of_matrix_free() {
         // Identical iteration structure...
         assert!(mf.total_bicg_iterations > 0);
         assert_eq!(mf.total_bicg_iterations, asm.total_bicg_iterations);
-        // ... and exactly `weight`x fewer solve-phase traversals (extraction
-        // residual checks run matrix-free under every policy, so they are
-        // subtracted).
-        let mf_solve = mf.total_traversals - mf.extraction_traversals;
+        // ... and exactly `weight`x the assembled operator's traversals per
+        // matvec.
         eprintln!(
-            "fig6 solve traversals: matrix-free (weight {weight}) {mf_solve} vs assembled \
-             {asm_solve} over {} iterations",
-            mf.total_bicg_iterations
+            "fig6 solve traversals per matvec: matrix-free {} (weight {weight}) vs assembled {}",
+            per_matvec(&mf),
+            per_matvec(&asm)
         );
-        assert_eq!(asm_solve * weight, mf_solve, "assembled path must cut traversals {weight}x");
+        assert_eq!(per_matvec(&mf), weight * per_matvec(&asm));
         // Extraction charges the same weight per residual check.
         assert_eq!(mf.extraction_traversals, weight * mf.extraction_matvecs);
         assert_eq!(mf.operator_assemblies, 0);
     }
+    // The ILU policy on blocks that convert applies the stencil: 1x, too.
+    let stencil_ilu_problem = QepProblem::new(&h00, &h01, 0.15, h.period()).with_pattern(&pattern);
+    let stencil_ilu = solve_qep_with(&stencil_ilu_problem, &ilu, &SerialExecutor);
+    assert!(stencil_ilu_problem.real_stencil().is_some());
+    assert_eq!(per_matvec(&stencil_ilu), 1);
     // Assembly accounting: one refill per quadrature node, none matrix-free.
     assert_eq!(asm.operator_assemblies, FIG6_SOLVED_NODES);
+    assert_eq!(stencil_ilu.operator_assemblies, FIG6_SOLVED_NODES);
 }
 
-/// Physics parity and the iteration-count lever: the assembled and
-/// ILU(0)-preconditioned policies find the matrix-free eigenpairs, and the
-/// preconditioner reduces the total BiCG iteration count at equal tolerance.
+/// Physics parity and the iteration-count lever: the ILU(0)-preconditioned
+/// policy finds the matrix-free eigenpairs, and the preconditioner reduces
+/// the total BiCG iteration count at equal tolerance.
 #[test]
 fn fig6_ilu_cuts_iterations_and_policies_agree_on_the_physics() {
     let h = fig6_hamiltonian();
@@ -93,33 +114,29 @@ fn fig6_ilu_cuts_iterations_and_policies_agree_on_the_physics() {
         solve_qep_with(&problem, &fig6_config(precond), &SerialExecutor)
     };
     let mf = solve(PrecondPolicy::MatrixFree);
-    let asm = solve(PrecondPolicy::Assembled);
     let ilu = solve(PrecondPolicy::AssembledIlu0);
 
     assert!(!mf.eigenpairs.is_empty(), "fig6 config found no eigenpairs");
-    for other in [&asm, &ilu] {
-        assert_eq!(mf.eigenpairs.len(), other.eigenpairs.len());
-        for (a, b) in mf.eigenpairs.iter().zip(&other.eigenpairs) {
-            assert!(
-                (a.lambda - b.lambda).abs() <= 1e-8 * (1.0 + a.lambda.abs()),
-                "eigenvalue drifted across policies: {:?} vs {:?}",
-                a.lambda,
-                b.lambda
-            );
-        }
+    assert_eq!(mf.eigenpairs.len(), ilu.eigenpairs.len());
+    for (a, b) in mf.eigenpairs.iter().zip(&ilu.eigenpairs) {
+        assert!(
+            (a.lambda - b.lambda).abs() <= 1e-8 * (1.0 + a.lambda.abs()),
+            "eigenvalue drifted across policies: {:?} vs {:?}",
+            a.lambda,
+            b.lambda
+        );
     }
     // The iteration-count lever, at equal tolerance.
     eprintln!(
-        "fig6 BiCG iterations: matrix-free {} / assembled {} / assembled-ilu0 {}",
-        mf.total_bicg_iterations, asm.total_bicg_iterations, ilu.total_bicg_iterations
+        "fig6 BiCG iterations: matrix-free {} / assembled-ilu0 {}",
+        mf.total_bicg_iterations, ilu.total_bicg_iterations
     );
     assert!(
-        ilu.total_bicg_iterations < asm.total_bicg_iterations,
+        ilu.total_bicg_iterations < mf.total_bicg_iterations,
         "ILU(0) did not reduce iterations: {} vs unpreconditioned {}",
         ilu.total_bicg_iterations,
-        asm.total_bicg_iterations
+        mf.total_bicg_iterations
     );
-    assert!(ilu.total_bicg_iterations < mf.total_bicg_iterations);
 }
 
 /// Serial and rayon executors are bit-identical within every policy.
@@ -130,12 +147,9 @@ fn fig6_every_policy_is_executor_independent_bitwise() {
     let (pattern_sparse, projector) = h.qep_factored();
     let h00 = h.h00();
     let h01 = h.h01();
-    for precond in [
-        PrecondPolicy::MatrixFree,
-        PrecondPolicy::Assembled,
-        PrecondPolicy::AssembledIlu0,
-        PrecondPolicy::AssembledIlu0Smw,
-    ] {
+    for precond in
+        [PrecondPolicy::MatrixFree, PrecondPolicy::AssembledIlu0, PrecondPolicy::AssembledIlu0Smw]
+    {
         let config = fig6_config(precond);
         // The SMW policy is only distinct with a projector attached — give
         // it the factored problem so the correction is actually exercised.
@@ -181,30 +195,62 @@ fn matrix_free_policy_is_bitwise_unchanged_by_pattern_attachment() {
     let with_problem = QepProblem::new(&h00, &h01, 0.15, h.period()).with_pattern(&pattern);
     let with = solve_qep_with(&with_problem, &config, &SerialExecutor);
 
-    assert_eq!(bare.eigenpairs.len(), with.eigenpairs.len());
-    for (a, b) in bare.eigenpairs.iter().zip(&with.eigenpairs) {
-        assert_eq!(a.lambda.re.to_bits(), b.lambda.re.to_bits());
-        assert_eq!(a.lambda.im.to_bits(), b.lambda.im.to_bits());
-        assert_eq!(a.residual.to_bits(), b.residual.to_bits());
-    }
-    for (ms, mw) in bare.projected_moments.iter().zip(&with.projected_moments) {
-        for r in 0..config.n_rh {
-            for c in 0..config.n_rh {
-                assert_eq!(ms[(r, c)].re.to_bits(), mw[(r, c)].re.to_bits());
-                assert_eq!(ms[(r, c)].im.to_bits(), mw[(r, c)].im.to_bits());
-            }
-        }
-    }
-    assert_eq!(bare.total_matvecs, with.total_matvecs);
-    assert_eq!(bare.total_traversals, with.total_traversals);
+    assert_same_trajectory(&bare, &with, config.n_rh);
     assert_eq!(bare.operator_assemblies, 0);
     assert_eq!(with.operator_assemblies, 0);
 }
 
+/// Two solves that took the same floating-point trajectory: eigenpairs and
+/// projected moments bit for bit, and the same operator counters.
+fn assert_same_trajectory(a: &SsResult, b: &SsResult, n_rh: usize) {
+    assert_eq!(a.eigenpairs.len(), b.eigenpairs.len());
+    for (p, q) in a.eigenpairs.iter().zip(&b.eigenpairs) {
+        assert_eq!(p.lambda.re.to_bits(), q.lambda.re.to_bits());
+        assert_eq!(p.lambda.im.to_bits(), q.lambda.im.to_bits());
+        assert_eq!(p.residual.to_bits(), q.residual.to_bits());
+    }
+    for (ma, mb) in a.projected_moments.iter().zip(&b.projected_moments) {
+        for r in 0..n_rh {
+            for c in 0..n_rh {
+                assert_eq!(ma[(r, c)].re.to_bits(), mb[(r, c)].re.to_bits());
+                assert_eq!(ma[(r, c)].im.to_bits(), mb[(r, c)].im.to_bits());
+            }
+        }
+    }
+    assert_eq!(a.total_matvecs, b.total_matvecs);
+    assert_eq!(a.total_traversals, b.total_traversals);
+    assert_eq!(a.operator_assemblies, b.operator_assemblies);
+}
+
+/// The one default policy, `SsConfig::paper()`'s, is "ILU(0) if a pattern is
+/// attached, else matrix-free": with a pattern it is the explicit
+/// `AssembledIlu0` run, without one the explicit `MatrixFree` run, bitwise.
+#[test]
+fn fig6_default_policy_is_ilu0_with_a_pattern_and_matrix_free_without() {
+    let h = fig6_hamiltonian();
+    let pattern = h.qep_pattern();
+    let h00 = h.h00();
+    let h01 = h.h01();
+    let default = common::fig6_config();
+    assert_eq!(default.precond, SsConfig::paper().precond);
+    let solve = |config: &SsConfig, attach: bool| {
+        let problem = QepProblem::new(&h00, &h01, 0.15, h.period());
+        let problem = if attach { problem.with_pattern(&pattern) } else { problem };
+        solve_qep_with(&problem, config, &SerialExecutor)
+    };
+
+    let ilu = solve(&fig6_config(PrecondPolicy::AssembledIlu0), true);
+    assert_eq!(ilu.operator_assemblies, FIG6_SOLVED_NODES);
+    assert_same_trajectory(&solve(&default, true), &ilu, default.n_rh);
+    let mf = solve(&fig6_config(PrecondPolicy::MatrixFree), false);
+    assert_eq!(mf.operator_assemblies, 0);
+    assert_same_trajectory(&solve(&default, false), &mf, default.n_rh);
+}
+
 /// The factored-projector assembled path (sparse-only pattern + low-rank
 /// tail) finds the same physics as the dense-expansion pattern on fig6
-/// Al(100), for both assembled policies — while carrying strictly fewer
-/// stored entries through every refill and ILU(0) sweep.
+/// Al(100) — while carrying strictly fewer stored entries through every
+/// refill and ILU(0) sweep.
 #[test]
 fn fig6_factored_projector_agrees_with_dense_expansion() {
     let h = fig6_hamiltonian();
@@ -220,31 +266,29 @@ fn fig6_factored_projector_agrees_with_dense_expansion() {
     );
     let h00 = h.h00();
     let h01 = h.h01();
-    for precond in [PrecondPolicy::Assembled, PrecondPolicy::AssembledIlu0] {
-        let full_problem =
-            QepProblem::new(&h00, &h01, 0.15, h.period()).with_pattern(&pattern_full);
-        let full = solve_qep_with(&full_problem, &fig6_config(precond), &SerialExecutor);
-        let fact_problem = QepProblem::new(&h00, &h01, 0.15, h.period())
-            .with_pattern(&pattern_sparse)
-            .with_projector(&projector);
-        let fact = solve_qep_with(&fact_problem, &fig6_config(precond), &SerialExecutor);
-        assert!(!full.eigenpairs.is_empty(), "{precond:?}: expansion found no eigenpairs");
-        assert_eq!(
-            full.eigenpairs.len(),
-            fact.eigenpairs.len(),
-            "{precond:?}: factored path changed the accepted set"
+    let config = fig6_config(PrecondPolicy::AssembledIlu0);
+    let full_problem = QepProblem::new(&h00, &h01, 0.15, h.period()).with_pattern(&pattern_full);
+    let full = solve_qep_with(&full_problem, &config, &SerialExecutor);
+    let fact_problem = QepProblem::new(&h00, &h01, 0.15, h.period())
+        .with_pattern(&pattern_sparse)
+        .with_projector(&projector);
+    let fact = solve_qep_with(&fact_problem, &config, &SerialExecutor);
+    assert!(!full.eigenpairs.is_empty(), "expansion found no eigenpairs");
+    assert_eq!(
+        full.eigenpairs.len(),
+        fact.eigenpairs.len(),
+        "factored path changed the accepted set"
+    );
+    for (a, b) in full.eigenpairs.iter().zip(&fact.eigenpairs) {
+        assert!(
+            (a.lambda - b.lambda).abs() <= 1e-8 * (1.0 + a.lambda.abs()),
+            "eigenvalue drifted: {:?} vs {:?}",
+            a.lambda,
+            b.lambda
         );
-        for (a, b) in full.eigenpairs.iter().zip(&fact.eigenpairs) {
-            assert!(
-                (a.lambda - b.lambda).abs() <= 1e-8 * (1.0 + a.lambda.abs()),
-                "{precond:?}: eigenvalue drifted: {:?} vs {:?}",
-                a.lambda,
-                b.lambda
-            );
-        }
-        // Both count as assembled runs (one refill per quadrature node).
-        assert_eq!(fact.operator_assemblies, full.operator_assemblies);
     }
+    // Both count as assembled runs (one refill per quadrature node).
+    assert_eq!(fact.operator_assemblies, full.operator_assemblies);
 }
 
 /// The SMW-complete preconditioner (`PrecondPolicy::AssembledIlu0Smw`):

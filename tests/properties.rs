@@ -14,8 +14,8 @@ use cbs::grid::{DomainDecomposition, FdOrder, Grid3};
 use cbs::linalg::{c64, CMatrix, CVector, Complex64};
 use cbs::parallel::DomainDecomposedOp;
 use cbs::sparse::{
-    AssembledPattern, CooBuilder, CsrMatrix, DenseOp, KernelLayout, LinearOperator, LowRankOp,
-    Preconditioner, SmwPrecond, SparseVec,
+    AssembledPattern, CooBuilder, CsrMatrix, DenseOp, LinearOperator, LowRankOp, Preconditioner,
+    SmwPrecond, SparseVec,
 };
 
 /// Circular distance from angle `t` to the arc `[lo, hi]` (all radians,
@@ -71,7 +71,7 @@ fn laplacian_like(grid: Grid3, diag: f64) -> CsrMatrix {
 /// triple holding `L` (strict lower, unit diagonal) and `U` in one array:
 /// rows ascending for `L`, descending for `U`, each row gathered left to
 /// right.  The oracle of the tri-sweep tests — independent of `Ilu0`'s
-/// kernels, tiling and schedules.
+/// kernels and tiling.
 fn oracle_solve(
     row_ptr: &[usize],
     col_idx: &[usize],
@@ -157,43 +157,34 @@ fn slab_with_zeros(n: usize, nvecs: usize, rng: &mut rand_chacha::ChaCha8Rng) ->
 }
 
 /// All four sweeps of `P(E, z)`'s ILU(0) on `pattern`, as slabs of `nvecs`
-/// columns and column by column, streaming (`None`) and on the
-/// `CBS_TRI_PAR` level walk at `threshold` and at 1 (every level through
-/// rayon), against the textbook oracle — bit for bit.
+/// columns and column by column, against the textbook oracle — bit for bit.
 fn assert_tri_sweeps_match_the_oracle(
     pattern: &AssembledPattern,
     energy: f64,
     z: Complex64,
     nvecs: usize,
-    threshold: usize,
     rng: &mut rand_chacha::ChaCha8Rng,
 ) {
     let n = pattern.dim();
-    let op = pattern.assemble(energy, z);
+    let ilu = pattern.assemble(energy, z).ilu0();
     let r = slab_with_zeros(n, nvecs, rng);
     let (mut z_ref, mut zt_ref) = (Vec::new(), Vec::new());
-    {
-        let ilu = op.ilu0();
-        for rc in r.chunks_exact(n) {
-            z_ref.extend(oracle_solve(pattern.row_ptr(), pattern.col_idx(), ilu.lu(), rc));
-            zt_ref.extend(oracle_solve_adjoint(pattern.row_ptr(), pattern.col_idx(), ilu.lu(), rc));
-        }
+    for rc in r.chunks_exact(n) {
+        z_ref.extend(oracle_solve(pattern.row_ptr(), pattern.col_idx(), ilu.lu(), rc));
+        zt_ref.extend(oracle_solve_adjoint(pattern.row_ptr(), pattern.col_idx(), ilu.lu(), rc));
     }
-    for par in [None, Some(threshold), Some(1)] {
-        let ilu = op.ilu0().with_tri_par(par);
-        let mut z = vec![Complex64::ZERO; n * nvecs];
-        ilu.solve_block(&r, &mut z, nvecs);
-        assert!(z == z_ref, "blocked sweep (par={par:?}) not bitwise the oracle");
-        ilu.solve_adjoint_block(&r, &mut z, nvecs);
-        assert!(z == zt_ref, "blocked adjoint sweep (par={par:?}) not bitwise the oracle");
-        let mut col = vec![Complex64::ZERO; n];
-        for c in 0..nvecs {
-            let cols = c * n..(c + 1) * n;
-            ilu.solve(&r[cols.clone()], &mut col);
-            assert!(col[..] == z_ref[cols.clone()], "one-column sweep (par={par:?}) column {c}");
-            ilu.solve_adjoint(&r[cols.clone()], &mut col);
-            assert!(col[..] == zt_ref[cols], "one-column adjoint sweep (par={par:?}) column {c}");
-        }
+    let mut z = vec![Complex64::ZERO; n * nvecs];
+    ilu.solve_block(&r, &mut z, nvecs);
+    assert!(z == z_ref, "blocked sweep not bitwise the oracle");
+    ilu.solve_adjoint_block(&r, &mut z, nvecs);
+    assert!(z == zt_ref, "blocked adjoint sweep not bitwise the oracle");
+    let mut col = vec![Complex64::ZERO; n];
+    for c in 0..nvecs {
+        let cols = c * n..(c + 1) * n;
+        ilu.solve(&r[cols.clone()], &mut col);
+        assert!(col[..] == z_ref[cols.clone()], "one-column sweep column {c}");
+        ilu.solve_adjoint(&r[cols.clone()], &mut col);
+        assert!(col[..] == zt_ref[cols], "one-column adjoint sweep column {c}");
     }
 }
 
@@ -402,11 +393,9 @@ proptest! {
         check!(&qep_op, "QepOperator");
     }
 
-    /// Kernel-layout equivalence for the assembled shifted operator on
-    /// arbitrary sparsity: the default `Interleaved` layout's block kernels
-    /// stay **bitwise** identical to column-by-column application, and the
-    /// opt-in `Split` (planar/FMA) layout agrees with `Interleaved`
-    /// columnwise to 1e-14 relative — in both apply directions.
+    /// The assembled shifted operator's block kernels on arbitrary
+    /// sparsity stay **bitwise** identical to column-by-column application,
+    /// in both apply directions.
     #[test]
     fn assembled_kernel_layouts_agree_for_random_sparsity(
         seed in 0u64..1000,
@@ -422,35 +411,19 @@ proptest! {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         let h00 = random_csr(n, per_row, &mut rng);
         let h01 = random_csr(n, per_row, &mut rng);
-        let inter = AssembledPattern::build(&h00, &h01).with_layout(KernelLayout::Interleaved);
-        let split = AssembledPattern::build(&h00, &h01).with_layout(KernelLayout::Split);
-        let z = c64(zre, zim);
-        let op_i = inter.assemble(energy, z);
-        let op_s = split.assemble(energy, z);
+        let pattern = AssembledPattern::build(&h00, &h01);
+        let op = pattern.assemble(energy, c64(zre, zim));
 
         let x: Vec<Complex64> = CVector::random(n * nvecs, &mut rng).into_vec();
-        let mut yi = vec![Complex64::ZERO; n * nvecs];
-        let mut ys = vec![Complex64::ZERO; n * nvecs];
+        let mut y = vec![Complex64::ZERO; n * nvecs];
         let mut col = vec![Complex64::ZERO; n];
         macro_rules! check {
             ($fwd:ident, $one:ident, $name:literal) => {
-                op_i.$fwd(&x, &mut yi, nvecs);
-                op_s.$fwd(&x, &mut ys, nvecs);
+                op.$fwd(&x, &mut y, nvecs);
                 for c in 0..nvecs {
                     let r = c * n..(c + 1) * n;
-                    // Default layout: block ≡ per-column, bitwise.
-                    op_i.$one(&x[r.clone()], &mut col);
-                    prop_assert!(yi[r.clone()] == col[..],
-                        "{} interleaved column {} not bitwise", $name, c);
-                    // Split layout: columnwise 1e-14 relative agreement.
-                    let scale = yi[r.clone()]
-                        .iter()
-                        .map(|v| v.abs())
-                        .fold(1.0f64, f64::max);
-                    for (a, b) in yi[r.clone()].iter().zip(&ys[r]) {
-                        prop_assert!((*a - *b).abs() <= 1e-14 * scale,
-                            "{} split column {} drifted: {:?} vs {:?}", $name, c, a, b);
-                    }
+                    op.$one(&x[r.clone()], &mut col);
+                    prop_assert!(y[r] == col[..], "{} column {} not bitwise", $name, c);
                 }
             };
         }
@@ -458,18 +431,15 @@ proptest! {
         check!(apply_adjoint_block, apply_adjoint, "adjoint");
     }
 
-    /// The streaming ILU(0) sweeps (blocked or one column at a time) and the
-    /// `CBS_TRI_PAR` level walk are bitwise the textbook substitution, for
-    /// arbitrary sparsity, slab widths (1..=9 covers the 4+4+1 and 2+1 tile
-    /// splits) and thresholds — the contract that keeps the parallel-sweep
-    /// knob out of the checkpoint fingerprint.
+    /// The streaming ILU(0) sweeps (blocked or one column at a time) are
+    /// bitwise the textbook substitution, for arbitrary sparsity and slab
+    /// widths (1..=9 covers the 4+4+1 and 2+1 tile splits).
     #[test]
     fn blocked_and_parallel_tri_sweeps_are_bitwise_sequential(
         seed in 0u64..1000,
         n in 6usize..60,
         per_row in 1usize..5,
         nvecs in 1usize..10,
-        threshold in 1usize..8,
         zre in -2.0f64..2.0,
         zim in -2.0f64..2.0,
         energy in -1.0f64..1.0,
@@ -480,9 +450,7 @@ proptest! {
         let h00 = random_csr(n, per_row, &mut rng);
         let h01 = random_csr(n, per_row, &mut rng);
         let pattern = AssembledPattern::build(&h00, &h01);
-        assert_tri_sweeps_match_the_oracle(
-            &pattern, energy, c64(zre, zim), nvecs, threshold, &mut rng,
-        );
+        assert_tri_sweeps_match_the_oracle(&pattern, energy, c64(zre, zim), nvecs, &mut rng);
     }
 
     /// The fused real stencil is the generic three-pass `P(z)` on random
@@ -929,15 +897,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// The same contract on a 3-D stencil of at least 1500 points: several
-    /// `ROW_BLOCK`s per sweep, dependency levels that are hyperplanes
-    /// scattered through the storage order, periodic wrap-around entries.
+    /// `ROW_BLOCK`s per sweep, periodic wrap-around entries.
     #[test]
     fn tri_sweeps_on_a_3d_stencil_are_bitwise_the_textbook_substitution(
         seed in 0u64..1000,
         nx in 11usize..14,
         ny in 11usize..14,
         nvecs in 1usize..10,
-        threshold in 8usize..200,
         zre in 0.4f64..1.6,
         zim in -1.0f64..1.0,
     ) {
@@ -953,16 +919,15 @@ proptest! {
             }
         }
         let pattern = AssembledPattern::build(&laplacian_like(grid, 6.5), &b01.build());
-        assert_tri_sweeps_match_the_oracle(
-            &pattern, 0.1, c64(zre, zim), nvecs, threshold, &mut rng,
-        );
+        assert_tri_sweeps_match_the_oracle(&pattern, 0.1, c64(zre, zim), nvecs, &mut rng);
     }
 }
 
 /// The real stencil: the 343-point Al(100) factored pattern at a quadrature
-/// node.  Streaming ≡ level walk ≡ oracle for all four sweeps, and the SMW
-/// completion — whose `2k` setup solves go through the block kernel as one
-/// wide slab — is bitwise the same preconditioner on either path.
+/// node.  Streaming ≡ oracle for all four sweeps at every slab width — that
+/// of the SMW completion's `2k` setup solves included, which go through the
+/// block kernel as one wide slab — and the completed preconditioner applies
+/// a slab bitwise as it applies its columns.
 #[test]
 fn al100_tri_sweeps_and_smw_are_bitwise_the_oracle() {
     use rand::SeedableRng;
@@ -974,22 +939,24 @@ fn al100_tri_sweeps_and_smw_are_bitwise_the_oracle() {
     assert_eq!(n, 343);
     let (energy, z) = (0.1, RingContour::new(0.5, 12).outer_points()[0].z);
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(12);
-    for (nvecs, threshold) in [(9, 16), (4, 64), (1, 2)] {
-        assert_tri_sweeps_match_the_oracle(&pattern, energy, z, nvecs, threshold, &mut rng);
+    assert!(projector.rank() > 8, "the setup slab must span several column tiles");
+    for nvecs in [9, 4, 1, projector.rank()] {
+        assert_tri_sweeps_match_the_oracle(&pattern, energy, z, nvecs, &mut rng);
     }
 
-    let op = pattern.assemble(energy, z);
-    let streaming = SmwPrecond::new(op.ilu0().with_tri_par(None), &projector, z);
-    let levels = SmwPrecond::new(op.ilu0().with_tri_par(Some(1)), &projector, z);
-    assert!(streaming.is_complete() && streaming.rank() == projector.rank());
-    assert!(projector.rank() > 8, "the setup slab must span several column tiles");
+    let smw = SmwPrecond::new(pattern.assemble(energy, z).ilu0(), &projector, z);
+    assert!(smw.is_complete() && smw.rank() == projector.rank());
     let nvecs = 5;
     let r = slab_with_zeros(n, nvecs, &mut rng);
-    let (mut zs, mut zl) = (vec![Complex64::ZERO; n * nvecs], vec![Complex64::ZERO; n * nvecs]);
-    streaming.solve_block(&r, &mut zs, nvecs);
-    levels.solve_block(&r, &mut zl, nvecs);
-    assert!(zs == zl, "SMW apply differs between streaming and level-walk setup");
-    streaming.solve_adjoint_block(&r, &mut zs, nvecs);
-    levels.solve_adjoint_block(&r, &mut zl, nvecs);
-    assert!(zs == zl, "SMW adjoint apply differs between streaming and level-walk setup");
+    let (mut zs, mut zc) = (vec![Complex64::ZERO; n * nvecs], vec![Complex64::ZERO; n]);
+    smw.solve_block(&r, &mut zs, nvecs);
+    for (rc, want) in r.chunks_exact(n).zip(zs.chunks_exact(n)) {
+        smw.solve(rc, &mut zc);
+        assert!(zc == want, "SMW slab apply is not its column applies");
+    }
+    smw.solve_adjoint_block(&r, &mut zs, nvecs);
+    for (rc, want) in r.chunks_exact(n).zip(zs.chunks_exact(n)) {
+        smw.solve_adjoint(rc, &mut zc);
+        assert!(zc == want, "SMW adjoint slab apply is not its column applies");
+    }
 }

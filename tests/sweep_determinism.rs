@@ -349,11 +349,11 @@ fn sliced_sweep_kill_resume_is_bit_identical_and_v3_is_refused() {
         }
     }
 
-    // The checkpoint on disk is v9; a v3 (pre-slicing) one is refused with
+    // The checkpoint on disk is v10; a v3 (pre-slicing) one is refused with
     // the dedicated error, not parsed into a mis-split seed bank.
     let text = std::fs::read_to_string(&path).unwrap();
-    assert!(text.starts_with("cbs-sweep-checkpoint v9"), "unexpected magic in {path:?}");
-    let v3 = text.replacen("cbs-sweep-checkpoint v9", "cbs-sweep-checkpoint v3", 1);
+    assert!(text.starts_with("cbs-sweep-checkpoint v10"), "unexpected magic in {path:?}");
+    let v3 = text.replacen("cbs-sweep-checkpoint v10", "cbs-sweep-checkpoint v3", 1);
     match cbs::sweep::SweepCheckpoint::parse(&v3) {
         Err(cbs::sweep::CheckpointError::IncompatibleVersion { found }) => {
             assert_eq!(found, "cbs-sweep-checkpoint v3");
