@@ -1,4 +1,4 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md:
+//! Ablation benchmarks for two design choices:
 //! the dual-BiCG trick (one solve serves both circles) vs independent
 //! solves, and matrix-free vs explicit-CSR application of the QEP operator.
 use cbs_core::QepProblem;

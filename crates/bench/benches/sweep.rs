@@ -2,10 +2,7 @@
 //! Al(100) multi-energy scan run cold (flat pool, no seeding — the
 //! per-energy-loop equivalent) and warm-started (dyadic wavefront with
 //! cross-energy BiCG seeding), under the operator-policy ladder
-//! (`PrecondPolicy::MatrixFree` / `AssembledIlu0` / `AssembledIlu0Smw`),
-//! and the calibrated auto-tuned cell
-//! (`SsConfig::auto()` — the probe commits a policy, and `bench_check`
-//! holds the `_auto` rows to within 10% of the best fixed row).
+//! (`PrecondPolicy::MatrixFree` / `AssembledIlu0` / `AssembledIlu0Smw`).
 //!
 //! In addition to the criterion timings, every run writes a
 //! machine-readable `BENCH_sweep.json` at the repository root — wall time,
@@ -36,7 +33,7 @@ fn small_hamiltonian() -> BlockHamiltonian {
 /// residual is ~1e-8 and — the Hamiltonian being real — only 6 nodes are
 /// solved.  Same choice, for the same reason, as `benchmark/`'s
 /// `al100_sweep8` workload.
-fn ss(precond: PrecondPolicy, slice: SlicePolicy, auto: bool) -> SsConfig {
+fn ss(precond: PrecondPolicy, slice: SlicePolicy) -> SsConfig {
     SsConfig {
         n_int: 12,
         n_mm: 4,
@@ -44,7 +41,6 @@ fn ss(precond: PrecondPolicy, slice: SlicePolicy, auto: bool) -> SsConfig {
         bicg_max_iterations: 400,
         precond,
         slice,
-        auto,
         ..SsConfig::small()
     }
 }
@@ -62,9 +58,7 @@ fn run_sweep(h: &BlockHamiltonian, energies: &[f64], config: SweepConfig) -> Swe
     let h00 = h.h00();
     let h01 = h.h01();
     let mut sweep = EnergySweep::new(&h00, &h01, h.period(), config);
-    // Auto-tuned rows need the factored operators too: the probe's
-    // preconditioner ladder is only reachable with a pattern attached.
-    if config.ss.precond.is_assembled() || config.ss.auto {
+    if config.ss.precond.is_assembled() {
         // Factored attachment: sparse-only CSR pattern + low-rank projector
         // tail, so refills and ILU(0) sweeps never touch dense projector
         // fill-in.
@@ -96,17 +90,8 @@ fn emit_bench_json(rows: &[BenchRow]) {
     out.push_str("  \"configs\": [\n");
     for (i, row) in rows.iter().enumerate() {
         let s = &row.result.stats;
-        // Auto rows report the cell the probe committed, fixed rows the
-        // configured one.
-        let (precond, slices) = match &row.result.auto {
-            Some(d) => (
-                d.precond.name().to_string(),
-                if d.slices > 1 { d.slices.to_string() } else { "single".to_string() },
-            ),
-            None => (row.precond.name().to_string(), row.slice.name()),
-        };
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"sweep\": \"{}\", \"auto\": {}, \
+            "    {{\"name\": \"{}\", \"sweep\": \"{}\", \
              \"precond\": \"{}\", \"slices\": \"{}\", \"wall_seconds\": {:.6}, \
              \"bicg_iterations\": {}, \"cold_iterations\": {}, \
              \"warm_iterations\": {}, \"matvecs\": {}, \"traversals\": {}, \
@@ -115,9 +100,8 @@ fn emit_bench_json(rows: &[BenchRow]) {
              \"precond_wall_ns\": {}, \"extraction_wall_ns\": {}}}{}\n",
             row.name,
             row.sweep,
-            row.result.auto.is_some(),
-            precond,
-            slices,
+            row.precond.name(),
+            row.slice.name(),
             row.wall_seconds,
             s.total_bicg_iterations,
             s.cold_bicg_iterations,
@@ -145,23 +129,17 @@ fn emit_bench_json(rows: &[BenchRow]) {
 fn bench_sweep(c: &mut Criterion) {
     let h = small_hamiltonian();
     let energies: Vec<f64> = (0..8).map(|i| 0.05 + 0.02 * i as f64).collect();
-    let cold = |p, s, a| SweepConfig::cold(ss(p, s, a));
-    let warm = |p, s, a| SweepConfig { initial_round: 2, ..SweepConfig::new(ss(p, s, a)) };
+    let cold = |p, s| SweepConfig::cold(ss(p, s));
+    let warm = |p, s| SweepConfig { initial_round: 2, ..SweepConfig::new(ss(p, s)) };
     let single = SlicePolicy::single();
 
-    // The benchmark matrix: (cold, warm) x {matrix-free, ilu0, ilu0+smw},
-    // the sliced-vs-single contour comparison (2-sector partition), and the
-    // calibrated auto-tuned row (`SsConfig::auto()`: the probe picks the
-    // cell; `bench_check` gates its wall to within 10% of the best fixed
-    // row of the same sweep kind).
-    let matrix: Vec<(&'static str, PrecondPolicy, SlicePolicy, bool)> = vec![
-        ("", PrecondPolicy::MatrixFree, single, false),
-        ("_ilu0", PrecondPolicy::AssembledIlu0, single, false),
-        // The auto row sits right after the ilu0 row it is expected to
-        // commit to, so the gate's comparison pair shares machine state.
-        ("_auto", PrecondPolicy::MatrixFree, single, true),
-        ("_ilu0_smw", PrecondPolicy::AssembledIlu0Smw, single, false),
-        ("_sliced2", PrecondPolicy::MatrixFree, lean_sectors(2), false),
+    // The benchmark matrix: (cold, warm) x {matrix-free, ilu0, ilu0+smw}
+    // and the sliced-vs-single contour comparison (2-sector partition).
+    let matrix: Vec<(&'static str, PrecondPolicy, SlicePolicy)> = vec![
+        ("", PrecondPolicy::MatrixFree, single),
+        ("_ilu0", PrecondPolicy::AssembledIlu0, single),
+        ("_ilu0_smw", PrecondPolicy::AssembledIlu0Smw, single),
+        ("_sliced2", PrecondPolicy::MatrixFree, lean_sectors(2)),
     ];
 
     // `CBS_BENCH_SMOKE=1` skips the sampled criterion group and keeps only
@@ -171,13 +149,13 @@ fn bench_sweep(c: &mut Criterion) {
     if !smoke {
         let mut group = c.benchmark_group("sweep_cbs");
         group.sample_size(10);
-        for &(tag, precond, slice, auto) in &matrix {
+        for &(tag, precond, slice) in &matrix {
             group.bench_function(&format!("cold_8_energies{tag}"), |b| {
-                let config = cold(precond, slice, auto);
+                let config = cold(precond, slice);
                 b.iter(|| run_sweep(&h, &energies, config));
             });
             group.bench_function(&format!("warm_8_energies{tag}"), |b| {
-                let config = warm(precond, slice, auto);
+                let config = warm(precond, slice);
                 b.iter(|| run_sweep(&h, &energies, config));
             });
         }
@@ -203,9 +181,8 @@ fn bench_sweep(c: &mut Criterion) {
         }
     });
     let mut rows = Vec::new();
-    for &(tag, precond, slice, auto) in &matrix {
-        for (sweep_kind, config) in
-            [("cold", cold(precond, slice, auto)), ("warm", warm(precond, slice, auto))]
+    for &(tag, precond, slice) in &matrix {
+        for (sweep_kind, config) in [("cold", cold(precond, slice)), ("warm", warm(precond, slice))]
         {
             let name = format!("{sweep_kind}_8_energies{tag}");
             let _warmup = run_sweep(&h, &energies, config);
@@ -213,8 +190,7 @@ fn bench_sweep(c: &mut Criterion) {
             // trace report travel together, so the attribution columns
             // stay consistent with the emitted wall clock).  The solver
             // counters are bit-deterministic, so the runs differ only by
-            // scheduler noise — which the 10% auto gate in `bench_check`
-            // is sensitive to.
+            // scheduler noise.
             let timed_run = || {
                 let session = trace_path.as_ref().and_then(|_| {
                     cbs_trace::TraceSession::begin(cbs_trace::TraceLevel::from_env())

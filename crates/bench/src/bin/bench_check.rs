@@ -27,13 +27,6 @@
 //! blocked/parallel sweep work moves.  Rows untraced on either side skip
 //! the gate.
 //!
-//! Candidate files carrying auto-tuned rows (`*_auto`, written when the
-//! bench matrix includes the `SsConfig::auto()` cell) pass an
-//! **auto-tuning** gate: per sweep kind, the auto row's wall clock must
-//! land within 10% of the best fixed row of the same kind *in the same
-//! file* — the probe's prediction, probe cost included, may not leave more
-//! than 10% on the table.  Files without auto rows skip the gate.
-//!
 //! The parser is a deliberate hand-rolled scanner (the workspace vendors no
 //! JSON reader) that understands exactly the flat row format
 //! `emit_bench_json` writes: one object per line with `"name"` and
@@ -47,10 +40,6 @@ const TOLERANCE: f64 = 0.25;
 /// Headroom on the attribution gate: stage wall-ns may exceed the measured
 /// wall clock by at most this fraction (clock-read jitter on short stages).
 const ATTRIBUTION_SLACK: f64 = 0.05;
-
-/// Maximum tolerated excess of an auto-tuned row's wall clock over the best
-/// fixed row of the same sweep kind (same file, so machine speed cancels).
-const AUTO_TOLERANCE: f64 = 0.10;
 
 /// The row every other row is normalised against: cold matrix-free per-node.
 const REFERENCE: &str = "cold_8_energies";
@@ -224,43 +213,11 @@ fn main() -> ExitCode {
         );
     }
 
-    // Auto-tuning gate: the `_auto` row of each sweep kind must land within
-    // AUTO_TOLERANCE of the best fixed row of the same kind in the same
-    // candidate file.  Wall clocks from one file share the machine, so the
-    // comparison needs no baseline normalisation; pre-auto files simply
-    // have no `_auto` rows and skip the gate.
-    for kind in ["cold", "warm"] {
-        let auto_name = format!("{kind}_8_energies_auto");
-        let Some(auto_row) = cand_rows.iter().find(|r| r.name == auto_name) else { continue };
-        let best_fixed = cand_rows
-            .iter()
-            .filter(|r| r.name.starts_with(kind) && !r.name.ends_with("_auto"))
-            .map(|r| r.wall_seconds)
-            .fold(f64::INFINITY, f64::min);
-        if !best_fixed.is_finite() {
-            continue;
-        }
-        let excess = auto_row.wall_seconds / best_fixed - 1.0;
-        let verdict = if excess > AUTO_TOLERANCE {
-            failed = true;
-            "FAIL "
-        } else {
-            "ok   "
-        };
-        println!(
-            "  {verdict}{auto_name}: {:.6}s vs best fixed {:.6}s ({:+.1}%)",
-            auto_row.wall_seconds,
-            best_fixed,
-            100.0 * excess
-        );
-    }
-
     if failed {
         eprintln!(
-            "bench_check: ratio regression beyond {:.0}%, stage attribution beyond the wall \
-             clock, or an auto-tuned row beyond {:.0}% of the best fixed cell",
-            100.0 * TOLERANCE,
-            100.0 * AUTO_TOLERANCE
+            "bench_check: ratio regression beyond {:.0}% or stage attribution beyond the wall \
+             clock",
+            100.0 * TOLERANCE
         );
         ExitCode::FAILURE
     } else {

@@ -11,6 +11,7 @@ use serde::{Deserialize, Serialize};
 use cbs_linalg::Complex64;
 use cbs_parallel::{SerialExecutor, TaskExecutor};
 use cbs_sparse::LinearOperator;
+use cbs_trace::Stage;
 
 use crate::qep::QepProblem;
 use crate::ss::{solve_qep_sliced_with, solve_qep_with, SsConfig, SsResult};
@@ -212,7 +213,6 @@ pub fn compute_cbs_with<E: TaskExecutor>(
     let mut cbs = ComplexBandStructure { points: Vec::new(), energies: energies.to_vec() };
     let mut stats = CbsStatistics::default();
     let mut per_energy = Vec::with_capacity(energies.len());
-    let stage_start = cbs_sparse::stage_snapshot();
     let cpu_start = cbs_trace::cpu_totals();
     let trace_t0 = cbs_trace::now_ns();
 
@@ -245,19 +245,18 @@ pub fn compute_cbs_with<E: TaskExecutor>(
         }
         per_energy.push(result);
     }
-    let stage = cbs_sparse::stage_delta(stage_start);
-    stats.kernel_ns = stage.kernel_ns;
-    stats.precond_ns = stage.precond_ns;
+    // CPU nanoseconds per stage over this run (summed across threads).
     let cpu_end = cbs_trace::cpu_totals();
-    stats.extraction_ns = cpu_end[cbs_trace::Stage::Extraction as usize]
-        .wrapping_sub(cpu_start[cbs_trace::Stage::Extraction as usize]);
+    let cpu = |stage: Stage| cpu_end[stage as usize].wrapping_sub(cpu_start[stage as usize]);
+    stats.kernel_ns = cpu(Stage::Kernel);
+    stats.precond_ns = cpu(Stage::IluFactor) + cpu(Stage::TriSweep);
+    stats.extraction_ns = cpu(Stage::Extraction);
     // Wall-clock attribution (span-merged across threads) is only available
     // while a session records spans; the fields stay zero otherwise.
     if let Some(agg) = cbs_trace::aggregate_window(trace_t0, cbs_trace::now_ns()) {
-        stats.kernel_wall_ns = agg.wall(cbs_trace::Stage::Kernel);
-        stats.precond_wall_ns =
-            agg.wall(cbs_trace::Stage::IluFactor) + agg.wall(cbs_trace::Stage::TriSweep);
-        stats.extraction_wall_ns = agg.wall(cbs_trace::Stage::Extraction);
+        stats.kernel_wall_ns = agg.wall(Stage::Kernel);
+        stats.precond_wall_ns = agg.wall(Stage::IluFactor) + agg.wall(Stage::TriSweep);
+        stats.extraction_wall_ns = agg.wall(Stage::Extraction);
     }
     CbsRun { cbs, stats, per_energy }
 }

@@ -49,6 +49,6 @@ pub use pool::{solve_pool, PoolGroup, PoolOutcome, PoolPolicy, ShiftedSolveOutco
 pub use qep::{QepNodeOp, QepNodePrecond, QepOperator, QepProblem, StencilCache};
 pub use ss::{
     extract_from_moments, extract_sliced, merge_claimed, solve_qep, solve_qep_sliced,
-    solve_qep_sliced_with, solve_qep_with, source_block, AutoCell, MomentAccumulator, QepEigenpair,
+    solve_qep_sliced_with, solve_qep_with, source_block, MomentAccumulator, QepEigenpair,
     SliceStats, SlicedPlan, SsConfig, SsResult, SsTimings,
 };

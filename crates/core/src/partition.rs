@@ -167,8 +167,8 @@ impl SlicePolicy {
         self.slice_count() == 1
     }
 
-    /// Read the policy from an environment variable (mirrors
-    /// [`PrecondPolicy::from_env`](crate::PrecondPolicy::from_env)): `"S"`
+    /// Read the policy from an environment variable (through
+    /// [`cbs_trace::knob()`], like every `CBS_*` knob): `"S"`
     /// selects `sectors(S)`, `"AxR"` selects `A` angular times `R` radial
     /// slices; anything else — including unset — is the default single
     /// contour.

@@ -40,8 +40,8 @@ impl BlockPolicy {
 /// policy is written ([`AssembledIlu0`](Self::AssembledIlu0), which a
 /// problem without an attached pattern runs as
 /// [`MatrixFree`](Self::MatrixFree), bitwise).  An unset or malformed
-/// `CBS_PRECOND` resolves to [`MatrixFree`](Self::MatrixFree).  The
-/// discriminants are the checkpoint and trace codes; 1 was the retired
+/// `CBS_PRECOND` leaves whatever the reading binary configured.  The
+/// discriminants are the fingerprint and trace codes; 1 was the retired
 /// unpreconditioned assembled-CSR policy and is never reused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PrecondPolicy {
@@ -70,18 +70,11 @@ pub enum PrecondPolicy {
 }
 
 impl PrecondPolicy {
-    /// Read the policy from an environment variable: `"assembled-ilu0"` /
-    /// `"ilu0"` / `"ilu"` select [`AssembledIlu0`](Self::AssembledIlu0),
-    /// `"assembled-ilu0-smw"` / `"smw"` its SMW completion; unset keeps the
-    /// [`MatrixFree`](Self::MatrixFree) env fallback and a malformed value
-    /// (the retired `"assembled"` / `"asm"` included) warns once and does
-    /// the same (via [`cbs_trace::knob()`]).
-    pub fn from_env(var: &str) -> Self {
-        cbs_trace::knob(var).unwrap_or(Self::MatrixFree)
-    }
-
-    /// Strictly parse a policy name (the `from_env` value syntax); `None`
-    /// for unrecognized names.
+    /// Strictly parse a policy name — the `CBS_PRECOND` value syntax:
+    /// `"matrix-free"` / `"mf"`, `"assembled-ilu0"` / `"ilu0"` / `"ilu"`,
+    /// `"assembled-ilu0-smw"` / `"smw"`; `None` for unrecognized names (the
+    /// retired `"assembled"` / `"asm"` included, which [`cbs_trace::knob()`]
+    /// then reports once as malformed).
     pub fn try_from_name(name: &str) -> Option<Self> {
         if name.eq_ignore_ascii_case("assembled-ilu0-smw")
             || name.eq_ignore_ascii_case("assembled_ilu0_smw")
@@ -106,12 +99,6 @@ impl PrecondPolicy {
         }
     }
 
-    /// Parse a policy name (the `from_env` value syntax); unrecognized
-    /// names fall back to [`MatrixFree`](Self::MatrixFree).
-    pub fn from_name(name: &str) -> Self {
-        Self::try_from_name(name).unwrap_or(Self::MatrixFree)
-    }
-
     /// Short name for reports.
     pub fn name(self) -> &'static str {
         match self {
@@ -133,17 +120,6 @@ impl PrecondPolicy {
     pub fn trace_code(self) -> u8 {
         self as u8
     }
-
-    /// Decode the serialized discriminant (checkpoint format; same codes
-    /// as [`trace_code`](Self::trace_code)); `None` for unknown values.
-    pub fn from_index(index: u64) -> Option<Self> {
-        match index {
-            0 => Some(Self::MatrixFree),
-            2 => Some(Self::AssembledIlu0),
-            3 => Some(Self::AssembledIlu0Smw),
-            _ => None,
-        }
-    }
 }
 
 impl cbs_trace::Knob for PrecondPolicy {
@@ -158,40 +134,34 @@ mod tests {
 
     #[test]
     fn precond_policy_env_knob_parses_like_the_other_knobs() {
-        assert_eq!(
-            PrecondPolicy::from_env("CBS_PRECOND_TEST_UNSET_VAR"),
-            PrecondPolicy::MatrixFree
-        );
         // Retired values take the malformed-value road: no parse, so the
-        // knob warns once and falls back to matrix-free.
-        for retired in ["assembled", "ASM"] {
+        // knob warns once and the caller's configured policy stands.
+        for retired in ["assembled", "ASM", "anything-else"] {
             assert_eq!(PrecondPolicy::try_from_name(retired), None);
             assert_eq!(<PrecondPolicy as cbs_trace::Knob>::parse_knob(retired), None);
-            assert_eq!(PrecondPolicy::from_name(retired), PrecondPolicy::MatrixFree);
         }
-        assert_eq!(PrecondPolicy::from_index(1), None, "code 1 is retired, never reused");
-        assert_eq!(PrecondPolicy::from_name("assembled-ilu0"), PrecondPolicy::AssembledIlu0);
-        assert_eq!(PrecondPolicy::from_name("assembled_ilu0"), PrecondPolicy::AssembledIlu0);
-        assert_eq!(PrecondPolicy::from_name("ilu"), PrecondPolicy::AssembledIlu0);
-        assert_eq!(PrecondPolicy::from_name("ILU0"), PrecondPolicy::AssembledIlu0);
-        assert_eq!(PrecondPolicy::from_name("assembled-ilu0-smw"), PrecondPolicy::AssembledIlu0Smw);
-        assert_eq!(PrecondPolicy::from_name("assembled_ilu0_smw"), PrecondPolicy::AssembledIlu0Smw);
-        assert_eq!(PrecondPolicy::from_name("ilu0-smw"), PrecondPolicy::AssembledIlu0Smw);
-        assert_eq!(PrecondPolicy::from_name("SMW"), PrecondPolicy::AssembledIlu0Smw);
-        assert_eq!(PrecondPolicy::from_name("anything-else"), PrecondPolicy::MatrixFree);
+        for (name, policy) in [
+            ("matrix-free", PrecondPolicy::MatrixFree),
+            ("MF", PrecondPolicy::MatrixFree),
+            ("assembled-ilu0", PrecondPolicy::AssembledIlu0),
+            ("assembled_ilu0", PrecondPolicy::AssembledIlu0),
+            ("ilu", PrecondPolicy::AssembledIlu0),
+            ("ILU0", PrecondPolicy::AssembledIlu0),
+            ("assembled-ilu0-smw", PrecondPolicy::AssembledIlu0Smw),
+            ("assembled_ilu0_smw", PrecondPolicy::AssembledIlu0Smw),
+            ("ilu0-smw", PrecondPolicy::AssembledIlu0Smw),
+            ("SMW", PrecondPolicy::AssembledIlu0Smw),
+        ] {
+            assert_eq!(PrecondPolicy::try_from_name(name), Some(policy), "{name}");
+            assert_eq!(<PrecondPolicy as cbs_trace::Knob>::parse_knob(name), Some(policy));
+        }
         assert_eq!(PrecondPolicy::MatrixFree.name(), "matrix-free");
         assert_eq!(PrecondPolicy::AssembledIlu0.name(), "assembled-ilu0");
         assert_eq!(PrecondPolicy::AssembledIlu0Smw.name(), "assembled-ilu0-smw");
         assert!(!PrecondPolicy::MatrixFree.is_assembled());
         assert!(PrecondPolicy::AssembledIlu0.is_assembled());
         assert!(PrecondPolicy::AssembledIlu0Smw.is_assembled());
-        for policy in [
-            PrecondPolicy::MatrixFree,
-            PrecondPolicy::AssembledIlu0,
-            PrecondPolicy::AssembledIlu0Smw,
-        ] {
-            assert_eq!(PrecondPolicy::from_index(u64::from(policy.trace_code())), Some(policy));
-        }
+        assert_eq!(PrecondPolicy::MatrixFree.trace_code(), 0);
         assert_eq!(PrecondPolicy::AssembledIlu0.trace_code(), 2);
         assert_eq!(PrecondPolicy::AssembledIlu0Smw.trace_code(), 3);
     }

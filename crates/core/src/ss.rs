@@ -110,15 +110,9 @@ pub struct SsConfig {
     /// part of the sweep checkpoint fingerprint: results are bitwise
     /// identical with tracing on or off.
     pub trace: cbs_trace::TraceLevel,
-    /// Calibrated auto-tuning (env knob `CBS_AUTO`, fingerprint class): a
-    /// sweep-level flag — `cbs-sweep` probes 1-2 candidate policy cells on
-    /// the first scan energy, fits a `cbs_parallel::CostModel` from the
-    /// measured counters + trace wall-ns, and commits the rest of the sweep
-    /// to the predicted winner.  The committed cell is recorded in the
-    /// sweep checkpoint, so kill/resume *replays* the recorded
-    /// decision instead of re-probing: results stay bit-identical to the
-    /// fixed configuration the probe selected.  Single `solve_qep` calls
-    /// ignore the flag (they have no sweep to amortize a probe over).
+    /// **Vestigial:** read by nothing.  It survives only because the repo
+    /// benchmark (`benchmark/src/workloads.rs`, out of bounds for library
+    /// PRs) writes it in a struct literal; released by ROADMAP 1(a).
     pub auto: bool,
 }
 
@@ -132,6 +126,18 @@ impl SsConfig {
     /// The parameter set used throughout the paper's serial experiments:
     /// `N_int = 32, N_mm = 8, N_rh = 16, δ = 1e-10, λ_min = 0.5`, BiCG
     /// tolerance `1e-10`.
+    ///
+    /// **The policy rule, written once:** ILU(0) if a pattern is attached,
+    /// else matrix-free ([`precond`](Self::precond)), on a single contour.
+    /// Nothing measures at run time; the rule rests on committed numbers.
+    /// `BENCH_sweep.json` (Al(100), 343 points, 8 energies, cold / warm):
+    /// ILU(0) 0.259 / 0.245 s, matrix-free 0.563 / 0.491 s, ILU(0)+SMW
+    /// 0.589 / 0.574 s, two slices 2.872 s; ILU(0) also wins at 12 167
+    /// points (the `al12k_solve_ilu0` benchmark workload).  The calibrated
+    /// tuner this replaces committed exactly this cell on every recorded
+    /// row, at 0.228 / 0.253 s — the same counters, inside the host's ±15%.
+    /// A caller who knows better sets `precond` / `slice` (bench binaries:
+    /// `CBS_PRECOND`, `CBS_SLICES`).
     pub fn paper() -> Self {
         Self {
             n_int: 32,
@@ -154,54 +160,6 @@ impl SsConfig {
     /// A cheaper configuration for unit tests and examples on small systems.
     pub fn small() -> Self {
         Self { n_int: 16, n_mm: 4, n_rh: 8, ..Self::paper() }
-    }
-
-    /// The paper configuration with calibrated auto-tuning enabled: a
-    /// sweep probes candidate policy cells on its first energy and commits
-    /// to the measured winner (see [`auto`](Self::auto)).
-    pub fn auto() -> Self {
-        Self { auto: true, ..Self::paper() }
-    }
-
-    /// Whether this run should auto-tune: the [`auto`](Self::auto) field,
-    /// or the `CBS_AUTO` env knob (fingerprint class — the chosen cell
-    /// changes results only via the policies it commits, and the committed
-    /// decision is checkpoint-recorded so resume replays it).
-    pub fn auto_enabled(&self) -> bool {
-        self.auto || cbs_trace::knob::<u64>("CBS_AUTO").is_some_and(|v| v != 0)
-    }
-
-    /// Substitute a committed auto-tuning decision into this configuration,
-    /// producing the *effective* fixed configuration the sweep runs under.
-    ///
-    /// `None` (the probe failed to fit a model — degenerate samples) falls
-    /// back to the default policy cell of [`SsConfig::default`] with a
-    /// warn-once to stderr.  Either way the returned configuration has
-    /// [`auto`](Self::auto) cleared: it *is* the decision.
-    pub fn resolve_auto(&self, cell: Option<AutoCell>) -> SsConfig {
-        match cell {
-            Some(c) => Self {
-                precond: c.precond,
-                slice: if c.slices > 1 {
-                    SlicePolicy::sectors(c.slices)
-                } else {
-                    SlicePolicy::single()
-                },
-                auto: false,
-                ..*self
-            },
-            None => {
-                static FALLBACK_WARNED: std::sync::Once = std::sync::Once::new();
-                FALLBACK_WARNED.call_once(|| {
-                    eprintln!(
-                        "cbs-core: auto-tuning probe produced no usable cost model; \
-                         falling back to the default policy cell"
-                    );
-                });
-                let d = Self::default();
-                Self { precond: d.precond, slice: d.slice, auto: false, ..*self }
-            }
-        }
     }
 
     /// Maximum number of eigenvalues the projected problem can represent.
@@ -252,18 +210,6 @@ impl SsConfig {
             ..*self
         }
     }
-}
-
-/// A committed auto-tuning decision: the policy cell the calibration probe
-/// selected.  Produced by `cbs-sweep`'s probe, consumed by
-/// [`SsConfig::resolve_auto`], and serialized into sweep checkpoints
-/// so kill/resume replays the decision instead of re-probing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AutoCell {
-    /// Committed operator representation / preconditioning.
-    pub precond: PrecondPolicy,
-    /// Committed slice count (1 = single contour).
-    pub slices: usize,
 }
 
 /// One converged eigenpair of the QEP.

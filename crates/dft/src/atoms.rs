@@ -2,7 +2,7 @@
 //! structures.
 //!
 //! The paper obtains its Kohn-Sham potential from the (non-public) RSPACE
-//! code.  As documented in `DESIGN.md`, this workspace substitutes an
+//! code.  This workspace substitutes an
 //! *empirical* norm-conserving-style pseudopotential: a short-ranged
 //! Gaussian local part plus separable Kleinman-Bylander s/p projectors.
 //! The parameters below are not fitted to experiment — they are chosen so

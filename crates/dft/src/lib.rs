@@ -1,8 +1,8 @@
 //! # cbs-dft
 //!
 //! Real-space pseudopotential Kohn-Sham substrate — the stand-in for the
-//! RSPACE DFT code that produced the paper's Hamiltonians (see `DESIGN.md`
-//! for the substitution rationale).
+//! RSPACE DFT code that produced the paper's Hamiltonians (the `atoms`
+//! module states what is substituted).
 //!
 //! The crate provides
 //!

@@ -2,7 +2,7 @@
 //! the Gaussian local potential and the separable Kleinman-Bylander
 //! projectors (s and p channels).
 //!
-//! All functions are short-ranged by construction (see `DESIGN.md`), so a
+//! All functions are short-ranged by construction, so a
 //! single shell of periodic images along the transport direction and the
 //! lateral minimum-image convention are sufficient.
 

@@ -16,11 +16,7 @@
 //! * [`PerformanceModel`] — a calibrated analytic model of an
 //!   Oakforest-PACS-like cluster used to produce the strong-scaling curves
 //!   of Figures 8-10 and the intra-node sweep of Table 2 on hardware that
-//!   cannot run 139,264 cores (see `DESIGN.md` for the substitution),
-//! * [`CostModel`] — the measured-sample cost model behind
-//!   `SsConfig::auto()`: fitted from calibration-probe counters and
-//!   trace wall-ns, it predicts sweep wall-clock per policy cell and picks
-//!   the winner with hysteresis so noisy timings cannot flip the decision.
+//!   cannot run 139,264 cores.
 
 #![warn(missing_docs)]
 
@@ -35,7 +31,6 @@ pub use executor::{
 };
 pub use hierarchy::ParallelLayout;
 pub use perf_model::{
-    default_workload, CalibrationSample, CellId, CostModel, MachineModel, PerformanceModel,
-    PredictedTime, ScalingLayer, WorkloadModel, WorkloadSpec,
+    default_workload, MachineModel, PerformanceModel, PredictedTime, ScalingLayer, WorkloadModel,
 };
 pub use schedule::SweepSchedule;

@@ -39,13 +39,13 @@ use std::borrow::Cow;
 use std::sync::OnceLock;
 
 use cbs_linalg::{CVector, Complex64};
+use cbs_trace::Stage;
 
 use crate::csr::{
     spmv_adjoint_block_into, spmv_adjoint_into, spmv_block_into, spmv_into, CsrMatrix, ROW_BLOCK,
 };
 use crate::ops::{LinearOperator, Preconditioner};
 use crate::projector::FactoredProjector;
-use crate::timers::{time_assemble, time_ilu_factor, time_kernel, time_tri_sweep};
 
 /// The shared symbolic structure of `P(z)`: the union sparsity pattern of
 /// `H₀₀`, `H₀₁`, `H₀₁†` (plus an explicit diagonal for the `E` shift), with
@@ -180,7 +180,7 @@ impl AssembledPattern {
     /// scratch pool, so per-node assembly performs no steady-state
     /// allocation.
     pub fn assemble(&self, energy: f64, z: Complex64) -> AssembledOp<'_> {
-        time_assemble(|| {
+        cbs_trace::timed(Stage::Assemble, || {
             let zinv = z.inv();
             let mut values = crate::scratch::take_scratch(0);
             values.reserve(self.nnz());
@@ -291,27 +291,31 @@ impl LinearOperator for AssembledOp<'_> {
         assert_eq!(x.len(), self.pattern.n, "assembled apply: x length mismatch");
         assert_eq!(y.len(), self.pattern.n, "assembled apply: y length mismatch");
         let p = self.pattern;
-        time_kernel(|| spmv_into(&p.row_ptr, &p.col_idx, &self.values, x, y));
+        cbs_trace::timed(Stage::Kernel, || spmv_into(&p.row_ptr, &p.col_idx, &self.values, x, y));
     }
     fn apply_adjoint(&self, x: &[Complex64], y: &mut [Complex64]) {
         assert_eq!(x.len(), self.pattern.n, "assembled adjoint: x length mismatch");
         assert_eq!(y.len(), self.pattern.n, "assembled adjoint: y length mismatch");
         let p = self.pattern;
-        time_kernel(|| spmv_adjoint_into(&p.row_ptr, &p.col_idx, &self.values, x, y));
+        cbs_trace::timed(Stage::Kernel, || {
+            spmv_adjoint_into(&p.row_ptr, &p.col_idx, &self.values, x, y);
+        });
     }
     fn apply_block(&self, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
         let n = self.pattern.n;
         assert_eq!(x.len(), n * nvecs, "assembled block apply: x slab length mismatch");
         assert_eq!(y.len(), n * nvecs, "assembled block apply: y slab length mismatch");
         let p = self.pattern;
-        time_kernel(|| spmv_block_into(&p.row_ptr, &p.col_idx, &self.values, n, n, x, y, nvecs));
+        cbs_trace::timed(Stage::Kernel, || {
+            spmv_block_into(&p.row_ptr, &p.col_idx, &self.values, n, n, x, y, nvecs);
+        });
     }
     fn apply_adjoint_block(&self, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
         let n = self.pattern.n;
         assert_eq!(x.len(), n * nvecs, "assembled block adjoint: x slab length mismatch");
         assert_eq!(y.len(), n * nvecs, "assembled block adjoint: y slab length mismatch");
         let p = self.pattern;
-        time_kernel(|| {
+        cbs_trace::timed(Stage::Kernel, || {
             spmv_adjoint_block_into(&p.row_ptr, &p.col_idx, &self.values, n, n, x, y, nvecs);
         });
     }
@@ -656,7 +660,7 @@ impl<'p> Ilu0<'p> {
         let n = row_ptr.len() - 1;
         assert_eq!(col_idx.len(), lu.len(), "ILU(0): pattern/value length mismatch");
         assert_eq!(diag_idx.len(), n, "ILU(0): diagonal index length mismatch");
-        time_ilu_factor(|| {
+        cbs_trace::timed(Stage::IluFactor, || {
             let floor = pivot_floor(&lu);
             // Scatter map column -> position within the current row.
             let mut pos = crate::scratch::take_usize_scratch(n, usize::MAX);
@@ -872,7 +876,7 @@ impl Preconditioner for Ilu0<'_> {
     fn solve_block(&self, r: &[Complex64], z: &mut [Complex64], nvecs: usize) {
         assert!(r.len() >= self.n * nvecs, "ILU block solve: r slab too short");
         assert!(z.len() >= self.n * nvecs, "ILU block solve: z slab too short");
-        time_tri_sweep(|| {
+        cbs_trace::timed(Stage::TriSweep, || {
             let z = &mut z[..self.n * nvecs];
             z.copy_from_slice(&r[..self.n * nvecs]);
             self.stream(Sweep::Forward, z);
@@ -883,7 +887,7 @@ impl Preconditioner for Ilu0<'_> {
     fn solve_adjoint_block(&self, r: &[Complex64], z: &mut [Complex64], nvecs: usize) {
         assert!(r.len() >= self.n * nvecs, "ILU adjoint block solve: r slab too short");
         assert!(z.len() >= self.n * nvecs, "ILU adjoint block solve: z slab too short");
-        time_tri_sweep(|| {
+        cbs_trace::timed(Stage::TriSweep, || {
             let z = &mut z[..self.n * nvecs];
             z.copy_from_slice(&r[..self.n * nvecs]);
             self.stream(Sweep::AdjointForward, z);

@@ -7,6 +7,7 @@
 use serde::{Deserialize, Serialize};
 
 use cbs_linalg::{CMatrix, CVector, Complex64};
+use cbs_trace::Stage;
 
 use crate::ops::LinearOperator;
 
@@ -217,14 +218,16 @@ impl CsrMatrix {
     pub fn matvec_into(&self, x: &[Complex64], y: &mut [Complex64]) {
         assert_eq!(x.len(), self.ncols, "matvec: x length mismatch");
         assert_eq!(y.len(), self.nrows, "matvec: y length mismatch");
-        crate::timers::time_kernel(|| spmv_into(&self.row_ptr, &self.col_idx, &self.values, x, y));
+        cbs_trace::timed(Stage::Kernel, || {
+            spmv_into(&self.row_ptr, &self.col_idx, &self.values, x, y);
+        });
     }
 
     /// `y = A† x` (serial kernel).
     pub fn matvec_adjoint_into(&self, x: &[Complex64], y: &mut [Complex64]) {
         assert_eq!(x.len(), self.nrows, "adjoint matvec: x length mismatch");
         assert_eq!(y.len(), self.ncols, "adjoint matvec: y length mismatch");
-        crate::timers::time_kernel(|| {
+        cbs_trace::timed(Stage::Kernel, || {
             spmv_adjoint_into(&self.row_ptr, &self.col_idx, &self.values, x, y);
         });
     }
@@ -239,7 +242,7 @@ impl CsrMatrix {
     pub fn matvec_block_into(&self, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
         assert_eq!(x.len(), self.ncols * nvecs, "block matvec: x slab length mismatch");
         assert_eq!(y.len(), self.nrows * nvecs, "block matvec: y slab length mismatch");
-        crate::timers::time_kernel(|| {
+        cbs_trace::timed(Stage::Kernel, || {
             spmv_block_into(
                 &self.row_ptr,
                 &self.col_idx,
@@ -261,7 +264,7 @@ impl CsrMatrix {
     pub fn matvec_adjoint_block_into(&self, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
         assert_eq!(x.len(), self.nrows * nvecs, "block adjoint matvec: x slab length mismatch");
         assert_eq!(y.len(), self.ncols * nvecs, "block adjoint matvec: y slab length mismatch");
-        crate::timers::time_kernel(|| {
+        cbs_trace::timed(Stage::Kernel, || {
             spmv_adjoint_block_into(
                 &self.row_ptr,
                 &self.col_idx,
@@ -300,7 +303,7 @@ impl CsrMatrix {
         }
         assert_eq!(x.len(), self.ncols);
         assert_eq!(y.len(), self.nrows);
-        crate::timers::time_kernel(|| {
+        cbs_trace::timed(Stage::Kernel, || {
             y.par_iter_mut().enumerate().for_each(|(i, yi)| {
                 let lo = self.row_ptr[i];
                 let hi = self.row_ptr[i + 1];

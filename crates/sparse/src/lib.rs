@@ -38,7 +38,6 @@ pub mod projector;
 pub mod real_stencil;
 pub mod scratch;
 pub mod smw;
-pub mod timers;
 
 pub use assembled::{AssembledOp, AssembledPattern, Ilu0, TriSchedule};
 pub use csr::{CooBuilder, CsrMatrix};
@@ -50,4 +49,3 @@ pub use projector::FactoredProjector;
 pub use real_stencil::RealStencil;
 pub use scratch::{recycle_scratch, take_scratch, with_scratch};
 pub use smw::SmwPrecond;
-pub use timers::{stage_delta, stage_snapshot, StageTimes};

@@ -10,6 +10,7 @@
 use serde::{Deserialize, Serialize};
 
 use cbs_linalg::Complex64;
+use cbs_trace::Stage;
 
 use crate::ops::LinearOperator;
 
@@ -179,7 +180,7 @@ impl LowRankOp {
         if alpha == Complex64::ZERO {
             return;
         }
-        crate::timers::time_kernel(|| {
+        cbs_trace::timed(Stage::Kernel, || {
             for t in &self.terms {
                 let scaled = alpha * t.coeff;
                 for j in 0..nvecs {
@@ -206,7 +207,7 @@ impl LowRankOp {
         if alpha == Complex64::ZERO {
             return;
         }
-        crate::timers::time_kernel(|| {
+        cbs_trace::timed(Stage::Kernel, || {
             for t in &self.terms {
                 let scaled = alpha * t.coeff.conj();
                 for j in 0..nvecs {
@@ -254,7 +255,7 @@ impl LinearOperator for LowRankOp {
     fn apply(&self, x: &[Complex64], y: &mut [Complex64]) {
         assert_eq!(x.len(), self.ncols);
         assert_eq!(y.len(), self.nrows);
-        crate::timers::time_kernel(|| {
+        cbs_trace::timed(Stage::Kernel, || {
             for v in y.iter_mut() {
                 *v = Complex64::ZERO;
             }
@@ -270,7 +271,7 @@ impl LinearOperator for LowRankOp {
         // (c |u⟩⟨v|)† = conj(c) |v⟩⟨u|
         assert_eq!(x.len(), self.nrows);
         assert_eq!(y.len(), self.ncols);
-        crate::timers::time_kernel(|| {
+        cbs_trace::timed(Stage::Kernel, || {
             for v in y.iter_mut() {
                 *v = Complex64::ZERO;
             }
@@ -285,7 +286,7 @@ impl LinearOperator for LowRankOp {
     fn apply_block(&self, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
         assert_eq!(x.len(), self.ncols * nvecs);
         assert_eq!(y.len(), self.nrows * nvecs);
-        crate::timers::time_kernel(|| {
+        cbs_trace::timed(Stage::Kernel, || {
             for v in y.iter_mut() {
                 *v = Complex64::ZERO;
             }
@@ -307,7 +308,7 @@ impl LinearOperator for LowRankOp {
     fn apply_adjoint_block(&self, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
         assert_eq!(x.len(), self.nrows * nvecs);
         assert_eq!(y.len(), self.ncols * nvecs);
-        crate::timers::time_kernel(|| {
+        cbs_trace::timed(Stage::Kernel, || {
             for v in y.iter_mut() {
                 *v = Complex64::ZERO;
             }

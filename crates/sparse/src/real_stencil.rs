@@ -31,6 +31,7 @@
 //! associated differently.
 
 use cbs_linalg::Complex64;
+use cbs_trace::Stage;
 
 use crate::csr::CsrMatrix;
 use crate::csr::ROW_BLOCK;
@@ -286,7 +287,7 @@ impl RealStencil {
             return;
         }
         let shift = Shift { e, z, zinv: z.inv() };
-        crate::timers::time_kernel(|| {
+        cbs_trace::timed(Stage::Kernel, || {
             for r0 in (0..n).step_by(ROW_BLOCK) {
                 let rows = r0..(r0 + ROW_BLOCK).min(n);
                 let mut j = 0;

@@ -36,11 +36,11 @@
 //! matrix) or a singular capacitance matrix simply drop the correction.
 
 use cbs_linalg::{CMatrix, CVector, Complex64, LuDecomposition};
+use cbs_trace::Stage;
 
 use crate::assembled::Ilu0;
 use crate::ops::Preconditioner;
 use crate::projector::FactoredProjector;
-use crate::timers::time_ilu_factor;
 
 /// The SMW-completed ILU(0) preconditioner `M = LU + U V†` (see the module
 /// docs).  Built per quadrature node via
@@ -86,7 +86,7 @@ impl<'p> SmwPrecond<'p> {
             return Self { ilu, tail: None };
         }
         assert_eq!(projector.dim(), n, "SMW: projector/ILU dimension mismatch");
-        let (u_cols, v_cols, u_slab, v_slab) = time_ilu_factor(|| {
+        let (u_cols, v_cols, u_slab, v_slab) = cbs_trace::timed(Stage::IluFactor, || {
             // Scatter the rank-one terms into sparse factor columns (the
             // apply-side products walk these) and column-major dense slabs
             // (the blocked setup sweeps consume these), in the same
@@ -129,7 +129,7 @@ impl<'p> SmwPrecond<'p> {
         let mut adv = vec![Complex64::ZERO; n * k]; // cbs-audit: allow(A001) reason="once per (pattern, z) factorization; k << n dense slabs"
         ilu.solve_block(&u_slab, &mut aiu, k);
         ilu.solve_adjoint_block(&v_slab, &mut adv, k);
-        let tail = time_ilu_factor(|| {
+        let tail = cbs_trace::timed(Stage::IluFactor, || {
             // Capacitance C = I + V†·(A⁻¹U), factored once per node; the
             // V† rows contract over the sparse bra entries only.
             let mut cap = CMatrix::zeros(k, k);

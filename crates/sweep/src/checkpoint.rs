@@ -17,55 +17,10 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use cbs_core::{AutoCell, BlockPolicy, CbsPoint, PrecondPolicy};
+use cbs_core::CbsPoint;
 use cbs_linalg::{c64, CVector};
 
 use crate::sweep::{EnergyOrigin, EnergyRecord, EnergyStats, SeedTable};
-
-/// One probe measurement of a candidate policy cell, recorded in the
-/// checkpoint for inspection and for BENCH provenance.  The counters are
-/// bit-deterministic per cell; only `wall_ns` is a measurement.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ProbeSample {
-    /// Probed operator representation.
-    pub precond: PrecondPolicy,
-    /// BiCG iterations of the probe solve.
-    pub iterations: u64,
-    /// Operator-storage traversals of the probe solve.
-    pub traversals: u64,
-    /// Numeric pattern refills of the probe solve.
-    pub assemblies: u64,
-    /// Measured wall-clock of the probe solve (nanoseconds).
-    pub wall_ns: u64,
-}
-
-/// The committed auto-tuning decision of a sweep: the selected policy cell
-/// plus the probe measurements it was derived from.  Serialized in the
-/// checkpoint so kill/resume *replays* the decision instead of re-probing
-/// — the replayed sweep is bit-identical to the uninterrupted one even
-/// though probe wall-clocks are not reproducible.
-#[derive(Clone, Debug, PartialEq)]
-pub struct AutoDecision {
-    /// **Vestigial**, always [`BlockPolicy::PerNode`] and not serialized:
-    /// kept only because the repo benchmark (`benchmark/src/layers.rs`, out
-    /// of bounds for library PRs) prints `decision.block.name()`; the next
-    /// `benchmark` issue deletes that line and this field with it.
-    pub block: BlockPolicy,
-    /// Committed operator representation / preconditioning.
-    pub precond: PrecondPolicy,
-    /// Committed slice count (1 = single contour).
-    pub slices: usize,
-    /// The probe measurements behind the decision, in probe order.
-    pub probe: Vec<ProbeSample>,
-}
-
-impl AutoDecision {
-    /// The committed policy cell, in the form
-    /// [`cbs_core::SsConfig::resolve_auto`] consumes.
-    pub fn cell(&self) -> AutoCell {
-        AutoCell { precond: self.precond, slices: self.slices }
-    }
-}
 
 /// Everything needed to resume a killed sweep bit-identically.
 #[derive(Clone, Debug, Default)]
@@ -73,10 +28,6 @@ pub struct SweepCheckpoint {
     /// Bit-exact configuration + period fingerprint
     /// ([`crate::SweepConfig::fingerprint`]).
     pub fingerprint: Vec<u64>,
-    /// The committed auto-tuning decision, when the sweep ran with
-    /// `SsConfig::auto()` / `CBS_AUTO=1`.  Resume replays this cell
-    /// instead of re-probing.
-    pub auto: Option<AutoDecision>,
     /// The initial (pre-refinement) energy grid, ascending.
     pub initial_energies: Vec<f64>,
     /// Completed energies, in completion order.
@@ -158,13 +109,16 @@ impl std::error::Error for CheckpointError {}
 //       from a v8 one's in rounding,
 //   v10 three policies: the kernel-layout slot left the fingerprint, and
 //       policy code 1 (the unpreconditioned assembled CSR, a v9 default
-//       sweep's policy) is retired — `SsConfig::paper()` now means code 2.
+//       sweep's policy) is retired — `SsConfig::paper()` now means code 2,
+//   v11 auto section and auto fingerprint slots removed (the calibrated
+//       tuner is deleted): the file loses its `auto` section and every
+//       fingerprint one slot, an auto sweep's three.
 // There is exactly one compatibility rule: the version found must be the
 // current one.  Anything else announcing itself through the shared magic
 // prefix is refused with [`CheckpointError::IncompatibleVersion`], naming
 // both versions, rather than read with silently zeroed or misaligned
 // fields.
-const MAGIC: &str = "cbs-sweep-checkpoint v10";
+const MAGIC: &str = "cbs-sweep-checkpoint v11";
 
 /// Prefix shared by every version's magic line; anything with this prefix
 /// but the wrong version is an incompatible (not malformed) checkpoint.
@@ -235,27 +189,6 @@ impl SweepCheckpoint {
             let _ = write!(out, " {f:016x}");
         }
         out.push('\n');
-        match &self.auto {
-            None => {
-                let _ = writeln!(out, "auto 0");
-            }
-            Some(d) => {
-                let _ = writeln!(out, "auto 1");
-                let _ = writeln!(out, "cell {:x} {:x}", d.precond.trace_code(), d.slices);
-                let _ = writeln!(out, "probe {:x}", d.probe.len());
-                for s in &d.probe {
-                    let _ = writeln!(
-                        out,
-                        "sample {:x} {:x} {:x} {:x} {:x}",
-                        s.precond.trace_code(),
-                        s.iterations,
-                        s.traversals,
-                        s.assemblies,
-                        s.wall_ns,
-                    );
-                }
-            }
-        }
         let _ = write!(out, "grid {:x}", self.initial_energies.len());
         for &e in &self.initial_energies {
             let _ = write!(out, " {}", hex(e));
@@ -359,34 +292,6 @@ impl SweepCheckpoint {
         let nf = t.usize()?;
         let fingerprint = (0..nf).map(|_| t.u64()).collect::<Result<Vec<_>, _>>()?;
 
-        let mut t = lines.expect("auto")?;
-        let auto = if t.bool()? {
-            let mut t = lines.expect("cell")?;
-            let precond_idx = t.u64()?;
-            let precond = PrecondPolicy::from_index(precond_idx)
-                .ok_or_else(|| err(format!("unknown precond policy index `{precond_idx}`")))?;
-            let slices = t.usize()?.max(1);
-            let mut t = lines.expect("probe")?;
-            let np = t.usize()?;
-            let mut probe = Vec::with_capacity(np);
-            for _ in 0..np {
-                let mut t = lines.expect("sample")?;
-                let precond_idx = t.u64()?;
-                let precond = PrecondPolicy::from_index(precond_idx)
-                    .ok_or_else(|| err(format!("unknown precond policy index `{precond_idx}`")))?;
-                probe.push(ProbeSample {
-                    precond,
-                    iterations: t.u64()?,
-                    traversals: t.u64()?,
-                    assemblies: t.u64()?,
-                    wall_ns: t.u64()?,
-                });
-            }
-            Some(AutoDecision { block: BlockPolicy::PerNode, precond, slices, probe })
-        } else {
-            None
-        };
-
         let mut t = lines.expect("grid")?;
         let ng = t.usize()?;
         let initial_energies = (0..ng).map(|_| t.f64()).collect::<Result<Vec<_>, _>>()?;
@@ -465,7 +370,7 @@ impl SweepCheckpoint {
         let seed_bank = banks.pop().unwrap();
         lines.expect("end")?;
 
-        Ok(Self { fingerprint, auto, initial_energies, records, seed_bank, pending_donations })
+        Ok(Self { fingerprint, initial_energies, records, seed_bank, pending_donations })
     }
 
     /// Write atomically (temp file + rename) so a kill mid-save leaves the
@@ -536,7 +441,6 @@ mod tests {
         )];
         SweepCheckpoint {
             fingerprint: vec![1, 2, 0xdeadbeef],
-            auto: None,
             initial_energies: vec![-0.5, 0.125, 0.475],
             records: vec![rec, rec2],
             seed_bank: vec![(0.125, table)],
@@ -661,12 +565,13 @@ mod tests {
         // section; v7 parses field for field but was written by the
         // three-pass matrix-free apply, v8 by ILU sweeps that applied the
         // assembled CSR; v9 fingerprints carry a kernel-layout slot and its
-        // default sweeps ran the retired policy 1.  All must hit the dedicated
+        // default sweeps ran the retired policy 1; v10 carries the auto
+        // section and the auto fingerprint slot.  All must hit the dedicated
         // incompatible-version path, and the error message must name the
         // version found *and* the one expected.  A format from the future
         // is refused the same way — there is one check, not one per
         // version.
-        for version in ["v4", "v5", "v6", "v7", "v8", "v9", "v11"] {
+        for version in ["v4", "v5", "v6", "v7", "v8", "v9", "v10", "v12"] {
             let stale = format!("cbs-sweep-checkpoint {version}");
             match SweepCheckpoint::parse(&relabelled(version)) {
                 Err(CheckpointError::IncompatibleVersion { ref found }) => {
@@ -679,46 +584,6 @@ mod tests {
                 other => panic!("{version}: expected IncompatibleVersion, got {other:?}"),
             }
         }
-        assert!(SweepCheckpoint::parse(&relabelled("v10")).is_ok(), "v10 is the current format");
-    }
-
-    #[test]
-    fn auto_decision_round_trips_exactly() {
-        let mut cp = sample();
-        cp.auto = Some(AutoDecision {
-            block: BlockPolicy::PerNode,
-            precond: PrecondPolicy::AssembledIlu0,
-            slices: 1,
-            probe: vec![
-                ProbeSample {
-                    precond: PrecondPolicy::MatrixFree,
-                    iterations: 3090,
-                    traversals: 4686,
-                    assemblies: 0,
-                    wall_ns: 120_000_000,
-                },
-                ProbeSample {
-                    precond: PrecondPolicy::AssembledIlu0,
-                    iterations: 1033,
-                    traversals: 533,
-                    assemblies: 8,
-                    wall_ns: 55_000_000,
-                },
-            ],
-        });
-        let text = cp.serialize_to_string();
-        let back = SweepCheckpoint::parse(&text).expect("parse");
-        assert_eq!(back.auto, cp.auto);
-        assert_eq!(back.auto.as_ref().unwrap().cell().precond, PrecondPolicy::AssembledIlu0);
-        // A corrupted policy discriminant is malformed, not silently mapped.
-        // Code 1 is retired, not reused: a cell or a probe row carrying it
-        // is refused like any other unknown discriminant.
-        for (good, bad) in
-            [("cell 2 1", "cell 9 1"), ("cell 2 1", "cell 1 1"), ("sample 0 c12 ", "sample 1 c12 ")]
-        {
-            assert!(text.contains(good), "{good}");
-            let bad = text.replacen(good, bad, 1);
-            assert!(matches!(SweepCheckpoint::parse(&bad), Err(CheckpointError::Malformed(_))));
-        }
+        assert!(SweepCheckpoint::parse(&relabelled("v11")).is_ok(), "v11 is the current format");
     }
 }

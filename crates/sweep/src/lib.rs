@@ -45,11 +45,11 @@ pub mod config;
 mod pool;
 pub mod sweep;
 
-pub use checkpoint::{AutoDecision, CheckpointError, ProbeSample, SweepCheckpoint};
+pub use checkpoint::{CheckpointError, SweepCheckpoint};
 pub use config::SweepConfig;
 pub use sweep::{
-    sweep_cbs, BandEdgeRefiner, EnergyOrigin, EnergyRecord, EnergyStats, EnergySweep,
-    RefinementPredicate, RunOptions, RunOutcome, SeedTable, SweepResult,
+    sweep_cbs, AutoDecision, BandEdgeRefiner, EnergyOrigin, EnergyRecord, EnergyStats, EnergySweep,
+    ProbeSample, RefinementPredicate, RunOptions, RunOutcome, SeedTable, SweepResult,
 };
 
 #[cfg(test)]

@@ -23,49 +23,19 @@ use std::collections::{BTreeMap, VecDeque};
 use std::path::Path;
 
 use cbs_core::{
-    classify_point, extract_from_moments, extract_sliced, solve_qep_with, BlockPolicy, CbsPoint,
-    CbsStatistics, ComplexBandStructure, PrecondPolicy, QepProblem, SlicedPlan, SsConfig,
-    StencilCache,
+    classify_point, extract_from_moments, extract_sliced, BlockPolicy, CbsPoint, CbsStatistics,
+    ComplexBandStructure, PrecondPolicy, QepProblem, SlicedPlan, StencilCache,
 };
 use cbs_dft::BandStructure;
 use cbs_linalg::CVector;
-use cbs_parallel::{
-    CalibrationSample, CellId, CostModel, SerialExecutor, TaskExecutor, WorkloadSpec,
-};
+use cbs_parallel::TaskExecutor;
 use cbs_sparse::{AssembledPattern, FactoredProjector, LinearOperator};
-use cbs_trace::TraceHandle;
+use cbs_trace::{Stage, TraceHandle};
 use serde::{Deserialize, Serialize};
 
-use crate::checkpoint::{AutoDecision, CheckpointError, ProbeSample, SweepCheckpoint};
+use crate::checkpoint::{CheckpointError, SweepCheckpoint};
 use crate::config::SweepConfig;
 use crate::pool::{solve_round, SolveGroup};
-
-/// Hysteresis margin of the auto-tuning decision: a challenger cell only
-/// displaces the incumbent when its predicted wall-clock wins by this
-/// fraction, so probe timing jitter below the margin cannot flip the
-/// committed decision (the measured gap between cells — ILU(0) roughly
-/// halving the assembled wall — is well above it).
-const AUTO_MARGIN: f64 = 0.10;
-
-/// Largest slice count the auto-tuning slice tuner will consider.
-const AUTO_MAX_SLICES: u32 = 4;
-
-/// Process-wide memo of probe measurements ("wisdom", FFTW-style), keyed
-/// by everything the probe counters depend on (system identity, probe
-/// configuration, candidate set).  Two sweeps of the same workload in one
-/// process — serial and rayon, back-to-back or concurrent — reuse the
-/// first probe's samples and therefore commit the *same* decision; without
-/// the memo, millisecond-scale wall jitter could rank two near-tied cells
-/// differently between runs.  Across processes the checkpoint replay (not
-/// the memo) is what pins a resumed sweep's decision.
-#[allow(clippy::type_complexity)]
-fn probe_memo(
-) -> &'static std::sync::Mutex<Vec<(Vec<u64>, Vec<CalibrationSample>, Vec<ProbeSample>)>> {
-    static MEMO: std::sync::OnceLock<
-        std::sync::Mutex<Vec<(Vec<u64>, Vec<CalibrationSample>, Vec<ProbeSample>)>>,
-    > = std::sync::OnceLock::new();
-    MEMO.get_or_init(|| std::sync::Mutex::new(Vec::new()))
-}
 
 /// A full `(x, x̃)` solution table in pool job order
 /// (`point_index * N_rh + rhs_index`) — the currency of warm-starting: each
@@ -185,6 +155,26 @@ impl RefinementPredicate for BandEdgeRefiner {
     }
 }
 
+/// One probe measurement.  Vestige, released by ROADMAP 1(a).
+#[derive(Clone, Debug)]
+pub struct ProbeSample {
+    /// Measured wall-clock of the probe solve (nanoseconds).
+    pub wall_ns: u64,
+}
+
+/// A committed auto-tuning decision.  Vestige, released by ROADMAP 1(a).
+#[derive(Clone, Debug)]
+pub struct AutoDecision {
+    /// Job shape.
+    pub block: BlockPolicy,
+    /// Operator representation / preconditioning.
+    pub precond: PrecondPolicy,
+    /// Slice count (1 = single contour).
+    pub slices: usize,
+    /// Probe measurements.
+    pub probe: Vec<ProbeSample>,
+}
+
 /// Result of a completed sweep.
 #[derive(Clone, Debug)]
 pub struct SweepResult {
@@ -196,8 +186,9 @@ pub struct SweepResult {
     pub stats: CbsStatistics,
     /// Per-energy records, ascending in energy.
     pub records: Vec<EnergyRecord>,
-    /// The committed auto-tuning decision, when the sweep ran with
-    /// `SsConfig::auto()` / `CBS_AUTO=1` (`None` for fixed configurations).
+    /// **Vestigial:** always `None` — there is no tuner.  Kept because the
+    /// repo benchmark (`benchmark/src/layers.rs`) reads it; released by
+    /// ROADMAP 1(a).
     pub auto: Option<AutoDecision>,
 }
 
@@ -368,15 +359,8 @@ impl<'a> EnergySweep<'a> {
     /// backend (pattern, projector) attached, the real stencil shared with
     /// every other energy of this sweep.
     pub fn problem_at(&self, energy: f64) -> QepProblem<'_> {
-        self.unshared_problem_at(energy).with_stencil_cache(&self.stencil)
-    }
-
-    /// [`problem_at`](Self::problem_at) with a stencil slot of its own, for
-    /// the throwaway probe solves: whether the sweep's stencil exists decides
-    /// which arithmetic its residual checks run, and that must not depend on
-    /// a probe having run (it does not on resume, nor on a memo hit).
-    fn unshared_problem_at(&self, energy: f64) -> QepProblem<'_> {
-        let p = QepProblem::new(self.h00, self.h01, energy, self.period);
+        let p = QepProblem::new(self.h00, self.h01, energy, self.period)
+            .with_stencil_cache(&self.stencil);
         let p = match &self.pattern {
             Some(pattern) => p.with_pattern(pattern),
             None => p,
@@ -403,7 +387,6 @@ impl<'a> EnergySweep<'a> {
         opts: RunOptions<'_>,
     ) -> Result<RunOutcome, CheckpointError> {
         let mut opts = opts;
-        let stage_start = cbs_sparse::stage_snapshot();
         let cpu_start = cbs_trace::cpu_totals();
         let trace_t0 = cbs_trace::now_ns();
 
@@ -413,39 +396,14 @@ impl<'a> EnergySweep<'a> {
         grid.dedup_by(|a, b| a.to_bits() == b.to_bits());
         assert!(!grid.is_empty(), "need at least one scan energy");
 
-        // Calibrated auto-tuning: decide the policy cell *before* the
-        // fingerprint, because the fingerprint carries the effective
-        // (post-decision) policy.  A resumed sweep replays the checkpoint's
-        // committed decision instead of re-probing — probe wall-clocks are
-        // not reproducible, the recorded decision is.
-        let auto_enabled = self.config.ss.auto_enabled();
-        let decision: Option<AutoDecision> = if auto_enabled {
-            match opts.resume.as_ref() {
-                Some(cp) => Some(cp.auto.clone().ok_or_else(|| {
-                    CheckpointError::Mismatch(
-                        "checkpoint carries no auto-tuning decision: cannot resume a \
-                         fixed-policy checkpoint into an auto-tuned sweep"
-                            .into(),
-                    )
-                })?),
-                None => Some(self.calibration_probe(grid[0], grid.len())),
-            }
-        } else {
-            None
-        };
-        let ss_eff: SsConfig = match &decision {
-            Some(d) => self.config.ss.resolve_auto(Some(d.cell())),
-            None => self.config.ss,
-        };
-
         // The sliced plan (partition geometry, per-slice configurations and
         // source blocks) depends only on the Hamiltonian blocks — their
         // dimension and whether they are real, neither of which varies with
-        // the scan energy — and the *effective* configuration, so one
-        // instance serves every scan energy of the sweep.  The
-        // single-contour policy yields a trivial one-slice plan: the full
-        // ring, or its upper half for real blocks.
-        let plan = SlicedPlan::build(&self.problem_at(grid[0]), &ss_eff)
+        // the scan energy — and the configuration, so one instance serves
+        // every scan energy of the sweep.  The single-contour policy yields
+        // a trivial one-slice plan: the full ring, or its upper half for
+        // real blocks.
+        let plan = SlicedPlan::build(&self.problem_at(grid[0]), &self.config.ss)
             .expect("invalid slice policy in sweep configuration");
 
         let mut fingerprint = self.config.fingerprint(self.period);
@@ -454,7 +412,7 @@ impl<'a> EnergySweep<'a> {
         // falls back to matrix-free arithmetic, so a checkpoint written in
         // that state must not be resumable by a sweep that does carry a
         // pattern (or vice versa) — the two trajectories differ bitwise.
-        let assembled_effective = ss_eff.precond.is_assembled() && self.pattern.is_some();
+        let assembled_effective = self.config.ss.precond.is_assembled() && self.pattern.is_some();
         fingerprint.push(assembled_effective as u64);
         // One further arithmetic-changing input of the assembled path: a
         // non-empty factored projector (CSR + low-rank split instead of the
@@ -463,16 +421,6 @@ impl<'a> EnergySweep<'a> {
         fingerprint.push(
             (assembled_effective && self.projector.as_ref().is_some_and(|p| !p.is_empty())) as u64,
         );
-        // Auto-tuning joins the resume contract: the flag itself (an auto
-        // and a fixed sweep of the same nominal config must not share
-        // checkpoints), and, when on, the committed arithmetic-changing
-        // policies (precond, slices — block is bitwise-interchangeable and
-        // stays out, matching the fixed-config fingerprint rules).
-        fingerprint.push(auto_enabled as u64);
-        if let Some(d) = &decision {
-            fingerprint.push(d.precond.trace_code() as u64);
-            fingerprint.push(d.slices as u64);
-        }
         // Whether the ring is mirrored (real blocks) decides the node list
         // and therefore the layout of every seed table in the checkpoint
         // (`n_solved x n_rh` per energy): a table written for one must not
@@ -513,7 +461,6 @@ impl<'a> EnergySweep<'a> {
 
         let checkpoint = |st: &State| SweepCheckpoint {
             fingerprint: fingerprint.clone(),
-            auto: decision.clone(),
             initial_energies: grid.clone(),
             records: st.records.clone(),
             seed_bank: st.bank.entries.iter().cloned().collect(),
@@ -524,7 +471,7 @@ impl<'a> EnergySweep<'a> {
         for round in self.config.schedule().rounds(grid.len()) {
             let batch: Vec<(f64, EnergyOrigin)> =
                 round.into_iter().map(|i| (grid[i], EnergyOrigin::Initial(i))).collect();
-            match self.solve_batch(batch, &plan, &ss_eff, executor, &mut st, &opts, &checkpoint)? {
+            match self.solve_batch(batch, &plan, executor, &mut st, &opts, &checkpoint)? {
                 BatchStatus::Done => {}
                 BatchStatus::BudgetExhausted => {
                     return Ok(RunOutcome::Interrupted(checkpoint(&st)))
@@ -563,7 +510,6 @@ impl<'a> EnergySweep<'a> {
                 match self.solve_batch(
                     candidates.clone(),
                     &plan,
-                    &ss_eff,
                     executor,
                     &mut st,
                     &opts,
@@ -581,178 +527,7 @@ impl<'a> EnergySweep<'a> {
             }
         }
 
-        let extraction_ns = cbs_trace::cpu_totals()[cbs_trace::Stage::Extraction as usize]
-            .wrapping_sub(cpu_start[cbs_trace::Stage::Extraction as usize]);
-        // Span-merged wall attribution is available only while a trace
-        // session records; `None` leaves the wall fields zero.
-        let wall = cbs_trace::aggregate_window(trace_t0, cbs_trace::now_ns());
-        Ok(RunOutcome::Complete(self.assemble(
-            st,
-            cbs_sparse::stage_delta(stage_start),
-            extraction_ns,
-            wall,
-            decision,
-        )))
-    }
-
-    /// Run the calibration probe: solve the first scan energy under 1-2
-    /// candidate policy cells with a reduced configuration, fit a
-    /// [`CostModel`] from the measured counters + stage wall-ns, and commit
-    /// the predicted winner (slice count included).
-    ///
-    /// Determinism of the committed decision rests on four legs: the probe
-    /// always runs on the [`SerialExecutor`] (so its counters are identical
-    /// whatever executor drives the sweep); candidate order is fixed and
-    /// the model only switches cells past the [`AUTO_MARGIN`] hysteresis
-    /// (so timing jitter cannot flip a ranking with a real gap); probe
-    /// measurements are memoized per process ([`probe_memo`]) so every
-    /// sweep of the same workload in a process derives its decision from
-    /// one consistent sample set — serial and rayon runs of the same
-    /// system commit the *same* cell; and the decision is recorded in the
-    /// checkpoint (so kill/resume *replays* it rather than re-probing,
-    /// across process boundaries where the memo cannot reach).  Probe
-    /// solves are throwaway — their solutions never enter the warm-start
-    /// bank, so an auto sweep stays bit-identical to the fixed
-    /// configuration it selects.
-    fn calibration_probe(&self, energy: f64, n_energies: usize) -> AutoDecision {
-        let n = self.h00.dim();
-        let nominal = self.config.ss;
-        let nnz = self.pattern.as_ref().map_or(n * n, cbs_sparse::AssembledPattern::nnz);
-        // Candidate cells, cheapest-to-assemble first (the fixed priority
-        // order the hysteresis respects).  With a pattern attached the axis
-        // is the preconditioner ladder; without one every assembled policy
-        // would silently fall back to matrix-free, so that one cell is
-        // probed (its sample still feeds the slice tuner).
-        let candidates: &[PrecondPolicy] = if self.pattern.is_some() {
-            &[PrecondPolicy::MatrixFree, PrecondPolicy::AssembledIlu0]
-        } else {
-            &[PrecondPolicy::MatrixFree]
-        };
-        // The reduced probe configuration: enough quadrature and sources to
-        // exercise the real kernels, cheap enough that the probe stays a
-        // few percent of the sweep (the bench gate holds the auto row to
-        // within 10% of the best fixed row, probe included).
-        let probe_ss = SsConfig {
-            n_int: (nominal.n_int / 2).max(4),
-            n_rh: (nominal.n_rh / 2).max(2),
-            bicg_tolerance: nominal.bicg_tolerance.max(1e-6),
-            slice: cbs_core::SlicePolicy::single(),
-            auto: false,
-            ..nominal
-        };
-        // Everything the probe's counters and walls can depend on goes
-        // into the memo key: system identity (dimension, pattern nnz,
-        // probe energy, period), the reduced configuration, and the
-        // candidate set.
-        let mut key: Vec<u64> = vec![
-            n as u64,
-            nnz as u64,
-            probe_ss.n_int as u64,
-            probe_ss.n_mm as u64,
-            probe_ss.n_rh as u64,
-            probe_ss.bicg_max_iterations as u64,
-            probe_ss.bicg_tolerance.to_bits(),
-            probe_ss.seed,
-            energy.to_bits(),
-            self.period.to_bits(),
-        ];
-        key.extend(candidates.iter().map(|p| p.trace_code() as u64));
-        // Get-or-measure under one lock: a second sweep probing the same key
-        // waits for the first one's samples instead of committing its own
-        // wall clocks.  The probe runs on `SerialExecutor` and never looks
-        // the memo up again, so holding the lock across it cannot deadlock;
-        // entries are only ever pushed whole, so a lock poisoned by a
-        // panicking probe still guards a valid memo.
-        let (samples, probe) = {
-            let mut memo = probe_memo().lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            let hit =
-                memo.iter().find(|(k, _, _)| *k == key).map(|(_, s, p)| (s.clone(), p.clone()));
-            hit.unwrap_or_else(|| {
-                let (samples, probe) =
-                    self.measure_probe_candidates(energy, candidates, &probe_ss, n, nnz);
-                memo.push((key, samples.clone(), probe.clone()));
-                (samples, probe)
-            })
-        };
-        let workload = WorkloadSpec {
-            dimension: n,
-            nnz,
-            n_rh: nominal.n_rh,
-            energies: n_energies.max(1),
-            mirrored: self.problem_at(energy).is_conjugate_symmetric(),
-        };
-        let cell = CostModel::fit(&samples).and_then(|model| {
-            let best = model.best_cell(&workload, AUTO_MARGIN)?;
-            let slices = model.tune_slices(best, &workload, AUTO_MAX_SLICES, AUTO_MARGIN);
-            Some(cbs_core::AutoCell {
-                precond: PrecondPolicy::from_index(best.precond as u64)?,
-                slices: slices as usize,
-            })
-        });
-        // `resolve_auto` handles the degenerate-probe fallback (default
-        // policy cell, warn-once); either way the *resolved* cell is what
-        // the checkpoint commits, so resume replays exactly what ran.
-        let resolved = nominal.resolve_auto(cell);
-        AutoDecision {
-            block: BlockPolicy::PerNode,
-            precond: resolved.precond,
-            slices: resolved.slice.slice_count(),
-            probe,
-        }
-    }
-
-    /// Measure every candidate cell with one throwaway probe solve each
-    /// (the caller records the samples in the process-wide [`probe_memo`]).
-    fn measure_probe_candidates(
-        &self,
-        energy: f64,
-        candidates: &[PrecondPolicy],
-        probe_ss: &SsConfig,
-        n: usize,
-        nnz: usize,
-    ) -> (Vec<CalibrationSample>, Vec<ProbeSample>) {
-        let mut samples = Vec::with_capacity(candidates.len());
-        let mut probe = Vec::with_capacity(candidates.len());
-        for &precond in candidates {
-            let cfg = SsConfig { precond, ..*probe_ss };
-            let problem = self.unshared_problem_at(energy);
-            // Stage wall-ns needs a recording session; when an outer one is
-            // already active we piggyback on it, otherwise we open our own
-            // for the duration of the probe solve.
-            let own_session = cbs_trace::TraceSession::begin(cbs_trace::TraceLevel::Stage);
-            let t0_ns = cbs_trace::now_ns();
-            let t0 = std::time::Instant::now(); // cbs-audit: allow(D002) reason="probe wall feeds the cost model; the committed decision is checkpoint-recorded so resume replays it bit-identically"
-            let result = solve_qep_with(&problem, &cfg, &SerialExecutor);
-            let wall_ns = t0.elapsed().as_nanos() as u64;
-            let agg = cbs_trace::aggregate_window(t0_ns, cbs_trace::now_ns());
-            if let Some(s) = own_session {
-                s.finish();
-            }
-            let stage_wall = |stage: cbs_trace::Stage| agg.as_ref().map_or(0, |a| a.wall(stage));
-            samples.push(CalibrationSample {
-                cell: CellId { precond: precond.trace_code(), slices: 1 },
-                dimension: n,
-                nnz,
-                n_rh: cfg.n_rh,
-                energies: 1,
-                iterations: result.total_bicg_iterations as u64,
-                traversals: result.total_traversals as u64,
-                assemblies: result.operator_assemblies as u64,
-                wall_ns,
-                kernel_wall_ns: stage_wall(cbs_trace::Stage::Kernel),
-                precond_wall_ns: stage_wall(cbs_trace::Stage::IluFactor)
-                    + stage_wall(cbs_trace::Stage::TriSweep),
-                extraction_wall_ns: stage_wall(cbs_trace::Stage::Extraction),
-            });
-            probe.push(ProbeSample {
-                precond,
-                iterations: result.total_bicg_iterations as u64,
-                traversals: result.total_traversals as u64,
-                assemblies: result.operator_assemblies as u64,
-                wall_ns,
-            });
-        }
-        (samples, probe)
+        Ok(RunOutcome::Complete(self.assemble(st, cpu_start, trace_t0)))
     }
 
     /// Solve one *logical* batch of energies (a release round or refinement
@@ -765,12 +540,10 @@ impl<'a> EnergySweep<'a> {
     /// committed together once its last energy finishes — so donors depend
     /// solely on which *batches* completed, never on where inside a batch a
     /// previous run was killed.
-    #[allow(clippy::too_many_arguments)]
     fn solve_batch<E: TaskExecutor>(
         &self,
         batch: Vec<(f64, EnergyOrigin)>,
         plan: &SlicedPlan,
-        ss: &SsConfig,
         executor: &E,
         st: &mut State,
         opts: &RunOptions<'_>,
@@ -788,6 +561,7 @@ impl<'a> EnergySweep<'a> {
                 truncated = true;
             }
         }
+        let ss = &self.config.ss;
         let warm = self.config.warm_start;
         // Trace context: each energy of the batch is tagged with the record
         // index it is about to receive (completion order; `assemble`'s final
@@ -819,7 +593,7 @@ impl<'a> EnergySweep<'a> {
                 })
                 .collect();
 
-            let t0 = std::time::Instant::now(); // cbs-audit: allow(D002) reason="per-run wall-clock counter; resume stays bit-identical (timings are per-run)"
+            let t0 = std::time::Instant::now(); // cbs-audit: allow(D002) reason="per-run wall-clock statistic; reported, never fingerprinted"
             let outcomes = solve_round(&groups, plan, ss, executor);
             st.linear_solve_seconds += t0.elapsed().as_secs_f64();
             drop(groups);
@@ -950,15 +724,20 @@ impl<'a> EnergySweep<'a> {
     }
 
     /// Sort the records into the final ascending grid, assign
-    /// `energy_index` and aggregate the statistics.
+    /// `energy_index` and aggregate the statistics; `cpu_start` / `trace_t0`
+    /// are the `cbs_trace::cpu_totals()` / `now_ns()` readings at the start
+    /// of the run.
     fn assemble(
         &self,
         st: State,
-        stage: cbs_sparse::StageTimes,
-        extraction_ns: u64,
-        wall: Option<cbs_trace::StageAgg>,
-        auto: Option<AutoDecision>,
+        cpu_start: [u64; cbs_trace::STAGE_COUNT],
+        trace_t0: u64,
     ) -> SweepResult {
+        let cpu_end = cbs_trace::cpu_totals();
+        let cpu = |stage: Stage| cpu_end[stage as usize].wrapping_sub(cpu_start[stage as usize]);
+        // Span-merged wall attribution is available only while a trace
+        // session records; `None` leaves the wall fields zero.
+        let wall = cbs_trace::aggregate_window(trace_t0, cbs_trace::now_ns());
         let mut records = st.records;
         records.sort_by(|a, b| a.energy.partial_cmp(&b.energy).unwrap());
         let energies: Vec<f64> = records.iter().map(|r| r.energy).collect();
@@ -969,14 +748,12 @@ impl<'a> EnergySweep<'a> {
             // Per-stage nanosecond counters: the CPU-ns stage counters cover
             // this run only (a resumed sweep reports post-resume time, like
             // the wall-clock fields).
-            kernel_ns: stage.kernel_ns,
-            precond_ns: stage.precond_ns,
-            extraction_ns,
-            kernel_wall_ns: wall.map_or(0, |w| w.wall(cbs_trace::Stage::Kernel)),
-            precond_wall_ns: wall.map_or(0, |w| {
-                w.wall(cbs_trace::Stage::IluFactor) + w.wall(cbs_trace::Stage::TriSweep)
-            }),
-            extraction_wall_ns: wall.map_or(0, |w| w.wall(cbs_trace::Stage::Extraction)),
+            kernel_ns: cpu(Stage::Kernel),
+            precond_ns: cpu(Stage::IluFactor) + cpu(Stage::TriSweep),
+            extraction_ns: cpu(Stage::Extraction),
+            kernel_wall_ns: wall.map_or(0, |w| w.wall(Stage::Kernel)),
+            precond_wall_ns: wall.map_or(0, |w| w.wall(Stage::IluFactor) + w.wall(Stage::TriSweep)),
+            extraction_wall_ns: wall.map_or(0, |w| w.wall(Stage::Extraction)),
             ..CbsStatistics::default()
         };
         for (index, rec) in records.iter_mut().enumerate() {
@@ -998,7 +775,7 @@ impl<'a> EnergySweep<'a> {
                 stats.refined_energies += 1;
             }
         }
-        SweepResult { cbs: ComplexBandStructure { points, energies }, stats, records, auto }
+        SweepResult { cbs: ComplexBandStructure { points, energies }, stats, records, auto: None }
     }
 }
 

@@ -19,9 +19,8 @@
 //!   thread exits (the vendored rayon shim joins its scoped workers before
 //!   each dispatch returns, so a caller reading [`cpu_totals`] after a
 //!   parallel region sees every worker's contribution).  These counters
-//!   are the source of `cbs_sparse::stage_snapshot` and therefore of
-//!   `CbsStatistics::{kernel_ns, precond_ns}` — CPU-ns summed across
-//!   threads, **not** wall time, under a parallel executor.
+//!   are the source of `CbsStatistics::{kernel_ns, precond_ns}` — CPU-ns
+//!   summed across threads, **not** wall time, under a parallel executor.
 //! * **Session-gated** — full span buffers are recorded only while a
 //!   [`TraceSession`] is active; the disabled hot path pays one relaxed
 //!   atomic load per instrumented scope.  Buffers are thread-local and

@@ -253,7 +253,7 @@ fn policy_matrix_cell_from_env() {
     let h01 = h.h01();
     let pattern = h.qep_pattern();
     let (pattern_sparse, projector) = h.qep_factored();
-    let precond = PrecondPolicy::from_env("CBS_PRECOND");
+    let precond = cbs::trace::knob("CBS_PRECOND").unwrap_or(PrecondPolicy::MatrixFree);
     let slice = match SlicePolicy::from_env("CBS_SLICES") {
         p if p.is_single() => sectors(4),
         p => SlicePolicy { arc_nodes: Some(32), ..p },

@@ -1,8 +1,7 @@
 //! Property-based tests (proptest) on the cross-crate invariants: operator
-//! adjoint consistency of the QEP, contour filtering, the equivalence of
+//! adjoint consistency of the QEP, contour filtering, and the equivalence of
 //! domain-decomposed and serial operator application for arbitrary
-//! decompositions, and the auto-tuning cost model's prediction invariants
-//! (finite/positive, workload-monotone, graceful degenerate fallback).
+//! decompositions.
 
 use proptest::prelude::*;
 
@@ -784,112 +783,6 @@ proptest! {
         let back = Complex64::new(0.0, 1.0) * c64(k_re, k_im) * period;
         let reconstructed = back.exp();
         prop_assert!((reconstructed - lambda).abs() < 1e-10 * (1.0 + lambda.abs()));
-    }
-
-    /// Cost-model sanity over arbitrary valid calibration samples: every
-    /// prediction is finite and strictly positive, and at a fixed policy
-    /// cell predictions are monotone in both operator nonzeros and scan
-    /// energy count — more work never predicts a shorter sweep.
-    #[test]
-    fn cost_model_predictions_are_finite_positive_and_monotone(
-        precond in 0u8..4,
-        dim in 8usize..4096,
-        per_row in 1usize..64,
-        n_rh in 1usize..16,
-        energies in 1usize..64,
-        iterations in 1u64..100_000,
-        traversals in 0u64..100_000,
-        wall_us in 1u64..10_000_000,
-        extraction_frac in 0.0f64..0.9,
-        w_energies in 1usize..512,
-        w_nnz_scale in 1usize..8,
-    ) {
-        use cbs::parallel::{CalibrationSample, CellId, CostModel, WorkloadSpec};
-        let cell = CellId { precond, slices: 1 };
-        let nnz = dim * per_row;
-        let wall_ns = wall_us * 1_000;
-        let sample = CalibrationSample {
-            cell,
-            dimension: dim,
-            nnz,
-            n_rh,
-            energies,
-            iterations,
-            traversals,
-            assemblies: 0,
-            wall_ns,
-            kernel_wall_ns: 0,
-            precond_wall_ns: 0,
-            extraction_wall_ns: (wall_ns as f64 * extraction_frac) as u64,
-        };
-        let model = CostModel::fit(&[sample]).expect("valid sample must fit");
-        let w = WorkloadSpec {
-            dimension: dim,
-            nnz: nnz * w_nnz_scale,
-            n_rh,
-            energies: w_energies,
-            mirrored: w_energies % 2 == 0,
-        };
-        let t = model.predict(cell, &w).expect("fitted cell must predict");
-        prop_assert!(t.is_finite() && t > 0.0, "prediction {t} is not finite-positive");
-        let t_more_nnz = model.predict(cell, &WorkloadSpec { nnz: w.nnz * 2, ..w }).unwrap();
-        prop_assert!(t_more_nnz >= t, "doubling nnz shrank the prediction: {t_more_nnz} < {t}");
-        let t_more_e =
-            model.predict(cell, &WorkloadSpec { energies: w.energies * 2, ..w }).unwrap();
-        prop_assert!(t_more_e >= t, "doubling energies shrank the prediction: {t_more_e} < {t}");
-        // The slice tuner always returns a usable count, whatever the
-        // workload shape.
-        let s = model.tune_slices(cell, &w, 8, 0.10);
-        prop_assert!((1..=8).contains(&s), "slice tuner returned {s}");
-    }
-
-    /// Degenerate calibration data never panics the tuner: `fit` refuses
-    /// empty and all-invalid sample sets (any required-nonzero axis zeroed),
-    /// and `resolve_auto(None)` falls back to the default fixed policy cell
-    /// with `auto` cleared.
-    #[test]
-    fn degenerate_samples_fall_back_to_the_default_cell(
-        precond in 0u8..4,
-        dim in 1usize..64,
-        zero_field in 0usize..4,
-    ) {
-        use cbs::core::SsConfig;
-        use cbs::parallel::{CalibrationSample, CellId, CostModel};
-        let mut s = CalibrationSample {
-            cell: CellId { precond, slices: 1 },
-            dimension: dim,
-            nnz: dim * 7,
-            n_rh: 2,
-            energies: 1,
-            iterations: 100,
-            traversals: 50,
-            assemblies: 0,
-            wall_ns: 1_000_000,
-            kernel_wall_ns: 0,
-            precond_wall_ns: 0,
-            extraction_wall_ns: 0,
-        };
-        prop_assert!(s.is_valid());
-        match zero_field {
-            0 => s.iterations = 0,
-            1 => s.wall_ns = 0,
-            2 => s.dimension = 0,
-            _ => s.nnz = 0,
-        }
-        prop_assert!(!s.is_valid());
-        prop_assert!(CostModel::fit(&[s]).is_none(), "degenerate sample must not fit");
-        prop_assert!(CostModel::fit(&[]).is_none(), "empty sample set must not fit");
-
-        // The sweep-side contract on a failed fit: a concrete default cell,
-        // auto cleared, so the checkpoint always records what actually ran.
-        let resolved = SsConfig::auto().resolve_auto(None);
-        let default = SsConfig::default();
-        prop_assert!(!resolved.auto, "fallback must clear auto");
-        prop_assert!(resolved.precond == default.precond, "fallback precond is not the default");
-        prop_assert!(
-            resolved.slice.slice_count() == default.slice.slice_count(),
-            "fallback slicing is not the default"
-        );
     }
 }
 

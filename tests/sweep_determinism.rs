@@ -8,7 +8,8 @@
 //! * a checkpointed sweep killed partway through resumes to a result
 //!   bit-identical to an uninterrupted run;
 //! * adaptive refinement inserts midpoints only where the channel count
-//!   changes, within budget, deterministically.
+//!   changes, within budget, deterministically;
+//! * the vestigial `SsConfig::auto` flag changes nothing.
 
 use rand::SeedableRng;
 
@@ -228,6 +229,59 @@ fn checkpointed_sweep_resumes_bit_identically() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `SsConfig::auto` is a vestigial declaration (the calibrated tuner is
+/// gone): a sweep that sets it is the sweep that does not — same result
+/// bits, same checkpoint bytes, and either one resumes the other's file.
+#[test]
+fn vestigial_auto_flag_is_inert() {
+    let (h00, h01) = random_blocks(10, 73);
+    let op00 = DenseOp::new(h00);
+    let op01 = DenseOp::new(h01);
+    let energies: Vec<f64> = (0..6).map(|i| -0.25 + 0.1 * i as f64).collect();
+    let sweep_with = |auto: bool| {
+        let ss = SsConfig { auto, ..test_ss() };
+        let config = SweepConfig { initial_round: 4, ..SweepConfig::new(ss) };
+        cbs::sweep::EnergySweep::new(&op00, &op01, 1.5, config)
+    };
+    let (plain, flagged) = (sweep_with(false), sweep_with(true));
+
+    let full_plain = plain.run(&energies, &SerialExecutor);
+    let full_flagged = flagged.run(&energies, &SerialExecutor);
+    assert!(!full_plain.cbs.points.is_empty(), "test problem found no CBS points");
+    assert_same_cbs(&full_plain, &full_flagged);
+    for (a, b) in full_plain.records.iter().zip(&full_flagged.records) {
+        assert_eq!(a.stats, b.stats, "per-energy counters differ at E = {}", a.energy);
+    }
+    assert!(full_plain.auto.is_none() && full_flagged.auto.is_none());
+
+    let dir = std::env::temp_dir().join(format!("cbs_sweep_auto_inert_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let killed = |sweep: &cbs::sweep::EnergySweep<'_>, name: &str| {
+        let path = dir.join(name);
+        let options = RunOptions {
+            checkpoint_path: Some(&path),
+            max_new_energies: Some(3),
+            ..RunOptions::default()
+        };
+        let outcome = sweep.run_with(&energies, &SerialExecutor, options).unwrap();
+        assert!(matches!(outcome, RunOutcome::Interrupted(_)), "budget of 3 should interrupt");
+        path
+    };
+    let (plain_path, flagged_path) = (killed(&plain, "plain.cp"), killed(&flagged, "flagged.cp"));
+    assert_eq!(std::fs::read(&plain_path).unwrap(), std::fs::read(&flagged_path).unwrap());
+
+    for (sweep, path) in [(&flagged, &plain_path), (&plain, &flagged_path)] {
+        let resume = Some(SweepCheckpoint::load(path).unwrap());
+        let resumed = sweep
+            .run_with(&energies, &SerialExecutor, RunOptions { resume, ..RunOptions::default() })
+            .expect("a checkpoint written under the other flag value resumes")
+            .expect_complete("resume must finish");
+        assert_same_cbs(&full_plain, &resumed);
+        assert!(resumed.auto.is_none());
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Resume stays bit-identical even once the seed bank's capacity eviction
 /// kicks in: donors are chosen from completed batches only, and a mid-batch
 /// kill must not let the killed batch's own donations evict the donors its
@@ -349,11 +403,11 @@ fn sliced_sweep_kill_resume_is_bit_identical_and_v3_is_refused() {
         }
     }
 
-    // The checkpoint on disk is v10; a v3 (pre-slicing) one is refused with
+    // The checkpoint on disk is v11; a v3 (pre-slicing) one is refused with
     // the dedicated error, not parsed into a mis-split seed bank.
     let text = std::fs::read_to_string(&path).unwrap();
-    assert!(text.starts_with("cbs-sweep-checkpoint v10"), "unexpected magic in {path:?}");
-    let v3 = text.replacen("cbs-sweep-checkpoint v10", "cbs-sweep-checkpoint v3", 1);
+    assert!(text.starts_with("cbs-sweep-checkpoint v11"), "unexpected magic in {path:?}");
+    let v3 = text.replacen("cbs-sweep-checkpoint v11", "cbs-sweep-checkpoint v3", 1);
     match cbs::sweep::SweepCheckpoint::parse(&v3) {
         Err(cbs::sweep::CheckpointError::IncompatibleVersion { found }) => {
             assert_eq!(found, "cbs-sweep-checkpoint v3");
