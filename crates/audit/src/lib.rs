@@ -1,7 +1,7 @@
 //! `cbs-audit`: the repo-invariant static-analysis pass.
 //!
 //! The workspace's headline guarantee — bit-identical results across the
-//! `{executor} × {block} × {precond} × {slices}` policy matrix, resumable
+//! `{executor} × {precond}` policy matrix, resumable
 //! checkpoints, SIMD lanes bitwise-equal to scalar — is enforced
 //! dynamically by the test suite.  This crate adds the static half: a
 //! dependency-free line/token scanner (no `syn`, no regex) that rejects

@@ -10,7 +10,7 @@
 //! | Knobs | `K001` | `"CBS_*"` literals naming a knob missing from the README registry |
 //! | Knobs | `K002` | registry rows not classified `fingerprint` / `neutral` |
 //! | Knobs | `K003` | registry rows no code references (stale docs) |
-//! | Allocation | `A001` | raw `vec!` / `with_capacity` / `.collect()` into a `Vec` in the hot assembled / SMW modules (route through `cbs_sparse` scratch, or iterate without materializing) |
+//! | Allocation | `A001` | raw `vec!` / `with_capacity` / `.collect()` into a `Vec` in the hot assembled module (route through `cbs_sparse` scratch, or iterate without materializing) |
 //! | Meta | `M001` | allowlist directive without a `reason="..."` |
 //! | Meta | `M002` | allowlist directive naming an unknown lint |
 //!
@@ -39,7 +39,7 @@ const RESULT_CRATES: &[&str] = &[
 ];
 
 /// The hot modules of the per-iteration solve path — the scope of A001.
-const HOT_MODULES: &[&str] = &["crates/sparse/src/assembled.rs", "crates/sparse/src/smw.rs"];
+const HOT_MODULES: &[&str] = &["crates/sparse/src/assembled.rs"];
 
 /// Every lint id the allowlist may name.
 pub const LINT_IDS: &[&str] =

@@ -46,9 +46,9 @@ fn u001_undocumented_unsafe_fires_exactly_once() {
 
 #[test]
 fn a001_hot_allocation_fires_exactly_once() {
-    // Only the hot assembled/SMW modules are in scope, so the same
-    // snippet is clean elsewhere.
-    let hot = lints_for("crates/sparse/src/smw.rs", include_str!("fixtures/a001_alloc.rs"));
+    // Only the hot assembled module is in scope, so the same snippet is
+    // clean elsewhere.
+    let hot = lints_for("crates/sparse/src/assembled.rs", include_str!("fixtures/a001_alloc.rs"));
     assert_eq!(hot, ["A001"]);
     let cold = lints_for("crates/core/src/bad.rs", include_str!("fixtures/a001_alloc.rs"));
     assert!(cold.is_empty(), "A001 fired outside the hot modules: {cold:?}");
@@ -100,7 +100,8 @@ fn m002_unknown_lint_allow_fires_exactly_once() {
 fn allow_directives_and_safety_comment_suppress_everything() {
     // The same hazards as the bad fixtures — wall clock, hot allocation,
     // unsafe deref — each carrying its allow/SAFETY justification.
-    let file = scan_source("crates/sparse/src/smw.rs", include_str!("fixtures/allowed_clean.rs"));
+    let file =
+        scan_source("crates/sparse/src/assembled.rs", include_str!("fixtures/allowed_clean.rs"));
     let (findings, inventory) = run_lints(&[file], &Registry::default());
     assert!(findings.is_empty(), "expected a clean fixture, got {findings:?}");
     assert_eq!(inventory.len(), 1);

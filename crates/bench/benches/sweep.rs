@@ -1,8 +1,8 @@
 //! Criterion benchmarks of the `cbs-sweep` orchestrator: the same small
 //! Al(100) multi-energy scan run cold (flat pool, no seeding — the
 //! per-energy-loop equivalent) and warm-started (dyadic wavefront with
-//! cross-energy BiCG seeding), under the operator-policy ladder
-//! (`PrecondPolicy::MatrixFree` / `AssembledIlu0` / `AssembledIlu0Smw`).
+//! cross-energy BiCG seeding), under both operator policies
+//! (`PrecondPolicy::MatrixFree` / `AssembledIlu0`).
 //!
 //! In addition to the criterion timings, every run writes a
 //! machine-readable `BENCH_sweep.json` at the repository root — wall time,
@@ -14,7 +14,7 @@
 use std::io::Write as _;
 use std::time::Instant;
 
-use cbs_core::{PrecondPolicy, SlicePolicy, SsConfig};
+use cbs_core::{PrecondPolicy, SsConfig};
 use cbs_dft::{bulk_al_100, grid_for_structure, BlockHamiltonian, HamiltonianParams};
 use cbs_parallel::SerialExecutor;
 use cbs_sweep::{EnergySweep, SweepConfig, SweepResult};
@@ -33,25 +33,8 @@ fn small_hamiltonian() -> BlockHamiltonian {
 /// residual is ~1e-8 and — the Hamiltonian being real — only 6 nodes are
 /// solved.  Same choice, for the same reason, as `benchmark/`'s
 /// `al100_sweep8` workload.
-fn ss(precond: PrecondPolicy, slice: SlicePolicy) -> SsConfig {
-    SsConfig {
-        n_int: 12,
-        n_mm: 4,
-        n_rh: 4,
-        bicg_max_iterations: 400,
-        precond,
-        slice,
-        ..SsConfig::small()
-    }
-}
-
-/// The sliced-contour timing rows use a deliberately lean quadrature
-/// (bench-scale accuracy): the row tracks the *cost shape* of slicing —
-/// more independent solves against smaller per-slice extractions — across
-/// PRs, not the 1e-10 cross-validation bound (that lives in
-/// `tests/cross_validate.rs` with production node counts).
-fn lean_sectors(s: usize) -> SlicePolicy {
-    SlicePolicy { radial_nodes: 4, ..SlicePolicy::sectors(s) }
+fn ss(precond: PrecondPolicy) -> SsConfig {
+    SsConfig { n_int: 12, n_mm: 4, n_rh: 4, bicg_max_iterations: 400, precond, ..SsConfig::small() }
 }
 
 fn run_sweep(h: &BlockHamiltonian, energies: &[f64], config: SweepConfig) -> SweepResult {
@@ -73,7 +56,6 @@ struct BenchRow {
     name: String,
     sweep: &'static str,
     precond: PrecondPolicy,
-    slice: SlicePolicy,
     wall_seconds: f64,
     result: SweepResult,
 }
@@ -92,7 +74,7 @@ fn emit_bench_json(rows: &[BenchRow]) {
         let s = &row.result.stats;
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"sweep\": \"{}\", \
-             \"precond\": \"{}\", \"slices\": \"{}\", \"wall_seconds\": {:.6}, \
+             \"precond\": \"{}\", \"wall_seconds\": {:.6}, \
              \"bicg_iterations\": {}, \"cold_iterations\": {}, \
              \"warm_iterations\": {}, \"matvecs\": {}, \"traversals\": {}, \
              \"assemblies\": {}, \"accepted\": {}, \"kernel_ns\": {}, \
@@ -101,7 +83,6 @@ fn emit_bench_json(rows: &[BenchRow]) {
             row.name,
             row.sweep,
             row.precond.name(),
-            row.slice.name(),
             row.wall_seconds,
             s.total_bicg_iterations,
             s.cold_bicg_iterations,
@@ -129,18 +110,12 @@ fn emit_bench_json(rows: &[BenchRow]) {
 fn bench_sweep(c: &mut Criterion) {
     let h = small_hamiltonian();
     let energies: Vec<f64> = (0..8).map(|i| 0.05 + 0.02 * i as f64).collect();
-    let cold = |p, s| SweepConfig::cold(ss(p, s));
-    let warm = |p, s| SweepConfig { initial_round: 2, ..SweepConfig::new(ss(p, s)) };
-    let single = SlicePolicy::single();
+    let cold = |p| SweepConfig::cold(ss(p));
+    let warm = |p| SweepConfig { initial_round: 2, ..SweepConfig::new(ss(p)) };
 
-    // The benchmark matrix: (cold, warm) x {matrix-free, ilu0, ilu0+smw}
-    // and the sliced-vs-single contour comparison (2-sector partition).
-    let matrix: Vec<(&'static str, PrecondPolicy, SlicePolicy)> = vec![
-        ("", PrecondPolicy::MatrixFree, single),
-        ("_ilu0", PrecondPolicy::AssembledIlu0, single),
-        ("_ilu0_smw", PrecondPolicy::AssembledIlu0Smw, single),
-        ("_sliced2", PrecondPolicy::MatrixFree, lean_sectors(2)),
-    ];
+    // The benchmark matrix: (cold, warm) x {matrix-free, ilu0}.
+    let matrix: Vec<(&'static str, PrecondPolicy)> =
+        vec![("", PrecondPolicy::MatrixFree), ("_ilu0", PrecondPolicy::AssembledIlu0)];
 
     // `CBS_BENCH_SMOKE=1` skips the sampled criterion group and keeps only
     // the one-timed-run row pass below — the CI regression gate runs in
@@ -149,13 +124,13 @@ fn bench_sweep(c: &mut Criterion) {
     if !smoke {
         let mut group = c.benchmark_group("sweep_cbs");
         group.sample_size(10);
-        for &(tag, precond, slice) in &matrix {
+        for &(tag, precond) in &matrix {
             group.bench_function(&format!("cold_8_energies{tag}"), |b| {
-                let config = cold(precond, slice);
+                let config = cold(precond);
                 b.iter(|| run_sweep(&h, &energies, config));
             });
             group.bench_function(&format!("warm_8_energies{tag}"), |b| {
-                let config = warm(precond, slice);
+                let config = warm(precond);
                 b.iter(|| run_sweep(&h, &energies, config));
             });
         }
@@ -181,9 +156,8 @@ fn bench_sweep(c: &mut Criterion) {
         }
     });
     let mut rows = Vec::new();
-    for &(tag, precond, slice) in &matrix {
-        for (sweep_kind, config) in [("cold", cold(precond, slice)), ("warm", warm(precond, slice))]
-        {
+    for &(tag, precond) in &matrix {
+        for (sweep_kind, config) in [("cold", cold(precond)), ("warm", warm(precond))] {
             let name = format!("{sweep_kind}_8_energies{tag}");
             let _warmup = run_sweep(&h, &energies, config);
             // Three timed runs, keeping the fastest (result, wall and
@@ -217,7 +191,7 @@ fn bench_sweep(c: &mut Criterion) {
                     }
                 }
             }
-            rows.push(BenchRow { name, sweep: sweep_kind, precond, slice, wall_seconds, result });
+            rows.push(BenchRow { name, sweep: sweep_kind, precond, wall_seconds, result });
         }
     }
     emit_bench_json(&rows);

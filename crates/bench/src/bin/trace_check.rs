@@ -24,22 +24,21 @@
 use std::process::ExitCode;
 
 /// Event names the `cbs-trace` Chrome writer may emit.
-const KNOWN_NAMES: [&str; 10] = [
+const KNOWN_NAMES: [&str; 9] = [
     "assemble",
     "ilu_factor",
     "tri_sweep",
     "kernel",
     "solve",
     "extraction",
-    "merge",
     "bicg_iter",
     "process_name",
     "thread_name",
 ];
 
 /// Stage names valid for `"ph": "X"` (complete span) events.
-const SPAN_NAMES: [&str; 7] =
-    ["assemble", "ilu_factor", "tri_sweep", "kernel", "solve", "extraction", "merge"];
+const SPAN_NAMES: [&str; 6] =
+    ["assemble", "ilu_factor", "tri_sweep", "kernel", "solve", "extraction"];
 
 /// Relative tolerance for the trace-vs-stats cross-check.
 const CROSS_TOLERANCE: f64 = 0.05;

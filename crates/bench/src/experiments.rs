@@ -3,10 +3,7 @@
 //! stdout in the same layout as the corresponding figure/table of the paper
 //! and returns the key numbers so integration tests can assert on them.
 
-use cbs_core::{
-    solve_qep_sliced_with, solve_qep_with, PrecondPolicy, QepProblem, SlicePolicy, SsConfig,
-    SsResult,
-};
+use cbs_core::{solve_qep_with, PrecondPolicy, QepProblem, SsConfig, SsResult};
 use cbs_dft::{band_structure, BlockHamiltonian};
 use cbs_linalg::Complex64;
 use cbs_obm::{obm_solve, ObmConfig};
@@ -14,32 +11,23 @@ use cbs_parallel::{
     measure_bicg_iteration_cost, ExecutorChoice, MachineModel, ParallelLayout, PerformanceModel,
     RayonExecutor, ScalingLayer, SerialExecutor, WorkloadModel,
 };
-use cbs_sparse::{AssembledPattern, LinearOperator};
+use cbs_sparse::{AssembledPattern, FactoredProjector, LinearOperator};
 use cbs_sweep::{EnergySweep, SweepConfig, SweepResult};
 
 use crate::systems::{self, BenchSystem};
 
 /// Solve one QEP through the shifted-solve pool, with the executor chosen
 /// by the `CBS_EXECUTOR` environment variable (`serial` default, `rayon`
-/// for the threaded fan-out; the results are bit-identical either way), the
-/// operator representation by `CBS_PRECOND` (`matrix-free`, `ilu0` or
-/// `ilu0-smw`; unset keeps the configured policy, which from
-/// `SsConfig::paper()` is ILU(0) where a pattern is attached — see
-/// [`env_pattern`] — and matrix-free otherwise) and the contour
-/// partitioning by `CBS_SLICES`
-/// (`single` default; `S` or `AxR` runs the sliced pipeline with merged
-/// extraction).
+/// for the threaded fan-out; the results are bit-identical either way) and
+/// the operator representation by `CBS_PRECOND` (`matrix-free` or `ilu0`;
+/// unset keeps the configured policy, which from `SsConfig::paper()` is
+/// ILU(0) where a pattern is attached — see [`env_pattern`] — and
+/// matrix-free otherwise).
 pub fn solve_qep_env(problem: &QepProblem<'_>, config: &SsConfig) -> SsResult {
-    let config = SsConfig {
-        precond: precond_policy_env(config.precond),
-        slice: slice_policy_env(config.slice),
-        ..*config
-    };
-    match (ExecutorChoice::from_env("CBS_EXECUTOR"), config.slice.is_single()) {
-        (ExecutorChoice::Serial, true) => solve_qep_with(problem, &config, &SerialExecutor),
-        (ExecutorChoice::Rayon, true) => solve_qep_with(problem, &config, &RayonExecutor),
-        (ExecutorChoice::Serial, false) => solve_qep_sliced_with(problem, &config, &SerialExecutor),
-        (ExecutorChoice::Rayon, false) => solve_qep_sliced_with(problem, &config, &RayonExecutor),
+    let config = SsConfig { precond: precond_policy_env(config.precond), ..*config };
+    match ExecutorChoice::from_env("CBS_EXECUTOR") {
+        ExecutorChoice::Serial => solve_qep_with(problem, &config, &SerialExecutor),
+        ExecutorChoice::Rayon => solve_qep_with(problem, &config, &RayonExecutor),
     }
 }
 
@@ -48,14 +36,10 @@ pub fn solve_qep_env(problem: &QepProblem<'_>, config: &SsConfig) -> SsResult {
 /// task pool and (unless `CBS_SWEEP=cold`) each energy's solves are
 /// warm-started from the nearest completed neighbour.  `CBS_SWEEP=cold`
 /// reproduces the per-energy `compute_cbs` loop bit for bit.  Under an
-/// assembled `CBS_PRECOND` policy the Hamiltonian's `qep_pattern` is built
-/// once and shared across the whole sweep.
+/// assembled `CBS_PRECOND` policy the Hamiltonian's factored backend
+/// ([`env_pattern`]) is built once and shared across the whole sweep.
 pub fn compute_cbs_env(h: &BlockHamiltonian, energies: &[f64], config: &SsConfig) -> SweepResult {
-    let config = SsConfig {
-        precond: precond_policy_env(config.precond),
-        slice: slice_policy_env(config.slice),
-        ..*config
-    };
+    let config = SsConfig { precond: precond_policy_env(config.precond), ..*config };
     let sweep_config = match cbs_trace::knob("CBS_SWEEP") {
         Some(SweepMode::Cold) => SweepConfig::cold(config),
         Some(SweepMode::Warm) | None => SweepConfig::new(config),
@@ -63,8 +47,8 @@ pub fn compute_cbs_env(h: &BlockHamiltonian, energies: &[f64], config: &SsConfig
     let h00 = h.h00();
     let h01 = h.h01();
     let mut sweep = EnergySweep::new(&h00, &h01, h.period(), sweep_config);
-    if config.precond.is_assembled() {
-        sweep = sweep.with_pattern(h.qep_pattern());
+    if let Some((pattern, projector)) = env_pattern(h, config.precond) {
+        sweep = sweep.with_pattern(pattern).with_projector(projector);
     }
     match ExecutorChoice::from_env("CBS_EXECUTOR") {
         ExecutorChoice::Serial => sweep.run(energies, &SerialExecutor),
@@ -114,19 +98,17 @@ fn precond_policy_env(configured: PrecondPolicy) -> PrecondPolicy {
     cbs_trace::knob("CBS_PRECOND").unwrap_or(configured)
 }
 
-/// `CBS_SLICES` overrides the configured contour partitioning only when it
-/// is set to a valid policy name (same keep-the-configured-value contract
-/// as [`precond_policy_env`]).
-fn slice_policy_env(configured: SlicePolicy) -> SlicePolicy {
-    cbs_trace::knob("CBS_SLICES").unwrap_or(configured)
-}
-
-/// The assembled pattern a single-energy harness should attach to its
-/// [`QepProblem`] given the env-resolved policy over the harness's
-/// `configured` default: `Some` when the effective policy is assembled,
-/// `None` (no assembly cost) under matrix-free.
-pub fn env_pattern(h: &BlockHamiltonian, configured: PrecondPolicy) -> Option<AssembledPattern> {
-    precond_policy_env(configured).is_assembled().then(|| h.qep_pattern())
+/// The assembled backend a harness should attach to its [`QepProblem`] or
+/// sweep given the env-resolved policy over the harness's `configured`
+/// default: the factored pair (sparse-only pattern plus low-rank projector,
+/// what the repo benchmark and `benches/sweep.rs` attach) when the
+/// effective policy is assembled, `None` (no assembly cost) under
+/// matrix-free.
+pub fn env_pattern(
+    h: &BlockHamiltonian,
+    configured: PrecondPolicy,
+) -> Option<(AssembledPattern, FactoredProjector)> {
+    precond_policy_env(configured).is_assembled().then(|| h.qep_factored())
 }
 
 /// Serial head-to-head of QEP/SS vs OBM on one system (one bar group of
@@ -138,8 +120,8 @@ pub fn fig4_compare(sys: &BenchSystem) -> (f64, f64, usize, usize) {
     let h01 = h.h01();
     let pattern = env_pattern(h, ss_config().precond);
     let mut problem = QepProblem::new(&h00, &h01, energy, h.period());
-    if let Some(p) = &pattern {
-        problem = problem.with_pattern(p);
+    if let Some((pattern, projector)) = &pattern {
+        problem = problem.with_pattern(pattern).with_projector(projector);
     }
 
     let t0 = std::time::Instant::now(); // cbs-audit: allow(D002) reason="bench wall-clock: reported runtime statistic, never fingerprinted"
@@ -188,8 +170,8 @@ pub fn table1_breakdown(sys: &BenchSystem) -> (f64, f64, f64) {
     let pattern = env_pattern(h, ss_config().precond);
     let setup = t0.elapsed().as_secs_f64();
     let mut problem = QepProblem::new(&h00, &h01, sys.fermi, h.period());
-    if let Some(p) = &pattern {
-        problem = problem.with_pattern(p);
+    if let Some((pattern, projector)) = &pattern {
+        problem = problem.with_pattern(pattern).with_projector(projector);
     }
     let ss = solve_qep_env(&problem, &ss_config());
     println!("-- {} --", sys.name);
@@ -207,8 +189,8 @@ pub fn fig5_convergence(sys: &BenchSystem) -> Vec<usize> {
     let h01 = h.h01();
     let pattern = env_pattern(h, ss_config().precond);
     let mut problem = QepProblem::new(&h00, &h01, sys.fermi, h.period());
-    if let Some(p) = &pattern {
-        problem = problem.with_pattern(p);
+    if let Some((pattern, projector)) = &pattern {
+        problem = problem.with_pattern(pattern).with_projector(projector);
     }
     let config = ss_config();
     let ss = solve_qep_env(&problem, &config);

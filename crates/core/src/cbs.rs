@@ -14,7 +14,7 @@ use cbs_sparse::LinearOperator;
 use cbs_trace::Stage;
 
 use crate::qep::QepProblem;
-use crate::ss::{solve_qep_sliced_with, solve_qep_with, SsConfig, SsResult};
+use crate::ss::{solve_qep_with, SsConfig, SsResult};
 
 /// Tolerance on `| |λ| - 1 |` below which a state is classified as
 /// propagating (a real-k Bloch state).
@@ -222,13 +222,7 @@ pub fn compute_cbs_with<E: TaskExecutor>(
         // context through `TraceHandle::resolve`.
         let _energy_ctx = cbs_trace::ctx_scope(cbs_trace::SpanCtx::NONE.with_energy(energy_index));
         let problem = QepProblem::new(h00, h01, energy, period);
-        // The single-contour policy runs the ring as one pool group;
-        // partitioned contours run one group per slice and merge.
-        let result = if config.slice.is_single() {
-            solve_qep_with(&problem, config, executor)
-        } else {
-            solve_qep_sliced_with(&problem, config, executor)
-        };
+        let result = solve_qep_with(&problem, config, executor);
         stats.total_bicg_iterations += result.total_bicg_iterations;
         stats.total_matvecs += result.total_matvecs;
         stats.operator_traversals += result.total_traversals;

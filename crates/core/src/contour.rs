@@ -25,22 +25,19 @@
 //! always.  And for a real Hamiltonian `P(z̄) = conj P(z)`, so with a real
 //! source block the solutions at the lower half-plane nodes are the
 //! conjugates of those at their mirror images: the solver then lists only
-//! the `Im z > 0` nodes (see
-//! [`ContourPartition::try_new`](crate::partition::ContourPartition::try_new))
-//! and never solves the rest.  `RingContour` itself always describes the
-//! full two-circle quadrature; which part of it is *solved* is the
-//! partition's business.
+//! the `Im z > 0` nodes (see [`RingPlan`](crate::ss::RingPlan)) and never
+//! solves the rest.  An odd `N` has one self-conjugate node at `θ = π`; it
+//! stays in the list with half its weights, because the extraction's
+//! `Ŝ_k ← Ŝ_k + conj Ŝ_k` counts every listed node twice.
 
 use serde::{Deserialize, Serialize};
 
 use cbs_linalg::Complex64;
 
-/// Why a contour (or a partition of one — see
-/// [`ContourPartition`](crate::partition::ContourPartition)) could not be
-/// constructed.  Returned by the `try_*` constructors; the panicking
-/// constructors wrap these with `expect`, so invalid parameters fail loudly
-/// at the boundary instead of producing NaN radii (`1/λ_min` for
-/// `λ_min = 0`) or empty node sets (`n_int = 0`) downstream.
+/// Why a contour could not be constructed.  Returned by
+/// [`RingContour::try_new`]; the panicking constructor wraps it, so invalid
+/// parameters fail loudly at the boundary instead of producing NaN radii
+/// (`1/λ_min` for `λ_min = 0`) or empty node sets (`n_int = 0`) downstream.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ContourError {
     /// `λ_min` outside the open interval `(0, 1)` (or not finite): the
@@ -55,12 +52,6 @@ pub enum ContourError {
         /// The rejected node count.
         n_int: usize,
     },
-    /// An invalid [`SlicePolicy`](crate::partition::SlicePolicy) field
-    /// combination.
-    InvalidSlicePolicy {
-        /// Human-readable reason.
-        reason: String,
-    },
 }
 
 impl std::fmt::Display for ContourError {
@@ -71,9 +62,6 @@ impl std::fmt::Display for ContourError {
             }
             Self::TooFewNodes { n_int } => {
                 write!(f, "contour error: n_int = {n_int} but at least 2 quadrature points per circle are required")
-            }
-            Self::InvalidSlicePolicy { reason } => {
-                write!(f, "contour error: invalid slice policy: {reason}")
             }
         }
     }
@@ -151,15 +139,34 @@ impl RingContour {
         2.0 * std::f64::consts::PI * (j as f64 + 0.5) / self.n_int as f64
     }
 
+    /// Outer node `j` and the inner node `1/z̄` its dual solution serves,
+    /// both weights scaled by `share` — the one place the ring's nodes are
+    /// written.
+    fn node(&self, j: usize, share: f64) -> (QuadraturePoint, QuadraturePoint) {
+        let point = |z, weight, outer| QuadraturePoint { index: j, z, weight, outer };
+        let n = self.n_int as f64;
+        let z = Complex64::polar(self.outer_radius(), self.theta(j));
+        let dual_z = Complex64::ONE / z.conj();
+        (point(z, (z / n).scale(share), true), point(dual_z, -(dual_z / n).scale(share), false))
+    }
+
+    /// The `(outer, paired inner)` node pairs a solve lists.  Every node of
+    /// the ring, or — `mirrored`, for a conjugate-symmetric problem — only
+    /// the `Im z > 0` half, each pair also standing for its mirror image
+    /// `(z̄, ω̄)`: the self-conjugate `θ = π` node of an odd `N` then enters
+    /// with half weights, since the extraction counts every listed node
+    /// twice.
+    pub(crate) fn solved_nodes(&self, mirrored: bool) -> Vec<(QuadraturePoint, QuadraturePoint)> {
+        let n_listed = if mirrored { self.n_int.div_ceil(2) } else { self.n_int };
+        (0..n_listed)
+            .map(|j| self.node(j, if mirrored && 2 * j + 1 == self.n_int { 0.5 } else { 1.0 }))
+            .collect()
+    }
+
     /// The outer-circle nodes (these are the only linear systems actually
     /// solved; the inner circle reuses their dual solutions).
     pub fn outer_points(&self) -> Vec<QuadraturePoint> {
-        (0..self.n_int)
-            .map(|j| {
-                let z = Complex64::polar(self.outer_radius(), self.theta(j));
-                QuadraturePoint { index: j, z, weight: z / self.n_int as f64, outer: true }
-            })
-            .collect()
+        (0..self.n_int).map(|j| self.node(j, 1.0).0).collect()
     }
 
     /// The inner-circle nodes, with the orientation sign folded into the
@@ -183,8 +190,7 @@ impl RingContour {
     /// The inner node paired with outer node `j`: `z^(2)_j = 1 / conj(z^(1)_j)`.
     pub fn paired_inner(&self, outer: &QuadraturePoint) -> QuadraturePoint {
         debug_assert!(outer.outer);
-        let z = Complex64::ONE / outer.z.conj();
-        QuadraturePoint { index: outer.index, z, weight: -(z / self.n_int as f64), outer: false }
+        self.node(outer.index, 1.0).1
     }
 
     /// Numerically evaluate the filter function
@@ -356,6 +362,88 @@ mod tests {
         for p in c.outer_points() {
             let expect = p.z / 12.0;
             assert!((p.weight - expect).abs() < 1e-15);
+        }
+    }
+
+    #[test]
+    fn single_slice_reproduces_the_ring_nodes_bitwise() {
+        let contour = RingContour::new(0.5, 16);
+        let nodes = contour.solved_nodes(false);
+        let outer = contour.outer_points();
+        assert_eq!(nodes.len(), outer.len());
+        let bits = |z: Complex64| (z.re.to_bits(), z.im.to_bits());
+        for (j, ((n, dual), o)) in nodes.iter().zip(&outer).enumerate() {
+            // The textbook expressions, written out independently.
+            let z = Complex64::polar(2.0, std::f64::consts::TAU * (j as f64 + 0.5) / 16.0);
+            let dual_z = Complex64::ONE / z.conj();
+            assert_eq!(bits(n.z), bits(z));
+            assert_eq!(bits(n.weight), bits(z / 16.0));
+            assert_eq!(bits(dual.z), bits(dual_z));
+            assert_eq!(bits(dual.weight), bits(-(dual_z / 16.0)));
+            let paired = contour.paired_inner(o);
+            assert_eq!(bits(n.z), bits(o.z));
+            assert_eq!(bits(n.weight), bits(o.weight));
+            assert_eq!(bits(dual.z), bits(paired.z));
+            assert_eq!(bits(dual.weight), bits(paired.weight));
+        }
+    }
+
+    #[test]
+    fn mirrored_ring_is_the_upper_half_of_the_full_ring_bitwise() {
+        // The slice filter `(1/2πi) ∮ z^k/(z − λ) dz` over a node list; a
+        // mirrored list also stands for the conjugates of its nodes.
+        let filter = |nodes: &[(QuadraturePoint, QuadraturePoint)], mirrored: bool, k, lambda| {
+            let term = |p: &QuadraturePoint| p.weight * p.z.powi(k) / (p.z - lambda);
+            let conj = |p: &QuadraturePoint| QuadraturePoint {
+                z: p.z.conj(),
+                weight: p.weight.conj(),
+                ..*p
+            };
+            let mut acc = Complex64::ZERO;
+            for (o, i) in nodes {
+                acc += term(o) + term(i);
+                if mirrored {
+                    acc += term(&conj(o)) + term(&conj(i));
+                }
+            }
+            acc
+        };
+        for n_int in [2usize, 7, 8, 12, 13] {
+            let contour = RingContour::new(0.5, n_int);
+            let full = contour.solved_nodes(false);
+            let half = contour.solved_nodes(true);
+            assert_eq!(half.len(), n_int.div_ceil(2));
+            for (j, ((h, hd), (f, fd))) in half.iter().zip(&full).enumerate() {
+                // Same shifts, bit for bit: the solved systems are exactly
+                // the full ring's upper half-plane ones.
+                assert_eq!(h.z.re.to_bits(), f.z.re.to_bits());
+                assert_eq!(h.z.im.to_bits(), f.z.im.to_bits());
+                assert_eq!(hd.z.re.to_bits(), fd.z.re.to_bits());
+                assert_eq!(hd.z.im.to_bits(), fd.z.im.to_bits());
+                // Same weights, except the self-conjugate θ = π node of an
+                // odd ring (real up to the rounding of `sin π`), which the
+                // closing sum would otherwise count twice.
+                let self_conjugate = 2 * j + 1 == n_int;
+                if self_conjugate {
+                    assert!(h.z.im.abs() < 1e-15 * h.z.abs());
+                } else {
+                    assert!(h.z.im > 0.0, "n_int = {n_int}: node {j} is below the real axis");
+                }
+                let share = if self_conjugate { 0.5 } else { 1.0 };
+                assert_eq!(h.weight, f.weight.scale(share));
+                assert_eq!(hd.weight, fd.weight.scale(share));
+                // The node it stands for is the full ring's mirror node.
+                let (mirror, _) = &full[n_int - 1 - j];
+                assert!((mirror.z - f.z.conj()).abs() < 1e-13);
+                assert!((mirror.weight - f.weight.conj()).abs() < 1e-13);
+            }
+            // The two quadratures are the same filter.
+            for lambda in [Complex64::polar(1.1, 0.7), Complex64::new(-0.8, 0.0)] {
+                for k in 0..4 {
+                    let (a, b) = (filter(&half, true, k, lambda), filter(&full, false, k, lambda));
+                    assert!((a - b).abs() < 1e-13 * (1.0 + b.abs()), "n_int {n_int} k {k}");
+                }
+            }
         }
     }
 

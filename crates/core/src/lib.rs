@@ -32,7 +32,6 @@
 
 pub mod cbs;
 pub mod contour;
-pub mod partition;
 pub mod policy;
 pub mod pool;
 pub mod qep;
@@ -43,12 +42,10 @@ pub use cbs::{
     ComplexBandStructure, PROPAGATING_TOLERANCE,
 };
 pub use contour::{ContourError, QuadraturePoint, RingContour};
-pub use partition::{ContourPartition, ContourSlice, SliceNode, SlicePolicy, SliceRegion};
 pub use policy::{BlockPolicy, PrecondPolicy};
 pub use pool::{solve_pool, PoolGroup, PoolOutcome, PoolPolicy, ShiftedSolveOutcome};
-pub use qep::{QepNodeOp, QepNodePrecond, QepOperator, QepProblem, StencilCache};
+pub use qep::{QepNodeOp, QepOperator, QepProblem, StencilCache};
 pub use ss::{
-    extract_from_moments, extract_sliced, merge_claimed, solve_qep, solve_qep_sliced,
-    solve_qep_sliced_with, solve_qep_with, source_block, MomentAccumulator, QepEigenpair,
-    SliceStats, SlicedPlan, SsConfig, SsResult, SsTimings,
+    extract_from_moments, solve_qep, solve_qep_with, source_block, MomentAccumulator, QepEigenpair,
+    RingPlan, SsConfig, SsResult, SsTimings,
 };

@@ -41,8 +41,10 @@ impl BlockPolicy {
 /// problem without an attached pattern runs as
 /// [`MatrixFree`](Self::MatrixFree), bitwise).  An unset or malformed
 /// `CBS_PRECOND` leaves whatever the reading binary configured.  The
-/// discriminants are the fingerprint and trace codes; 1 was the retired
-/// unpreconditioned assembled-CSR policy and is never reused.
+/// discriminants are the fingerprint and trace codes; 1 (the
+/// unpreconditioned assembled CSR) and 3 (ILU(0) completed by a
+/// Sherman-Morrison-Woodbury projector correction, 2–7× slower than plain
+/// ILU(0) at the same iteration count) are retired and never reused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PrecondPolicy {
     /// Apply `P(z)` matrix-free, unpreconditioned: one fused row pass over
@@ -59,31 +61,16 @@ pub enum PrecondPolicy {
     /// place as ILU input only) and the assembled CSR otherwise; one storage
     /// traversal per apply either way.
     AssembledIlu0 = 2,
-    /// [`AssembledIlu0`](Self::AssembledIlu0) completed by a
-    /// Sherman-Morrison-Woodbury correction for the factored low-rank
-    /// projector tail (`cbs_sparse::SmwPrecond`): the preconditioner
-    /// approximates the *full* `P(z)` instead of only its assembled CSR
-    /// part.  Falls back to plain [`AssembledIlu0`](Self::AssembledIlu0)
-    /// bitwise when no projector is attached (rank 0) or the capacitance
-    /// matrix is singular.
-    AssembledIlu0Smw = 3,
 }
 
 impl PrecondPolicy {
     /// Strictly parse a policy name — the `CBS_PRECOND` value syntax:
-    /// `"matrix-free"` / `"mf"`, `"assembled-ilu0"` / `"ilu0"` / `"ilu"`,
-    /// `"assembled-ilu0-smw"` / `"smw"`; `None` for unrecognized names (the
-    /// retired `"assembled"` / `"asm"` included, which [`cbs_trace::knob()`]
-    /// then reports once as malformed).
+    /// `"matrix-free"` / `"mf"`, `"assembled-ilu0"` / `"ilu0"` / `"ilu"`;
+    /// `None` for unrecognized names (the retired `"assembled"` and `"smw"`
+    /// spellings included, which [`cbs_trace::knob()`] then reports once as
+    /// malformed).
     pub fn try_from_name(name: &str) -> Option<Self> {
-        if name.eq_ignore_ascii_case("assembled-ilu0-smw")
-            || name.eq_ignore_ascii_case("assembled_ilu0_smw")
-            || name.eq_ignore_ascii_case("ilu0-smw")
-            || name.eq_ignore_ascii_case("ilu0_smw")
-            || name.eq_ignore_ascii_case("smw")
-        {
-            Some(Self::AssembledIlu0Smw)
-        } else if name.eq_ignore_ascii_case("assembled-ilu0")
+        if name.eq_ignore_ascii_case("assembled-ilu0")
             || name.eq_ignore_ascii_case("assembled_ilu0")
             || name.eq_ignore_ascii_case("ilu0")
             || name.eq_ignore_ascii_case("ilu")
@@ -104,11 +91,10 @@ impl PrecondPolicy {
         match self {
             Self::MatrixFree => "matrix-free",
             Self::AssembledIlu0 => "assembled-ilu0",
-            Self::AssembledIlu0Smw => "assembled-ilu0-smw",
         }
     }
 
-    /// `true` for the policies that refill the assembled pattern per node
+    /// `true` for the policy that refills the assembled pattern per node
     /// (as ILU input, and as the operator where no stencil applies).
     pub fn is_assembled(self) -> bool {
         !matches!(self, Self::MatrixFree)
@@ -116,7 +102,7 @@ impl PrecondPolicy {
 
     /// The policy's code in trace span contexts — the
     /// [`cbs_trace::policy_name`] contract: 0 = matrix-free,
-    /// 2 = assembled-ilu0, 3 = assembled-ilu0-smw.
+    /// 2 = assembled-ilu0.
     pub fn trace_code(self) -> u8 {
         self as u8
     }
@@ -136,7 +122,9 @@ mod tests {
     fn precond_policy_env_knob_parses_like_the_other_knobs() {
         // Retired values take the malformed-value road: no parse, so the
         // knob warns once and the caller's configured policy stands.
-        for retired in ["assembled", "ASM", "anything-else"] {
+        for retired in
+            ["assembled", "ASM", "smw", "assembled-ilu0-smw", "ilu0-smw", "anything-else"]
+        {
             assert_eq!(PrecondPolicy::try_from_name(retired), None);
             assert_eq!(<PrecondPolicy as cbs_trace::Knob>::parse_knob(retired), None);
         }
@@ -147,22 +135,15 @@ mod tests {
             ("assembled_ilu0", PrecondPolicy::AssembledIlu0),
             ("ilu", PrecondPolicy::AssembledIlu0),
             ("ILU0", PrecondPolicy::AssembledIlu0),
-            ("assembled-ilu0-smw", PrecondPolicy::AssembledIlu0Smw),
-            ("assembled_ilu0_smw", PrecondPolicy::AssembledIlu0Smw),
-            ("ilu0-smw", PrecondPolicy::AssembledIlu0Smw),
-            ("SMW", PrecondPolicy::AssembledIlu0Smw),
         ] {
             assert_eq!(PrecondPolicy::try_from_name(name), Some(policy), "{name}");
             assert_eq!(<PrecondPolicy as cbs_trace::Knob>::parse_knob(name), Some(policy));
         }
         assert_eq!(PrecondPolicy::MatrixFree.name(), "matrix-free");
         assert_eq!(PrecondPolicy::AssembledIlu0.name(), "assembled-ilu0");
-        assert_eq!(PrecondPolicy::AssembledIlu0Smw.name(), "assembled-ilu0-smw");
         assert!(!PrecondPolicy::MatrixFree.is_assembled());
         assert!(PrecondPolicy::AssembledIlu0.is_assembled());
-        assert!(PrecondPolicy::AssembledIlu0Smw.is_assembled());
         assert_eq!(PrecondPolicy::MatrixFree.trace_code(), 0);
         assert_eq!(PrecondPolicy::AssembledIlu0.trace_code(), 2);
-        assert_eq!(PrecondPolicy::AssembledIlu0Smw.trace_code(), 3);
     }
 }

@@ -4,14 +4,12 @@
 //! The contour quadrature needs the solutions of `N_int x N_rh` independent
 //! linear systems `P(z_j) y = v_r` (plus their duals, which serve the inner
 //! circle for free).  One "group" is such a set sharing a [`QepProblem`], a
-//! node set and a source block: the single ring of
-//! [`solve_qep_with`](crate::ss::solve_qep_with), a scan energy of a sweep,
-//! one [`ContourSlice`](crate::partition::ContourSlice) of a sliced solve,
-//! or a `(scan energy x slice)` cell of a sliced sweep.  Instead of running
-//! the groups one after another (each dispatching its own small batch),
-//! [`solve_pool`] concatenates the jobs of **all** groups into a single
-//! batch per majority-stop stage and dispatches that through the
-//! [`TaskExecutor`] seam.
+//! node set and a source block: the ring of
+//! [`solve_qep_with`](crate::ss::solve_qep_with), or one scan energy of a
+//! sweep.  Instead of running the groups one after another (each
+//! dispatching its own small batch), [`solve_pool`] concatenates the jobs
+//! of **all** groups into a single batch per majority-stop stage and
+//! dispatches that through the [`TaskExecutor`] seam.
 //!
 //! A job is one quadrature node of one group: it builds that node's
 //! operator (and preconditioner) through [`QepProblem::node_solve`] under
@@ -36,8 +34,8 @@
 //!
 //! The paper's majority-stop load-balancing rule runs in a deterministic
 //! two-stage form, **per group**: the group's first
-//! `ContourSlice::majority_stage_nodes` nodes (strictly more than half of
-//! its contour — all of a mirrored half ring's) are always solved to
+//! [`MomentAccumulator::majority_stage_nodes`] nodes (strictly more than
+//! half of its ring — all of a mirrored half ring's) are always solved to
 //! convergence; if they all converge, the remaining nodes run with their
 //! iteration count capped at the worst converged count of the first stage.
 //! The cap is a pure function of the group's completed first-stage results,
@@ -85,8 +83,8 @@ pub struct PoolGroup<'p, 'a> {
     /// the accumulated moments.
     pub keep_solutions: bool,
     /// Trace handle for the group's solves: each job opens a `solve` span
-    /// under this handle's context (energy/slice set by the driver, node
-    /// filled per job).  [`TraceHandle::disabled`] for untraced runs.
+    /// under this handle's context (energy set by the driver, node filled
+    /// per job).  [`TraceHandle::disabled`] for untraced runs.
     pub trace: TraceHandle,
 }
 
@@ -238,8 +236,8 @@ pub fn solve_pool<E: TaskExecutor>(
         (job.group, traversals, assemblies, outcomes)
     };
 
-    // Per-group stage-1 size: strictly more than half of the group's
-    // contour nodes — all of a mirrored half ring's.
+    // Per-group stage-1 size: strictly more than half of the group's ring
+    // nodes — all of a mirrored half ring's.
     let stage1_points: Vec<usize> =
         accs.iter().map(MomentAccumulator::majority_stage_nodes).collect();
 
@@ -354,7 +352,7 @@ pub fn solve_pool<E: TaskExecutor>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ss::{extract_from_moments, SlicedPlan, SsResult};
+    use crate::ss::{extract_from_moments, RingPlan, SsResult};
     use cbs_linalg::{c64, CMatrix};
     use cbs_parallel::{RayonExecutor, SerialExecutor};
     use cbs_solver::StopReason;
@@ -427,23 +425,23 @@ mod tests {
         seeds: Option<&[(CVector, CVector)]>,
         executor: &E,
     ) -> Ring {
-        let plan = SlicedPlan::build(qep, config).unwrap();
+        let plan = RingPlan::build(qep, config).unwrap();
         assert!(!plan.is_mirrored(), "these tests solve every node of the ring");
         let group = PoolGroup {
             problem: qep,
-            v_cols: &plan.v_cols[0],
+            v_cols: &plan.v_cols,
             seeds,
             keep_solutions: true,
             trace: TraceHandle::disabled(),
         };
         let policy = PoolPolicy::from_config(config);
-        let o = solve_pool(&[group], plan.accumulators(qep.dim()), &policy, executor)
+        let o = solve_pool(&[group], vec![plan.accumulator()], &policy, executor)
             .pop()
             .expect("one outcome per group");
         let result = extract_from_moments(
             qep,
             config,
-            &plan.v_cols[0],
+            &plan.v_cols,
             o.acc,
             o.iterations,
             o.matvecs,
@@ -607,18 +605,18 @@ mod tests {
         let cfg = config(8, 3, true);
         let problems =
             [QepProblem::new(&h00, &h01, 0.1, 1.0), QepProblem::new(&h00, &h01, 0.4, 1.0)];
-        let plan = SlicedPlan::build(&problems[0], &cfg).unwrap();
+        let plan = RingPlan::build(&problems[0], &cfg).unwrap();
         let groups: Vec<PoolGroup<'_, '_>> = problems
             .iter()
             .map(|problem| PoolGroup {
                 problem,
-                v_cols: &plan.v_cols[0],
+                v_cols: &plan.v_cols,
                 seeds: None,
                 keep_solutions: true,
                 trace: TraceHandle::disabled(),
             })
             .collect();
-        let accs = problems.iter().flat_map(|_| plan.accumulators(16)).collect();
+        let accs = problems.iter().map(|_| plan.accumulator()).collect();
         let pooled = solve_pool(&groups, accs, &PoolPolicy::from_config(&cfg), &RayonExecutor);
         for (qep, together) in problems.iter().zip(&pooled) {
             let alone = run_ring(qep, &cfg, None, &SerialExecutor);

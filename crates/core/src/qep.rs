@@ -24,10 +24,10 @@
 //! operators) keeps the generic three-pass composition `H₀₀`, `H₀₁`, `H₀₁†`
 //! through thread-local scratch, weight 3.
 //!
-//! The stencil is the apply of the ILU policies too: when the blocks
+//! The stencil is the apply of the ILU policy too: when the blocks
 //! convert, [`QepProblem::node_solve`] under
-//! [`PrecondPolicy::AssembledIlu0`] / [`PrecondPolicy::AssembledIlu0Smw`]
-//! refills the attached pattern only to factor it (in place —
+//! [`PrecondPolicy::AssembledIlu0`] refills the attached pattern only to
+//! factor it (in place —
 //! [`cbs_sparse::AssembledOp::into_ilu0`]) and hands BiCG the stencil view;
 //! blocks that do not convert keep the assembled CSR as their operator.  The
 //! conversion does not depend on the scan energy, so the problems of a sweep
@@ -39,8 +39,7 @@ use std::sync::OnceLock;
 
 use cbs_linalg::{CVector, Complex64};
 use cbs_sparse::{
-    AssembledOp, AssembledPattern, FactoredProjector, Ilu0, LinearOperator, Preconditioner,
-    RealStencil, SmwPrecond,
+    AssembledOp, AssembledPattern, FactoredProjector, Ilu0, LinearOperator, RealStencil,
 };
 
 use crate::policy::PrecondPolicy;
@@ -75,7 +74,7 @@ pub struct QepProblem<'a> {
     /// convert `λ = exp(i k a)` into a wave number.
     pub period: f64,
     /// Optional assembled-operator backend: the shared symbolic union
-    /// pattern of `H₀₀`/`H₀₁`/`H₀₁†`, enabling the ILU(0) policies.  The
+    /// pattern of `H₀₀`/`H₀₁`/`H₀₁†`, enabling the ILU(0) policy.  The
     /// pattern is energy-independent, so one instance serves every scan
     /// energy of a sweep.
     pattern: Option<&'a AssembledPattern>,
@@ -136,9 +135,8 @@ impl<'a> QepProblem<'a> {
 
     /// Attach the assembled-operator pattern (see
     /// [`cbs_sparse::AssembledPattern::build`]), enabling the
-    /// [`PrecondPolicy::AssembledIlu0`] / [`PrecondPolicy::AssembledIlu0Smw`]
-    /// node contexts.  Without a pattern those policies silently fall back
-    /// to the matrix-free path.
+    /// [`PrecondPolicy::AssembledIlu0`] node context.  Without a pattern
+    /// that policy silently falls back to the matrix-free path.
     pub fn with_pattern(mut self, pattern: &'a AssembledPattern) -> Self {
         assert_eq!(pattern.dim(), self.dim(), "pattern dimension mismatch");
         self.pattern = Some(pattern);
@@ -161,8 +159,8 @@ impl<'a> QepProblem<'a> {
     /// the factored kernels; ILU(0) factors the CSR part only.
     ///
     /// A sparse-only pattern attached *without* its projector makes such an
-    /// operator drop the projectors from `P(z)`.  Where the ILU policies
-    /// apply `P(z)` through the [`RealStencil`] (built from the blocks
+    /// operator drop the projectors from `P(z)`.  Where the ILU policy
+    /// applies `P(z)` through the [`RealStencil`] (built from the blocks
     /// themselves, projectors included) the same omission only weakens the
     /// preconditioner.
     pub fn with_projector(mut self, projector: &'a FactoredProjector) -> Self {
@@ -212,9 +210,9 @@ impl<'a> QepProblem<'a> {
     /// [`LinearOperator::is_real`], and the scan energy is an `f64`.
     ///
     /// For a real source block the solutions then satisfy
-    /// `Y(z̄) = conj Y(z)`, so the single-ring quadrature keeps only its
-    /// `Im z > 0` nodes (`ContourPartition::try_new`) and the
-    /// extraction closes the sum with `Ŝ_k ← 2 Re Ŝ_k`.  This is a
+    /// `Y(z̄) = conj Y(z)`, so the ring quadrature keeps only its
+    /// `Im z > 0` nodes ([`RingPlan::build`](crate::ss::RingPlan::build))
+    /// and the extraction closes the sum with `Ŝ_k ← 2 Re Ŝ_k`.  This is a
     /// property of the input, decided once per problem (the O(storage)
     /// scans are cached here) — there is no knob: complex blocks (a random
     /// Hermitian test pencil, a future `k_⊥ ≠ 0`) or an operator type that
@@ -262,7 +260,7 @@ impl<'a> QepProblem<'a> {
     }
 
     /// The per-node solve context under a [`PrecondPolicy`]: the operator
-    /// representation of `P(z)` plus an optional preconditioner.
+    /// representation of `P(z)` plus an optional ILU(0) preconditioner.
     ///
     /// * [`PrecondPolicy::MatrixFree`] — the matrix-free view, no
     ///   preconditioner.
@@ -272,19 +270,14 @@ impl<'a> QepProblem<'a> {
     ///   operator is the [`RealStencil`] view when the blocks convert — the
     ///   refill is then ILU input only and is factored where it lies — and
     ///   the assembled CSR otherwise.
-    /// * [`PrecondPolicy::AssembledIlu0Smw`] — the same, with the ILU(0)
-    ///   completed by the Sherman-Morrison-Woodbury correction for the
-    ///   attached factored projector tail, so `M` approximates the full
-    ///   `P(z)`.  Without a non-empty projector this degrades (bitwise) to
-    ///   the plain ILU(0) context.
     ///
-    /// Assembled policies require [`with_pattern`](Self::with_pattern);
-    /// without it they fall back to the matrix-free context.
+    /// The assembled policy requires [`with_pattern`](Self::with_pattern);
+    /// without it it falls back to the matrix-free context.
     pub fn node_solve(
         &self,
         policy: PrecondPolicy,
         z: Complex64,
-    ) -> (QepNodeOp<'a, '_>, Option<QepNodePrecond<'a>>) {
+    ) -> (QepNodeOp<'a, '_>, Option<Ilu0<'a>>) {
         let (op, prec, _refills) = self.node_solve_counted(policy, z);
         (op, prec)
     }
@@ -296,29 +289,19 @@ impl<'a> QepProblem<'a> {
         &self,
         policy: PrecondPolicy,
         z: Complex64,
-    ) -> (QepNodeOp<'a, '_>, Option<QepNodePrecond<'a>>, usize) {
+    ) -> (QepNodeOp<'a, '_>, Option<Ilu0<'a>>, usize) {
         match (policy, self.pattern) {
             (PrecondPolicy::MatrixFree, _) | (_, None) => {
                 (QepNodeOp::MatrixFree(self.operator(z)), None, 0)
             }
-            (PrecondPolicy::AssembledIlu0 | PrecondPolicy::AssembledIlu0Smw, Some(pattern)) => {
+            (PrecondPolicy::AssembledIlu0, Some(pattern)) => {
                 let refill = pattern.assemble(self.energy, z);
-                let tail = self
-                    .projector
-                    .filter(|p| policy == PrecondPolicy::AssembledIlu0Smw && !p.is_empty());
                 let stencil_view = self.operator(z);
                 if self.real_stencil().is_some() {
-                    let prec = match tail {
-                        Some(proj) => QepNodePrecond::Smw(refill.into_ilu0_smw(proj)),
-                        None => QepNodePrecond::Ilu0(refill.into_ilu0()),
-                    };
-                    (QepNodeOp::MatrixFree(stencil_view), Some(prec), 1)
+                    (QepNodeOp::MatrixFree(stencil_view), Some(refill.into_ilu0()), 1)
                 } else {
-                    let prec = match tail {
-                        Some(proj) => QepNodePrecond::Smw(refill.ilu0_smw(proj)),
-                        None => QepNodePrecond::Ilu0(refill.ilu0()),
-                    };
-                    (self.wrap_assembled(refill), Some(prec), 1)
+                    let ilu = refill.ilu0();
+                    (self.wrap_assembled(refill), Some(ilu), 1)
                 }
             }
         }
@@ -504,7 +487,7 @@ impl LinearOperator for QepOperator<'_, '_> {
 /// composition) or the assembled single-CSR form (one).
 pub enum QepNodeOp<'a, 'p> {
     /// Matrix-free `P(z)`: [`PrecondPolicy::MatrixFree`], any policy without
-    /// a pattern, and the ILU policies on blocks the [`RealStencil`] covers.
+    /// a pattern, and the ILU policy on blocks the [`RealStencil`] covers.
     MatrixFree(QepOperator<'a, 'p>),
     /// `P(z)` materialized by numeric refill of the shared pattern.
     Assembled(AssembledOp<'a>),
@@ -515,64 +498,10 @@ pub enum QepNodeOp<'a, 'p> {
 
 impl QepNodeOp<'_, '_> {
     /// `true` for the assembled representations (plain or factored).  Not a
-    /// count of pattern refills: the ILU policies refill for the
+    /// count of pattern refills: the ILU policy refills for the
     /// factorization even when the operator comes back matrix-free.
     pub fn is_assembled(&self) -> bool {
         matches!(self, Self::Assembled(_) | Self::Factored(..))
-    }
-}
-
-/// The per-node preconditioner resolved from a [`PrecondPolicy`] by
-/// [`QepProblem::node_solve`]: the plain assembled ILU(0), or the ILU(0)
-/// completed by the Sherman-Morrison-Woodbury projector correction
-/// ([`cbs_sparse::SmwPrecond`]).  Delegates every [`Preconditioner`]
-/// method — including the blocked multi-RHS entry points — unchanged, so
-/// the bitwise contracts of the underlying applies carry through.
-pub enum QepNodePrecond<'a> {
-    /// Plain ILU(0) of the assembled CSR part.
-    Ilu0(Ilu0<'a>),
-    /// ILU(0) plus the SMW low-rank completion (`M ≈ P(z)` in full).
-    Smw(SmwPrecond<'a>),
-}
-
-impl QepNodePrecond<'_> {
-    /// `true` when the SMW completion is active (non-empty projector tail
-    /// with a non-singular capacitance matrix).
-    pub fn is_smw_complete(&self) -> bool {
-        matches!(self, Self::Smw(p) if p.is_complete())
-    }
-}
-
-impl Preconditioner for QepNodePrecond<'_> {
-    fn dim(&self) -> usize {
-        match self {
-            Self::Ilu0(p) => p.dim(),
-            Self::Smw(p) => p.dim(),
-        }
-    }
-    fn solve(&self, r: &[Complex64], z: &mut [Complex64]) {
-        match self {
-            Self::Ilu0(p) => p.solve(r, z),
-            Self::Smw(p) => p.solve(r, z),
-        }
-    }
-    fn solve_adjoint(&self, r: &[Complex64], z: &mut [Complex64]) {
-        match self {
-            Self::Ilu0(p) => p.solve_adjoint(r, z),
-            Self::Smw(p) => p.solve_adjoint(r, z),
-        }
-    }
-    fn solve_block(&self, r: &[Complex64], z: &mut [Complex64], nvecs: usize) {
-        match self {
-            Self::Ilu0(p) => p.solve_block(r, z, nvecs),
-            Self::Smw(p) => p.solve_block(r, z, nvecs),
-        }
-    }
-    fn solve_adjoint_block(&self, r: &[Complex64], z: &mut [Complex64], nvecs: usize) {
-        match self {
-            Self::Ilu0(p) => p.solve_adjoint_block(r, z, nvecs),
-            Self::Smw(p) => p.solve_adjoint_block(r, z, nvecs),
-        }
     }
 }
 
@@ -959,7 +888,7 @@ mod tests {
             assert_eq!(qep.residual_op_counters(), (1, 3));
         }
 
-        // The ILU policies dispatch on the same property.  Blocks that
+        // The ILU policy dispatches on the same property.  Blocks that
         // convert are applied through the stencil and their refill is only
         // factored; all others keep the assembled operator, bit for bit.
         // Either way the node refilled the pattern once, and the
@@ -982,34 +911,25 @@ mod tests {
                 op.apply_block(&x, &mut y, nvecs);
                 y
             };
-            let precond = |prec: &dyn Preconditioner| {
+            let precond = |prec: &dyn cbs_sparse::Preconditioner| {
                 let mut y = vec![Complex64::ZERO; n * nvecs];
                 prec.solve_adjoint_block(&x, &mut y, nvecs);
                 y
             };
-            for policy in [PrecondPolicy::AssembledIlu0, PrecondPolicy::AssembledIlu0Smw] {
-                let (op, prec, refills) = qep.node_solve_counted(policy, z);
-                let prec = prec.expect("the ILU policies precondition");
-                assert_eq!(refills, 1);
-                assert_eq!(op.traversal_weight(), 1);
-                assert_eq!(qep.real_stencil().is_some(), converts);
-                let smw = policy == PrecondPolicy::AssembledIlu0Smw && projector.is_some();
-                assert_eq!(prec.is_smw_complete(), smw);
-                if converts {
-                    assert!(matches!(op, QepNodeOp::MatrixFree(_)));
-                    assert_eq!(block(&op), block(&qep.operator(z)));
-                } else {
-                    let assembled = qep.wrap_assembled(pattern.assemble(0.2, z));
-                    assert!(op.is_assembled());
-                    assert_eq!(block(&op), block(&assembled));
-                }
-                let refill = pattern.assemble(0.2, z);
-                let want = match &projector {
-                    Some(p) if smw => precond(&refill.ilu0_smw(p)),
-                    _ => precond(&refill.ilu0()),
-                };
-                assert_eq!(precond(&prec), want);
+            let (op, prec, refills) = qep.node_solve_counted(PrecondPolicy::AssembledIlu0, z);
+            let prec = prec.expect("the ILU policy preconditions");
+            assert_eq!(refills, 1);
+            assert_eq!(op.traversal_weight(), 1);
+            assert_eq!(qep.real_stencil().is_some(), converts);
+            if converts {
+                assert!(matches!(op, QepNodeOp::MatrixFree(_)));
+                assert_eq!(block(&op), block(&qep.operator(z)));
+            } else {
+                let assembled = qep.wrap_assembled(pattern.assemble(0.2, z));
+                assert!(op.is_assembled());
+                assert_eq!(block(&op), block(&assembled));
             }
+            assert_eq!(precond(&prec), precond(&pattern.assemble(0.2, z).ilu0()));
         };
         for (b00, b01, converts) in [(&h00, &h01, true), (&g00, &g01, false), (&c00, &c01, false)] {
             let tails = Some((&b00.lowrank, &b01.lowrank));
@@ -1033,18 +953,14 @@ mod tests {
 
         // Without a pattern, every policy resolves matrix-free.
         let bare = QepProblem::new(&op00, &op01, 0.1, 1.0);
-        for policy in [
-            PrecondPolicy::MatrixFree,
-            PrecondPolicy::AssembledIlu0,
-            PrecondPolicy::AssembledIlu0Smw,
-        ] {
+        for policy in [PrecondPolicy::MatrixFree, PrecondPolicy::AssembledIlu0] {
             let (op, prec) = bare.node_solve(policy, z);
             assert!(!op.is_assembled());
             assert!(prec.is_none());
             assert_eq!(op.traversal_weight(), 3);
         }
 
-        // With a pattern, the ILU policies materialize the CSR and factor
+        // With a pattern, the ILU policy materializes the CSR and factors
         // it — and, on blocks that do not convert to a stencil, apply it,
         // in agreement with the matrix-free operator to rounding accuracy.
         let with = QepProblem::new(&op00, &op01, 0.1, 1.0).with_pattern(&pattern);
@@ -1052,26 +968,22 @@ mod tests {
         let x = CVector::random(n, &mut rng);
         let (free_op, _) = with.node_solve(PrecondPolicy::MatrixFree, z);
         let y_free = free_op.apply_vec(&x);
-        for policy in [PrecondPolicy::AssembledIlu0, PrecondPolicy::AssembledIlu0Smw] {
-            let (op, prec) = with.node_solve(policy, z);
-            assert!(op.is_assembled());
-            assert_eq!(op.traversal_weight(), 1);
-            assert!(prec.is_some());
-            // No projector attached: the SMW policy degrades to plain ILU(0).
-            assert!(!prec.as_ref().is_some_and(QepNodePrecond::is_smw_complete));
-            let y = op.apply_vec(&x);
-            assert!(
-                (&y - &y_free).norm() < 1e-11 * (1.0 + y_free.norm()),
-                "assembled P(z) drifted from the matrix-free apply"
-            );
-            let mut ya = vec![Complex64::ZERO; n];
-            op.apply_adjoint(x.as_slice(), &mut ya);
-            let mut ya_free = vec![Complex64::ZERO; n];
-            free_op.apply_adjoint(x.as_slice(), &mut ya_free);
-            let defect: f64 =
-                ya.iter().zip(&ya_free).map(|(a, b)| (*a - *b).norm_sqr()).sum::<f64>().sqrt();
-            assert!(defect < 1e-11 * (1.0 + y_free.norm()));
-        }
+        let (op, prec) = with.node_solve(PrecondPolicy::AssembledIlu0, z);
+        assert!(op.is_assembled());
+        assert_eq!(op.traversal_weight(), 1);
+        assert!(prec.is_some());
+        let y = op.apply_vec(&x);
+        assert!(
+            (&y - &y_free).norm() < 1e-11 * (1.0 + y_free.norm()),
+            "assembled P(z) drifted from the matrix-free apply"
+        );
+        let mut ya = vec![Complex64::ZERO; n];
+        op.apply_adjoint(x.as_slice(), &mut ya);
+        let mut ya_free = vec![Complex64::ZERO; n];
+        free_op.apply_adjoint(x.as_slice(), &mut ya_free);
+        let defect: f64 =
+            ya.iter().zip(&ya_free).map(|(a, b)| (*a - *b).norm_sqr()).sum::<f64>().sqrt();
+        assert!(defect < 1e-11 * (1.0 + y_free.norm()));
     }
 
     #[test]
@@ -1109,43 +1021,27 @@ mod tests {
         assert!(factored.projector().is_some());
 
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(414);
-        for policy in [PrecondPolicy::AssembledIlu0, PrecondPolicy::AssembledIlu0Smw] {
-            let (op_full, _) = expanded.node_solve(policy, z);
-            let (op_fact, prec) = factored.node_solve(policy, z);
-            assert!(op_fact.is_assembled());
-            assert!(matches!(op_fact, QepNodeOp::Factored(..)));
-            assert!(prec.is_some());
-            // With a non-empty projector, the SMW policy completes the
-            // preconditioner with the low-rank tail.
-            assert_eq!(
-                prec.as_ref().is_some_and(QepNodePrecond::is_smw_complete),
-                policy == PrecondPolicy::AssembledIlu0Smw
-            );
-            assert!(op_fact.memory_bytes() > 0);
-            for nvecs in [1usize, 3] {
-                let x: Vec<Complex64> = CVector::random(n * nvecs, &mut rng).into_vec();
-                let mut y_full = vec![Complex64::ZERO; n * nvecs];
-                let mut y_fact = vec![Complex64::ZERO; n * nvecs];
-                op_full.apply_block(&x, &mut y_full, nvecs);
-                op_fact.apply_block(&x, &mut y_fact, nvecs);
-                let err: f64 = y_full
-                    .iter()
-                    .zip(&y_fact)
-                    .map(|(a, b)| (*a - *b).norm_sqr())
-                    .sum::<f64>()
-                    .sqrt();
-                let norm: f64 = y_full.iter().map(|v| v.norm_sqr()).sum::<f64>().sqrt();
-                assert!(err < 1e-12 * (1.0 + norm), "factored P(z) drifted: {err}");
-                op_full.apply_adjoint_block(&x, &mut y_full, nvecs);
-                op_fact.apply_adjoint_block(&x, &mut y_fact, nvecs);
-                let err: f64 = y_full
-                    .iter()
-                    .zip(&y_fact)
-                    .map(|(a, b)| (*a - *b).norm_sqr())
-                    .sum::<f64>()
-                    .sqrt();
-                assert!(err < 1e-12 * (1.0 + norm), "factored P(z)† drifted: {err}");
-            }
+        let (op_full, _) = expanded.node_solve(PrecondPolicy::AssembledIlu0, z);
+        let (op_fact, prec) = factored.node_solve(PrecondPolicy::AssembledIlu0, z);
+        assert!(op_fact.is_assembled());
+        assert!(matches!(op_fact, QepNodeOp::Factored(..)));
+        assert!(prec.is_some());
+        assert!(op_fact.memory_bytes() > 0);
+        for nvecs in [1usize, 3] {
+            let x: Vec<Complex64> = CVector::random(n * nvecs, &mut rng).into_vec();
+            let mut y_full = vec![Complex64::ZERO; n * nvecs];
+            let mut y_fact = vec![Complex64::ZERO; n * nvecs];
+            op_full.apply_block(&x, &mut y_full, nvecs);
+            op_fact.apply_block(&x, &mut y_fact, nvecs);
+            let err: f64 =
+                y_full.iter().zip(&y_fact).map(|(a, b)| (*a - *b).norm_sqr()).sum::<f64>().sqrt();
+            let norm: f64 = y_full.iter().map(|v| v.norm_sqr()).sum::<f64>().sqrt();
+            assert!(err < 1e-12 * (1.0 + norm), "factored P(z) drifted: {err}");
+            op_full.apply_adjoint_block(&x, &mut y_full, nvecs);
+            op_fact.apply_adjoint_block(&x, &mut y_fact, nvecs);
+            let err: f64 =
+                y_full.iter().zip(&y_fact).map(|(a, b)| (*a - *b).norm_sqr()).sum::<f64>().sqrt();
+            assert!(err < 1e-12 * (1.0 + norm), "factored P(z)† drifted: {err}");
         }
     }
 

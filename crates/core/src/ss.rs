@@ -25,17 +25,16 @@
 //!   circle is iterated.
 //! * `P(z̄) = conj P(z)` (real blocks, real `E`;
 //!   [`QepProblem::is_conjugate_symmetric`]): the lower half-plane nodes
-//!   of the single ring mirror the upper ones — only the `Im z > 0` nodes
-//!   are listed ([`ContourSlice::is_mirrored`]) and step 2 closes with
+//!   of the ring mirror the upper ones — only the `Im z > 0` nodes are
+//!   listed ([`RingPlan::is_mirrored`]) and step 2 closes with
 //!   `Ŝ_k ← Ŝ_k + conj Ŝ_k = 2 Re Ŝ_k`.
 //! * a **real** source block `V` ([`source_block`]), which is what turns
 //!   the operator identity into `Y(z̄) = conj Y(z)`.
 //!
-//! The second shortcut engages by itself whenever the problem reports it
-//! and the contour is the single ring; it silently does not for complex
-//! blocks, for operator types that do not implement
-//! `LinearOperator::is_real`, and for sector/radial slices (`S > 1`) —
-//! those run the full node list through the same code.
+//! The second shortcut engages by itself whenever the problem reports it;
+//! it silently does not for complex blocks and for operator types that do
+//! not implement `LinearOperator::is_real` — those run the full node list
+//! through the same code.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -46,10 +45,9 @@ use cbs_parallel::{SerialExecutor, TaskExecutor};
 use cbs_solver::{ConvergenceHistory, SolverOptions};
 use cbs_trace::{Stage, TraceHandle};
 
-use crate::contour::{ContourError, RingContour};
-use crate::partition::{ContourPartition, ContourSlice, SliceNode, SlicePolicy, SliceRegion};
+use crate::contour::{ContourError, QuadraturePoint, RingContour};
 use crate::policy::PrecondPolicy;
-use crate::pool::{solve_pool, PoolGroup, PoolOutcome, PoolPolicy, ShiftedSolveOutcome};
+use crate::pool::{solve_pool, PoolGroup, PoolPolicy, ShiftedSolveOutcome};
 use crate::qep::QepProblem;
 
 /// Parameters of the Sakurai-Sugiura solve (paper notation).
@@ -88,19 +86,7 @@ pub struct SsConfig {
     /// "ILU(0) if a pattern is attached ([`QepProblem::with_pattern`]), else
     /// matrix-free": a problem that never attaches one runs the
     /// [`MatrixFree`](PrecondPolicy::MatrixFree) trajectory, bitwise.
-    /// [`AssembledIlu0Smw`](PrecondPolicy::AssembledIlu0Smw) additionally
-    /// folds an attached factored projector into the preconditioner, and
-    /// without one is bitwise the plain ILU(0) trajectory.
     pub precond: PrecondPolicy,
-    /// Contour partitioning (see [`SlicePolicy`], env knob `CBS_SLICES`):
-    /// the default single contour runs the monolithic pipeline, bitwise
-    /// unchanged; `sectors(S)` splits the annulus into `S` slices, each
-    /// extracting through a smaller per-slice subspace, with the merged
-    /// eigenvalue union deduplicated deterministically
-    /// ([`solve_qep_sliced_with`]).  Like [`precond`](Self::precond), the
-    /// policy changes the floating-point trajectory for `S > 1`, so it is
-    /// part of the sweep checkpoint fingerprint.
-    pub slice: SlicePolicy,
     /// Requested trace detail for this solve's spans (see `cbs-trace`).
     /// Recording only happens while a `cbs_trace::TraceSession` is active —
     /// this knob can *raise* the session's level (e.g. to
@@ -128,16 +114,15 @@ impl SsConfig {
     /// tolerance `1e-10`.
     ///
     /// **The policy rule, written once:** ILU(0) if a pattern is attached,
-    /// else matrix-free ([`precond`](Self::precond)), on a single contour.
-    /// Nothing measures at run time; the rule rests on committed numbers.
-    /// `BENCH_sweep.json` (Al(100), 343 points, 8 energies, cold / warm):
-    /// ILU(0) 0.259 / 0.245 s, matrix-free 0.563 / 0.491 s, ILU(0)+SMW
-    /// 0.589 / 0.574 s, two slices 2.872 s; ILU(0) also wins at 12 167
+    /// else matrix-free ([`precond`](Self::precond)).  Nothing measures at
+    /// run time; the rule rests on committed numbers.  `BENCH_sweep.json`
+    /// (Al(100), 343 points, 8 energies, cold / warm): ILU(0) 0.259 /
+    /// 0.245 s, matrix-free 0.563 / 0.491 s; ILU(0) also wins at 12 167
     /// points (the `al12k_solve_ilu0` benchmark workload).  The calibrated
     /// tuner this replaces committed exactly this cell on every recorded
     /// row, at 0.228 / 0.253 s — the same counters, inside the host's ±15%.
-    /// A caller who knows better sets `precond` / `slice` (bench binaries:
-    /// `CBS_PRECOND`, `CBS_SLICES`).
+    /// A caller who knows better sets `precond` (bench binaries:
+    /// `CBS_PRECOND`).
     pub fn paper() -> Self {
         Self {
             n_int: 32,
@@ -151,7 +136,6 @@ impl SsConfig {
             seed: 0x5a5a_5a5a,
             majority_stop: true,
             precond: PrecondPolicy::AssembledIlu0,
-            slice: SlicePolicy::single(),
             trace: cbs_trace::TraceLevel::Stage,
             auto: false,
         }
@@ -178,36 +162,6 @@ impl SsConfig {
             tolerance: self.bicg_tolerance,
             max_iterations: self.bicg_max_iterations,
             record_history: true,
-        }
-    }
-
-    /// The effective per-slice configuration for slice `index` under
-    /// [`slice`](Self::slice).  For the single-contour policy this is the
-    /// configuration itself (bitwise — same seed, same `N_mm x N_rh`);
-    /// for `S > 1` slices the subspace shrinks (default
-    /// `N_rh → max(2, ceil(2 N_rh / S))`, capped strictly below the
-    /// monolithic `N_rh`) and each slice draws its source block from a
-    /// distinct seed (`seed + index`).
-    pub fn slice_ss_config(&self, index: usize) -> SsConfig {
-        let s = self.slice.slice_count();
-        if s == 1 {
-            return Self { slice: SlicePolicy::single(), ..*self };
-        }
-        let n_mm = self.slice.slice_n_mm.unwrap_or(self.n_mm).max(1);
-        let n_rh = self
-            .slice
-            .slice_n_rh
-            .unwrap_or_else(|| {
-                let derived = (2 * self.n_rh).div_ceil(s).max(2);
-                derived.min(self.n_rh.saturating_sub(1).max(1))
-            })
-            .max(1);
-        Self {
-            n_mm,
-            n_rh,
-            seed: self.seed.wrapping_add(index as u64),
-            slice: SlicePolicy::single(),
-            ..*self
         }
     }
 }
@@ -296,46 +250,6 @@ pub struct SsResult {
     pub timings: SsTimings,
     /// Eigenpairs discarded by the residual filter (diagnostics).
     pub discarded: usize,
-    /// Slice-resolved counters of a sliced solve
-    /// ([`solve_qep_sliced_with`]), in slice order; empty for the
-    /// monolithic single-contour path.
-    pub slice_stats: Vec<SliceStats>,
-}
-
-/// Per-slice counters of one sliced Sakurai-Sugiura solve — the
-/// slice-resolved view of the aggregate [`SsResult`] totals.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
-pub struct SliceStats {
-    /// Slice index (partition order).
-    pub slice: usize,
-    /// Primal quadrature nodes of the slice (= shifted systems per rhs).
-    pub nodes: usize,
-    /// Per-slice moment count.
-    pub n_mm: usize,
-    /// Per-slice right-hand-side count.
-    pub n_rh: usize,
-    /// Per-slice projected subspace size `n_mm * n_rh`.
-    pub subspace_size: usize,
-    /// Primal BiCG iterations of the slice's solves.
-    pub bicg_iterations: usize,
-    /// Operator applications (matvec-equivalents) of the slice's solves.
-    pub matvecs: usize,
-    /// Operator-storage traversals of the slice's solves.
-    pub traversals: usize,
-    /// Numeric pattern refills performed for the slice.
-    pub assemblies: usize,
-    /// Solves run under the majority-stop cap.
-    pub capped_solves: usize,
-    /// Solves (primal+dual pairs) actually run for the slice.
-    pub solves: usize,
-    /// Numerical rank selected by the slice's Hankel SVD.
-    pub numerical_rank: usize,
-    /// Eigenpairs the slice's extraction accepted (pre-claim).
-    pub accepted: usize,
-    /// Eigenpairs surviving the slice's claim-cell membership test.
-    pub claimed: usize,
-    /// Candidates the slice's residual/membership filters discarded.
-    pub discarded: usize,
 }
 
 impl SsResult {
@@ -367,22 +281,16 @@ pub fn source_block(n: usize, config: &SsConfig) -> Vec<CVector> {
 /// and retains the primal convergence histories.
 ///
 /// Factored out of [`solve_qep_with`] so that multi-group drivers (the
-/// `cbs-sweep` crate's cross-energy pool, [`solve_qep_sliced_with`]'s
-/// cross-slice pool) can run one accumulator per group while the underlying
-/// solves of *all* groups share a single flattened task pool.  The
-/// accumulator is generic over the contour piece it integrates: any
-/// [`ContourSlice`] ([`for_slice`](Self::for_slice)) — the whole-annulus
-/// slice of the single-contour policy is the classic two-circle ring, full
-/// or mirrored.
+/// `cbs-sweep` crate's cross-energy pool) can run one accumulator per group
+/// while the underlying solves of *all* groups share a single flattened
+/// task pool.  Built by [`RingPlan::accumulator`].
 pub struct MomentAccumulator {
-    nodes: Vec<SliceNode>,
-    region: SliceRegion,
+    /// The listed `(outer, paired inner)` nodes of the ring.
+    nodes: Vec<(QuadraturePoint, QuadraturePoint)>,
     /// The node list is the upper half of a conjugate-symmetric ring
-    /// ([`ContourSlice::is_mirrored`]): the extraction completes the
-    /// moments with their conjugates.
+    /// ([`RingPlan::is_mirrored`]): the extraction completes the moments
+    /// with their conjugates.
     mirrored: bool,
-    /// [`ContourSlice::majority_stage_nodes`] of the node list.
-    majority_stage_nodes: usize,
     /// `Ŝ_k` for `k = 0 .. 2 N_mm`, stored as `N_rh` columns each.
     s_moments: Vec<Vec<CVector>>,
     /// Primal convergence histories in job order.
@@ -390,39 +298,30 @@ pub struct MomentAccumulator {
 }
 
 impl MomentAccumulator {
-    /// Fresh zeroed moments integrating one [`ContourSlice`], with the
-    /// slice's own subspace dimensions.
-    pub fn for_slice(n: usize, slice: &ContourSlice, n_mm: usize, n_rh: usize) -> Self {
-        Self {
-            nodes: slice.nodes().to_vec(),
-            region: slice.region(),
-            mirrored: slice.is_mirrored(),
-            majority_stage_nodes: slice.majority_stage_nodes(),
-            s_moments: vec![vec![CVector::zeros(n); n_rh]; 2 * n_mm],
-            histories: Vec::with_capacity(slice.n_nodes() * n_rh),
-        }
-    }
-
     /// Number of primal quadrature nodes this accumulator integrates.
     pub fn n_nodes(&self) -> usize {
         self.nodes.len()
     }
 
-    /// Leading nodes of the majority-stop rule's uncapped first stage
-    /// ([`ContourSlice::majority_stage_nodes`]).
+    /// How many leading nodes form the first, uncapped stage of the
+    /// majority-stop rule: strictly more than half of the ring's nodes,
+    /// `n/2 + 1` of a full list.  The full ring's first stage is its upper
+    /// half plus one node, and every node after it is the mirror of one
+    /// already solved — so on a mirrored ring the first stage is the whole
+    /// list and there is nothing left to cap.
     pub fn majority_stage_nodes(&self) -> usize {
-        self.majority_stage_nodes
+        let n = self.nodes.len();
+        if self.mirrored {
+            n
+        } else {
+            (n / 2 + 1).min(n)
+        }
     }
 
     /// The primal shift of node `j` — what the pool solves for this
     /// accumulator's jobs.
     pub fn node_shift(&self, j: usize) -> Complex64 {
-        self.nodes[j].z
-    }
-
-    /// The claim/integration region this accumulator belongs to.
-    pub fn region(&self) -> SliceRegion {
-        self.region
+        self.nodes[j].0.z
     }
 
     /// Fold one solve outcome into the moments, returning its solution pair
@@ -430,26 +329,17 @@ impl MomentAccumulator {
     /// order (`point_index * N_rh + rhs_index`) for executor-independent
     /// results.
     pub fn record(&mut self, outcome: ShiftedSolveOutcome) -> (CVector, CVector) {
-        let node = self.nodes[outcome.point_index];
+        let (outer, inner) = self.nodes[outcome.point_index];
         // Accumulate the moments for this (j, rhs) pair:
         //   primal:  + ω_j z_j^k  Y^(1)
-        //   dual:    + ω'_j z'^k  Y^(2)   (orientation sign in the weight;
-        //                                  skipped when the dual node is
-        //                                  not on this slice's contour)
-        let mut zk_primal = node.weight;
-        if node.dual_weight == Complex64::ZERO {
-            for s_k in self.s_moments.iter_mut() {
-                s_k[outcome.rhs_index].axpy(zk_primal, &outcome.x);
-                zk_primal *= node.z;
-            }
-        } else {
-            let mut zk_dual = node.dual_weight;
-            for s_k in self.s_moments.iter_mut() {
-                s_k[outcome.rhs_index].axpy(zk_primal, &outcome.x);
-                s_k[outcome.rhs_index].axpy(zk_dual, &outcome.dual_x);
-                zk_primal *= node.z;
-                zk_dual *= node.dual_z;
-            }
+        //   dual:    + ω'_j z'^k  Y^(2)   (orientation sign in the weight)
+        let mut zk_primal = outer.weight;
+        let mut zk_dual = inner.weight;
+        for s_k in self.s_moments.iter_mut() {
+            s_k[outcome.rhs_index].axpy(zk_primal, &outcome.x);
+            s_k[outcome.rhs_index].axpy(zk_dual, &outcome.dual_x);
+            zk_primal *= outer.z;
+            zk_dual *= inner.z;
         }
         self.histories.push(outcome.history);
         (outcome.x, outcome.dual_x)
@@ -463,26 +353,22 @@ pub fn solve_qep(problem: &QepProblem<'_>, config: &SsConfig) -> SsResult {
 }
 
 /// Solve the QEP with the shifted systems dispatched through the given
-/// [`TaskExecutor`]: the single ring as a one-group [`solve_pool`], then
+/// [`TaskExecutor`]: the ring as a one-group [`solve_pool`], then
 /// [`extract_from_moments`] — what a sweep does per scan energy.
 ///
-/// Always the single ring (`config.slice` is not consulted; see
-/// [`solve_qep_sliced_with`] for partitioned contours), with slice-less
-/// trace spans and empty [`SsResult::slice_stats`].  All executors produce
-/// bit-identical results: the pool's majority-stop rule is deterministic
-/// and its moment accumulation always walks the solve outcomes in job
-/// order, independent of how they were scheduled.
+/// All executors produce bit-identical results: the pool's majority-stop
+/// rule is deterministic and its moment accumulation always walks the solve
+/// outcomes in job order, independent of how they were scheduled.
 pub fn solve_qep_with<E: TaskExecutor>(
     problem: &QepProblem<'_>,
     config: &SsConfig,
     executor: &E,
 ) -> SsResult {
-    // The single ring as a one-slice plan: the full two-circle node list,
-    // or — for a conjugate-symmetric problem — its upper half-plane nodes
-    // only.  The pool, the accumulator and the extraction all read the node
-    // list from here, so they do not fork on which one it is.
-    let single = SsConfig { slice: SlicePolicy::single(), ..*config };
-    let plan = SlicedPlan::build(problem, &single).unwrap_or_else(|e| panic!("{e}"));
+    // The full two-circle node list, or — for a conjugate-symmetric problem
+    // — its upper half-plane nodes only.  The pool, the accumulator and the
+    // extraction all read the node list from the plan, so they do not fork
+    // on which one it is.
+    let plan = RingPlan::build(problem, config).unwrap_or_else(|e| panic!("{e}"));
 
     let t_solve = std::time::Instant::now(); // cbs-audit: allow(D002) reason="linear-solve wall-clock statistic; reported, never fingerprinted"
 
@@ -492,7 +378,7 @@ pub fn solve_qep_with<E: TaskExecutor>(
     let trace = TraceHandle::resolve(config.trace).with_policy(config.precond.trace_code());
     let ring = PoolGroup {
         problem,
-        v_cols: &plan.v_cols[0],
+        v_cols: &plan.v_cols,
         seeds: None,
         // Each solution pair is dropped after its moment contribution, so
         // on the serial executor the peak footprint stays at the
@@ -500,21 +386,17 @@ pub fn solve_qep_with<E: TaskExecutor>(
         keep_solutions: false,
         trace,
     };
-    let outcome = solve_pool(
-        &[ring],
-        plan.accumulators(problem.dim()),
-        &PoolPolicy::from_config(config),
-        executor,
-    )
-    .pop()
-    .expect("one pool outcome per group");
+    let outcome =
+        solve_pool(&[ring], vec![plan.accumulator()], &PoolPolicy::from_config(config), executor)
+            .pop()
+            .expect("one pool outcome per group");
     let linear_solve_seconds = t_solve.elapsed().as_secs_f64();
 
     let _trace_ctx = trace.enter();
     extract_from_moments(
         problem,
         config,
-        &plan.v_cols[0],
+        &plan.v_cols,
         outcome.acc,
         outcome.iterations,
         outcome.matvecs,
@@ -545,10 +427,7 @@ pub fn extract_from_moments(
     linear_solve_seconds: f64,
 ) -> SsResult {
     let n = problem.dim();
-    // Membership comes from the accumulator's own region: the full annulus
-    // for the ring path (the same floating-point test as
-    // `RingContour::contains`), the guarded slice region for slices.
-    let region = acc.region();
+    let contour = config.contour();
     let n_moments = 2 * config.n_mm;
     let MomentAccumulator { mut s_moments, mut histories, mirrored, .. } = acc;
     let shifted_solves = histories.len();
@@ -637,7 +516,7 @@ pub fn extract_from_moments(
         } else {
             continue;
         };
-        if !region.contains_integration(lambda, 0.0) {
+        if !contour.contains(lambda, 0.0) {
             discarded += copies;
             continue;
         }
@@ -710,7 +589,6 @@ pub fn extract_from_moments(
         operator_assemblies,
         timings: SsTimings { setup_seconds: 0.0, linear_solve_seconds, extraction_seconds },
         discarded,
-        slice_stats: Vec::new(),
     }
 }
 
@@ -722,280 +600,57 @@ pub fn extract_from_moments(
 /// already have.
 const REAL_AXIS_ROUNDING: f64 = 1e-10;
 
-/// Everything a sliced solve precomputes once per `(problem dimension and
-/// symmetry, configuration)`: the [`ContourPartition`], the effective
-/// per-slice configurations, and each slice's deterministic random source
-/// block.
+/// Everything a solve precomputes once per `(problem dimension and
+/// symmetry, configuration)`: the source block, whether the ring is
+/// mirrored, and the node list its [`MomentAccumulator`]s integrate.
 ///
-/// Shared between [`solve_qep_sliced_with`] (one energy) and the
-/// `cbs-sweep` orchestrator (which reuses one plan across every scan
-/// energy: the source blocks depend only on dimension and configuration,
-/// and whether the blocks are real does not depend on the energy).
-pub struct SlicedPlan {
-    /// The partition geometry.
-    pub partition: ContourPartition,
-    /// Effective per-slice solver configurations (subspace + seed).
-    pub configs: Vec<SsConfig>,
-    /// Per-slice random source blocks.
-    pub v_cols: Vec<Vec<CVector>>,
+/// Shared between [`solve_qep_with`] (one energy) and the `cbs-sweep`
+/// orchestrator, which reuses one plan across every scan energy: the source
+/// block depends only on dimension and configuration, and whether the
+/// blocks are real does not depend on the energy.
+pub struct RingPlan {
+    /// The source block `V` ([`source_block`]).
+    pub v_cols: Vec<CVector>,
+    /// The listed `(outer, paired inner)` nodes.
+    nodes: Vec<(QuadraturePoint, QuadraturePoint)>,
+    mirrored: bool,
+    n_mm: usize,
 }
 
-impl SlicedPlan {
-    /// Build the plan for `problem` under `config`.  Only the problem's
-    /// dimension and its conjugate symmetry enter (a symmetric problem on
-    /// the single-contour policy gets the mirrored half ring), so the plan
-    /// serves every scan energy of the same Hamiltonian blocks.
+impl RingPlan {
+    /// Build the plan for `problem` under `config`, rejecting invalid
+    /// contour parameters.  Only the problem's dimension and its conjugate
+    /// symmetry enter (a symmetric problem gets the mirrored half ring), so
+    /// the plan serves every scan energy of the same Hamiltonian blocks.
     pub fn build(problem: &QepProblem<'_>, config: &SsConfig) -> Result<Self, ContourError> {
-        let n = problem.dim();
-        let partition = ContourPartition::try_new(
-            config.contour(),
-            config.slice,
-            problem.is_conjugate_symmetric(),
-        )?;
-        let configs: Vec<SsConfig> =
-            (0..partition.len()).map(|s| config.slice_ss_config(s)).collect();
-        let v_cols: Vec<Vec<CVector>> = configs.iter().map(|c| source_block(n, c)).collect();
-        Ok(Self { partition, configs, v_cols })
-    }
-
-    /// Number of slices.
-    pub fn len(&self) -> usize {
-        self.partition.len()
-    }
-
-    /// A plan is never empty (clippy convention companion to
-    /// [`len`](Self::len)).
-    pub fn is_empty(&self) -> bool {
-        self.partition.is_empty()
-    }
-
-    /// `true` for the trivial single-slice plan.
-    pub fn is_single(&self) -> bool {
-        self.partition.is_single()
-    }
-
-    /// `true` when the plan is the mirrored half ring of a
-    /// conjugate-symmetric problem ([`ContourSlice::is_mirrored`]).
-    pub fn is_mirrored(&self) -> bool {
-        self.partition.slices().iter().any(ContourSlice::is_mirrored)
-    }
-
-    /// Fresh zeroed per-slice accumulators for an `n`-dimensional problem.
-    pub fn accumulators(&self, n: usize) -> Vec<MomentAccumulator> {
-        self.partition
-            .slices()
-            .iter()
-            .zip(&self.configs)
-            .map(|(slice, c)| MomentAccumulator::for_slice(n, slice, c.n_mm, c.n_rh))
-            .collect()
-    }
-
-    /// Length of slice `s`'s warm-start seed table
-    /// (`n_nodes(s) * n_rh(s)`, pool job order — solved nodes only, so
-    /// half the ring on a mirrored plan).
-    pub fn seed_table_len(&self, s: usize) -> usize {
-        self.partition.slices()[s].n_nodes() * self.configs[s].n_rh
-    }
-
-    /// Total seed-table length over all slices (the layout of a
-    /// concatenated per-energy donor table, slice-major).
-    pub fn total_seed_len(&self) -> usize {
-        (0..self.len()).map(|s| self.seed_table_len(s)).sum()
-    }
-}
-
-/// Solve the QEP through the sliced (partitioned-contour) pipeline,
-/// serially.  With the single-slice policy this produces the same output
-/// as [`solve_qep`], bit for bit.
-pub fn solve_qep_sliced(problem: &QepProblem<'_>, config: &SsConfig) -> SsResult {
-    solve_qep_sliced_with(problem, config, &SerialExecutor)
-}
-
-/// Solve the QEP with the contour split per `config.slice`: all
-/// `(slice x node)` shifted solves of every slice flatten into **one**
-/// task pool on the given executor (slice-major job order, per-slice
-/// majority stop — the same deterministic pool the sweep uses), each slice
-/// extracts through its own smaller subspace, and the per-slice eigenpair
-/// sets merge under the claim-cell dedup — so the union is bitwise
-/// independent of slice execution order.
-///
-/// Panics on an invalid [`SlicePolicy`]; validate up front with
-/// [`SlicedPlan::build`] / [`ContourPartition::try_new`] when the policy
-/// comes from untrusted input.
-pub fn solve_qep_sliced_with<E: TaskExecutor>(
-    problem: &QepProblem<'_>,
-    config: &SsConfig,
-    executor: &E,
-) -> SsResult {
-    let n = problem.dim();
-    let plan = SlicedPlan::build(problem, config).unwrap_or_else(|e| panic!("{e}"));
-    let t_solve = std::time::Instant::now(); // cbs-audit: allow(D002) reason="linear-solve wall-clock statistic; reported, never fingerprinted"
-    let trace = TraceHandle::resolve(config.trace).with_policy(config.precond.trace_code());
-    let groups: Vec<PoolGroup<'_, '_>> = (0..plan.len())
-        .map(|s| PoolGroup {
-            problem,
-            v_cols: &plan.v_cols[s],
-            seeds: None,
-            keep_solutions: false,
-            trace: trace.with_slice(s),
+        let contour = RingContour::try_new(config.lambda_min, config.n_int)?;
+        let mirrored = problem.is_conjugate_symmetric();
+        Ok(Self {
+            v_cols: source_block(problem.dim(), config),
+            nodes: contour.solved_nodes(mirrored),
+            mirrored,
+            n_mm: config.n_mm,
         })
-        .collect();
-    let outcomes =
-        solve_pool(&groups, plan.accumulators(n), &PoolPolicy::from_config(config), executor);
-    let linear_solve_seconds = t_solve.elapsed().as_secs_f64();
-    extract_sliced(problem, config, &plan, outcomes, linear_solve_seconds)
-}
-
-/// Steps 2-4 of the sliced method: per-slice extraction through each
-/// slice's own subspace, then the deterministic merge (claim-cell
-/// membership, cross-slice dedup with residual tie-break, global
-/// `(|λ|, arg λ)` order).
-///
-/// Public so multi-energy drivers (`cbs-sweep`) can run it per energy on
-/// pool outcomes from a flattened cross-energy-cross-slice pool.
-pub fn extract_sliced(
-    problem: &QepProblem<'_>,
-    config: &SsConfig,
-    plan: &SlicedPlan,
-    outcomes: Vec<PoolOutcome>,
-    linear_solve_seconds: f64,
-) -> SsResult {
-    assert_eq!(outcomes.len(), plan.len(), "one pool outcome per slice expected");
-    let contour = config.contour();
-    let mut slice_stats = Vec::with_capacity(plan.len());
-    let mut merged: Vec<(usize, QepEigenpair)> = Vec::new();
-    let mut total = SsResult {
-        eigenpairs: Vec::new(),
-        numerical_rank: 0,
-        hankel_singular_values: Vec::new(),
-        solve_histories: Vec::new(),
-        shifted_solves: 0,
-        projected_moments: Vec::new(),
-        total_bicg_iterations: 0,
-        total_matvecs: 0,
-        total_traversals: 0,
-        extraction_matvecs: 0,
-        extraction_traversals: 0,
-        operator_assemblies: 0,
-        timings: SsTimings { setup_seconds: 0.0, linear_solve_seconds, extraction_seconds: 0.0 },
-        discarded: 0,
-        slice_stats: Vec::new(),
-    };
-
-    let trace = TraceHandle::resolve(config.trace).with_policy(config.precond.trace_code());
-    for (s, outcome) in outcomes.into_iter().enumerate() {
-        let _slice_ctx = trace.with_slice(s).enter();
-        let slice_config = &plan.configs[s];
-        let slice = &plan.partition.slices()[s];
-        let result = extract_from_moments(
-            problem,
-            slice_config,
-            &plan.v_cols[s],
-            outcome.acc,
-            outcome.iterations,
-            outcome.matvecs,
-            outcome.traversals,
-            outcome.assemblies,
-            0.0,
-        );
-        // The claim-cell membership test: a slice only contributes the
-        // eigenpairs it owns; everything in the guard overlap is someone
-        // else's (and extracted there too).  The base annulus test drops
-        // guard-band states outside the physical target region.
-        let accepted = result.eigenpairs.len();
-        let mut claimed = 0usize;
-        for pair in result.eigenpairs {
-            if slice.claims(pair.lambda) && contour.contains(pair.lambda, 0.0) {
-                claimed += 1;
-                merged.push((s, pair));
-            } else {
-                total.discarded += 1;
-            }
-        }
-        slice_stats.push(SliceStats {
-            slice: s,
-            nodes: slice.n_nodes(),
-            n_mm: slice_config.n_mm,
-            n_rh: slice_config.n_rh,
-            subspace_size: slice_config.subspace_size(),
-            bicg_iterations: outcome.iterations,
-            matvecs: result.total_matvecs,
-            traversals: result.total_traversals,
-            assemblies: outcome.assemblies,
-            capped_solves: outcome.capped_solves,
-            solves: outcome.solves,
-            numerical_rank: result.numerical_rank,
-            accepted,
-            claimed,
-            discarded: result.discarded,
-        });
-        total.numerical_rank += result.numerical_rank;
-        total.hankel_singular_values.extend(result.hankel_singular_values);
-        total.solve_histories.extend(result.solve_histories);
-        total.shifted_solves += result.shifted_solves;
-        total.projected_moments.extend(result.projected_moments);
-        total.total_bicg_iterations += result.total_bicg_iterations;
-        total.total_matvecs += result.total_matvecs;
-        total.total_traversals += result.total_traversals;
-        total.extraction_matvecs += result.extraction_matvecs;
-        total.extraction_traversals += result.extraction_traversals;
-        total.operator_assemblies += result.operator_assemblies;
-        total.timings.extraction_seconds += result.timings.extraction_seconds;
-        total.discarded += result.discarded;
     }
 
-    let _merge_ctx = trace.enter();
-    let (eigenpairs, deduped) =
-        cbs_trace::timed(Stage::Merge, || merge_claimed(merged, config.slice.merge_tol));
-    total.discarded += deduped;
-    total.eigenpairs = eigenpairs;
-    total.slice_stats = slice_stats;
-    total
-}
+    /// `true` when the plan lists only the `Im z > 0` half of the ring of a
+    /// conjugate-symmetric problem: each node also stands for its mirror
+    /// image `(z̄, ω̄)`, whose solutions are the conjugates of the node's own
+    /// and are folded in by the extraction, never solved.
+    pub fn is_mirrored(&self) -> bool {
+        self.mirrored
+    }
 
-/// Merge the claimed per-slice eigenpairs into one deterministically
-/// ordered set: sort by a total key, drop near-duplicates (within
-/// `merge_tol`, relative) keeping the lower residual (slice index breaks
-/// exact ties).  Sorting on a total key first makes the result invariant
-/// under any permutation of the input — and therefore under slice
-/// execution order (`tests/properties.rs` locks idempotence and
-/// permutation invariance).  Returns `(merged, duplicates_dropped)`.
-pub fn merge_claimed(
-    mut claimed: Vec<(usize, QepEigenpair)>,
-    merge_tol: f64,
-) -> (Vec<QepEigenpair>, usize) {
-    claimed.sort_by(|(sa, a), (sb, b)| {
-        (a.lambda.abs(), a.lambda.arg(), a.residual, *sa)
-            .partial_cmp(&(b.lambda.abs(), b.lambda.arg(), b.residual, *sb))
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let mut out: Vec<QepEigenpair> = Vec::with_capacity(claimed.len());
-    let mut dropped = 0usize;
-    for (_, pair) in claimed {
-        // Candidates arrive in (|λ|, arg λ) order, so a near-duplicate from
-        // an adjacent slice sits next to its twin; scan the tail of the
-        // output for anything within tolerance.
-        let dup = out.iter().rposition(|kept| {
-            (kept.lambda - pair.lambda).abs() <= merge_tol * (1.0 + pair.lambda.abs())
-        });
-        match dup {
-            Some(i) => {
-                dropped += 1;
-                if pair.residual < out[i].residual {
-                    out[i] = pair;
-                }
-            }
-            None => out.push(pair),
+    /// Fresh zeroed moments over the plan's node list.
+    pub fn accumulator(&self) -> MomentAccumulator {
+        let n = self.v_cols.first().map_or(0, CVector::len);
+        MomentAccumulator {
+            nodes: self.nodes.clone(),
+            mirrored: self.mirrored,
+            s_moments: vec![vec![CVector::zeros(n); self.v_cols.len()]; 2 * self.n_mm],
+            histories: Vec::with_capacity(self.nodes.len() * self.v_cols.len()),
         }
     }
-    // Replacement during dedup may perturb local order; restore the global
-    // deterministic (|λ|, arg λ) order of the single-contour extraction.
-    out.sort_by(|a, b| {
-        (a.lambda.abs(), a.lambda.arg())
-            .partial_cmp(&(b.lambda.abs(), b.lambda.arg()))
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    (out, dropped)
 }
 
 #[cfg(test)]
@@ -1229,213 +884,6 @@ mod tests {
         for p in &result.eigenpairs {
             assert!(p.residual < 1e-6);
             assert!(config.contour().contains(p.lambda, 0.0));
-        }
-    }
-
-    #[test]
-    fn sliced_single_slice_is_bitwise_the_single_contour() {
-        // The S = 1 "sliced" pipeline (pool + `extract_sliced`: claim test
-        // and merge) must reproduce solve_qep_with (pool +
-        // `extract_from_moments`) bit for bit: the claim test and the dedup
-        // are vacuous on one slice.
-        let n = 14;
-        let (h00, h01) = random_qep(n, 509);
-        let op00 = DenseOp::new(h00);
-        let op01 = DenseOp::new(h01);
-        let qep = QepProblem::new(&op00, &op01, 0.1, 1.0);
-        for majority in [false, true] {
-            let config = SsConfig {
-                n_rh: 6,
-                n_mm: 4,
-                bicg_tolerance: 1e-11,
-                residual_cutoff: 1e-6,
-                majority_stop: majority,
-                ..SsConfig::small()
-            };
-            assert!(config.slice.is_single());
-            let single = solve_qep(&qep, &config);
-            let sliced = solve_qep_sliced(&qep, &config);
-            assert_eq!(single.eigenpairs.len(), sliced.eigenpairs.len());
-            for (a, b) in single.eigenpairs.iter().zip(&sliced.eigenpairs) {
-                assert_eq!(a.lambda.re.to_bits(), b.lambda.re.to_bits());
-                assert_eq!(a.lambda.im.to_bits(), b.lambda.im.to_bits());
-                assert_eq!(a.residual.to_bits(), b.residual.to_bits());
-                assert_eq!(a.psi, b.psi);
-            }
-            for (ma, mb) in single.projected_moments.iter().zip(&sliced.projected_moments) {
-                for r in 0..config.n_rh {
-                    for c in 0..config.n_rh {
-                        assert_eq!(ma[(r, c)].re.to_bits(), mb[(r, c)].re.to_bits());
-                        assert_eq!(ma[(r, c)].im.to_bits(), mb[(r, c)].im.to_bits());
-                    }
-                }
-            }
-            assert_eq!(single.total_bicg_iterations, sliced.total_bicg_iterations);
-            assert_eq!(single.total_matvecs, sliced.total_matvecs);
-            assert_eq!(single.total_traversals, sliced.total_traversals);
-            assert_eq!(single.numerical_rank, sliced.numerical_rank);
-            assert_eq!(single.discarded, sliced.discarded);
-            // The sliced result reports its one slice.
-            assert_eq!(sliced.slice_stats.len(), 1);
-            assert_eq!(sliced.slice_stats[0].claimed, sliced.eigenpairs.len());
-            assert!(single.slice_stats.is_empty());
-        }
-    }
-
-    #[test]
-    fn sliced_sectors_match_the_single_contour_on_a_dense_qep() {
-        // Sector slicing with per-slice subspaces strictly smaller than the
-        // monolithic one must still find the interior annulus spectrum to
-        // the cross-validation bound.
-        let n = 16;
-        let (h00, h01) = random_qep(n, 501);
-        let energy = 0.2;
-        let op00 = DenseOp::new(h00.clone());
-        let op01 = DenseOp::new(h01.clone());
-        let qep = QepProblem::new(&op00, &op01, energy, 1.0);
-        let config = SsConfig {
-            n_int: 32,
-            n_mm: 8,
-            n_rh: 8,
-            delta: 1e-13,
-            bicg_tolerance: 5e-14,
-            bicg_max_iterations: 5_000,
-            residual_cutoff: 1e-6,
-            seed: 7,
-            majority_stop: false,
-            ..SsConfig::paper()
-        };
-        let single = solve_qep(&qep, &config);
-        assert!(!single.eigenpairs.is_empty());
-
-        for s in [2usize, 4] {
-            let cfg = SsConfig { slice: SlicePolicy::sectors(s), ..config };
-            let sliced = solve_qep_sliced(&qep, &cfg);
-            assert_eq!(sliced.slice_stats.len(), s);
-            for st in &sliced.slice_stats {
-                assert!(
-                    st.subspace_size < config.subspace_size(),
-                    "slice {} subspace {} not smaller than monolithic {}",
-                    st.slice,
-                    st.subspace_size,
-                    config.subspace_size()
-                );
-                assert!(st.bicg_iterations > 0 && st.traversals > 0);
-            }
-            // Every interior single-contour eigenvalue is found by the
-            // sliced union to 1e-10 (and vice versa), interior meaning away
-            // from the annulus boundary where both quadratures defocus.
-            // Matching bound: pairs both sides resolve to tiny residual
-            // must agree to 1e-10; beyond that the reference itself is
-            // only as good as its residual (eigenvalue error ~ κ·residual
-            // on this deliberately ill-conditioned random QEP), so the
-            // bound scales with the residuals.  The flat 1e-10 acceptance
-            // bound is locked on the fig6 Al(100) system in
-            // tests/cross_validate.rs.
-            let interior = |l: Complex64| l.abs() > 0.55 && l.abs() < 1.8;
-            let mut compared = 0;
-            for p in single.eigenpairs.iter().filter(|p| interior(p.lambda)) {
-                let (best, best_res) = sliced
-                    .eigenpairs
-                    .iter()
-                    .map(|q| ((q.lambda - p.lambda).abs(), q.residual))
-                    .fold((f64::INFINITY, 0.0), |a, b| if b.0 < a.0 { b } else { a });
-                assert!(
-                    best <= 1e-10_f64.max(10.0 * (p.residual + best_res)),
-                    "S = {s}: single-contour λ = {:?} missed by the merge (best {best:.2e})",
-                    p.lambda
-                );
-                compared += 1;
-            }
-            assert!(compared > 0);
-            for q in sliced.eigenpairs.iter().filter(|q| interior(q.lambda)) {
-                let (best, best_res) = single
-                    .eigenpairs
-                    .iter()
-                    .map(|p| ((p.lambda - q.lambda).abs(), p.residual))
-                    .fold((f64::INFINITY, 0.0), |a, b| if b.0 < a.0 { b } else { a });
-                assert!(
-                    best <= 1e-10_f64.max(10.0 * (q.residual + best_res)),
-                    "S = {s}: sliced λ = {:?} is spurious (best single distance {best:.2e})",
-                    q.lambda
-                );
-            }
-            // No duplicate survived the merge.
-            for (i, a) in sliced.eigenpairs.iter().enumerate() {
-                for b in &sliced.eigenpairs[i + 1..] {
-                    assert!(
-                        (a.lambda - b.lambda).abs() > cfg.slice.merge_tol,
-                        "duplicate {:?} survived the merge",
-                        a.lambda
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sliced_radial_bands_match_the_single_contour_on_a_dense_qep() {
-        // End-to-end validation of the radial (sub-annulus) slicing mode at
-        // its *defaults* (band circles resolved at N_int * R trapezoid
-        // nodes): the merged two-band spectrum must reproduce the single
-        // contour's interior eigenvalues under the same residual-aware
-        // bound as the sector test — no silently dropped states.
-        let n = 16;
-        let (h00, h01) = random_qep(n, 501);
-        let op00 = DenseOp::new(h00);
-        let op01 = DenseOp::new(h01);
-        let qep = QepProblem::new(&op00, &op01, 0.2, 1.0);
-        let config = SsConfig {
-            n_int: 32,
-            n_mm: 8,
-            n_rh: 8,
-            delta: 1e-13,
-            bicg_tolerance: 5e-14,
-            bicg_max_iterations: 5_000,
-            residual_cutoff: 1e-6,
-            seed: 7,
-            majority_stop: false,
-            ..SsConfig::paper()
-        };
-        let single = solve_qep(&qep, &config);
-        assert!(!single.eigenpairs.is_empty());
-
-        let cfg = SsConfig {
-            slice: SlicePolicy { angular: 1, radial: 2, ..SlicePolicy::single() },
-            ..config
-        };
-        let sliced = solve_qep_sliced(&qep, &cfg);
-        assert_eq!(sliced.slice_stats.len(), 2);
-        for st in &sliced.slice_stats {
-            assert!(st.subspace_size < config.subspace_size());
-        }
-        let interior = |l: Complex64| l.abs() > 0.55 && l.abs() < 1.8;
-        let mut compared = 0;
-        for p in single.eigenpairs.iter().filter(|p| interior(p.lambda)) {
-            let (best, best_res) = sliced
-                .eigenpairs
-                .iter()
-                .map(|q| ((q.lambda - p.lambda).abs(), q.residual))
-                .fold((f64::INFINITY, 0.0), |a, b| if b.0 < a.0 { b } else { a });
-            assert!(
-                best <= 1e-10_f64.max(10.0 * (p.residual + best_res)),
-                "radial bands: single-contour λ = {:?} missed (best {best:.2e})",
-                p.lambda
-            );
-            compared += 1;
-        }
-        assert!(compared > 0);
-        for q in sliced.eigenpairs.iter().filter(|q| interior(q.lambda)) {
-            let (best, best_res) = single
-                .eigenpairs
-                .iter()
-                .map(|p| ((p.lambda - q.lambda).abs(), p.residual))
-                .fold((f64::INFINITY, 0.0), |a, b| if b.0 < a.0 { b } else { a });
-            assert!(
-                best <= 1e-10_f64.max(10.0 * (q.residual + best_res)),
-                "radial bands: sliced λ = {:?} is spurious (best {best:.2e})",
-                q.lambda
-            );
         }
     }
 

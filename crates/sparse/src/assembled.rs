@@ -45,7 +45,6 @@ use crate::csr::{
     spmv_adjoint_block_into, spmv_adjoint_into, spmv_block_into, spmv_into, CsrMatrix, ROW_BLOCK,
 };
 use crate::ops::{LinearOperator, Preconditioner};
-use crate::projector::FactoredProjector;
 
 /// The shared symbolic structure of `P(z)`: the union sparsity pattern of
 /// `H₀₀`, `H₀₁`, `H₀₁†` (plus an explicit diagonal for the `E` shift), with
@@ -255,22 +254,6 @@ impl<'p> AssembledOp<'p> {
             Cow::Borrowed(&self.pattern.diag_idx[..]),
             lu,
         )
-    }
-
-    /// [`ilu0`](Self::ilu0) plus the Sherman-Morrison-Woodbury completion:
-    /// fold `projector`'s low-rank tail at this operator's shift into the
-    /// apply, so the preconditioner approximates the *full* `P(z)` instead
-    /// of its CSR part (see [`SmwPrecond`](crate::SmwPrecond)).  An empty
-    /// projector degrades to the plain ILU(0) apply bitwise.
-    pub fn ilu0_smw(&self, projector: &FactoredProjector) -> crate::smw::SmwPrecond<'p> {
-        crate::smw::SmwPrecond::new(self.ilu0(), projector, self.z)
-    }
-
-    /// The consuming twin of [`ilu0_smw`](Self::ilu0_smw): the completion
-    /// over [`into_ilu0`](Self::into_ilu0)'s in-place factors.
-    pub fn into_ilu0_smw(self, projector: &FactoredProjector) -> crate::smw::SmwPrecond<'p> {
-        let z = self.z;
-        crate::smw::SmwPrecond::new(self.into_ilu0(), projector, z)
     }
 }
 
@@ -574,8 +557,8 @@ enum Sweep {
 /// CSR rows** (`z[col] -= conj(lu[k])·w`, one zero-skip per column), so no
 /// transposed index list is touched.  The rows are walked in
 /// `ROW_BLOCK`-row (512) blocks with the column tiles inside, so a slab wider
-/// than one tile (the SMW setup solves, 40…224 columns) re-reads each
-/// factor block from cache.  An apply allocates nothing.
+/// than one tile re-reads each factor block from cache.  An apply allocates
+/// nothing.
 ///
 /// Every output element receives the same updates in the same order as in
 /// the textbook one-column substitution — tiling only reorders independent
@@ -597,8 +580,7 @@ enum Sweep {
 /// rows scattered through `lu`, so the level walk never streamed the
 /// 4.6 MiB of factors; on the cache-resident 343-point pattern the two
 /// orders cost the same.  End to end the workload's solve went from a
-/// median 19.5 s to 11.6 s over ten alternated pairs, with the SMW setup
-/// (40 columns through the same kernel) from 117–127 ms to 63–70 ms.
+/// median 19.5 s to 11.6 s over ten alternated pairs.
 pub struct Ilu0<'p> {
     n: usize,
     row_ptr: &'p [usize],

@@ -19,8 +19,6 @@
 //!   vestige no solve reads),
 //! * [`FactoredProjector`] — the non-local projector part of `P(z)` kept in
 //!   factored low-rank form alongside an assembled CSR part,
-//! * [`SmwPrecond`] — the Sherman-Morrison-Woodbury completion folding that
-//!   low-rank tail into the ILU(0) apply (`M ≈ P(z)` in full),
 //! * [`RealStencil`] — `P(z)` of a *real* Hamiltonian as one fused row pass
 //!   over `f64` coefficients (real×complex arithmetic, explicit `H₀₁ᵀ`, no
 //!   scratch slab): what the matrix-free path runs whenever both blocks
@@ -37,7 +35,6 @@ pub mod ops;
 pub mod projector;
 pub mod real_stencil;
 pub mod scratch;
-pub mod smw;
 
 pub use assembled::{AssembledOp, AssembledPattern, Ilu0, TriSchedule};
 pub use csr::{CooBuilder, CsrMatrix};
@@ -48,4 +45,3 @@ pub use ops::{
 pub use projector::FactoredProjector;
 pub use real_stencil::RealStencil;
 pub use scratch::{recycle_scratch, take_scratch, with_scratch};
-pub use smw::SmwPrecond;

@@ -65,23 +65,6 @@ impl FactoredProjector {
         self.rank() == 0
     }
 
-    /// The `V₀₀` factor.
-    pub fn vnl00(&self) -> &LowRankOp {
-        &self.vnl00
-    }
-
-    /// The `V₀₁` factor.
-    pub fn vnl01(&self) -> &LowRankOp {
-        &self.vnl01
-    }
-
-    /// The precomputed adjoint factor `V₁₀ = V₀₁†` (same terms the hot-loop
-    /// accumulators stream — consumers like the SMW preconditioner reuse it
-    /// instead of re-transposing).
-    pub fn vnl10(&self) -> &LowRankOp {
-        &self.vnl10
-    }
-
     /// `true` when both projector blocks are real (see
     /// [`LinearOperator::is_real`]; `V₁₀ = V₀₁†` is then real too).
     pub fn is_real(&self) -> bool {
@@ -132,7 +115,8 @@ mod tests {
         SparseVec::new(entries.to_vec())
     }
 
-    fn sample_projector(n: usize) -> FactoredProjector {
+    /// The two projector blocks `(V₀₀, V₀₁)` of the sample.
+    fn sample_blocks(n: usize) -> (LowRankOp, LowRankOp) {
         let mut vnl00 = LowRankOp::new(n, n);
         let p = sv(&[(1, c64(0.3, 0.1)), (4, c64(-0.2, 0.7))]);
         vnl00.push(p.clone(), p, c64(1.4, 0.0));
@@ -144,27 +128,28 @@ mod tests {
             sv(&[(1, c64(0.7, -0.2))]),
             c64(0.8, 0.3),
         );
-        FactoredProjector::new(vnl00, vnl01)
+        (vnl00, vnl01)
     }
 
     /// Dense reference: `−V₀₀ − z·V₀₁ − z⁻¹·V₀₁†` via CSR expansion.
-    fn dense_tail(p: &FactoredProjector, z: Complex64) -> CsrMatrix {
-        let mut m = p.vnl00().to_csr().scale(c64(-1.0, 0.0));
-        m = m.add_scaled(-z, &p.vnl01().to_csr());
-        m = m.add_scaled(-z.inv(), &p.vnl01().to_csr().adjoint());
+    fn dense_tail((vnl00, vnl01): &(LowRankOp, LowRankOp), z: Complex64) -> CsrMatrix {
+        let mut m = vnl00.to_csr().scale(c64(-1.0, 0.0));
+        m = m.add_scaled(-z, &vnl01.to_csr());
+        m = m.add_scaled(-z.inv(), &vnl01.to_csr().adjoint());
         m
     }
 
     #[test]
     fn accumulate_matches_dense_expansion() {
         let n = 7;
-        let p = sample_projector(n);
+        let blocks = sample_blocks(n);
+        let p = FactoredProjector::new(blocks.0.clone(), blocks.1.clone());
         assert_eq!(p.dim(), n);
         assert!(!p.is_empty());
         assert!(p.rank() >= 3);
         assert!(p.storage_bytes() > 0);
         let z = c64(1.3, 0.7);
-        let dense = dense_tail(&p, z);
+        let dense = dense_tail(&blocks, z);
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(921);
         for nvecs in [1usize, 2, 4] {
             let x: Vec<Complex64> = CVector::random(n * nvecs, &mut rng).into_vec();

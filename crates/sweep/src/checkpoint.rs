@@ -83,7 +83,7 @@ impl std::error::Error for CheckpointError {}
 //   v1  pre-`operator_traversals` per-record counters,
 //   v2  added `operator_traversals` (the block-solve data path),
 //   v3  added `operator_assemblies` (the assembled-operator fast path),
-//   v4  contour partitioning: the `SlicePolicy` knobs joined the
+//   v4  contour partitioning: the slice-policy knobs joined the
 //       fingerprint and seed tables became slice-major concatenations
 //       whose length depends on the partition,
 //   v5  calibrated auto-tuning: an `auto` section (the committed policy
@@ -103,7 +103,7 @@ impl std::error::Error for CheckpointError {}
 //       bitwise a v7 one's — resuming a v7 file would splice two
 //       arithmetics into one result,
 //   v9  stencil apply under ILU(0): same layout again, but a sweep under
-//       `AssembledIlu0` / `AssembledIlu0Smw` over such blocks now applies
+//       `AssembledIlu0` / the SMW policy over such blocks now applies
 //       `P(z)` through the real stencil instead of the assembled CSR (the
 //       refill only feeds the factorization), so its trajectory differs
 //       from a v8 one's in rounding,
@@ -112,13 +112,17 @@ impl std::error::Error for CheckpointError {}
 //       sweep's policy) is retired — `SsConfig::paper()` now means code 2,
 //   v11 auto section and auto fingerprint slots removed (the calibrated
 //       tuner is deleted): the file loses its `auto` section and every
-//       fingerprint one slot, an auto sweep's three.
+//       fingerprint one slot, an auto sweep's three,
+//   v12 slice-policy fingerprint slots removed; precond code 3 retired:
+//       every fingerprint loses the nine slice-policy slots, and a v11
+//       sweep under the deleted SMW preconditioner carries a policy no
+//       build can run.
 // There is exactly one compatibility rule: the version found must be the
 // current one.  Anything else announcing itself through the shared magic
 // prefix is refused with [`CheckpointError::IncompatibleVersion`], naming
 // both versions, rather than read with silently zeroed or misaligned
 // fields.
-const MAGIC: &str = "cbs-sweep-checkpoint v11";
+const MAGIC: &str = "cbs-sweep-checkpoint v12";
 
 /// Prefix shared by every version's magic line; anything with this prefix
 /// but the wrong version is an incompatible (not malformed) checkpoint.
@@ -546,8 +550,7 @@ mod tests {
         // front instead of being parsed with misaligned counters.
         let err = SweepCheckpoint::parse(&relabelled("v2")).unwrap_err();
         assert!(matches!(err, CheckpointError::IncompatibleVersion { .. }));
-        // And v3 (pre-slicing): its fingerprint lacks the slice-policy
-        // fields and its seed tables predate the slice-major layout.
+        // And v3, whose fingerprint layout predates every later change.
         let err = SweepCheckpoint::parse(&relabelled("v3")).unwrap_err();
         assert!(matches!(err, CheckpointError::IncompatibleVersion { .. }));
         // The message tells the operator what to do.
@@ -566,12 +569,13 @@ mod tests {
         // three-pass matrix-free apply, v8 by ILU sweeps that applied the
         // assembled CSR; v9 fingerprints carry a kernel-layout slot and its
         // default sweeps ran the retired policy 1; v10 carries the auto
-        // section and the auto fingerprint slot.  All must hit the dedicated
-        // incompatible-version path, and the error message must name the
-        // version found *and* the one expected.  A format from the future
-        // is refused the same way — there is one check, not one per
-        // version.
-        for version in ["v4", "v5", "v6", "v7", "v8", "v9", "v10", "v12"] {
+        // section and the auto fingerprint slot; v11 fingerprints carry the
+        // nine slice-policy slots and may name the retired SMW policy 3.
+        // All must hit the dedicated incompatible-version path, and the
+        // error message must name the version found *and* the one expected.
+        // A format from the future is refused the same way — there is one
+        // check, not one per version.
+        for version in ["v4", "v5", "v6", "v7", "v8", "v9", "v10", "v11", "v13"] {
             let stale = format!("cbs-sweep-checkpoint {version}");
             match SweepCheckpoint::parse(&relabelled(version)) {
                 Err(CheckpointError::IncompatibleVersion { ref found }) => {
@@ -584,6 +588,6 @@ mod tests {
                 other => panic!("{version}: expected IncompatibleVersion, got {other:?}"),
             }
         }
-        assert!(SweepCheckpoint::parse(&relabelled("v11")).is_ok(), "v11 is the current format");
+        assert!(SweepCheckpoint::parse(&relabelled("v12")).is_ok(), "v12 is the current format");
     }
 }

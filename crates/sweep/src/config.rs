@@ -83,9 +83,6 @@ impl SweepConfig {
     /// checkpoints and verified on resume: resuming under a different
     /// configuration would silently change the results, so it is an error.
     pub fn fingerprint(&self, period: f64) -> Vec<u64> {
-        // `None` node-count / subspace overrides encode as `u64::MAX`
-        // (distinct from any explicit value).
-        let opt = |o: Option<usize>| o.map_or(u64::MAX, |v| v as u64);
         vec![
             self.ss.n_int as u64,
             self.ss.n_mm as u64,
@@ -103,19 +100,6 @@ impl SweepConfig {
             // policy stays excluded because its results are bitwise
             // policy-invariant.
             self.ss.precond as u64,
-            // The slice policy likewise changes the trajectory for S > 1
-            // (different node sets, per-slice subspaces and source blocks)
-            // — every field of it is part of the resume contract.  This is
-            // what bumped the checkpoint format to v4.
-            self.ss.slice.angular as u64,
-            self.ss.slice.radial as u64,
-            self.ss.slice.guard.to_bits(),
-            self.ss.slice.radial_guard.to_bits(),
-            opt(self.ss.slice.arc_nodes),
-            self.ss.slice.radial_nodes as u64,
-            opt(self.ss.slice.slice_n_mm),
-            opt(self.ss.slice.slice_n_rh),
-            self.ss.slice.merge_tol.to_bits(),
             self.warm_start as u64,
             self.initial_round as u64,
             self.max_refinements as u64,

@@ -13,11 +13,8 @@
 //!   dispatched through the `cbs_parallel::TaskExecutor` seam — `(energy ×
 //!   quadrature-node)` block jobs, each advancing all `N_rh` right-hand
 //!   sides through fused block matvecs — so a sweep saturates a wide
-//!   executor even when one energy's grid is small.
-//!   Under a partitioned contour (`cbs_core::SlicePolicy`) the grid
-//!   flattens further to `(energy × slice × node)`, each energy merging
-//!   its per-slice extractions; the `pool` module adapts the shared
-//!   `cbs_core::solve_pool`.
+//!   executor even when one energy's grid is small.  Each energy is one
+//!   group of the shared `cbs_core::solve_pool`.
 //! * **Warm starting** — each energy's dual-BiCG solves are seeded from
 //!   the nearest already-completed energy's solutions (`P(z; E')` differs
 //!   from `P(z; E)` only by `(E' − E) I`), via the seed table of
@@ -42,7 +39,6 @@
 
 pub mod checkpoint;
 pub mod config;
-mod pool;
 pub mod sweep;
 
 pub use checkpoint::{CheckpointError, SweepCheckpoint};

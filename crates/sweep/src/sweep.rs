@@ -3,7 +3,7 @@
 //! [`EnergySweep`] owns the whole Figures-6/11 workload: it plans the scan
 //! energies into release rounds ([`cbs_parallel::SweepSchedule`]), solves
 //! each round's per-energy groups through one flattened task pool
-//! (the `pool` module), warm-starts every group from the nearest
+//! (`cbs_core::solve_pool`), warm-starts every group from the nearest
 //! already-completed energy's solutions, adaptively bisects intervals where
 //! the propagating-channel count changes (or a caller-supplied predicate
 //! fires), and checkpoints after every completed energy so a killed sweep
@@ -23,8 +23,8 @@ use std::collections::{BTreeMap, VecDeque};
 use std::path::Path;
 
 use cbs_core::{
-    classify_point, extract_from_moments, extract_sliced, BlockPolicy, CbsPoint, CbsStatistics,
-    ComplexBandStructure, PrecondPolicy, QepProblem, SlicedPlan, StencilCache,
+    classify_point, extract_from_moments, solve_pool, BlockPolicy, CbsPoint, CbsStatistics,
+    ComplexBandStructure, PoolGroup, PoolPolicy, PrecondPolicy, QepProblem, RingPlan, StencilCache,
 };
 use cbs_dft::BandStructure;
 use cbs_linalg::CVector;
@@ -35,7 +35,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::checkpoint::{CheckpointError, SweepCheckpoint};
 use crate::config::SweepConfig;
-use crate::pool::{solve_round, SolveGroup};
 
 /// A full `(x, x̃)` solution table in pool job order
 /// (`point_index * N_rh + rhs_index`) — the currency of warm-starting: each
@@ -396,15 +395,13 @@ impl<'a> EnergySweep<'a> {
         grid.dedup_by(|a, b| a.to_bits() == b.to_bits());
         assert!(!grid.is_empty(), "need at least one scan energy");
 
-        // The sliced plan (partition geometry, per-slice configurations and
-        // source blocks) depends only on the Hamiltonian blocks — their
-        // dimension and whether they are real, neither of which varies with
-        // the scan energy — and the configuration, so one instance serves
-        // every scan energy of the sweep.  The single-contour policy yields
-        // a trivial one-slice plan: the full ring, or its upper half for
-        // real blocks.
-        let plan = SlicedPlan::build(&self.problem_at(grid[0]), &self.config.ss)
-            .expect("invalid slice policy in sweep configuration");
+        // The plan (source block and node list) depends only on the
+        // Hamiltonian blocks — their dimension and whether they are real,
+        // neither of which varies with the scan energy — and the
+        // configuration, so one instance serves every scan energy of the
+        // sweep: the full ring, or its upper half for real blocks.
+        let plan = RingPlan::build(&self.problem_at(grid[0]), &self.config.ss)
+            .expect("invalid contour parameters (lambda_min, n_int) in sweep configuration");
 
         let mut fingerprint = self.config.fingerprint(self.period);
         // The *effective* operator policy is part of the resume contract:
@@ -543,7 +540,7 @@ impl<'a> EnergySweep<'a> {
     fn solve_batch<E: TaskExecutor>(
         &self,
         batch: Vec<(f64, EnergyOrigin)>,
-        plan: &SlicedPlan,
+        plan: &RingPlan,
         executor: &E,
         st: &mut State,
         opts: &RunOptions<'_>,
@@ -579,50 +576,44 @@ impl<'a> EnergySweep<'a> {
                 .collect();
             let donor_energies: Vec<Option<f64>> =
                 donors.iter().map(|d| d.map(|(e, _)| e)).collect();
-            let groups: Vec<SolveGroup<'_, '_>> = problems
+            // One pool group per energy: jobs energy-major in node order,
+            // each energy's moments folded in that order — bit-identical to
+            // solving the energies one by one, on every executor.
+            let groups: Vec<PoolGroup<'_, '_>> = problems
                 .iter()
                 .zip(&donors)
                 .enumerate()
-                .map(|(i, (p, d))| SolveGroup {
-                    problem: p,
-                    seeds: d.map(|(_, t)| t),
+                .map(|(i, (problem, d))| PoolGroup {
+                    problem,
+                    v_cols: &plan.v_cols,
+                    seeds: d.map(|(_, t)| t.as_slice()),
                     // Cold sweeps never consult the bank, so don't pay the
                     // memory of retaining every solution vector.
                     keep_solutions: warm,
                     trace: trace.with_energy(record_base + i),
                 })
                 .collect();
+            let accs = groups.iter().map(|_| plan.accumulator()).collect();
 
             let t0 = std::time::Instant::now(); // cbs-audit: allow(D002) reason="per-run wall-clock statistic; reported, never fingerprinted"
-            let outcomes = solve_round(&groups, plan, ss, executor);
+            let outcomes = solve_pool(&groups, accs, &PoolPolicy::from_config(ss), executor);
             st.linear_solve_seconds += t0.elapsed().as_secs_f64();
             drop(groups);
             drop(donors);
 
-            for (i, ((energy, origin), mut outcome)) in
-                to_solve.into_iter().zip(outcomes).enumerate()
-            {
-                // Single-contour energies run the historical extraction
-                // (bitwise unchanged); partitioned contours extract per
-                // slice and merge under the deterministic claim dedup.
+            for (i, ((energy, origin), outcome)) in to_solve.into_iter().zip(outcomes).enumerate() {
                 let _extract_ctx = trace.with_energy(record_base + i).enter();
-                let result = if plan.is_single() {
-                    let slice_outcome =
-                        outcome.slices.pop().expect("single-slice plan yields one outcome");
-                    extract_from_moments(
-                        &problems[i],
-                        ss,
-                        &plan.v_cols[0],
-                        slice_outcome.acc,
-                        outcome.iterations,
-                        outcome.matvecs,
-                        outcome.traversals,
-                        outcome.assemblies,
-                        0.0,
-                    )
-                } else {
-                    extract_sliced(&problems[i], ss, plan, std::mem::take(&mut outcome.slices), 0.0)
-                };
+                let result = extract_from_moments(
+                    &problems[i],
+                    ss,
+                    &plan.v_cols,
+                    outcome.acc,
+                    outcome.iterations,
+                    outcome.matvecs,
+                    outcome.traversals,
+                    outcome.assemblies,
+                    0.0,
+                );
                 st.extraction_seconds += result.timings.extraction_seconds;
                 // `energy_index` is a placeholder until assembly fixes the
                 // grid.

@@ -146,13 +146,13 @@ mod tests {
             span(Stage::Kernel, 0, 100, c),
             span(Stage::Kernel, 50, 150, c),  // overlaps the first
             span(Stage::Kernel, 300, 400, c), // disjoint
-            span(Stage::Merge, 120, 130, c),
+            span(Stage::Extraction, 120, 130, c),
         ];
         let agg = aggregate_spans(spans.iter(), 0, 1000);
         assert_eq!(agg.cpu(Stage::Kernel), 100 + 100 + 100);
         assert_eq!(agg.wall(Stage::Kernel), 150 + 100);
         assert_eq!(agg.spans(Stage::Kernel), 3);
-        assert_eq!(agg.cpu(Stage::Merge), 10);
+        assert_eq!(agg.cpu(Stage::Extraction), 10);
         // Clipped window: only the tail of the last kernel span survives.
         let clipped = aggregate_spans(spans.iter(), 350, 1000);
         assert_eq!(clipped.cpu(Stage::Kernel), 50);

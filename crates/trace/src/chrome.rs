@@ -35,10 +35,6 @@ fn push_ctx_args(out: &mut String, ctx: &SpanCtx) -> bool {
         sep(out, &mut any);
         out.push_str(&format!("\"energy\": {}", ctx.energy));
     }
-    if ctx.slice != CTX_UNSET {
-        sep(out, &mut any);
-        out.push_str(&format!("\"slice\": {}", ctx.slice));
-    }
     if ctx.node != CTX_UNSET {
         sep(out, &mut any);
         out.push_str(&format!("\"node\": {}", ctx.node));

@@ -6,11 +6,11 @@
 //! Every instrumented scope of the pipeline — numeric pattern refill
 //! ([`Stage::Assemble`]), ILU(0) factorization ([`Stage::IluFactor`]),
 //! triangular sweeps ([`Stage::TriSweep`]), sparse/low-rank operator
-//! application ([`Stage::Kernel`]), one dual-BiCG solve ([`Stage::Solve`]),
-//! eigenpair extraction ([`Stage::Extraction`]) and sliced-contour merging
-//! ([`Stage::Merge`]) — records `(stage, start_ns, end_ns, thread, context)`
-//! where the context ([`SpanCtx`]) carries the scan-energy index, contour
-//! slice, quadrature node and operator policy of the enclosing solve.
+//! application ([`Stage::Kernel`]), one dual-BiCG solve ([`Stage::Solve`])
+//! and eigenpair extraction ([`Stage::Extraction`]) — records
+//! `(stage, start_ns, end_ns, thread, context)` where the context
+//! ([`SpanCtx`]) carries the scan-energy index, quadrature node and operator
+//! policy of the enclosing solve.
 //!
 //! Recording is two-tier:
 //!
@@ -80,12 +80,10 @@ pub enum Stage {
     /// Eigenpair extraction from accumulated moments (Hankel SVD, projected
     /// eigenproblem, residual filtering).
     Extraction = 5,
-    /// Deterministic merge of sliced-contour extractions.
-    Merge = 6,
 }
 
 /// Number of [`Stage`] variants (array-table size).
-pub const STAGE_COUNT: usize = 7;
+pub const STAGE_COUNT: usize = 6;
 
 impl Stage {
     /// Every stage, in `repr` order.
@@ -96,7 +94,6 @@ impl Stage {
         Stage::Kernel,
         Stage::Solve,
         Stage::Extraction,
-        Stage::Merge,
     ];
 
     /// Stable name (the Chrome trace event name).
@@ -108,7 +105,6 @@ impl Stage {
             Stage::Kernel => "kernel",
             Stage::Solve => "solve",
             Stage::Extraction => "extraction",
-            Stage::Merge => "merge",
         }
     }
 
@@ -128,13 +124,11 @@ pub const POLICY_UNSET: u8 = u8::MAX;
 /// Fields are set to [`CTX_UNSET`] / [`POLICY_UNSET`] when unknown (e.g.
 /// spans recorded outside any solve).  The policy byte uses the encoding of
 /// `cbs_core::PrecondPolicy::trace_code` (0 = matrix-free,
-/// 2 = assembled-ilu0, 3 = assembled-ilu0-smw; 1 is retired).
+/// 2 = assembled-ilu0; 1 and 3 are retired).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SpanCtx {
     /// Scan-energy index within the sweep grid.
     pub energy: u32,
-    /// Contour-slice index (0 for the single-contour policy).
-    pub slice: u32,
     /// Quadrature-node index on the contour.
     pub node: u32,
     /// Operator/preconditioner policy code.
@@ -143,18 +137,11 @@ pub struct SpanCtx {
 
 impl SpanCtx {
     /// The empty context.
-    pub const NONE: SpanCtx =
-        SpanCtx { energy: CTX_UNSET, slice: CTX_UNSET, node: CTX_UNSET, policy: POLICY_UNSET };
+    pub const NONE: SpanCtx = SpanCtx { energy: CTX_UNSET, node: CTX_UNSET, policy: POLICY_UNSET };
 
     /// Set the scan-energy index.
     pub fn with_energy(mut self, e: usize) -> Self {
         self.energy = e as u32;
-        self
-    }
-
-    /// Set the contour-slice index.
-    pub fn with_slice(mut self, s: usize) -> Self {
-        self.slice = s as u32;
         self
     }
 
@@ -182,7 +169,6 @@ pub fn policy_name(code: u8) -> Option<&'static str> {
     match code {
         0 => Some("matrix-free"),
         2 => Some("assembled-ilu0"),
-        3 => Some("assembled-ilu0-smw"),
         _ => None,
     }
 }
@@ -277,7 +263,6 @@ static SESSION_LEVEL: AtomicU8 = AtomicU8::new(0);
 static NEXT_THREAD: AtomicU32 = AtomicU32::new(0);
 
 static CPU_TOTALS: [AtomicU64; STAGE_COUNT] = [
-    AtomicU64::new(0),
     AtomicU64::new(0),
     AtomicU64::new(0),
     AtomicU64::new(0),
@@ -478,7 +463,7 @@ pub struct CtxScope {
 /// Set the calling thread's span context, restoring the previous one when
 /// the guard drops.  Used by drivers that know a coarse context (the scan
 /// energy of the per-energy loop) on the thread that also records
-/// extraction/merge spans.
+/// extraction spans.
 pub fn ctx_scope(ctx: SpanCtx) -> CtxScope {
     let prev = TLS.try_with(|b| {
         let mut b = b.borrow_mut();
@@ -549,12 +534,6 @@ impl TraceHandle {
         self
     }
 
-    /// Override the contour-slice index of the base context.
-    pub fn with_slice(mut self, s: usize) -> Self {
-        self.base = self.base.with_slice(s);
-        self
-    }
-
     /// Override the policy code of the base context.
     pub fn with_policy(mut self, p: u8) -> Self {
         self.base = self.base.with_policy(p);
@@ -562,7 +541,7 @@ impl TraceHandle {
     }
 
     /// Install this handle's context on the calling thread (for scopes that
-    /// are not solves: extraction, merge).
+    /// are not solves: extraction).
     pub fn enter(&self) -> CtxScope {
         if self.is_enabled() {
             ctx_scope(self.base)
@@ -806,7 +785,7 @@ mod tests {
         assert!(!handle.is_enabled());
         let _scope = handle.solve_scope(0);
         // No session: record_span must not buffer anything observable.
-        timed(Stage::Merge, || ());
+        timed(Stage::Extraction, || ());
         assert!(!session_active());
     }
 

@@ -11,8 +11,8 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 
 use cbs::core::{
-    solve_qep_sliced_with, solve_qep_with, PrecondPolicy, QepProblem, SlicePolicy, SsConfig,
-    SsResult,
+    extract_from_moments, solve_pool, solve_qep_with, PoolGroup, PoolPolicy, PrecondPolicy,
+    QepProblem, RingPlan, SsConfig, SsResult,
 };
 use cbs::linalg::{c64, CMatrix, Complex64};
 use cbs::parallel::{RayonExecutor, SerialExecutor};
@@ -171,6 +171,35 @@ fn compare<A: LinearOperator, B: LinearOperator>(
     mirrored
 }
 
+/// One ring through the public pool and extraction, as `solve_qep_with`
+/// runs it: the result and the pool's `capped_solves`.
+fn pooled(problem: &QepProblem<'_>, config: &SsConfig) -> (SsResult, usize) {
+    let plan = RingPlan::build(problem, config).expect("valid contour");
+    let group = PoolGroup {
+        problem,
+        v_cols: &plan.v_cols,
+        seeds: None,
+        keep_solutions: false,
+        trace: cbs::trace::TraceHandle::disabled(),
+    };
+    let policy = PoolPolicy::from_config(config);
+    let outcome =
+        solve_pool(&[group], vec![plan.accumulator()], &policy, &SerialExecutor).remove(0);
+    let capped = outcome.capped_solves;
+    let result = extract_from_moments(
+        problem,
+        config,
+        &plan.v_cols,
+        outcome.acc,
+        outcome.iterations,
+        outcome.matvecs,
+        outcome.traversals,
+        outcome.assemblies,
+        0.0,
+    );
+    (result, capped)
+}
+
 /// fig6 Al(100): matrix-free and ILU(0)-preconditioned, `n_int` even and
 /// odd, with the majority-stop rule off and on.  With the rule on, the full
 /// ring's uncapped first stage is its upper half (plus one node) and the
@@ -212,21 +241,16 @@ fn fig6_mirrored_ring_is_the_full_contour_at_half_the_work() {
         let what = format!("fig6 ilu0 n_int {n_int} majority {majority_stop}");
         assert_mirrored_matches_full(&what, &mirrored, &full, &config);
 
-        // The pooled single-slice path reports the rule's reach: the full
-        // ring caps its lower half-plane nodes past the first stage, the
-        // mirrored ring has none to cap — and loses nothing by it.
-        let pooled_mirrored = solve_qep_sliced_with(&real, &config, &SerialExecutor);
-        let pooled_full = solve_qep_sliced_with(&oracle, &config, &SerialExecutor);
+        // The pool reports the rule's reach: the full ring caps its lower
+        // half-plane nodes past the first stage, the mirrored ring has none
+        // to cap — and loses nothing by it.
+        let (pooled_mirrored, capped_mirrored) = pooled(&real, &config);
+        let (pooled_full, capped_full) = pooled(&oracle, &config);
         assert_bitwise(&format!("{what} pooled"), &mirrored, &pooled_mirrored);
         assert_mirrored_matches_full(&what, &pooled_mirrored, &pooled_full, &config);
-        let capped = |r: &SsResult| r.slice_stats[0].capped_solves;
-        assert_eq!(capped(&pooled_mirrored), 0, "{what}");
+        assert_eq!(capped_mirrored, 0, "{what}");
         let past_first_stage = (n_int - (n_int / 2 + 1)) * config.n_rh;
-        assert_eq!(
-            capped(&pooled_full),
-            if majority_stop { past_first_stage } else { 0 },
-            "{what}"
-        );
+        assert_eq!(capped_full, if majority_stop { past_first_stage } else { 0 }, "{what}");
     }
 }
 
@@ -346,37 +370,6 @@ fn complex_hermitian_blocks_solve_every_node() {
     let r00 = DenseOp::new(r00);
     assert!(r00.is_real());
     assert!(!QepProblem::new(&r00, &h01, 0.1, 1.0).is_conjugate_symmetric());
-}
-
-/// Sector slices are not individually symmetric about the real axis: a
-/// sliced solve of a real problem runs every node of every slice — bitwise
-/// the run that does not know the problem is real.
-#[test]
-fn sector_slices_of_a_real_problem_solve_every_node() {
-    let h = common::fig6_hamiltonian();
-    let (h00, h01) = (h.h00(), h.h01());
-    let real = QepProblem::new(&h00, &h01, 0.15, h.period());
-    let (n00, n01) = (NotReal(h.h00()), NotReal(h.h01()));
-    let oracle = QepProblem::new(&n00, &n01, 0.15, h.period());
-    for s in [2usize, 4] {
-        let config = SsConfig {
-            slice: SlicePolicy::sectors(s),
-            precond: PrecondPolicy::MatrixFree,
-            ..common::fig6_config()
-        };
-        let sliced = solve_qep_sliced_with(&real, &config, &SerialExecutor);
-        assert_eq!(sliced.slice_stats.len(), s);
-        let listed: usize = sliced.slice_stats.iter().map(|t| t.nodes * t.n_rh).sum();
-        let solved: usize = sliced.slice_stats.iter().map(|t| t.solves).sum();
-        assert_eq!(solved, listed, "S = {s}: a slice skipped nodes");
-        assert_eq!(sliced.shifted_solves, listed);
-        assert_eq!(sliced.solve_histories.len(), listed);
-        assert_bitwise(
-            &format!("S = {s}"),
-            &sliced,
-            &solve_qep_sliced_with(&oracle, &config, &SerialExecutor),
-        );
-    }
 }
 
 /// A warm sweep over real blocks runs on the half ring end to end: seed

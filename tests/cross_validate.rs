@@ -1,52 +1,22 @@
-//! Cross-validation harness of the sliced (partitioned-contour)
-//! Sakurai-Sugiura pipeline against the monolithic single contour on the
-//! fig6 Al(100) system:
+//! Cross-validation harness of the Sakurai-Sugiura ring on Al(100):
 //!
-//! * `S = 1` sliced ≡ `solve_qep_with` **bitwise** (eigenvalues, moments,
-//!   counters);
-//! * `S ∈ {2, 4, 8}` merged eigenvalue sets agree with the single contour
-//!   to ≤ 1e-10 on the interior annulus, with every per-slice subspace
-//!   strictly smaller than the monolithic one;
-//! * the agreement holds over the `{PrecondPolicy} x {serial, rayon}`
-//!   matrix, with serial ≡ rayon **bitwise** within each policy;
-//! * sliced and single-contour spectra both agree with the OBM baseline;
-//! * an env-driven entry point (`CBS_EXECUTOR` / `CBS_PRECOND` /
-//!   `CBS_SLICES`) lets CI exercise any single combination of the policy
-//!   matrix.
+//! * the `{PrecondPolicy} x {serial, rayon}` matrix — serial ≡ rayon
+//!   **bitwise** within each policy, and the two policies' spectra agree to
+//!   ≤ 1e-10;
+//! * every interior eigenvalue the ring returns is one the OBM
+//!   transfer-matrix baseline finds too.
 
-use cbs::core::{
-    solve_qep_sliced_with, solve_qep_with, PrecondPolicy, QepProblem, SlicePolicy, SsConfig,
-    SsResult,
-};
+use cbs::core::{solve_qep_with, PrecondPolicy, QepProblem, SsConfig, SsResult};
 use cbs::dft::{bulk_al_100, grid_for_structure, BlockHamiltonian, HamiltonianParams};
 use cbs::linalg::Complex64;
 use cbs::obm::{obm_solve, ObmConfig};
-use cbs::parallel::{ExecutorChoice, RayonExecutor, SerialExecutor};
+use cbs::parallel::{RayonExecutor, SerialExecutor};
 
 mod common;
-use common::fig6_hamiltonian;
 
-/// Solver parameters tight enough that the ≤ 1e-10 cross-validation bound
-/// is meaningful: the eigenvalue agreement between two different
-/// floating-point trajectories is limited by the single contour's
-/// quadrature error and by extraction conditioning times the solver
-/// tolerance.
-///
-/// Measured on `fig6_sliced_sets_match_single_contour_to_1e10` (E = 0.35,
-/// six interior states), worst one-sided distance per source-block seed:
-///
-/// * `n_int` 16 left the single contour's own residuals at 2e-11…3e-9, so
-///   S = 2 already missed the bound on 3 of 8 seeds; at 24 they are ≤ 5e-12
-///   and S = 2 passes on every seed (the real Hamiltonian solves 12 of the
-///   24 nodes).
-/// * `S = 8` runs on the default rule's floor of 2 source columns per
-///   slice, where one slice holds five states: the error there is set by
-///   how the two columns overlap the eigenvectors, and does not move with
-///   `n_int`, the arc node count or `majority_stop`.  At `bicg_tolerance`
-///   1e-13 it is under 1e-10 on 6 of 8 seeds (and S = 4 on 7), at 1e-14 on
-///   10 of 12 (3e-12…7e-11; S = 4 then ≤ 4e-11 on all 12).
-/// * The default seed is one of the two outliers (its slice-7 block gives
-///   2e-10…1e-9 at every setting above), hence the explicit `seed`.
+/// Solver parameters well beyond the defaults (`n_int` 24, BiCG to 1e-14),
+/// so the ≤ 1e-10 cross-policy bound and the comparison with the direct OBM
+/// solver measure the quadrature, not the iterative solves.
 fn fig6_config() -> SsConfig {
     SsConfig {
         n_int: 24,
@@ -59,14 +29,6 @@ fn fig6_config() -> SsConfig {
         seed: 1,
         ..SsConfig::small()
     }
-}
-
-/// Slices with arcs resolved at 32 Gauss-Legendre nodes (the non-periodic
-/// sector arcs need more resolution than the separable full-circle
-/// trapezoid to push quadrature error below the 1e-10 bound); the per-slice
-/// subspace is the default rule's.
-fn sectors(s: usize) -> SlicePolicy {
-    SlicePolicy { arc_nodes: Some(32), ..SlicePolicy::sectors(s) }
 }
 
 fn interior(l: Complex64) -> bool {
@@ -94,118 +56,37 @@ fn assert_bitwise_eigenpairs(a: &SsResult, b: &SsResult, what: &str) {
     }
 }
 
-/// `S = 1` sliced pipeline ≡ the monolithic engine path, bit for bit, on
-/// the real fig6 system — pooled dispatch, generalized accumulator, merge
-/// and all.
-#[test]
-fn fig6_single_slice_is_bitwise_the_single_contour() {
-    let h = fig6_hamiltonian();
-    let h00 = h.h00();
-    let h01 = h.h01();
-    let problem = QepProblem::new(&h00, &h01, 0.35, h.period());
-    let config = fig6_config();
-    assert!(config.slice.is_single());
-
-    let single = solve_qep_with(&problem, &config, &SerialExecutor);
-    let sliced = solve_qep_sliced_with(&problem, &config, &SerialExecutor);
-    assert!(!single.eigenpairs.is_empty());
-    assert_bitwise_eigenpairs(&single, &sliced, "S=1 sliced vs engine");
-    for (ma, mb) in single.projected_moments.iter().zip(&sliced.projected_moments) {
-        for r in 0..config.n_rh {
-            for c in 0..config.n_rh {
-                assert_eq!(ma[(r, c)].re.to_bits(), mb[(r, c)].re.to_bits());
-                assert_eq!(ma[(r, c)].im.to_bits(), mb[(r, c)].im.to_bits());
-            }
-        }
-    }
-    assert_eq!(single.total_bicg_iterations, sliced.total_bicg_iterations);
-    assert_eq!(single.total_matvecs, sliced.total_matvecs);
-    assert_eq!(single.total_traversals, sliced.total_traversals);
-    assert_eq!(single.numerical_rank, sliced.numerical_rank);
-}
-
-/// The headline acceptance bound: for `S ∈ {2, 4, 8}` the merged sliced
-/// eigenpair set matches the single contour to ≤ 1e-10 in both directions
-/// (no misses, no spurious states), with per-slice subspaces strictly
-/// smaller than the monolithic one and the slice-resolved counters
-/// populated.
-#[test]
-fn fig6_sliced_sets_match_single_contour_to_1e10() {
-    let h = fig6_hamiltonian();
-    let h00 = h.h00();
-    let h01 = h.h01();
-    let problem = QepProblem::new(&h00, &h01, 0.35, h.period());
-    let config = fig6_config();
-    let single = solve_qep_with(&problem, &config, &SerialExecutor);
-    assert!(single.eigenpairs.iter().filter(|p| interior(p.lambda)).count() >= 4);
-
-    for s in [2usize, 4, 8] {
-        let cfg = SsConfig { slice: sectors(s), ..config };
-        let sliced = solve_qep_sliced_with(&problem, &cfg, &SerialExecutor);
-        assert_interior_sets_match(&single, &sliced, 1e-10, &format!("S={s}: single→sliced"));
-        assert_interior_sets_match(&sliced, &single, 1e-10, &format!("S={s}: sliced→single"));
-
-        // Slice-resolved counters: one row per slice, subspaces strictly
-        // below the monolithic N_mm x N_rh, real per-slice work recorded.
-        assert_eq!(sliced.slice_stats.len(), s);
-        for st in &sliced.slice_stats {
-            assert!(
-                st.subspace_size < config.subspace_size(),
-                "S={s}: slice {} subspace {} not strictly smaller than {}",
-                st.slice,
-                st.subspace_size,
-                config.subspace_size()
-            );
-            assert!(st.bicg_iterations > 0, "S={s}: slice {} reports no iterations", st.slice);
-            assert!(st.traversals > 0, "S={s}: slice {} reports no traversals", st.slice);
-            assert!(st.solves > 0 && st.nodes > 0);
-        }
-        let slice_iters: usize = sliced.slice_stats.iter().map(|t| t.bicg_iterations).sum();
-        assert_eq!(slice_iters, sliced.total_bicg_iterations);
-    }
-}
-
-/// The policy matrix: `{matrix-free, assembled-ilu0} x {serial, rayon}`, at
-/// `S = 4`.  Within each `(precond)` cell both executors must
-/// be **bitwise identical** (executors do not change results), and each
-/// cell's sliced set matches its own single-contour reference to ≤ 1e-10.
+/// The policy matrix: `{matrix-free, assembled-ilu0} x {serial, rayon}` on
+/// fig6.  Within each policy both executors must be **bitwise identical**
+/// (executors do not change results), and the two policies — different
+/// floating-point trajectories — find the same interior spectrum to
+/// ≤ 1e-10 in both directions.
 #[test]
 fn fig6_policy_matrix_cross_validation() {
-    let h = fig6_hamiltonian();
+    let h = common::fig6_hamiltonian();
     let h00 = h.h00();
     let h01 = h.h01();
     let pattern = h.qep_pattern();
     // A cheaper spectrum (2 propagating states) keeps the 4-run matrix
-    // affordable; the richer-spectrum agreement is covered above.
+    // affordable.
     let config = SsConfig { n_mm: 4, n_rh: 4, ..fig6_config() };
+    let problem = QepProblem::new(&h00, &h01, 0.15, h.period()).with_pattern(&pattern);
 
-    for precond in [PrecondPolicy::MatrixFree, PrecondPolicy::AssembledIlu0] {
-        let problem = QepProblem::new(&h00, &h01, 0.15, h.period()).with_pattern(&pattern);
-        let single = solve_qep_with(&problem, &SsConfig { precond, ..config }, &SerialExecutor);
-        assert!(!single.eigenpairs.is_empty());
-
-        let mut reference: Option<SsResult> = None;
-        let cfg = SsConfig { precond, slice: sectors(4), ..config };
-        for rayon in [false, true] {
-            let sliced = if rayon {
-                solve_qep_sliced_with(&problem, &cfg, &RayonExecutor)
-            } else {
-                solve_qep_sliced_with(&problem, &cfg, &SerialExecutor)
-            };
-            let what = format!("{}/{}", precond.name(), if rayon { "rayon" } else { "serial" });
-            assert_interior_sets_match(&single, &sliced, 1e-10, &what);
-            assert_interior_sets_match(&sliced, &single, 1e-10, &what);
-            match &reference {
-                None => reference = Some(sliced),
-                Some(r) => assert_bitwise_eigenpairs(r, &sliced, &what),
-            }
-        }
-    }
+    let [mf, ilu] = [PrecondPolicy::MatrixFree, PrecondPolicy::AssembledIlu0].map(|precond| {
+        let cfg = SsConfig { precond, ..config };
+        let serial = solve_qep_with(&problem, &cfg, &SerialExecutor);
+        assert!(!serial.eigenpairs.is_empty(), "{}: found nothing", precond.name());
+        let rayon = solve_qep_with(&problem, &cfg, &RayonExecutor);
+        assert_bitwise_eigenpairs(&serial, &rayon, &format!("{}/rayon", precond.name()));
+        serial
+    });
+    assert_interior_sets_match(&mf, &ilu, 1e-10, "matrix-free → ilu0");
+    assert_interior_sets_match(&ilu, &mf, 1e-10, "ilu0 → matrix-free");
 }
 
-/// Sliced and single-contour spectra both land on the OBM transfer-matrix
-/// baseline — the paper's Figure 4 correctness premise extends to the
-/// partitioned contour.
+/// The single ring's spectrum lands on the OBM baseline — the paper's
+/// Figure 4 correctness premise.  (The name predates the removal of contour
+/// slicing; it is kept so the test keeps its id.)
 #[test]
 fn fig6_sliced_and_single_agree_with_obm() {
     let s = bulk_al_100(1);
@@ -222,73 +103,17 @@ fn fig6_sliced_and_single_agree_with_obm() {
     let problem = QepProblem::new(&h00, &h01, energy, h.period());
 
     let single = solve_qep_with(&problem, &config, &SerialExecutor);
-    let sliced =
-        solve_qep_sliced_with(&problem, &SsConfig { slice: sectors(4), ..config }, &SerialExecutor);
     let obm = obm_solve(&h.h00_csr(), &h.h01_csr(), energy, &ObmConfig::default());
 
     let close = |a: Complex64, b: Complex64| (a - b).abs() < 2e-5 * (1.0 + b.abs());
     let mut compared = 0;
-    for (name, result) in [("single", &single), ("sliced", &sliced)] {
-        for p in result.eigenpairs.iter().filter(|p| interior(p.lambda)) {
-            assert!(
-                obm.lambdas.iter().any(|&l| close(l, p.lambda)),
-                "{name} found {:?} which OBM missed",
-                p.lambda
-            );
-            compared += 1;
-        }
+    for p in single.eigenpairs.iter().filter(|p| interior(p.lambda)) {
+        assert!(
+            obm.lambdas.iter().any(|&l| close(l, p.lambda)),
+            "single found {:?} which OBM missed",
+            p.lambda
+        );
+        compared += 1;
     }
     assert!(compared > 0, "nothing to compare against OBM");
-    // And the two SS variants see the same spectrum.
-    assert_interior_sets_match(&single, &sliced, 1e-10, "single vs sliced (OBM system)");
-}
-
-/// Env-driven single-combination entry point for the CI policy-matrix job:
-/// `CBS_EXECUTOR` / `CBS_PRECOND` / `CBS_SLICES` select the cell (defaults:
-/// serial / matrix-free / 4 slices).
-#[test]
-fn policy_matrix_cell_from_env() {
-    let h = fig6_hamiltonian();
-    let h00 = h.h00();
-    let h01 = h.h01();
-    let pattern = h.qep_pattern();
-    let (pattern_sparse, projector) = h.qep_factored();
-    let precond = cbs::trace::knob("CBS_PRECOND").unwrap_or(PrecondPolicy::MatrixFree);
-    let slice = match SlicePolicy::from_env("CBS_SLICES") {
-        p if p.is_single() => sectors(4),
-        p => SlicePolicy { arc_nodes: Some(32), ..p },
-    };
-    let config = SsConfig { n_mm: 4, n_rh: 4, precond, ..fig6_config() };
-    // The SMW cell needs the factored problem (sparse-only pattern plus
-    // projector tail) for the completion to be distinct from plain ILU(0).
-    let problem = if precond == PrecondPolicy::AssembledIlu0Smw {
-        QepProblem::new(&h00, &h01, 0.15, h.period())
-            .with_pattern(&pattern_sparse)
-            .with_projector(&projector)
-    } else {
-        QepProblem::new(&h00, &h01, 0.15, h.period()).with_pattern(&pattern)
-    };
-
-    let rayon = ExecutorChoice::from_env("CBS_EXECUTOR") == ExecutorChoice::Rayon;
-    let sliced_cfg = SsConfig { slice, ..config };
-    let (single, sliced) = if rayon {
-        (
-            solve_qep_with(&problem, &config, &RayonExecutor),
-            solve_qep_sliced_with(&problem, &sliced_cfg, &RayonExecutor),
-        )
-    } else {
-        (
-            solve_qep_with(&problem, &config, &SerialExecutor),
-            solve_qep_sliced_with(&problem, &sliced_cfg, &SerialExecutor),
-        )
-    };
-    let what = format!(
-        "env cell {}/{}/{}",
-        if rayon { "rayon" } else { "serial" },
-        precond.name(),
-        sliced_cfg.slice.name()
-    );
-    assert!(!single.eigenpairs.is_empty(), "{what}: single contour found nothing");
-    assert_interior_sets_match(&single, &sliced, 1e-10, &what);
-    assert_interior_sets_match(&sliced, &single, 1e-10, &what);
 }

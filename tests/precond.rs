@@ -144,22 +144,11 @@ fn fig6_ilu_cuts_iterations_and_policies_agree_on_the_physics() {
 fn fig6_every_policy_is_executor_independent_bitwise() {
     let h = fig6_hamiltonian();
     let pattern = h.qep_pattern();
-    let (pattern_sparse, projector) = h.qep_factored();
     let h00 = h.h00();
     let h01 = h.h01();
-    for precond in
-        [PrecondPolicy::MatrixFree, PrecondPolicy::AssembledIlu0, PrecondPolicy::AssembledIlu0Smw]
-    {
+    for precond in [PrecondPolicy::MatrixFree, PrecondPolicy::AssembledIlu0] {
         let config = fig6_config(precond);
-        // The SMW policy is only distinct with a projector attached — give
-        // it the factored problem so the correction is actually exercised.
-        let problem = if precond == PrecondPolicy::AssembledIlu0Smw {
-            QepProblem::new(&h00, &h01, 0.15, h.period())
-                .with_pattern(&pattern_sparse)
-                .with_projector(&projector)
-        } else {
-            QepProblem::new(&h00, &h01, 0.15, h.period()).with_pattern(&pattern)
-        };
+        let problem = QepProblem::new(&h00, &h01, 0.15, h.period()).with_pattern(&pattern);
         let serial = solve_qep_with(&problem, &config, &SerialExecutor);
         let rayon = solve_qep_with(&problem, &config, &RayonExecutor);
         for (ms, mr) in serial.projected_moments.iter().zip(&rayon.projected_moments) {
@@ -289,69 +278,6 @@ fn fig6_factored_projector_agrees_with_dense_expansion() {
     }
     // Both count as assembled runs (one refill per quadrature node).
     assert_eq!(fact.operator_assemblies, full.operator_assemblies);
-}
-
-/// The SMW-complete preconditioner (`PrecondPolicy::AssembledIlu0Smw`):
-/// on fig6 Al(100) with the factored projector attached, it finds the same
-/// physics as ILU(0) over the dense-expanded pattern — the configuration
-/// whose preconditioner also sees all of `P(z)` — and it does not converge
-/// slower than the tail-blind plain ILU(0) on the same factored problem.
-#[test]
-fn fig6_smw_preconditioner_agrees_with_dense_expanded_ilu() {
-    let h = fig6_hamiltonian();
-    let pattern_full = h.qep_pattern();
-    let (pattern_sparse, projector) = h.qep_factored();
-    assert!(!projector.is_empty(), "fig6 must carry non-local projectors");
-    let h00 = h.h00();
-    let h01 = h.h01();
-
-    // Reference: ILU(0) of the dense-expanded CSR (projector folded into
-    // the pattern, so the factorization covers the full operator).
-    let full_problem = QepProblem::new(&h00, &h01, 0.15, h.period()).with_pattern(&pattern_full);
-    let full =
-        solve_qep_with(&full_problem, &fig6_config(PrecondPolicy::AssembledIlu0), &SerialExecutor);
-
-    // Factored problem, solved with the tail-blind ILU(0) and with the
-    // SMW completion.
-    let solve_factored = |precond| {
-        let problem = QepProblem::new(&h00, &h01, 0.15, h.period())
-            .with_pattern(&pattern_sparse)
-            .with_projector(&projector);
-        solve_qep_with(&problem, &fig6_config(precond), &SerialExecutor)
-    };
-    let plain = solve_factored(PrecondPolicy::AssembledIlu0);
-    let smw = solve_factored(PrecondPolicy::AssembledIlu0Smw);
-
-    assert!(!full.eigenpairs.is_empty(), "dense-expansion reference found no eigenpairs");
-    for (name, run) in [("plain", &plain), ("smw", &smw)] {
-        assert_eq!(
-            full.eigenpairs.len(),
-            run.eigenpairs.len(),
-            "{name}: factored path changed the accepted set"
-        );
-        for (a, b) in full.eigenpairs.iter().zip(&run.eigenpairs) {
-            assert!(
-                (a.lambda - b.lambda).abs() <= 1e-8 * (1.0 + a.lambda.abs()),
-                "{name}: eigenvalue drifted: {:?} vs {:?}",
-                a.lambda,
-                b.lambda
-            );
-        }
-    }
-    eprintln!(
-        "fig6 BiCG iterations: dense-expanded ilu0 {} / factored ilu0 {} / factored smw {}",
-        full.total_bicg_iterations, plain.total_bicg_iterations, smw.total_bicg_iterations
-    );
-    // Folding the tail into the preconditioner must not cost iterations
-    // relative to ignoring it.
-    assert!(
-        smw.total_bicg_iterations <= plain.total_bicg_iterations,
-        "SMW completion increased iterations: {} vs plain {}",
-        smw.total_bicg_iterations,
-        plain.total_bicg_iterations
-    );
-    // Same per-node assembly accounting as every assembled policy.
-    assert_eq!(smw.operator_assemblies, plain.operator_assemblies);
 }
 
 fn random_csr_blocks(n: usize, seed: u64) -> (CsrMatrix, CsrMatrix) {

@@ -5,31 +5,15 @@
 
 use proptest::prelude::*;
 
-use cbs::core::{
-    merge_claimed, ContourPartition, QepEigenpair, QepProblem, RingContour, SlicePolicy,
-};
+use cbs::core::{QepProblem, RingContour};
 use cbs::dft::{bulk_al_100, grid_for_structure, BlockHamiltonian, HamiltonianParams};
 use cbs::grid::{DomainDecomposition, FdOrder, Grid3};
 use cbs::linalg::{c64, CMatrix, CVector, Complex64};
 use cbs::parallel::DomainDecomposedOp;
 use cbs::sparse::{
     AssembledPattern, CooBuilder, CsrMatrix, DenseOp, LinearOperator, LowRankOp, Preconditioner,
-    SmwPrecond, SparseVec,
+    SparseVec,
 };
-
-/// Circular distance from angle `t` to the arc `[lo, hi]` (all radians,
-/// arbitrary branch).
-fn angular_distance_to_sector(t: f64, lo: f64, hi: f64) -> f64 {
-    let tau = std::f64::consts::TAU;
-    let span = hi - lo;
-    let offset = (t - lo).rem_euclid(tau);
-    if offset <= span {
-        0.0
-    } else {
-        // Nearest of the two boundaries, the short way around.
-        (offset - span).min(tau - offset)
-    }
-}
 
 /// A random square complex CSR matrix with a dominant diagonal and `per_row`
 /// extra off-diagonal entries per row (duplicates fold together).
@@ -622,148 +606,6 @@ proptest! {
         }
     }
 
-    /// Contour partition geometry: for any (angular x radial) slicing of
-    /// any valid annulus, the claim cells tile the annulus **exactly** —
-    /// every in-annulus λ is claimed by exactly one slice, that slice's
-    /// integration contour strictly contains it, and any *other* slice
-    /// whose integration region reaches λ does so only through its guard
-    /// band (no overlap beyond the configured guards).
-    #[test]
-    fn partition_claim_cells_tile_the_annulus_exactly(
-        angular in 1usize..6,
-        radial in 1usize..4,
-        lambda_min in 0.3f64..0.7,
-        n_int in 4usize..24,
-        radius_t in 0.02f64..0.98,
-        angle in 0.0f64..std::f64::consts::TAU,
-    ) {
-        let contour = RingContour::new(lambda_min, n_int);
-        let policy = SlicePolicy { angular, radial, ..SlicePolicy::single() };
-        let p = ContourPartition::try_new(contour, policy, false).expect("valid policy");
-        prop_assert!(p.len() == policy.slice_count());
-
-        // A strictly in-annulus sample point.
-        let t_max = -lambda_min.ln();
-        let log_r = -t_max + 2.0 * t_max * radius_t;
-        let lambda = Complex64::polar(log_r.exp(), angle);
-        prop_assert!(contour.contains(lambda, 0.0));
-
-        let claimants: Vec<usize> =
-            (0..p.len()).filter(|&s| p.slices()[s].claims(lambda)).collect();
-        prop_assert!(claimants.len() == 1, "λ = {:?} claimed by {:?}", lambda, &claimants);
-        let owner = claimants[0];
-        prop_assert!(p.claimant(lambda) == Some(owner));
-        prop_assert!(
-            p.slices()[owner].region().contains_integration(lambda, 0.0),
-            "claimed λ = {:?} outside its own integration contour", lambda
-        );
-
-        // Overlap discipline: a non-owning slice may only reach λ through
-        // its guard bands.
-        let eps = 1e-9;
-        for (s, slice) in p.slices().iter().enumerate() {
-            if s == owner || !slice.region().contains_integration(lambda, 0.0) {
-                continue;
-            }
-            let r = slice.region();
-            let ang_ok = r.full_circle
-                || angular_distance_to_sector(lambda.arg(), r.theta_lo, r.theta_hi)
-                    <= r.guard + eps;
-            let log_lambda = lambda.abs().ln();
-            let rad_guard_lo = (r.r_lo.ln() - r.int_r_lo.ln()).max(0.0);
-            let rad_guard_hi = (r.int_r_hi.ln() - r.r_hi.ln()).max(0.0);
-            let rad_ok = (log_lambda >= r.r_lo.ln() - rad_guard_lo - eps)
-                && (log_lambda <= r.r_hi.ln() + rad_guard_hi + eps);
-            prop_assert!(
-                ang_ok && rad_ok,
-                "slice {} reaches λ = {:?} beyond its guard bands", s, lambda
-            );
-        }
-    }
-
-    /// Merge dedup invariants: merging is idempotent (re-merging the merged
-    /// set changes nothing) and permutation-invariant (any input order
-    /// yields the bitwise-identical merged set) — the property that makes
-    /// the merged union independent of slice execution order.
-    #[test]
-    fn merge_dedup_is_idempotent_and_permutation_invariant(
-        seed in 0u64..2000,
-        n_states in 1usize..12,
-        dup_every in 1usize..4,
-        merge_tol in 1e-10f64..1e-6,
-    ) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        // Synthetic claimed candidates: well-separated "true" states, some
-        // of which appear again from a neighbouring slice with a
-        // sub-tolerance perturbation and its own residual.
-        let mut claimed: Vec<(usize, QepEigenpair)> = Vec::new();
-        for i in 0..n_states {
-            // Spacing far beyond merge_tol so distinct states never fuse.
-            let lambda = Complex64::polar(
-                0.6 + 0.1 * (i % 8) as f64,
-                0.37 + 0.7 * i as f64,
-            );
-            let residual = rng.gen_range(1e-14..1e-7);
-            claimed.push((
-                i % 3,
-                QepEigenpair { lambda, psi: CVector::zeros(1), residual },
-            ));
-            if i % dup_every == 0 {
-                // A duplicate within tolerance, from another slice.
-                let jitter = 0.3 * merge_tol * (1.0 + lambda.abs());
-                let dup = QepEigenpair {
-                    lambda: lambda + c64(jitter, -0.5 * jitter),
-                    psi: CVector::zeros(1),
-                    residual: rng.gen_range(1e-14..1e-7),
-                };
-                claimed.push(((i % 3) + 1, dup));
-            }
-        }
-
-        let (merged, dropped) = merge_claimed(claimed.clone(), merge_tol);
-        // Every duplicate was dropped, keeping the lower residual of each
-        // fused pair.
-        prop_assert!(merged.len() + dropped == claimed.len());
-        prop_assert!(merged.len() == n_states);
-        for (i, a) in merged.iter().enumerate() {
-            for b in &merged[i + 1..] {
-                prop_assert!(
-                    (a.lambda - b.lambda).abs() > merge_tol,
-                    "near-duplicates survived the merge"
-                );
-            }
-        }
-
-        // Idempotence: re-merging the merged set is the identity.
-        let again_input: Vec<(usize, QepEigenpair)> =
-            merged.iter().cloned().map(|p| (0usize, p)).collect();
-        let (again, dropped_again) = merge_claimed(again_input, merge_tol);
-        prop_assert!(dropped_again == 0usize);
-        prop_assert!(again.len() == merged.len());
-        for (a, b) in again.iter().zip(&merged) {
-            prop_assert!(a.lambda.re.to_bits() == b.lambda.re.to_bits());
-            prop_assert!(a.lambda.im.to_bits() == b.lambda.im.to_bits());
-            prop_assert!(a.residual.to_bits() == b.residual.to_bits());
-        }
-
-        // Permutation invariance: a seeded shuffle of the input yields the
-        // bitwise-identical merged set.
-        let mut shuffled = claimed;
-        for i in (1..shuffled.len()).rev() {
-            let j = rng.gen_range(0..i + 1);
-            shuffled.swap(i, j);
-        }
-        let (merged_shuffled, dropped_shuffled) = merge_claimed(shuffled, merge_tol);
-        prop_assert!(dropped_shuffled == dropped);
-        prop_assert!(merged_shuffled.len() == merged.len());
-        for (a, b) in merged_shuffled.iter().zip(&merged) {
-            prop_assert!(a.lambda.re.to_bits() == b.lambda.re.to_bits());
-            prop_assert!(a.lambda.im.to_bits() == b.lambda.im.to_bits());
-            prop_assert!(a.residual.to_bits() == b.residual.to_bits());
-        }
-    }
-
     /// λ → k → λ round-trips through the Brillouin-zone folding.
     #[test]
     fn lambda_k_roundtrip(
@@ -817,10 +659,9 @@ proptest! {
 }
 
 /// The real stencil: the 343-point Al(100) factored pattern at a quadrature
-/// node.  Streaming ≡ oracle for all four sweeps at every slab width — that
-/// of the SMW completion's `2k` setup solves included, which go through the
-/// block kernel as one wide slab — and the completed preconditioner applies
-/// a slab bitwise as it applies its columns.
+/// node.  Streaming ≡ oracle for all four sweeps at every slab width, one as
+/// wide as the projector's rank included.  (The name predates the removal
+/// of the SMW preconditioner; it is kept so the test keeps its id.)
 #[test]
 fn al100_tri_sweeps_and_smw_are_bitwise_the_oracle() {
     use rand::SeedableRng;
@@ -832,24 +673,8 @@ fn al100_tri_sweeps_and_smw_are_bitwise_the_oracle() {
     assert_eq!(n, 343);
     let (energy, z) = (0.1, RingContour::new(0.5, 12).outer_points()[0].z);
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(12);
-    assert!(projector.rank() > 8, "the setup slab must span several column tiles");
+    assert!(projector.rank() > 8, "the wide slab must span several column tiles");
     for nvecs in [9, 4, 1, projector.rank()] {
         assert_tri_sweeps_match_the_oracle(&pattern, energy, z, nvecs, &mut rng);
-    }
-
-    let smw = SmwPrecond::new(pattern.assemble(energy, z).ilu0(), &projector, z);
-    assert!(smw.is_complete() && smw.rank() == projector.rank());
-    let nvecs = 5;
-    let r = slab_with_zeros(n, nvecs, &mut rng);
-    let (mut zs, mut zc) = (vec![Complex64::ZERO; n * nvecs], vec![Complex64::ZERO; n]);
-    smw.solve_block(&r, &mut zs, nvecs);
-    for (rc, want) in r.chunks_exact(n).zip(zs.chunks_exact(n)) {
-        smw.solve(rc, &mut zc);
-        assert!(zc == want, "SMW slab apply is not its column applies");
-    }
-    smw.solve_adjoint_block(&r, &mut zs, nvecs);
-    for (rc, want) in r.chunks_exact(n).zip(zs.chunks_exact(n)) {
-        smw.solve_adjoint(rc, &mut zc);
-        assert!(zc == want, "SMW adjoint slab apply is not its column applies");
     }
 }

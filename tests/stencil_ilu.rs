@@ -1,11 +1,11 @@
-//! The real stencil as the operator of the ILU(0) policies: when the blocks
-//! convert, `AssembledIlu0` / `AssembledIlu0Smw` refill the pattern only to
-//! factor it (in place) and apply `P(z)` through the `RealStencil`.
+//! The real stencil as the operator of the ILU(0) policy: when the blocks
+//! convert, `AssembledIlu0` refills the pattern only to factor it (in
+//! place) and applies `P(z)` through the `RealStencil`.
 //!
 //! There is no knob to switch that off, so the oracle is a wrapper:
 //! [`Parts::hidden`] forwards every operator method — `is_real` included, so
 //! both sides run the mirrored half ring — but not `sparse_lowrank_parts`,
-//! which leaves the ILU policies on the assembled CSR they always applied.
+//! which leaves the ILU policy on the assembled CSR it always applied.
 //!
 //! * the in-place factorization is the copying one, bit for bit, on fig6;
 //! * stencil + ILU finds the assembled + ILU spectrum (≤ 1e-8) in the same
@@ -105,81 +105,68 @@ fn assert_bitwise(what: &str, a: &SsResult, b: &SsResult) {
     assert_eq!(a.operator_assemblies, b.operator_assemblies, "{what}");
 }
 
-const ILU_POLICIES: [PrecondPolicy; 2] =
-    [PrecondPolicy::AssembledIlu0, PrecondPolicy::AssembledIlu0Smw];
-
-/// Stencil + ILU against assembled + ILU on one system under `policies`, with
-/// the factored backend (sparse-only pattern + projector) attached.
+/// Stencil + ILU against assembled + ILU on one system, with the factored
+/// backend (sparse-only pattern + projector) attached.
 fn assert_stencil_ilu_matches_assembled_ilu(
     what: &str,
     h: &BlockHamiltonian,
     energy: f64,
     config: &SsConfig,
-    policies: &[PrecondPolicy],
 ) {
     let (pattern, projector) = h.qep_factored();
     assert!(!projector.is_empty(), "{what}: the system must carry projectors");
     let (h00, h01) = (h.h00(), h.h01());
     let (o00, o01) = (Parts::hidden(h.h00()), Parts::hidden(h.h01()));
-    for &precond in policies {
-        let what = format!("{what} {precond:?}");
-        let config = SsConfig { precond, ..*config };
-        let stencil = QepProblem::new(&h00, &h01, energy, h.period())
-            .with_pattern(&pattern)
-            .with_projector(&projector);
-        let assembled = QepProblem::new(&o00, &o01, energy, h.period())
-            .with_pattern(&pattern)
-            .with_projector(&projector);
-        assert!(stencil.is_conjugate_symmetric() && assembled.is_conjugate_symmetric());
+    let config = SsConfig { precond: PrecondPolicy::AssembledIlu0, ..*config };
+    let stencil = QepProblem::new(&h00, &h01, energy, h.period())
+        .with_pattern(&pattern)
+        .with_projector(&projector);
+    let assembled = QepProblem::new(&o00, &o01, energy, h.period())
+        .with_pattern(&pattern)
+        .with_projector(&projector);
+    assert!(stencil.is_conjugate_symmetric() && assembled.is_conjugate_symmetric());
 
-        let fused = solve_qep_with(&stencil, &config, &SerialExecutor);
-        let reference = solve_qep_with(&assembled, &config, &SerialExecutor);
-        assert_eq!(stencil.real_stencil().map(RealStencil::dim), Some(h.dim()), "{what}");
-        assert!(assembled.real_stencil().is_none(), "{what}: the oracle must not convert");
+    let fused = solve_qep_with(&stencil, &config, &SerialExecutor);
+    let reference = solve_qep_with(&assembled, &config, &SerialExecutor);
+    assert_eq!(stencil.real_stencil().map(RealStencil::dim), Some(h.dim()), "{what}");
+    assert!(assembled.real_stencil().is_none(), "{what}: the oracle must not convert");
 
-        // Same spectrum ...
-        assert!(!reference.eigenpairs.is_empty(), "{what}: the reference found no eigenpairs");
-        assert_eq!(fused.eigenpairs.len(), reference.eigenpairs.len(), "{what}: pair count");
-        for p in &fused.eigenpairs {
-            let best = reference
-                .eigenpairs
-                .iter()
-                .map(|q| (q.lambda - p.lambda).abs())
-                .fold(f64::INFINITY, f64::min);
-            assert!(best <= 1e-8, "{what}: λ = {:?} is {best:.2e} from the reference", p.lambda);
-            assert!(p.residual <= config.residual_cutoff, "{what}");
-        }
-        // ... from the same work: the two applies differ in rounding only,
-        // so the preconditioned iteration counts agree to a few steps, and
-        // every solved node refilled the pattern once on both sides although
-        // only the reference applies what it refilled.
-        let (it, it_ref) = (fused.total_bicg_iterations, reference.total_bicg_iterations);
-        eprintln!("{what}: iterations stencil {it} / assembled {it_ref}");
-        assert!(it.abs_diff(it_ref) * 50 <= it_ref, "{what}: {it} vs {it_ref} iterations");
-        assert!(fused.solve_histories.iter().all(ConvergenceHistory::converged), "{what}");
-        assert_eq!(fused.operator_assemblies, config.n_int.div_ceil(2), "{what}");
-        assert_eq!(fused.operator_assemblies, reference.operator_assemblies, "{what}");
-        // Residual checks run matrix-free under every policy: one storage
-        // traversal each where the stencil exists, three where it does not.
-        assert_eq!(fused.extraction_traversals, fused.extraction_matvecs, "{what}");
-        assert_eq!(reference.extraction_traversals, 3 * reference.extraction_matvecs, "{what}");
-
-        // The determinism contract holds on the new path.
-        let rayon = solve_qep_with(&stencil, &config, &RayonExecutor);
-        assert_bitwise(&format!("{what} rayon"), &fused, &rayon);
+    // Same spectrum ...
+    assert!(!reference.eigenpairs.is_empty(), "{what}: the reference found no eigenpairs");
+    assert_eq!(fused.eigenpairs.len(), reference.eigenpairs.len(), "{what}: pair count");
+    for p in &fused.eigenpairs {
+        let best = reference
+            .eigenpairs
+            .iter()
+            .map(|q| (q.lambda - p.lambda).abs())
+            .fold(f64::INFINITY, f64::min);
+        assert!(best <= 1e-8, "{what}: λ = {:?} is {best:.2e} from the reference", p.lambda);
+        assert!(p.residual <= config.residual_cutoff, "{what}");
     }
+    // ... from the same work: the two applies differ in rounding only,
+    // so the preconditioned iteration counts agree to a few steps, and
+    // every solved node refilled the pattern once on both sides although
+    // only the reference applies what it refilled.
+    let (it, it_ref) = (fused.total_bicg_iterations, reference.total_bicg_iterations);
+    eprintln!("{what}: iterations stencil {it} / assembled {it_ref}");
+    assert!(it.abs_diff(it_ref) * 50 <= it_ref, "{what}: {it} vs {it_ref} iterations");
+    assert!(fused.solve_histories.iter().all(ConvergenceHistory::converged), "{what}");
+    assert_eq!(fused.operator_assemblies, config.n_int.div_ceil(2), "{what}");
+    assert_eq!(fused.operator_assemblies, reference.operator_assemblies, "{what}");
+    // Residual checks run matrix-free under every policy: one storage
+    // traversal each where the stencil exists, three where it does not.
+    assert_eq!(fused.extraction_traversals, fused.extraction_matvecs, "{what}");
+    assert_eq!(reference.extraction_traversals, 3 * reference.extraction_matvecs, "{what}");
+
+    // The determinism contract holds on the new path.
+    let rayon = solve_qep_with(&stencil, &config, &RayonExecutor);
+    assert_bitwise(&format!("{what} rayon"), &fused, &rayon);
 }
 
 #[test]
 fn fig6_stencil_ilu_matches_assembled_ilu() {
     let h = common::fig6_hamiltonian();
-    assert_stencil_ilu_matches_assembled_ilu(
-        "fig6",
-        &h,
-        0.15,
-        &common::fig6_config(),
-        &ILU_POLICIES,
-    );
+    assert_stencil_ilu_matches_assembled_ilu("fig6", &h, 0.15, &common::fig6_config());
 }
 
 #[test]
@@ -198,19 +185,15 @@ fn cnt80_stencil_ilu_matches_assembled_ilu() {
         residual_cutoff: 1e-4,
         ..SsConfig::paper()
     };
-    // The SMW correction for this system's projectors (32 atoms) makes an
-    // unoptimized solve take minutes: the debug profile runs the plain ILU(0) policy, the
-    // release profile (CI's `cross-validate` lane) both.
-    let policies = if cfg!(debug_assertions) { &ILU_POLICIES[..1] } else { &ILU_POLICIES[..] };
-    assert_stencil_ilu_matches_assembled_ilu("cnt80", &h, 0.2, &config, policies);
+    assert_stencil_ilu_matches_assembled_ilu("cnt80", &h, 0.2, &config);
 }
 
-/// On fig6, factoring the refill where it lies gives the factors — and the
-/// SMW completion — of the copying route, bit for bit.
+/// On fig6, factoring the refill where it lies gives the factors of the
+/// copying route, bit for bit.
 #[test]
 fn fig6_in_place_factorization_is_bitwise_the_copying_one() {
     let h = common::fig6_hamiltonian();
-    let (pattern, projector) = h.qep_factored();
+    let (pattern, _) = h.qep_factored();
     let n = h.dim();
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1701);
     let nvecs = 3;
@@ -225,12 +208,6 @@ fn fig6_in_place_factorization_is_bitwise_the_copying_one() {
         let copied = pattern.assemble(energy, z).ilu0();
         let in_place = pattern.assemble(energy, z).into_ilu0();
         assert_eq!(in_place.lu(), copied.lu());
-        assert_eq!(solves(&in_place), solves(&copied));
-
-        let copied = pattern.assemble(energy, z).ilu0_smw(&projector);
-        let in_place = pattern.assemble(energy, z).into_ilu0_smw(&projector);
-        assert!(in_place.is_complete() && copied.is_complete());
-        assert_eq!(in_place.rank(), copied.rank());
         assert_eq!(solves(&in_place), solves(&copied));
     }
 }

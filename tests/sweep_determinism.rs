@@ -6,7 +6,8 @@
 //!   strictly fewer BiCG iterations than the cold loop on a fig6-style
 //!   (≥ 32 energies) scan;
 //! * a checkpointed sweep killed partway through resumes to a result
-//!   bit-identical to an uninterrupted run;
+//!   bit-identical to an uninterrupted run, and older checkpoint formats
+//!   are refused by version;
 //! * adaptive refinement inserts midpoints only where the channel count
 //!   changes, within budget, deterministically;
 //! * the vestigial `SsConfig::auto` flag changes nothing.
@@ -18,7 +19,8 @@ use cbs::linalg::{c64, CMatrix};
 use cbs::parallel::{RayonExecutor, SerialExecutor};
 use cbs::sparse::DenseOp;
 use cbs::sweep::{
-    sweep_cbs, EnergyOrigin, RunOptions, RunOutcome, SweepCheckpoint, SweepConfig, SweepResult,
+    sweep_cbs, CheckpointError, EnergyOrigin, RunOptions, RunOutcome, SweepCheckpoint, SweepConfig,
+    SweepResult,
 };
 
 fn random_blocks(n: usize, seed: u64) -> (CMatrix, CMatrix) {
@@ -211,6 +213,18 @@ fn checkpointed_sweep_resumes_bit_identically() {
         assert_same_cbs(&uninterrupted, &resumed);
     }
 
+    // The checkpoint on disk is v12; older formats — v3, and v11 with its
+    // slice-policy fingerprint slots — are refused with the dedicated error
+    // naming the version, not parsed into a mismatched fingerprint.
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert!(text.starts_with("cbs-sweep-checkpoint v12"), "unexpected magic in {path:?}");
+    for old in ["cbs-sweep-checkpoint v3", "cbs-sweep-checkpoint v11"] {
+        match SweepCheckpoint::parse(&text.replacen("cbs-sweep-checkpoint v12", old, 1)) {
+            Err(CheckpointError::IncompatibleVersion { found }) => assert_eq!(found, old),
+            other => panic!("{old} checkpoint accepted or misclassified: {other:?}"),
+        }
+    }
+
     // Resuming under a different configuration is refused.
     let other = cbs::sweep::EnergySweep::new(
         &op00,
@@ -339,100 +353,6 @@ fn resume_is_bit_identical_under_seed_bank_eviction() {
             );
         }
     }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A sliced (partitioned-contour) sweep killed mid-round resumes from its
-/// checkpoint to results bit-identical with an uninterrupted run, on
-/// both executors; the slice policy is part of the resume fingerprint; and
-/// pre-slicing v3 checkpoints are refused with the dedicated
-/// `IncompatibleVersion` error instead of a mis-split seed bank.
-#[test]
-fn sliced_sweep_kill_resume_is_bit_identical_and_v3_is_refused() {
-    use cbs::core::SlicePolicy;
-    let (h00, h01) = random_blocks(10, 76);
-    let op00 = DenseOp::new(h00);
-    let op01 = DenseOp::new(h01);
-    let energies: Vec<f64> = (0..8).map(|i| -0.2 + 0.05 * i as f64).collect();
-    let ss =
-        SsConfig { slice: SlicePolicy { radial_nodes: 6, ..SlicePolicy::sectors(2) }, ..test_ss() };
-    let config = SweepConfig { initial_round: 4, ..SweepConfig::new(ss) };
-    let sweep = cbs::sweep::EnergySweep::new(&op00, &op01, 1.5, config);
-
-    let uninterrupted = sweep.run(&energies, &SerialExecutor);
-    assert!(!uninterrupted.cbs.points.is_empty(), "sliced sweep found nothing");
-    // Executor independence of the sliced warm-started sweep.
-    let rayon = sweep.run(&energies, &RayonExecutor);
-    assert_same_cbs(&uninterrupted, &rayon);
-    // The slice policy participates in the fingerprint: the same sweep
-    // without slicing must not be resumable from this checkpoint.
-    let single_cfg = SweepConfig { initial_round: 4, ..SweepConfig::new(test_ss()) };
-    assert_ne!(config.fingerprint(1.5), single_cfg.fingerprint(1.5));
-
-    let dir = std::env::temp_dir().join(format!("cbs_sliced_resume_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("sweep.cp");
-    // Kill mid-round (the first wavefront round holds 4 energies).
-    for kill_after in [2usize, 5] {
-        let outcome = sweep
-            .run_with(
-                &energies,
-                &SerialExecutor,
-                RunOptions {
-                    checkpoint_path: Some(&path),
-                    max_new_energies: Some(kill_after),
-                    ..RunOptions::default()
-                },
-            )
-            .unwrap();
-        let RunOutcome::Interrupted(_) = outcome else { panic!("budget should interrupt") };
-        let resumed = sweep
-            .run_with(
-                &energies,
-                &SerialExecutor,
-                RunOptions {
-                    resume: Some(SweepCheckpoint::load(&path).unwrap()),
-                    ..RunOptions::default()
-                },
-            )
-            .unwrap()
-            .expect_complete("resume must finish");
-        assert_same_cbs(&uninterrupted, &resumed);
-        for (a, b) in uninterrupted.records.iter().zip(&resumed.records) {
-            assert_eq!(a.stats, b.stats, "per-energy counters differ at E = {}", a.energy);
-        }
-    }
-
-    // The checkpoint on disk is v11; a v3 (pre-slicing) one is refused with
-    // the dedicated error, not parsed into a mis-split seed bank.
-    let text = std::fs::read_to_string(&path).unwrap();
-    assert!(text.starts_with("cbs-sweep-checkpoint v11"), "unexpected magic in {path:?}");
-    let v3 = text.replacen("cbs-sweep-checkpoint v11", "cbs-sweep-checkpoint v3", 1);
-    match cbs::sweep::SweepCheckpoint::parse(&v3) {
-        Err(cbs::sweep::CheckpointError::IncompatibleVersion { found }) => {
-            assert_eq!(found, "cbs-sweep-checkpoint v3");
-        }
-        other => panic!("v3 checkpoint accepted or misclassified: {other:?}"),
-    }
-    // Resuming the sliced sweep under a different slice count is refused
-    // through the fingerprint.
-    let other_cfg = SweepConfig {
-        initial_round: 4,
-        ..SweepConfig::new(SsConfig {
-            slice: SlicePolicy { radial_nodes: 6, ..SlicePolicy::sectors(4) },
-            ..test_ss()
-        })
-    };
-    let other = cbs::sweep::EnergySweep::new(&op00, &op01, 1.5, other_cfg);
-    let cp = SweepCheckpoint::load(&path).unwrap();
-    assert!(matches!(
-        other.run_with(
-            &energies,
-            &SerialExecutor,
-            RunOptions { resume: Some(cp), ..RunOptions::default() }
-        ),
-        Err(cbs::sweep::CheckpointError::Mismatch(_))
-    ));
     std::fs::remove_dir_all(&dir).ok();
 }
 
