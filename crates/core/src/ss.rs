@@ -40,7 +40,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use cbs_linalg::{svd, CMatrix, CVector, Complex64};
+use cbs_linalg::{svd, CMatrix, CVector, Complex64, Eigen, Svd};
 use cbs_parallel::{SerialExecutor, TaskExecutor};
 use cbs_solver::{ConvergenceHistory, SolverOptions};
 use cbs_trace::{Stage, TraceHandle};
@@ -414,6 +414,12 @@ pub fn solve_qep_with<E: TaskExecutor>(
 /// per energy on accumulators filled from a flattened cross-energy task
 /// pool; [`solve_qep_with`] is exactly a one-group [`solve_pool`] + this
 /// function.
+///
+/// Moments that carry nothing to extract — all zero (a zero source block)
+/// or non-finite, so the block Hankel matrix has no finite positive `σ₁` —
+/// and a failed SVD or reduced eigensolve are not errors of the caller's:
+/// the result then has no eigenpairs and `numerical_rank` 0 (and no
+/// `hankel_singular_values` when the SVD itself failed).
 #[allow(clippy::too_many_arguments)]
 pub fn extract_from_moments(
     problem: &QepProblem<'_>,
@@ -481,22 +487,12 @@ pub fn extract_from_moments(
         }
     }
 
-    // Low-rank filtering.
-    let decomposition = svd(&t_hankel).expect("SVD of the block Hankel matrix failed");
-    let rank = decomposition.numerical_rank(config.delta).max(1).min(dim);
-    let u1 = decomposition.u.take_columns(rank);
-    let w1 = decomposition.v.take_columns(rank);
-    let sigma_inv: Vec<f64> =
-        decomposition.singular_values.iter().take(rank).map(|&s| 1.0 / s).collect();
-
-    // Reduced matrix  U₁† T̂^< W₁ Σ₁⁻¹  (rank x rank).
-    let mut reduced = u1.adjoint_mul(&t_shift.matmul(&w1));
-    for r in 0..rank {
-        for c in 0..rank {
-            reduced[(r, c)] *= sigma_inv[c];
-        }
-    }
-    let eig = cbs_linalg::eigen(&reduced).expect("reduced eigenproblem failed");
+    // Low-rank filtering and the reduced eigenproblem.
+    let decomposition = svd(&t_hankel).ok();
+    let Reduced { rank, w1, sigma_inv, eig } = decomposition
+        .as_ref()
+        .and_then(|d| Reduced::filter(d, &t_shift, config.delta))
+        .unwrap_or_else(|| Reduced::empty(dim));
 
     // Eigenvector recovery: ψ = Ŝ W₁ Σ₁⁻¹ φ with Ŝ = [Ŝ_0 … Ŝ_{m-1}].
     // Compute  c = W₁ Σ₁⁻¹ φ  (dim x 1) per eigenpair and combine columns.
@@ -577,7 +573,7 @@ pub fn extract_from_moments(
     SsResult {
         eigenpairs,
         numerical_rank: rank,
-        hankel_singular_values: decomposition.singular_values,
+        hankel_singular_values: decomposition.map_or_else(Vec::new, |d| d.singular_values),
         solve_histories: histories,
         shifted_solves,
         projected_moments: mu,
@@ -589,6 +585,47 @@ pub fn extract_from_moments(
         operator_assemblies,
         timings: SsTimings { setup_seconds: 0.0, linear_solve_seconds, extraction_seconds },
         discarded,
+    }
+}
+
+/// Step 3's filtered problem: the numerical rank `m̂`, `W₁`, `Σ₁⁻¹` and the
+/// eigenpairs of the reduced matrix `U₁† T̂^< W₁ Σ₁⁻¹`.
+struct Reduced {
+    rank: usize,
+    w1: CMatrix,
+    sigma_inv: Vec<f64>,
+    eig: Eigen,
+}
+
+impl Reduced {
+    /// Filter the block Hankel pair through `hankel`, the SVD
+    /// `T̂ = U Σ W†`.  `None` when `σ₁` is not finite and positive —
+    /// all-zero or non-finite moments leave nothing to filter by, and `1/σ`
+    /// would fill the reduced matrix with NaN — or when the reduced
+    /// eigensolver fails.
+    fn filter(hankel: &Svd, t_shift: &CMatrix, delta: f64) -> Option<Self> {
+        let sigma = &hankel.singular_values;
+        if !sigma.first().is_some_and(|&s| s.is_finite() && s > 0.0) {
+            return None;
+        }
+        let rank = hankel.numerical_rank(delta).max(1).min(sigma.len());
+        let u1 = hankel.u.take_columns(rank);
+        let w1 = hankel.v.take_columns(rank);
+        let sigma_inv: Vec<f64> = sigma.iter().take(rank).map(|&s| 1.0 / s).collect();
+        let mut reduced = u1.adjoint_mul(&t_shift.matmul(&w1));
+        for r in 0..rank {
+            for c in 0..rank {
+                reduced[(r, c)] *= sigma_inv[c];
+            }
+        }
+        let eig = cbs_linalg::eigen(&reduced).ok()?;
+        Some(Self { rank, w1, sigma_inv, eig })
+    }
+
+    /// Nothing to extract: rank 0, no eigenpairs.
+    fn empty(dim: usize) -> Self {
+        let eig = Eigen { values: Vec::new(), vectors: CMatrix::zeros(0, 0) };
+        Self { rank: 0, w1: CMatrix::zeros(dim, 0), sigma_inv: Vec::new(), eig }
     }
 }
 
@@ -656,6 +693,7 @@ impl RingPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::PoolOutcome;
     use cbs_linalg::{c64, generalized_eigen};
     use cbs_sparse::DenseOp;
     use rand::SeedableRng;
@@ -801,6 +839,57 @@ mod tests {
         let config = SsConfig { majority_stop: false, ..SsConfig::small() };
         let result = solve_qep(&qep, &config);
         assert!(result.eigenpairs.is_empty(), "unexpected eigenpairs: {:?}", result.lambdas());
+    }
+
+    #[test]
+    fn moments_without_a_finite_leading_singular_value_extract_nothing() {
+        // A zero source block makes every solution and projected moment
+        // zero, so the Hankel SVD returns σ₁ = 0; one NaN solution makes
+        // σ₁ NaN.  Either way `1/σ` would fill the reduced matrix with
+        // non-finite values.  The contract: no eigenpairs, rank 0.
+        let (h00, h01) = random_qep(8, 507);
+        let (op00, op01) = (DenseOp::new(h00), DenseOp::new(h01));
+        let qep = QepProblem::new(&op00, &op01, 0.1, 1.0);
+        let config = SsConfig { majority_stop: false, ..SsConfig::small() };
+        let plan = RingPlan::build(&qep, &config).unwrap();
+        let policy = PoolPolicy::from_config(&config);
+        let solve = |v_cols: &[CVector]| {
+            let group = PoolGroup {
+                problem: &qep,
+                v_cols,
+                seeds: None,
+                keep_solutions: false,
+                trace: TraceHandle::resolve(config.trace),
+            };
+            solve_pool(&[group], vec![plan.accumulator()], &policy, &SerialExecutor).pop().unwrap()
+        };
+        let extract = |v_cols: &[CVector], out: PoolOutcome| {
+            let (iterations, matvecs) = (out.iterations, out.matvecs);
+            extract_from_moments(&qep, &config, v_cols, out.acc, iterations, matvecs, 0, 0, 0.0)
+        };
+
+        let zeros = vec![CVector::zeros(qep.dim()); config.n_rh];
+        let result = extract(&zeros, solve(&zeros));
+        assert!(result.eigenpairs.is_empty());
+        assert_eq!(result.numerical_rank, 0);
+        assert!(result.hankel_singular_values.iter().all(|&s| s == 0.0));
+        assert_eq!(result.total_bicg_iterations, 0);
+
+        let v_cols = source_block(qep.dim(), &config);
+        let mut poisoned = solve(&v_cols);
+        let nan = CVector::from_vec(vec![c64(f64::NAN, 0.0); qep.dim()]);
+        let history = poisoned.acc.histories[0].clone();
+        poisoned.acc.record(ShiftedSolveOutcome {
+            point_index: 0,
+            rhs_index: 0,
+            x: nan.clone(),
+            dual_x: nan,
+            history: history.clone(),
+            dual_history: history,
+        });
+        let result = extract(&v_cols, poisoned);
+        assert!(result.eigenpairs.is_empty());
+        assert_eq!(result.numerical_rank, 0);
     }
 
     #[test]

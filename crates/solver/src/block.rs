@@ -30,7 +30,34 @@
 //! The real saving is operator traffic: the result reports `traversals`,
 //! the number of operator storage walks performed (each block apply counts
 //! one), which is roughly `2 · max_c iters_c` instead of `Σ_c matvecs_c`.
+//!
+//! # Slabs and passes
+//!
+//! Each column owns its `x`, `x̃` (the result) and `r`, `r̃`.  The search
+//! directions `p`, `p̃` and their images `q = A p`, `q̃ = A† p̃` live in four
+//! column-major **slabs** over the active columns only, slot `k` holding
+//! the `k`-th active column: the fused applies read and write them in place,
+//! so nothing is gathered or copied around an apply.  When a column
+//! deflates the survivors slide down one slot, in column order; that is the
+//! only time the slabs move.  One iteration then streams each column in
+//! three passes:
+//!
+//! 1. the denominator `p̃†q`;
+//! 2. one fused update `x += αp`, `x̃ += ᾱp̃`, `r −= αq`, `r̃ −= ᾱq̃` that
+//!    also accumulates `‖r‖²`, `‖r̃‖²` and `ρ = r̃†r`;
+//! 3. `p ← z + βp`, `p̃ ← z̃ + β̄p̃`, written in place into the slab the next
+//!    apply reads.
+//!
+//! Without a preconditioner `z ≡ r`, so pass 2 already holds the next `ρ`.
+//! With one, the surviving columns' `r`, `r̃` are staged into one slab for
+//! [`Preconditioner::solve_block`] / [`Preconditioner::solve_adjoint_block`],
+//! pass 3 reads `z`, `z̃` straight from their output slabs, and `ρ = r̃†z`
+//! costs one more pass.  Every fused pass applies, element by element and
+//! accumulator by accumulator, the operations of the separate `axpy` /
+//! `nrm2` / `dotc` calls it replaces, in the same order — so the fusion is
+//! bitwise invisible.
 
+use cbs_linalg::vector::dotc;
 use cbs_linalg::{CVector, Complex64};
 use cbs_sparse::{LinearOperator, Preconditioner};
 
@@ -64,20 +91,13 @@ impl BlockBicgResult {
     }
 }
 
-/// Per-column recurrence state.
+/// Per-column recurrence state; the search directions and their images
+/// live in the solver's slabs (module docs).
 struct Column {
     x: CVector,
     xt: CVector,
     r: CVector,
     rt: CVector,
-    /// Preconditioned residuals `z = M⁻¹ r`, `z̃ = M⁻† r̃`.  Empty without a
-    /// preconditioner: the recurrence then reads `r` / `r̃` in their place.
-    z: CVector,
-    zt: CVector,
-    p: CVector,
-    pt: CVector,
-    q: CVector,
-    qt: CVector,
     b_norm: f64,
     bt_norm: f64,
     res: f64,
@@ -102,6 +122,90 @@ fn gather<'a>(slab: &mut Vec<Complex64>, vecs: impl Iterator<Item = &'a CVector>
     slab.clear();
     for v in vecs {
         slab.extend_from_slice(v.as_slice());
+    }
+}
+
+/// Slot `k` of a column-major slab with `n` rows.
+fn slot(slab: &[Complex64], n: usize, k: usize) -> &[Complex64] {
+    &slab[k * n..(k + 1) * n]
+}
+
+/// Mutable twin of [`slot`].
+fn slot_mut(slab: &mut [Complex64], n: usize, k: usize) -> &mut [Complex64] {
+    &mut slab[k * n..(k + 1) * n]
+}
+
+/// Drop the slots of the columns in `live` that are no longer active from
+/// the `p`, `p̃` slabs: survivors slide down in column order, so slot `k`
+/// holds column `live[k]` again.
+fn compact(
+    live: &mut Vec<usize>,
+    cols: &[Column],
+    n: usize,
+    p: &mut Vec<Complex64>,
+    pt: &mut Vec<Complex64>,
+) {
+    let mut kept = 0;
+    for k in 0..live.len() {
+        if !cols[live[k]].active {
+            continue;
+        }
+        if kept < k {
+            p.copy_within(k * n..(k + 1) * n, kept * n);
+            pt.copy_within(k * n..(k + 1) * n, kept * n);
+            live[kept] = live[k];
+        }
+        kept += 1;
+    }
+    live.truncate(kept);
+    p.truncate(kept * n);
+    pt.truncate(kept * n);
+}
+
+/// Pass 2 of an iteration on one column: `x += αp`, `x̃ += ᾱp̃`, `r −= αq`,
+/// `r̃ −= ᾱq̃`, returning `(‖r‖², ‖r̃‖², r̃†r)` of the updated residuals.
+/// Per element and per accumulator these are the operations of four `axpy`,
+/// two `nrm2` and one `dotc` in their order, so the result is bitwise theirs.
+fn step(
+    alpha: Complex64,
+    [p, pt, q, qt]: [&[Complex64]; 4],
+    col: &mut Column,
+) -> (f64, f64, Complex64) {
+    let n = col.x.len();
+    let (p, pt, q, qt) = (&p[..n], &pt[..n], &q[..n], &qt[..n]);
+    let x = &mut col.x.as_mut_slice()[..n];
+    let xt = &mut col.xt.as_mut_slice()[..n];
+    let r = &mut col.r.as_mut_slice()[..n];
+    let rt = &mut col.rt.as_mut_slice()[..n];
+    let (alpha_c, minus_alpha, minus_alpha_c) = (alpha.conj(), -alpha, -alpha.conj());
+    let (mut r_sq, mut rt_sq, mut rho) = (0.0f64, 0.0f64, Complex64::ZERO);
+    for i in 0..n {
+        x[i] += alpha * p[i];
+        xt[i] += alpha_c * pt[i];
+        r[i] += minus_alpha * q[i];
+        rt[i] += minus_alpha_c * qt[i];
+        r_sq += r[i].norm_sqr();
+        rt_sq += rt[i].norm_sqr();
+        rho += rt[i].conj() * r[i];
+    }
+    (r_sq, rt_sq, rho)
+}
+
+/// Pass 3 of an iteration on one column: `p ← z + βp`, `p̃ ← z̃ + β̄p̃`, in
+/// place in the search-direction slabs.
+fn redirect(
+    beta: Complex64,
+    z: &[Complex64],
+    zt: &[Complex64],
+    p: &mut [Complex64],
+    pt: &mut [Complex64],
+) {
+    let n = p.len();
+    let (z, zt, pt) = (&z[..n], &zt[..n], &mut pt[..n]);
+    let beta_c = beta.conj();
+    for i in 0..n {
+        p[i] = z[i] + beta * p[i];
+        pt[i] = zt[i] + beta_c * pt[i];
     }
 }
 
@@ -153,9 +257,6 @@ pub fn bicg_dual_block_precond<A: LinearOperator + ?Sized, M: Preconditioner + ?
     }
     let weight = a.traversal_weight();
     let mut traversals = 0usize;
-    // Column-major staging slabs of the fused applies.
-    let mut slab_in: Vec<Complex64> = Vec::new();
-    let mut slab_out: Vec<Complex64> = Vec::new();
 
     // --- Initial state: x₀ from the seed (or zero), r₀ = b. ---------------
     let mut cols: Vec<Column> = (0..nvecs)
@@ -175,12 +276,6 @@ pub fn bicg_dual_block_precond<A: LinearOperator + ?Sized, M: Preconditioner + ?
                 xt,
                 r: b[c].clone(),
                 rt: b_dual[c].clone(),
-                z: CVector::zeros(0),
-                zt: CVector::zeros(0),
-                p: CVector::zeros(0),
-                pt: CVector::zeros(0),
-                q: CVector::zeros(n),
-                qt: CVector::zeros(n),
                 b_norm: b[c].norm().max(1e-300),
                 bt_norm: b_dual[c].norm().max(1e-300),
                 res: 0.0,
@@ -195,47 +290,56 @@ pub fn bicg_dual_block_precond<A: LinearOperator + ?Sized, M: Preconditioner + ?
         })
         .collect();
 
+    // The slabs (module docs): slot `k` of `p`, `p̃`, `q`, `q̃` belongs to
+    // column `live[k]`; `z`, `z̃` are the preconditioner's output slabs and
+    // `stage` packs per-column vectors for an apply or a solve.
+    let mut live: Vec<usize> = (0..nvecs).collect();
+    let (mut p, mut pt) = (Vec::new(), Vec::new());
+    let (mut q, mut qt) = (Vec::new(), Vec::new());
+    let (mut z, mut zt) = (Vec::new(), Vec::new());
+    let mut stage: Vec<Complex64> = Vec::new();
+
     // Seed residuals r₀ = b - A x₀ through two fused applies over the
     // seeded columns.
     let seeded: Vec<usize> =
         (0..nvecs).filter(|&c| seeds.is_some_and(|s| s[c].is_some())).collect();
     if !seeded.is_empty() {
-        slab_out.resize(n * seeded.len(), Complex64::ZERO);
-        gather(&mut slab_in, seeded.iter().map(|&c| &cols[c].x));
-        a.apply_block(&slab_in, &mut slab_out, seeded.len());
+        q.resize(n * seeded.len(), Complex64::ZERO);
+        gather(&mut stage, seeded.iter().map(|&c| &cols[c].x));
+        a.apply_block(&stage, &mut q, seeded.len());
         traversals += weight;
-        for (&c, y) in seeded.iter().zip(slab_out.chunks_exact(n)) {
+        for (k, &c) in seeded.iter().enumerate() {
+            let y = slot(&q, n, k);
             for i in 0..n {
                 cols[c].r[i] = b[c][i] - y[i];
             }
         }
-        gather(&mut slab_in, seeded.iter().map(|&c| &cols[c].xt));
-        a.apply_adjoint_block(&slab_in, &mut slab_out, seeded.len());
+        gather(&mut stage, seeded.iter().map(|&c| &cols[c].xt));
+        a.apply_adjoint_block(&stage, &mut q, seeded.len());
         traversals += weight;
-        for (&c, y) in seeded.iter().zip(slab_out.chunks_exact(n)) {
+        for (k, &c) in seeded.iter().enumerate() {
+            let y = slot(&q, n, k);
             for i in 0..n {
                 cols[c].rt[i] = b_dual[c][i] - y[i];
             }
         }
     }
 
-    // z₀ = M⁻¹ r₀, z̃₀ = M⁻† r̃₀: one blocked pass over all columns.
+    // p₀ = z₀ = M⁻¹ r₀, p̃₀ = z̃₀ = M⁻† r̃₀ (one blocked pass over all
+    // columns), or r₀, r̃₀ themselves.
     if let Some(m) = m {
-        slab_out.resize(n * nvecs, Complex64::ZERO);
-        gather(&mut slab_in, cols.iter().map(|col| &col.r));
-        m.solve_block(&slab_in, &mut slab_out, nvecs);
-        for (col, z) in cols.iter_mut().zip(slab_out.chunks_exact(n)) {
-            col.z = CVector::from_vec(z.to_vec());
-        }
-        gather(&mut slab_in, cols.iter().map(|col| &col.rt));
-        m.solve_adjoint_block(&slab_in, &mut slab_out, nvecs);
-        for (col, zt) in cols.iter_mut().zip(slab_out.chunks_exact(n)) {
-            col.zt = CVector::from_vec(zt.to_vec());
-        }
+        p.resize(n * nvecs, Complex64::ZERO);
+        pt.resize(n * nvecs, Complex64::ZERO);
+        gather(&mut stage, cols.iter().map(|col| &col.r));
+        m.solve_block(&stage, &mut p, nvecs);
+        gather(&mut stage, cols.iter().map(|col| &col.rt));
+        m.solve_adjoint_block(&stage, &mut pt, nvecs);
+    } else {
+        gather(&mut p, cols.iter().map(|col| &col.r));
+        gather(&mut pt, cols.iter().map(|col| &col.rt));
     }
     for (c, col) in cols.iter_mut().enumerate() {
-        let (z, zt) = if m.is_some() { (&col.z, &col.zt) } else { (&col.r, &col.rt) };
-        (col.p, col.pt, col.rho) = (z.clone(), zt.clone(), col.rt.dot(z));
+        col.rho = dotc(col.rt.as_slice(), slot(&p, n, c));
         col.res = col.r.norm() / col.b_norm;
         col.res_dual = col.rt.norm() / col.bt_norm;
         cbs_trace::record_iteration(Some(c), 0, col.res);
@@ -249,7 +353,7 @@ pub fn bicg_dual_block_precond<A: LinearOperator + ?Sized, M: Preconditioner + ?
     for iter in 0..opts.max_iterations {
         // Top-of-loop checks: convergence, external stop, ρ breakdown.  A
         // column that trips one freezes in place (deflation) but keeps its
-        // slot.
+        // result slot; its slab slots go.
         for col in cols.iter_mut().filter(|c| c.active) {
             if col.res <= opts.tolerance && col.res_dual <= opts.tolerance {
                 col.stop = StopReason::Converged;
@@ -262,78 +366,75 @@ pub fn bicg_dual_block_precond<A: LinearOperator + ?Sized, M: Preconditioner + ?
                 col.active = false;
             }
         }
-        let active: Vec<usize> = (0..nvecs).filter(|&c| cols[c].active).collect();
-        if active.is_empty() {
+        compact(&mut live, &cols, n, &mut p, &mut pt);
+        if live.is_empty() {
             break;
         }
 
         // q = A p, q̃ = A† p̃ over the active columns only.
-        slab_out.resize(n * active.len(), Complex64::ZERO);
-        gather(&mut slab_in, active.iter().map(|&c| &cols[c].p));
-        a.apply_block(&slab_in, &mut slab_out, active.len());
+        let width = live.len();
+        q.resize(n * width, Complex64::ZERO);
+        qt.resize(n * width, Complex64::ZERO);
+        a.apply_block(&p, &mut q, width);
         traversals += weight;
-        for (&c, q) in active.iter().zip(slab_out.chunks_exact(n)) {
-            cols[c].q.as_mut_slice().copy_from_slice(q);
-        }
-        gather(&mut slab_in, active.iter().map(|&c| &cols[c].pt));
-        a.apply_adjoint_block(&slab_in, &mut slab_out, active.len());
+        a.apply_adjoint_block(&pt, &mut qt, width);
         traversals += weight;
-        for (&c, qt) in active.iter().zip(slab_out.chunks_exact(n)) {
-            cols[c].qt.as_mut_slice().copy_from_slice(qt);
-        }
 
-        // Solution and residual updates, per column.
-        for &c in &active {
+        // Passes 1 and 2 per column; without a preconditioner pass 3 too.
+        for (k, &c) in live.iter().enumerate() {
             let col = &mut cols[c];
             col.matvecs += 2;
-            let denom = col.pt.dot(&col.q);
+            let denom = dotc(slot(&pt, n, k), slot(&q, n, k));
             if breaks_down(denom) {
                 col.stop = StopReason::Breakdown;
                 col.active = false;
                 continue;
             }
             let alpha = col.rho / denom;
-            col.x.axpy(alpha, &col.p);
-            col.xt.axpy(alpha.conj(), &col.pt);
-            col.r.axpy(-alpha, &col.q);
-            col.rt.axpy(-alpha.conj(), &col.qt);
-            col.res = col.r.norm() / col.b_norm;
-            col.res_dual = col.rt.norm() / col.bt_norm;
+            let slots = [slot(&p, n, k), slot(&pt, n, k), slot(&q, n, k), slot(&qt, n, k)];
+            let (r_sq, rt_sq, rho) = step(alpha, slots, col);
+            col.res = r_sq.sqrt() / col.b_norm;
+            col.res_dual = rt_sq.sqrt() / col.bt_norm;
             cbs_trace::record_iteration(Some(c), iter + 1, col.res);
             if opts.record_history {
                 col.history.push(col.res);
                 col.dual_history.push(col.res_dual);
             }
+            if m.is_none() {
+                let beta = rho / col.rho;
+                col.rho = rho;
+                let (r, rt) = (col.r.as_slice(), col.rt.as_slice());
+                redirect(beta, r, rt, slot_mut(&mut p, n, k), slot_mut(&mut pt, n, k));
+            }
         }
 
-        // The columns that survived the breakdown check refresh z, z̃ in
-        // one blocked preconditioner pass (the factor streams once per
-        // iteration, not once per column), then their search directions.
-        let live: Vec<usize> = active.into_iter().filter(|&c| cols[c].active).collect();
-        if let (Some(m), false) = (m, live.is_empty()) {
-            slab_out.resize(n * live.len(), Complex64::ZERO);
-            gather(&mut slab_in, live.iter().map(|&c| &cols[c].r));
-            m.solve_block(&slab_in, &mut slab_out, live.len());
-            for (&c, z) in live.iter().zip(slab_out.chunks_exact(n)) {
-                cols[c].z.as_mut_slice().copy_from_slice(z);
-            }
-            gather(&mut slab_in, live.iter().map(|&c| &cols[c].rt));
-            m.solve_adjoint_block(&slab_in, &mut slab_out, live.len());
-            for (&c, zt) in live.iter().zip(slab_out.chunks_exact(n)) {
-                cols[c].zt.as_mut_slice().copy_from_slice(zt);
-            }
+        // With a preconditioner, the columns that survived the breakdown
+        // check refresh z, z̃ in one blocked pass (the factor streams once
+        // per iteration, not once per column), then ρ and their search
+        // directions.
+        let Some(m) = m else { continue };
+        let survivors: Vec<usize> = (0..width).filter(|&k| cols[live[k]].active).collect();
+        if survivors.is_empty() {
+            continue;
         }
-        for &c in &live {
-            let Column { r, rt, z, zt, p, pt, rho, .. } = &mut cols[c];
-            let (z, zt): (&CVector, &CVector) = if m.is_some() { (&*z, &*zt) } else { (&*r, &*rt) };
-            let rho_new = rt.dot(z);
-            let beta = rho_new / *rho;
-            *rho = rho_new;
-            // p = z + β p ; p̃ = z̃ + conj(β) p̃
-            for i in 0..n {
-                p[i] = z[i] + beta * p[i];
-                pt[i] = zt[i] + beta.conj() * pt[i];
-            }
+        z.resize(n * survivors.len(), Complex64::ZERO);
+        zt.resize(n * survivors.len(), Complex64::ZERO);
+        gather(&mut stage, survivors.iter().map(|&k| &cols[live[k]].r));
+        m.solve_block(&stage, &mut z, survivors.len());
+        gather(&mut stage, survivors.iter().map(|&k| &cols[live[k]].rt));
+        m.solve_adjoint_block(&stage, &mut zt, survivors.len());
+        for (j, &k) in survivors.iter().enumerate() {
+            let col = &mut cols[live[k]];
+            let rho = dotc(col.rt.as_slice(), slot(&z, n, j));
+            let beta = rho / col.rho;
+            col.rho = rho;
+            redirect(
+                beta,
+                slot(&z, n, j),
+                slot(&zt, n, j),
+                slot_mut(&mut p, n, k),
+                slot_mut(&mut pt, n, k),
+            );
         }
     }
 
@@ -720,6 +821,121 @@ mod tests {
                     } else {
                         assert_bitwise_eq(col, clean);
                     }
+                }
+            }
+        }
+    }
+
+    /// Passes `inner` through and records every primal input column, except
+    /// that an output column whose input column is bitwise `trigger` comes
+    /// back NaN: a fault that follows one column's recurrence to whichever
+    /// slab slot it occupies.
+    struct Tripwire<'a> {
+        inner: &'a CsrMatrix,
+        trigger: Vec<Complex64>,
+        seen: std::sync::Mutex<Vec<Vec<Complex64>>>,
+    }
+
+    impl LinearOperator for Tripwire<'_> {
+        fn nrows(&self) -> usize {
+            self.inner.nrows()
+        }
+        fn ncols(&self) -> usize {
+            self.inner.ncols()
+        }
+        fn apply(&self, x: &[Complex64], y: &mut [Complex64]) {
+            self.apply_block(x, y, 1);
+        }
+        fn apply_adjoint(&self, x: &[Complex64], y: &mut [Complex64]) {
+            self.inner.apply_adjoint(x, y);
+        }
+        fn apply_block(&self, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
+            self.inner.apply_block(x, y, nvecs);
+            let n = self.nrows();
+            for (xc, yc) in x.chunks_exact(n).zip(y.chunks_exact_mut(n)) {
+                self.seen.lock().unwrap().push(xc.to_vec());
+                if xc == self.trigger.as_slice() {
+                    yc.fill(c64(f64::NAN, f64::NAN));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn columns_leaving_mid_slab_keep_every_column_bitwise_the_oracle() {
+        // Nine columns that leave the slabs from the middle at different
+        // iterations: a zero right-hand side in slot 4 (before the first
+        // apply), warm starts at graded distances (converging early, each
+        // at its own iteration), slot 6 NaN-poisoned at its third apply
+        // (a breakdown after the apply), and, in a second run, an external
+        // stop for all.
+        let n = 48;
+        // Long-range couplings keep ILU(0) inexact, so the preconditioned
+        // columns also need several iterations.
+        let mut bld = CooBuilder::new(n, n);
+        for i in 0..n {
+            bld.push(i, i, c64(3.0, 0.35));
+            bld.push(i, (i + 1) % n, c64(-1.0, 0.1));
+            bld.push(i, (i + n - 1) % n, c64(-0.9, -0.2));
+            bld.push(i, (i + 7) % n, c64(0.6, 0.3));
+            bld.push(i, (5 * i + 3) % n, c64(-0.5, 0.2));
+        }
+        let a = bld.build();
+        let ilu = Ilu0::from_csr(&a);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(321);
+        let x_true: Vec<CVector> = (0..9).map(|_| CVector::random(n, &mut rng)).collect();
+        let mut b: Vec<CVector> = x_true.iter().map(|x| a.matvec(x)).collect();
+        let mut bd: Vec<CVector> = x_true.iter().map(|x| a.matvec_adjoint(x)).collect();
+        (b[4], bd[4]) = (CVector::zeros(n), CVector::zeros(n));
+        let near: Vec<CVector> = [1e-2, 1e-4, 1e-6, 1e-8]
+            .iter()
+            .zip([0, 2, 5, 7])
+            .map(|(&eps, c)| {
+                let mut x = x_true[c].clone();
+                x.axpy(c64(eps, 0.0), &CVector::random(n, &mut rng));
+                x
+            })
+            .collect();
+        let mut seeds: Vec<Option<(&CVector, &CVector)>> = vec![None; 9];
+        for (x, c) in near.iter().zip([0, 2, 5, 7]) {
+            seeds[c] = Some((x, x));
+        }
+        let opts = SolverOptions::default().with_tolerance(1e-11);
+        let stop = |iter: usize| iter >= 6;
+        for m in [None, Some(&ilu)] {
+            let label = format!("precond {}", m.is_some());
+            let recorder = Tripwire { inner: &a, trigger: Vec::new(), seen: Vec::new().into() };
+            scalar_oracle(&recorder, m, &b[6], &bd[6], None, &opts, None);
+            let trigger = recorder.seen.into_inner().unwrap().swap_remove(2);
+            let faulty = Tripwire { inner: &a, trigger, seen: Vec::new().into() };
+            for external_stop in [None, Some(&stop as &(dyn Fn(usize) -> bool + Sync))] {
+                let block = bicg_dual_block_precond(
+                    &faulty,
+                    m,
+                    &b,
+                    &bd,
+                    Some(&seeds),
+                    &opts,
+                    external_stop,
+                );
+                for (c, col) in block.columns.iter().enumerate() {
+                    let single =
+                        scalar_oracle(&faulty, m, &b[c], &bd[c], seeds[c], &opts, external_stop);
+                    assert_bitwise_eq(col, &single);
+                }
+                let cols = &block.columns;
+                assert_eq!(cols[4].history.iterations(), 0, "{label}");
+                assert_eq!(cols[6].history.stop_reason, StopReason::Breakdown, "{label}");
+                assert_eq!(cols[6].history.iterations(), 2, "{label}");
+                if external_stop.is_none() {
+                    assert!(cols.iter().enumerate().all(|(c, col)| c == 6 || col.both_converged()));
+                    let mut iters: Vec<usize> =
+                        cols.iter().map(|c| c.history.iterations()).collect();
+                    iters.sort_unstable();
+                    iters.dedup();
+                    assert!(iters.len() >= 6, "{label}: columns left together: {iters:?}");
+                } else {
+                    assert!(cols.iter().any(|c| c.history.stop_reason == StopReason::ExternalStop));
                 }
             }
         }

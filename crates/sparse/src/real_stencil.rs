@@ -6,17 +6,22 @@
 //! [`RealStencil`] stores `H₀₀`, `H₀₁` and an explicit `H₀₁ᵀ` as real CSR
 //! (`f64` values, `u32` indices: 12 B per entry against 24 B for the complex
 //! CSR) plus the projector tails as real sparse factors, and applies `P(z)`
-//! to a column-major block in **one row pass**: per row and 4/2/1-wide column
-//! tile it accumulates `Σa·x`, `Σb·x`, `Σbᵀ·x` in real×complex arithmetic
-//! (4 flops per entry and column against 8) and writes
+//! to a column-major block in **one row pass**: per row and column tile it
+//! accumulates `Σa·x`, `Σb·x`, `Σbᵀ·x` in real×complex arithmetic (4 flops
+//! per entry and column against 8) and writes
 //!
 //! ```text
 //! y = E·x − accA − z·accB − z⁻¹·accBᵀ
 //! ```
 //!
 //! once — no scratch slab, no scatter (the transpose is stored, so `H₀₁†`
-//! is a gather too) and no combine pass.  The projector tails `−V₀₀`,
-//! `−z·V₀₁`, `−z⁻¹·V₀₁ᵀ` follow as real dot / axpy over the stored factors.
+//! is a gather too) and no combine pass.  The tiles come from an 8/4/2/1
+//! ladder, widest first (15 columns run as 8 + 4 + 2 + 1): an 8-wide tile
+//! reads each stored value and index once for eight independent accumulator
+//! chains.  The projector tails `−V₀₀`, `−z·V₀₁`, `−z⁻¹·V₀₁ᵀ` follow over
+//! the same tiles: per tile and term, one gather over the bra indices (the
+//! stencil rows' own `RealCsr::gather`) and one real axpy over the ket
+//! indices serve every column of the tile.
 //!
 //! Eligibility is decided by the conversion ([`RealStencil::try_new`]), not
 //! by a flag: it returns `None` as soon as one stored value has a non-zero
@@ -24,7 +29,8 @@
 //! caller (`cbs_core::QepProblem`) keeps its generic three-pass path.
 //!
 //! Bitwise contract: per column the accumulation order does not depend on
-//! the tile width or the row block, so a block apply equals the
+//! the tile width or the row block (the tails keep their term order per
+//! column too), so a block apply equals the
 //! column-by-column loop bit for bit — the same contract as the CSR block
 //! kernels in [`crate::csr`].  Against the generic three-pass expression the
 //! stencil agrees to rounding (≤ 1e-14 relative), not bitwise: the sums are
@@ -163,38 +169,44 @@ impl RealLowRank {
         self.kets.bytes() + self.bras.bytes() + 8 * self.coeff.len()
     }
 
-    /// `y_c −= scale · Σ_t c_t |ket_t⟩⟨bra_t|x_c⟩` for every column of the
-    /// slab (terms outer, columns inner — per column the term order is
-    /// fixed); `transposed` exchanges ket and bra.
-    fn subtract(
+    /// `y_w −= scale · Σ_t c_t |ket_t⟩⟨bra_t|x_w⟩` for the `W` columns of a
+    /// tile (terms outer, columns inner: one pass over each term's indices
+    /// per tile, and per column the term order is fixed); `transposed`
+    /// exchanges ket and bra.
+    #[inline(always)]
+    fn subtract<const W: usize>(
         &self,
         transposed: bool,
         scale: Complex64,
-        n: usize,
-        x: &[Complex64],
-        y: &mut [Complex64],
+        x: &[&[Complex64]; W],
+        y: &mut [&mut [Complex64]; W],
     ) {
         let (kets, bras) =
             if transposed { (&self.bras, &self.kets) } else { (&self.kets, &self.bras) };
         for (t, &c) in self.coeff.iter().enumerate() {
-            let (bra_idx, bra_val) = bras.row(t);
+            let dot = bras.gather(t, x);
+            let amp: [Complex64; W] = std::array::from_fn(|w| scale * dot[w].scale(c));
             let (ket_idx, ket_val) = kets.row(t);
-            for (xc, yc) in x.chunks_exact(n).zip(y.chunks_exact_mut(n)) {
-                let mut dot = Complex64::ZERO;
-                for (&i, &v) in bra_idx.iter().zip(bra_val) {
-                    let xv = xc[i as usize];
-                    dot.re += v * xv.re;
-                    dot.im += v * xv.im;
-                }
-                let amp = scale * dot.scale(c);
-                for (&i, &v) in ket_idx.iter().zip(ket_val) {
-                    let yi = &mut yc[i as usize];
-                    yi.re -= v * amp.re;
-                    yi.im -= v * amp.im;
+            for (&i, &v) in ket_idx.iter().zip(ket_val) {
+                for w in 0..W {
+                    let yi = &mut y[w][i as usize];
+                    yi.re -= v * amp[w].re;
+                    yi.im -= v * amp[w].im;
                 }
             }
         }
     }
+}
+
+/// The column tiles of an `nvecs`-wide slab as `(first column, width)`,
+/// widest first from the 8/4/2/1 ladder.
+fn tiles(nvecs: usize) -> impl Iterator<Item = (usize, usize)> {
+    let mut j = 0;
+    std::iter::from_fn(move || {
+        let w = [8, 4, 2, 1].into_iter().find(|&w| j + w <= nvecs)?;
+        j += w;
+        Some((j - w, w))
+    })
 }
 
 /// Columns `j .. j + W` of a column-major slab with `n` rows.
@@ -290,24 +302,36 @@ impl RealStencil {
         cbs_trace::timed(Stage::Kernel, || {
             for r0 in (0..n).step_by(ROW_BLOCK) {
                 let rows = r0..(r0 + ROW_BLOCK).min(n);
-                let mut j = 0;
-                while j + 4 <= nvecs {
-                    self.tile::<4>(rows.clone(), shift, x, y, j);
-                    j += 4;
-                }
-                if j + 2 <= nvecs {
-                    self.tile::<2>(rows.clone(), shift, x, y, j);
-                    j += 2;
-                }
-                if j < nvecs {
-                    self.tile::<1>(rows, shift, x, y, j);
+                for (j, w) in tiles(nvecs) {
+                    match w {
+                        8 => self.tile::<8>(rows.clone(), shift, x, y, j),
+                        4 => self.tile::<4>(rows.clone(), shift, x, y, j),
+                        2 => self.tile::<2>(rows.clone(), shift, x, y, j),
+                        _ => self.tile::<1>(rows.clone(), shift, x, y, j),
+                    }
                 }
             }
-            self.v00.subtract(false, Complex64::ONE, n, x, y);
-            self.v01.subtract(false, shift.z, n, x, y);
-            // V₀₁ᵀ: the same factors with ket and bra exchanged.
-            self.v01.subtract(true, shift.zinv, n, x, y);
+            for (j, w) in tiles(nvecs) {
+                match w {
+                    8 => self.tails::<8>(shift, x, y, j),
+                    4 => self.tails::<4>(shift, x, y, j),
+                    2 => self.tails::<2>(shift, x, y, j),
+                    _ => self.tails::<1>(shift, x, y, j),
+                }
+            }
         });
+    }
+
+    /// The projector tails `−V₀₀ − z·V₀₁ − z⁻¹·V₀₁ᵀ` for the `W`-wide column
+    /// tile starting at column `j`; `V₀₁ᵀ` is `V₀₁` with ket and bra
+    /// exchanged.
+    #[inline(always)]
+    fn tails<const W: usize>(&self, shift: Shift, x: &[Complex64], y: &mut [Complex64], j: usize) {
+        let x: [&[Complex64]; W] = columns(x, self.n, j);
+        let mut y: [&mut [Complex64]; W] = columns_mut(y, self.n, j);
+        self.v00.subtract(false, Complex64::ONE, &x, &mut y);
+        self.v01.subtract(false, shift.z, &x, &mut y);
+        self.v01.subtract(true, shift.zinv, &x, &mut y);
     }
 
     /// The sparse part of `P(z)` on `rows` for the `W`-wide column tile
@@ -472,7 +496,7 @@ mod tests {
             assert!(s.memory_bytes() > 0);
             let mut rng = ChaCha8Rng::seed_from_u64(seed + 100);
             let (e, z) = (0.37, c64(0.8, 0.45));
-            for nvecs in [1usize, 2, 3, 4, 5, 8] {
+            for nvecs in [1usize, 2, 3, 4, 5, 8, 9, 12, 15] {
                 let x = CVector::random(n * nvecs, &mut rng).into_vec();
                 for shift in [z, Complex64::ONE / z.conj()] {
                     let err = relative_error(
@@ -491,7 +515,7 @@ mod tests {
         let s = stencil_of(&real_parts(n, 5, 73));
         let mut rng = ChaCha8Rng::seed_from_u64(74);
         let (e, z) = (-0.2, c64(1.1, -0.7));
-        for nvecs in [1usize, 2, 3, 4, 5, 8] {
+        for nvecs in [1usize, 2, 3, 4, 5, 8, 9, 12, 15] {
             let x = CVector::random(n * nvecs, &mut rng).into_vec();
             let block = apply(&s, e, z, &x, nvecs);
             for c in 0..nvecs {

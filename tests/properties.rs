@@ -422,7 +422,7 @@ proptest! {
         seed in 0u64..1000,
         n in 6usize..60,
         per_row in 1usize..5,
-        nvecs in 1usize..10,
+        nvecs in 1usize..17,
         zre in -2.0f64..2.0,
         zim in -2.0f64..2.0,
         energy in -1.0f64..1.0,
@@ -446,7 +446,7 @@ proptest! {
         n in 6usize..80,
         per_row in 0usize..5,
         rank in 0usize..4,
-        nvecs in 1usize..10,
+        nvecs in 1usize..17,
         zre in -2.0f64..2.0,
         zim in -2.0f64..2.0,
         energy in -1.0f64..1.0,
@@ -638,7 +638,7 @@ proptest! {
         seed in 0u64..1000,
         nx in 11usize..14,
         ny in 11usize..14,
-        nvecs in 1usize..10,
+        nvecs in 1usize..17,
         zre in 0.4f64..1.6,
         zim in -1.0f64..1.0,
     ) {
