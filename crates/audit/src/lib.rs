@@ -5,19 +5,17 @@
 //! checkpoints, SIMD lanes bitwise-equal to scalar — is enforced
 //! dynamically by the test suite.  This crate adds the static half: a
 //! dependency-free line/token scanner (no `syn`, no regex) that rejects
-//! determinism hazards, undocumented `unsafe`, unregistered environment
-//! knobs and hot-path allocations *before* they reach a bench run, wired
-//! as a blocking CI gate:
+//! determinism hazards, unregistered environment knobs and hot-path
+//! allocations *before* they reach a bench run, wired as a blocking CI
+//! gate (`unsafe` needs no lint: the workspace sets `unsafe_code =
+//! "forbid"`, so the compiler rejects it):
 //!
 //! ```text
 //! cargo run -p cbs-audit -- check [--json]
 //! ```
 //!
 //! See [`lints`] for the lint families and [`scan`] for the allowlist
-//! syntax (`// cbs-audit: allow(<LINT>) reason="..."`).  `check` also
-//! emits the machine-readable unsafe-inventory JSON
-//! (`UNSAFE_inventory.json`, next to `BENCH_sweep.json` at the repo root)
-//! that CI uploads as an artifact.
+//! syntax (`// cbs-audit: allow(<LINT>) reason="..."`).
 
 #![warn(missing_docs)]
 
@@ -28,7 +26,7 @@ pub mod scan;
 
 pub use lints::run_lints;
 pub use registry::{parse_registry, Registry};
-pub use report::{Finding, UnsafeSite};
+pub use report::Finding;
 pub use scan::{scan_source, scan_workspace, SourceFile};
 
 use std::path::Path;
@@ -38,8 +36,6 @@ use std::path::Path;
 pub struct Audit {
     /// Lint findings (empty = the workspace is clean).
     pub findings: Vec<Finding>,
-    /// Every `unsafe` site of the workspace, for the inventory JSON.
-    pub inventory: Vec<UnsafeSite>,
 }
 
 impl Audit {
@@ -55,6 +51,5 @@ pub fn audit_workspace(root: &Path) -> std::io::Result<Audit> {
     let files = scan_workspace(root)?;
     let readme = std::fs::read_to_string(root.join("README.md")).unwrap_or_default();
     let registry = parse_registry(&readme);
-    let (findings, inventory) = run_lints(&files, &registry);
-    Ok(Audit { findings, inventory })
+    Ok(Audit { findings: run_lints(&files, &registry) })
 }

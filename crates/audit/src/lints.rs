@@ -6,11 +6,10 @@
 //! | Determinism | `D002` | `Instant::now` / `SystemTime` outside `cbs-trace` (wall-clock reads in product code) |
 //! | Determinism | `D003` | `Ordering::Relaxed` atomics outside `cbs-trace` (unsynchronized values feeding results) |
 //! | Determinism | `D004` | float reductions (`sum` / `reduce` / `fold`) chained onto rayon parallel iterators |
-//! | Unsafe | `U001` | `unsafe` without an adjacent `// SAFETY:` justification |
 //! | Knobs | `K001` | `"CBS_*"` literals naming a knob missing from the README registry |
 //! | Knobs | `K002` | registry rows not classified `fingerprint` / `neutral` |
 //! | Knobs | `K003` | registry rows no code references (stale docs) |
-//! | Allocation | `A001` | raw `vec!` / `with_capacity` / `.collect()` into a `Vec` in the hot assembled module (route through `cbs_sparse` scratch, or iterate without materializing) |
+//! | Allocation | `A001` | raw `vec!` / `with_capacity` / `.collect()` into a `Vec` in the hot per-node modules (assembled operator, real stencil; route through `cbs_sparse` scratch, or iterate without materializing) |
 //! | Meta | `M001` | allowlist directive without a `reason="..."` |
 //! | Meta | `M002` | allowlist directive naming an unknown lint |
 //!
@@ -19,7 +18,7 @@
 //! standalone comment directly above the site.
 
 use crate::registry::{knob_names, KnobClass, Registry};
-use crate::report::{Finding, UnsafeSite};
+use crate::report::Finding;
 use crate::scan::{FileKind, SourceFile};
 
 /// Crates whose outputs are fingerprinted (eigenvalues, moments, sweep
@@ -39,11 +38,12 @@ const RESULT_CRATES: &[&str] = &[
 ];
 
 /// The hot modules of the per-iteration solve path — the scope of A001.
-const HOT_MODULES: &[&str] = &["crates/sparse/src/assembled.rs"];
+const HOT_MODULES: &[&str] =
+    &["crates/sparse/src/assembled.rs", "crates/sparse/src/real_stencil.rs"];
 
 /// Every lint id the allowlist may name.
 pub const LINT_IDS: &[&str] =
-    &["D001", "D002", "D003", "D004", "U001", "K001", "K002", "K003", "A001", "M001", "M002"];
+    &["D001", "D002", "D003", "D004", "K001", "K002", "K003", "A001", "M001", "M002"];
 
 fn is_ident_char(c: u8) -> bool {
     c.is_ascii_alphanumeric() || c == b'_'
@@ -199,62 +199,6 @@ fn d004(file: &SourceFile, findings: &mut Vec<Finding>) {
     }
 }
 
-/// U001 + the unsafe inventory.
-fn u001(file: &SourceFile, findings: &mut Vec<Finding>, inventory: &mut Vec<UnsafeSite>) {
-    for (idx, line) in file.lines.iter().enumerate() {
-        if !has_token(&line.code, "unsafe") {
-            continue;
-        }
-        // Classify the site from the tokens following `unsafe`.
-        let after = line.code.split("unsafe").nth(1).unwrap_or("");
-        let kind = match after.split_whitespace().next() {
-            Some(w) if w.starts_with("fn") => "fn",
-            Some(w) if w.starts_with("impl") => "impl",
-            Some(w) if w.starts_with("trait") => "trait",
-            _ => "block",
-        };
-        // Find the adjacent SAFETY justification: same-line comment, or
-        // walk upward over comment/attribute/doc/empty lines.
-        let mut safety = String::new();
-        if line.comment.contains("SAFETY:") {
-            safety = line.comment.trim().to_string();
-        } else {
-            let mut j = idx;
-            while j > 0 {
-                j -= 1;
-                let prev = &file.lines[j];
-                let code = prev.code.trim();
-                if code.is_empty() || code.starts_with("#[") || code.starts_with("#![") {
-                    if prev.comment.contains("SAFETY:") {
-                        safety = prev.comment.trim().to_string();
-                        break;
-                    }
-                    continue;
-                }
-                break;
-            }
-        }
-        if safety.is_empty() && !file.allowed("U001", idx) {
-            findings.push(Finding {
-                path: file.path.clone(),
-                line: idx + 1,
-                lint: "U001",
-                message: format!(
-                    "`unsafe` {kind} without an adjacent `// SAFETY:` comment — every unsafe site must justify its soundness and lands in the unsafe-inventory JSON"
-                ),
-            });
-        }
-        inventory.push(UnsafeSite {
-            path: file.path.clone(),
-            line: idx + 1,
-            crate_name: file.crate_name.clone(),
-            kind,
-            in_test: line.in_test,
-            safety,
-        });
-    }
-}
-
 /// K001 — knob literals missing from the registry.
 fn k001(file: &SourceFile, registry: &Registry, findings: &mut Vec<Finding>) {
     if file.kind == FileKind::Test {
@@ -377,21 +321,18 @@ fn meta_lints(file: &SourceFile, findings: &mut Vec<Finding>) {
 }
 
 /// Run every lint over the scanned files against the knob registry.
-pub fn run_lints(files: &[SourceFile], registry: &Registry) -> (Vec<Finding>, Vec<UnsafeSite>) {
+pub fn run_lints(files: &[SourceFile], registry: &Registry) -> Vec<Finding> {
     let mut findings = Vec::new();
-    let mut inventory = Vec::new();
     for file in files {
         d001(file, &mut findings);
         d002(file, &mut findings);
         d003(file, &mut findings);
         d004(file, &mut findings);
-        u001(file, &mut findings, &mut inventory);
         k001(file, registry, &mut findings);
         a001(file, &mut findings);
         meta_lints(file, &mut findings);
     }
     registry_lints(files, registry, &mut findings);
     findings.sort();
-    inventory.sort();
-    (findings, inventory)
+    findings
 }

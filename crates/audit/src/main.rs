@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! cargo run -p cbs-audit -- check [--json] [--root <dir>]
-//!                                 [--inventory <path>] [--no-inventory]
 //! ```
 //!
 //! Exit status: `0` clean, `1` findings, `2` usage or I/O error.
@@ -10,12 +9,10 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use cbs_audit::report::{findings_json, findings_text, inventory_json};
+use cbs_audit::report::{findings_json, findings_text};
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: cbs-audit check [--json] [--root <dir>] [--inventory <path>] [--no-inventory]"
-    );
+    eprintln!("usage: cbs-audit check [--json] [--root <dir>]");
     ExitCode::from(2)
 }
 
@@ -26,8 +23,6 @@ fn main() -> ExitCode {
     }
     let mut json = false;
     let mut root = PathBuf::from(".");
-    let mut inventory_path: Option<PathBuf> = None;
-    let mut write_inventory = true;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => json = true,
@@ -35,11 +30,6 @@ fn main() -> ExitCode {
                 Some(dir) => root = PathBuf::from(dir),
                 None => return usage(),
             },
-            "--inventory" => match args.next() {
-                Some(path) => inventory_path = Some(PathBuf::from(path)),
-                None => return usage(),
-            },
-            "--no-inventory" => write_inventory = false,
             _ => return usage(),
         }
     }
@@ -52,23 +42,12 @@ fn main() -> ExitCode {
         }
     };
 
-    if write_inventory {
-        let path = inventory_path.unwrap_or_else(|| root.join("UNSAFE_inventory.json"));
-        if let Err(e) = std::fs::write(&path, inventory_json(&audit.inventory)) {
-            eprintln!("cbs-audit: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-
     if json {
         print!("{}", findings_json(&audit.findings));
     } else {
         print!("{}", findings_text(&audit.findings));
         if audit.is_clean() {
-            println!(
-                "cbs-audit: clean ({} unsafe sites inventoried, all documented)",
-                audit.inventory.len()
-            );
+            println!("cbs-audit: clean");
         } else {
             println!("cbs-audit: {} finding(s)", audit.findings.len());
         }

@@ -1,4 +1,4 @@
-//! Findings, the unsafe inventory, and their plain-text / JSON renderings
+//! Findings and their plain-text / JSON renderings
 //! (hand-rolled JSON — the crate is dependency-free).
 
 use std::fmt::Write as _;
@@ -14,24 +14,6 @@ pub struct Finding {
     pub lint: &'static str,
     /// Human-readable description of the violation.
     pub message: String,
-}
-
-/// One `unsafe` site of the workspace (documented or not).
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct UnsafeSite {
-    /// Workspace-relative path.
-    pub path: String,
-    /// 1-based line of the `unsafe` keyword.
-    pub line: usize,
-    /// Owning crate.
-    pub crate_name: String,
-    /// `fn` / `impl` / `trait` / `block`.
-    pub kind: &'static str,
-    /// `true` for sites inside test code.
-    pub in_test: bool,
-    /// The adjacent `SAFETY:` justification (empty = undocumented — which
-    /// is also a U001 finding).
-    pub safety: String,
 }
 
 fn json_escape(s: &str) -> String {
@@ -67,26 +49,6 @@ pub fn findings_json(findings: &[Finding]) -> String {
         out.push_str(if i + 1 == findings.len() { "\n" } else { ",\n" });
     }
     out.push_str("]\n");
-    out
-}
-
-/// Render the unsafe inventory as JSON (stable order: path, line).
-pub fn inventory_json(sites: &[UnsafeSite]) -> String {
-    let mut out = String::from("{\n  \"unsafe_sites\": [\n");
-    for (i, s) in sites.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"crate\": \"{}\", \"path\": \"{}\", \"line\": {}, \"kind\": \"{}\", \"in_test\": {}, \"safety\": \"{}\"}}",
-            json_escape(&s.crate_name),
-            json_escape(&s.path),
-            s.line,
-            s.kind,
-            s.in_test,
-            json_escape(&s.safety)
-        );
-        out.push_str(if i + 1 == sites.len() { "\n" } else { ",\n" });
-    }
-    let _ = write!(out, "  ],\n  \"total\": {}\n}}\n", sites.len());
     out
 }
 

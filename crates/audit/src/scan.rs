@@ -31,7 +31,7 @@ pub struct Line {
     /// (delimiters kept, so token shapes survive).
     pub code: String,
     /// Plain comment text of the line (`//`, `/* .. */`) — the channel
-    /// `SAFETY:` justifications and allow directives live in.
+    /// allow directives live in.
     pub comment: String,
     /// Doc-comment text (`///`, `//!`) — never parsed for directives, so
     /// documentation *about* the allowlist syntax cannot trigger it.
@@ -48,7 +48,7 @@ pub struct Line {
 pub struct Allow {
     /// 0-based line of the directive comment.
     pub line: usize,
-    /// The allowed lint id, upper-cased (`D001`, `U001`, …).
+    /// The allowed lint id, upper-cased (`D001`, `A001`, …).
     pub lint: String,
     /// The mandatory justification text (empty = missing → meta finding).
     pub reason: String,

@@ -1,6 +1,6 @@
 //! The live workspace must stay audit-clean: this is the same check the
 //! blocking CI gate runs, wired into `cargo test` so a hazard (or an
-//! undocumented knob / unsafe site) fails locally before it reaches CI.
+//! undocumented knob) fails locally before it reaches CI.
 
 use std::path::Path;
 
@@ -13,6 +13,4 @@ fn live_workspace_is_audit_clean() {
         "cbs-audit findings:\n{}",
         cbs_audit::report::findings_text(&audit.findings)
     );
-    // The workspace forbids `unsafe_code`; the inventory pins that at zero.
-    assert!(audit.inventory.is_empty(), "unsafe sites: {:?}", audit.inventory);
 }

@@ -96,8 +96,10 @@ pub struct CbsStatistics {
     /// [`total_matvecs`](Self::total_matvecs), and the assembled operator
     /// shrinks by a further 3x per apply.
     pub operator_traversals: usize,
-    /// Numeric refills of the assembled `P(z)` pattern (ILU(0)
-    /// factorizations included); zero under `PrecondPolicy::MatrixFree`.
+    /// Numeric refills of the assembled `P(z)` pattern: one per solved node
+    /// whose operator is the assembled CSR; zero under
+    /// `PrecondPolicy::MatrixFree` and on blocks that convert to the real
+    /// stencil, whose diagonal ILU refills nothing.
     pub operator_assemblies: usize,
     /// BiCG iterations spent in cold-started solves.
     pub cold_bicg_iterations: usize,

@@ -30,8 +30,8 @@ impl BlockPolicy {
 ///
 /// The policies are **not** bitwise-interchangeable:
 /// the assembled operator sums the three Hamiltonian contributions per entry
-/// (instead of per application) and ILU(0) changes the Krylov trajectory
-/// entirely.  What every policy preserves is the solution contract (relative
+/// (instead of per application) and the preconditioner changes the Krylov
+/// trajectory entirely.  What every policy preserves is the solution contract (relative
 /// residual ≤ tolerance) and serial ≡ rayon bit-identity *within* the
 /// policy; the [`MatrixFree`](Self::MatrixFree) path does not depend on
 /// whether a pattern or projector is attached.
@@ -52,14 +52,17 @@ pub enum PrecondPolicy {
     /// storage (`cbs_sparse::RealStencil`, one storage traversal), else the
     /// generic composition of `H₀₀`, `H₀₁`, `H₀₁†` (three).
     MatrixFree = 0,
-    /// A complex ILU(0) factorization of `P(z)`, materialized once per
-    /// quadrature node as a single CSR by numeric refill of the shared
-    /// `cbs_sparse::AssembledPattern`, applied as a preconditioner on both
-    /// the primal (`M⁻¹`) and dual (`M⁻†`, i.e. the `P(1/z̄)` side)
-    /// recurrences — the iteration-count lever.  The operator itself is the
-    /// real stencil where the blocks convert (the refill is then factored in
-    /// place as ILU input only) and the assembled CSR otherwise; one storage
-    /// traversal per apply either way.
+    /// The complex **diagonal ILU** of the sparse part of `P(z)` —
+    /// `M = (D̃+L)D̃⁻¹(D̃+U)` with `L`, `U` the strict triangles of `P(z)` and
+    /// only the pivots eliminated — built once per quadrature node and
+    /// applied on both the primal (`M⁻¹`) and dual (`M⁻†`, i.e. the
+    /// `P(1/z̄)` side) recurrences: the iteration-count lever.  Where the
+    /// blocks convert to the real stencil it is `n` pivots swept over the
+    /// stencil's rows, and the stencil is the operator; otherwise the
+    /// attached `cbs_sparse::AssembledPattern` is refilled into one CSR
+    /// that is the operator and is factored.  One storage traversal per
+    /// apply either way.  (The name is the fingerprint's: the policy
+    /// applied full ILU(0) factors before checkpoint format v13.)
     AssembledIlu0 = 2,
 }
 
@@ -94,8 +97,8 @@ impl PrecondPolicy {
         }
     }
 
-    /// `true` for the policy that refills the assembled pattern per node
-    /// (as ILU input, and as the operator where no stencil applies).
+    /// `true` for the preconditioned policy, the one that reads an attached
+    /// pattern (it refills it per node where no stencil applies).
     pub fn is_assembled(self) -> bool {
         !matches!(self, Self::MatrixFree)
     }

@@ -16,10 +16,11 @@
 //! the pool's [`PrecondPolicy`], advances all of the group's right-hand
 //! sides in lockstep through `cbs_solver::bicg_dual_block_precond`'s fused
 //! block matvecs, and drops the `(P(z), M)` pair when it returns — so at
-//! most one pair per worker is alive, and assembly / factorization are paid
+//! most one pair per worker is alive, and the preconditioner set-up (the
+//! stencil-form pivots, or a pattern refill and its factorization) is paid
 //! once per solved node, never per right-hand side (`assemblies` counts the
-//! pattern refills the job performed, whether the refill became the
-//! operator or only the ILU input).  A stage therefore
+//! pattern refills: one per node that applies the assembled CSR, none for
+//! a stencil node).  A stage therefore
 //! dispatches *solved nodes x groups* jobs; an executor wider than that
 //! idles (the remedy, should a wide-machine workload ever show it, is
 //! column tiles chosen from `executor.threads()` inside this one job
@@ -99,9 +100,11 @@ pub struct PoolOutcome {
     /// Operator-storage traversals actually performed for the group (fused
     /// block applies count the operator's `traversal_weight`).
     pub traversals: usize,
-    /// Numeric refills of the assembled pattern (ILU factorizations
-    /// included) performed for the group: one per solved quadrature node,
-    /// zero under `PrecondPolicy::MatrixFree`.
+    /// Numeric refills of the assembled pattern performed for the group:
+    /// one per solved quadrature node whose operator is the assembled CSR.
+    /// Zero under `PrecondPolicy::MatrixFree`, and zero under the ILU policy
+    /// on blocks that convert to the real stencil, whose diagonal ILU
+    /// refills nothing.
     pub assemblies: usize,
     /// Solves that ran under the majority-stop cap.
     pub capped_solves: usize,
@@ -196,8 +199,9 @@ pub fn solve_pool<E: TaskExecutor>(
     let run_job = |job: NodeJob| -> (usize, usize, usize, Vec<ShiftedSolveOutcome>) {
         let group = &groups[job.group];
         let _solve_span = group.trace.solve_scope(job.point_index);
-        let (op, prec, assemblies) =
-            group.problem.node_solve_counted(policy.precond, shifts[job.group][job.point_index]);
+        let (op, prec) =
+            group.problem.node_solve(policy.precond, shifts[job.group][job.point_index]);
+        let assemblies = usize::from(op.is_assembled());
         let stop_at = job.cap.map(|c| c.max(1));
         let stop_cb = move |iter: usize| stop_at.is_some_and(|c| iter >= c);
         let external: Option<&(dyn Fn(usize) -> bool + Sync)> =
@@ -540,7 +544,7 @@ mod tests {
     }
 
     #[test]
-    fn every_solved_node_assembles_and_factors_once_and_ilu_cuts_iterations() {
+    fn every_solved_assembled_node_refills_once_and_ilu_cuts_iterations() {
         let (h00, h01) = sparse_blocks(40, c64(0.25, -0.1));
         let pattern = AssembledPattern::build(&h00, &h01);
         let qep = QepProblem::new(&h00, &h01, 0.2, 1.0).with_pattern(&pattern);
@@ -556,7 +560,8 @@ mod tests {
             let (ilu, ilu_rayon) = run(PrecondPolicy::AssembledIlu0, majority, None);
             assert_bitwise_eq(&ilu, &ilu_rayon);
             // One `node_solve` per solved node — shared by its 3 right-hand
-            // sides, in one stage or two.
+            // sides, in one stage or two; complex blocks never convert, so
+            // each refills the pattern.
             assert_eq!((mf.assemblies, ilu.assemblies), (0, 6));
             assert!(ilu.result.solve_histories.iter().all(ConvergenceHistory::converged));
             assert!(

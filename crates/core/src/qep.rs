@@ -24,12 +24,13 @@
 //! operators) keeps the generic three-pass composition `H₀₀`, `H₀₁`, `H₀₁†`
 //! through thread-local scratch, weight 3.
 //!
-//! The stencil is the apply of the ILU policy too: when the blocks
+//! The stencil is the whole node of the ILU policy too: when the blocks
 //! convert, [`QepProblem::node_solve`] under
-//! [`PrecondPolicy::AssembledIlu0`] refills the attached pattern only to
-//! factor it (in place —
-//! [`cbs_sparse::AssembledOp::into_ilu0`]) and hands BiCG the stencil view;
-//! blocks that do not convert keep the assembled CSR as their operator.  The
+//! [`PrecondPolicy::AssembledIlu0`] hands BiCG the stencil view and the
+//! diagonal ILU of its sparse part in stencil form
+//! ([`cbs_sparse::RealStencil::dilu`]: `n` pivots, no refill); blocks that
+//! do not convert refill the attached pattern, apply it and precondition
+//! with the same diagonal ILU in factored form ([`Ilu0`]).  The
 //! conversion does not depend on the scan energy, so the problems of a sweep
 //! share one through a [`StencilCache`]
 //! ([`QepProblem::with_stencil_cache`]).
@@ -39,7 +40,8 @@ use std::sync::OnceLock;
 
 use cbs_linalg::{CVector, Complex64};
 use cbs_sparse::{
-    AssembledOp, AssembledPattern, FactoredProjector, Ilu0, LinearOperator, RealStencil,
+    AssembledOp, AssembledPattern, FactoredProjector, Ilu0, LinearOperator, Preconditioner,
+    RealStencil, StencilDilu,
 };
 
 use crate::policy::PrecondPolicy;
@@ -74,7 +76,7 @@ pub struct QepProblem<'a> {
     /// convert `λ = exp(i k a)` into a wave number.
     pub period: f64,
     /// Optional assembled-operator backend: the shared symbolic union
-    /// pattern of `H₀₀`/`H₀₁`/`H₀₁†`, enabling the ILU(0) policy.  The
+    /// pattern of `H₀₀`/`H₀₁`/`H₀₁†`, enabling the ILU policy.  The
     /// pattern is energy-independent, so one instance serves every scan
     /// energy of a sweep.
     pattern: Option<&'a AssembledPattern>,
@@ -136,7 +138,10 @@ impl<'a> QepProblem<'a> {
     /// Attach the assembled-operator pattern (see
     /// [`cbs_sparse::AssembledPattern::build`]), enabling the
     /// [`PrecondPolicy::AssembledIlu0`] node context.  Without a pattern
-    /// that policy silently falls back to the matrix-free path.
+    /// that policy silently falls back to the matrix-free path.  On blocks
+    /// that convert to a [`RealStencil`] the pattern only selects the
+    /// preconditioner — its values are never read; it is refilled, applied
+    /// and factored where they do not.
     pub fn with_pattern(mut self, pattern: &'a AssembledPattern) -> Self {
         assert_eq!(pattern.dim(), self.dim(), "pattern dimension mismatch");
         self.pattern = Some(pattern);
@@ -156,13 +161,14 @@ impl<'a> QepProblem<'a> {
     /// twice).  With a non-empty projector attached, an assembled node
     /// operator is a [`QepNodeOp::Factored`]: the CSR part is refilled per
     /// node as usual and the low-rank part is accumulated on top through
-    /// the factored kernels; ILU(0) factors the CSR part only.
+    /// the factored kernels; the diagonal ILU factors the CSR part only.
     ///
     /// A sparse-only pattern attached *without* its projector makes such an
     /// operator drop the projectors from `P(z)`.  Where the ILU policy
     /// applies `P(z)` through the [`RealStencil`] (built from the blocks
-    /// themselves, projectors included) the same omission only weakens the
-    /// preconditioner.
+    /// themselves, projectors included) neither the pattern nor the
+    /// projector is read: the preconditioner is the diagonal ILU of the
+    /// blocks' sparse part.
     pub fn with_projector(mut self, projector: &'a FactoredProjector) -> Self {
         assert_eq!(projector.dim(), self.dim(), "projector dimension mismatch");
         self.projector = Some(projector);
@@ -260,48 +266,42 @@ impl<'a> QepProblem<'a> {
     }
 
     /// The per-node solve context under a [`PrecondPolicy`]: the operator
-    /// representation of `P(z)` plus an optional ILU(0) preconditioner.
+    /// representation of `P(z)` plus an optional preconditioner.
     ///
     /// * [`PrecondPolicy::MatrixFree`] — the matrix-free view, no
     ///   preconditioner.
-    /// * [`PrecondPolicy::AssembledIlu0`] — the ILU(0) of the shared pattern
-    ///   refilled into one CSR, whose adjoint triangular solves precondition
-    ///   the dual (`P(1/z̄)`) recurrence from the same factorization.  The
-    ///   operator is the [`RealStencil`] view when the blocks convert — the
-    ///   refill is then ILU input only and is factored where it lies — and
-    ///   the assembled CSR otherwise.
+    /// * [`PrecondPolicy::AssembledIlu0`] — the diagonal ILU of the sparse
+    ///   part of `P(z)`, whose adjoint sweeps precondition the dual
+    ///   (`P(1/z̄)`) recurrence from the same pivots.  When the blocks
+    ///   convert, the operator is the [`RealStencil`] view and the
+    ///   preconditioner its stencil form ([`NodePrecond::Stencil`]): one
+    ///   O(nnz) pass for `n` pivots, nothing refilled.  Otherwise the shared
+    ///   pattern is refilled into one CSR that is both the operator and the
+    ///   input of the factored form ([`NodePrecond::Assembled`]).
     ///
     /// The assembled policy requires [`with_pattern`](Self::with_pattern);
-    /// without it it falls back to the matrix-free context.
+    /// without it it falls back to the matrix-free context.  A node refilled
+    /// the pattern exactly when its operator
+    /// [`is_assembled`](QepNodeOp::is_assembled) — what the pool books as
+    /// `operator_assemblies`.
     pub fn node_solve(
         &self,
         policy: PrecondPolicy,
         z: Complex64,
-    ) -> (QepNodeOp<'a, '_>, Option<Ilu0<'a>>) {
-        let (op, prec, _refills) = self.node_solve_counted(policy, z);
-        (op, prec)
-    }
-
-    /// [`node_solve`](Self::node_solve) plus the number of pattern refills it
-    /// performed (0 or 1) — what the pool books as `operator_assemblies`,
-    /// whichever operator representation comes back.
-    pub(crate) fn node_solve_counted(
-        &self,
-        policy: PrecondPolicy,
-        z: Complex64,
-    ) -> (QepNodeOp<'a, '_>, Option<Ilu0<'a>>, usize) {
+    ) -> (QepNodeOp<'a, '_>, Option<NodePrecond<'a, '_>>) {
         match (policy, self.pattern) {
             (PrecondPolicy::MatrixFree, _) | (_, None) => {
-                (QepNodeOp::MatrixFree(self.operator(z)), None, 0)
+                (QepNodeOp::MatrixFree(self.operator(z)), None)
             }
             (PrecondPolicy::AssembledIlu0, Some(pattern)) => {
-                let refill = pattern.assemble(self.energy, z);
                 let stencil_view = self.operator(z);
-                if self.real_stencil().is_some() {
-                    (QepNodeOp::MatrixFree(stencil_view), Some(refill.into_ilu0()), 1)
+                if let Some(stencil) = self.real_stencil() {
+                    let dilu = stencil.dilu(self.energy, z);
+                    (QepNodeOp::MatrixFree(stencil_view), Some(NodePrecond::Stencil(dilu)))
                 } else {
+                    let refill = pattern.assemble(self.energy, z);
                     let ilu = refill.ilu0();
-                    (self.wrap_assembled(refill), Some(ilu), 1)
+                    (self.wrap_assembled(refill), Some(NodePrecond::Assembled(ilu)))
                 }
             }
         }
@@ -487,7 +487,8 @@ impl LinearOperator for QepOperator<'_, '_> {
 /// composition) or the assembled single-CSR form (one).
 pub enum QepNodeOp<'a, 'p> {
     /// Matrix-free `P(z)`: [`PrecondPolicy::MatrixFree`], any policy without
-    /// a pattern, and the ILU policy on blocks the [`RealStencil`] covers.
+    /// a pattern, and the ILU policy on blocks the [`RealStencil`] covers
+    /// (preconditioned by [`NodePrecond::Stencil`]).
     MatrixFree(QepOperator<'a, 'p>),
     /// `P(z)` materialized by numeric refill of the shared pattern.
     Assembled(AssembledOp<'a>),
@@ -497,11 +498,55 @@ pub enum QepNodeOp<'a, 'p> {
 }
 
 impl QepNodeOp<'_, '_> {
-    /// `true` for the assembled representations (plain or factored).  Not a
-    /// count of pattern refills: the ILU policy refills for the
-    /// factorization even when the operator comes back matrix-free.
+    /// `true` for the assembled representations (plain or factored) — the
+    /// nodes that refilled the pattern.
     pub fn is_assembled(&self) -> bool {
         matches!(self, Self::Assembled(_) | Self::Factored(..))
+    }
+}
+
+/// The preconditioner [`QepProblem::node_solve`] returns under
+/// [`PrecondPolicy::AssembledIlu0`]: one preconditioner, the diagonal ILU
+/// of the sparse part of `P(z)`, in the storage form the node's operator
+/// allows.
+pub enum NodePrecond<'a, 'p> {
+    /// `n` pivots swept over the [`RealStencil`]'s rows (blocks that
+    /// convert).
+    Stencil(StencilDilu<'p>),
+    /// Factors over the refilled pattern (blocks that do not).
+    Assembled(Ilu0<'a>),
+}
+
+impl Preconditioner for NodePrecond<'_, '_> {
+    fn dim(&self) -> usize {
+        match self {
+            Self::Stencil(m) => m.dim(),
+            Self::Assembled(m) => m.dim(),
+        }
+    }
+    fn solve(&self, r: &[Complex64], z: &mut [Complex64]) {
+        match self {
+            Self::Stencil(m) => m.solve(r, z),
+            Self::Assembled(m) => m.solve(r, z),
+        }
+    }
+    fn solve_adjoint(&self, r: &[Complex64], z: &mut [Complex64]) {
+        match self {
+            Self::Stencil(m) => m.solve_adjoint(r, z),
+            Self::Assembled(m) => m.solve_adjoint(r, z),
+        }
+    }
+    fn solve_block(&self, r: &[Complex64], z: &mut [Complex64], nvecs: usize) {
+        match self {
+            Self::Stencil(m) => m.solve_block(r, z, nvecs),
+            Self::Assembled(m) => m.solve_block(r, z, nvecs),
+        }
+    }
+    fn solve_adjoint_block(&self, r: &[Complex64], z: &mut [Complex64], nvecs: usize) {
+        match self {
+            Self::Stencil(m) => m.solve_adjoint_block(r, z, nvecs),
+            Self::Assembled(m) => m.solve_adjoint_block(r, z, nvecs),
+        }
     }
 }
 
@@ -889,10 +934,11 @@ mod tests {
         }
 
         // The ILU policy dispatches on the same property.  Blocks that
-        // convert are applied through the stencil and their refill is only
-        // factored; all others keep the assembled operator, bit for bit.
-        // Either way the node refilled the pattern once, and the
-        // preconditioner is the ILU(0) of that refill.
+        // convert are applied through the stencil and preconditioned by its
+        // diagonal ILU, refilling nothing; all others refill the pattern
+        // once and keep the assembled operator and factors, bit for bit.
+        // Either way the preconditioner is the diagonal ILU of the sparse
+        // part.
         let check = |b00: &dyn LinearOperator,
                      b01: &dyn LinearOperator,
                      sparse: (&cbs_sparse::CsrMatrix, &cbs_sparse::CsrMatrix),
@@ -916,20 +962,27 @@ mod tests {
                 prec.solve_adjoint_block(&x, &mut y, nvecs);
                 y
             };
-            let (op, prec, refills) = qep.node_solve_counted(PrecondPolicy::AssembledIlu0, z);
+            let (op, prec) = qep.node_solve(PrecondPolicy::AssembledIlu0, z);
             let prec = prec.expect("the ILU policy preconditions");
-            assert_eq!(refills, 1);
+            assert_eq!(op.is_assembled(), !converts, "only an assembled node refills");
             assert_eq!(op.traversal_weight(), 1);
             assert_eq!(qep.real_stencil().is_some(), converts);
+            let factored = precond(&pattern.assemble(0.2, z).ilu0());
             if converts {
-                assert!(matches!(op, QepNodeOp::MatrixFree(_)));
+                assert!(matches!(prec, NodePrecond::Stencil(_)));
                 assert_eq!(block(&op), block(&qep.operator(z)));
+                let stencil = qep.real_stencil().expect("converted");
+                assert_eq!(precond(&prec), precond(&stencil.dilu(0.2, z)));
+                let err: f64 =
+                    precond(&prec).iter().zip(&factored).map(|(a, b)| (*a - *b).norm_sqr()).sum();
+                let norm: f64 = factored.iter().map(|v| v.norm_sqr()).sum();
+                assert!(err.sqrt() <= 1e-12 * norm.sqrt(), "forms differ: {:.2e}", err.sqrt());
             } else {
                 let assembled = qep.wrap_assembled(pattern.assemble(0.2, z));
-                assert!(op.is_assembled());
+                assert!(matches!(prec, NodePrecond::Assembled(_)));
                 assert_eq!(block(&op), block(&assembled));
+                assert_eq!(precond(&prec), factored);
             }
-            assert_eq!(precond(&prec), precond(&pattern.assemble(0.2, z).ilu0()));
         };
         for (b00, b01, converts) in [(&h00, &h01, true), (&g00, &g01, false), (&c00, &c01, false)] {
             let tails = Some((&b00.lowrank, &b01.lowrank));

@@ -83,8 +83,9 @@ pub struct SsConfig {
     /// changes the floating-point trajectory, so it **is** part of the sweep
     /// checkpoint fingerprint.  [`paper`](Self::paper) writes the one
     /// default, [`AssembledIlu0`](PrecondPolicy::AssembledIlu0), which is
-    /// "ILU(0) if a pattern is attached ([`QepProblem::with_pattern`]), else
-    /// matrix-free": a problem that never attaches one runs the
+    /// "the diagonal ILU if a pattern is attached
+    /// ([`QepProblem::with_pattern`]), else matrix-free": a problem that
+    /// never attaches one runs the
     /// [`MatrixFree`](PrecondPolicy::MatrixFree) trajectory, bitwise.
     pub precond: PrecondPolicy,
     /// Requested trace detail for this solve's spans (see `cbs-trace`).
@@ -113,16 +114,17 @@ impl SsConfig {
     /// `N_int = 32, N_mm = 8, N_rh = 16, δ = 1e-10, λ_min = 0.5`, BiCG
     /// tolerance `1e-10`.
     ///
-    /// **The policy rule, written once:** ILU(0) if a pattern is attached,
-    /// else matrix-free ([`precond`](Self::precond)).  Nothing measures at
-    /// run time; the rule rests on committed numbers.  `BENCH_sweep.json`
-    /// (Al(100), 343 points, 8 energies, cold / warm): ILU(0) 0.259 /
-    /// 0.245 s, matrix-free 0.563 / 0.491 s; ILU(0) also wins at 12 167
-    /// points (the `al12k_solve_ilu0` benchmark workload).  The calibrated
-    /// tuner this replaces committed exactly this cell on every recorded
-    /// row, at 0.228 / 0.253 s — the same counters, inside the host's ±15%.
-    /// A caller who knows better sets `precond` (bench binaries:
-    /// `CBS_PRECOND`).
+    /// **The policy rule, written once:** the diagonal ILU of `P(z)` if a
+    /// pattern is attached, else matrix-free ([`precond`](Self::precond)).
+    /// Nothing measures at run time; the rule rests on committed numbers.
+    /// `BENCH_sweep.json` (Al(100), 343 points, 8 energies, cold / warm):
+    /// full ILU(0) 0.259 / 0.245 s, matrix-free 0.563 / 0.491 s; ILU(0)
+    /// also won at 12 167 points (the `al12k_solve_ilu0` benchmark
+    /// workload).  The diagonal ILU that replaced it, swept over the real
+    /// stencil's rows, needs as many iterations and took a further 24% off
+    /// `al100_sweep8` (0.197 → 0.150 s) and 30% off `al12k_solve_ilu0`
+    /// (3.32 → 2.34 s; medians of ten alternated pairs).  A caller who
+    /// knows better sets `precond` (bench binaries: `CBS_PRECOND`).
     pub fn paper() -> Self {
         Self {
             n_int: 32,
@@ -243,8 +245,11 @@ pub struct SsResult {
     /// included in [`total_traversals`](Self::total_traversals).
     pub extraction_traversals: usize,
     /// Numeric refills of the assembled operator pattern performed for this
-    /// solve (one per quadrature node under the assembled policies, ILU(0)
-    /// factorizations included; zero under `PrecondPolicy::MatrixFree`).
+    /// solve: one per solved quadrature node whose operator is the assembled
+    /// CSR.  Zero under `PrecondPolicy::MatrixFree`, and zero under the ILU
+    /// policy on blocks that convert to the real stencil (every Hamiltonian
+    /// `cbs-dft` builds): their diagonal ILU is `n` pivots computed from the
+    /// stencil's rows, and nothing is refilled.
     pub operator_assemblies: usize,
     /// Timing breakdown.
     pub timings: SsTimings,

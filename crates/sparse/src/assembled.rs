@@ -6,7 +6,7 @@
 //! `P(z)` thousands of times per quadrature node, those traversals dominate
 //! the whole Sakurai-Sugiura run.  This module trades one symbolic analysis
 //! per Hamiltonian for a single-traversal matvec — and, unlike the
-//! matrix-free [`RealStencil`](crate::RealStencil), for a matrix ILU(0) can
+//! matrix-free [`RealStencil`](crate::RealStencil), for a matrix an ILU can
 //! factor:
 //!
 //! * [`AssembledPattern::build`] computes the **union pattern** of
@@ -20,20 +20,17 @@
 //!   allocation), no symbolic work, no index duplication.  The resulting
 //!   [`AssembledOp`] applies `P(z)` (and its exact adjoint) in a single CSR
 //!   traversal via the same fused kernels `CsrMatrix` uses.
-//! * A refill is ILU input as much as an operator: [`AssembledOp::ilu0`]
-//!   factors a copy and leaves the operator usable,
-//!   [`AssembledOp::into_ilu0`] eliminates in the refilled buffer itself —
-//!   the route of a caller that applies `P(z)` some other way (the
-//!   [`RealStencil`](crate::RealStencil)) and wants one `nnz`-sized array
-//!   per node, not two.
-//! * [`Ilu0`] factors the assembled CSR on its pattern (no fill-in) and exposes
-//!   forward/backward triangular solves *and their adjoints*, so one
-//!   factorization `M ≈ P(z)` also preconditions the dual system through
-//!   `M† ≈ P(z)† = P(1/z̄)` — the paper's dual-circle trick survives
-//!   preconditioning.  All four substitutions are **streaming sweeps**: the
-//!   rows are visited in storage order, blocked over right-hand sides, the
-//!   adjoints as column scatters over the same CSR rows — bit-identical to
-//!   the textbook one-column loops.
+//! * [`Ilu0`] ([`AssembledOp::ilu0`]) is the diagonal ILU of the assembled
+//!   CSR — the elimination updates only the pivots — stored as factors over
+//!   the pattern, with forward/backward triangular solves *and their
+//!   adjoints*, so one factorization `M ≈ P(z)` also preconditions the dual
+//!   system through `M† ≈ P(z)† = P(1/z̄)` — the paper's dual-circle trick
+//!   survives preconditioning.  All four substitutions are **streaming
+//!   sweeps**: the rows are visited in storage order, blocked over
+//!   right-hand sides, the adjoints as column scatters over the same CSR
+//!   rows — bit-identical to the textbook one-column loops.  Blocks that
+//!   convert to a [`RealStencil`](crate::RealStencil) get the same
+//!   preconditioner without a refill ([`RealStencil::dilu`](crate::RealStencil::dilu)).
 
 use std::borrow::Cow;
 use std::sync::OnceLock;
@@ -70,7 +67,7 @@ pub struct AssembledPattern {
 impl AssembledPattern {
     /// Compute the union pattern of the two Hamiltonian blocks (both square,
     /// same size).  The diagonal is always part of the pattern, so the
-    /// energy shift `E` and the ILU(0) pivots have a home even where the
+    /// energy shift `E` and the ILU pivots have a home even where the
     /// blocks store no diagonal entry.
     pub fn build(h00: &CsrMatrix, h01: &CsrMatrix) -> Self {
         assert_eq!(h00.nrows(), h00.ncols(), "H00 must be square");
@@ -228,31 +225,16 @@ impl<'p> AssembledOp<'p> {
         self.pattern
     }
 
-    /// ILU(0)-factor this operator.  The factorization borrows the shared
-    /// pattern (reusing its precomputed diagonal positions — no per-node
-    /// rescan) and owns only its `nnz` factor values (scratch-pooled across
-    /// nodes).
+    /// The diagonal ILU of this operator ([`Ilu0`]).  The factorization
+    /// borrows the shared pattern (reusing its precomputed diagonal
+    /// positions — no per-node rescan) and owns only its `nnz` factor
+    /// values (scratch-pooled across nodes).
     pub fn ilu0(&self) -> Ilu0<'p> {
-        self.factor(crate::scratch::copy_to_scratch(&self.values))
-    }
-
-    /// [`ilu0`](Self::ilu0) for a refill that exists only to be factored
-    /// (the operator itself is applied some other way, e.g. through the
-    /// [`RealStencil`](crate::RealStencil)): the elimination runs **in the
-    /// buffer [`assemble`](AssembledPattern::assemble) filled**, so the node
-    /// holds one `nnz`-sized array instead of two.  Same factors as
-    /// [`ilu0`](Self::ilu0), bit for bit.
-    pub fn into_ilu0(mut self) -> Ilu0<'p> {
-        let values = std::mem::take(&mut self.values);
-        self.factor(values)
-    }
-
-    fn factor(&self, lu: Vec<Complex64>) -> Ilu0<'p> {
         Ilu0::factor_in_place(
             &self.pattern.row_ptr,
             &self.pattern.col_idx,
             Cow::Borrowed(&self.pattern.diag_idx[..]),
-            lu,
+            crate::scratch::copy_to_scratch(&self.values),
         )
     }
 }
@@ -501,21 +483,21 @@ impl TriSchedule {
     }
 }
 
-/// Floor applied to vanishing ILU(0) pivots, *relative to the matrix
-/// scale*, so a (near-)singular pivot row degrades the preconditioner
+/// Floor applied to vanishing ILU pivots, *relative to the matrix scale*
+/// `max|aᵢⱼ|`, so a (near-)singular pivot row degrades the preconditioner
 /// gracefully instead of poisoning it: an absolute floor like 1e-300 would
 /// produce ~1e300-scale factors that overflow to Inf in the update sweep
 /// and turn into NaN downstream.  With `floor = 1e-14 · max|aᵢⱼ|` the
 /// substituted pivot keeps every factor finite (≲ 1e14× the matrix scale),
 /// and the preconditioned BiCG's non-finite breakdown checks catch any
 /// remaining degeneracy as [`Breakdown`](../../cbs_solver) rather than
-/// iterating on garbage.
-fn pivot_floor(values: &[Complex64]) -> f64 {
-    let scale = values.iter().map(|v| v.abs()).fold(0.0f64, f64::max);
+/// iterating on garbage.  One rule for both storage forms of the diagonal
+/// ILU ([`Ilu0`], [`RealStencil::dilu`](crate::RealStencil::dilu)).
+pub(crate) fn pivot_floor(scale: f64) -> f64 {
     (scale * 1e-14).max(1e-300)
 }
 
-fn guarded(pivot: Complex64, floor: f64) -> Complex64 {
+pub(crate) fn guarded(pivot: Complex64, floor: f64) -> Complex64 {
     if pivot.abs() < floor {
         Complex64::real(floor)
     } else {
@@ -523,7 +505,7 @@ fn guarded(pivot: Complex64, floor: f64) -> Complex64 {
     }
 }
 
-/// The four triangular sweeps of an ILU(0) apply.
+/// The four triangular sweeps of an [`Ilu0`] apply.
 #[derive(Clone, Copy)]
 enum Sweep {
     /// `L y = r` (unit diagonal), rows ascending, gather.
@@ -536,9 +518,19 @@ enum Sweep {
     AdjointBackward,
 }
 
-/// A complex ILU(0) factorization `M = L U ≈ A` on the sparsity pattern of
-/// `A` (no fill-in): `L` unit lower triangular, `U` upper triangular, both
-/// stored in one value array over the borrowed pattern.
+/// The complex **diagonal ILU** of `A` in factored form,
+/// `M = (D̃+L) D̃⁻¹ (D̃+U)`: `L`, `U` are the strict triangles of `A`
+/// itself and the elimination updates only the pivots,
+/// `d̃ᵢ = aᵢᵢ − Σ_{j<i} aᵢⱼ aⱼᵢ / d̃ⱼ`.  The unit lower factor `I + L D̃⁻¹`
+/// and the upper factor `D̃ + U` are stored in one value array over the
+/// borrowed pattern, so the sweeps are those of any ILU(0) factorization.  (The
+/// name predates the diagonal form.  Full ILU(0), which also updates the
+/// off-diagonal entries, needs about as many iterations on these systems
+/// — the diagonal form takes 2.3–2.6% fewer on the benchmark's
+/// `al12k_solve_ilu0` and 4.8–5.3% more on `al100_sweep8` — and cannot be
+/// applied without its `nnz` factors.  Blocks that convert to a
+/// [`RealStencil`](crate::RealStencil) apply this same preconditioner from
+/// `n` pivots over the stencil's rows, [`RealStencil::dilu`](crate::RealStencil::dilu).)
 ///
 /// [`solve`](Preconditioner::solve) runs the forward/backward substitutions
 /// `z = U⁻¹ L⁻¹ r`; [`solve_adjoint`](Preconditioner::solve_adjoint) runs
@@ -565,22 +557,14 @@ enum Sweep {
 /// elements — so the result is bitwise that of the substitution, whatever
 /// the slab width (`tests/properties.rs`).
 ///
-/// Measured on the 12167-point Al(100) pattern (nnz 298 885, 4 columns;
-/// the traced pass of benchmark workload `al12k_solve_ilu0`, two alternated
-/// runs per side, ns per nnz·column), against the level walk this replaced
-/// as the serial path and against the SpMM over the same pattern:
-///
-/// | kernel | level walk | streaming | SpMM |
-/// |---|---|---|---|
-/// | forward + backward | 3.61, 3.09 | 1.50, 1.29 | 1.15, 1.08 |
-/// | adjoint | 3.43, 3.19 | 1.30, 1.48 | 1.15, 1.25 |
-///
-/// (the issue's prototype, on a quieter host: 3.49 → 1.27 and 3.98 → 1.28
-/// against 1.18).  On a 3-D stencil a dependency level is a hyperplane of
-/// rows scattered through `lu`, so the level walk never streamed the
-/// 4.6 MiB of factors; on the cache-resident 343-point pattern the two
-/// orders cost the same.  End to end the workload's solve went from a
-/// median 19.5 s to 11.6 s over ten alternated pairs.
+/// What the four sweeps cost is what the stencil form removes.  On the
+/// 12167-point Al(100) pattern (nnz 298 885, 4 columns; benchmark workload
+/// `al12k_solve_ilu0`) they stream 4.6 MiB of complex factors at 1.3–1.7 ns
+/// per nnz·column — 65% of that workload's wall while the ILU policy used
+/// them, against the 12 B per entry of the stencil's real rows.  No
+/// production path applies them any more on a Hamiltonian `cbs-dft`
+/// builds; they remain the preconditioner of blocks that do not convert,
+/// and the oracle of the stencil form.
 pub struct Ilu0<'p> {
     n: usize,
     row_ptr: &'p [usize],
@@ -592,47 +576,28 @@ pub struct Ilu0<'p> {
 }
 
 impl<'p> Ilu0<'p> {
-    /// Factor a CSR triple in place (columns sorted within each row, every
-    /// diagonal entry stored — the assembled pattern guarantees both).
-    ///
-    /// Standard IKJ ILU(0): for each row `i`, eliminate its sub-diagonal
-    /// entries against the already-factored pivot rows, updating only
-    /// positions inside the pattern.
+    /// Factor a CSR triple (columns sorted within each row, every diagonal
+    /// entry stored).
     pub fn factor(row_ptr: &'p [usize], col_idx: &'p [usize], values: &[Complex64]) -> Self {
         let n = row_ptr.len() - 1;
-        let mut diag_idx = vec![usize::MAX; n]; // cbs-audit: allow(A001) reason="factorization-time workspace, once per numeric refill"
-        for i in 0..n {
-            for (k, &c) in (row_ptr[i]..row_ptr[i + 1]).zip(&col_idx[row_ptr[i]..row_ptr[i + 1]]) {
-                if c == i {
-                    diag_idx[i] = k;
-                }
-            }
-            assert!(
-                diag_idx[i] != usize::MAX,
-                "ILU(0) requires a stored diagonal in every row (row {i})"
-            );
-        }
-        Self::factor_with_diag(row_ptr, col_idx, diag_idx, values)
-    }
-
-    /// [`factor`](Self::factor) with the diagonal positions already known
-    /// (e.g. the ones [`AssembledPattern`] validated at build time), so
-    /// per-node factorizations skip the diagonal rescan.
-    pub fn factor_with_diag(
-        row_ptr: &'p [usize],
-        col_idx: &'p [usize],
-        diag_idx: Vec<usize>,
-        values: &[Complex64],
-    ) -> Self {
+        let diag_idx = (0..n)
+            .map(|i| {
+                let row = row_ptr[i]..row_ptr[i + 1];
+                let at = col_idx[row.clone()].iter().position(|&c| c == i);
+                row.start + at.unwrap_or_else(|| panic!("ILU requires a stored diagonal (row {i})"))
+            })
+            // cbs-audit: allow(A001) reason="diagonal positions of a standalone CSR, once per factorization -- not the per-node path"
+            .collect();
         let lu = crate::scratch::copy_to_scratch(values);
         Self::factor_in_place(row_ptr, col_idx, Cow::Owned(diag_idx), lu)
     }
 
-    /// The factorization kernel: numeric IKJ elimination over the pattern,
-    /// in place in `lu` — the matrix values on entry, the factors on return
-    /// (recycled to the thread-local scratch pool on drop, like the
-    /// column-position scatter map), so per-node factorizations perform no
-    /// steady-state allocation.
+    /// The factorization kernel, in place in `lu` — the matrix values on
+    /// entry, the factors on return (recycled to the thread-local scratch
+    /// pool on drop, so per-node factorizations perform no steady-state
+    /// allocation).  For each row `i` and each sub-diagonal entry `aᵢₖ`:
+    /// `lᵢₖ = aᵢₖ / d̃ₖ`, and `d̃ᵢ −= lᵢₖ aₖᵢ` when the pattern stores `aₖᵢ`
+    /// — nothing else is updated.
     fn factor_in_place(
         row_ptr: &'p [usize],
         col_idx: &'p [usize],
@@ -640,44 +605,29 @@ impl<'p> Ilu0<'p> {
         mut lu: Vec<Complex64>,
     ) -> Self {
         let n = row_ptr.len() - 1;
-        assert_eq!(col_idx.len(), lu.len(), "ILU(0): pattern/value length mismatch");
-        assert_eq!(diag_idx.len(), n, "ILU(0): diagonal index length mismatch");
+        assert_eq!(col_idx.len(), lu.len(), "ILU: pattern/value length mismatch");
+        assert_eq!(diag_idx.len(), n, "ILU: diagonal index length mismatch");
         cbs_trace::timed(Stage::IluFactor, || {
-            let floor = pivot_floor(&lu);
-            // Scatter map column -> position within the current row.
-            let mut pos = crate::scratch::take_usize_scratch(n, usize::MAX);
+            let floor = pivot_floor(lu.iter().map(|v| v.abs()).fold(0.0f64, f64::max));
             for i in 0..n {
-                let (lo, hi) = (row_ptr[i], row_ptr[i + 1]);
-                for k in lo..hi {
-                    pos[col_idx[k]] = k;
-                }
-                for kk in lo..hi {
-                    let kcol = col_idx[kk];
-                    if kcol >= i {
-                        break; // columns are sorted: the L part comes first
-                    }
-                    let factor = lu[kk] / guarded(lu[diag_idx[kcol]], floor);
+                for kk in row_ptr[i]..diag_idx[i] {
+                    let k = col_idx[kk];
+                    let factor = lu[kk] / guarded(lu[diag_idx[k]], floor);
                     lu[kk] = factor;
-                    for jj in (diag_idx[kcol] + 1)..row_ptr[kcol + 1] {
-                        let p = pos[col_idx[jj]];
-                        if p != usize::MAX {
-                            let update = factor * lu[jj];
-                            lu[p] -= update;
-                        }
+                    let upper = diag_idx[k] + 1..row_ptr[k + 1];
+                    if let Ok(at) = col_idx[upper.clone()].binary_search(&i) {
+                        let update = factor * lu[upper.start + at];
+                        lu[diag_idx[i]] -= update;
                     }
-                }
-                for k in lo..hi {
-                    pos[col_idx[k]] = usize::MAX;
                 }
             }
-            crate::scratch::recycle_usize_scratch(pos);
             Self { n, row_ptr, col_idx, diag_idx, lu, floor }
         })
     }
 
     /// Factor an explicit CSR matrix (tests / standalone preconditioning).
     pub fn from_csr(m: &'p CsrMatrix) -> Self {
-        assert_eq!(m.nrows(), m.ncols(), "ILU(0) requires a square matrix");
+        assert_eq!(m.nrows(), m.ncols(), "ILU requires a square matrix");
         Self::factor(m.row_ptr(), m.col_idx(), m.values())
     }
 
@@ -831,10 +781,6 @@ impl<'p> Ilu0<'p> {
 impl Drop for Ilu0<'_> {
     fn drop(&mut self) {
         crate::scratch::recycle_scratch(std::mem::take(&mut self.lu));
-        const EMPTY: &[usize] = &[];
-        if let Cow::Owned(v) = std::mem::replace(&mut self.diag_idx, Cow::Borrowed(EMPTY)) {
-            crate::scratch::recycle_usize_scratch(v);
-        }
     }
 }
 
@@ -954,7 +900,7 @@ mod tests {
         assert_eq!(a.values().len(), b.values().len());
         assert_eq!(a.values().len(), pattern.nnz());
         assert!(std::ptr::eq(a.pattern(), b.pattern()), "refills must share the pattern");
-        // Every diagonal is stored (required by the E shift and by ILU(0)).
+        // Every diagonal is stored (required by the E shift and by the ILU).
         for i in 0..pattern.dim() {
             assert_eq!(pattern.col_idx[pattern.diag_idx[i]], i);
         }
@@ -997,8 +943,8 @@ mod tests {
 
     #[test]
     fn ilu0_is_exact_on_a_tridiagonal_matrix() {
-        // A tridiagonal pattern is closed under LU, so ILU(0) == LU and the
-        // solve must reproduce A⁻¹ r to rounding accuracy.
+        // A tridiagonal LU updates only the pivots, so the diagonal ILU is
+        // the LU and the solve must reproduce A⁻¹ r to rounding accuracy.
         let n = 24;
         let mut b = CooBuilder::new(n, n);
         for i in 0..n {
@@ -1014,7 +960,7 @@ mod tests {
         let x_true = CVector::random(n, &mut rng);
         let r = a.matvec(&x_true);
         let x = ilu.solve_vec(&r);
-        assert!((&x - &x_true).norm() < 1e-10 * x_true.norm(), "ILU(0) != LU on tridiagonal");
+        assert!((&x - &x_true).norm() < 1e-10 * x_true.norm(), "ILU != LU on tridiagonal");
         // Adjoint solve: A† x̃ = r̃ through the same factors.
         let rt = a.matvec_adjoint(&x_true);
         let mut xt = CVector::zeros(n);
@@ -1022,49 +968,31 @@ mod tests {
         assert!((&xt - &x_true).norm() < 1e-10 * x_true.norm(), "adjoint ILU solve wrong");
     }
 
-    /// `into_ilu0` eliminates in the buffer the refill filled: the factors of
-    /// the copying `ilu0`, bit for bit, in one pooled `nnz`-sized array where
-    /// that route holds two.
+    /// The factors are those of the diagonal ILU: `L̂ = I + L D̃⁻¹` over the
+    /// matrix's own strict lower triangle, `U` its own strict upper one,
+    /// and only the pivots eliminated — checked against a dense recurrence.
     #[test]
-    fn into_ilu0_is_ilu0_bitwise_in_the_refills_own_buffer() {
-        let (h00, h01) = random_blocks(23, 0.2, 916);
-        let (e, z) = (0.07, c64(1.4, 0.6));
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(917);
-        let r = CVector::random(23 * 3, &mut rng).into_vec();
+    fn ilu0_updates_only_the_pivots() {
+        let (h00, h01) = random_blocks(17, 0.25, 916);
         let pattern = AssembledPattern::build(&h00, &h01);
-        let copied = pattern.assemble(e, z).ilu0();
-        let in_place = pattern.assemble(e, z).into_ilu0();
-        assert_eq!(in_place.lu(), copied.lu());
-        assert_eq!(in_place.floor.to_bits(), copied.floor.to_bits());
-        let (mut za, mut zb) = (r.clone(), r.clone());
-        in_place.solve_block(&r, &mut za, 3);
-        copied.solve_block(&r, &mut zb, 3);
-        assert_eq!(za, zb);
-        in_place.solve_adjoint_block(&r, &mut za, 3);
-        copied.solve_adjoint_block(&r, &mut zb, 3);
-        assert_eq!(za, zb);
-
-        // A fresh thread starts with an empty pool, so what a node job
-        // leaves in it is what the job held.
-        let nnz_sized_buffers_held = |job: fn(&AssembledPattern, f64, Complex64)| {
-            let pooled = std::thread::scope(|s| {
-                s.spawn(|| {
-                    job(&pattern, e, z);
-                    crate::scratch::pooled_capacities()
-                })
-                .join()
-                .expect("the node job does not panic")
-            });
-            pooled.into_iter().filter(|&c| c >= pattern.nnz()).count()
-        };
-        assert_eq!(nnz_sized_buffers_held(|p, e, z| drop(p.assemble(e, z).into_ilu0())), 1);
-        assert_eq!(
-            nnz_sized_buffers_held(|p, e, z| {
-                let op = p.assemble(e, z);
-                drop(op.ilu0());
-            }),
-            2
-        );
+        let op = pattern.assemble(0.07, c64(1.4, 0.6));
+        let ilu = op.ilu0();
+        let a = dense_p(&h00, &h01, 0.07, c64(1.4, 0.6));
+        let mut d = vec![Complex64::ZERO; 17];
+        for i in 0..17 {
+            d[i] = (0..i).fold(a[(i, i)], |p, j| p - a[(i, j)] * a[(j, i)] / d[j]);
+        }
+        for i in 0..17 {
+            for k in pattern.row_ptr[i]..pattern.row_ptr[i + 1] {
+                let j = pattern.col_idx[k];
+                let want = match j.cmp(&i) {
+                    std::cmp::Ordering::Less => a[(i, j)] / d[j],
+                    std::cmp::Ordering::Equal => d[i],
+                    std::cmp::Ordering::Greater => a[(i, j)],
+                };
+                assert!((ilu.lu()[k] - want).abs() <= 1e-12 * (1.0 + want.abs()), "({i}, {j})");
+            }
+        }
     }
 
     #[test]

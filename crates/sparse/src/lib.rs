@@ -10,19 +10,21 @@
 //! * [`LowRankOp`] / [`SparseVec`] — factored non-local projector operators,
 //! * [`AssembledPattern`] / [`AssembledOp`] — the shifted QEP operator
 //!   `P(z)` materialized as one CSR by numeric refill of a shared symbolic
-//!   union pattern (one storage traversal per matvec, and something
-//!   ILU(0) can factor),
-//! * [`Ilu0`] / [`Preconditioner`] — complex ILU(0) whose forward/backward
-//!   and adjoint triangular solves stream the factor rows in storage order
-//!   (blocked over right-hand sides) for the preconditioned dual BiCG
-//!   ([`TriSchedule`], the dependency-level analysis of a pattern, is a
-//!   vestige no solve reads),
+//!   union pattern (one storage traversal per matvec, and something an
+//!   ILU can factor),
+//! * [`Ilu0`] / [`Preconditioner`] — the complex diagonal ILU of a CSR in
+//!   factored form, whose forward/backward and adjoint triangular solves
+//!   stream the factor rows in storage order (blocked over right-hand
+//!   sides) for the preconditioned dual BiCG ([`TriSchedule`], the
+//!   dependency-level analysis of a pattern, is a vestige no solve reads),
 //! * [`FactoredProjector`] — the non-local projector part of `P(z)` kept in
 //!   factored low-rank form alongside an assembled CSR part,
 //! * [`RealStencil`] — `P(z)` of a *real* Hamiltonian as one fused row pass
 //!   over `f64` coefficients (real×complex arithmetic, explicit `H₀₁ᵀ`, no
 //!   scratch slab): what the matrix-free path runs whenever both blocks
-//!   expose real [`LinearOperator::sparse_lowrank_parts`],
+//!   expose real [`LinearOperator::sparse_lowrank_parts`] — and
+//!   [`StencilDilu`], the same diagonal ILU as [`Ilu0`] kept as `n` pivots
+//!   and swept over the stencil's rows,
 //! * composition helpers ([`SumOp`], [`ScaledOp`], [`ShiftedOp`], [`DenseOp`],
 //!   [`IdentityOp`]) used to build the QEP operator `P(z)`.
 
@@ -43,5 +45,5 @@ pub use ops::{
     adjoint_defect, DenseOp, IdentityOp, LinearOperator, Preconditioner, ScaledOp, ShiftedOp, SumOp,
 };
 pub use projector::FactoredProjector;
-pub use real_stencil::RealStencil;
+pub use real_stencil::{RealStencil, StencilDilu};
 pub use scratch::{recycle_scratch, take_scratch, with_scratch};

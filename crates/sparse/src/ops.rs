@@ -132,7 +132,7 @@ pub trait LinearOperator: Sync {
 /// adjoint — the seam the preconditioned dual-BiCG variants consume.
 ///
 /// The adjoint solve is what keeps the paper's dual trick intact: with
-/// `M ≈ P(z)` (e.g. an ILU(0) of the assembled operator), `M† ≈ P(z)† =
+/// `M ≈ P(z)` (e.g. the diagonal ILU of its sparse part), `M† ≈ P(z)† =
 /// P(1/z̄)`, so the same factorization preconditions both the outer-circle
 /// system and its inner-circle dual.
 pub trait Preconditioner: Sync {
@@ -151,8 +151,8 @@ pub trait Preconditioner: Sync {
     ///
     /// The default loops [`Preconditioner::solve`] per column, so every
     /// implementation is *bitwise* equivalent to the per-column path out of
-    /// the box.  Implementations that override it (the ILU(0) blocked
-    /// streaming sweeps) must preserve that bitwise equivalence — the
+    /// the box.  Implementations that override it (the blocked diagonal-ILU
+    /// sweeps, both storage forms) must preserve that bitwise equivalence — the
     /// block solver's parity contract with the per-column reference solver
     /// is test-locked on top of this seam.
     fn solve_block(&self, r: &[Complex64], z: &mut [Complex64], nvecs: usize) {

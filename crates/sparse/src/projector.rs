@@ -12,9 +12,9 @@
 //! Expanding the separable Kleinman-Bylander projectors `V₀ₓ` into the CSR
 //! pattern densifies the rows touched by every projector sphere: the union
 //! pattern picks up `nnz(ket)·nnz(bra)` entries per rank-one term, and every
-//! per-node refill and every ILU(0) sweep then pays for them again.  Keeping
-//! the projectors factored preserves the O(rank · nnz) application cost and
-//! leaves the assembled pattern — and its ILU(0) — on the *sparse* blocks
+//! per-node refill and every factored ILU sweep then pays for them again.
+//! Keeping the projectors factored preserves the O(rank · nnz) application
+//! cost and leaves the assembled pattern — and its ILU — on the *sparse* blocks
 //! only, where the fill is small and the factorization is cheap.
 //!
 //! [`FactoredProjector::accumulate`] adds the projector contribution on top

@@ -35,13 +35,22 @@
 //! kernels in [`crate::csr`].  Against the generic three-pass expression the
 //! stencil agrees to rounding (≤ 1e-14 relative), not bitwise: the sums are
 //! associated differently.
+//!
+//! The same rows precondition `P(z)` ([`RealStencil::dilu`]): the diagonal
+//! ILU of its sparse part, `M = (D̃+L)D̃⁻¹(D̃+U)` with `L`, `U` the strict
+//! triangles of `P(z)` itself, is `n` complex pivots plus two sweeps over
+//! the stored rows split at the diagonal — no per-node matrix.
+
+use std::ops::{Deref, Range};
 
 use cbs_linalg::Complex64;
 use cbs_trace::Stage;
 
+use crate::assembled::{guarded, pivot_floor};
 use crate::csr::CsrMatrix;
 use crate::csr::ROW_BLOCK;
 use crate::lowrank::LowRankOp;
+use crate::ops::Preconditioner;
 
 /// Real compressed-sparse-row storage: `f64` values, `u32` indices and row
 /// pointers.  Rows are matrix rows for the Hamiltonian blocks and rank-one
@@ -50,6 +59,10 @@ struct RealCsr {
     ptr: Vec<u32>,
     idx: Vec<u32>,
     val: Vec<f64>,
+    /// Square blocks only (empty for the projector factors): per row `i`,
+    /// the position of its first entry in a column `≥ i` — where the row
+    /// splits into its strict lower and upper triangle.
+    split: Vec<u32>,
 }
 
 impl RealCsr {
@@ -59,8 +72,12 @@ impl RealCsr {
         nnz: usize,
         rows: impl Iterator<Item = R>,
     ) -> Option<Self> {
-        let mut out =
-            Self { ptr: vec![0], idx: Vec::with_capacity(nnz), val: Vec::with_capacity(nnz) };
+        let mut out = Self {
+            ptr: vec![0], // cbs-audit: allow(A001) reason="stencil conversion, once per Hamiltonian -- not the per-node path"
+            idx: Vec::with_capacity(nnz), // cbs-audit: allow(A001) reason="stencil conversion, once per Hamiltonian -- not the per-node path"
+            val: Vec::with_capacity(nnz), // cbs-audit: allow(A001) reason="stencil conversion, once per Hamiltonian -- not the per-node path"
+            split: Vec::new(),
+        };
         for row in rows {
             for (j, v) in row {
                 if v.im != 0.0 {
@@ -78,10 +95,40 @@ impl RealCsr {
         Self::from_rows(m.nnz(), (0..m.nrows()).map(|i| m.row_entries(i)))
     }
 
+    /// Record the diagonal split of every row (columns ascending within a
+    /// row, as `CsrMatrix` and [`transpose`](Self::transpose) store them).
+    fn with_split(mut self) -> Self {
+        self.split = (0..self.nrows())
+            .map(|i| {
+                let (lo, hi) = (self.ptr[i] as usize, self.ptr[i + 1] as usize);
+                (lo + self.idx[lo..hi].partition_point(|&c| (c as usize) < i)) as u32
+            })
+            // cbs-audit: allow(A001) reason="stencil conversion, once per Hamiltonian -- not the per-node path"
+            .collect();
+        self
+    }
+
+    /// Row `i` split at its diagonal: the entry ranges of the strict lower
+    /// and upper triangle, and the position of the diagonal entry if stored.
+    #[inline(always)]
+    fn triangles(&self, i: usize) -> (Range<usize>, Option<usize>, Range<usize>) {
+        let (lo, s, hi) = (self.ptr[i] as usize, self.split[i] as usize, self.ptr[i + 1] as usize);
+        if s < hi && self.idx[s] as usize == i {
+            (lo..s, Some(s), s + 1..hi)
+        } else {
+            (lo..s, None, s..hi)
+        }
+    }
+
+    /// The stored value at `(i, i)`, 0 where there is none.
+    fn diagonal(&self, i: usize) -> f64 {
+        self.triangles(i).1.map_or(0.0, |k| self.val[k])
+    }
+
     /// The transpose of an `nrows × ncols` matrix (counting sort: each
     /// transposed row keeps its entries in ascending original-row order).
     fn transpose(&self, ncols: usize) -> Self {
-        let mut ptr = vec![0u32; ncols + 1];
+        let mut ptr = vec![0u32; ncols + 1]; // cbs-audit: allow(A001) reason="stencil conversion, once per Hamiltonian -- not the per-node path"
         for &c in &self.idx {
             ptr[c as usize + 1] += 1;
         }
@@ -89,8 +136,8 @@ impl RealCsr {
             ptr[c + 1] += ptr[c];
         }
         let mut next = ptr.clone();
-        let mut idx = vec![0u32; self.idx.len()];
-        let mut val = vec![0.0; self.val.len()];
+        let mut idx = vec![0u32; self.idx.len()]; // cbs-audit: allow(A001) reason="stencil conversion, once per Hamiltonian -- not the per-node path"
+        let mut val = vec![0.0; self.val.len()]; // cbs-audit: allow(A001) reason="stencil conversion, once per Hamiltonian -- not the per-node path"
         for i in 0..self.nrows() {
             let (cols, vals) = self.row(i);
             for (&c, &v) in cols.iter().zip(vals) {
@@ -100,11 +147,16 @@ impl RealCsr {
                 next[c as usize] += 1;
             }
         }
-        Self { ptr, idx, val }
+        Self { ptr, idx, val, split: Vec::new() }
     }
 
     fn nrows(&self) -> usize {
         self.ptr.len() - 1
+    }
+
+    #[inline(always)]
+    fn row_range(&self, i: usize) -> Range<usize> {
+        self.ptr[i] as usize..self.ptr[i + 1] as usize
     }
 
     #[inline(always)]
@@ -114,16 +166,29 @@ impl RealCsr {
 
     #[inline(always)]
     fn row(&self, i: usize) -> (&[u32], &[f64]) {
-        let (lo, hi) = (self.ptr[i] as usize, self.ptr[i + 1] as usize);
-        (&self.idx[lo..hi], &self.val[lo..hi])
+        let ks = self.row_range(i);
+        (&self.idx[ks.clone()], &self.val[ks])
     }
 
     /// `Σ_k val_k · x_w[idx_k]` over row `i`, for the `W` columns of a tile.
     #[inline(always)]
-    fn gather<const W: usize>(&self, i: usize, x: &[&[Complex64]; W]) -> [Complex64; W] {
-        let (idx, val) = self.row(i);
+    fn gather<const W: usize, X: Deref<Target = [Complex64]>>(
+        &self,
+        i: usize,
+        x: &[X; W],
+    ) -> [Complex64; W] {
+        self.gather_range(self.row_range(i), x)
+    }
+
+    /// [`gather`](Self::gather) over the entries `ks` only (part of a row).
+    #[inline(always)]
+    fn gather_range<const W: usize, X: Deref<Target = [Complex64]>>(
+        &self,
+        ks: Range<usize>,
+        x: &[X; W],
+    ) -> [Complex64; W] {
         let mut acc = [Complex64::ZERO; W];
-        for (&c, &v) in idx.iter().zip(val) {
+        for (&c, &v) in self.idx[ks.clone()].iter().zip(&self.val[ks]) {
             for w in 0..W {
                 let xv = x[w][c as usize];
                 acc[w].re += v * xv.re;
@@ -134,7 +199,7 @@ impl RealCsr {
     }
 
     fn bytes(&self) -> usize {
-        4 * (self.ptr.len() + self.idx.len()) + 8 * self.val.len()
+        4 * (self.ptr.len() + self.idx.len() + self.split.len()) + 8 * self.val.len()
     }
 }
 
@@ -161,7 +226,7 @@ impl RealLowRank {
         Some(Self {
             kets: factor(|t| &t.ket)?,
             bras: factor(|t| &t.bra)?,
-            coeff: terms.iter().map(|t| t.coeff.re).collect(),
+            coeff: terms.iter().map(|t| t.coeff.re).collect(), // cbs-audit: allow(A001) reason="stencil conversion, once per Hamiltonian -- not the per-node path"
         })
     }
 
@@ -228,6 +293,19 @@ struct Shift {
     zinv: Complex64,
 }
 
+impl Shift {
+    fn new(e: f64, z: Complex64) -> Self {
+        Self { e, z, zinv: z.inv() }
+    }
+
+    /// The sparse part of `P(z)` off the diagonal, `−h₀₀ − z·h₀₁ − z⁻¹·h₀₁ᵀ`,
+    /// from one column's stored `[h₀₀, h₀₁, h₀₁ᵀ]` (the diagonal adds `E`).
+    #[inline(always)]
+    fn entry(self, [a, b, bt]: [f64; 3]) -> Complex64 {
+        Complex64::real(-a) - self.z.scale(b) - self.zinv.scale(bt)
+    }
+}
+
 /// `P(z)` of a real Hamiltonian, applied in one row pass (module docs).
 pub struct RealStencil {
     n: usize,
@@ -259,9 +337,9 @@ impl RealStencil {
         let b = RealCsr::from_csr(h01.0)?;
         Some(Self {
             n,
-            h00: RealCsr::from_csr(h00.0)?,
-            h01t: b.transpose(n),
-            h01: b,
+            h00: RealCsr::from_csr(h00.0)?.with_split(),
+            h01t: b.transpose(n).with_split(),
+            h01: b.with_split(),
             v00: RealLowRank::from_lowrank(h00.1)?,
             v01: RealLowRank::from_lowrank(h01.1)?,
         })
@@ -298,7 +376,7 @@ impl RealStencil {
         if n == 0 {
             return;
         }
-        let shift = Shift { e, z, zinv: z.inv() };
+        let shift = Shift::new(e, z);
         cbs_trace::timed(Stage::Kernel, || {
             for r0 in (0..n).step_by(ROW_BLOCK) {
                 let rows = r0..(r0 + ROW_BLOCK).min(n);
@@ -365,13 +443,274 @@ impl RealStencil {
             }
         }
     }
+
+    /// The diagonal ILU of the sparse part of `P(z)` at scan energy `e`:
+    /// `M = (D̃+L)D̃⁻¹(D̃+U)`, where `L` and `U` are the strict triangles of
+    /// `P(z)` itself and only the pivots are eliminated,
+    ///
+    /// ```text
+    /// d̃ᵢ = aᵢᵢ − Σ_{j<i} aᵢⱼ aⱼᵢ / d̃ⱼ,
+    /// ```
+    ///
+    /// each floored by the scale-relative rule of the assembled [`Ilu0`]
+    /// (`1e-14 · max|aᵢⱼ|`) — the same preconditioner as
+    /// `AssembledPattern::assemble(e, z).ilu0()` on the pattern of these
+    /// blocks, stored as `n` complex pivots instead of `nnz` factors.  One
+    /// O(nnz) pass over the rows finds the scale, a second the pivots; the
+    /// projector tails take no part.  `aⱼᵢ` is read from row `i`, as
+    /// `−(h₀₀ + z·h₀₁ᵀ + z⁻¹·h₀₁)ᵢⱼ`: like the adjoint apply, this takes
+    /// `H₀₀ = H₀₀ᵀ`.
+    ///
+    /// [`Ilu0`]: crate::Ilu0
+    pub fn dilu(&self, e: f64, z: Complex64) -> StencilDilu<'_> {
+        let shift = Shift::new(e, z);
+        cbs_trace::timed(Stage::IluFactor, || {
+            let mut scale = 0.0f64;
+            for i in 0..self.n {
+                let rows = [&self.h00, &self.h01, &self.h01t].map(|m| m.row_range(i));
+                let mut diagonal_stored = false;
+                self.merged(rows, |j, v| {
+                    let a = if j == i {
+                        diagonal_stored = true;
+                        shift.entry(v) + e
+                    } else {
+                        shift.entry(v)
+                    };
+                    scale = scale.max(a.abs());
+                });
+                if !diagonal_stored {
+                    scale = scale.max(e.abs());
+                }
+            }
+            let floor = pivot_floor(scale);
+            let mut inv_pivots = crate::scratch::take_scratch(self.n);
+            for i in 0..self.n {
+                let blocks = [&self.h00, &self.h01, &self.h01t];
+                let mut pivot = shift.entry(blocks.map(|m| m.diagonal(i))) + e;
+                self.merged(blocks.map(|m| m.triangles(i).0), |j, [a, b, bt]| {
+                    let (aij, aji) = (shift.entry([a, b, bt]), shift.entry([a, bt, b]));
+                    pivot -= aij * inv_pivots[j] * aji;
+                });
+                inv_pivots[i] = Complex64::ONE / guarded(pivot, floor);
+            }
+            StencilDilu { stencil: self, shift, inv_pivots }
+        })
+    }
+
+    /// Calls `f(j, [h₀₀ᵢⱼ, h₀₁ᵢⱼ, h₀₁ᵀᵢⱼ])` once per column `j` the entry
+    /// ranges `ks` (one per block, all of one row) store, ascending in `j`,
+    /// with 0 for a block that stores no `(i, j)`.
+    #[inline(always)]
+    fn merged(&self, ks: [Range<usize>; 3], mut f: impl FnMut(usize, [f64; 3])) {
+        let blocks = [&self.h00, &self.h01, &self.h01t];
+        if ks[1].is_empty() && ks[2].is_empty() {
+            for k in ks[0].clone() {
+                f(self.h00.idx[k] as usize, [self.h00.val[k], 0.0, 0.0]);
+            }
+            return;
+        }
+        let mut at = ks.clone().map(|r| r.start);
+        loop {
+            let heads: [Option<u32>; 3] =
+                std::array::from_fn(|s| (at[s] < ks[s].end).then(|| blocks[s].idx[at[s]]));
+            let Some(&j) = heads.iter().flatten().min() else { return };
+            let mut v = [0.0; 3];
+            for s in 0..3 {
+                if heads[s] == Some(j) {
+                    v[s] = blocks[s].val[at[s]];
+                    at[s] += 1;
+                }
+            }
+            f(j as usize, v);
+        }
+    }
+
+    /// `Σ [h₀₀ + z·h₀₁ + z⁻¹·h₀₁ᵀ]ᵢⱼ xⱼ` over the strict lower (`j < i`) or
+    /// upper (`j > i`) triangle of row `i`, for the `W` columns of a tile.
+    #[inline(always)]
+    fn triangle_sum<const W: usize, X: Deref<Target = [Complex64]>>(
+        &self,
+        i: usize,
+        upper: bool,
+        Shift { z, zinv, .. }: Shift,
+        x: &[X; W],
+    ) -> [Complex64; W] {
+        let part = |m: &RealCsr| {
+            let (lower, _, up) = m.triangles(i);
+            if upper {
+                up
+            } else {
+                lower
+            }
+        };
+        let mut acc = self.h00.gather_range(part(&self.h00), x);
+        let (kb, kbt) = (part(&self.h01), part(&self.h01t));
+        // Interior rows couple to no neighbouring cell, as in `tile`.
+        if !(kb.is_empty() && kbt.is_empty()) {
+            let b = self.h01.gather_range(kb, x);
+            let bt = self.h01t.gather_range(kbt, x);
+            for w in 0..W {
+                acc[w] += z * b[w] + zinv * bt[w];
+            }
+        }
+        acc
+    }
+}
+
+/// The diagonal ILU of the sparse part of `P(z)` over a [`RealStencil`]'s
+/// rows ([`RealStencil::dilu`]): `n` pivots `1/d̃ᵢ`, drawn from (and on drop
+/// returned to) the thread-local scratch pool, and the stencil itself.
+///
+/// `M⁻¹` is two sweeps of the stored rows split at the diagonal, as
+/// real×complex gathers over the 8/4/2/1 column tiles of the apply:
+///
+/// ```text
+/// forward,  i ascending:   wᵢ = d̃ᵢ⁻¹ (rᵢ + Σ_{j<i} [h₀₀ + z·h₀₁ + z⁻¹·h₀₁ᵀ]ᵢⱼ wⱼ)
+/// backward, i descending:  xᵢ = wᵢ + d̃ᵢ⁻¹ Σ_{j>i} [h₀₀ + z·h₀₁ + z⁻¹·h₀₁ᵀ]ᵢⱼ xⱼ
+/// ```
+///
+/// `M⁻† = ((D̃*+U†) D̃*⁻¹ (D̃*+L†))⁻¹` is the same two sweeps at the shift
+/// `1/z̄` with the pivots conjugated: `conj(aⱼᵢ)` at `z` is the `(i, j)`
+/// entry of `P(1/z̄) = P(z)†`, so the dual gathers too and scatters
+/// nothing.  Per column the updates do not depend on the tile width, so a
+/// block solve equals the column-by-column loop bit for bit.
+pub struct StencilDilu<'s> {
+    stencil: &'s RealStencil,
+    shift: Shift,
+    inv_pivots: Vec<Complex64>,
+}
+
+impl StencilDilu<'_> {
+    /// Both sweeps over a whole column-major slab, in place: `shift` and
+    /// the pivots (conjugated for `M⁻†`) select the side.
+    fn sweeps(&self, shift: Shift, conj: bool, z: &mut [Complex64], nvecs: usize) {
+        let n = self.stencil.n;
+        let blocks = (0..n).step_by(ROW_BLOCK).map(|r0| r0..(r0 + ROW_BLOCK).min(n));
+        for rows in blocks.clone() {
+            self.sweep(false, rows, shift, conj, z, nvecs);
+        }
+        for rows in blocks.rev() {
+            self.sweep(true, rows, shift, conj, z, nvecs);
+        }
+    }
+
+    /// One sweep (forward, or `backward`) over `rows` of every column tile.
+    fn sweep(
+        &self,
+        backward: bool,
+        rows: Range<usize>,
+        shift: Shift,
+        conj: bool,
+        z: &mut [Complex64],
+        nvecs: usize,
+    ) {
+        for (j, w) in tiles(nvecs) {
+            match w {
+                8 => self.sweep_tile::<8>(backward, rows.clone(), shift, conj, z, j),
+                4 => self.sweep_tile::<4>(backward, rows.clone(), shift, conj, z, j),
+                2 => self.sweep_tile::<2>(backward, rows.clone(), shift, conj, z, j),
+                _ => self.sweep_tile::<1>(backward, rows.clone(), shift, conj, z, j),
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn sweep_tile<const W: usize>(
+        &self,
+        backward: bool,
+        rows: Range<usize>,
+        shift: Shift,
+        conj: bool,
+        z: &mut [Complex64],
+        j: usize,
+    ) {
+        let s = self.stencil;
+        let zs: [&mut [Complex64]; W] = columns_mut(z, s.n, j);
+        let inv_pivot = |i: usize| {
+            let p = self.inv_pivots[i];
+            if conj {
+                p.conj()
+            } else {
+                p
+            }
+        };
+        if backward {
+            for i in rows.rev() {
+                let acc = s.triangle_sum(i, true, shift, &zs);
+                let p = inv_pivot(i);
+                for w in 0..W {
+                    zs[w][i] += p * acc[w];
+                }
+            }
+        } else {
+            for i in rows {
+                let acc = s.triangle_sum(i, false, shift, &zs);
+                let p = inv_pivot(i);
+                for w in 0..W {
+                    zs[w][i] = p * (zs[w][i] + acc[w]);
+                }
+            }
+        }
+    }
+
+    /// `z = r`, then both sweeps.
+    fn solve_slab(&self, dual: bool, r: &[Complex64], z: &mut [Complex64], nvecs: usize) {
+        let n = self.stencil.n;
+        assert!(r.len() >= n * nvecs, "diagonal ILU solve: r slab too short");
+        assert!(z.len() >= n * nvecs, "diagonal ILU solve: z slab too short");
+        if n == 0 {
+            return;
+        }
+        let shift = if dual {
+            Shift::new(self.shift.e, Complex64::ONE / self.shift.z.conj())
+        } else {
+            self.shift
+        };
+        cbs_trace::timed(Stage::TriSweep, || {
+            let z = &mut z[..n * nvecs];
+            z.copy_from_slice(&r[..n * nvecs]);
+            self.sweeps(shift, dual, z, nvecs);
+        });
+    }
+}
+
+impl Drop for StencilDilu<'_> {
+    fn drop(&mut self) {
+        crate::scratch::recycle_scratch(std::mem::take(&mut self.inv_pivots));
+    }
+}
+
+impl Preconditioner for StencilDilu<'_> {
+    fn dim(&self) -> usize {
+        self.stencil.n
+    }
+
+    fn solve(&self, r: &[Complex64], z: &mut [Complex64]) {
+        assert_eq!(r.len(), self.stencil.n, "diagonal ILU solve: r length mismatch");
+        assert_eq!(z.len(), self.stencil.n, "diagonal ILU solve: z length mismatch");
+        self.solve_slab(false, r, z, 1);
+    }
+
+    fn solve_adjoint(&self, r: &[Complex64], z: &mut [Complex64]) {
+        assert_eq!(r.len(), self.stencil.n, "diagonal ILU adjoint solve: r length mismatch");
+        assert_eq!(z.len(), self.stencil.n, "diagonal ILU adjoint solve: z length mismatch");
+        self.solve_slab(true, r, z, 1);
+    }
+
+    fn solve_block(&self, r: &[Complex64], z: &mut [Complex64], nvecs: usize) {
+        self.solve_slab(false, r, z, nvecs);
+    }
+
+    fn solve_adjoint_block(&self, r: &[Complex64], z: &mut [Complex64], nvecs: usize) {
+        self.solve_slab(true, r, z, nvecs);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ops::{adjoint_defect, LinearOperator};
-    use crate::{CooBuilder, SparseVec};
+    use crate::{AssembledPattern, CooBuilder, SparseVec};
     use cbs_linalg::{c64, CVector};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
@@ -609,5 +948,170 @@ mod tests {
         let mut q = real_parts(n, 2, 81);
         q.1 = LowRankOp::new(n, n + 1);
         assert!(convert(&q).is_none());
+    }
+
+    /// [`real_parts`] whose coupling block also stores a diagonal entry and
+    /// a column `H₀₀` stores, on every coupled row: the same `(i, j)` then
+    /// sits in two (or, through `H₀₁ᵀ`, three) blocks.
+    fn coupled_parts(n: usize, rank: usize, seed: u64) -> Parts {
+        let mut p = real_parts(n, rank, seed);
+        let mut extra = CooBuilder::new(n, n);
+        for i in n - n / 4..n {
+            extra.push(i, i, c64(0.3, 0.0));
+            let (j, _) = p.0.row_entries(i).find(|&(j, _)| j != i).expect("H₀₀ couples row i");
+            extra.push(i, j, c64(-0.2, 0.0));
+        }
+        p.2 = p.2.add_scaled(Complex64::ONE, &extra.build());
+        p
+    }
+
+    /// `(M⁻¹ R, M⁻† R)` over an `nvecs`-column slab.
+    fn precondition(m: &dyn Preconditioner, r: &[Complex64], nvecs: usize) -> [Vec<Complex64>; 2] {
+        // Poisoned outputs: the sweeps must overwrite every element.
+        let mut out = [vec![c64(f64::NAN, f64::NAN); r.len()], vec![c64(f64::NAN, 0.0); r.len()]];
+        m.solve_block(r, &mut out[0], nvecs);
+        m.solve_adjoint_block(r, &mut out[1], nvecs);
+        out
+    }
+
+    fn dot(a: &[Complex64], b: &[Complex64]) -> Complex64 {
+        a.iter().zip(b).map(|(x, y)| x.conj() * *y).sum()
+    }
+
+    /// The stencil form and the assembled factors are one preconditioner:
+    /// `M⁻¹` and `M⁻†` agree to rounding on pencils whose coupling block
+    /// stores diagonal entries and shares columns with `H₀₀`, at a shift
+    /// and at its mirror `1/z̄`.
+    #[test]
+    fn dilu_is_the_assembled_diagonal_ilu() {
+        for (p, seed) in [(real_parts(80, 3, 90), 91), (coupled_parts(600, 4, 92), 93)] {
+            let s = stencil_of(&p);
+            let pattern = AssembledPattern::build(&p.0, &p.2);
+            let n = s.dim();
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let r = CVector::random(n * 3, &mut rng).into_vec();
+            for (e, z) in [(-9.0, c64(0.8, 0.45)), (-9.0, Complex64::ONE / c64(0.8, -0.45))] {
+                let stencil = precondition(&s.dilu(e, z), &r, 3);
+                let assembled = precondition(&pattern.assemble(e, z).ilu0(), &r, 3);
+                for (side, (got, want)) in stencil.iter().zip(&assembled).enumerate() {
+                    let err = relative_error(got, want);
+                    assert!(err <= 1e-12, "n {n} z {z:?} side {side}: {err:.2e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dilu_adjoint_solve_is_the_adjoint_of_the_solve() {
+        let s = stencil_of(&coupled_parts(120, 3, 94));
+        let m = s.dilu(-9.0, c64(1.3, -0.4));
+        let mut rng = ChaCha8Rng::seed_from_u64(95);
+        for _ in 0..6 {
+            let x = CVector::random(120, &mut rng).into_vec();
+            let y = CVector::random(120, &mut rng).into_vec();
+            let ([mx, _], [_, mty]) = (precondition(&m, &x, 1), precondition(&m, &y, 1));
+            let (lhs, rhs) = (dot(&mx, &y), dot(&x, &mty));
+            assert!((lhs - rhs).abs() <= 1e-12 * lhs.abs().max(rhs.abs()), "{lhs:?} vs {rhs:?}");
+        }
+    }
+
+    #[test]
+    fn dilu_block_solve_is_bitwise_column_equivalent() {
+        let n = 600;
+        let s = stencil_of(&coupled_parts(n, 5, 96));
+        let m = s.dilu(0.37, c64(1.1, -0.7));
+        let mut rng = ChaCha8Rng::seed_from_u64(97);
+        for nvecs in [1usize, 2, 3, 4, 5, 8, 9, 12, 15] {
+            let r = CVector::random(n * nvecs, &mut rng).into_vec();
+            let block = precondition(&m, &r, nvecs);
+            for c in 0..nvecs {
+                let column = precondition(&m, &r[c * n..(c + 1) * n], 1);
+                for (b, col) in block.iter().zip(&column) {
+                    assert_eq!(&b[c * n..(c + 1) * n], &col[..], "nvecs {nvecs} column {c}");
+                }
+            }
+        }
+    }
+
+    /// A tridiagonal sparse part: the LU updates only the pivots, so the
+    /// diagonal ILU is `P(z)` itself — with a coupling block on and above
+    /// the diagonal, `P(z)` is not symmetric and `M⁻†` is a different sweep.
+    fn tridiagonal(n: usize, a00: f64) -> Parts {
+        let (mut a, mut b) = (CooBuilder::new(n, n), CooBuilder::new(n, n));
+        for i in 0..n {
+            a.push(i, i, c64(if i == 0 { a00 } else { 0.1 * (i % 7) as f64 - 0.3 }, 0.0));
+            if i > 0 {
+                b.push(i, i, c64(0.2, 0.0));
+            }
+            if i + 1 < n {
+                a.push(i, i + 1, c64(-0.5, 0.0));
+                a.push(i + 1, i, c64(-0.5, 0.0));
+                b.push(i, i + 1, c64(0.15, 0.0));
+            }
+        }
+        (a.build(), LowRankOp::new(n, n), b.build(), LowRankOp::new(n, n))
+    }
+
+    #[test]
+    fn dilu_is_exact_on_a_tridiagonal_pencil() {
+        let n = 700;
+        let s = stencil_of(&tridiagonal(n, 0.4));
+        let (e, z) = (2.5, c64(0.9, 0.6));
+        let m = s.dilu(e, z);
+        let mut rng = ChaCha8Rng::seed_from_u64(98);
+        let x = CVector::random(n * 2, &mut rng).into_vec();
+        let [solved, _] = precondition(&m, &apply(&s, e, z, &x, 2), 2);
+        let [_, dual] = precondition(&m, &apply(&s, e, Complex64::ONE / z.conj(), &x, 2), 2);
+        assert!(relative_error(&solved, &x) <= 1e-12, "M⁻¹P(z) is not the identity");
+        assert!(relative_error(&dual, &x) <= 1e-12, "M⁻†P(z)† is not the identity");
+    }
+
+    /// `E = h₀₀` on a first row whose coupling block stores no diagonal
+    /// entry: its pivot `E − h₀₀` is exactly zero.  The
+    /// scale-relative floor of the assembled factorization replaces it, so
+    /// both sweeps stay finite, and the floor is `1e-14 · max|aᵢⱼ|` of the
+    /// assembled refill.
+    #[test]
+    fn dilu_floors_a_zero_pivot_and_stays_finite() {
+        let (n, e, z) = (40, 0.7, c64(0.5, 0.8));
+        let p = tridiagonal(n, 0.7);
+        let s = stencil_of(&p);
+        let m = s.dilu(e, z);
+        let scale = AssembledPattern::build(&p.0, &p.2)
+            .assemble(e, z)
+            .values()
+            .iter()
+            .fold(0.0f64, |m, v| m.max(v.abs()));
+        let floored = 1.0 / m.inv_pivots[0].abs();
+        assert!((floored - 1e-14 * scale).abs() <= 1e-12 * floored, "pivot 0 is {floored:e}");
+        let mut rng = ChaCha8Rng::seed_from_u64(99);
+        let r = CVector::random(n * 3, &mut rng).into_vec();
+        for side in precondition(&m, &r, 3) {
+            assert!(side.iter().all(|v| v.is_finite()));
+        }
+    }
+
+    /// A node's diagonal ILU holds one `n`-sized buffer, the pivots, and
+    /// hands it back to the thread's scratch pool (a fresh thread starts
+    /// with an empty pool, so the pool after the job is what the job held).
+    #[test]
+    fn dilu_holds_only_its_pooled_pivots() {
+        let n = 300;
+        let s = stencil_of(&coupled_parts(n, 2, 100));
+        let mut rng = ChaCha8Rng::seed_from_u64(101);
+        let r = CVector::random(n * 4, &mut rng).into_vec();
+        let pooled = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    drop(precondition(&s.dilu(0.1, c64(0.7, 0.7)), &r, 4));
+                    crate::scratch::pooled_capacities()
+                })
+                .join()
+                .expect("the node job does not panic")
+        });
+        assert_eq!(pooled, [n]);
+        let empty = real_parts(0, 0, 102);
+        let s = stencil_of(&empty);
+        precondition(&s.dilu(0.1, c64(0.7, 0.7)), &[], 3);
     }
 }

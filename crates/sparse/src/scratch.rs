@@ -16,7 +16,6 @@ use cbs_linalg::Complex64;
 
 thread_local! {
     static POOL: RefCell<Vec<Vec<Complex64>>> = const { RefCell::new(Vec::new()) };
-    static POOL_USIZE: RefCell<Vec<Vec<usize>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Run `f` with a zeroed scratch slice of length `len` drawn from the
@@ -35,7 +34,8 @@ pub fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [Complex64]) -> R) -> R {
 /// Take an owned, zeroed scratch buffer of length `len` from the
 /// thread-local pool — the owned twin of [`with_scratch`] for buffers whose
 /// lifetime is tied to a value rather than a call scope (the assembled
-/// operator's per-node value array, an ILU factor's `lu` array).  Return it
+/// operator's per-node value array, an ILU factor's `lu` array, the
+/// stencil-form diagonal ILU's pivots).  Return it
 /// with [`recycle_scratch`]; dropping it instead merely forfeits the reuse.
 pub fn take_scratch(len: usize) -> Vec<Complex64> {
     let mut buf = POOL.with(|p| p.borrow_mut().pop()).unwrap_or_default();
@@ -45,18 +45,13 @@ pub fn take_scratch(len: usize) -> Vec<Complex64> {
 }
 
 /// Return a buffer obtained from [`take_scratch`] (or any `Vec<Complex64>`
-/// whose allocation is worth keeping) to the current thread's pool.  A
-/// buffer without an allocation (a value whose storage was moved out, e.g.
-/// by `AssembledOp::into_ilu0`) is dropped instead: pooling it would hand
-/// the next taker nothing to reuse.
+/// whose allocation is worth keeping) to the current thread's pool.
 pub fn recycle_scratch(buf: Vec<Complex64>) {
-    if buf.capacity() > 0 {
-        POOL.with(|p| p.borrow_mut().push(buf));
-    }
+    POOL.with(|p| p.borrow_mut().push(buf));
 }
 
-/// A pooled copy of `values` (crate-internal: the factor array of an ILU(0)
-/// that must leave its matrix intact).
+/// A pooled copy of `values` (crate-internal: the factor array of an
+/// [`Ilu0`](crate::Ilu0) that must leave its matrix intact).
 pub(crate) fn copy_to_scratch(values: &[Complex64]) -> Vec<Complex64> {
     let mut buf = take_scratch(0);
     buf.extend_from_slice(values);
@@ -67,20 +62,6 @@ pub(crate) fn copy_to_scratch(values: &[Complex64]) -> Vec<Complex64> {
 #[cfg(test)]
 pub(crate) fn pooled_capacities() -> Vec<usize> {
     POOL.with(|p| p.borrow().iter().map(Vec::capacity).collect())
-}
-
-/// Owned `usize` scratch of length `len`, every element set to `fill`
-/// (crate-internal: the ILU factorization's column-position map).
-pub(crate) fn take_usize_scratch(len: usize, fill: usize) -> Vec<usize> {
-    let mut buf = POOL_USIZE.with(|p| p.borrow_mut().pop()).unwrap_or_default();
-    buf.clear();
-    buf.resize(len, fill);
-    buf
-}
-
-/// Return a `usize` scratch buffer to the current thread's pool.
-pub(crate) fn recycle_usize_scratch(buf: Vec<usize>) {
-    POOL_USIZE.with(|p| p.borrow_mut().push(buf));
 }
 
 #[cfg(test)]
@@ -116,13 +97,6 @@ mod tests {
         assert_eq!(b2.len(), 3);
         assert!(b2.iter().all(|&z| z == Complex64::ZERO));
         recycle_scratch(b2);
-        let mut u = take_usize_scratch(4, usize::MAX);
-        assert!(u.iter().all(|&v| v == usize::MAX));
-        u[0] = 7;
-        recycle_usize_scratch(u);
-        let u2 = take_usize_scratch(6, usize::MAX);
-        assert!(u2.iter().all(|&v| v == usize::MAX));
-        recycle_usize_scratch(u2);
     }
 
     #[test]

@@ -116,13 +116,18 @@ impl std::error::Error for CheckpointError {}
 //   v12 slice-policy fingerprint slots removed; precond code 3 retired:
 //       every fingerprint loses the nine slice-policy slots, and a v11
 //       sweep under the deleted SMW preconditioner carries a policy no
-//       build can run.
+//       build can run,
+//   v13 diagonal ILU: same layout as v12, but policy code 2 now
+//       preconditions with the diagonal ILU of the sparse part of `P(z)`
+//       (in stencil form where the blocks convert) instead of full ILU(0)
+//       factors, so a v12 sweep under it took a different trajectory —
+//       resuming one would splice two preconditioners into one result.
 // There is exactly one compatibility rule: the version found must be the
 // current one.  Anything else announcing itself through the shared magic
 // prefix is refused with [`CheckpointError::IncompatibleVersion`], naming
 // both versions, rather than read with silently zeroed or misaligned
 // fields.
-const MAGIC: &str = "cbs-sweep-checkpoint v12";
+const MAGIC: &str = "cbs-sweep-checkpoint v13";
 
 /// Prefix shared by every version's magic line; anything with this prefix
 /// but the wrong version is an incompatible (not malformed) checkpoint.
@@ -570,12 +575,13 @@ mod tests {
         // assembled CSR; v9 fingerprints carry a kernel-layout slot and its
         // default sweeps ran the retired policy 1; v10 carries the auto
         // section and the auto fingerprint slot; v11 fingerprints carry the
-        // nine slice-policy slots and may name the retired SMW policy 3.
+        // nine slice-policy slots and may name the retired SMW policy 3;
+        // v12 parses field for field but its ILU sweeps ran full ILU(0).
         // All must hit the dedicated incompatible-version path, and the
         // error message must name the version found *and* the one expected.
         // A format from the future is refused the same way — there is one
         // check, not one per version.
-        for version in ["v4", "v5", "v6", "v7", "v8", "v9", "v10", "v11", "v13"] {
+        for version in ["v4", "v5", "v6", "v7", "v8", "v9", "v10", "v11", "v12", "v14"] {
             let stale = format!("cbs-sweep-checkpoint {version}");
             match SweepCheckpoint::parse(&relabelled(version)) {
                 Err(CheckpointError::IncompatibleVersion { ref found }) => {
@@ -588,6 +594,6 @@ mod tests {
                 other => panic!("{version}: expected IncompatibleVersion, got {other:?}"),
             }
         }
-        assert!(SweepCheckpoint::parse(&relabelled("v12")).is_ok(), "v12 is the current format");
+        assert!(SweepCheckpoint::parse(&relabelled("v13")).is_ok(), "v13 is the current format");
     }
 }

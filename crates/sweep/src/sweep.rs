@@ -71,8 +71,10 @@ pub struct EnergyStats {
     /// [`matvecs`](Self::matvecs), and 3x fewer per apply under the
     /// assembled operator).
     pub operator_traversals: usize,
-    /// Numeric refills of the assembled `P(z)` pattern (ILU(0)
-    /// factorizations included); zero under `PrecondPolicy::MatrixFree`.
+    /// Numeric refills of the assembled `P(z)` pattern: one per solved node
+    /// whose operator is the assembled CSR; zero under
+    /// `PrecondPolicy::MatrixFree` and on blocks that convert to the real
+    /// stencil, whose diagonal ILU refills nothing.
     pub operator_assemblies: usize,
     /// Solves that started from a donor seed.
     pub warm_solves: usize,

@@ -213,13 +213,15 @@ fn checkpointed_sweep_resumes_bit_identically() {
         assert_same_cbs(&uninterrupted, &resumed);
     }
 
-    // The checkpoint on disk is v12; older formats — v3, and v11 with its
-    // slice-policy fingerprint slots — are refused with the dedicated error
-    // naming the version, not parsed into a mismatched fingerprint.
+    // The checkpoint on disk is v13; older formats — v3, v11 with its
+    // slice-policy fingerprint slots, and v12 whose ILU sweeps ran full
+    // ILU(0) — are refused with the dedicated error naming the version, not
+    // parsed into a mismatched fingerprint or resumed into another
+    // preconditioner's trajectory.
     let text = std::fs::read_to_string(&path).unwrap();
-    assert!(text.starts_with("cbs-sweep-checkpoint v12"), "unexpected magic in {path:?}");
-    for old in ["cbs-sweep-checkpoint v3", "cbs-sweep-checkpoint v11"] {
-        match SweepCheckpoint::parse(&text.replacen("cbs-sweep-checkpoint v12", old, 1)) {
+    assert!(text.starts_with("cbs-sweep-checkpoint v13"), "unexpected magic in {path:?}");
+    for old in ["cbs-sweep-checkpoint v3", "cbs-sweep-checkpoint v11", "cbs-sweep-checkpoint v12"] {
+        match SweepCheckpoint::parse(&text.replacen("cbs-sweep-checkpoint v13", old, 1)) {
             Err(CheckpointError::IncompatibleVersion { found }) => assert_eq!(found, old),
             other => panic!("{old} checkpoint accepted or misclassified: {other:?}"),
         }
