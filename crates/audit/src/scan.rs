@@ -18,8 +18,6 @@ pub enum FileKind {
     Lib,
     /// `tests/` — integration-test code (test rules apply to every line).
     Test,
-    /// `benches/` — bench harness code.
-    Bench,
     /// `examples/` — runnable examples.
     Example,
 }
@@ -39,7 +37,7 @@ pub struct Line {
     /// Contents of string literals that *start* on this line.
     pub strings: Vec<String>,
     /// `true` inside a `#[cfg(test)]` / `#[test]` item (or anywhere in a
-    /// `tests/` / `benches/` file).
+    /// `tests/` file).
     pub in_test: bool,
 }
 
@@ -266,7 +264,7 @@ pub fn scan_source(path: &str, content: &str) -> SourceFile {
 
 /// Mark `#[cfg(test)]` / `#[test]` items via brace-depth tracking.
 fn mark_test_regions(lines: &mut [Line], kind: FileKind) {
-    if matches!(kind, FileKind::Test | FileKind::Bench) {
+    if kind == FileKind::Test {
         for l in lines.iter_mut() {
             l.in_test = true;
         }
@@ -373,7 +371,6 @@ fn kind_of(path: &str) -> FileKind {
     };
     match dir {
         "tests" => FileKind::Test,
-        "benches" => FileKind::Bench,
         "examples" => FileKind::Example,
         _ => FileKind::Lib,
     }
@@ -394,7 +391,7 @@ fn crate_of(path: &str) -> String {
 /// audit fixtures tree.
 pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<SourceFile>> {
     let mut rel_dirs: Vec<PathBuf> =
-        ["src", "tests", "examples", "benches"].iter().map(PathBuf::from).collect();
+        ["src", "tests", "examples"].iter().map(PathBuf::from).collect();
     let crates_dir = root.join("crates");
     if crates_dir.is_dir() {
         let mut names: Vec<_> = fs::read_dir(&crates_dir)?
@@ -404,7 +401,7 @@ pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<SourceFile>> {
             .collect();
         names.sort();
         for name in names {
-            for sub in ["src", "tests", "examples", "benches"] {
+            for sub in ["src", "tests", "examples"] {
                 rel_dirs.push(PathBuf::from("crates").join(&name).join(sub));
             }
         }

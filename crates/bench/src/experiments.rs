@@ -11,7 +11,7 @@ use cbs_parallel::{
     measure_bicg_iteration_cost, ExecutorChoice, MachineModel, ParallelLayout, PerformanceModel,
     RayonExecutor, ScalingLayer, SerialExecutor, WorkloadModel,
 };
-use cbs_sparse::{AssembledPattern, FactoredProjector, LinearOperator};
+use cbs_sparse::{AssembledPattern, FactoredProjector};
 use cbs_sweep::{EnergySweep, SweepConfig, SweepResult};
 
 use crate::systems::{self, BenchSystem};
@@ -101,9 +101,8 @@ fn precond_policy_env(configured: PrecondPolicy) -> PrecondPolicy {
 /// The assembled backend a harness should attach to its [`QepProblem`] or
 /// sweep given the env-resolved policy over the harness's `configured`
 /// default: the factored pair (sparse-only pattern plus low-rank projector,
-/// what the repo benchmark and `benches/sweep.rs` attach) when the
-/// effective policy is assembled, `None` (no assembly cost) under
-/// matrix-free.
+/// what the repo benchmark attaches) when the effective policy is
+/// assembled, `None` (no assembly cost) under matrix-free.
 pub fn env_pattern(
     h: &BlockHamiltonian,
     configured: PrecondPolicy,
@@ -297,10 +296,9 @@ pub fn scaling_figure(
     println!("   processes   time [s]    speed-up   ideal");
     let sweep = model.scaling_sweep(base, layer, counts);
     let mut out = Vec::new();
-    for (i, &(p, t, s)) in sweep.iter().enumerate() {
+    for &(p, t, s) in &sweep {
         let ideal = p as f64 / sweep[0].0 as f64;
         println!("   {:>9}   {:>9.2}   {:>8.2}   {:>5.1}", p, t, s, ideal);
-        let _ = i;
         out.push((p, s));
     }
     out
@@ -370,5 +368,4 @@ pub fn memory_summary(sys: &BenchSystem) {
         dense as f64 / 1e6,
         h.dim()
     );
-    let _ = h.h00().memory_bytes();
 }

@@ -116,8 +116,9 @@ impl SsConfig {
     ///
     /// **The policy rule, written once:** the diagonal ILU of `P(z)` if a
     /// pattern is attached, else matrix-free ([`precond`](Self::precond)).
-    /// Nothing measures at run time; the rule rests on committed numbers.
-    /// `BENCH_sweep.json` (Al(100), 343 points, 8 energies, cold / warm):
+    /// Nothing measures at run time; the rule rests on recorded numbers.
+    /// The since-deleted sweep bench, as recorded in `CHANGES.md` with the
+    /// auto-tuner's removal (Al(100), 343 points, 8 energies, cold / warm):
     /// full ILU(0) 0.259 / 0.245 s, matrix-free 0.563 / 0.491 s; ILU(0)
     /// also won at 12 167 points (the `al12k_solve_ilu0` benchmark
     /// workload).  The diagonal ILU that replaced it, swept over the real

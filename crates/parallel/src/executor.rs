@@ -1,17 +1,15 @@
 //! Functional (threaded) execution of the parallel layers.
 //!
-//! On this machine the threads share one physical core, so these executors
-//! demonstrate *correctness* of the decompositions (identical results to the
-//! serial path, explicit halo bookkeeping) and provide the measured
-//! per-iteration costs that calibrate the performance model; the cluster-
+//! The executors run the shifted-solve pool with results identical to the
+//! serial path, and [`measure_bicg_iteration_cost`] provides the measured
+//! per-iteration cost that calibrates the performance model; the cluster-
 //! scale wall-clock numbers of Figures 8-10 come from `perf_model`.
 
 use rayon::prelude::*;
 
-use cbs_grid::{DomainDecomposition, FdOrder};
-use cbs_linalg::{CVector, Complex64};
+use cbs_linalg::CVector;
 use cbs_solver::{bicg_dual, SolverOptions};
-use cbs_sparse::{CsrMatrix, LinearOperator};
+use cbs_sparse::LinearOperator;
 
 /// Pluggable execution strategy for a batch of independent tasks — the seam
 /// between the algorithmic layers (the `N_int x N_rh` shifted solves of the
@@ -160,92 +158,6 @@ impl cbs_trace::Knob for ExecutorChoice {
     }
 }
 
-/// A sparse operator whose matrix-vector product is executed domain by
-/// domain (the bottom parallel layer), with the halo traffic made explicit.
-pub struct DomainDecomposedOp {
-    matrix: CsrMatrix,
-    decomposition: DomainDecomposition,
-    owned: Vec<Vec<usize>>,
-    halo: Vec<Vec<usize>>,
-}
-
-impl DomainDecomposedOp {
-    /// Wrap a square CSR matrix with a domain decomposition of its rows.
-    pub fn new(matrix: CsrMatrix, decomposition: DomainDecomposition, fd: FdOrder) -> Self {
-        assert_eq!(matrix.nrows(), decomposition.grid.npoints());
-        assert_eq!(matrix.ncols(), decomposition.grid.npoints());
-        let owned: Vec<Vec<usize>> =
-            (0..decomposition.n_domains()).map(|d| decomposition.owned_indices(d)).collect();
-        let halo: Vec<Vec<usize>> =
-            (0..decomposition.n_domains()).map(|d| decomposition.halo_indices(d, fd)).collect();
-        Self { matrix, decomposition, owned, halo }
-    }
-
-    /// Number of domains.
-    pub fn n_domains(&self) -> usize {
-        self.decomposition.n_domains()
-    }
-
-    /// Total number of values exchanged between domains per application
-    /// (one "halo exchange" of the bottom layer).
-    pub fn halo_volume(&self) -> usize {
-        self.halo.iter().map(std::vec::Vec::len).sum()
-    }
-
-    /// Access the wrapped matrix.
-    pub fn matrix(&self) -> &CsrMatrix {
-        &self.matrix
-    }
-}
-
-impl LinearOperator for DomainDecomposedOp {
-    fn nrows(&self) -> usize {
-        self.matrix.nrows()
-    }
-    fn ncols(&self) -> usize {
-        self.matrix.ncols()
-    }
-    fn apply(&self, x: &[Complex64], y: &mut [Complex64]) {
-        // Each domain computes the rows it owns; the read-only input slice
-        // plays the role of the halo-exchanged ghost values (the exchange
-        // volume is reported by `halo_volume`).
-        let results: Vec<(usize, Vec<Complex64>)> = self
-            .owned
-            .par_iter()
-            .enumerate()
-            .map(|(d, rows)| {
-                let mut local = vec![Complex64::ZERO; rows.len()];
-                for (slot, &row) in rows.iter().enumerate() {
-                    let mut acc = Complex64::ZERO;
-                    for (col, val) in self.matrix.row_entries(row) {
-                        acc += val * x[col];
-                    }
-                    local[slot] = acc;
-                }
-                (d, local)
-            })
-            .collect();
-        for (d, local) in results {
-            for (slot, &row) in self.owned[d].iter().enumerate() {
-                y[row] = local[slot];
-            }
-        }
-    }
-    fn apply_adjoint(&self, x: &[Complex64], y: &mut [Complex64]) {
-        // The adjoint of a row-partitioned operator needs a reduction over
-        // domains; keep it simple and correct via the serial kernel (the
-        // QEP operator only ever needs the adjoint of H01, which is applied
-        // through the same row-partitioned path in production).
-        self.matrix.matvec_adjoint_into(x, y);
-    }
-    fn memory_bytes(&self) -> usize {
-        self.matrix.storage_bytes()
-    }
-    fn is_real(&self) -> bool {
-        self.matrix.is_real()
-    }
-}
-
 /// Measure the wall-clock seconds of `iterations` BiCG iterations on the
 /// given operator — the calibration measurement that anchors the
 /// performance model (and the quantity reported in the paper's Table 2).
@@ -272,8 +184,7 @@ mod tests {
     use super::*;
     use cbs_grid::Grid3;
     use cbs_linalg::c64;
-    use cbs_sparse::CooBuilder;
-    use rand::SeedableRng;
+    use cbs_sparse::{CooBuilder, CsrMatrix};
 
     fn laplacian_like(grid: Grid3) -> CsrMatrix {
         let n = grid.npoints();
@@ -292,21 +203,6 @@ mod tests {
             }
         }
         b.build()
-    }
-
-    #[test]
-    fn domain_decomposed_matvec_matches_serial() {
-        let grid = Grid3::isotropic(6, 6, 8, 0.5);
-        let m = laplacian_like(grid);
-        let dd = DomainDecomposition::along_z(grid, 4);
-        let op = DomainDecomposedOp::new(m.clone(), dd, FdOrder::new(1));
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(701);
-        let x = CVector::random(grid.npoints(), &mut rng);
-        let y_par = op.apply_vec(&x);
-        let y_ser = m.matvec(&x);
-        assert!((&y_par - &y_ser).norm() < 1e-12);
-        assert_eq!(op.n_domains(), 4);
-        assert!(op.halo_volume() > 0);
     }
 
     #[test]

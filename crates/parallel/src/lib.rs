@@ -11,8 +11,6 @@
 //! * [`SweepSchedule`] — the sweep-level release policy (flat vs dyadic
 //!   wavefront) that `cbs-sweep` uses to trade task-pool flattening against
 //!   cross-energy warm-start reuse,
-//! * [`DomainDecomposedOp`] — threaded, functionally exact execution of
-//!   the bottom (grid-domain) layer (validated against the serial path),
 //! * [`PerformanceModel`] — a calibrated analytic model of an
 //!   Oakforest-PACS-like cluster used to produce the strong-scaling curves
 //!   of Figures 8-10 and the intra-node sweep of Table 2 on hardware that
@@ -26,8 +24,7 @@ pub mod perf_model;
 pub mod schedule;
 
 pub use executor::{
-    measure_bicg_iteration_cost, DomainDecomposedOp, ExecutorChoice, RayonExecutor, SerialExecutor,
-    TaskExecutor,
+    measure_bicg_iteration_cost, ExecutorChoice, RayonExecutor, SerialExecutor, TaskExecutor,
 };
 pub use hierarchy::ParallelLayout;
 pub use perf_model::{

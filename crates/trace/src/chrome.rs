@@ -1,5 +1,5 @@
 //! Hand-rolled Chrome trace-event JSON writer (the workspace vendors no
-//! JSON library — same constraint `bench_check` honors).
+//! JSON library).
 //!
 //! The format is the ["Trace Event Format"] consumed by `chrome://tracing`
 //! and Perfetto: one `"X"` (complete) event per span with microsecond

@@ -60,8 +60,8 @@ impl Knob for String {
 }
 
 /// Names that have already produced a malformed-value warning; each knob
-/// warns at most once per process so per-call parse sites (benches, tight
-/// config loops) do not spam stderr.
+/// warns at most once per process so per-call parse sites (bench binaries,
+/// tight config loops) do not spam stderr.
 fn warned() -> &'static Mutex<BTreeSet<String>> {
     static WARNED: std::sync::OnceLock<Mutex<BTreeSet<String>>> = std::sync::OnceLock::new();
     WARNED.get_or_init(|| Mutex::new(BTreeSet::new()))
@@ -97,18 +97,6 @@ pub fn knob<T: Knob>(name: &str) -> Option<T> {
     }
 }
 
-/// Read the knob `name` as a filesystem path (no parsing — any non-empty
-/// value is a path, including non-unicode ones).
-pub fn knob_path(name: &str) -> Option<std::path::PathBuf> {
-    std::env::var_os(name).filter(|v| !v.is_empty()).map(std::path::PathBuf::from)
-}
-
-/// `true` when the knob `name` is set at all — presence flags like
-/// `CBS_BENCH_SMOKE=1`, where any value (even empty) enables the behavior.
-pub fn knob_set(name: &str) -> bool {
-    std::env::var_os(name).is_some()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,8 +104,6 @@ mod tests {
     #[test]
     fn unset_is_none() {
         assert_eq!(knob::<usize>("CBS_KNOB_TEST_UNSET"), None);
-        assert!(!knob_set("CBS_KNOB_TEST_UNSET"));
-        assert_eq!(knob_path("CBS_KNOB_TEST_UNSET"), None);
     }
 
     #[test]
@@ -128,11 +114,6 @@ mod tests {
         assert_eq!(knob::<usize>("CBS_KNOB_TEST_USIZE"), None);
         std::env::set_var("CBS_KNOB_TEST_F64", "0.5");
         assert_eq!(knob::<f64>("CBS_KNOB_TEST_F64"), Some(0.5));
-        std::env::set_var("CBS_KNOB_TEST_FLAG", "");
-        assert!(knob_set("CBS_KNOB_TEST_FLAG"));
-        assert_eq!(knob_path("CBS_KNOB_TEST_FLAG"), None, "empty path knob is unset");
-        std::env::set_var("CBS_KNOB_TEST_PATH", "out/trace.json");
-        assert_eq!(knob_path("CBS_KNOB_TEST_PATH"), Some("out/trace.json".into()));
     }
 
     #[test]

@@ -41,20 +41,26 @@
 //! iteration events are pure observations, so tracing on/off is bitwise
 //! neutral on results (locked by `tests/trace.rs` at the workspace root).
 //!
-//! # Environment knobs
+//! # Exporting a trace
 //!
-//! * `CBS_TRACE=<path>` — drivers that honor it (the sweep bench, the CI
-//!   smoke job) begin a session and export the Chrome trace to `<path>`.
-//! * `CBS_TRACE_LEVEL=iter` — additionally record one event per BiCG
-//!   iteration (residual trajectories per solve); any other value (or
-//!   unset) records stage spans only.
+//! Tracing reads no environment variable: a caller begins a session, runs
+//! the work and exports the report.
+//!
+//! ```no_run
+//! use cbs_trace::{TraceLevel, TraceSession};
+//!
+//! let session = TraceSession::begin(TraceLevel::Stage).expect("no other session is live");
+//! // ... run solves ...
+//! let report = session.finish();
+//! report.save_chrome_trace(std::path::Path::new("trace.json")).unwrap();
+//! ```
 
 mod aggregate;
 mod chrome;
 pub mod knob;
 
 pub use aggregate::{AggRow, StageAgg};
-pub use knob::{knob, knob_path, knob_set, Knob};
+pub use knob::{knob, Knob};
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
@@ -108,7 +114,7 @@ impl Stage {
         }
     }
 
-    /// Inverse of [`name`](Self::name) (used by the trace checker).
+    /// Inverse of [`name`](Self::name).
     pub fn from_name(name: &str) -> Option<Stage> {
         Stage::ALL.iter().copied().find(|s| s.name() == name)
     }
@@ -189,7 +195,7 @@ pub struct Span {
     pub ctx: SpanCtx,
 }
 
-/// One per-iteration BiCG residual event (`CBS_TRACE_LEVEL=iter`).
+/// One per-iteration BiCG residual event ([`TraceLevel::Iter`]).
 #[derive(Clone, Copy, Debug)]
 pub struct IterEvent {
     /// Event time on the [`now_ns`] clock.
@@ -218,31 +224,6 @@ pub enum TraceLevel {
     Stage = 1,
     /// Stage spans plus per-iteration BiCG residual events.
     Iter = 2,
-}
-
-impl TraceLevel {
-    /// The level requested by `CBS_TRACE_LEVEL` (`"iter"` — case-insensitive
-    /// — selects [`Iter`](Self::Iter); anything else, including unset, is
-    /// [`Stage`](Self::Stage)).  This is the level a driver passes to
-    /// [`TraceSession::begin`] once it has decided to trace at all.
-    pub fn from_env() -> TraceLevel {
-        knob::knob("CBS_TRACE_LEVEL").unwrap_or(TraceLevel::Stage)
-    }
-}
-
-impl knob::Knob for TraceLevel {
-    fn parse_knob(value: &str) -> Option<Self> {
-        match value.trim().to_ascii_lowercase().as_str() {
-            "iter" | "iteration" => Some(TraceLevel::Iter),
-            "stage" | "span" => Some(TraceLevel::Stage),
-            _ => None,
-        }
-    }
-}
-
-/// The Chrome-trace export path requested by `CBS_TRACE`, if any.
-pub fn trace_path_from_env() -> Option<std::path::PathBuf> {
-    knob::knob_path("CBS_TRACE")
 }
 
 // ---------------------------------------------------------------------------
@@ -409,7 +390,7 @@ pub fn timed<R>(stage: Stage, f: impl FnOnce() -> R) -> R {
 
 /// Record one BiCG iteration of the enclosing solve.  No-op unless the
 /// enclosing [`SolveScope`] enabled iteration events
-/// (`CBS_TRACE_LEVEL=iter` / [`TraceLevel::Iter`]); solvers call this
+/// ([`TraceLevel::Iter`]); solvers call this
 /// unconditionally wherever they record their residual history.
 #[inline]
 pub fn record_iteration(rhs: Option<usize>, iteration: usize, residual: f64) {
@@ -648,14 +629,6 @@ impl TraceSession {
         }
         SESSION_LEVEL.store(level.max(TraceLevel::Stage) as u8, Ordering::Relaxed);
         Some(TraceSession { t0_ns: now_ns() })
-    }
-
-    /// Begin a session as requested by the environment: `Some` when
-    /// `CBS_TRACE` is set (level from `CBS_TRACE_LEVEL`), paired with the
-    /// export path.
-    pub fn begin_from_env() -> Option<(TraceSession, std::path::PathBuf)> {
-        let path = trace_path_from_env()?;
-        TraceSession::begin(TraceLevel::from_env()).map(|s| (s, path))
     }
 
     /// The session's start time on the [`now_ns`] clock.

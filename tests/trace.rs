@@ -8,7 +8,8 @@
 //!   `TraceLevel::Iter` session (per-iteration events do not perturb the
 //!   solves they observe);
 //! * the session's per-stage aggregation reproduces the attribution columns
-//!   of `CbsStatistics` (CPU-ns counters and span-merged wall-ns);
+//!   of `CbsStatistics` (CPU-ns counters and span-merged wall-ns), and the
+//!   attributed stage wall time fits inside the run's wall clock;
 //! * the Chrome trace-event export is well-formed.
 
 use std::sync::Mutex;
@@ -21,7 +22,7 @@ use cbs::linalg::{c64, CMatrix};
 use cbs::parallel::{RayonExecutor, SerialExecutor};
 use cbs::sparse::DenseOp;
 use cbs::sweep::{EnergySweep, RunOptions, RunOutcome, SweepCheckpoint, SweepConfig, SweepResult};
-use cbs::trace::{Stage, TraceLevel, TraceSession};
+use cbs::trace::{now_ns, Stage, TraceLevel, TraceSession};
 
 /// `cbs_trace` sessions are process-global and exclusive; every test here
 /// needs sole ownership of the recorder — including the untraced control
@@ -209,8 +210,9 @@ fn kill_resume_with_tracing_is_bit_identical() {
 /// The session's per-stage aggregation is the same accounting
 /// `CbsStatistics` reports: the span-summed CPU-ns match the counter-based
 /// `kernel_ns`/`precond_ns`/`extraction_ns` and the merged wall-ns match
-/// the `*_wall_ns` fields, within 5%.  The Chrome export of the same
-/// session is structurally well-formed.
+/// the `*_wall_ns` fields, within 5%, and the attributed stage wall time
+/// fits inside the run's wall clock.  The Chrome export of the same session
+/// is well-formed event by event.
 #[test]
 fn aggregation_matches_stats_and_chrome_export_is_well_formed() {
     let _gate = SESSION_GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -220,9 +222,21 @@ fn aggregation_matches_stats_and_chrome_export_is_well_formed() {
     let config = al_ss();
 
     let session = TraceSession::begin(TraceLevel::Stage).expect("another session is live");
+    let t0 = now_ns();
     let run = compute_cbs_with(&h00, &h01, h.period(), &energies, &config, &SerialExecutor);
+    let wall_ns = now_ns() - t0;
     let report = session.finish();
     let agg = report.stage_totals();
+
+    // The stages run on disjoint code paths of one solve, so their merged
+    // wall time fits inside the run's wall clock (5% for clock jitter); an
+    // overshoot means double-counted or mis-clipped spans.
+    let attributed =
+        run.stats.kernel_wall_ns + run.stats.precond_wall_ns + run.stats.extraction_wall_ns;
+    assert!(
+        attributed as f64 <= 1.05 * wall_ns as f64,
+        "attributed stage wall {attributed} ns exceeds the {wall_ns} ns run"
+    );
 
     let close = |a: u64, b: u64, what: &str| {
         let hi = a.max(b) as f64;
@@ -258,4 +272,39 @@ fn aggregation_matches_stats_and_chrome_export_is_well_formed() {
     assert!(text.contains("\"name\": \"extraction\""));
     assert_eq!(text.matches('{').count(), text.matches('}').count(), "unbalanced braces");
     assert_eq!(text.matches('[').count(), text.matches(']').count(), "unbalanced brackets");
+
+    // Event by event (the writer puts one per line): phases are metadata,
+    // complete spans named after a stage, or BiCG iteration instants, and
+    // timestamps are non-negative and non-decreasing in file order.
+    let str_field = |event: &str, key: &str| {
+        let pat = format!("\"{key}\": \"");
+        let rest = &event[event.find(&pat)? + pat.len()..];
+        rest.find('"').map(|end| rest[..end].to_string())
+    };
+    let num_field = |event: &str, key: &str| {
+        let pat = format!("\"{key}\": ");
+        let rest = &event[event.find(&pat)? + pat.len()..];
+        rest[..rest.find([',', '}']).unwrap_or(rest.len())].trim().parse::<f64>().ok()
+    };
+    let mut last_ts = 0.0f64;
+    let mut n_spans = 0usize;
+    for event in text.lines().filter(|l| l.trim_start_matches(',').starts_with("{\"ph\"")) {
+        let ph = str_field(event, "ph").expect("event without a phase");
+        let name = str_field(event, "name").expect("event without a name");
+        match ph.as_str() {
+            "M" => continue,
+            "X" => {
+                assert!(Stage::from_name(&name).is_some(), "span named {name:?}");
+                let dur = num_field(event, "dur").expect("span without a duration");
+                assert!(dur >= 0.0, "negative duration in {event}");
+                n_spans += 1;
+            }
+            "i" => assert_eq!(name, "bicg_iter", "instant event named {name:?}"),
+            other => panic!("unexpected phase {other:?}"),
+        }
+        let ts = num_field(event, "ts").expect("event without a timestamp");
+        assert!(ts >= last_ts, "timestamp {ts} regresses below {last_ts}");
+        last_ts = ts;
+    }
+    assert_eq!(n_spans, report.spans.len(), "every recorded span is exported once");
 }
