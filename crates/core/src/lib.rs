@@ -35,6 +35,7 @@ pub mod contour;
 pub mod policy;
 pub mod pool;
 pub mod qep;
+mod split;
 pub mod ss;
 
 pub use cbs::{

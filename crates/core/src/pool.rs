@@ -15,7 +15,9 @@
 //! operator (and preconditioner) through [`QepProblem::node_solve`] under
 //! the pool's [`PrecondPolicy`], advances all of the group's right-hand
 //! sides in lockstep through `cbs_solver::bicg_dual_block_precond`'s fused
-//! block matvecs, and drops the `(P(z), M)` pair when it returns — so at
+//! block matvecs — on the system the diagonal ILU splits, for a stencil node
+//! of the ILU policy (the `split` module: one row pass per apply, then a
+//! true-residual check) — and drops the `(P(z), M)` pair when it returns — so at
 //! most one pair per worker is alive, and the preconditioner set-up (the
 //! stencil-form pivots, or a pattern refill and its factorization) is paid
 //! once per solved node, never per right-hand side (`assemblies` counts the
@@ -48,7 +50,8 @@ use cbs_solver::{bicg_dual_block_precond, ConvergenceHistory, SolverOptions};
 use cbs_trace::TraceHandle;
 
 use crate::policy::PrecondPolicy;
-use crate::qep::QepProblem;
+use crate::qep::{NodePrecond, QepProblem};
+use crate::split::solve_split;
 use crate::ss::{MomentAccumulator, SsConfig};
 
 /// The solution of one shifted system and its dual.
@@ -106,6 +109,10 @@ pub struct PoolOutcome {
     /// on blocks that convert to the real stencil, whose diagonal ILU
     /// refills nothing.
     pub assemblies: usize,
+    /// Solves of stencil nodes under the ILU policy that converged in the
+    /// split system but not in the true residual, and resumed once (see
+    /// the `split` module docs).  Zero on every other node.
+    pub resumed: usize,
     /// Solves that ran under the majority-stop cap.
     pub capped_solves: usize,
     /// Number of solves (each = one primal+dual pair).
@@ -166,9 +173,19 @@ struct GroupCounters {
     matvecs: usize,
     traversals: usize,
     assemblies: usize,
+    resumed: usize,
     capped_solves: usize,
     solves: usize,
     solutions: Vec<(CVector, CVector)>,
+}
+
+/// What one job hands back to the fold.
+struct JobOutcome {
+    group: usize,
+    traversals: usize,
+    assemblies: usize,
+    resumed: usize,
+    outcomes: Vec<ShiftedSolveOutcome>,
 }
 
 /// One job of the flattened pool: a whole quadrature node of one group
@@ -196,7 +213,7 @@ pub fn solve_pool<E: TaskExecutor>(
     let n_rh: Vec<usize> = groups.iter().map(|g| g.v_cols.len()).collect();
     let options = policy.options;
 
-    let run_job = |job: NodeJob| -> (usize, usize, usize, Vec<ShiftedSolveOutcome>) {
+    let run_job = |job: NodeJob| -> JobOutcome {
         let group = &groups[job.group];
         let _solve_span = group.trace.solve_scope(job.point_index);
         let (op, prec) =
@@ -214,16 +231,18 @@ pub fn solve_pool<E: TaskExecutor>(
                     .map(|(x, xt)| (x, xt))
             })
             .collect();
-        let res = bicg_dual_block_precond(
-            &op,
-            prec.as_ref(),
-            group.v_cols,
-            group.v_cols,
-            Some(&seed_vec),
-            &options,
-            external,
-        );
-        let traversals = res.traversals;
+        let seeds = Some(seed_vec.as_slice());
+        // A stencil node of the ILU policy runs BiCG on its split system;
+        // every other node on `P(z)`, preconditioned or not.
+        let (res, resumed) = match &prec {
+            Some(NodePrecond::Stencil(m)) => {
+                solve_split(m, &op, group.v_cols, seeds, &options, external)
+            }
+            _ => {
+                let v = group.v_cols;
+                (bicg_dual_block_precond(&op, prec.as_ref(), v, v, seeds, &options, external), 0)
+            }
+        };
         let outcomes = res
             .columns
             .into_iter()
@@ -237,7 +256,7 @@ pub fn solve_pool<E: TaskExecutor>(
                 dual_history: col.dual_history,
             })
             .collect();
-        (job.group, traversals, assemblies, outcomes)
+        JobOutcome { group: job.group, traversals: res.traversals, assemblies, resumed, outcomes }
     };
 
     // Per-group stage-1 size: strictly more than half of the group's ring
@@ -262,15 +281,12 @@ pub fn solve_pool<E: TaskExecutor>(
     let record = |tracking: &mut [GroupTracking],
                   accs: &mut [MomentAccumulator],
                   counters: &mut [GroupCounters],
-                  (g, traversals, assemblies, job_outcomes): (
-        usize,
-        usize,
-        usize,
-        Vec<ShiftedSolveOutcome>,
-    )| {
-        counters[g].traversals += traversals;
-        counters[g].assemblies += assemblies;
-        for outcome in job_outcomes {
+                  job: JobOutcome| {
+        let g = job.group;
+        counters[g].traversals += job.traversals;
+        counters[g].assemblies += job.assemblies;
+        counters[g].resumed += job.resumed;
+        for outcome in job.outcomes {
             tracking[g].record(&outcome);
             let c = &mut counters[g];
             c.iterations += outcome.history.iterations();
@@ -346,6 +362,7 @@ pub fn solve_pool<E: TaskExecutor>(
             matvecs: c.matvecs,
             traversals: c.traversals,
             assemblies: c.assemblies,
+            resumed: c.resumed,
             capped_solves: c.capped_solves,
             solves: c.solves,
             solutions: c.solutions,

@@ -26,9 +26,11 @@
 //!
 //! The stencil is the whole node of the ILU policy too: when the blocks
 //! convert, [`QepProblem::node_solve`] under
-//! [`PrecondPolicy::AssembledIlu0`] hands BiCG the stencil view and the
+//! [`PrecondPolicy::AssembledIlu0`] returns the stencil view and the
 //! diagonal ILU of its sparse part in stencil form
-//! ([`cbs_sparse::RealStencil::dilu`]: `n` pivots, no refill); blocks that
+//! ([`cbs_sparse::RealStencil::dilu`]: `n` pivots, no refill), and the
+//! solve pool runs BiCG on the system that ILU splits (`M_L⁻¹P(z)M_R⁻¹`,
+//! one row pass per apply; see `cbs_core`'s `split` module); blocks that
 //! do not convert refill the attached pattern, apply it and precondition
 //! with the same diagonal ILU in factored form ([`Ilu0`]).  The
 //! conversion does not depend on the scan energy, so the problems of a sweep
@@ -275,9 +277,11 @@ impl<'a> QepProblem<'a> {
     ///   (`P(1/z̄)`) recurrence from the same pivots.  When the blocks
     ///   convert, the operator is the [`RealStencil`] view and the
     ///   preconditioner its stencil form ([`NodePrecond::Stencil`]): one
-    ///   O(nnz) pass for `n` pivots, nothing refilled.  Otherwise the shared
-    ///   pattern is refilled into one CSR that is both the operator and the
-    ///   input of the factored form ([`NodePrecond::Assembled`]).
+    ///   O(nnz) pass for `n` pivots, nothing refilled — and the solve pool
+    ///   splits the system by it instead of preconditioning with it
+    ///   ([`StencilDilu::split`]).  Otherwise the shared pattern is refilled
+    ///   into one CSR that is both the operator and the input of the
+    ///   factored form ([`NodePrecond::Assembled`]).
     ///
     /// The assembled policy requires [`with_pattern`](Self::with_pattern);
     /// without it it falls back to the matrix-free context.  A node refilled
@@ -511,7 +515,9 @@ impl QepNodeOp<'_, '_> {
 /// allows.
 pub enum NodePrecond<'a, 'p> {
     /// `n` pivots swept over the [`RealStencil`]'s rows (blocks that
-    /// convert).
+    /// convert).  The solve pool runs such a node on the split system
+    /// ([`StencilDilu::split`]); as a [`Preconditioner`] it serves callers
+    /// that precondition `P(z)` with it directly.
     Stencil(StencilDilu<'p>),
     /// Factors over the refilled pattern (blocks that do not).
     Assembled(Ilu0<'a>),

@@ -124,8 +124,10 @@ impl SsConfig {
     /// workload).  The diagonal ILU that replaced it, swept over the real
     /// stencil's rows, needs as many iterations and took a further 24% off
     /// `al100_sweep8` (0.197 → 0.150 s) and 30% off `al12k_solve_ilu0`
-    /// (3.32 → 2.34 s; medians of ten alternated pairs).  A caller who
-    /// knows better sets `precond` (bench binaries: `CBS_PRECOND`).
+    /// (3.32 → 2.34 s; medians of ten alternated pairs), and running BiCG on
+    /// the system it splits another 19% and 27% (0.155 → 0.125 s,
+    /// 2.23 → 1.62 s).  A caller who knows better sets `precond` (bench
+    /// binaries: `CBS_PRECOND`).
     pub fn paper() -> Self {
         Self {
             n_int: 32,
@@ -682,6 +684,12 @@ impl RingPlan {
     /// and are folded in by the extraction, never solved.
     pub fn is_mirrored(&self) -> bool {
         self.mirrored
+    }
+
+    /// Number of nodes the plan solves: the whole ring, or its upper half
+    /// when mirrored.
+    pub fn n_nodes(&self) -> usize {
+        self.nodes.len()
     }
 
     /// Fresh zeroed moments over the plan's node list.

@@ -215,10 +215,15 @@ fn redirect(
 /// With a preconditioner the search directions are built from the
 /// preconditioned residuals `z = M⁻¹ r` and `z̃ = M⁻† r̃` (one blocked
 /// [`Preconditioner::solve_block`] / [`solve_adjoint_block`] pass per
-/// iteration over the live columns), while the *true* residuals `r`, `r̃`
-/// drive the stopping test, so the convergence contract (relative residual
-/// ≤ tolerance) does not depend on `m`.  The adjoint solve `M⁻†` on the dual
-/// side is what preserves the paper's dual-circle trick under
+/// iteration over the live columns), while the residuals `r`, `r̃` of `a`
+/// itself drive the stopping test, so the convergence contract (relative
+/// residual ≤ tolerance) does not depend on `m`.  It is a contract about
+/// `a`: a caller that hands in a split-preconditioned operator
+/// `M_L⁻¹ A M_R⁻¹` with `m = None` gets the split residuals `M_L⁻¹r` and
+/// `M_R⁻†r̃` tested, and checks the residuals of `A` itself — as the ILU
+/// policy's stencil nodes do in `cbs-core` (a fused true-residual check per
+/// node, one continuation for a column that missed).  The adjoint solve
+/// `M⁻†` on the dual side is what preserves the paper's dual-circle trick under
 /// preconditioning: with `M ≈ P(z)`, `M† ≈ P(z)† = P(1/z̄)`, the operator of
 /// the paired inner-circle node.  With `m = None` the same loop runs with
 /// `z ≡ r`, `z̃ ≡ r̃` by reference.

@@ -24,7 +24,8 @@
 //!   scratch slab): what the matrix-free path runs whenever both blocks
 //!   expose real [`LinearOperator::sparse_lowrank_parts`] — and
 //!   [`StencilDilu`], the same diagonal ILU as [`Ilu0`] kept as `n` pivots
-//!   and swept over the stencil's rows,
+//!   and swept over the stencil's rows, whose [`SplitOperator`] folds `P(z)`
+//!   into its two sweeps (Eisenstat's trick),
 //! * composition helpers ([`SumOp`], [`ScaledOp`], [`ShiftedOp`], [`DenseOp`],
 //!   [`IdentityOp`]) used to build the QEP operator `P(z)`.
 
@@ -45,5 +46,5 @@ pub use ops::{
     adjoint_defect, DenseOp, IdentityOp, LinearOperator, Preconditioner, ScaledOp, ShiftedOp, SumOp,
 };
 pub use projector::FactoredProjector;
-pub use real_stencil::{RealStencil, StencilDilu};
+pub use real_stencil::{RealStencil, SplitOperator, StencilDilu};
 pub use scratch::{recycle_scratch, take_scratch, with_scratch};

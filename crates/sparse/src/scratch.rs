@@ -44,6 +44,16 @@ pub fn take_scratch(len: usize) -> Vec<Complex64> {
     buf
 }
 
+/// [`take_scratch`] for a buffer its user writes in full before reading it
+/// (the `u` slab of a split apply): the pooled buffer is resized, not
+/// cleared, so only its growth is zeroed and a steady-state take writes
+/// nothing.
+pub(crate) fn take_scratch_for_overwrite(len: usize) -> Vec<Complex64> {
+    let mut buf = POOL.with(|p| p.borrow_mut().pop()).unwrap_or_default();
+    buf.resize(len, Complex64::ZERO);
+    buf
+}
+
 /// Return a buffer obtained from [`take_scratch`] (or any `Vec<Complex64>`
 /// whose allocation is worth keeping) to the current thread's pool.
 pub fn recycle_scratch(buf: Vec<Complex64>) {

@@ -121,13 +121,18 @@ impl std::error::Error for CheckpointError {}
 //       preconditions with the diagonal ILU of the sparse part of `P(z)`
 //       (in stencil form where the blocks convert) instead of full ILU(0)
 //       factors, so a v12 sweep under it took a different trajectory —
-//       resuming one would splice two preconditioners into one result.
+//       resuming one would splice two preconditioners into one result,
+//   v14 split diagonal ILU: where the blocks convert, policy code 2 runs
+//       BiCG on the split system `M_L⁻¹P(z)M_R⁻¹` and stops on its residual
+//       plus a true-residual check, so a v13 sweep under it took another
+//       trajectory; the fingerprint gained the problem dimension, so a
+//       checkpoint of the same cell at another grid spacing is refused.
 // There is exactly one compatibility rule: the version found must be the
 // current one.  Anything else announcing itself through the shared magic
 // prefix is refused with [`CheckpointError::IncompatibleVersion`], naming
 // both versions, rather than read with silently zeroed or misaligned
 // fields.
-const MAGIC: &str = "cbs-sweep-checkpoint v13";
+const MAGIC: &str = "cbs-sweep-checkpoint v14";
 
 /// Prefix shared by every version's magic line; anything with this prefix
 /// but the wrong version is an incompatible (not malformed) checkpoint.
@@ -178,8 +183,11 @@ fn push_vector(out: &mut String, v: &CVector) {
     }
 }
 
+// Every count below is read from the file, so none sizes an allocation up
+// front: a bit-flipped count must end in `Malformed` when the entries run
+// out, not in a capacity overflow.
 fn read_vector(t: &mut Tokens<'_>, dim: usize) -> Result<CVector, CheckpointError> {
-    let mut data = Vec::with_capacity(dim);
+    let mut data = Vec::new();
     for _ in 0..dim {
         let re = t.f64()?;
         let im = t.f64()?;
@@ -307,7 +315,7 @@ impl SweepCheckpoint {
 
         let mut t = lines.expect("records")?;
         let nr = t.usize()?;
-        let mut records = Vec::with_capacity(nr);
+        let mut records = Vec::new();
         for _ in 0..nr {
             let mut t = lines.expect("record")?;
             let energy = t.f64()?;
@@ -338,7 +346,7 @@ impl SweepCheckpoint {
                 numerical_rank: t.usize()?,
             };
             let npoints = t.usize()?;
-            let mut points = Vec::with_capacity(npoints);
+            let mut points = Vec::new();
             for _ in 0..npoints {
                 let mut t = lines.expect("point")?;
                 points.push(CbsPoint {
@@ -358,13 +366,13 @@ impl SweepCheckpoint {
         for section in ["seeds", "pending"] {
             let mut t = lines.expect(section)?;
             let nb = t.usize()?;
-            let mut bank = Vec::with_capacity(nb);
+            let mut bank = Vec::new();
             for _ in 0..nb {
                 let mut t = lines.expect("seed")?;
                 let energy = t.f64()?;
                 let npairs = t.usize()?;
                 let dim = t.usize()?;
-                let mut table = Vec::with_capacity(npairs);
+                let mut table = Vec::new();
                 for _ in 0..npairs {
                     let mut t = lines.expect("pair")?;
                     let x = read_vector(&mut t, dim)?;
@@ -576,12 +584,14 @@ mod tests {
         // default sweeps ran the retired policy 1; v10 carries the auto
         // section and the auto fingerprint slot; v11 fingerprints carry the
         // nine slice-policy slots and may name the retired SMW policy 3;
-        // v12 parses field for field but its ILU sweeps ran full ILU(0).
+        // v12 parses field for field but its ILU sweeps ran full ILU(0);
+        // v13 parses too, but its ILU sweeps preconditioned instead of
+        // splitting and its fingerprint has no dimension.
         // All must hit the dedicated incompatible-version path, and the
         // error message must name the version found *and* the one expected.
         // A format from the future is refused the same way — there is one
         // check, not one per version.
-        for version in ["v4", "v5", "v6", "v7", "v8", "v9", "v10", "v11", "v12", "v14"] {
+        for version in ["v4", "v5", "v6", "v7", "v8", "v9", "v10", "v11", "v12", "v13", "v15"] {
             let stale = format!("cbs-sweep-checkpoint {version}");
             match SweepCheckpoint::parse(&relabelled(version)) {
                 Err(CheckpointError::IncompatibleVersion { ref found }) => {
@@ -594,6 +604,44 @@ mod tests {
                 other => panic!("{version}: expected IncompatibleVersion, got {other:?}"),
             }
         }
-        assert!(SweepCheckpoint::parse(&relabelled("v13")).is_ok(), "v13 is the current format");
+        assert!(SweepCheckpoint::parse(&relabelled("v14")).is_ok(), "v14 is the current format");
+    }
+
+    /// A bit-flipped count or a file cut short is a malformed checkpoint,
+    /// never a panic: each count set to `u64::MAX` in turn, and the text
+    /// truncated after every line, all parse to `Malformed`.
+    #[test]
+    fn corrupt_counts_and_truncations_are_malformed() {
+        let text = sample().serialize_to_string();
+        let lines: Vec<&str> = text.lines().collect();
+        let mut cases = Vec::new();
+        for (at, line) in lines.iter().enumerate() {
+            let tokens: Vec<&str> = line.split_whitespace().collect();
+            // The count fields of each line kind.
+            let counts: Vec<usize> = match tokens[0] {
+                "fingerprint" | "grid" | "records" | "seeds" | "pending" => vec![1],
+                "record" => vec![tokens.len() - 1],
+                "seed" => vec![2, 3],
+                _ => vec![],
+            };
+            for k in counts {
+                let mut flipped = tokens.clone();
+                flipped[k] = "ffffffffffffffff";
+                let mut corrupt = lines.clone();
+                let joined = flipped.join(" ");
+                corrupt[at] = &joined;
+                cases.push((format!("line {at} token {k}"), corrupt.join("\n")));
+            }
+        }
+        assert_eq!(cases.len(), 11, "every count of the sample is flipped once");
+        for cut in 0..lines.len() {
+            cases.push((format!("cut after {cut} lines"), lines[..cut].join("\n")));
+        }
+        for (what, corrupt) in cases {
+            match SweepCheckpoint::parse(&corrupt) {
+                Err(CheckpointError::Malformed(_)) => {}
+                other => panic!("{what}: expected Malformed, got {other:?}"),
+            }
+        }
     }
 }

@@ -425,6 +425,9 @@ impl<'a> EnergySweep<'a> {
         // (`n_solved x n_rh` per energy): a table written for one must not
         // seed the other.
         fingerprint.push(plan.is_mirrored() as u64);
+        // The dimension: the same cell at another grid spacing has the same
+        // period and configuration, but not one seed vector in common.
+        fingerprint.push(self.h00.nrows() as u64);
 
         let mut st = State {
             records: Vec::new(),
@@ -446,6 +449,17 @@ impl<'a> EnergySweep<'a> {
             if grid_bits != cp_bits {
                 return Err(CheckpointError::Mismatch(
                     "energy grid mismatch: cannot resume".into(),
+                ));
+            }
+            // Every seed table must be one this sweep's pool can read:
+            // `n_solved · n_rh` pairs of length-`n` vectors.
+            let (pairs, n) = (plan.n_nodes() * plan.v_cols.len(), self.h00.nrows());
+            let fits = |t: &SeedTable| {
+                t.len() == pairs && t.iter().all(|(x, xt)| x.len() == n && xt.len() == n)
+            };
+            if !cp.seed_bank.iter().chain(&cp.pending_donations).all(|(_, t)| fits(t)) {
+                return Err(CheckpointError::Mismatch(
+                    "seed table shape does not match the problem: cannot resume".into(),
                 ));
             }
             for (i, r) in cp.records.iter().enumerate() {

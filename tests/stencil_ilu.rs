@@ -1,7 +1,7 @@
 //! The real stencil as the whole node of the ILU policy: when the blocks
-//! convert, `AssembledIlu0` applies `P(z)` through the `RealStencil` and
-//! preconditions with the diagonal ILU of its sparse part in stencil form
-//! (`RealStencil::dilu`: `n` pivots, no pattern refill).
+//! convert, `AssembledIlu0` splits `P(z)` by the diagonal ILU of its sparse
+//! part in stencil form (`RealStencil::dilu`: `n` pivots, no pattern refill)
+//! and runs BiCG on `M_L⁻¹P(z)M_R⁻¹`, one row pass per apply.
 //!
 //! There is no knob to switch that off, so the oracle is a wrapper:
 //! [`Parts::hidden`] forwards every operator method — `is_real` included, so
@@ -11,9 +11,11 @@
 //!
 //! * the stencil form is the factored form to rounding (`M⁻¹`, `M⁻†`), on
 //!   fig6 and on the nanotube;
-//! * stencil + D-ILU finds the assembled + D-ILU spectrum (≤ 1e-8) in the
-//!   same number of iterations (± 2%) with no pattern refill, serial ≡ rayon
-//!   bitwise, on fig6 and on the 605-point (8,0) nanotube;
+//! * split stencil + D-ILU finds the preconditioned assembled + D-ILU
+//!   spectrum (≤ 1e-8) in as many iterations to within 10% — the two stop on
+//!   different residuals — with no pattern refill, every solve converged in
+//!   the true residual, serial ≡ rayon bitwise, on fig6 and on the 605-point
+//!   (8,0) nanotube;
 //! * a warm sweep converts one stencil for all its energies, and blocks that
 //!   do not convert are asked once, not once per energy.
 
@@ -146,13 +148,16 @@ fn assert_stencil_ilu_matches_assembled_ilu(
         assert!(best <= 1e-8, "{what}: λ = {:?} is {best:.2e} from the reference", p.lambda);
         assert!(p.residual <= config.residual_cutoff, "{what}");
     }
-    // ... from the same work: the two applies and the two storage forms of
-    // the preconditioner differ in rounding only, so the preconditioned
-    // iteration counts agree to a few steps — and only the reference
-    // refilled the pattern, once per solved node.
+    // ... from about the same work.  In exact arithmetic the split and the
+    // preconditioned recurrence build the same iterates, but they stop on
+    // different residuals: the reference on the true one, the split route
+    // on `M_L⁻¹r` (then a true-residual check, and one continuation for a
+    // column that missed).  Measured: fig6 1 513 vs 1 503 (+0.7%), cnt80
+    // 37 804 vs 35 635 (+6.1%: 37 of its 64 columns resume), hence 10%.
+    // Only the reference refilled the pattern, once per solved node.
     let (it, it_ref) = (fused.total_bicg_iterations, reference.total_bicg_iterations);
     eprintln!("{what}: iterations stencil {it} / assembled {it_ref}");
-    assert!(it.abs_diff(it_ref) * 50 <= it_ref, "{what}: {it} vs {it_ref} iterations");
+    assert!(it.abs_diff(it_ref) * 10 <= it_ref, "{what}: {it} vs {it_ref} iterations");
     assert!(fused.solve_histories.iter().all(ConvergenceHistory::converged), "{what}");
     assert_eq!(fused.operator_assemblies, 0, "{what}");
     assert_eq!(reference.operator_assemblies, config.n_int.div_ceil(2), "{what}");

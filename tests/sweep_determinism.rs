@@ -6,8 +6,8 @@
 //!   strictly fewer BiCG iterations than the cold loop on a fig6-style
 //!   (≥ 32 energies) scan;
 //! * a checkpointed sweep killed partway through resumes to a result
-//!   bit-identical to an uninterrupted run, and older checkpoint formats
-//!   are refused by version;
+//!   bit-identical to an uninterrupted run, older checkpoint formats are
+//!   refused by version, and seed tables of another problem by shape;
 //! * adaptive refinement inserts midpoints only where the channel count
 //!   changes, within budget, deterministically;
 //! * the vestigial `SsConfig::auto` flag changes nothing.
@@ -15,13 +15,17 @@
 use rand::SeedableRng;
 
 use cbs::core::{compute_cbs, SsConfig};
-use cbs::linalg::{c64, CMatrix};
+use cbs::dft::{bulk_al_100, grid_for_structure, BlockHamiltonian, HamiltonianParams};
+use cbs::grid::Grid3;
+use cbs::linalg::{c64, CMatrix, CVector};
 use cbs::parallel::{RayonExecutor, SerialExecutor};
 use cbs::sparse::DenseOp;
 use cbs::sweep::{
-    sweep_cbs, CheckpointError, EnergyOrigin, RunOptions, RunOutcome, SweepCheckpoint, SweepConfig,
-    SweepResult,
+    sweep_cbs, CheckpointError, EnergyOrigin, EnergySweep, RunOptions, RunOutcome, SweepCheckpoint,
+    SweepConfig, SweepResult,
 };
+
+mod common;
 
 fn random_blocks(n: usize, seed: u64) -> (CMatrix, CMatrix) {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
@@ -213,15 +217,15 @@ fn checkpointed_sweep_resumes_bit_identically() {
         assert_same_cbs(&uninterrupted, &resumed);
     }
 
-    // The checkpoint on disk is v13; older formats — v3, v11 with its
-    // slice-policy fingerprint slots, and v12 whose ILU sweeps ran full
-    // ILU(0) — are refused with the dedicated error naming the version, not
-    // parsed into a mismatched fingerprint or resumed into another
-    // preconditioner's trajectory.
+    // The checkpoint on disk is v14; older formats — v3, v11 with its
+    // slice-policy fingerprint slots, v12 whose ILU sweeps ran full ILU(0),
+    // and v13 whose ILU sweeps preconditioned instead of splitting — are
+    // refused with the dedicated error naming the version, not parsed into
+    // a mismatched fingerprint or resumed into another trajectory.
     let text = std::fs::read_to_string(&path).unwrap();
-    assert!(text.starts_with("cbs-sweep-checkpoint v13"), "unexpected magic in {path:?}");
-    for old in ["cbs-sweep-checkpoint v3", "cbs-sweep-checkpoint v11", "cbs-sweep-checkpoint v12"] {
-        match SweepCheckpoint::parse(&text.replacen("cbs-sweep-checkpoint v13", old, 1)) {
+    assert!(text.starts_with("cbs-sweep-checkpoint v14"), "unexpected magic in {path:?}");
+    for old in ["v3", "v11", "v12", "v13"].map(|v| format!("cbs-sweep-checkpoint {v}")) {
+        match SweepCheckpoint::parse(&text.replacen("cbs-sweep-checkpoint v14", &old, 1)) {
             Err(CheckpointError::IncompatibleVersion { found }) => assert_eq!(found, old),
             other => panic!("{old} checkpoint accepted or misclassified: {other:?}"),
         }
@@ -243,6 +247,60 @@ fn checkpointed_sweep_resumes_bit_identically() {
         )
         .is_err());
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A checkpoint resumes only the problem it was written for.  The fig6 cell
+/// at another grid spacing has the same period and configuration — before
+/// the dimension joined the fingerprint its seed vectors were adopted and
+/// the first seeded solve panicked — and is refused; so is a seed table of
+/// the wrong shape under a matching fingerprint.  The checkpoint itself
+/// resumes the ILU policy's split route bit-identically.
+#[test]
+fn resume_refuses_seed_tables_of_another_problem() {
+    let fig6 = common::fig6_hamiltonian();
+    // fig6's cell with one more point across each transverse axis: the
+    // `z` grid, and so the period, is fig6's bit for bit.
+    let cell = bulk_al_100(1);
+    let g = grid_for_structure(&cell, 1.5);
+    let (nx, ny) = (g.nx + 1, g.ny + 1);
+    let (hx, hy) = (cell.lateral.0 / nx as f64, cell.lateral.1 / ny as f64);
+    let params = HamiltonianParams { fd: cbs::grid::FdOrder::new(1), include_nonlocal: true };
+    let finer = BlockHamiltonian::build(Grid3::new(nx, ny, g.nz, hx, hy, g.hz), &cell, params);
+    assert_ne!(finer.dim(), fig6.dim());
+    assert_eq!(finer.period().to_bits(), fig6.period().to_bits());
+
+    let energies = [0.05, 0.09, 0.13];
+    let config = SweepConfig { initial_round: 2, ..SweepConfig::new(common::fig6_config()) };
+    let run = |h: &BlockHamiltonian, resume: Option<SweepCheckpoint>, budget: Option<usize>| {
+        let (h00, h01) = (h.h00(), h.h01());
+        let sweep = EnergySweep::new(&h00, &h01, h.period(), config).with_pattern(h.qep_pattern());
+        let options = RunOptions { resume, max_new_energies: budget, ..RunOptions::default() };
+        sweep.run_with(&energies, &SerialExecutor, options)
+    };
+    let Ok(RunOutcome::Interrupted(cp)) = run(&fig6, None, Some(2)) else {
+        panic!("a budget of 2 interrupts a 3-energy sweep")
+    };
+    assert!(!cp.seed_bank.is_empty(), "the first round donated its solutions");
+    let refused = |outcome| matches!(outcome, Err(CheckpointError::Mismatch(_)));
+
+    // The same cell at another spacing: same period, same configuration.
+    assert!(refused(run(&finer, Some(cp.clone()), None)), "another spacing resumed");
+    // The same problem with a table one pair short, or one vector short.
+    let mut short = cp.clone();
+    short.seed_bank[0].1.pop();
+    let mut narrow = cp.clone();
+    narrow.pending_donations = std::mem::take(&mut narrow.seed_bank);
+    narrow.pending_donations[0].1[0].0 = CVector::zeros(fig6.dim() - 1);
+    assert!(refused(run(&fig6, Some(short), None)), "a short table resumed");
+    assert!(refused(run(&fig6, Some(narrow), None)), "a short pending seed vector resumed");
+    // The checkpoint itself resumes — the split route, warm — to the
+    // uninterrupted sweep, bit for bit.
+    let Ok(RunOutcome::Complete(resumed)) = run(&fig6, Some(cp), None) else {
+        panic!("the checkpoint resumes")
+    };
+    let Ok(RunOutcome::Complete(whole)) = run(&fig6, None, None) else { panic!("no budget") };
+    assert!(whole.stats.warm_started_solves > 0);
+    assert_same_cbs(&whole, &resumed);
 }
 
 /// `SsConfig::auto` is a vestigial declaration (the calibrated tuner is
