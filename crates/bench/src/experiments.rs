@@ -5,12 +5,8 @@
 
 use cbs_core::{solve_qep_with, PrecondPolicy, QepProblem, SsConfig, SsResult};
 use cbs_dft::{band_structure, BlockHamiltonian};
-use cbs_linalg::Complex64;
 use cbs_obm::{obm_solve, ObmConfig};
-use cbs_parallel::{
-    measure_bicg_iteration_cost, ExecutorChoice, MachineModel, ParallelLayout, PerformanceModel,
-    RayonExecutor, ScalingLayer, SerialExecutor, WorkloadModel,
-};
+use cbs_parallel::{ExecutorChoice, RayonExecutor, SerialExecutor};
 use cbs_sparse::{AssembledPattern, FactoredProjector};
 use cbs_sweep::{EnergySweep, SweepConfig, SweepResult};
 
@@ -252,74 +248,6 @@ pub fn fig6_cbs_vs_bands(sys: &BenchSystem, n_energies: usize) -> f64 {
     worst
 }
 
-/// Calibrate a performance model from a real measurement on `sys`.
-pub fn calibrated_model(sys: &BenchSystem, n_rh: usize, bicg_iterations: f64) -> PerformanceModel {
-    let h = &sys.hamiltonian;
-    let h00 = h.h00();
-    let h01 = h.h01();
-    let problem = QepProblem::new(&h00, &h01, sys.fermi, h.period());
-    let contour = ss_config().contour();
-    let z = contour.outer_points()[0].z;
-    let op = problem.operator(z);
-    let iters = 50;
-    let seconds = measure_bicg_iteration_cost(&op, iters, 99);
-    let per_point = seconds / (iters as f64 * h.dim() as f64);
-    PerformanceModel {
-        machine: MachineModel::oakforest_pacs(),
-        workload: WorkloadModel {
-            dimension: h.dim(),
-            nnz_per_row: h.nnz() as f64 / h.dim() as f64,
-            plane_size: h.grid.nx * h.grid.ny,
-            nf: h.fd.nf,
-            n_int: 32,
-            // The figures model the paper's runs, whose layouts spread all
-            // 32 nodes over up to 32 quadrature groups.
-            conjugate_symmetric: false,
-            n_rh,
-            bicg_iterations,
-            seconds_per_point_iteration: per_point,
-            convergence_spread: 0.2,
-        },
-    }
-}
-
-/// Figures 8-10: strong scaling of one layer.  Prints measured-calibration
-/// information plus the model prediction and returns `(processes, speedup)`.
-pub fn scaling_figure(
-    model: &PerformanceModel,
-    label: &str,
-    base: ParallelLayout,
-    layer: ScalingLayer,
-    counts: &[usize],
-) -> Vec<(usize, f64)> {
-    println!("-- {label}: strong scaling of the {:?} layer (performance model) --", layer);
-    println!("   processes   time [s]    speed-up   ideal");
-    let sweep = model.scaling_sweep(base, layer, counts);
-    let mut out = Vec::new();
-    for &(p, t, s) in &sweep {
-        let ideal = p as f64 / sweep[0].0 as f64;
-        println!("   {:>9}   {:>9.2}   {:>8.2}   {:>5.1}", p, t, s, ideal);
-        out.push((p, s));
-    }
-    out
-}
-
-/// Table 2: intra-node split between threads and domains at a fixed core
-/// count.  Returns `(threads, domains, seconds)` rows.
-pub fn table2_intranode(model: &PerformanceModel, label: &str) -> Vec<(usize, usize, f64)> {
-    println!("-- Table 2 ({label}): 1000 BiCG iterations on 64 cores --");
-    println!("   #OpenMP   #N_dm   elapsed [s] (model)");
-    let mut rows = Vec::new();
-    for &(t, d) in &[(1usize, 64usize), (2, 32), (4, 16), (8, 8), (16, 4), (32, 2), (64, 1)] {
-        let secs = model.intranode_time(t, d, 1000.0);
-        println!("   {:>7}   {:>5}   {:>10.3}", t, d, secs);
-        rows.push((t, d, secs));
-    }
-    let best = rows.iter().min_by(|a, b| a.2.partial_cmp(&b.2).unwrap()).unwrap();
-    println!("   best split: {} threads x {} domains", best.0, best.1);
-    rows
-}
-
 /// Figure 11: CBS of the isolated tube and the bundles around the Fermi
 /// energy.  Returns the number of propagating channels found per system.
 pub fn fig11_bundles(n_energies: usize) -> Vec<(String, usize)> {
@@ -354,18 +282,4 @@ pub fn fig11_bundles(n_energies: usize) -> Vec<(String, usize)> {
 /// Helper shared by fig4/fig5/table1 binaries: the two serial-test systems.
 pub fn serial_systems() -> Vec<BenchSystem> {
     vec![systems::al100(), systems::cnt66()]
-}
-
-/// Report a QEP operator's memory next to the dense equivalent (sanity print
-/// used by several binaries).
-pub fn memory_summary(sys: &BenchSystem) {
-    let h = &sys.hamiltonian;
-    let dense = h.dim() * h.dim() * std::mem::size_of::<Complex64>();
-    println!(
-        "   {}: sparse blocks {:.2} MB vs dense {:.2} MB ({} grid points)",
-        sys.name,
-        h.memory_bytes() as f64 / 1e6,
-        dense as f64 / 1e6,
-        h.dim()
-    );
 }

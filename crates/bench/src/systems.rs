@@ -7,8 +7,8 @@
 //! the qualitative comparisons while keeping runtimes in seconds/minutes.
 
 use cbs_dft::{
-    bn_dope, bulk_al_100, bundle7, carbon_nanotube, crystalline_bundle, fermi_energy,
-    grid_for_structure, supercell_z, AtomicStructure, BlockHamiltonian, HamiltonianParams,
+    bulk_al_100, carbon_nanotube, crystalline_bundle, fermi_energy, grid_for_structure,
+    AtomicStructure, BlockHamiltonian, HamiltonianParams,
 };
 use cbs_grid::FdOrder;
 
@@ -18,7 +18,17 @@ pub const PAPER_SPACING_BOHR: f64 = 0.2 * 1.889_725_988_6;
 /// Resolution scale factor read from `CBS_SCALE` (1.0 = paper resolution);
 /// values outside `(0.05, 1.0]` are rejected like malformed ones.
 pub fn scale_factor() -> f64 {
-    cbs_trace::knob::<f64>("CBS_SCALE").filter(|&v| v > 0.05 && v <= 1.0).unwrap_or(0.45)
+    cbs_trace::knob::<ScaleFactor>("CBS_SCALE").map_or(0.45, |s| s.0)
+}
+
+/// A `CBS_SCALE` value inside `(0.05, 1.0]`; anything else (NaN included)
+/// does not parse, so [`cbs_trace::knob()`] warns about it.
+struct ScaleFactor(f64);
+
+impl cbs_trace::Knob for ScaleFactor {
+    fn parse_knob(value: &str) -> Option<Self> {
+        f64::parse_knob(value).filter(|&v| v > 0.05 && v <= 1.0).map(Self)
+    }
 }
 
 /// Grid spacing implied by the current scale factor (coarser than the paper
@@ -67,19 +77,6 @@ pub fn cnt80() -> BenchSystem {
     build(carbon_nanotube(8, 0, 5.0), FdOrder::PAPER, true)
 }
 
-/// BN-doped (8,0) CNT with `repeats * 32` atoms (paper §4.2.2-4.2.3 uses 32
-/// and 320 repeats for 1024 / 10240 atoms).
-pub fn bn_doped_cnt(repeats: usize) -> AtomicStructure {
-    let base = carbon_nanotube(8, 0, 5.0);
-    let sc = supercell_z(&base, repeats);
-    bn_dope(&sc, sc.natoms() / 16, 12345)
-}
-
-/// The 7-tube bundle of the application section (paper §5).
-pub fn bundle7_system() -> BenchSystem {
-    build(bundle7(8, 0, 5.0), FdOrder::PAPER, false)
-}
-
 /// The crystalline bundle (two tubes per cell) of the application section.
 pub fn crystalline_bundle_system() -> BenchSystem {
     build(crystalline_bundle(8, 0), FdOrder::PAPER, false)
@@ -105,8 +102,25 @@ mod tests {
     }
 
     #[test]
-    fn doped_supercell_counts() {
-        let s = bn_doped_cnt(4);
-        assert_eq!(s.natoms(), 128);
+    fn knobs_accept_only_their_spellings() {
+        use cbs_parallel::ExecutorChoice;
+        use cbs_trace::Knob;
+        for rejected in ["2.0", "0.05", "0.01", "nan", "x"] {
+            assert!(ScaleFactor::parse_knob(rejected).is_none(), "CBS_SCALE={rejected}");
+        }
+        for accepted in ["0.45", "1.0"] {
+            assert!(ScaleFactor::parse_knob(accepted).is_some(), "CBS_SCALE={accepted}");
+        }
+        for (value, choice) in [
+            ("serial", ExecutorChoice::Serial),
+            ("SERIAL", ExecutorChoice::Serial),
+            ("rayon", ExecutorChoice::Rayon),
+            ("Rayon", ExecutorChoice::Rayon),
+        ] {
+            assert_eq!(ExecutorChoice::parse_knob(value), Some(choice), "CBS_EXECUTOR={value}");
+        }
+        for rejected in ["threads", ""] {
+            assert_eq!(ExecutorChoice::parse_knob(rejected), None, "CBS_EXECUTOR={rejected:?}");
+        }
     }
 }

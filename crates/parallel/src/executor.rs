@@ -1,15 +1,9 @@
 //! Functional (threaded) execution of the parallel layers.
 //!
 //! The executors run the shifted-solve pool with results identical to the
-//! serial path, and [`measure_bicg_iteration_cost`] provides the measured
-//! per-iteration cost that calibrates the performance model; the cluster-
-//! scale wall-clock numbers of Figures 8-10 come from `perf_model`.
+//! serial path.
 
 use rayon::prelude::*;
-
-use cbs_linalg::CVector;
-use cbs_solver::{bicg_dual, SolverOptions};
-use cbs_sparse::LinearOperator;
 
 /// Pluggable execution strategy for a batch of independent tasks — the seam
 /// between the algorithmic layers (the `N_int x N_rh` shifted solves of the
@@ -155,63 +149,5 @@ impl cbs_trace::Knob for ExecutorChoice {
         } else {
             None
         }
-    }
-}
-
-/// Measure the wall-clock seconds of `iterations` BiCG iterations on the
-/// given operator — the calibration measurement that anchors the
-/// performance model (and the quantity reported in the paper's Table 2).
-pub fn measure_bicg_iteration_cost<A: LinearOperator + ?Sized>(
-    op: &A,
-    iterations: usize,
-    seed: u64,
-) -> f64 {
-    use rand::SeedableRng;
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-    let b = CVector::random(op.dim(), &mut rng);
-    let opts = SolverOptions {
-        tolerance: 1e-300, // never converge: run exactly `iterations` steps
-        max_iterations: iterations,
-        record_history: false,
-    };
-    let start = std::time::Instant::now(); // cbs-audit: allow(D002) reason="calibration measurement for the Table 2 performance model; never feeds solver decisions"
-    let _ = bicg_dual(op, &b, &b, &opts, None);
-    start.elapsed().as_secs_f64()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use cbs_grid::Grid3;
-    use cbs_linalg::c64;
-    use cbs_sparse::{CooBuilder, CsrMatrix};
-
-    fn laplacian_like(grid: Grid3) -> CsrMatrix {
-        let n = grid.npoints();
-        let mut b = CooBuilder::new(n, n);
-        for (i, j, k, row) in grid.iter_points() {
-            b.push(row, row, c64(6.0, 0.1));
-            for (di, dj, dk) in [(1isize, 0isize, 0isize), (0, 1, 0), (0, 0, 1)] {
-                let ii = grid.wrap_x(i as isize + di);
-                let jj = grid.wrap_y(j as isize + dj);
-                let kk = (k as isize + dk).rem_euclid(grid.nz as isize) as usize;
-                b.push(row, grid.index(ii, jj, kk), c64(-1.0, 0.0));
-                let ii2 = grid.wrap_x(i as isize - di);
-                let jj2 = grid.wrap_y(j as isize - dj);
-                let kk2 = (k as isize - dk).rem_euclid(grid.nz as isize) as usize;
-                b.push(row, grid.index(ii2, jj2, kk2), c64(-1.0, 0.0));
-            }
-        }
-        b.build()
-    }
-
-    #[test]
-    fn calibration_measurement_is_positive_and_scales() {
-        let grid = Grid3::isotropic(5, 5, 5, 0.5);
-        let m = laplacian_like(grid);
-        let t10 = measure_bicg_iteration_cost(&m, 10, 1);
-        let t100 = measure_bicg_iteration_cost(&m, 100, 1);
-        assert!(t10 > 0.0);
-        assert!(t100 > t10, "more iterations must take longer ({t100} vs {t10})");
     }
 }

@@ -26,8 +26,8 @@
 //!   [`StencilDilu`], the same diagonal ILU as [`Ilu0`] kept as `n` pivots
 //!   and swept over the stencil's rows, whose [`SplitOperator`] folds `P(z)`
 //!   into its two sweeps (Eisenstat's trick),
-//! * composition helpers ([`SumOp`], [`ScaledOp`], [`ShiftedOp`], [`DenseOp`],
-//!   [`IdentityOp`]) used to build the QEP operator `P(z)`.
+//! * [`DenseOp`] — a dense matrix as a [`LinearOperator`], for tests and
+//!   small reference problems.
 
 #![warn(missing_docs)]
 
@@ -42,9 +42,7 @@ pub mod scratch;
 pub use assembled::{AssembledOp, AssembledPattern, Ilu0, TriSchedule};
 pub use csr::{CooBuilder, CsrMatrix};
 pub use lowrank::{LowRankOp, RankOneTerm, SparseVec};
-pub use ops::{
-    adjoint_defect, DenseOp, IdentityOp, LinearOperator, Preconditioner, ScaledOp, ShiftedOp, SumOp,
-};
+pub use ops::{adjoint_defect, DenseOp, LinearOperator, Preconditioner};
 pub use projector::FactoredProjector;
 pub use real_stencil::{RealStencil, SplitOperator, StencilDilu};
 pub use scratch::{recycle_scratch, take_scratch, with_scratch};

@@ -5,8 +5,8 @@
 //! The paper's central performance claim rests on never forming the
 //! Kohn-Sham Hamiltonian densely: the QEP operator `P(z)` is only ever
 //! applied matrix-free.  This trait is the seam that makes the eigensolver
-//! generic over explicit CSR matrices, stencil operators, low-rank projector
-//! sums and domain-decomposed (parallel) operators.
+//! generic over explicit CSR matrices, low-rank projector sums, the fused
+//! real stencil, the assembled `P(z)` and dense test matrices.
 
 use cbs_linalg::{CVector, Complex64};
 
@@ -205,249 +205,6 @@ impl<T: LinearOperator + ?Sized> LinearOperator for &T {
     }
 }
 
-impl<T: LinearOperator + ?Sized> LinearOperator for Box<T> {
-    fn nrows(&self) -> usize {
-        (**self).nrows()
-    }
-    fn ncols(&self) -> usize {
-        (**self).ncols()
-    }
-    fn apply(&self, x: &[Complex64], y: &mut [Complex64]) {
-        (**self).apply(x, y);
-    }
-    fn apply_adjoint(&self, x: &[Complex64], y: &mut [Complex64]) {
-        (**self).apply_adjoint(x, y);
-    }
-    fn apply_block(&self, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
-        (**self).apply_block(x, y, nvecs);
-    }
-    fn apply_adjoint_block(&self, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
-        (**self).apply_adjoint_block(x, y, nvecs);
-    }
-    fn memory_bytes(&self) -> usize {
-        (**self).memory_bytes()
-    }
-    fn traversal_weight(&self) -> usize {
-        (**self).traversal_weight()
-    }
-    fn is_real(&self) -> bool {
-        (**self).is_real()
-    }
-    fn sparse_lowrank_parts(&self) -> Option<(&CsrMatrix, &LowRankOp)> {
-        (**self).sparse_lowrank_parts()
-    }
-}
-
-/// The identity operator of a given dimension.
-#[derive(Clone, Copy, Debug)]
-pub struct IdentityOp {
-    n: usize,
-}
-
-impl IdentityOp {
-    /// Identity on `C^n`.
-    pub fn new(n: usize) -> Self {
-        Self { n }
-    }
-}
-
-impl LinearOperator for IdentityOp {
-    fn nrows(&self) -> usize {
-        self.n
-    }
-    fn ncols(&self) -> usize {
-        self.n
-    }
-    fn apply(&self, x: &[Complex64], y: &mut [Complex64]) {
-        y.copy_from_slice(x);
-    }
-    fn apply_adjoint(&self, x: &[Complex64], y: &mut [Complex64]) {
-        y.copy_from_slice(x);
-    }
-    fn apply_block(&self, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
-        assert_eq!(x.len(), self.n * nvecs, "apply_block: x slab length mismatch");
-        assert_eq!(y.len(), self.n * nvecs, "apply_block: y slab length mismatch");
-        y.copy_from_slice(x);
-    }
-    fn apply_adjoint_block(&self, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
-        assert_eq!(x.len(), self.n * nvecs, "apply_adjoint_block: x slab length mismatch");
-        assert_eq!(y.len(), self.n * nvecs, "apply_adjoint_block: y slab length mismatch");
-        y.copy_from_slice(x);
-    }
-    fn is_real(&self) -> bool {
-        true
-    }
-}
-
-/// A scaled operator `alpha * A`.
-pub struct ScaledOp<A> {
-    alpha: Complex64,
-    inner: A,
-}
-
-impl<A: LinearOperator> ScaledOp<A> {
-    /// Wrap `inner` as `alpha * inner`.
-    pub fn new(alpha: Complex64, inner: A) -> Self {
-        Self { alpha, inner }
-    }
-}
-
-impl<A: LinearOperator> LinearOperator for ScaledOp<A> {
-    fn nrows(&self) -> usize {
-        self.inner.nrows()
-    }
-    fn ncols(&self) -> usize {
-        self.inner.ncols()
-    }
-    fn apply(&self, x: &[Complex64], y: &mut [Complex64]) {
-        self.inner.apply(x, y);
-        for v in y.iter_mut() {
-            *v *= self.alpha;
-        }
-    }
-    fn apply_adjoint(&self, x: &[Complex64], y: &mut [Complex64]) {
-        self.inner.apply_adjoint(x, y);
-        let ac = self.alpha.conj();
-        for v in y.iter_mut() {
-            *v *= ac;
-        }
-    }
-    fn apply_block(&self, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
-        self.inner.apply_block(x, y, nvecs);
-        for v in y.iter_mut() {
-            *v *= self.alpha;
-        }
-    }
-    fn apply_adjoint_block(&self, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
-        self.inner.apply_adjoint_block(x, y, nvecs);
-        let ac = self.alpha.conj();
-        for v in y.iter_mut() {
-            *v *= ac;
-        }
-    }
-    fn memory_bytes(&self) -> usize {
-        self.inner.memory_bytes()
-    }
-    fn is_real(&self) -> bool {
-        self.alpha.im == 0.0 && self.inner.is_real()
-    }
-}
-
-/// A linear combination `alpha * A + beta * B` of two same-shaped operators.
-pub struct SumOp<A, B> {
-    alpha: Complex64,
-    a: A,
-    beta: Complex64,
-    b: B,
-}
-
-impl<A: LinearOperator, B: LinearOperator> SumOp<A, B> {
-    /// Build `alpha * a + beta * b`.
-    pub fn new(alpha: Complex64, a: A, beta: Complex64, b: B) -> Self {
-        assert_eq!(a.nrows(), b.nrows(), "SumOp: row mismatch");
-        assert_eq!(a.ncols(), b.ncols(), "SumOp: col mismatch");
-        Self { alpha, a, beta, b }
-    }
-}
-
-impl<A: LinearOperator, B: LinearOperator> LinearOperator for SumOp<A, B> {
-    fn nrows(&self) -> usize {
-        self.a.nrows()
-    }
-    fn ncols(&self) -> usize {
-        self.a.ncols()
-    }
-    fn apply(&self, x: &[Complex64], y: &mut [Complex64]) {
-        self.apply_block(x, y, 1);
-    }
-    fn apply_adjoint(&self, x: &[Complex64], y: &mut [Complex64]) {
-        self.apply_adjoint_block(x, y, 1);
-    }
-    fn apply_block(&self, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
-        self.a.apply_block(x, y, nvecs);
-        crate::scratch::with_scratch(self.b.nrows() * nvecs, |tmp| {
-            self.b.apply_block(x, tmp, nvecs);
-            for (yi, ti) in y.iter_mut().zip(tmp.iter()) {
-                *yi = self.alpha * *yi + self.beta * *ti;
-            }
-        });
-    }
-    fn apply_adjoint_block(&self, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
-        self.a.apply_adjoint_block(x, y, nvecs);
-        let (ac, bc) = (self.alpha.conj(), self.beta.conj());
-        crate::scratch::with_scratch(self.b.ncols() * nvecs, |tmp| {
-            self.b.apply_adjoint_block(x, tmp, nvecs);
-            for (yi, ti) in y.iter_mut().zip(tmp.iter()) {
-                *yi = ac * *yi + bc * *ti;
-            }
-        });
-    }
-    fn memory_bytes(&self) -> usize {
-        self.a.memory_bytes() + self.b.memory_bytes()
-    }
-    fn is_real(&self) -> bool {
-        self.alpha.im == 0.0 && self.beta.im == 0.0 && self.a.is_real() && self.b.is_real()
-    }
-}
-
-/// `A - sigma * I` for a square operator: the shifted operator that appears
-/// throughout contour-integral eigensolvers.
-pub struct ShiftedOp<A> {
-    sigma: Complex64,
-    inner: A,
-}
-
-impl<A: LinearOperator> ShiftedOp<A> {
-    /// Build `inner - sigma * I`.
-    pub fn new(inner: A, sigma: Complex64) -> Self {
-        assert_eq!(inner.nrows(), inner.ncols(), "ShiftedOp requires a square operator");
-        Self { sigma, inner }
-    }
-}
-
-impl<A: LinearOperator> LinearOperator for ShiftedOp<A> {
-    fn nrows(&self) -> usize {
-        self.inner.nrows()
-    }
-    fn ncols(&self) -> usize {
-        self.inner.ncols()
-    }
-    fn apply(&self, x: &[Complex64], y: &mut [Complex64]) {
-        self.inner.apply(x, y);
-        for (yi, xi) in y.iter_mut().zip(x) {
-            *yi -= self.sigma * *xi;
-        }
-    }
-    fn apply_adjoint(&self, x: &[Complex64], y: &mut [Complex64]) {
-        self.inner.apply_adjoint(x, y);
-        let sc = self.sigma.conj();
-        for (yi, xi) in y.iter_mut().zip(x) {
-            *yi -= sc * *xi;
-        }
-    }
-    fn apply_block(&self, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
-        self.inner.apply_block(x, y, nvecs);
-        // Square operator: the x and y slabs align elementwise, so one flat
-        // pass equals the per-column shift subtraction.
-        for (yi, xi) in y.iter_mut().zip(x) {
-            *yi -= self.sigma * *xi;
-        }
-    }
-    fn apply_adjoint_block(&self, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
-        self.inner.apply_adjoint_block(x, y, nvecs);
-        let sc = self.sigma.conj();
-        for (yi, xi) in y.iter_mut().zip(x) {
-            *yi -= sc * *xi;
-        }
-    }
-    fn memory_bytes(&self) -> usize {
-        self.inner.memory_bytes()
-    }
-    fn is_real(&self) -> bool {
-        self.sigma.im == 0.0 && self.inner.is_real()
-    }
-}
-
 /// Wrap a dense matrix as a `LinearOperator` (used in tests and for the
 /// small dense blocks of the OBM baseline).
 pub struct DenseOp {
@@ -533,21 +290,8 @@ pub fn adjoint_defect<A: LinearOperator, R: rand::Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cbs_linalg::{c64, CMatrix};
+    use cbs_linalg::CMatrix;
     use rand::SeedableRng;
-
-    #[test]
-    fn identity_and_scaled() {
-        let id = IdentityOp::new(4);
-        let x = CVector::from_vec(vec![c64(1.0, 1.0); 4]);
-        assert_eq!(id.apply_vec(&x), x);
-        let s = ScaledOp::new(c64(0.0, 2.0), id);
-        let y = s.apply_vec(&x);
-        assert_eq!(y[0], c64(-2.0, 2.0));
-        // adjoint of alpha*I is conj(alpha)*I
-        let z = s.apply_adjoint_vec(&x);
-        assert_eq!(z[0], c64(2.0, -2.0));
-    }
 
     #[test]
     fn dense_op_matches_matrix() {
@@ -561,56 +305,10 @@ mod tests {
     }
 
     #[test]
-    fn sum_and_shift_compose() {
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(62);
-        let a = CMatrix::random(6, 6, &mut rng);
-        let b = CMatrix::random(6, 6, &mut rng);
-        let sum = SumOp::new(
-            c64(2.0, 0.0),
-            DenseOp::new(a.clone()),
-            c64(0.0, 1.0),
-            DenseOp::new(b.clone()),
-        );
-        let x = CVector::random(6, &mut rng);
-        let expected = &(&a.matvec(&x) * c64(2.0, 0.0)) + &(&b.matvec(&x) * c64(0.0, 1.0));
-        assert!((&sum.apply_vec(&x) - &expected).norm() < 1e-12);
-
-        let shifted = ShiftedOp::new(DenseOp::new(a.clone()), c64(1.5, -0.5));
-        let got = shifted.apply_vec(&x);
-        let want = &a.matvec(&x) - &(&x * c64(1.5, -0.5));
-        assert!((&got - &want).norm() < 1e-12);
-    }
-
-    #[test]
-    fn combinator_block_apply_is_bitwise_column_equivalent() {
-        // A composed operator exercising SumOp + ScaledOp + ShiftedOp fused
-        // block kernels: the slab result must equal column-by-column apply
-        // down to the last bit.
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(64);
-        let a = CMatrix::random(7, 7, &mut rng);
-        let b = CMatrix::random(7, 7, &mut rng);
-        let sum = SumOp::new(c64(1.2, -0.3), DenseOp::new(a), c64(0.0, 0.7), DenseOp::new(b));
-        let op = ShiftedOp::new(ScaledOp::new(c64(0.5, 0.5), sum), c64(0.9, -0.1));
-        let nvecs = 3;
-        let x: Vec<Complex64> = (0..7 * nvecs).map(|_| CVector::random(1, &mut rng)[0]).collect();
-        let mut y_block = vec![Complex64::ZERO; 7 * nvecs];
-        op.apply_block(&x, &mut y_block, nvecs);
-        let mut y_adj = vec![Complex64::ZERO; 7 * nvecs];
-        op.apply_adjoint_block(&x, &mut y_adj, nvecs);
-        for c in 0..nvecs {
-            let mut col = vec![Complex64::ZERO; 7];
-            op.apply(&x[c * 7..(c + 1) * 7], &mut col);
-            assert_eq!(&y_block[c * 7..(c + 1) * 7], &col[..]);
-            op.apply_adjoint(&x[c * 7..(c + 1) * 7], &mut col);
-            assert_eq!(&y_adj[c * 7..(c + 1) * 7], &col[..]);
-        }
-    }
-
-    #[test]
     fn adjoint_defect_is_small_for_consistent_ops() {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(63);
         let a = CMatrix::random(8, 8, &mut rng);
-        let op = ShiftedOp::new(DenseOp::new(a), c64(0.3, 0.7));
+        let op = DenseOp::new(a);
         assert!(adjoint_defect(&op, 10, &mut rng) < 1e-12);
     }
 }

@@ -1,7 +1,7 @@
 //! A per-thread pool of reusable `Complex64` scratch buffers.
 //!
-//! Operator compositions (`SumOp`, the QEP operator `P(z)`, the Hamiltonian
-//! block views) need temporary vectors inside every application.  Allocating
+//! Operator compositions (the QEP operator `P(z)`, the Hamiltonian block
+//! views) need temporary vectors inside every application.  Allocating
 //! them per matvec puts an allocator round-trip on the hottest path of the
 //! whole method; this pool hands out zeroed buffers that are returned and
 //! reused, so steady-state operator application performs no allocation.

@@ -1,5 +1,5 @@
 //! Span aggregation: per-stage totals (CPU-ns vs merged wall-ns) and the
-//! per-stage × per-context table that feeds cost-model calibration.
+//! per-stage × per-context cost table.
 
 use crate::{Span, SpanCtx, Stage, STAGE_COUNT};
 

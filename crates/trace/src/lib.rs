@@ -32,8 +32,8 @@
 //! `chrome://tracing` / [Perfetto](https://ui.perfetto.dev), and (b) an
 //! aggregated per-stage × per-context table ([`TraceReport::aggregate`])
 //! with both CPU-ns (summed span durations) and wall-ns (span intervals
-//! merged per stage across threads) — the `(stage, context) → cost` samples
-//! a performance-model calibration probe consumes.
+//! merged per stage across threads) — the `(stage, context) → cost` table
+//! that says where a run's time went, sweep energy by quadrature node.
 //!
 //! # Determinism
 //!
@@ -695,7 +695,7 @@ impl TraceReport {
     }
 
     /// The per-stage × per-context aggregation table, sorted by stage then
-    /// context — the cost-model calibration samples.
+    /// context.
     pub fn aggregate(&self) -> Vec<AggRow> {
         aggregate::aggregate_by_context(&self.spans)
     }

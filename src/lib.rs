@@ -35,7 +35,7 @@ pub use cbs_sparse as sparse;
 /// export (re-export of `cbs-trace`).
 pub use cbs_trace as trace;
 
-/// Real-space grids, stencils and domain decomposition (re-export of `cbs-grid`).
+/// Real-space grids and finite-difference stencils (re-export of `cbs-grid`).
 pub use cbs_grid as grid;
 
 /// Kohn-Sham Hamiltonian substrate (re-export of `cbs-dft`).
@@ -50,7 +50,7 @@ pub use cbs_core as core;
 /// The OBM / transfer-matrix baseline (re-export of `cbs-obm`).
 pub use cbs_obm as obm;
 
-/// Hierarchical parallel runtime and performance model (re-export of `cbs-parallel`).
+/// Task executors and the sweep release schedule (re-export of `cbs-parallel`).
 pub use cbs_parallel as parallel;
 
 /// Batched, warm-started, adaptive energy-sweep orchestration (re-export of

@@ -18,8 +18,7 @@ use cbs::linalg::{c64, CMatrix, Complex64};
 use cbs::parallel::{RayonExecutor, SerialExecutor};
 use cbs::solver::ConvergenceHistory;
 use cbs::sparse::{
-    CooBuilder, CsrMatrix, DenseOp, FactoredProjector, LinearOperator, LowRankOp, ScaledOp,
-    ShiftedOp, SparseVec, SumOp,
+    CooBuilder, CsrMatrix, DenseOp, FactoredProjector, LinearOperator, LowRankOp, SparseVec,
 };
 
 mod common;
@@ -478,15 +477,6 @@ proptest! {
         let projector = FactoredProjector::new(lowrank.clone(), LowRankOp::new(n, n));
         prop_assert!(projector.is_real() == (site == 0));
 
-        // Compositions follow their parts and coefficients.
-        let sum = SumOp::new(c64(2.0, 0.0), &csr, c64(-1.0, 0.0), &lowrank);
-        prop_assert!(!sum.is_real());
-        prop_assert!(SumOp::new(c64(2.0, 0.0), &base, c64(-1.0, 0.0), &base).is_real());
-        prop_assert!(!SumOp::new(c64(2.0, im), &base, c64(-1.0, 0.0), &base).is_real());
-        prop_assert!(ScaledOp::new(c64(0.5, 0.0), &base).is_real());
-        prop_assert!(!ScaledOp::new(c64(0.5, im), &base).is_real());
-        prop_assert!(ShiftedOp::new(&base, c64(0.5, 0.0)).is_real());
-        prop_assert!(!ShiftedOp::new(&base, c64(0.5, im)).is_real());
         let dense = DenseOp::new(csr.to_dense());
         prop_assert!(dense.is_real() == (site != 0));
 

@@ -297,7 +297,7 @@ proptest! {
     }
 
     /// The fused block kernels of every operator in the QEP hot path
-    /// (`CsrMatrix`, `LowRankOp`, `ShiftedOp`, `QepOperator`) are
+    /// (`CsrMatrix`, `LowRankOp`, `QepOperator`) are
     /// bit-identical to column-by-column application — the invariant the
     /// block dual-BiCG's determinism guarantees rest on.
     #[test]
@@ -325,7 +325,6 @@ proptest! {
             lr.push(ket, bra, c64(rand::Rng::gen_range(&mut rng, -1.0..1.0), 0.4));
         }
         let z = c64(zre, zim);
-        let shifted = cbs::sparse::ShiftedOp::new(&csr, z);
         let qep = QepProblem::new(&csr, &lr, 0.2, 1.0);
         let qep_op = qep.operator(z);
 
@@ -350,7 +349,6 @@ proptest! {
         }
         check!(&csr, "CsrMatrix");
         check!(&lr, "LowRankOp");
-        check!(&shifted, "ShiftedOp");
         check!(&qep_op, "QepOperator");
     }
 
