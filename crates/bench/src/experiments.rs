@@ -28,21 +28,16 @@ pub fn solve_qep_env(problem: &QepProblem<'_>, config: &SsConfig) -> SsResult {
 }
 
 /// Energy-sweep twin of [`solve_qep_env`], running through the `cbs-sweep`
-/// orchestrator: the energies of each release round share one flattened
-/// task pool and (unless `CBS_SWEEP=cold`) each energy's solves are
-/// warm-started from the nearest completed neighbour.  `CBS_SWEEP=cold`
-/// reproduces the per-energy `compute_cbs` loop bit for bit.  Under an
-/// assembled `CBS_PRECOND` policy the Hamiltonian's factored backend
-/// ([`env_pattern`]) is built once and shared across the whole sweep.
+/// orchestrator: the scan energies share one flattened task pool, each
+/// solved independently — bit for bit the per-energy `compute_cbs` loop.
+/// Under an assembled `CBS_PRECOND` policy the Hamiltonian's factored
+/// backend ([`env_pattern`]) is built once and shared across the whole
+/// sweep.
 pub fn compute_cbs_env(h: &BlockHamiltonian, energies: &[f64], config: &SsConfig) -> SweepResult {
     let config = SsConfig { precond: precond_policy_env(config.precond), ..*config };
-    let sweep_config = match cbs_trace::knob("CBS_SWEEP") {
-        Some(SweepMode::Cold) => SweepConfig::cold(config),
-        Some(SweepMode::Warm) | None => SweepConfig::new(config),
-    };
     let h00 = h.h00();
     let h01 = h.h01();
-    let mut sweep = EnergySweep::new(&h00, &h01, h.period(), sweep_config);
+    let mut sweep = EnergySweep::new(&h00, &h01, h.period(), SweepConfig::new(config));
     if let Some((pattern, projector)) = env_pattern(h, config.precond) {
         sweep = sweep.with_pattern(pattern).with_projector(projector);
     }
@@ -65,26 +60,6 @@ fn ss_config() -> SsConfig {
 
 fn env_usize(key: &str, default: usize) -> usize {
     cbs_trace::knob(key).unwrap_or(default)
-}
-
-/// Warm-start mode of the bench energy sweeps (`CBS_SWEEP`).
-enum SweepMode {
-    /// Cross-energy warm starting on (the default).
-    Warm,
-    /// Every energy solves cold — bit-identical to the per-energy loop.
-    Cold,
-}
-
-impl cbs_trace::Knob for SweepMode {
-    fn parse_knob(value: &str) -> Option<Self> {
-        if value.eq_ignore_ascii_case("cold") {
-            Some(Self::Cold)
-        } else if value.eq_ignore_ascii_case("warm") {
-            Some(Self::Warm)
-        } else {
-            None
-        }
-    }
 }
 
 /// `CBS_PRECOND` overrides the configured operator representation /
@@ -237,12 +212,8 @@ pub fn fig6_cbs_vs_bands(sys: &BenchSystem, n_energies: usize) -> f64 {
         run.cbs.evanescent().count()
     );
     println!(
-        "   BiCG iterations: {} total ({} warm-started over {} solves, {} cold over {})",
-        run.stats.total_bicg_iterations,
-        run.stats.warm_bicg_iterations,
-        run.stats.warm_started_solves,
-        run.stats.cold_bicg_iterations,
-        run.stats.cold_solves,
+        "   BiCG iterations: {} over {} solves",
+        run.stats.total_bicg_iterations, run.stats.cold_solves,
     );
     println!("   worst distance of a real-k solution to the reference bands: {worst:.2e} Ha");
     worst
@@ -268,12 +239,7 @@ pub fn fig11_bundles(n_energies: usize) -> Vec<(String, usize)> {
             run.cbs.evanescent().count(),
             n_energies
         );
-        println!(
-            "   sweep: {} BiCG iterations ({} warm / {} cold)",
-            run.stats.total_bicg_iterations,
-            run.stats.warm_bicg_iterations,
-            run.stats.cold_bicg_iterations,
-        );
+        println!("   sweep: {} BiCG iterations", run.stats.total_bicg_iterations);
         out.push((sys.name.clone(), channels));
     }
     out

@@ -101,15 +101,15 @@ pub struct CbsStatistics {
     /// `PrecondPolicy::MatrixFree` and on blocks that convert to the real
     /// stencil, whose diagonal ILU refills nothing.
     pub operator_assemblies: usize,
-    /// BiCG iterations spent in cold-started solves.
+    /// Equal to [`total_bicg_iterations`](Self::total_bicg_iterations):
+    /// every solve starts cold.  Vestige, released by ROADMAP 1(a).
     pub cold_bicg_iterations: usize,
-    /// BiCG iterations spent in warm-started solves (seeded from a
-    /// neighbouring scan energy by the `cbs-sweep` driver; always zero for
-    /// the per-energy [`compute_cbs`] loop).
+    /// Always 0.  Vestige, released by ROADMAP 1(a).
     pub warm_bicg_iterations: usize,
-    /// Number of solves that ran cold.
+    /// Number of shifted solves (primal + dual pairs), all cold.  Vestige,
+    /// released by ROADMAP 1(a).
     pub cold_solves: usize,
-    /// Number of solves that were warm-started.
+    /// Always 0.  Vestige, released by ROADMAP 1(a).
     pub warm_started_solves: usize,
     /// Scan energies added by adaptive grid refinement (zero for the fixed
     /// grid of [`compute_cbs`]).

@@ -79,13 +79,6 @@ pub struct PoolGroup<'p, 'a> {
     pub problem: &'p QepProblem<'a>,
     /// The group's source block (its right-hand sides).
     pub v_cols: &'p [CVector],
-    /// Full job-order warm-start table (`n_nodes * n_rh` pairs), or `None`
-    /// for a cold group.
-    pub seeds: Option<&'p [(CVector, CVector)]>,
-    /// Retain the group's solutions as a donor table.  `false` drops each
-    /// solution after its moment contribution, keeping the footprint at
-    /// the accumulated moments.
-    pub keep_solutions: bool,
     /// Trace handle for the group's solves: each job opens a `solve` span
     /// under this handle's context (energy set by the driver, node filled
     /// per job).  [`TraceHandle::disabled`] for untraced runs.
@@ -117,8 +110,6 @@ pub struct PoolOutcome {
     pub capped_solves: usize,
     /// Number of solves (each = one primal+dual pair).
     pub solves: usize,
-    /// `(x, x̃)` solutions in job order — the group's donor table.
-    pub solutions: Vec<(CVector, CVector)>,
 }
 
 /// The dispatch knobs shared by every group of a pool run.
@@ -176,7 +167,6 @@ struct GroupCounters {
     resumed: usize,
     capped_solves: usize,
     solves: usize,
-    solutions: Vec<(CVector, CVector)>,
 }
 
 /// What one job hands back to the fold.
@@ -223,24 +213,13 @@ pub fn solve_pool<E: TaskExecutor>(
         let stop_cb = move |iter: usize| stop_at.is_some_and(|c| iter >= c);
         let external: Option<&(dyn Fn(usize) -> bool + Sync)> =
             if stop_at.is_some() { Some(&stop_cb) } else { None };
-        let seed_vec: Vec<Option<(&CVector, &CVector)>> = (0..n_rh[job.group])
-            .map(|r| {
-                group
-                    .seeds
-                    .map(|t| &t[job.point_index * n_rh[job.group] + r])
-                    .map(|(x, xt)| (x, xt))
-            })
-            .collect();
-        let seeds = Some(seed_vec.as_slice());
         // A stencil node of the ILU policy runs BiCG on its split system;
         // every other node on `P(z)`, preconditioned or not.
         let (res, resumed) = match &prec {
-            Some(NodePrecond::Stencil(m)) => {
-                solve_split(m, &op, group.v_cols, seeds, &options, external)
-            }
+            Some(NodePrecond::Stencil(m)) => solve_split(m, &op, group.v_cols, &options, external),
             _ => {
                 let v = group.v_cols;
-                (bicg_dual_block_precond(&op, prec.as_ref(), v, v, seeds, &options, external), 0)
+                (bicg_dual_block_precond(&op, prec.as_ref(), v, v, None, &options, external), 0)
             }
         };
         let outcomes = res
@@ -267,11 +246,6 @@ pub fn solve_pool<E: TaskExecutor>(
     let mut accs = accs;
     let mut counters: Vec<GroupCounters> =
         groups.iter().map(|_| GroupCounters::default()).collect();
-    for (g, c) in counters.iter_mut().enumerate() {
-        if groups[g].keep_solutions {
-            c.solutions.reserve(shifts[g].len() * n_rh[g]);
-        }
-    }
     let mut tracking: Vec<GroupTracking> =
         shifts.iter().map(|s| GroupTracking::new(s.len())).collect();
 
@@ -292,10 +266,7 @@ pub fn solve_pool<E: TaskExecutor>(
             c.iterations += outcome.history.iterations();
             c.matvecs += outcome.history.matvecs;
             c.solves += 1;
-            let pair = accs[g].record(outcome);
-            if groups[g].keep_solutions {
-                c.solutions.push(pair);
-            }
+            accs[g].record(outcome);
         }
     };
 
@@ -365,7 +336,6 @@ pub fn solve_pool<E: TaskExecutor>(
             resumed: c.resumed,
             capped_solves: c.capped_solves,
             solves: c.solves,
-            solutions: c.solutions,
         })
         .collect()
 }
@@ -377,7 +347,9 @@ mod tests {
     use cbs_linalg::{c64, CMatrix};
     use cbs_parallel::{RayonExecutor, SerialExecutor};
     use cbs_solver::StopReason;
-    use cbs_sparse::{AssembledPattern, CooBuilder, CsrMatrix, DenseOp, LinearOperator};
+    use cbs_sparse::{
+        AssembledPattern, CooBuilder, CsrMatrix, DenseOp, LinearOperator, Preconditioner,
+    };
     use rand::SeedableRng;
 
     /// Well-conditioned complex (so: never mirrored) dense blocks.
@@ -418,11 +390,11 @@ mod tests {
         }
     }
 
-    /// What one single-ring group produced: the pool's counters and donor
-    /// table, and the extraction of its moments (for the per-solve
-    /// histories and the projected moments).
+    /// What one single-ring group produced: the pool's counters and
+    /// accumulated moments, and the extraction of those moments (for the
+    /// per-solve histories and the projected moments).
     struct Ring {
-        solutions: Vec<(CVector, CVector)>,
+        moments: Vec<Vec<CVector>>,
         iterations: usize,
         matvecs: usize,
         traversals: usize,
@@ -439,26 +411,10 @@ mod tests {
         }
     }
 
-    /// One single-ring group through the pool, solutions retained.
-    fn run_ring<E: TaskExecutor>(
-        qep: &QepProblem<'_>,
-        config: &SsConfig,
-        seeds: Option<&[(CVector, CVector)]>,
-        executor: &E,
-    ) -> Ring {
-        let plan = RingPlan::build(qep, config).unwrap();
-        assert!(!plan.is_mirrored(), "these tests solve every node of the ring");
-        let group = PoolGroup {
-            problem: qep,
-            v_cols: &plan.v_cols,
-            seeds,
-            keep_solutions: true,
-            trace: TraceHandle::disabled(),
-        };
-        let policy = PoolPolicy::from_config(config);
-        let o = solve_pool(&[group], vec![plan.accumulator()], &policy, executor)
-            .pop()
-            .expect("one outcome per group");
+    /// A pool outcome, its moments read off before the extraction takes the
+    /// accumulator.
+    fn ring_of(qep: &QepProblem<'_>, config: &SsConfig, plan: &RingPlan, o: PoolOutcome) -> Ring {
+        let moments = o.acc.moments().to_vec();
         let result = extract_from_moments(
             qep,
             config,
@@ -471,7 +427,7 @@ mod tests {
             0.0,
         );
         Ring {
-            solutions: o.solutions,
+            moments,
             iterations: o.iterations,
             matvecs: o.matvecs,
             traversals: o.traversals,
@@ -482,8 +438,21 @@ mod tests {
         }
     }
 
+    /// One single-ring group through the pool.
+    fn run_ring<E: TaskExecutor>(qep: &QepProblem<'_>, config: &SsConfig, executor: &E) -> Ring {
+        let plan = RingPlan::build(qep, config).unwrap();
+        assert!(!plan.is_mirrored(), "these tests solve every node of the ring");
+        let group =
+            PoolGroup { problem: qep, v_cols: &plan.v_cols, trace: TraceHandle::disabled() };
+        let policy = PoolPolicy::from_config(config);
+        let o = solve_pool(&[group], vec![plan.accumulator()], &policy, executor)
+            .pop()
+            .expect("one outcome per group");
+        ring_of(qep, config, &plan, o)
+    }
+
     fn assert_bitwise_eq(a: &Ring, b: &Ring) {
-        assert_eq!(a.solutions, b.solutions, "solutions must be bit-identical");
+        assert_eq!(a.moments, b.moments, "moments must be bit-identical");
         assert_eq!(a.result.projected_moments, b.result.projected_moments);
         for (ha, hb) in a.result.solve_histories.iter().zip(&b.result.solve_histories) {
             assert_eq!(ha.residuals, hb.residuals);
@@ -497,19 +466,36 @@ mod tests {
         let (h00, h01) = dense_blocks(12, 31);
         let qep = QepProblem::new(&h00, &h01, 0.1, 1.0);
         let cfg = config(6, 3, false);
-        let ring = run_ring(&qep, &cfg, None, &SerialExecutor);
+        let ring = run_ring(&qep, &cfg, &SerialExecutor);
         let Ring { iterations, matvecs, traversals, .. } = ring;
-        assert_eq!((ring.solves, ring.solutions.len()), (6 * 3, 6 * 3));
+        assert_eq!(ring.solves, 6 * 3);
         assert_eq!(ring.result.solve_histories.len(), 6 * 3);
-        // Entry `j * N_rh + r` is node `j`, right-hand side `r`: it solves
+        // The pool's moments are the fold, in job order `j * N_rh + r`, of
+        // each node's own block solve: node `j`, right-hand side `r` solves
         // `P(z_j) x = v_r`, and its dual the adjoint system.
-        let v = crate::ss::source_block(12, &cfg);
-        let nodes = cfg.contour().outer_points();
-        for (idx, (x, xt)) in ring.solutions.iter().enumerate() {
-            let (op, rhs) = (qep.operator(nodes[idx / 3].z), &v[idx % 3]);
-            assert!((&op.apply_vec(x) - rhs).norm() <= 1e-9 * rhs.norm(), "job {idx}");
-            assert!((&op.apply_adjoint_vec(xt) - rhs).norm() <= 1e-9 * rhs.norm(), "job {idx}");
+        let plan = RingPlan::build(&qep, &cfg).unwrap();
+        let mut acc = plan.accumulator();
+        for j in 0..acc.n_nodes() {
+            let op = qep.operator(acc.node_shift(j));
+            let v = &plan.v_cols;
+            let opts = cfg.solver_options();
+            let solved =
+                bicg_dual_block_precond(&op, None::<&dyn Preconditioner>, v, v, None, &opts, None);
+            for (r, col) in solved.columns.into_iter().enumerate() {
+                let rhs = &v[r];
+                assert!((&op.apply_vec(&col.x) - rhs).norm() <= 1e-9 * rhs.norm(), "node {j}");
+                assert!((&op.apply_adjoint_vec(&col.dual_x) - rhs).norm() <= 1e-9 * rhs.norm());
+                acc.record(ShiftedSolveOutcome {
+                    point_index: j,
+                    rhs_index: r,
+                    x: col.x,
+                    dual_x: col.dual_x,
+                    history: col.history,
+                    dual_history: col.dual_history,
+                });
+            }
         }
+        assert_eq!(acc.moments(), &ring.moments[..], "moments differ from the per-node fold");
         let histories = &ring.result.solve_histories;
         assert_eq!(iterations, histories.iter().map(ConvergenceHistory::iterations).sum::<usize>());
         assert!(matvecs >= 2 * iterations);
@@ -524,8 +510,8 @@ mod tests {
         let qep = QepProblem::new(&h00, &h01, 0.1, 1.0);
         for majority in [false, true] {
             let cfg = config(8, 4, majority);
-            let serial = run_ring(&qep, &cfg, None, &SerialExecutor);
-            let rayon = run_ring(&qep, &cfg, None, &RayonExecutor);
+            let serial = run_ring(&qep, &cfg, &SerialExecutor);
+            let rayon = run_ring(&qep, &cfg, &RayonExecutor);
             assert_bitwise_eq(&serial, &rayon);
         }
     }
@@ -536,15 +522,14 @@ mod tests {
         let qep = QepProblem::new(&h00, &h01, 0.2, 1.0);
         let (n_int, n_rh) = (8, 2);
         let stage1 = n_int / 2 + 1;
-        let free = run_ring(&qep, &config(n_int, n_rh, false), None, &SerialExecutor);
-        let capped = run_ring(&qep, &config(n_int, n_rh, true), None, &SerialExecutor);
+        let free = run_ring(&qep, &config(n_int, n_rh, false), &SerialExecutor);
+        let capped = run_ring(&qep, &config(n_int, n_rh, true), &SerialExecutor);
         assert_eq!(free.capped_solves, 0);
         // Every first-stage solve converges, so the rule fires.
         assert_eq!(capped.capped_solves, (n_int - stage1) * n_rh);
-        // The first stage is untouched by the rule …
+        // The first stage is untouched by the rule, and its worst converged
+        // iteration count is the cap of the rest.
         let split = stage1 * n_rh;
-        assert_eq!(capped.solutions[..split], free.solutions[..split]);
-        // … and its worst converged iteration count is the cap of the rest.
         let h = &capped.result.solve_histories;
         let cap = h[..split].iter().map(ConvergenceHistory::iterations).max().unwrap();
         let mut stopped = 0;
@@ -565,16 +550,13 @@ mod tests {
         let (h00, h01) = sparse_blocks(40, c64(0.25, -0.1));
         let pattern = AssembledPattern::build(&h00, &h01);
         let qep = QepProblem::new(&h00, &h01, 0.2, 1.0).with_pattern(&pattern);
-        let run = |precond, majority, seeds: Option<&[(CVector, CVector)]>| {
+        let run = |precond, majority| {
             let cfg = SsConfig { precond, bicg_tolerance: 1e-10, ..config(6, 3, majority) };
-            (
-                run_ring(&qep, &cfg, seeds, &SerialExecutor),
-                run_ring(&qep, &cfg, seeds, &RayonExecutor),
-            )
+            (run_ring(&qep, &cfg, &SerialExecutor), run_ring(&qep, &cfg, &RayonExecutor))
         };
         for majority in [false, true] {
-            let (mf, _) = run(PrecondPolicy::MatrixFree, majority, None);
-            let (ilu, ilu_rayon) = run(PrecondPolicy::AssembledIlu0, majority, None);
+            let (mf, _) = run(PrecondPolicy::MatrixFree, majority);
+            let (ilu, ilu_rayon) = run(PrecondPolicy::AssembledIlu0, majority);
             assert_bitwise_eq(&ilu, &ilu_rayon);
             // One `node_solve` per solved node — shared by its 3 right-hand
             // sides, in one stage or two; complex blocks never convert, so
@@ -588,35 +570,6 @@ mod tests {
                 mf.iterations
             );
         }
-        // A warm-started ILU group: seeded and preconditioned at once.
-        let (cold, _) = run(PrecondPolicy::AssembledIlu0, false, None);
-        let (warm, warm_rayon) = run(PrecondPolicy::AssembledIlu0, false, Some(&cold.solutions));
-        assert_bitwise_eq(&warm, &warm_rayon);
-        assert_eq!(warm.iterations, 0);
-    }
-
-    #[test]
-    fn seed_table_cuts_iterations_and_stays_executor_deterministic() {
-        let (h00, h01) = dense_blocks(14, 42);
-        let qep = QepProblem::new(&h00, &h01, 0.1, 1.0);
-        let cfg = config(6, 3, false);
-        // Cold group, then reuse its own solutions as the seed table: every
-        // solve now starts at the exact answer and converges without
-        // iterating.
-        let cold = run_ring(&qep, &cfg, None, &SerialExecutor);
-        let warm = run_ring(&qep, &cfg, Some(&cold.solutions), &SerialExecutor);
-        assert!(cold.iterations > 0);
-        assert!(
-            warm.iterations < cold.iterations / 4,
-            "warm {} vs cold {}",
-            warm.iterations,
-            cold.iterations
-        );
-        assert!(warm.result.solve_histories.iter().all(ConvergenceHistory::converged));
-        // The two seed-residual applies per solve are on the books.
-        assert!(warm.matvecs >= 2 * warm.solves);
-        let warm_rayon = run_ring(&qep, &cfg, Some(&cold.solutions), &RayonExecutor);
-        assert_bitwise_eq(&warm, &warm_rayon);
     }
 
     #[test]
@@ -633,21 +586,14 @@ mod tests {
             .map(|problem| PoolGroup {
                 problem,
                 v_cols: &plan.v_cols,
-                seeds: None,
-                keep_solutions: true,
                 trace: TraceHandle::disabled(),
             })
             .collect();
         let accs = problems.iter().map(|_| plan.accumulator()).collect();
         let pooled = solve_pool(&groups, accs, &PoolPolicy::from_config(&cfg), &RayonExecutor);
-        for (qep, together) in problems.iter().zip(&pooled) {
-            let alone = run_ring(qep, &cfg, None, &SerialExecutor);
-            assert_eq!(alone.solutions, together.solutions);
-            let t = together;
-            assert_eq!(
-                alone.counters(),
-                [t.iterations, t.matvecs, t.traversals, t.assemblies, t.capped_solves, t.solves]
-            );
+        for (qep, together) in problems.iter().zip(pooled) {
+            let alone = run_ring(qep, &cfg, &SerialExecutor);
+            assert_bitwise_eq(&alone, &ring_of(qep, &cfg, &plan, together));
         }
     }
 }

@@ -10,7 +10,6 @@
 //!
 //! ```text
 //! right-hand sides   b̂ = M_L⁻¹b          dual: M_R⁻†b
-//! warm seeds         x̂₀ = M_R x₀          dual: M_L† x̃₀
 //! solutions          x = M_R⁻¹x̂           dual: x̃ = M_L⁻†ŷ
 //! ```
 //!
@@ -51,9 +50,10 @@ use cbs_solver::{
 use cbs_sparse::{LinearOperator, Preconditioner, StencilDilu};
 
 /// Solve `P(z)x_c = b_c` and `P(z)†x̃_c = b_c` for every column `c` on the
-/// split system of `m`, the diagonal ILU of `p = P(z)` (module docs).  The
-/// arguments are those of `bicg_dual_block_precond` with `m` in place of the
-/// preconditioner and one right-hand side per column for both sides.
+/// split system of `m`, the diagonal ILU of `p = P(z)` (module docs), from
+/// a zero initial guess.  The arguments are those of
+/// `bicg_dual_block_precond` with `m` in place of the preconditioner and one
+/// right-hand side per column for both sides.
 ///
 /// Returns the per-column results in the original system, with the
 /// traversals of every apply — split and true — and the number of columns
@@ -62,7 +62,6 @@ pub(crate) fn solve_split(
     m: &StencilDilu<'_>,
     p: &dyn LinearOperator,
     b: &[CVector],
-    seeds: Option<&[Option<(&CVector, &CVector)>]>,
     opts: &SolverOptions,
     external_stop: Option<&(dyn Fn(usize) -> bool + Sync)>,
 ) -> (BlockBicgResult, usize) {
@@ -74,30 +73,13 @@ pub(crate) fn solve_split(
     let b_hat: Vec<CVector> = b.iter().map(|v| mapped(v, &|w| m.split_rhs(false, w, 1))).collect();
     let b_hat_dual: Vec<CVector> =
         b.iter().map(|v| mapped(v, &|w| m.split_rhs(true, w, 1))).collect();
-    let seeds_hat: Option<Vec<Option<(CVector, CVector)>>> = seeds.map(|seeds| {
-        seeds
-            .iter()
-            .map(|seed| {
-                seed.map(|(x, xt)| {
-                    (
-                        mapped(x, &|w| m.split_seed(false, w, 1)),
-                        mapped(xt, &|w| m.split_seed(true, w, 1)),
-                    )
-                })
-            })
-            .collect()
-    });
-    let seed_refs: Option<Vec<Option<(&CVector, &CVector)>>> = seeds_hat
-        .as_ref()
-        .map(|seeds| seeds.iter().map(|s| s.as_ref().map(|(x, xt)| (x, xt))).collect());
 
     let split = m.split();
     let solve = |b: &[CVector],
                  b_dual: &[CVector],
-                 seeds: Option<&[Option<(&CVector, &CVector)>]>,
                  opts: &SolverOptions,
                  stop: Option<&(dyn Fn(usize) -> bool + Sync)>| {
-        bicg_dual_block_precond(&split, None::<&dyn Preconditioner>, b, b_dual, seeds, opts, stop)
+        bicg_dual_block_precond(&split, None::<&dyn Preconditioner>, b, b_dual, None, opts, stop)
     };
     let unsplit = |col: &BicgResult| {
         let x = mapped(&col.x, &|w| m.unsplit(false, w, 1));
@@ -107,7 +89,7 @@ pub(crate) fn solve_split(
 
     let rho = b_hat.iter().map(|b| m.pivot_weight(b.as_slice())).fold(1.0, f64::min);
     let first_opts = SolverOptions { tolerance: opts.tolerance * rho.sqrt(), ..*opts };
-    let first = solve(&b_hat, &b_hat_dual, seed_refs.as_deref(), &first_opts, external_stop);
+    let first = solve(&b_hat, &b_hat_dual, &first_opts, external_stop);
     let mut traversals = first.traversals;
     let mut columns = first.columns;
     let mut solutions: Vec<(CVector, CVector)> = columns.iter().map(unsplit).collect();
@@ -148,7 +130,7 @@ pub(crate) fn solve_split(
             *scale = r.norm() / b.norm().max(1e-300);
         }
         let (r0, r0_dual) = (std::slice::from_ref(&r0[0]), std::slice::from_ref(&r0[1]));
-        let again = solve(r0, r0_dual, None, &resume, stop);
+        let again = solve(r0, r0_dual, &resume, stop);
         traversals += again.traversals;
         let again = again.columns.into_iter().next().expect("one column in, one out");
         let sides = [
@@ -158,7 +140,7 @@ pub(crate) fn solve_split(
         for (history, more, scale) in sides {
             // Split residuals relative to `b̂` again, the resumed start
             // replacing the first pass's last recurrence value; the two
-            // residual applies count like a seeded start's.
+            // residual applies are counted in the matvecs.
             history.residuals.pop();
             history.residuals.extend(more.residuals.iter().map(|r| r * scale));
             history.stop_reason = more.stop_reason;
@@ -246,7 +228,7 @@ mod tests {
     use super::*;
     use crate::policy::PrecondPolicy;
     use crate::pool::{solve_pool, PoolGroup, PoolOutcome, PoolPolicy};
-    use crate::qep::QepProblem;
+    use crate::qep::{NodePrecond, QepProblem};
     use crate::ss::{extract_from_moments, RingPlan, SsConfig};
     use cbs_linalg::c64;
     use cbs_parallel::{RayonExecutor, SerialExecutor, TaskExecutor};
@@ -306,19 +288,9 @@ mod tests {
         }
     }
 
-    fn pool<E: TaskExecutor>(
-        qep: &QepProblem<'_>,
-        plan: &RingPlan,
-        seeds: Option<&[(CVector, CVector)]>,
-        executor: &E,
-    ) -> PoolOutcome {
-        let group = PoolGroup {
-            problem: qep,
-            v_cols: &plan.v_cols,
-            seeds,
-            keep_solutions: true,
-            trace: TraceHandle::disabled(),
-        };
+    fn pool<E: TaskExecutor>(qep: &QepProblem<'_>, plan: &RingPlan, executor: &E) -> PoolOutcome {
+        let group =
+            PoolGroup { problem: qep, v_cols: &plan.v_cols, trace: TraceHandle::disabled() };
         solve_pool(
             &[group],
             vec![plan.accumulator()],
@@ -335,36 +307,51 @@ mod tests {
         let pattern = AssembledPattern::build(&h00.0, &h01.0);
         let qep = QepProblem::new(&h00, &h01, 0.3, 1.0).with_pattern(&pattern);
         let plan = RingPlan::build(&qep, &config()).expect("valid contour");
-        let serial = pool(&qep, &plan, None, &SerialExecutor);
+        let serial = pool(&qep, &plan, &SerialExecutor);
         assert!(qep.real_stencil().is_some(), "the blocks convert: the split route runs");
         assert!(serial.resumed > 0, "no column resumed");
 
-        // Every solution meets the tolerance in the true residual,
-        // recomputed here with the problem's own operator ...
+        // Every node, solved on its own as the pool solves it, meets the
+        // tolerance in the true residual, recomputed here with the
+        // problem's own operator ...
         let tol = config().bicg_tolerance;
-        let n_rh = plan.v_cols.len();
-        for (job, (x, xt)) in serial.solutions.iter().enumerate() {
-            let (op, b) =
-                (qep.operator(serial.acc.node_shift(job / n_rh)), &plan.v_cols[job % n_rh]);
-            let primal = (&op.apply_vec(x) - b).norm() / b.norm();
-            let dual = (&op.apply_adjoint_vec(xt) - b).norm() / b.norm();
-            assert!(primal <= tol && dual <= tol, "job {job}: {primal:.2e} / {dual:.2e}");
+        let mut per_node = Vec::new();
+        let mut resumed = 0;
+        for j in 0..serial.acc.n_nodes() {
+            let z = serial.acc.node_shift(j);
+            let (op, prec) = qep.node_solve(config().precond, z);
+            let Some(NodePrecond::Stencil(m)) = &prec else { panic!("node {j} does not split") };
+            let (solved, more) =
+                solve_split(m, &op, &plan.v_cols, &config().solver_options(), None);
+            resumed += more;
+            let truth = qep.operator(z);
+            for (r, col) in solved.columns.into_iter().enumerate() {
+                let b = &plan.v_cols[r];
+                let primal = (&truth.apply_vec(&col.x) - b).norm() / b.norm();
+                let dual = (&truth.apply_adjoint_vec(&col.dual_x) - b).norm() / b.norm();
+                assert!(
+                    primal <= tol && dual <= tol,
+                    "node {j} rhs {r}: {primal:.2e} / {dual:.2e}"
+                );
+                per_node.push(col.history);
+            }
         }
+        // ... and is the solve the pool ran, bit for bit, which reports
+        // `Converged` with its history ending on that residual.
+        assert_eq!(resumed, serial.resumed);
         let counters = |o: &PoolOutcome| [o.iterations, o.matvecs, o.traversals, o.resumed];
-        let cold = (counters(&serial), serial.solutions.clone());
-        // ... and reports `Converged`, its history ending on that residual.
+        let (cold, moments) = (counters(&serial), serial.acc.moments().to_vec());
         let result =
             extract_from_moments(&qep, &config(), &plan.v_cols, serial.acc, 0, 0, 0, 0, 0.0);
         assert!(result.solve_histories.iter().all(|h| h.converged() && h.final_residual() <= tol));
+        // The mirrored ring reports each solved node's histories twice.
+        let half = per_node.len();
+        for (pooled, alone) in result.solve_histories.iter().zip(&per_node).take(half) {
+            assert_eq!(pooled.residuals, alone.residuals);
+        }
 
-        // A node seeded with its own solutions is already solved.
-        let warm = pool(&qep, &plan, Some(&cold.1), &SerialExecutor);
-        assert_eq!((warm.iterations, warm.resumed), (0, 0));
-
-        // Serial ≡ rayon, bitwise, cold and warm.
-        let rayon = pool(&qep, &plan, None, &RayonExecutor);
-        assert_eq!((counters(&rayon), rayon.solutions), cold);
-        let rayon = pool(&qep, &plan, Some(&cold.1), &RayonExecutor);
-        assert_eq!((counters(&rayon), rayon.solutions), (counters(&warm), warm.solutions));
+        // Serial ≡ rayon, bitwise.
+        let rayon = pool(&qep, &plan, &RayonExecutor);
+        assert_eq!((counters(&rayon), rayon.acc.moments()), (cold, &moments[..]));
     }
 }

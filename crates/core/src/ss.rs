@@ -269,8 +269,7 @@ impl SsResult {
 
 /// The deterministic random source block `V` (`N_rh` columns of length `n`)
 /// implied by a configuration.  Depends only on `n`, `config.n_rh` and
-/// `config.seed`, so every scan energy of a sweep shares the same block —
-/// which is what makes cross-energy solution reuse meaningful.
+/// `config.seed`, so every scan energy of a sweep shares the same block.
 ///
 /// The entries are **real** (uniform in `[-1, 1)`), always: a real block is
 /// as generic as a complex one for the method, and it is what lets a real
@@ -332,11 +331,10 @@ impl MomentAccumulator {
         self.nodes[j].0.z
     }
 
-    /// Fold one solve outcome into the moments, returning its solution pair
-    /// for optional reuse (warm-start donor tables).  Must be called in job
-    /// order (`point_index * N_rh + rhs_index`) for executor-independent
-    /// results.
-    pub fn record(&mut self, outcome: ShiftedSolveOutcome) -> (CVector, CVector) {
+    /// Fold one solve outcome into the moments; the solution pair is dropped
+    /// once it has contributed.  Must be called in job order
+    /// (`point_index * N_rh + rhs_index`) for executor-independent results.
+    pub fn record(&mut self, outcome: ShiftedSolveOutcome) {
         let (outer, inner) = self.nodes[outcome.point_index];
         // Accumulate the moments for this (j, rhs) pair:
         //   primal:  + ω_j z_j^k  Y^(1)
@@ -350,7 +348,12 @@ impl MomentAccumulator {
             zk_dual *= inner.z;
         }
         self.histories.push(outcome.history);
-        (outcome.x, outcome.dual_x)
+    }
+
+    /// The accumulated `Ŝ_k`, `N_rh` columns each.
+    #[cfg(test)]
+    pub(crate) fn moments(&self) -> &[Vec<CVector>] {
+        &self.s_moments
     }
 }
 
@@ -384,16 +387,7 @@ pub fn solve_qep_with<E: TaskExecutor>(
     // is recording) and inherits any context — e.g. a sweep's scan-energy
     // index — the calling thread has installed.
     let trace = TraceHandle::resolve(config.trace).with_policy(config.precond.trace_code());
-    let ring = PoolGroup {
-        problem,
-        v_cols: &plan.v_cols,
-        seeds: None,
-        // Each solution pair is dropped after its moment contribution, so
-        // on the serial executor the peak footprint stays at the
-        // O(N_mm N_rh N) moments plus one node's solutions.
-        keep_solutions: false,
-        trace,
-    };
+    let ring = PoolGroup { problem, v_cols: &plan.v_cols, trace };
     let outcome =
         solve_pool(&[ring], vec![plan.accumulator()], &PoolPolicy::from_config(config), executor)
             .pop()
@@ -427,7 +421,10 @@ pub fn solve_qep_with<E: TaskExecutor>(
 /// or non-finite, so the block Hankel matrix has no finite positive `σ₁` —
 /// and a failed SVD or reduced eigensolve are not errors of the caller's:
 /// the result then has no eigenpairs and `numerical_rank` 0 (and no
-/// `hankel_singular_values` when the SVD itself failed).
+/// `hankel_singular_values` when the SVD itself failed).  So is a complex
+/// `v_cols` on a mirrored accumulator: the lower half-plane nodes mirror the
+/// upper ones only for a real source block, so such moments are not the
+/// ring's, and nothing is extracted from them (no SVD runs).
 #[allow(clippy::too_many_arguments)]
 pub fn extract_from_moments(
     problem: &QepProblem<'_>,
@@ -448,13 +445,11 @@ pub fn extract_from_moments(
 
     let t_extract = std::time::Instant::now(); // cbs-audit: allow(D002) reason="extraction wall-clock statistic; reported, never fingerprinted"
     let trace_t0 = cbs_trace::now_ns();
+    // `Y(z̄) = conj Y(z)` needs a real right-hand side: `source_block`
+    // always draws one, a caller-supplied block that is not real leaves the
+    // mirrored moments incomplete.
+    let unmirrorable = mirrored && !v_cols.iter().all(|v| v.iter().all(|z| z.im == 0.0));
     if mirrored {
-        // `Y(z̄) = conj Y(z)` needs a real right-hand side: `source_block`
-        // always draws one, a caller-supplied block must be real too.
-        assert!(
-            v_cols.iter().all(|v| v.iter().all(|z| z.im == 0.0)),
-            "a mirrored (conjugate-symmetric) ring needs a real source block"
-        );
         // Close the quadrature sum over the lower half-plane nodes that
         // were never solved: node `N-1-j` contributes the conjugate of node
         // `j`'s term, so Ŝ_k ← Ŝ_k + conj Ŝ_k = 2 Re Ŝ_k — O(N_mm N_rh N),
@@ -496,7 +491,7 @@ pub fn extract_from_moments(
     }
 
     // Low-rank filtering and the reduced eigenproblem.
-    let decomposition = svd(&t_hankel).ok();
+    let decomposition = if unmirrorable { None } else { svd(&t_hankel).ok() };
     let Reduced { rank, w1, sigma_inv, eig } = decomposition
         .as_ref()
         .and_then(|d| Reduced::filter(d, &t_shift, config.delta))
@@ -686,12 +681,6 @@ impl RingPlan {
         self.mirrored
     }
 
-    /// Number of nodes the plan solves: the whole ring, or its upper half
-    /// when mirrored.
-    pub fn n_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Fresh zeroed moments over the plan's node list.
     pub fn accumulator(&self) -> MomentAccumulator {
         let n = self.v_cols.first().map_or(0, CVector::len);
@@ -868,13 +857,8 @@ mod tests {
         let plan = RingPlan::build(&qep, &config).unwrap();
         let policy = PoolPolicy::from_config(&config);
         let solve = |v_cols: &[CVector]| {
-            let group = PoolGroup {
-                problem: &qep,
-                v_cols,
-                seeds: None,
-                keep_solutions: false,
-                trace: TraceHandle::resolve(config.trace),
-            };
+            let group =
+                PoolGroup { problem: &qep, v_cols, trace: TraceHandle::resolve(config.trace) };
             solve_pool(&[group], vec![plan.accumulator()], &policy, &SerialExecutor).pop().unwrap()
         };
         let extract = |v_cols: &[CVector], out: PoolOutcome| {
@@ -904,6 +888,38 @@ mod tests {
         let result = extract(&v_cols, poisoned);
         assert!(result.eigenpairs.is_empty());
         assert_eq!(result.numerical_rank, 0);
+    }
+
+    #[test]
+    fn a_complex_source_block_on_a_mirrored_ring_extracts_nothing() {
+        // Real blocks: the plan lists only the upper half of the ring, and
+        // the lower half is the conjugate of what a *real* block solves.  A
+        // complex block's moments cannot be closed that way; the contract
+        // is the degenerate-moment one — no eigenpairs, rank 0 — not a
+        // panic.
+        let (h00, h01) = random_qep(8, 508);
+        let real = |m: CMatrix| CMatrix::from_fn(8, 8, |i, j| Complex64::real(m[(i, j)].re));
+        let (op00, op01) = (DenseOp::new(real(h00)), DenseOp::new(real(h01)));
+        let qep = QepProblem::new(&op00, &op01, 0.1, 1.0);
+        let config = SsConfig { majority_stop: false, ..SsConfig::small() };
+        let plan = RingPlan::build(&qep, &config).unwrap();
+        assert!(plan.is_mirrored());
+        let run = |v_cols: &[CVector]| {
+            let group = PoolGroup { problem: &qep, v_cols, trace: TraceHandle::disabled() };
+            let policy = PoolPolicy::from_config(&config);
+            let out = solve_pool(&[group], vec![plan.accumulator()], &policy, &SerialExecutor);
+            let out = out.into_iter().next().unwrap();
+            extract_from_moments(&qep, &config, v_cols, out.acc, out.iterations, 0, 0, 0, 0.0)
+        };
+
+        assert!(!run(&plan.v_cols).eigenpairs.is_empty(), "the real block finds the spectrum");
+        let complex: Vec<CVector> =
+            plan.v_cols.iter().map(|v| v.iter().map(|&x| x * c64(0.6, 0.8)).collect()).collect();
+        let result = run(&complex);
+        assert!(result.eigenpairs.is_empty());
+        assert_eq!(result.numerical_rank, 0);
+        assert!(result.hankel_singular_values.is_empty());
+        assert!(result.total_bicg_iterations > 0, "the solves ran");
     }
 
     #[test]

@@ -228,13 +228,13 @@ fn redirect(
 /// the paired inner-circle node.  With `m = None` the same loop runs with
 /// `z ≡ r`, `z̃ ≡ r̃` by reference.
 ///
-/// `seeds`, when present, supplies an optional warm-start pair `(x₀, x̃₀)`
+/// `seeds`, when present, supplies an optional initial guess `(x₀, x̃₀)`
 /// per column: the initial residuals are `r₀ = b - A x₀`, `r̃₀ = b̃ - A† x̃₀`
 /// (two operator applications, counted in the column's `matvecs` and fused
 /// over the seeded columns); `None` entries start from zero at no extra
-/// work.  A good seed — e.g. the solution of the same shifted system at a
-/// neighbouring scan energy, whose operator differs only by `(E' - E) I` —
-/// typically cuts the iteration count substantially.
+/// work.  Vestige, released by ROADMAP 1(a): every solve in the workspace
+/// passes `None` (scan energies are solved cold); the repo benchmark's
+/// one-node replay names the parameter.
 ///
 /// `external_stop` is consulted once per lockstep iteration for every
 /// still-active column; returning `true` ends that column with

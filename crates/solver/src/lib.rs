@@ -6,8 +6,8 @@
 //!   one shifted system advanced in lockstep through fused block matvecs,
 //!   solving `A x = b` *and* `A† x̃ = b̃` in one sweep (the kernel the paper
 //!   uses to halve the cost of the contour quadrature, `P(z)† = P(1/z̄)`),
-//!   with per-column deflation, optional warm-start seeds (the energy-sweep
-//!   cross-energy reuse seam) and an optional preconditioner (`M⁻¹` on the
+//!   with per-column deflation, optional initial guesses (a vestige no
+//!   workspace solve uses) and an optional preconditioner (`M⁻¹` on the
 //!   primal residuals, `M⁻†` on the dual — e.g. `cbs_sparse::Ilu0` of the
 //!   assembled `P(z)`),
 //! * [`bicg_dual`], [`bicg()`] — its width-1, unpreconditioned, unseeded

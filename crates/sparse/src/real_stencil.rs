@@ -634,8 +634,7 @@ impl RealStencil {
 /// ([`split`](Self::split)).  BiCG then runs on `Â = M_L⁻¹P(z)M_R⁻¹`, whose
 /// apply folds `P(z)` into the two sweeps (Eisenstat's trick), and the
 /// vectors cross into and out of the split system through
-/// [`split_rhs`](Self::split_rhs), [`split_seed`](Self::split_seed) and
-/// [`unsplit`](Self::unsplit).
+/// [`split_rhs`](Self::split_rhs) and [`unsplit`](Self::unsplit).
 ///
 /// Per column no update depends on the tile width, so every block pass
 /// equals the column-by-column loop bit for bit.
@@ -693,9 +692,6 @@ enum Pass {
     /// `M_R⁻¹ = (I+D̃⁻¹U)⁻¹`, descending: `zᵢ ← zᵢ + d̃ᵢ⁻¹σᵢ`; scaled,
     /// `M_R⁻¹D̃⁻¹`: `zᵢ ← d̃ᵢ⁻¹(zᵢ + σᵢ)`.
     Upper { scaled: bool },
-    /// `M_R = I+D̃⁻¹U`, ascending, so row `i` reads only rows not yet
-    /// rewritten: `zᵢ ← zᵢ − d̃ᵢ⁻¹σᵢ`; scaled, `D̃M_R`: `zᵢ ← d̃ᵢzᵢ − σᵢ`.
-    UpperProduct { scaled: bool },
 }
 
 impl StencilDilu<'_> {
@@ -744,17 +740,14 @@ impl StencilDilu<'_> {
     ) {
         let s = self.stencil;
         let mut zs: [&mut [Complex64]; W] = columns_mut(z, s.n, j);
-        let upper = !matches!(pass, Pass::Lower);
-        let descending = matches!(pass, Pass::Upper { .. });
-        s.walk(rows, upper, descending, side.shift, &mut zs, |i, acc, zs| {
+        let upper = matches!(pass, Pass::Upper { .. });
+        s.walk(rows, upper, upper, side.shift, &mut zs, |i, acc, zs| {
             let p = side.inv_pivot(i);
             for w in 0..W {
                 let zi = zs[w][i];
                 zs[w][i] = match pass {
                     Pass::Lower | Pass::Upper { scaled: true } => p * (zi + acc[w]),
                     Pass::Upper { scaled: false } => zi + p * acc[w],
-                    Pass::UpperProduct { scaled: false } => zi - p * acc[w],
-                    Pass::UpperProduct { scaled: true } => side.pivot(i) * zi - acc[w],
                 };
             }
         });
@@ -947,14 +940,6 @@ impl StencilDilu<'_> {
                     }
                 }
             }
-        });
-    }
-
-    /// Warm seeds into the split system, in place: `x̂₀ = M_R x₀`, or on the
-    /// dual side `ŷ₀ = M_L† x̃₀`.
-    pub fn split_seed(&self, dual: bool, x: &mut [Complex64], nvecs: usize) {
-        self.map(dual, x, nvecs, |side, x| {
-            self.pass(Pass::UpperProduct { scaled: dual }, side, x, nvecs);
         });
     }
 
@@ -1448,7 +1433,6 @@ mod tests {
         split_apply(&m, &[], 3);
         for dual in [false, true] {
             m.split_rhs(dual, &mut [], 3);
-            m.split_seed(dual, &mut [], 3);
             m.unsplit(dual, &mut [], 3);
         }
     }
@@ -1531,7 +1515,7 @@ mod tests {
         }
     }
 
-    /// The split apply and the three maps, on both sides: a block pass is
+    /// The split apply and the two maps, on both sides: a block pass is
     /// the column-by-column loop bit for bit at every tile mix.
     #[test]
     fn split_passes_are_bitwise_column_equivalent() {
@@ -1541,7 +1525,7 @@ mod tests {
         let maps = |x: &[Complex64], nvecs: usize| {
             let mut out = split_apply(&m, x, nvecs).to_vec();
             for dual in [false, true] {
-                for map in [StencilDilu::split_rhs, StencilDilu::split_seed, StencilDilu::unsplit] {
+                for map in [StencilDilu::split_rhs, StencilDilu::unsplit] {
                     let mut v = x.to_vec();
                     map(&m, dual, &mut v, nvecs);
                     out.push(v);
@@ -1566,9 +1550,9 @@ mod tests {
         }
     }
 
-    /// The maps into and out of the split system: `M_R⁻¹·M_R` and
-    /// `M_L⁻†·M_L†` are the identity, and a system solved in `x` is solved
-    /// in `x̂`: `Â·M_R x = M_L⁻¹·P(z)x` and `Â†·M_L†x = M_R⁻†·P(z)†x`.
+    /// The maps into and out of the split system: a system solved in `x̂` is
+    /// solved in `x = M_R⁻¹x̂` with the mapped right-hand side,
+    /// `Â x̂ = M_L⁻¹·P(z)·M_R⁻¹x̂` and `Â†ŷ = M_R⁻†·P(z)†·M_L⁻†ŷ`.
     #[test]
     fn split_maps_round_trip() {
         for (p, e, z, seed) in split_fixtures() {
@@ -1576,21 +1560,17 @@ mod tests {
             let n = s.dim();
             let m = s.dilu(e, z);
             let mut rng = ChaCha8Rng::seed_from_u64(seed + 20);
-            let x = CVector::random(n * 2, &mut rng).into_vec();
-            for (dual, shift) in [(false, z), (true, Complex64::ONE / z.conj())] {
-                let mut seed_hat = x.clone();
-                m.split_seed(dual, &mut seed_hat, 2);
-                let mut back = seed_hat.clone();
-                m.unsplit(dual, &mut back, 2);
-                let err = relative_error(&back, &x);
-                assert!(err <= 1e-13, "n {n} dual {dual}: seed round trip {err:.2e}");
-
-                let [primal, adjoint] = split_apply(&m, &seed_hat, 2);
-                let got = if dual { adjoint } else { primal };
+            let x_hat = CVector::random(n * 2, &mut rng).into_vec();
+            let [primal, adjoint] = split_apply(&m, &x_hat, 2);
+            for (dual, shift, got) in
+                [(false, z, primal), (true, Complex64::ONE / z.conj(), adjoint)]
+            {
+                let mut x = x_hat.clone();
+                m.unsplit(dual, &mut x, 2);
                 let mut want = apply(&s, e, shift, &x, 2);
                 m.split_rhs(dual, &mut want, 2);
                 let err = relative_error(&got, &want);
-                assert!(err <= 1e-12, "n {n} dual {dual}: right-hand side map {err:.2e}");
+                assert!(err <= 1e-12, "n {n} dual {dual}: {err:.2e}");
             }
         }
     }

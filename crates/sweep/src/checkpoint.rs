@@ -2,15 +2,16 @@
 //!
 //! A [`SweepCheckpoint`] is written after every completed scan energy and
 //! restores a killed sweep **bit-identically**: it carries the completed
-//! [`EnergyRecord`]s (in completion order), the warm-start seed bank (the
-//! donor solution vectors later energies would have been seeded from), and
-//! a bit-exact fingerprint of the configuration and energy grid, verified
-//! on resume.
+//! [`EnergyRecord`]s (in completion order) and a bit-exact fingerprint of
+//! the configuration and energy grid, verified on resume.  Every solve
+//! starts cold, so finished energies' results are all a resume needs.
 //!
 //! The on-disk format is a line-oriented text file in which every `f64` is
 //! stored as the 16-hex-digit bit pattern of `f64::to_bits` — exact
 //! round-tripping is what makes resumed sweeps reproduce uninterrupted ones
-//! down to the last bit.  (The workspace's vendored `serde` is a marker-only
+//! down to the last bit.  A `checksum` line before the closing `end` holds
+//! the FNV-1a 64 hash of every byte before it, so a flipped digit is a
+//! [`CheckpointError::Malformed`] checkpoint, never a silently wrong band.  (The workspace's vendored `serde` is a marker-only
 //! shim, so the actual encoding is hand-rolled here; the structs still
 //! derive the markers like every other wire-ready type in the tree.)
 
@@ -18,9 +19,9 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use cbs_core::CbsPoint;
-use cbs_linalg::{c64, CVector};
+use cbs_linalg::c64;
 
-use crate::sweep::{EnergyOrigin, EnergyRecord, EnergyStats, SeedTable};
+use crate::sweep::{EnergyOrigin, EnergyRecord, EnergyStats};
 
 /// Everything needed to resume a killed sweep bit-identically.
 #[derive(Clone, Debug, Default)]
@@ -32,25 +33,17 @@ pub struct SweepCheckpoint {
     pub initial_energies: Vec<f64>,
     /// Completed energies, in completion order.
     pub records: Vec<EnergyRecord>,
-    /// The warm-start donor bank at checkpoint time, in completion order
-    /// (oldest first), after capacity eviction.  Holds only fully completed
-    /// batches — donor selection reads exclusively from here.
-    pub seed_bank: Vec<(f64, SeedTable)>,
-    /// Donations of the batch in flight when the checkpoint was written, in
-    /// completion order; committed to the bank once that batch completes.
-    /// Keeping them out of the bank until then is what makes a mid-batch
-    /// kill/resume bit-identical even under capacity eviction.
-    pub pending_donations: Vec<(f64, SeedTable)>,
 }
 
 /// Why a checkpoint could not be used.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CheckpointError {
-    /// Truncated, corrupt or otherwise unparseable checkpoint text.
+    /// Truncated, corrupt (checksum mismatch) or otherwise unparseable
+    /// checkpoint text.
     Malformed(String),
     /// A checkpoint written by any on-disk format version other than the
-    /// current one — older or newer, its counters, sections or seed tables
-    /// cannot be restored faithfully.  Delete the checkpoint and re-sweep.
+    /// current one — older or newer, its counters and sections cannot be
+    /// restored faithfully.  Delete the checkpoint and re-sweep.
     IncompatibleVersion {
         /// The magic line found in the file.
         found: String,
@@ -126,13 +119,19 @@ impl std::error::Error for CheckpointError {}
 //       BiCG on the split system `M_L⁻¹P(z)M_R⁻¹` and stops on its residual
 //       plus a true-residual check, so a v13 sweep under it took another
 //       trajectory; the fingerprint gained the problem dimension, so a
-//       checkpoint of the same cell at another grid spacing is refused.
+//       checkpoint of the same cell at another grid spacing is refused,
+//   v15 no warm starts: the `seeds` and `pending` sections and the record
+//       line's donor fields are gone, the four warm/cold counters became
+//       one solve count, the fingerprint lost the warm-start, release-round
+//       and seed-bank slots, and a `checksum` line (FNV-1a 64 of every byte
+//       before it) precedes `end`.  A v14 warm sweep took another
+//       trajectory than today's cold one.
 // There is exactly one compatibility rule: the version found must be the
 // current one.  Anything else announcing itself through the shared magic
 // prefix is refused with [`CheckpointError::IncompatibleVersion`], naming
 // both versions, rather than read with silently zeroed or misaligned
 // fields.
-const MAGIC: &str = "cbs-sweep-checkpoint v14";
+const MAGIC: &str = "cbs-sweep-checkpoint v15";
 
 /// Prefix shared by every version's magic line; anything with this prefix
 /// but the wrong version is an incompatible (not malformed) checkpoint.
@@ -177,23 +176,18 @@ impl<'s> Tokens<'s> {
     }
 }
 
-fn push_vector(out: &mut String, v: &CVector) {
-    for z in v.iter() {
-        let _ = write!(out, " {} {}", hex(z.re), hex(z.im));
-    }
+/// FNV-1a, 64 bit, of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
-// Every count below is read from the file, so none sizes an allocation up
-// front: a bit-flipped count must end in `Malformed` when the entries run
-// out, not in a capacity overflow.
-fn read_vector(t: &mut Tokens<'_>, dim: usize) -> Result<CVector, CheckpointError> {
-    let mut data = Vec::new();
-    for _ in 0..dim {
-        let re = t.f64()?;
-        let im = t.f64()?;
-        data.push(c64(re, im));
-    }
-    Ok(CVector::from_vec(data))
+/// `body` closed by its `checksum` line and `end`.
+fn sealed(mut body: String) -> String {
+    let _ = writeln!(body, "checksum {:016x}", fnv1a(body.as_bytes()));
+    body.push_str("end\n");
+    body
 }
 
 impl SweepCheckpoint {
@@ -217,23 +211,16 @@ impl SweepCheckpoint {
                 EnergyOrigin::Initial(i) => format!("i {i:x} {} {}", hex(0.0), hex(0.0)),
                 EnergyOrigin::Refined { lo, hi } => format!("r 0 {} {}", hex(lo), hex(hi)),
             };
-            let seeded = match r.seeded_from {
-                Some(e) => format!("1 {}", hex(e)),
-                None => format!("0 {}", hex(0.0)),
-            };
             let s = &r.stats;
             let _ = writeln!(
                 out,
-                "record {} {origin} {seeded} {:x} {:x} {:x} {:x} {:x} {:x} {:x} {:x} {:x} {:x} {:x} {:x} {:x}",
+                "record {} {origin} {:x} {:x} {:x} {:x} {:x} {:x} {:x} {:x} {:x} {:x}",
                 hex(r.energy),
                 s.bicg_iterations,
                 s.matvecs,
                 s.operator_traversals,
                 s.operator_assemblies,
-                s.warm_solves,
-                s.cold_solves,
-                s.warm_iterations,
-                s.cold_iterations,
+                s.solves,
                 s.capped_solves,
                 s.accepted,
                 s.discarded,
@@ -254,22 +241,7 @@ impl SweepCheckpoint {
                 );
             }
         }
-        for (section, bank) in [("seeds", &self.seed_bank), ("pending", &self.pending_donations)] {
-            let _ = writeln!(out, "{section} {:x}", bank.len());
-            for (energy, table) in bank {
-                let dim = table.first().map_or(0, |(x, _)| x.len());
-                let _ = writeln!(out, "seed {} {:x} {:x}", hex(*energy), table.len(), dim);
-                for (x, xt) in table {
-                    let mut line = String::from("pair");
-                    push_vector(&mut line, x);
-                    push_vector(&mut line, xt);
-                    out.push_str(&line);
-                    out.push('\n');
-                }
-            }
-        }
-        out.push_str("end\n");
-        out
+        sealed(out)
     }
 
     /// Parse the format produced by [`serialize_to_string`](Self::serialize_to_string).
@@ -304,6 +276,13 @@ impl SweepCheckpoint {
             }
             return Err(err(format!("bad magic line `{magic}`")));
         }
+        // Every byte before the `checksum` line is covered; its digits are
+        // compared as written, so not even their case may change.
+        let at = text.rfind("\nchecksum ").ok_or_else(|| err("missing checksum line"))? + 1;
+        let (written, want) = (text[at..].split_whitespace().nth(1), fnv1a(&text.as_bytes()[..at]));
+        if written != Some(format!("{want:016x}").as_str()) {
+            return Err(err("checksum mismatch: the checkpoint is corrupt"));
+        }
 
         let mut t = lines.expect("fingerprint")?;
         let nf = t.usize()?;
@@ -315,6 +294,9 @@ impl SweepCheckpoint {
 
         let mut t = lines.expect("records")?;
         let nr = t.usize()?;
+        // No count read from the file sizes an allocation up front: a
+        // corrupt count must end in `Malformed` when the entries run out,
+        // not in a capacity overflow.
         let mut records = Vec::new();
         for _ in 0..nr {
             let mut t = lines.expect("record")?;
@@ -328,18 +310,12 @@ impl SweepCheckpoint {
                 "r" => EnergyOrigin::Refined { lo: origin_lo, hi: origin_hi },
                 other => return Err(err(format!("unknown origin tag `{other}`"))),
             };
-            let has_seed = t.bool()?;
-            let seed_energy = t.f64()?;
-            let seeded_from = has_seed.then_some(seed_energy);
             let stats = EnergyStats {
                 bicg_iterations: t.usize()?,
                 matvecs: t.usize()?,
                 operator_traversals: t.usize()?,
                 operator_assemblies: t.usize()?,
-                warm_solves: t.usize()?,
-                cold_solves: t.usize()?,
-                warm_iterations: t.usize()?,
-                cold_iterations: t.usize()?,
+                solves: t.usize()?,
                 capped_solves: t.usize()?,
                 accepted: t.usize()?,
                 discarded: t.usize()?,
@@ -359,35 +335,12 @@ impl SweepCheckpoint {
                     residual: t.f64()?,
                 });
             }
-            records.push(EnergyRecord { energy, origin, seeded_from, stats, points });
+            records.push(EnergyRecord { energy, origin, stats, points });
         }
-
-        let mut banks: Vec<Vec<(f64, SeedTable)>> = Vec::with_capacity(2);
-        for section in ["seeds", "pending"] {
-            let mut t = lines.expect(section)?;
-            let nb = t.usize()?;
-            let mut bank = Vec::new();
-            for _ in 0..nb {
-                let mut t = lines.expect("seed")?;
-                let energy = t.f64()?;
-                let npairs = t.usize()?;
-                let dim = t.usize()?;
-                let mut table = Vec::new();
-                for _ in 0..npairs {
-                    let mut t = lines.expect("pair")?;
-                    let x = read_vector(&mut t, dim)?;
-                    let xt = read_vector(&mut t, dim)?;
-                    table.push((x, xt));
-                }
-                bank.push((energy, table));
-            }
-            banks.push(bank);
-        }
-        let pending_donations = banks.pop().unwrap();
-        let seed_bank = banks.pop().unwrap();
+        lines.expect("checksum")?;
         lines.expect("end")?;
 
-        Ok(Self { fingerprint, initial_energies, records, seed_bank, pending_donations })
+        Ok(Self { fingerprint, initial_energies, records })
     }
 
     /// Write atomically (temp file + rename) so a kill mid-save leaves the
@@ -409,7 +362,6 @@ impl SweepCheckpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cbs_linalg::Complex64;
 
     fn sample() -> SweepCheckpoint {
         let p = CbsPoint {
@@ -424,16 +376,12 @@ mod tests {
         let rec = EnergyRecord {
             energy: 0.125,
             origin: EnergyOrigin::Initial(3),
-            seeded_from: Some(-0.5),
             stats: EnergyStats {
                 bicg_iterations: 10,
                 matvecs: 22,
                 operator_traversals: 6,
                 operator_assemblies: 3,
-                warm_solves: 4,
-                cold_solves: 0,
-                warm_iterations: 10,
-                cold_iterations: 0,
+                solves: 4,
                 capped_solves: 2,
                 accepted: 1,
                 discarded: 3,
@@ -444,24 +392,13 @@ mod tests {
         let rec2 = EnergyRecord {
             energy: 0.3,
             origin: EnergyOrigin::Refined { lo: 0.125, hi: 0.475 },
-            seeded_from: None,
             stats: EnergyStats::default(),
             points: Vec::new(),
         };
-        let table = vec![(
-            CVector::from_vec(vec![c64(1.0, 2.0), c64(-0.5, 1e-300)]),
-            CVector::from_vec(vec![Complex64::ZERO, c64(f64::MIN_POSITIVE, -0.0)]),
-        )];
-        let pending_table = vec![(
-            CVector::from_vec(vec![c64(3.5, -4.25)]),
-            CVector::from_vec(vec![c64(0.0, 1.0)]),
-        )];
         SweepCheckpoint {
             fingerprint: vec![1, 2, 0xdeadbeef],
             initial_energies: vec![-0.5, 0.125, 0.475],
             records: vec![rec, rec2],
-            seed_bank: vec![(0.125, table)],
-            pending_donations: vec![(0.475, pending_table)],
         }
     }
 
@@ -479,7 +416,6 @@ mod tests {
         let (r0, c0) = (&back.records[0], &cp.records[0]);
         assert_eq!(r0.energy.to_bits(), c0.energy.to_bits());
         assert!(matches!(r0.origin, EnergyOrigin::Initial(3)));
-        assert_eq!(r0.seeded_from.map(f64::to_bits), c0.seeded_from.map(f64::to_bits));
         assert_eq!(r0.stats, c0.stats);
         assert_eq!(r0.points.len(), 1);
         let (p, q) = (&r0.points[0], &c0.points[0]);
@@ -494,21 +430,7 @@ mod tests {
             }
             _ => panic!("wrong origin"),
         }
-        // Seed vectors round-trip exactly, including -0.0 and subnormal-scale values.
-        let (e, table) = &back.seed_bank[0];
-        assert_eq!(e.to_bits(), (0.125f64).to_bits());
-        let (x, xt) = &table[0];
-        let (cx, cxt) = &cp.seed_bank[0].1[0];
-        assert_eq!(x, cx);
-        for (a, b) in xt.iter().zip(cxt.iter()) {
-            assert_eq!(a.re.to_bits(), b.re.to_bits());
-            assert_eq!(a.im.to_bits(), b.im.to_bits());
-        }
-        // In-flight donations round-trip separately from the committed bank.
-        assert_eq!(back.pending_donations.len(), 1);
-        let (pe, ptable) = &back.pending_donations[0];
-        assert_eq!(pe.to_bits(), (0.475f64).to_bits());
-        assert_eq!(ptable[0].0, cp.pending_donations[0].1[0].0);
+        assert_eq!(back.serialize_to_string(), text);
     }
 
     #[test]
@@ -573,25 +495,25 @@ mod tests {
     }
 
     #[test]
-    fn v4_to_v8_checkpoints_are_refused_and_the_message_names_both_versions() {
+    fn v4_to_v14_checkpoints_are_refused_and_the_message_names_both_versions() {
         // v4 predates the auto section; v5 predates the real source block
-        // and the half-ring seed tables (a v5 bank restored into a mirrored
-        // sweep would seed node `j` with the solution of a different
-        // right-hand side); v6 carries a block-policy column in its auto
-        // section; v7 parses field for field but was written by the
+        // and the half-ring seed tables; v6 carries a block-policy column in
+        // its auto section; v7 parses field for field but was written by the
         // three-pass matrix-free apply, v8 by ILU sweeps that applied the
         // assembled CSR; v9 fingerprints carry a kernel-layout slot and its
         // default sweeps ran the retired policy 1; v10 carries the auto
         // section and the auto fingerprint slot; v11 fingerprints carry the
         // nine slice-policy slots and may name the retired SMW policy 3;
         // v12 parses field for field but its ILU sweeps ran full ILU(0);
-        // v13 parses too, but its ILU sweeps preconditioned instead of
-        // splitting and its fingerprint has no dimension.
+        // v13's ILU sweeps preconditioned instead of splitting and its
+        // fingerprint has no dimension; v14 carries seed tables, donor
+        // fields and warm/cold counters, and no checksum.
         // All must hit the dedicated incompatible-version path, and the
         // error message must name the version found *and* the one expected.
         // A format from the future is refused the same way — there is one
         // check, not one per version.
-        for version in ["v4", "v5", "v6", "v7", "v8", "v9", "v10", "v11", "v12", "v13", "v15"] {
+        let old = ["v4", "v5", "v6", "v7", "v8", "v9", "v10", "v11", "v12", "v13", "v14"];
+        for version in old.into_iter().chain(["v16"]) {
             let stale = format!("cbs-sweep-checkpoint {version}");
             match SweepCheckpoint::parse(&relabelled(version)) {
                 Err(CheckpointError::IncompatibleVersion { ref found }) => {
@@ -604,24 +526,31 @@ mod tests {
                 other => panic!("{version}: expected IncompatibleVersion, got {other:?}"),
             }
         }
-        assert!(SweepCheckpoint::parse(&relabelled("v14")).is_ok(), "v14 is the current format");
+        assert!(SweepCheckpoint::parse(&relabelled("v15")).is_ok(), "v15 is the current format");
+    }
+
+    /// The body of a serialized checkpoint: everything before its
+    /// `checksum` line.
+    fn body(text: &str) -> &str {
+        &text[..text.rfind("\nchecksum ").unwrap() + 1]
     }
 
     /// A bit-flipped count or a file cut short is a malformed checkpoint,
     /// never a panic: each count set to `u64::MAX` in turn, and the text
-    /// truncated after every line, all parse to `Malformed`.
+    /// truncated after every line, all parse to `Malformed` — also when the
+    /// corrupt body is sealed with its own valid checksum, so the parser
+    /// itself meets the bad count.
     #[test]
     fn corrupt_counts_and_truncations_are_malformed() {
         let text = sample().serialize_to_string();
-        let lines: Vec<&str> = text.lines().collect();
+        let lines: Vec<&str> = body(&text).lines().collect();
         let mut cases = Vec::new();
         for (at, line) in lines.iter().enumerate() {
             let tokens: Vec<&str> = line.split_whitespace().collect();
             // The count fields of each line kind.
             let counts: Vec<usize> = match tokens[0] {
-                "fingerprint" | "grid" | "records" | "seeds" | "pending" => vec![1],
+                "fingerprint" | "grid" | "records" => vec![1],
                 "record" => vec![tokens.len() - 1],
-                "seed" => vec![2, 3],
                 _ => vec![],
             };
             for k in counts {
@@ -630,18 +559,53 @@ mod tests {
                 let mut corrupt = lines.clone();
                 let joined = flipped.join(" ");
                 corrupt[at] = &joined;
-                cases.push((format!("line {at} token {k}"), corrupt.join("\n")));
+                cases.push((format!("line {at} token {k}"), corrupt.join("\n") + "\n"));
             }
         }
-        assert_eq!(cases.len(), 11, "every count of the sample is flipped once");
+        assert_eq!(cases.len(), 5, "every count of the sample is flipped once");
         for cut in 0..lines.len() {
-            cases.push((format!("cut after {cut} lines"), lines[..cut].join("\n")));
+            cases.push((format!("cut after {cut} lines"), lines[..cut].join("\n") + "\n"));
         }
         for (what, corrupt) in cases {
-            match SweepCheckpoint::parse(&corrupt) {
-                Err(CheckpointError::Malformed(_)) => {}
-                other => panic!("{what}: expected Malformed, got {other:?}"),
+            for (how, text) in [("unsealed", corrupt.clone()), ("sealed", sealed(corrupt))] {
+                match SweepCheckpoint::parse(&text) {
+                    Err(CheckpointError::Malformed(_)) => {}
+                    other => panic!("{what} ({how}): expected Malformed, got {other:?}"),
+                }
             }
         }
+    }
+
+    /// Every single-bit flip of a serialized checkpoint that leaves valid
+    /// UTF-8 is refused — `Malformed`, or `IncompatibleVersion` for a flip
+    /// in the magic line — or parses to the very same checkpoint, and only
+    /// a flip in the whitespace after `end` can do that.  None panics.
+    #[test]
+    fn every_bit_flip_is_refused_or_changes_nothing() {
+        let text = sample().serialize_to_string();
+        let after_end = text.rfind("end").unwrap() + "end".len();
+        let mut refused = 0;
+        for byte in 0..text.len() {
+            for bit in 0..8 {
+                let mut bytes = text.clone().into_bytes();
+                bytes[byte] ^= 1 << bit;
+                let Ok(flipped) = String::from_utf8(bytes) else { continue };
+                match SweepCheckpoint::parse(&flipped) {
+                    Err(
+                        CheckpointError::Malformed(_) | CheckpointError::IncompatibleVersion { .. },
+                    ) => {
+                        refused += 1;
+                    }
+                    Ok(cp) => {
+                        assert_eq!(cp.serialize_to_string(), text, "byte {byte} bit {bit}");
+                        assert!(byte >= after_end, "byte {byte} bit {bit} went unnoticed");
+                    }
+                    Err(other) => panic!("byte {byte} bit {bit}: {other:?}"),
+                }
+            }
+        }
+        // Seven of a byte's eight flips keep ASCII valid UTF-8; one of the
+        // final newline's turns it into another whitespace.
+        assert_eq!(refused, 7 * text.len() - 1);
     }
 }

@@ -3,39 +3,25 @@
 use serde::{Deserialize, Serialize};
 
 use cbs_core::SsConfig;
-use cbs_parallel::SweepSchedule;
 
 /// Configuration of a [`crate::EnergySweep`].
 ///
 /// The per-energy eigensolver parameters live in [`ss`](Self::ss); the rest
-/// controls *orchestration*: how the per-energy solve groups are released
-/// into the flattened task pool, whether their BiCG solves are warm-started
-/// from a neighbouring energy's solutions, how the energy grid is refined
-/// adaptively, and how many donor solution sets are retained for seeding.
+/// controls how the energy grid is refined adaptively.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct SweepConfig {
     /// The Sakurai-Sugiura parameters applied at every scan energy.
     pub ss: SsConfig,
-    /// Seed each energy's dual-BiCG solves from the nearest
-    /// already-completed energy (dyadic wavefront scheduling).  When off,
-    /// all energies run cold in a single maximally flattened round —
-    /// bit-identical to the per-energy `compute_cbs` loop.
-    pub warm_start: bool,
-    /// Upper bound on the size of the first (cold) wavefront round; only
-    /// meaningful with [`warm_start`](Self::warm_start).  `0` degenerates
-    /// to the flat schedule.
+    /// **Vestigial:** read by nothing and not part of the
+    /// [`fingerprint`](Self::fingerprint).  It survives only because the
+    /// repo benchmark (`benchmark/src/workloads.rs`) writes it in a struct
+    /// literal; released by ROADMAP 1(a).
     pub initial_round: usize,
     /// Budget of extra scan energies the adaptive refinement may insert
     /// (`0` disables refinement).
     pub max_refinements: usize,
     /// Minimum width (hartree) of an interval the refinement will bisect.
     pub min_refine_spacing: f64,
-    /// Maximum number of completed energies whose solutions are retained
-    /// as warm-start donors; the oldest completion is evicted first.  Each
-    /// entry holds `2 · N_solved · N_rh` length-`N` vectors (`N_solved` =
-    /// `N_int`, or `N_int / 2` on the mirrored ring of a real Hamiltonian),
-    /// so this bounds the sweep's dominant memory cost.
-    pub seed_bank_capacity: usize,
 }
 
 impl Default for SweepConfig {
@@ -45,38 +31,16 @@ impl Default for SweepConfig {
 }
 
 impl SweepConfig {
-    /// Warm-started defaults around the given per-energy solver parameters.
+    /// A sweep of the given per-energy solver parameters, without
+    /// refinement.
     pub fn new(ss: SsConfig) -> Self {
-        Self {
-            ss,
-            warm_start: true,
-            initial_round: 8,
-            max_refinements: 0,
-            min_refine_spacing: 1e-6,
-            seed_bank_capacity: 16,
-        }
-    }
-
-    /// A cold sweep: one flat round, no seeding, no refinement.  Produces
-    /// output bit-identical to the per-energy `compute_cbs` loop on the
-    /// same (ascending) grid.
-    pub fn cold(ss: SsConfig) -> Self {
-        Self { warm_start: false, ..Self::new(ss) }
+        Self { ss, initial_round: 0, max_refinements: 0, min_refine_spacing: 1e-6 }
     }
 
     /// Enable adaptive refinement with the given extra-energy budget.
     pub fn with_refinement(mut self, budget: usize) -> Self {
         self.max_refinements = budget;
         self
-    }
-
-    /// The release schedule implied by this configuration.
-    pub fn schedule(&self) -> SweepSchedule {
-        if self.warm_start && self.initial_round > 0 {
-            SweepSchedule::Wavefront { initial_round: self.initial_round }
-        } else {
-            SweepSchedule::Flat
-        }
     }
 
     /// Bit-exact fingerprint of every physics-relevant knob, stored in
@@ -100,11 +64,8 @@ impl SweepConfig {
             // policy stays excluded because its results are bitwise
             // policy-invariant.
             self.ss.precond as u64,
-            self.warm_start as u64,
-            self.initial_round as u64,
             self.max_refinements as u64,
             self.min_refine_spacing.to_bits(),
-            self.seed_bank_capacity as u64,
             period.to_bits(),
         ]
     }
@@ -115,15 +76,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn schedule_follows_warm_start() {
-        let cfg = SweepConfig::new(SsConfig::small());
-        assert_eq!(cfg.schedule(), SweepSchedule::Wavefront { initial_round: 8 });
-        assert_eq!(SweepConfig::cold(SsConfig::small()).schedule(), SweepSchedule::Flat);
-        let zero = SweepConfig { initial_round: 0, ..cfg };
-        assert_eq!(zero.schedule(), SweepSchedule::Flat);
-    }
-
-    #[test]
     fn fingerprint_distinguishes_configs() {
         let a = SweepConfig::new(SsConfig::small());
         let mut b = a;
@@ -131,7 +83,9 @@ mod tests {
         assert_ne!(a.fingerprint(1.0), a.fingerprint(2.0));
         b.ss.n_rh += 1;
         assert_ne!(a.fingerprint(1.0), b.fingerprint(1.0));
-        let c = SweepConfig { warm_start: false, ..a };
-        assert_ne!(a.fingerprint(1.0), c.fingerprint(1.0));
+        assert_ne!(a.fingerprint(1.0), a.with_refinement(3).fingerprint(1.0));
+        // The vestigial release-round size changes nothing.
+        let c = SweepConfig { initial_round: 4, ..a };
+        assert_eq!(a.fingerprint(1.0), c.fingerprint(1.0));
     }
 }

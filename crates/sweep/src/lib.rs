@@ -1,39 +1,35 @@
 //! # cbs-sweep
 //!
-//! Batched, warm-started, adaptive orchestration of multi-energy complex
-//! band structure scans — the production driver for the paper's headline
-//! workloads (Figures 6 and 11), which are hundreds of independent
-//! Sakurai-Sugiura QEP solves, one per scan energy.
+//! Batched, adaptive orchestration of multi-energy complex band structure
+//! scans — the production driver for the paper's headline workloads
+//! (Figures 6 and 11), which are hundreds of independent Sakurai-Sugiura
+//! QEP solves, one per scan energy.
 //!
-//! The per-energy loop in `cbs_core::compute_cbs` runs those solves cold
-//! and serially across energies; this crate exploits the cross-energy
-//! structure instead:
+//! The per-energy loop in `cbs_core::compute_cbs` runs those solves one
+//! energy after another; this crate runs them as the paper does, each
+//! energy solved independently and cold, but dispatched together:
 //!
-//! * **Flattening** — a release round's solve grid becomes one task pool
+//! * **Flattening** — the initial grid's solves become one task pool
 //!   dispatched through the `cbs_parallel::TaskExecutor` seam — `(energy ×
 //!   quadrature-node)` block jobs, each advancing all `N_rh` right-hand
 //!   sides through fused block matvecs — so a sweep saturates a wide
 //!   executor even when one energy's grid is small.  Each energy is one
-//!   group of the shared `cbs_core::solve_pool`.
-//! * **Warm starting** — each energy's dual-BiCG solves are seeded from
-//!   the nearest already-completed energy's solutions (`P(z; E')` differs
-//!   from `P(z; E)` only by `(E' − E) I`), via the seed table of
-//!   `cbs_core::PoolGroup`; the dyadic wavefront schedule
-//!   (`cbs_parallel::SweepSchedule`) keeps donors close while releasing
-//!   geometrically growing rounds.  Cold-vs-warm iteration counts land in
-//!   `cbs_core::CbsStatistics`.
+//!   group of the shared `cbs_core::solve_pool`, and bit-identical to its
+//!   own `cbs_core::solve_qep_with`.
 //! * **Adaptive refinement** — intervals where the propagating-channel
 //!   count changes (or a [`RefinementPredicate`] such as the
 //!   band-edge-bracketing [`BandEdgeRefiner`] fires) are bisected up to a
-//!   configurable budget, resolving band edges cheaply.
-//! * **Checkpointing** — a [`SweepCheckpoint`] is written after every
-//!   completed energy with bit-exact float encoding; a killed sweep
-//!   resumes bit-identically ([`checkpoint`]).
+//!   configurable budget, one pool per generation, resolving band edges
+//!   cheaply.
+//! * **Checkpointing** — a [`SweepCheckpoint`] (format v15: finished
+//!   energies' results, bit-exact floats, a checksum) is written after
+//!   every extracted energy; a killed sweep resumes bit-identically
+//!   ([`checkpoint`]).
 //!
 //! Entry points: [`EnergySweep`] (driver) and [`sweep_cbs`] (one-call
-//! convenience).  Determinism — serial/rayon bit-identity, cold-sweep
-//! equivalence with `compute_cbs`, and resume bit-identity — is locked in
-//! by `tests/sweep_determinism.rs` at the workspace root.
+//! convenience).  Determinism — serial/rayon bit-identity, equivalence with
+//! the per-energy solve, and resume bit-identity — is locked in by
+//! `tests/sweep_determinism.rs` at the workspace root.
 
 #![warn(missing_docs)]
 
@@ -45,7 +41,7 @@ pub use checkpoint::{CheckpointError, SweepCheckpoint};
 pub use config::SweepConfig;
 pub use sweep::{
     sweep_cbs, AutoDecision, BandEdgeRefiner, EnergyOrigin, EnergyRecord, EnergyStats, EnergySweep,
-    ProbeSample, RefinementPredicate, RunOptions, RunOutcome, SeedTable, SweepResult,
+    ProbeSample, RefinementPredicate, RunOptions, RunOutcome, SweepResult,
 };
 
 #[cfg(test)]
@@ -77,12 +73,12 @@ mod tests {
     }
 
     #[test]
-    fn cold_sweep_matches_per_energy_loop_bitwise() {
+    fn sweep_matches_per_energy_loop_bitwise() {
         let (h00, h01) = random_blocks(10, 1201);
         let op00 = DenseOp::new(h00);
         let op01 = DenseOp::new(h01);
         let energies = [-0.25, -0.05, 0.1, 0.3];
-        let config = SweepConfig::cold(small_ss());
+        let config = SweepConfig::new(small_ss());
         let sweep = sweep_cbs(&op00, &op01, 1.4, &energies, &config, &SerialExecutor);
         let loop_run = compute_cbs(&op00, &op01, 1.4, &energies, &small_ss());
         assert_eq!(sweep.cbs.energies, loop_run.cbs.energies);
@@ -98,49 +94,14 @@ mod tests {
         }
         assert_eq!(sweep.stats.total_bicg_iterations, loop_run.stats.total_bicg_iterations);
         assert_eq!(sweep.stats.total_matvecs, loop_run.stats.total_matvecs);
-        assert_eq!(sweep.stats.warm_started_solves, 0);
         assert_eq!(sweep.stats.refined_energies, 0);
-    }
-
-    #[test]
-    fn warm_sweep_records_donors_and_split_counters() {
-        let (h00, h01) = random_blocks(10, 1202);
-        let op00 = DenseOp::new(h00);
-        let op01 = DenseOp::new(h01);
-        let energies: Vec<f64> = (0..10).map(|i| -0.2 + 0.05 * i as f64).collect();
-        let config = SweepConfig { initial_round: 2, ..SweepConfig::new(small_ss()) };
-        let run = sweep_cbs(&op00, &op01, 1.4, &energies, &config, &SerialExecutor);
-        assert_eq!(run.records.len(), 10);
-        let warm_records = run.records.iter().filter(|r| r.seeded_from.is_some()).count();
-        assert!(warm_records >= 8, "only {warm_records} records were seeded");
-        // Donors are completed energies distinct from the seeded one.
-        for r in &run.records {
-            if let Some(d) = r.seeded_from {
-                assert!(d != r.energy);
-                assert!(run.records.iter().any(|q| q.energy == d));
-                assert_eq!(r.stats.cold_iterations, 0);
-                assert_eq!(r.stats.warm_iterations, r.stats.bicg_iterations);
-            }
-        }
+        // The vestigial warm/cold split reads as `compute_cbs` fills it.
+        let (s, l) = (&sweep.stats, &loop_run.stats);
         assert_eq!(
-            run.stats.warm_bicg_iterations + run.stats.cold_bicg_iterations,
-            run.stats.total_bicg_iterations
+            [s.cold_bicg_iterations, s.cold_solves],
+            [l.cold_bicg_iterations, l.cold_solves]
         );
-        assert!(run.stats.warm_started_solves > 0);
-        assert!(run.stats.cold_solves > 0);
-    }
-
-    #[test]
-    fn seed_bank_capacity_keeps_sweep_running() {
-        let (h00, h01) = random_blocks(8, 1203);
-        let op00 = DenseOp::new(h00);
-        let op01 = DenseOp::new(h01);
-        let energies: Vec<f64> = (0..8).map(|i| -0.1 + 0.04 * i as f64).collect();
-        let config =
-            SweepConfig { initial_round: 2, seed_bank_capacity: 2, ..SweepConfig::new(small_ss()) };
-        let run = sweep_cbs(&op00, &op01, 1.2, &energies, &config, &SerialExecutor);
-        assert_eq!(run.records.len(), 8);
-        // With a tiny bank everything still completes and some solves warm.
-        assert!(run.stats.warm_started_solves > 0);
+        assert_eq!([s.cold_bicg_iterations, s.warm_bicg_iterations], [s.total_bicg_iterations, 0]);
+        assert_eq!(s.warm_started_solves, 0);
     }
 }

@@ -1,25 +1,24 @@
 //! The multi-energy sweep orchestrator.
 //!
-//! [`EnergySweep`] owns the whole Figures-6/11 workload: it plans the scan
-//! energies into release rounds ([`cbs_parallel::SweepSchedule`]), solves
-//! each round's per-energy groups through one flattened task pool
-//! (`cbs_core::solve_pool`), warm-starts every group from the nearest
-//! already-completed energy's solutions, adaptively bisects intervals where
-//! the propagating-channel count changes (or a caller-supplied predicate
-//! fires), and checkpoints after every completed energy so a killed sweep
-//! resumes bit-identically.
+//! [`EnergySweep`] owns the whole Figures-6/11 workload: it solves the
+//! initial grid's per-energy groups through one flattened task pool
+//! (`cbs_core::solve_pool`), every solve from a zero initial guess as the
+//! paper does, adaptively bisects intervals where the propagating-channel
+//! count changes (or a caller-supplied predicate fires), each refinement
+//! generation as one more pool, and checkpoints after every extracted
+//! energy so a killed sweep resumes bit-identically.
 //!
 //! Determinism invariants, locked in by `tests/sweep_determinism.rs` at the
 //! workspace root:
 //!
-//! * serial and rayon executors produce bit-identical results for any
-//!   fixed configuration (warm or cold);
-//! * a cold sweep ([`SweepConfig::cold`]) on an ascending grid is
-//!   bit-identical to the per-energy `compute_cbs` loop;
+//! * serial and rayon executors produce bit-identical results;
+//! * every energy is bit-identical to the per-energy
+//!   `solve_qep_with(&sweep.problem_at(e), …)`, so a sweep on an ascending
+//!   grid is the per-energy `compute_cbs` loop;
 //! * a resumed sweep reproduces the uninterrupted one bit-for-bit
 //!   (counters included; wall-clock timings are per-run).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::path::Path;
 
 use cbs_core::{
@@ -27,7 +26,6 @@ use cbs_core::{
     ComplexBandStructure, PoolGroup, PoolPolicy, PrecondPolicy, QepProblem, RingPlan, StencilCache,
 };
 use cbs_dft::BandStructure;
-use cbs_linalg::CVector;
 use cbs_parallel::TaskExecutor;
 use cbs_sparse::{AssembledPattern, FactoredProjector, LinearOperator};
 use cbs_trace::{Stage, TraceHandle};
@@ -35,12 +33,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::checkpoint::{CheckpointError, SweepCheckpoint};
 use crate::config::SweepConfig;
-
-/// A full `(x, x̃)` solution table in pool job order
-/// (`point_index * N_rh + rhs_index`) — the currency of warm-starting: each
-/// completed energy donates its table, each new energy seeds from the
-/// nearest donor.
-pub type SeedTable = Vec<(CVector, CVector)>;
 
 /// Where a scan energy came from.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -76,14 +68,8 @@ pub struct EnergyStats {
     /// `PrecondPolicy::MatrixFree` and on blocks that convert to the real
     /// stencil, whose diagonal ILU refills nothing.
     pub operator_assemblies: usize,
-    /// Solves that started from a donor seed.
-    pub warm_solves: usize,
-    /// Solves that started cold.
-    pub cold_solves: usize,
-    /// Iterations spent in warm-started solves.
-    pub warm_iterations: usize,
-    /// Iterations spent in cold solves.
-    pub cold_iterations: usize,
+    /// Shifted solves (each one primal + dual pair).
+    pub solves: usize,
     /// Solves run under the majority-stop cap.
     pub capped_solves: usize,
     /// Eigenpairs accepted by the residual filter.
@@ -102,8 +88,6 @@ pub struct EnergyRecord {
     pub energy: f64,
     /// Where this energy came from.
     pub origin: EnergyOrigin,
-    /// Energy of the warm-start donor, if the solves were seeded.
-    pub seeded_from: Option<f64>,
     /// Solver counters.
     pub stats: EnergyStats,
     /// Classified solutions at this energy (`energy_index` is assigned at
@@ -182,8 +166,7 @@ pub struct SweepResult {
     /// The band structure: energies ascending (refined energies merged in),
     /// every point carrying its `energy_index`.
     pub cbs: ComplexBandStructure,
-    /// Aggregate statistics, including the cold/warm iteration split and
-    /// the number of refined energies.
+    /// Aggregate statistics, including the number of refined energies.
     pub stats: CbsStatistics,
     /// Per-energy records, ascending in energy.
     pub records: Vec<EnergyRecord>,
@@ -227,53 +210,11 @@ impl RunOutcome {
     }
 }
 
-/// Warm-start donor bank: completed energies' solution tables in completion
-/// order, evicting the oldest beyond the configured capacity.
-struct SeedBank {
-    entries: VecDeque<(f64, SeedTable)>,
-}
-
-impl SeedBank {
-    fn new() -> Self {
-        Self { entries: VecDeque::new() }
-    }
-
-    fn insert(&mut self, energy: f64, table: SeedTable, capacity: usize) {
-        self.entries.push_back((energy, table));
-        while self.entries.len() > capacity.max(1) {
-            self.entries.pop_front();
-        }
-    }
-
-    /// Nearest donor by `|ΔE|`; ties resolved toward the lower energy so
-    /// the choice is deterministic.
-    fn nearest(&self, energy: f64) -> Option<(f64, &SeedTable)> {
-        self.entries
-            .iter()
-            .min_by(|a, b| {
-                let da = (a.0 - energy).abs();
-                let db = (b.0 - energy).abs();
-                da.partial_cmp(&db).unwrap().then(a.0.partial_cmp(&b.0).unwrap())
-            })
-            .map(|(e, t)| (*e, t))
-    }
-}
-
-/// Mutable progress of one run (completed records, donor bank, counters).
+/// Mutable progress of one run (completed records, counters).
 struct State {
     records: Vec<EnergyRecord>,
     /// Bits of completed energies → index into `records`.
     done: BTreeMap<u64, usize>,
-    /// Committed donor tables: only *fully completed* batches.  Donor
-    /// selection reads exclusively from here, so the donors of a batch are
-    /// a pure function of the batches before it — which is what keeps a
-    /// mid-batch kill/resume bit-identical even once capacity eviction
-    /// starts (the in-flight batch's donations live in `pending` until the
-    /// batch completes, and are carried by the checkpoint).
-    bank: SeedBank,
-    /// Donations of the batch currently in flight, in completion order,
-    /// committed to `bank` when the batch's last energy finishes.
-    pending: Vec<(f64, SeedTable)>,
     new_energies: usize,
     linear_solve_seconds: f64,
     extraction_seconds: f64,
@@ -284,7 +225,16 @@ enum BatchStatus {
     BudgetExhausted,
 }
 
-/// The batched, warm-started, adaptive multi-energy CBS driver.
+/// The batched, adaptive multi-energy CBS driver.
+///
+/// Every solve starts from a zero initial guess; nothing crosses from one
+/// scan energy to another but the source block and the real stencil.  The
+/// initial grid is released as one flat pool round and each refinement
+/// generation as one more, so memory is one moment accumulator
+/// (`2·N_mm·N_rh` length-`N` vectors) per energy in flight, plus one node's
+/// solutions per worker.  A checkpoint ([`RunOptions::checkpoint_path`]) is
+/// written as each energy of a round is extracted, once the round's pool
+/// has returned: it holds finished energies' results only.
 pub struct EnergySweep<'a> {
     h00: &'a dyn LinearOperator,
     h01: &'a dyn LinearOperator,
@@ -420,20 +370,16 @@ impl<'a> EnergySweep<'a> {
         fingerprint.push(
             (assembled_effective && self.projector.as_ref().is_some_and(|p| !p.is_empty())) as u64,
         );
-        // Whether the ring is mirrored (real blocks) decides the node list
-        // and therefore the layout of every seed table in the checkpoint
-        // (`n_solved x n_rh` per energy): a table written for one must not
-        // seed the other.
+        // Whether the ring is mirrored (real blocks) decides the node list,
+        // and so every record's counters.
         fingerprint.push(plan.is_mirrored() as u64);
         // The dimension: the same cell at another grid spacing has the same
-        // period and configuration, but not one seed vector in common.
+        // period and configuration, but is another problem.
         fingerprint.push(self.h00.nrows() as u64);
 
         let mut st = State {
             records: Vec::new(),
             done: BTreeMap::new(),
-            bank: SeedBank::new(),
-            pending: Vec::new(),
             new_energies: 0,
             linear_solve_seconds: 0.0,
             extraction_seconds: 0.0,
@@ -451,45 +397,25 @@ impl<'a> EnergySweep<'a> {
                     "energy grid mismatch: cannot resume".into(),
                 ));
             }
-            // Every seed table must be one this sweep's pool can read:
-            // `n_solved · n_rh` pairs of length-`n` vectors.
-            let (pairs, n) = (plan.n_nodes() * plan.v_cols.len(), self.h00.nrows());
-            let fits = |t: &SeedTable| {
-                t.len() == pairs && t.iter().all(|(x, xt)| x.len() == n && xt.len() == n)
-            };
-            if !cp.seed_bank.iter().chain(&cp.pending_donations).all(|(_, t)| fits(t)) {
-                return Err(CheckpointError::Mismatch(
-                    "seed table shape does not match the problem: cannot resume".into(),
-                ));
-            }
             for (i, r) in cp.records.iter().enumerate() {
                 st.done.insert(r.energy.to_bits(), i);
             }
             st.records = cp.records;
-            for (e, t) in cp.seed_bank {
-                st.bank.entries.push_back((e, t));
-            }
-            st.pending = cp.pending_donations;
         }
 
         let checkpoint = |st: &State| SweepCheckpoint {
             fingerprint: fingerprint.clone(),
             initial_energies: grid.clone(),
             records: st.records.clone(),
-            seed_bank: st.bank.entries.iter().cloned().collect(),
-            pending_donations: st.pending.clone(),
         };
 
-        // --- Initial grid, released round by round. -----------------------
-        for round in self.config.schedule().rounds(grid.len()) {
-            let batch: Vec<(f64, EnergyOrigin)> =
-                round.into_iter().map(|i| (grid[i], EnergyOrigin::Initial(i))).collect();
-            match self.solve_batch(batch, &plan, executor, &mut st, &opts, &checkpoint)? {
-                BatchStatus::Done => {}
-                BatchStatus::BudgetExhausted => {
-                    return Ok(RunOutcome::Interrupted(checkpoint(&st)))
-                }
-            }
+        // --- Initial grid, one flat round. ----------------------------------
+        let batch: Vec<(f64, EnergyOrigin)> =
+            grid.iter().enumerate().map(|(i, &e)| (e, EnergyOrigin::Initial(i))).collect();
+        if let BatchStatus::BudgetExhausted =
+            self.solve_batch(batch, &plan, executor, &mut st, &opts, &checkpoint)?
+        {
+            return Ok(RunOutcome::Interrupted(checkpoint(&st)));
         }
 
         // --- Adaptive refinement, generation by generation. ---------------
@@ -520,7 +446,7 @@ impl<'a> EnergySweep<'a> {
                 if candidates.is_empty() {
                     break;
                 }
-                match self.solve_batch(
+                if let BatchStatus::BudgetExhausted = self.solve_batch(
                     candidates.clone(),
                     &plan,
                     executor,
@@ -528,10 +454,7 @@ impl<'a> EnergySweep<'a> {
                     &opts,
                     &checkpoint,
                 )? {
-                    BatchStatus::Done => {}
-                    BatchStatus::BudgetExhausted => {
-                        return Ok(RunOutcome::Interrupted(checkpoint(&st)))
-                    }
+                    return Ok(RunOutcome::Interrupted(checkpoint(&st)));
                 }
                 for (e, _) in &candidates {
                     let idx = st.done[&e.to_bits()];
@@ -543,16 +466,14 @@ impl<'a> EnergySweep<'a> {
         Ok(RunOutcome::Complete(self.assemble(st, cpu_start, trace_t0)))
     }
 
-    /// Solve one *logical* batch of energies (a release round or refinement
-    /// generation) through a single flattened task pool and fold the
-    /// outcomes into the state, checkpointing after each energy.
+    /// Solve one *logical* batch of energies (the initial grid or a
+    /// refinement generation) through a single flattened task pool and fold
+    /// the outcomes into the state, checkpointing after each energy.
     ///
     /// `batch` is the full batch including energies a resumed run already
-    /// completed; only the missing ones are solved.  Donor tables are read
-    /// from the committed bank only, and the batch's own donations are
-    /// committed together once its last energy finishes — so donors depend
-    /// solely on which *batches* completed, never on where inside a batch a
-    /// previous run was killed.
+    /// completed; only the missing ones are solved.  Each energy's group is
+    /// independent of its pool mates, so where a previous run was killed
+    /// changes no bit of the result.
     fn solve_batch<E: TaskExecutor>(
         &self,
         batch: Vec<(f64, EnergyOrigin)>,
@@ -562,8 +483,6 @@ impl<'a> EnergySweep<'a> {
         opts: &RunOptions<'_>,
         checkpoint: &dyn Fn(&State) -> SweepCheckpoint,
     ) -> Result<BatchStatus, CheckpointError> {
-        let batch_bits: std::collections::BTreeSet<u64> =
-            batch.iter().map(|(e, _)| e.to_bits()).collect();
         let mut to_solve: Vec<(f64, EnergyOrigin)> =
             batch.into_iter().filter(|(e, _)| !st.done.contains_key(&e.to_bits())).collect();
         let mut truncated = false;
@@ -575,7 +494,6 @@ impl<'a> EnergySweep<'a> {
             }
         }
         let ss = &self.config.ss;
-        let warm = self.config.warm_start;
         // Trace context: each energy of the batch is tagged with the record
         // index it is about to receive (completion order; `assemble`'s final
         // ascending `energy_index` is only known at the end).  The handle
@@ -586,26 +504,15 @@ impl<'a> EnergySweep<'a> {
         if !to_solve.is_empty() {
             let problems: Vec<QepProblem<'_>> =
                 to_solve.iter().map(|&(e, _)| self.problem_at(e)).collect();
-            let donors: Vec<Option<(f64, &SeedTable)>> = to_solve
-                .iter()
-                .map(|&(e, _)| if warm { st.bank.nearest(e) } else { None })
-                .collect();
-            let donor_energies: Vec<Option<f64>> =
-                donors.iter().map(|d| d.map(|(e, _)| e)).collect();
             // One pool group per energy: jobs energy-major in node order,
             // each energy's moments folded in that order — bit-identical to
             // solving the energies one by one, on every executor.
             let groups: Vec<PoolGroup<'_, '_>> = problems
                 .iter()
-                .zip(&donors)
                 .enumerate()
-                .map(|(i, (problem, d))| PoolGroup {
+                .map(|(i, problem)| PoolGroup {
                     problem,
                     v_cols: &plan.v_cols,
-                    seeds: d.map(|(_, t)| t.as_slice()),
-                    // Cold sweeps never consult the bank, so don't pay the
-                    // memory of retaining every solution vector.
-                    keep_solutions: warm,
                     trace: trace.with_energy(record_base + i),
                 })
                 .collect();
@@ -615,7 +522,6 @@ impl<'a> EnergySweep<'a> {
             let outcomes = solve_pool(&groups, accs, &PoolPolicy::from_config(ss), executor);
             st.linear_solve_seconds += t0.elapsed().as_secs_f64();
             drop(groups);
-            drop(donors);
 
             for (i, ((energy, origin), outcome)) in to_solve.into_iter().zip(outcomes).enumerate() {
                 let _extract_ctx = trace.with_energy(record_base + i).enter();
@@ -635,7 +541,6 @@ impl<'a> EnergySweep<'a> {
                 // grid.
                 let points: Vec<CbsPoint> =
                     result.eigenpairs.iter().map(|p| classify_point(&problems[i], 0, p)).collect();
-                let seeded = donor_energies[i];
                 // Matvec / traversal totals come from the extraction result
                 // so they include the metered residual-check applications,
                 // matching `SsResult`'s accounting.
@@ -644,26 +549,14 @@ impl<'a> EnergySweep<'a> {
                     matvecs: result.total_matvecs,
                     operator_traversals: result.total_traversals,
                     operator_assemblies: result.operator_assemblies,
-                    warm_solves: if seeded.is_some() { outcome.solves } else { 0 },
-                    cold_solves: if seeded.is_some() { 0 } else { outcome.solves },
-                    warm_iterations: if seeded.is_some() { outcome.iterations } else { 0 },
-                    cold_iterations: if seeded.is_some() { 0 } else { outcome.iterations },
+                    solves: outcome.solves,
                     capped_solves: outcome.capped_solves,
                     accepted: result.eigenpairs.len(),
                     discarded: result.discarded,
                     numerical_rank: result.numerical_rank,
                 };
                 st.done.insert(energy.to_bits(), st.records.len());
-                st.records.push(EnergyRecord {
-                    energy,
-                    origin,
-                    seeded_from: seeded,
-                    stats,
-                    points,
-                });
-                if warm {
-                    st.pending.push((energy, outcome.solutions));
-                }
+                st.records.push(EnergyRecord { energy, origin, stats, points });
                 st.new_energies += 1;
                 if let Some(path) = opts.checkpoint_path {
                     checkpoint(st)
@@ -673,22 +566,6 @@ impl<'a> EnergySweep<'a> {
             }
         }
 
-        if !truncated {
-            // The logical batch is complete: commit its donations (restored
-            // prefix + freshly solved suffix, in completion order) to the
-            // donor bank.  Donations of a *different* in-flight batch — a
-            // resumed checkpoint replaying earlier, already-complete rounds
-            // — stay pending until their own batch comes around.
-            let mut i = 0;
-            while i < st.pending.len() {
-                if batch_bits.contains(&st.pending[i].0.to_bits()) {
-                    let (e, t) = st.pending.remove(i);
-                    st.bank.insert(e, t, self.config.seed_bank_capacity);
-                } else {
-                    i += 1;
-                }
-            }
-        }
         Ok(if truncated { BatchStatus::BudgetExhausted } else { BatchStatus::Done })
     }
 
@@ -772,10 +649,9 @@ impl<'a> EnergySweep<'a> {
             stats.total_matvecs += rec.stats.matvecs;
             stats.operator_traversals += rec.stats.operator_traversals;
             stats.operator_assemblies += rec.stats.operator_assemblies;
-            stats.cold_bicg_iterations += rec.stats.cold_iterations;
-            stats.warm_bicg_iterations += rec.stats.warm_iterations;
-            stats.cold_solves += rec.stats.cold_solves;
-            stats.warm_started_solves += rec.stats.warm_solves;
+            // Every solve is cold: the vestigial split reads total / 0.
+            stats.cold_bicg_iterations += rec.stats.bicg_iterations;
+            stats.cold_solves += rec.stats.solves;
             stats.accepted += rec.stats.accepted;
             stats.discarded += rec.stats.discarded;
             if matches!(rec.origin, EnergyOrigin::Refined { .. }) {

@@ -50,9 +50,9 @@ pub use cbs_core as core;
 /// The OBM / transfer-matrix baseline (re-export of `cbs-obm`).
 pub use cbs_obm as obm;
 
-/// Task executors and the sweep release schedule (re-export of `cbs-parallel`).
+/// Task executors (re-export of `cbs-parallel`).
 pub use cbs_parallel as parallel;
 
-/// Batched, warm-started, adaptive energy-sweep orchestration (re-export of
-/// `cbs-sweep`).
+/// Batched, adaptive energy-sweep orchestration, every energy solved cold
+/// (re-export of `cbs-sweep`).
 pub use cbs_sweep as sweep;

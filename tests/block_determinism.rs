@@ -1,7 +1,7 @@
 //! Regression tests of the block (multi-vector) data path: one job per
 //! quadrature node must cut the operator traversal count by ≈ N_rh× and
-//! preserve every determinism guarantee (serial ≡ rayon bitwise, warm
-//! sweep kill/resume bit-identity).
+//! preserve every determinism guarantee (serial ≡ rayon bitwise, sweep
+//! kill/resume bit-identity).
 
 use rand::SeedableRng;
 
@@ -84,8 +84,8 @@ fn fig6_per_node_policy_is_executor_independent() {
     assert_eq!(serial.total_traversals, rayon.total_traversals);
 }
 
-/// A killed warm-started block sweep resumes bit-identically — including
-/// its traversal counters.
+/// A killed block sweep resumes bit-identically — including its traversal
+/// counters.
 #[test]
 fn warm_block_sweep_is_policy_invariant_and_resumes_bit_identically() {
     let (h00, h01) = random_blocks(10, 82);
@@ -100,7 +100,7 @@ fn warm_block_sweep_is_policy_invariant_and_resumes_bit_identically() {
         residual_cutoff: 1e-6,
         ..SsConfig::small()
     };
-    let config = SweepConfig { initial_round: 4, ..SweepConfig::new(ss) };
+    let config = SweepConfig::new(ss);
 
     let per_node = sweep_cbs(&op00, &op01, 1.5, &energies, &config, &SerialExecutor);
     // Fused applies: well under one weighted walk per matvec (dense pencils

@@ -174,13 +174,8 @@ fn compare<A: LinearOperator, B: LinearOperator>(
 /// runs it: the result and the pool's `capped_solves`.
 fn pooled(problem: &QepProblem<'_>, config: &SsConfig) -> (SsResult, usize) {
     let plan = RingPlan::build(problem, config).expect("valid contour");
-    let group = PoolGroup {
-        problem,
-        v_cols: &plan.v_cols,
-        seeds: None,
-        keep_solutions: false,
-        trace: cbs::trace::TraceHandle::disabled(),
-    };
+    let group =
+        PoolGroup { problem, v_cols: &plan.v_cols, trace: cbs::trace::TraceHandle::disabled() };
     let policy = PoolPolicy::from_config(config);
     let outcome =
         solve_pool(&[group], vec![plan.accumulator()], &policy, &SerialExecutor).remove(0);
@@ -372,8 +367,8 @@ fn complex_hermitian_blocks_solve_every_node() {
     assert!(!QepProblem::new(&r00, &h01, 0.1, 1.0).is_conjugate_symmetric());
 }
 
-/// A warm sweep over real blocks runs on the half ring end to end: seed
-/// tables, counters and the cold/warm split all count solved nodes.
+/// A sweep over real blocks runs on the half ring end to end: its counters
+/// count solved nodes.
 #[test]
 fn sweep_over_real_blocks_counts_solved_nodes() {
     use cbs::sweep::{EnergySweep, SweepConfig};
@@ -381,19 +376,14 @@ fn sweep_over_real_blocks_counts_solved_nodes() {
     let (h00, h01) = (h.h00(), h.h01());
     let ss = SsConfig { precond: PrecondPolicy::AssembledIlu0, ..common::fig6_config() };
     let energies = [0.05, 0.09, 0.13, 0.17];
-    let sweep = EnergySweep::new(
-        &h00,
-        &h01,
-        h.period(),
-        SweepConfig { initial_round: 2, ..SweepConfig::new(ss) },
-    )
-    .with_pattern(h.qep_pattern());
+    let sweep = EnergySweep::new(&h00, &h01, h.period(), SweepConfig::new(ss))
+        .with_pattern(h.qep_pattern());
     let run = sweep.run(&energies, &SerialExecutor);
     let per_energy = common::FIG6_SOLVED_NODES * ss.n_rh;
-    assert_eq!(run.stats.cold_solves + run.stats.warm_started_solves, energies.len() * per_energy);
+    assert!(run.records.iter().all(|r| r.stats.solves == per_energy));
+    assert_eq!(run.stats.cold_solves, energies.len() * per_energy);
     // The stencil's diagonal ILU refills no pattern.
     assert_eq!(run.stats.operator_assemblies, 0);
-    assert!(run.stats.warm_started_solves > 0);
     // Every energy's spectrum is closed under conjugation, bitwise.
     for (i, _) in energies.iter().enumerate() {
         let points: Vec<_> = run.cbs.at_energy(i).collect();

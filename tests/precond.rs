@@ -10,7 +10,7 @@
 //! * serial and rayon executors stay bit-identical within every policy;
 //! * the `MatrixFree` path is bitwise the same, pattern attached or not,
 //!   and the default policy is ILU(0) with a pattern, matrix-free without;
-//! * an assembled warm sweep checkpoints and resumes bit-identically, and
+//! * an assembled sweep checkpoints and resumes bit-identically, and
 //!   the precond policy is part of the resume fingerprint.
 
 use rand::SeedableRng;
@@ -295,7 +295,7 @@ fn random_csr_blocks(n: usize, seed: u64) -> (CsrMatrix, CsrMatrix) {
     (CsrMatrix::from_dense(&h00, 0.0), CsrMatrix::from_dense(&h01, 0.0))
 }
 
-/// An ILU-preconditioned warm sweep checkpoints and resumes bit-identically,
+/// An ILU-preconditioned sweep checkpoints and resumes bit-identically,
 /// and switching the precond policy is refused on resume (it is part of the
 /// fingerprint: it changes the results).
 #[test]
@@ -312,8 +312,8 @@ fn assembled_warm_sweep_resumes_bit_identically_and_fingerprints_the_policy() {
         precond: PrecondPolicy::AssembledIlu0,
         ..SsConfig::small()
     };
-    let config = SweepConfig { initial_round: 4, ..SweepConfig::new(ss) };
-    let sweep = EnergySweep::new(&h00, &h01, 1.5, config).with_pattern(pattern.clone());
+    let sweep =
+        EnergySweep::new(&h00, &h01, 1.5, SweepConfig::new(ss)).with_pattern(pattern.clone());
 
     let uninterrupted = sweep.run(&energies, &SerialExecutor);
     assert!(!uninterrupted.cbs.points.is_empty());

@@ -1,23 +1,24 @@
 //! Determinism and acceptance tests of the `cbs-sweep` orchestrator:
 //!
-//! * a cold sweep is bit-identical to the per-energy `compute_cbs` loop,
-//!   on the serial *and* rayon executors;
-//! * a warm-started sweep is bit-identical across executors and uses
-//!   strictly fewer BiCG iterations than the cold loop on a fig6-style
-//!   (≥ 32 energies) scan;
+//! * a sweep is bit-identical to the per-energy loop, on the serial *and*
+//!   rayon executors: to `compute_cbs` on dense complex blocks, and to
+//!   `solve_qep_with(&sweep.problem_at(e), …)` on the ILU policy's split
+//!   route over the fig6 cell's real stencil;
 //! * a checkpointed sweep killed partway through resumes to a result
 //!   bit-identical to an uninterrupted run, older checkpoint formats are
-//!   refused by version, and seed tables of another problem by shape;
+//!   refused by version, and a checkpoint of another problem by its
+//!   fingerprint;
 //! * adaptive refinement inserts midpoints only where the channel count
 //!   changes, within budget, deterministically;
-//! * the vestigial `SsConfig::auto` flag changes nothing.
+//! * the vestigial `SsConfig::auto` flag and `SweepConfig::initial_round`
+//!   change nothing.
 
 use rand::SeedableRng;
 
-use cbs::core::{compute_cbs, SsConfig};
+use cbs::core::{classify_point, compute_cbs, solve_qep_with, PrecondPolicy, SsConfig};
 use cbs::dft::{bulk_al_100, grid_for_structure, BlockHamiltonian, HamiltonianParams};
 use cbs::grid::Grid3;
-use cbs::linalg::{c64, CMatrix, CVector};
+use cbs::linalg::{c64, CMatrix};
 use cbs::parallel::{RayonExecutor, SerialExecutor};
 use cbs::sparse::DenseOp;
 use cbs::sweep::{
@@ -63,19 +64,20 @@ fn assert_same_cbs(a: &SweepResult, b: &SweepResult) {
     }
     assert_eq!(a.stats.total_bicg_iterations, b.stats.total_bicg_iterations);
     assert_eq!(a.stats.total_matvecs, b.stats.total_matvecs);
-    assert_eq!(a.stats.warm_bicg_iterations, b.stats.warm_bicg_iterations);
-    assert_eq!(a.stats.cold_bicg_iterations, b.stats.cold_bicg_iterations);
     assert_eq!(a.stats.refined_energies, b.stats.refined_energies);
+    for (x, y) in a.records.iter().zip(&b.records) {
+        assert_eq!(x.stats, y.stats, "per-energy counters differ at E = {}", x.energy);
+    }
 }
 
-/// Cold flattened sweep == per-energy loop, bit for bit, on both executors.
+/// Flattened sweep == per-energy loop, bit for bit, on both executors.
 #[test]
 fn cold_sweep_reproduces_per_energy_loop_on_both_executors() {
     let (h00, h01) = random_blocks(10, 71);
     let op00 = DenseOp::new(h00);
     let op01 = DenseOp::new(h01);
     let energies = [-0.3, -0.1, 0.1, 0.3];
-    let cold = SweepConfig::cold(test_ss());
+    let cold = SweepConfig::new(test_ss());
 
     let loop_run = compute_cbs(&op00, &op01, 1.6, &energies, &test_ss());
     assert!(!loop_run.cbs.points.is_empty(), "test problem found no CBS points");
@@ -95,73 +97,54 @@ fn cold_sweep_reproduces_per_energy_loop_on_both_executors() {
     assert_eq!(serial.stats.total_bicg_iterations, loop_run.stats.total_bicg_iterations);
 }
 
-/// Fig6-style acceptance: on a ≥ 32-energy scan, the warm-started sweep
-/// reports fewer total BiCG iterations than the cold loop, stays
-/// executor-independent, and finds the same physics (same per-energy point
-/// counts, matching eigenvalues within the solver tolerance).
+/// The path every Al(100) sweep takes — the ILU policy on the real
+/// stencil, each node split by its diagonal ILU — is the per-energy solve
+/// of the sweep's own problem, bit for bit: eigenvalues, residuals and
+/// every counter, on both executors.
 #[test]
-fn warm_sweep_beats_cold_loop_on_fig6_style_scan() {
-    let (h00, h01) = random_blocks(12, 72);
-    let op00 = DenseOp::new(h00);
-    let op01 = DenseOp::new(h01);
-    let n_energies = 32;
-    let energies: Vec<f64> =
-        (0..n_energies).map(|i| -0.3 + 0.6 * i as f64 / (n_energies - 1) as f64).collect();
-    let ss = test_ss();
-
-    let cold = sweep_cbs(&op00, &op01, 1.6, &energies, &SweepConfig::cold(ss), &SerialExecutor);
-    let warm_cfg = SweepConfig { initial_round: 4, ..SweepConfig::new(ss) };
-    let warm = sweep_cbs(&op00, &op01, 1.6, &energies, &warm_cfg, &SerialExecutor);
-
-    // Fewer iterations in total, with the split recorded in CbsStatistics.
-    assert!(
-        warm.stats.total_bicg_iterations < cold.stats.total_bicg_iterations,
-        "warm {} >= cold {}",
-        warm.stats.total_bicg_iterations,
-        cold.stats.total_bicg_iterations
-    );
-    assert!(warm.stats.warm_started_solves > 0);
-    assert_eq!(
-        warm.stats.warm_bicg_iterations + warm.stats.cold_bicg_iterations,
-        warm.stats.total_bicg_iterations
-    );
-    // The warm-started solves are cheaper per solve than the cold ones.
-    let warm_rate = warm.stats.warm_bicg_iterations as f64 / warm.stats.warm_started_solves as f64;
-    let cold_rate = cold.stats.total_bicg_iterations as f64 / cold.stats.cold_solves as f64;
-    assert!(warm_rate < cold_rate, "warm {warm_rate:.1} it/solve vs cold {cold_rate:.1}");
-
-    // Same physics: identical point counts per energy, eigenvalues within
-    // the solver tolerance of the cold run's.
-    assert_eq!(warm.cbs.points.len(), cold.cbs.points.len());
-    for (i, _) in energies.iter().enumerate() {
-        let wp: Vec<_> = warm.cbs.at_energy(i).collect();
-        let cp: Vec<_> = cold.cbs.at_energy(i).collect();
-        assert_eq!(wp.len(), cp.len(), "point count differs at energy {i}");
-        // Matched one to one: the points are ordered by (|λ|, arg λ), and
-        // two propagating states both have |λ| = 1 up to solver noise, so
-        // their relative order is not comparable across trajectories.  Each
-        // warm point consumes its nearest remaining cold point.
-        let mut cp = cp;
-        for w in &wp {
-            let nearest = (0..cp.len())
-                .min_by(|&a, &b| {
-                    (cp[a].lambda - w.lambda).abs().total_cmp(&(cp[b].lambda - w.lambda).abs())
-                })
-                .expect("same point count");
-            let c = cp.swap_remove(nearest);
-            assert!(
-                (w.lambda - c.lambda).abs() < 1e-6,
-                "λ drifted: {:?} vs {:?}",
-                w.lambda,
-                c.lambda
-            );
-            assert_eq!(w.propagating, c.propagating);
+fn ilu_split_sweep_is_the_per_energy_solve_on_both_executors() {
+    let h = common::fig6_hamiltonian();
+    let (h00, h01) = (h.h00(), h.h01());
+    let ss = SsConfig { precond: PrecondPolicy::AssembledIlu0, ..common::fig6_config() };
+    let sweep = EnergySweep::new(&h00, &h01, h.period(), SweepConfig::new(ss))
+        .with_pattern(h.qep_pattern());
+    let energies = [0.05, 0.09, 0.13];
+    let serial = sweep.run(&energies, &SerialExecutor);
+    let rayon = sweep.run(&energies, &RayonExecutor);
+    assert!(sweep.problem_at(energies[0]).real_stencil().is_some(), "the stencil converts");
+    assert_eq!(serial.records.len(), energies.len());
+    for (record, &energy) in serial.records.iter().zip(&energies) {
+        assert_eq!(record.energy.to_bits(), energy.to_bits());
+        let problem = sweep.problem_at(energy);
+        let alone = solve_qep_with(&problem, &ss, &SerialExecutor);
+        assert!(!alone.eigenpairs.is_empty(), "no eigenpairs at E = {energy}");
+        let s = &record.stats;
+        assert_eq!(
+            [s.bicg_iterations, s.matvecs, s.operator_traversals, s.operator_assemblies],
+            [
+                alone.total_bicg_iterations,
+                alone.total_matvecs,
+                alone.total_traversals,
+                alone.operator_assemblies
+            ],
+            "counters at E = {energy}"
+        );
+        assert_eq!(
+            [s.solves, s.accepted, s.discarded, s.numerical_rank],
+            [alone.shifted_solves, alone.eigenpairs.len(), alone.discarded, alone.numerical_rank],
+            "extraction at E = {energy}"
+        );
+        assert_eq!(record.points.len(), alone.eigenpairs.len());
+        for (p, pair) in record.points.iter().zip(&alone.eigenpairs) {
+            let q = classify_point(&problem, p.energy_index, pair);
+            assert_eq!(p.lambda.re.to_bits(), q.lambda.re.to_bits(), "E = {energy}");
+            assert_eq!(p.lambda.im.to_bits(), q.lambda.im.to_bits(), "E = {energy}");
+            assert_eq!(p.k_re.to_bits(), q.k_re.to_bits(), "E = {energy}");
+            assert_eq!(p.k_im.to_bits(), q.k_im.to_bits(), "E = {energy}");
+            assert_eq!(p.residual.to_bits(), q.residual.to_bits(), "E = {energy}");
         }
     }
-
-    // Executor independence of the warm-started sweep.
-    let warm_rayon = sweep_cbs(&op00, &op01, 1.6, &energies, &warm_cfg, &RayonExecutor);
-    assert_same_cbs(&warm, &warm_rayon);
+    assert_same_cbs(&serial, &rayon);
 }
 
 /// Kill a checkpointed sweep partway, resume it, and get bit-identical
@@ -172,8 +155,7 @@ fn checkpointed_sweep_resumes_bit_identically() {
     let op00 = DenseOp::new(h00);
     let op01 = DenseOp::new(h01);
     let energies: Vec<f64> = (0..12).map(|i| -0.25 + 0.05 * i as f64).collect();
-    let config = SweepConfig { initial_round: 4, ..SweepConfig::new(test_ss()) };
-    let sweep = cbs::sweep::EnergySweep::new(&op00, &op01, 1.5, config);
+    let sweep = cbs::sweep::EnergySweep::new(&op00, &op01, 1.5, SweepConfig::new(test_ss()));
 
     let uninterrupted = sweep.run(&energies, &SerialExecutor);
 
@@ -181,7 +163,7 @@ fn checkpointed_sweep_resumes_bit_identically() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("sweep.cp");
 
-    for kill_after in [3usize, 7] {
+    for kill_after in [1usize, 3, 7, 11] {
         // Run until the kill point, checkpointing each energy.
         let outcome = sweep
             .run_with(
@@ -217,15 +199,16 @@ fn checkpointed_sweep_resumes_bit_identically() {
         assert_same_cbs(&uninterrupted, &resumed);
     }
 
-    // The checkpoint on disk is v14; older formats — v3, v11 with its
+    // The checkpoint on disk is v15; older formats — v3, v11 with its
     // slice-policy fingerprint slots, v12 whose ILU sweeps ran full ILU(0),
-    // and v13 whose ILU sweeps preconditioned instead of splitting — are
-    // refused with the dedicated error naming the version, not parsed into
-    // a mismatched fingerprint or resumed into another trajectory.
+    // v13 whose ILU sweeps preconditioned instead of splitting, and v14
+    // whose sweeps warm-started — are refused with the dedicated error
+    // naming the version, not parsed into a mismatched fingerprint or
+    // resumed into another trajectory.
     let text = std::fs::read_to_string(&path).unwrap();
-    assert!(text.starts_with("cbs-sweep-checkpoint v14"), "unexpected magic in {path:?}");
-    for old in ["v3", "v11", "v12", "v13"].map(|v| format!("cbs-sweep-checkpoint {v}")) {
-        match SweepCheckpoint::parse(&text.replacen("cbs-sweep-checkpoint v14", &old, 1)) {
+    assert!(text.starts_with("cbs-sweep-checkpoint v15"), "unexpected magic in {path:?}");
+    for old in ["v3", "v11", "v12", "v13", "v14"].map(|v| format!("cbs-sweep-checkpoint {v}")) {
+        match SweepCheckpoint::parse(&text.replacen("cbs-sweep-checkpoint v15", &old, 1)) {
             Err(CheckpointError::IncompatibleVersion { found }) => assert_eq!(found, old),
             other => panic!("{old} checkpoint accepted or misclassified: {other:?}"),
         }
@@ -236,7 +219,7 @@ fn checkpointed_sweep_resumes_bit_identically() {
         &op00,
         &op01,
         1.5,
-        SweepConfig { initial_round: 2, ..*sweep.config() },
+        SweepConfig { min_refine_spacing: 1e-3, ..*sweep.config() },
     );
     let cp = SweepCheckpoint::load(&path).unwrap();
     assert!(other
@@ -250,10 +233,8 @@ fn checkpointed_sweep_resumes_bit_identically() {
 }
 
 /// A checkpoint resumes only the problem it was written for.  The fig6 cell
-/// at another grid spacing has the same period and configuration — before
-/// the dimension joined the fingerprint its seed vectors were adopted and
-/// the first seeded solve panicked — and is refused; so is a seed table of
-/// the wrong shape under a matching fingerprint.  The checkpoint itself
+/// at another grid spacing has the same period and configuration, and is
+/// refused by the dimension in the fingerprint.  The checkpoint itself
 /// resumes the ILU policy's split route bit-identically.
 #[test]
 fn resume_refuses_seed_tables_of_another_problem() {
@@ -270,7 +251,7 @@ fn resume_refuses_seed_tables_of_another_problem() {
     assert_eq!(finer.period().to_bits(), fig6.period().to_bits());
 
     let energies = [0.05, 0.09, 0.13];
-    let config = SweepConfig { initial_round: 2, ..SweepConfig::new(common::fig6_config()) };
+    let config = SweepConfig::new(common::fig6_config());
     let run = |h: &BlockHamiltonian, resume: Option<SweepCheckpoint>, budget: Option<usize>| {
         let (h00, h01) = (h.h00(), h.h01());
         let sweep = EnergySweep::new(&h00, &h01, h.period(), config).with_pattern(h.qep_pattern());
@@ -280,138 +261,79 @@ fn resume_refuses_seed_tables_of_another_problem() {
     let Ok(RunOutcome::Interrupted(cp)) = run(&fig6, None, Some(2)) else {
         panic!("a budget of 2 interrupts a 3-energy sweep")
     };
-    assert!(!cp.seed_bank.is_empty(), "the first round donated its solutions");
-    let refused = |outcome| matches!(outcome, Err(CheckpointError::Mismatch(_)));
+    assert_eq!(cp.records.len(), 2);
 
     // The same cell at another spacing: same period, same configuration.
-    assert!(refused(run(&finer, Some(cp.clone()), None)), "another spacing resumed");
-    // The same problem with a table one pair short, or one vector short.
-    let mut short = cp.clone();
-    short.seed_bank[0].1.pop();
-    let mut narrow = cp.clone();
-    narrow.pending_donations = std::mem::take(&mut narrow.seed_bank);
-    narrow.pending_donations[0].1[0].0 = CVector::zeros(fig6.dim() - 1);
-    assert!(refused(run(&fig6, Some(short), None)), "a short table resumed");
-    assert!(refused(run(&fig6, Some(narrow), None)), "a short pending seed vector resumed");
-    // The checkpoint itself resumes — the split route, warm — to the
-    // uninterrupted sweep, bit for bit.
+    let refused = run(&finer, Some(cp.clone()), None);
+    assert!(matches!(refused, Err(CheckpointError::Mismatch(_))), "another spacing resumed");
+    // The checkpoint itself resumes the split route to the uninterrupted
+    // sweep, bit for bit.
     let Ok(RunOutcome::Complete(resumed)) = run(&fig6, Some(cp), None) else {
         panic!("the checkpoint resumes")
     };
     let Ok(RunOutcome::Complete(whole)) = run(&fig6, None, None) else { panic!("no budget") };
-    assert!(whole.stats.warm_started_solves > 0);
     assert_same_cbs(&whole, &resumed);
 }
 
-/// `SsConfig::auto` is a vestigial declaration (the calibrated tuner is
-/// gone): a sweep that sets it is the sweep that does not — same result
-/// bits, same checkpoint bytes, and either one resumes the other's file.
+/// `SsConfig::auto` and `SweepConfig::initial_round` are vestigial
+/// declarations (the calibrated tuner and the release rounds are gone): a
+/// sweep that sets them is the sweep that does not — same result bits, same
+/// checkpoint bytes, and each one resumes another's file.
 #[test]
 fn vestigial_auto_flag_is_inert() {
     let (h00, h01) = random_blocks(10, 73);
     let op00 = DenseOp::new(h00);
     let op01 = DenseOp::new(h01);
     let energies: Vec<f64> = (0..6).map(|i| -0.25 + 0.1 * i as f64).collect();
-    let sweep_with = |auto: bool| {
-        let ss = SsConfig { auto, ..test_ss() };
-        let config = SweepConfig { initial_round: 4, ..SweepConfig::new(ss) };
-        cbs::sweep::EnergySweep::new(&op00, &op01, 1.5, config)
-    };
-    let (plain, flagged) = (sweep_with(false), sweep_with(true));
+    let variants = [(false, 0), (true, 0), (false, 4), (true, 2)];
+    let sweeps: Vec<_> = variants
+        .iter()
+        .map(|&(auto, initial_round)| {
+            let ss = SsConfig { auto, ..test_ss() };
+            let config = SweepConfig { initial_round, ..SweepConfig::new(ss) };
+            cbs::sweep::EnergySweep::new(&op00, &op01, 1.5, config)
+        })
+        .collect();
 
-    let full_plain = plain.run(&energies, &SerialExecutor);
-    let full_flagged = flagged.run(&energies, &SerialExecutor);
-    assert!(!full_plain.cbs.points.is_empty(), "test problem found no CBS points");
-    assert_same_cbs(&full_plain, &full_flagged);
-    for (a, b) in full_plain.records.iter().zip(&full_flagged.records) {
-        assert_eq!(a.stats, b.stats, "per-energy counters differ at E = {}", a.energy);
+    let full = sweeps[0].run(&energies, &SerialExecutor);
+    assert!(!full.cbs.points.is_empty(), "test problem found no CBS points");
+    assert!(full.auto.is_none());
+    for sweep in &sweeps[1..] {
+        let run = sweep.run(&energies, &SerialExecutor);
+        assert_same_cbs(&full, &run);
+        assert!(run.auto.is_none());
     }
-    assert!(full_plain.auto.is_none() && full_flagged.auto.is_none());
 
     let dir = std::env::temp_dir().join(format!("cbs_sweep_auto_inert_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let killed = |sweep: &cbs::sweep::EnergySweep<'_>, name: &str| {
-        let path = dir.join(name);
-        let options = RunOptions {
-            checkpoint_path: Some(&path),
-            max_new_energies: Some(3),
-            ..RunOptions::default()
-        };
-        let outcome = sweep.run_with(&energies, &SerialExecutor, options).unwrap();
-        assert!(matches!(outcome, RunOutcome::Interrupted(_)), "budget of 3 should interrupt");
-        path
-    };
-    let (plain_path, flagged_path) = (killed(&plain, "plain.cp"), killed(&flagged, "flagged.cp"));
-    assert_eq!(std::fs::read(&plain_path).unwrap(), std::fs::read(&flagged_path).unwrap());
+    let paths: Vec<_> = sweeps
+        .iter()
+        .enumerate()
+        .map(|(i, sweep)| {
+            let path = dir.join(format!("variant{i}.cp"));
+            let options = RunOptions {
+                checkpoint_path: Some(&path),
+                max_new_energies: Some(3),
+                ..RunOptions::default()
+            };
+            let outcome = sweep.run_with(&energies, &SerialExecutor, options).unwrap();
+            assert!(matches!(outcome, RunOutcome::Interrupted(_)), "budget of 3 should interrupt");
+            path
+        })
+        .collect();
+    let bytes = std::fs::read(&paths[0]).unwrap();
+    for path in &paths[1..] {
+        assert_eq!(std::fs::read(path).unwrap(), bytes, "{path:?}");
+    }
 
-    for (sweep, path) in [(&flagged, &plain_path), (&plain, &flagged_path)] {
-        let resume = Some(SweepCheckpoint::load(path).unwrap());
+    // Variant `i` resumes variant `i + 1`'s file, the last the first's.
+    for (i, sweep) in sweeps.iter().enumerate() {
+        let resume = Some(SweepCheckpoint::load(&paths[(i + 1) % paths.len()]).unwrap());
         let resumed = sweep
             .run_with(&energies, &SerialExecutor, RunOptions { resume, ..RunOptions::default() })
-            .expect("a checkpoint written under the other flag value resumes")
+            .expect("a checkpoint written under other vestige values resumes")
             .expect_complete("resume must finish");
-        assert_same_cbs(&full_plain, &resumed);
-        assert!(resumed.auto.is_none());
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Resume stays bit-identical even once the seed bank's capacity eviction
-/// kicks in: donors are chosen from completed batches only, and a mid-batch
-/// kill must not let the killed batch's own donations evict the donors its
-/// remaining members would have used.
-#[test]
-fn resume_is_bit_identical_under_seed_bank_eviction() {
-    let (h00, h01) = random_blocks(10, 75);
-    let op00 = DenseOp::new(h00);
-    let op01 = DenseOp::new(h01);
-    let energies: Vec<f64> = (0..16).map(|i| -0.3 + 0.04 * i as f64).collect();
-    // Tiny bank: every completion evicts, so any donor-selection dependence
-    // on where a previous run was killed would show up bitwise.
-    let config =
-        SweepConfig { initial_round: 4, seed_bank_capacity: 2, ..SweepConfig::new(test_ss()) };
-    let sweep = cbs::sweep::EnergySweep::new(&op00, &op01, 1.5, config);
-    let uninterrupted = sweep.run(&energies, &SerialExecutor);
-    assert!(uninterrupted.stats.warm_started_solves > 0);
-
-    let dir = std::env::temp_dir().join(format!("cbs_sweep_evict_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("sweep.cp");
-    // Kill points chosen to land mid-round of the 4/4/8 wavefront rounds.
-    for kill_after in [2usize, 6, 11, 15] {
-        let outcome = sweep
-            .run_with(
-                &energies,
-                &SerialExecutor,
-                RunOptions {
-                    checkpoint_path: Some(&path),
-                    max_new_energies: Some(kill_after),
-                    ..RunOptions::default()
-                },
-            )
-            .unwrap();
-        let RunOutcome::Interrupted(_) = outcome else { panic!("should interrupt") };
-        let resumed = sweep
-            .run_with(
-                &energies,
-                &SerialExecutor,
-                RunOptions {
-                    resume: Some(SweepCheckpoint::load(&path).unwrap()),
-                    ..RunOptions::default()
-                },
-            )
-            .unwrap()
-            .expect_complete("resume must finish");
-        assert_same_cbs(&uninterrupted, &resumed);
-        // The donor choices themselves must match, not just the physics.
-        for (a, b) in uninterrupted.records.iter().zip(&resumed.records) {
-            assert_eq!(
-                a.seeded_from.map(f64::to_bits),
-                b.seeded_from.map(f64::to_bits),
-                "donor differs at E = {} after kill at {kill_after}",
-                a.energy
-            );
-        }
+        assert_same_cbs(&full, &resumed);
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -426,7 +348,6 @@ fn refinement_bisects_channel_count_changes_within_budget() {
     let energies: Vec<f64> = (0..9).map(|i| -0.4 + 0.1 * i as f64).collect();
     let budget = 6;
     let config = SweepConfig {
-        initial_round: 4,
         min_refine_spacing: 1e-3,
         ..SweepConfig::new(test_ss()).with_refinement(budget)
     };

@@ -70,8 +70,6 @@ fn assert_same_sweep(a: &SweepResult, b: &SweepResult) {
     assert_same_points(&a.cbs, &b.cbs, "sweep");
     assert_eq!(a.stats.total_bicg_iterations, b.stats.total_bicg_iterations);
     assert_eq!(a.stats.total_matvecs, b.stats.total_matvecs);
-    assert_eq!(a.stats.warm_bicg_iterations, b.stats.warm_bicg_iterations);
-    assert_eq!(a.stats.cold_bicg_iterations, b.stats.cold_bicg_iterations);
 }
 
 /// Tracing the fig6-style Al(100) solve changes nothing: results are
@@ -122,7 +120,7 @@ fn serial_and_rayon_agree_under_iter_level_session() {
     let energies = [0.05, 0.11];
     // The config's `trace` knob raises the level; neither it nor the
     // session may change results.
-    let config = SweepConfig::cold(SsConfig { trace: TraceLevel::Iter, ..al_ss() });
+    let config = SweepConfig::new(SsConfig { trace: TraceLevel::Iter, ..al_ss() });
     let sweep = EnergySweep::new(&h00, &h01, h.period(), config);
 
     let session = TraceSession::begin(TraceLevel::Iter).expect("another session is live");
@@ -162,8 +160,7 @@ fn kill_resume_with_tracing_is_bit_identical() {
         residual_cutoff: 1e-6,
         ..SsConfig::small()
     };
-    let config = SweepConfig { initial_round: 4, ..SweepConfig::new(ss) };
-    let sweep = EnergySweep::new(&op00, &op01, 1.5, config);
+    let sweep = EnergySweep::new(&op00, &op01, 1.5, SweepConfig::new(ss));
 
     let uninterrupted = sweep.run(&energies, &SerialExecutor);
 
