@@ -16,8 +16,9 @@
 //! the pool's [`PrecondPolicy`], advances all of the group's right-hand
 //! sides in lockstep through `cbs_solver::bicg_dual_block_precond`'s fused
 //! block matvecs — on the system the diagonal ILU splits, for a stencil node
-//! of the ILU policy (the `split` module: one row pass per apply, then a
-//! true-residual check) — and drops the `(P(z), M)` pair when it returns — so at
+//! of the ILU policy (the `split` module: one row pass per apply, a stop on
+//! the mapped true residual, then one true-residual certificate per node) —
+//! and drops the `(P(z), M)` pair when it returns — so at
 //! most one pair per worker is alive, and the preconditioner set-up (the
 //! stencil-form pivots, or a pattern refill and its factorization) is paid
 //! once per solved node, never per right-hand side (`assemblies` counts the
@@ -102,10 +103,6 @@ pub struct PoolOutcome {
     /// on blocks that convert to the real stencil, whose diagonal ILU
     /// refills nothing.
     pub assemblies: usize,
-    /// Solves of stencil nodes under the ILU policy that converged in the
-    /// split system but not in the true residual, and resumed once (see
-    /// the `split` module docs).  Zero on every other node.
-    pub resumed: usize,
     /// Solves that ran under the majority-stop cap.
     pub capped_solves: usize,
     /// Number of solves (each = one primal+dual pair).
@@ -164,7 +161,6 @@ struct GroupCounters {
     matvecs: usize,
     traversals: usize,
     assemblies: usize,
-    resumed: usize,
     capped_solves: usize,
     solves: usize,
 }
@@ -174,7 +170,6 @@ struct JobOutcome {
     group: usize,
     traversals: usize,
     assemblies: usize,
-    resumed: usize,
     outcomes: Vec<ShiftedSolveOutcome>,
 }
 
@@ -215,12 +210,10 @@ pub fn solve_pool<E: TaskExecutor>(
             if stop_at.is_some() { Some(&stop_cb) } else { None };
         // A stencil node of the ILU policy runs BiCG on its split system;
         // every other node on `P(z)`, preconditioned or not.
-        let (res, resumed) = match &prec {
-            Some(NodePrecond::Stencil(m)) => solve_split(m, &op, group.v_cols, &options, external),
-            _ => {
-                let v = group.v_cols;
-                (bicg_dual_block_precond(&op, prec.as_ref(), v, v, None, &options, external), 0)
-            }
+        let v = group.v_cols;
+        let res = match &prec {
+            Some(NodePrecond::Stencil(m)) => solve_split(m, &op, v, &options, external),
+            _ => bicg_dual_block_precond(&op, prec.as_ref(), v, v, None, &options, external),
         };
         let outcomes = res
             .columns
@@ -235,7 +228,7 @@ pub fn solve_pool<E: TaskExecutor>(
                 dual_history: col.dual_history,
             })
             .collect();
-        JobOutcome { group: job.group, traversals: res.traversals, assemblies, resumed, outcomes }
+        JobOutcome { group: job.group, traversals: res.traversals, assemblies, outcomes }
     };
 
     // Per-group stage-1 size: strictly more than half of the group's ring
@@ -259,7 +252,6 @@ pub fn solve_pool<E: TaskExecutor>(
         let g = job.group;
         counters[g].traversals += job.traversals;
         counters[g].assemblies += job.assemblies;
-        counters[g].resumed += job.resumed;
         for outcome in job.outcomes {
             tracking[g].record(&outcome);
             let c = &mut counters[g];
@@ -333,7 +325,6 @@ pub fn solve_pool<E: TaskExecutor>(
             matvecs: c.matvecs,
             traversals: c.traversals,
             assemblies: c.assemblies,
-            resumed: c.resumed,
             capped_solves: c.capped_solves,
             solves: c.solves,
         })

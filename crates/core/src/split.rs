@@ -11,33 +11,25 @@
 //! ```text
 //! right-hand sides   b̂ = M_L⁻¹b          dual: M_R⁻†b
 //! solutions          x = M_R⁻¹x̂           dual: x̃ = M_L⁻†ŷ
+//! residuals          r = M_L r̂            dual: r̃ = M_R†r̂̃
 //! ```
 //!
 //! The stopping contract of [`SolverOptions::tolerance`] is the true
-//! relative residual, restated for the split system:
+//! relative residual:
 //!
-//! * BiCG stops on the split residual, `‖r̂‖/‖b̂‖ ≤ tol·√ρ`.  `ρ ≤ 1`
-//!   ([`StencilDilu::pivot_weight`], the least over the columns) measures
-//!   how far `M_L⁻¹` has concentrated `b̂` on rows with small pivots, which
-//!   inflates `‖b̂‖` and lets the split residual pass before the true one.
-//!   It is ≈ 0.99 on the benchmark's Al(100) cells, so there the bound is
-//!   `tol`; fig6's diagonal ILU has a pivot 15× below the rms and `ρ ≈ 0.1`
-//!   (at `tol` 17 of its 24 columns resumed, at `tol·ρ` none did but it
-//!   over-solved, `tol·√ρ` measured best);
-//! * one fused check per node then computes the true residuals
-//!   `‖b − P(z)x‖/‖b‖` and `‖b − P(z)†x̃‖/‖b‖` of every column (one block
-//!   apply of `P(z)` and one of `P(z)†`, counted in the matvecs and the
-//!   traversals);
-//! * a column that converged in the split system but whose true residual
-//!   exceeds `tol` resumes once from its own `x̂`, its split tolerance scaled
-//!   by `tol/true`: BiCG on the correction `Âδ = b̂ − Âx̂`, asked to cut the
-//!   split residual it resumes from by `½·tol/true` (at `tol/true` itself 6
-//!   of the 64 columns of the (8,0) nanotube still missed, by ≤ 21%), and
-//!   checked again;
-//! * a side reports [`StopReason::Converged`] exactly when its true residual
-//!   meets `tol`.  One that converged in the split system and still misses
-//!   after its continuation reports [`StopReason::MaxIterations`]: it spent
-//!   the one continuation the contract allows.
+//! * BiCG stops a column on the mapped true residual: its split residuals,
+//!   the residuals of `P(z)` they stand for, `‖M_L r̂‖/‖b‖` and
+//!   `‖M_R†r̂̃‖/‖b‖` (one pass over the rows' strict lower triangles,
+//!   [`LinearOperator::unsplit_residual_norm`]), and then the same maps of
+//!   the true split residuals `b̂ − Âx̂`, `b̂̃ − Â†ŷ` (one split apply per
+//!   side) must all meet `tol`;
+//! * one certificate per node: a fused check recomputes the true residuals
+//!   `‖b − P(z)x‖/‖b‖` and `‖b − P(z)†x̃‖/‖b‖` of every column from the
+//!   returned solutions (one block apply of `P(z)` and one of `P(z)†`,
+//!   counted in the matvecs and the traversals);
+//! * a side reports [`StopReason::Converged`] exactly when its recomputed
+//!   true residual meets `tol`, and [`StopReason::MaxIterations`] if BiCG
+//!   stopped it as converged but the certificate fails.
 //!
 //! The last entry of each residual history is the true residual of the
 //! returned solution; the entries before it are the split system's.
@@ -56,171 +48,53 @@ use cbs_sparse::{LinearOperator, Preconditioner, StencilDilu};
 /// right-hand side per column for both sides.
 ///
 /// Returns the per-column results in the original system, with the
-/// traversals of every apply — split and true — and the number of columns
-/// that resumed.
+/// traversals of every apply — split and true.
 pub(crate) fn solve_split(
     m: &StencilDilu<'_>,
     p: &dyn LinearOperator,
     b: &[CVector],
     opts: &SolverOptions,
     external_stop: Option<&(dyn Fn(usize) -> bool + Sync)>,
-) -> (BlockBicgResult, usize) {
-    let mapped = |v: &CVector, map: &dyn Fn(&mut [Complex64])| {
-        let mut w = v.clone();
-        map(w.as_mut_slice());
-        w
+) -> BlockBicgResult {
+    let (n, k) = (p.dim(), b.len());
+    let b_hat = |dual| -> Vec<CVector> {
+        let mut b = b.to_vec();
+        b.iter_mut().for_each(|v| m.split_rhs(dual, v.as_mut_slice(), 1));
+        b
     };
-    let b_hat: Vec<CVector> = b.iter().map(|v| mapped(v, &|w| m.split_rhs(false, w, 1))).collect();
-    let b_hat_dual: Vec<CVector> =
-        b.iter().map(|v| mapped(v, &|w| m.split_rhs(true, w, 1))).collect();
-
-    let split = m.split();
-    let solve = |b: &[CVector],
-                 b_dual: &[CVector],
-                 opts: &SolverOptions,
-                 stop: Option<&(dyn Fn(usize) -> bool + Sync)>| {
-        bicg_dual_block_precond(&split, None::<&dyn Preconditioner>, b, b_dual, None, opts, stop)
-    };
-    let unsplit = |col: &BicgResult| {
-        let x = mapped(&col.x, &|w| m.unsplit(false, w, 1));
-        let xt = mapped(&col.dual_x, &|w| m.unsplit(true, w, 1));
-        (x, xt)
-    };
-
-    let rho = b_hat.iter().map(|b| m.pivot_weight(b.as_slice())).fold(1.0, f64::min);
-    let first_opts = SolverOptions { tolerance: opts.tolerance * rho.sqrt(), ..*opts };
-    let first = solve(&b_hat, &b_hat_dual, &first_opts, external_stop);
-    let mut traversals = first.traversals;
-    let mut columns = first.columns;
-    let mut solutions: Vec<(CVector, CVector)> = columns.iter().map(unsplit).collect();
-    let all: Vec<usize> = (0..b.len()).collect();
-    let mut truth = true_residuals(p, b, &solutions, &all);
-    traversals += 2 * p.traversal_weight();
-
-    let tol = opts.tolerance;
-    let mut resumed = Vec::new();
-    for (c, col) in columns.iter_mut().enumerate() {
-        let used = col.history.iterations();
-        let missed = truth[c].iter().any(|&t| t > tol);
-        if !(col.both_converged() && missed && used < opts.max_iterations) {
-            continue;
-        }
-        // Each side's residual is measured against the one it resumes from:
-        // a side whose true residual is `t` needs its split residual cut by
-        // `tol/t` (halved, module docs), and the one tolerance both sides
-        // answer to is the least of those.
-        let target =
-            truth[c].iter().filter(|&&t| t > tol).map(|&t| 0.5 * tol / t).fold(1.0, f64::min);
-        let resume = SolverOptions {
-            tolerance: target,
-            max_iterations: opts.max_iterations - used,
-            ..*opts
-        };
-        let offset = |iter: usize| external_stop.is_some_and(|stop| stop(used + iter));
-        let stop = external_stop.map(|_| &offset as &(dyn Fn(usize) -> bool + Sync));
-        let mut r0 = [CVector::zeros(col.x.len()), CVector::zeros(col.x.len())];
-        split.apply(col.x.as_slice(), r0[0].as_mut_slice());
-        split.apply_adjoint(col.dual_x.as_slice(), r0[1].as_mut_slice());
-        traversals += 2 * split.traversal_weight();
-        let mut scale = [0.0; 2];
-        for ((r, b), scale) in r0.iter_mut().zip([&b_hat[c], &b_hat_dual[c]]).zip(&mut scale) {
-            for (ri, &bi) in r.as_mut_slice().iter_mut().zip(b.as_slice()) {
-                *ri = bi - *ri;
-            }
-            *scale = r.norm() / b.norm().max(1e-300);
-        }
-        let (r0, r0_dual) = (std::slice::from_ref(&r0[0]), std::slice::from_ref(&r0[1]));
-        let again = solve(r0, r0_dual, &resume, stop);
-        traversals += again.traversals;
-        let again = again.columns.into_iter().next().expect("one column in, one out");
-        let sides = [
-            (&mut col.history, again.history, scale[0]),
-            (&mut col.dual_history, again.dual_history, scale[1]),
-        ];
-        for (history, more, scale) in sides {
-            // Split residuals relative to `b̂` again, the resumed start
-            // replacing the first pass's last recurrence value; the two
-            // residual applies are counted in the matvecs.
-            history.residuals.pop();
-            history.residuals.extend(more.residuals.iter().map(|r| r * scale));
-            history.stop_reason = more.stop_reason;
-            history.matvecs += 2 + more.matvecs;
-        }
-        col.x.axpy(Complex64::ONE, &again.x);
-        col.dual_x.axpy(Complex64::ONE, &again.dual_x);
-        solutions[c] = unsplit(col);
-        resumed.push(c);
-    }
-    if !resumed.is_empty() {
-        for (c, t) in resumed.iter().zip(true_residuals(p, b, &solutions, &resumed)) {
-            truth[*c] = t;
-        }
-        traversals += 2 * p.traversal_weight();
+    let (split, none) = (m.split(), None::<&dyn Preconditioner>);
+    let (b_hat, b_hat_dual) = (b_hat(false), b_hat(true));
+    let mut solved =
+        bicg_dual_block_precond(&split, none, &b_hat, &b_hat_dual, None, opts, external_stop);
+    for col in &mut solved.columns {
+        m.unsplit(false, col.x.as_mut_slice(), 1);
+        m.unsplit(true, col.dual_x.as_mut_slice(), 1);
     }
 
-    let columns = columns
-        .into_iter()
-        .zip(solutions)
-        .enumerate()
-        .map(|(c, (col, (x, dual_x)))| {
-            let checks = if resumed.contains(&c) { 4 } else { 2 };
-            let matvecs = col.history.matvecs + checks;
-            let settle = |mut history: ConvergenceHistory, truth: f64| {
-                history.matvecs = matvecs;
-                history.stop_reason = if truth <= tol {
-                    StopReason::Converged
-                } else if history.stop_reason == StopReason::Converged {
-                    StopReason::MaxIterations
-                } else {
-                    history.stop_reason
-                };
-                *history.residuals.last_mut().expect("a history holds its final residual") = truth;
-                history
-            };
-            let [t, td] = truth[c];
-            BicgResult {
-                x,
-                dual_x,
-                history: settle(col.history, t),
-                dual_history: settle(col.dual_history, td),
-            }
-        })
-        .collect();
-    (BlockBicgResult { columns, traversals }, resumed.len())
-}
-
-/// `[‖b − P x‖/‖b‖, ‖b − P†x̃‖/‖b‖]` of the listed columns, from one fused
-/// apply of `P` and one of `P†` over them.
-fn true_residuals(
-    p: &dyn LinearOperator,
-    b: &[CVector],
-    solutions: &[(CVector, CVector)],
-    listed: &[usize],
-) -> Vec<[f64; 2]> {
-    let (n, k) = (p.dim(), listed.len());
-    let slab = |pick: fn(&(CVector, CVector)) -> &CVector| -> Vec<Complex64> {
-        listed.iter().flat_map(|&c| pick(&solutions[c]).iter().copied()).collect()
+    // The certificate: one fused apply of `P(z)` and one of `P(z)†`.
+    let slab = |pick: fn(&BicgResult) -> &CVector| -> Vec<Complex64> {
+        solved.columns.iter().flat_map(|col| pick(col).iter().copied()).collect()
     };
     let (mut px, mut pxt) = (vec![Complex64::ZERO; n * k], vec![Complex64::ZERO; n * k]);
-    p.apply_block(&slab(|s| &s.0), &mut px, k);
-    p.apply_adjoint_block(&slab(|s| &s.1), &mut pxt, k);
-    listed
-        .iter()
-        .enumerate()
-        .map(|(slot, &c)| {
-            let b = b[c].as_slice();
-            let b_norm = b.iter().map(|v| v.norm_sqr()).sum::<f64>().sqrt().max(1e-300);
-            let relative = |y: &[Complex64]| {
-                let r: f64 = b
-                    .iter()
-                    .zip(&y[slot * n..(slot + 1) * n])
-                    .map(|(&bi, &yi)| (bi - yi).norm_sqr())
-                    .sum();
-                r.sqrt() / b_norm
-            };
-            [relative(&px), relative(&pxt)]
-        })
-        .collect()
+    p.apply_block(&slab(|col| &col.x), &mut px, k);
+    p.apply_adjoint_block(&slab(|col| &col.dual_x), &mut pxt, k);
+    let settle = |history: &mut ConvergenceHistory, c: usize, y: &[Complex64]| {
+        let b = b[c].as_slice();
+        let r: f64 = b.iter().zip(&y[c * n..]).map(|(&bi, &yi)| (bi - yi).norm_sqr()).sum();
+        let truth = r.sqrt() / b.iter().map(|v| v.norm_sqr()).sum::<f64>().sqrt().max(1e-300);
+        history.matvecs += 2;
+        if truth <= opts.tolerance {
+            history.stop_reason = StopReason::Converged;
+        } else if history.stop_reason == StopReason::Converged {
+            history.stop_reason = StopReason::MaxIterations;
+        }
+        *history.residuals.last_mut().expect("a history holds its final residual") = truth;
+    };
+    for (c, col) in solved.columns.iter_mut().enumerate() {
+        settle(&mut col.history, c, &px);
+        settle(&mut col.dual_history, c, &pxt);
+    }
+    BlockBicgResult { traversals: solved.traversals + 2 * p.traversal_weight(), ..solved }
 }
 
 #[cfg(test)]
@@ -302,44 +176,47 @@ mod tests {
     }
 
     #[test]
-    fn a_split_residual_that_passes_early_resumes_to_the_true_tolerance() {
+    fn a_split_residual_that_passes_early_keeps_iterating_to_the_true_tolerance() {
         let (h00, h01) = chain_pencil(60);
         let pattern = AssembledPattern::build(&h00.0, &h01.0);
         let qep = QepProblem::new(&h00, &h01, 0.3, 1.0).with_pattern(&pattern);
         let plan = RingPlan::build(&qep, &config()).expect("valid contour");
         let serial = pool(&qep, &plan, &SerialExecutor);
         assert!(qep.real_stencil().is_some(), "the blocks convert: the split route runs");
-        assert!(serial.resumed > 0, "no column resumed");
 
-        // Every node, solved on its own as the pool solves it, meets the
-        // tolerance in the true residual, recomputed here with the
-        // problem's own operator ...
+        // Every node, solved on its own as the pool solves it, converges and
+        // meets the tolerance in the true residual, recomputed here with the
+        // problem's own operator — some of its columns past an iteration
+        // where both split residuals already met it ...
         let tol = config().bicg_tolerance;
         let mut per_node = Vec::new();
-        let mut resumed = 0;
+        let mut early = 0;
         for j in 0..serial.acc.n_nodes() {
             let z = serial.acc.node_shift(j);
             let (op, prec) = qep.node_solve(config().precond, z);
             let Some(NodePrecond::Stencil(m)) = &prec else { panic!("node {j} does not split") };
-            let (solved, more) =
-                solve_split(m, &op, &plan.v_cols, &config().solver_options(), None);
-            resumed += more;
+            let solved = solve_split(m, &op, &plan.v_cols, &config().solver_options(), None);
             let truth = qep.operator(z);
             for (r, col) in solved.columns.into_iter().enumerate() {
                 let b = &plan.v_cols[r];
                 let primal = (&truth.apply_vec(&col.x) - b).norm() / b.norm();
                 let dual = (&truth.apply_adjoint_vec(&col.dual_x) - b).norm() / b.norm();
+                assert!(col.both_converged(), "node {j} rhs {r}");
                 assert!(
                     primal <= tol && dual <= tol,
                     "node {j} rhs {r}: {primal:.2e} / {dual:.2e}"
                 );
+                let (split, split_dual) = (&col.history.residuals, &col.dual_history.residuals);
+                let last = split.len() - 1;
+                early += usize::from((0..last).any(|i| split[i] <= tol && split_dual[i] <= tol));
                 per_node.push(col.history);
             }
         }
-        // ... and is the solve the pool ran, bit for bit, which reports
-        // `Converged` with its history ending on that residual.
-        assert_eq!(resumed, serial.resumed);
-        let counters = |o: &PoolOutcome| [o.iterations, o.matvecs, o.traversals, o.resumed];
+        assert!(early > 0, "no split residual passed before the true one");
+
+        // ... and is the solve the pool ran, bit for bit, with its history
+        // ending on that residual.
+        let counters = |o: &PoolOutcome| [o.iterations, o.matvecs, o.traversals];
         let (cold, moments) = (counters(&serial), serial.acc.moments().to_vec());
         let result =
             extract_from_moments(&qep, &config(), &plan.v_cols, serial.acc, 0, 0, 0, 0, 0.0);

@@ -100,6 +100,8 @@ struct Column {
     rt: CVector,
     b_norm: f64,
     bt_norm: f64,
+    /// `‖b‖`, `‖b̃‖` mapped out of a split system, when the operator is one.
+    unsplit_norms: Option<[f64; 2]>,
     res: f64,
     res_dual: f64,
     history: Vec<f64>,
@@ -108,6 +110,23 @@ struct Column {
     matvecs: usize,
     stop: StopReason,
     active: bool,
+}
+
+impl Column {
+    /// Whether the residuals `[r, r̃]` (the recurrence's, or true ones),
+    /// mapped out of the split system `a` stands for
+    /// ([`LinearOperator::unsplit_residual_norm`]), meet `tol` relative to
+    /// the mapped right-hand sides: always when `a` is no split system,
+    /// never when a map is not finite.
+    fn unsplit_passes<A: LinearOperator + ?Sized>(
+        &self,
+        a: &A,
+        r: [&[Complex64]; 2],
+        tol: f64,
+    ) -> bool {
+        let Some(norms) = self.unsplit_norms else { return true };
+        (0..2).all(|s| a.unsplit_residual_norm(s == 1, r[s]).is_some_and(|m| m / norms[s] <= tol))
+    }
 }
 
 /// A vanishing or non-finite inner product: the recurrence cannot divide by
@@ -122,6 +141,33 @@ fn gather<'a>(slab: &mut Vec<Complex64>, vecs: impl Iterator<Item = &'a CVector>
     slab.clear();
     for v in vecs {
         slab.extend_from_slice(v.as_slice());
+    }
+}
+
+/// `b_c − A x_c` (`adjoint`: `b̃_c − A† x̃_c`) of the `listed` columns, one
+/// slot of `out` each, from one fused apply.
+fn residuals<A: LinearOperator + ?Sized>(
+    a: &A,
+    adjoint: bool,
+    cols: &[Column],
+    listed: &[usize],
+    rhs: &[CVector],
+    stage: &mut Vec<Complex64>,
+    out: &mut Vec<Complex64>,
+) {
+    let n = a.dim();
+    out.resize(n * listed.len(), Complex64::ZERO);
+    if adjoint {
+        gather(stage, listed.iter().map(|&c| &cols[c].xt));
+        a.apply_adjoint_block(stage, out, listed.len());
+    } else {
+        gather(stage, listed.iter().map(|&c| &cols[c].x));
+        a.apply_block(stage, out, listed.len());
+    }
+    for (k, &c) in listed.iter().enumerate() {
+        for (y, &bi) in slot_mut(out, n, k).iter_mut().zip(rhs[c].as_slice()) {
+            *y = bi - *y;
+        }
     }
 }
 
@@ -217,16 +263,25 @@ fn redirect(
 /// [`Preconditioner::solve_block`] / [`solve_adjoint_block`] pass per
 /// iteration over the live columns), while the residuals `r`, `r̃` of `a`
 /// itself drive the stopping test, so the convergence contract (relative
-/// residual ≤ tolerance) does not depend on `m`.  It is a contract about
-/// `a`: a caller that hands in a split-preconditioned operator
-/// `M_L⁻¹ A M_R⁻¹` with `m = None` gets the split residuals `M_L⁻¹r` and
-/// `M_R⁻†r̃` tested, and checks the residuals of `A` itself — as the ILU
-/// policy's stencil nodes do in `cbs-core` (a fused true-residual check per
-/// node, one continuation for a column that missed).  The adjoint solve
+/// residual ≤ tolerance) does not depend on `m`.  The adjoint solve
 /// `M⁻†` on the dual side is what preserves the paper's dual-circle trick under
 /// preconditioning: with `M ≈ P(z)`, `M† ≈ P(z)† = P(1/z̄)`, the operator of
 /// the paired inner-circle node.  With `m = None` the same loop runs with
 /// `z ≡ r`, `z̃ ≡ r̃` by reference.
+///
+/// An operator that stands for a split system `a = M_L⁻¹ A M_R⁻¹` (with
+/// `m = None`, as on the ILU policy's stencil nodes in `cbs-core`) reports
+/// through [`LinearOperator::unsplit_residual_norm`] the norms `‖M_L r‖`,
+/// `‖M_R† r̃‖` of the residuals of `A` that its residuals `r`, `r̃` stand
+/// for.  A column whose residuals pass then converges only if these mapped
+/// residuals, relative to the mapped right-hand sides (`A`'s own), pass too,
+/// and then the mapped true residuals `b − a x`, `b̃ − a† x̃` that the
+/// recurrence's have drifted from: one fused apply per side over the
+/// columns that got that far, counted in their matvecs and the traversals
+/// (the maps count as neither).  A column that fails either keeps iterating
+/// on the same recurrence, and a column the loop did not stop this way
+/// ends unconverged.  An operator that reports `None` runs the plain test,
+/// bit for bit.
 ///
 /// `seeds`, when present, supplies an optional initial guess `(x₀, x̃₀)`
 /// per column: the initial residuals are `r₀ = b - A x₀`, `r̃₀ = b̃ - A† x̃₀`
@@ -260,7 +315,7 @@ pub fn bicg_dual_block_precond<A: LinearOperator + ?Sized, M: Preconditioner + ?
     if let Some(s) = seeds {
         assert_eq!(s.len(), nvecs, "seed count mismatch");
     }
-    let weight = a.traversal_weight();
+    let (weight, tol) = (a.traversal_weight(), opts.tolerance);
     let mut traversals = 0usize;
 
     // --- Initial state: x₀ from the seed (or zero), r₀ = b. ---------------
@@ -283,6 +338,10 @@ pub fn bicg_dual_block_precond<A: LinearOperator + ?Sized, M: Preconditioner + ?
                 rt: b_dual[c].clone(),
                 b_norm: b[c].norm().max(1e-300),
                 bt_norm: b_dual[c].norm().max(1e-300),
+                unsplit_norms: a
+                    .unsplit_residual_norm(false, b[c].as_slice())
+                    .zip(a.unsplit_residual_norm(true, b_dual[c].as_slice()))
+                    .map(|(b, bt)| [b.max(1e-300), bt.max(1e-300)]),
                 res: 0.0,
                 res_dual: 0.0,
                 history: Vec::new(),
@@ -309,24 +368,12 @@ pub fn bicg_dual_block_precond<A: LinearOperator + ?Sized, M: Preconditioner + ?
     let seeded: Vec<usize> =
         (0..nvecs).filter(|&c| seeds.is_some_and(|s| s[c].is_some())).collect();
     if !seeded.is_empty() {
-        q.resize(n * seeded.len(), Complex64::ZERO);
-        gather(&mut stage, seeded.iter().map(|&c| &cols[c].x));
-        a.apply_block(&stage, &mut q, seeded.len());
-        traversals += weight;
+        residuals(a, false, &cols, &seeded, b, &mut stage, &mut q);
+        residuals(a, true, &cols, &seeded, b_dual, &mut stage, &mut qt);
+        traversals += 2 * weight;
         for (k, &c) in seeded.iter().enumerate() {
-            let y = slot(&q, n, k);
-            for i in 0..n {
-                cols[c].r[i] = b[c][i] - y[i];
-            }
-        }
-        gather(&mut stage, seeded.iter().map(|&c| &cols[c].xt));
-        a.apply_adjoint_block(&stage, &mut q, seeded.len());
-        traversals += weight;
-        for (k, &c) in seeded.iter().enumerate() {
-            let y = slot(&q, n, k);
-            for i in 0..n {
-                cols[c].rt[i] = b_dual[c][i] - y[i];
-            }
+            cols[c].r.as_mut_slice().copy_from_slice(slot(&q, n, k));
+            cols[c].rt.as_mut_slice().copy_from_slice(slot(&qt, n, k));
         }
     }
 
@@ -356,11 +403,35 @@ pub fn bicg_dual_block_precond<A: LinearOperator + ?Sized, M: Preconditioner + ?
 
     // --- Lockstep iteration: per-column recurrences, fused applies. -------
     for iter in 0..opts.max_iterations {
+        // A column converges once both residuals meet the tolerance.  On a
+        // split system they must meet it mapped out of the split too, and
+        // then so must the true residuals `b − a x`, `b̃ − a† x̃` the
+        // recurrence's have drifted from (one fused apply per side over the
+        // columns that passed, counted in their matvecs and the traversals).
+        let mut passing: Vec<usize> = (0..nvecs)
+            .filter(|&c| {
+                let col = &cols[c];
+                let r = [col.r.as_slice(), col.rt.as_slice()];
+                col.active && col.res <= tol && col.res_dual <= tol && col.unsplit_passes(a, r, tol)
+            })
+            .collect();
+        if passing.first().is_some_and(|&c| cols[c].unsplit_norms.is_some()) {
+            residuals(a, false, &cols, &passing, b, &mut stage, &mut q);
+            residuals(a, true, &cols, &passing, b_dual, &mut stage, &mut qt);
+            traversals += 2 * weight;
+            let mut slots = 0..;
+            passing.retain(|&c| {
+                let (k, col) = (slots.next().unwrap_or_default(), &mut cols[c]);
+                col.matvecs += 2;
+                col.unsplit_passes(a, [slot(&q, n, k), slot(&qt, n, k)], tol)
+            });
+        }
+
         // Top-of-loop checks: convergence, external stop, ρ breakdown.  A
         // column that trips one freezes in place (deflation) but keeps its
         // result slot; its slab slots go.
-        for col in cols.iter_mut().filter(|c| c.active) {
-            if col.res <= opts.tolerance && col.res_dual <= opts.tolerance {
+        for (c, col) in cols.iter_mut().enumerate().filter(|(_, col)| col.active) {
+            if passing.contains(&c) {
                 col.stop = StopReason::Converged;
                 col.active = false;
             } else if external_stop.is_some_and(|cb| cb(iter)) {
@@ -447,8 +518,11 @@ pub fn bicg_dual_block_precond<A: LinearOperator + ?Sized, M: Preconditioner + ?
     let columns = cols
         .into_iter()
         .map(|mut col| {
-            let primal_conv = col.res <= opts.tolerance;
-            let dual_conv = col.res_dual <= opts.tolerance;
+            // A split system's columns converge only through the checks above.
+            let converged = |res: f64| {
+                col.stop == StopReason::Converged || (col.unsplit_norms.is_none() && res <= tol)
+            };
+            let (primal_conv, dual_conv) = (converged(col.res), converged(col.res_dual));
             if !opts.record_history {
                 col.history.push(col.res);
                 col.dual_history.push(col.res_dual);
@@ -944,6 +1018,115 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A `DenseOp` that stands for a system scaled row by row: it reports
+    /// `‖D r‖` for a residual `r` — NaN for the calls `nan_at` picks by
+    /// their index — and logs every report in order.
+    struct RowScaled<'a> {
+        inner: &'a DenseOp,
+        scale: &'a [f64],
+        nan_at: &'a (dyn Fn(usize) -> bool + Sync),
+        log: std::sync::Mutex<Vec<(bool, f64)>>,
+    }
+
+    impl LinearOperator for RowScaled<'_> {
+        fn nrows(&self) -> usize {
+            self.inner.nrows()
+        }
+        fn ncols(&self) -> usize {
+            self.inner.ncols()
+        }
+        fn apply(&self, x: &[Complex64], y: &mut [Complex64]) {
+            self.inner.apply(x, y);
+        }
+        fn apply_adjoint(&self, x: &[Complex64], y: &mut [Complex64]) {
+            self.inner.apply_adjoint(x, y);
+        }
+        fn unsplit_residual_norm(&self, dual: bool, r: &[Complex64]) -> Option<f64> {
+            let scaled: f64 = r.iter().zip(self.scale).map(|(v, d)| v.scale(*d).norm_sqr()).sum();
+            let mut log = self.log.lock().unwrap();
+            let norm = if (self.nan_at)(log.len()) { f64::NAN } else { scaled.sqrt() };
+            log.push((dual, norm));
+            Some(norm)
+        }
+    }
+
+    #[test]
+    fn a_column_stops_when_its_mapped_and_true_residuals_pass_too() {
+        // The right-hand sides vanish on the rows the map weights 100×, the
+        // residuals do not: the mapped residuals pass after the split ones.
+        let n = 24;
+        let op = DenseOp::new(random_diag_dominant(n, 318));
+        let heavy = |i: usize| i.is_multiple_of(3);
+        let zero_heavy = |mut v: CVector| {
+            (0..n).filter(|&i| heavy(i)).for_each(|i| v[i] = Complex64::ZERO);
+            v
+        };
+        let b: Vec<CVector> = rhs_block(n, 3, 319).into_iter().map(zero_heavy).collect();
+        let bd: Vec<CVector> = rhs_block(n, 3, 320).into_iter().map(zero_heavy).collect();
+        let scale: Vec<f64> = (0..n).map(|i| if heavy(i) { 100.0 } else { 1.0 }).collect();
+        let opts = SolverOptions::default().with_tolerance(1e-10);
+        let tol = opts.tolerance;
+        let run = |c: usize, nan_at: &(dyn Fn(usize) -> bool + Sync), opts: &SolverOptions| {
+            let op = RowScaled { inner: &op, scale: &scale, nan_at, log: Vec::new().into() };
+            let mut out = block_plain(&op, &b[c..=c], &bd[c..=c], None, opts, None);
+            (out.columns.pop().unwrap(), op.log.into_inner().unwrap())
+        };
+
+        let mut longer = 0;
+        let plain = block_plain(&op, &b, &bd, None, &opts, None);
+        let mapped =
+            RowScaled { inner: &op, scale: &scale, nan_at: &|_| false, log: Vec::new().into() };
+        let block = block_plain(&mapped, &b, &bd, None, &opts, None);
+        for (c, plain) in plain.columns.iter().enumerate() {
+            // Alone, the column is the block's: the same recurrence as
+            // without the map, run for longer ...
+            let (col, log) = run(c, &|_| false, &opts);
+            assert_bitwise_eq(&col, &block.columns[c]);
+            let (h, hd) = (&col.history.residuals, &col.dual_history.residuals);
+            assert_eq!(h[..plain.history.residuals.len()], plain.history.residuals[..]);
+            assert_eq!(hd[..plain.dual_history.residuals.len()], plain.dual_history.residuals[..]);
+            assert!(col.both_converged(), "column {c}");
+            longer += usize::from(h.len() > plain.history.residuals.len());
+
+            // ... to the first iteration that passes every test.  The log
+            // replays them: the two mapped right-hand sides, then at every
+            // iteration whose split residuals pass the primal map and, if it
+            // passed, the dual one; if both passed, the same for the true
+            // residuals.
+            let checks = log.len();
+            let mut log = log.into_iter();
+            let mut passes = |dual, norm: Option<f64>| {
+                let (side, logged) = log.next().expect("a logged map");
+                assert_eq!(side, dual, "column {c}");
+                norm.map_or(logged, |b| logged / b)
+            };
+            let norms = [passes(false, None), passes(true, None)];
+            let mut both =
+                || passes(false, Some(norms[0])) <= tol && passes(true, Some(norms[1])) <= tol;
+            let last = h.len() - 1;
+            for j in (0..=last).filter(|&j| h[j] <= tol && hd[j] <= tol) {
+                let mapped = both();
+                let confirmed = mapped && both();
+                assert_eq!((mapped, confirmed), (j == last, j == last), "column {c} iteration {j}");
+            }
+            assert!(log.next().is_none(), "column {c}: a map after the stop");
+
+            // A rejected true-residual check keeps the column iterating on
+            // the same recurrence, to the next iteration that passes all.
+            let (later, _) = run(c, &|k| k == checks - 2, &opts);
+            assert!(later.both_converged(), "column {c}");
+            assert!(later.history.residuals.len() > h.len(), "column {c}");
+            assert_eq!(later.history.residuals[..h.len()], h[..], "column {c}");
+
+            // A map that never comes back finite never lets it converge.
+            let (never, _) = run(c, &|_| true, &SolverOptions { max_iterations: 60, ..opts });
+            assert_eq!(never.history.stop_reason, StopReason::MaxIterations);
+            assert_eq!(never.dual_history.stop_reason, StopReason::MaxIterations);
+            assert_eq!(never.history.residuals[..h.len()], h[..], "column {c}");
+        }
+        assert!(longer > 0, "no mapped residual passed after the split one");
     }
 
     #[test]

@@ -126,6 +126,15 @@ pub trait LinearOperator: Sync {
     fn sparse_lowrank_parts(&self) -> Option<(&CsrMatrix, &LowRankOp)> {
         None
     }
+
+    /// For an operator that stands for a split system `M_L⁻¹ A M_R⁻¹`:
+    /// `‖M_L r‖`, the norm of the residual of `A` that a residual `r` of
+    /// this system stands for — on the `dual` side `‖M_R† r‖`, of `A†`.  The
+    /// block dual BiCG converges a column only when these meet the tolerance
+    /// too.  The default `None` (the operator is the system) skips that test.
+    fn unsplit_residual_norm(&self, _dual: bool, _r: &[Complex64]) -> Option<f64> {
+        None
+    }
 }
 
 /// Approximate inverse `M ≈ A⁻¹` applied as a solve, together with its
@@ -202,6 +211,9 @@ impl<T: LinearOperator + ?Sized> LinearOperator for &T {
     }
     fn sparse_lowrank_parts(&self) -> Option<(&CsrMatrix, &LowRankOp)> {
         (**self).sparse_lowrank_parts()
+    }
+    fn unsplit_residual_norm(&self, dual: bool, r: &[Complex64]) -> Option<f64> {
+        (**self).unsplit_residual_norm(dual, r)
     }
 }
 

@@ -913,17 +913,34 @@ impl StencilDilu<'_> {
         }
     }
 
-    /// How far `M_L⁻¹` has concentrated a split right-hand side `b̂ = M_L⁻¹b`
-    /// on rows with small pivots: `ρ = ‖D̃b̂‖ / (‖d̃‖_rms·‖b̂‖)`, 1 when every
-    /// pivot has the same magnitude and smaller the more of `b̂` sits on
-    /// rows whose pivot is below the mean.
-    pub fn pivot_weight(&self, b_hat: &[Complex64]) -> f64 {
-        let pivots = self.side(false).pivots;
-        let weighted: f64 = b_hat.iter().zip(pivots).map(|(b, d)| (*d * *b).norm_sqr()).sum();
-        let plain: f64 = b_hat.iter().map(|b| b.norm_sqr()).sum();
-        let mean: f64 =
-            pivots.iter().map(|d| d.norm_sqr()).sum::<f64>() / pivots.len().max(1) as f64;
-        (weighted / (mean * plain)).sqrt()
+    /// `‖M_L r̂‖`, or on the dual side `‖M_R† r̂‖ = ‖(D̃* + U†)·D̃*⁻¹r̂‖`: the
+    /// norm of the residual of `P(z)` (of `P(z)†`) that a residual `r̂` of
+    /// the split system stands for.  One pass over the rows' strict lower
+    /// triangles at the side's shift, `(M_L r̂)ᵢ = d̃ᵢr̂ᵢ − σᵢ(r̂)`; the dual
+    /// side gathers from `s = D̃*⁻¹r̂` (a scratch-pool slab), whose diagonal
+    /// term `d̃*ᵢsᵢ` is `r̂ᵢ` itself.  No tails, no solve.
+    fn unsplit_norm(&self, dual: bool, r: &[Complex64]) -> f64 {
+        assert_eq!(r.len(), self.stencil.n, "unsplit residual: length mismatch");
+        let side = self.side(dual);
+        cbs_trace::timed(Stage::TriSweep, || {
+            let scaled = dual.then(|| {
+                let mut s = crate::scratch::take_scratch_for_overwrite(r.len());
+                for (i, si) in s.iter_mut().enumerate() {
+                    *si = side.inv_pivot(i) * r[i];
+                }
+                s
+            });
+            let x = scaled.as_deref().unwrap_or(r);
+            let mut sum = 0.0;
+            for (i, &ri) in r.iter().enumerate() {
+                let [sigma] = self.stencil.triangle_sum(i, false, side.shift, &[x]);
+                sum += (if dual { ri } else { side.pivot(i) * ri } - sigma).norm_sqr();
+            }
+            if let Some(s) = scaled {
+                crate::scratch::recycle_scratch(s);
+            }
+            sum.sqrt()
+        })
     }
 
     /// Right-hand sides into the split system, in place over an
@@ -960,7 +977,9 @@ impl Drop for StencilDilu<'_> {
 
 /// The split operator `Â = M_L⁻¹ P(z) M_R⁻¹` of a node's diagonal ILU
 /// ([`StencilDilu::split`]): one pass over the stencil's rows per apply,
-/// so its traversal weight is 1.
+/// so its traversal weight is 1.  It reports the residual norm of `P(z)`
+/// a split residual stands for
+/// ([`unsplit_residual_norm`](LinearOperator::unsplit_residual_norm)).
 pub struct SplitOperator<'a>(&'a StencilDilu<'a>);
 
 impl LinearOperator for SplitOperator<'_> {
@@ -984,6 +1003,9 @@ impl LinearOperator for SplitOperator<'_> {
     }
     fn memory_bytes(&self) -> usize {
         self.0.stencil.memory_bytes() + 16 * self.0.scalars.len()
+    }
+    fn unsplit_residual_norm(&self, dual: bool, r: &[Complex64]) -> Option<f64> {
+        Some(self.0.unsplit_norm(dual, r))
     }
 }
 
@@ -1552,7 +1574,9 @@ mod tests {
 
     /// The maps into and out of the split system: a system solved in `x̂` is
     /// solved in `x = M_R⁻¹x̂` with the mapped right-hand side,
-    /// `Â x̂ = M_L⁻¹·P(z)·M_R⁻¹x̂` and `Â†ŷ = M_R⁻†·P(z)†·M_L⁻†ŷ`.
+    /// `Â x̂ = M_L⁻¹·P(z)·M_R⁻¹x̂` and `Â†ŷ = M_R⁻†·P(z)†·M_L⁻†ŷ` — and the
+    /// split residual `b̂ − Âx̂` stands for `b − P(z)x`, whose norm the
+    /// split operator reports.
     #[test]
     fn split_maps_round_trip() {
         for (p, e, z, seed) in split_fixtures() {
@@ -1561,16 +1585,33 @@ mod tests {
             let m = s.dilu(e, z);
             let mut rng = ChaCha8Rng::seed_from_u64(seed + 20);
             let x_hat = CVector::random(n * 2, &mut rng).into_vec();
+            let b = CVector::random(n * 2, &mut rng).into_vec();
             let [primal, adjoint] = split_apply(&m, &x_hat, 2);
             for (dual, shift, got) in
                 [(false, z, primal), (true, Complex64::ONE / z.conj(), adjoint)]
             {
                 let mut x = x_hat.clone();
                 m.unsplit(dual, &mut x, 2);
-                let mut want = apply(&s, e, shift, &x, 2);
+                let px = apply(&s, e, shift, &x, 2);
+                let mut want = px.clone();
                 m.split_rhs(dual, &mut want, 2);
                 let err = relative_error(&got, &want);
                 assert!(err <= 1e-12, "n {n} dual {dual}: {err:.2e}");
+
+                let mut r_hat = b.clone();
+                m.split_rhs(dual, &mut r_hat, 2);
+                for (r, a) in r_hat.iter_mut().zip(&got) {
+                    *r -= *a;
+                }
+                for c in 0..2 {
+                    let col = c * n..(c + 1) * n;
+                    let mapped = m.split().unsplit_residual_norm(dual, &r_hat[col.clone()]);
+                    let residual: Vec<Complex64> =
+                        b[col.clone()].iter().zip(&px[col]).map(|(b, y)| *b - *y).collect();
+                    let truth = CVector::from_vec(residual).norm();
+                    let err = (mapped.expect("the split operator maps") - truth).abs() / truth;
+                    assert!(err <= 1e-12, "n {n} dual {dual} column {c}: {err:.2e}");
+                }
             }
         }
     }

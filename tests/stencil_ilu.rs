@@ -12,7 +12,7 @@
 //! * the stencil form is the factored form to rounding (`M⁻¹`, `M⁻†`), on
 //!   fig6 and on the nanotube;
 //! * split stencil + D-ILU finds the preconditioned assembled + D-ILU
-//!   spectrum (≤ 1e-8) in as many iterations to within 10% — the two stop on
+//!   spectrum (≤ 1e-8) in as many iterations to within 3% — the two stop on
 //!   different residuals — with no pattern refill, every solve converged in
 //!   the true residual, serial ≡ rayon bitwise, on fig6 and on the 605-point
 //!   (8,0) nanotube;
@@ -150,14 +150,14 @@ fn assert_stencil_ilu_matches_assembled_ilu(
     }
     // ... from about the same work.  In exact arithmetic the split and the
     // preconditioned recurrence build the same iterates, but they stop on
-    // different residuals: the reference on the true one, the split route
-    // on `M_L⁻¹r` (then a true-residual check, and one continuation for a
-    // column that missed).  Measured: fig6 1 513 vs 1 503 (+0.7%), cnt80
-    // 37 804 vs 35 635 (+6.1%: 37 of its 64 columns resume), hence 10%.
-    // Only the reference refilled the pattern, once per solved node.
+    // different residuals: the reference on its recurrence's, the split route
+    // on the split and the mapped ones, `M_L r̂`, confirmed on the true
+    // residual inside BiCG.  Measured: fig6 1 502 vs 1 503 (−0.1%), cnt80
+    // 36 139 vs 35 635 (+1.4%), hence 3%.  Only the reference refilled the
+    // pattern, once per solved node.
     let (it, it_ref) = (fused.total_bicg_iterations, reference.total_bicg_iterations);
     eprintln!("{what}: iterations stencil {it} / assembled {it_ref}");
-    assert!(it.abs_diff(it_ref) * 10 <= it_ref, "{what}: {it} vs {it_ref} iterations");
+    assert!(it.abs_diff(it_ref) * 100 <= 3 * it_ref, "{what}: {it} vs {it_ref} iterations");
     assert!(fused.solve_histories.iter().all(ConvergenceHistory::converged), "{what}");
     assert_eq!(fused.operator_assemblies, 0, "{what}");
     assert_eq!(reference.operator_assemblies, config.n_int.div_ceil(2), "{what}");
