@@ -3,7 +3,7 @@
 //! stdout in the same layout as the corresponding figure/table of the paper
 //! and returns the key numbers so integration tests can assert on them.
 
-use cbs_core::{solve_qep_with, PrecondPolicy, QepProblem, SsConfig, SsResult};
+use cbs_core::{solve_qep_with, PrecondPolicy, QepProblem, RingPlan, SsConfig, SsResult};
 use cbs_dft::{band_structure, BlockHamiltonian};
 use cbs_obm::{obm_solve, ObmConfig};
 use cbs_parallel::{ExecutorChoice, RayonExecutor, SerialExecutor};
@@ -97,10 +97,13 @@ pub fn fig4_compare(sys: &BenchSystem) -> (f64, f64, usize, usize) {
     let t0 = std::time::Instant::now(); // cbs-audit: allow(D002) reason="bench wall-clock: reported runtime statistic, never fingerprinted"
     let ss = solve_qep_env(&problem, &ss_config());
     let ss_seconds = t0.elapsed().as_secs_f64();
-    // SS memory: sparse blocks + the moment/source workspace O(M N).
+    // SS memory: sparse blocks + the source block + the moment store the
+    // solve accumulates into + the Hankel workspace.
+    let plan = RingPlan::build(&problem, &ss_config()).unwrap_or_else(|e| panic!("{e}"));
     let m_hat = ss_config().subspace_size();
     let ss_bytes = h.memory_bytes()
-        + (2 * ss_config().n_mm * ss_config().n_rh + ss_config().n_rh) * h.dim() * 16
+        + ss_config().n_rh * h.dim() * 16
+        + plan.accumulator().memory_bytes()
         + m_hat * m_hat * 16;
 
     let h00_csr = h.h00_csr();

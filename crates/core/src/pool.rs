@@ -258,7 +258,7 @@ pub fn solve_pool<E: TaskExecutor>(
             c.iterations += outcome.history.iterations();
             c.matvecs += outcome.history.matvecs;
             c.solves += 1;
-            accs[g].record(outcome);
+            accs[g].record(outcome, groups[g].v_cols);
         }
     };
 
@@ -385,7 +385,7 @@ mod tests {
     /// accumulated moments, and the extraction of those moments (for the
     /// per-solve histories and the projected moments).
     struct Ring {
-        moments: Vec<Vec<CVector>>,
+        moments: (Vec<CVector>, Vec<CMatrix>),
         iterations: usize,
         matvecs: usize,
         traversals: usize,
@@ -405,7 +405,7 @@ mod tests {
     /// A pool outcome, its moments read off before the extraction takes the
     /// accumulator.
     fn ring_of(qep: &QepProblem<'_>, config: &SsConfig, plan: &RingPlan, o: PoolOutcome) -> Ring {
-        let moments = o.acc.moments().to_vec();
+        let moments = o.acc.stored();
         let result = extract_from_moments(
             qep,
             config,
@@ -476,17 +476,18 @@ mod tests {
                 let rhs = &v[r];
                 assert!((&op.apply_vec(&col.x) - rhs).norm() <= 1e-9 * rhs.norm(), "node {j}");
                 assert!((&op.apply_adjoint_vec(&col.dual_x) - rhs).norm() <= 1e-9 * rhs.norm());
-                acc.record(ShiftedSolveOutcome {
+                let outcome = ShiftedSolveOutcome {
                     point_index: j,
                     rhs_index: r,
                     x: col.x,
                     dual_x: col.dual_x,
                     history: col.history,
                     dual_history: col.dual_history,
-                });
+                };
+                acc.record(outcome, v);
             }
         }
-        assert_eq!(acc.moments(), &ring.moments[..], "moments differ from the per-node fold");
+        assert_eq!(acc.stored(), ring.moments, "moments differ from the per-node fold");
         let histories = &ring.result.solve_histories;
         assert_eq!(iterations, histories.iter().map(ConvergenceHistory::iterations).sum::<usize>());
         assert!(matvecs >= 2 * iterations);

@@ -98,7 +98,7 @@ pub(crate) fn solve_split(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::policy::PrecondPolicy;
     use crate::pool::{solve_pool, PoolGroup, PoolOutcome, PoolPolicy};
@@ -111,7 +111,7 @@ mod tests {
 
     /// A real block that exposes its storage, so the ILU policy's nodes run
     /// on the stencil and its split system.
-    struct Exposed(CsrMatrix, LowRankOp);
+    pub(crate) struct Exposed(CsrMatrix, LowRankOp);
 
     impl LinearOperator for Exposed {
         fn nrows(&self) -> usize {
@@ -138,7 +138,7 @@ mod tests {
     /// of `H₀₀`: `P(z)` is nearly singular there, its diagonal ILU has small
     /// pivots, and `M_L⁻¹` concentrates `b̂` on their rows — so the split
     /// residual, normalized by `‖b̂‖`, passes before the true one.
-    fn chain_pencil(n: usize) -> (Exposed, Exposed) {
+    pub(crate) fn chain_pencil(n: usize) -> (Exposed, Exposed) {
         let (mut a, mut b) = (CooBuilder::new(n, n), CooBuilder::new(n, n));
         for i in 0..n {
             a.push(i, i, c64(2.5, 0.0));
@@ -217,7 +217,7 @@ mod tests {
         // ... and is the solve the pool ran, bit for bit, with its history
         // ending on that residual.
         let counters = |o: &PoolOutcome| [o.iterations, o.matvecs, o.traversals];
-        let (cold, moments) = (counters(&serial), serial.acc.moments().to_vec());
+        let (cold, moments) = (counters(&serial), serial.acc.stored());
         let result =
             extract_from_moments(&qep, &config(), &plan.v_cols, serial.acc, 0, 0, 0, 0, 0.0);
         assert!(result.solve_histories.iter().all(|h| h.converged() && h.final_residual() <= tol));
@@ -229,6 +229,6 @@ mod tests {
 
         // Serial ≡ rayon, bitwise.
         let rayon = pool(&qep, &plan, &RayonExecutor);
-        assert_eq!((counters(&rayon), rayon.acc.moments()), (cold, &moments[..]));
+        assert_eq!((counters(&rayon), rayon.acc.stored()), (cold, moments));
     }
 }

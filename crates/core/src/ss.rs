@@ -8,7 +8,10 @@
 //!    `P(z_j^(1))† Y_j^(2) = V`, i.e. the systems at the inner-circle nodes
 //!    `z_j^(2) = 1/conj(z_j^(1))` (paper §3.2).
 //! 2. Accumulate the complex moments `Ŝ_k = Σ_j ω_j z_j^k Y_j` over both
-//!    circles and the projected moments `µ̂_k = V† Ŝ_k`.
+//!    circles — as vectors only for `k < N_mm`, the basis of step 3's
+//!    eigenvectors — and the projected moments `µ̂_k = V† Ŝ_k` for every
+//!    `k < 2 N_mm`, each solution projected onto `V` as it is folded in
+//!    ([`MomentAccumulator`]).
 //! 3. Build the block Hankel matrices `T̂`, `T̂^<`, filter with an SVD at
 //!    threshold `δ`, solve the reduced `m̂ × m̂` eigenproblem and recover the
 //!    eigenvectors as `Ŝ W₁ Σ₁⁻¹ φ`.
@@ -27,7 +30,8 @@
 //!   [`QepProblem::is_conjugate_symmetric`]): the lower half-plane nodes
 //!   of the ring mirror the upper ones — only the `Im z > 0` nodes are
 //!   listed ([`RingPlan::is_mirrored`]) and step 2 closes with
-//!   `Ŝ_k ← Ŝ_k + conj Ŝ_k = 2 Re Ŝ_k`.
+//!   `Ŝ_k ← Ŝ_k + conj Ŝ_k = 2 Re Ŝ_k`: the accumulator stores only the
+//!   real parts of the vectors, and the extraction takes `2 Re µ̂_k`.
 //! * a **real** source block `V` ([`source_block`]), which is what turns
 //!   the operator identity into `Y(z̄) = conj Y(z)`.
 //!
@@ -283,14 +287,29 @@ pub fn source_block(n: usize, config: &SsConfig) -> Vec<CVector> {
 }
 
 /// Streaming accumulator for step 2 of the method: folds each
-/// [`ShiftedSolveOutcome`] into the complex moments
-/// `Ŝ_k = Σ_j ω_j z_j^k Y_j` (primal + paired dual nodes) **in job order**,
-/// and retains the primal convergence histories.
+/// [`ShiftedSolveOutcome`] **in job order** into exactly what the extraction
+/// reads of the moments `Ŝ_k = Σ_j ω_j z_j^k Y_j` (primal + paired dual
+/// nodes), and retains the primal convergence histories:
+///
+/// * the vectors `Ŝ_0 … Ŝ_{N_mm−1}` (`N_rh` columns of length `N` each), the
+///   basis the eigenvectors `ψ = Ŝ W₁Σ₁⁻¹φ` are recovered from.  On a
+///   mirrored ring ([`RingPlan::is_mirrored`]) only their real parts are
+///   kept — the extraction closes the ring with `Ŝ_k + conj Ŝ_k = 2 Re Ŝ_k`
+///   — accumulated with the real half of the complex axpy, so they are
+///   bitwise the real parts of the complex sum;
+/// * the projections `µ̂_k = V†Ŝ_k` (`N_rh × N_rh`) for every `k < 2 N_mm`,
+///   the entries of the block Hankel pair, summed from each outcome's
+///   `V†x` and `V†x̃`.
+///
+/// That is a quarter of `2 N_mm N_rh` complex length-`N` vectors on a
+/// mirrored ring and half of it on a full one ([`memory_bytes`]).
 ///
 /// Factored out of [`solve_qep_with`] so that multi-group drivers (the
 /// `cbs-sweep` crate's cross-energy pool) can run one accumulator per group
 /// while the underlying solves of *all* groups share a single flattened
 /// task pool.  Built by [`RingPlan::accumulator`].
+///
+/// [`memory_bytes`]: Self::memory_bytes
 pub struct MomentAccumulator {
     /// The listed `(outer, paired inner)` nodes of the ring.
     nodes: Vec<(QuadraturePoint, QuadraturePoint)>,
@@ -298,8 +317,16 @@ pub struct MomentAccumulator {
     /// ([`RingPlan::is_mirrored`]): the extraction completes the moments
     /// with their conjugates.
     mirrored: bool,
-    /// `Ŝ_k` for `k = 0 .. 2 N_mm`, stored as `N_rh` columns each.
-    s_moments: Vec<Vec<CVector>>,
+    /// Length `N` of one moment column.
+    n: usize,
+    /// `Re Ŝ_k[:, rhs]` for `k < N_mm`, column `k·N_rh + rhs` at
+    /// `[col·N .. (col+1)·N]`.
+    re: Vec<f64>,
+    /// `Im Ŝ_k[:, rhs]` in the same layout; empty on a mirrored ring.
+    im: Vec<f64>,
+    /// `µ̂_k = V†Ŝ_k` for `k < 2 N_mm`, over the listed nodes only (the
+    /// extraction takes `2 Re` of them on a mirrored ring).
+    mu: Vec<CMatrix>,
     /// Primal convergence histories in job order.
     histories: Vec<ConvergenceHistory>,
 }
@@ -331,29 +358,97 @@ impl MomentAccumulator {
         self.nodes[j].0.z
     }
 
-    /// Fold one solve outcome into the moments; the solution pair is dropped
-    /// once it has contributed.  Must be called in job order
-    /// (`point_index * N_rh + rhs_index`) for executor-independent results.
-    pub fn record(&mut self, outcome: ShiftedSolveOutcome) {
+    /// Bytes held by the moment store: `N_mm N_rh N` reals on a mirrored
+    /// ring (complex numbers on a full one) plus `2 N_mm` complex
+    /// `N_rh × N_rh` projections.  The histories are not counted.
+    pub fn memory_bytes(&self) -> usize {
+        (self.re.len() + self.im.len()) * std::mem::size_of::<f64>()
+            + self.mu.iter().map(CMatrix::memory_bytes).sum::<usize>()
+    }
+
+    /// Fold one solve outcome of the source block `v_cols` into the
+    /// moments; the solution pair is dropped once it has contributed.  Must
+    /// be called in job order (`point_index * N_rh + rhs_index`) for
+    /// executor-independent results.
+    pub fn record(&mut self, outcome: ShiftedSolveOutcome, v_cols: &[CVector]) {
         let (outer, inner) = self.nodes[outcome.point_index];
+        let (n, n_mm, rhs) = (self.n, self.n_mm(), outcome.rhs_index);
+        // The outcome's share of every µ̂_k, projected once: V†x and V†x̃.
+        let projected: Vec<(Complex64, Complex64)> =
+            v_cols.iter().map(|v| (v.dot(&outcome.x), v.dot(&outcome.dual_x))).collect();
         // Accumulate the moments for this (j, rhs) pair:
         //   primal:  + ω_j z_j^k  Y^(1)
         //   dual:    + ω'_j z'^k  Y^(2)   (orientation sign in the weight)
         let mut zk_primal = outer.weight;
         let mut zk_dual = inner.weight;
-        for s_k in self.s_moments.iter_mut() {
-            s_k[outcome.rhs_index].axpy(zk_primal, &outcome.x);
-            s_k[outcome.rhs_index].axpy(zk_dual, &outcome.dual_x);
+        for (k, mu_k) in self.mu.iter_mut().enumerate() {
+            if k < n_mm {
+                let start = (k * v_cols.len() + rhs) * n;
+                let (re, mut im) =
+                    (&mut self.re[start..start + n], self.im.get_mut(start..start + n));
+                // `CVector::axpy`'s `y += a·x`, one half at a time.
+                for (a, x) in [(zk_primal, &outcome.x), (zk_dual, &outcome.dual_x)] {
+                    for (y, x) in re.iter_mut().zip(x.iter()) {
+                        *y += a.re * x.re - a.im * x.im;
+                    }
+                    if let Some(im) = im.as_deref_mut() {
+                        for (y, x) in im.iter_mut().zip(x.iter()) {
+                            *y += a.re * x.im + a.im * x.re;
+                        }
+                    }
+                }
+            }
+            for (r, &(p, p_dual)) in projected.iter().enumerate() {
+                mu_k[(r, rhs)] += zk_primal * p;
+                mu_k[(r, rhs)] += zk_dual * p_dual;
+            }
             zk_primal *= outer.z;
             zk_dual *= inner.z;
         }
         self.histories.push(outcome.history);
     }
 
-    /// The accumulated `Ŝ_k`, `N_rh` columns each.
+    /// `N_mm`: the number of stored moment vectors per right-hand side.
+    fn n_mm(&self) -> usize {
+        self.mu.len() / 2
+    }
+
+    /// `N_rh`: the width of the source block.
+    fn n_rh(&self) -> usize {
+        self.mu.first().map_or(0, CMatrix::nrows)
+    }
+
+    /// Widen stored column `col` (`k·N_rh + rhs`, `k < N_mm`) into `out`:
+    /// `Ŝ_k[:, rhs]`, or `Re Ŝ_k[:, rhs]` on a mirrored ring.
+    fn widen_column(&self, col: usize, out: &mut CVector) {
+        let range = col * self.n..(col + 1) * self.n;
+        let (out, re) = (out.as_mut_slice(), &self.re[range.clone()]);
+        match self.im.get(range) {
+            Some(im) => {
+                for ((o, &re), &im) in out.iter_mut().zip(re).zip(im) {
+                    *o = Complex64::new(re, im);
+                }
+            }
+            None => {
+                for (o, &re) in out.iter_mut().zip(re) {
+                    *o = Complex64::real(re);
+                }
+            }
+        }
+    }
+
+    /// The stored vectors, widened column by column (`k·N_rh + rhs`), and
+    /// the accumulated projections — for bitwise comparisons.
     #[cfg(test)]
-    pub(crate) fn moments(&self) -> &[Vec<CVector>] {
-        &self.s_moments
+    pub(crate) fn stored(&self) -> (Vec<CVector>, Vec<CMatrix>) {
+        let columns = (0..self.n_mm() * self.n_rh())
+            .map(|col| {
+                let mut out = CVector::zeros(self.n);
+                self.widen_column(col, &mut out);
+                out
+            })
+            .collect();
+        (columns, self.mu.clone())
     }
 }
 
@@ -408,9 +503,11 @@ pub fn solve_qep_with<E: TaskExecutor>(
     )
 }
 
-/// Steps 2-4 of the method: build the projected moments `µ̂_k = V† Ŝ_k` and
-/// the block Hankel matrices, filter with the SVD, solve the reduced
-/// eigenproblem, recover and residual-check the eigenpairs.
+/// Steps 3-4 of the method: build the block Hankel matrices from the
+/// accumulator's projected moments `µ̂_k`, filter with the SVD, solve the
+/// reduced eigenproblem, recover the eigenvectors from its stored `Ŝ_k`
+/// and residual-check the eigenpairs.  `N_mm` and `N_rh` are the
+/// accumulator's ([`RingPlan::build`] took them from the configuration).
 ///
 /// Public so that multi-energy drivers (`cbs-sweep`) can run the extraction
 /// per energy on accumulators filled from a flattened cross-energy task
@@ -430,7 +527,7 @@ pub fn extract_from_moments(
     problem: &QepProblem<'_>,
     config: &SsConfig,
     v_cols: &[CVector],
-    acc: MomentAccumulator,
+    mut acc: MomentAccumulator,
     total_iters: usize,
     total_matvecs: usize,
     total_traversals: usize,
@@ -439,8 +536,8 @@ pub fn extract_from_moments(
 ) -> SsResult {
     let n = problem.dim();
     let contour = config.contour();
-    let n_moments = 2 * config.n_mm;
-    let MomentAccumulator { mut s_moments, mut histories, mirrored, .. } = acc;
+    let (m, n_rh, mirrored) = (acc.n_mm(), acc.n_rh(), acc.mirrored);
+    let mut histories = std::mem::take(&mut acc.histories);
     let shifted_solves = histories.len();
 
     let t_extract = std::time::Instant::now(); // cbs-audit: allow(D002) reason="extraction wall-clock statistic; reported, never fingerprinted"
@@ -449,12 +546,14 @@ pub fn extract_from_moments(
     // always draws one, a caller-supplied block that is not real leaves the
     // mirrored moments incomplete.
     let unmirrorable = mirrored && !v_cols.iter().all(|v| v.iter().all(|z| z.im == 0.0));
+    let mut mu = std::mem::take(&mut acc.mu);
     if mirrored {
         // Close the quadrature sum over the lower half-plane nodes that
         // were never solved: node `N-1-j` contributes the conjugate of node
-        // `j`'s term, so Ŝ_k ← Ŝ_k + conj Ŝ_k = 2 Re Ŝ_k — O(N_mm N_rh N),
-        // noise next to a single BiCG iteration.
-        for v in s_moments.iter_mut().flatten().flat_map(CVector::as_mut_slice) {
+        // `j`'s term, so µ̂_k ← µ̂_k + conj µ̂_k = 2 Re µ̂_k (V is real).  The
+        // stored vectors already are `Re Ŝ_k`; their factor 2 is left out,
+        // since every recovered ψ is normalised.
+        for v in mu.iter_mut().flat_map(CMatrix::as_mut_slice) {
             *v = Complex64::real(2.0 * v.re);
         }
         // Report one history per node of the full ring, in node order: the
@@ -464,7 +563,7 @@ pub fn extract_from_moments(
         histories = (0..n_int)
             .flat_map(|j| {
                 let twin = j.min(n_int - 1 - j);
-                histories[twin * config.n_rh..(twin + 1) * config.n_rh].to_vec()
+                histories[twin * n_rh..(twin + 1) * n_rh].to_vec()
             })
             .collect();
     }
@@ -473,20 +572,14 @@ pub fn extract_from_moments(
     // totals so extraction work no longer bypasses the counters.
     let (residual_matvecs_0, residual_traversals_0) = problem.residual_op_counters();
 
-    // µ̂_k = V† Ŝ_k  (N_rh x N_rh).
-    let mu: Vec<CMatrix> = (0..n_moments)
-        .map(|k| CMatrix::from_fn(config.n_rh, config.n_rh, |r, c| v_cols[r].dot(&s_moments[k][c])))
-        .collect();
-
-    let m = config.n_mm;
-    let dim = m * config.n_rh;
+    let dim = m * n_rh;
     // Block Hankel matrices: T̂[i][j] = µ̂_{i+j},  T̂^<[i][j] = µ̂_{i+j+1}.
     let mut t_hankel = CMatrix::zeros(dim, dim);
     let mut t_shift = CMatrix::zeros(dim, dim);
     for bi in 0..m {
         for bj in 0..m {
-            t_hankel.set_block(bi * config.n_rh, bj * config.n_rh, &mu[bi + bj]);
-            t_shift.set_block(bi * config.n_rh, bj * config.n_rh, &mu[bi + bj + 1]);
+            t_hankel.set_block(bi * n_rh, bj * n_rh, &mu[bi + bj]);
+            t_shift.set_block(bi * n_rh, bj * n_rh, &mu[bi + bj + 1]);
         }
     }
 
@@ -501,6 +594,7 @@ pub fn extract_from_moments(
     // Compute  c = W₁ Σ₁⁻¹ φ  (dim x 1) per eigenpair and combine columns.
     let mut eigenpairs = Vec::new();
     let mut discarded = 0usize;
+    let mut column = CVector::zeros(n);
     for (idx, &lambda) in eig.values.iter().enumerate() {
         // On a mirrored ring the moments are real, so the spectrum is closed
         // under conjugation: the candidates with `Im λ ≥ 0` are recovered and
@@ -535,12 +629,10 @@ pub fn extract_from_moments(
         }
         // ψ = Σ_{k, rhs} coeff[k*N_rh + rhs] * Ŝ_k[:, rhs]
         let mut psi = CVector::zeros(n);
-        for k in 0..m {
-            for rhs in 0..config.n_rh {
-                let c = coeff[k * config.n_rh + rhs];
-                if c.abs() > 0.0 {
-                    psi.axpy(c, &s_moments[k][rhs]);
-                }
+        for (col, &c) in coeff.iter().enumerate() {
+            if c.abs() > 0.0 {
+                acc.widen_column(col, &mut column);
+                psi.axpy(c, &column);
             }
         }
         let (psi, norm) = psi.normalized();
@@ -684,11 +776,16 @@ impl RingPlan {
     /// Fresh zeroed moments over the plan's node list.
     pub fn accumulator(&self) -> MomentAccumulator {
         let n = self.v_cols.first().map_or(0, CVector::len);
+        let n_rh = self.v_cols.len();
+        let vectors = self.n_mm * n_rh * n;
         MomentAccumulator {
             nodes: self.nodes.clone(),
             mirrored: self.mirrored,
-            s_moments: vec![vec![CVector::zeros(n); self.v_cols.len()]; 2 * self.n_mm],
-            histories: Vec::with_capacity(self.nodes.len() * self.v_cols.len()),
+            n,
+            re: vec![0.0; vectors],
+            im: if self.mirrored { Vec::new() } else { vec![0.0; vectors] },
+            mu: vec![CMatrix::zeros(n_rh, n_rh); 2 * self.n_mm],
+            histories: Vec::with_capacity(self.nodes.len() * n_rh),
         }
     }
 }
@@ -877,14 +974,15 @@ mod tests {
         let mut poisoned = solve(&v_cols);
         let nan = CVector::from_vec(vec![c64(f64::NAN, 0.0); qep.dim()]);
         let history = poisoned.acc.histories[0].clone();
-        poisoned.acc.record(ShiftedSolveOutcome {
+        let outcome = ShiftedSolveOutcome {
             point_index: 0,
             rhs_index: 0,
             x: nan.clone(),
             dual_x: nan,
             history: history.clone(),
             dual_history: history,
-        });
+        };
+        poisoned.acc.record(outcome, &v_cols);
         let result = extract(&v_cols, poisoned);
         assert!(result.eigenpairs.is_empty());
         assert_eq!(result.numerical_rank, 0);
@@ -920,6 +1018,119 @@ mod tests {
         assert_eq!(result.numerical_rank, 0);
         assert!(result.hankel_singular_values.is_empty());
         assert!(result.total_bicg_iterations > 0, "the solves ran");
+    }
+
+    /// Every solve outcome of the ring `plan` lists, node by node, each
+    /// node's block solved as the matrix-free pool solves it.
+    fn ring_outcomes(
+        qep: &QepProblem<'_>,
+        plan: &RingPlan,
+        config: &SsConfig,
+    ) -> Vec<ShiftedSolveOutcome> {
+        let (v, opts) = (&plan.v_cols, config.solver_options());
+        (0..plan.nodes.len())
+            .flat_map(|j| {
+                let op = qep.operator(plan.nodes[j].0.z);
+                let solved = cbs_solver::bicg_dual_block_precond(
+                    &op,
+                    None::<&dyn cbs_sparse::Preconditioner>,
+                    v,
+                    v,
+                    None,
+                    &opts,
+                    None,
+                );
+                solved.columns.into_iter().enumerate().map(move |(rhs_index, col)| {
+                    ShiftedSolveOutcome {
+                        point_index: j,
+                        rhs_index,
+                        x: col.x,
+                        dual_x: col.dual_x,
+                        history: col.history,
+                        dual_history: col.dual_history,
+                    }
+                })
+            })
+            .collect()
+    }
+
+    /// The fold the compact store replaced: every `Ŝ_k`, `k < 2 N_mm`, as
+    /// `N_rh` complex vectors.
+    fn full_fold(plan: &RingPlan, outcomes: &[ShiftedSolveOutcome]) -> Vec<Vec<CVector>> {
+        let n = plan.v_cols[0].len();
+        let mut s_moments = vec![vec![CVector::zeros(n); plan.v_cols.len()]; 2 * plan.n_mm];
+        for o in outcomes {
+            let (outer, inner) = plan.nodes[o.point_index];
+            let (mut zk_primal, mut zk_dual) = (outer.weight, inner.weight);
+            for s_k in s_moments.iter_mut() {
+                s_k[o.rhs_index].axpy(zk_primal, &o.x);
+                s_k[o.rhs_index].axpy(zk_dual, &o.dual_x);
+                zk_primal *= outer.z;
+                zk_dual *= inner.z;
+            }
+        }
+        s_moments
+    }
+
+    /// The compact store against the full complex fold, on a mirrored ring
+    /// (a real pencil applied through the real stencil) and a full one (a
+    /// dense complex pencil): its size is what `memory_bytes` reports, the
+    /// stored `Ŝ_k`, `k < N_mm`, are the full fold's (its real parts on the
+    /// mirrored ring) bit for bit, and every `µ̂_k` is `V†Ŝ_k` to rounding.
+    #[test]
+    fn the_compact_store_is_the_full_fold_it_replaced() {
+        let (h00, h01) = random_qep(12, 509);
+        let (d00, d01) = (DenseOp::new(h00), DenseOp::new(h01));
+        let (s00, s01) = crate::split::tests::chain_pencil(40);
+        let config = SsConfig {
+            n_int: 8,
+            n_mm: 3,
+            n_rh: 3,
+            bicg_tolerance: 1e-12,
+            majority_stop: false,
+            precond: PrecondPolicy::MatrixFree,
+            ..SsConfig::paper()
+        };
+        let stencil = QepProblem::new(&s00, &s01, 1.5, 1.0);
+        for (qep, mirrored) in [(stencil, true), (QepProblem::new(&d00, &d01, 0.1, 1.0), false)] {
+            let plan = RingPlan::build(&qep, &config).unwrap();
+            assert_eq!(plan.is_mirrored(), mirrored);
+            // `N_mm N_rh` columns of reals (mirrored) or complex numbers,
+            // plus `2 N_mm` complex `N_rh × N_rh` projections.
+            let (n_mm, n_rh, scalar) = (config.n_mm, config.n_rh, if mirrored { 8 } else { 16 });
+            let bytes = n_mm * n_rh * qep.dim() * scalar + 2 * n_mm * n_rh * n_rh * 16;
+            assert_eq!(plan.accumulator().memory_bytes(), bytes);
+            let outcomes = ring_outcomes(&qep, &plan, &config);
+            assert_eq!(qep.real_stencil().is_some(), mirrored, "the solves ran on the stencil");
+            let reference = full_fold(&plan, &outcomes);
+            let mut acc = plan.accumulator();
+            for o in outcomes {
+                acc.record(o, &plan.v_cols);
+            }
+
+            let (columns, mu) = acc.stored();
+            assert_eq!(columns.len(), config.n_mm * config.n_rh);
+            for (col, stored) in columns.iter().enumerate() {
+                let full = &reference[col / config.n_rh][col % config.n_rh];
+                let want: CVector = if mirrored {
+                    full.iter().map(|z| Complex64::real(z.re)).collect()
+                } else {
+                    full.clone()
+                };
+                assert_eq!(stored, &want, "column {col}, mirrored {mirrored}");
+            }
+            assert_eq!(mu.len(), 2 * config.n_mm);
+            for (k, (mu_k, s_k)) in mu.iter().zip(&reference).enumerate() {
+                let v = &plan.v_cols;
+                let exact = CMatrix::from_fn(config.n_rh, config.n_rh, |r, c| v[r].dot(&s_k[c]));
+                let error = (mu_k - &exact).fro_norm();
+                assert!(error <= 1e-13 * exact.fro_norm(), "µ̂_{k}: {error:.2e}, {mirrored}");
+            }
+
+            let result = extract_from_moments(&qep, &config, &plan.v_cols, acc, 0, 0, 0, 0, 0.0);
+            let real = result.projected_moments.iter().flat_map(CMatrix::as_slice);
+            assert_eq!(real.clone().all(|z| z.im == 0.0), mirrored);
+        }
     }
 
     #[test]

@@ -152,11 +152,6 @@ impl Complex64 {
         acc
     }
 
-    /// Complex power `z^w = exp(w ln z)`.
-    pub fn powc(self, w: Self) -> Self {
-        (w * self.ln()).exp()
-    }
-
     /// `true` if either component is NaN.
     #[inline]
     pub fn is_nan(self) -> bool {
@@ -167,13 +162,6 @@ impl Complex64 {
     #[inline]
     pub fn is_finite(self) -> bool {
         self.re.is_finite() && self.im.is_finite()
-    }
-
-    /// Fused multiply-add: `self * b + c` (not hardware-fused, but a single
-    /// expression that the optimizer can contract).
-    #[inline(always)]
-    pub fn mul_add(self, b: Self, c: Self) -> Self {
-        self * b + c
     }
 }
 

@@ -28,11 +28,6 @@ impl CVector {
         Self { data }
     }
 
-    /// A vector from real entries.
-    pub fn from_real(data: &[f64]) -> Self {
-        Self { data: data.iter().map(|&x| Complex64::real(x)).collect() }
-    }
-
     /// Unit basis vector `e_i` of length `n`.
     pub fn unit(n: usize, i: usize) -> Self {
         let mut v = Self::zeros(n);
@@ -72,11 +67,6 @@ impl CVector {
     /// Iterate over entries.
     pub fn iter(&self) -> std::slice::Iter<'_, Complex64> {
         self.data.iter()
-    }
-
-    /// Fill with zeros (keeps the allocation).
-    pub fn set_zero(&mut self) {
-        self.data.iter_mut().for_each(|z| *z = Complex64::ZERO);
     }
 
     /// Euclidean (2-)norm.

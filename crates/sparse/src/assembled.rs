@@ -453,16 +453,6 @@ impl TriSchedule {
         }
     }
 
-    /// Number of dependency levels of the forward (`L`) sweep.
-    pub fn forward_levels(&self) -> usize {
-        self.fwd_level_ptr.len().saturating_sub(1)
-    }
-
-    /// Number of dependency levels of the backward (`U`) sweep.
-    pub fn backward_levels(&self) -> usize {
-        self.bwd_level_ptr.len().saturating_sub(1)
-    }
-
     /// Storage footprint of the schedule in bytes.
     pub fn memory_bytes(&self) -> usize {
         std::mem::size_of::<usize>()

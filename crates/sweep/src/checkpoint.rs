@@ -129,13 +129,17 @@ impl std::error::Error for CheckpointError {}
 //   v16 true-residual stop: same layout as v15, but policy code 2's split
 //       nodes stop on the mapped and confirmed true residual inside BiCG
 //       instead of at `tol·√ρ` with one continuation, so a v15 sweep under
-//       it took another trajectory.
+//       it took another trajectory,
+//   v17 compact moment store: same layout as v16, but each solve outcome
+//       is projected onto the source block before it is summed into
+//       `µ̂_k`, so the extracted eigenvalues of a v16 sweep round
+//       differently.
 // There is exactly one compatibility rule: the version found must be the
 // current one.  Anything else announcing itself through the shared magic
 // prefix is refused with [`CheckpointError::IncompatibleVersion`], naming
 // both versions, rather than read with silently zeroed or misaligned
 // fields.
-const MAGIC: &str = "cbs-sweep-checkpoint v16";
+const MAGIC: &str = "cbs-sweep-checkpoint v17";
 
 /// Prefix shared by every version's magic line; anything with this prefix
 /// but the wrong version is an incompatible (not malformed) checkpoint.
@@ -512,13 +516,15 @@ mod tests {
         // v13's ILU sweeps preconditioned instead of splitting and its
         // fingerprint has no dimension; v14 carries seed tables, donor
         // fields and warm/cold counters, and no checksum; v15's ILU sweeps
-        // stopped on another rule.
+        // stopped on another rule; v16's eigenvalues came from moments
+        // summed before they were projected.
         // All must hit the dedicated incompatible-version path, and the
         // error message must name the version found *and* the one expected.
         // A format from the future is refused the same way — there is one
         // check, not one per version.
-        let old = ["v4", "v5", "v6", "v7", "v8", "v9", "v10", "v11", "v12", "v13", "v14", "v15"];
-        for version in old.into_iter().chain(["v17"]) {
+        let old =
+            ["v4", "v5", "v6", "v7", "v8", "v9", "v10", "v11", "v12", "v13", "v14", "v15", "v16"];
+        for version in old.into_iter().chain(["v18"]) {
             let stale = format!("cbs-sweep-checkpoint {version}");
             match SweepCheckpoint::parse(&relabelled(version)) {
                 Err(CheckpointError::IncompatibleVersion { ref found }) => {
@@ -531,7 +537,7 @@ mod tests {
                 other => panic!("{version}: expected IncompatibleVersion, got {other:?}"),
             }
         }
-        assert!(SweepCheckpoint::parse(&relabelled("v16")).is_ok(), "v16 is the current format");
+        assert!(SweepCheckpoint::parse(&relabelled("v17")).is_ok(), "v17 is the current format");
     }
 
     /// The body of a serialized checkpoint: everything before its

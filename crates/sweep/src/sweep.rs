@@ -230,9 +230,10 @@ enum BatchStatus {
 /// Every solve starts from a zero initial guess; nothing crosses from one
 /// scan energy to another but the source block and the real stencil.  The
 /// initial grid is released as one flat pool round and each refinement
-/// generation as one more, so memory is one moment accumulator
-/// (`2·N_mm·N_rh` length-`N` vectors) per energy in flight, plus one node's
-/// solutions per worker.  A checkpoint ([`RunOptions::checkpoint_path`]) is
+/// generation as one more, so memory is one moment accumulator per energy
+/// in flight (`N_mm·N_rh` length-`N` columns, real on a mirrored ring, plus
+/// `2·N_mm` projections of `N_rh×N_rh`; `MomentAccumulator::memory_bytes`),
+/// plus one node's solutions per worker.  A checkpoint ([`RunOptions::checkpoint_path`]) is
 /// written as each energy of a round is extracted, once the round's pool
 /// has returned: it holds finished energies' results only.
 pub struct EnergySweep<'a> {

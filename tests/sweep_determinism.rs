@@ -199,18 +199,19 @@ fn checkpointed_sweep_resumes_bit_identically() {
         assert_same_cbs(&uninterrupted, &resumed);
     }
 
-    // The checkpoint on disk is v16; older formats — v3, v11 with its
+    // The checkpoint on disk is v17; older formats — v3, v11 with its
     // slice-policy fingerprint slots, v12 whose ILU sweeps ran full ILU(0),
     // v13 whose ILU sweeps preconditioned instead of splitting, v14 whose
-    // sweeps warm-started, and v15 whose split nodes stopped on another
-    // rule — are refused with the dedicated error
+    // sweeps warm-started, v15 whose split nodes stopped on another rule,
+    // and v16 whose moments were summed before they were projected — are
+    // refused with the dedicated error
     // naming the version, not parsed into a mismatched fingerprint or
     // resumed into another trajectory.
     let text = std::fs::read_to_string(&path).unwrap();
-    assert!(text.starts_with("cbs-sweep-checkpoint v16"), "unexpected magic in {path:?}");
-    let old = ["v3", "v11", "v12", "v13", "v14", "v15"];
+    assert!(text.starts_with("cbs-sweep-checkpoint v17"), "unexpected magic in {path:?}");
+    let old = ["v3", "v11", "v12", "v13", "v14", "v15", "v16"];
     for old in old.map(|v| format!("cbs-sweep-checkpoint {v}")) {
-        match SweepCheckpoint::parse(&text.replacen("cbs-sweep-checkpoint v16", &old, 1)) {
+        match SweepCheckpoint::parse(&text.replacen("cbs-sweep-checkpoint v17", &old, 1)) {
             Err(CheckpointError::IncompatibleVersion { found }) => assert_eq!(found, old),
             other => panic!("{old} checkpoint accepted or misclassified: {other:?}"),
         }
