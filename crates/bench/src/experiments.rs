@@ -29,11 +29,11 @@ pub fn solve_qep_env(problem: &QepProblem<'_>, config: &SsConfig) -> SsResult {
 
 /// Energy-sweep twin of [`solve_qep_env`], running through the `cbs-sweep`
 /// orchestrator: the scan energies share one flattened task pool, each
-/// solved independently — bit for bit the per-energy `compute_cbs` loop.
+/// solved independently — bit for bit its own `solve_qep_with`.
 /// Under an assembled `CBS_PRECOND` policy the Hamiltonian's factored
 /// backend ([`env_pattern`]) is built once and shared across the whole
 /// sweep.
-pub fn compute_cbs_env(h: &BlockHamiltonian, energies: &[f64], config: &SsConfig) -> SweepResult {
+pub fn sweep_env(h: &BlockHamiltonian, energies: &[f64], config: &SsConfig) -> SweepResult {
     let config = SsConfig { precond: precond_policy_env(config.precond), ..*config };
     let h00 = h.h00();
     let h01 = h.h01();
@@ -191,7 +191,7 @@ pub fn fig6_cbs_vs_bands(sys: &BenchSystem, n_energies: usize) -> f64 {
     let energies: Vec<f64> = (0..n_energies)
         .map(|i| emin + (emax - emin) * i as f64 / (n_energies - 1).max(1) as f64)
         .collect();
-    let run = compute_cbs_env(h, &energies, &ss_config());
+    let run = sweep_env(h, &energies, &ss_config());
     println!("-- {}: complex band structure --", sys.name);
     println!("   E [Ha]      Re k [1/bohr]   Im k [1/bohr]   |λ|        type");
     let mut worst = 0.0f64;
@@ -232,7 +232,7 @@ pub fn fig11_bundles(n_energies: usize) -> Vec<(String, usize)> {
             .map(|i| sys.fermi - 0.037 + 0.074 * i as f64 / (n_energies - 1).max(1) as f64)
             .collect();
         let config = SsConfig { n_rh: 4, ..ss_config() };
-        let run = compute_cbs_env(h, &energies, &config);
+        let run = sweep_env(h, &energies, &config);
         let channels = run.cbs.propagating().count();
         println!(
             "-- {}: {} atoms, {} propagating / {} evanescent states over {} energies --",

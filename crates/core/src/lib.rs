@@ -10,10 +10,12 @@
 //!
 //! * [`QepProblem`] — the matrix-free operator `P(z) = -z⁻¹H₀₁† + (E-H₀₀) - zH₀₁`,
 //! * [`RingContour`] — the two-circle quadrature of the annulus,
-//! * [`SsConfig`] / [`solve_qep`] — Algorithm 1 of the paper (moments, block
-//!   Hankel matrices, SVD filtering, reduced eigenproblem),
-//! * [`compute_cbs`] — the energy sweep that produces `k(E)` with its
-//!   propagating and evanescent branches.
+//! * [`SsConfig`] / [`solve_qep_with`] — Algorithm 1 of the paper at one
+//!   scan energy (moments, block Hankel matrices, SVD filtering, reduced
+//!   eigenproblem),
+//! * [`ComplexBandStructure`] / [`classify_point`] — `k(E)` with its
+//!   propagating and evanescent branches.  The multi-energy driver that
+//!   fills it is `cbs_sweep::EnergySweep`, one pool group per energy.
 //!
 //! The linear systems at the quadrature nodes are solved matrix-free with
 //! the dual BiCG from `cbs-solver`, exploiting `P(z)† = P(1/z̄)` so only the
@@ -24,9 +26,8 @@
 //! The `N_int x N_rh` independent shifted solves run through one road,
 //! [`solve_pool`]: a job per solved quadrature node (all of its right-hand
 //! sides in one block dual-BiCG), dispatched through any
-//! `cbs_parallel::TaskExecutor`; [`solve_qep_with`] / [`compute_cbs_with`]
-//! expose the executor choice, and the plain [`solve_qep`] /
-//! [`compute_cbs`] entry points default to serial execution.
+//! `cbs_parallel::TaskExecutor`, which [`solve_qep_with`] takes as its
+//! seam (`cbs_parallel::SerialExecutor` for a serial solve).
 
 #![warn(missing_docs)]
 
@@ -39,14 +40,13 @@ mod split;
 pub mod ss;
 
 pub use cbs::{
-    classify_point, compute_cbs, compute_cbs_with, CbsPoint, CbsRun, CbsStatistics,
-    ComplexBandStructure, PROPAGATING_TOLERANCE,
+    classify_point, CbsPoint, CbsStatistics, ComplexBandStructure, PROPAGATING_TOLERANCE,
 };
 pub use contour::{ContourError, QuadraturePoint, RingContour};
 pub use policy::{BlockPolicy, PrecondPolicy};
 pub use pool::{solve_pool, PoolGroup, PoolOutcome, PoolPolicy, ShiftedSolveOutcome};
 pub use qep::{NodePrecond, QepNodeOp, QepOperator, QepProblem, StencilCache};
 pub use ss::{
-    extract_from_moments, solve_qep, solve_qep_with, source_block, MomentAccumulator, QepEigenpair,
-    RingPlan, SsConfig, SsResult, SsTimings,
+    extract_from_moments, solve_qep_with, source_block, MomentAccumulator, QepEigenpair, RingPlan,
+    SsConfig, SsResult, SsTimings,
 };

@@ -45,7 +45,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use cbs_linalg::{svd, CMatrix, CVector, Complex64, Eigen, Svd};
-use cbs_parallel::{SerialExecutor, TaskExecutor};
+use cbs_parallel::TaskExecutor;
 use cbs_solver::{ConvergenceHistory, SolverOptions};
 use cbs_trace::{Stage, TraceHandle};
 
@@ -453,13 +453,9 @@ impl MomentAccumulator {
 }
 
 /// Solve the QEP for all eigenvalues in the annulus with the Sakurai-Sugiura
-/// method, running the shifted solves serially.
-pub fn solve_qep(problem: &QepProblem<'_>, config: &SsConfig) -> SsResult {
-    solve_qep_with(problem, config, &SerialExecutor)
-}
-
-/// Solve the QEP with the shifted systems dispatched through the given
-/// [`TaskExecutor`]: the ring as a one-group [`solve_pool`], then
+/// method, the shifted systems dispatched through the given
+/// [`TaskExecutor`] (`SerialExecutor` for a serial solve): the ring as a
+/// one-group [`solve_pool`], then
 /// [`extract_from_moments`] — what a sweep does per scan energy.
 ///
 /// All executors produce bit-identical results: the pool's majority-stop
@@ -795,6 +791,7 @@ mod tests {
     use super::*;
     use crate::pool::PoolOutcome;
     use cbs_linalg::{c64, generalized_eigen};
+    use cbs_parallel::SerialExecutor;
     use cbs_sparse::DenseOp;
     use rand::SeedableRng;
 
@@ -856,7 +853,7 @@ mod tests {
             majority_stop: false,
             ..SsConfig::paper()
         };
-        let result = solve_qep(&qep, &config);
+        let result = solve_qep_with(&qep, &config, &SerialExecutor);
 
         // Every reference eigenvalue (away from the contour, where quadrature
         // filtering degrades) must be found to good accuracy.
@@ -903,7 +900,7 @@ mod tests {
             majority_stop: false,
             ..SsConfig::small()
         };
-        let result = solve_qep(&qep, &config);
+        let result = solve_qep_with(&qep, &config, &SerialExecutor);
         assert!(!result.eigenpairs.is_empty());
         for p in &result.eigenpairs {
             let partner = Complex64::ONE / p.lambda.conj();
@@ -937,7 +934,7 @@ mod tests {
         // Energy far above the narrow band.
         let qep = QepProblem::new(&op00, &op01, 50.0, 1.0);
         let config = SsConfig { majority_stop: false, ..SsConfig::small() };
-        let result = solve_qep(&qep, &config);
+        let result = solve_qep_with(&qep, &config, &SerialExecutor);
         assert!(result.eigenpairs.is_empty(), "unexpected eigenpairs: {:?}", result.lambdas());
     }
 
@@ -1162,7 +1159,7 @@ mod tests {
             ..SsConfig::paper()
         };
         assert!(config.subspace_size() > 2 * n);
-        let result = solve_qep(&qep, &config);
+        let result = solve_qep_with(&qep, &config, &SerialExecutor);
         assert!(
             result.numerical_rank <= 2 * n,
             "rank {} exceeds the QEP's eigenvalue count",
@@ -1208,7 +1205,7 @@ mod tests {
             majority_stop: false,
             ..SsConfig::paper()
         };
-        let result = solve_qep(&qep, &config);
+        let result = solve_qep_with(&qep, &config, &SerialExecutor);
         assert!(result.eigenpairs.len() <= config.subspace_size());
         assert!(result.numerical_rank <= config.subspace_size());
         for p in &result.eigenpairs {
@@ -1226,7 +1223,7 @@ mod tests {
         let qep = QepProblem::new(&op00, &op01, 0.0, 1.0);
         let config =
             SsConfig { n_int: 8, n_mm: 4, n_rh: 4, majority_stop: false, ..SsConfig::small() };
-        let result = solve_qep(&qep, &config);
+        let result = solve_qep_with(&qep, &config, &SerialExecutor);
         assert_eq!(result.solve_histories.len(), config.n_int * config.n_rh);
         assert!(result.timings.linear_solve_seconds >= 0.0);
         assert!(result.timings.extraction_seconds >= 0.0);

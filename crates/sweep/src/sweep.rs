@@ -1,9 +1,10 @@
 //! The multi-energy sweep orchestrator.
 //!
-//! [`EnergySweep`] owns the whole Figures-6/11 workload: it solves the
-//! initial grid's per-energy groups through one flattened task pool
-//! (`cbs_core::solve_pool`), every solve from a zero initial guess as the
-//! paper does, adaptively bisects intervals where the propagating-channel
+//! [`EnergySweep`] is the one multi-energy driver; it owns the whole
+//! Figures-6/11 workload.  It solves the initial grid's per-energy groups
+//! through one flattened task pool (`cbs_core::solve_pool`), every solve
+//! from a zero initial guess as the paper does, adaptively bisects
+//! intervals where the propagating-channel
 //! count changes (or a caller-supplied predicate fires), each refinement
 //! generation as one more pool, and checkpoints after every extracted
 //! energy so a killed sweep resumes bit-identically.
@@ -13,8 +14,8 @@
 //!
 //! * serial and rayon executors produce bit-identical results;
 //! * every energy is bit-identical to the per-energy
-//!   `solve_qep_with(&sweep.problem_at(e), …)`, so a sweep on an ascending
-//!   grid is the per-energy `compute_cbs` loop;
+//!   `solve_qep_with(&sweep.problem_at(e), …)` classified by
+//!   `cbs_core::classify_point`;
 //! * a resumed sweep reproduces the uninterrupted one bit-for-bit
 //!   (counters included; wall-clock timings are per-run).
 
@@ -323,7 +324,8 @@ impl<'a> EnergySweep<'a> {
         }
     }
 
-    /// Run the sweep to completion with no checkpointing.
+    /// Run the sweep to completion with no checkpointing.  An empty grid
+    /// returns an empty result.
     pub fn run<E: TaskExecutor>(&self, energies: &[f64], executor: &E) -> SweepResult {
         self.run_with(energies, executor, RunOptions::default())
             .expect("no checkpoint I/O involved")
@@ -346,14 +348,14 @@ impl<'a> EnergySweep<'a> {
         let mut grid: Vec<f64> = energies.to_vec();
         grid.sort_by(|a, b| a.partial_cmp(b).expect("scan energies must not be NaN"));
         grid.dedup_by(|a, b| a.to_bits() == b.to_bits());
-        assert!(!grid.is_empty(), "need at least one scan energy");
 
         // The plan (source block and node list) depends only on the
         // Hamiltonian blocks — their dimension and whether they are real,
         // neither of which varies with the scan energy — and the
-        // configuration, so one instance serves every scan energy of the
-        // sweep: the full ring, or its upper half for real blocks.
-        let plan = RingPlan::build(&self.problem_at(grid[0]), &self.config.ss)
+        // configuration, so one instance, built at any energy, serves every
+        // scan energy of the sweep (and an empty grid): the full ring, or
+        // its upper half for real blocks.
+        let plan = RingPlan::build(&self.problem_at(0.0), &self.config.ss)
             .expect("invalid contour parameters (lambda_min, n_int) in sweep configuration");
 
         let mut fingerprint = self.config.fingerprint(self.period);
@@ -661,17 +663,4 @@ impl<'a> EnergySweep<'a> {
         }
         SweepResult { cbs: ComplexBandStructure { points, energies }, stats, records, auto: None }
     }
-}
-
-/// Convenience wrapper: sweep the given energies with `config`, mirroring
-/// `cbs_core::compute_cbs_with`'s signature.
-pub fn sweep_cbs<E: TaskExecutor>(
-    h00: &dyn LinearOperator,
-    h01: &dyn LinearOperator,
-    period: f64,
-    energies: &[f64],
-    config: &SweepConfig,
-    executor: &E,
-) -> SweepResult {
-    EnergySweep::new(h00, h01, period, *config).run(energies, executor)
 }

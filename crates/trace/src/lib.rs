@@ -442,10 +442,8 @@ pub struct CtxScope {
 }
 
 /// Set the calling thread's span context, restoring the previous one when
-/// the guard drops.  Used by drivers that know a coarse context (the scan
-/// energy of the per-energy loop) on the thread that also records
-/// extraction spans.
-pub fn ctx_scope(ctx: SpanCtx) -> CtxScope {
+/// the guard drops ([`TraceHandle::enter`]).
+fn ctx_scope(ctx: SpanCtx) -> CtxScope {
     let prev = TLS.try_with(|b| {
         let mut b = b.borrow_mut();
         let prev = b.ctx;

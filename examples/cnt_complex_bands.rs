@@ -4,12 +4,13 @@
 //!
 //! Run with: `cargo run --release --example cnt_complex_bands`
 
-use cbs::core::{compute_cbs_with, SsConfig};
+use cbs::core::SsConfig;
 use cbs::dft::{
     carbon_nanotube, fermi_energy, grid_for_structure, BlockHamiltonian, HamiltonianParams,
 };
 use cbs::grid::FdOrder;
 use cbs::parallel::RayonExecutor;
+use cbs::sweep::{EnergySweep, SweepConfig};
 
 fn main() {
     let tube = carbon_nanotube(8, 0, 4.0);
@@ -27,7 +28,10 @@ fn main() {
 
     let energies: Vec<f64> = (0..7).map(|i| ef - 0.06 + 0.02 * i as f64).collect();
     let config = SsConfig { n_int: 16, n_mm: 6, n_rh: 6, ..SsConfig::paper() };
-    let run = compute_cbs_with(&h.h00(), &h.h01(), h.period(), &energies, &config, &RayonExecutor);
+    // All seven energies' shifted solves go out as one flat task pool.
+    let (h00, h01) = (h.h00(), h.h01());
+    let run = EnergySweep::new(&h00, &h01, h.period(), SweepConfig::new(config))
+        .run(&energies, &RayonExecutor);
 
     println!("\n   E - EF [Ha]   channels   smallest |Im k| of evanescent states [1/bohr]");
     for (i, &e) in run.cbs.energies.iter().enumerate() {

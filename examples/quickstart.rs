@@ -6,11 +6,12 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use cbs::core::{compute_cbs_with, SsConfig};
+use cbs::core::SsConfig;
 use cbs::dft::{
     bulk_al_100, fermi_energy, grid_for_structure, BlockHamiltonian, HamiltonianParams,
 };
 use cbs::parallel::RayonExecutor;
+use cbs::sweep::{EnergySweep, SweepConfig};
 
 fn main() {
     // 1. Structure and real-space grid (coarse spacing to keep this instant).
@@ -34,7 +35,9 @@ fn main() {
     //    the N_int x N_rh shifted solves out over the rayon executor (the
     //    serial executor gives bit-identical results).
     let config = SsConfig { n_rh: 8, ..SsConfig::small() };
-    let run = compute_cbs_with(&h.h00(), &h.h01(), h.period(), &[ef], &config, &RayonExecutor);
+    let (h00, h01) = (h.h00(), h.h01());
+    let run = EnergySweep::new(&h00, &h01, h.period(), SweepConfig::new(config))
+        .run(&[ef], &RayonExecutor);
 
     println!("\n  Re k [1/bohr]   Im k [1/bohr]   |lambda|   type");
     for p in &run.cbs.points {

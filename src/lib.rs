@@ -10,16 +10,18 @@
 //!
 //! ```no_run
 //! use cbs::dft::{bulk_al_100, grid_for_structure, BlockHamiltonian, HamiltonianParams};
-//! use cbs::core::{compute_cbs_with, SsConfig};
+//! use cbs::core::SsConfig;
 //! use cbs::parallel::RayonExecutor;
+//! use cbs::sweep::{EnergySweep, SweepConfig};
 //!
 //! let structure = bulk_al_100(1);
 //! let grid = grid_for_structure(&structure, 0.9);
 //! let h = BlockHamiltonian::build(grid, &structure, HamiltonianParams::default());
-//! // The N_int x N_rh shifted solves fan out over the chosen executor;
-//! // `compute_cbs` (no executor argument) is the serial shorthand and
-//! // produces bit-identical results.
-//! let run = compute_cbs_with(&h.h00(), &h.h01(), h.period(), &[0.1], &SsConfig::small(), &RayonExecutor);
+//! let (h00, h01) = (h.h00(), h.h01());
+//! // The N_int x N_rh shifted solves of every energy fan out over the
+//! // chosen executor; `SerialExecutor` produces bit-identical results.
+//! let sweep = EnergySweep::new(&h00, &h01, h.period(), SweepConfig::new(SsConfig::small()));
+//! let run = sweep.run(&[0.1], &RayonExecutor);
 //! println!("{} states found", run.cbs.points.len());
 //! ```
 

@@ -9,7 +9,7 @@ use cbs::core::{solve_qep_with, QepProblem, SsConfig};
 use cbs::linalg::{c64, CMatrix};
 use cbs::parallel::{RayonExecutor, SerialExecutor};
 use cbs::sparse::{DenseOp, LinearOperator};
-use cbs::sweep::{sweep_cbs, RunOptions, RunOutcome, SweepCheckpoint, SweepConfig};
+use cbs::sweep::{EnergySweep, RunOptions, RunOutcome, SweepCheckpoint, SweepConfig};
 
 mod common;
 use common::{fig6_config, fig6_hamiltonian};
@@ -100,9 +100,9 @@ fn warm_block_sweep_is_policy_invariant_and_resumes_bit_identically() {
         residual_cutoff: 1e-6,
         ..SsConfig::small()
     };
-    let config = SweepConfig::new(ss);
+    let sweep = EnergySweep::new(&op00, &op01, 1.5, SweepConfig::new(ss));
 
-    let per_node = sweep_cbs(&op00, &op01, 1.5, &energies, &config, &SerialExecutor);
+    let per_node = sweep.run(&energies, &SerialExecutor);
     // Fused applies: well under one weighted walk per matvec (dense pencils
     // expose no parts, so this is the generic composition's weight).
     let weight =
@@ -110,7 +110,6 @@ fn warm_block_sweep_is_policy_invariant_and_resumes_bit_identically() {
     assert!(per_node.stats.operator_traversals * 2 < weight * per_node.stats.total_matvecs);
 
     // Kill the per-node sweep partway, resume, compare bit-for-bit.
-    let sweep = cbs::sweep::EnergySweep::new(&op00, &op01, 1.5, config);
     let dir = std::env::temp_dir().join(format!("cbs_block_resume_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("sweep.cp");

@@ -2,11 +2,13 @@
 //! must produce **bit-identical** results whichever `TaskExecutor` runs the
 //! shifted solves.  This is the contract that makes the threaded fan-out
 //! freely substitutable for the serial path (and, later, distributed
-//! backends for the threaded one) without revalidating any physics.
+//! backends for the threaded one) without revalidating any physics.  The
+//! multi-energy driver's serial ≡ rayon check lives in
+//! `tests/sweep_determinism.rs`.
 
 use rand::SeedableRng;
 
-use cbs::core::{compute_cbs, compute_cbs_with, solve_qep_with, QepProblem, SsConfig};
+use cbs::core::{solve_qep_with, QepProblem, SsConfig};
 use cbs::linalg::{c64, CMatrix};
 use cbs::parallel::{RayonExecutor, SerialExecutor};
 use cbs::sparse::DenseOp;
@@ -71,34 +73,5 @@ fn rayon_executor_reproduces_serial_solve_exactly() {
     for (hs, hr) in serial.solve_histories.iter().zip(&rayon.solve_histories) {
         assert_eq!(hs.residuals, hr.residuals);
         assert_eq!(hs.stop_reason, hr.stop_reason);
-    }
-}
-
-/// The energy-sweep driver inherits the guarantee, and the executor-less
-/// `compute_cbs` is exactly the serial path.
-#[test]
-fn cbs_sweep_is_executor_independent() {
-    let n = 10;
-    let (h00, h01) = random_blocks(n, 92);
-    let op00 = DenseOp::new(h00);
-    let op01 = DenseOp::new(h01);
-    let energies = [-0.2, 0.0, 0.2];
-    let config = SsConfig { n_rh: 6, n_mm: 4, ..SsConfig::small() };
-
-    let default_run = compute_cbs(&op00, &op01, 1.6, &energies, &config);
-    let serial = compute_cbs_with(&op00, &op01, 1.6, &energies, &config, &SerialExecutor);
-    let rayon = compute_cbs_with(&op00, &op01, 1.6, &energies, &config, &RayonExecutor);
-
-    assert!(!serial.cbs.points.is_empty(), "sweep found no CBS points");
-    for run in [&default_run, &rayon] {
-        assert_eq!(serial.cbs.points.len(), run.cbs.points.len());
-        for (a, b) in serial.cbs.points.iter().zip(&run.cbs.points) {
-            assert_eq!(a.lambda.re.to_bits(), b.lambda.re.to_bits());
-            assert_eq!(a.lambda.im.to_bits(), b.lambda.im.to_bits());
-            assert_eq!(a.k_re.to_bits(), b.k_re.to_bits());
-            assert_eq!(a.k_im.to_bits(), b.k_im.to_bits());
-            assert_eq!(a.propagating, b.propagating);
-        }
-        assert_eq!(serial.stats.total_bicg_iterations, run.stats.total_bicg_iterations);
     }
 }

@@ -3,7 +3,7 @@
 //! structure and the OBM baseline.  These exercise the full pipeline the
 //! paper's experiments rely on, at a resolution small enough for CI.
 
-use cbs::core::{compute_cbs, solve_qep, QepProblem, SsConfig, PROPAGATING_TOLERANCE};
+use cbs::core::{solve_qep_with, QepProblem, SsConfig, PROPAGATING_TOLERANCE};
 use cbs::dft::{
     band_structure, bulk_al_100, fermi_energy, grid_for_structure, BlockHamiltonian,
     HamiltonianParams,
@@ -11,7 +11,9 @@ use cbs::dft::{
 use cbs::grid::FdOrder;
 use cbs::linalg::Complex64;
 use cbs::obm::{obm_solve, ObmConfig};
+use cbs::parallel::SerialExecutor;
 use cbs::sparse::LinearOperator;
+use cbs::sweep::{EnergySweep, SweepConfig};
 
 fn al_hamiltonian(spacing: f64, nf: usize) -> BlockHamiltonian {
     let s = bulk_al_100(1);
@@ -40,7 +42,9 @@ fn cbs_real_branch_agrees_with_conventional_bands() {
         ..SsConfig::paper()
     };
     let energies = [ef - 0.05, ef, ef + 0.05];
-    let run = compute_cbs(&h.h00(), &h.h01(), h.period(), &energies, &config);
+    let (h00, h01) = (h.h00(), h.h01());
+    let run = EnergySweep::new(&h00, &h01, h.period(), SweepConfig::new(config))
+        .run(&energies, &SerialExecutor);
     assert!(!run.cbs.points.is_empty(), "no CBS solutions found near EF");
 
     // Coarse sanity curve (plotting reference) ...
@@ -85,7 +89,7 @@ fn ss_and_obm_agree_on_the_annulus_spectrum() {
     let h00 = h.h00();
     let h01 = h.h01();
     let problem = QepProblem::new(&h00, &h01, energy, h.period());
-    let ss = solve_qep(&problem, &config);
+    let ss = solve_qep_with(&problem, &config, &SerialExecutor);
     let obm = obm_solve(&h.h00_csr(), &h.h01_csr(), energy, &ObmConfig::default());
 
     let close = |a: Complex64, b: Complex64| (a - b).abs() < 2e-5 * (1.0 + b.abs());
@@ -122,7 +126,7 @@ fn full_pipeline_eigenpairs_are_consistent() {
     let h00 = h.h00();
     let h01 = h.h01();
     let problem = QepProblem::new(&h00, &h01, energy, h.period());
-    let ss = solve_qep(&problem, &config);
+    let ss = solve_qep_with(&problem, &config, &SerialExecutor);
     assert!(!ss.eigenpairs.is_empty());
     for p in &ss.eigenpairs {
         assert!(p.residual < 1e-5);
@@ -161,8 +165,8 @@ fn majority_stop_rule_preserves_the_spectrum() {
         ..SsConfig::paper()
     };
     let with_rule = SsConfig { majority_stop: true, ..base };
-    let a = solve_qep(&problem, &base);
-    let b = solve_qep(&problem, &with_rule);
+    let a = solve_qep_with(&problem, &base, &SerialExecutor);
+    let b = solve_qep_with(&problem, &with_rule, &SerialExecutor);
     assert_eq!(a.eigenpairs.len(), b.eigenpairs.len());
     for (pa, pb) in a.eigenpairs.iter().zip(&b.eigenpairs) {
         assert!((pa.lambda - pb.lambda).abs() < 1e-6 * (1.0 + pa.lambda.abs()));

@@ -513,7 +513,7 @@ proptest! {
     }
 
     /// Extraction robustness: whatever the (n_int, n_mm, n_rh, λ_min,
-    /// energy) combination, `extract_from_moments` (via `solve_qep`) never
+    /// energy) combination, `extract_from_moments` (via `solve_qep_with`) never
     /// emits a non-finite eigenvalue or residual, every returned pair lies
     /// inside the contour annulus, and the `(|λ|, arg λ)` sort key is a
     /// total order on the returned set — the invariants downstream
@@ -528,7 +528,8 @@ proptest! {
         lambda_min in 0.3f64..0.7,
     ) {
         use rand::SeedableRng;
-        use cbs::core::{solve_qep, SsConfig};
+        use cbs::core::{solve_qep_with, SsConfig};
+        use cbs::parallel::SerialExecutor;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         let n = 6;
         let a = CMatrix::random(n, n, &mut rng);
@@ -548,7 +549,7 @@ proptest! {
             majority_stop: false,
             ..SsConfig::small()
         };
-        let result = solve_qep(&qep, &config);
+        let result = solve_qep_with(&qep, &config, &SerialExecutor);
         let contour = config.contour();
         for p in &result.eigenpairs {
             prop_assert!(

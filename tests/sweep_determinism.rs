@@ -1,9 +1,10 @@
 //! Determinism and acceptance tests of the `cbs-sweep` orchestrator:
 //!
-//! * a sweep is bit-identical to the per-energy loop, on the serial *and*
-//!   rayon executors: to `compute_cbs` on dense complex blocks, and to
-//!   `solve_qep_with(&sweep.problem_at(e), …)` on the ILU policy's split
-//!   route over the fig6 cell's real stencil;
+//! * a sweep is bit-identical to the per-energy loop of
+//!   `solve_qep_with(&sweep.problem_at(e), …)`, on the serial *and* rayon
+//!   executors: on dense complex blocks (full ring), and on the ILU
+//!   policy's split route over the fig6 cell's real stencil (mirrored
+//!   ring);
 //! * a checkpointed sweep killed partway through resumes to a result
 //!   bit-identical to an uninterrupted run, older checkpoint formats are
 //!   refused by version, and a checkpoint of another problem by its
@@ -15,14 +16,14 @@
 
 use rand::SeedableRng;
 
-use cbs::core::{classify_point, compute_cbs, solve_qep_with, PrecondPolicy, SsConfig};
+use cbs::core::{classify_point, solve_qep_with, PrecondPolicy, SsConfig};
 use cbs::dft::{bulk_al_100, grid_for_structure, BlockHamiltonian, HamiltonianParams};
 use cbs::grid::Grid3;
 use cbs::linalg::{c64, CMatrix};
 use cbs::parallel::{RayonExecutor, SerialExecutor};
 use cbs::sparse::DenseOp;
 use cbs::sweep::{
-    sweep_cbs, CheckpointError, EnergyOrigin, EnergySweep, RunOptions, RunOutcome, SweepCheckpoint,
+    CheckpointError, EnergyOrigin, EnergySweep, RunOptions, RunOutcome, SweepCheckpoint,
     SweepConfig, SweepResult,
 };
 
@@ -70,81 +71,82 @@ fn assert_same_cbs(a: &SweepResult, b: &SweepResult) {
     }
 }
 
-/// Flattened sweep == per-energy loop, bit for bit, on both executors.
+/// Each energy of a cold sweep over dense complex blocks (the full ring) is
+/// the per-energy `solve_qep_with(&sweep.problem_at(e), …)` classified by
+/// `classify_point`, bit for bit: eigenvalues, residuals and every counter,
+/// on both executors.
 #[test]
 fn cold_sweep_reproduces_per_energy_loop_on_both_executors() {
     let (h00, h01) = random_blocks(10, 71);
-    let op00 = DenseOp::new(h00);
-    let op01 = DenseOp::new(h01);
-    let energies = [-0.3, -0.1, 0.1, 0.3];
-    let cold = SweepConfig::new(test_ss());
-
-    let loop_run = compute_cbs(&op00, &op01, 1.6, &energies, &test_ss());
-    assert!(!loop_run.cbs.points.is_empty(), "test problem found no CBS points");
-
-    let serial = sweep_cbs(&op00, &op01, 1.6, &energies, &cold, &SerialExecutor);
-    let rayon = sweep_cbs(&op00, &op01, 1.6, &energies, &cold, &RayonExecutor);
-    assert_same_cbs(&serial, &rayon);
-
-    assert_eq!(serial.cbs.points.len(), loop_run.cbs.points.len());
-    for (p, q) in serial.cbs.points.iter().zip(&loop_run.cbs.points) {
-        assert_eq!(p.energy_index, q.energy_index);
-        assert_eq!(p.lambda.re.to_bits(), q.lambda.re.to_bits());
-        assert_eq!(p.lambda.im.to_bits(), q.lambda.im.to_bits());
-        assert_eq!(p.k_re.to_bits(), q.k_re.to_bits());
-        assert_eq!(p.k_im.to_bits(), q.k_im.to_bits());
-    }
-    assert_eq!(serial.stats.total_bicg_iterations, loop_run.stats.total_bicg_iterations);
+    let (op00, op01) = (DenseOp::new(h00), DenseOp::new(h01));
+    let dense = EnergySweep::new(&op00, &op01, 1.6, SweepConfig::new(test_ss()));
+    assert!(!dense.problem_at(0.0).is_conjugate_symmetric(), "complex blocks: the full ring");
+    assert_sweep_is_the_per_energy_loop(&dense, &[-0.3, -0.1, 0.1, 0.3]);
 }
 
-/// The path every Al(100) sweep takes — the ILU policy on the real
-/// stencil, each node split by its diagonal ILU — is the per-energy solve
-/// of the sweep's own problem, bit for bit: eigenvalues, residuals and
-/// every counter, on both executors.
+/// The same check on the path every Al(100) sweep takes — the ILU policy on
+/// the fig6 cell's real stencil, each node split by its diagonal ILU — on
+/// the mirrored ring.
 #[test]
 fn ilu_split_sweep_is_the_per_energy_solve_on_both_executors() {
     let h = common::fig6_hamiltonian();
     let (h00, h01) = (h.h00(), h.h01());
     let ss = SsConfig { precond: PrecondPolicy::AssembledIlu0, ..common::fig6_config() };
-    let sweep = EnergySweep::new(&h00, &h01, h.period(), SweepConfig::new(ss))
+    let fig6 = EnergySweep::new(&h00, &h01, h.period(), SweepConfig::new(ss))
         .with_pattern(h.qep_pattern());
-    let energies = [0.05, 0.09, 0.13];
-    let serial = sweep.run(&energies, &SerialExecutor);
-    let rayon = sweep.run(&energies, &RayonExecutor);
-    assert!(sweep.problem_at(energies[0]).real_stencil().is_some(), "the stencil converts");
-    assert_eq!(serial.records.len(), energies.len());
-    for (record, &energy) in serial.records.iter().zip(&energies) {
-        assert_eq!(record.energy.to_bits(), energy.to_bits());
-        let problem = sweep.problem_at(energy);
-        let alone = solve_qep_with(&problem, &ss, &SerialExecutor);
-        assert!(!alone.eigenpairs.is_empty(), "no eigenpairs at E = {energy}");
-        let s = &record.stats;
-        assert_eq!(
-            [s.bicg_iterations, s.matvecs, s.operator_traversals, s.operator_assemblies],
-            [
-                alone.total_bicg_iterations,
-                alone.total_matvecs,
-                alone.total_traversals,
-                alone.operator_assemblies
-            ],
-            "counters at E = {energy}"
-        );
-        assert_eq!(
-            [s.solves, s.accepted, s.discarded, s.numerical_rank],
-            [alone.shifted_solves, alone.eigenpairs.len(), alone.discarded, alone.numerical_rank],
-            "extraction at E = {energy}"
-        );
-        assert_eq!(record.points.len(), alone.eigenpairs.len());
-        for (p, pair) in record.points.iter().zip(&alone.eigenpairs) {
-            let q = classify_point(&problem, p.energy_index, pair);
-            assert_eq!(p.lambda.re.to_bits(), q.lambda.re.to_bits(), "E = {energy}");
-            assert_eq!(p.lambda.im.to_bits(), q.lambda.im.to_bits(), "E = {energy}");
-            assert_eq!(p.k_re.to_bits(), q.k_re.to_bits(), "E = {energy}");
-            assert_eq!(p.k_im.to_bits(), q.k_im.to_bits(), "E = {energy}");
-            assert_eq!(p.residual.to_bits(), q.residual.to_bits(), "E = {energy}");
+    assert!(fig6.problem_at(0.0).is_conjugate_symmetric(), "real blocks: the mirrored ring");
+    assert_sweep_is_the_per_energy_loop(&fig6, &[0.05, 0.09, 0.13]);
+    assert!(fig6.problem_at(0.05).real_stencil().is_some(), "the stencil converts");
+}
+
+/// `sweep` on the ascending grid `energies`, serial and rayon, against the
+/// per-energy solves of the sweep's own problems.
+fn assert_sweep_is_the_per_energy_loop(sweep: &EnergySweep<'_>, energies: &[f64]) {
+    let ss = sweep.config().ss;
+    let serial = sweep.run(energies, &SerialExecutor);
+    let rayon = sweep.run(energies, &RayonExecutor);
+    assert_same_cbs(&serial, &rayon);
+    for run in [&serial, &rayon] {
+        assert_eq!(run.records.len(), energies.len());
+        for (index, (record, &energy)) in run.records.iter().zip(energies).enumerate() {
+            assert_eq!(record.energy.to_bits(), energy.to_bits());
+            let problem = sweep.problem_at(energy);
+            let alone = solve_qep_with(&problem, &ss, &SerialExecutor);
+            assert!(!alone.eigenpairs.is_empty(), "no eigenpairs at E = {energy}");
+            let s = &record.stats;
+            assert_eq!(
+                [s.bicg_iterations, s.matvecs, s.operator_traversals, s.operator_assemblies],
+                [
+                    alone.total_bicg_iterations,
+                    alone.total_matvecs,
+                    alone.total_traversals,
+                    alone.operator_assemblies
+                ],
+                "counters at E = {energy}"
+            );
+            assert_eq!(
+                [s.solves, s.accepted, s.discarded, s.numerical_rank],
+                [
+                    alone.shifted_solves,
+                    alone.eigenpairs.len(),
+                    alone.discarded,
+                    alone.numerical_rank
+                ],
+                "extraction at E = {energy}"
+            );
+            assert_eq!(record.points.len(), alone.eigenpairs.len());
+            for (p, pair) in record.points.iter().zip(&alone.eigenpairs) {
+                let q = classify_point(&problem, index, pair);
+                assert_eq!(p.energy_index, q.energy_index, "E = {energy}");
+                assert_eq!(p.lambda.re.to_bits(), q.lambda.re.to_bits(), "E = {energy}");
+                assert_eq!(p.lambda.im.to_bits(), q.lambda.im.to_bits(), "E = {energy}");
+                assert_eq!(p.k_re.to_bits(), q.k_re.to_bits(), "E = {energy}");
+                assert_eq!(p.k_im.to_bits(), q.k_im.to_bits(), "E = {energy}");
+                assert_eq!(p.propagating, q.propagating, "E = {energy}");
+                assert_eq!(p.residual.to_bits(), q.residual.to_bits(), "E = {energy}");
+            }
         }
     }
-    assert_same_cbs(&serial, &rayon);
 }
 
 /// Kill a checkpointed sweep partway, resume it, and get bit-identical
@@ -354,7 +356,8 @@ fn refinement_bisects_channel_count_changes_within_budget() {
         min_refine_spacing: 1e-3,
         ..SweepConfig::new(test_ss()).with_refinement(budget)
     };
-    let run = sweep_cbs(&op00, &op01, 1.6, &energies, &config, &SerialExecutor);
+    let sweep = EnergySweep::new(&op00, &op01, 1.6, config);
+    let run = sweep.run(&energies, &SerialExecutor);
 
     let refined: Vec<_> =
         run.records.iter().filter(|r| matches!(r.origin, EnergyOrigin::Refined { .. })).collect();
@@ -381,6 +384,6 @@ fn refinement_bisects_channel_count_changes_within_budget() {
         assert_eq!(run.cbs.energies[p.energy_index].to_bits(), p.energy.to_bits());
     }
     // Determinism: an identical run makes identical refinement decisions.
-    let again = sweep_cbs(&op00, &op01, 1.6, &energies, &config, &RayonExecutor);
+    let again = sweep.run(&energies, &RayonExecutor);
     assert_same_cbs(&run, &again);
 }

@@ -16,7 +16,7 @@ use std::sync::Mutex;
 
 use rand::SeedableRng;
 
-use cbs::core::{compute_cbs_with, SsConfig};
+use cbs::core::SsConfig;
 use cbs::dft::{bulk_al_100, grid_for_structure, BlockHamiltonian, HamiltonianParams};
 use cbs::linalg::{c64, CMatrix};
 use cbs::parallel::{RayonExecutor, SerialExecutor};
@@ -82,16 +82,16 @@ fn al100_solve_is_bitwise_identical_with_tracing_on_and_off() {
     let h = al100();
     let (h00, h01) = (h.h00(), h.h01());
     let energies = [0.05, 0.11];
-    let config = al_ss();
+    let sweep = EnergySweep::new(&h00, &h01, h.period(), SweepConfig::new(al_ss()));
 
-    let off = compute_cbs_with(&h00, &h01, h.period(), &energies, &config, &SerialExecutor);
+    let off = sweep.run(&energies, &SerialExecutor);
     assert!(!off.cbs.points.is_empty(), "Al(100) test solve found no CBS points");
     assert_eq!(off.stats.kernel_wall_ns, 0, "untraced run must not fill wall-ns");
     assert_eq!(off.stats.precond_wall_ns, 0);
     assert_eq!(off.stats.extraction_wall_ns, 0);
 
     let session = TraceSession::begin(TraceLevel::Stage).expect("another session is live");
-    let on = compute_cbs_with(&h00, &h01, h.period(), &energies, &config, &SerialExecutor);
+    let on = sweep.run(&energies, &SerialExecutor);
     let report = session.finish();
 
     assert_same_points(&off.cbs, &on.cbs, "traced vs untraced");
@@ -216,11 +216,11 @@ fn aggregation_matches_stats_and_chrome_export_is_well_formed() {
     let h = al100();
     let (h00, h01) = (h.h00(), h.h01());
     let energies = [0.05, 0.11];
-    let config = al_ss();
+    let sweep = EnergySweep::new(&h00, &h01, h.period(), SweepConfig::new(al_ss()));
 
     let session = TraceSession::begin(TraceLevel::Stage).expect("another session is live");
     let t0 = now_ns();
-    let run = compute_cbs_with(&h00, &h01, h.period(), &energies, &config, &SerialExecutor);
+    let run = sweep.run(&energies, &SerialExecutor);
     let wall_ns = now_ns() - t0;
     let report = session.finish();
     let agg = report.stage_totals();
