@@ -124,7 +124,11 @@ pub fn obm_solve(
     };
 
     // --- Green-function columns at the interface indices. ---------------
-    let t_green = std::time::Instant::now(); // cbs-audit: allow(D002) reason="OBM phase timing for the Fig. 4 comparison; never fingerprinted"
+    #[expect(
+        clippy::disallowed_types,
+        reason = "OBM phase timing for the Fig. 4 comparison; never fingerprinted"
+    )]
+    let t_green = std::time::Instant::now();
     let mut green_iterations = 0usize;
     let mut solve_columns = |indices: &[usize]| -> CMatrix {
         let mut cols = CMatrix::zeros(n, indices.len());
@@ -152,7 +156,11 @@ pub fn obm_solve(
     let g_ll = restrict(&g_cols_l, &iface.rows_l); // dL x dL
 
     // --- Dense pencil assembly and solve. --------------------------------
-    let t_eig = std::time::Instant::now(); // cbs-audit: allow(D002) reason="OBM phase timing for the Fig. 4 comparison; never fingerprinted"
+    #[expect(
+        clippy::disallowed_types,
+        reason = "OBM phase timing for the Fig. 4 comparison; never fingerprinted"
+    )]
+    let t_eig = std::time::Instant::now();
     let b = &iface.coupling; // dL x dF
     let b_dag = b.adjoint(); // dF x dL
     let size = df + dl;

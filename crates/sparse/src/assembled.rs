@@ -32,6 +32,10 @@
 //!   convert to a [`RealStencil`](crate::RealStencil) get the same
 //!   preconditioner without a refill ([`RealStencil::dilu`](crate::RealStencil::dilu)).
 
+// A hot per-node module: `clippy.toml`'s allocation rule holds here.
+// Setup-time allocations carry an `expect` with the reason.
+#![deny(clippy::disallowed_macros, clippy::disallowed_methods)]
+
 use std::borrow::Cow;
 use std::sync::OnceLock;
 
@@ -76,13 +80,21 @@ impl AssembledPattern {
         let n = h00.nrows();
         let h10 = h01.adjoint();
 
-        let mut row_ptr = Vec::with_capacity(n + 1); // cbs-audit: allow(A001) reason="pattern assembly, once per operator -- not on the per-apply path"
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "pattern assembly, once per operator -- not on the per-apply path"
+        )]
+        let mut row_ptr = Vec::with_capacity(n + 1);
         row_ptr.push(0usize);
         let mut col_idx: Vec<usize> = Vec::new();
         let mut h00_vals: Vec<Complex64> = Vec::new();
         let mut h01_vals: Vec<Complex64> = Vec::new();
         let mut h10_vals: Vec<Complex64> = Vec::new();
-        let mut diag_idx = Vec::with_capacity(n); // cbs-audit: allow(A001) reason="pattern assembly, once per operator -- not on the per-apply path"
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "pattern assembly, once per operator -- not on the per-apply path"
+        )]
+        let mut diag_idx = Vec::with_capacity(n);
 
         let mut cols: Vec<usize> = Vec::new();
         for i in 0..n {
@@ -335,14 +347,16 @@ pub struct TriSchedule {
 fn bucket_levels(lvl: &[usize]) -> (Vec<usize>, Vec<usize>) {
     let n = lvl.len();
     let n_levels = lvl.iter().copied().max().map_or(0, |m| m + 1);
-    let mut ptr = vec![0usize; n_levels + 1]; // cbs-audit: allow(A001) reason="level-schedule counting sort, once per pattern"
+    #[expect(clippy::disallowed_macros, reason = "level-schedule counting sort, once per pattern")]
+    let mut ptr = vec![0usize; n_levels + 1];
     for &l in lvl {
         ptr[l + 1] += 1;
     }
     for l in 0..n_levels {
         ptr[l + 1] += ptr[l];
     }
-    let mut rows = vec![0usize; n]; // cbs-audit: allow(A001) reason="level-schedule counting sort, once per pattern"
+    #[expect(clippy::disallowed_macros, reason = "level-schedule counting sort, once per pattern")]
+    let mut rows = vec![0usize; n];
     let mut next = ptr.clone();
     for (i, &l) in lvl.iter().enumerate() {
         rows[next[l]] = i;
@@ -358,7 +372,8 @@ impl TriSchedule {
         let n = row_ptr.len() - 1;
 
         // Forward (L): row i depends on its sub-diagonal columns.
-        let mut lvl = vec![0usize; n]; // cbs-audit: allow(A001) reason="schedule analysis scratch, once per pattern"
+        #[expect(clippy::disallowed_macros, reason = "schedule analysis scratch, once per pattern")]
+        let mut lvl = vec![0usize; n];
         for i in 0..n {
             let mut m = 0usize;
             for k in row_ptr[i]..diag_idx[i] {
@@ -380,8 +395,16 @@ impl TriSchedule {
 
         // Strict-triangle transposes (counting sort; pushing rows in
         // ascending i keeps each column's list sorted by row).
-        let mut ut_ptr = vec![0usize; n + 1]; // cbs-audit: allow(A001) reason="strict-triangle transpose build, once per pattern"
-        let mut lt_ptr = vec![0usize; n + 1]; // cbs-audit: allow(A001) reason="strict-triangle transpose build, once per pattern"
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "strict-triangle transpose build, once per pattern"
+        )]
+        let mut ut_ptr = vec![0usize; n + 1];
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "strict-triangle transpose build, once per pattern"
+        )]
+        let mut lt_ptr = vec![0usize; n + 1];
         for i in 0..n {
             for k in row_ptr[i]..diag_idx[i] {
                 lt_ptr[col_idx[k] + 1] += 1;
@@ -394,10 +417,26 @@ impl TriSchedule {
             ut_ptr[j + 1] += ut_ptr[j];
             lt_ptr[j + 1] += lt_ptr[j];
         }
-        let mut ut_row = vec![0usize; ut_ptr[n]]; // cbs-audit: allow(A001) reason="strict-triangle transpose build, once per pattern"
-        let mut ut_pos = vec![0usize; ut_ptr[n]]; // cbs-audit: allow(A001) reason="strict-triangle transpose build, once per pattern"
-        let mut lt_row = vec![0usize; lt_ptr[n]]; // cbs-audit: allow(A001) reason="strict-triangle transpose build, once per pattern"
-        let mut lt_pos = vec![0usize; lt_ptr[n]]; // cbs-audit: allow(A001) reason="strict-triangle transpose build, once per pattern"
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "strict-triangle transpose build, once per pattern"
+        )]
+        let mut ut_row = vec![0usize; ut_ptr[n]];
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "strict-triangle transpose build, once per pattern"
+        )]
+        let mut ut_pos = vec![0usize; ut_ptr[n]];
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "strict-triangle transpose build, once per pattern"
+        )]
+        let mut lt_row = vec![0usize; lt_ptr[n]];
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "strict-triangle transpose build, once per pattern"
+        )]
+        let mut lt_pos = vec![0usize; lt_ptr[n]];
         let mut ut_next = ut_ptr.clone();
         let mut lt_next = lt_ptr.clone();
         for i in 0..n {
@@ -570,13 +609,16 @@ impl<'p> Ilu0<'p> {
     /// entry stored).
     pub fn factor(row_ptr: &'p [usize], col_idx: &'p [usize], values: &[Complex64]) -> Self {
         let n = row_ptr.len() - 1;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "diagonal positions of a standalone CSR, once per factorization -- not the per-node path"
+        )]
         let diag_idx = (0..n)
             .map(|i| {
                 let row = row_ptr[i]..row_ptr[i + 1];
                 let at = col_idx[row.clone()].iter().position(|&c| c == i);
                 row.start + at.unwrap_or_else(|| panic!("ILU requires a stored diagonal (row {i})"))
             })
-            // cbs-audit: allow(A001) reason="diagonal positions of a standalone CSR, once per factorization -- not the per-node path"
             .collect();
         let lu = crate::scratch::copy_to_scratch(values);
         Self::factor_in_place(row_ptr, col_idx, Cow::Owned(diag_idx), lu)
@@ -815,6 +857,11 @@ impl Preconditioner for Ilu0<'_> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_macros,
+    clippy::disallowed_methods,
+    reason = "test fixtures, not the per-node path"
+)]
 mod tests {
     use super::*;
     use crate::csr::CooBuilder;

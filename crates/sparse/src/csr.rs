@@ -478,7 +478,10 @@ pub(crate) fn spmv_adjoint_into(
 /// rows at a time and re-streams that block's index/value stream across all
 /// 4/2/1-wide column groups while it is cache-hot.  Per (row, column) the
 /// accumulation order is unchanged, so the blocking is bitwise-invisible.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "a raw CSR triple and the block shape, shared by the CSR and assembled kernels"
+)]
 pub(crate) fn spmv_block_into(
     row_ptr: &[usize],
     col_idx: &[usize],
@@ -563,7 +566,10 @@ pub(crate) fn spmv_block_into(
 /// `y[c]` then receives its scatter updates in ascending-row order within
 /// and across row blocks — exactly the order of the unblocked loop — with
 /// the per-column zero-skip guards applied identically.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "a raw CSR triple and the block shape, shared by the CSR and assembled kernels"
+)]
 pub(crate) fn spmv_adjoint_block_into(
     row_ptr: &[usize],
     col_idx: &[usize],

@@ -51,6 +51,10 @@
 //! sees the split residual `M_L⁻¹r`; the caller certifies the true one
 //! (`cbs-core`, one fused check per node).
 
+// A hot per-node module: `clippy.toml`'s allocation rule holds here.
+// Setup-time allocations carry an `expect` with the reason.
+#![deny(clippy::disallowed_macros, clippy::disallowed_methods)]
+
 use std::ops::{Deref, Range};
 
 use cbs_linalg::Complex64;
@@ -84,9 +88,21 @@ impl RealCsr {
         rows: impl Iterator<Item = R>,
     ) -> Option<Self> {
         let mut out = Self {
-            ptr: vec![0], // cbs-audit: allow(A001) reason="stencil conversion, once per Hamiltonian -- not the per-node path"
-            idx: Vec::with_capacity(nnz), // cbs-audit: allow(A001) reason="stencil conversion, once per Hamiltonian -- not the per-node path"
-            val: Vec::with_capacity(nnz), // cbs-audit: allow(A001) reason="stencil conversion, once per Hamiltonian -- not the per-node path"
+            #[expect(
+                clippy::disallowed_macros,
+                reason = "stencil conversion, once per Hamiltonian -- not the per-node path"
+            )]
+            ptr: vec![0],
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "stencil conversion, once per Hamiltonian -- not the per-node path"
+            )]
+            idx: Vec::with_capacity(nnz),
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "stencil conversion, once per Hamiltonian -- not the per-node path"
+            )]
+            val: Vec::with_capacity(nnz),
             split: Vec::new(),
         };
         for row in rows {
@@ -109,7 +125,11 @@ impl RealCsr {
     /// Record the diagonal split of every row (columns ascending within a
     /// row, as `CsrMatrix` and [`transpose`](Self::transpose) store them).
     fn with_split(mut self) -> Self {
-        self.split = (0..self.nrows())
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "stencil conversion, once per Hamiltonian -- not the per-node path"
+        )]
+        let split = (0..self.nrows())
             .map(|i| {
                 let (lo, hi) = (self.ptr[i] as usize, self.ptr[i + 1] as usize);
                 let cols = &self.idx[lo..hi];
@@ -118,8 +138,8 @@ impl RealCsr {
                 };
                 [at(false), at(true)]
             })
-            // cbs-audit: allow(A001) reason="stencil conversion, once per Hamiltonian -- not the per-node path"
             .collect();
+        self.split = split;
         self
     }
 
@@ -148,7 +168,11 @@ impl RealCsr {
     /// The transpose of an `nrows × ncols` matrix (counting sort: each
     /// transposed row keeps its entries in ascending original-row order).
     fn transpose(&self, ncols: usize) -> Self {
-        let mut ptr = vec![0u32; ncols + 1]; // cbs-audit: allow(A001) reason="stencil conversion, once per Hamiltonian -- not the per-node path"
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "stencil conversion, once per Hamiltonian -- not the per-node path"
+        )]
+        let mut ptr = vec![0u32; ncols + 1];
         for &c in &self.idx {
             ptr[c as usize + 1] += 1;
         }
@@ -156,8 +180,16 @@ impl RealCsr {
             ptr[c + 1] += ptr[c];
         }
         let mut next = ptr.clone();
-        let mut idx = vec![0u32; self.idx.len()]; // cbs-audit: allow(A001) reason="stencil conversion, once per Hamiltonian -- not the per-node path"
-        let mut val = vec![0.0; self.val.len()]; // cbs-audit: allow(A001) reason="stencil conversion, once per Hamiltonian -- not the per-node path"
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "stencil conversion, once per Hamiltonian -- not the per-node path"
+        )]
+        let mut idx = vec![0u32; self.idx.len()];
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "stencil conversion, once per Hamiltonian -- not the per-node path"
+        )]
+        let mut val = vec![0.0; self.val.len()];
         for i in 0..self.nrows() {
             let (cols, vals) = self.row(i);
             for (&c, &v) in cols.iter().zip(vals) {
@@ -246,7 +278,11 @@ impl RealLowRank {
         Some(Self {
             kets: factor(|t| &t.ket)?,
             bras: factor(|t| &t.bra)?,
-            coeff: terms.iter().map(|t| t.coeff.re).collect(), // cbs-audit: allow(A001) reason="stencil conversion, once per Hamiltonian -- not the per-node path"
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "stencil conversion, once per Hamiltonian -- not the per-node path"
+            )]
+            coeff: terms.iter().map(|t| t.coeff.re).collect(),
         })
     }
 
@@ -839,7 +875,10 @@ impl StencilDilu<'_> {
     /// (scaled on the dual side, `M_R⁻¹D̃⁻¹x̂`) and the middle term
     /// `uᵢ = (Dᵢ − d̃ᵢ)tᵢ − σᵢ(t)` from the same row sums.
     #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one tile of a sweep: each slab is its own borrow of the caller's state"
+    )]
     fn split_upper_tile<const W: usize>(
         &self,
         side: &Side<'_>,
@@ -1036,6 +1075,11 @@ impl Preconditioner for StencilDilu<'_> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_macros,
+    clippy::disallowed_methods,
+    reason = "test fixtures, not the per-node path"
+)]
 mod tests {
     use super::*;
     use crate::ops::{adjoint_defect, LinearOperator};

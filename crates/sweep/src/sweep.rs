@@ -521,7 +521,11 @@ impl<'a> EnergySweep<'a> {
                 .collect();
             let accs = groups.iter().map(|_| plan.accumulator()).collect();
 
-            let t0 = std::time::Instant::now(); // cbs-audit: allow(D002) reason="per-run wall-clock statistic; reported, never fingerprinted"
+            #[expect(
+                clippy::disallowed_types,
+                reason = "per-run wall-clock statistic; reported, never fingerprinted"
+            )]
+            let t0 = std::time::Instant::now();
             let outcomes = solve_pool(&groups, accs, &PoolPolicy::from_config(ss), executor);
             st.linear_solve_seconds += t0.elapsed().as_secs_f64();
             drop(groups);

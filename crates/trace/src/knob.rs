@@ -18,9 +18,9 @@
 //!   policy enum implements next to its `from_name` so the accepted
 //!   syntax stays in one place per type.
 //!
-//! The `cbs-audit` K-lints close the loop: every `"CBS_*"` string literal
-//! in the workspace must appear, classified as `fingerprint` or `neutral`,
-//! in the README's env-knob table.
+//! `tests/source_rules.rs` closes the loop: every `CBS_*` name in the
+//! workspace's sources must appear, classified as `fingerprint` or
+//! `neutral`, in the README's env-knob table.
 
 use std::collections::BTreeSet;
 use std::sync::Mutex;
@@ -103,25 +103,25 @@ mod tests {
 
     #[test]
     fn unset_is_none() {
-        assert_eq!(knob::<usize>("CBS_KNOB_TEST_UNSET"), None);
+        assert_eq!(knob::<usize>("KNOB_TEST_UNSET"), None);
     }
 
     #[test]
     fn set_parses_and_malformed_defaults() {
-        std::env::set_var("CBS_KNOB_TEST_USIZE", " 42 ");
-        assert_eq!(knob::<usize>("CBS_KNOB_TEST_USIZE"), Some(42));
-        std::env::set_var("CBS_KNOB_TEST_USIZE", "forty-two");
-        assert_eq!(knob::<usize>("CBS_KNOB_TEST_USIZE"), None);
-        std::env::set_var("CBS_KNOB_TEST_F64", "0.5");
-        assert_eq!(knob::<f64>("CBS_KNOB_TEST_F64"), Some(0.5));
+        std::env::set_var("KNOB_TEST_USIZE", " 42 ");
+        assert_eq!(knob::<usize>("KNOB_TEST_USIZE"), Some(42));
+        std::env::set_var("KNOB_TEST_USIZE", "forty-two");
+        assert_eq!(knob::<usize>("KNOB_TEST_USIZE"), None);
+        std::env::set_var("KNOB_TEST_F64", "0.5");
+        assert_eq!(knob::<f64>("KNOB_TEST_F64"), Some(0.5));
     }
 
     #[test]
     fn warns_once_per_name() {
-        std::env::set_var("CBS_KNOB_TEST_WARN", "bogus");
-        assert_eq!(knob::<usize>("CBS_KNOB_TEST_WARN"), None);
-        assert_eq!(knob::<usize>("CBS_KNOB_TEST_WARN"), None);
+        std::env::set_var("KNOB_TEST_WARN", "bogus");
+        assert_eq!(knob::<usize>("KNOB_TEST_WARN"), None);
+        assert_eq!(knob::<usize>("KNOB_TEST_WARN"), None);
         let set = warned().lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        assert!(set.contains("CBS_KNOB_TEST_WARN"));
+        assert!(set.contains("KNOB_TEST_WARN"));
     }
 }

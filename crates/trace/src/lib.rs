@@ -55,6 +55,11 @@
 //! report.save_chrome_trace(std::path::Path::new("trace.json")).unwrap();
 //! ```
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the timing crate: its spans and counters read the wall clock"
+)]
+
 mod aggregate;
 mod chrome;
 pub mod knob;

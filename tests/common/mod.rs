@@ -8,7 +8,7 @@
 //! realization of the random source block (4 of 10 seeds lose pairs).  At 12
 //! the worst residual is ~1e-8 for every seed, and — the Hamiltonian being
 //! real — only 6 of the 12 nodes are solved.
-#![allow(dead_code)] // each test crate uses its own subset
+#![allow(dead_code, reason = "each test crate uses its own subset")]
 
 use cbs::core::SsConfig;
 use cbs::dft::{
