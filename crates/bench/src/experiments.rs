@@ -7,7 +7,6 @@ use cbs_core::{solve_qep_with, PrecondPolicy, QepProblem, RingPlan, SsConfig, Ss
 use cbs_dft::{band_structure, BlockHamiltonian};
 use cbs_obm::{obm_solve, ObmConfig};
 use cbs_parallel::{ExecutorChoice, RayonExecutor, SerialExecutor};
-use cbs_sparse::{AssembledPattern, FactoredProjector};
 use cbs_sweep::{EnergySweep, SweepConfig, SweepResult};
 
 use crate::systems::{self, BenchSystem};
@@ -15,10 +14,9 @@ use crate::systems::{self, BenchSystem};
 /// Solve one QEP through the shifted-solve pool, with the executor chosen
 /// by the `CBS_EXECUTOR` environment variable (`serial` default, `rayon`
 /// for the threaded fan-out; the results are bit-identical either way) and
-/// the operator representation by `CBS_PRECOND` (`matrix-free` or `ilu0`;
-/// unset keeps the configured policy, which from `SsConfig::paper()` is
-/// ILU(0) where a pattern is attached — see [`env_pattern`] — and
-/// matrix-free otherwise).
+/// the preconditioning by `CBS_PRECOND` (`matrix-free` or `ilu0`; unset
+/// keeps the configured policy, the diagonal ILU in the harness's own
+/// configuration).
 pub fn solve_qep_env(problem: &QepProblem<'_>, config: &SsConfig) -> SsResult {
     let config = SsConfig { precond: precond_policy_env(config.precond), ..*config };
     match ExecutorChoice::from_env("CBS_EXECUTOR") {
@@ -30,17 +28,11 @@ pub fn solve_qep_env(problem: &QepProblem<'_>, config: &SsConfig) -> SsResult {
 /// Energy-sweep twin of [`solve_qep_env`], running through the `cbs-sweep`
 /// orchestrator: the scan energies share one flattened task pool, each
 /// solved independently — bit for bit its own `solve_qep_with`.
-/// Under an assembled `CBS_PRECOND` policy the Hamiltonian's factored
-/// backend ([`env_pattern`]) is built once and shared across the whole
-/// sweep.
 pub fn sweep_env(h: &BlockHamiltonian, energies: &[f64], config: &SsConfig) -> SweepResult {
     let config = SsConfig { precond: precond_policy_env(config.precond), ..*config };
     let h00 = h.h00();
     let h01 = h.h01();
-    let mut sweep = EnergySweep::new(&h00, &h01, h.period(), SweepConfig::new(config));
-    if let Some((pattern, projector)) = env_pattern(h, config.precond) {
-        sweep = sweep.with_pattern(pattern).with_projector(projector);
-    }
+    let sweep = EnergySweep::new(&h00, &h01, h.period(), SweepConfig::new(config));
     match ExecutorChoice::from_env("CBS_EXECUTOR") {
         ExecutorChoice::Serial => sweep.run(energies, &SerialExecutor),
         ExecutorChoice::Rayon => sweep.run(energies, &RayonExecutor),
@@ -54,6 +46,7 @@ fn ss_config() -> SsConfig {
         n_rh: env_usize("CBS_NRH", 8),
         bicg_tolerance: 1e-10,
         residual_cutoff: 1e-4,
+        precond: PrecondPolicy::AssembledIlu0,
         ..SsConfig::paper()
     }
 }
@@ -69,18 +62,6 @@ fn precond_policy_env(configured: PrecondPolicy) -> PrecondPolicy {
     cbs_trace::knob("CBS_PRECOND").unwrap_or(configured)
 }
 
-/// The assembled backend a harness should attach to its [`QepProblem`] or
-/// sweep given the env-resolved policy over the harness's `configured`
-/// default: the factored pair (sparse-only pattern plus low-rank projector,
-/// what the repo benchmark attaches) when the effective policy is
-/// assembled, `None` (no assembly cost) under matrix-free.
-pub fn env_pattern(
-    h: &BlockHamiltonian,
-    configured: PrecondPolicy,
-) -> Option<(AssembledPattern, FactoredProjector)> {
-    precond_policy_env(configured).is_assembled().then(|| h.qep_factored())
-}
-
 /// Serial head-to-head of QEP/SS vs OBM on one system (one bar group of
 /// Figure 4).  Returns `(ss_seconds, obm_seconds, ss_bytes, obm_bytes)`.
 pub fn fig4_compare(sys: &BenchSystem) -> (f64, f64, usize, usize) {
@@ -88,11 +69,7 @@ pub fn fig4_compare(sys: &BenchSystem) -> (f64, f64, usize, usize) {
     let energy = sys.fermi;
     let h00 = h.h00();
     let h01 = h.h01();
-    let pattern = env_pattern(h, ss_config().precond);
-    let mut problem = QepProblem::new(&h00, &h01, energy, h.period());
-    if let Some((pattern, projector)) = &pattern {
-        problem = problem.with_pattern(pattern).with_projector(projector);
-    }
+    let problem = QepProblem::new(&h00, &h01, energy, h.period());
 
     #[expect(
         clippy::disallowed_types,
@@ -152,12 +129,8 @@ pub fn table1_breakdown(sys: &BenchSystem) -> (f64, f64, f64) {
     let t0 = std::time::Instant::now();
     let h00 = h.h00();
     let h01 = h.h01();
-    let pattern = env_pattern(h, ss_config().precond);
     let setup = t0.elapsed().as_secs_f64();
-    let mut problem = QepProblem::new(&h00, &h01, sys.fermi, h.period());
-    if let Some((pattern, projector)) = &pattern {
-        problem = problem.with_pattern(pattern).with_projector(projector);
-    }
+    let problem = QepProblem::new(&h00, &h01, sys.fermi, h.period());
     let ss = solve_qep_env(&problem, &ss_config());
     println!("-- {} --", sys.name);
     println!("   read/setup matrix data [s]   {:>10.3}", setup);
@@ -172,11 +145,7 @@ pub fn fig5_convergence(sys: &BenchSystem) -> Vec<usize> {
     let h = &sys.hamiltonian;
     let h00 = h.h00();
     let h01 = h.h01();
-    let pattern = env_pattern(h, ss_config().precond);
-    let mut problem = QepProblem::new(&h00, &h01, sys.fermi, h.period());
-    if let Some((pattern, projector)) = &pattern {
-        problem = problem.with_pattern(pattern).with_projector(projector);
-    }
+    let problem = QepProblem::new(&h00, &h01, sys.fermi, h.period());
     let config = ss_config();
     let ss = solve_qep_env(&problem, &config);
     println!("-- {}: BiCG convergence at each quadrature point z_j --", sys.name);

@@ -89,13 +89,12 @@ pub struct CbsStatistics {
     /// Operator-storage traversals actually performed (weighted by the
     /// operator's `traversal_weight`) — the figure the per-node block data
     /// path shrinks by up to `N_rh`x relative to
-    /// [`total_matvecs`](Self::total_matvecs), and the assembled operator
-    /// shrinks by a further 3x per apply.
+    /// [`total_matvecs`](Self::total_matvecs), and the real stencil by a
+    /// further 3x per apply.
     pub operator_traversals: usize,
-    /// Numeric refills of the assembled `P(z)` pattern: one per solved node
-    /// whose operator is the assembled CSR; zero under
-    /// `PrecondPolicy::MatrixFree` and on blocks that convert to the real
-    /// stencil, whose diagonal ILU refills nothing.
+    /// **Vestigial:** always 0 — no solve refills an assembled pattern.  It
+    /// survives only because the repo benchmark (`benchmark/src/layers.rs`)
+    /// reads it; released by ROADMAP 1(a).
     pub operator_assemblies: usize,
     /// Equal to [`total_bicg_iterations`](Self::total_bicg_iterations):
     /// every solve starts cold.  Vestige, released by ROADMAP 1(a).

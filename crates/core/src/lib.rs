@@ -45,7 +45,7 @@ pub use cbs::{
 pub use contour::{ContourError, QuadraturePoint, RingContour};
 pub use policy::{BlockPolicy, PrecondPolicy};
 pub use pool::{solve_pool, PoolGroup, PoolOutcome, PoolPolicy, ShiftedSolveOutcome};
-pub use qep::{NodePrecond, QepNodeOp, QepOperator, QepProblem, StencilCache};
+pub use qep::{QepOperator, QepProblem, StencilCache};
 pub use ss::{
     extract_from_moments, solve_qep_with, source_block, MomentAccumulator, QepEigenpair, RingPlan,
     SsConfig, SsResult, SsTimings,

@@ -1,4 +1,4 @@
-//! The policy enums of the shifted solves: how `P(z)` is represented and
+//! The policy enums of the shifted solves: whether `P(z)` is
 //! preconditioned ([`PrecondPolicy`]), and the vestigial job-shape enum
 //! ([`BlockPolicy`]).
 
@@ -25,24 +25,20 @@ impl BlockPolicy {
     }
 }
 
-/// How the shifted operator `P(z)` is represented — and whether its solves
-/// are preconditioned.
+/// Whether the shifted solves are preconditioned — the only input that
+/// selects it.
 ///
-/// The policies are **not** bitwise-interchangeable:
-/// the assembled operator sums the three Hamiltonian contributions per entry
-/// (instead of per application) and the preconditioner changes the Krylov
-/// trajectory entirely.  What every policy preserves is the solution contract (relative
-/// residual ≤ tolerance) and serial ≡ rayon bit-identity *within* the
-/// policy; the [`MatrixFree`](Self::MatrixFree) path does not depend on
-/// whether a pattern or projector is attached.
+/// The policies are **not** bitwise-interchangeable: the split system
+/// changes the Krylov trajectory entirely.  What every policy preserves is
+/// the solution contract (relative residual ≤ tolerance) and serial ≡ rayon
+/// bit-identity *within* the policy; no policy depends on whether a pattern
+/// or projector is attached.
 ///
 /// There is no `Default`: `SsConfig::paper()` is the one place a default
-/// policy is written ([`AssembledIlu0`](Self::AssembledIlu0), which a
-/// problem without an attached pattern runs as
-/// [`MatrixFree`](Self::MatrixFree), bitwise).  An unset or malformed
-/// `CBS_PRECOND` leaves whatever the reading binary configured.  The
-/// discriminants are the fingerprint and trace codes; 1 (the
-/// unpreconditioned assembled CSR) and 3 (ILU(0) completed by a
+/// policy is written ([`MatrixFree`](Self::MatrixFree), the paper's).  An
+/// unset or malformed `CBS_PRECOND` leaves whatever the reading binary
+/// configured.  The discriminants are the fingerprint and trace codes; 1
+/// (the unpreconditioned assembled CSR) and 3 (ILU(0) completed by a
 /// Sherman-Morrison-Woodbury projector correction, 2–7× slower than plain
 /// ILU(0) at the same iteration count) are retired and never reused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -56,13 +52,14 @@ pub enum PrecondPolicy {
     /// `M = (D̃+L)D̃⁻¹(D̃+U)` with `L`, `U` the strict triangles of `P(z)` and
     /// only the pivots eliminated — built once per quadrature node and
     /// applied on both the primal (`M⁻¹`) and dual (`M⁻†`, i.e. the
-    /// `P(1/z̄)` side) recurrences: the iteration-count lever.  Where the
-    /// blocks convert to the real stencil it is `n` pivots swept over the
-    /// stencil's rows, and the stencil is the operator; otherwise the
-    /// attached `cbs_sparse::AssembledPattern` is refilled into one CSR
-    /// that is the operator and is factored.  One storage traversal per
-    /// apply either way.  (The name is the fingerprint's: the policy
-    /// applied full ILU(0) factors before checkpoint format v13.)
+    /// `P(1/z̄)` side) recurrences: the iteration-count lever.  It is `n`
+    /// pivots swept over the real stencil's rows, and BiCG runs on the
+    /// system they split, one row pass per apply.  Blocks that do not
+    /// convert to the stencil (complex, dense or plain-CSR pencils) run
+    /// this policy as [`MatrixFree`](Self::MatrixFree): a documented
+    /// degradation.  (The name is the fingerprint's: the policy refilled
+    /// and factored an assembled CSR before checkpoint format v18, and
+    /// applied full ILU(0) factors before v13.)
     AssembledIlu0 = 2,
 }
 
@@ -97,8 +94,7 @@ impl PrecondPolicy {
         }
     }
 
-    /// `true` for the preconditioned policy, the one that reads an attached
-    /// pattern (it refills it per node where no stencil applies).
+    /// `true` for the preconditioned policy.
     pub fn is_assembled(self) -> bool {
         !matches!(self, Self::MatrixFree)
     }

@@ -12,21 +12,19 @@
 //! dispatches that through the [`TaskExecutor`] seam.
 //!
 //! A job is one quadrature node of one group: it builds that node's
-//! operator (and preconditioner) through [`QepProblem::node_solve`] under
-//! the pool's [`PrecondPolicy`], advances all of the group's right-hand
+//! operator (and, under the ILU policy on blocks that convert to the real
+//! stencil, its diagonal ILU) through [`QepProblem::node_solve`] under the
+//! pool's [`PrecondPolicy`], and advances all of the group's right-hand
 //! sides in lockstep through `cbs_solver::bicg_dual_block_precond`'s fused
-//! block matvecs — on the system the diagonal ILU splits, for a stencil node
-//! of the ILU policy (the `split` module: one row pass per apply, a stop on
-//! the mapped true residual, then one true-residual certificate per node) —
-//! and drops the `(P(z), M)` pair when it returns — so at
-//! most one pair per worker is alive, and the preconditioner set-up (the
-//! stencil-form pivots, or a pattern refill and its factorization) is paid
-//! once per solved node, never per right-hand side (`assemblies` counts the
-//! pattern refills: one per node that applies the assembled CSR, none for
-//! a stencil node).  A stage therefore
-//! dispatches *solved nodes x groups* jobs; an executor wider than that
-//! idles (the remedy, should a wide-machine workload ever show it, is
-//! column tiles chosen from `executor.threads()` inside this one job
+//! block matvecs.  There are two roads: the system the diagonal ILU splits
+//! (the `split` module: one row pass per apply, a stop on the mapped true
+//! residual, then one true-residual certificate per node), and plain BiCG
+//! on `P(z)` with no preconditioner.  A job drops its node's operator when
+//! it returns — so at most one per worker is alive, and the pivots are
+//! computed once per solved node, never per right-hand side.  A stage
+//! therefore dispatches *solved nodes x groups* jobs; an executor wider
+//! than that idles (the remedy, should a wide-machine workload ever show
+//! it, is column tiles chosen from `executor.threads()` inside this one job
 //! runner).
 //!
 //! Determinism contract: jobs are listed group-major in node order, a job
@@ -48,10 +46,11 @@
 use cbs_linalg::{CVector, Complex64};
 use cbs_parallel::TaskExecutor;
 use cbs_solver::{bicg_dual_block_precond, ConvergenceHistory, SolverOptions};
+use cbs_sparse::Preconditioner;
 use cbs_trace::TraceHandle;
 
 use crate::policy::PrecondPolicy;
-use crate::qep::{NodePrecond, QepProblem};
+use crate::qep::QepProblem;
 use crate::split::solve_split;
 use crate::ss::{MomentAccumulator, SsConfig};
 
@@ -97,12 +96,6 @@ pub struct PoolOutcome {
     /// Operator-storage traversals actually performed for the group (fused
     /// block applies count the operator's `traversal_weight`).
     pub traversals: usize,
-    /// Numeric refills of the assembled pattern performed for the group:
-    /// one per solved quadrature node whose operator is the assembled CSR.
-    /// Zero under `PrecondPolicy::MatrixFree`, and zero under the ILU policy
-    /// on blocks that convert to the real stencil, whose diagonal ILU
-    /// refills nothing.
-    pub assemblies: usize,
     /// Solves that ran under the majority-stop cap.
     pub capped_solves: usize,
     /// Number of solves (each = one primal+dual pair).
@@ -160,7 +153,6 @@ struct GroupCounters {
     iterations: usize,
     matvecs: usize,
     traversals: usize,
-    assemblies: usize,
     capped_solves: usize,
     solves: usize,
 }
@@ -169,7 +161,6 @@ struct GroupCounters {
 struct JobOutcome {
     group: usize,
     traversals: usize,
-    assemblies: usize,
     outcomes: Vec<ShiftedSolveOutcome>,
 }
 
@@ -203,17 +194,19 @@ pub fn solve_pool<E: TaskExecutor>(
         let _solve_span = group.trace.solve_scope(job.point_index);
         let (op, prec) =
             group.problem.node_solve(policy.precond, shifts[job.group][job.point_index]);
-        let assemblies = usize::from(op.is_assembled());
         let stop_at = job.cap.map(|c| c.max(1));
         let stop_cb = move |iter: usize| stop_at.is_some_and(|c| iter >= c);
         let external: Option<&(dyn Fn(usize) -> bool + Sync)> =
             if stop_at.is_some() { Some(&stop_cb) } else { None };
         // A stencil node of the ILU policy runs BiCG on its split system;
-        // every other node on `P(z)`, preconditioned or not.
+        // every other node on `P(z)`, unpreconditioned.
         let v = group.v_cols;
         let res = match &prec {
-            Some(NodePrecond::Stencil(m)) => solve_split(m, &op, v, &options, external),
-            _ => bicg_dual_block_precond(&op, prec.as_ref(), v, v, None, &options, external),
+            Some(m) => solve_split(m, &op, v, &options, external),
+            None => {
+                let none = None::<&dyn Preconditioner>;
+                bicg_dual_block_precond(&op, none, v, v, None, &options, external)
+            }
         };
         let outcomes = res
             .columns
@@ -228,7 +221,7 @@ pub fn solve_pool<E: TaskExecutor>(
                 dual_history: col.dual_history,
             })
             .collect();
-        JobOutcome { group: job.group, traversals: res.traversals, assemblies, outcomes }
+        JobOutcome { group: job.group, traversals: res.traversals, outcomes }
     };
 
     // Per-group stage-1 size: strictly more than half of the group's ring
@@ -251,7 +244,6 @@ pub fn solve_pool<E: TaskExecutor>(
                   job: JobOutcome| {
         let g = job.group;
         counters[g].traversals += job.traversals;
-        counters[g].assemblies += job.assemblies;
         for outcome in job.outcomes {
             tracking[g].record(&outcome);
             let c = &mut counters[g];
@@ -324,7 +316,6 @@ pub fn solve_pool<E: TaskExecutor>(
             iterations: c.iterations,
             matvecs: c.matvecs,
             traversals: c.traversals,
-            assemblies: c.assemblies,
             capped_solves: c.capped_solves,
             solves: c.solves,
         })
@@ -338,9 +329,7 @@ mod tests {
     use cbs_linalg::{c64, CMatrix};
     use cbs_parallel::{RayonExecutor, SerialExecutor};
     use cbs_solver::StopReason;
-    use cbs_sparse::{
-        AssembledPattern, CooBuilder, CsrMatrix, DenseOp, LinearOperator, Preconditioner,
-    };
+    use cbs_sparse::{AssembledPattern, CooBuilder, CsrMatrix, DenseOp, LinearOperator};
     use rand::SeedableRng;
 
     /// Well-conditioned complex (so: never mirrored) dense blocks.
@@ -389,16 +378,15 @@ mod tests {
         iterations: usize,
         matvecs: usize,
         traversals: usize,
-        assemblies: usize,
         capped_solves: usize,
         solves: usize,
         result: SsResult,
     }
 
     impl Ring {
-        fn counters(&self) -> [usize; 6] {
+        fn counters(&self) -> [usize; 5] {
             let r = self;
-            [r.iterations, r.matvecs, r.traversals, r.assemblies, r.capped_solves, r.solves]
+            [r.iterations, r.matvecs, r.traversals, r.capped_solves, r.solves]
         }
     }
 
@@ -406,27 +394,10 @@ mod tests {
     /// accumulator.
     fn ring_of(qep: &QepProblem<'_>, config: &SsConfig, plan: &RingPlan, o: PoolOutcome) -> Ring {
         let moments = o.acc.stored();
-        let result = extract_from_moments(
-            qep,
-            config,
-            &plan.v_cols,
-            o.acc,
-            o.iterations,
-            o.matvecs,
-            o.traversals,
-            o.assemblies,
-            0.0,
-        );
-        Ring {
-            moments,
-            iterations: o.iterations,
-            matvecs: o.matvecs,
-            traversals: o.traversals,
-            assemblies: o.assemblies,
-            capped_solves: o.capped_solves,
-            solves: o.solves,
-            result,
-        }
+        let (iterations, matvecs, traversals) = (o.iterations, o.matvecs, o.traversals);
+        let (capped_solves, solves) = (o.capped_solves, o.solves);
+        let result = extract_from_moments(qep, config, &plan.v_cols, o, 0.0);
+        Ring { moments, iterations, matvecs, traversals, capped_solves, solves, result }
     }
 
     /// One single-ring group through the pool.
@@ -470,8 +441,8 @@ mod tests {
             let op = qep.operator(acc.node_shift(j));
             let v = &plan.v_cols;
             let opts = cfg.solver_options();
-            let solved =
-                bicg_dual_block_precond(&op, None::<&dyn Preconditioner>, v, v, None, &opts, None);
+            let none = None::<&dyn Preconditioner>;
+            let solved = bicg_dual_block_precond(&op, none, v, v, None, &opts, None);
             for (r, col) in solved.columns.into_iter().enumerate() {
                 let rhs = &v[r];
                 assert!((&op.apply_vec(&col.x) - rhs).norm() <= 1e-9 * rhs.norm(), "node {j}");
@@ -537,30 +508,26 @@ mod tests {
         assert!(stopped > 0, "the hard nodes of this system sit in the second stage");
     }
 
+    /// Complex blocks never convert to the real stencil, so the ILU policy
+    /// has nothing to split them by: it runs the matrix-free trajectory, bit
+    /// for bit, pattern attached or not, in one stage or two.
     #[test]
-    fn every_solved_assembled_node_refills_once_and_ilu_cuts_iterations() {
+    fn ilu_policy_on_blocks_that_do_not_convert_runs_matrix_free() {
         let (h00, h01) = sparse_blocks(40, c64(0.25, -0.1));
         let pattern = AssembledPattern::build(&h00, &h01);
-        let qep = QepProblem::new(&h00, &h01, 0.2, 1.0).with_pattern(&pattern);
-        let run = |precond, majority| {
-            let cfg = SsConfig { precond, bicg_tolerance: 1e-10, ..config(6, 3, majority) };
-            (run_ring(&qep, &cfg, &SerialExecutor), run_ring(&qep, &cfg, &RayonExecutor))
-        };
+        let bare = QepProblem::new(&h00, &h01, 0.2, 1.0);
+        let attached = QepProblem::new(&h00, &h01, 0.2, 1.0).with_pattern(&pattern);
         for majority in [false, true] {
-            let (mf, _) = run(PrecondPolicy::MatrixFree, majority);
-            let (ilu, ilu_rayon) = run(PrecondPolicy::AssembledIlu0, majority);
-            assert_bitwise_eq(&ilu, &ilu_rayon);
-            // One `node_solve` per solved node — shared by its 3 right-hand
-            // sides, in one stage or two; complex blocks never convert, so
-            // each refills the pattern.
-            assert_eq!((mf.assemblies, ilu.assemblies), (0, 6));
-            assert!(ilu.result.solve_histories.iter().all(ConvergenceHistory::converged));
-            assert!(
-                ilu.iterations < mf.iterations,
-                "ILU(0) did not cut iterations: {} vs {}",
-                ilu.iterations,
-                mf.iterations
-            );
+            let cfg =
+                |precond| SsConfig { precond, bicg_tolerance: 1e-10, ..config(6, 3, majority) };
+            let mf = run_ring(&bare, &cfg(PrecondPolicy::MatrixFree), &SerialExecutor);
+            assert!(mf.result.solve_histories.iter().all(ConvergenceHistory::converged));
+            for qep in [&bare, &attached] {
+                let ilu = cfg(PrecondPolicy::AssembledIlu0);
+                assert_bitwise_eq(&mf, &run_ring(qep, &ilu, &SerialExecutor));
+                assert_bitwise_eq(&mf, &run_ring(qep, &ilu, &RayonExecutor));
+            }
+            assert!(bare.real_stencil().is_none() && attached.real_stencil().is_none());
         }
     }
 

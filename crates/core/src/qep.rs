@@ -24,15 +24,15 @@
 //! operators) keeps the generic three-pass composition `H₀₀`, `H₀₁`, `H₀₁†`
 //! through thread-local scratch, weight 3.
 //!
-//! The stencil is the whole node of the ILU policy too: when the blocks
-//! convert, [`QepProblem::node_solve`] under
-//! [`PrecondPolicy::AssembledIlu0`] returns the stencil view and the
-//! diagonal ILU of its sparse part in stencil form
-//! ([`cbs_sparse::RealStencil::dilu`]: `n` pivots, no refill), and the
-//! solve pool runs BiCG on the system that ILU splits (`M_L⁻¹P(z)M_R⁻¹`,
-//! one row pass per apply; see `cbs_core`'s `split` module); blocks that
-//! do not convert refill the attached pattern, apply it and precondition
-//! with the same diagonal ILU in factored form ([`Ilu0`]).  The
+//! The stencil is the whole node of the ILU policy too, and the policy alone
+//! selects it: under [`PrecondPolicy::AssembledIlu0`],
+//! [`QepProblem::node_solve`] returns the stencil view and the diagonal ILU
+//! of its sparse part in stencil form ([`cbs_sparse::RealStencil::dilu`]:
+//! `n` pivots, no refill), and the solve pool runs BiCG on the system that
+//! ILU splits (`M_L⁻¹P(z)M_R⁻¹`, one row pass per apply; see `cbs_core`'s
+//! `split` module).  Blocks that do not convert — complex, dense or
+//! plain-CSR pencils, never a `cbs-dft` Hamiltonian — run that policy
+//! matrix-free and unpreconditioned: a documented degradation.  The
 //! conversion does not depend on the scan energy, so the problems of a sweep
 //! share one through a [`StencilCache`]
 //! ([`QepProblem::with_stencil_cache`]).
@@ -41,10 +41,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use cbs_linalg::{CVector, Complex64};
-use cbs_sparse::{
-    AssembledOp, AssembledPattern, FactoredProjector, Ilu0, LinearOperator, Preconditioner,
-    RealStencil, StencilDilu,
-};
+use cbs_sparse::{LinearOperator, RealStencil, StencilDilu};
 
 use crate::policy::PrecondPolicy;
 
@@ -77,16 +74,6 @@ pub struct QepProblem<'a> {
     /// Lattice period `a` along the transport direction (bohr); used to
     /// convert `λ = exp(i k a)` into a wave number.
     pub period: f64,
-    /// Optional assembled-operator backend: the shared symbolic union
-    /// pattern of `H₀₀`/`H₀₁`/`H₀₁†`, enabling the ILU policy.  The
-    /// pattern is energy-independent, so one instance serves every scan
-    /// energy of a sweep.
-    pattern: Option<&'a AssembledPattern>,
-    /// Optional factored non-local projector riding alongside the pattern:
-    /// when present, the assembled node operators keep the low-rank part of
-    /// `P(z)` in factored form (`P(z) ≈ CSR + Σ c|u⟩⟨v|`) instead of
-    /// requiring it expanded into the CSR pattern.
-    projector: Option<&'a FactoredProjector>,
     /// Cached residual-scale estimates `(||H00||_est, ||H01||_est)`,
     /// computed on first use (two operator applications per *problem*, not
     /// per residual check).
@@ -126,8 +113,6 @@ impl<'a> QepProblem<'a> {
             h01,
             energy,
             period,
-            pattern: None,
-            projector: None,
             scales: OnceLock::new(),
             conjugate_symmetric: OnceLock::new(),
             stencil: StencilCache::new(),
@@ -137,50 +122,22 @@ impl<'a> QepProblem<'a> {
         }
     }
 
-    /// Attach the assembled-operator pattern (see
-    /// [`cbs_sparse::AssembledPattern::build`]), enabling the
-    /// [`PrecondPolicy::AssembledIlu0`] node context.  Without a pattern
-    /// that policy silently falls back to the matrix-free path.  On blocks
-    /// that convert to a [`RealStencil`] the pattern only selects the
-    /// preconditioner — its values are never read; it is refilled, applied
-    /// and factored where they do not.
-    pub fn with_pattern(mut self, pattern: &'a AssembledPattern) -> Self {
+    /// **Vestigial:** a no-op that keeps its dimension check.
+    /// [`SsConfig::precond`](crate::SsConfig::precond) alone selects the
+    /// diagonal ILU, and no solve reads the pattern.  It survives only
+    /// because the repo benchmark (`benchmark/src/workloads.rs`, out of
+    /// bounds for library PRs) attaches one; released by ROADMAP 1(a).
+    pub fn with_pattern(self, pattern: &cbs_sparse::AssembledPattern) -> Self {
         assert_eq!(pattern.dim(), self.dim(), "pattern dimension mismatch");
-        self.pattern = Some(pattern);
-        self.conjugate_symmetric = OnceLock::new();
         self
     }
 
-    /// The attached assembled pattern, if any.
-    pub fn pattern(&self) -> Option<&'a AssembledPattern> {
-        self.pattern
-    }
-
-    /// Attach a factored non-local projector to pair with the assembled
-    /// pattern.  **Contract:** the pattern must then be built from the
-    /// *sparse-only* Hamiltonian blocks (the projector contribution must
-    /// not also be expanded into the CSR streams, or it would be applied
-    /// twice).  With a non-empty projector attached, an assembled node
-    /// operator is a [`QepNodeOp::Factored`]: the CSR part is refilled per
-    /// node as usual and the low-rank part is accumulated on top through
-    /// the factored kernels; the diagonal ILU factors the CSR part only.
-    ///
-    /// A sparse-only pattern attached *without* its projector makes such an
-    /// operator drop the projectors from `P(z)`.  Where the ILU policy
-    /// applies `P(z)` through the [`RealStencil`] (built from the blocks
-    /// themselves, projectors included) neither the pattern nor the
-    /// projector is read: the preconditioner is the diagonal ILU of the
-    /// blocks' sparse part.
-    pub fn with_projector(mut self, projector: &'a FactoredProjector) -> Self {
+    /// **Vestigial:** a no-op that keeps its dimension check, like
+    /// [`with_pattern`](Self::with_pattern): the stencil carries the
+    /// blocks' projectors itself.  Released by ROADMAP 1(a).
+    pub fn with_projector(self, projector: &cbs_sparse::FactoredProjector) -> Self {
         assert_eq!(projector.dim(), self.dim(), "projector dimension mismatch");
-        self.projector = Some(projector);
-        self.conjugate_symmetric = OnceLock::new();
         self
-    }
-
-    /// The attached factored projector, if any.
-    pub fn projector(&self) -> Option<&'a FactoredProjector> {
-        self.projector
     }
 
     /// Convert into (and read from) `cache` instead of this problem's own
@@ -197,25 +154,13 @@ impl<'a> QepProblem<'a> {
         self.shared_stencil.unwrap_or(&self.stencil)
     }
 
-    /// Wrap a freshly assembled CSR into the node operator, attaching the
-    /// factored projector when one is present (an empty projector degrades
-    /// to the plain assembled representation).
-    fn wrap_assembled(&self, op: AssembledOp<'a>) -> QepNodeOp<'a, '_> {
-        match self.projector {
-            Some(proj) if !proj.is_empty() => QepNodeOp::Factored(op, proj),
-            _ => QepNodeOp::Assembled(op),
-        }
-    }
-
     /// Dimension of the blocks.
     pub fn dim(&self) -> usize {
         self.h00.nrows()
     }
 
-    /// `true` when `P(z̄) = conj P(z)` for every shift `z`: both blocks —
-    /// and, when attached, the assembled pattern and the factored projector
-    /// the node operators are built from — report
-    /// [`LinearOperator::is_real`], and the scan energy is an `f64`.
+    /// `true` when `P(z̄) = conj P(z)` for every shift `z`: both blocks
+    /// report [`LinearOperator::is_real`], and the scan energy is an `f64`.
     ///
     /// For a real source block the solutions then satisfy
     /// `Y(z̄) = conj Y(z)`, so the ring quadrature keeps only its
@@ -226,12 +171,7 @@ impl<'a> QepProblem<'a> {
     /// Hermitian test pencil, a future `k_⊥ ≠ 0`) or an operator type that
     /// does not implement `is_real` simply solve every node.
     pub fn is_conjugate_symmetric(&self) -> bool {
-        *self.conjugate_symmetric.get_or_init(|| {
-            self.h00.is_real()
-                && self.h01.is_real()
-                && self.pattern.is_none_or(AssembledPattern::is_real)
-                && self.projector.is_none_or(FactoredProjector::is_real)
-        })
+        *self.conjugate_symmetric.get_or_init(|| self.h00.is_real() && self.h01.is_real())
     }
 
     /// The matrix-free operator `P(z)` at the complex shift `z`.
@@ -267,48 +207,28 @@ impl<'a> QepProblem<'a> {
         }
     }
 
-    /// The per-node solve context under a [`PrecondPolicy`]: the operator
-    /// representation of `P(z)` plus an optional preconditioner.
+    /// The per-node solve context under a [`PrecondPolicy`]: the matrix-free
+    /// view of `P(z)` and, for the ILU policy on blocks that convert, the
+    /// diagonal ILU of its sparse part in stencil form — `n` pivots from one
+    /// O(nnz) pass, nothing refilled — by which the solve pool splits the
+    /// system ([`StencilDilu::split`]).  Its adjoint sweeps serve the dual
+    /// (`P(1/z̄)`) side from the same pivots.
     ///
-    /// * [`PrecondPolicy::MatrixFree`] — the matrix-free view, no
-    ///   preconditioner.
-    /// * [`PrecondPolicy::AssembledIlu0`] — the diagonal ILU of the sparse
-    ///   part of `P(z)`, whose adjoint sweeps precondition the dual
-    ///   (`P(1/z̄)`) recurrence from the same pivots.  When the blocks
-    ///   convert, the operator is the [`RealStencil`] view and the
-    ///   preconditioner its stencil form ([`NodePrecond::Stencil`]): one
-    ///   O(nnz) pass for `n` pivots, nothing refilled — and the solve pool
-    ///   splits the system by it instead of preconditioning with it
-    ///   ([`StencilDilu::split`]).  Otherwise the shared pattern is refilled
-    ///   into one CSR that is both the operator and the input of the
-    ///   factored form ([`NodePrecond::Assembled`]).
-    ///
-    /// The assembled policy requires [`with_pattern`](Self::with_pattern);
-    /// without it it falls back to the matrix-free context.  A node refilled
-    /// the pattern exactly when its operator
-    /// [`is_assembled`](QepNodeOp::is_assembled) — what the pool books as
-    /// `operator_assemblies`.
+    /// [`PrecondPolicy::MatrixFree`] never returns a preconditioner, and
+    /// neither does [`PrecondPolicy::AssembledIlu0`] on blocks that do not
+    /// convert (complex, dense or plain-CSR pencils): those run matrix-free,
+    /// the policy's documented degradation.
     pub fn node_solve(
         &self,
         policy: PrecondPolicy,
         z: Complex64,
-    ) -> (QepNodeOp<'a, '_>, Option<NodePrecond<'a, '_>>) {
-        match (policy, self.pattern) {
-            (PrecondPolicy::MatrixFree, _) | (_, None) => {
-                (QepNodeOp::MatrixFree(self.operator(z)), None)
-            }
-            (PrecondPolicy::AssembledIlu0, Some(pattern)) => {
-                let stencil_view = self.operator(z);
-                if let Some(stencil) = self.real_stencil() {
-                    let dilu = stencil.dilu(self.energy, z);
-                    (QepNodeOp::MatrixFree(stencil_view), Some(NodePrecond::Stencil(dilu)))
-                } else {
-                    let refill = pattern.assemble(self.energy, z);
-                    let ilu = refill.ilu0();
-                    (self.wrap_assembled(refill), Some(NodePrecond::Assembled(ilu)))
-                }
-            }
-        }
+    ) -> (QepOperator<'a, '_>, Option<StencilDilu<'_>>) {
+        let op = self.operator(z);
+        let dilu = match policy {
+            PrecondPolicy::MatrixFree => None,
+            PrecondPolicy::AssembledIlu0 => self.real_stencil().map(|s| s.dilu(self.energy, z)),
+        };
+        (op, dilu)
     }
 
     /// Apply `P(z)` to a vector, writing into `y`.  Steady-state application
@@ -485,152 +405,11 @@ impl LinearOperator for QepOperator<'_, '_> {
     }
 }
 
-/// The per-node operator representation resolved from a [`PrecondPolicy`]
-/// by [`QepProblem::node_solve`]: the matrix-free view (one storage
-/// traversal per apply through the real stencil, three through the generic
-/// composition) or the assembled single-CSR form (one).
-pub enum QepNodeOp<'a, 'p> {
-    /// Matrix-free `P(z)`: [`PrecondPolicy::MatrixFree`], any policy without
-    /// a pattern, and the ILU policy on blocks the [`RealStencil`] covers
-    /// (preconditioned by [`NodePrecond::Stencil`]).
-    MatrixFree(QepOperator<'a, 'p>),
-    /// `P(z)` materialized by numeric refill of the shared pattern.
-    Assembled(AssembledOp<'a>),
-    /// `P(z)` split as assembled-CSR (sparse blocks) plus factored
-    /// low-rank projector tail, applied without dense expansion.
-    Factored(AssembledOp<'a>, &'a FactoredProjector),
-}
-
-impl QepNodeOp<'_, '_> {
-    /// `true` for the assembled representations (plain or factored) — the
-    /// nodes that refilled the pattern.
-    pub fn is_assembled(&self) -> bool {
-        matches!(self, Self::Assembled(_) | Self::Factored(..))
-    }
-}
-
-/// The preconditioner [`QepProblem::node_solve`] returns under
-/// [`PrecondPolicy::AssembledIlu0`]: one preconditioner, the diagonal ILU
-/// of the sparse part of `P(z)`, in the storage form the node's operator
-/// allows.
-pub enum NodePrecond<'a, 'p> {
-    /// `n` pivots swept over the [`RealStencil`]'s rows (blocks that
-    /// convert).  The solve pool runs such a node on the split system
-    /// ([`StencilDilu::split`]); as a [`Preconditioner`] it serves callers
-    /// that precondition `P(z)` with it directly.
-    Stencil(StencilDilu<'p>),
-    /// Factors over the refilled pattern (blocks that do not).
-    Assembled(Ilu0<'a>),
-}
-
-impl Preconditioner for NodePrecond<'_, '_> {
-    fn dim(&self) -> usize {
-        match self {
-            Self::Stencil(m) => m.dim(),
-            Self::Assembled(m) => m.dim(),
-        }
-    }
-    fn solve(&self, r: &[Complex64], z: &mut [Complex64]) {
-        match self {
-            Self::Stencil(m) => m.solve(r, z),
-            Self::Assembled(m) => m.solve(r, z),
-        }
-    }
-    fn solve_adjoint(&self, r: &[Complex64], z: &mut [Complex64]) {
-        match self {
-            Self::Stencil(m) => m.solve_adjoint(r, z),
-            Self::Assembled(m) => m.solve_adjoint(r, z),
-        }
-    }
-    fn solve_block(&self, r: &[Complex64], z: &mut [Complex64], nvecs: usize) {
-        match self {
-            Self::Stencil(m) => m.solve_block(r, z, nvecs),
-            Self::Assembled(m) => m.solve_block(r, z, nvecs),
-        }
-    }
-    fn solve_adjoint_block(&self, r: &[Complex64], z: &mut [Complex64], nvecs: usize) {
-        match self {
-            Self::Stencil(m) => m.solve_adjoint_block(r, z, nvecs),
-            Self::Assembled(m) => m.solve_adjoint_block(r, z, nvecs),
-        }
-    }
-}
-
-impl LinearOperator for QepNodeOp<'_, '_> {
-    fn nrows(&self) -> usize {
-        match self {
-            Self::MatrixFree(op) => op.nrows(),
-            Self::Assembled(op) | Self::Factored(op, _) => op.nrows(),
-        }
-    }
-    fn ncols(&self) -> usize {
-        match self {
-            Self::MatrixFree(op) => op.ncols(),
-            Self::Assembled(op) | Self::Factored(op, _) => op.ncols(),
-        }
-    }
-    fn apply(&self, x: &[Complex64], y: &mut [Complex64]) {
-        match self {
-            Self::MatrixFree(op) => op.apply(x, y),
-            Self::Assembled(op) => op.apply(x, y),
-            Self::Factored(op, proj) => {
-                op.apply(x, y);
-                proj.accumulate(op.shift(), x, y, 1);
-            }
-        }
-    }
-    fn apply_adjoint(&self, x: &[Complex64], y: &mut [Complex64]) {
-        match self {
-            Self::MatrixFree(op) => op.apply_adjoint(x, y),
-            Self::Assembled(op) => op.apply_adjoint(x, y),
-            Self::Factored(op, proj) => {
-                op.apply_adjoint(x, y);
-                proj.accumulate_adjoint(op.shift(), x, y, 1);
-            }
-        }
-    }
-    fn apply_block(&self, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
-        match self {
-            Self::MatrixFree(op) => op.apply_block(x, y, nvecs),
-            Self::Assembled(op) => op.apply_block(x, y, nvecs),
-            Self::Factored(op, proj) => {
-                op.apply_block(x, y, nvecs);
-                proj.accumulate(op.shift(), x, y, nvecs);
-            }
-        }
-    }
-    fn apply_adjoint_block(&self, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
-        match self {
-            Self::MatrixFree(op) => op.apply_adjoint_block(x, y, nvecs),
-            Self::Assembled(op) => op.apply_adjoint_block(x, y, nvecs),
-            Self::Factored(op, proj) => {
-                op.apply_adjoint_block(x, y, nvecs);
-                proj.accumulate_adjoint(op.shift(), x, y, nvecs);
-            }
-        }
-    }
-    fn memory_bytes(&self) -> usize {
-        match self {
-            Self::MatrixFree(op) => op.memory_bytes(),
-            Self::Assembled(op) => op.memory_bytes(),
-            Self::Factored(op, proj) => op.memory_bytes() + proj.storage_bytes(),
-        }
-    }
-    fn traversal_weight(&self) -> usize {
-        match self {
-            Self::MatrixFree(op) => op.traversal_weight(),
-            // The factored tail rides on the single CSR traversal (the
-            // low-rank factors are O(rank) work, not a storage sweep).
-            Self::Assembled(op) | Self::Factored(op, _) => op.traversal_weight(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cbs_linalg::{c64, CMatrix};
-    use cbs_sparse::{adjoint_defect, DenseOp};
+    use cbs_sparse::{adjoint_defect, AssembledPattern, DenseOp, FactoredProjector};
     use rand::SeedableRng;
 
     fn random_blocks(n: usize, seed: u64) -> (CMatrix, CMatrix) {
@@ -928,7 +707,7 @@ mod tests {
         let (c00, c01) = parts_blocks(n, 415, 1e-3, true);
         let complex = QepProblem::new(&c00, &c01, 0.2, 1.0);
         let (m00, m01) = random_blocks(n, 417);
-        let (d00, d01) = (DenseOp::new(m00.clone()), DenseOp::new(m01.clone()));
+        let (d00, d01) = (DenseOp::new(m00), DenseOp::new(m01));
         let dense = QepProblem::new(&d00, &d01, 0.2, 1.0);
         for qep in [&complex, &dense] {
             assert_eq!(qep.operator(z).traversal_weight(), 3);
@@ -940,168 +719,33 @@ mod tests {
         }
 
         // The ILU policy dispatches on the same property.  Blocks that
-        // convert are applied through the stencil and preconditioned by its
-        // diagonal ILU, refilling nothing; all others refill the pattern
-        // once and keep the assembled operator and factors, bit for bit.
-        // Either way the preconditioner is the diagonal ILU of the sparse
-        // part.
-        let check = |b00: &dyn LinearOperator,
-                     b01: &dyn LinearOperator,
-                     sparse: (&cbs_sparse::CsrMatrix, &cbs_sparse::CsrMatrix),
-                     tails: Option<(&cbs_sparse::LowRankOp, &cbs_sparse::LowRankOp)>,
-                     converts: bool| {
-            let pattern = AssembledPattern::build(sparse.0, sparse.1);
-            let projector =
-                tails.map(|(v00, v01)| FactoredProjector::new(v00.clone(), v01.clone()));
-            let qep = QepProblem::new(b00, b01, 0.2, 1.0).with_pattern(&pattern);
-            let qep = match &projector {
-                Some(p) => qep.with_projector(p),
-                None => qep,
-            };
-            let block = |op: &dyn LinearOperator| {
-                let mut y = vec![Complex64::ZERO; n * nvecs];
-                op.apply_block(&x, &mut y, nvecs);
-                y
-            };
-            let precond = |prec: &dyn cbs_sparse::Preconditioner| {
-                let mut y = vec![Complex64::ZERO; n * nvecs];
-                prec.solve_adjoint_block(&x, &mut y, nvecs);
-                y
-            };
-            let (op, prec) = qep.node_solve(PrecondPolicy::AssembledIlu0, z);
-            let prec = prec.expect("the ILU policy preconditions");
-            assert_eq!(op.is_assembled(), !converts, "only an assembled node refills");
-            assert_eq!(op.traversal_weight(), 1);
-            assert_eq!(qep.real_stencil().is_some(), converts);
-            let factored = precond(&pattern.assemble(0.2, z).ilu0());
-            if converts {
-                assert!(matches!(prec, NodePrecond::Stencil(_)));
-                assert_eq!(block(&op), block(&qep.operator(z)));
-                let stencil = qep.real_stencil().expect("converted");
-                assert_eq!(precond(&prec), precond(&stencil.dilu(0.2, z)));
-                let err: f64 =
-                    precond(&prec).iter().zip(&factored).map(|(a, b)| (*a - *b).norm_sqr()).sum();
-                let norm: f64 = factored.iter().map(|v| v.norm_sqr()).sum();
-                assert!(err.sqrt() <= 1e-12 * norm.sqrt(), "forms differ: {:.2e}", err.sqrt());
-            } else {
-                let assembled = qep.wrap_assembled(pattern.assemble(0.2, z));
-                assert!(matches!(prec, NodePrecond::Assembled(_)));
-                assert_eq!(block(&op), block(&assembled));
-                assert_eq!(precond(&prec), factored);
-            }
+        // convert are applied through the stencil and split by its diagonal
+        // ILU — the factored D-ILU of the sparse part's refilled pattern to
+        // rounding; all others run matrix-free, unpreconditioned, whether a
+        // pattern and projector are attached or not.
+        let precond = |prec: &dyn cbs_sparse::Preconditioner| {
+            let mut y = vec![Complex64::ZERO; n * nvecs];
+            prec.solve_adjoint_block(&x, &mut y, nvecs);
+            y
         };
         for (b00, b01, converts) in [(&h00, &h01, true), (&g00, &g01, false), (&c00, &c01, false)] {
-            let tails = Some((&b00.lowrank, &b01.lowrank));
-            check(b00, b01, (&b00.sparse, &b01.sparse), tails, converts);
-        }
-        let dense_csr = |m: &CMatrix| cbs_sparse::CsrMatrix::from_dense(m, 0.0);
-        check(&d00, &d01, (&dense_csr(&m00), &dense_csr(&m01)), None, false);
-    }
-
-    #[test]
-    fn node_solve_dispatches_on_policy_and_pattern() {
-        use crate::policy::PrecondPolicy;
-        let n = 9;
-        let (h00, h01) = random_blocks(n, 411);
-        let csr00 = cbs_sparse::CsrMatrix::from_dense(&h00, 0.0);
-        let csr01 = cbs_sparse::CsrMatrix::from_dense(&h01, 0.0);
-        let pattern = cbs_sparse::AssembledPattern::build(&csr00, &csr01);
-        let op00 = DenseOp::new(h00);
-        let op01 = DenseOp::new(h01);
-        let z = c64(1.3, 0.8);
-
-        // Without a pattern, every policy resolves matrix-free.
-        let bare = QepProblem::new(&op00, &op01, 0.1, 1.0);
-        for policy in [PrecondPolicy::MatrixFree, PrecondPolicy::AssembledIlu0] {
-            let (op, prec) = bare.node_solve(policy, z);
-            assert!(!op.is_assembled());
-            assert!(prec.is_none());
-            assert_eq!(op.traversal_weight(), 3);
-        }
-
-        // With a pattern, the ILU policy materializes the CSR and factors
-        // it — and, on blocks that do not convert to a stencil, apply it,
-        // in agreement with the matrix-free operator to rounding accuracy.
-        let with = QepProblem::new(&op00, &op01, 0.1, 1.0).with_pattern(&pattern);
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(412);
-        let x = CVector::random(n, &mut rng);
-        let (free_op, _) = with.node_solve(PrecondPolicy::MatrixFree, z);
-        let y_free = free_op.apply_vec(&x);
-        let (op, prec) = with.node_solve(PrecondPolicy::AssembledIlu0, z);
-        assert!(op.is_assembled());
-        assert_eq!(op.traversal_weight(), 1);
-        assert!(prec.is_some());
-        let y = op.apply_vec(&x);
-        assert!(
-            (&y - &y_free).norm() < 1e-11 * (1.0 + y_free.norm()),
-            "assembled P(z) drifted from the matrix-free apply"
-        );
-        let mut ya = vec![Complex64::ZERO; n];
-        op.apply_adjoint(x.as_slice(), &mut ya);
-        let mut ya_free = vec![Complex64::ZERO; n];
-        free_op.apply_adjoint(x.as_slice(), &mut ya_free);
-        let defect: f64 =
-            ya.iter().zip(&ya_free).map(|(a, b)| (*a - *b).norm_sqr()).sum::<f64>().sqrt();
-        assert!(defect < 1e-11 * (1.0 + y_free.norm()));
-    }
-
-    #[test]
-    fn factored_projector_node_matches_dense_expansion() {
-        use crate::policy::PrecondPolicy;
-        use cbs_sparse::{CsrMatrix, FactoredProjector, LowRankOp, SparseVec};
-        let n = 10;
-        let (h00d, h01d) = random_blocks(n, 413);
-        let csr00 = CsrMatrix::from_dense(&h00d, 0.0);
-        let csr01 = CsrMatrix::from_dense(&h01d, 0.0);
-        // Low-rank projector tails on top of the sparse blocks.
-        let mut vnl00 = LowRankOp::new(n, n);
-        let p = SparseVec::new(vec![(1, c64(0.4, 0.1)), (7, c64(-0.3, 0.6))]);
-        vnl00.push(p.clone(), p, c64(1.2, 0.0));
-        let mut vnl01 = LowRankOp::new(n, n);
-        vnl01.push(
-            SparseVec::new(vec![(2, c64(0.5, -0.2))]),
-            SparseVec::new(vec![(4, c64(0.8, 0.3)), (9, c64(-0.1, 0.2))]),
-            c64(0.7, -0.4),
-        );
-        // Reference: the projector expanded into the CSR blocks.
-        let full00 = csr00.add_scaled(Complex64::ONE, &vnl00.to_csr());
-        let full01 = csr01.add_scaled(Complex64::ONE, &vnl01.to_csr());
-        let pattern_full = cbs_sparse::AssembledPattern::build(&full00, &full01);
-        // Factored: pattern over the sparse-only blocks, projector separate.
-        let pattern_sparse = cbs_sparse::AssembledPattern::build(&csr00, &csr01);
-        let projector = FactoredProjector::new(vnl00, vnl01);
-        assert!(pattern_sparse.nnz() <= pattern_full.nnz());
-
-        let z = c64(1.2, 0.6);
-        let expanded = QepProblem::new(&full00, &full01, 0.2, 1.0).with_pattern(&pattern_full);
-        let factored = QepProblem::new(&full00, &full01, 0.2, 1.0)
-            .with_pattern(&pattern_sparse)
-            .with_projector(&projector);
-        assert!(factored.projector().is_some());
-
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(414);
-        let (op_full, _) = expanded.node_solve(PrecondPolicy::AssembledIlu0, z);
-        let (op_fact, prec) = factored.node_solve(PrecondPolicy::AssembledIlu0, z);
-        assert!(op_fact.is_assembled());
-        assert!(matches!(op_fact, QepNodeOp::Factored(..)));
-        assert!(prec.is_some());
-        assert!(op_fact.memory_bytes() > 0);
-        for nvecs in [1usize, 3] {
-            let x: Vec<Complex64> = CVector::random(n * nvecs, &mut rng).into_vec();
-            let mut y_full = vec![Complex64::ZERO; n * nvecs];
-            let mut y_fact = vec![Complex64::ZERO; n * nvecs];
-            op_full.apply_block(&x, &mut y_full, nvecs);
-            op_fact.apply_block(&x, &mut y_fact, nvecs);
+            let pattern = AssembledPattern::build(&b00.sparse, &b01.sparse);
+            let projector = FactoredProjector::new(b00.lowrank.clone(), b01.lowrank.clone());
+            let qep = QepProblem::new(b00, b01, 0.2, 1.0)
+                .with_pattern(&pattern)
+                .with_projector(&projector);
+            let (op, prec) = qep.node_solve(PrecondPolicy::AssembledIlu0, z);
+            assert_eq!(prec.is_some(), converts);
+            assert_eq!(op.traversal_weight(), if converts { 1 } else { 3 });
+            let Some(prec) = prec else { continue };
+            let factored = precond(&pattern.assemble(0.2, z).ilu0());
             let err: f64 =
-                y_full.iter().zip(&y_fact).map(|(a, b)| (*a - *b).norm_sqr()).sum::<f64>().sqrt();
-            let norm: f64 = y_full.iter().map(|v| v.norm_sqr()).sum::<f64>().sqrt();
-            assert!(err < 1e-12 * (1.0 + norm), "factored P(z) drifted: {err}");
-            op_full.apply_adjoint_block(&x, &mut y_full, nvecs);
-            op_fact.apply_adjoint_block(&x, &mut y_fact, nvecs);
-            let err: f64 =
-                y_full.iter().zip(&y_fact).map(|(a, b)| (*a - *b).norm_sqr()).sum::<f64>().sqrt();
-            assert!(err < 1e-12 * (1.0 + norm), "factored P(z)† drifted: {err}");
+                precond(&prec).iter().zip(&factored).map(|(a, b)| (*a - *b).norm_sqr()).sum();
+            let norm: f64 = factored.iter().map(|v| v.norm_sqr()).sum();
+            assert!(err.sqrt() <= 1e-12 * norm.sqrt(), "forms differ: {:.2e}", err.sqrt());
         }
+        let (op, prec) = dense.node_solve(PrecondPolicy::AssembledIlu0, z);
+        assert!(prec.is_none() && op.traversal_weight() == 3, "dense blocks run matrix-free");
     }
 
     #[test]

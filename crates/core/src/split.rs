@@ -102,11 +102,11 @@ pub(crate) mod tests {
     use super::*;
     use crate::policy::PrecondPolicy;
     use crate::pool::{solve_pool, PoolGroup, PoolOutcome, PoolPolicy};
-    use crate::qep::{NodePrecond, QepProblem};
+    use crate::qep::QepProblem;
     use crate::ss::{extract_from_moments, RingPlan, SsConfig};
     use cbs_linalg::c64;
     use cbs_parallel::{RayonExecutor, SerialExecutor, TaskExecutor};
-    use cbs_sparse::{AssembledPattern, CooBuilder, CsrMatrix, LowRankOp};
+    use cbs_sparse::{CooBuilder, CsrMatrix, LowRankOp};
     use cbs_trace::TraceHandle;
 
     /// A real block that exposes its storage, so the ILU policy's nodes run
@@ -178,8 +178,7 @@ pub(crate) mod tests {
     #[test]
     fn a_split_residual_that_passes_early_keeps_iterating_to_the_true_tolerance() {
         let (h00, h01) = chain_pencil(60);
-        let pattern = AssembledPattern::build(&h00.0, &h01.0);
-        let qep = QepProblem::new(&h00, &h01, 0.3, 1.0).with_pattern(&pattern);
+        let qep = QepProblem::new(&h00, &h01, 0.3, 1.0);
         let plan = RingPlan::build(&qep, &config()).expect("valid contour");
         let serial = pool(&qep, &plan, &SerialExecutor);
         assert!(qep.real_stencil().is_some(), "the blocks convert: the split route runs");
@@ -194,7 +193,7 @@ pub(crate) mod tests {
         for j in 0..serial.acc.n_nodes() {
             let z = serial.acc.node_shift(j);
             let (op, prec) = qep.node_solve(config().precond, z);
-            let Some(NodePrecond::Stencil(m)) = &prec else { panic!("node {j} does not split") };
+            let Some(m) = &prec else { panic!("node {j} does not split") };
             let solved = solve_split(m, &op, &plan.v_cols, &config().solver_options(), None);
             let truth = qep.operator(z);
             for (r, col) in solved.columns.into_iter().enumerate() {
@@ -218,8 +217,7 @@ pub(crate) mod tests {
         // ending on that residual.
         let counters = |o: &PoolOutcome| [o.iterations, o.matvecs, o.traversals];
         let (cold, moments) = (counters(&serial), serial.acc.stored());
-        let result =
-            extract_from_moments(&qep, &config(), &plan.v_cols, serial.acc, 0, 0, 0, 0, 0.0);
+        let result = extract_from_moments(&qep, &config(), &plan.v_cols, serial, 0.0);
         assert!(result.solve_histories.iter().all(|h| h.converged() && h.final_residual() <= tol));
         // The mirrored ring reports each solved node's histories twice.
         let half = per_node.len();

@@ -51,7 +51,7 @@ use cbs_trace::{Stage, TraceHandle};
 
 use crate::contour::{ContourError, QuadraturePoint, RingContour};
 use crate::policy::PrecondPolicy;
-use crate::pool::{solve_pool, PoolGroup, PoolPolicy, ShiftedSolveOutcome};
+use crate::pool::{solve_pool, PoolGroup, PoolOutcome, PoolPolicy, ShiftedSolveOutcome};
 use crate::qep::QepProblem;
 
 /// Parameters of the Sakurai-Sugiura solve (paper notation).
@@ -83,14 +83,14 @@ pub struct SsConfig {
     /// Hamiltonian those first nodes are every node that is solved (the rest
     /// are their mirror images), so the rule then caps nothing.
     pub majority_stop: bool,
-    /// Operator representation / preconditioning of the shifted solves: it
-    /// changes the floating-point trajectory, so it **is** part of the sweep
-    /// checkpoint fingerprint.  [`paper`](Self::paper) writes the one
-    /// default, [`AssembledIlu0`](PrecondPolicy::AssembledIlu0), which is
-    /// "the diagonal ILU if a pattern is attached
-    /// ([`QepProblem::with_pattern`]), else matrix-free": a problem that
-    /// never attaches one runs the
-    /// [`MatrixFree`](PrecondPolicy::MatrixFree) trajectory, bitwise.
+    /// Preconditioning of the shifted solves, and the only input that
+    /// selects it: [`AssembledIlu0`](PrecondPolicy::AssembledIlu0) splits
+    /// every node by its diagonal ILU where the blocks convert to the real
+    /// stencil (every Hamiltonian `cbs-dft` builds) and runs matrix-free
+    /// where they do not; [`MatrixFree`](PrecondPolicy::MatrixFree), the
+    /// [`paper`](Self::paper) default, never preconditions.  It changes the
+    /// floating-point trajectory, so it **is** part of the sweep checkpoint
+    /// fingerprint.
     pub precond: PrecondPolicy,
     /// Requested trace detail for this solve's spans (see `cbs-trace`).
     /// Recording only happens while a `cbs_trace::TraceSession` is active —
@@ -118,10 +118,11 @@ impl SsConfig {
     /// `N_int = 32, N_mm = 8, N_rh = 16, δ = 1e-10, λ_min = 0.5`, BiCG
     /// tolerance `1e-10`.
     ///
-    /// **The policy rule, written once:** the diagonal ILU of `P(z)` if a
-    /// pattern is attached, else matrix-free ([`precond`](Self::precond)).
-    /// Nothing measures at run time; the rule rests on recorded numbers.
-    /// The since-deleted sweep bench, as recorded in `CHANGES.md` with the
+    /// The policy is the paper's, [`MatrixFree`](PrecondPolicy::MatrixFree):
+    /// the shifted systems are solved by unpreconditioned dual BiCG on the
+    /// real-space grid operator.  [`precond`](Self::precond) alone opts into
+    /// the diagonal ILU, and the recorded numbers are the reason to.  The
+    /// since-deleted sweep bench, as recorded in `CHANGES.md` with the
     /// auto-tuner's removal (Al(100), 343 points, 8 energies, cold / warm):
     /// full ILU(0) 0.259 / 0.245 s, matrix-free 0.563 / 0.491 s; ILU(0)
     /// also won at 12 167 points (the `al12k_solve_ilu0` benchmark
@@ -130,8 +131,8 @@ impl SsConfig {
     /// `al100_sweep8` (0.197 → 0.150 s) and 30% off `al12k_solve_ilu0`
     /// (3.32 → 2.34 s; medians of ten alternated pairs), and running BiCG on
     /// the system it splits another 19% and 27% (0.155 → 0.125 s,
-    /// 2.23 → 1.62 s).  A caller who knows better sets `precond` (bench
-    /// binaries: `CBS_PRECOND`).
+    /// 2.23 → 1.62 s).  The bench binaries set it, and `CBS_PRECOND`
+    /// overrides them.
     pub fn paper() -> Self {
         Self {
             n_int: 32,
@@ -144,7 +145,7 @@ impl SsConfig {
             residual_cutoff: 1e-5,
             seed: 0x5a5a_5a5a,
             majority_stop: true,
-            precond: PrecondPolicy::AssembledIlu0,
+            precond: PrecondPolicy::MatrixFree,
             trace: cbs_trace::TraceLevel::Stage,
             auto: false,
         }
@@ -230,17 +231,16 @@ pub struct SsResult {
     pub projected_moments: Vec<CMatrix>,
     /// Total number of BiCG iterations summed over all systems **solved**
     /// (mirrored nodes cost nothing and count nothing — likewise for the
-    /// matvec, traversal and assembly counters below).
+    /// matvec and traversal counters below).
     pub total_bicg_iterations: usize,
     /// Total number of operator applications (matvec-equivalents: the
     /// per-column work, however the applies were fused), including the
     /// [`extraction_matvecs`](Self::extraction_matvecs).
     pub total_matvecs: usize,
     /// Operator-storage traversals actually performed, weighted by the
-    /// operator's `traversal_weight` (per matrix-free `P(z)` apply 1 through
-    /// the real stencil and 3 through the generic composition, 1 per
-    /// assembled apply) — one fused block apply per iteration per node
-    /// serves all `N_rh` columns.  Includes
+    /// operator's `traversal_weight` (per `P(z)` apply 1 through the real
+    /// stencil, split or not, and 3 through the generic composition) — one
+    /// fused block apply per iteration per node serves all `N_rh` columns.  Includes
     /// [`extraction_traversals`](Self::extraction_traversals).
     pub total_traversals: usize,
     /// Operator applications spent in the extraction-phase residual checks
@@ -251,12 +251,9 @@ pub struct SsResult {
     /// Storage traversals of the extraction-phase residual checks; already
     /// included in [`total_traversals`](Self::total_traversals).
     pub extraction_traversals: usize,
-    /// Numeric refills of the assembled operator pattern performed for this
-    /// solve: one per solved quadrature node whose operator is the assembled
-    /// CSR.  Zero under `PrecondPolicy::MatrixFree`, and zero under the ILU
-    /// policy on blocks that convert to the real stencil (every Hamiltonian
-    /// `cbs-dft` builds): their diagonal ILU is `n` pivots computed from the
-    /// stencil's rows, and nothing is refilled.
+    /// **Vestigial:** always 0 — no solve refills an assembled pattern.  It
+    /// survives only because the repo benchmark (`benchmark/src/layers.rs`)
+    /// reads it; released by ROADMAP 1(a).
     pub operator_assemblies: usize,
     /// Timing breakdown.
     pub timings: SsTimings,
@@ -490,23 +487,14 @@ pub fn solve_qep_with<E: TaskExecutor>(
     let linear_solve_seconds = t_solve.elapsed().as_secs_f64();
 
     let _trace_ctx = trace.enter();
-    extract_from_moments(
-        problem,
-        config,
-        &plan.v_cols,
-        outcome.acc,
-        outcome.iterations,
-        outcome.matvecs,
-        outcome.traversals,
-        outcome.assemblies,
-        linear_solve_seconds,
-    )
+    extract_from_moments(problem, config, &plan.v_cols, outcome, linear_solve_seconds)
 }
 
 /// Steps 3-4 of the method: build the block Hankel matrices from the
-/// accumulator's projected moments `µ̂_k`, filter with the SVD, solve the
-/// reduced eigenproblem, recover the eigenvectors from its stored `Ŝ_k`
-/// and residual-check the eigenpairs.  `N_mm` and `N_rh` are the
+/// projected moments `µ̂_k` of the pool `outcome`'s accumulator, filter with
+/// the SVD, solve the reduced eigenproblem, recover the eigenvectors from
+/// its stored `Ŝ_k` and residual-check the eigenpairs; the outcome's work
+/// counters are carried into the result.  `N_mm` and `N_rh` are the
 /// accumulator's ([`RingPlan::build`] took them from the configuration).
 ///
 /// Public so that multi-energy drivers (`cbs-sweep`) can run the extraction
@@ -522,21 +510,14 @@ pub fn solve_qep_with<E: TaskExecutor>(
 /// `v_cols` on a mirrored accumulator: the lower half-plane nodes mirror the
 /// upper ones only for a real source block, so such moments are not the
 /// ring's, and nothing is extracted from them (no SVD runs).
-#[allow(
-    clippy::too_many_arguments,
-    reason = "the drivers hand over the moments with the counters their pool summed"
-)]
 pub fn extract_from_moments(
     problem: &QepProblem<'_>,
     config: &SsConfig,
     v_cols: &[CVector],
-    mut acc: MomentAccumulator,
-    total_iters: usize,
-    total_matvecs: usize,
-    total_traversals: usize,
-    operator_assemblies: usize,
+    outcome: PoolOutcome,
     linear_solve_seconds: f64,
 ) -> SsResult {
+    let mut acc = outcome.acc;
     let n = problem.dim();
     let contour = config.contour();
     let (m, n_rh, mirrored) = (acc.n_mm(), acc.n_rh(), acc.mirrored);
@@ -679,12 +660,12 @@ pub fn extract_from_moments(
         solve_histories: histories,
         shifted_solves,
         projected_moments: mu,
-        total_bicg_iterations: total_iters,
-        total_matvecs: total_matvecs + extraction_matvecs,
-        total_traversals: total_traversals + extraction_traversals,
+        total_bicg_iterations: outcome.iterations,
+        total_matvecs: outcome.matvecs + extraction_matvecs,
+        total_traversals: outcome.traversals + extraction_traversals,
         extraction_matvecs,
         extraction_traversals,
-        operator_assemblies,
+        operator_assemblies: 0,
         timings: SsTimings { setup_seconds: 0.0, linear_solve_seconds, extraction_seconds },
         discarded,
     }
@@ -800,7 +781,6 @@ impl RingPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::PoolOutcome;
     use cbs_linalg::{c64, generalized_eigen};
     use cbs_parallel::SerialExecutor;
     use cbs_sparse::DenseOp;
@@ -967,8 +947,7 @@ mod tests {
             solve_pool(&[group], vec![plan.accumulator()], &policy, &SerialExecutor).pop().unwrap()
         };
         let extract = |v_cols: &[CVector], out: PoolOutcome| {
-            let (iterations, matvecs) = (out.iterations, out.matvecs);
-            extract_from_moments(&qep, &config, v_cols, out.acc, iterations, matvecs, 0, 0, 0.0)
+            extract_from_moments(&qep, &config, v_cols, out, 0.0)
         };
 
         let zeros = vec![CVector::zeros(qep.dim()); config.n_rh];
@@ -1014,8 +993,7 @@ mod tests {
             let group = PoolGroup { problem: &qep, v_cols, trace: TraceHandle::disabled() };
             let policy = PoolPolicy::from_config(&config);
             let out = solve_pool(&[group], vec![plan.accumulator()], &policy, &SerialExecutor);
-            let out = out.into_iter().next().unwrap();
-            extract_from_moments(&qep, &config, v_cols, out.acc, out.iterations, 0, 0, 0, 0.0)
+            extract_from_moments(&qep, &config, v_cols, out.into_iter().next().unwrap(), 0.0)
         };
 
         assert!(!run(&plan.v_cols).eigenpairs.is_empty(), "the real block finds the spectrum");
@@ -1135,7 +1113,15 @@ mod tests {
                 assert!(error <= 1e-13 * exact.fro_norm(), "µ̂_{k}: {error:.2e}, {mirrored}");
             }
 
-            let result = extract_from_moments(&qep, &config, &plan.v_cols, acc, 0, 0, 0, 0, 0.0);
+            let outcome = PoolOutcome {
+                acc,
+                iterations: 0,
+                matvecs: 0,
+                traversals: 0,
+                capped_solves: 0,
+                solves: 0,
+            };
+            let result = extract_from_moments(&qep, &config, &plan.v_cols, outcome, 0.0);
             let real = result.projected_moments.iter().flat_map(CMatrix::as_slice);
             assert_eq!(real.clone().all(|z| z.im == 0.0), mirrored);
         }

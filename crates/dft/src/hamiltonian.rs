@@ -272,24 +272,13 @@ impl BlockHamiltonian {
         }
     }
 
-    /// The assembled-operator pattern of this Hamiltonian's QEP: the union
-    /// sparsity of `H₀₀ ∪ H₀₁ ∪ H₀₁†` (projectors expanded into CSR) from
-    /// which `P(z)` is materialized per quadrature node by numeric refill —
-    /// the backend of `PrecondPolicy::AssembledIlu0`.  One pattern serves
-    /// every scan energy, so build it once per Hamiltonian.
-    pub fn qep_pattern(&self) -> cbs_sparse::AssembledPattern {
-        cbs_sparse::AssembledPattern::build(&self.h00_csr(), &self.h01_csr())
-    }
-
-    /// The factored assembled backend of this Hamiltonian's QEP: the union
+    /// The factored assembled form of this Hamiltonian's QEP: the union
     /// pattern of the **sparse-only** blocks (kinetic + local potential —
     /// no projector expansion) paired with the non-local projectors kept in
-    /// factored low-rank form.  Compared to [`qep_pattern`](Self::qep_pattern)
-    /// the pattern is smaller (no `nnz(ket)·nnz(bra)` fill per projector
-    /// term), so the per-node refill and the ILU(0) sweeps are cheaper,
-    /// while the projector tail is applied at its natural O(rank · nnz)
-    /// cost.  Attach both to the problem (`with_pattern` + `with_projector`)
-    /// — the pattern alone would silently drop the projectors.
+    /// factored low-rank form.  No solve reads it — the ILU policy splits
+    /// by the real stencil's diagonal ILU — but the repo benchmark's
+    /// per-layer replay refills and factors it, and the tests use
+    /// `pattern.assemble(E, z).ilu0()` as the oracle of that diagonal ILU.
     pub fn qep_factored(&self) -> (cbs_sparse::AssembledPattern, cbs_sparse::FactoredProjector) {
         (
             cbs_sparse::AssembledPattern::build(&self.h00_sparse, &self.h01_sparse),

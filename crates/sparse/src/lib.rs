@@ -28,6 +28,13 @@
 //!   into its two sweeps (Eisenstat's trick),
 //! * [`DenseOp`] — a dense matrix as a [`LinearOperator`], for tests and
 //!   small reference problems.
+//!
+//! No library solve runs the assembled types ([`AssembledPattern`],
+//! [`AssembledOp`], [`Ilu0`], [`FactoredProjector`]) any more: the ILU
+//! policy splits the [`RealStencil`] by its [`StencilDilu`].  They serve
+//! the repo benchmark's per-layer replay and the tests' oracle for that
+//! split — `pattern.assemble(E, z).ilu0()` is the same diagonal ILU in
+//! factored form.
 
 #![warn(missing_docs)]
 

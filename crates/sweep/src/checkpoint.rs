@@ -133,13 +133,17 @@ impl std::error::Error for CheckpointError {}
 //   v17 compact moment store: same layout as v16, but each solve outcome
 //       is projected onto the source block before it is summed into
 //       `µ̂_k`, so the extracted eigenvalues of a v16 sweep round
-//       differently.
+//       differently,
+//   v18 one ILU road: the record line lost `operator_assemblies` and the
+//       fingerprint its two assembled-pattern slots; the policy alone
+//       selects the diagonal ILU, so a v17 sweep under policy code 2 that
+//       attached no pattern ran matrix-free.
 // There is exactly one compatibility rule: the version found must be the
 // current one.  Anything else announcing itself through the shared magic
 // prefix is refused with [`CheckpointError::IncompatibleVersion`], naming
 // both versions, rather than read with silently zeroed or misaligned
 // fields.
-const MAGIC: &str = "cbs-sweep-checkpoint v17";
+const MAGIC: &str = "cbs-sweep-checkpoint v18";
 
 /// Prefix shared by every version's magic line; anything with this prefix
 /// but the wrong version is an incompatible (not malformed) checkpoint.
@@ -222,12 +226,11 @@ impl SweepCheckpoint {
             let s = &r.stats;
             let _ = writeln!(
                 out,
-                "record {} {origin} {:x} {:x} {:x} {:x} {:x} {:x} {:x} {:x} {:x} {:x}",
+                "record {} {origin} {:x} {:x} {:x} {:x} {:x} {:x} {:x} {:x} {:x}",
                 hex(r.energy),
                 s.bicg_iterations,
                 s.matvecs,
                 s.operator_traversals,
-                s.operator_assemblies,
                 s.solves,
                 s.capped_solves,
                 s.accepted,
@@ -322,7 +325,6 @@ impl SweepCheckpoint {
                 bicg_iterations: t.usize()?,
                 matvecs: t.usize()?,
                 operator_traversals: t.usize()?,
-                operator_assemblies: t.usize()?,
                 solves: t.usize()?,
                 capped_solves: t.usize()?,
                 accepted: t.usize()?,
@@ -388,7 +390,6 @@ mod tests {
                 bicg_iterations: 10,
                 matvecs: 22,
                 operator_traversals: 6,
-                operator_assemblies: 3,
                 solves: 4,
                 capped_solves: 2,
                 accepted: 1,
@@ -496,6 +497,11 @@ mod tests {
         // And v3, whose fingerprint layout predates every later change.
         let err = SweepCheckpoint::parse(&relabelled("v3")).unwrap_err();
         assert!(matches!(err, CheckpointError::IncompatibleVersion { .. }));
+        // v17 records carry `operator_assemblies` and its fingerprints the
+        // two assembled-pattern slots: refused by version, not misparsed.
+        let v17 = SweepCheckpoint::parse(&relabelled("v17")).unwrap_err();
+        assert!(matches!(v17, CheckpointError::IncompatibleVersion { ref found }
+            if found == "cbs-sweep-checkpoint v17"));
         // The message tells the operator what to do.
         let msg = err.to_string();
         assert!(msg.contains("incompatible checkpoint version"), "{msg}");
@@ -517,14 +523,17 @@ mod tests {
         // fingerprint has no dimension; v14 carries seed tables, donor
         // fields and warm/cold counters, and no checksum; v15's ILU sweeps
         // stopped on another rule; v16's eigenvalues came from moments
-        // summed before they were projected.
+        // summed before they were projected; v17 records carry the
+        // assembly counter.
         // All must hit the dedicated incompatible-version path, and the
         // error message must name the version found *and* the one expected.
         // A format from the future is refused the same way — there is one
         // check, not one per version.
-        let old =
-            ["v4", "v5", "v6", "v7", "v8", "v9", "v10", "v11", "v12", "v13", "v14", "v15", "v16"];
-        for version in old.into_iter().chain(["v18"]) {
+        let old = [
+            "v4", "v5", "v6", "v7", "v8", "v9", "v10", "v11", "v12", "v13", "v14", "v15", "v16",
+            "v17",
+        ];
+        for version in old.into_iter().chain(["v19"]) {
             let stale = format!("cbs-sweep-checkpoint {version}");
             match SweepCheckpoint::parse(&relabelled(version)) {
                 Err(CheckpointError::IncompatibleVersion { ref found }) => {
@@ -537,7 +546,7 @@ mod tests {
                 other => panic!("{version}: expected IncompatibleVersion, got {other:?}"),
             }
         }
-        assert!(SweepCheckpoint::parse(&relabelled("v17")).is_ok(), "v17 is the current format");
+        assert!(SweepCheckpoint::parse(&relabelled("v18")).is_ok(), "v18 is the current format");
     }
 
     /// The body of a serialized checkpoint: everything before its

@@ -58,11 +58,10 @@ impl SweepConfig {
             self.ss.residual_cutoff.to_bits(),
             self.ss.seed,
             self.ss.majority_stop as u64,
-            // The precond policy changes the floating-point trajectory
-            // (assembled arithmetic, ILU-preconditioned recurrences), so a
-            // resume across it would silently change results; the block
-            // policy stays excluded because its results are bitwise
-            // policy-invariant.
+            // The precond policy changes the floating-point trajectory (the
+            // diagonal-ILU split), so a resume across it would silently
+            // change results; the block policy stays excluded because its
+            // results are bitwise policy-invariant.
             self.ss.precond as u64,
             self.max_refinements as u64,
             self.min_refine_spacing.to_bits(),

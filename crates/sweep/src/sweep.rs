@@ -28,7 +28,7 @@ use cbs_core::{
 };
 use cbs_dft::BandStructure;
 use cbs_parallel::TaskExecutor;
-use cbs_sparse::{AssembledPattern, FactoredProjector, LinearOperator};
+use cbs_sparse::LinearOperator;
 use cbs_trace::{Stage, TraceHandle};
 use serde::{Deserialize, Serialize};
 
@@ -61,14 +61,9 @@ pub struct EnergyStats {
     pub matvecs: usize,
     /// Operator-storage traversals actually performed (fused block applies
     /// count the operator's `traversal_weight`; up to `N_rh`x below
-    /// [`matvecs`](Self::matvecs), and 3x fewer per apply under the
-    /// assembled operator).
+    /// [`matvecs`](Self::matvecs), and 3x fewer per apply through the real
+    /// stencil).
     pub operator_traversals: usize,
-    /// Numeric refills of the assembled `P(z)` pattern: one per solved node
-    /// whose operator is the assembled CSR; zero under
-    /// `PrecondPolicy::MatrixFree` and on blocks that convert to the real
-    /// stencil, whose diagonal ILU refills nothing.
-    pub operator_assemblies: usize,
     /// Shifted solves (each one primal + dual pair).
     pub solves: usize,
     /// Solves run under the majority-stop cap.
@@ -242,15 +237,6 @@ pub struct EnergySweep<'a> {
     h01: &'a dyn LinearOperator,
     period: f64,
     config: SweepConfig,
-    /// Assembled-operator pattern shared by every scan energy (the pattern
-    /// is energy-independent); required for the assembled `PrecondPolicy`
-    /// variants, which fall back to matrix-free without it.
-    pattern: Option<AssembledPattern>,
-    /// Factored non-local projector paired with the pattern (see
-    /// `QepProblem::with_projector`): when present, the pattern is expected
-    /// to cover the sparse-only blocks and the projector tail is applied in
-    /// factored form by every assembled node.
-    projector: Option<FactoredProjector>,
     /// The blocks' real stencil, converted by the first node solve that
     /// wants it (or found not to exist, once) and shared by every scan
     /// energy: it depends on the blocks only, not on `E`.
@@ -271,35 +257,22 @@ impl<'a> EnergySweep<'a> {
         assert_eq!(h00.nrows(), h01.nrows(), "H00 and H01 must have the same size");
         assert!(period > 0.0, "period must be positive");
         assert!(config.ss.n_rh > 0, "need at least one right-hand side");
-        Self {
-            h00,
-            h01,
-            period,
-            config,
-            pattern: None,
-            projector: None,
-            stencil: StencilCache::new(),
-        }
+        Self { h00, h01, period, config, stencil: StencilCache::new() }
     }
 
-    /// Attach the assembled-operator pattern
-    /// (`cbs_sparse::AssembledPattern::build` over the CSR forms of the
-    /// blocks).  One symbolic analysis serves the whole sweep: the
-    /// structure is shared across every `(energy x node)` job of the
-    /// flattened pool, refined energies included.
-    pub fn with_pattern(mut self, pattern: AssembledPattern) -> Self {
+    /// **Vestigial:** a no-op that keeps its dimension check.
+    /// `SsConfig::precond` alone selects the diagonal ILU.  It survives only
+    /// because the repo benchmark (`benchmark/src/workloads.rs`) attaches a
+    /// pattern; released by ROADMAP 1(a).
+    pub fn with_pattern(self, pattern: cbs_sparse::AssembledPattern) -> Self {
         assert_eq!(pattern.dim(), self.h00.nrows(), "pattern dimension mismatch");
-        self.pattern = Some(pattern);
         self
     }
 
-    /// Attach a factored non-local projector to pair with the pattern
-    /// (`cbs_dft::BlockHamiltonian::qep_factored` produces a matched pair).
-    /// The pattern must then cover the sparse-only blocks — the projector
-    /// contribution is accumulated on top by every assembled node.
-    pub fn with_projector(mut self, projector: FactoredProjector) -> Self {
+    /// **Vestigial:** a no-op that keeps its dimension check, like
+    /// [`with_pattern`](Self::with_pattern).  Released by ROADMAP 1(a).
+    pub fn with_projector(self, projector: cbs_sparse::FactoredProjector) -> Self {
         assert_eq!(projector.dim(), self.h00.nrows(), "projector dimension mismatch");
-        self.projector = Some(projector);
         self
     }
 
@@ -308,20 +281,10 @@ impl<'a> EnergySweep<'a> {
         &self.config
     }
 
-    /// The QEP at one scan energy as the sweep solves it: the assembled
-    /// backend (pattern, projector) attached, the real stencil shared with
-    /// every other energy of this sweep.
+    /// The QEP at one scan energy as the sweep solves it: the real stencil
+    /// shared with every other energy of this sweep.
     pub fn problem_at(&self, energy: f64) -> QepProblem<'_> {
-        let p = QepProblem::new(self.h00, self.h01, energy, self.period)
-            .with_stencil_cache(&self.stencil);
-        let p = match &self.pattern {
-            Some(pattern) => p.with_pattern(pattern),
-            None => p,
-        };
-        match &self.projector {
-            Some(proj) => p.with_projector(proj),
-            None => p,
-        }
+        QepProblem::new(self.h00, self.h01, energy, self.period).with_stencil_cache(&self.stencil)
     }
 
     /// Run the sweep to completion with no checkpointing.  An empty grid
@@ -359,20 +322,6 @@ impl<'a> EnergySweep<'a> {
             .expect("invalid contour parameters (lambda_min, n_int) in sweep configuration");
 
         let mut fingerprint = self.config.fingerprint(self.period);
-        // The *effective* operator policy is part of the resume contract:
-        // an assembled `PrecondPolicy` without an attached pattern silently
-        // falls back to matrix-free arithmetic, so a checkpoint written in
-        // that state must not be resumable by a sweep that does carry a
-        // pattern (or vice versa) — the two trajectories differ bitwise.
-        let assembled_effective = self.config.ss.precond.is_assembled() && self.pattern.is_some();
-        fingerprint.push(assembled_effective as u64);
-        // One further arithmetic-changing input of the assembled path: a
-        // non-empty factored projector (CSR + low-rank split instead of the
-        // expanded pattern) changes the trajectory bitwise, so it is part of
-        // the resume contract.
-        fingerprint.push(
-            (assembled_effective && self.projector.as_ref().is_some_and(|p| !p.is_empty())) as u64,
-        );
         // Whether the ring is mirrored (real blocks) decides the node list,
         // and so every record's counters.
         fingerprint.push(plan.is_mirrored() as u64);
@@ -532,17 +481,8 @@ impl<'a> EnergySweep<'a> {
 
             for (i, ((energy, origin), outcome)) in to_solve.into_iter().zip(outcomes).enumerate() {
                 let _extract_ctx = trace.with_energy(record_base + i).enter();
-                let result = extract_from_moments(
-                    &problems[i],
-                    ss,
-                    &plan.v_cols,
-                    outcome.acc,
-                    outcome.iterations,
-                    outcome.matvecs,
-                    outcome.traversals,
-                    outcome.assemblies,
-                    0.0,
-                );
+                let (solves, capped_solves) = (outcome.solves, outcome.capped_solves);
+                let result = extract_from_moments(&problems[i], ss, &plan.v_cols, outcome, 0.0);
                 st.extraction_seconds += result.timings.extraction_seconds;
                 // `energy_index` is a placeholder until assembly fixes the
                 // grid.
@@ -552,12 +492,11 @@ impl<'a> EnergySweep<'a> {
                 // so they include the metered residual-check applications,
                 // matching `SsResult`'s accounting.
                 let stats = EnergyStats {
-                    bicg_iterations: outcome.iterations,
+                    bicg_iterations: result.total_bicg_iterations,
                     matvecs: result.total_matvecs,
                     operator_traversals: result.total_traversals,
-                    operator_assemblies: result.operator_assemblies,
-                    solves: outcome.solves,
-                    capped_solves: outcome.capped_solves,
+                    solves,
+                    capped_solves,
                     accepted: result.eigenpairs.len(),
                     discarded: result.discarded,
                     numerical_rank: result.numerical_rank,
@@ -655,7 +594,6 @@ impl<'a> EnergySweep<'a> {
             stats.total_bicg_iterations += rec.stats.bicg_iterations;
             stats.total_matvecs += rec.stats.matvecs;
             stats.operator_traversals += rec.stats.operator_traversals;
-            stats.operator_assemblies += rec.stats.operator_assemblies;
             // Every solve is cold: the vestigial split reads total / 0.
             stats.cold_bicg_iterations += rec.stats.bicg_iterations;
             stats.cold_solves += rec.stats.solves;

@@ -97,12 +97,6 @@ fn assert_mirrored_matches_full(what: &str, mirrored: &SsResult, full: &SsResult
             );
         }
     }
-    if full.operator_assemblies > 0 {
-        assert_eq!(full.operator_assemblies, c.n_int, "{what}");
-        assert_eq!(mirrored.operator_assemblies, n_solved, "{what}");
-    } else {
-        assert_eq!(mirrored.operator_assemblies, 0, "{what}");
-    }
 
     // Projected moments agree to 1e-9 relative (the BiCG tolerance: the
     // full run *solves* the lower half-plane systems the mirrored run reads
@@ -180,18 +174,7 @@ fn pooled(problem: &QepProblem<'_>, config: &SsConfig) -> (SsResult, usize) {
     let outcome =
         solve_pool(&[group], vec![plan.accumulator()], &policy, &SerialExecutor).remove(0);
     let capped = outcome.capped_solves;
-    let result = extract_from_moments(
-        problem,
-        config,
-        &plan.v_cols,
-        outcome.acc,
-        outcome.iterations,
-        outcome.matvecs,
-        outcome.traversals,
-        outcome.assemblies,
-        0.0,
-    );
-    (result, capped)
+    (extract_from_moments(problem, config, &plan.v_cols, outcome, 0.0), capped)
 }
 
 /// fig6 Al(100): matrix-free and ILU(0)-preconditioned, `n_int` even and
@@ -202,7 +185,6 @@ fn pooled(problem: &QepProblem<'_>, config: &SsConfig) -> (SsResult, usize) {
 #[test]
 fn fig6_mirrored_ring_is_the_full_contour_at_half_the_work() {
     let h = common::fig6_hamiltonian();
-    let pattern = h.qep_pattern();
     let cases = [
         (common::FIG6_N_INT, false),
         (common::FIG6_N_INT, true),
@@ -223,13 +205,13 @@ fn fig6_mirrored_ring_is_the_full_contour_at_half_the_work() {
         let what = format!("fig6 mf n_int {n_int} majority {majority_stop}");
         compare(&what, (h.h00(), h.h01()), 0.15, h.period(), &config);
 
-        // The assembled pattern takes part in the decision and selects the
-        // preconditioner.
+        // The ILU policy splits both rings' nodes by the stencil's diagonal
+        // ILU.
         let config = SsConfig { precond: PrecondPolicy::AssembledIlu0, ..config };
         let (h00, h01) = (h.h00(), h.h01());
-        let real = QepProblem::new(&h00, &h01, 0.15, h.period()).with_pattern(&pattern);
+        let real = QepProblem::new(&h00, &h01, 0.15, h.period());
         let (n00, n01) = (NotReal(h.h00()), NotReal(h.h01()));
-        let oracle = QepProblem::new(&n00, &n01, 0.15, h.period()).with_pattern(&pattern);
+        let oracle = QepProblem::new(&n00, &n01, 0.15, h.period());
         assert!(real.is_conjugate_symmetric() && !oracle.is_conjugate_symmetric());
         let mirrored = solve_qep_with(&real, &config, &SerialExecutor);
         let full = solve_qep_with(&oracle, &config, &SerialExecutor);
@@ -317,7 +299,6 @@ fn assert_bitwise(what: &str, a: &SsResult, b: &SsResult) {
     assert_eq!(a.shifted_solves, b.shifted_solves, "{what}");
     assert_eq!(a.total_bicg_iterations, b.total_bicg_iterations, "{what}");
     assert_eq!(a.total_matvecs, b.total_matvecs, "{what}");
-    assert_eq!(a.operator_assemblies, b.operator_assemblies, "{what}");
 }
 
 /// The mirrored path keeps the determinism contract: serial ≡ rayon,
@@ -325,9 +306,8 @@ fn assert_bitwise(what: &str, a: &SsResult, b: &SsResult) {
 #[test]
 fn mirrored_ring_is_executor_and_block_policy_invariant() {
     let h = common::fig6_hamiltonian();
-    let pattern = h.qep_pattern();
     let (h00, h01) = (h.h00(), h.h01());
-    let problem = QepProblem::new(&h00, &h01, 0.15, h.period()).with_pattern(&pattern);
+    let problem = QepProblem::new(&h00, &h01, 0.15, h.period());
     for precond in [PrecondPolicy::MatrixFree, PrecondPolicy::AssembledIlu0] {
         let config = SsConfig { precond, ..common::fig6_config() };
         let reference = solve_qep_with(&problem, &config, &SerialExecutor);
@@ -376,14 +356,11 @@ fn sweep_over_real_blocks_counts_solved_nodes() {
     let (h00, h01) = (h.h00(), h.h01());
     let ss = SsConfig { precond: PrecondPolicy::AssembledIlu0, ..common::fig6_config() };
     let energies = [0.05, 0.09, 0.13, 0.17];
-    let sweep = EnergySweep::new(&h00, &h01, h.period(), SweepConfig::new(ss))
-        .with_pattern(h.qep_pattern());
+    let sweep = EnergySweep::new(&h00, &h01, h.period(), SweepConfig::new(ss));
     let run = sweep.run(&energies, &SerialExecutor);
     let per_energy = common::FIG6_SOLVED_NODES * ss.n_rh;
     assert!(run.records.iter().all(|r| r.stats.solves == per_energy));
     assert_eq!(run.stats.cold_solves, energies.len() * per_energy);
-    // The stencil's diagonal ILU refills no pattern.
-    assert_eq!(run.stats.operator_assemblies, 0);
     // Every energy's spectrum is closed under conjugation, bitwise.
     for (i, _) in energies.iter().enumerate() {
         let points: Vec<_> = run.cbs.at_energy(i).collect();
@@ -428,8 +405,9 @@ proptest! {
 
     /// `is_real` is a scan of the stored data: a single entry with a
     /// non-zero imaginary part — a CSR value, a projector factor entry or a
-    /// projector coefficient — flips the operator, everything built from
-    /// it, and the problem's conjugate-symmetry decision.
+    /// projector coefficient — flips the operator and everything built from
+    /// it.  The problem's conjugate-symmetry decision reads its blocks
+    /// alone: an attached pattern or projector is not consulted.
     #[test]
     fn one_complex_entry_anywhere_flips_is_real(
         n in 4usize..10,
@@ -470,17 +448,15 @@ proptest! {
         let dense = DenseOp::new(csr.to_dense());
         prop_assert!(dense.is_real() == (site != 0));
 
-        // The problem decides from all of it: blocks, pattern, projector.
+        // The problem decides from its blocks.
         let pattern = cbs::sparse::AssembledPattern::build(&csr, &base);
         prop_assert!(pattern.is_real() == (site != 0));
-        let real_pattern = cbs::sparse::AssembledPattern::build(&base, &base);
         prop_assert!(QepProblem::new(&base, &base, 0.1, 1.0).is_conjugate_symmetric());
         prop_assert!(QepProblem::new(&csr, &base, 0.1, 1.0).is_conjugate_symmetric() == (site != 0));
         prop_assert!(QepProblem::new(&base, &csr, 0.1, 1.0).is_conjugate_symmetric() == (site != 0));
-        prop_assert!(QepProblem::new(&base, &base, 0.1, 1.0).with_pattern(&pattern).is_conjugate_symmetric() == (site != 0));
         prop_assert!(QepProblem::new(&base, &base, 0.1, 1.0)
-                .with_pattern(&real_pattern)
+                .with_pattern(&pattern)
                 .with_projector(&projector)
-                .is_conjugate_symmetric() == (site == 0));
+                .is_conjugate_symmetric());
     }
 }

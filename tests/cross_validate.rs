@@ -66,11 +66,10 @@ fn fig6_policy_matrix_cross_validation() {
     let h = common::fig6_hamiltonian();
     let h00 = h.h00();
     let h01 = h.h01();
-    let pattern = h.qep_pattern();
     // A cheaper spectrum (2 propagating states) keeps the 4-run matrix
     // affordable.
     let config = SsConfig { n_mm: 4, n_rh: 4, ..fig6_config() };
-    let problem = QepProblem::new(&h00, &h01, 0.15, h.period()).with_pattern(&pattern);
+    let problem = QepProblem::new(&h00, &h01, 0.15, h.period());
 
     let [mf, ilu] = [PrecondPolicy::MatrixFree, PrecondPolicy::AssembledIlu0].map(|precond| {
         let cfg = SsConfig { precond, ..config };

@@ -92,8 +92,7 @@ fn ilu_split_sweep_is_the_per_energy_solve_on_both_executors() {
     let h = common::fig6_hamiltonian();
     let (h00, h01) = (h.h00(), h.h01());
     let ss = SsConfig { precond: PrecondPolicy::AssembledIlu0, ..common::fig6_config() };
-    let fig6 = EnergySweep::new(&h00, &h01, h.period(), SweepConfig::new(ss))
-        .with_pattern(h.qep_pattern());
+    let fig6 = EnergySweep::new(&h00, &h01, h.period(), SweepConfig::new(ss));
     assert!(fig6.problem_at(0.0).is_conjugate_symmetric(), "real blocks: the mirrored ring");
     assert_sweep_is_the_per_energy_loop(&fig6, &[0.05, 0.09, 0.13]);
     assert!(fig6.problem_at(0.05).real_stencil().is_some(), "the stencil converts");
@@ -115,13 +114,8 @@ fn assert_sweep_is_the_per_energy_loop(sweep: &EnergySweep<'_>, energies: &[f64]
             assert!(!alone.eigenpairs.is_empty(), "no eigenpairs at E = {energy}");
             let s = &record.stats;
             assert_eq!(
-                [s.bicg_iterations, s.matvecs, s.operator_traversals, s.operator_assemblies],
-                [
-                    alone.total_bicg_iterations,
-                    alone.total_matvecs,
-                    alone.total_traversals,
-                    alone.operator_assemblies
-                ],
+                [s.bicg_iterations, s.matvecs, s.operator_traversals],
+                [alone.total_bicg_iterations, alone.total_matvecs, alone.total_traversals],
                 "counters at E = {energy}"
             );
             assert_eq!(
@@ -201,19 +195,19 @@ fn checkpointed_sweep_resumes_bit_identically() {
         assert_same_cbs(&uninterrupted, &resumed);
     }
 
-    // The checkpoint on disk is v17; older formats — v3, v11 with its
+    // The checkpoint on disk is v18; older formats — v3, v11 with its
     // slice-policy fingerprint slots, v12 whose ILU sweeps ran full ILU(0),
     // v13 whose ILU sweeps preconditioned instead of splitting, v14 whose
     // sweeps warm-started, v15 whose split nodes stopped on another rule,
-    // and v16 whose moments were summed before they were projected — are
-    // refused with the dedicated error
-    // naming the version, not parsed into a mismatched fingerprint or
-    // resumed into another trajectory.
+    // v16 whose moments were summed before they were projected, and v17
+    // whose records carry an assembly counter — are refused with the
+    // dedicated error naming the version, not parsed into a mismatched
+    // fingerprint or resumed into another trajectory.
     let text = std::fs::read_to_string(&path).unwrap();
-    assert!(text.starts_with("cbs-sweep-checkpoint v17"), "unexpected magic in {path:?}");
-    let old = ["v3", "v11", "v12", "v13", "v14", "v15", "v16"];
+    assert!(text.starts_with("cbs-sweep-checkpoint v18"), "unexpected magic in {path:?}");
+    let old = ["v3", "v11", "v12", "v13", "v14", "v15", "v16", "v17"];
     for old in old.map(|v| format!("cbs-sweep-checkpoint {v}")) {
-        match SweepCheckpoint::parse(&text.replacen("cbs-sweep-checkpoint v17", &old, 1)) {
+        match SweepCheckpoint::parse(&text.replacen("cbs-sweep-checkpoint v18", &old, 1)) {
             Err(CheckpointError::IncompatibleVersion { found }) => assert_eq!(found, old),
             other => panic!("{old} checkpoint accepted or misclassified: {other:?}"),
         }
@@ -256,10 +250,11 @@ fn resume_refuses_seed_tables_of_another_problem() {
     assert_eq!(finer.period().to_bits(), fig6.period().to_bits());
 
     let energies = [0.05, 0.09, 0.13];
-    let config = SweepConfig::new(common::fig6_config());
+    let ss = SsConfig { precond: PrecondPolicy::AssembledIlu0, ..common::fig6_config() };
+    let config = SweepConfig::new(ss);
     let run = |h: &BlockHamiltonian, resume: Option<SweepCheckpoint>, budget: Option<usize>| {
         let (h00, h01) = (h.h00(), h.h01());
-        let sweep = EnergySweep::new(&h00, &h01, h.period(), config).with_pattern(h.qep_pattern());
+        let sweep = EnergySweep::new(&h00, &h01, h.period(), config);
         let options = RunOptions { resume, max_new_energies: budget, ..RunOptions::default() };
         sweep.run_with(&energies, &SerialExecutor, options)
     };
