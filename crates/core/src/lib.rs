@@ -25,9 +25,10 @@
 //!
 //! The `N_int x N_rh` independent shifted solves run through one road,
 //! [`solve_pool`]: a job per solved quadrature node (all of its right-hand
-//! sides in one block dual-BiCG), dispatched through any
-//! `cbs_parallel::TaskExecutor`, which [`solve_qep_with`] takes as its
-//! seam (`cbs_parallel::SerialExecutor` for a serial solve).
+//! sides in one block dual-BiCG, run to the configured tolerance), all of
+//! them in one dispatch through any `cbs_parallel::TaskExecutor`, which
+//! [`solve_qep_with`] takes as its seam (`cbs_parallel::SerialExecutor`
+//! for a serial solve).
 
 #![warn(missing_docs)]
 
@@ -44,7 +45,7 @@ pub use cbs::{
 };
 pub use contour::{ContourError, QuadraturePoint, RingContour};
 pub use policy::{BlockPolicy, PrecondPolicy};
-pub use pool::{solve_pool, PoolGroup, PoolOutcome, PoolPolicy, ShiftedSolveOutcome};
+pub use pool::{solve_pool, PoolGroup, PoolOutcome, ShiftedSolveOutcome};
 pub use qep::{QepOperator, QepProblem, StencilCache};
 pub use ss::{
     extract_from_moments, solve_qep_with, source_block, MomentAccumulator, QepEigenpair, RingPlan,

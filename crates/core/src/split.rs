@@ -54,7 +54,6 @@ pub(crate) fn solve_split(
     p: &dyn LinearOperator,
     b: &[CVector],
     opts: &SolverOptions,
-    external_stop: Option<&(dyn Fn(usize) -> bool + Sync)>,
 ) -> BlockBicgResult {
     let (n, k) = (p.dim(), b.len());
     let b_hat = |dual| -> Vec<CVector> {
@@ -64,8 +63,7 @@ pub(crate) fn solve_split(
     };
     let (split, none) = (m.split(), None::<&dyn Preconditioner>);
     let (b_hat, b_hat_dual) = (b_hat(false), b_hat(true));
-    let mut solved =
-        bicg_dual_block_precond(&split, none, &b_hat, &b_hat_dual, None, opts, external_stop);
+    let mut solved = bicg_dual_block_precond(&split, none, &b_hat, &b_hat_dual, None, opts, None);
     for col in &mut solved.columns {
         m.unsplit(false, col.x.as_mut_slice(), 1);
         m.unsplit(true, col.dual_x.as_mut_slice(), 1);
@@ -101,7 +99,7 @@ pub(crate) fn solve_split(
 pub(crate) mod tests {
     use super::*;
     use crate::policy::PrecondPolicy;
-    use crate::pool::{solve_pool, PoolGroup, PoolOutcome, PoolPolicy};
+    use crate::pool::{solve_pool, PoolGroup, PoolOutcome};
     use crate::qep::QepProblem;
     use crate::ss::{extract_from_moments, RingPlan, SsConfig};
     use cbs_linalg::c64;
@@ -165,14 +163,9 @@ pub(crate) mod tests {
     fn pool<E: TaskExecutor>(qep: &QepProblem<'_>, plan: &RingPlan, executor: &E) -> PoolOutcome {
         let group =
             PoolGroup { problem: qep, v_cols: &plan.v_cols, trace: TraceHandle::disabled() };
-        solve_pool(
-            &[group],
-            vec![plan.accumulator()],
-            &PoolPolicy::from_config(&config()),
-            executor,
-        )
-        .pop()
-        .expect("one outcome per group")
+        solve_pool(&[group], vec![plan.accumulator()], &config(), executor)
+            .pop()
+            .expect("one outcome per group")
     }
 
     #[test]
@@ -194,7 +187,7 @@ pub(crate) mod tests {
             let z = serial.acc.node_shift(j);
             let (op, prec) = qep.node_solve(config().precond, z);
             let Some(m) = &prec else { panic!("node {j} does not split") };
-            let solved = solve_split(m, &op, &plan.v_cols, &config().solver_options(), None);
+            let solved = solve_split(m, &op, &plan.v_cols, &config().solver_options());
             let truth = qep.operator(z);
             for (r, col) in solved.columns.into_iter().enumerate() {
                 let b = &plan.v_cols[r];

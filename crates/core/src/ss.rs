@@ -3,8 +3,9 @@
 //!
 //! Steps (for one scan energy `E`):
 //!
-//! 1. Solve the `N_int` shifted systems `P(z_j^(1)) Y_j^(1) = V` with BiCG;
-//!    the dual solutions of the same iterations solve
+//! 1. Solve the `N_int` shifted systems `P(z_j^(1)) Y_j^(1) = V` with BiCG,
+//!    every one to the BiCG tolerance in one pool dispatch
+//!    ([`solve_pool`]); the dual solutions of the same iterations solve
 //!    `P(z_j^(1))† Y_j^(2) = V`, i.e. the systems at the inner-circle nodes
 //!    `z_j^(2) = 1/conj(z_j^(1))` (paper §3.2).
 //! 2. Accumulate the complex moments `Ŝ_k = Σ_j ω_j z_j^k Y_j` over both
@@ -51,10 +52,16 @@ use cbs_trace::{Stage, TraceHandle};
 
 use crate::contour::{ContourError, QuadraturePoint, RingContour};
 use crate::policy::PrecondPolicy;
-use crate::pool::{solve_pool, PoolGroup, PoolOutcome, PoolPolicy, ShiftedSolveOutcome};
+use crate::pool::{solve_pool, PoolGroup, PoolOutcome, ShiftedSolveOutcome};
 use crate::qep::QepProblem;
 
 /// Parameters of the Sakurai-Sugiura solve (paper notation).
+///
+/// Every shifted solve runs to [`bicg_tolerance`](Self::bicg_tolerance)
+/// or [`bicg_max_iterations`](Self::bicg_max_iterations): the paper's
+/// majority-stop load-balancing rule is not implemented (the pool module
+/// says why).  Trace detail is the active `cbs_trace::TraceSession`'s
+/// level alone.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct SsConfig {
     /// Number of quadrature points per circle (`N_int`).
@@ -76,13 +83,6 @@ pub struct SsConfig {
     pub residual_cutoff: f64,
     /// Seed of the random source block `V`.
     pub seed: u64,
-    /// Enable the paper's load-balancing rule: once more than half of the
-    /// quadrature points have converged, the stragglers are stopped early.
-    /// The deterministic form runs the first `N/2 + 1` nodes of a contour
-    /// uncapped and caps the rest; on the mirrored half ring of a real
-    /// Hamiltonian those first nodes are every node that is solved (the rest
-    /// are their mirror images), so the rule then caps nothing.
-    pub majority_stop: bool,
     /// Preconditioning of the shifted solves, and the only input that
     /// selects it: [`AssembledIlu0`](PrecondPolicy::AssembledIlu0) splits
     /// every node by its diagonal ILU where the blocks convert to the real
@@ -92,15 +92,6 @@ pub struct SsConfig {
     /// floating-point trajectory, so it **is** part of the sweep checkpoint
     /// fingerprint.
     pub precond: PrecondPolicy,
-    /// Requested trace detail for this solve's spans (see `cbs-trace`).
-    /// Recording only happens while a `cbs_trace::TraceSession` is active —
-    /// this knob can *raise* the session's level (e.g. to
-    /// [`TraceLevel::Iter`](cbs_trace::TraceLevel::Iter) for per-iteration
-    /// residual events) but cannot start recording on its own.  Tracing
-    /// observes the solves without feeding anything back, so it is **not**
-    /// part of the sweep checkpoint fingerprint: results are bitwise
-    /// identical with tracing on or off.
-    pub trace: cbs_trace::TraceLevel,
     /// **Vestigial:** read by nothing.  It survives only because the repo
     /// benchmark (`benchmark/src/workloads.rs`, out of bounds for library
     /// PRs) writes it in a struct literal; released by ROADMAP 1(a).
@@ -144,9 +135,7 @@ impl SsConfig {
             bicg_max_iterations: 20_000,
             residual_cutoff: 1e-5,
             seed: 0x5a5a_5a5a,
-            majority_stop: true,
             precond: PrecondPolicy::MatrixFree,
-            trace: cbs_trace::TraceLevel::Stage,
             auto: false,
         }
     }
@@ -191,9 +180,6 @@ pub struct QepEigenpair {
 /// Table 1).
 #[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
 pub struct SsTimings {
-    /// Seconds spent assembling / reading the operator (outside this crate;
-    /// filled in by the callers that load or build Hamiltonians).
-    pub setup_seconds: f64,
     /// Seconds spent solving the shifted linear systems (step 1).
     pub linear_solve_seconds: f64,
     /// Seconds spent extracting eigenpairs (steps 2-4).
@@ -334,21 +320,6 @@ impl MomentAccumulator {
         self.nodes.len()
     }
 
-    /// How many leading nodes form the first, uncapped stage of the
-    /// majority-stop rule: strictly more than half of the ring's nodes,
-    /// `n/2 + 1` of a full list.  The full ring's first stage is its upper
-    /// half plus one node, and every node after it is the mirror of one
-    /// already solved — so on a mirrored ring the first stage is the whole
-    /// list and there is nothing left to cap.
-    pub fn majority_stage_nodes(&self) -> usize {
-        let n = self.nodes.len();
-        if self.mirrored {
-            n
-        } else {
-            (n / 2 + 1).min(n)
-        }
-    }
-
     /// The primal shift of node `j` — what the pool solves for this
     /// accumulator's jobs.
     pub fn node_shift(&self, j: usize) -> Complex64 {
@@ -455,9 +426,9 @@ impl MomentAccumulator {
 /// one-group [`solve_pool`], then
 /// [`extract_from_moments`] — what a sweep does per scan energy.
 ///
-/// All executors produce bit-identical results: the pool's majority-stop
-/// rule is deterministic and its moment accumulation always walks the solve
-/// outcomes in job order, independent of how they were scheduled.
+/// All executors produce bit-identical results: the pool's moment
+/// accumulation always walks the solve outcomes in job order, independent
+/// of how they were scheduled.
 pub fn solve_qep_with<E: TaskExecutor>(
     problem: &QepProblem<'_>,
     config: &SsConfig,
@@ -478,12 +449,11 @@ pub fn solve_qep_with<E: TaskExecutor>(
     // The trace handle resolves against the active session (no-op when none
     // is recording) and inherits any context — e.g. a sweep's scan-energy
     // index — the calling thread has installed.
-    let trace = TraceHandle::resolve(config.trace).with_policy(config.precond.trace_code());
+    let trace = TraceHandle::resolve().with_policy(config.precond.trace_code());
     let ring = PoolGroup { problem, v_cols: &plan.v_cols, trace };
-    let outcome =
-        solve_pool(&[ring], vec![plan.accumulator()], &PoolPolicy::from_config(config), executor)
-            .pop()
-            .expect("one pool outcome per group");
+    let outcome = solve_pool(&[ring], vec![plan.accumulator()], config, executor)
+        .pop()
+        .expect("one pool outcome per group");
     let linear_solve_seconds = t_solve.elapsed().as_secs_f64();
 
     let _trace_ctx = trace.enter();
@@ -666,7 +636,7 @@ pub fn extract_from_moments(
         extraction_matvecs,
         extraction_traversals,
         operator_assemblies: 0,
-        timings: SsTimings { setup_seconds: 0.0, linear_solve_seconds, extraction_seconds },
+        timings: SsTimings { linear_solve_seconds, extraction_seconds },
         discarded,
     }
 }
@@ -841,7 +811,6 @@ mod tests {
             bicg_max_iterations: 5_000,
             residual_cutoff: 1e-6,
             seed: 7,
-            majority_stop: false,
             ..SsConfig::paper()
         };
         let result = solve_qep_with(&qep, &config, &SerialExecutor);
@@ -888,7 +857,6 @@ mod tests {
             n_mm: 6,
             bicg_tolerance: 1e-12,
             residual_cutoff: 1e-6,
-            majority_stop: false,
             ..SsConfig::small()
         };
         let result = solve_qep_with(&qep, &config, &SerialExecutor);
@@ -924,7 +892,7 @@ mod tests {
         let op01 = DenseOp::new(h01);
         // Energy far above the narrow band.
         let qep = QepProblem::new(&op00, &op01, 50.0, 1.0);
-        let config = SsConfig { majority_stop: false, ..SsConfig::small() };
+        let config = SsConfig::small();
         let result = solve_qep_with(&qep, &config, &SerialExecutor);
         assert!(result.eigenpairs.is_empty(), "unexpected eigenpairs: {:?}", result.lambdas());
     }
@@ -938,13 +906,11 @@ mod tests {
         let (h00, h01) = random_qep(8, 507);
         let (op00, op01) = (DenseOp::new(h00), DenseOp::new(h01));
         let qep = QepProblem::new(&op00, &op01, 0.1, 1.0);
-        let config = SsConfig { majority_stop: false, ..SsConfig::small() };
+        let config = SsConfig::small();
         let plan = RingPlan::build(&qep, &config).unwrap();
-        let policy = PoolPolicy::from_config(&config);
         let solve = |v_cols: &[CVector]| {
-            let group =
-                PoolGroup { problem: &qep, v_cols, trace: TraceHandle::resolve(config.trace) };
-            solve_pool(&[group], vec![plan.accumulator()], &policy, &SerialExecutor).pop().unwrap()
+            let group = PoolGroup { problem: &qep, v_cols, trace: TraceHandle::resolve() };
+            solve_pool(&[group], vec![plan.accumulator()], &config, &SerialExecutor).pop().unwrap()
         };
         let extract = |v_cols: &[CVector], out: PoolOutcome| {
             extract_from_moments(&qep, &config, v_cols, out, 0.0)
@@ -986,13 +952,12 @@ mod tests {
         let real = |m: CMatrix| CMatrix::from_fn(8, 8, |i, j| Complex64::real(m[(i, j)].re));
         let (op00, op01) = (DenseOp::new(real(h00)), DenseOp::new(real(h01)));
         let qep = QepProblem::new(&op00, &op01, 0.1, 1.0);
-        let config = SsConfig { majority_stop: false, ..SsConfig::small() };
+        let config = SsConfig::small();
         let plan = RingPlan::build(&qep, &config).unwrap();
         assert!(plan.is_mirrored());
         let run = |v_cols: &[CVector]| {
             let group = PoolGroup { problem: &qep, v_cols, trace: TraceHandle::disabled() };
-            let policy = PoolPolicy::from_config(&config);
-            let out = solve_pool(&[group], vec![plan.accumulator()], &policy, &SerialExecutor);
+            let out = solve_pool(&[group], vec![plan.accumulator()], &config, &SerialExecutor);
             extract_from_moments(&qep, &config, v_cols, out.into_iter().next().unwrap(), 0.0)
         };
 
@@ -1073,7 +1038,6 @@ mod tests {
             n_mm: 3,
             n_rh: 3,
             bicg_tolerance: 1e-12,
-            majority_stop: false,
             precond: PrecondPolicy::MatrixFree,
             ..SsConfig::paper()
         };
@@ -1113,14 +1077,7 @@ mod tests {
                 assert!(error <= 1e-13 * exact.fro_norm(), "µ̂_{k}: {error:.2e}, {mirrored}");
             }
 
-            let outcome = PoolOutcome {
-                acc,
-                iterations: 0,
-                matvecs: 0,
-                traversals: 0,
-                capped_solves: 0,
-                solves: 0,
-            };
+            let outcome = PoolOutcome { acc, iterations: 0, matvecs: 0, traversals: 0, solves: 0 };
             let result = extract_from_moments(&qep, &config, &plan.v_cols, outcome, 0.0);
             let real = result.projected_moments.iter().flat_map(CMatrix::as_slice);
             assert_eq!(real.clone().all(|z| z.im == 0.0), mirrored);
@@ -1152,7 +1109,6 @@ mod tests {
             delta: 1e-10,
             bicg_tolerance: 1e-12,
             residual_cutoff: 1e-6,
-            majority_stop: false,
             ..SsConfig::paper()
         };
         assert!(config.subspace_size() > 2 * n);
@@ -1199,7 +1155,6 @@ mod tests {
             n_rh: 2, // subspace 4, far below the annulus count
             bicg_tolerance: 1e-12,
             residual_cutoff: 1e-6,
-            majority_stop: false,
             ..SsConfig::paper()
         };
         let result = solve_qep_with(&qep, &config, &SerialExecutor);
@@ -1218,8 +1173,7 @@ mod tests {
         let op00 = DenseOp::new(h00);
         let op01 = DenseOp::new(h01);
         let qep = QepProblem::new(&op00, &op01, 0.0, 1.0);
-        let config =
-            SsConfig { n_int: 8, n_mm: 4, n_rh: 4, majority_stop: false, ..SsConfig::small() };
+        let config = SsConfig { n_int: 8, n_mm: 4, n_rh: 4, ..SsConfig::small() };
         let result = solve_qep_with(&qep, &config, &SerialExecutor);
         assert_eq!(result.solve_histories.len(), config.n_int * config.n_rh);
         assert!(result.timings.linear_solve_seconds >= 0.0);

@@ -300,26 +300,6 @@ impl BlockHamiltonian {
         self.h00_sparse.nnz() + self.h01_sparse.nnz()
     }
 
-    /// Rows of `H₀₁` that contain at least one non-zero (the "upper
-    /// interface" degrees of freedom), needed by the OBM baseline.
-    pub fn h01_row_support(&self) -> Vec<usize> {
-        let csr = self.h01_csr();
-        (0..csr.nrows()).filter(|&i| csr.row_entries(i).next().is_some()).collect()
-    }
-
-    /// Columns of `H₀₁` with at least one non-zero (the "lower interface" of
-    /// the next cell).
-    pub fn h01_col_support(&self) -> Vec<usize> {
-        let csr = self.h01_csr();
-        let mut mark = vec![false; csr.ncols()];
-        for i in 0..csr.nrows() {
-            for (j, _) in csr.row_entries(i) {
-                mark[j] = true;
-            }
-        }
-        mark.iter().enumerate().filter(|(_, &m)| m).map(|(j, _)| j).collect()
-    }
-
     /// Dense Bloch Hamiltonian `H(k) = H₀₀ + e^{ika} H₀₁ + e^{-ika} H₀₁†`
     /// for a real wave number `k` (1/bohr).  Only intended for the small
     /// grids used in tests and reference band structures.
@@ -450,16 +430,14 @@ mod tests {
         let h = tiny_hamiltonian(false);
         let nf = h.fd.nf;
         let grid = h.grid;
-        for row in h.h01_row_support() {
-            let (_, _, k) = grid.coords(row);
-            assert!(k >= grid.nz - nf, "row {row} at plane {k} should not couple to the next cell");
-        }
-        for col in h.h01_col_support() {
-            let (_, _, k) = grid.coords(col);
-            assert!(
-                k < nf,
-                "column {col} at plane {k} should not be reachable from the previous cell"
-            );
+        let csr = h.h01_csr();
+        for row in 0..csr.nrows() {
+            for (col, _) in csr.row_entries(row) {
+                let (_, _, k) = grid.coords(row);
+                assert!(k >= grid.nz - nf, "row {row} at plane {k} couples to the next cell");
+                let (_, _, k) = grid.coords(col);
+                assert!(k < nf, "column {col} at plane {k} is reachable from the previous cell");
+            }
         }
     }
 

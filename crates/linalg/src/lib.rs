@@ -11,7 +11,6 @@
 //! * [`Complex64`] — the complex scalar used everywhere,
 //! * [`CVector`] / [`CMatrix`] — dense vectors and row-major matrices,
 //! * [`LuDecomposition`] — LU with partial pivoting (solve / inverse / det),
-//! * [`QrDecomposition`] — Householder QR and least squares,
 //! * [`eig`] — Hessenberg + shifted-QR complex Schur form and eigenpairs,
 //! * [`svd()`] — one-sided Jacobi SVD,
 //! * [`generalized_eigen`] — `A x = λ B x` by shift-and-invert reduction.
@@ -27,7 +26,6 @@ pub mod eig;
 pub mod geig;
 pub mod lu;
 pub mod matrix;
-pub mod qr;
 pub mod svd;
 pub mod vector;
 
@@ -36,7 +34,6 @@ pub use eig::{eigen, eigenvalues, hessenberg, schur, Eigen};
 pub use geig::{generalized_eigen, generalized_residual, GeneralizedEigen, GeneralizedEigenpair};
 pub use lu::{inverse, solve, LuDecomposition};
 pub use matrix::CMatrix;
-pub use qr::{orthonormalize_columns, QrDecomposition};
 pub use svd::{svd, Svd};
 pub use vector::CVector;
 

@@ -271,7 +271,6 @@ mod tests {
                 n_rh: 8,
                 bicg_tolerance: 1e-12,
                 residual_cutoff: 1e-5,
-                majority_stop: false,
                 ..SsConfig::paper()
             },
             &RayonExecutor,

@@ -35,16 +35,15 @@ impl BicgResult {
 
 /// Solve `A x = b` and `A† x̃ = b_dual` simultaneously with BiCG — the
 /// unpreconditioned, unseeded width-1 call of
-/// [`bicg_dual_block_precond`], which documents `external_stop`.
+/// [`bicg_dual_block_precond`].
 pub fn bicg_dual<A: LinearOperator + ?Sized>(
     a: &A,
     b: &CVector,
     b_dual: &CVector,
     opts: &SolverOptions,
-    external_stop: Option<&(dyn Fn(usize) -> bool + Sync)>,
 ) -> BicgResult {
     let (b, b_dual) = (std::slice::from_ref(b), std::slice::from_ref(b_dual));
-    bicg_dual_block_precond(a, None::<&dyn Preconditioner>, b, b_dual, None, opts, external_stop)
+    bicg_dual_block_precond(a, None::<&dyn Preconditioner>, b, b_dual, None, opts, None)
         .columns
         .pop()
         .expect("a width-1 block has one column")
@@ -57,7 +56,7 @@ pub fn bicg<A: LinearOperator + ?Sized>(
     b: &CVector,
     opts: &SolverOptions,
 ) -> (CVector, ConvergenceHistory) {
-    let res = bicg_dual(a, b, b, opts, None);
+    let res = bicg_dual(a, b, b, opts);
     (res.x, res.history)
 }
 
@@ -90,7 +89,7 @@ mod tests {
         let bd = a.adjoint().matvec(&xd_true);
 
         let opts = SolverOptions::default().with_tolerance(1e-12);
-        let res = bicg_dual(&op, &b, &bd, &opts, None);
+        let res = bicg_dual(&op, &b, &bd, &opts);
         assert!(
             res.both_converged(),
             "primal {:?} dual {:?}",
@@ -123,18 +122,6 @@ mod tests {
         let (x, hist) = bicg(&shifted, &rhs, &SolverOptions::default());
         assert!(hist.converged());
         assert!((&x - &x_true).norm() / x_true.norm() < 1e-7);
-    }
-
-    #[test]
-    fn external_stop_is_honoured() {
-        let a = random_diag_dominant(30, 204);
-        let op = DenseOp::new(a);
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(205);
-        let b = CVector::random(30, &mut rng);
-        let opts = SolverOptions::default().with_tolerance(1e-14);
-        let res = bicg_dual(&op, &b, &b, &opts, Some(&|iter| iter >= 3));
-        assert_eq!(res.history.stop_reason, StopReason::ExternalStop);
-        assert!(res.history.iterations() <= 4);
     }
 
     #[test]

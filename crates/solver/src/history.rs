@@ -11,8 +11,11 @@ pub enum StopReason {
     MaxIterations,
     /// The recurrence broke down (division by a vanishing inner product).
     Breakdown,
-    /// An external controller requested an early stop (the paper's
-    /// "half of the quadrature points have converged" load-balancing rule).
+    /// An external controller requested an early stop through
+    /// `bicg_dual_block_precond`'s `external_stop`.  Vestige, released by
+    /// ROADMAP 1(a): no library solve passes a controller since the paper's
+    /// majority-stop rule was deleted, and the repo benchmark's oracle still
+    /// matches the variant.
     ExternalStop,
 }
 

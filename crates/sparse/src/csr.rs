@@ -292,30 +292,6 @@ impl CsrMatrix {
         y
     }
 
-    /// Row-parallel `y = A x` using rayon (bottom-layer threading inside one
-    /// domain).  Falls back to the serial kernel for small matrices where the
-    /// fork-join overhead dominates.
-    pub fn matvec_par_into(&self, x: &[Complex64], y: &mut [Complex64]) {
-        use rayon::prelude::*;
-        if self.nrows < 4096 {
-            self.matvec_into(x, y);
-            return;
-        }
-        assert_eq!(x.len(), self.ncols);
-        assert_eq!(y.len(), self.nrows);
-        cbs_trace::timed(Stage::Kernel, || {
-            y.par_iter_mut().enumerate().for_each(|(i, yi)| {
-                let lo = self.row_ptr[i];
-                let hi = self.row_ptr[i + 1];
-                let mut acc = Complex64::ZERO;
-                for k in lo..hi {
-                    acc += self.values[k] * x[self.col_idx[k]];
-                }
-                *yi = acc;
-            });
-        });
-    }
-
     /// Explicit Hermitian adjoint as a new CSR matrix.
     pub fn adjoint(&self) -> CsrMatrix {
         let mut b = CooBuilder::new(self.ncols, self.nrows);
@@ -735,20 +711,6 @@ mod tests {
             s.storage_bytes()
                 <= s.nnz() * per_entry + (s.nrows() + 1) * std::mem::size_of::<usize>()
         );
-    }
-
-    #[test]
-    fn parallel_matvec_matches_serial() {
-        let (s, _) = random_sparse(50, 50, 0.1, 79);
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(80);
-        let x = CVector::random(50, &mut rng);
-        let mut y1 = vec![Complex64::ZERO; 50];
-        let mut y2 = vec![Complex64::ZERO; 50];
-        s.matvec_into(x.as_slice(), &mut y1);
-        s.matvec_par_into(x.as_slice(), &mut y2);
-        for (a, b) in y1.iter().zip(&y2) {
-            assert!((*a - *b).abs() < 1e-14);
-        }
     }
 
     #[test]

@@ -137,13 +137,17 @@ impl std::error::Error for CheckpointError {}
 //   v18 one ILU road: the record line lost `operator_assemblies` and the
 //       fingerprint its two assembled-pattern slots; the policy alone
 //       selects the diagonal ILU, so a v17 sweep under policy code 2 that
-//       attached no pattern ran matrix-free.
+//       attached no pattern ran matrix-free,
+//   v19 one pool dispatch: the record line lost its capped-solve count
+//       and the fingerprint its majority-stop slot; the rule is gone, so a
+//       v18 sweep over a full ring (complex blocks) capped solves that now
+//       run to tolerance.
 // There is exactly one compatibility rule: the version found must be the
 // current one.  Anything else announcing itself through the shared magic
 // prefix is refused with [`CheckpointError::IncompatibleVersion`], naming
 // both versions, rather than read with silently zeroed or misaligned
 // fields.
-const MAGIC: &str = "cbs-sweep-checkpoint v18";
+const MAGIC: &str = "cbs-sweep-checkpoint v19";
 
 /// Prefix shared by every version's magic line; anything with this prefix
 /// but the wrong version is an incompatible (not malformed) checkpoint.
@@ -226,13 +230,12 @@ impl SweepCheckpoint {
             let s = &r.stats;
             let _ = writeln!(
                 out,
-                "record {} {origin} {:x} {:x} {:x} {:x} {:x} {:x} {:x} {:x} {:x}",
+                "record {} {origin} {:x} {:x} {:x} {:x} {:x} {:x} {:x} {:x}",
                 hex(r.energy),
                 s.bicg_iterations,
                 s.matvecs,
                 s.operator_traversals,
                 s.solves,
-                s.capped_solves,
                 s.accepted,
                 s.discarded,
                 s.numerical_rank,
@@ -326,7 +329,6 @@ impl SweepCheckpoint {
                 matvecs: t.usize()?,
                 operator_traversals: t.usize()?,
                 solves: t.usize()?,
-                capped_solves: t.usize()?,
                 accepted: t.usize()?,
                 discarded: t.usize()?,
                 numerical_rank: t.usize()?,
@@ -391,7 +393,6 @@ mod tests {
                 matvecs: 22,
                 operator_traversals: 6,
                 solves: 4,
-                capped_solves: 2,
                 accepted: 1,
                 discarded: 3,
                 numerical_rank: 5,
@@ -502,6 +503,11 @@ mod tests {
         let v17 = SweepCheckpoint::parse(&relabelled("v17")).unwrap_err();
         assert!(matches!(v17, CheckpointError::IncompatibleVersion { ref found }
             if found == "cbs-sweep-checkpoint v17"));
+        // v18 records carry a capped-solve count and its fingerprints the
+        // majority-stop slot: refused by version, not misparsed.
+        let v18 = SweepCheckpoint::parse(&relabelled("v18")).unwrap_err();
+        assert!(matches!(v18, CheckpointError::IncompatibleVersion { ref found }
+            if found == "cbs-sweep-checkpoint v18"));
         // The message tells the operator what to do.
         let msg = err.to_string();
         assert!(msg.contains("incompatible checkpoint version"), "{msg}");
@@ -524,16 +530,16 @@ mod tests {
         // fields and warm/cold counters, and no checksum; v15's ILU sweeps
         // stopped on another rule; v16's eigenvalues came from moments
         // summed before they were projected; v17 records carry the
-        // assembly counter.
+        // assembly counter; v18 records carry the majority-stop counter.
         // All must hit the dedicated incompatible-version path, and the
         // error message must name the version found *and* the one expected.
         // A format from the future is refused the same way — there is one
         // check, not one per version.
         let old = [
             "v4", "v5", "v6", "v7", "v8", "v9", "v10", "v11", "v12", "v13", "v14", "v15", "v16",
-            "v17",
+            "v17", "v18",
         ];
-        for version in old.into_iter().chain(["v19"]) {
+        for version in old.into_iter().chain(["v20"]) {
             let stale = format!("cbs-sweep-checkpoint {version}");
             match SweepCheckpoint::parse(&relabelled(version)) {
                 Err(CheckpointError::IncompatibleVersion { ref found }) => {
@@ -546,7 +552,7 @@ mod tests {
                 other => panic!("{version}: expected IncompatibleVersion, got {other:?}"),
             }
         }
-        assert!(SweepCheckpoint::parse(&relabelled("v18")).is_ok(), "v18 is the current format");
+        assert!(SweepCheckpoint::parse(&relabelled("v19")).is_ok(), "v19 is the current format");
     }
 
     /// The body of a serialized checkpoint: everything before its

@@ -57,7 +57,6 @@ impl SweepConfig {
             self.ss.bicg_max_iterations as u64,
             self.ss.residual_cutoff.to_bits(),
             self.ss.seed,
-            self.ss.majority_stop as u64,
             // The precond policy changes the floating-point trajectory (the
             // diagonal-ILU split), so a resume across it would silently
             // change results; the block policy stays excluded because its

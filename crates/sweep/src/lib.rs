@@ -21,7 +21,7 @@
 //!   band-edge-bracketing [`BandEdgeRefiner`] fires) are bisected up to a
 //!   configurable budget, one pool per generation, resolving band edges
 //!   cheaply.
-//! * **Checkpointing** — a [`SweepCheckpoint`] (format v18: finished
+//! * **Checkpointing** — a [`SweepCheckpoint`] (format v19: finished
 //!   energies' results, bit-exact floats, a checksum) is written after
 //!   every extracted energy; a killed sweep resumes bit-identically
 //!   ([`checkpoint`]).
@@ -71,7 +71,6 @@ mod tests {
             n_mm: 6,
             bicg_tolerance: 1e-11,
             residual_cutoff: 1e-6,
-            majority_stop: false,
             ..SsConfig::small()
         };
         let run = EnergySweep::new(&op00, &op01, 1.7, SweepConfig::new(ss))

@@ -24,7 +24,7 @@ use std::path::Path;
 
 use cbs_core::{
     classify_point, extract_from_moments, solve_pool, BlockPolicy, CbsPoint, CbsStatistics,
-    ComplexBandStructure, PoolGroup, PoolPolicy, PrecondPolicy, QepProblem, RingPlan, StencilCache,
+    ComplexBandStructure, PoolGroup, PrecondPolicy, QepProblem, RingPlan, StencilCache,
 };
 use cbs_dft::BandStructure;
 use cbs_parallel::TaskExecutor;
@@ -66,8 +66,6 @@ pub struct EnergyStats {
     pub operator_traversals: usize,
     /// Shifted solves (each one primal + dual pair).
     pub solves: usize,
-    /// Solves run under the majority-stop cap.
-    pub capped_solves: usize,
     /// Eigenpairs accepted by the residual filter.
     pub accepted: usize,
     /// Candidates discarded by the residual filter.
@@ -451,7 +449,7 @@ impl<'a> EnergySweep<'a> {
         // ascending `energy_index` is only known at the end).  The handle
         // resolves to a no-op when no `cbs_trace::TraceSession` records.
         let record_base = st.records.len();
-        let trace = TraceHandle::resolve(ss.trace).with_policy(ss.precond.trace_code());
+        let trace = TraceHandle::resolve().with_policy(ss.precond.trace_code());
 
         if !to_solve.is_empty() {
             let problems: Vec<QepProblem<'_>> =
@@ -475,13 +473,13 @@ impl<'a> EnergySweep<'a> {
                 reason = "per-run wall-clock statistic; reported, never fingerprinted"
             )]
             let t0 = std::time::Instant::now();
-            let outcomes = solve_pool(&groups, accs, &PoolPolicy::from_config(ss), executor);
+            let outcomes = solve_pool(&groups, accs, ss, executor);
             st.linear_solve_seconds += t0.elapsed().as_secs_f64();
             drop(groups);
 
             for (i, ((energy, origin), outcome)) in to_solve.into_iter().zip(outcomes).enumerate() {
                 let _extract_ctx = trace.with_energy(record_base + i).enter();
-                let (solves, capped_solves) = (outcome.solves, outcome.capped_solves);
+                let solves = outcome.solves;
                 let result = extract_from_moments(&problems[i], ss, &plan.v_cols, outcome, 0.0);
                 st.extraction_seconds += result.timings.extraction_seconds;
                 // `energy_index` is a placeholder until assembly fixes the
@@ -496,7 +494,6 @@ impl<'a> EnergySweep<'a> {
                     matvecs: result.total_matvecs,
                     operator_traversals: result.total_traversals,
                     solves,
-                    capped_solves,
                     accepted: result.eigenpairs.len(),
                     discarded: result.discarded,
                     numerical_rank: result.numerical_rank,

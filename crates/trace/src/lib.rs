@@ -486,19 +486,16 @@ impl TraceHandle {
     }
 
     /// Resolve the effective handle for one solve: disabled when no session
-    /// is active, otherwise the stronger of the session level and
-    /// `requested` (a config can raise a stage-level session to
-    /// per-iteration detail for its own solves, but cannot start recording
-    /// on its own).  The base context inherits the calling thread's current
-    /// [`SpanCtx`], so a driver that set an energy scope hands it down to
-    /// every worker automatically.
-    pub fn resolve(requested: TraceLevel) -> Self {
-        let session = session_level();
-        if session == TraceLevel::Off {
+    /// is active, otherwise at the session's level.  The base context
+    /// inherits the calling thread's current [`SpanCtx`], so a driver that
+    /// set an energy scope hands it down to every worker automatically.
+    pub fn resolve() -> Self {
+        let level = session_level();
+        if level == TraceLevel::Off {
             return Self::disabled();
         }
         let base = TLS.try_with(|b| b.borrow().ctx).unwrap_or(SpanCtx::NONE);
-        TraceHandle { level: session.max(requested), base }
+        TraceHandle { level, base }
     }
 
     /// `true` when this handle records anything.
@@ -738,7 +735,7 @@ mod tests {
     fn session_records_spans_with_context() {
         let _gate = SESSION_GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let session = TraceSession::begin(TraceLevel::Stage).expect("no concurrent session");
-        let handle = TraceHandle::resolve(TraceLevel::Off).with_energy(3).with_policy(2);
+        let handle = TraceHandle::resolve().with_energy(3).with_policy(2);
         {
             let _solve = handle.solve_scope(5);
             timed(Stage::Kernel, || std::hint::black_box((0..512).product::<u64>()));
@@ -770,7 +767,7 @@ mod tests {
         let _gate = SESSION_GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let session = TraceSession::begin(TraceLevel::Iter).expect("no concurrent session");
         record_iteration(None, 0, 1.0); // outside any solve scope: dropped
-        let handle = TraceHandle::resolve(TraceLevel::Off);
+        let handle = TraceHandle::resolve();
         {
             let _solve = handle.solve_scope(1);
             record_iteration(Some(2), 7, 1e-3);

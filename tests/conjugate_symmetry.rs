@@ -11,8 +11,8 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 
 use cbs::core::{
-    extract_from_moments, solve_pool, solve_qep_with, PoolGroup, PoolPolicy, PrecondPolicy,
-    QepProblem, RingPlan, SsConfig, SsResult,
+    extract_from_moments, solve_pool, solve_qep_with, PoolGroup, PrecondPolicy, QepProblem,
+    RingPlan, SsConfig, SsResult,
 };
 use cbs::linalg::{c64, CMatrix, Complex64};
 use cbs::parallel::{RayonExecutor, SerialExecutor};
@@ -165,44 +165,31 @@ fn compare<A: LinearOperator, B: LinearOperator>(
 }
 
 /// One ring through the public pool and extraction, as `solve_qep_with`
-/// runs it: the result and the pool's `capped_solves`.
-fn pooled(problem: &QepProblem<'_>, config: &SsConfig) -> (SsResult, usize) {
+/// runs it.
+fn pooled(problem: &QepProblem<'_>, config: &SsConfig) -> SsResult {
     let plan = RingPlan::build(problem, config).expect("valid contour");
     let group =
         PoolGroup { problem, v_cols: &plan.v_cols, trace: cbs::trace::TraceHandle::disabled() };
-    let policy = PoolPolicy::from_config(config);
-    let outcome =
-        solve_pool(&[group], vec![plan.accumulator()], &policy, &SerialExecutor).remove(0);
-    let capped = outcome.capped_solves;
-    (extract_from_moments(problem, config, &plan.v_cols, outcome, 0.0), capped)
+    let outcome = solve_pool(&[group], vec![plan.accumulator()], config, &SerialExecutor).remove(0);
+    extract_from_moments(problem, config, &plan.v_cols, outcome, 0.0)
 }
 
 /// fig6 Al(100): matrix-free and ILU(0)-preconditioned, `n_int` even and
-/// odd, with the majority-stop rule off and on.  With the rule on, the full
-/// ring's uncapped first stage is its upper half (plus one node) and the
-/// mirrored ring's is its whole list, so the upper-half solves of the two
-/// runs are the very same uncapped systems either way.
+/// odd.  The upper-half solves of the two runs are the very same systems.
 #[test]
 fn fig6_mirrored_ring_is_the_full_contour_at_half_the_work() {
     let h = common::fig6_hamiltonian();
-    let cases = [
-        (common::FIG6_N_INT, false),
-        (common::FIG6_N_INT, true),
-        (common::FIG6_N_INT - 1, false),
-        (common::FIG6_N_INT - 1, true),
-    ];
-    for (n_int, majority_stop) in cases {
+    for n_int in [common::FIG6_N_INT, common::FIG6_N_INT - 1] {
         // BiCG two decades tighter than the default 1e-10: the two runs
         // differ by the solver error of the lower half-plane solves, and the
         // 1e-9 / 1e-8 agreement bounds should not ride on its realization.
         let config = SsConfig {
             n_int,
-            majority_stop,
             bicg_tolerance: 1e-12,
             precond: PrecondPolicy::MatrixFree,
             ..common::fig6_config()
         };
-        let what = format!("fig6 mf n_int {n_int} majority {majority_stop}");
+        let what = format!("fig6 mf n_int {n_int}");
         compare(&what, (h.h00(), h.h01()), 0.15, h.period(), &config);
 
         // The ILU policy splits both rings' nodes by the stencil's diagonal
@@ -215,19 +202,14 @@ fn fig6_mirrored_ring_is_the_full_contour_at_half_the_work() {
         assert!(real.is_conjugate_symmetric() && !oracle.is_conjugate_symmetric());
         let mirrored = solve_qep_with(&real, &config, &SerialExecutor);
         let full = solve_qep_with(&oracle, &config, &SerialExecutor);
-        let what = format!("fig6 ilu0 n_int {n_int} majority {majority_stop}");
+        let what = format!("fig6 ilu0 n_int {n_int}");
         assert_mirrored_matches_full(&what, &mirrored, &full, &config);
 
-        // The pool reports the rule's reach: the full ring caps its lower
-        // half-plane nodes past the first stage, the mirrored ring has none
-        // to cap — and loses nothing by it.
-        let (pooled_mirrored, capped_mirrored) = pooled(&real, &config);
-        let (pooled_full, capped_full) = pooled(&oracle, &config);
+        // The public pool and extraction: `solve_qep_with` bitwise on the
+        // mirrored ring, and the full contour's spectrum on the full one.
+        let (pooled_mirrored, pooled_full) = (pooled(&real, &config), pooled(&oracle, &config));
         assert_bitwise(&format!("{what} pooled"), &mirrored, &pooled_mirrored);
         assert_mirrored_matches_full(&what, &pooled_mirrored, &pooled_full, &config);
-        assert_eq!(capped_mirrored, 0, "{what}");
-        let past_first_stage = (n_int - (n_int / 2 + 1)) * config.n_rh;
-        assert_eq!(capped_full, if majority_stop { past_first_stage } else { 0 }, "{what}");
     }
 }
 
@@ -248,7 +230,6 @@ fn cnt80_mirrored_ring_is_the_full_contour_at_half_the_work() {
         precond: PrecondPolicy::MatrixFree,
         ..SsConfig::paper()
     };
-    assert!(config.majority_stop);
     compare("cnt80", (h.h00(), h.h01()), 0.2, h.period(), &config);
 }
 
@@ -265,18 +246,17 @@ fn real_pencil(n: usize, seed: u64) -> (CMatrix, CMatrix) {
 #[test]
 fn dense_real_pencil_mirrored_ring_is_the_full_contour() {
     let (h00, h01) = real_pencil(14, 2101);
-    for (n_int, majority_stop) in [(16usize, false), (16, true), (15, false), (15, true)] {
+    for n_int in [16, 15] {
         let config = SsConfig {
             n_int,
             n_mm: 6,
             n_rh: 6,
             bicg_tolerance: 1e-12,
             residual_cutoff: 1e-6,
-            majority_stop,
             ..SsConfig::small()
         };
         compare(
-            &format!("dense n_int {n_int} majority {majority_stop}"),
+            &format!("dense n_int {n_int}"),
             (DenseOp::new(h00.clone()), DenseOp::new(h01.clone())),
             0.1,
             1.0,
@@ -302,7 +282,7 @@ fn assert_bitwise(what: &str, a: &SsResult, b: &SsResult) {
 }
 
 /// The mirrored path keeps the determinism contract: serial ≡ rayon,
-/// bitwise, with the majority-stop rule on.
+/// bitwise.
 #[test]
 fn mirrored_ring_is_executor_and_block_policy_invariant() {
     let h = common::fig6_hamiltonian();

@@ -96,7 +96,7 @@ fn fig6_sliced_and_single_agree_with_obm() {
         HamiltonianParams { fd: cbs::grid::FdOrder::new(1), include_nonlocal: true },
     );
     let energy = 0.15;
-    let config = SsConfig { majority_stop: false, ..fig6_config() };
+    let config = fig6_config();
     let h00 = h.h00();
     let h01 = h.h01();
     let problem = QepProblem::new(&h00, &h01, energy, h.period());

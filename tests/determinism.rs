@@ -21,7 +21,7 @@ fn random_blocks(n: usize, seed: u64) -> (CMatrix, CMatrix) {
     (h00, h01)
 }
 
-/// `SsConfig::small()` (majority stop enabled, as in the paper preset):
+/// `SsConfig::small()` on a full ring (complex blocks):
 /// serial and rayon executors must agree on every projected moment bit and
 /// every recovered eigenvalue.
 #[test]

@@ -38,7 +38,6 @@ fn cbs_real_branch_agrees_with_conventional_bands() {
         n_rh: 8,
         bicg_tolerance: 1e-11,
         residual_cutoff: 1e-5,
-        majority_stop: false,
         ..SsConfig::paper()
     };
     let energies = [ef - 0.05, ef, ef + 0.05];
@@ -83,7 +82,6 @@ fn ss_and_obm_agree_on_the_annulus_spectrum() {
         n_rh: 8,
         bicg_tolerance: 1e-11,
         residual_cutoff: 1e-5,
-        majority_stop: false,
         ..SsConfig::paper()
     };
     let h00 = h.h00();
@@ -115,14 +113,8 @@ fn ss_and_obm_agree_on_the_annulus_spectrum() {
 fn full_pipeline_eigenpairs_are_consistent() {
     let h = al_hamiltonian(1.35, 2);
     let energy = 0.1;
-    let config = SsConfig {
-        n_int: 24,
-        n_mm: 6,
-        n_rh: 8,
-        residual_cutoff: 1e-5,
-        majority_stop: false,
-        ..SsConfig::paper()
-    };
+    let config =
+        SsConfig { n_int: 24, n_mm: 6, n_rh: 8, residual_cutoff: 1e-5, ..SsConfig::paper() };
     let h00 = h.h00();
     let h01 = h.h01();
     let problem = QepProblem::new(&h00, &h01, energy, h.period());
@@ -145,30 +137,4 @@ fn full_pipeline_eigenpairs_are_consistent() {
     // Memory of the matrix-free operator is far below dense storage.
     let dense = h.dim() * h.dim() * std::mem::size_of::<Complex64>();
     assert!(h.h00().memory_bytes() * 5 < dense);
-}
-
-/// The majority-stop load-balancing rule must not change the computed
-/// spectrum (only the work distribution).
-#[test]
-fn majority_stop_rule_preserves_the_spectrum() {
-    let h = al_hamiltonian(1.45, 1);
-    let energy = 0.1;
-    let h00 = h.h00();
-    let h01 = h.h01();
-    let problem = QepProblem::new(&h00, &h01, energy, h.period());
-    let base = SsConfig {
-        n_int: 16,
-        n_mm: 6,
-        n_rh: 6,
-        residual_cutoff: 1e-5,
-        majority_stop: false,
-        ..SsConfig::paper()
-    };
-    let with_rule = SsConfig { majority_stop: true, ..base };
-    let a = solve_qep_with(&problem, &base, &SerialExecutor);
-    let b = solve_qep_with(&problem, &with_rule, &SerialExecutor);
-    assert_eq!(a.eigenpairs.len(), b.eigenpairs.len());
-    for (pa, pb) in a.eigenpairs.iter().zip(&b.eigenpairs) {
-        assert!((pa.lambda - pb.lambda).abs() < 1e-6 * (1.0 + pa.lambda.abs()));
-    }
 }

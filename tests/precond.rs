@@ -44,7 +44,6 @@ fn fig6_assembled_traversals_per_iteration_are_one_third_of_matrix_free() {
     let pinned = |precond| SsConfig {
         bicg_tolerance: 1e-300,
         bicg_max_iterations: 12,
-        majority_stop: false,
         ..fig6_config(precond)
     };
     let ilu = pinned(PrecondPolicy::AssembledIlu0);

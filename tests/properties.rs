@@ -546,7 +546,6 @@ proptest! {
             bicg_tolerance: 1e-10,
             bicg_max_iterations: 2_000,
             residual_cutoff: 1e-4,
-            majority_stop: false,
             ..SsConfig::small()
         };
         let result = solve_qep_with(&qep, &config, &SerialExecutor);

@@ -118,9 +118,8 @@ fn serial_and_rayon_agree_under_iter_level_session() {
     let h = al100();
     let (h00, h01) = (h.h00(), h.h01());
     let energies = [0.05, 0.11];
-    // The config's `trace` knob raises the level; neither it nor the
-    // session may change results.
-    let config = SweepConfig::new(SsConfig { trace: TraceLevel::Iter, ..al_ss() });
+    // The session may not change results.
+    let config = SweepConfig::new(al_ss());
     let sweep = EnergySweep::new(&h00, &h01, h.period(), config);
 
     let session = TraceSession::begin(TraceLevel::Iter).expect("another session is live");
