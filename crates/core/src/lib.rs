@@ -46,7 +46,7 @@ pub use cbs::{
 pub use contour::{ContourError, QuadraturePoint, RingContour};
 pub use policy::{BlockPolicy, PrecondPolicy};
 pub use pool::{solve_pool, PoolGroup, PoolOutcome, ShiftedSolveOutcome};
-pub use qep::{QepOperator, QepProblem, StencilCache};
+pub use qep::{QepOperator, QepProblem};
 pub use ss::{
     extract_from_moments, solve_qep_with, source_block, MomentAccumulator, QepEigenpair, RingPlan,
     SsConfig, SsResult, SsTimings,

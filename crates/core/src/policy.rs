@@ -44,8 +44,8 @@ impl BlockPolicy {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PrecondPolicy {
     /// Apply `P(z)` matrix-free, unpreconditioned: one fused row pass over
-    /// `f64` coefficients when the blocks are real `sparse + low-rank`
-    /// storage (`cbs_sparse::RealStencil`, one storage traversal), else the
+    /// `f64` coefficients when the blocks are the views of a real stencil
+    /// (`cbs_sparse::RealStencil`, one storage traversal), else the
     /// generic composition of `H₀₀`, `H₀₁`, `H₀₁†` (three).
     MatrixFree = 0,
     /// The complex **diagonal ILU** of the sparse part of `P(z)` —
@@ -54,8 +54,8 @@ pub enum PrecondPolicy {
     /// applied on both the primal (`M⁻¹`) and dual (`M⁻†`, i.e. the
     /// `P(1/z̄)` side) recurrences: the iteration-count lever.  It is `n`
     /// pivots swept over the real stencil's rows, and BiCG runs on the
-    /// system they split, one row pass per apply.  Blocks that do not
-    /// convert to the stencil (complex, dense or plain-CSR pencils) run
+    /// system they split, one row pass per apply.  Blocks that are not a
+    /// stencil's views (complex, dense or plain-CSR pencils) run
     /// this policy as [`MatrixFree`](Self::MatrixFree): a documented
     /// degradation.  (The name is the fingerprint's: the policy refilled
     /// and factored an assembled CSR before checkpoint format v18, and

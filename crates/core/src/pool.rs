@@ -12,8 +12,8 @@
 //! [`TaskExecutor`] seam.
 //!
 //! A job is one quadrature node of one group: it builds that node's
-//! operator (and, under the ILU policy on blocks that convert to the real
-//! stencil, its diagonal ILU) through [`QepProblem::node_solve`] under the
+//! operator (and, under the ILU policy on blocks that are a real
+//! stencil's views, its diagonal ILU) through [`QepProblem::node_solve`] under the
 //! configuration's [`PrecondPolicy`](crate::PrecondPolicy), and advances
 //! all of the group's right-hand sides in lockstep through
 //! `cbs_solver::bicg_dual_block_precond`'s fused block matvecs, to the
@@ -343,7 +343,7 @@ mod tests {
         assert_bitwise_eq(&serial, &run_ring(&qep, &cfg, &RayonExecutor));
     }
 
-    /// Complex blocks never convert to the real stencil, so the ILU policy
+    /// Complex blocks are no real stencil's views, so the ILU policy
     /// has nothing to split them by: it runs the matrix-free trajectory, bit
     /// for bit, pattern attached or not.
     #[test]

@@ -1,6 +1,6 @@
 //! The ILU policy's stencil nodes: BiCG on the split-preconditioned system.
 //!
-//! Where the blocks convert to the real stencil, a node's diagonal ILU
+//! Where the blocks are a real stencil's views, a node's diagonal ILU
 //! `M = M_L·M_R` (`M_L = D̃+L`, `M_R = I+D̃⁻¹U`) is not applied as a
 //! preconditioner.  It splits the system instead: the unpreconditioned block
 //! dual BiCG runs on `Â = M_L⁻¹P(z)M_R⁻¹` ([`StencilDilu::split`]), whose
@@ -104,39 +104,15 @@ pub(crate) mod tests {
     use crate::ss::{extract_from_moments, RingPlan, SsConfig};
     use cbs_linalg::c64;
     use cbs_parallel::{RayonExecutor, SerialExecutor, TaskExecutor};
-    use cbs_sparse::{CooBuilder, CsrMatrix, LowRankOp};
+    use cbs_sparse::{CooBuilder, LowRankOp, RealStencil};
     use cbs_trace::TraceHandle;
-
-    /// A real block that exposes its storage, so the ILU policy's nodes run
-    /// on the stencil and its split system.
-    pub(crate) struct Exposed(CsrMatrix, LowRankOp);
-
-    impl LinearOperator for Exposed {
-        fn nrows(&self) -> usize {
-            self.0.nrows()
-        }
-        fn ncols(&self) -> usize {
-            self.0.ncols()
-        }
-        fn apply(&self, x: &[Complex64], y: &mut [Complex64]) {
-            self.0.apply(x, y);
-        }
-        fn apply_adjoint(&self, x: &[Complex64], y: &mut [Complex64]) {
-            self.0.apply_adjoint(x, y);
-        }
-        fn is_real(&self) -> bool {
-            true
-        }
-        fn sparse_lowrank_parts(&self) -> Option<(&CsrMatrix, &LowRankOp)> {
-            Some((&self.0, &self.1))
-        }
-    }
 
     /// A real chain pencil whose scan energy sits just below the spectrum
     /// of `H₀₀`: `P(z)` is nearly singular there, its diagonal ILU has small
     /// pivots, and `M_L⁻¹` concentrates `b̂` on their rows — so the split
-    /// residual, normalized by `‖b̂‖`, passes before the true one.
-    pub(crate) fn chain_pencil(n: usize) -> (Exposed, Exposed) {
+    /// residual, normalized by `‖b̂‖`, passes before the true one.  As a
+    /// stencil, so the ILU policy's nodes run on its split system.
+    pub(crate) fn chain_pencil(n: usize) -> RealStencil {
         let (mut a, mut b) = (CooBuilder::new(n, n), CooBuilder::new(n, n));
         for i in 0..n {
             a.push(i, i, c64(2.5, 0.0));
@@ -146,7 +122,8 @@ pub(crate) mod tests {
             }
             b.push(i, (i + 7) % n, c64(0.4, 0.0));
         }
-        (Exposed(a.build(), LowRankOp::new(n, n)), Exposed(b.build(), LowRankOp::new(n, n)))
+        let none = LowRankOp::new(n, n);
+        RealStencil::try_new((&a.build(), &none), (&b.build(), &none)).expect("a real pencil")
     }
 
     fn config() -> SsConfig {
@@ -170,11 +147,12 @@ pub(crate) mod tests {
 
     #[test]
     fn a_split_residual_that_passes_early_keeps_iterating_to_the_true_tolerance() {
-        let (h00, h01) = chain_pencil(60);
+        let pencil = chain_pencil(60);
+        let (h00, h01) = (pencil.h00(), pencil.h01());
         let qep = QepProblem::new(&h00, &h01, 0.3, 1.0);
         let plan = RingPlan::build(&qep, &config()).expect("valid contour");
         let serial = pool(&qep, &plan, &SerialExecutor);
-        assert!(qep.real_stencil().is_some(), "the blocks convert: the split route runs");
+        assert!(qep.real_stencil().is_some(), "stencil views: the split route runs");
 
         // Every node, solved on its own as the pool solves it, converges and
         // meets the tolerance in the true residual, recomputed here with the

@@ -16,16 +16,20 @@
 //! `H₀₁` collects the kinetic stencil legs that cross the upper z boundary
 //! and the projector terms whose support straddles it.
 //!
-//! Both blocks are kept in two pieces: an explicit CSR matrix (kinetic +
-//! local) and a factored low-rank operator (non-local projectors), so the
-//! operator application stays O(N) in time and memory — the property the
-//! paper's method depends on.
+//! Both blocks are stored once, as one real [`RealStencil`]: `build` writes
+//! its rows directly, grid row by grid row (the `f64` coefficients with
+//! `u32` indices, an explicit `H₀₁ᵀ`, and the projectors as real sparse
+//! factors), so the operator application stays O(N) in time and memory —
+//! the property the paper's method depends on — and the solve reads the
+//! same storage the Hamiltonian holds.  The complex forms (`h00_csr`,
+//! `qep_factored`, the dense Bloch matrix) are built from it only when
+//! asked for.
 
 use serde::{Deserialize, Serialize};
 
 use cbs_grid::{CellShift, FdOrder, Grid3, KINETIC_PREFACTOR};
 use cbs_linalg::{CMatrix, Complex64};
-use cbs_sparse::{CooBuilder, CsrMatrix, LinearOperator, LowRankOp};
+use cbs_sparse::{Block, CsrMatrix, RealStencil, StencilBlock, StencilBuilder};
 
 use crate::atoms::AtomicStructure;
 use crate::pseudopotential::{channel_multiplicity, local_potential_on_grid, projector_on_grid};
@@ -46,8 +50,7 @@ impl Default for HamiltonianParams {
 }
 
 /// The two independent blocks `H₀₀`, `H₀₁` of the periodic Hamiltonian,
-/// each split into a sparse (kinetic + local) and a low-rank (non-local)
-/// part.
+/// stored as one real stencil (module docs).
 #[derive(Clone, Debug)]
 pub struct BlockHamiltonian {
     /// The real-space grid of one unit cell.
@@ -56,75 +59,43 @@ pub struct BlockHamiltonian {
     pub fd: FdOrder,
     /// Name of the underlying structure (for reports).
     pub label: String,
-    h00_sparse: CsrMatrix,
-    h01_sparse: CsrMatrix,
-    vnl00: LowRankOp,
-    vnl01: LowRankOp,
+    stencil: RealStencil,
 }
 
-/// A view of one Hamiltonian block (`sparse + low-rank`) as a single
-/// matrix-free [`LinearOperator`].
-pub struct BlockOp<'a> {
-    sparse: &'a CsrMatrix,
-    lowrank: &'a LowRankOp,
-    scratch_rows: usize,
-}
+/// A view of one Hamiltonian block (`sparse + projectors`) as a single
+/// matrix-free [`LinearOperator`]: a block of the Hamiltonian's stencil.
+pub type BlockOp<'a> = StencilBlock<'a>;
 
-impl LinearOperator for BlockOp<'_> {
-    fn nrows(&self) -> usize {
-        self.sparse.nrows()
-    }
-    fn ncols(&self) -> usize {
-        self.sparse.ncols()
-    }
-    fn apply(&self, x: &[Complex64], y: &mut [Complex64]) {
-        self.apply_block(x, y, 1);
-    }
-    fn apply_adjoint(&self, x: &[Complex64], y: &mut [Complex64]) {
-        self.apply_adjoint_block(x, y, 1);
-    }
-    fn apply_block(&self, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
-        self.sparse.matvec_block_into(x, y, nvecs);
-        if self.lowrank.rank() > 0 {
-            cbs_sparse::with_scratch(self.scratch_rows * nvecs, |tmp| {
-                self.lowrank.apply_block(x, tmp, nvecs);
-                for (yi, ti) in y.iter_mut().zip(tmp.iter()) {
-                    *yi += *ti;
-                }
-            });
-        }
-    }
-    fn apply_adjoint_block(&self, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
-        self.sparse.matvec_adjoint_block_into(x, y, nvecs);
-        if self.lowrank.rank() > 0 {
-            cbs_sparse::with_scratch(self.sparse.ncols() * nvecs, |tmp| {
-                self.lowrank.apply_adjoint_block(x, tmp, nvecs);
-                for (yi, ti) in y.iter_mut().zip(tmp.iter()) {
-                    *yi += *ti;
-                }
-            });
-        }
-    }
-    fn memory_bytes(&self) -> usize {
-        self.sparse.storage_bytes() + self.lowrank.memory_bytes()
-    }
-    fn is_real(&self) -> bool {
-        self.sparse.is_real() && self.lowrank.is_real()
-    }
-    fn sparse_lowrank_parts(&self) -> Option<(&CsrMatrix, &LowRankOp)> {
-        Some((self.sparse, self.lowrank))
-    }
+/// Refuse a grid whose `H₀₀` could store more entries than the stencil's
+/// `u32` indices address: at most `6·N_f + 1` per row (see [`FdOrder`]).
+fn check_stencil_size(grid: &Grid3, fd: FdOrder) {
+    let n = grid.npoints();
+    let bound = n.checked_mul(6 * fd.nf + 1);
+    assert!(
+        bound.is_some_and(|b| b <= RealStencil::MAX_ENTRIES),
+        "a {}x{}x{} grid ({n} points) at N_f = {} stores up to {n}·{} entries per block, past \
+         the real stencil's u32 limit of {} entries",
+        grid.nx,
+        grid.ny,
+        grid.nz,
+        fd.nf,
+        6 * fd.nf + 1,
+        RealStencil::MAX_ENTRIES
+    );
 }
 
 impl BlockHamiltonian {
     /// Assemble the blocks for `structure` discretized on `grid`.
     ///
-    /// Panics if the finite-difference stencil or a projector would couple
-    /// beyond nearest-neighbour cells — `nf > nz`, cutoff ≥ period, or a
-    /// projector sphere wide enough (`2·cutoff > period`, atom mid-cell) that
-    /// its previous- *and* next-cell images both reach the home cell, which
-    /// is an `H₀₂` term `|P₊₁⟩⟨P₋₁|` — because then the block-tridiagonal
-    /// form (and the QEP) would not hold.
+    /// Each grid row takes its x, y and z stencil legs, then its local
+    /// potential; the [`StencilBuilder`] merges them by column.  Panics if
+    /// the grid is past the stencil's `u32` limit (see [`FdOrder`]), or if
+    /// the finite-difference stencil or a projector would couple beyond
+    /// nearest-neighbour cells — `nf > nz`, cutoff ≥ period, or a projector
+    /// sphere wide enough (`2·cutoff > period`, atom mid-cell) that its
+    /// previous- *and* next-cell images both reach the home cell, which is
+    /// an `H₀₂` term `|P₊₁⟩⟨P₋₁|` — because then the block-tridiagonal form
+    /// (and the QEP) would not hold.
     pub fn build(grid: Grid3, structure: &AtomicStructure, params: HamiltonianParams) -> Self {
         structure.validate().expect("invalid atomic structure");
         assert!(
@@ -133,55 +104,43 @@ impl BlockHamiltonian {
             params.fd.nf,
             grid.nz
         );
+        check_stencil_size(&grid, params.fd);
         let n = grid.npoints();
-        let mut b00 = CooBuilder::new(n, n);
-        let mut b01 = CooBuilder::new(n, n);
-        let est = n * (6 * params.fd.nf + 1);
-        b00.reserve(est);
+        let mut builder = StencilBuilder::new(n, n * (6 * params.fd.nf + 1));
 
-        // --- Kinetic energy: -1/2 ∇² with the high-order stencil. ---
-        for axis in 0..3usize {
-            let h = [grid.hx, grid.hy, grid.hz][axis];
+        // --- Kinetic energy -1/2 ∇² with the high-order stencil, and the
+        // local pseudopotential on the diagonal of H₀₀. ---
+        let legs = [grid.hx, grid.hy, grid.hz].map(|h| {
             let stencil = cbs_grid::laplacian_stencil_1d(params.fd.nf, h);
-            for (i, j, k, row) in grid.iter_points() {
-                for &(off, w) in &stencil {
-                    let weight = Complex64::real(KINETIC_PREFACTOR * w);
-                    match axis {
-                        0 => {
-                            let ii = grid.wrap_x(i as isize + off);
-                            b00.push(row, grid.index(ii, j, k), weight);
-                        }
-                        1 => {
-                            let jj = grid.wrap_y(j as isize + off);
-                            b00.push(row, grid.index(i, jj, k), weight);
-                        }
-                        _ => {
-                            let (shift, kk) = grid.neighbor_z(k, off);
-                            let col = grid.index(i, j, kk);
-                            match shift {
-                                CellShift::Same => b00.push(row, col, weight),
-                                CellShift::Next => b01.push(row, col, weight),
-                                // Previous-cell legs belong to H₁₀ = H₀₁†
-                                // and are not stored separately.
-                                CellShift::Previous => {}
-                            }
-                        }
-                    }
+            stencil.into_iter().map(|(off, w)| (off, KINETIC_PREFACTOR * w)).collect::<Vec<_>>()
+        });
+        let vloc = local_potential_on_grid(&grid, &structure.atoms);
+        let (mut row00, mut row01) = (Vec::new(), Vec::new());
+        for (i, j, k, row) in grid.iter_points() {
+            for &(off, w) in &legs[0] {
+                row00.push((grid.index(grid.wrap_x(i as isize + off), j, k), w));
+            }
+            for &(off, w) in &legs[1] {
+                row00.push((grid.index(i, grid.wrap_y(j as isize + off), k), w));
+            }
+            for &(off, w) in &legs[2] {
+                let (shift, kk) = grid.neighbor_z(k, off);
+                let col = grid.index(i, j, kk);
+                match shift {
+                    CellShift::Same => row00.push((col, w)),
+                    CellShift::Next => row01.push((col, w)),
+                    // Previous-cell legs belong to H₁₀ = H₀₁† and are not
+                    // stored separately.
+                    CellShift::Previous => {}
                 }
             }
-        }
-
-        // --- Local pseudopotential: diagonal of H₀₀. ---
-        let vloc = local_potential_on_grid(&grid, &structure.atoms);
-        for (idx, &v) in vloc.iter().enumerate() {
-            if v != 0.0 {
-                b00.push(idx, idx, Complex64::real(v));
-            }
+            row00.push((row, vloc[row]));
+            builder.push_row(&mut row00, &mut row01);
+            row00.clear();
+            row01.clear();
         }
 
         // --- Non-local projectors (separable Kleinman-Bylander form). ---
-        let mut vnl00 = LowRankOp::new(n, n);
-        let mut vnl01 = LowRankOp::new(n, n);
         if params.include_nonlocal {
             let lz = grid.lz();
             for atom in &structure.atoms {
@@ -208,35 +167,21 @@ impl BlockHamiltonian {
                         // next-nearest block |P₊₁⟩⟨P₋₁|, which the QEP has
                         // no place for: dropping it silently is wrong.
                         assert_nearest_neighbour(p_m1.is_empty() || p_p1.is_empty());
-                        let e = Complex64::real(ch.energy);
+                        let e = ch.energy;
                         // H00 gets |P_s⟩⟨P_s| for every image that touches the cell.
                         for p in [&p_m1, &p_0, &p_p1] {
-                            if !p.is_empty() {
-                                vnl00.push((*p).clone(), (*p).clone(), e);
-                            }
+                            builder.push_projector(Block::H00, p, p, e);
                         }
                         // H01 gets |P_s⟩⟨P_{s-1}| for s = 0 (atom spilling up)
                         // and s = +1 (next-cell image spilling down).
-                        if !p_0.is_empty() && !p_m1.is_empty() {
-                            vnl01.push(p_0.clone(), p_m1.clone(), e);
-                        }
-                        if !p_p1.is_empty() && !p_0.is_empty() {
-                            vnl01.push(p_p1.clone(), p_0.clone(), e);
-                        }
+                        builder.push_projector(Block::H01, &p_0, &p_m1, e);
+                        builder.push_projector(Block::H01, &p_p1, &p_0, e);
                     }
                 }
             }
         }
 
-        Self {
-            grid,
-            fd: params.fd,
-            label: structure.name.clone(),
-            h00_sparse: b00.build(),
-            h01_sparse: b01.build(),
-            vnl00,
-            vnl01,
-        }
+        Self { grid, fd: params.fd, label: structure.name.clone(), stencil: builder.finish() }
     }
 
     /// Dimension of the blocks (number of grid points).
@@ -246,58 +191,64 @@ impl BlockHamiltonian {
 
     /// Matrix-free view of `H₀₀`.
     pub fn h00(&self) -> BlockOp<'_> {
-        BlockOp { sparse: &self.h00_sparse, lowrank: &self.vnl00, scratch_rows: self.dim() }
+        self.stencil.h00()
     }
 
     /// Matrix-free view of `H₀₁`.
     pub fn h01(&self) -> BlockOp<'_> {
-        BlockOp { sparse: &self.h01_sparse, lowrank: &self.vnl01, scratch_rows: self.dim() }
+        self.stencil.h01()
     }
 
-    /// Explicit CSR form of `H₀₀` (kinetic + local + projectors expanded).
+    /// The stored operator: both blocks as one real stencil.
+    pub fn stencil(&self) -> &RealStencil {
+        &self.stencil
+    }
+
+    /// Explicit complex CSR form of `H₀₀` (kinetic + local + projectors
+    /// expanded), built on each call.
     pub fn h00_csr(&self) -> CsrMatrix {
-        if self.vnl00.rank() == 0 {
-            self.h00_sparse.clone()
-        } else {
-            self.h00_sparse.add_scaled(Complex64::ONE, &self.vnl00.to_csr())
-        }
+        Self::expanded(self.h00())
     }
 
-    /// Explicit CSR form of `H₀₁`.
+    /// Explicit complex CSR form of `H₀₁`, built on each call.
     pub fn h01_csr(&self) -> CsrMatrix {
-        if self.vnl01.rank() == 0 {
-            self.h01_sparse.clone()
+        Self::expanded(self.h01())
+    }
+
+    fn expanded(block: BlockOp<'_>) -> CsrMatrix {
+        let (sparse, projectors) = (block.sparse_csr(), block.projectors());
+        if projectors.rank() == 0 {
+            sparse
         } else {
-            self.h01_sparse.add_scaled(Complex64::ONE, &self.vnl01.to_csr())
+            sparse.add_scaled(Complex64::ONE, &projectors.to_csr())
         }
     }
 
-    /// The factored assembled form of this Hamiltonian's QEP: the union
-    /// pattern of the **sparse-only** blocks (kinetic + local potential —
-    /// no projector expansion) paired with the non-local projectors kept in
-    /// factored low-rank form.  No solve reads it — the ILU policy splits
-    /// by the real stencil's diagonal ILU — but the repo benchmark's
-    /// per-layer replay refills and factors it, and the tests use
-    /// `pattern.assemble(E, z).ilu0()` as the oracle of that diagonal ILU.
+    /// The factored assembled form of this Hamiltonian's QEP, built on each
+    /// call: the union pattern of the **sparse-only** blocks (kinetic +
+    /// local potential — no projector expansion) paired with the non-local
+    /// projectors kept in factored low-rank form.  No solve reads it — the
+    /// ILU policy splits by the real stencil's diagonal ILU — but the repo
+    /// benchmark's per-layer replay refills and factors it, and the tests
+    /// use `pattern.assemble(E, z).ilu0()` as the oracle of that diagonal
+    /// ILU.
     pub fn qep_factored(&self) -> (cbs_sparse::AssembledPattern, cbs_sparse::FactoredProjector) {
         (
-            cbs_sparse::AssembledPattern::build(&self.h00_sparse, &self.h01_sparse),
-            cbs_sparse::FactoredProjector::new(self.vnl00.clone(), self.vnl01.clone()),
+            self.stencil.assembled_pattern(),
+            cbs_sparse::FactoredProjector::new(self.h00().projectors(), self.h01().projectors()),
         )
     }
 
-    /// Memory footprint of the sparse representation in bytes — the quantity
-    /// compared against the dense OBM storage in the paper's Figure 4(b).
+    /// Bytes of the stored operator — the stencil every solve reads — the
+    /// quantity compared against the dense OBM storage in the paper's
+    /// Figure 4(b).
     pub fn memory_bytes(&self) -> usize {
-        self.h00_sparse.storage_bytes()
-            + self.h01_sparse.storage_bytes()
-            + self.vnl00.memory_bytes()
-            + self.vnl01.memory_bytes()
+        self.stencil.memory_bytes()
     }
 
-    /// Number of stored matrix entries across all pieces.
+    /// Stored entries of the sparse parts of `H₀₀` and `H₀₁`.
     pub fn nnz(&self) -> usize {
-        self.h00_sparse.nnz() + self.h01_sparse.nnz()
+        self.stencil.nnz()
     }
 
     /// Dense Bloch Hamiltonian `H(k) = H₀₀ + e^{ika} H₀₁ + e^{-ika} H₀₁†`
@@ -347,7 +298,7 @@ mod tests {
     use super::*;
     use crate::atoms::{Atom, Element};
     use crate::structures::bulk_al_100;
-    use cbs_sparse::adjoint_defect;
+    use cbs_sparse::{adjoint_defect, CooBuilder, LinearOperator};
     use rand::SeedableRng;
 
     fn tiny_structure() -> AtomicStructure {
@@ -478,9 +429,10 @@ mod tests {
         let n = h.dim();
         // Kinetic stencil gives at most 3 * 2*nf + 1 entries per row in H00.
         let max_per_row = 3 * 2 * h.fd.nf + 1;
-        assert!(h.h00_sparse.nnz() <= n * max_per_row);
+        let nnz = h.h00().sparse_csr().nnz();
+        assert!(nnz <= n * max_per_row);
         // At least the diagonal.
-        assert!(h.h00_sparse.nnz() >= n);
+        assert!(nnz >= n);
         // Memory should be far below the dense storage.
         let dense_bytes = n * n * std::mem::size_of::<Complex64>();
         assert!(h.memory_bytes() * 10 < dense_bytes);
@@ -550,8 +502,50 @@ mod tests {
                 &s,
                 HamiltonianParams::default(),
             );
-            assert!(h.vnl01.rank() > 0, "{}: no projector straddles the boundary", s.name);
+            let straddling = h.h01().projectors().rank();
+            assert!(straddling > 0, "{}: no projector straddles the boundary", s.name);
         }
+    }
+
+    /// The stored operator is the stencil, counted once: the two block views
+    /// report its two shares.
+    #[test]
+    fn memory_is_the_stencil_counted_once() {
+        let h = tiny_hamiltonian(true);
+        assert_eq!(h.memory_bytes(), h.stencil().memory_bytes());
+        assert_eq!(h.h00().memory_bytes() + h.h01().memory_bytes(), h.memory_bytes());
+        // f64 values and u32 indices: 12 B per entry, under half of complex CSR.
+        let csr = h.h00_csr().storage_bytes() + h.h01_csr().storage_bytes();
+        assert!(2 * h.memory_bytes() < csr, "{} vs {csr}", h.memory_bytes());
+    }
+
+    /// The u32 limit at `N_f = 4` (25 entries per row): 512·512·655 points
+    /// fit, 512·512·656 do not.  Only the check runs — nothing is allocated.
+    #[test]
+    fn stencil_size_check_sits_at_the_u32_limit() {
+        let grid = |nz| Grid3::isotropic(512, 512, nz, 1.0);
+        const { assert!(655 * 512 * 512 * 25 <= RealStencil::MAX_ENTRIES) };
+        check_stencil_size(&grid(655), FdOrder::PAPER);
+        let refused = std::panic::catch_unwind(|| check_stencil_size(&grid(656), FdOrder::PAPER));
+        let message = refused.expect_err("past the limit");
+        let message = message.downcast_ref::<String>().expect("a formatted message");
+        assert!(message.contains("past the real stencil's u32 limit of 4294967295"), "{message}");
+        // A lower order stores fewer entries per row: the same grid fits.
+        check_stencil_size(&grid(656), FdOrder::new(3));
+    }
+
+    /// `build` refuses such a grid before it computes anything.
+    #[test]
+    #[should_panic(expected = "past the real stencil's u32 limit")]
+    fn grid_past_the_u32_stencil_limit_is_refused() {
+        let empty = AtomicStructure {
+            name: "empty".into(),
+            atoms: vec![],
+            lateral: (1024.0, 1024.0),
+            period: 1024.0,
+        };
+        let grid = Grid3::isotropic(1024, 1024, 1024, 1.0);
+        BlockHamiltonian::build(grid, &empty, HamiltonianParams::default());
     }
 
     #[test]

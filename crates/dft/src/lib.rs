@@ -11,8 +11,9 @@
 //!   (8,0) carbon nanotubes, BN-doped supercells, nanotube bundles),
 //! * the empirical pseudopotential (Gaussian local part + separable
 //!   Kleinman-Bylander s/p projectors),
-//! * [`BlockHamiltonian`] — assembly of the periodic blocks `H₀₀`, `H₀₁`
-//!   both matrix-free and in CSR form,
+//! * [`BlockHamiltonian`] — the periodic blocks `H₀₀`, `H₀₁` written once,
+//!   as one real stencil (`cbs_sparse::RealStencil`) that every solve reads
+//!   in place, with their complex CSR forms built on request,
 //! * conventional band structures and Fermi-level estimation
 //!   ([`band_structure`], [`fermi_energy`]) used as the reference in the
 //!   paper's Figure 6.

@@ -51,6 +51,14 @@ pub fn laplacian_stencil_1d(nf: usize, h: f64) -> Vec<(isize, f64)> {
 pub const KINETIC_PREFACTOR: f64 = -0.5;
 
 /// Description of the finite-difference order used by a Hamiltonian.
+///
+/// **Size limit.**  A Hamiltonian is stored as a real stencil with `u32`
+/// column indices and entry counts, and its `H₀₀` keeps up to `6·N_f + 1`
+/// entries per grid row (three axes of `2·N_f + 1` legs sharing the
+/// diagonal).  A grid of `N` points therefore needs
+/// `N·(6·N_f + 1) ≤ u32::MAX = 4 294 967 295`: about 171.8 million points
+/// at the paper's `N_f = 4`.  `cbs_dft::BlockHamiltonian::build` refuses a
+/// larger grid with a message naming this limit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct FdOrder {
     /// Half width `N_f` of the stencil (the paper uses 4, i.e. nine points).

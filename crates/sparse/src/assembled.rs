@@ -77,9 +77,29 @@ impl AssembledPattern {
         assert_eq!(h00.nrows(), h00.ncols(), "H00 must be square");
         assert_eq!(h01.nrows(), h01.ncols(), "H01 must be square");
         assert_eq!(h00.nrows(), h01.nrows(), "H00 and H01 must have the same size");
-        let n = h00.nrows();
         let h10 = h01.adjoint();
+        Self::from_rows(
+            h00.nrows(),
+            |i| h00.row_entries(i),
+            |i| h01.row_entries(i),
+            |i| h10.row_entries(i),
+        )
+    }
 
+    /// The union pattern of `H₀₀`, `H₀₁` and `H₁₀` given as row sources
+    /// (`(column, value)` pairs, each column at most once per row), refilled
+    /// as [`build`](Self::build) refills it.
+    pub(crate) fn from_rows<R00, R01, R10>(
+        n: usize,
+        h00: impl Fn(usize) -> R00,
+        h01: impl Fn(usize) -> R01,
+        h10: impl Fn(usize) -> R10,
+    ) -> Self
+    where
+        R00: Iterator<Item = (usize, Complex64)>,
+        R01: Iterator<Item = (usize, Complex64)>,
+        R10: Iterator<Item = (usize, Complex64)>,
+    {
         #[expect(
             clippy::disallowed_methods,
             reason = "pattern assembly, once per operator -- not on the per-apply path"
@@ -99,9 +119,9 @@ impl AssembledPattern {
         let mut cols: Vec<usize> = Vec::new();
         for i in 0..n {
             cols.clear();
-            cols.extend(h00.row_entries(i).map(|(j, _)| j));
-            cols.extend(h01.row_entries(i).map(|(j, _)| j));
-            cols.extend(h10.row_entries(i).map(|(j, _)| j));
+            cols.extend(h00(i).map(|(j, _)| j));
+            cols.extend(h01(i).map(|(j, _)| j));
+            cols.extend(h10(i).map(|(j, _)| j));
             cols.push(i);
             cols.sort_unstable();
             cols.dedup();
@@ -111,13 +131,13 @@ impl AssembledPattern {
             h00_vals.resize(col_idx.len(), Complex64::ZERO);
             h01_vals.resize(col_idx.len(), Complex64::ZERO);
             h10_vals.resize(col_idx.len(), Complex64::ZERO);
-            for (j, v) in h00.row_entries(i) {
+            for (j, v) in h00(i) {
                 h00_vals[base + cols.binary_search(&j).expect("union pattern covers H00")] = v;
             }
-            for (j, v) in h01.row_entries(i) {
+            for (j, v) in h01(i) {
                 h01_vals[base + cols.binary_search(&j).expect("union pattern covers H01")] = v;
             }
-            for (j, v) in h10.row_entries(i) {
+            for (j, v) in h10(i) {
                 h10_vals[base + cols.binary_search(&j).expect("union pattern covers H10")] = v;
             }
             diag_idx.push(base + cols.binary_search(&i).expect("diagonal is in the pattern"));

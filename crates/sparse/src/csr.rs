@@ -129,6 +129,20 @@ impl CsrMatrix {
         Self { nrows, ncols, row_ptr: vec![0; nrows + 1], col_idx: vec![], values: vec![] }
     }
 
+    /// From raw CSR arrays whose rows are sorted by column, without
+    /// duplicates or stored zeros (what [`CooBuilder::build`] produces).
+    pub(crate) fn from_sorted_rows(
+        nrows: usize,
+        ncols: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<usize>,
+        values: Vec<Complex64>,
+    ) -> Self {
+        debug_assert_eq!(row_ptr.len(), nrows + 1);
+        debug_assert_eq!(col_idx.len(), values.len());
+        Self { nrows, ncols, row_ptr, col_idx, values }
+    }
+
     /// Sparse identity.
     pub fn identity(n: usize) -> Self {
         Self {

@@ -19,13 +19,17 @@
 //!   dependency-level analysis of a pattern, is a vestige no solve reads),
 //! * [`FactoredProjector`] — the non-local projector part of `P(z)` kept in
 //!   factored low-rank form alongside an assembled CSR part,
-//! * [`RealStencil`] — `P(z)` of a *real* Hamiltonian as one fused row pass
-//!   over `f64` coefficients (real×complex arithmetic, explicit `H₀₁ᵀ`, no
-//!   scratch slab): what the matrix-free path runs whenever both blocks
-//!   expose real [`LinearOperator::sparse_lowrank_parts`] — and
-//!   [`StencilDilu`], the same diagonal ILU as [`Ilu0`] kept as `n` pivots
-//!   and swept over the stencil's rows, whose [`SplitOperator`] folds `P(z)`
-//!   into its two sweeps (Eisenstat's trick),
+//! * [`RealStencil`] — a *real* Hamiltonian's `H₀₀` and `H₀₁` as `f64`
+//!   rows with `u32` indices (explicit `H₀₁ᵀ`, projector terms as real
+//!   sparse factors), and `P(z)` applied from them in one fused row pass
+//!   (real×complex arithmetic, no scratch slab).  It is the one stored form
+//!   of every Hamiltonian `cbs-dft` builds: [`StencilBuilder`] writes it row
+//!   by row, its [`StencilBlock`] views are the block operators a QEP is
+//!   built from, and a QEP over the two views of one stencil
+//!   ([`LinearOperator::stencil_block`]) applies `P(z)` through it.
+//!   [`StencilDilu`] is the same diagonal ILU as [`Ilu0`] kept as `n`
+//!   pivots and swept over the stencil's rows, whose [`SplitOperator`]
+//!   folds `P(z)` into its two sweeps (Eisenstat's trick),
 //! * [`DenseOp`] — a dense matrix as a [`LinearOperator`], for tests and
 //!   small reference problems.
 //!
@@ -51,5 +55,7 @@ pub use csr::{CooBuilder, CsrMatrix};
 pub use lowrank::{LowRankOp, RankOneTerm, SparseVec};
 pub use ops::{adjoint_defect, DenseOp, LinearOperator, Preconditioner};
 pub use projector::FactoredProjector;
-pub use real_stencil::{RealStencil, SplitOperator, StencilDilu};
+pub use real_stencil::{
+    Block, RealStencil, SplitOperator, StencilBlock, StencilBuilder, StencilDilu,
+};
 pub use scratch::{recycle_scratch, take_scratch, with_scratch};

@@ -10,8 +10,7 @@
 
 use cbs_linalg::{CVector, Complex64};
 
-use crate::csr::CsrMatrix;
-use crate::lowrank::LowRankOp;
+use crate::real_stencil::StencilBlock;
 
 /// A complex linear operator `A : C^ncols -> C^nrows` that can be applied to
 /// vectors, together with its Hermitian adjoint.
@@ -115,15 +114,15 @@ pub trait LinearOperator: Sync {
         false
     }
 
-    /// The operator's explicit storage, when it *is* `sparse + low-rank`:
-    /// a CSR matrix plus a factored projector sum (either may be empty).
+    /// The [`RealStencil`](crate::RealStencil) block this operator *is*,
+    /// when it is one ([`StencilBlock`]).
     ///
-    /// This is how `cbs_core::QepProblem` discovers that it can apply
-    /// `P(z)` through the fused [`RealStencil`](crate::RealStencil) instead
-    /// of composing three block applications.  The default `None` is always
-    /// safe — it keeps the generic path — and wrappers that delegate
-    /// `apply*` unchanged may forward it.
-    fn sparse_lowrank_parts(&self) -> Option<(&CsrMatrix, &LowRankOp)> {
+    /// This is how `cbs_core::QepProblem` finds that its two blocks are the
+    /// `H₀₀` and `H₀₁` of one stencil, and applies `P(z)` through that
+    /// stencil instead of composing three block applications.  The default
+    /// `None` is always safe — it keeps the generic path — and wrappers
+    /// that delegate `apply*` unchanged may forward it.
+    fn stencil_block(&self) -> Option<StencilBlock<'_>> {
         None
     }
 
@@ -209,8 +208,8 @@ impl<T: LinearOperator + ?Sized> LinearOperator for &T {
     fn is_real(&self) -> bool {
         (**self).is_real()
     }
-    fn sparse_lowrank_parts(&self) -> Option<(&CsrMatrix, &LowRankOp)> {
-        (**self).sparse_lowrank_parts()
+    fn stencil_block(&self) -> Option<StencilBlock<'_>> {
+        (**self).stencil_block()
     }
     fn unsplit_residual_norm(&self, dual: bool, r: &[Complex64]) -> Option<f64> {
         (**self).unsplit_residual_norm(dual, r)

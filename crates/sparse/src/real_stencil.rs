@@ -23,10 +23,16 @@
 //! stencil rows' own `RealCsr::gather`) and one real axpy over the ket
 //! indices serve every column of the tile.
 //!
-//! Eligibility is decided by the conversion ([`RealStencil::try_new`]), not
-//! by a flag: it returns `None` as soon as one stored value has a non-zero
-//! imaginary part or a dimension / entry count does not fit `u32`, and the
-//! caller (`cbs_core::QepProblem`) keeps its generic three-pass path.
+//! The stencil is the Hamiltonian's only stored form, not a copy of it:
+//! `cbs-dft` writes the rows directly ([`StencilBuilder`]), and the two
+//! [`StencilBlock`] views are the block operators a QEP is built from, so a
+//! `cbs_core::QepProblem` over them borrows this stencil and converts
+//! nothing.  Every index and entry count is a `u32`
+//! ([`RealStencil::MAX_ENTRIES`]).  A pencil stored in complex form gets a
+//! stencil through [`RealStencil::try_new`], which returns `None` as soon
+//! as one stored value has a non-zero imaginary part or a dimension / entry
+//! count does not fit `u32`; blocks that are not stencil views keep the
+//! problem's generic three-pass path.
 //!
 //! Bitwise contract: per column the accumulation order does not depend on
 //! the tile width or the row block (the tails keep their term order per
@@ -66,9 +72,13 @@ use crate::csr::ROW_BLOCK;
 use crate::lowrank::LowRankOp;
 use crate::ops::{LinearOperator, Preconditioner};
 
+mod blocks;
+pub use blocks::{Block, StencilBlock, StencilBuilder};
+
 /// Real compressed-sparse-row storage: `f64` values, `u32` indices and row
 /// pointers.  Rows are matrix rows for the Hamiltonian blocks and rank-one
 /// terms for the projector factors.
+#[derive(Clone)]
 struct RealCsr {
     ptr: Vec<u32>,
     idx: Vec<u32>,
@@ -81,53 +91,12 @@ struct RealCsr {
 }
 
 impl RealCsr {
-    /// Convert complex rows; `None` on the first entry with a non-zero
-    /// imaginary part or the first index / entry count beyond `u32`.
-    fn from_rows<R: Iterator<Item = (usize, Complex64)>>(
-        nnz: usize,
-        rows: impl Iterator<Item = R>,
-    ) -> Option<Self> {
-        let mut out = Self {
-            #[expect(
-                clippy::disallowed_macros,
-                reason = "stencil conversion, once per Hamiltonian -- not the per-node path"
-            )]
-            ptr: vec![0],
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "stencil conversion, once per Hamiltonian -- not the per-node path"
-            )]
-            idx: Vec::with_capacity(nnz),
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "stencil conversion, once per Hamiltonian -- not the per-node path"
-            )]
-            val: Vec::with_capacity(nnz),
-            split: Vec::new(),
-        };
-        for row in rows {
-            for (j, v) in row {
-                if v.im != 0.0 {
-                    return None;
-                }
-                out.idx.push(u32::try_from(j).ok()?);
-                out.val.push(v.re);
-            }
-            out.ptr.push(u32::try_from(out.idx.len()).ok()?);
-        }
-        Some(out)
-    }
-
-    fn from_csr(m: &CsrMatrix) -> Option<Self> {
-        Self::from_rows(m.nnz(), (0..m.nrows()).map(|i| m.row_entries(i)))
-    }
-
     /// Record the diagonal split of every row (columns ascending within a
     /// row, as `CsrMatrix` and [`transpose`](Self::transpose) store them).
     fn with_split(mut self) -> Self {
         #[expect(
             clippy::disallowed_methods,
-            reason = "stencil conversion, once per Hamiltonian -- not the per-node path"
+            reason = "stencil set-up, once per Hamiltonian -- not the per-node path"
         )]
         let split = (0..self.nrows())
             .map(|i| {
@@ -170,7 +139,7 @@ impl RealCsr {
     fn transpose(&self, ncols: usize) -> Self {
         #[expect(
             clippy::disallowed_macros,
-            reason = "stencil conversion, once per Hamiltonian -- not the per-node path"
+            reason = "stencil set-up, once per Hamiltonian -- not the per-node path"
         )]
         let mut ptr = vec![0u32; ncols + 1];
         for &c in &self.idx {
@@ -182,12 +151,12 @@ impl RealCsr {
         let mut next = ptr.clone();
         #[expect(
             clippy::disallowed_macros,
-            reason = "stencil conversion, once per Hamiltonian -- not the per-node path"
+            reason = "stencil set-up, once per Hamiltonian -- not the per-node path"
         )]
         let mut idx = vec![0u32; self.idx.len()];
         #[expect(
             clippy::disallowed_macros,
-            reason = "stencil conversion, once per Hamiltonian -- not the per-node path"
+            reason = "stencil set-up, once per Hamiltonian -- not the per-node path"
         )]
         let mut val = vec![0.0; self.val.len()];
         for i in 0..self.nrows() {
@@ -257,6 +226,7 @@ impl RealCsr {
 
 /// A real low-rank operator `Σ_t c_t |ket_t⟩⟨bra_t|`: row `t` of `kets` /
 /// `bras` is the sparse factor of term `t`.
+#[derive(Clone)]
 struct RealLowRank {
     kets: RealCsr,
     bras: RealCsr,
@@ -264,26 +234,17 @@ struct RealLowRank {
 }
 
 impl RealLowRank {
+    /// Convert term by term; `None` on the first complex coefficient or
+    /// factor value, or an index beyond `u32`.
     fn from_lowrank(op: &LowRankOp) -> Option<Self> {
-        let terms = op.terms();
-        if terms.iter().any(|t| t.coeff.im != 0.0) {
-            return None;
+        let mut out = Self::empty();
+        for t in op.terms() {
+            if t.coeff.im != 0.0 {
+                return None;
+            }
+            out.push(&t.ket, &t.bra, t.coeff.re)?;
         }
-        let factor = |pick: fn(&crate::RankOneTerm) -> &crate::SparseVec| {
-            RealCsr::from_rows(
-                terms.iter().map(|t| pick(t).nnz()).sum(),
-                terms.iter().map(|t| pick(t).iter()),
-            )
-        };
-        Some(Self {
-            kets: factor(|t| &t.ket)?,
-            bras: factor(|t| &t.bra)?,
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "stencil conversion, once per Hamiltonian -- not the per-node path"
-            )]
-            coeff: terms.iter().map(|t| t.coeff.re).collect(),
-        })
+        Some(out)
     }
 
     fn bytes(&self) -> usize {
@@ -370,6 +331,7 @@ impl Shift {
 }
 
 /// `P(z)` of a real Hamiltonian, applied in one row pass (module docs).
+#[derive(Clone)]
 pub struct RealStencil {
     n: usize,
     h00: RealCsr,
@@ -380,11 +342,13 @@ pub struct RealStencil {
 }
 
 impl RealStencil {
-    /// Convert the `(sparse, low-rank)` parts of `H₀₀` and `H₀₁`.
+    /// Convert the `(sparse, low-rank)` parts of `H₀₀` and `H₀₁` — how a
+    /// pencil stored in complex form gets a stencil (`cbs-dft` writes its
+    /// Hamiltonians with a [`StencilBuilder`] instead).
     ///
-    /// `None` — the caller keeps its generic path — unless all four parts
-    /// are square of one dimension, every stored value is real
-    /// (`im == 0.0`), and the dimension and entry counts fit `u32`.
+    /// `None` unless all four parts are square of one dimension, every
+    /// stored value is real (`im == 0.0`), and the dimension and entry
+    /// counts fit `u32`.
     pub fn try_new(h00: (&CsrMatrix, &LowRankOp), h01: (&CsrMatrix, &LowRankOp)) -> Option<Self> {
         let n = h00.0.nrows();
         let dims = [
@@ -396,15 +360,33 @@ impl RealStencil {
         if dims != [(n, n); 4] {
             return None;
         }
-        let b = RealCsr::from_csr(h01.0)?;
-        Some(Self {
+        Some(Self::from_blocks(
             n,
-            h00: RealCsr::from_csr(h00.0)?.with_split(),
-            h01t: b.transpose(n).with_split(),
-            h01: b.with_split(),
-            v00: RealLowRank::from_lowrank(h00.1)?,
-            v01: RealLowRank::from_lowrank(h01.1)?,
-        })
+            RealCsr::from_csr(h00.0)?,
+            RealCsr::from_csr(h01.0)?,
+            RealLowRank::from_lowrank(h00.1)?,
+            RealLowRank::from_lowrank(h01.1)?,
+        ))
+    }
+
+    /// The stencil of the `H₀₀` and `H₀₁` rows and projector terms: the
+    /// transpose `H₀₁ᵀ` and every row's diagonal split are derived here, for
+    /// a converted pencil and a built one alike.
+    fn from_blocks(
+        n: usize,
+        h00: RealCsr,
+        h01: RealCsr,
+        v00: RealLowRank,
+        v01: RealLowRank,
+    ) -> Self {
+        Self {
+            n,
+            h00: h00.with_split(),
+            h01t: h01.transpose(n).with_split(),
+            h01: h01.with_split(),
+            v00,
+            v01,
+        }
     }
 
     /// Dimension of the blocks.
@@ -1321,6 +1303,65 @@ mod tests {
         let mut q = real_parts(n, 2, 81);
         q.1 = LowRankOp::new(n, n + 1);
         assert!(convert(&q).is_none());
+    }
+
+    /// The builder merges a row as `CooBuilder::build` does — stable by
+    /// column, duplicates summed in push order, exact zeros dropped before
+    /// and after the sum — and skips the projector terms `LowRankOp::push`
+    /// skips: rows with repeated columns, explicit zeros and a cancelling
+    /// pair, pushed in one order into both, store the same bits.
+    #[test]
+    fn builder_merges_rows_as_the_coo_assembly_does() {
+        let n = 40;
+        let mut rng = ChaCha8Rng::seed_from_u64(120);
+        let mut coo = [CooBuilder::new(n, n), CooBuilder::new(n, n)];
+        let mut builder = StencilBuilder::new(n, 0);
+        for i in 0..n {
+            let mut rows = [Vec::new(), Vec::new()];
+            for (block, row) in rows.iter_mut().enumerate() {
+                for _ in 0..9 {
+                    let v = [0.0, rng.gen_range(-1.0..1.0)][rng.gen_range(0..2)];
+                    row.push(((i + block + rng.gen_range(0..4)) % n, v));
+                }
+                let cancel = (i + 9) % n;
+                row.extend([(cancel, 0.3), (cancel, -0.3)]);
+            }
+            for (b, row) in coo.iter_mut().zip(&rows) {
+                for &(j, v) in row {
+                    b.push(i, j, c64(v, 0.0));
+                }
+            }
+            let [h00, h01] = &mut rows;
+            builder.push_row(h00, h01);
+        }
+        let p = real_sparse_vec(n, 4, &mut rng);
+        let mut lowrank = [LowRankOp::new(n, n), LowRankOp::new(n, n)];
+        for (block, op) in [Block::H00, Block::H01].into_iter().zip(&mut lowrank) {
+            for (ket, bra, c) in [(&p, &p, 0.7), (&p, &SparseVec::empty(), 0.5), (&p, &p, 0.0)] {
+                builder.push_projector(block, ket, bra, c);
+                op.push(ket.clone(), bra.clone(), c64(c, 0.0));
+            }
+        }
+        let built = builder.finish();
+        let [a, b] = coo.map(CooBuilder::build);
+        assert!(a.nnz() < 9 * n, "duplicates were merged");
+        let converted = RealStencil::try_new((&a, &lowrank[0]), (&b, &lowrank[1])).unwrap();
+        for (view, want) in [(built.h00(), &a), (built.h01(), &b)] {
+            let got = view.sparse_csr();
+            assert_eq!((got.row_ptr(), got.col_idx()), (want.row_ptr(), want.col_idx()));
+            let bits =
+                |m: &CsrMatrix| m.values().iter().map(|v| v.re.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(want));
+            assert_eq!(view.projectors().rank(), 1);
+        }
+        assert_eq!(built.memory_bytes(), converted.memory_bytes());
+        let x = CVector::random(n * 3, &mut rng).into_vec();
+        let (e, z) = (0.3, c64(0.6, -0.8));
+        let [got, want] = [&built, &converted].map(|s| apply(s, e, z, &x, 3));
+        let bits = |v: &[Complex64]| {
+            v.iter().map(|c| [c.re.to_bits(), c.im.to_bits()]).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&got), bits(&want));
     }
 
     /// [`real_parts`] whose coupling block also stores a diagonal entry and

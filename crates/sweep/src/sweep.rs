@@ -24,7 +24,7 @@ use std::path::Path;
 
 use cbs_core::{
     classify_point, extract_from_moments, solve_pool, BlockPolicy, CbsPoint, CbsStatistics,
-    ComplexBandStructure, PoolGroup, PrecondPolicy, QepProblem, RingPlan, StencilCache,
+    ComplexBandStructure, PoolGroup, PrecondPolicy, QepProblem, RingPlan,
 };
 use cbs_dft::BandStructure;
 use cbs_parallel::TaskExecutor;
@@ -235,10 +235,6 @@ pub struct EnergySweep<'a> {
     h01: &'a dyn LinearOperator,
     period: f64,
     config: SweepConfig,
-    /// The blocks' real stencil, converted by the first node solve that
-    /// wants it (or found not to exist, once) and shared by every scan
-    /// energy: it depends on the blocks only, not on `E`.
-    stencil: StencilCache,
 }
 
 impl<'a> EnergySweep<'a> {
@@ -255,7 +251,7 @@ impl<'a> EnergySweep<'a> {
         assert_eq!(h00.nrows(), h01.nrows(), "H00 and H01 must have the same size");
         assert!(period > 0.0, "period must be positive");
         assert!(config.ss.n_rh > 0, "need at least one right-hand side");
-        Self { h00, h01, period, config, stencil: StencilCache::new() }
+        Self { h00, h01, period, config }
     }
 
     /// **Vestigial:** a no-op that keeps its dimension check.
@@ -279,10 +275,10 @@ impl<'a> EnergySweep<'a> {
         &self.config
     }
 
-    /// The QEP at one scan energy as the sweep solves it: the real stencil
-    /// shared with every other energy of this sweep.
-    pub fn problem_at(&self, energy: f64) -> QepProblem<'_> {
-        QepProblem::new(self.h00, self.h01, energy, self.period).with_stencil_cache(&self.stencil)
+    /// The QEP at one scan energy as the sweep solves it: on blocks that
+    /// are stencil views, every energy reads the one stencil they share.
+    pub fn problem_at(&self, energy: f64) -> QepProblem<'a> {
+        QepProblem::new(self.h00, self.h01, energy, self.period)
     }
 
     /// Run the sweep to completion with no checkpointing.  An empty grid

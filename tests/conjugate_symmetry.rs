@@ -19,6 +19,7 @@ use cbs::parallel::{RayonExecutor, SerialExecutor};
 use cbs::solver::ConvergenceHistory;
 use cbs::sparse::{
     CooBuilder, CsrMatrix, DenseOp, FactoredProjector, LinearOperator, LowRankOp, SparseVec,
+    StencilBlock,
 };
 
 mod common;
@@ -52,8 +53,8 @@ impl<Op: LinearOperator> LinearOperator for NotReal<Op> {
     fn traversal_weight(&self) -> usize {
         self.0.traversal_weight()
     }
-    fn sparse_lowrank_parts(&self) -> Option<(&CsrMatrix, &LowRankOp)> {
-        self.0.sparse_lowrank_parts()
+    fn stencil_block(&self) -> Option<StencilBlock<'_>> {
+        self.0.stencil_block()
     }
 }
 

@@ -29,8 +29,8 @@ fn fig6_config(precond: PrecondPolicy) -> SsConfig {
 }
 
 /// Counter-locked traversal ratio: with the iteration count pinned (a
-/// tolerance no solve can reach), the ILU policy's split stencil (`BlockOp`
-/// exposes its parts) must perform *exactly* one solve-phase storage
+/// tolerance no solve can reach), the ILU policy's split stencil (`BlockOp`s
+/// are the views of the Hamiltonian's stencil) must perform *exactly* one solve-phase storage
 /// traversal per block apply (`1 / n_rh` per matvec), and the matrix-free
 /// operator `w`: 1 for the real stencil, 3 for the generic composition over
 /// the same blocks as plain CSR — which the ILU policy, having no stencil to
@@ -64,7 +64,7 @@ fn fig6_assembled_traversals_per_iteration_are_one_third_of_matrix_free() {
     let stencil_problem = QepProblem::new(&h00, &h01, 0.15, h.period());
     let generic_problem = QepProblem::new(&csr00, &csr01, 0.15, h.period());
     let split = solve_qep_with(&stencil_problem, &ilu, &SerialExecutor);
-    assert!(stencil_problem.real_stencil().is_some(), "BlockOps convert: the node splits");
+    assert!(stencil_problem.real_stencil().is_some(), "stencil views: the node splits");
     assert_eq!(per_matvec(&split), 1);
 
     for (mf_problem, weight) in [(&stencil_problem, 1), (&generic_problem, 3)] {

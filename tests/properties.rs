@@ -12,7 +12,7 @@ use cbs::grid::Grid3;
 use cbs::linalg::{c64, CMatrix, CVector, Complex64};
 use cbs::sparse::{
     AssembledPattern, CooBuilder, CsrMatrix, DenseOp, LinearOperator, LowRankOp, Preconditioner,
-    SparseVec,
+    RealStencil, SparseVec,
 };
 
 /// A random square complex CSR matrix with a dominant diagonal and `per_row`
@@ -171,13 +171,12 @@ fn assert_tri_sweeps_match_the_oracle(
     }
 }
 
-/// A real `sparse + low-rank` block that exposes its parts (so a
-/// `QepProblem` over two of them runs the fused `RealStencil`) or hides
-/// them (the generic three-pass composition on the very same data).
+/// A real `sparse + low-rank` block applied as the generic three-pass
+/// composition; `RealStencil::try_new` on two of them gives the stencil
+/// whose views a `QepProblem` runs fused, on the very same data.
 struct RealBlock {
     sparse: CsrMatrix,
     lowrank: LowRankOp,
-    expose: bool,
 }
 
 impl LinearOperator for RealBlock {
@@ -195,9 +194,6 @@ impl LinearOperator for RealBlock {
         self.sparse.apply_adjoint(x, y);
         self.lowrank.apply_adjoint_block_accumulate(Complex64::ONE, x, y, 1);
     }
-    fn sparse_lowrank_parts(&self) -> Option<(&CsrMatrix, &LowRankOp)> {
-        self.expose.then_some((&self.sparse, &self.lowrank))
-    }
 }
 
 /// Random real blocks of a QEP: a symmetric `H₀₀` with `per_row` random
@@ -207,7 +203,6 @@ fn random_real_blocks(
     n: usize,
     per_row: usize,
     rank: usize,
-    expose: bool,
     rng: &mut rand_chacha::ChaCha8Rng,
 ) -> (RealBlock, RealBlock) {
     use rand::Rng;
@@ -233,10 +228,7 @@ fn random_real_blocks(
         v00.push(p.clone(), p, real(rng));
         v01.push(sparse_vec(rng), sparse_vec(rng), real(rng));
     }
-    (
-        RealBlock { sparse: a.build(), lowrank: v00, expose },
-        RealBlock { sparse: b.build(), lowrank: v01, expose },
-    )
+    (RealBlock { sparse: a.build(), lowrank: v00 }, RealBlock { sparse: b.build(), lowrank: v01 })
 }
 
 proptest! {
@@ -430,12 +422,11 @@ proptest! {
         prop_assume!(zre * zre + zim * zim > 0.05);
         use rand::SeedableRng;
         let z = c64(zre, zim);
-        let blocks = |expose| {
-            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-            random_real_blocks(n, per_row, rank, expose, &mut rng)
-        };
-        let (h00, h01) = blocks(true);
-        let (g00, g01) = blocks(false);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let (g00, g01) = random_real_blocks(n, per_row, rank, &mut rng);
+        let stencil = RealStencil::try_new((&g00.sparse, &g00.lowrank), (&g01.sparse, &g01.lowrank))
+            .expect("real blocks convert");
+        let (h00, h01) = (stencil.h00(), stencil.h01());
         let fused = QepProblem::new(&h00, &h01, energy, 1.0);
         let generic = QepProblem::new(&g00, &g01, energy, 1.0);
         let (fused_op, generic_op) = (fused.operator(z), generic.operator(z));

@@ -5,8 +5,8 @@
 //!
 //! The oracle is the preconditioned route the benchmark's per-layer replay
 //! times: per solved node, BiCG on `P(z)` of the same blocks with their
-//! parts hidden ([`Parts::hidden`] forwards every operator method but
-//! `sparse_lowrank_parts`, so the generic composition applies them),
+//! stencil hidden ([`Hidden`] forwards every operator method but
+//! `stencil_block`, so the generic composition applies them),
 //! preconditioned by the factored diagonal ILU of the refilled sparse-only
 //! pattern (`qep_factored().0.assemble(E, z).ilu0()`).
 //!
@@ -17,11 +17,9 @@
 //!   different residuals — with every solve converged in the true residual
 //!   and serial ≡ rayon bitwise, on fig6 and on the 605-point (8,0)
 //!   nanotube;
-//! * a sweep converts one stencil for all its energies, and blocks that do
-//!   not convert are asked once, not once per energy — and run the ILU
-//!   policy matrix-free.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! * problems and sweeps over `h.h00()` / `h.h01()` read the Hamiltonian's
+//!   own stencil, at every energy, and blocks that are not stencil views
+//!   run the ILU policy matrix-free.
 
 use rand::SeedableRng;
 
@@ -30,67 +28,42 @@ use cbs::dft::BlockHamiltonian;
 use cbs::linalg::{c64, CVector, Complex64};
 use cbs::parallel::{RayonExecutor, SerialExecutor};
 use cbs::solver::{bicg_dual_block_precond, BlockBicgResult, ConvergenceHistory, SolverOptions};
-use cbs::sparse::{CsrMatrix, LinearOperator, LowRankOp, Preconditioner, RealStencil, StencilDilu};
+use cbs::sparse::{LinearOperator, Preconditioner, StencilDilu};
 use cbs::sweep::{EnergySweep, SweepConfig};
 
 mod common;
 
-/// A forwarding wrapper that counts how often it is asked for its
-/// `sparse_lowrank_parts` and either passes the answer on or keeps the parts
-/// hidden.
-struct Parts<Op> {
-    inner: Op,
-    expose: bool,
-    asked: AtomicUsize,
-}
+/// The oracle's blocks: a forwarding wrapper that keeps the stencil the
+/// wrapped view belongs to hidden.
+struct Hidden<Op>(Op);
 
-impl<Op> Parts<Op> {
-    /// Forwards everything; only counts.
-    fn counted(inner: Op) -> Self {
-        Self { inner, expose: true, asked: AtomicUsize::new(0) }
-    }
-
-    /// The oracle: the same operator, parts hidden.
-    fn hidden(inner: Op) -> Self {
-        Self { expose: false, ..Self::counted(inner) }
-    }
-
-    fn asked(&self) -> usize {
-        self.asked.load(Ordering::Relaxed)
-    }
-}
-
-impl<Op: LinearOperator> LinearOperator for Parts<Op> {
+impl<Op: LinearOperator> LinearOperator for Hidden<Op> {
     fn nrows(&self) -> usize {
-        self.inner.nrows()
+        self.0.nrows()
     }
     fn ncols(&self) -> usize {
-        self.inner.ncols()
+        self.0.ncols()
     }
     fn apply(&self, x: &[Complex64], y: &mut [Complex64]) {
-        self.inner.apply(x, y);
+        self.0.apply(x, y);
     }
     fn apply_adjoint(&self, x: &[Complex64], y: &mut [Complex64]) {
-        self.inner.apply_adjoint(x, y);
+        self.0.apply_adjoint(x, y);
     }
     fn apply_block(&self, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
-        self.inner.apply_block(x, y, nvecs);
+        self.0.apply_block(x, y, nvecs);
     }
     fn apply_adjoint_block(&self, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
-        self.inner.apply_adjoint_block(x, y, nvecs);
+        self.0.apply_adjoint_block(x, y, nvecs);
     }
     fn memory_bytes(&self) -> usize {
-        self.inner.memory_bytes()
+        self.0.memory_bytes()
     }
     fn traversal_weight(&self) -> usize {
-        self.inner.traversal_weight()
+        self.0.traversal_weight()
     }
     fn is_real(&self) -> bool {
-        self.inner.is_real()
-    }
-    fn sparse_lowrank_parts(&self) -> Option<(&CsrMatrix, &LowRankOp)> {
-        self.asked.fetch_add(1, Ordering::Relaxed);
-        self.inner.sparse_lowrank_parts().filter(|_| self.expose)
+        self.0.is_real()
     }
 }
 
@@ -149,12 +122,12 @@ fn assert_stencil_ilu_matches_assembled_ilu(
     assert!(!projector.is_empty(), "{what}: the system must carry projectors");
     let config = SsConfig { precond: PrecondPolicy::AssembledIlu0, ..*config };
     let (h00, h01) = (h.h00(), h.h01());
-    let (o00, o01) = (Parts::hidden(h.h00()), Parts::hidden(h.h01()));
+    let (o00, o01) = (Hidden(h.h00()), Hidden(h.h01()));
     let stencil = QepProblem::new(&h00, &h01, energy, h.period());
     let hidden = QepProblem::new(&o00, &o01, energy, h.period());
 
     let fused = solve_qep_with(&stencil, &config, &SerialExecutor);
-    assert_eq!(stencil.real_stencil().map(RealStencil::dim), Some(h.dim()), "{what}");
+    assert!(stencil.real_stencil().is_some_and(|s| std::ptr::eq(s, h.stencil())), "{what}");
     assert!(!fused.eigenpairs.is_empty(), "{what}: the split route found no eigenpairs");
     assert!(fused.solve_histories.iter().all(ConvergenceHistory::converged), "{what}");
     // Residual checks run matrix-free: one storage traversal each.
@@ -174,7 +147,7 @@ fn assert_stencil_ilu_matches_assembled_ilu(
     {
         let (op, m) = stencil.node_solve(config.precond, node.z);
         let dual_op = stencil.operator(Complex64::ONE / node.z.conj());
-        let split = split_solve(&m.expect("the blocks convert: the node splits"), &v, &opts);
+        let split = split_solve(&m.expect("stencil views: the node splits"), &v, &opts);
         let ilu = pattern.assemble(energy, node.z).ilu0();
         let oracle = bicg_dual_block_precond(
             &hidden.operator(node.z),
@@ -245,12 +218,7 @@ fn fig6_and_cnt80_stencil_dilu_is_the_assembled_dilu() {
         [("fig6", common::fig6_hamiltonian(), 0.15), ("cnt80", common::cnt80_hamiltonian(), 0.2)]
     {
         let (pattern, _) = h.qep_factored();
-        let (h00, h01) = (h.h00(), h.h01());
-        let stencil = RealStencil::try_new(
-            h00.sparse_lowrank_parts().expect("BlockOp exposes its parts"),
-            h01.sparse_lowrank_parts().expect("BlockOp exposes its parts"),
-        )
-        .expect("a cbs-dft Hamiltonian converts");
+        let stencil = h.stencil();
         let n = h.dim();
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1701);
         let nvecs = 3;
@@ -275,50 +243,35 @@ fn fig6_and_cnt80_stencil_dilu_is_the_assembled_dilu() {
     }
 }
 
-/// The stencil does not depend on the scan energy: a sweep converts it once
-/// and every energy's problem reads that one instance; blocks that do not
-/// convert are asked once for the whole sweep, and run the ILU policy
-/// matrix-free.
+/// The stencil is the Hamiltonian's only stored operator and holds no scan
+/// energy: problems at two energies and every energy of a sweep, all over
+/// `h.h00()` / `h.h01()`, read that one instance in place.  Blocks that are
+/// not stencil views run either policy matrix-free.
 #[test]
-fn warm_sweep_converts_one_stencil_for_all_energies() {
+fn problems_and_sweeps_read_the_hamiltonians_own_stencil() {
     let h = common::fig6_hamiltonian();
+    let own = |problem: &QepProblem<'_>| {
+        problem.real_stencil().is_some_and(|s| std::ptr::eq(s, h.stencil()))
+            && problem.traversal_weight() == 1
+    };
+    let (h00, h01) = (h.h00(), h.h01());
+    let at = |e| QepProblem::new(&h00, &h01, e, h.period());
+    assert!(own(&at(0.05)) && own(&at(0.17)));
+
     let energies = [0.05, 0.09, 0.13, 0.17];
     let mut hidden_iterations = Vec::new();
     for precond in [PrecondPolicy::MatrixFree, PrecondPolicy::AssembledIlu0] {
-        let ss = SsConfig { precond, ..common::fig6_config() };
-        let config = SweepConfig::new(ss);
+        let config = SweepConfig::new(SsConfig { precond, ..common::fig6_config() });
+        let sweep = EnergySweep::new(&h00, &h01, h.period(), config);
+        assert!(energies.iter().all(|&e| own(&sweep.problem_at(e))), "{precond:?}");
 
-        let (c00, c01) = (Parts::counted(h.h00()), Parts::counted(h.h01()));
-        let sweep = EnergySweep::new(&c00, &c01, h.period(), config);
-        // Nothing is converted before the first solve needs it.
-        assert!(sweep.problem_at(energies[0]).real_stencil().is_none());
-        assert_eq!((c00.asked(), c01.asked()), (0, 0), "{precond:?}");
-        let run = sweep.run(&energies, &SerialExecutor);
-        assert_eq!((c00.asked(), c01.asked()), (1, 1), "{precond:?}: one conversion per sweep");
-        let shared: Vec<*const _> = energies
-            .iter()
-            .map(|&e| {
-                let problem = sweep.problem_at(e);
-                let stencil = problem.real_stencil().expect("the sweep's stencil") as *const _;
-                assert_eq!(problem.traversal_weight(), 1);
-                stencil
-            })
-            .collect();
-        assert!(shared.windows(2).all(|w| w[0] == w[1]), "{precond:?}: one instance");
-        // A second run of the same sweep object converts nothing more.
-        let again = sweep.run(&energies, &RayonExecutor);
-        assert_eq!((c00.asked(), c01.asked()), (1, 1), "{precond:?}");
-        assert_eq!(again.stats.total_bicg_iterations, run.stats.total_bicg_iterations);
-
-        let (o00, o01) = (Parts::hidden(h.h00()), Parts::hidden(h.h01()));
-        let sweep = EnergySweep::new(&o00, &o01, h.period(), config);
-        let hidden = sweep.run(&energies, &SerialExecutor);
-        // `H₀₀` said no, once; `H₀₁` was never asked, let alone per energy.
-        assert_eq!((o00.asked(), o01.asked()), (1, 0), "{precond:?}: the refusal is remembered");
-        assert!(energies.iter().all(|&e| sweep.problem_at(e).real_stencil().is_none()));
-        // Blocks that do not convert run either policy matrix-free.
-        hidden_iterations.push(hidden.stats.total_bicg_iterations);
-        assert_eq!(hidden.cbs.points.len(), run.cbs.points.len(), "{precond:?}");
+        let (o00, o01) = (Hidden(h.h00()), Hidden(h.h01()));
+        let hidden = EnergySweep::new(&o00, &o01, h.period(), config);
+        assert!(energies.iter().all(|&e| hidden.problem_at(e).real_stencil().is_none()));
+        let run = hidden.run(&energies, &SerialExecutor);
+        assert!(!run.cbs.points.is_empty(), "{precond:?}");
+        hidden_iterations.push(run.stats.total_bicg_iterations);
     }
+    // Blocks that are not stencil views run the ILU policy matrix-free.
     assert_eq!(hidden_iterations[0], hidden_iterations[1]);
 }
