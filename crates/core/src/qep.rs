@@ -200,12 +200,11 @@ impl<'a> QepProblem<'a> {
     /// Apply `P(z)` to a block of `nvecs` vectors stored column-major in
     /// contiguous slabs (the layout of
     /// [`LinearOperator::apply_block`]): through the [`RealStencil`] when
-    /// the blocks are its views, else as three
-    /// Hamiltonian-block traversals, each fused over all columns.  On
-    /// either path the sparse structure is read once per application
-    /// instead of once per column, and per column the arithmetic order is
-    /// identical to [`apply`](Self::apply), so the slab result is
-    /// bit-identical to the column-by-column loop.
+    /// the blocks are its views, which reads the stencil once for all
+    /// columns, else as three block applies over the slab (one column at a
+    /// time for blocks without a fused kernel).  On either path the
+    /// arithmetic order per column is identical to [`apply`](Self::apply),
+    /// so the slab result is bit-identical to the column-by-column loop.
     pub fn apply_block(&self, z: Complex64, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
         let n = self.dim();
         assert_eq!(x.len(), n * nvecs);

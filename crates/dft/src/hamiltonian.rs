@@ -63,7 +63,8 @@ pub struct BlockHamiltonian {
 }
 
 /// A view of one Hamiltonian block (`sparse + projectors`) as a single
-/// matrix-free [`LinearOperator`]: a block of the Hamiltonian's stencil.
+/// matrix-free [`LinearOperator`](cbs_sparse::LinearOperator): a block of
+/// the Hamiltonian's stencil.
 pub type BlockOp<'a> = StencilBlock<'a>;
 
 /// Refuse a grid whose `H₀₀` could store more entries than the stencil's

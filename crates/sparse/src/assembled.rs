@@ -19,16 +19,16 @@
 //!   streams (into a scratch-pooled value buffer — steady state performs no
 //!   allocation), no symbolic work, no index duplication.  The resulting
 //!   [`AssembledOp`] applies `P(z)` (and its exact adjoint) in a single CSR
-//!   traversal via the same fused kernels `CsrMatrix` uses.
+//!   traversal per column via the same kernels `CsrMatrix` uses.
 //! * [`Ilu0`] ([`AssembledOp::ilu0`]) is the diagonal ILU of the assembled
 //!   CSR — the elimination updates only the pivots — stored as factors over
 //!   the pattern, with forward/backward triangular solves *and their
 //!   adjoints*, so one factorization `M ≈ P(z)` also preconditions the dual
 //!   system through `M† ≈ P(z)† = P(1/z̄)` — the paper's dual-circle trick
-//!   survives preconditioning.  All four substitutions are **streaming
-//!   sweeps**: the rows are visited in storage order, blocked over
-//!   right-hand sides, the adjoints as column scatters over the same CSR
-//!   rows — bit-identical to the textbook one-column loops.  Blocks that
+//!   survives preconditioning.  All four substitutions are the textbook
+//!   one-column loops, rows visited in storage order, the adjoints as
+//!   column scatters over the same CSR rows; a slab is solved one column
+//!   at a time ([`Preconditioner::solve_block`]'s default).  Blocks that
 //!   convert to a [`RealStencil`](crate::RealStencil) get the same
 //!   preconditioner without a refill ([`RealStencil::dilu`](crate::RealStencil::dilu)).
 
@@ -37,14 +37,13 @@
 #![deny(clippy::disallowed_macros, clippy::disallowed_methods)]
 
 use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use cbs_linalg::{CVector, Complex64};
 use cbs_trace::Stage;
 
-use crate::csr::{
-    spmv_adjoint_block_into, spmv_adjoint_into, spmv_block_into, spmv_into, CsrMatrix, ROW_BLOCK,
-};
+use crate::csr::{spmv_adjoint_into, spmv_into, CsrMatrix};
 use crate::ops::{LinearOperator, Preconditioner};
 
 /// The shared symbolic structure of `P(z)`: the union sparsity pattern of
@@ -230,9 +229,9 @@ impl AssembledPattern {
 
 /// One materialized `P(z)`: the pattern's indices plus a private value
 /// array.  Applies in a single CSR traversal ([`traversal_weight`] 1, vs 3
-/// for the matrix-free QEP operator) through the same fused kernels as
+/// for the matrix-free QEP operator) through the same kernels as
 /// [`CsrMatrix`], adjoint included (exact conjugate-transpose scatter, no
-/// Hermiticity assumption).
+/// Hermiticity assumption); a slab goes one column at a time.
 ///
 /// [`traversal_weight`]: LinearOperator::traversal_weight
 pub struct AssembledOp<'p> {
@@ -296,24 +295,6 @@ impl LinearOperator for AssembledOp<'_> {
         let p = self.pattern;
         cbs_trace::timed(Stage::Kernel, || {
             spmv_adjoint_into(&p.row_ptr, &p.col_idx, &self.values, x, y);
-        });
-    }
-    fn apply_block(&self, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
-        let n = self.pattern.n;
-        assert_eq!(x.len(), n * nvecs, "assembled block apply: x slab length mismatch");
-        assert_eq!(y.len(), n * nvecs, "assembled block apply: y slab length mismatch");
-        let p = self.pattern;
-        cbs_trace::timed(Stage::Kernel, || {
-            spmv_block_into(&p.row_ptr, &p.col_idx, &self.values, n, n, x, y, nvecs);
-        });
-    }
-    fn apply_adjoint_block(&self, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
-        let n = self.pattern.n;
-        assert_eq!(x.len(), n * nvecs, "assembled block adjoint: x slab length mismatch");
-        assert_eq!(y.len(), n * nvecs, "assembled block adjoint: y slab length mismatch");
-        let p = self.pattern;
-        cbs_trace::timed(Stage::Kernel, || {
-            spmv_adjoint_block_into(&p.row_ptr, &p.col_idx, &self.values, n, n, x, y, nvecs);
         });
     }
     fn memory_bytes(&self) -> usize {
@@ -554,19 +535,6 @@ pub(crate) fn guarded(pivot: Complex64, floor: f64) -> Complex64 {
     }
 }
 
-/// The four triangular sweeps of an [`Ilu0`] apply.
-#[derive(Clone, Copy)]
-enum Sweep {
-    /// `L y = r` (unit diagonal), rows ascending, gather.
-    Forward,
-    /// `U x = y`, rows descending, gather.
-    Backward,
-    /// `U† w = r`, rows of `U` ascending, scatter.
-    AdjointForward,
-    /// `L† x = w` (unit diagonal), rows of `L` descending, scatter.
-    AdjointBackward,
-}
-
 /// The complex **diagonal ILU** of `A` in factored form,
 /// `M = (D̃+L) D̃⁻¹ (D̃+U)`: `L`, `U` are the strict triangles of `A`
 /// itself and the elimination updates only the pivots,
@@ -586,34 +554,27 @@ enum Sweep {
 /// the exact adjoint `z = L⁻† U⁻† r` — which is what preconditions the dual
 /// BiCG system `P(z)† x̃ = ṽ` with the *same* factorization.
 ///
-/// # The streaming sweeps
+/// # The substitutions
 ///
-/// All four entry points (`solve`, `solve_adjoint` and their `_block`
-/// forms; width 1 is the degenerate slab) run one kernel: the rows are
-/// visited in **storage order** (`0..n` or `n..0`), so `lu` and `col_idx`
-/// are read contiguously exactly like an SpMM, and the slab advances in
-/// 4/2/1-wide column tiles (entry-outer / column-inner: each factor value
-/// and index loads once per tile).  The forward/backward sweeps gather
-/// along each row; the adjoint sweeps are column **scatters over the same
-/// CSR rows** (`z[col] -= conj(lu[k])·w`, one zero-skip per column), so no
-/// transposed index list is touched.  The rows are walked in
-/// `ROW_BLOCK`-row (512) blocks with the column tiles inside, so a slab wider
-/// than one tile re-reads each factor block from cache.  An apply allocates
-/// nothing.
-///
-/// Every output element receives the same updates in the same order as in
-/// the textbook one-column substitution — tiling only reorders independent
-/// elements — so the result is bitwise that of the substitution, whatever
-/// the slab width (`tests/properties.rs`).
+/// Both are the textbook one-column loops: the rows are visited in
+/// **storage order** (`0..n` or
+/// `n..0`), so `lu` and `col_idx` are read contiguously.  The
+/// forward/backward substitutions gather along each row; the adjoint ones
+/// are column **scatters over the same CSR rows** (`z[col] -= conj(lu[k])·w`,
+/// skipped when `w` is zero), so no transposed index list is touched.  A
+/// slab is solved one column at a time (the trait's `_block` defaults),
+/// and an apply allocates nothing.  `tests/properties.rs` holds them bitwise
+/// to an independent oracle; they are in turn the oracle of the stencil's
+/// fused sweeps.
 ///
 /// What the four sweeps cost is what the stencil form removes.  On the
-/// 12167-point Al(100) pattern (nnz 298 885, 4 columns; benchmark workload
-/// `al12k_solve_ilu0`) they stream 4.6 MiB of complex factors at 1.3–1.7 ns
-/// per nnz·column — 65% of that workload's wall while the ILU policy used
-/// them, against the 12 B per entry of the stencil's real rows.  No
-/// production path applies them any more on a Hamiltonian `cbs-dft`
-/// builds; they remain the preconditioner of blocks that do not convert,
-/// and the oracle of the stencil form.
+/// 12167-point Al(100) pattern (nnz 298 885; benchmark workload
+/// `al12k_solve_ilu0`) they stream 4.6 MiB of complex factors per column
+/// at about 2.4–2.6 ns per nnz·column (4 columns, 2-core x86-64 host),
+/// against the 12 B per entry of the stencil's real rows.  No production
+/// path applies them on a Hamiltonian `cbs-dft` builds; they remain the
+/// preconditioner of blocks that do not convert, and the oracle of the
+/// stencil form.
 pub struct Ilu0<'p> {
     n: usize,
     row_ptr: &'p [usize],
@@ -709,123 +670,25 @@ impl<'p> Ilu0<'p> {
         guarded(self.lu[self.diag_idx[i]], self.floor)
     }
 
-    /// One sweep over the rows `rows` of the leading `W`-column tile of
-    /// `slab`, in place; returns the rest of the slab.
-    ///
-    /// Entry-outer / column-inner: every factor value and column index
-    /// loads once for the whole tile, and every column replays its
-    /// one-column update chain in the same order.
+    /// `z[i] − Σ lu[k]·z[col]` over the entries `ks` of row `i`.
     #[inline(always)]
-    fn sweep_tile<'z, const W: usize>(
-        &self,
-        sweep: Sweep,
-        rows: std::ops::Range<usize>,
-        slab: &'z mut [Complex64],
-    ) -> &'z mut [Complex64] {
-        let (tile, rest) = slab.split_at_mut(W * self.n);
-        let mut cols = tile.chunks_exact_mut(self.n);
-        let mut zs: [&mut [Complex64]; W] =
-            std::array::from_fn(|_| cols.next().expect("a tile holds W whole columns"));
-        match sweep {
-            Sweep::Forward => {
-                for i in rows {
-                    let acc = self.gather_row(self.row_ptr[i]..self.diag_idx[i], i, &zs);
-                    for (zc, a) in zs.iter_mut().zip(acc) {
-                        zc[i] = a;
-                    }
-                }
-            }
-            Sweep::Backward => {
-                for i in rows.rev() {
-                    let acc = self.gather_row((self.diag_idx[i] + 1)..self.row_ptr[i + 1], i, &zs);
-                    let piv = self.pivot(i);
-                    for (zc, a) in zs.iter_mut().zip(acc) {
-                        zc[i] = a / piv;
-                    }
-                }
-            }
-            Sweep::AdjointForward => {
-                for j in rows {
-                    let piv = self.pivot(j).conj();
-                    let w: [Complex64; W] = std::array::from_fn(|c| zs[c][j] / piv);
-                    for (zc, &wc) in zs.iter_mut().zip(&w) {
-                        zc[j] = wc;
-                    }
-                    self.scatter_row((self.diag_idx[j] + 1)..self.row_ptr[j + 1], &w, &mut zs);
-                }
-            }
-            Sweep::AdjointBackward => {
-                for j in rows.rev() {
-                    let x: [Complex64; W] = std::array::from_fn(|c| zs[c][j]);
-                    self.scatter_row(self.row_ptr[j]..self.diag_idx[j], &x, &mut zs);
-                }
-            }
-        }
-        rest
-    }
-
-    /// `z[i] - Σ lu[k]·z[col]` over the entries `ks` of row `i`, for every
-    /// column of the tile.
-    #[inline(always)]
-    fn gather_row<const W: usize>(
-        &self,
-        ks: std::ops::Range<usize>,
-        i: usize,
-        zs: &[&mut [Complex64]; W],
-    ) -> [Complex64; W] {
-        let mut acc: [Complex64; W] = std::array::from_fn(|c| zs[c][i]);
+    fn gather(&self, z: &[Complex64], i: usize, ks: Range<usize>) -> Complex64 {
+        let mut acc = z[i];
         for k in ks {
-            let v = self.lu[k];
-            let j = self.col_idx[k];
-            for (a, zc) in acc.iter_mut().zip(zs) {
-                *a -= v * zc[j];
-            }
+            acc -= self.lu[k] * z[self.col_idx[k]];
         }
         acc
     }
 
-    /// `z[col] -= conj(lu[k])·w` over the entries `ks` of one row, for every
-    /// column of the tile whose `w` is nonzero: the zero-skip is a
-    /// per-column decision on that column's multiplicand.
+    /// `z[col] -= conj(lu[k])·w` over the entries `ks` of one row; nothing
+    /// when `w` is zero.
     #[inline(always)]
-    fn scatter_row<const W: usize>(
-        &self,
-        ks: std::ops::Range<usize>,
-        w: &[Complex64; W],
-        zs: &mut [&mut [Complex64]; W],
-    ) {
-        if w.iter().all(|&wc| wc == Complex64::ZERO) {
+    fn scatter(&self, z: &mut [Complex64], w: Complex64, ks: Range<usize>) {
+        if w == Complex64::ZERO {
             return;
         }
-        let dense = w.iter().all(|&wc| wc != Complex64::ZERO);
         for k in ks {
-            let vc = self.lu[k].conj();
-            let col = self.col_idx[k];
-            for (zc, &wc) in zs.iter_mut().zip(w) {
-                if dense || wc != Complex64::ZERO {
-                    zc[col] -= vc * wc;
-                }
-            }
-        }
-    }
-
-    /// One streaming sweep over a whole column-major slab, in place: row
-    /// blocks in sweep order, 4/2/1-wide column tiles inside each block.
-    fn stream(&self, sweep: Sweep, z: &mut [Complex64]) {
-        let n = self.n;
-        let descending = matches!(sweep, Sweep::Backward | Sweep::AdjointBackward);
-        let blocks = n.div_ceil(ROW_BLOCK);
-        for b in 0..blocks {
-            let r0 = if descending { blocks - 1 - b } else { b } * ROW_BLOCK;
-            let rows = r0..(r0 + ROW_BLOCK).min(n);
-            let mut rest = &mut *z;
-            while !rest.is_empty() {
-                rest = match rest.len() / n {
-                    4.. => self.sweep_tile::<4>(sweep, rows.clone(), rest),
-                    2 | 3 => self.sweep_tile::<2>(sweep, rows.clone(), rest),
-                    _ => self.sweep_tile::<1>(sweep, rows.clone(), rest),
-                };
-            }
+            z[self.col_idx[k]] -= self.lu[k].conj() * w;
         }
     }
 }
@@ -841,37 +704,38 @@ impl Preconditioner for Ilu0<'_> {
         self.n
     }
 
+    /// `z = U⁻¹ L⁻¹ r`: `L` (unit diagonal) rows ascending, then `U` rows
+    /// descending, each row gathered.
     fn solve(&self, r: &[Complex64], z: &mut [Complex64]) {
         assert_eq!(r.len(), self.n, "ILU solve: r length mismatch");
         assert_eq!(z.len(), self.n, "ILU solve: z length mismatch");
-        self.solve_block(r, z, 1);
-    }
-
-    fn solve_adjoint(&self, r: &[Complex64], z: &mut [Complex64]) {
-        assert_eq!(r.len(), self.n, "ILU adjoint solve: r length mismatch");
-        assert_eq!(z.len(), self.n, "ILU adjoint solve: z length mismatch");
-        self.solve_adjoint_block(r, z, 1);
-    }
-
-    fn solve_block(&self, r: &[Complex64], z: &mut [Complex64], nvecs: usize) {
-        assert!(r.len() >= self.n * nvecs, "ILU block solve: r slab too short");
-        assert!(z.len() >= self.n * nvecs, "ILU block solve: z slab too short");
         cbs_trace::timed(Stage::TriSweep, || {
-            let z = &mut z[..self.n * nvecs];
-            z.copy_from_slice(&r[..self.n * nvecs]);
-            self.stream(Sweep::Forward, z);
-            self.stream(Sweep::Backward, z);
+            z.copy_from_slice(r);
+            for i in 0..self.n {
+                z[i] = self.gather(z, i, self.row_ptr[i]..self.diag_idx[i]);
+            }
+            for i in (0..self.n).rev() {
+                let upper = (self.diag_idx[i] + 1)..self.row_ptr[i + 1];
+                z[i] = self.gather(z, i, upper) / self.pivot(i);
+            }
         });
     }
 
-    fn solve_adjoint_block(&self, r: &[Complex64], z: &mut [Complex64], nvecs: usize) {
-        assert!(r.len() >= self.n * nvecs, "ILU adjoint block solve: r slab too short");
-        assert!(z.len() >= self.n * nvecs, "ILU adjoint block solve: z slab too short");
+    /// `z = L⁻† U⁻† r`: `U†` over the rows of `U` ascending, then `L†`
+    /// (unit diagonal) over the rows of `L` descending, each a scatter.
+    fn solve_adjoint(&self, r: &[Complex64], z: &mut [Complex64]) {
+        assert_eq!(r.len(), self.n, "ILU adjoint solve: r length mismatch");
+        assert_eq!(z.len(), self.n, "ILU adjoint solve: z length mismatch");
         cbs_trace::timed(Stage::TriSweep, || {
-            let z = &mut z[..self.n * nvecs];
-            z.copy_from_slice(&r[..self.n * nvecs]);
-            self.stream(Sweep::AdjointForward, z);
-            self.stream(Sweep::AdjointBackward, z);
+            z.copy_from_slice(r);
+            for j in 0..self.n {
+                let w = z[j] / self.pivot(j).conj();
+                z[j] = w;
+                self.scatter(z, w, (self.diag_idx[j] + 1)..self.row_ptr[j + 1]);
+            }
+            for j in (0..self.n).rev() {
+                self.scatter(z, z[j], self.row_ptr[j]..self.diag_idx[j]);
+            }
         });
     }
 }
@@ -962,28 +826,6 @@ mod tests {
             assert_eq!(pattern.col_idx[pattern.diag_idx[i]], i);
         }
         assert!(pattern.memory_bytes() > 0);
-    }
-
-    #[test]
-    fn assembled_block_apply_is_bitwise_column_equivalent() {
-        let (h00, h01) = random_blocks(11, 0.25, 904);
-        let pattern = AssembledPattern::build(&h00, &h01);
-        let op = pattern.assemble(0.2, c64(0.8, 0.5));
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(905);
-        let nvecs = 5;
-        let n = 11;
-        let x: Vec<Complex64> = CVector::random(n * nvecs, &mut rng).into_vec();
-        let mut y = vec![Complex64::ZERO; n * nvecs];
-        op.apply_block(&x, &mut y, nvecs);
-        let mut ya = vec![Complex64::ZERO; n * nvecs];
-        op.apply_adjoint_block(&x, &mut ya, nvecs);
-        for c in 0..nvecs {
-            let mut col = vec![Complex64::ZERO; n];
-            op.apply(&x[c * n..(c + 1) * n], &mut col);
-            assert_eq!(&y[c * n..(c + 1) * n], &col[..], "column {c} differs");
-            op.apply_adjoint(&x[c * n..(c + 1) * n], &mut col);
-            assert_eq!(&ya[c * n..(c + 1) * n], &col[..], "adjoint column {c} differs");
-        }
     }
 
     #[test]

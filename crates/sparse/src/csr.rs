@@ -246,52 +246,6 @@ impl CsrMatrix {
         });
     }
 
-    /// Fused block kernel `Y = A X` over column-major slabs (column `c` of
-    /// `X` is `x[c * ncols .. (c+1) * ncols]`): the CSR values and indices
-    /// are streamed once per group of up to four columns instead of once
-    /// per column, with the per-column accumulators held in registers.  Per
-    /// column the accumulation order equals
-    /// [`matvec_into`](Self::matvec_into), making the result bit-identical
-    /// to the column-by-column loop.
-    pub fn matvec_block_into(&self, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
-        assert_eq!(x.len(), self.ncols * nvecs, "block matvec: x slab length mismatch");
-        assert_eq!(y.len(), self.nrows * nvecs, "block matvec: y slab length mismatch");
-        cbs_trace::timed(Stage::Kernel, || {
-            spmv_block_into(
-                &self.row_ptr,
-                &self.col_idx,
-                &self.values,
-                self.ncols,
-                self.nrows,
-                x,
-                y,
-                nvecs,
-            );
-        });
-    }
-
-    /// Fused block kernel `Y = A† X`; the adjoint twin of
-    /// [`matvec_block_into`](Self::matvec_block_into), bit-identical to
-    /// column-by-column [`matvec_adjoint_into`](Self::matvec_adjoint_into)
-    /// (the zero-skip guard is applied per column, so signed zeros
-    /// propagate identically).
-    pub fn matvec_adjoint_block_into(&self, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
-        assert_eq!(x.len(), self.nrows * nvecs, "block adjoint matvec: x slab length mismatch");
-        assert_eq!(y.len(), self.ncols * nvecs, "block adjoint matvec: y slab length mismatch");
-        cbs_trace::timed(Stage::Kernel, || {
-            spmv_adjoint_block_into(
-                &self.row_ptr,
-                &self.col_idx,
-                &self.values,
-                self.ncols,
-                self.nrows,
-                x,
-                y,
-                nvecs,
-            );
-        });
-    }
-
     /// Allocating `A x`.
     pub fn matvec(&self, x: &CVector) -> CVector {
         let mut y = CVector::zeros(self.nrows);
@@ -381,12 +335,6 @@ impl LinearOperator for CsrMatrix {
     fn apply_adjoint(&self, x: &[Complex64], y: &mut [Complex64]) {
         self.matvec_adjoint_into(x, y);
     }
-    fn apply_block(&self, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
-        self.matvec_block_into(x, y, nvecs);
-    }
-    fn apply_adjoint_block(&self, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
-        self.matvec_adjoint_block_into(x, y, nvecs);
-    }
     fn memory_bytes(&self) -> usize {
         self.storage_bytes()
     }
@@ -399,27 +347,9 @@ impl LinearOperator for CsrMatrix {
 //
 // `CsrMatrix` delegates here, and so does the assembled shifted operator
 // (`crate::assembled`), whose many per-node value arrays share one symbolic
-// pattern: both run the exact same loops, so the bitwise
-// column-equivalence guarantees of the block kernels hold for either.
-//
-// Bitwise contract: every kernel here reproduces, per output element, the
-// exact accumulation order of the original scalar loops (`spmv_into` /
-// `spmv_adjoint_into`), so results are bit-identical to the column-by-column
-// reference regardless of row blocking or column-group width:
-//
-// * gather kernels accumulate each row's entries in ascending `k`, so
-//   blocking the row loop (`ROW_BLOCK`) only reorders *between* independent
-//   output elements;
-// * scatter (adjoint) kernels zero the whole output slab once up front and
-//   then visit rows in ascending order within and across row blocks, so
-//   every `y[c]` receives its updates in the same ascending-row order as
-//   the unblocked loop, with the same per-column zero-skip guards.
-
-/// Rows per cache block of the blocked SpMV/SpMM traversals.  One block's
-/// index + value stream (≈ `ROW_BLOCK · nnz/row · 24 B`) fits comfortably in
-/// L2 for the stencil-dominated operators of this crate, so re-streaming it
-/// once per column group is served from cache.
-pub(crate) const ROW_BLOCK: usize = 512;
+// pattern.  Both apply a block one column at a time (the
+// `LinearOperator` defaults): only the real stencil keeps fused
+// multi-column kernels.
 
 /// `y = A x` over a raw CSR triple (serial kernel).
 pub(crate) fn spmv_into(
@@ -458,179 +388,6 @@ pub(crate) fn spmv_adjoint_into(
         for k in row_ptr[i]..row_ptr[i + 1] {
             y[col_idx[k]] += values[k].conj() * xi;
         }
-    }
-}
-
-/// Fused block kernel `Y = A X` over a raw CSR triple; see
-/// [`CsrMatrix::matvec_block_into`] for the layout and bitwise contract.
-///
-/// Row-blocked traversal: the outer loop walks [`ROW_BLOCK`]
-/// rows at a time and re-streams that block's index/value stream across all
-/// 4/2/1-wide column groups while it is cache-hot.  Per (row, column) the
-/// accumulation order is unchanged, so the blocking is bitwise-invisible.
-#[allow(
-    clippy::too_many_arguments,
-    reason = "a raw CSR triple and the block shape, shared by the CSR and assembled kernels"
-)]
-pub(crate) fn spmv_block_into(
-    row_ptr: &[usize],
-    col_idx: &[usize],
-    values: &[Complex64],
-    nc: usize,
-    nr: usize,
-    x: &[Complex64],
-    y: &mut [Complex64],
-    nvecs: usize,
-) {
-    let mut r0 = 0;
-    while r0 < nr {
-        let r1 = (r0 + ROW_BLOCK).min(nr);
-        let mut j = 0;
-        while j + 4 <= nvecs {
-            let (x0, rest) = x[j * nc..].split_at(nc);
-            let (x1, rest) = rest.split_at(nc);
-            let (x2, rest) = rest.split_at(nc);
-            let x3 = &rest[..nc];
-            let (y0, rest) = y[j * nr..].split_at_mut(nr);
-            let (y1, rest) = rest.split_at_mut(nr);
-            let (y2, rest) = rest.split_at_mut(nr);
-            let y3 = &mut rest[..nr];
-            for i in r0..r1 {
-                let (mut a0, mut a1, mut a2, mut a3) =
-                    (Complex64::ZERO, Complex64::ZERO, Complex64::ZERO, Complex64::ZERO);
-                for k in row_ptr[i]..row_ptr[i + 1] {
-                    let v = values[k];
-                    let c = col_idx[k];
-                    a0 += v * x0[c];
-                    a1 += v * x1[c];
-                    a2 += v * x2[c];
-                    a3 += v * x3[c];
-                }
-                y0[i] = a0;
-                y1[i] = a1;
-                y2[i] = a2;
-                y3[i] = a3;
-            }
-            j += 4;
-        }
-        if j + 2 <= nvecs {
-            let (x0, rest) = x[j * nc..].split_at(nc);
-            let x1 = &rest[..nc];
-            let (y0, rest) = y[j * nr..].split_at_mut(nr);
-            let y1 = &mut rest[..nr];
-            for i in r0..r1 {
-                let (mut a0, mut a1) = (Complex64::ZERO, Complex64::ZERO);
-                for k in row_ptr[i]..row_ptr[i + 1] {
-                    let v = values[k];
-                    let c = col_idx[k];
-                    a0 += v * x0[c];
-                    a1 += v * x1[c];
-                }
-                y0[i] = a0;
-                y1[i] = a1;
-            }
-            j += 2;
-        }
-        if j < nvecs {
-            // 1-wide tail over this row block — the `spmv_into` body.
-            let xj = &x[j * nc..(j + 1) * nc];
-            let yj = &mut y[j * nr..(j + 1) * nr];
-            for i in r0..r1 {
-                let mut acc = Complex64::ZERO;
-                for k in row_ptr[i]..row_ptr[i + 1] {
-                    acc += values[k] * xj[col_idx[k]];
-                }
-                yj[i] = acc;
-            }
-        }
-        r0 = r1;
-    }
-}
-
-/// Fused block kernel `Y = A† X` over a raw CSR triple; the adjoint twin of
-/// [`spmv_block_into`], bit-identical to column-by-column
-/// [`spmv_adjoint_into`].
-///
-/// Row blocking is bitwise-invisible here too: the output slab is zeroed
-/// once up front (same initial state as the per-column zero fill), and each
-/// `y[c]` then receives its scatter updates in ascending-row order within
-/// and across row blocks — exactly the order of the unblocked loop — with
-/// the per-column zero-skip guards applied identically.
-#[allow(
-    clippy::too_many_arguments,
-    reason = "a raw CSR triple and the block shape, shared by the CSR and assembled kernels"
-)]
-pub(crate) fn spmv_adjoint_block_into(
-    row_ptr: &[usize],
-    col_idx: &[usize],
-    values: &[Complex64],
-    nc: usize,
-    nr: usize,
-    x: &[Complex64],
-    y: &mut [Complex64],
-    nvecs: usize,
-) {
-    for v in y.iter_mut() {
-        *v = Complex64::ZERO;
-    }
-    let mut r0 = 0;
-    while r0 < nr {
-        let r1 = (r0 + ROW_BLOCK).min(nr);
-        let mut j = 0;
-        while j + 4 <= nvecs {
-            let (x0, rest) = x[j * nr..].split_at(nr);
-            let (x1, rest) = rest.split_at(nr);
-            let (x2, rest) = rest.split_at(nr);
-            let x3 = &rest[..nr];
-            let (y0, rest) = y[j * nc..].split_at_mut(nc);
-            let (y1, rest) = rest.split_at_mut(nc);
-            let (y2, rest) = rest.split_at_mut(nc);
-            let y3 = &mut rest[..nc];
-            for i in r0..r1 {
-                let (x0i, x1i, x2i, x3i) = (x0[i], x1[i], x2[i], x3[i]);
-                let any = x0i != Complex64::ZERO
-                    || x1i != Complex64::ZERO
-                    || x2i != Complex64::ZERO
-                    || x3i != Complex64::ZERO;
-                if !any {
-                    continue;
-                }
-                for k in row_ptr[i]..row_ptr[i + 1] {
-                    let vc = values[k].conj();
-                    let c = col_idx[k];
-                    if x0i != Complex64::ZERO {
-                        y0[c] += vc * x0i;
-                    }
-                    if x1i != Complex64::ZERO {
-                        y1[c] += vc * x1i;
-                    }
-                    if x2i != Complex64::ZERO {
-                        y2[c] += vc * x2i;
-                    }
-                    if x3i != Complex64::ZERO {
-                        y3[c] += vc * x3i;
-                    }
-                }
-            }
-            j += 4;
-        }
-        while j < nvecs {
-            // 1-wide tail over this row block — the `spmv_adjoint_into`
-            // scatter body without the zero fill (done once above).
-            let xj = &x[j * nr..(j + 1) * nr];
-            let yj = &mut y[j * nc..(j + 1) * nc];
-            for i in r0..r1 {
-                let xi = xj[i];
-                if xi == Complex64::ZERO {
-                    continue;
-                }
-                for k in row_ptr[i]..row_ptr[i + 1] {
-                    yj[col_idx[k]] += values[k].conj() * xi;
-                }
-            }
-            j += 1;
-        }
-        r0 = r1;
     }
 }
 
@@ -725,31 +482,6 @@ mod tests {
             s.storage_bytes()
                 <= s.nnz() * per_entry + (s.nrows() + 1) * std::mem::size_of::<usize>()
         );
-    }
-
-    #[test]
-    fn block_matvec_is_bitwise_column_equivalent() {
-        let (s, _) = random_sparse(23, 17, 0.2, 83);
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(84);
-        let nvecs = 5;
-        let x: Vec<Complex64> = CVector::random(17 * nvecs, &mut rng).into_vec();
-        let mut y = vec![Complex64::ZERO; 23 * nvecs];
-        s.matvec_block_into(&x, &mut y, nvecs);
-        for c in 0..nvecs {
-            let mut col = vec![Complex64::ZERO; 23];
-            s.matvec_into(&x[c * 17..(c + 1) * 17], &mut col);
-            assert_eq!(&y[c * 23..(c + 1) * 23], &col[..], "column {c} differs");
-        }
-
-        let mut xa: Vec<Complex64> = CVector::random(23 * nvecs, &mut rng).into_vec();
-        xa[3] = Complex64::ZERO; // exercise the zero-skip guard
-        let mut ya = vec![Complex64::ZERO; 17 * nvecs];
-        s.matvec_adjoint_block_into(&xa, &mut ya, nvecs);
-        for c in 0..nvecs {
-            let mut col = vec![Complex64::ZERO; 17];
-            s.matvec_adjoint_into(&xa[c * 23..(c + 1) * 23], &mut col);
-            assert_eq!(&ya[c * 17..(c + 1) * 17], &col[..], "adjoint column {c} differs");
-        }
     }
 
     #[test]

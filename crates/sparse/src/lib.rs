@@ -14,9 +14,9 @@
 //!   ILU can factor),
 //! * [`Ilu0`] / [`Preconditioner`] — the complex diagonal ILU of a CSR in
 //!   factored form, whose forward/backward and adjoint triangular solves
-//!   stream the factor rows in storage order (blocked over right-hand
-//!   sides) for the preconditioned dual BiCG ([`TriSchedule`], the
-//!   dependency-level analysis of a pattern, is a vestige no solve reads),
+//!   stream the factor rows in storage order, one right-hand side at a
+//!   time ([`TriSchedule`], the dependency-level analysis of a pattern, is
+//!   a vestige no solve reads),
 //! * [`FactoredProjector`] — the non-local projector part of `P(z)` kept in
 //!   factored low-rank form alongside an assembled CSR part,
 //! * [`RealStencil`] — a *real* Hamiltonian's `H₀₀` and `H₀₁` as `f64`
@@ -32,6 +32,11 @@
 //!   folds `P(z)` into its two sweeps (Eisenstat's trick),
 //! * [`DenseOp`] — a dense matrix as a [`LinearOperator`], for tests and
 //!   small reference problems.
+//!
+//! Only the stencil keeps fused multi-column kernels (its `P(z)`, its
+//! split and its diagonal ILU's sweeps); every other operator and
+//! preconditioner here applies or solves a slab one column at a time
+//! through the [`LinearOperator`] and [`Preconditioner`] defaults.
 //!
 //! No library solve runs the assembled types ([`AssembledPattern`],
 //! [`AssembledOp`], [`Ilu0`], [`FactoredProjector`]) any more: the ILU

@@ -165,8 +165,8 @@ impl LowRankOp {
 
     /// Accumulate `y_c += alpha · (A x_c)` for each of the `nvecs` columns
     /// without zeroing `y` — the kernel the factored projector uses to add
-    /// the low-rank part of `P(z)` on top of the assembled CSR part.
-    /// Column accumulation order matches [`apply_block`](LinearOperator::apply_block)
+    /// the low-rank part of `P(z)` on top of the assembled CSR part.  Per
+    /// column the terms accumulate in the order of [`apply`](LinearOperator::apply)
     /// (terms outer, columns inner, slot-stable scatter).
     pub fn apply_block_accumulate(
         &self,
@@ -283,46 +283,6 @@ impl LinearOperator for LowRankOp {
             }
         });
     }
-    fn apply_block(&self, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
-        assert_eq!(x.len(), self.ncols * nvecs);
-        assert_eq!(y.len(), self.nrows * nvecs);
-        cbs_trace::timed(Stage::Kernel, || {
-            for v in y.iter_mut() {
-                *v = Complex64::ZERO;
-            }
-            // Fused over columns: each term's factors are walked once per
-            // term while the projector inner products `⟨bra|x_c⟩` run over
-            // all columns — a (1 × nnz)·(nnz × nvecs) mini-GEMM kept as
-            // explicit loops so each column accumulates in exactly the
-            // order of the single-vector kernel (bit-identical results).
-            for t in &self.terms {
-                for j in 0..nvecs {
-                    let amp = t.coeff * t.bra.dotc_dense(&x[j * self.ncols..(j + 1) * self.ncols]);
-                    if amp != Complex64::ZERO {
-                        t.ket.axpy_into_dense(amp, &mut y[j * self.nrows..(j + 1) * self.nrows]);
-                    }
-                }
-            }
-        });
-    }
-    fn apply_adjoint_block(&self, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
-        assert_eq!(x.len(), self.nrows * nvecs);
-        assert_eq!(y.len(), self.ncols * nvecs);
-        cbs_trace::timed(Stage::Kernel, || {
-            for v in y.iter_mut() {
-                *v = Complex64::ZERO;
-            }
-            for t in &self.terms {
-                for j in 0..nvecs {
-                    let amp =
-                        t.coeff.conj() * t.ket.dotc_dense(&x[j * self.nrows..(j + 1) * self.nrows]);
-                    if amp != Complex64::ZERO {
-                        t.bra.axpy_into_dense(amp, &mut y[j * self.ncols..(j + 1) * self.ncols]);
-                    }
-                }
-            }
-        });
-    }
     fn memory_bytes(&self) -> usize {
         self.storage_bytes()
     }
@@ -401,37 +361,6 @@ mod tests {
             op.push(ket, bra, c64(rand::Rng::gen_range(&mut rng, -1.0..1.0), 0.5));
         }
         assert!(adjoint_defect(&op, 8, &mut rng) < 1e-13);
-    }
-
-    #[test]
-    fn block_apply_is_bitwise_column_equivalent() {
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(93);
-        let mut op = LowRankOp::new(9, 7);
-        for _ in 0..4 {
-            let ket = sv(&[
-                (rand::Rng::gen_range(&mut rng, 0..9), c64(0.4, -0.2)),
-                (rand::Rng::gen_range(&mut rng, 0..9), c64(-0.1, 0.9)),
-            ]);
-            let bra = sv(&[(rand::Rng::gen_range(&mut rng, 0..7), c64(0.8, 0.3))]);
-            op.push(ket, bra, c64(rand::Rng::gen_range(&mut rng, -1.0..1.0), 0.2));
-        }
-        let nvecs = 3;
-        let x: Vec<Complex64> = CVector::random(7 * nvecs, &mut rng).into_vec();
-        let mut y = vec![Complex64::ZERO; 9 * nvecs];
-        op.apply_block(&x, &mut y, nvecs);
-        for c in 0..nvecs {
-            let mut col = vec![Complex64::ZERO; 9];
-            op.apply(&x[c * 7..(c + 1) * 7], &mut col);
-            assert_eq!(&y[c * 9..(c + 1) * 9], &col[..]);
-        }
-        let xa: Vec<Complex64> = CVector::random(9 * nvecs, &mut rng).into_vec();
-        let mut ya = vec![Complex64::ZERO; 7 * nvecs];
-        op.apply_adjoint_block(&xa, &mut ya, nvecs);
-        for c in 0..nvecs {
-            let mut col = vec![Complex64::ZERO; 7];
-            op.apply_adjoint(&xa[c * 9..(c + 1) * 9], &mut col);
-            assert_eq!(&ya[c * 7..(c + 1) * 7], &col[..]);
-        }
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! Kohn-Sham Hamiltonian densely: the QEP operator `P(z)` is only ever
 //! applied matrix-free.  This trait is the seam that makes the eigensolver
 //! generic over explicit CSR matrices, low-rank projector sums, the fused
-//! real stencil, the assembled `P(z)` and dense test matrices.
+//! real stencil, the assembled `P(z)` and dense test matrices.  Only the
+//! real stencil (and the QEP composition over it) keeps fused multi-column
+//! kernels; every other operator is applied one column at a time through
+//! the trait defaults.
 
 use cbs_linalg::{CVector, Complex64};
 
@@ -32,32 +35,39 @@ pub trait LinearOperator: Sync {
     /// and column `c` of `Y` is `y[c * nrows .. (c+1) * nrows]`.
     ///
     /// The default loops [`apply`](Self::apply) over the columns, so every
-    /// implementation gets the block entry point for free.  Operators whose
-    /// storage traversal dominates (CSR matrices, factored projector sums,
-    /// compositions of them) override this with a **fused** kernel that
-    /// walks the operator once for all columns; overrides must produce
-    /// results **bit-identical** to the per-column default — the block data
-    /// path of the solvers relies on that equivalence for its determinism
-    /// guarantees (`tests/properties.rs` locks it in).
+    /// implementation gets the block entry point for free; it returns at
+    /// once when the output is empty (`nrows() == 0`).  The fused real
+    /// stencil (`RealStencil`, its split) and the QEP composition override
+    /// it to walk their storage once for all columns; overrides must
+    /// produce results **bit-identical** to the per-column default — the
+    /// block data path of the solvers relies on that equivalence for its
+    /// determinism guarantees (`tests/properties.rs` locks it in).
     fn apply_block(&self, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
         let (nc, nr) = (self.ncols(), self.nrows());
         assert_eq!(x.len(), nc * nvecs, "apply_block: x slab length mismatch");
         assert_eq!(y.len(), nr * nvecs, "apply_block: y slab length mismatch");
-        for (xc, yc) in x.chunks_exact(nc).zip(y.chunks_exact_mut(nr)) {
-            self.apply(xc, yc);
+        if nr == 0 {
+            return;
+        }
+        for (c, yc) in y.chunks_exact_mut(nr).enumerate() {
+            self.apply(&x[c * nc..(c + 1) * nc], yc);
         }
     }
 
     /// `Y = A† X` over column-major slabs; the adjoint twin of
     /// [`apply_block`](Self::apply_block) (column `c` of `X` has length
-    /// `nrows`, column `c` of `Y` has length `ncols`).  Overrides must stay
-    /// bit-identical to the per-column default.
+    /// `nrows`, column `c` of `Y` has length `ncols`; the default returns at
+    /// once when `ncols() == 0`).  Overrides must stay bit-identical to the
+    /// per-column default.
     fn apply_adjoint_block(&self, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
         let (nc, nr) = (self.ncols(), self.nrows());
         assert_eq!(x.len(), nr * nvecs, "apply_adjoint_block: x slab length mismatch");
         assert_eq!(y.len(), nc * nvecs, "apply_adjoint_block: y slab length mismatch");
-        for (xc, yc) in x.chunks_exact(nr).zip(y.chunks_exact_mut(nc)) {
-            self.apply_adjoint(xc, yc);
+        if nc == 0 {
+            return;
+        }
+        for (c, yc) in y.chunks_exact_mut(nc).enumerate() {
+            self.apply_adjoint(&x[c * nr..(c + 1) * nr], yc);
         }
     }
 
@@ -155,16 +165,23 @@ pub trait Preconditioner: Sync {
 
     /// Multi-RHS solve over `nvecs` column-major vectors: column `c` lives
     /// at `r[c*n..(c+1)*n]` / `z[c*n..(c+1)*n]` (the same slab convention
-    /// as [`LinearOperator::apply_block`]).
+    /// as [`LinearOperator::apply_block`]).  Both slabs must hold at least
+    /// `nvecs` columns; only the first `nvecs` of `z` are written.
     ///
-    /// The default loops [`Preconditioner::solve`] per column, so every
-    /// implementation is *bitwise* equivalent to the per-column path out of
-    /// the box.  Implementations that override it (the blocked diagonal-ILU
-    /// sweeps, both storage forms) must preserve that bitwise equivalence — the
-    /// block solver's parity contract with the per-column reference solver
-    /// is test-locked on top of this seam.
+    /// The default loops [`Preconditioner::solve`] per column (and returns
+    /// at once when `dim() == 0`), so every implementation is *bitwise*
+    /// equivalent to the per-column path out of the box.  The stencil's
+    /// diagonal ILU (`StencilDilu`) overrides it with fused sweeps, which
+    /// must preserve that bitwise equivalence — the block solver's parity
+    /// contract with the per-column reference solver is test-locked on top
+    /// of this seam.
     fn solve_block(&self, r: &[Complex64], z: &mut [Complex64], nvecs: usize) {
         let n = self.dim();
+        assert!(r.len() >= n * nvecs, "solve_block: r slab too short");
+        assert!(z.len() >= n * nvecs, "solve_block: z slab too short");
+        if n == 0 {
+            return;
+        }
         for (rc, zc) in r.chunks_exact(n).zip(z.chunks_exact_mut(n)).take(nvecs) {
             self.solve(rc, zc);
         }
@@ -174,6 +191,11 @@ pub trait Preconditioner: Sync {
     /// [`Preconditioner::solve_block`].
     fn solve_adjoint_block(&self, r: &[Complex64], z: &mut [Complex64], nvecs: usize) {
         let n = self.dim();
+        assert!(r.len() >= n * nvecs, "solve_adjoint_block: r slab too short");
+        assert!(z.len() >= n * nvecs, "solve_adjoint_block: z slab too short");
+        if n == 0 {
+            return;
+        }
         for (rc, zc) in r.chunks_exact(n).zip(z.chunks_exact_mut(n)).take(nvecs) {
             self.solve_adjoint(rc, zc);
         }
@@ -313,6 +335,71 @@ mod tests {
         assert!((&op.apply_vec(&x) - &m.matvec(&x)).norm() < 1e-13);
         let y = CVector::random(5, &mut rng);
         assert!((&op.apply_adjoint_vec(&y) - &m.adjoint().matvec(&y)).norm() < 1e-13);
+    }
+
+    /// `z = d ∘ r`: the smallest preconditioner that keeps the defaults.
+    struct Diagonal(Vec<Complex64>);
+
+    impl Preconditioner for Diagonal {
+        fn dim(&self) -> usize {
+            self.0.len()
+        }
+        fn solve(&self, r: &[Complex64], z: &mut [Complex64]) {
+            for ((zi, ri), di) in z.iter_mut().zip(r).zip(&self.0) {
+                *zi = *di * *ri;
+            }
+        }
+        fn solve_adjoint(&self, r: &[Complex64], z: &mut [Complex64]) {
+            for ((zi, ri), di) in z.iter_mut().zip(r).zip(&self.0) {
+                *zi = di.conj() * *ri;
+            }
+        }
+    }
+
+    #[test]
+    fn block_defaults_accept_empty_dimensions() {
+        let empty = DenseOp::new(CMatrix::zeros(0, 0));
+        empty.apply_block(&[], &mut [], 3);
+        empty.apply_adjoint_block(&[], &mut [], 3);
+        // A 2×0 operator maps every column to zero, and its adjoint has
+        // nothing to write.
+        let wide = DenseOp::new(CMatrix::zeros(2, 0));
+        let mut y = vec![Complex64::ONE; 6];
+        wide.apply_block(&[], &mut y, 3);
+        assert!(y.iter().all(|&v| v == Complex64::ZERO));
+        wide.apply_adjoint_block(&y, &mut [], 3);
+        let none = Diagonal(Vec::new());
+        none.solve_block(&[], &mut [], 3);
+        none.solve_adjoint_block(&[], &mut [], 3);
+    }
+
+    #[test]
+    fn solve_block_defaults_solve_every_column_of_a_longer_slab() {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(64);
+        let m = Diagonal(CVector::random(4, &mut rng).into_vec());
+        let r = CVector::random(4 * 3, &mut rng).into_vec();
+        let mut z = vec![Complex64::ONE; 4 * 3 + 1];
+        m.solve_block(&r, &mut z, 3);
+        let mut col = vec![Complex64::ZERO; 4];
+        for (c, rc) in r.chunks_exact(4).enumerate() {
+            m.solve(rc, &mut col);
+            assert_eq!(&z[c * 4..(c + 1) * 4], &col[..], "column {c}");
+        }
+        assert_eq!(z[12], Complex64::ONE, "only nvecs columns are written");
+    }
+
+    #[test]
+    #[should_panic(expected = "r slab too short")]
+    fn solve_block_default_rejects_a_short_slab() {
+        let m = Diagonal(vec![Complex64::ONE; 4]);
+        m.solve_block(&[Complex64::ONE; 7], &mut [Complex64::ZERO; 8], 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "z slab too short")]
+    fn solve_adjoint_block_default_rejects_a_short_slab() {
+        let m = Diagonal(vec![Complex64::ONE; 4]);
+        m.solve_adjoint_block(&[Complex64::ONE; 8], &mut [Complex64::ZERO; 7], 2);
     }
 
     #[test]

@@ -19,8 +19,7 @@
 //!
 //! [`FactoredProjector::accumulate`] adds the projector contribution on top
 //! of the assembled CSR product (slot-stable scatter kernels, bit-stable
-//! column order); [`accumulate_adjoint`](FactoredProjector::accumulate_adjoint)
-//! does the same for the dual system `P(z)†`.
+//! column order).
 
 use cbs_linalg::Complex64;
 
@@ -85,21 +84,6 @@ impl FactoredProjector {
         self.vnl00.apply_block_accumulate(minus_one, x, y, nvecs);
         self.vnl01.apply_block_accumulate(-z, x, y, nvecs);
         self.vnl10.apply_block_accumulate(-z.inv(), x, y, nvecs);
-    }
-
-    /// Accumulate the projector part of the dual operator `P(z)†`:
-    /// `y_c += (−V₀₀ − z·V₀₁ − z⁻¹·V₀₁†)† x_c = (−V₀₀† − z̄·V₀₁† − conj(z⁻¹)·V₁₀†) x_c`.
-    pub fn accumulate_adjoint(
-        &self,
-        z: Complex64,
-        x: &[Complex64],
-        y: &mut [Complex64],
-        nvecs: usize,
-    ) {
-        let minus_one = Complex64::real(-1.0);
-        self.vnl00.apply_adjoint_block_accumulate(minus_one, x, y, nvecs);
-        self.vnl01.apply_adjoint_block_accumulate(-z.conj(), x, y, nvecs);
-        self.vnl10.apply_adjoint_block_accumulate(-z.inv().conj(), x, y, nvecs);
     }
 }
 
@@ -168,19 +152,6 @@ mod tests {
                     );
                 }
             }
-            let mut ya = base.clone();
-            p.accumulate_adjoint(z, &x, &mut ya, nvecs);
-            for c in 0..nvecs {
-                let mut want = vec![Complex64::ZERO; n];
-                dense.matvec_adjoint_into(&x[c * n..(c + 1) * n], &mut want);
-                for i in 0..n {
-                    let w = base[c * n + i] + want[i];
-                    assert!(
-                        (ya[c * n + i] - w).abs() < 1e-13,
-                        "adjoint accumulate mismatch at col {c} row {i}"
-                    );
-                }
-            }
         }
     }
 
@@ -192,7 +163,6 @@ mod tests {
         let mut y = vec![c64(1.0, -2.0); n];
         let x = vec![c64(0.5, 0.5); n];
         p.accumulate(c64(1.1, 0.2), &x, &mut y, 1);
-        p.accumulate_adjoint(c64(1.1, 0.2), &x, &mut y, 1);
         assert!(y.iter().all(|&v| v == c64(1.0, -2.0)));
     }
 }

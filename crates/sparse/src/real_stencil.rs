@@ -36,9 +36,11 @@
 //!
 //! Bitwise contract: per column the accumulation order does not depend on
 //! the tile width or the row block (the tails keep their term order per
-//! column too), so a block apply equals the
-//! column-by-column loop bit for bit — the same contract as the CSR block
-//! kernels in [`crate::csr`].  Against the generic three-pass expression the
+//! column too), so a block apply equals the column-by-column loop bit for
+//! bit — the contract of [`LinearOperator::apply_block`], whose per-column
+//! default serves every other operator of this crate.  These and the
+//! diagonal ILU's sweeps below are the crate's only fused multi-column
+//! kernels.  Against the generic three-pass expression the
 //! stencil agrees to rounding (≤ 1e-14 relative), not bitwise: the sums are
 //! associated differently.
 //!
@@ -68,12 +70,17 @@ use cbs_trace::Stage;
 
 use crate::assembled::{guarded, pivot_floor};
 use crate::csr::CsrMatrix;
-use crate::csr::ROW_BLOCK;
 use crate::lowrank::LowRankOp;
 use crate::ops::{LinearOperator, Preconditioner};
 
 mod blocks;
 pub use blocks::{Block, StencilBlock, StencilBuilder};
+
+/// Rows per cache block of the fused apply and the diagonal-ILU sweeps.
+/// One block's index + value stream (≈ `ROW_BLOCK · nnz/row · 12 B`) fits
+/// comfortably in L2, so re-streaming it once per column tile is served
+/// from cache.
+const ROW_BLOCK: usize = 512;
 
 /// Real compressed-sparse-row storage: `f64` values, `u32` indices and row
 /// pointers.  Rows are matrix rows for the Hamiltonian blocks and rank-one
