@@ -127,12 +127,6 @@ pub struct CbsStatistics {
     /// [`kernel_ns`](Self::kernel_ns).
     #[serde(default)]
     pub precond_ns: u64,
-    /// **CPU** nanoseconds in eigenpair extraction (the `cbs-trace`
-    /// `extraction` stage counter; extraction runs on the calling thread,
-    /// so this also mirrors
-    /// [`extraction_seconds`](Self::extraction_seconds)).
-    #[serde(default)]
-    pub extraction_ns: u64,
     /// **Wall** nanoseconds during which at least one thread was inside an
     /// operator kernel — the span-merged (interval-union) counterpart of
     /// [`kernel_ns`](Self::kernel_ns).  Only filled while a
@@ -143,10 +137,6 @@ pub struct CbsStatistics {
     /// without an active trace session.
     #[serde(default)]
     pub precond_wall_ns: u64,
-    /// **Wall** nanoseconds of eigenpair extraction (span-merged); zero
-    /// without an active trace session.
-    #[serde(default)]
-    pub extraction_wall_ns: u64,
     /// Total eigenpairs accepted.
     pub accepted: usize,
     /// Total candidates discarded by the residual filter.

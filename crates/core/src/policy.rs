@@ -37,10 +37,11 @@ impl BlockPolicy {
 /// There is no `Default`: `SsConfig::paper()` is the one place a default
 /// policy is written ([`MatrixFree`](Self::MatrixFree), the paper's).  An
 /// unset or malformed `CBS_PRECOND` leaves whatever the reading binary
-/// configured.  The discriminants are the fingerprint and trace codes; 1
-/// (the unpreconditioned assembled CSR) and 3 (ILU(0) completed by a
-/// Sherman-Morrison-Woodbury projector correction, 2–7× slower than plain
-/// ILU(0) at the same iteration count) are retired and never reused.
+/// configured.  The discriminants are codes of the checkpoint fingerprint
+/// only (nothing else reads them); 1 (the unpreconditioned assembled CSR)
+/// and 3 (ILU(0) completed by a Sherman-Morrison-Woodbury projector
+/// correction, 2–7× slower than plain ILU(0) at the same iteration count)
+/// are retired and never reused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PrecondPolicy {
     /// Apply `P(z)` matrix-free, unpreconditioned: one fused row pass over
@@ -98,13 +99,6 @@ impl PrecondPolicy {
     pub fn is_assembled(self) -> bool {
         !matches!(self, Self::MatrixFree)
     }
-
-    /// The policy's code in trace span contexts — the
-    /// [`cbs_trace::policy_name`] contract: 0 = matrix-free,
-    /// 2 = assembled-ilu0.
-    pub fn trace_code(self) -> u8 {
-        self as u8
-    }
 }
 
 impl cbs_trace::Knob for PrecondPolicy {
@@ -142,7 +136,8 @@ mod tests {
         assert_eq!(PrecondPolicy::AssembledIlu0.name(), "assembled-ilu0");
         assert!(!PrecondPolicy::MatrixFree.is_assembled());
         assert!(PrecondPolicy::AssembledIlu0.is_assembled());
-        assert_eq!(PrecondPolicy::MatrixFree.trace_code(), 0);
-        assert_eq!(PrecondPolicy::AssembledIlu0.trace_code(), 2);
+        // The fingerprint codes; 1 and 3 stay retired.
+        assert_eq!(PrecondPolicy::MatrixFree as u64, 0);
+        assert_eq!(PrecondPolicy::AssembledIlu0 as u64, 2);
     }
 }

@@ -9,15 +9,33 @@
 //!    `P(z_j^(1))† Y_j^(2) = V`, i.e. the systems at the inner-circle nodes
 //!    `z_j^(2) = 1/conj(z_j^(1))` (paper §3.2).
 //! 2. Accumulate the complex moments `Ŝ_k = Σ_j ω_j z_j^k Y_j` over both
-//!    circles — as vectors only for `k < N_mm`, the basis of step 3's
-//!    eigenvectors — and the projected moments `µ̂_k = V† Ŝ_k` for every
-//!    `k < 2 N_mm`, each solution projected onto `V` as it is folded in
+//!    circles for the `2 N_mm` powers `k = −s … N_mm`, `s = N_mm − 1`
+//!    (Laurent-centred on `k = 0`) — as vectors only for `k ≤ 0`, the basis
+//!    of step 3's eigenvectors — and the projected moments `µ̂_k = V† Ŝ_k`
+//!    for every `k`, each solution projected onto `V` as it is folded in
 //!    ([`MomentAccumulator`]).
-//! 3. Build the block Hankel matrices `T̂`, `T̂^<`, filter with an SVD at
-//!    threshold `δ`, solve the reduced `m̂ × m̂` eigenproblem and recover the
-//!    eigenvectors as `Ŝ W₁ Σ₁⁻¹ φ`.
+//! 3. Build the block Hankel matrices `T̂ = [µ̂_{i+j−s}]`,
+//!    `T̂^< = [µ̂_{i+j+1−s}]`, filter with an SVD at threshold `δ`, solve the
+//!    reduced `m̂ × m̂` eigenproblem and recover the eigenvectors as
+//!    `Ŝ W₁ Σ₁⁻¹ φ`.
 //! 4. Keep only eigenpairs inside the annulus whose explicit QEP residual is
 //!    small.
+//!
+//! # Why the moments are centred
+//!
+//! An eigenvalue's share of `µ̂_k` scales as `|λ|^k`, and the annulus
+//! `λ_min < |λ| < 1/λ_min` spans a factor `λ_min^{−2}` in modulus: the
+//! textbook powers `k = 0 … 2N_mm − 1` mix scales up to
+//! `λ_min^{−2(2N_mm−1)}` in one Hankel pair, and the trapezoid rule aliases
+//! the high powers first.  Centring the powers on `k = 0` halves the
+//! largest exponent.  In exact arithmetic the shift multiplies each
+//! eigenvalue's term by `λ^{−s}`, so the Hankel pencil keeps its
+//! eigenvalues; zero lies outside the annulus, so the negative powers are
+//! safe, and the node solves do not change at all.  Since
+//! `z̄^{−s} = conj z^{−s}`, the mirrored half ring below stays exact.  On
+//! the 343-point Al(100) cell at `N_int` 8 (`N_mm` 4, `N_rh` 4) it is the
+//! difference between losing 18 of 320 reference pairs over 32 source-block
+//! seeds and finding all of them (`tests/centred_moments.rs`).
 //!
 //! # Symmetries that cut the solve count
 //!
@@ -60,8 +78,8 @@ use crate::qep::QepProblem;
 /// Every shifted solve runs to [`bicg_tolerance`](Self::bicg_tolerance)
 /// or [`bicg_max_iterations`](Self::bicg_max_iterations): the paper's
 /// majority-stop load-balancing rule is not implemented (the pool module
-/// says why).  Trace detail is the active `cbs_trace::TraceSession`'s
-/// level alone.
+/// says why).  Stage spans are recorded while a `cbs_trace::TraceSession`
+/// is active; no field here selects them.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct SsConfig {
     /// Number of quadrature points per circle (`N_int`).
@@ -210,10 +228,10 @@ pub struct SsResult {
     /// [`solve_histories`](Self::solve_histories)`.len()` on a mirrored
     /// ring.
     pub shifted_solves: usize,
-    /// The projected complex moments `µ̂_k = V† Ŝ_k` (`2 N_mm` matrices of
-    /// shape `N_rh x N_rh`).  Diagnostics, and the quantity the
-    /// deterministic-parallelism regression test compares bit-for-bit
-    /// across executors.
+    /// The projected complex moments `µ̂_k = V† Ŝ_k`, `k = −s … N_mm` with
+    /// `s = N_mm − 1` (`2 N_mm` matrices of shape `N_rh x N_rh`).
+    /// Diagnostics, and the quantity the deterministic-parallelism
+    /// regression test compares bit-for-bit across executors.
     pub projected_moments: Vec<CMatrix>,
     /// Total number of BiCG iterations summed over all systems **solved**
     /// (mirrored nodes cost nothing and count nothing — likewise for the
@@ -271,17 +289,18 @@ pub fn source_block(n: usize, config: &SsConfig) -> Vec<CVector> {
 
 /// Streaming accumulator for step 2 of the method: folds each
 /// [`ShiftedSolveOutcome`] **in job order** into exactly what the extraction
-/// reads of the moments `Ŝ_k = Σ_j ω_j z_j^k Y_j` (primal + paired dual
-/// nodes), and retains the primal convergence histories:
+/// reads of the moments `Ŝ_k = Σ_j ω_j z_j^k Y_j`, `k = −s … N_mm` with
+/// `s = N_mm − 1` (primal + paired dual nodes; the module docs say why the
+/// powers are centred), and retains the primal convergence histories:
 ///
-/// * the vectors `Ŝ_0 … Ŝ_{N_mm−1}` (`N_rh` columns of length `N` each), the
+/// * the vectors `Ŝ_{−s} … Ŝ_0` (`N_rh` columns of length `N` each), the
 ///   basis the eigenvectors `ψ = Ŝ W₁Σ₁⁻¹φ` are recovered from.  On a
 ///   mirrored ring ([`RingPlan::is_mirrored`]) only their real parts are
 ///   kept — the extraction closes the ring with `Ŝ_k + conj Ŝ_k = 2 Re Ŝ_k`
 ///   — accumulated with the real half of the complex axpy, so they are
 ///   bitwise the real parts of the complex sum;
-/// * the projections `µ̂_k = V†Ŝ_k` (`N_rh × N_rh`) for every `k < 2 N_mm`,
-///   the entries of the block Hankel pair, summed from each outcome's
+/// * the projections `µ̂_k = V†Ŝ_k` (`N_rh × N_rh`) for every `k`, the
+///   entries of the block Hankel pair, summed from each outcome's
 ///   `V†x` and `V†x̃`.
 ///
 /// That is a quarter of `2 N_mm N_rh` complex length-`N` vectors on a
@@ -302,13 +321,13 @@ pub struct MomentAccumulator {
     mirrored: bool,
     /// Length `N` of one moment column.
     n: usize,
-    /// `Re Ŝ_k[:, rhs]` for `k < N_mm`, column `k·N_rh + rhs` at
+    /// `Re Ŝ_{i−s}[:, rhs]` for `i < N_mm`, column `i·N_rh + rhs` at
     /// `[col·N .. (col+1)·N]`.
     re: Vec<f64>,
-    /// `Im Ŝ_k[:, rhs]` in the same layout; empty on a mirrored ring.
+    /// `Im Ŝ_{i−s}[:, rhs]` in the same layout; empty on a mirrored ring.
     im: Vec<f64>,
-    /// `µ̂_k = V†Ŝ_k` for `k < 2 N_mm`, over the listed nodes only (the
-    /// extraction takes `2 Re` of them on a mirrored ring).
+    /// `µ̂_{i−s} = V†Ŝ_{i−s}` at index `i < 2 N_mm`, over the listed nodes
+    /// only (the extraction takes `2 Re` of them on a mirrored ring).
     mu: Vec<CMatrix>,
     /// Primal convergence histories in job order.
     histories: Vec<ConvergenceHistory>,
@@ -344,11 +363,11 @@ impl MomentAccumulator {
         // The outcome's share of every µ̂_k, projected once: V†x and V†x̃.
         let projected: Vec<(Complex64, Complex64)> =
             v_cols.iter().map(|v| (v.dot(&outcome.x), v.dot(&outcome.dual_x))).collect();
-        // Accumulate the moments for this (j, rhs) pair:
+        // Accumulate the moments for this (j, rhs) pair, k = −s … N_mm:
         //   primal:  + ω_j z_j^k  Y^(1)
         //   dual:    + ω'_j z'^k  Y^(2)   (orientation sign in the weight)
-        let mut zk_primal = outer.weight;
-        let mut zk_dual = inner.weight;
+        let mut zk_primal = centred_weight(outer, n_mm);
+        let mut zk_dual = centred_weight(inner, n_mm);
         for (k, mu_k) in self.mu.iter_mut().enumerate() {
             if k < n_mm {
                 let start = (k * v_cols.len() + rhs) * n;
@@ -386,8 +405,8 @@ impl MomentAccumulator {
         self.mu.first().map_or(0, CMatrix::nrows)
     }
 
-    /// Widen stored column `col` (`k·N_rh + rhs`, `k < N_mm`) into `out`:
-    /// `Ŝ_k[:, rhs]`, or `Re Ŝ_k[:, rhs]` on a mirrored ring.
+    /// Widen stored column `col` (`i·N_rh + rhs`, `i < N_mm`) into `out`:
+    /// `Ŝ_{i−s}[:, rhs]`, or its real part on a mirrored ring.
     fn widen_column(&self, col: usize, out: &mut CVector) {
         let range = col * self.n..(col + 1) * self.n;
         let (out, re) = (out.as_mut_slice(), &self.re[range.clone()]);
@@ -420,6 +439,12 @@ impl MomentAccumulator {
     }
 }
 
+/// The weight of node `p` in the lowest moment, `ω z^{−s}` with
+/// `s = N_mm − 1`; each further moment multiplies it by `z`.
+pub(crate) fn centred_weight(p: QuadraturePoint, n_mm: usize) -> Complex64 {
+    p.weight * p.z.powi(1 - n_mm as i32)
+}
+
 /// Solve the QEP for all eigenvalues in the annulus with the Sakurai-Sugiura
 /// method, the shifted systems dispatched through the given
 /// [`TaskExecutor`] (`SerialExecutor` for a serial solve): the ring as a
@@ -449,7 +474,7 @@ pub fn solve_qep_with<E: TaskExecutor>(
     // The trace handle resolves against the active session (no-op when none
     // is recording) and inherits any context — e.g. a sweep's scan-energy
     // index — the calling thread has installed.
-    let trace = TraceHandle::resolve().with_policy(config.precond.trace_code());
+    let trace = TraceHandle::resolve();
     let ring = PoolGroup { problem, v_cols: &plan.v_cols, trace };
     let outcome = solve_pool(&[ring], vec![plan.accumulator()], config, executor)
         .pop()
@@ -461,10 +486,11 @@ pub fn solve_qep_with<E: TaskExecutor>(
 }
 
 /// Steps 3-4 of the method: build the block Hankel matrices from the
-/// projected moments `µ̂_k` of the pool `outcome`'s accumulator, filter with
-/// the SVD, solve the reduced eigenproblem, recover the eigenvectors from
-/// its stored `Ŝ_k` and residual-check the eigenpairs; the outcome's work
-/// counters are carried into the result.  `N_mm` and `N_rh` are the
+/// centred projected moments `µ̂_k`, `k = −s … N_mm` (`s = N_mm − 1`), of
+/// the pool `outcome`'s accumulator, filter with the SVD, solve the reduced
+/// eigenproblem, recover the eigenvectors from its stored `Ŝ_{−s} … Ŝ_0`
+/// and residual-check the eigenpairs; the outcome's work counters are
+/// carried into the result.  `N_mm` and `N_rh` are the
 /// accumulator's ([`RingPlan::build`] took them from the configuration).
 ///
 /// Public so that multi-energy drivers (`cbs-sweep`) can run the extraction
@@ -531,7 +557,8 @@ pub fn extract_from_moments(
     let (residual_matvecs_0, residual_traversals_0) = problem.residual_op_counters();
 
     let dim = m * n_rh;
-    // Block Hankel matrices: T̂[i][j] = µ̂_{i+j},  T̂^<[i][j] = µ̂_{i+j+1}.
+    // Block Hankel matrices: T̂[i][j] = µ̂_{i+j−s},  T̂^<[i][j] = µ̂_{i+j+1−s}
+    // (`mu[i]` holds µ̂_{i−s}, s = N_mm − 1).
     let mut t_hankel = CMatrix::zeros(dim, dim);
     let mut t_shift = CMatrix::zeros(dim, dim);
     for bi in 0..m {
@@ -548,7 +575,7 @@ pub fn extract_from_moments(
         .and_then(|d| Reduced::filter(d, &t_shift, config.delta))
         .unwrap_or_else(|| Reduced::empty(dim));
 
-    // Eigenvector recovery: ψ = Ŝ W₁ Σ₁⁻¹ φ with Ŝ = [Ŝ_0 … Ŝ_{m-1}].
+    // Eigenvector recovery: ψ = Ŝ W₁ Σ₁⁻¹ φ with Ŝ = [Ŝ_{−s} … Ŝ_0].
     // Compute  c = W₁ Σ₁⁻¹ φ  (dim x 1) per eigenpair and combine columns.
     let mut eigenpairs = Vec::new();
     let mut discarded = 0usize;
@@ -585,7 +612,7 @@ pub fn extract_from_moments(
             }
             coeff[r] = acc;
         }
-        // ψ = Σ_{k, rhs} coeff[k*N_rh + rhs] * Ŝ_k[:, rhs]
+        // ψ = Σ_{i, rhs} coeff[i*N_rh + rhs] * Ŝ_{i−s}[:, rhs]
         let mut psi = CVector::zeros(n);
         for (col, &c) in coeff.iter().enumerate() {
             if c.abs() > 0.0 {
@@ -1005,14 +1032,16 @@ mod tests {
             .collect()
     }
 
-    /// The fold the compact store replaced: every `Ŝ_k`, `k < 2 N_mm`, as
-    /// `N_rh` complex vectors.
+    /// The fold the compact store replaced: every centred `Ŝ_k`,
+    /// `k = −s … N_mm`, as `N_rh` complex vectors, from the same
+    /// `centred_weight` the store starts at.
     fn full_fold(plan: &RingPlan, outcomes: &[ShiftedSolveOutcome]) -> Vec<Vec<CVector>> {
         let n = plan.v_cols[0].len();
         let mut s_moments = vec![vec![CVector::zeros(n); plan.v_cols.len()]; 2 * plan.n_mm];
         for o in outcomes {
             let (outer, inner) = plan.nodes[o.point_index];
-            let (mut zk_primal, mut zk_dual) = (outer.weight, inner.weight);
+            let (mut zk_primal, mut zk_dual) =
+                (centred_weight(outer, plan.n_mm), centred_weight(inner, plan.n_mm));
             for s_k in s_moments.iter_mut() {
                 s_k[o.rhs_index].axpy(zk_primal, &o.x);
                 s_k[o.rhs_index].axpy(zk_dual, &o.dual_x);
@@ -1026,7 +1055,7 @@ mod tests {
     /// The compact store against the full complex fold, on a mirrored ring
     /// (a real pencil applied through the real stencil) and a full one (a
     /// dense complex pencil): its size is what `memory_bytes` reports, the
-    /// stored `Ŝ_k`, `k < N_mm`, are the full fold's (its real parts on the
+    /// stored `Ŝ_k`, `k ≤ 0`, are the full fold's (its real parts on the
     /// mirrored ring) bit for bit, and every `µ̂_k` is `V†Ŝ_k` to rounding.
     #[test]
     fn the_compact_store_is_the_full_fold_it_replaced() {

@@ -396,7 +396,6 @@ pub fn bicg_dual_block_precond<A: LinearOperator + ?Sized, M: Preconditioner + ?
         col.rho = dotc(col.rt.as_slice(), slot(&p, n, c));
         col.res = col.r.norm() / col.b_norm;
         col.res_dual = col.rt.norm() / col.bt_norm;
-        cbs_trace::record_iteration(Some(c), 0, col.res);
         if opts.record_history {
             col.history.push(col.res);
             col.dual_history.push(col.res_dual);
@@ -473,7 +472,6 @@ pub fn bicg_dual_block_precond<A: LinearOperator + ?Sized, M: Preconditioner + ?
             let (r_sq, rt_sq, rho) = step(alpha, slots, col);
             col.res = r_sq.sqrt() / col.b_norm;
             col.res_dual = rt_sq.sqrt() / col.bt_norm;
-            cbs_trace::record_iteration(Some(c), iter + 1, col.res);
             if opts.record_history {
                 col.history.push(col.res);
                 col.dual_history.push(col.res_dual);

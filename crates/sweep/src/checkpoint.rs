@@ -141,13 +141,17 @@ impl std::error::Error for CheckpointError {}
 //   v19 one pool dispatch: the record line lost its capped-solve count
 //       and the fingerprint its majority-stop slot; the rule is gone, so a
 //       v18 sweep over a full ring (complex blocks) capped solves that now
-//       run to tolerance.
+//       run to tolerance,
+//   v20 Laurent-centred moments: same layout as v19, but the moments run
+//       over the powers `k = −s … N_mm` (`s = N_mm − 1`) instead of
+//       `0 … 2N_mm − 1`, so the extracted eigenvalues of a v19 sweep round
+//       differently.
 // There is exactly one compatibility rule: the version found must be the
 // current one.  Anything else announcing itself through the shared magic
 // prefix is refused with [`CheckpointError::IncompatibleVersion`], naming
 // both versions, rather than read with silently zeroed or misaligned
 // fields.
-const MAGIC: &str = "cbs-sweep-checkpoint v19";
+const MAGIC: &str = "cbs-sweep-checkpoint v20";
 
 /// Prefix shared by every version's magic line; anything with this prefix
 /// but the wrong version is an incompatible (not malformed) checkpoint.
@@ -530,16 +534,17 @@ mod tests {
         // fields and warm/cold counters, and no checksum; v15's ILU sweeps
         // stopped on another rule; v16's eigenvalues came from moments
         // summed before they were projected; v17 records carry the
-        // assembly counter; v18 records carry the majority-stop counter.
+        // assembly counter; v18 records carry the majority-stop counter;
+        // v19's eigenvalues came from uncentred moments.
         // All must hit the dedicated incompatible-version path, and the
         // error message must name the version found *and* the one expected.
         // A format from the future is refused the same way — there is one
         // check, not one per version.
         let old = [
             "v4", "v5", "v6", "v7", "v8", "v9", "v10", "v11", "v12", "v13", "v14", "v15", "v16",
-            "v17", "v18",
+            "v17", "v18", "v19",
         ];
-        for version in old.into_iter().chain(["v20"]) {
+        for version in old.into_iter().chain(["v21"]) {
             let stale = format!("cbs-sweep-checkpoint {version}");
             match SweepCheckpoint::parse(&relabelled(version)) {
                 Err(CheckpointError::IncompatibleVersion { ref found }) => {
@@ -552,7 +557,7 @@ mod tests {
                 other => panic!("{version}: expected IncompatibleVersion, got {other:?}"),
             }
         }
-        assert!(SweepCheckpoint::parse(&relabelled("v19")).is_ok(), "v19 is the current format");
+        assert!(SweepCheckpoint::parse(&relabelled("v20")).is_ok(), "v20 is the current format");
     }
 
     /// The body of a serialized checkpoint: everything before its

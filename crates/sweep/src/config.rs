@@ -59,8 +59,8 @@ impl SweepConfig {
             self.ss.seed,
             // The precond policy changes the floating-point trajectory (the
             // diagonal-ILU split), so a resume across it would silently
-            // change results; the block policy stays excluded because its
-            // results are bitwise policy-invariant.
+            // change results.  There is one job shape, so nothing else of
+            // the solve's layout is fingerprinted.
             self.ss.precond as u64,
             self.max_refinements as u64,
             self.min_refine_spacing.to_bits(),

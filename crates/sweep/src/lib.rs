@@ -21,7 +21,7 @@
 //!   band-edge-bracketing [`BandEdgeRefiner`] fires) are bisected up to a
 //!   configurable budget, one pool per generation, resolving band edges
 //!   cheaply.
-//! * **Checkpointing** — a [`SweepCheckpoint`] (format v19: finished
+//! * **Checkpointing** — a [`SweepCheckpoint`] (format v20: finished
 //!   energies' results, bit-exact floats, a checksum) is written after
 //!   every extracted energy; a killed sweep resumes bit-identically
 //!   ([`checkpoint`]).

@@ -445,7 +445,7 @@ impl<'a> EnergySweep<'a> {
         // ascending `energy_index` is only known at the end).  The handle
         // resolves to a no-op when no `cbs_trace::TraceSession` records.
         let record_base = st.records.len();
-        let trace = TraceHandle::resolve().with_policy(ss.precond.trace_code());
+        let trace = TraceHandle::resolve();
 
         if !to_solve.is_empty() {
             let problems: Vec<QepProblem<'_>> =
@@ -573,10 +573,8 @@ impl<'a> EnergySweep<'a> {
             // the wall-clock fields).
             kernel_ns: cpu(Stage::Kernel),
             precond_ns: cpu(Stage::IluFactor) + cpu(Stage::TriSweep),
-            extraction_ns: cpu(Stage::Extraction),
             kernel_wall_ns: wall.map_or(0, |w| w.wall(Stage::Kernel)),
             precond_wall_ns: wall.map_or(0, |w| w.wall(Stage::IluFactor) + w.wall(Stage::TriSweep)),
-            extraction_wall_ns: wall.map_or(0, |w| w.wall(Stage::Extraction)),
             ..CbsStatistics::default()
         };
         for (index, rec) in records.iter_mut().enumerate() {

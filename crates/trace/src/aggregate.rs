@@ -1,7 +1,6 @@
-//! Span aggregation: per-stage totals (CPU-ns vs merged wall-ns) and the
-//! per-stage × per-context cost table.
+//! Span aggregation: per-stage totals, CPU-ns against merged wall-ns.
 
-use crate::{Span, SpanCtx, Stage, STAGE_COUNT};
+use crate::{Span, Stage, STAGE_COUNT};
 
 /// Per-stage totals over a time window.
 ///
@@ -18,8 +17,6 @@ pub struct StageAgg {
     pub cpu_ns: [u64; STAGE_COUNT],
     /// Merged span-interval length per stage (wall-ns).
     pub wall_ns: [u64; STAGE_COUNT],
-    /// Number of spans per stage.
-    pub count: [u64; STAGE_COUNT],
 }
 
 impl StageAgg {
@@ -32,26 +29,6 @@ impl StageAgg {
     pub fn wall(&self, stage: Stage) -> u64 {
         self.wall_ns[stage as usize]
     }
-
-    /// Span count of one stage.
-    pub fn spans(&self, stage: Stage) -> u64 {
-        self.count[stage as usize]
-    }
-}
-
-/// One row of the per-context aggregation table.
-#[derive(Clone, Copy, Debug)]
-pub struct AggRow {
-    /// The stage.
-    pub stage: Stage,
-    /// The context all aggregated spans share.
-    pub ctx: SpanCtx,
-    /// Number of spans.
-    pub count: u64,
-    /// Summed durations (CPU-ns).
-    pub cpu_ns: u64,
-    /// Merged interval length (wall-ns).
-    pub wall_ns: u64,
 }
 
 /// Length of the union of `intervals` (each `(start, end)`), destructively
@@ -91,7 +68,6 @@ pub(crate) fn aggregate_spans<'a>(
         }
         let i = span.stage as usize;
         agg.cpu_ns[i] += e - s;
-        agg.count[i] += 1;
         intervals[i].push((s, e));
     }
     for (i, iv) in intervals.iter_mut().enumerate() {
@@ -100,85 +76,29 @@ pub(crate) fn aggregate_spans<'a>(
     agg
 }
 
-/// Group spans by `(stage, context)`, producing one [`AggRow`] per group,
-/// sorted by stage then context.
-pub(crate) fn aggregate_by_context(spans: &[Span]) -> Vec<AggRow> {
-    let mut keyed: Vec<(Stage, SpanCtx, u64, u64)> =
-        spans.iter().map(|s| (s.stage, s.ctx, s.start_ns, s.end_ns)).collect();
-    keyed.sort_unstable_by_key(|&(stage, ctx, start, _)| (stage, ctx, start));
-    let mut rows: Vec<AggRow> = Vec::new();
-    let mut intervals: Vec<(u64, u64)> = Vec::new();
-    let flush = |rows: &mut Vec<AggRow>, intervals: &mut Vec<(u64, u64)>| {
-        if let Some(row) = rows.last_mut() {
-            row.wall_ns = merged_length(intervals);
-        }
-        intervals.clear();
-    };
-    for (stage, ctx, start, end) in keyed {
-        match rows.last_mut() {
-            Some(row) if row.stage == stage && row.ctx == ctx => {
-                row.count += 1;
-                row.cpu_ns += end - start;
-            }
-            _ => {
-                flush(&mut rows, &mut intervals);
-                rows.push(AggRow { stage, ctx, count: 1, cpu_ns: end - start, wall_ns: 0 });
-            }
-        }
-        intervals.push((start, end));
-    }
-    flush(&mut rows, &mut intervals);
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn span(stage: Stage, start: u64, end: u64, ctx: SpanCtx) -> Span {
-        Span { stage, start_ns: start, end_ns: end, thread: 0, ctx }
+    fn span(stage: Stage, start: u64, end: u64) -> Span {
+        Span { stage, start_ns: start, end_ns: end, thread: 0, ctx: crate::SpanCtx::NONE }
     }
 
     #[test]
     fn window_clips_and_merges() {
-        let c = SpanCtx::NONE;
         let spans = [
-            span(Stage::Kernel, 0, 100, c),
-            span(Stage::Kernel, 50, 150, c),  // overlaps the first
-            span(Stage::Kernel, 300, 400, c), // disjoint
-            span(Stage::Extraction, 120, 130, c),
+            span(Stage::Kernel, 0, 100),
+            span(Stage::Kernel, 50, 150),  // overlaps the first
+            span(Stage::Kernel, 300, 400), // disjoint
+            span(Stage::Extraction, 120, 130),
         ];
         let agg = aggregate_spans(spans.iter(), 0, 1000);
         assert_eq!(agg.cpu(Stage::Kernel), 100 + 100 + 100);
         assert_eq!(agg.wall(Stage::Kernel), 150 + 100);
-        assert_eq!(agg.spans(Stage::Kernel), 3);
         assert_eq!(agg.cpu(Stage::Extraction), 10);
         // Clipped window: only the tail of the last kernel span survives.
         let clipped = aggregate_spans(spans.iter(), 350, 1000);
         assert_eq!(clipped.cpu(Stage::Kernel), 50);
         assert_eq!(clipped.wall(Stage::Kernel), 50);
-        assert_eq!(clipped.spans(Stage::Kernel), 1);
-    }
-
-    #[test]
-    fn context_table_groups_and_orders() {
-        let a = SpanCtx::NONE.with_energy(0).with_node(1);
-        let b = SpanCtx::NONE.with_energy(1).with_node(1);
-        let spans = vec![
-            span(Stage::Kernel, 0, 10, b),
-            span(Stage::Kernel, 20, 30, a),
-            span(Stage::Kernel, 25, 40, a),
-            span(Stage::Solve, 0, 50, a),
-        ];
-        let rows = aggregate_by_context(&spans);
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].stage, Stage::Kernel);
-        assert_eq!(rows[0].ctx, a);
-        assert_eq!(rows[0].count, 2);
-        assert_eq!(rows[0].cpu_ns, 10 + 15);
-        assert_eq!(rows[0].wall_ns, 20); // [20,30] ∪ [25,40]
-        assert_eq!(rows[1].ctx, b);
-        assert_eq!(rows[2].stage, Stage::Solve);
-        assert_eq!(rows[2].wall_ns, 50);
     }
 }

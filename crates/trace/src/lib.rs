@@ -9,8 +9,8 @@
 //! application ([`Stage::Kernel`]), one dual-BiCG solve ([`Stage::Solve`])
 //! and eigenpair extraction ([`Stage::Extraction`]) — records
 //! `(stage, start_ns, end_ns, thread, context)` where the context
-//! ([`SpanCtx`]) carries the scan-energy index, quadrature node and operator
-//! policy of the enclosing solve.
+//! ([`SpanCtx`]) carries the scan-energy index and quadrature node of the
+//! enclosing solve.
 //!
 //! Recording is two-tier:
 //!
@@ -27,19 +27,20 @@
 //!   lock-free on the hot path; they drain into the global session store
 //!   when they fill, when the thread exits, and when the session finishes.
 //!
-//! A finished session yields a [`TraceReport`] exporting (a) Chrome
-//! trace-event JSON (hand-rolled writer, no JSON dependency) viewable in
-//! `chrome://tracing` / [Perfetto](https://ui.perfetto.dev), and (b) an
-//! aggregated per-stage × per-context table ([`TraceReport::aggregate`])
-//! with both CPU-ns (summed span durations) and wall-ns (span intervals
-//! merged per stage across threads) — the `(stage, context) → cost` table
-//! that says where a run's time went, sweep energy by quadrature node.
+//! A finished session yields a [`TraceReport`]: its spans, per-stage
+//! totals ([`TraceReport::stage_totals`]) with both CPU-ns (summed span
+//! durations) and wall-ns (span intervals merged per stage across threads),
+//! and a Chrome trace-event JSON export (hand-rolled writer, no JSON
+//! dependency) viewable in `chrome://tracing` /
+//! [Perfetto](https://ui.perfetto.dev).  Per-iteration BiCG residuals are
+//! not traced: `SsResult::solve_histories` holds them per node and
+//! right-hand side.
 //!
 //! # Determinism
 //!
-//! Nothing in this crate feeds back into the numerical pipeline: spans and
-//! iteration events are pure observations, so tracing on/off is bitwise
-//! neutral on results (locked by `tests/trace.rs` at the workspace root).
+//! Nothing in this crate feeds back into the numerical pipeline: spans are
+//! pure observations, so tracing on/off is bitwise neutral on results
+//! (locked by `tests/trace.rs` at the workspace root).
 //!
 //! # Exporting a trace
 //!
@@ -64,11 +65,11 @@ mod aggregate;
 mod chrome;
 pub mod knob;
 
-pub use aggregate::{AggRow, StageAgg};
+pub use aggregate::StageAgg;
 pub use knob::{knob, Knob};
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -125,30 +126,24 @@ impl Stage {
     }
 }
 
-/// Unset marker for the `u32` context keys.
+/// Unset marker for the context keys.
 pub const CTX_UNSET: u32 = u32::MAX;
-/// Unset marker for the policy context key.
-pub const POLICY_UNSET: u8 = u8::MAX;
 
 /// The attribution context of a span: which solve it belongs to.
 ///
-/// Fields are set to [`CTX_UNSET`] / [`POLICY_UNSET`] when unknown (e.g.
-/// spans recorded outside any solve).  The policy byte uses the encoding of
-/// `cbs_core::PrecondPolicy::trace_code` (0 = matrix-free,
-/// 2 = assembled-ilu0; 1 and 3 are retired).
+/// Fields are [`CTX_UNSET`] when unknown (e.g. spans recorded outside any
+/// solve).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SpanCtx {
     /// Scan-energy index within the sweep grid.
     pub energy: u32,
     /// Quadrature-node index on the contour.
     pub node: u32,
-    /// Operator/preconditioner policy code.
-    pub policy: u8,
 }
 
 impl SpanCtx {
     /// The empty context.
-    pub const NONE: SpanCtx = SpanCtx { energy: CTX_UNSET, node: CTX_UNSET, policy: POLICY_UNSET };
+    pub const NONE: SpanCtx = SpanCtx { energy: CTX_UNSET, node: CTX_UNSET };
 
     /// Set the scan-energy index.
     pub fn with_energy(mut self, e: usize) -> Self {
@@ -161,26 +156,11 @@ impl SpanCtx {
         self.node = n as u32;
         self
     }
-
-    /// Set the policy code.
-    pub fn with_policy(mut self, p: u8) -> Self {
-        self.policy = p;
-        self
-    }
 }
 
 impl Default for SpanCtx {
     fn default() -> Self {
         SpanCtx::NONE
-    }
-}
-
-/// Known policy codes (the contract with `cbs_core::PrecondPolicy`).
-pub fn policy_name(code: u8) -> Option<&'static str> {
-    match code {
-        0 => Some("matrix-free"),
-        2 => Some("assembled-ilu0"),
-        _ => None,
     }
 }
 
@@ -200,35 +180,14 @@ pub struct Span {
     pub ctx: SpanCtx,
 }
 
-/// One per-iteration BiCG residual event ([`TraceLevel::Iter`]).
-#[derive(Clone, Copy, Debug)]
-pub struct IterEvent {
-    /// Event time on the [`now_ns`] clock.
-    pub t_ns: u64,
-    /// Recording thread.
-    pub thread: u32,
-    /// Context of the enclosing solve.
-    pub ctx: SpanCtx,
-    /// Right-hand-side (column) index within the solve, [`CTX_UNSET`] for a
-    /// single-vector solve whose rhs index the solver does not know.
-    pub rhs: u32,
-    /// Iteration number (0 = initial residual).
-    pub iteration: u32,
-    /// Relative residual of the primal recurrence after this iteration.
-    pub residual: f64,
-}
-
-/// How much a session records.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(u8)]
+/// **Vestigial:** a session records stage spans and nothing else, so this
+/// argument of [`TraceSession::begin`] selects nothing.  It survives only
+/// because the repo benchmark (`benchmark/src/layers.rs`) passes
+/// `TraceLevel::Stage`; released by ROADMAP 1(a).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceLevel {
-    /// No span recording (the always-on CPU counters still accumulate).
-    #[default]
-    Off = 0,
-    /// Stage spans only.
-    Stage = 1,
-    /// Stage spans plus per-iteration BiCG residual events.
-    Iter = 2,
+    /// Stage spans.
+    Stage,
 }
 
 // ---------------------------------------------------------------------------
@@ -245,7 +204,6 @@ pub fn now_ns() -> u64 {
 }
 
 static SESSION_ACTIVE: AtomicBool = AtomicBool::new(false);
-static SESSION_LEVEL: AtomicU8 = AtomicU8::new(0);
 static NEXT_THREAD: AtomicU32 = AtomicU32::new(0);
 
 static CPU_TOTALS: [AtomicU64; STAGE_COUNT] = [
@@ -261,12 +219,11 @@ static CPU_TOTALS: [AtomicU64; STAGE_COUNT] = [
 #[derive(Default)]
 struct SessionStore {
     spans: Vec<Span>,
-    iters: Vec<IterEvent>,
     threads: Vec<(u32, &'static str)>,
 }
 
 static STORE: Mutex<SessionStore> =
-    Mutex::new(SessionStore { spans: Vec::new(), iters: Vec::new(), threads: Vec::new() });
+    Mutex::new(SessionStore { spans: Vec::new(), threads: Vec::new() });
 
 fn store() -> std::sync::MutexGuard<'static, SessionStore> {
     STORE.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -276,18 +233,6 @@ fn store() -> std::sync::MutexGuard<'static, SessionStore> {
 #[inline]
 pub fn session_active() -> bool {
     SESSION_ACTIVE.load(Ordering::Relaxed)
-}
-
-/// The active session's level ([`TraceLevel::Off`] when no session runs).
-pub fn session_level() -> TraceLevel {
-    if !session_active() {
-        return TraceLevel::Off;
-    }
-    match SESSION_LEVEL.load(Ordering::Relaxed) {
-        2 => TraceLevel::Iter,
-        1 => TraceLevel::Stage,
-        _ => TraceLevel::Off,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -303,9 +248,7 @@ struct ThreadBuf {
     registered: bool,
     cpu: [u64; STAGE_COUNT],
     spans: Vec<Span>,
-    iters: Vec<IterEvent>,
     ctx: SpanCtx,
-    iter_events: bool,
 }
 
 impl ThreadBuf {
@@ -316,15 +259,22 @@ impl ThreadBuf {
             registered: false,
             cpu: [0; STAGE_COUNT],
             spans: Vec::new(),
-            iters: Vec::new(),
             ctx: SpanCtx::NONE,
-            iter_events: false,
         }
     }
 
-    /// Drain the session-gated event buffers into the global store.
-    fn flush_events(&mut self) {
-        if self.spans.is_empty() && self.iters.is_empty() {
+    /// Buffer one span of the active session, draining when full.
+    fn push_span(&mut self, stage: Stage, start_ns: u64, end_ns: u64) {
+        let span = Span { stage, start_ns, end_ns, thread: self.tid, ctx: self.ctx };
+        self.spans.push(span);
+        if self.spans.len() >= SPAN_FLUSH_THRESHOLD {
+            self.flush_spans();
+        }
+    }
+
+    /// Drain the session-gated span buffer into the global store.
+    fn flush_spans(&mut self) {
+        if self.spans.is_empty() {
             return;
         }
         let mut s = store();
@@ -333,7 +283,6 @@ impl ThreadBuf {
             self.registered = true;
         }
         s.spans.append(&mut self.spans);
-        s.iters.append(&mut self.iters);
     }
 
     /// Drain the always-on CPU counters into the global atomics.
@@ -349,7 +298,7 @@ impl ThreadBuf {
 
 impl Drop for ThreadBuf {
     fn drop(&mut self) {
-        self.flush_events();
+        self.flush_spans();
         self.flush_cpu();
     }
 }
@@ -374,11 +323,7 @@ pub fn record_span(stage: Stage, start_ns: u64, end_ns: u64) {
         let mut b = b.borrow_mut();
         b.cpu[stage as usize] += end_ns.saturating_sub(start_ns);
         if SESSION_ACTIVE.load(Ordering::Relaxed) {
-            let span = Span { stage, start_ns, end_ns, thread: b.tid, ctx: b.ctx };
-            b.spans.push(span);
-            if b.spans.len() >= SPAN_FLUSH_THRESHOLD {
-                b.flush_events();
-            }
+            b.push_span(stage, start_ns, end_ns);
         }
     });
 }
@@ -391,31 +336,6 @@ pub fn timed<R>(stage: Stage, f: impl FnOnce() -> R) -> R {
     let t1 = now_ns();
     record_span(stage, t0, t1);
     out
-}
-
-/// Record one BiCG iteration of the enclosing solve.  No-op unless the
-/// enclosing [`SolveScope`] enabled iteration events
-/// ([`TraceLevel::Iter`]); solvers call this
-/// unconditionally wherever they record their residual history.
-#[inline]
-pub fn record_iteration(rhs: Option<usize>, iteration: usize, residual: f64) {
-    let _ = TLS.try_with(|b| {
-        let mut b = b.borrow_mut();
-        if b.iter_events {
-            let ev = IterEvent {
-                t_ns: now_ns(),
-                thread: b.tid,
-                ctx: b.ctx,
-                rhs: rhs.map_or(CTX_UNSET, |r| r as u32),
-                iteration: iteration as u32,
-                residual,
-            };
-            b.iters.push(ev);
-            if b.iters.len() >= SPAN_FLUSH_THRESHOLD {
-                b.flush_events();
-            }
-        }
-    });
 }
 
 /// The always-on per-stage CPU-nanosecond totals: global (flushed) counters
@@ -441,26 +361,23 @@ pub fn cpu_totals() -> [u64; STAGE_COUNT] {
 // Context scopes and the plumbed handle
 // ---------------------------------------------------------------------------
 
-/// RAII guard restoring the thread's previous [`SpanCtx`].
-pub struct CtxScope {
-    prev: SpanCtx,
+/// Install `ctx` as the calling thread's span context and return the one it
+/// replaces.
+fn swap_ctx(ctx: SpanCtx) -> SpanCtx {
+    TLS.try_with(|b| std::mem::replace(&mut b.borrow_mut().ctx, ctx)).unwrap_or(SpanCtx::NONE)
 }
 
-/// Set the calling thread's span context, restoring the previous one when
-/// the guard drops ([`TraceHandle::enter`]).
-fn ctx_scope(ctx: SpanCtx) -> CtxScope {
-    let prev = TLS.try_with(|b| {
-        let mut b = b.borrow_mut();
-        let prev = b.ctx;
-        b.ctx = ctx;
-        prev
-    });
-    CtxScope { prev: prev.unwrap_or(SpanCtx::NONE) }
+/// RAII guard restoring the thread's previous [`SpanCtx`]
+/// ([`TraceHandle::enter`]).
+pub struct CtxScope {
+    prev: Option<SpanCtx>,
 }
 
 impl Drop for CtxScope {
     fn drop(&mut self) {
-        let _ = TLS.try_with(|b| b.borrow_mut().ctx = self.prev);
+        if let Some(prev) = self.prev {
+            swap_ctx(prev);
+        }
     }
 }
 
@@ -472,9 +389,9 @@ impl Drop for CtxScope {
 /// dispatching thread and then moved into job closures, where
 /// [`solve_scope`](TraceHandle::solve_scope) installs the per-job context
 /// on whichever worker thread runs the job.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct TraceHandle {
-    level: TraceLevel,
+    enabled: bool,
     base: SpanCtx,
 }
 
@@ -482,31 +399,25 @@ impl TraceHandle {
     /// The no-op handle (also what [`resolve`](Self::resolve) returns when
     /// no session is active).
     pub const fn disabled() -> Self {
-        TraceHandle { level: TraceLevel::Off, base: SpanCtx::NONE }
+        TraceHandle { enabled: false, base: SpanCtx::NONE }
     }
 
     /// Resolve the effective handle for one solve: disabled when no session
-    /// is active, otherwise at the session's level.  The base context
-    /// inherits the calling thread's current [`SpanCtx`], so a driver that
-    /// set an energy scope hands it down to every worker automatically.
+    /// is active.  The base context inherits the calling thread's current
+    /// [`SpanCtx`], so a driver that set an energy scope hands it down to
+    /// every worker automatically.
     pub fn resolve() -> Self {
-        let level = session_level();
-        if level == TraceLevel::Off {
+        if !session_active() {
             return Self::disabled();
         }
         let base = TLS.try_with(|b| b.borrow().ctx).unwrap_or(SpanCtx::NONE);
-        TraceHandle { level, base }
+        TraceHandle { enabled: true, base }
     }
 
     /// `true` when this handle records anything.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.level != TraceLevel::Off
-    }
-
-    /// The base context jobs inherit.
-    pub fn ctx(&self) -> SpanCtx {
-        self.base
+        self.enabled
     }
 
     /// Override the scan-energy index of the base context.
@@ -515,86 +426,38 @@ impl TraceHandle {
         self
     }
 
-    /// Override the policy code of the base context.
-    pub fn with_policy(mut self, p: u8) -> Self {
-        self.base = self.base.with_policy(p);
-        self
-    }
-
     /// Install this handle's context on the calling thread (for scopes that
     /// are not solves: extraction).
     pub fn enter(&self) -> CtxScope {
-        if self.is_enabled() {
-            ctx_scope(self.base)
-        } else {
-            CtxScope { prev: TLS.try_with(|b| b.borrow().ctx).unwrap_or(SpanCtx::NONE) }
-        }
+        CtxScope { prev: self.enabled.then(|| swap_ctx(self.base)) }
     }
 
     /// Open the span of one dual-BiCG solve at quadrature node `node`: sets
-    /// the worker thread's context to the handle's base plus the node,
-    /// arms per-iteration events when the level asks for them, and records
-    /// a [`Stage::Solve`] span when the guard drops.  No-op (and
+    /// the worker thread's context to the handle's base plus the node and
+    /// records a [`Stage::Solve`] span when the guard drops.  No-op (and
     /// allocation-free) when the handle is disabled.
     pub fn solve_scope(&self, node: usize) -> SolveScope {
-        if !self.is_enabled() {
-            return SolveScope {
-                enabled: false,
-                start_ns: 0,
-                prev: SpanCtx::NONE,
-                prev_iter: false,
-            };
-        }
-        let ctx = self.base.with_node(node);
-        let iter = self.level >= TraceLevel::Iter;
-        let prev = TLS.try_with(|b| {
-            let mut b = b.borrow_mut();
-            let prev = (b.ctx, b.iter_events);
-            b.ctx = ctx;
-            b.iter_events = iter;
-            prev
-        });
-        let (prev, prev_iter) = prev.unwrap_or((SpanCtx::NONE, false));
-        SolveScope { enabled: true, start_ns: now_ns(), prev, prev_iter }
-    }
-}
-
-impl Default for TraceHandle {
-    fn default() -> Self {
-        Self::disabled()
+        let prev = self.enabled.then(|| swap_ctx(self.base.with_node(node)));
+        SolveScope { start_ns: if prev.is_some() { now_ns() } else { 0 }, prev }
     }
 }
 
 /// RAII guard of one solve span (see [`TraceHandle::solve_scope`]).
 pub struct SolveScope {
-    enabled: bool,
     start_ns: u64,
-    prev: SpanCtx,
-    prev_iter: bool,
+    /// The context to restore; `None` when the handle was disabled.
+    prev: Option<SpanCtx>,
 }
 
 impl Drop for SolveScope {
     fn drop(&mut self) {
-        if !self.enabled {
-            return;
-        }
+        let Some(prev) = self.prev else { return };
         let end = now_ns();
         let _ = TLS.try_with(|b| {
             let mut b = b.borrow_mut();
-            let span = Span {
-                stage: Stage::Solve,
-                start_ns: self.start_ns,
-                end_ns: end,
-                thread: b.tid,
-                ctx: b.ctx,
-            };
             b.cpu[Stage::Solve as usize] += end.saturating_sub(self.start_ns);
-            b.spans.push(span);
-            b.ctx = self.prev;
-            b.iter_events = self.prev_iter;
-            if b.spans.len() >= SPAN_FLUSH_THRESHOLD {
-                b.flush_events();
-            }
+            b.push_span(Stage::Solve, self.start_ns, end);
+            b.ctx = prev;
         });
     }
 }
@@ -610,9 +473,9 @@ pub struct TraceSession {
 }
 
 impl TraceSession {
-    /// Start recording at `level` ([`TraceLevel::Off`] is promoted to
-    /// [`TraceLevel::Stage`] — beginning a session means recording spans).
-    pub fn begin(level: TraceLevel) -> Option<TraceSession> {
+    /// Start recording stage spans.  The [`TraceLevel`] argument is
+    /// vestigial: it has one value and selects nothing.
+    pub fn begin(_level: TraceLevel) -> Option<TraceSession> {
         if SESSION_ACTIVE.compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst).is_err()
         {
             return None;
@@ -620,20 +483,13 @@ impl TraceSession {
         // Discard anything still buffered from before this session (stale
         // spans of long-lived threads are filtered by start time at finish;
         // the store itself starts empty).
-        let _ = TLS.try_with(|b| b.borrow_mut().flush_events());
+        let _ = TLS.try_with(|b| b.borrow_mut().flush_spans());
         {
             let mut s = store();
             s.spans.clear();
-            s.iters.clear();
             s.threads.clear();
         }
-        SESSION_LEVEL.store(level.max(TraceLevel::Stage) as u8, Ordering::Relaxed);
         Some(TraceSession { t0_ns: now_ns() })
-    }
-
-    /// The session's start time on the [`now_ns`] clock.
-    pub fn t0_ns(&self) -> u64 {
-        self.t0_ns
     }
 
     /// Stop recording and drain every flushed buffer into a report.
@@ -642,21 +498,16 @@ impl TraceSession {
     /// flushes here.)
     pub fn finish(self) -> TraceReport {
         let t1 = now_ns();
-        let _ = TLS.try_with(|b| b.borrow_mut().flush_events());
-        let (mut spans, mut iters, threads) = {
+        let _ = TLS.try_with(|b| b.borrow_mut().flush_spans());
+        let (mut spans, threads) = {
             let mut s = store();
-            (
-                std::mem::take(&mut s.spans),
-                std::mem::take(&mut s.iters),
-                std::mem::take(&mut s.threads),
-            )
+            (std::mem::take(&mut s.spans), std::mem::take(&mut s.threads))
         };
         SESSION_ACTIVE.store(false, Ordering::SeqCst);
         // Long-lived foreign threads (test harness peers) may have flushed
         // spans that predate this session; keep the report self-consistent.
         spans.retain(|s| s.start_ns >= self.t0_ns);
-        iters.retain(|e| e.t_ns >= self.t0_ns);
-        TraceReport { spans, iters, threads, t0_ns: self.t0_ns, t1_ns: t1 }
+        TraceReport { spans, threads, t0_ns: self.t0_ns, t1_ns: t1 }
     }
 }
 
@@ -669,7 +520,7 @@ pub fn aggregate_window(t0_ns: u64, t1_ns: u64) -> Option<StageAgg> {
     if !session_active() {
         return None;
     }
-    let _ = TLS.try_with(|b| b.borrow_mut().flush_events());
+    let _ = TLS.try_with(|b| b.borrow_mut().flush_spans());
     let s = store();
     Some(aggregate::aggregate_spans(s.spans.iter(), t0_ns, t1_ns))
 }
@@ -678,9 +529,7 @@ pub fn aggregate_window(t0_ns: u64, t1_ns: u64) -> Option<StageAgg> {
 pub struct TraceReport {
     /// All spans, unsorted (export sorts by start time).
     pub spans: Vec<Span>,
-    /// Per-iteration events (empty below [`TraceLevel::Iter`]).
-    pub iters: Vec<IterEvent>,
-    /// `(thread id, label)` of every thread that recorded events.
+    /// `(thread id, label)` of every thread that recorded spans.
     pub threads: Vec<(u32, &'static str)>,
     /// Session start on the [`now_ns`] clock.
     pub t0_ns: u64,
@@ -692,12 +541,6 @@ impl TraceReport {
     /// Per-stage totals over the whole session window.
     pub fn stage_totals(&self) -> StageAgg {
         aggregate::aggregate_spans(self.spans.iter(), self.t0_ns, self.t1_ns)
-    }
-
-    /// The per-stage × per-context aggregation table, sorted by stage then
-    /// context.
-    pub fn aggregate(&self) -> Vec<AggRow> {
-        aggregate::aggregate_by_context(&self.spans)
     }
 
     /// Write the Chrome trace-event JSON (viewable in `chrome://tracing` /
@@ -735,7 +578,7 @@ mod tests {
     fn session_records_spans_with_context() {
         let _gate = SESSION_GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let session = TraceSession::begin(TraceLevel::Stage).expect("no concurrent session");
-        let handle = TraceHandle::resolve().with_energy(3).with_policy(2);
+        let handle = TraceHandle::resolve().with_energy(3);
         {
             let _solve = handle.solve_scope(5);
             timed(Stage::Kernel, || std::hint::black_box((0..512).product::<u64>()));
@@ -745,7 +588,6 @@ mod tests {
         assert!(!kernel.is_empty());
         assert_eq!(kernel[0].ctx.energy, 3);
         assert_eq!(kernel[0].ctx.node, 5);
-        assert_eq!(kernel[0].ctx.policy, 2);
         let solve: Vec<_> = report.spans.iter().filter(|s| s.stage == Stage::Solve).collect();
         assert_eq!(solve.len(), 1);
         assert!(solve[0].start_ns <= kernel[0].start_ns);
@@ -760,23 +602,6 @@ mod tests {
         // No session: record_span must not buffer anything observable.
         timed(Stage::Extraction, || ());
         assert!(!session_active());
-    }
-
-    #[test]
-    fn iteration_events_only_inside_armed_scopes() {
-        let _gate = SESSION_GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let session = TraceSession::begin(TraceLevel::Iter).expect("no concurrent session");
-        record_iteration(None, 0, 1.0); // outside any solve scope: dropped
-        let handle = TraceHandle::resolve();
-        {
-            let _solve = handle.solve_scope(1);
-            record_iteration(Some(2), 7, 1e-3);
-        }
-        let report = session.finish();
-        assert_eq!(report.iters.len(), 1);
-        assert_eq!(report.iters[0].iteration, 7);
-        assert_eq!(report.iters[0].rhs, 2);
-        assert_eq!(report.iters[0].ctx.node, 1);
     }
 
     #[test]

@@ -2,11 +2,13 @@
 //! bench resolution, the solver configuration every suite runs it under, and
 //! the coarse (8,0) nanotube.
 //!
-//! One definition on purpose.  The node count is pinned at 12: at 8 the
-//! quadrature error leaves the eigenpair residuals at 1e-6…3e-4, straddling
-//! the 1e-5 acceptance filter, so whether a pair survives depends on the
-//! realization of the random source block (4 of 10 seeds lose pairs).  At 12
-//! the worst residual is ~1e-8 for every seed, and — the Hamiltonian being
+//! One definition on purpose.  The node count is pinned at 12.  With the
+//! Laurent-centred moments, 8 nodes already find every pair of a 32-node
+//! reference for each of 32 source-block seeds at four energies
+//! (`tests/centred_moments.rs`), but the worst accepted residual there is
+//! 1.6e-6, within a factor of 7 of the 1e-5 acceptance filter.  At 12 it
+//! is 7e-9 for every seed, so no suite's pair count hangs on the
+//! realization of the random source block, and — the Hamiltonian being
 //! real — only 6 of the 12 nodes are solved.
 #![allow(dead_code, reason = "each test crate uses its own subset")]
 

@@ -195,20 +195,20 @@ fn checkpointed_sweep_resumes_bit_identically() {
         assert_same_cbs(&uninterrupted, &resumed);
     }
 
-    // The checkpoint on disk is v19; older formats — v3, v11 with its
+    // The checkpoint on disk is v20; older formats — v3, v11 with its
     // slice-policy fingerprint slots, v12 whose ILU sweeps ran full ILU(0),
     // v13 whose ILU sweeps preconditioned instead of splitting, v14 whose
     // sweeps warm-started, v15 whose split nodes stopped on another rule,
     // v16 whose moments were summed before they were projected, v17 whose
-    // records carry an assembly counter, and v18 whose records carry a
-    // majority-stop counter — are refused with the dedicated error naming
-    // the version, not parsed into a mismatched fingerprint or resumed into
-    // another trajectory.
+    // records carry an assembly counter, v18 whose records carry a
+    // majority-stop counter, and v19 whose moments were not centred — are
+    // refused with the dedicated error naming the version, not parsed into a
+    // mismatched fingerprint or resumed into another trajectory.
     let text = std::fs::read_to_string(&path).unwrap();
-    assert!(text.starts_with("cbs-sweep-checkpoint v19"), "unexpected magic in {path:?}");
-    let old = ["v3", "v11", "v12", "v13", "v14", "v15", "v16", "v17", "v18"];
+    assert!(text.starts_with("cbs-sweep-checkpoint v20"), "unexpected magic in {path:?}");
+    let old = ["v3", "v11", "v12", "v13", "v14", "v15", "v16", "v17", "v18", "v19"];
     for old in old.map(|v| format!("cbs-sweep-checkpoint {v}")) {
-        match SweepCheckpoint::parse(&text.replacen("cbs-sweep-checkpoint v19", &old, 1)) {
+        match SweepCheckpoint::parse(&text.replacen("cbs-sweep-checkpoint v20", &old, 1)) {
             Err(CheckpointError::IncompatibleVersion { found }) => assert_eq!(found, old),
             other => panic!("{old} checkpoint accepted or misclassified: {other:?}"),
         }

@@ -5,11 +5,11 @@
 //!   checkpoint kill/resume cycle stays bit-identical while a session
 //!   records;
 //! * the serial and rayon executors agree bit-for-bit under a live
-//!   `TraceLevel::Iter` session (per-iteration events do not perturb the
-//!   solves they observe);
+//!   session (the spans do not perturb the solves they observe);
 //! * the session's per-stage aggregation reproduces the attribution columns
-//!   of `CbsStatistics` (CPU-ns counters and span-merged wall-ns), and the
-//!   attributed stage wall time fits inside the run's wall clock;
+//!   of `CbsStatistics` (CPU-ns counters, span-merged wall-ns and the
+//!   extraction seconds), and the attributed stage wall time fits inside
+//!   the run's wall clock;
 //! * the Chrome trace-event export is well-formed.
 
 use std::sync::Mutex;
@@ -22,7 +22,7 @@ use cbs::linalg::{c64, CMatrix};
 use cbs::parallel::{RayonExecutor, SerialExecutor};
 use cbs::sparse::DenseOp;
 use cbs::sweep::{EnergySweep, RunOptions, RunOutcome, SweepCheckpoint, SweepConfig, SweepResult};
-use cbs::trace::{now_ns, Stage, TraceLevel, TraceSession};
+use cbs::trace::{now_ns, Stage, TraceLevel, TraceSession, CTX_UNSET};
 
 /// `cbs_trace` sessions are process-global and exclusive; every test here
 /// needs sole ownership of the recorder — including the untraced control
@@ -88,7 +88,6 @@ fn al100_solve_is_bitwise_identical_with_tracing_on_and_off() {
     assert!(!off.cbs.points.is_empty(), "Al(100) test solve found no CBS points");
     assert_eq!(off.stats.kernel_wall_ns, 0, "untraced run must not fill wall-ns");
     assert_eq!(off.stats.precond_wall_ns, 0);
-    assert_eq!(off.stats.extraction_wall_ns, 0);
 
     let session = TraceSession::begin(TraceLevel::Stage).expect("another session is live");
     let on = sweep.run(&energies, &SerialExecutor);
@@ -101,19 +100,18 @@ fn al100_solve_is_bitwise_identical_with_tracing_on_and_off() {
     assert_eq!(off.stats.kernel_ns > 0, on.stats.kernel_ns > 0);
 
     assert!(on.stats.kernel_wall_ns > 0, "traced run must fill kernel wall-ns");
-    assert!(on.stats.extraction_wall_ns > 0, "traced run must fill extraction wall-ns");
     assert!(!report.spans.is_empty(), "session recorded no spans");
-    assert!(report.spans.iter().any(|s| s.stage == Stage::Solve));
-    assert!(report.spans.iter().any(|s| s.stage == Stage::Kernel));
-    assert!(report.iters.is_empty(), "Stage-level session must not record iteration events");
+    for stage in [Stage::Solve, Stage::Kernel, Stage::Extraction] {
+        assert!(report.spans.iter().any(|s| s.stage == stage), "no {} span", stage.name());
+    }
 }
 
-/// Serial and rayon executors agree bit-for-bit while an iteration-level
-/// session records — the per-iteration residual events observe the solves
-/// without perturbing them, on either executor, and both executors' threads
-/// deliver events into the same session.
+/// Serial and rayon executors agree bit-for-bit while a session records —
+/// the spans observe the solves without perturbing them, on either
+/// executor, and both executors' threads deliver spans into the same
+/// session, each solve span tagged with its energy and node.
 #[test]
-fn serial_and_rayon_agree_under_iter_level_session() {
+fn serial_and_rayon_agree_under_stage_level_session() {
     let _gate = SESSION_GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let h = al100();
     let (h00, h01) = (h.h00(), h.h01());
@@ -122,14 +120,15 @@ fn serial_and_rayon_agree_under_iter_level_session() {
     let config = SweepConfig::new(al_ss());
     let sweep = EnergySweep::new(&h00, &h01, h.period(), config);
 
-    let session = TraceSession::begin(TraceLevel::Iter).expect("another session is live");
+    let session = TraceSession::begin(TraceLevel::Stage).expect("another session is live");
     let serial = sweep.run(&energies, &SerialExecutor);
     let rayon = sweep.run(&energies, &RayonExecutor);
     let report = session.finish();
 
     assert_same_sweep(&serial, &rayon);
-    assert!(!report.iters.is_empty(), "Iter-level session recorded no iteration events");
-    assert!(report.iters.iter().all(|e| e.residual.is_finite()));
+    let solves: Vec<_> = report.spans.iter().filter(|s| s.stage == Stage::Solve).collect();
+    assert!(!solves.is_empty(), "session recorded no solve spans");
+    assert!(solves.iter().all(|s| s.ctx.energy != CTX_UNSET && s.ctx.node != CTX_UNSET));
     let labels: Vec<&str> = report.threads.iter().map(|&(_, l)| l).collect();
     assert!(labels.contains(&"serial"), "serial executor thread missing from {labels:?}");
     // The vendored rayon shim spawns scoped workers only when the machine
@@ -195,20 +194,21 @@ fn kill_resume_with_tracing_is_bit_identical() {
 
     assert_same_sweep(&uninterrupted, &resumed);
     assert!(report.spans.iter().any(|s| s.stage == Stage::Solve), "no solve spans recorded");
-    // The traced resumed run fills wall-ns; the untraced control left it 0.
-    // (Extraction, not Kernel: the dense test operator bypasses the sparse
-    // kernel paths, but every energy runs the instrumented extraction.)
-    assert_eq!(uninterrupted.stats.extraction_wall_ns, 0);
-    assert!(resumed.stats.extraction_wall_ns > 0);
+    // Extraction, not Kernel: the dense test operator bypasses the sparse
+    // kernel paths, but every energy runs the instrumented extraction.
+    assert!(
+        report.spans.iter().any(|s| s.stage == Stage::Extraction),
+        "no extraction spans recorded"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The session's per-stage aggregation is the same accounting
 /// `CbsStatistics` reports: the span-summed CPU-ns match the counter-based
-/// `kernel_ns`/`precond_ns`/`extraction_ns` and the merged wall-ns match
-/// the `*_wall_ns` fields, within 5%, and the attributed stage wall time
-/// fits inside the run's wall clock.  The Chrome export of the same session
-/// is well-formed event by event.
+/// `kernel_ns`/`precond_ns` and `extraction_seconds`, and the merged wall-ns
+/// match the `*_wall_ns` fields, within 5%, and the attributed stage wall
+/// time fits inside the run's wall clock.  The Chrome export of the same
+/// session is well-formed event by event.
 #[test]
 fn aggregation_matches_stats_and_chrome_export_is_well_formed() {
     let _gate = SESSION_GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -228,7 +228,7 @@ fn aggregation_matches_stats_and_chrome_export_is_well_formed() {
     // wall time fits inside the run's wall clock (5% for clock jitter); an
     // overshoot means double-counted or mis-clipped spans.
     let attributed =
-        run.stats.kernel_wall_ns + run.stats.precond_wall_ns + run.stats.extraction_wall_ns;
+        run.stats.kernel_wall_ns + run.stats.precond_wall_ns + agg.wall(Stage::Extraction);
     assert!(
         attributed as f64 <= 1.05 * wall_ns as f64,
         "attributed stage wall {attributed} ns exceeds the {wall_ns} ns run"
@@ -248,14 +248,14 @@ fn aggregation_matches_stats_and_chrome_export_is_well_formed() {
         run.stats.precond_ns,
         "precond cpu",
     );
-    close(agg.cpu(Stage::Extraction), run.stats.extraction_ns, "extraction cpu");
+    let extraction_cpu = (run.stats.extraction_seconds * 1e9) as u64;
+    close(agg.cpu(Stage::Extraction), extraction_cpu, "extraction cpu");
     close(agg.wall(Stage::Kernel), run.stats.kernel_wall_ns, "kernel wall");
     close(
         agg.wall(Stage::IluFactor) + agg.wall(Stage::TriSweep),
         run.stats.precond_wall_ns,
         "precond wall",
     );
-    close(agg.wall(Stage::Extraction), run.stats.extraction_wall_ns, "extraction wall");
     // Serial run: wall == cpu per stage (no overlap to merge away).
     assert!(agg.wall(Stage::Kernel) <= agg.cpu(Stage::Kernel));
 
@@ -269,8 +269,8 @@ fn aggregation_matches_stats_and_chrome_export_is_well_formed() {
     assert_eq!(text.matches('{').count(), text.matches('}').count(), "unbalanced braces");
     assert_eq!(text.matches('[').count(), text.matches(']').count(), "unbalanced brackets");
 
-    // Event by event (the writer puts one per line): phases are metadata,
-    // complete spans named after a stage, or BiCG iteration instants, and
+    // Event by event (the writer puts one per line): phases are metadata
+    // or complete spans named after a stage, and
     // timestamps are non-negative and non-decreasing in file order.
     let str_field = |event: &str, key: &str| {
         let pat = format!("\"{key}\": \"");
@@ -295,7 +295,6 @@ fn aggregation_matches_stats_and_chrome_export_is_well_formed() {
                 assert!(dur >= 0.0, "negative duration in {event}");
                 n_spans += 1;
             }
-            "i" => assert_eq!(name, "bicg_iter", "instant event named {name:?}"),
             other => panic!("unexpected phase {other:?}"),
         }
         let ts = num_field(event, "ts").expect("event without a timestamp");
