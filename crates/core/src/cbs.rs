@@ -29,8 +29,9 @@ pub struct CbsPoint {
     pub lambda: Complex64,
     /// Real part of the wave number `k` (1/bohr), folded into `(-π/a, π/a]`.
     pub k_re: f64,
-    /// Imaginary part of the wave number (1/bohr); zero for propagating
-    /// states, positive for states decaying in the `+z` direction.
+    /// Imaginary part of the wave number (1/bohr), `-ln|λ| / a`: within
+    /// about [`PROPAGATING_TOLERANCE`]` / a` of zero for propagating states,
+    /// positive for states decaying in the `+z` direction.
     pub k_im: f64,
     /// `true` when `|λ| = 1` within [`PROPAGATING_TOLERANCE`].
     pub propagating: bool,
@@ -184,10 +185,17 @@ mod tests {
     #[test]
     fn fold_k_maps_into_first_zone() {
         let a = 2.0;
-        let g = std::f64::consts::PI / a;
+        // The reciprocal lattice vector and the zone edge.
+        let g = 2.0 * std::f64::consts::PI / a;
+        let edge = g / 2.0;
         assert!((fold_k(0.3, a) - 0.3).abs() < 1e-14);
-        assert!(fold_k(2.0 * g + 0.1, a) - 0.1 < 1e-12);
-        assert!(fold_k(1.7, a).abs() <= g + 1e-12);
-        assert!(fold_k(-1.7, a).abs() <= g + 1e-12);
+        assert!((fold_k(g + 0.1, a) - 0.1).abs() < 1e-12);
+        assert!((fold_k(-2.0 * g + 0.1, a) - 0.1).abs() < 1e-12);
+        assert!(fold_k(1.7, a).abs() <= edge + 1e-12);
+        assert!(fold_k(-1.7, a).abs() <= edge + 1e-12);
+        // The zone is (-π/a, π/a]: its lower edge maps to the upper one,
+        // which stays.
+        assert_eq!(fold_k(-edge, a), edge);
+        assert_eq!(fold_k(edge, a), edge);
     }
 }

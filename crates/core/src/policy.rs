@@ -35,9 +35,8 @@ impl BlockPolicy {
 /// or projector is attached.
 ///
 /// There is no `Default`: `SsConfig::paper()` is the one place a default
-/// policy is written ([`MatrixFree`](Self::MatrixFree), the paper's).  An
-/// unset or malformed `CBS_PRECOND` leaves whatever the reading binary
-/// configured.  The discriminants are codes of the checkpoint fingerprint
+/// policy is written ([`MatrixFree`](Self::MatrixFree), the paper's).  The
+/// discriminants are codes of the checkpoint fingerprint
 /// only (nothing else reads them); 1 (the unpreconditioned assembled CSR)
 /// and 3 (ILU(0) completed by a Sherman-Morrison-Woodbury projector
 /// correction, 2–7× slower than plain ILU(0) at the same iteration count)
@@ -65,11 +64,14 @@ pub enum PrecondPolicy {
 }
 
 impl PrecondPolicy {
-    /// Strictly parse a policy name — the `CBS_PRECOND` value syntax:
-    /// `"matrix-free"` / `"mf"`, `"assembled-ilu0"` / `"ilu0"` / `"ilu"`;
-    /// `None` for unrecognized names (the retired `"assembled"` and `"smw"`
-    /// spellings included, which [`cbs_trace::knob()`] then reports once as
-    /// malformed).
+    /// Strictly parse a policy name: `"matrix-free"` / `"mf"`,
+    /// `"assembled-ilu0"` / `"ilu0"` / `"ilu"`; `None` for unrecognized
+    /// names (the retired `"assembled"` and `"smw"` spellings included).
+    /// **Vestige**, like [`name`](Self::name) and
+    /// [`is_assembled`](Self::is_assembled): nothing in the library or the
+    /// examples selects a policy by name, and the three survive only because
+    /// the repo benchmark (`benchmark/src/layers.rs`, out of bounds for
+    /// library PRs) calls them; ROADMAP 1(a) releases them.
     pub fn try_from_name(name: &str) -> Option<Self> {
         if name.eq_ignore_ascii_case("assembled-ilu0")
             || name.eq_ignore_ascii_case("assembled_ilu0")
@@ -101,25 +103,17 @@ impl PrecondPolicy {
     }
 }
 
-impl cbs_trace::Knob for PrecondPolicy {
-    fn parse_knob(value: &str) -> Option<Self> {
-        Self::try_from_name(value)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn precond_policy_env_knob_parses_like_the_other_knobs() {
-        // Retired values take the malformed-value road: no parse, so the
-        // knob warns once and the caller's configured policy stands.
+    fn precond_policy_names_parse_strictly() {
+        // Retired spellings do not parse.
         for retired in
             ["assembled", "ASM", "smw", "assembled-ilu0-smw", "ilu0-smw", "anything-else"]
         {
             assert_eq!(PrecondPolicy::try_from_name(retired), None);
-            assert_eq!(<PrecondPolicy as cbs_trace::Knob>::parse_knob(retired), None);
         }
         for (name, policy) in [
             ("matrix-free", PrecondPolicy::MatrixFree),
@@ -130,7 +124,6 @@ mod tests {
             ("ILU0", PrecondPolicy::AssembledIlu0),
         ] {
             assert_eq!(PrecondPolicy::try_from_name(name), Some(policy), "{name}");
-            assert_eq!(<PrecondPolicy as cbs_trace::Knob>::parse_knob(name), Some(policy));
         }
         assert_eq!(PrecondPolicy::MatrixFree.name(), "matrix-free");
         assert_eq!(PrecondPolicy::AssembledIlu0.name(), "assembled-ilu0");

@@ -140,8 +140,7 @@ impl SsConfig {
     /// `al100_sweep8` (0.197 → 0.150 s) and 30% off `al12k_solve_ilu0`
     /// (3.32 → 2.34 s; medians of ten alternated pairs), and running BiCG on
     /// the system it splits another 19% and 27% (0.155 → 0.125 s,
-    /// 2.23 → 1.62 s).  The bench binaries set it, and `CBS_PRECOND`
-    /// overrides them.
+    /// 2.23 → 1.62 s).  The paper-figure examples set it.
     pub fn paper() -> Self {
         Self {
             n_int: 32,

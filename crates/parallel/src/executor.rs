@@ -109,45 +109,3 @@ impl TaskExecutor for RayonExecutor {
             .collect()
     }
 }
-
-/// Executor selection for binaries and benches.  `TaskExecutor` is not
-/// object-safe (its `execute` is generic), so runtime selection goes
-/// through this enum and a `match` at the call site.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ExecutorChoice {
-    /// Run on the calling thread.
-    #[default]
-    Serial,
-    /// Run on the rayon thread pool.
-    Rayon,
-}
-
-impl ExecutorChoice {
-    /// Read the choice from an environment variable (`"rayon"` selects the
-    /// threaded executor, `"serial"` the calling thread; unset keeps the
-    /// serial default and a malformed value warns once and does the same,
-    /// via [`cbs_trace::knob()`]).
-    pub fn from_env(var: &str) -> Self {
-        cbs_trace::knob(var).unwrap_or_default()
-    }
-
-    /// The executor's report name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Serial => SerialExecutor.name(),
-            Self::Rayon => RayonExecutor.name(),
-        }
-    }
-}
-
-impl cbs_trace::Knob for ExecutorChoice {
-    fn parse_knob(value: &str) -> Option<Self> {
-        if value.eq_ignore_ascii_case("rayon") {
-            Some(Self::Rayon)
-        } else if value.eq_ignore_ascii_case("serial") {
-            Some(Self::Serial)
-        } else {
-            None
-        }
-    }
-}

@@ -9,4 +9,4 @@
 
 pub mod executor;
 
-pub use executor::{ExecutorChoice, RayonExecutor, SerialExecutor, TaskExecutor};
+pub use executor::{RayonExecutor, SerialExecutor, TaskExecutor};

@@ -63,10 +63,8 @@
 
 mod aggregate;
 mod chrome;
-pub mod knob;
 
 pub use aggregate::StageAgg;
-pub use knob::{knob, Knob};
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};

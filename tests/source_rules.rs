@@ -5,9 +5,7 @@
 //! |---|---|
 //! | `D003` | `Ordering::Relaxed` outside `cbs-trace`: relaxed atomics that feed results are a determinism hazard |
 //! | `D004` | a `sum` / `reduce` / `fold` / `product` chained onto a rayon parallel iterator: the float accumulation order would follow the schedule |
-//! | `K001` | a `CBS_*` name missing from the README env-knob table |
-//! | `K002` | a knob-table row whose class cell is not `fingerprint` or `neutral` |
-//! | `K003` | a knob-table row that no source names (stale documentation) |
+//! | `E001` | a `CBS_*` name or a `std::env::var` / `var_os` call: the library and the examples read no environment variable |
 //!
 //! The other rules are clippy configuration (`clippy.toml` and
 //! `[workspace.lints]`).  A line is exempt from one rule by a marker on the
@@ -18,7 +16,7 @@
 use std::fs;
 use std::path::Path;
 
-const RULES: [&str; 5] = ["D003", "D004", "K001", "K002", "K003"];
+const RULES: [&str; 3] = ["D003", "D004", "E001"];
 const MARKER: &str = "source-rule: allow(";
 const PAR_ADAPTERS: [&str; 5] =
     ["par_iter", "into_par_iter", "par_iter_mut", "par_chunks", "par_bridge"];
@@ -35,17 +33,10 @@ fn has_word(line: &str, word: &str) -> bool {
     })
 }
 
-/// Every `CBS_[A-Z0-9_]+` name in `text` that does not continue an identifier.
-fn knob_names(text: &str) -> Vec<&str> {
-    let name_char = |c: char| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_';
-    text.match_indices("CBS_")
-        .filter(|(at, _)| !text[..*at].ends_with(is_ident))
-        .map(|(at, _)| {
-            let len = text[at..].find(|c: char| !name_char(c)).unwrap_or(text.len() - at);
-            text[at..at + len].trim_end_matches('_')
-        })
-        .filter(|name| name.len() > "CBS".len())
-        .collect()
+/// `true` when `line` names a `CBS_*` variable or reads the environment.
+fn reads_env(line: &str) -> bool {
+    line.contains("env::var")
+        || line.match_indices("CBS_").any(|(at, _)| !line[..at].ends_with(is_ident))
 }
 
 /// `true` when the statement that starts at `lines[0]` reaches a reducer
@@ -68,18 +59,10 @@ fn reduces(lines: &[&str]) -> bool {
     false
 }
 
-/// Every finding of the rules on `files` (repo-relative path, text) against
-/// the knob table of `readme`, as (`path:line`, rule).
-fn check(files: &[(String, String)], readme: &str) -> Vec<(String, &'static str)> {
-    let mut table = Vec::new();
-    for (i, row) in readme.lines().enumerate() {
-        let cells: Vec<&str> = row.trim().trim_matches('|').split('|').map(str::trim).collect();
-        if cells.len() >= 2 && cells[0].starts_with("`CBS_") {
-            table.push((knob_names(cells[0])[0], cells[1], format!("README.md:{}", i + 1)));
-        }
-    }
+/// Every finding of the rules on `files` (repo-relative path, text), as
+/// (`path:line`, rule).
+fn check(files: &[(String, String)]) -> Vec<(String, &'static str)> {
     let mut findings = Vec::new();
-    let mut named = Vec::new();
     for (path, text) in files {
         let lines: Vec<&str> = text.lines().collect();
         for (i, line) in lines.iter().enumerate() {
@@ -110,22 +93,9 @@ fn check(files: &[(String, String)], readme: &str) -> Vec<(String, &'static str)
             if PAR_ADAPTERS.iter().any(|a| has_word(line, a)) && reduces(&lines[i..]) {
                 hit("D004");
             }
-            let mut names = knob_names(line);
-            names.dedup();
-            for name in names {
-                if !table.iter().any(|row| row.0 == name) {
-                    hit("K001");
-                }
-                named.push(name);
+            if reads_env(line) {
+                hit("E001");
             }
-        }
-    }
-    for (name, class, at) in table {
-        if !matches!(class, "fingerprint" | "neutral") {
-            findings.push((at.clone(), "K002"));
-        }
-        if !named.contains(&name) {
-            findings.push((at, "K003"));
         }
     }
     findings
@@ -159,42 +129,38 @@ fn the_workspace_keeps_the_source_rules() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let files = sources(root);
     assert!(files.iter().any(|(path, _)| path == "crates/core/src/qep.rs"), "scan missed cbs-core");
-    let readme = fs::read_to_string(root.join("README.md")).expect("README.md");
-    let findings = check(&files, &readme);
+    let findings = check(&files);
     assert!(findings.is_empty(), "source-rule findings: {findings:?}");
 }
 
-/// The rules that fire on `code` at `path` against the knob table `readme`.
-fn rules(path: &str, code: &str, readme: &str) -> Vec<&'static str> {
-    check(&[(path.to_string(), code.to_string())], readme).into_iter().map(|f| f.1).collect()
+/// The rules that fire on `code` at `path`.
+fn rules(path: &str, code: &str) -> Vec<&'static str> {
+    check(&[(path.to_string(), code.to_string())]).into_iter().map(|f| f.1).collect()
 }
 
 #[test]
 fn each_rule_fires_once_on_its_bad_snippet() {
     let relaxed = "fn bump(n: &AtomicUsize) {\n    n.fetch_add(1, Ordering::Relaxed);\n}\n";
-    assert_eq!(rules("crates/core/src/bad.rs", relaxed, ""), ["D003"]);
-    assert!(rules("crates/trace/src/lib.rs", relaxed, "").is_empty());
+    assert_eq!(rules("crates/core/src/bad.rs", relaxed), ["D003"]);
+    assert!(rules("crates/trace/src/lib.rs", relaxed).is_empty());
     let reduce = "fn total(xs: &[f64]) -> f64 {\n    xs.par_iter()\n        .map(|x| x * 2.0)\n        .sum()\n}\n";
-    assert_eq!(rules("crates/core/src/bad.rs", reduce, ""), ["D004"]);
-    let knob = "fn knob() -> Option<String> {\n    std::env::var(\"CBS_UNREGISTERED\").ok()\n}\n";
-    assert_eq!(rules("crates/core/src/bad.rs", knob, ""), ["K001"]);
-    let table = "| knob | class | effect |\n| --- | --- | --- |\n\
-                 | `CBS_FIXA` | wat | named below, but not classified |\n\
-                 | `CBS_FIXB` | neutral | classified, but nothing names it |\n";
-    let named = "let a = knob(\"CBS_FIXA\");\n";
-    let found = check(&[("src/a.rs".to_string(), named.to_string())], table);
-    assert_eq!(found, [("README.md:3".to_string(), "K002"), ("README.md:4".to_string(), "K003")]);
+    assert_eq!(rules("crates/core/src/bad.rs", reduce), ["D004"]);
+    let env = "fn knob() -> Option<String> {\n    std::env::var(\"CBS_UNREGISTERED\").ok()\n}\n";
+    assert_eq!(rules("crates/core/src/bad.rs", env), ["E001"]);
+    assert_eq!(rules("examples/bad.rs", "let home = std::env::var_os(\"HOME\");\n"), ["E001"]);
+    assert_eq!(rules("examples/bad.rs", "const N: &str = \"CBS_NRH\";\n"), ["E001"]);
+    assert!(rules("examples/good.rs", "const XCBS_N: usize = 8;\n").is_empty());
 }
 
 #[test]
 fn a_marker_exempts_one_rule_only_with_a_reason() {
     let path = "crates/core/src/bad.rs";
     let line = "n.fetch_add(1, Ordering::Relaxed); // source-rule: allow(D003)";
-    assert!(rules(path, &format!("{line} reason=\"an integer counter\""), "").is_empty());
-    assert_eq!(rules(path, &format!("{line} reason=\"\""), ""), ["no-reason", "D003"]);
-    assert_eq!(rules(path, line, ""), ["no-reason", "D003"]);
+    assert!(rules(path, &format!("{line} reason=\"an integer counter\"")).is_empty());
+    assert_eq!(rules(path, &format!("{line} reason=\"\"")), ["no-reason", "D003"]);
+    assert_eq!(rules(path, line), ["no-reason", "D003"]);
     let other = "n.fetch_add(1, Ordering::Relaxed); // source-rule: allow(D004) reason=\"no\"";
-    assert_eq!(rules(path, other, ""), ["D003"]);
+    assert_eq!(rules(path, other), ["D003"]);
     let unknown = "let a = 1; // source-rule: allow(Z999) reason=\"no such rule\"";
-    assert_eq!(rules(path, unknown, ""), ["unknown-rule"]);
+    assert_eq!(rules(path, unknown), ["unknown-rule"]);
 }
