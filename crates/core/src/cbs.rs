@@ -87,11 +87,9 @@ pub struct CbsStatistics {
     /// Total operator applications (matvec-equivalents: the per-column
     /// work, however the applies were fused).
     pub total_matvecs: usize,
-    /// Operator-storage traversals actually performed (weighted by the
-    /// operator's `traversal_weight`) — the figure the per-node block data
-    /// path shrinks by up to `N_rh`x relative to
-    /// [`total_matvecs`](Self::total_matvecs), and the real stencil by a
-    /// further 3x per apply.
+    /// Operator traversals performed, one per fused block apply — the
+    /// figure the per-node block data path shrinks by up to `N_rh`x
+    /// relative to [`total_matvecs`](Self::total_matvecs).
     pub operator_traversals: usize,
     /// **Vestigial:** always 0 — no solve refills an assembled pattern.  It
     /// survives only because the repo benchmark (`benchmark/src/layers.rs`)

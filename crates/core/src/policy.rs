@@ -45,8 +45,8 @@ impl BlockPolicy {
 pub enum PrecondPolicy {
     /// Apply `P(z)` matrix-free, unpreconditioned: one fused row pass over
     /// `f64` coefficients when the blocks are the views of a real stencil
-    /// (`cbs_sparse::RealStencil`, one storage traversal), else the
-    /// generic composition of `H₀₀`, `H₀₁`, `H₀₁†` (three).
+    /// (`cbs_sparse::RealStencil`), else the generic composition of `H₀₀`,
+    /// `H₀₁`, `H₀₁†`.
     MatrixFree = 0,
     /// The complex **diagonal ILU** of the sparse part of `P(z)` —
     /// `M = (D̃+L)D̃⁻¹(D̃+U)` with `L`, `U` the strict triangles of `P(z)` and

@@ -92,7 +92,7 @@ pub(crate) fn solve_split(
         settle(&mut col.history, c, &px);
         settle(&mut col.dual_history, c, &pxt);
     }
-    BlockBicgResult { traversals: solved.traversals + 2 * p.traversal_weight(), ..solved }
+    BlockBicgResult { traversals: solved.traversals + 2, ..solved }
 }
 
 #[cfg(test)]

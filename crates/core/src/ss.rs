@@ -240,20 +240,17 @@ pub struct SsResult {
     /// per-column work, however the applies were fused), including the
     /// [`extraction_matvecs`](Self::extraction_matvecs).
     pub total_matvecs: usize,
-    /// Operator-storage traversals actually performed, weighted by the
-    /// operator's `traversal_weight` (per `P(z)` apply 1 through the real
-    /// stencil, split or not, and 3 through the generic composition) — one
-    /// fused block apply per iteration per node serves all `N_rh` columns.  Includes
-    /// [`extraction_traversals`](Self::extraction_traversals).
+    /// Operator traversals performed: one per fused block apply of `P(z)`
+    /// (split or not) — one per side per iteration per node, serving all
+    /// `N_rh` columns — plus one per residual check
+    /// ([`extraction_matvecs`](Self::extraction_matvecs)).
     pub total_traversals: usize,
     /// Operator applications spent in the extraction-phase residual checks
     /// (one `P(λ)` apply per checked candidate; the once-per-problem cached
     /// scale estimate is excluded to keep the counters deterministic);
-    /// already included in [`total_matvecs`](Self::total_matvecs).
+    /// already included in [`total_matvecs`](Self::total_matvecs) and
+    /// [`total_traversals`](Self::total_traversals).
     pub extraction_matvecs: usize,
-    /// Storage traversals of the extraction-phase residual checks; already
-    /// included in [`total_traversals`](Self::total_traversals).
-    pub extraction_traversals: usize,
     /// **Vestigial:** always 0 — no solve refills an assembled pattern.  It
     /// survives only because the repo benchmark (`benchmark/src/layers.rs`)
     /// reads it; released by ROADMAP 1(a).
@@ -550,11 +547,6 @@ pub fn extract_from_moments(
             })
             .collect();
     }
-    // Residual checks below run through `problem.residual`, whose operator
-    // applications are metered on the problem; the delta is folded into the
-    // totals so extraction work no longer bypasses the counters.
-    let (residual_matvecs_0, residual_traversals_0) = problem.residual_op_counters();
-
     let dim = m * n_rh;
     // Block Hankel matrices: T̂[i][j] = µ̂_{i+j−s},  T̂^<[i][j] = µ̂_{i+j+1−s}
     // (`mu[i]` holds µ̂_{i−s}, s = N_mm − 1).
@@ -578,6 +570,8 @@ pub fn extract_from_moments(
     // Compute  c = W₁ Σ₁⁻¹ φ  (dim x 1) per eigenpair and combine columns.
     let mut eigenpairs = Vec::new();
     let mut discarded = 0usize;
+    // One `P(λ)` apply per `problem.residual` call below.
+    let mut extraction_matvecs = 0usize;
     let mut column = CVector::zeros(n);
     for (idx, &lambda) in eig.values.iter().enumerate() {
         // On a mirrored ring the moments are real, so the spectrum is closed
@@ -625,6 +619,7 @@ pub fn extract_from_moments(
             continue;
         }
         let residual = problem.residual(lambda, &psi);
+        extraction_matvecs += 1;
         if residual <= config.residual_cutoff {
             if copies == 2 {
                 // `P(λ̄) ψ̄ = conj(P(λ) ψ)` for a real Hamiltonian: the
@@ -645,9 +640,6 @@ pub fn extract_from_moments(
     });
     let extraction_seconds = t_extract.elapsed().as_secs_f64();
     cbs_trace::record_span(Stage::Extraction, trace_t0, cbs_trace::now_ns());
-    let (residual_matvecs_1, residual_traversals_1) = problem.residual_op_counters();
-    let extraction_matvecs = residual_matvecs_1 - residual_matvecs_0;
-    let extraction_traversals = residual_traversals_1 - residual_traversals_0;
 
     SsResult {
         eigenpairs,
@@ -658,9 +650,8 @@ pub fn extract_from_moments(
         projected_moments: mu,
         total_bicg_iterations: outcome.iterations,
         total_matvecs: outcome.matvecs + extraction_matvecs,
-        total_traversals: outcome.traversals + extraction_traversals,
+        total_traversals: outcome.traversals + extraction_matvecs,
         extraction_matvecs,
-        extraction_traversals,
         operator_assemblies: 0,
         timings: SsTimings { linear_solve_seconds, extraction_seconds },
         discarded,

@@ -28,8 +28,8 @@
 //!   the columns in order are independent of *when* each column converged.
 //!
 //! The real saving is operator traffic: the result reports `traversals`,
-//! the number of operator storage walks performed (each block apply counts
-//! one), which is roughly `2 · max_c iters_c` instead of `Σ_c matvecs_c`.
+//! the number of fused block applies performed (one traversal each), which
+//! is roughly `2 · max_c iters_c` instead of `Σ_c matvecs_c`.
 //!
 //! # Slabs and passes
 //!
@@ -70,11 +70,8 @@ pub struct BlockBicgResult {
     /// Per-column results in input order, each bit-identical to a
     /// standalone solve of that column (matvec counts included).
     pub columns: Vec<BicgResult>,
-    /// Number of operator-storage traversals performed: every fused block
-    /// apply (primal or adjoint, any number of active columns) counts the
-    /// operator's [`traversal_weight`](LinearOperator::traversal_weight) —
-    /// 1 for single-store operators, 3 for the matrix-free QEP operator
-    /// that walks `H₀₀`/`H₀₁`/`H₀₁†`.
+    /// Number of fused block applies performed (primal or adjoint, any
+    /// number of active columns): each counts one operator traversal.
     pub traversals: usize,
 }
 
@@ -317,7 +314,7 @@ pub fn bicg_dual_block_precond<A: LinearOperator + ?Sized, M: Preconditioner + ?
     if let Some(s) = seeds {
         assert_eq!(s.len(), nvecs, "seed count mismatch");
     }
-    let (weight, tol) = (a.traversal_weight(), opts.tolerance);
+    let tol = opts.tolerance;
     let mut traversals = 0usize;
 
     // --- Initial state: x₀ from the seed (or zero), r₀ = b. ---------------
@@ -372,7 +369,7 @@ pub fn bicg_dual_block_precond<A: LinearOperator + ?Sized, M: Preconditioner + ?
     if !seeded.is_empty() {
         residuals(a, false, &cols, &seeded, b, &mut stage, &mut q);
         residuals(a, true, &cols, &seeded, b_dual, &mut stage, &mut qt);
-        traversals += 2 * weight;
+        traversals += 2;
         for (k, &c) in seeded.iter().enumerate() {
             cols[c].r.as_mut_slice().copy_from_slice(slot(&q, n, k));
             cols[c].rt.as_mut_slice().copy_from_slice(slot(&qt, n, k));
@@ -419,7 +416,7 @@ pub fn bicg_dual_block_precond<A: LinearOperator + ?Sized, M: Preconditioner + ?
         if passing.first().is_some_and(|&c| cols[c].unsplit_norms.is_some()) {
             residuals(a, false, &cols, &passing, b, &mut stage, &mut q);
             residuals(a, true, &cols, &passing, b_dual, &mut stage, &mut qt);
-            traversals += 2 * weight;
+            traversals += 2;
             let mut slots = 0..;
             passing.retain(|&c| {
                 let (k, col) = (slots.next().unwrap_or_default(), &mut cols[c]);
@@ -453,9 +450,9 @@ pub fn bicg_dual_block_precond<A: LinearOperator + ?Sized, M: Preconditioner + ?
         q.resize(n * width, Complex64::ZERO);
         qt.resize(n * width, Complex64::ZERO);
         a.apply_block(&p, &mut q, width);
-        traversals += weight;
+        traversals += 1;
         a.apply_adjoint_block(&pt, &mut qt, width);
-        traversals += weight;
+        traversals += 1;
 
         // Passes 1 and 2 per column; without a preconditioner pass 3 too.
         for (k, &c) in live.iter().enumerate() {
@@ -1143,39 +1140,6 @@ mod tests {
         let block = block_plain(&op, &b, &b, None, &opts, None);
         assert_eq!(block.traversals, 2 * 12);
         assert_eq!(block.total_matvecs(), nvecs * block.traversals);
-    }
-
-    #[test]
-    fn traversal_weight_scales_the_traversal_count() {
-        // A weight-3 wrapper (stand-in for the matrix-free QEP operator)
-        // must report 3x the traversals of the same solve on the plain
-        // operator, with identical matvec counts.
-        struct Weighted<'a>(&'a DenseOp);
-        impl cbs_sparse::LinearOperator for Weighted<'_> {
-            fn nrows(&self) -> usize {
-                self.0.nrows()
-            }
-            fn ncols(&self) -> usize {
-                self.0.ncols()
-            }
-            fn apply(&self, x: &[Complex64], y: &mut [Complex64]) {
-                self.0.apply(x, y);
-            }
-            fn apply_adjoint(&self, x: &[Complex64], y: &mut [Complex64]) {
-                self.0.apply_adjoint(x, y);
-            }
-            fn traversal_weight(&self) -> usize {
-                3
-            }
-        }
-        let op = DenseOp::new(random_diag_dominant(16, 315));
-        let b = rhs_block(16, 3, 316);
-        let opts = SolverOptions { tolerance: 1e-300, max_iterations: 7, record_history: false };
-        let plain = block_plain(&op, &b, &b, None, &opts, None);
-        let weighted = block_plain(&Weighted(&op), &b, &b, None, &opts, None);
-        assert_eq!(plain.traversals, 2 * 7);
-        assert_eq!(weighted.traversals, 3 * 2 * 7);
-        assert_eq!(plain.total_matvecs(), weighted.total_matvecs());
     }
 
     #[test]

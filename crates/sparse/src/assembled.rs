@@ -228,12 +228,9 @@ impl AssembledPattern {
 }
 
 /// One materialized `P(z)`: the pattern's indices plus a private value
-/// array.  Applies in a single CSR traversal ([`traversal_weight`] 1, vs 3
-/// for the matrix-free QEP operator) through the same kernels as
+/// array.  Applies in a single CSR traversal through the same kernels as
 /// [`CsrMatrix`], adjoint included (exact conjugate-transpose scatter, no
 /// Hermiticity assumption); a slab goes one column at a time.
-///
-/// [`traversal_weight`]: LinearOperator::traversal_weight
 pub struct AssembledOp<'p> {
     pattern: &'p AssembledPattern,
     z: Complex64,
@@ -299,9 +296,6 @@ impl LinearOperator for AssembledOp<'_> {
     }
     fn memory_bytes(&self) -> usize {
         self.values.len() * std::mem::size_of::<Complex64>() + self.pattern.memory_bytes()
-    }
-    fn traversal_weight(&self) -> usize {
-        1
     }
 }
 
@@ -829,7 +823,7 @@ mod tests {
     }
 
     #[test]
-    fn assembled_adjoint_is_exact_and_weight_is_one() {
+    fn assembled_adjoint_is_exact() {
         let (h00, h01) = random_blocks(12, 0.2, 906);
         let pattern = AssembledPattern::build(&h00, &h01);
         let op = pattern.assemble(0.15, c64(1.1, -0.6));
@@ -837,7 +831,6 @@ mod tests {
         // The adjoint is the exact conjugate transpose (scatter kernel), so
         // the defect is at rounding level regardless of block Hermiticity.
         assert!(adjoint_defect(&op, 8, &mut rng) < 1e-13);
-        assert_eq!(op.traversal_weight(), 1);
     }
 
     #[test]

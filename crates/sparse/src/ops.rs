@@ -97,19 +97,6 @@ pub trait LinearOperator: Sync {
         0
     }
 
-    /// How many operator-*storage* traversals one [`apply`](Self::apply) (or
-    /// fused [`apply_block`](Self::apply_block)) performs — the unit of the
-    /// solvers' traversal accounting.
-    ///
-    /// Most operators walk one backing store per application and keep the
-    /// default of `1`.  Compositions that stream several stores override it:
-    /// the generic matrix-free QEP operator `P(z)` reads `H₀₀`, `H₀₁` and
-    /// `H₀₁†` (weight 3), while its fused real-stencil form and its assembled
-    /// single-CSR form make one pass over one store (weight 1).
-    fn traversal_weight(&self) -> usize {
-        1
-    }
-
     /// `true` when every matrix entry of the operator is known to be real,
     /// i.e. `conj(A x) = A conj(x)`.
     ///
@@ -223,9 +210,6 @@ impl<T: LinearOperator + ?Sized> LinearOperator for &T {
     }
     fn memory_bytes(&self) -> usize {
         (**self).memory_bytes()
-    }
-    fn traversal_weight(&self) -> usize {
-        (**self).traversal_weight()
     }
     fn is_real(&self) -> bool {
         (**self).is_real()

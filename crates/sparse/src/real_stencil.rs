@@ -1004,8 +1004,8 @@ impl Drop for StencilDilu<'_> {
 }
 
 /// The split operator `Â = M_L⁻¹ P(z) M_R⁻¹` of a node's diagonal ILU
-/// ([`StencilDilu::split`]): one pass over the stencil's rows per apply,
-/// so its traversal weight is 1.  It reports the residual norm of `P(z)`
+/// ([`StencilDilu::split`]): one pass over the stencil's rows per apply.
+/// It reports the residual norm of `P(z)`
 /// a split residual stands for
 /// ([`unsplit_residual_norm`](LinearOperator::unsplit_residual_norm)).
 pub struct SplitOperator<'a>(&'a StencilDilu<'a>);

@@ -362,17 +362,28 @@ impl SweepCheckpoint {
     /// Write atomically (temp file + rename) so a kill mid-save leaves the
     /// previous checkpoint intact.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        let tmp = path.with_extension("tmp");
+        let tmp = temp_path(path);
         std::fs::write(&tmp, self.serialize_to_string())?;
         std::fs::rename(&tmp, path)
     }
 
-    /// Load and parse a checkpoint file.
+    /// Load and parse a checkpoint file.  A file that cannot be read is
+    /// [`CheckpointError::Io`]; one that does not parse, `Malformed`.
     pub fn load(path: &Path) -> Result<Self, CheckpointError> {
         let text = std::fs::read_to_string(path)
-            .map_err(|e| err(format!("cannot read {}: {e}", path.display())))?;
+            .map_err(|e| CheckpointError::Io(format!("cannot read {}: {e}", path.display())))?;
         Self::parse(&text)
     }
+}
+
+/// The file [`SweepCheckpoint::save`] writes before renaming it over
+/// `path`: `path` with `.tmp` appended to its file name, so it is never
+/// `path` itself, even for a `.tmp` path, and `a.cp` and `a.json` never
+/// share one.
+fn temp_path(path: &Path) -> std::path::PathBuf {
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(".tmp");
+    path.with_file_name(name)
 }
 
 #[cfg(test)]
@@ -456,7 +467,27 @@ mod tests {
         cp.save(&path).unwrap();
         let back = SweepCheckpoint::load(&path).unwrap();
         assert_eq!(back.records.len(), cp.records.len());
+        assert!(!temp_path(&path).exists(), "the temporary file is renamed away");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn temporary_file_is_never_the_checkpoint_or_shared() {
+        let tmp = |p: &str| temp_path(Path::new(p));
+        for p in ["sweep_checkpoint.tmp", "dir/a.cp", "a", "a.tmp.tmp"] {
+            assert_ne!(tmp(p), Path::new(p), "{p}");
+            assert_eq!(tmp(p).parent(), Path::new(p).parent(), "{p}");
+        }
+        assert_ne!(tmp("a.cp"), tmp("a.json"));
+    }
+
+    #[test]
+    fn unreadable_file_is_an_io_error() {
+        let missing = std::env::temp_dir().join("cbs_no_such_dir_q7").join("cp.txt");
+        match SweepCheckpoint::load(&missing) {
+            Err(CheckpointError::Io(_)) => {}
+            other => panic!("expected Io, got {other:?}"),
+        }
     }
 
     #[test]

@@ -59,10 +59,8 @@ pub struct EnergyStats {
     /// Operator applications over the energy's solves (matvec-equivalents:
     /// the per-column work, however the applies were fused).
     pub matvecs: usize,
-    /// Operator-storage traversals actually performed (fused block applies
-    /// count the operator's `traversal_weight`; up to `N_rh`x below
-    /// [`matvecs`](Self::matvecs), and 3x fewer per apply through the real
-    /// stencil).
+    /// Operator traversals performed, one per fused block apply (up to
+    /// `N_rh`x below [`matvecs`](Self::matvecs)).
     pub operator_traversals: usize,
     /// Shifted solves (each one primal + dual pair).
     pub solves: usize,
@@ -483,7 +481,7 @@ impl<'a> EnergySweep<'a> {
                 let points: Vec<CbsPoint> =
                     result.eigenpairs.iter().map(|p| classify_point(&problems[i], 0, p)).collect();
                 // Matvec / traversal totals come from the extraction result
-                // so they include the metered residual-check applications,
+                // so they include the counted residual-check applications,
                 // matching `SsResult`'s accounting.
                 let stats = EnergyStats {
                     bicg_iterations: result.total_bicg_iterations,

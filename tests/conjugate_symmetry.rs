@@ -50,9 +50,6 @@ impl<Op: LinearOperator> LinearOperator for NotReal<Op> {
     fn memory_bytes(&self) -> usize {
         self.0.memory_bytes()
     }
-    fn traversal_weight(&self) -> usize {
-        self.0.traversal_weight()
-    }
     fn stencil_block(&self) -> Option<StencilBlock<'_>> {
         self.0.stencil_block()
     }

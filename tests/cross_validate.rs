@@ -1,4 +1,5 @@
-//! Cross-validation harness of the Sakurai-Sugiura ring on Al(100):
+//! Cross-validation harness of the Sakurai-Sugiura ring on Al(100), for
+//! each of the source-block seeds 1–10 at the default BiCG tolerance:
 //!
 //! * the `{PrecondPolicy} x {serial, rayon}` matrix — serial ≡ rayon
 //!   **bitwise** within each policy, and the two policies' spectra agree to
@@ -14,19 +15,19 @@ use cbs::parallel::{RayonExecutor, SerialExecutor};
 
 mod common;
 
-/// Solver parameters well beyond the defaults (`n_int` 24, BiCG to 1e-14),
-/// so the ≤ 1e-10 cross-policy bound and the comparison with the direct OBM
-/// solver measure the quadrature, not the iterative solves.
+/// The source-block seeds every test runs over.
+const SEEDS: std::ops::RangeInclusive<u64> = 1..=10;
+
+/// A finer ring than the defaults (`n_int` 24) at the default BiCG
+/// tolerance (1e-10), with the source-block `seed` left to the caller.
 fn fig6_config() -> SsConfig {
     SsConfig {
         n_int: 24,
         n_mm: 6,
         n_rh: 6,
         delta: 1e-13,
-        bicg_tolerance: 1e-14,
         bicg_max_iterations: 3_000,
         residual_cutoff: 1e-6,
-        seed: 1,
         ..SsConfig::small()
     }
 }
@@ -68,19 +69,23 @@ fn fig6_policy_matrix_cross_validation() {
     let h01 = h.h01();
     // A cheaper spectrum (2 propagating states) keeps the 4-run matrix
     // affordable.
-    let config = SsConfig { n_mm: 4, n_rh: 4, ..fig6_config() };
     let problem = QepProblem::new(&h00, &h01, 0.15, h.period());
 
-    let [mf, ilu] = [PrecondPolicy::MatrixFree, PrecondPolicy::AssembledIlu0].map(|precond| {
-        let cfg = SsConfig { precond, ..config };
-        let serial = solve_qep_with(&problem, &cfg, &SerialExecutor);
-        assert!(!serial.eigenpairs.is_empty(), "{}: found nothing", precond.name());
-        let rayon = solve_qep_with(&problem, &cfg, &RayonExecutor);
-        assert_bitwise_eigenpairs(&serial, &rayon, &format!("{}/rayon", precond.name()));
-        serial
-    });
-    assert_interior_sets_match(&mf, &ilu, 1e-10, "matrix-free → ilu0");
-    assert_interior_sets_match(&ilu, &mf, 1e-10, "ilu0 → matrix-free");
+    for seed in SEEDS {
+        let config = SsConfig { n_mm: 4, n_rh: 4, seed, ..fig6_config() };
+        let [mf, ilu] = [PrecondPolicy::MatrixFree, PrecondPolicy::AssembledIlu0].map(|precond| {
+            let cfg = SsConfig { precond, ..config };
+            let what = format!("seed {seed}, {}", precond.name());
+            let serial = solve_qep_with(&problem, &cfg, &SerialExecutor);
+            assert!(!serial.eigenpairs.is_empty(), "{what}: found nothing");
+            let rayon = solve_qep_with(&problem, &cfg, &RayonExecutor);
+            assert_bitwise_eigenpairs(&serial, &rayon, &format!("{what}/rayon"));
+            serial
+        });
+        let what = |dir| format!("seed {seed}: {dir}");
+        assert_interior_sets_match(&mf, &ilu, 1e-10, &what("matrix-free → ilu0"));
+        assert_interior_sets_match(&ilu, &mf, 1e-10, &what("ilu0 → matrix-free"));
+    }
 }
 
 /// The single ring's spectrum lands on the OBM baseline — the paper's
@@ -96,23 +101,23 @@ fn fig6_sliced_and_single_agree_with_obm() {
         HamiltonianParams { fd: cbs::grid::FdOrder::new(1), include_nonlocal: true },
     );
     let energy = 0.15;
-    let config = fig6_config();
     let h00 = h.h00();
     let h01 = h.h01();
     let problem = QepProblem::new(&h00, &h01, energy, h.period());
-
-    let single = solve_qep_with(&problem, &config, &SerialExecutor);
     let obm = obm_solve(&h.h00_csr(), &h.h01_csr(), energy, &ObmConfig::default());
-
     let close = |a: Complex64, b: Complex64| (a - b).abs() < 2e-5 * (1.0 + b.abs());
-    let mut compared = 0;
-    for p in single.eigenpairs.iter().filter(|p| interior(p.lambda)) {
-        assert!(
-            obm.lambdas.iter().any(|&l| close(l, p.lambda)),
-            "single found {:?} which OBM missed",
-            p.lambda
-        );
-        compared += 1;
+
+    for seed in SEEDS {
+        let single = solve_qep_with(&problem, &SsConfig { seed, ..fig6_config() }, &SerialExecutor);
+        let mut compared = 0;
+        for p in single.eigenpairs.iter().filter(|p| interior(p.lambda)) {
+            assert!(
+                obm.lambdas.iter().any(|&l| close(l, p.lambda)),
+                "seed {seed}: single found {:?} which OBM missed",
+                p.lambda
+            );
+            compared += 1;
+        }
+        assert!(compared > 0, "seed {seed}: nothing to compare against OBM");
     }
-    assert!(compared > 0, "nothing to compare against OBM");
 }

@@ -1,10 +1,10 @@
 //! Acceptance tests of the preconditioning policy (`PrecondPolicy`), which
 //! alone selects the diagonal-ILU split of the stencil nodes:
 //!
-//! * counter-locked: on the fig6 Al(100) system the ILU policy's split
-//!   stencil performs exactly 1/3 of the generic matrix-free composition's
-//!   storage traversals per matvec (one row pass instead of H₀₀ + H₀₁ +
-//!   H₀₁†), and blocks that do not convert run the policy matrix-free;
+//! * counter-locked: on the fig6 Al(100) system every policy, split
+//!   stencil, matrix-free stencil or generic composition, performs one
+//!   traversal per block apply, and blocks that do not convert run the ILU
+//!   policy matrix-free;
 //! * the diagonal ILU reduces the total BiCG iteration count at equal
 //!   tolerance while finding the same physics;
 //! * serial and rayon executors stay bit-identical within every policy;
@@ -29,14 +29,14 @@ fn fig6_config(precond: PrecondPolicy) -> SsConfig {
 }
 
 /// Counter-locked traversal ratio: with the iteration count pinned (a
-/// tolerance no solve can reach), the ILU policy's split stencil (`BlockOp`s
-/// are the views of the Hamiltonian's stencil) must perform *exactly* one solve-phase storage
-/// traversal per block apply (`1 / n_rh` per matvec), and the matrix-free
-/// operator `w`: 1 for the real stencil, 3 for the generic composition over
-/// the same blocks as plain CSR — which the ILU policy, having no stencil to
-/// split, runs matrix-free, bit for bit.
+/// tolerance no solve can reach), every policy performs exactly one
+/// solve-phase traversal per block apply (`1 / n_rh` per matvec) — the
+/// ILU policy's split stencil (`BlockOp`s are the views of the
+/// Hamiltonian's stencil), the matrix-free stencil, and the generic
+/// composition over the same blocks as plain CSR, which the ILU policy,
+/// having no stencil to split, runs matrix-free, bit for bit.
 #[test]
-fn fig6_assembled_traversals_per_iteration_are_one_third_of_matrix_free() {
+fn fig6_every_policy_is_one_traversal_per_block_apply() {
     let h = fig6_hamiltonian();
     let h00 = h.h00();
     let h01 = h.h01();
@@ -50,14 +50,13 @@ fn fig6_assembled_traversals_per_iteration_are_one_third_of_matrix_free() {
     let n_rh = ilu.n_rh;
 
     // Solve-phase `traversals / matvecs`, in units of `1 / n_rh`: one block
-    // apply is `n_rh` matvecs through `weight` passes over the operator's
-    // storage.  (Extraction residual checks run matrix-free under every
-    // policy, so they are subtracted.)
+    // apply is `n_rh` matvecs and one traversal.  (Each extraction residual
+    // check is one matvec and one traversal, so they are subtracted.)
     let per_matvec = |r: &SsResult| {
-        let traversals = r.total_traversals - r.extraction_traversals;
+        let traversals = r.total_traversals - r.extraction_matvecs;
         let matvecs = r.total_matvecs - r.extraction_matvecs;
         assert!(matvecs > 0);
-        assert_eq!((traversals * n_rh) % matvecs, 0, "a block apply is whole storage passes");
+        assert_eq!((traversals * n_rh) % matvecs, 0, "a block apply is whole traversals");
         traversals * n_rh / matvecs
     };
 
@@ -65,32 +64,22 @@ fn fig6_assembled_traversals_per_iteration_are_one_third_of_matrix_free() {
     let generic_problem = QepProblem::new(&csr00, &csr01, 0.15, h.period());
     let split = solve_qep_with(&stencil_problem, &ilu, &SerialExecutor);
     assert!(stencil_problem.real_stencil().is_some(), "stencil views: the node splits");
+    assert!(generic_problem.real_stencil().is_none(), "plain CSR: the generic composition");
     assert_eq!(per_matvec(&split), 1);
 
-    for (mf_problem, weight) in [(&stencil_problem, 1), (&generic_problem, 3)] {
+    for mf_problem in [&stencil_problem, &generic_problem] {
         let mf = solve_qep_with(mf_problem, &pinned(PrecondPolicy::MatrixFree), &SerialExecutor);
-        assert_eq!(mf_problem.traversal_weight(), weight);
-
-        // Identical iteration structure...
+        // Identical iteration structure and traversals per matvec.
         assert!(mf.total_bicg_iterations > 0);
         assert_eq!(mf.total_bicg_iterations, split.total_bicg_iterations);
-        // ... and exactly `weight`x the split stencil's traversals per
-        // matvec.
-        eprintln!(
-            "fig6 solve traversals per matvec: matrix-free {} (weight {weight}) vs split {}",
-            per_matvec(&mf),
-            per_matvec(&split)
-        );
-        assert_eq!(per_matvec(&mf), weight * per_matvec(&split));
-        // Extraction charges the same weight per residual check.
-        assert_eq!(mf.extraction_traversals, weight * mf.extraction_matvecs);
+        assert_eq!(per_matvec(&mf), 1);
     }
     // Plain CSR blocks do not convert: the ILU policy runs them matrix-free.
     let csr_ilu = solve_qep_with(&generic_problem, &ilu, &SerialExecutor);
     let csr_mf =
         solve_qep_with(&generic_problem, &pinned(PrecondPolicy::MatrixFree), &SerialExecutor);
     assert_same_trajectory(&csr_ilu, &csr_mf, n_rh);
-    assert_eq!(per_matvec(&csr_ilu), 3);
+    assert_eq!(per_matvec(&csr_ilu), 1);
 }
 
 /// Physics parity and the iteration-count lever: the diagonal-ILU policy

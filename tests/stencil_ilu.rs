@@ -59,9 +59,6 @@ impl<Op: LinearOperator> LinearOperator for Hidden<Op> {
     fn memory_bytes(&self) -> usize {
         self.0.memory_bytes()
     }
-    fn traversal_weight(&self) -> usize {
-        self.0.traversal_weight()
-    }
     fn is_real(&self) -> bool {
         self.0.is_real()
     }
@@ -130,8 +127,6 @@ fn assert_stencil_ilu_matches_assembled_ilu(
     assert!(stencil.real_stencil().is_some_and(|s| std::ptr::eq(s, h.stencil())), "{what}");
     assert!(!fused.eigenpairs.is_empty(), "{what}: the split route found no eigenpairs");
     assert!(fused.solve_histories.iter().all(ConvergenceHistory::converged), "{what}");
-    // Residual checks run matrix-free: one storage traversal each.
-    assert_eq!(fused.extraction_traversals, fused.extraction_matvecs, "{what}");
 
     // Every solved node: the split route, which is the pool's (same
     // histories up to the certified last entry), against the oracle.  In
@@ -252,7 +247,6 @@ fn problems_and_sweeps_read_the_hamiltonians_own_stencil() {
     let h = common::fig6_hamiltonian();
     let own = |problem: &QepProblem<'_>| {
         problem.real_stencil().is_some_and(|s| std::ptr::eq(s, h.stencil()))
-            && problem.traversal_weight() == 1
     };
     let (h00, h01) = (h.h00(), h.h01());
     let at = |e| QepProblem::new(&h00, &h01, e, h.period());
