@@ -16,7 +16,7 @@ use crate::hamiltonian::BlockHamiltonian;
 /// A sampled band structure: energies (hartree) for each k-point.
 #[derive(Clone, Debug)]
 pub struct BandStructure {
-    /// The sampled wave numbers (1/bohr), each in `[-π/a, π/a]`.
+    /// The sampled wave numbers (1/bohr), each in `[0, π/a]`.
     pub kpoints: Vec<f64>,
     /// For each k-point, the sorted band energies (lowest `n_bands`).
     pub bands: Vec<Vec<f64>>,
@@ -34,11 +34,14 @@ impl BandStructure {
     }
 
     /// Distance from `energy` to the nearest band value at the k-point
-    /// closest to `k` — used to verify the real-k solutions of the CBS.
+    /// closest to `|k|` — used to verify the real-k solutions of the CBS.
+    /// `k` is folded to `|k|` because the sampled Hamiltonians are real, so
+    /// `E(−k) = E(k)`.
     ///
     /// An empty band list (no k-points, or no bands at the matched
     /// k-point) has no nearest band: the distance is `f64::INFINITY`.
     pub fn distance_to_bands(&self, k: f64, energy: f64) -> f64 {
+        let k = k.abs();
         let Some((idx, _)) = self
             .kpoints
             .iter()
@@ -77,29 +80,19 @@ impl BandStructure {
         edges.dedup_by(|a, b| (*a - *b).abs() <= tol);
         edges
     }
-
-    /// `true` when at least one band edge lies in the half-open interval
-    /// `(lo, hi]` — the refinement predicate an adaptive energy sweep uses
-    /// to decide whether an interval brackets the opening or closing of a
-    /// channel and deserves bisection.
-    ///
-    /// The upper endpoint is **inclusive**: sweep grids are closed sets of
-    /// sampled energies, and with a fully open interval an edge landing
-    /// exactly on a grid energy would satisfy neither `(E_{i-1}, E_i)` nor
-    /// `(E_i, E_{i+1})`, silently skipping that channel opening.  Half-open
-    /// attribution assigns such an edge to exactly one interval (the one
-    /// below it) — bracketed once, never twice, never zero times.
-    pub fn brackets_band_edge(&self, e_lo: f64, e_hi: f64) -> bool {
-        edges_bracket(&self.band_edges(0.0), e_lo, e_hi)
-    }
 }
 
 /// `true` when at least one of `edges` lies in the half-open interval
-/// `(lo, hi]` spanned by `e_lo`/`e_hi` (orientation-agnostic) — the single
-/// source of the bracketing convention, shared by
-/// [`BandStructure::brackets_band_edge`] and the sweep's `BandEdgeRefiner`
-/// (which queries a precomputed edge list) so the two cannot
-/// desynchronize.
+/// `(lo, hi]` spanned by `e_lo`/`e_hi` (orientation-agnostic) — the test an
+/// adaptive energy sweep applies to decide whether an interval brackets the
+/// opening or closing of a channel and deserves bisection.
+///
+/// The upper endpoint is **inclusive**: sweep grids are closed sets of
+/// sampled energies, and with a fully open interval an edge landing
+/// exactly on a grid energy would satisfy neither `(E_{i-1}, E_i)` nor
+/// `(E_i, E_{i+1})`, silently skipping that channel opening.  Half-open
+/// attribution assigns such an edge to exactly one interval (the one
+/// below it) — bracketed once, never twice, never zero times.
 pub fn edges_bracket(edges: &[f64], e_lo: f64, e_hi: f64) -> bool {
     let (lo, hi) = if e_lo <= e_hi { (e_lo, e_hi) } else { (e_hi, e_lo) };
     edges.iter().any(|&edge| edge > lo && edge <= hi)
@@ -252,7 +245,7 @@ mod tests {
         let hollow = BandStructure { kpoints: vec![0.0], bands: vec![Vec::new()] };
         assert_eq!(hollow.distance_to_bands(0.0, 0.1), f64::INFINITY);
         assert!(empty.band_edges(0.0).is_empty());
-        assert!(!empty.brackets_band_edge(-1.0, 1.0));
+        assert!(!edges_bracket(&empty.band_edges(0.0), -1.0, 1.0));
     }
 
     #[test]
@@ -266,12 +259,12 @@ mod tests {
         let edges = bs.band_edges(0.0);
         assert_eq!(edges, vec![-1.0, -0.2, 0.4, 0.9]);
         // The gap (-0.2, 0.4) contains no edge; intervals crossing an edge do.
-        assert!(!bs.brackets_band_edge(-0.15, 0.35));
-        assert!(bs.brackets_band_edge(-0.3, -0.1), "crosses the band-0 top");
-        assert!(bs.brackets_band_edge(0.35, 0.45), "crosses the band-1 bottom");
+        assert!(!edges_bracket(&edges, -0.15, 0.35));
+        assert!(edges_bracket(&edges, -0.3, -0.1), "crosses the band-0 top");
+        assert!(edges_bracket(&edges, 0.35, 0.45), "crosses the band-1 bottom");
         // Orientation-agnostic; an empty interval brackets nothing.
-        assert!(bs.brackets_band_edge(0.45, 0.35));
-        assert!(!bs.brackets_band_edge(0.4, 0.4));
+        assert!(edges_bracket(&edges, 0.45, 0.35));
+        assert!(!edges_bracket(&edges, 0.4, 0.4));
         // Dedup tolerance merges nearly equal edges.
         let merged = bs.band_edges(0.7);
         assert!(merged.len() < edges.len());
@@ -290,11 +283,12 @@ mod tests {
         };
         // Grid energies 0.3, 0.4, 0.5: the band-1 bottom edge sits exactly
         // on the middle grid point.
-        assert!(bs.band_edges(0.0).contains(&0.4));
-        assert!(bs.brackets_band_edge(0.3, 0.4), "interval below the on-grid edge must trigger");
-        assert!(!bs.brackets_band_edge(0.4, 0.5), "interval above must not double-count it");
+        let edges = bs.band_edges(0.0);
+        assert!(edges.contains(&0.4));
+        assert!(edges_bracket(&edges, 0.3, 0.4), "interval below the on-grid edge must trigger");
+        assert!(!edges_bracket(&edges, 0.4, 0.5), "interval above must not double-count it");
         // Reversed orientation behaves identically.
-        assert!(bs.brackets_band_edge(0.4, 0.3));
+        assert!(edges_bracket(&edges, 0.4, 0.3));
     }
 
     #[test]
@@ -305,5 +299,19 @@ mod tests {
         let e = bs.bands[2][1];
         assert!(bs.distance_to_bands(k, e) < 1e-14);
         assert!(bs.distance_to_bands(k, e + 0.3) > 0.1);
+    }
+
+    #[test]
+    fn distance_to_bands_is_even_in_k() {
+        // The bands are sampled on `k ≥ 0`; a negative `k` is matched by
+        // `|k|`, not by the nearest sample `k = 0`.
+        let bs = BandStructure {
+            kpoints: vec![0.0, 0.5, 1.0],
+            bands: vec![vec![-1.0, 0.4], vec![-0.6, 0.9], vec![-0.2, 0.7]],
+        };
+        for (k, e) in [(0.5, -0.6), (0.5, 0.9), (0.9, 0.65), (0.2, -0.9)] {
+            assert_eq!(bs.distance_to_bands(-k, e), bs.distance_to_bands(k, e), "k = {k}");
+        }
+        assert_eq!(bs.distance_to_bands(-0.5, -0.6), 0.0, "on band 0 at k = 0.5");
     }
 }

@@ -72,86 +72,12 @@ impl std::fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-// Version history of the on-disk format (the magic line):
-//   v1  pre-`operator_traversals` per-record counters,
-//   v2  added `operator_traversals` (the block-solve data path),
-//   v3  added `operator_assemblies` (the assembled-operator fast path),
-//   v4  contour partitioning: the slice-policy knobs joined the
-//       fingerprint and seed tables became slice-major concatenations
-//       whose length depends on the partition,
-//   v5  calibrated auto-tuning: an `auto` section (the committed policy
-//       cell + the probe samples behind it) between fingerprint and grid,
-//       and the fingerprint gained the auto-enabled bit plus the committed
-//       cell,
-//   v6  conjugate-symmetric quadrature: the source block is real (every
-//       stored solution is a solution for a different right-hand side than
-//       a v5 one), a real Hamiltonian's seed tables hold only the solved
-//       upper half-plane nodes (`n_solved x n_rh` pairs per energy), and
-//       the fingerprint gained the mirrored-ring bit,
-//   v7  one job shape: the block-policy column left the `cell` line and
-//       the `sample` lines,
-//   v8  real-stencil `P(z)`: same layout as v7, but a matrix-free sweep
-//       over real `sparse + low-rank` blocks runs a differently associated
-//       apply, so its trajectory (histories, counters, seed tables) is not
-//       bitwise a v7 one's — resuming a v7 file would splice two
-//       arithmetics into one result,
-//   v9  stencil apply under ILU(0): same layout again, but a sweep under
-//       `AssembledIlu0` / the SMW policy over such blocks now applies
-//       `P(z)` through the real stencil instead of the assembled CSR (the
-//       refill only feeds the factorization), so its trajectory differs
-//       from a v8 one's in rounding,
-//   v10 three policies: the kernel-layout slot left the fingerprint, and
-//       policy code 1 (the unpreconditioned assembled CSR, a v9 default
-//       sweep's policy) is retired — `SsConfig::paper()` now means code 2,
-//   v11 auto section and auto fingerprint slots removed (the calibrated
-//       tuner is deleted): the file loses its `auto` section and every
-//       fingerprint one slot, an auto sweep's three,
-//   v12 slice-policy fingerprint slots removed; precond code 3 retired:
-//       every fingerprint loses the nine slice-policy slots, and a v11
-//       sweep under the deleted SMW preconditioner carries a policy no
-//       build can run,
-//   v13 diagonal ILU: same layout as v12, but policy code 2 now
-//       preconditions with the diagonal ILU of the sparse part of `P(z)`
-//       (in stencil form where the blocks convert) instead of full ILU(0)
-//       factors, so a v12 sweep under it took a different trajectory —
-//       resuming one would splice two preconditioners into one result,
-//   v14 split diagonal ILU: where the blocks convert, policy code 2 runs
-//       BiCG on the split system `M_L⁻¹P(z)M_R⁻¹` and stops on its residual
-//       plus a true-residual check, so a v13 sweep under it took another
-//       trajectory; the fingerprint gained the problem dimension, so a
-//       checkpoint of the same cell at another grid spacing is refused,
-//   v15 no warm starts: the `seeds` and `pending` sections and the record
-//       line's donor fields are gone, the four warm/cold counters became
-//       one solve count, the fingerprint lost the warm-start, release-round
-//       and seed-bank slots, and a `checksum` line (FNV-1a 64 of every byte
-//       before it) precedes `end`.  A v14 warm sweep took another
-//       trajectory than today's cold one,
-//   v16 true-residual stop: same layout as v15, but policy code 2's split
-//       nodes stop on the mapped and confirmed true residual inside BiCG
-//       instead of at `tol·√ρ` with one continuation, so a v15 sweep under
-//       it took another trajectory,
-//   v17 compact moment store: same layout as v16, but each solve outcome
-//       is projected onto the source block before it is summed into
-//       `µ̂_k`, so the extracted eigenvalues of a v16 sweep round
-//       differently,
-//   v18 one ILU road: the record line lost `operator_assemblies` and the
-//       fingerprint its two assembled-pattern slots; the policy alone
-//       selects the diagonal ILU, so a v17 sweep under policy code 2 that
-//       attached no pattern ran matrix-free,
-//   v19 one pool dispatch: the record line lost its capped-solve count
-//       and the fingerprint its majority-stop slot; the rule is gone, so a
-//       v18 sweep over a full ring (complex blocks) capped solves that now
-//       run to tolerance,
-//   v20 Laurent-centred moments: same layout as v19, but the moments run
-//       over the powers `k = −s … N_mm` (`s = N_mm − 1`) instead of
-//       `0 … 2N_mm − 1`, so the extracted eigenvalues of a v19 sweep round
-//       differently.
-// There is exactly one compatibility rule: the version found must be the
-// current one.  Anything else announcing itself through the shared magic
-// prefix is refused with [`CheckpointError::IncompatibleVersion`], naming
-// both versions, rather than read with silently zeroed or misaligned
-// fields.
-const MAGIC: &str = "cbs-sweep-checkpoint v20";
+// The on-disk format version.  Every change to the layout or to the
+// arithmetic behind the stored records bumps it (CHANGES.md keeps the
+// history), and any other version is refused with
+// [`CheckpointError::IncompatibleVersion`], never read with misaligned or
+// silently zeroed fields.
+const MAGIC: &str = "cbs-sweep-checkpoint v21";
 
 /// Prefix shared by every version's magic line; anything with this prefix
 /// but the wrong version is an incompatible (not malformed) checkpoint.
@@ -551,31 +477,14 @@ mod tests {
 
     #[test]
     fn v4_to_v14_checkpoints_are_refused_and_the_message_names_both_versions() {
-        // v4 predates the auto section; v5 predates the real source block
-        // and the half-ring seed tables; v6 carries a block-policy column in
-        // its auto section; v7 parses field for field but was written by the
-        // three-pass matrix-free apply, v8 by ILU sweeps that applied the
-        // assembled CSR; v9 fingerprints carry a kernel-layout slot and its
-        // default sweeps ran the retired policy 1; v10 carries the auto
-        // section and the auto fingerprint slot; v11 fingerprints carry the
-        // nine slice-policy slots and may name the retired SMW policy 3;
-        // v12 parses field for field but its ILU sweeps ran full ILU(0);
-        // v13's ILU sweeps preconditioned instead of splitting and its
-        // fingerprint has no dimension; v14 carries seed tables, donor
-        // fields and warm/cold counters, and no checksum; v15's ILU sweeps
-        // stopped on another rule; v16's eigenvalues came from moments
-        // summed before they were projected; v17 records carry the
-        // assembly counter; v18 records carry the majority-stop counter;
-        // v19's eigenvalues came from uncentred moments.
-        // All must hit the dedicated incompatible-version path, and the
-        // error message must name the version found *and* the one expected.
-        // A format from the future is refused the same way — there is one
-        // check, not one per version.
+        // Every version but the current one, older or newer, hits the one
+        // incompatible-version check, and the message names the version
+        // found *and* the one expected.
         let old = [
             "v4", "v5", "v6", "v7", "v8", "v9", "v10", "v11", "v12", "v13", "v14", "v15", "v16",
-            "v17", "v18", "v19",
+            "v17", "v18", "v19", "v20",
         ];
-        for version in old.into_iter().chain(["v21"]) {
+        for version in old.into_iter().chain(["v22"]) {
             let stale = format!("cbs-sweep-checkpoint {version}");
             match SweepCheckpoint::parse(&relabelled(version)) {
                 Err(CheckpointError::IncompatibleVersion { ref found }) => {
@@ -588,7 +497,7 @@ mod tests {
                 other => panic!("{version}: expected IncompatibleVersion, got {other:?}"),
             }
         }
-        assert!(SweepCheckpoint::parse(&relabelled("v20")).is_ok(), "v20 is the current format");
+        assert!(SweepCheckpoint::parse(&relabelled("v21")).is_ok(), "v21 is the current format");
     }
 
     /// The body of a serialized checkpoint: everything before its

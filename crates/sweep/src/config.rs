@@ -37,12 +37,6 @@ impl SweepConfig {
         Self { ss, initial_round: 0, max_refinements: 0, min_refine_spacing: 1e-6 }
     }
 
-    /// Enable adaptive refinement with the given extra-energy budget.
-    pub fn with_refinement(mut self, budget: usize) -> Self {
-        self.max_refinements = budget;
-        self
-    }
-
     /// Bit-exact fingerprint of every physics-relevant knob, stored in
     /// checkpoints and verified on resume: resuming under a different
     /// configuration would silently change the results, so it is an error.
@@ -81,7 +75,7 @@ mod tests {
         assert_ne!(a.fingerprint(1.0), a.fingerprint(2.0));
         b.ss.n_rh += 1;
         assert_ne!(a.fingerprint(1.0), b.fingerprint(1.0));
-        assert_ne!(a.fingerprint(1.0), a.with_refinement(3).fingerprint(1.0));
+        assert_ne!(a.fingerprint(1.0), SweepConfig { max_refinements: 3, ..a }.fingerprint(1.0));
         // The vestigial release-round size changes nothing.
         let c = SweepConfig { initial_round: 4, ..a };
         assert_eq!(a.fingerprint(1.0), c.fingerprint(1.0));

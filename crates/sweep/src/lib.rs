@@ -17,14 +17,14 @@
 //!   group of the shared `cbs_core::solve_pool`, and bit-identical to its
 //!   own `cbs_core::solve_qep_with`.
 //! * **Adaptive refinement** — intervals where the propagating-channel
-//!   count changes (or a [`RefinementPredicate`] such as the
-//!   band-edge-bracketing [`BandEdgeRefiner`] fires) are bisected up to a
-//!   configurable budget, one pool per generation, resolving band edges
-//!   cheaply.
-//! * **Checkpointing** — a [`SweepCheckpoint`] (format v20: finished
+//!   count changes, or that bracket one of the caller's
+//!   [`RunOptions::band_edges`], are bisected up to a configurable budget,
+//!   one pool per generation, resolving band edges cheaply.  The edges are
+//!   fingerprinted, so a resume under other edges is refused.
+//! * **Checkpointing** — a [`SweepCheckpoint`] (format v21: finished
 //!   energies' results, bit-exact floats, a checksum) is written after
-//!   every extracted energy; a killed sweep resumes bit-identically
-//!   ([`checkpoint`]).
+//!   every extracted energy, so a killed sweep leaves a prefix of the
+//!   finished sweep's records and resumes bit-identically ([`checkpoint`]).
 //!
 //! Entry point: [`EnergySweep`], e.g.
 //! `EnergySweep::new(h00, h01, period, SweepConfig::new(ss)).run(&energies, &executor)`.
@@ -41,8 +41,8 @@ pub mod sweep;
 pub use checkpoint::{CheckpointError, SweepCheckpoint};
 pub use config::SweepConfig;
 pub use sweep::{
-    AutoDecision, BandEdgeRefiner, EnergyOrigin, EnergyRecord, EnergyStats, EnergySweep,
-    ProbeSample, RefinementPredicate, RunOptions, RunOutcome, SweepResult,
+    AutoDecision, EnergyOrigin, EnergyRecord, EnergyStats, EnergySweep, ProbeSample, RunOptions,
+    SweepResult,
 };
 
 #[cfg(test)]
@@ -134,12 +134,14 @@ mod tests {
             [0; 4]
         );
 
-        let budget = RunOptions { max_new_energies: Some(1), ..RunOptions::default() };
-        let RunOutcome::Interrupted(cp) =
-            sweep.run_with(&[0.0, 0.1], &SerialExecutor, budget).unwrap()
-        else {
-            panic!("a budget of one energy interrupts a two-energy grid");
-        };
+        // A sweep of `[0.0, 0.1]` killed after its first energy: a kill
+        // leaves a prefix of the finished checkpoint's records.
+        let path = std::env::temp_dir().join(format!("cbs_sweep_empty_{}.cp", std::process::id()));
+        let save = RunOptions { checkpoint_path: Some(&path), ..RunOptions::default() };
+        sweep.run_with(&[0.0, 0.1], &SerialExecutor, save).unwrap();
+        let mut cp = SweepCheckpoint::load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        cp.records.truncate(1);
         let resume = RunOptions { resume: Some(cp), ..RunOptions::default() };
         let refused = sweep.run_with(&[], &SerialExecutor, resume);
         assert!(matches!(refused, Err(CheckpointError::Mismatch(_))));

@@ -5,9 +5,9 @@
 //! through one flattened task pool (`cbs_core::solve_pool`), every solve
 //! from a zero initial guess as the paper does, adaptively bisects
 //! intervals where the propagating-channel
-//! count changes (or a caller-supplied predicate fires), each refinement
-//! generation as one more pool, and checkpoints after every extracted
-//! energy so a killed sweep resumes bit-identically.
+//! count changes (or that bracket a caller-supplied band edge), each
+//! refinement generation as one more pool, and checkpoints after every
+//! extracted energy so a killed sweep resumes bit-identically.
 //!
 //! Determinism invariants, locked in by `tests/sweep_determinism.rs` at the
 //! workspace root:
@@ -26,7 +26,6 @@ use cbs_core::{
     classify_point, extract_from_moments, solve_pool, BlockPolicy, CbsPoint, CbsStatistics,
     ComplexBandStructure, PoolGroup, PrecondPolicy, QepProblem, RingPlan,
 };
-use cbs_dft::BandStructure;
 use cbs_parallel::TaskExecutor;
 use cbs_sparse::LinearOperator;
 use cbs_trace::{Stage, TraceHandle};
@@ -94,44 +93,6 @@ impl EnergyRecord {
     }
 }
 
-/// Decides whether the interval between two completed neighbouring energies
-/// deserves bisection, *in addition to* the built-in channel-count-change
-/// rule.  Implementations must be pure functions of their arguments so
-/// refinement stays deterministic across executors and resumes.
-pub trait RefinementPredicate: Sync {
-    /// `true` to bisect the interval `(lo.energy, hi.energy)`.
-    fn should_refine(&self, lo: &EnergyRecord, hi: &EnergyRecord) -> bool;
-}
-
-/// Bisect intervals that bracket a band edge of a reference (real-k) band
-/// structure — the `cbs-dft` predicate for resolving channel openings
-/// cheaply: band edges are exactly where the CBS channel count jumps.
-///
-/// The (sorted) edge list is extracted once at construction, so each
-/// interval query is a scan of a small precomputed vector rather than a
-/// rescan of the full band structure.
-pub struct BandEdgeRefiner {
-    edges: Vec<f64>,
-}
-
-impl BandEdgeRefiner {
-    /// Precompute the band edges of `bands` (see
-    /// [`BandStructure::band_edges`]).
-    pub fn new(bands: &BandStructure) -> Self {
-        Self { edges: bands.band_edges(0.0) }
-    }
-}
-
-impl RefinementPredicate for BandEdgeRefiner {
-    fn should_refine(&self, lo: &EnergyRecord, hi: &EnergyRecord) -> bool {
-        // The shared half-open `(a, b]` convention of
-        // `BandStructure::brackets_band_edge`: an edge landing exactly on a
-        // completed grid energy triggers the interval below it instead of
-        // silently slipping between two strict inequalities.
-        cbs_dft::edges_bracket(&self.edges, lo.energy, hi.energy)
-    }
-}
-
 /// One probe measurement.  Vestige, released by ROADMAP 1(a).
 #[derive(Clone, Debug)]
 pub struct ProbeSample {
@@ -175,31 +136,14 @@ pub struct RunOptions<'p> {
     /// (atomically: temp file + rename).
     pub checkpoint_path: Option<&'p Path>,
     /// Resume from a previously saved checkpoint.  The configuration,
-    /// period and initial grid must match bit-exactly.
+    /// period, band edges and initial grid must match bit-exactly.
     pub resume: Option<SweepCheckpoint>,
-    /// Stop (checkpointably) after this many *newly solved* energies — the
-    /// test hook that simulates a killed sweep.
-    pub max_new_energies: Option<usize>,
-    /// Extra refinement trigger, OR-ed with the channel-count-change rule.
-    pub predicate: Option<&'p dyn RefinementPredicate>,
-}
-
-/// What [`EnergySweep::run_with`] came back with.
-pub enum RunOutcome {
-    /// The sweep ran to completion.
-    Complete(SweepResult),
-    /// The `max_new_energies` budget ran out; the checkpoint resumes it.
-    Interrupted(SweepCheckpoint),
-}
-
-impl RunOutcome {
-    /// Unwrap a completed sweep.
-    pub fn expect_complete(self, msg: &str) -> SweepResult {
-        match self {
-            RunOutcome::Complete(r) => r,
-            RunOutcome::Interrupted(_) => panic!("{msg}"),
-        }
-    }
+    /// Band-edge energies (e.g. `BandStructure::band_edges(0.0)`): an
+    /// interval that brackets one (`cbs_dft::edges_bracket`) is bisected
+    /// as if its channel count changed.  Band edges are exactly where the
+    /// CBS channel count jumps.  Empty by default; part of the
+    /// fingerprint, since they steer the refinement decisions.
+    pub band_edges: &'p [f64],
 }
 
 /// Mutable progress of one run (completed records, counters).
@@ -207,14 +151,8 @@ struct State {
     records: Vec<EnergyRecord>,
     /// Bits of completed energies → index into `records`.
     done: BTreeMap<u64, usize>,
-    new_energies: usize,
     linear_solve_seconds: f64,
     extraction_seconds: f64,
-}
-
-enum BatchStatus {
-    Done,
-    BudgetExhausted,
 }
 
 /// The batched, adaptive multi-energy CBS driver.
@@ -284,18 +222,26 @@ impl<'a> EnergySweep<'a> {
     pub fn run<E: TaskExecutor>(&self, energies: &[f64], executor: &E) -> SweepResult {
         self.run_with(energies, executor, RunOptions::default())
             .expect("no checkpoint I/O involved")
-            .expect_complete("no energy budget set")
     }
 
-    /// Run with checkpointing, resume, an energy budget, or an extra
-    /// refinement predicate.
+    /// Run with checkpointing, resume or band-edge refinement.
+    ///
+    /// Records are completed in a fixed order (the initial grid ascending,
+    /// then each refinement generation ascending), and the checkpoint is
+    /// rewritten atomically after each one, so a sweep killed at any point
+    /// leaves a checkpoint whose records are a prefix of the finished
+    /// sweep's checkpoint.  Resuming from any such prefix solves the rest
+    /// and returns the uninterrupted result bit for bit, counters included.
+    /// A checkpoint of another configuration, period, ring, dimension,
+    /// band-edge list or grid is [`CheckpointError::Mismatch`]; a failed
+    /// save is [`CheckpointError::Io`].
     pub fn run_with<E: TaskExecutor>(
         &self,
         energies: &[f64],
         executor: &E,
         opts: RunOptions<'_>,
-    ) -> Result<RunOutcome, CheckpointError> {
-        let mut opts = opts;
+    ) -> Result<SweepResult, CheckpointError> {
+        let RunOptions { checkpoint_path, resume, band_edges } = opts;
         let cpu_start = cbs_trace::cpu_totals();
         let trace_t0 = cbs_trace::now_ns();
 
@@ -320,15 +266,17 @@ impl<'a> EnergySweep<'a> {
         // The dimension: the same cell at another grid spacing has the same
         // period and configuration, but is another problem.
         fingerprint.push(self.h00.nrows() as u64);
+        // The band edges steer the refinement decisions a resume replays.
+        fingerprint.push(band_edges.len() as u64);
+        fingerprint.extend(band_edges.iter().map(|e| e.to_bits()));
 
         let mut st = State {
             records: Vec::new(),
             done: BTreeMap::new(),
-            new_energies: 0,
             linear_solve_seconds: 0.0,
             extraction_seconds: 0.0,
         };
-        if let Some(cp) = opts.resume.take() {
+        if let Some(cp) = resume {
             if cp.fingerprint != fingerprint {
                 return Err(CheckpointError::Mismatch(
                     "configuration fingerprint mismatch: cannot resume".into(),
@@ -347,20 +295,21 @@ impl<'a> EnergySweep<'a> {
             st.records = cp.records;
         }
 
-        let checkpoint = |st: &State| SweepCheckpoint {
-            fingerprint: fingerprint.clone(),
-            initial_energies: grid.clone(),
-            records: st.records.clone(),
+        let save = |st: &State| match checkpoint_path {
+            Some(path) => SweepCheckpoint {
+                fingerprint: fingerprint.clone(),
+                initial_energies: grid.clone(),
+                records: st.records.clone(),
+            }
+            .save(path)
+            .map_err(|e| CheckpointError::Io(format!("checkpoint save failed: {e}"))),
+            None => Ok(()),
         };
 
         // --- Initial grid, one flat round. ----------------------------------
         let batch: Vec<(f64, EnergyOrigin)> =
             grid.iter().enumerate().map(|(i, &e)| (e, EnergyOrigin::Initial(i))).collect();
-        if let BatchStatus::BudgetExhausted =
-            self.solve_batch(batch, &plan, executor, &mut st, &opts, &checkpoint)?
-        {
-            return Ok(RunOutcome::Interrupted(checkpoint(&st)));
-        }
+        self.solve_batch(batch, &plan, executor, &mut st, &save)?;
 
         // --- Adaptive refinement, generation by generation. ---------------
         //
@@ -385,21 +334,12 @@ impl<'a> EnergySweep<'a> {
                     &st,
                     &visible,
                     self.config.max_refinements.saturating_sub(visible_refined),
-                    opts.predicate,
+                    band_edges,
                 );
                 if candidates.is_empty() {
                     break;
                 }
-                if let BatchStatus::BudgetExhausted = self.solve_batch(
-                    candidates.clone(),
-                    &plan,
-                    executor,
-                    &mut st,
-                    &opts,
-                    &checkpoint,
-                )? {
-                    return Ok(RunOutcome::Interrupted(checkpoint(&st)));
-                }
+                self.solve_batch(candidates.clone(), &plan, executor, &mut st, &save)?;
                 for (e, _) in &candidates {
                     let idx = st.done[&e.to_bits()];
                     visible.push(idx);
@@ -407,12 +347,12 @@ impl<'a> EnergySweep<'a> {
             }
         }
 
-        Ok(RunOutcome::Complete(self.assemble(st, cpu_start, trace_t0)))
+        Ok(self.assemble(st, cpu_start, trace_t0))
     }
 
     /// Solve one *logical* batch of energies (the initial grid or a
     /// refinement generation) through a single flattened task pool and fold
-    /// the outcomes into the state, checkpointing after each energy.
+    /// the outcomes into the state, calling `save` after each energy.
     ///
     /// `batch` is the full batch including energies a resumed run already
     /// completed; only the missing ones are solved.  Each energy's group is
@@ -424,19 +364,10 @@ impl<'a> EnergySweep<'a> {
         plan: &RingPlan,
         executor: &E,
         st: &mut State,
-        opts: &RunOptions<'_>,
-        checkpoint: &dyn Fn(&State) -> SweepCheckpoint,
-    ) -> Result<BatchStatus, CheckpointError> {
-        let mut to_solve: Vec<(f64, EnergyOrigin)> =
+        save: &dyn Fn(&State) -> Result<(), CheckpointError>,
+    ) -> Result<(), CheckpointError> {
+        let to_solve: Vec<(f64, EnergyOrigin)> =
             batch.into_iter().filter(|(e, _)| !st.done.contains_key(&e.to_bits())).collect();
-        let mut truncated = false;
-        if let Some(max_new) = opts.max_new_energies {
-            let allowed = max_new.saturating_sub(st.new_energies);
-            if allowed < to_solve.len() {
-                to_solve.truncate(allowed);
-                truncated = true;
-            }
-        }
         let ss = &self.config.ss;
         // Trace context: each energy of the batch is tagged with the record
         // index it is about to receive (completion order; `assemble`'s final
@@ -494,27 +425,23 @@ impl<'a> EnergySweep<'a> {
                 };
                 st.done.insert(energy.to_bits(), st.records.len());
                 st.records.push(EnergyRecord { energy, origin, stats, points });
-                st.new_energies += 1;
-                if let Some(path) = opts.checkpoint_path {
-                    checkpoint(st)
-                        .save(path)
-                        .map_err(|e| CheckpointError::Io(format!("checkpoint save failed: {e}")))?;
-                }
+                save(st)?;
             }
         }
 
-        Ok(if truncated { BatchStatus::BudgetExhausted } else { BatchStatus::Done })
+        Ok(())
     }
 
     /// One generation of refinement candidates: midpoints of visible
     /// adjacent intervals that are wide enough and flagged by the
-    /// channel-count rule or the extra predicate, truncated to `remaining`.
+    /// channel-count rule or bracketing one of `band_edges`, truncated to
+    /// `remaining`.
     fn refinement_candidates(
         &self,
         st: &State,
         visible: &[usize],
         remaining: usize,
-        predicate: Option<&dyn RefinementPredicate>,
+        band_edges: &[f64],
     ) -> Vec<(f64, EnergyOrigin)> {
         if remaining == 0 {
             return Vec::new();
@@ -531,7 +458,7 @@ impl<'a> EnergySweep<'a> {
                 continue;
             }
             let trigger = lo.channel_count() != hi.channel_count()
-                || predicate.is_some_and(|p| p.should_refine(lo, hi));
+                || cbs_dft::edges_bracket(band_edges, lo.energy, hi.energy);
             if !trigger {
                 continue;
             }

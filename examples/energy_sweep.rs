@@ -16,7 +16,7 @@ use cbs::dft::{
     HamiltonianParams,
 };
 use cbs::parallel::RayonExecutor;
-use cbs::sweep::{BandEdgeRefiner, EnergyOrigin, EnergySweep, RunOptions, SweepConfig};
+use cbs::sweep::{EnergyOrigin, EnergySweep, RunOptions, SweepConfig};
 
 fn main() {
     // 1. Structure, grid, Kohn-Sham blocks (coarse spacing: instant build).
@@ -35,12 +35,12 @@ fn main() {
 
     // 3. The sweep, with band-edge-driven refinement.  SweepConfig knobs:
     //    `max_refinements` budgets the extra energies, `min_refine_spacing`
-    //    stops the bisection.
+    //    stops the bisection; the run's `band_edges` flag the intervals
+    //    that bracket a channel opening or closing.
     let (h00, h01) = (h.h00(), h.h01());
     let config =
-        SweepConfig { min_refine_spacing: 1e-3, ..SweepConfig::new(ss).with_refinement(4) };
-    let bands = band_structure(&h, 13, 8);
-    let refiner = BandEdgeRefiner::new(&bands);
+        SweepConfig { max_refinements: 4, min_refine_spacing: 1e-3, ..SweepConfig::new(ss) };
+    let band_edges = band_structure(&h, 13, 8).band_edges(0.0);
     let sweep = EnergySweep::new(&h00, &h01, h.period(), config);
     let cp_path = std::env::temp_dir().join("cbs_energy_sweep_example.cp");
     let run = sweep
@@ -49,12 +49,11 @@ fn main() {
             &RayonExecutor,
             RunOptions {
                 checkpoint_path: Some(&cp_path),
-                predicate: Some(&refiner),
+                band_edges: &band_edges,
                 ..RunOptions::default()
             },
         )
-        .expect("checkpoint I/O")
-        .expect_complete("no energy budget set");
+        .expect("checkpoint I/O");
 
     println!(
         "\nsweep: {} BiCG iterations over {} energies ({} refined, {:.0} per energy)",
@@ -73,19 +72,19 @@ fn main() {
         println!("   {e:>8.4}   {channels:>8}   {:>6}   {origin}", run.cbs.at_energy(i).count());
     }
 
-    // 4. Resume the finished checkpoint (same configuration, same
-    //    refinement predicate — the replayed refinement decisions depend on
-    //    it): everything is already done, so this is a no-op returning the
-    //    same band structure bit for bit.
+    // 4. Resume the finished checkpoint (same configuration, same band
+    //    edges — they are fingerprinted, since the replayed refinement
+    //    decisions depend on them, so other edges are refused): everything
+    //    is already done, so this is a no-op returning the same band
+    //    structure bit for bit.
     let cp = cbs::sweep::SweepCheckpoint::load(&cp_path).expect("load checkpoint");
     let resumed = sweep
         .run_with(
             &energies,
             &RayonExecutor,
-            RunOptions { resume: Some(cp), predicate: Some(&refiner), ..RunOptions::default() },
+            RunOptions { resume: Some(cp), band_edges: &band_edges, ..RunOptions::default() },
         )
-        .expect("resume")
-        .expect_complete("nothing left to solve");
+        .expect("resume");
     assert_eq!(resumed.cbs.points.len(), run.cbs.points.len());
     for (a, b) in resumed.cbs.points.iter().zip(&run.cbs.points) {
         assert_eq!(a.lambda.re.to_bits(), b.lambda.re.to_bits());

@@ -46,7 +46,7 @@ fn main() {
                 kind
             );
             if let Some(bands) = bands.as_ref().filter(|_| p.propagating) {
-                worst = worst.max(bands.distance_to_bands(p.k_re.abs(), p.energy));
+                worst = worst.max(bands.distance_to_bands(p.k_re, p.energy));
             }
         }
         println!(

@@ -9,7 +9,7 @@ use cbs::core::{solve_qep_with, QepProblem, SsConfig};
 use cbs::linalg::{c64, CMatrix};
 use cbs::parallel::{RayonExecutor, SerialExecutor};
 use cbs::sparse::DenseOp;
-use cbs::sweep::{EnergySweep, RunOptions, RunOutcome, SweepCheckpoint, SweepConfig};
+use cbs::sweep::{EnergySweep, RunOptions, SweepCheckpoint, SweepConfig};
 
 mod common;
 use common::{fig6_config, fig6_hamiltonian};
@@ -100,37 +100,19 @@ fn warm_block_sweep_is_policy_invariant_and_resumes_bit_identically() {
     };
     let sweep = EnergySweep::new(&op00, &op01, 1.5, SweepConfig::new(ss));
 
-    let per_node = sweep.run(&energies, &SerialExecutor);
-    // Fused applies: well under one traversal per two matvecs.
-    assert!(per_node.stats.operator_traversals * 2 < per_node.stats.total_matvecs);
-
-    // Kill the per-node sweep partway, resume, compare bit-for-bit.
     let dir = std::env::temp_dir().join(format!("cbs_block_resume_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("sweep.cp");
-    let outcome = sweep
-        .run_with(
-            &energies,
-            &SerialExecutor,
-            RunOptions {
-                checkpoint_path: Some(&path),
-                max_new_energies: Some(5),
-                ..RunOptions::default()
-            },
-        )
-        .unwrap();
-    let RunOutcome::Interrupted(_) = outcome else { panic!("budget of 5 should interrupt") };
-    let resumed = sweep
-        .run_with(
-            &energies,
-            &SerialExecutor,
-            RunOptions {
-                resume: Some(SweepCheckpoint::load(&path).unwrap()),
-                ..RunOptions::default()
-            },
-        )
-        .unwrap()
-        .expect_complete("resume must finish");
+    let options = RunOptions { checkpoint_path: Some(&path), ..RunOptions::default() };
+    let per_node = sweep.run_with(&energies, &SerialExecutor, options).unwrap();
+    // Fused applies: well under one traversal per two matvecs.
+    assert!(per_node.stats.operator_traversals * 2 < per_node.stats.total_matvecs);
+
+    // Kill the per-node sweep after five energies, resume, compare
+    // bit-for-bit.
+    let killed = common::killed_after(&SweepCheckpoint::load(&path).unwrap(), 5);
+    let resume = RunOptions { resume: Some(killed), ..RunOptions::default() };
+    let resumed = sweep.run_with(&energies, &SerialExecutor, resume).unwrap();
     assert_eq!(per_node.cbs.points.len(), resumed.cbs.points.len());
     for (a, b) in per_node.cbs.points.iter().zip(&resumed.cbs.points) {
         assert_eq!(a.lambda.re.to_bits(), b.lambda.re.to_bits());

@@ -1,6 +1,6 @@
 //! Fixtures shared by the integration tests: the fig6 Al(100) system at the
-//! bench resolution, the solver configuration every suite runs it under, and
-//! the coarse (8,0) nanotube.
+//! bench resolution, the solver configuration every suite runs it under, the
+//! coarse (8,0) nanotube, and the checkpoint a killed sweep leaves behind.
 //!
 //! One definition on purpose.  The node count is pinned at 12.  With the
 //! Laurent-centred moments, 8 nodes already find every pair of a 32-node
@@ -16,6 +16,7 @@ use cbs::core::SsConfig;
 use cbs::dft::{
     bulk_al_100, carbon_nanotube, grid_for_structure, BlockHamiltonian, HamiltonianParams,
 };
+use cbs::sweep::SweepCheckpoint;
 
 /// Quadrature nodes per circle of [`fig6_config`].
 pub const FIG6_N_INT: usize = 12;
@@ -51,4 +52,12 @@ pub fn cnt80_hamiltonian() -> BlockHamiltonian {
 /// struct-update syntax.
 pub fn fig6_config() -> SsConfig {
     SsConfig { n_int: FIG6_N_INT, n_mm: 4, n_rh: 4, bicg_max_iterations: 400, ..SsConfig::small() }
+}
+
+/// The checkpoint a sweep killed after its first `k` records leaves behind.
+/// The sweep saves after every record it pushes and the save renames
+/// atomically, so a kill anywhere leaves a prefix of the finished sweep's
+/// checkpoint.
+pub fn killed_after(finished: &SweepCheckpoint, k: usize) -> SweepCheckpoint {
+    SweepCheckpoint { records: finished.records[..k].to_vec(), ..finished.clone() }
 }

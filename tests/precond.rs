@@ -19,7 +19,7 @@ use cbs::core::{solve_qep_with, PrecondPolicy, QepProblem, SsConfig, SsResult};
 use cbs::linalg::{c64, CMatrix};
 use cbs::parallel::{RayonExecutor, SerialExecutor};
 use cbs::sparse::DenseOp;
-use cbs::sweep::{EnergySweep, RunOptions, RunOutcome, SweepCheckpoint, SweepConfig, SweepResult};
+use cbs::sweep::{EnergySweep, RunOptions, SweepCheckpoint, SweepConfig, SweepResult};
 
 mod common;
 use common::fig6_hamiltonian;
@@ -282,36 +282,19 @@ fn assembled_warm_sweep_resumes_bit_identically_and_fingerprints_the_policy() {
     let ss = fig6_config(PrecondPolicy::AssembledIlu0);
     let sweep = EnergySweep::new(&h00, &h01, period, SweepConfig::new(ss));
 
-    let uninterrupted = sweep.run(&energies, &SerialExecutor);
-    assert!(!uninterrupted.cbs.points.is_empty());
-    assert!(sweep.problem_at(energies[0]).real_stencil().is_some(), "the nodes split");
-
     let dir = std::env::temp_dir().join(format!("cbs_precond_resume_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("sweep.cp");
-    let outcome = sweep
-        .run_with(
-            &energies,
-            &SerialExecutor,
-            RunOptions {
-                checkpoint_path: Some(&path),
-                max_new_energies: Some(2),
-                ..RunOptions::default()
-            },
-        )
-        .unwrap();
-    let RunOutcome::Interrupted(_) = outcome else { panic!("budget of 2 should interrupt") };
-    let resumed = sweep
-        .run_with(
-            &energies,
-            &SerialExecutor,
-            RunOptions {
-                resume: Some(SweepCheckpoint::load(&path).unwrap()),
-                ..RunOptions::default()
-            },
-        )
-        .unwrap()
-        .expect_complete("resume must finish");
+    let options = RunOptions { checkpoint_path: Some(&path), ..RunOptions::default() };
+    let uninterrupted = sweep.run_with(&energies, &SerialExecutor, options).unwrap();
+    assert!(!uninterrupted.cbs.points.is_empty());
+    assert!(sweep.problem_at(energies[0]).real_stencil().is_some(), "the nodes split");
+
+    // Kill after two energies, resume, compare bit-for-bit.
+    let killed = common::killed_after(&SweepCheckpoint::load(&path).unwrap(), 2);
+    killed.save(&path).unwrap();
+    let resume = RunOptions { resume: Some(killed), ..RunOptions::default() };
+    let resumed = sweep.run_with(&energies, &SerialExecutor, resume).unwrap();
     assert_same_sweep(&uninterrupted, &resumed);
 
     // The precond policy is fingerprinted: resuming under a different one

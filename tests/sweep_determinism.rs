@@ -5,12 +5,15 @@
 //!   executors: on dense complex blocks (full ring), and on the ILU
 //!   policy's split route over the fig6 cell's real stencil (mirrored
 //!   ring);
-//! * a checkpointed sweep killed partway through resumes to a result
-//!   bit-identical to an uninterrupted run, older checkpoint formats are
+//! * a checkpointed sweep killed partway through (a prefix of the finished
+//!   checkpoint) resumes to a result bit-identical to an uninterrupted run,
+//!   older checkpoint formats are
 //!   refused by version, and a checkpoint of another problem by its
 //!   fingerprint;
 //! * adaptive refinement inserts midpoints only where the channel count
-//!   changes, within budget, deterministically;
+//!   changes or a band edge is bracketed, within budget, deterministically,
+//!   and a kill anywhere inside a refinement generation resumes to the
+//!   uninterrupted sweep; the band edges are fingerprinted;
 //! * the vestigial `SsConfig::auto` flag and `SweepConfig::initial_round`
 //!   change nothing.
 
@@ -23,8 +26,8 @@ use cbs::linalg::{c64, CMatrix};
 use cbs::parallel::{RayonExecutor, SerialExecutor};
 use cbs::sparse::DenseOp;
 use cbs::sweep::{
-    CheckpointError, EnergyOrigin, EnergySweep, RunOptions, RunOutcome, SweepCheckpoint,
-    SweepConfig, SweepResult,
+    CheckpointError, EnergyOrigin, EnergySweep, RunOptions, SweepCheckpoint, SweepConfig,
+    SweepResult,
 };
 
 mod common;
@@ -66,7 +69,10 @@ fn assert_same_cbs(a: &SweepResult, b: &SweepResult) {
     assert_eq!(a.stats.total_bicg_iterations, b.stats.total_bicg_iterations);
     assert_eq!(a.stats.total_matvecs, b.stats.total_matvecs);
     assert_eq!(a.stats.refined_energies, b.stats.refined_energies);
+    assert_eq!(a.records.len(), b.records.len());
     for (x, y) in a.records.iter().zip(&b.records) {
+        assert_eq!(x.energy.to_bits(), y.energy.to_bits());
+        assert_eq!(x.origin, y.origin, "origins differ at E = {}", x.energy);
         assert_eq!(x.stats, y.stats, "per-energy counters differ at E = {}", x.energy);
     }
 }
@@ -153,62 +159,44 @@ fn checkpointed_sweep_resumes_bit_identically() {
     let energies: Vec<f64> = (0..12).map(|i| -0.25 + 0.05 * i as f64).collect();
     let sweep = cbs::sweep::EnergySweep::new(&op00, &op01, 1.5, SweepConfig::new(test_ss()));
 
-    let uninterrupted = sweep.run(&energies, &SerialExecutor);
-
     let dir = std::env::temp_dir().join(format!("cbs_sweep_resume_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("sweep.cp");
+    let options = RunOptions { checkpoint_path: Some(&path), ..RunOptions::default() };
+    let uninterrupted = sweep.run_with(&energies, &SerialExecutor, options).unwrap();
+    let finished = SweepCheckpoint::load(&path).unwrap();
+    assert_eq!(finished.records.len(), energies.len());
 
     for kill_after in [1usize, 3, 7, 11] {
-        // Run until the kill point, checkpointing each energy.
-        let outcome = sweep
-            .run_with(
-                &energies,
-                &SerialExecutor,
-                RunOptions {
-                    checkpoint_path: Some(&path),
-                    max_new_energies: Some(kill_after),
-                    ..RunOptions::default()
-                },
-            )
-            .unwrap();
-        let cp = match outcome {
-            RunOutcome::Interrupted(cp) => cp,
-            RunOutcome::Complete(_) => panic!("budget of {kill_after} should interrupt"),
-        };
-        assert_eq!(cp.records.len(), kill_after);
-
-        // The on-disk checkpoint equals the returned one.
+        // The killed run's checkpoint, through the file like a real resume.
+        common::killed_after(&finished, kill_after).save(&path).unwrap();
         let from_disk = SweepCheckpoint::load(&path).unwrap();
-        assert_eq!(from_disk.records.len(), cp.records.len());
-        assert_eq!(from_disk.fingerprint, cp.fingerprint);
-
-        // Resume from disk and compare against the uninterrupted run.
+        assert_eq!(from_disk.records.len(), kill_after);
         let resumed = sweep
             .run_with(
                 &energies,
                 &SerialExecutor,
                 RunOptions { resume: Some(from_disk), ..RunOptions::default() },
             )
-            .unwrap()
-            .expect_complete("resume must finish");
+            .unwrap();
         assert_same_cbs(&uninterrupted, &resumed);
     }
 
-    // The checkpoint on disk is v20; older formats — v3, v11 with its
+    // The checkpoint on disk is v21; older formats — v3, v11 with its
     // slice-policy fingerprint slots, v12 whose ILU sweeps ran full ILU(0),
     // v13 whose ILU sweeps preconditioned instead of splitting, v14 whose
     // sweeps warm-started, v15 whose split nodes stopped on another rule,
     // v16 whose moments were summed before they were projected, v17 whose
     // records carry an assembly counter, v18 whose records carry a
-    // majority-stop counter, and v19 whose moments were not centred — are
-    // refused with the dedicated error naming the version, not parsed into a
-    // mismatched fingerprint or resumed into another trajectory.
+    // majority-stop counter, v19 whose moments were not centred, and v20
+    // whose fingerprint lacks the band edges — are refused with the
+    // dedicated error naming the version, not parsed into a mismatched
+    // fingerprint or resumed into another trajectory.
     let text = std::fs::read_to_string(&path).unwrap();
-    assert!(text.starts_with("cbs-sweep-checkpoint v20"), "unexpected magic in {path:?}");
-    let old = ["v3", "v11", "v12", "v13", "v14", "v15", "v16", "v17", "v18", "v19"];
+    assert!(text.starts_with("cbs-sweep-checkpoint v21"), "unexpected magic in {path:?}");
+    let old = ["v3", "v11", "v12", "v13", "v14", "v15", "v16", "v17", "v18", "v19", "v20"];
     for old in old.map(|v| format!("cbs-sweep-checkpoint {v}")) {
-        match SweepCheckpoint::parse(&text.replacen("cbs-sweep-checkpoint v20", &old, 1)) {
+        match SweepCheckpoint::parse(&text.replacen("cbs-sweep-checkpoint v21", &old, 1)) {
             Err(CheckpointError::IncompatibleVersion { found }) => assert_eq!(found, old),
             other => panic!("{old} checkpoint accepted or misclassified: {other:?}"),
         }
@@ -253,26 +241,26 @@ fn resume_refuses_seed_tables_of_another_problem() {
     let energies = [0.05, 0.09, 0.13];
     let ss = SsConfig { precond: PrecondPolicy::AssembledIlu0, ..common::fig6_config() };
     let config = SweepConfig::new(ss);
-    let run = |h: &BlockHamiltonian, resume: Option<SweepCheckpoint>, budget: Option<usize>| {
+    let dir = std::env::temp_dir().join(format!("cbs_sweep_another_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("sweep.cp");
+    let run = |h: &BlockHamiltonian, resume: Option<SweepCheckpoint>, save: bool| {
         let (h00, h01) = (h.h00(), h.h01());
         let sweep = EnergySweep::new(&h00, &h01, h.period(), config);
-        let options = RunOptions { resume, max_new_energies: budget, ..RunOptions::default() };
+        let checkpoint_path = save.then_some(path.as_path());
+        let options = RunOptions { resume, checkpoint_path, ..RunOptions::default() };
         sweep.run_with(&energies, &SerialExecutor, options)
     };
-    let Ok(RunOutcome::Interrupted(cp)) = run(&fig6, None, Some(2)) else {
-        panic!("a budget of 2 interrupts a 3-energy sweep")
-    };
-    assert_eq!(cp.records.len(), 2);
+    let whole = run(&fig6, None, true).expect("the sweep runs");
+    let cp = common::killed_after(&SweepCheckpoint::load(&path).unwrap(), 2);
+    std::fs::remove_dir_all(&dir).ok();
 
     // The same cell at another spacing: same period, same configuration.
-    let refused = run(&finer, Some(cp.clone()), None);
+    let refused = run(&finer, Some(cp.clone()), false);
     assert!(matches!(refused, Err(CheckpointError::Mismatch(_))), "another spacing resumed");
     // The checkpoint itself resumes the split route to the uninterrupted
     // sweep, bit for bit.
-    let Ok(RunOutcome::Complete(resumed)) = run(&fig6, Some(cp), None) else {
-        panic!("the checkpoint resumes")
-    };
-    let Ok(RunOutcome::Complete(whole)) = run(&fig6, None, None) else { panic!("no budget") };
+    let resumed = run(&fig6, Some(cp), false).expect("the checkpoint resumes");
     assert_same_cbs(&whole, &resumed);
 }
 
@@ -296,45 +284,35 @@ fn vestigial_auto_flag_is_inert() {
         })
         .collect();
 
-    let full = sweeps[0].run(&energies, &SerialExecutor);
-    assert!(!full.cbs.points.is_empty(), "test problem found no CBS points");
-    assert!(full.auto.is_none());
-    for sweep in &sweeps[1..] {
-        let run = sweep.run(&energies, &SerialExecutor);
-        assert_same_cbs(&full, &run);
-        assert!(run.auto.is_none());
-    }
-
     let dir = std::env::temp_dir().join(format!("cbs_sweep_auto_inert_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let paths: Vec<_> = sweeps
+    let runs: Vec<_> = sweeps
         .iter()
         .enumerate()
         .map(|(i, sweep)| {
             let path = dir.join(format!("variant{i}.cp"));
-            let options = RunOptions {
-                checkpoint_path: Some(&path),
-                max_new_energies: Some(3),
-                ..RunOptions::default()
-            };
-            let outcome = sweep.run_with(&energies, &SerialExecutor, options).unwrap();
-            assert!(matches!(outcome, RunOutcome::Interrupted(_)), "budget of 3 should interrupt");
-            path
+            let options = RunOptions { checkpoint_path: Some(&path), ..RunOptions::default() };
+            (sweep.run_with(&energies, &SerialExecutor, options).unwrap(), path)
         })
         .collect();
-    let bytes = std::fs::read(&paths[0]).unwrap();
-    for path in &paths[1..] {
+    let (full, first_path) = &runs[0];
+    assert!(!full.cbs.points.is_empty(), "test problem found no CBS points");
+    let bytes = std::fs::read(first_path).unwrap();
+    for (run, path) in &runs {
+        assert_same_cbs(full, run);
+        assert!(run.auto.is_none());
         assert_eq!(std::fs::read(path).unwrap(), bytes, "{path:?}");
     }
 
-    // Variant `i` resumes variant `i + 1`'s file, the last the first's.
+    // Variant `i` resumes variant `i + 1`'s file killed after three
+    // energies, the last the first's.
     for (i, sweep) in sweeps.iter().enumerate() {
-        let resume = Some(SweepCheckpoint::load(&paths[(i + 1) % paths.len()]).unwrap());
+        let finished = SweepCheckpoint::load(&runs[(i + 1) % runs.len()].1).unwrap();
+        let resume = Some(common::killed_after(&finished, 3));
         let resumed = sweep
             .run_with(&energies, &SerialExecutor, RunOptions { resume, ..RunOptions::default() })
-            .expect("a checkpoint written under other vestige values resumes")
-            .expect_complete("resume must finish");
-        assert_same_cbs(&full, &resumed);
+            .expect("a checkpoint written under other vestige values resumes");
+        assert_same_cbs(full, &resumed);
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -349,8 +327,9 @@ fn refinement_bisects_channel_count_changes_within_budget() {
     let energies: Vec<f64> = (0..9).map(|i| -0.4 + 0.1 * i as f64).collect();
     let budget = 6;
     let config = SweepConfig {
+        max_refinements: budget,
         min_refine_spacing: 1e-3,
-        ..SweepConfig::new(test_ss()).with_refinement(budget)
+        ..SweepConfig::new(test_ss())
     };
     let sweep = EnergySweep::new(&op00, &op01, 1.6, config);
     let run = sweep.run(&energies, &SerialExecutor);
@@ -382,4 +361,81 @@ fn refinement_bisects_channel_count_changes_within_budget() {
     // Determinism: an identical run makes identical refinement decisions.
     let again = sweep.run(&energies, &RayonExecutor);
     assert_same_cbs(&run, &again);
+}
+
+/// A sweep refined by both rules — channel-count changes and the caller's
+/// band edges — over two generations, killed after every record in turn:
+/// each resume reproduces the uninterrupted sweep bit for bit (points,
+/// records, counters, and the completion order of its checkpoint).  The band
+/// edges are fingerprinted: the same file resumed under other edges, or
+/// none, is refused.
+#[test]
+fn a_kill_inside_a_refinement_generation_resumes_bit_identically() {
+    let (h00, h01) = random_blocks(12, 74);
+    let (op00, op01) = (DenseOp::new(h00), DenseOp::new(h01));
+    let energies: Vec<f64> = (0..9).map(|i| -0.4 + 0.1 * i as f64).collect();
+    let config = SweepConfig {
+        max_refinements: 10,
+        min_refine_spacing: 1e-3,
+        ..SweepConfig::new(test_ss())
+    };
+    let sweep = EnergySweep::new(&op00, &op01, 1.6, config);
+    // One edge in each of two intervals whose channel counts agree.
+    let band_edges = [-0.33, 0.36];
+
+    let dir = std::env::temp_dir().join(format!("cbs_sweep_refined_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (path, resumed_path) = (dir.join("sweep.cp"), dir.join("resumed.cp"));
+    let options =
+        RunOptions { checkpoint_path: Some(&path), band_edges: &band_edges, resume: None };
+    let whole = sweep.run_with(&energies, &SerialExecutor, options).unwrap();
+    let finished_bytes = std::fs::read(&path).unwrap();
+    let finished = SweepCheckpoint::parse(std::str::from_utf8(&finished_bytes).unwrap()).unwrap();
+
+    // Both rules fired, and the budget reached a second generation.
+    let record_at = |e: f64| whole.records.iter().find(|r| r.energy == e).unwrap();
+    let refined: Vec<(f64, f64)> = whole
+        .records
+        .iter()
+        .filter_map(|r| match r.origin {
+            EnergyOrigin::Refined { lo, hi } => Some((lo, hi)),
+            EnergyOrigin::Initial(_) => None,
+        })
+        .collect();
+    let count_changes =
+        |&(lo, hi): &(f64, f64)| record_at(lo).channel_count() != record_at(hi).channel_count();
+    assert!(refined.iter().any(count_changes), "the channel-count rule never fired");
+    assert!(
+        refined.iter().any(|i| !count_changes(i) && cbs::dft::edges_bracket(&band_edges, i.0, i.1)),
+        "the band-edge rule never fired alone"
+    );
+    let is_refined = |e: f64| matches!(record_at(e).origin, EnergyOrigin::Refined { .. });
+    assert!(
+        refined.iter().any(|&(lo, hi)| is_refined(lo) || is_refined(hi)),
+        "no second refinement generation"
+    );
+    assert_eq!(refined.len(), config.max_refinements, "the budget is spent");
+
+    for k in 0..=finished.records.len() {
+        std::fs::remove_file(&resumed_path).ok();
+        let options = RunOptions {
+            checkpoint_path: Some(&resumed_path),
+            resume: Some(common::killed_after(&finished, k)),
+            band_edges: &band_edges,
+        };
+        let resumed = sweep.run_with(&energies, &SerialExecutor, options).unwrap();
+        assert_same_cbs(&whole, &resumed);
+        if k < finished.records.len() {
+            let bytes = std::fs::read(&resumed_path).unwrap();
+            assert!(bytes == finished_bytes, "killed after {k}: another checkpoint");
+        }
+    }
+
+    for other in [&[-0.33, 0.37][..], &[]] {
+        let options =
+            RunOptions { resume: Some(finished.clone()), band_edges: other, checkpoint_path: None };
+        let refused = sweep.run_with(&energies, &SerialExecutor, options);
+        assert!(matches!(refused, Err(CheckpointError::Mismatch(_))), "edges {other:?} resumed");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -21,7 +21,7 @@ use cbs::dft::{bulk_al_100, grid_for_structure, BlockHamiltonian, HamiltonianPar
 use cbs::linalg::{c64, CMatrix};
 use cbs::parallel::{RayonExecutor, SerialExecutor};
 use cbs::sparse::DenseOp;
-use cbs::sweep::{EnergySweep, RunOptions, RunOutcome, SweepCheckpoint, SweepConfig, SweepResult};
+use cbs::sweep::{EnergySweep, RunOptions, SweepCheckpoint, SweepConfig, SweepResult};
 use cbs::trace::{now_ns, Stage, TraceLevel, TraceSession, CTX_UNSET};
 
 /// `cbs_trace` sessions are process-global and exclusive; every test here
@@ -160,36 +160,16 @@ fn kill_resume_with_tracing_is_bit_identical() {
     };
     let sweep = EnergySweep::new(&op00, &op01, 1.5, SweepConfig::new(ss));
 
-    let uninterrupted = sweep.run(&energies, &SerialExecutor);
-
     let dir = std::env::temp_dir().join(format!("cbs_trace_resume_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("sweep.cp");
+    let options = RunOptions { checkpoint_path: Some(&path), ..RunOptions::default() };
+    let uninterrupted = sweep.run_with(&energies, &SerialExecutor, options).unwrap();
+    let killed = common::killed_after(&SweepCheckpoint::load(&path).unwrap(), 5);
 
     let session = TraceSession::begin(TraceLevel::Stage).expect("another session is live");
-    let outcome = sweep
-        .run_with(
-            &energies,
-            &SerialExecutor,
-            RunOptions {
-                checkpoint_path: Some(&path),
-                max_new_energies: Some(5),
-                ..RunOptions::default()
-            },
-        )
-        .unwrap();
-    let RunOutcome::Interrupted(_) = outcome else { panic!("budget of 5 should interrupt") };
-    let resumed = sweep
-        .run_with(
-            &energies,
-            &SerialExecutor,
-            RunOptions {
-                resume: Some(SweepCheckpoint::load(&path).unwrap()),
-                ..RunOptions::default()
-            },
-        )
-        .unwrap()
-        .expect_complete("resume must finish");
+    let resume = RunOptions { resume: Some(killed), ..RunOptions::default() };
+    let resumed = sweep.run_with(&energies, &SerialExecutor, resume).unwrap();
     let report = session.finish();
 
     assert_same_sweep(&uninterrupted, &resumed);
