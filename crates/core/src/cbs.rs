@@ -105,9 +105,6 @@ pub struct CbsStatistics {
     pub cold_solves: usize,
     /// Always 0.  Vestige, released by ROADMAP 1(a).
     pub warm_started_solves: usize,
-    /// Scan energies added by adaptive grid refinement (zero when
-    /// refinement is off).
-    pub refined_energies: usize,
     /// Seconds in linear solves.
     pub linear_solve_seconds: f64,
     /// Seconds in eigenpair extraction.

@@ -53,49 +53,6 @@ impl BandStructure {
         };
         self.bands[idx].iter().map(|&e| (e - energy).abs()).fold(f64::INFINITY, f64::min)
     }
-
-    /// The band-edge energies: for each band index, the minimum and maximum
-    /// of `E_n(k)` over the sampled k-points.  Sorted ascending,
-    /// deduplicated within `tol`.
-    ///
-    /// Band edges are where propagating channels open and close, i.e. where
-    /// the CBS channel count jumps — exactly the energies an adaptive sweep
-    /// wants to resolve.
-    pub fn band_edges(&self, tol: f64) -> Vec<f64> {
-        let n_bands = self.bands.iter().map(std::vec::Vec::len).max().unwrap_or(0);
-        let mut edges = Vec::new();
-        for band in 0..n_bands {
-            let values = self.bands.iter().filter_map(|b| b.get(band).copied());
-            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-            for v in values {
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
-            if lo.is_finite() {
-                edges.push(lo);
-                edges.push(hi);
-            }
-        }
-        edges.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        edges.dedup_by(|a, b| (*a - *b).abs() <= tol);
-        edges
-    }
-}
-
-/// `true` when at least one of `edges` lies in the half-open interval
-/// `(lo, hi]` spanned by `e_lo`/`e_hi` (orientation-agnostic) — the test an
-/// adaptive energy sweep applies to decide whether an interval brackets the
-/// opening or closing of a channel and deserves bisection.
-///
-/// The upper endpoint is **inclusive**: sweep grids are closed sets of
-/// sampled energies, and with a fully open interval an edge landing
-/// exactly on a grid energy would satisfy neither `(E_{i-1}, E_i)` nor
-/// `(E_i, E_{i+1})`, silently skipping that channel opening.  Half-open
-/// attribution assigns such an edge to exactly one interval (the one
-/// below it) — bracketed once, never twice, never zero times.
-pub fn edges_bracket(edges: &[f64], e_lo: f64, e_hi: f64) -> bool {
-    let (lo, hi) = if e_lo <= e_hi { (e_lo, e_hi) } else { (e_hi, e_lo) };
-    edges.iter().any(|&edge| edge > lo && edge <= hi)
 }
 
 /// Compute the lowest `n_bands` bands on `nk` uniformly spaced k-points in
@@ -244,51 +201,6 @@ mod tests {
         // A k-point with no band values is equally bandless.
         let hollow = BandStructure { kpoints: vec![0.0], bands: vec![Vec::new()] };
         assert_eq!(hollow.distance_to_bands(0.0, 0.1), f64::INFINITY);
-        assert!(empty.band_edges(0.0).is_empty());
-        assert!(!edges_bracket(&empty.band_edges(0.0), -1.0, 1.0));
-    }
-
-    #[test]
-    fn band_edges_bracket_channel_openings() {
-        // Two hand-built bands: band 0 spans [-1.0, -0.2], band 1 spans
-        // [0.4, 0.9].
-        let bs = BandStructure {
-            kpoints: vec![0.0, 0.5, 1.0],
-            bands: vec![vec![-1.0, 0.4], vec![-0.6, 0.9], vec![-0.2, 0.7]],
-        };
-        let edges = bs.band_edges(0.0);
-        assert_eq!(edges, vec![-1.0, -0.2, 0.4, 0.9]);
-        // The gap (-0.2, 0.4) contains no edge; intervals crossing an edge do.
-        assert!(!edges_bracket(&edges, -0.15, 0.35));
-        assert!(edges_bracket(&edges, -0.3, -0.1), "crosses the band-0 top");
-        assert!(edges_bracket(&edges, 0.35, 0.45), "crosses the band-1 bottom");
-        // Orientation-agnostic; an empty interval brackets nothing.
-        assert!(edges_bracket(&edges, 0.45, 0.35));
-        assert!(!edges_bracket(&edges, 0.4, 0.4));
-        // Dedup tolerance merges nearly equal edges.
-        let merged = bs.band_edges(0.7);
-        assert!(merged.len() < edges.len());
-    }
-
-    #[test]
-    fn edge_exactly_on_a_grid_energy_is_bracketed_once() {
-        // Regression: with strict inequalities at both ends, an edge landing
-        // exactly on a sweep grid energy was bracketed by *neither*
-        // neighbouring interval and adaptive refinement skipped the channel
-        // opening.  The half-open `(lo, hi]` convention assigns it to the
-        // interval below, exactly once.
-        let bs = BandStructure {
-            kpoints: vec![0.0, 0.5, 1.0],
-            bands: vec![vec![-1.0, 0.4], vec![-0.6, 0.9], vec![-0.2, 0.7]],
-        };
-        // Grid energies 0.3, 0.4, 0.5: the band-1 bottom edge sits exactly
-        // on the middle grid point.
-        let edges = bs.band_edges(0.0);
-        assert!(edges.contains(&0.4));
-        assert!(edges_bracket(&edges, 0.3, 0.4), "interval below the on-grid edge must trigger");
-        assert!(!edges_bracket(&edges, 0.4, 0.5), "interval above must not double-count it");
-        // Reversed orientation behaves identically.
-        assert!(edges_bracket(&edges, 0.4, 0.3));
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod pseudopotential;
 pub mod structures;
 
 pub use atoms::{Atom, AtomicStructure, Element, KbChannel, PseudoParams};
-pub use bands::{band_structure, edges_bracket, fermi_energy, BandStructure};
+pub use bands::{band_structure, fermi_energy, BandStructure};
 pub use hamiltonian::{grid_for_structure, BlockHamiltonian, BlockOp, HamiltonianParams};
 pub use structures::{
     bn_dope, bulk_al_100, bundle7, carbon_nanotube, crystalline_bundle, supercell_z,

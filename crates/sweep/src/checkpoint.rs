@@ -2,9 +2,10 @@
 //!
 //! A [`SweepCheckpoint`] is written after every completed scan energy and
 //! restores a killed sweep **bit-identically**: it carries the completed
-//! [`EnergyRecord`]s (in completion order) and a bit-exact fingerprint of
-//! the configuration and energy grid, verified on resume.  Every solve
-//! starts cold, so finished energies' results are all a resume needs.
+//! [`EnergyRecord`]s (in completion order, which is grid order) and a
+//! bit-exact fingerprint of the configuration and energy grid, verified on
+//! resume.  Every solve starts cold, so finished energies' results are all
+//! a resume needs.
 //!
 //! The on-disk format is a line-oriented text file in which every `f64` is
 //! stored as the 16-hex-digit bit pattern of `f64::to_bits` — exact
@@ -21,7 +22,7 @@ use std::path::Path;
 use cbs_core::CbsPoint;
 use cbs_linalg::c64;
 
-use crate::sweep::{EnergyOrigin, EnergyRecord, EnergyStats};
+use crate::sweep::{EnergyRecord, EnergyStats};
 
 /// Everything needed to resume a killed sweep bit-identically.
 #[derive(Clone, Debug, Default)]
@@ -29,9 +30,10 @@ pub struct SweepCheckpoint {
     /// Bit-exact configuration + period fingerprint
     /// ([`crate::SweepConfig::fingerprint`]).
     pub fingerprint: Vec<u64>,
-    /// The initial (pre-refinement) energy grid, ascending.
-    pub initial_energies: Vec<f64>,
-    /// Completed energies, in completion order.
+    /// The sweep's energy grid, ascending.
+    pub energies: Vec<f64>,
+    /// Completed energies, in completion order: a prefix of
+    /// [`energies`](Self::energies).
     pub records: Vec<EnergyRecord>,
 }
 
@@ -49,7 +51,8 @@ pub enum CheckpointError {
         found: String,
     },
     /// The checkpoint parses but does not match the sweep being resumed
-    /// (configuration fingerprint or energy grid differ).
+    /// (configuration fingerprint or energy grid differ, or the records are
+    /// not a prefix of the grid).
     Mismatch(String),
     /// Filesystem error while reading or writing the checkpoint.
     Io(String),
@@ -77,7 +80,7 @@ impl std::error::Error for CheckpointError {}
 // history), and any other version is refused with
 // [`CheckpointError::IncompatibleVersion`], never read with misaligned or
 // silently zeroed fields.
-const MAGIC: &str = "cbs-sweep-checkpoint v21";
+const MAGIC: &str = "cbs-sweep-checkpoint v22";
 
 /// Prefix shared by every version's magic line; anything with this prefix
 /// but the wrong version is an incompatible (not malformed) checkpoint.
@@ -146,21 +149,17 @@ impl SweepCheckpoint {
             let _ = write!(out, " {f:016x}");
         }
         out.push('\n');
-        let _ = write!(out, "grid {:x}", self.initial_energies.len());
-        for &e in &self.initial_energies {
+        let _ = write!(out, "grid {:x}", self.energies.len());
+        for &e in &self.energies {
             let _ = write!(out, " {}", hex(e));
         }
         out.push('\n');
         let _ = writeln!(out, "records {:x}", self.records.len());
         for r in &self.records {
-            let origin = match r.origin {
-                EnergyOrigin::Initial(i) => format!("i {i:x} {} {}", hex(0.0), hex(0.0)),
-                EnergyOrigin::Refined { lo, hi } => format!("r 0 {} {}", hex(lo), hex(hi)),
-            };
             let s = &r.stats;
             let _ = writeln!(
                 out,
-                "record {} {origin} {:x} {:x} {:x} {:x} {:x} {:x} {:x} {:x}",
+                "record {} {:x} {:x} {:x} {:x} {:x} {:x} {:x} {:x}",
                 hex(r.energy),
                 s.bicg_iterations,
                 s.matvecs,
@@ -234,7 +233,7 @@ impl SweepCheckpoint {
 
         let mut t = lines.expect("grid")?;
         let ng = t.usize()?;
-        let initial_energies = (0..ng).map(|_| t.f64()).collect::<Result<Vec<_>, _>>()?;
+        let energies = (0..ng).map(|_| t.f64()).collect::<Result<Vec<_>, _>>()?;
 
         let mut t = lines.expect("records")?;
         let nr = t.usize()?;
@@ -245,15 +244,6 @@ impl SweepCheckpoint {
         for _ in 0..nr {
             let mut t = lines.expect("record")?;
             let energy = t.f64()?;
-            let origin_tag = t.next()?;
-            let origin_idx = t.usize()?;
-            let origin_lo = t.f64()?;
-            let origin_hi = t.f64()?;
-            let origin = match origin_tag {
-                "i" => EnergyOrigin::Initial(origin_idx),
-                "r" => EnergyOrigin::Refined { lo: origin_lo, hi: origin_hi },
-                other => return Err(err(format!("unknown origin tag `{other}`"))),
-            };
             let stats = EnergyStats {
                 bicg_iterations: t.usize()?,
                 matvecs: t.usize()?,
@@ -277,12 +267,12 @@ impl SweepCheckpoint {
                     residual: t.f64()?,
                 });
             }
-            records.push(EnergyRecord { energy, origin, stats, points });
+            records.push(EnergyRecord { energy, stats, points });
         }
         lines.expect("checksum")?;
         lines.expect("end")?;
 
-        Ok(Self { fingerprint, initial_energies, records })
+        Ok(Self { fingerprint, energies, records })
     }
 
     /// Write atomically (temp file + rename) so a kill mid-save leaves the
@@ -328,7 +318,6 @@ mod tests {
         };
         let rec = EnergyRecord {
             energy: 0.125,
-            origin: EnergyOrigin::Initial(3),
             stats: EnergyStats {
                 bicg_iterations: 10,
                 matvecs: 22,
@@ -340,15 +329,11 @@ mod tests {
             },
             points: vec![p],
         };
-        let rec2 = EnergyRecord {
-            energy: 0.3,
-            origin: EnergyOrigin::Refined { lo: 0.125, hi: 0.475 },
-            stats: EnergyStats::default(),
-            points: Vec::new(),
-        };
+        let rec2 =
+            EnergyRecord { energy: 0.475, stats: EnergyStats::default(), points: Vec::new() };
         SweepCheckpoint {
             fingerprint: vec![1, 2, 0xdeadbeef],
-            initial_energies: vec![-0.5, 0.125, 0.475],
+            energies: vec![-0.5, 0.125, 0.475],
             records: vec![rec, rec2],
         }
     }
@@ -359,14 +344,13 @@ mod tests {
         let text = cp.serialize_to_string();
         let back = SweepCheckpoint::parse(&text).expect("parse");
         assert_eq!(back.fingerprint, cp.fingerprint);
-        assert_eq!(back.initial_energies.len(), cp.initial_energies.len());
-        for (a, b) in back.initial_energies.iter().zip(&cp.initial_energies) {
+        assert_eq!(back.energies.len(), cp.energies.len());
+        for (a, b) in back.energies.iter().zip(&cp.energies) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         assert_eq!(back.records.len(), 2);
         let (r0, c0) = (&back.records[0], &cp.records[0]);
         assert_eq!(r0.energy.to_bits(), c0.energy.to_bits());
-        assert!(matches!(r0.origin, EnergyOrigin::Initial(3)));
         assert_eq!(r0.stats, c0.stats);
         assert_eq!(r0.points.len(), 1);
         let (p, q) = (&r0.points[0], &c0.points[0]);
@@ -374,13 +358,8 @@ mod tests {
         assert_eq!(p.lambda.im.to_bits(), q.lambda.im.to_bits());
         assert_eq!(p.k_im.to_bits(), q.k_im.to_bits());
         assert_eq!(p.propagating, q.propagating);
-        match back.records[1].origin {
-            EnergyOrigin::Refined { lo, hi } => {
-                assert_eq!(lo.to_bits(), (0.125f64).to_bits());
-                assert_eq!(hi.to_bits(), (0.475f64).to_bits());
-            }
-            _ => panic!("wrong origin"),
-        }
+        assert_eq!(back.records[1].energy.to_bits(), (0.475f64).to_bits());
+        assert!(back.records[1].points.is_empty());
         assert_eq!(back.serialize_to_string(), text);
     }
 
@@ -482,9 +461,9 @@ mod tests {
         // found *and* the one expected.
         let old = [
             "v4", "v5", "v6", "v7", "v8", "v9", "v10", "v11", "v12", "v13", "v14", "v15", "v16",
-            "v17", "v18", "v19", "v20",
+            "v17", "v18", "v19", "v20", "v21",
         ];
-        for version in old.into_iter().chain(["v22"]) {
+        for version in old.into_iter().chain(["v23"]) {
             let stale = format!("cbs-sweep-checkpoint {version}");
             match SweepCheckpoint::parse(&relabelled(version)) {
                 Err(CheckpointError::IncompatibleVersion { ref found }) => {
@@ -497,7 +476,7 @@ mod tests {
                 other => panic!("{version}: expected IncompatibleVersion, got {other:?}"),
             }
         }
-        assert!(SweepCheckpoint::parse(&relabelled("v21")).is_ok(), "v21 is the current format");
+        assert!(SweepCheckpoint::parse(&relabelled("v22")).is_ok(), "v22 is the current format");
     }
 
     /// The body of a serialized checkpoint: everything before its

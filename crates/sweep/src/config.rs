@@ -6,8 +6,9 @@ use cbs_core::SsConfig;
 
 /// Configuration of a [`crate::EnergySweep`].
 ///
-/// The per-energy eigensolver parameters live in [`ss`](Self::ss); the rest
-/// controls how the energy grid is refined adaptively.
+/// The per-energy eigensolver parameters live in [`ss`](Self::ss); the sweep
+/// has no knob of its own ([`initial_round`](Self::initial_round) is
+/// vestigial).
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct SweepConfig {
     /// The Sakurai-Sugiura parameters applied at every scan energy.
@@ -17,11 +18,6 @@ pub struct SweepConfig {
     /// repo benchmark (`benchmark/src/workloads.rs`) writes it in a struct
     /// literal; released by ROADMAP 1(a).
     pub initial_round: usize,
-    /// Budget of extra scan energies the adaptive refinement may insert
-    /// (`0` disables refinement).
-    pub max_refinements: usize,
-    /// Minimum width (hartree) of an interval the refinement will bisect.
-    pub min_refine_spacing: f64,
 }
 
 impl Default for SweepConfig {
@@ -31,10 +27,9 @@ impl Default for SweepConfig {
 }
 
 impl SweepConfig {
-    /// A sweep of the given per-energy solver parameters, without
-    /// refinement.
+    /// A sweep of the given per-energy solver parameters.
     pub fn new(ss: SsConfig) -> Self {
-        Self { ss, initial_round: 0, max_refinements: 0, min_refine_spacing: 1e-6 }
+        Self { ss, initial_round: 0 }
     }
 
     /// Bit-exact fingerprint of every physics-relevant knob, stored in
@@ -56,8 +51,6 @@ impl SweepConfig {
             // change results.  There is one job shape, so nothing else of
             // the solve's layout is fingerprinted.
             self.ss.precond as u64,
-            self.max_refinements as u64,
-            self.min_refine_spacing.to_bits(),
             period.to_bits(),
         ]
     }
@@ -75,7 +68,6 @@ mod tests {
         assert_ne!(a.fingerprint(1.0), a.fingerprint(2.0));
         b.ss.n_rh += 1;
         assert_ne!(a.fingerprint(1.0), b.fingerprint(1.0));
-        assert_ne!(a.fingerprint(1.0), SweepConfig { max_refinements: 3, ..a }.fingerprint(1.0));
         // The vestigial release-round size changes nothing.
         let c = SweepConfig { initial_round: 4, ..a };
         assert_eq!(a.fingerprint(1.0), c.fingerprint(1.0));

@@ -1,30 +1,30 @@
 //! # cbs-sweep
 //!
-//! Batched, adaptive orchestration of multi-energy complex band structure
-//! scans — the production driver for the paper's headline workloads
-//! (Figures 6 and 11), which are hundreds of independent Sakurai-Sugiura
-//! QEP solves, one per scan energy.
+//! Batched orchestration of multi-energy complex band structure scans — the
+//! production driver for the paper's headline workloads (Figures 6 and 11),
+//! which are hundreds of independent Sakurai-Sugiura QEP solves, one per
+//! scan energy.
 //!
 //! This crate is the one driver of those solves (one energy alone is
 //! `cbs_core::solve_qep_with`).  It runs them as the paper does, each
 //! energy solved independently and cold, but dispatched together:
 //!
-//! * **Flattening** — the initial grid's solves become one task pool
-//!   dispatched through the `cbs_parallel::TaskExecutor` seam — `(energy ×
+//! * **Flattening** — the grid's solves become one task pool dispatched
+//!   through the `cbs_parallel::TaskExecutor` seam — `(energy ×
 //!   quadrature-node)` block jobs, each advancing all `N_rh` right-hand
 //!   sides through fused block matvecs — so a sweep saturates a wide
 //!   executor even when one energy's grid is small.  Each energy is one
 //!   group of the shared `cbs_core::solve_pool`, and bit-identical to its
 //!   own `cbs_core::solve_qep_with`.
-//! * **Adaptive refinement** — intervals where the propagating-channel
-//!   count changes, or that bracket one of the caller's
-//!   [`RunOptions::band_edges`], are bisected up to a configurable budget,
-//!   one pool per generation, resolving band edges cheaply.  The edges are
-//!   fingerprinted, so a resume under other edges is refused.
-//! * **Checkpointing** — a [`SweepCheckpoint`] (format v21: finished
+//! * **Checkpointing** — a [`SweepCheckpoint`] (format v22: finished
 //!   energies' results, bit-exact floats, a checksum) is written after
-//!   every extracted energy, so a killed sweep leaves a prefix of the
-//!   finished sweep's records and resumes bit-identically ([`checkpoint`]).
+//!   every extracted energy, in grid order, so a killed sweep leaves a
+//!   prefix of the grid and resumes bit-identically ([`checkpoint`]).
+//!
+//! The sweep solves exactly the grid it is given.  A caller that wants a
+//! finer grid where the channel count changes runs the sweep again on the
+//! midpoints it picks (`examples/energy_sweep.rs`): an energy's result does
+//! not depend on the run that solves it.
 //!
 //! Entry point: [`EnergySweep`], e.g.
 //! `EnergySweep::new(h00, h01, period, SweepConfig::new(ss)).run(&energies, &executor)`.
@@ -41,8 +41,7 @@ pub mod sweep;
 pub use checkpoint::{CheckpointError, SweepCheckpoint};
 pub use config::SweepConfig;
 pub use sweep::{
-    AutoDecision, EnergyOrigin, EnergyRecord, EnergyStats, EnergySweep, ProbeSample, RunOptions,
-    SweepResult,
+    AutoDecision, EnergyRecord, EnergyStats, EnergySweep, ProbeSample, RunOptions, SweepResult,
 };
 
 #[cfg(test)]
@@ -85,7 +84,7 @@ mod tests {
         // The vestigial warm/cold split reads total / 0.
         let s = &run.stats;
         assert_eq!([s.cold_bicg_iterations, s.warm_bicg_iterations], [s.total_bicg_iterations, 0]);
-        assert_eq!([s.warm_started_solves, s.refined_energies], [0, 0]);
+        assert_eq!(s.warm_started_solves, 0);
         let g_half = std::f64::consts::PI / 1.7;
         for p in &run.cbs.points {
             // k_re folded into the first Brillouin zone.

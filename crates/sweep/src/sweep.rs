@@ -1,12 +1,10 @@
 //! The multi-energy sweep orchestrator.
 //!
 //! [`EnergySweep`] is the one multi-energy driver; it owns the whole
-//! Figures-6/11 workload.  It solves the initial grid's per-energy groups
-//! through one flattened task pool (`cbs_core::solve_pool`), every solve
-//! from a zero initial guess as the paper does, adaptively bisects
-//! intervals where the propagating-channel
-//! count changes (or that bracket a caller-supplied band edge), each
-//! refinement generation as one more pool, and checkpoints after every
+//! Figures-6/11 workload.  It solves exactly the grid it is given
+//! (ascending, bit-deduplicated): the per-energy groups go through one
+//! flattened task pool (`cbs_core::solve_pool`), every solve from a zero
+//! initial guess as the paper does, and a checkpoint is written after every
 //! extracted energy so a killed sweep resumes bit-identically.
 //!
 //! Determinism invariants, locked in by `tests/sweep_determinism.rs` at the
@@ -19,7 +17,6 @@
 //! * a resumed sweep reproduces the uninterrupted one bit-for-bit
 //!   (counters included; wall-clock timings are per-run).
 
-use std::collections::BTreeMap;
 use std::path::Path;
 
 use cbs_core::{
@@ -33,22 +30,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::checkpoint::{CheckpointError, SweepCheckpoint};
 use crate::config::SweepConfig;
-
-/// Where a scan energy came from.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub enum EnergyOrigin {
-    /// Member of the caller's initial grid (position in the ascending,
-    /// deduplicated grid).
-    Initial(usize),
-    /// Inserted by adaptive refinement as the midpoint of a flagged
-    /// interval.
-    Refined {
-        /// Lower endpoint of the bisected interval.
-        lo: f64,
-        /// Upper endpoint of the bisected interval.
-        hi: f64,
-    },
-}
 
 /// Per-energy solver counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -71,26 +52,17 @@ pub struct EnergyStats {
     pub numerical_rank: usize,
 }
 
-/// One completed scan energy: its classified CBS points plus provenance and
-/// counters.  The unit of checkpointing.
+/// One completed scan energy: its classified CBS points plus counters.  The
+/// unit of checkpointing.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct EnergyRecord {
     /// The scan energy (hartree).
     pub energy: f64,
-    /// Where this energy came from.
-    pub origin: EnergyOrigin,
     /// Solver counters.
     pub stats: EnergyStats,
     /// Classified solutions at this energy (`energy_index` is assigned at
-    /// assembly time, once the final grid is known).
+    /// assembly time).
     pub points: Vec<CbsPoint>,
-}
-
-impl EnergyRecord {
-    /// Number of propagating channels at this energy.
-    pub fn channel_count(&self) -> usize {
-        self.points.iter().filter(|p| p.propagating).count()
-    }
 }
 
 /// One probe measurement.  Vestige, released by ROADMAP 1(a).
@@ -116,10 +88,10 @@ pub struct AutoDecision {
 /// Result of a completed sweep.
 #[derive(Clone, Debug)]
 pub struct SweepResult {
-    /// The band structure: energies ascending (refined energies merged in),
-    /// every point carrying its `energy_index`.
+    /// The band structure: the grid's energies ascending, every point
+    /// carrying its `energy_index`.
     pub cbs: ComplexBandStructure,
-    /// Aggregate statistics, including the number of refined energies.
+    /// Aggregate statistics.
     pub stats: CbsStatistics,
     /// Per-energy records, ascending in energy.
     pub records: Vec<EnergyRecord>,
@@ -136,36 +108,29 @@ pub struct RunOptions<'p> {
     /// (atomically: temp file + rename).
     pub checkpoint_path: Option<&'p Path>,
     /// Resume from a previously saved checkpoint.  The configuration,
-    /// period, band edges and initial grid must match bit-exactly.
+    /// period and grid must match bit-exactly, and its records must be a
+    /// prefix of the grid.
     pub resume: Option<SweepCheckpoint>,
-    /// Band-edge energies (e.g. `BandStructure::band_edges(0.0)`): an
-    /// interval that brackets one (`cbs_dft::edges_bracket`) is bisected
-    /// as if its channel count changed.  Band edges are exactly where the
-    /// CBS channel count jumps.  Empty by default; part of the
-    /// fingerprint, since they steer the refinement decisions.
-    pub band_edges: &'p [f64],
 }
 
 /// Mutable progress of one run (completed records, counters).
 struct State {
     records: Vec<EnergyRecord>,
-    /// Bits of completed energies → index into `records`.
-    done: BTreeMap<u64, usize>,
     linear_solve_seconds: f64,
     extraction_seconds: f64,
 }
 
-/// The batched, adaptive multi-energy CBS driver.
+/// The batched multi-energy CBS driver.
 ///
 /// Every solve starts from a zero initial guess; nothing crosses from one
 /// scan energy to another but the source block and the real stencil.  The
-/// initial grid is released as one flat pool round and each refinement
-/// generation as one more, so memory is one moment accumulator per energy
-/// in flight (`N_mm·N_rh` length-`N` columns, real on a mirrored ring, plus
-/// `2·N_mm` projections of `N_rh×N_rh`; `MomentAccumulator::memory_bytes`),
-/// plus one node's solutions per worker.  A checkpoint ([`RunOptions::checkpoint_path`]) is
-/// written as each energy of a round is extracted, once the round's pool
-/// has returned: it holds finished energies' results only.
+/// grid is released as one flat pool round, so memory is one moment
+/// accumulator per energy in flight (`N_mm·N_rh` length-`N` columns, real
+/// on a mirrored ring, plus `2·N_mm` projections of `N_rh×N_rh`;
+/// `MomentAccumulator::memory_bytes`), plus one node's solutions per
+/// worker.  A checkpoint ([`RunOptions::checkpoint_path`]) is written as
+/// each energy is extracted, once the pool has returned: it holds finished
+/// energies' results only.
 pub struct EnergySweep<'a> {
     h00: &'a dyn LinearOperator,
     h01: &'a dyn LinearOperator,
@@ -224,24 +189,24 @@ impl<'a> EnergySweep<'a> {
             .expect("no checkpoint I/O involved")
     }
 
-    /// Run with checkpointing, resume or band-edge refinement.
+    /// Run with checkpointing or resume.
     ///
-    /// Records are completed in a fixed order (the initial grid ascending,
-    /// then each refinement generation ascending), and the checkpoint is
+    /// Records complete in grid order (ascending), and the checkpoint is
     /// rewritten atomically after each one, so a sweep killed at any point
-    /// leaves a checkpoint whose records are a prefix of the finished
-    /// sweep's checkpoint.  Resuming from any such prefix solves the rest
-    /// and returns the uninterrupted result bit for bit, counters included.
-    /// A checkpoint of another configuration, period, ring, dimension,
-    /// band-edge list or grid is [`CheckpointError::Mismatch`]; a failed
-    /// save is [`CheckpointError::Io`].
+    /// leaves a checkpoint whose records are the grid's first `k` energies.
+    /// Resuming from such a prefix solves the rest and returns the
+    /// uninterrupted result bit for bit, counters included.  A checkpoint
+    /// of another configuration, period, ring, dimension or grid, or whose
+    /// records are not a prefix of the grid, is
+    /// [`CheckpointError::Mismatch`]; a failed save is
+    /// [`CheckpointError::Io`].
     pub fn run_with<E: TaskExecutor>(
         &self,
         energies: &[f64],
         executor: &E,
         opts: RunOptions<'_>,
     ) -> Result<SweepResult, CheckpointError> {
-        let RunOptions { checkpoint_path, resume, band_edges } = opts;
+        let RunOptions { checkpoint_path, resume } = opts;
         let cpu_start = cbs_trace::cpu_totals();
         let trace_t0 = cbs_trace::now_ns();
 
@@ -266,31 +231,31 @@ impl<'a> EnergySweep<'a> {
         // The dimension: the same cell at another grid spacing has the same
         // period and configuration, but is another problem.
         fingerprint.push(self.h00.nrows() as u64);
-        // The band edges steer the refinement decisions a resume replays.
-        fingerprint.push(band_edges.len() as u64);
-        fingerprint.extend(band_edges.iter().map(|e| e.to_bits()));
 
-        let mut st = State {
-            records: Vec::new(),
-            done: BTreeMap::new(),
-            linear_solve_seconds: 0.0,
-            extraction_seconds: 0.0,
-        };
+        let mut st =
+            State { records: Vec::new(), linear_solve_seconds: 0.0, extraction_seconds: 0.0 };
         if let Some(cp) = resume {
+            let same = |a: &f64, b: &f64| a.to_bits() == b.to_bits();
             if cp.fingerprint != fingerprint {
                 return Err(CheckpointError::Mismatch(
                     "configuration fingerprint mismatch: cannot resume".into(),
                 ));
             }
-            let grid_bits: Vec<u64> = grid.iter().map(|e| e.to_bits()).collect();
-            let cp_bits: Vec<u64> = cp.initial_energies.iter().map(|e| e.to_bits()).collect();
-            if grid_bits != cp_bits {
+            if cp.energies.len() != grid.len()
+                || !cp.energies.iter().zip(&grid).all(|(a, b)| same(a, b))
+            {
                 return Err(CheckpointError::Mismatch(
                     "energy grid mismatch: cannot resume".into(),
                 ));
             }
-            for (i, r) in cp.records.iter().enumerate() {
-                st.done.insert(r.energy.to_bits(), i);
+            // Records complete in grid order, so a checkpoint this sweep
+            // wrote holds the grid's first energies and nothing else.
+            if cp.records.len() > grid.len()
+                || !cp.records.iter().zip(&grid).all(|(r, e)| same(&r.energy, e))
+            {
+                return Err(CheckpointError::Mismatch(
+                    "checkpoint records are not a prefix of the energy grid: cannot resume".into(),
+                ));
             }
             st.records = cp.records;
         }
@@ -298,181 +263,92 @@ impl<'a> EnergySweep<'a> {
         let save = |st: &State| match checkpoint_path {
             Some(path) => SweepCheckpoint {
                 fingerprint: fingerprint.clone(),
-                initial_energies: grid.clone(),
+                energies: grid.clone(),
                 records: st.records.clone(),
             }
             .save(path)
             .map_err(|e| CheckpointError::Io(format!("checkpoint save failed: {e}"))),
             None => Ok(()),
         };
-
-        // --- Initial grid, one flat round. ----------------------------------
-        let batch: Vec<(f64, EnergyOrigin)> =
-            grid.iter().enumerate().map(|(i, &e)| (e, EnergyOrigin::Initial(i))).collect();
-        self.solve_batch(batch, &plan, executor, &mut st, &save)?;
-
-        // --- Adaptive refinement, generation by generation. ---------------
-        //
-        // Each generation's candidate list is a pure function of the records
-        // *visible* to it (initial grid + earlier generations), replayed
-        // from completed records on resume — so an interrupted sweep makes
-        // exactly the same refinement decisions as an uninterrupted one.
-        if self.config.max_refinements > 0 {
-            let mut visible: Vec<usize> = (0..st.records.len())
-                .filter(|&i| matches!(st.records[i].origin, EnergyOrigin::Initial(_)))
-                .collect();
-            loop {
-                // Replay invariant: only *earlier generations* (the visible
-                // refined records) count against this generation's budget,
-                // so a resumed sweep recomputes exactly the candidate list
-                // the uninterrupted sweep acted on.
-                let visible_refined = visible
-                    .iter()
-                    .filter(|&&i| matches!(st.records[i].origin, EnergyOrigin::Refined { .. }))
-                    .count();
-                let candidates = self.refinement_candidates(
-                    &st,
-                    &visible,
-                    self.config.max_refinements.saturating_sub(visible_refined),
-                    band_edges,
-                );
-                if candidates.is_empty() {
-                    break;
-                }
-                self.solve_batch(candidates.clone(), &plan, executor, &mut st, &save)?;
-                for (e, _) in &candidates {
-                    let idx = st.done[&e.to_bits()];
-                    visible.push(idx);
-                }
-            }
+        let rest = &grid[st.records.len()..];
+        if !rest.is_empty() {
+            self.solve_rest(rest, &plan, executor, &mut st, save)?;
         }
-
         Ok(self.assemble(st, cpu_start, trace_t0))
     }
 
-    /// Solve one *logical* batch of energies (the initial grid or a
-    /// refinement generation) through a single flattened task pool and fold
-    /// the outcomes into the state, calling `save` after each energy.
-    ///
-    /// `batch` is the full batch including energies a resumed run already
-    /// completed; only the missing ones are solved.  Each energy's group is
-    /// independent of its pool mates, so where a previous run was killed
-    /// changes no bit of the result.
-    fn solve_batch<E: TaskExecutor>(
+    /// Solve `rest`, the grid's energies after the completed records,
+    /// through one flattened task pool and append their records in order,
+    /// calling `save` after each.  Each energy's group is independent of
+    /// its pool mates, so where a previous run was killed changes no bit of
+    /// the result.
+    fn solve_rest<E: TaskExecutor>(
         &self,
-        batch: Vec<(f64, EnergyOrigin)>,
+        rest: &[f64],
         plan: &RingPlan,
         executor: &E,
         st: &mut State,
-        save: &dyn Fn(&State) -> Result<(), CheckpointError>,
+        save: impl Fn(&State) -> Result<(), CheckpointError>,
     ) -> Result<(), CheckpointError> {
-        let to_solve: Vec<(f64, EnergyOrigin)> =
-            batch.into_iter().filter(|(e, _)| !st.done.contains_key(&e.to_bits())).collect();
         let ss = &self.config.ss;
-        // Trace context: each energy of the batch is tagged with the record
-        // index it is about to receive (completion order; `assemble`'s final
-        // ascending `energy_index` is only known at the end).  The handle
-        // resolves to a no-op when no `cbs_trace::TraceSession` records.
+        // Trace context: each energy is tagged with the record index it is
+        // about to receive, its final `energy_index`.  The handle resolves
+        // to a no-op when no `cbs_trace::TraceSession` records.
         let record_base = st.records.len();
         let trace = TraceHandle::resolve();
 
-        if !to_solve.is_empty() {
-            let problems: Vec<QepProblem<'_>> =
-                to_solve.iter().map(|&(e, _)| self.problem_at(e)).collect();
-            // One pool group per energy: jobs energy-major in node order,
-            // each energy's moments folded in that order — bit-identical to
-            // solving the energies one by one, on every executor.
-            let groups: Vec<PoolGroup<'_, '_>> = problems
-                .iter()
-                .enumerate()
-                .map(|(i, problem)| PoolGroup {
-                    problem,
-                    v_cols: &plan.v_cols,
-                    trace: trace.with_energy(record_base + i),
-                })
-                .collect();
-            let accs = groups.iter().map(|_| plan.accumulator()).collect();
+        let problems: Vec<QepProblem<'_>> = rest.iter().map(|&e| self.problem_at(e)).collect();
+        // One pool group per energy: jobs energy-major in node order, each
+        // energy's moments folded in that order — bit-identical to solving
+        // the energies one by one, on every executor.
+        let groups: Vec<PoolGroup<'_, '_>> = problems
+            .iter()
+            .enumerate()
+            .map(|(i, problem)| PoolGroup {
+                problem,
+                v_cols: &plan.v_cols,
+                trace: trace.with_energy(record_base + i),
+            })
+            .collect();
+        let accs = groups.iter().map(|_| plan.accumulator()).collect();
 
-            #[expect(
-                clippy::disallowed_types,
-                reason = "per-run wall-clock statistic; reported, never fingerprinted"
-            )]
-            let t0 = std::time::Instant::now();
-            let outcomes = solve_pool(&groups, accs, ss, executor);
-            st.linear_solve_seconds += t0.elapsed().as_secs_f64();
-            drop(groups);
+        #[expect(
+            clippy::disallowed_types,
+            reason = "per-run wall-clock statistic; reported, never fingerprinted"
+        )]
+        let t0 = std::time::Instant::now();
+        let outcomes = solve_pool(&groups, accs, ss, executor);
+        st.linear_solve_seconds += t0.elapsed().as_secs_f64();
+        drop(groups);
 
-            for (i, ((energy, origin), outcome)) in to_solve.into_iter().zip(outcomes).enumerate() {
-                let _extract_ctx = trace.with_energy(record_base + i).enter();
-                let solves = outcome.solves;
-                let result = extract_from_moments(&problems[i], ss, &plan.v_cols, outcome, 0.0);
-                st.extraction_seconds += result.timings.extraction_seconds;
-                // `energy_index` is a placeholder until assembly fixes the
-                // grid.
-                let points: Vec<CbsPoint> =
-                    result.eigenpairs.iter().map(|p| classify_point(&problems[i], 0, p)).collect();
-                // Matvec / traversal totals come from the extraction result
-                // so they include the counted residual-check applications,
-                // matching `SsResult`'s accounting.
-                let stats = EnergyStats {
-                    bicg_iterations: result.total_bicg_iterations,
-                    matvecs: result.total_matvecs,
-                    operator_traversals: result.total_traversals,
-                    solves,
-                    accepted: result.eigenpairs.len(),
-                    discarded: result.discarded,
-                    numerical_rank: result.numerical_rank,
-                };
-                st.done.insert(energy.to_bits(), st.records.len());
-                st.records.push(EnergyRecord { energy, origin, stats, points });
-                save(st)?;
-            }
+        for (i, (&energy, outcome)) in rest.iter().zip(outcomes).enumerate() {
+            let _extract_ctx = trace.with_energy(record_base + i).enter();
+            let solves = outcome.solves;
+            let result = extract_from_moments(&problems[i], ss, &plan.v_cols, outcome, 0.0);
+            st.extraction_seconds += result.timings.extraction_seconds;
+            // `energy_index` is a placeholder until assembly.
+            let points: Vec<CbsPoint> =
+                result.eigenpairs.iter().map(|p| classify_point(&problems[i], 0, p)).collect();
+            // Matvec / traversal totals come from the extraction result so
+            // they include the counted residual-check applications, matching
+            // `SsResult`'s accounting.
+            let stats = EnergyStats {
+                bicg_iterations: result.total_bicg_iterations,
+                matvecs: result.total_matvecs,
+                operator_traversals: result.total_traversals,
+                solves,
+                accepted: result.eigenpairs.len(),
+                discarded: result.discarded,
+                numerical_rank: result.numerical_rank,
+            };
+            st.records.push(EnergyRecord { energy, stats, points });
+            save(st)?;
         }
-
         Ok(())
     }
 
-    /// One generation of refinement candidates: midpoints of visible
-    /// adjacent intervals that are wide enough and flagged by the
-    /// channel-count rule or bracketing one of `band_edges`, truncated to
-    /// `remaining`.
-    fn refinement_candidates(
-        &self,
-        st: &State,
-        visible: &[usize],
-        remaining: usize,
-        band_edges: &[f64],
-    ) -> Vec<(f64, EnergyOrigin)> {
-        if remaining == 0 {
-            return Vec::new();
-        }
-        let mut sorted: Vec<&EnergyRecord> = visible.iter().map(|&i| &st.records[i]).collect();
-        sorted.sort_by(|a, b| a.energy.partial_cmp(&b.energy).unwrap());
-        let mut out = Vec::new();
-        for w in sorted.windows(2) {
-            if out.len() == remaining {
-                break;
-            }
-            let (lo, hi) = (w[0], w[1]);
-            if hi.energy - lo.energy <= self.config.min_refine_spacing {
-                continue;
-            }
-            let trigger = lo.channel_count() != hi.channel_count()
-                || cbs_dft::edges_bracket(band_edges, lo.energy, hi.energy);
-            if !trigger {
-                continue;
-            }
-            let mid = 0.5 * (lo.energy + hi.energy);
-            if mid <= lo.energy || mid >= hi.energy {
-                continue; // interval too narrow for a representable midpoint
-            }
-            out.push((mid, EnergyOrigin::Refined { lo: lo.energy, hi: hi.energy }));
-        }
-        out
-    }
-
-    /// Sort the records into the final ascending grid, assign
-    /// `energy_index` and aggregate the statistics; `cpu_start` / `trace_t0`
+    /// Assign each record's points their `energy_index` (the record's
+    /// position in the grid) and aggregate the statistics; `cpu_start` / `trace_t0`
     /// are the `cbs_trace::cpu_totals()` / `now_ns()` readings at the start
     /// of the run.
     fn assemble(
@@ -487,7 +363,6 @@ impl<'a> EnergySweep<'a> {
         // session records; `None` leaves the wall fields zero.
         let wall = cbs_trace::aggregate_window(trace_t0, cbs_trace::now_ns());
         let mut records = st.records;
-        records.sort_by(|a, b| a.energy.partial_cmp(&b.energy).unwrap());
         let energies: Vec<f64> = records.iter().map(|r| r.energy).collect();
         let mut points = Vec::new();
         let mut stats = CbsStatistics {
@@ -515,9 +390,6 @@ impl<'a> EnergySweep<'a> {
             stats.cold_solves += rec.stats.solves;
             stats.accepted += rec.stats.accepted;
             stats.discarded += rec.stats.discarded;
-            if matches!(rec.origin, EnergyOrigin::Refined { .. }) {
-                stats.refined_energies += 1;
-            }
         }
         SweepResult { cbs: ComplexBandStructure { points, energies }, stats, records, auto: None }
     }

@@ -1,22 +1,24 @@
 //! Energy sweep: the `cbs-sweep` orchestrator on a small Al(100) cell.
 //!
-//! Runs one scan with adaptive band-edge refinement — every energy solved
-//! independently, the initial grid in one flat task pool and each
-//! refinement generation in one more — and prints the BiCG iterations, the
-//! refined energies and the channel counts.  Also demonstrates
-//! checkpointing: the sweep writes a checkpoint after every completed
-//! energy and the example resumes it to show the bit-identical restart
-//! path.
+//! Runs one uniform scan — every energy solved independently, the grid in
+//! one flat task pool — then refines it in caller code: one more sweep over
+//! the midpoints of adjacent energies whose propagating-channel counts
+//! differ.  Prints the BiCG iterations and the merged table of channel
+//! counts.  Also demonstrates checkpointing: the sweep writes a checkpoint
+//! after every completed energy and the example resumes it to show the
+//! bit-identical restart path.
 //!
 //! Run with: `cargo run --release --example energy_sweep`
 
 use cbs::core::SsConfig;
 use cbs::dft::{
-    band_structure, bulk_al_100, fermi_energy, grid_for_structure, BlockHamiltonian,
-    HamiltonianParams,
+    bulk_al_100, fermi_energy, grid_for_structure, BlockHamiltonian, HamiltonianParams,
 };
 use cbs::parallel::RayonExecutor;
-use cbs::sweep::{EnergyOrigin, EnergySweep, RunOptions, SweepConfig};
+use cbs::sweep::{EnergyRecord, EnergySweep, RunOptions, SweepCheckpoint, SweepConfig};
+
+/// Most midpoints the refinement run solves.
+const MAX_REFINED: usize = 4;
 
 fn main() {
     // 1. Structure, grid, Kohn-Sham blocks (coarse spacing: instant build).
@@ -33,56 +35,51 @@ fn main() {
     let ss =
         SsConfig { n_int: 12, n_mm: 4, n_rh: 4, bicg_max_iterations: 2_000, ..SsConfig::small() };
 
-    // 3. The sweep, with band-edge-driven refinement.  SweepConfig knobs:
-    //    `max_refinements` budgets the extra energies, `min_refine_spacing`
-    //    stops the bisection; the run's `band_edges` flag the intervals
-    //    that bracket a channel opening or closing.
+    // 3. The uniform sweep, checkpointed after every energy.
     let (h00, h01) = (h.h00(), h.h01());
-    let config =
-        SweepConfig { max_refinements: 4, min_refine_spacing: 1e-3, ..SweepConfig::new(ss) };
-    let band_edges = band_structure(&h, 13, 8).band_edges(0.0);
-    let sweep = EnergySweep::new(&h00, &h01, h.period(), config);
+    let sweep = EnergySweep::new(&h00, &h01, h.period(), SweepConfig::new(ss));
     let cp_path = std::env::temp_dir().join("cbs_energy_sweep_example.cp");
-    let run = sweep
-        .run_with(
-            &energies,
-            &RayonExecutor,
-            RunOptions {
-                checkpoint_path: Some(&cp_path),
-                band_edges: &band_edges,
-                ..RunOptions::default()
-            },
-        )
-        .expect("checkpoint I/O");
+    let options = RunOptions { checkpoint_path: Some(&cp_path), ..RunOptions::default() };
+    let run = sweep.run_with(&energies, &RayonExecutor, options).expect("checkpoint I/O");
 
+    // 4. Refinement: one more sweep over the midpoints of adjacent energies
+    //    whose channel counts differ.  An energy's result does not depend on
+    //    the run that solves it, so the two runs merge into one table.
+    let channels = |r: &EnergyRecord| r.points.iter().filter(|p| p.propagating).count();
+    let midpoints: Vec<f64> = run
+        .records
+        .windows(2)
+        .filter(|w| channels(&w[0]) != channels(&w[1]))
+        .map(|w| 0.5 * (w[0].energy + w[1].energy))
+        .take(MAX_REFINED)
+        .collect();
+    let refined = sweep.run(&midpoints, &RayonExecutor);
+    let mut table: Vec<(&EnergyRecord, &str)> =
+        run.records.iter().map(|r| (r, "initial")).collect();
+    table.extend(refined.records.iter().map(|r| (r, "refined")));
+    table.sort_by(|a, b| a.0.energy.total_cmp(&b.0.energy));
+
+    let iterations = run.stats.total_bicg_iterations + refined.stats.total_bicg_iterations;
     println!(
-        "\nsweep: {} BiCG iterations over {} energies ({} refined, {:.0} per energy)",
-        run.stats.total_bicg_iterations,
-        run.cbs.energies.len(),
-        run.stats.refined_energies,
-        run.stats.total_bicg_iterations as f64 / run.cbs.energies.len() as f64,
+        "\nsweep: {iterations} BiCG iterations over {} energies ({} refined, {:.0} per energy)",
+        table.len(),
+        midpoints.len(),
+        iterations as f64 / table.len() as f64,
     );
-
     println!("\n   E [Ha]      channels   states   origin");
-    for (i, (e, channels)) in run.cbs.channel_counts().into_iter().enumerate() {
-        let origin = match run.records[i].origin {
-            EnergyOrigin::Initial(_) => "initial",
-            EnergyOrigin::Refined { .. } => "refined",
-        };
-        println!("   {e:>8.4}   {channels:>8}   {:>6}   {origin}", run.cbs.at_energy(i).count());
+    for (r, origin) in &table {
+        println!("   {:>8.4}   {:>8}   {:>6}   {origin}", r.energy, channels(r), r.points.len());
     }
 
-    // 4. Resume the finished checkpoint (same configuration, same band
-    //    edges — they are fingerprinted, since the replayed refinement
-    //    decisions depend on them, so other edges are refused): everything
-    //    is already done, so this is a no-op returning the same band
-    //    structure bit for bit.
-    let cp = cbs::sweep::SweepCheckpoint::load(&cp_path).expect("load checkpoint");
+    // 5. Resume the finished checkpoint of the uniform sweep (same
+    //    configuration, same grid): everything is already done, so this is
+    //    a no-op returning the same band structure bit for bit.
+    let cp = SweepCheckpoint::load(&cp_path).expect("load checkpoint");
     let resumed = sweep
         .run_with(
             &energies,
             &RayonExecutor,
-            RunOptions { resume: Some(cp), band_edges: &band_edges, ..RunOptions::default() },
+            RunOptions { resume: Some(cp), ..RunOptions::default() },
         )
         .expect("resume");
     assert_eq!(resumed.cbs.points.len(), run.cbs.points.len());

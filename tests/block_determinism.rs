@@ -27,7 +27,7 @@ fn random_blocks(n: usize, seed: u64) -> (CMatrix, CMatrix) {
 /// one vector at a time — whose traversal count needs no second
 /// implementation: it is one storage walk per matvec.
 #[test]
-fn fig6_block_path_matches_per_rhs_path_and_cuts_traversals() {
+fn fig6_block_path_cuts_traversals_by_n_rh() {
     let h = fig6_hamiltonian();
     let h00 = h.h00();
     let h01 = h.h01();
@@ -85,7 +85,7 @@ fn fig6_per_node_policy_is_executor_independent() {
 /// A killed block sweep resumes bit-identically — including its traversal
 /// counters.
 #[test]
-fn warm_block_sweep_is_policy_invariant_and_resumes_bit_identically() {
+fn block_sweep_fuses_applies_and_resumes_bit_identically() {
     let (h00, h01) = random_blocks(10, 82);
     let op00 = DenseOp::new(h00);
     let op01 = DenseOp::new(h01);

@@ -456,7 +456,7 @@ proptest! {
     /// emits a non-finite eigenvalue or residual, every returned pair lies
     /// inside the contour annulus, and the `(|λ|, arg λ)` sort key is a
     /// total order on the returned set — the invariants downstream
-    /// consumers (classification, refinement, checkpoints) rely on.
+    /// consumers (classification, checkpoints) rely on.
     #[test]
     fn extraction_emits_only_finite_ordered_in_annulus_pairs(
         seed in 0u64..500,

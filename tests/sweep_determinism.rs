@@ -5,15 +5,11 @@
 //!   executors: on dense complex blocks (full ring), and on the ILU
 //!   policy's split route over the fig6 cell's real stencil (mirrored
 //!   ring);
-//! * a checkpointed sweep killed partway through (a prefix of the finished
-//!   checkpoint) resumes to a result bit-identical to an uninterrupted run,
-//!   older checkpoint formats are
-//!   refused by version, and a checkpoint of another problem by its
-//!   fingerprint;
-//! * adaptive refinement inserts midpoints only where the channel count
-//!   changes or a band edge is bracketed, within budget, deterministically,
-//!   and a kill anywhere inside a refinement generation resumes to the
-//!   uninterrupted sweep; the band edges are fingerprinted;
+//! * a checkpointed sweep killed after any number of energies (a prefix of
+//!   the grid) resumes to a result bit-identical to an uninterrupted run,
+//!   older checkpoint formats are refused by version, a checkpoint of
+//!   another problem by its fingerprint, and one whose records are not a
+//!   prefix of the grid as a mismatch;
 //! * the vestigial `SsConfig::auto` flag and `SweepConfig::initial_round`
 //!   change nothing.
 
@@ -26,7 +22,7 @@ use cbs::linalg::{c64, CMatrix};
 use cbs::parallel::{RayonExecutor, SerialExecutor};
 use cbs::sparse::DenseOp;
 use cbs::sweep::{
-    CheckpointError, EnergyOrigin, EnergySweep, RunOptions, SweepCheckpoint, SweepConfig,
+    CheckpointError, EnergyRecord, EnergySweep, RunOptions, SweepCheckpoint, SweepConfig,
     SweepResult,
 };
 
@@ -68,11 +64,9 @@ fn assert_same_cbs(a: &SweepResult, b: &SweepResult) {
     }
     assert_eq!(a.stats.total_bicg_iterations, b.stats.total_bicg_iterations);
     assert_eq!(a.stats.total_matvecs, b.stats.total_matvecs);
-    assert_eq!(a.stats.refined_energies, b.stats.refined_energies);
     assert_eq!(a.records.len(), b.records.len());
     for (x, y) in a.records.iter().zip(&b.records) {
         assert_eq!(x.energy.to_bits(), y.energy.to_bits());
-        assert_eq!(x.origin, y.origin, "origins differ at E = {}", x.energy);
         assert_eq!(x.stats, y.stats, "per-energy counters differ at E = {}", x.energy);
     }
 }
@@ -149,8 +143,9 @@ fn assert_sweep_is_the_per_energy_loop(sweep: &EnergySweep<'_>, energies: &[f64]
     }
 }
 
-/// Kill a checkpointed sweep partway, resume it, and get bit-identical
-/// results — including when the interruption lands mid-round.
+/// Kill a checkpointed sweep after every number of energies in turn and
+/// resume it: each resume reproduces the uninterrupted sweep bit for bit —
+/// points, records, counters, and the checkpoint it leaves behind.
 #[test]
 fn checkpointed_sweep_resumes_bit_identically() {
     let (h00, h01) = random_blocks(10, 73);
@@ -161,62 +156,79 @@ fn checkpointed_sweep_resumes_bit_identically() {
 
     let dir = std::env::temp_dir().join(format!("cbs_sweep_resume_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("sweep.cp");
+    let (path, resumed_path) = (dir.join("sweep.cp"), dir.join("resumed.cp"));
     let options = RunOptions { checkpoint_path: Some(&path), ..RunOptions::default() };
     let uninterrupted = sweep.run_with(&energies, &SerialExecutor, options).unwrap();
+    let finished_bytes = std::fs::read(&path).unwrap();
     let finished = SweepCheckpoint::load(&path).unwrap();
     assert_eq!(finished.records.len(), energies.len());
 
-    for kill_after in [1usize, 3, 7, 11] {
+    for k in 0..=energies.len() {
         // The killed run's checkpoint, through the file like a real resume.
-        common::killed_after(&finished, kill_after).save(&path).unwrap();
-        let from_disk = SweepCheckpoint::load(&path).unwrap();
-        assert_eq!(from_disk.records.len(), kill_after);
-        let resumed = sweep
-            .run_with(
-                &energies,
-                &SerialExecutor,
-                RunOptions { resume: Some(from_disk), ..RunOptions::default() },
-            )
-            .unwrap();
+        common::killed_after(&finished, k).save(&resumed_path).unwrap();
+        let from_disk = SweepCheckpoint::load(&resumed_path).unwrap();
+        assert_eq!(from_disk.records.len(), k);
+        let options = RunOptions { checkpoint_path: Some(&resumed_path), resume: Some(from_disk) };
+        let resumed = sweep.run_with(&energies, &SerialExecutor, options).unwrap();
         assert_same_cbs(&uninterrupted, &resumed);
+        let bytes = std::fs::read(&resumed_path).unwrap();
+        assert!(bytes == finished_bytes, "killed after {k}: another checkpoint");
     }
 
-    // The checkpoint on disk is v21; older formats — v3, v11 with its
-    // slice-policy fingerprint slots, v12 whose ILU sweeps ran full ILU(0),
-    // v13 whose ILU sweeps preconditioned instead of splitting, v14 whose
-    // sweeps warm-started, v15 whose split nodes stopped on another rule,
-    // v16 whose moments were summed before they were projected, v17 whose
-    // records carry an assembly counter, v18 whose records carry a
-    // majority-stop counter, v19 whose moments were not centred, and v20
-    // whose fingerprint lacks the band edges — are refused with the
-    // dedicated error naming the version, not parsed into a mismatched
-    // fingerprint or resumed into another trajectory.
-    let text = std::fs::read_to_string(&path).unwrap();
-    assert!(text.starts_with("cbs-sweep-checkpoint v21"), "unexpected magic in {path:?}");
-    let old = ["v3", "v11", "v12", "v13", "v14", "v15", "v16", "v17", "v18", "v19", "v20"];
+    // Every format change bumps the version, and any other version is
+    // refused with the dedicated error naming it.
+    let text = String::from_utf8(finished_bytes).unwrap();
+    assert!(text.starts_with("cbs-sweep-checkpoint v22"), "unexpected magic in {path:?}");
+    let old = ["v3", "v11", "v12", "v13", "v14", "v15", "v16", "v17", "v18", "v19", "v20", "v21"];
     for old in old.map(|v| format!("cbs-sweep-checkpoint {v}")) {
-        match SweepCheckpoint::parse(&text.replacen("cbs-sweep-checkpoint v21", &old, 1)) {
+        match SweepCheckpoint::parse(&text.replacen("cbs-sweep-checkpoint v22", &old, 1)) {
             Err(CheckpointError::IncompatibleVersion { found }) => assert_eq!(found, old),
             other => panic!("{old} checkpoint accepted or misclassified: {other:?}"),
         }
     }
 
     // Resuming under a different configuration is refused.
-    let other = cbs::sweep::EnergySweep::new(
-        &op00,
-        &op01,
-        1.5,
-        SweepConfig { min_refine_spacing: 1e-3, ..*sweep.config() },
-    );
-    let cp = SweepCheckpoint::load(&path).unwrap();
-    assert!(other
-        .run_with(
-            &energies,
-            &SerialExecutor,
-            RunOptions { resume: Some(cp), ..RunOptions::default() }
-        )
-        .is_err());
+    let ss = SsConfig { seed: test_ss().seed + 1, ..test_ss() };
+    let other = cbs::sweep::EnergySweep::new(&op00, &op01, 1.5, SweepConfig::new(ss));
+    let resume = RunOptions { resume: Some(finished), ..RunOptions::default() };
+    let refused = other.run_with(&energies, &SerialExecutor, resume);
+    assert!(matches!(refused, Err(CheckpointError::Mismatch(_))), "another seed resumed");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A resume accepts only records that are a prefix of the grid.  A finished
+/// checkpoint with one record moved off the grid, two records swapped, or a
+/// 13th record appended — each re-saved, so its checksum is valid — is a
+/// mismatch, never merged into the returned band structure.
+#[test]
+fn resume_refuses_records_that_are_not_a_grid_prefix() {
+    let (h00, h01) = random_blocks(10, 73);
+    let (op00, op01) = (DenseOp::new(h00), DenseOp::new(h01));
+    let energies: Vec<f64> = (0..12).map(|i| -0.25 + 0.05 * i as f64).collect();
+    let sweep = EnergySweep::new(&op00, &op01, 1.5, SweepConfig::new(test_ss()));
+
+    let dir = std::env::temp_dir().join(format!("cbs_sweep_prefix_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("sweep.cp");
+    let options = RunOptions { checkpoint_path: Some(&path), ..RunOptions::default() };
+    sweep.run_with(&energies, &SerialExecutor, options).unwrap();
+    let finished = SweepCheckpoint::load(&path).unwrap();
+    assert_eq!(finished.records.len(), energies.len());
+
+    let midpoint = 0.5 * (energies[4] + energies[5]);
+    let mut off_grid = finished.clone();
+    off_grid.records[4].energy = midpoint;
+    let mut swapped = finished.clone();
+    swapped.records.swap(3, 4);
+    let mut appended = finished.clone();
+    appended.records.push(EnergyRecord { energy: midpoint, ..finished.records[4].clone() });
+    for (what, broken) in [("off-grid", off_grid), ("swapped", swapped), ("appended", appended)] {
+        broken.save(&path).unwrap();
+        let resume = Some(SweepCheckpoint::load(&path).unwrap());
+        let options = RunOptions { resume, ..RunOptions::default() };
+        let refused = sweep.run_with(&energies, &SerialExecutor, options);
+        assert!(matches!(refused, Err(CheckpointError::Mismatch(_))), "{what} records resumed");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -248,7 +260,7 @@ fn resume_refuses_seed_tables_of_another_problem() {
         let (h00, h01) = (h.h00(), h.h01());
         let sweep = EnergySweep::new(&h00, &h01, h.period(), config);
         let checkpoint_path = save.then_some(path.as_path());
-        let options = RunOptions { resume, checkpoint_path, ..RunOptions::default() };
+        let options = RunOptions { resume, checkpoint_path };
         sweep.run_with(&energies, &SerialExecutor, options)
     };
     let whole = run(&fig6, None, true).expect("the sweep runs");
@@ -313,129 +325,6 @@ fn vestigial_auto_flag_is_inert() {
             .run_with(&energies, &SerialExecutor, RunOptions { resume, ..RunOptions::default() })
             .expect("a checkpoint written under other vestige values resumes");
         assert_same_cbs(full, &resumed);
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Adaptive refinement bisects exactly the intervals where the propagating
-/// channel count changes, respects its budget, and stays deterministic.
-#[test]
-fn refinement_bisects_channel_count_changes_within_budget() {
-    let (h00, h01) = random_blocks(12, 74);
-    let op00 = DenseOp::new(h00);
-    let op01 = DenseOp::new(h01);
-    let energies: Vec<f64> = (0..9).map(|i| -0.4 + 0.1 * i as f64).collect();
-    let budget = 6;
-    let config = SweepConfig {
-        max_refinements: budget,
-        min_refine_spacing: 1e-3,
-        ..SweepConfig::new(test_ss())
-    };
-    let sweep = EnergySweep::new(&op00, &op01, 1.6, config);
-    let run = sweep.run(&energies, &SerialExecutor);
-
-    let refined: Vec<_> =
-        run.records.iter().filter(|r| matches!(r.origin, EnergyOrigin::Refined { .. })).collect();
-    assert_eq!(run.stats.refined_energies, refined.len());
-    assert!(refined.len() <= budget);
-    // The base grid had at least one channel-count change, so something was
-    // refined (otherwise this test exercises nothing).
-    assert!(!refined.is_empty(), "no interval triggered refinement");
-    for r in &refined {
-        match r.origin {
-            EnergyOrigin::Refined { lo, hi } => {
-                assert!((r.energy - 0.5 * (lo + hi)).abs() < 1e-14, "not a midpoint");
-                assert!(hi - lo > config.min_refine_spacing);
-            }
-            _ => unreachable!(),
-        }
-    }
-    // Energies stay sorted with the refined points merged in, and every
-    // point's energy_index is consistent.
-    for w in run.cbs.energies.windows(2) {
-        assert!(w[0] < w[1]);
-    }
-    for p in &run.cbs.points {
-        assert_eq!(run.cbs.energies[p.energy_index].to_bits(), p.energy.to_bits());
-    }
-    // Determinism: an identical run makes identical refinement decisions.
-    let again = sweep.run(&energies, &RayonExecutor);
-    assert_same_cbs(&run, &again);
-}
-
-/// A sweep refined by both rules — channel-count changes and the caller's
-/// band edges — over two generations, killed after every record in turn:
-/// each resume reproduces the uninterrupted sweep bit for bit (points,
-/// records, counters, and the completion order of its checkpoint).  The band
-/// edges are fingerprinted: the same file resumed under other edges, or
-/// none, is refused.
-#[test]
-fn a_kill_inside_a_refinement_generation_resumes_bit_identically() {
-    let (h00, h01) = random_blocks(12, 74);
-    let (op00, op01) = (DenseOp::new(h00), DenseOp::new(h01));
-    let energies: Vec<f64> = (0..9).map(|i| -0.4 + 0.1 * i as f64).collect();
-    let config = SweepConfig {
-        max_refinements: 10,
-        min_refine_spacing: 1e-3,
-        ..SweepConfig::new(test_ss())
-    };
-    let sweep = EnergySweep::new(&op00, &op01, 1.6, config);
-    // One edge in each of two intervals whose channel counts agree.
-    let band_edges = [-0.33, 0.36];
-
-    let dir = std::env::temp_dir().join(format!("cbs_sweep_refined_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let (path, resumed_path) = (dir.join("sweep.cp"), dir.join("resumed.cp"));
-    let options =
-        RunOptions { checkpoint_path: Some(&path), band_edges: &band_edges, resume: None };
-    let whole = sweep.run_with(&energies, &SerialExecutor, options).unwrap();
-    let finished_bytes = std::fs::read(&path).unwrap();
-    let finished = SweepCheckpoint::parse(std::str::from_utf8(&finished_bytes).unwrap()).unwrap();
-
-    // Both rules fired, and the budget reached a second generation.
-    let record_at = |e: f64| whole.records.iter().find(|r| r.energy == e).unwrap();
-    let refined: Vec<(f64, f64)> = whole
-        .records
-        .iter()
-        .filter_map(|r| match r.origin {
-            EnergyOrigin::Refined { lo, hi } => Some((lo, hi)),
-            EnergyOrigin::Initial(_) => None,
-        })
-        .collect();
-    let count_changes =
-        |&(lo, hi): &(f64, f64)| record_at(lo).channel_count() != record_at(hi).channel_count();
-    assert!(refined.iter().any(count_changes), "the channel-count rule never fired");
-    assert!(
-        refined.iter().any(|i| !count_changes(i) && cbs::dft::edges_bracket(&band_edges, i.0, i.1)),
-        "the band-edge rule never fired alone"
-    );
-    let is_refined = |e: f64| matches!(record_at(e).origin, EnergyOrigin::Refined { .. });
-    assert!(
-        refined.iter().any(|&(lo, hi)| is_refined(lo) || is_refined(hi)),
-        "no second refinement generation"
-    );
-    assert_eq!(refined.len(), config.max_refinements, "the budget is spent");
-
-    for k in 0..=finished.records.len() {
-        std::fs::remove_file(&resumed_path).ok();
-        let options = RunOptions {
-            checkpoint_path: Some(&resumed_path),
-            resume: Some(common::killed_after(&finished, k)),
-            band_edges: &band_edges,
-        };
-        let resumed = sweep.run_with(&energies, &SerialExecutor, options).unwrap();
-        assert_same_cbs(&whole, &resumed);
-        if k < finished.records.len() {
-            let bytes = std::fs::read(&resumed_path).unwrap();
-            assert!(bytes == finished_bytes, "killed after {k}: another checkpoint");
-        }
-    }
-
-    for other in [&[-0.33, 0.37][..], &[]] {
-        let options =
-            RunOptions { resume: Some(finished.clone()), band_edges: other, checkpoint_path: None };
-        let refused = sweep.run_with(&energies, &SerialExecutor, options);
-        assert!(matches!(refused, Err(CheckpointError::Mismatch(_))), "edges {other:?} resumed");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
