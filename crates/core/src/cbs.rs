@@ -6,8 +6,6 @@
 //! branches (evanescent states).  The multi-energy driver that fills them
 //! is `cbs_sweep::EnergySweep`.
 
-use serde::{Deserialize, Serialize};
-
 use cbs_linalg::Complex64;
 
 use crate::qep::QepProblem;
@@ -17,7 +15,7 @@ use crate::qep::QepProblem;
 pub const PROPAGATING_TOLERANCE: f64 = 1e-6;
 
 /// One solution of the CBS at one energy.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CbsPoint {
     /// Scan energy (hartree).
     pub energy: f64,
@@ -40,7 +38,7 @@ pub struct CbsPoint {
 }
 
 /// Complex band structure over a set of scan energies.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ComplexBandStructure {
     /// All solutions found, grouped by nothing in particular; filter by
     /// energy or use the helper methods.
@@ -79,8 +77,8 @@ impl ComplexBandStructure {
     }
 }
 
-/// Aggregated statistics of a CBS sweep (feeds the benchmark reports).
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+/// Aggregated work counters and wall-clock seconds of a CBS sweep.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct CbsStatistics {
     /// Total BiCG iterations over the whole sweep.
     pub total_bicg_iterations: usize,
@@ -109,30 +107,6 @@ pub struct CbsStatistics {
     pub linear_solve_seconds: f64,
     /// Seconds in eigenpair extraction.
     pub extraction_seconds: f64,
-    /// **CPU** nanoseconds spent inside the sparse operator kernels (CSR
-    /// and low-rank matvec/adjoint applications), from the `cbs-trace`
-    /// stage counters: span durations summed **across threads**.  Under
-    /// `SerialExecutor` this equals wall time; under `RayonExecutor` it can
-    /// exceed the wall clock (up to `threads ×`).  A subset of the
-    /// linear-solve cost; the remainder is vector algebra and solver
-    /// bookkeeping.
-    #[serde(default)]
-    pub kernel_ns: u64,
-    /// **CPU** nanoseconds spent in preconditioner work (ILU(0)
-    /// factorizations and triangular solves), summed across threads like
-    /// [`kernel_ns`](Self::kernel_ns).
-    #[serde(default)]
-    pub precond_ns: u64,
-    /// **Wall** nanoseconds during which at least one thread was inside an
-    /// operator kernel — the span-merged (interval-union) counterpart of
-    /// [`kernel_ns`](Self::kernel_ns).  Only filled while a
-    /// `cbs_trace::TraceSession` is recording; zero otherwise.
-    #[serde(default)]
-    pub kernel_wall_ns: u64,
-    /// **Wall** nanoseconds of preconditioner work (span-merged); zero
-    /// without an active trace session.
-    #[serde(default)]
-    pub precond_wall_ns: u64,
     /// Total eigenpairs accepted.
     pub accepted: usize,
     /// Total candidates discarded by the residual filter.

@@ -30,8 +30,6 @@
 //! stays in the list with half its weights, because the extraction's
 //! `Ŝ_k ← Ŝ_k + conj Ŝ_k` counts every listed node twice.
 
-use serde::{Deserialize, Serialize};
-
 use cbs_linalg::Complex64;
 
 /// Why a contour could not be constructed.  Returned by
@@ -70,7 +68,7 @@ impl std::fmt::Display for ContourError {
 impl std::error::Error for ContourError {}
 
 /// One quadrature node of the ring contour.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct QuadraturePoint {
     /// 0-based index `j` along the circle (`θ_j = 2π (j + 1/2)/N_int`; the
     /// paper's 1-based `j'` is `j + 1`).
@@ -85,7 +83,7 @@ pub struct QuadraturePoint {
 }
 
 /// The two-circle (annulus) contour.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct RingContour {
     /// Inner radius `λ_min` (the paper uses 0.5).
     pub lambda_min: f64,
@@ -169,15 +167,11 @@ impl RingContour {
         (0..self.n_int).map(|j| self.node(j, 1.0).0).collect()
     }
 
-    /// The inner-circle nodes, with the orientation sign folded into the
-    /// weight (the annulus integral subtracts the inner circle).
+    /// The inner-circle nodes `1/z̄`, the duals of the outer nodes, with
+    /// the orientation sign folded into the weight (the annulus integral
+    /// subtracts the inner circle).
     pub fn inner_points(&self) -> Vec<QuadraturePoint> {
-        (0..self.n_int)
-            .map(|j| {
-                let z = Complex64::polar(self.inner_radius(), self.theta(j));
-                QuadraturePoint { index: j, z, weight: -(z / self.n_int as f64), outer: false }
-            })
-            .collect()
+        (0..self.n_int).map(|j| self.node(j, 1.0).1).collect()
     }
 
     /// All `2 N_int` nodes (outer then inner).
@@ -234,12 +228,12 @@ mod tests {
         let c = RingContour::new(0.5, 16);
         let outer = c.outer_points();
         let inner = c.inner_points();
+        let bits = |z: Complex64| (z.re.to_bits(), z.im.to_bits());
         for (o, i) in outer.iter().zip(&inner) {
-            let expect = Complex64::ONE / o.z.conj();
-            assert!((i.z - expect).abs() < 1e-14);
+            assert_eq!(bits(i.z), bits(Complex64::ONE / o.z.conj()));
             let paired = c.paired_inner(o);
-            assert!((paired.z - i.z).abs() < 1e-14);
-            assert!((paired.weight - i.weight).abs() < 1e-14);
+            assert_eq!(bits(paired.z), bits(i.z));
+            assert_eq!(bits(paired.weight), bits(i.weight));
         }
     }
 

@@ -2,8 +2,6 @@
 //! preconditioned ([`PrecondPolicy`]), and the vestigial job-shape enum
 //! ([`BlockPolicy`]).
 
-use serde::{Deserialize, Serialize};
-
 /// Shape of the shifted-solve jobs.  **Vestigial:** there is one shape — a
 /// job is a whole quadrature node, all `N_rh` right-hand sides advancing in
 /// lockstep through `cbs_solver::bicg_dual_block_precond` — and nothing
@@ -11,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// because the repo benchmark (`benchmark/src/layers.rs`, out of bounds for
 /// library PRs) prints `AutoDecision::block.name()`; the next `benchmark`
 /// issue deletes that line and this type with it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BlockPolicy {
     /// One block job per quadrature node.
     #[default]
@@ -41,7 +39,7 @@ impl BlockPolicy {
 /// and 3 (ILU(0) completed by a Sherman-Morrison-Woodbury projector
 /// correction, 2–7× slower than plain ILU(0) at the same iteration count)
 /// are retired and never reused.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PrecondPolicy {
     /// Apply `P(z)` matrix-free, unpreconditioned: one fused row pass over
     /// `f64` coefficients when the blocks are the views of a real stencil

@@ -61,7 +61,6 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use cbs_linalg::{svd, CMatrix, CVector, Complex64, Eigen, Svd};
 use cbs_parallel::TaskExecutor;
@@ -80,7 +79,7 @@ use crate::qep::QepProblem;
 /// majority-stop load-balancing rule is not implemented (the pool module
 /// says why).  Stage spans are recorded while a `cbs_trace::TraceSession`
 /// is active; no field here selects them.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SsConfig {
     /// Number of quadrature points per circle (`N_int`).
     pub n_int: usize,
@@ -195,7 +194,7 @@ pub struct QepEigenpair {
 
 /// Timing breakdown of one Sakurai-Sugiura solve (the rows of the paper's
 /// Table 1).
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct SsTimings {
     /// Seconds spent solving the shifted linear systems (step 1).
     pub linear_solve_seconds: f64,
@@ -461,11 +460,7 @@ pub fn solve_qep_with<E: TaskExecutor>(
     // on which one it is.
     let plan = RingPlan::build(problem, config).unwrap_or_else(|e| panic!("{e}"));
 
-    #[expect(
-        clippy::disallowed_types,
-        reason = "linear-solve wall-clock statistic; reported, never fingerprinted"
-    )]
-    let t_solve = std::time::Instant::now();
+    let t_solve = cbs_trace::now_ns();
 
     // The trace handle resolves against the active session (no-op when none
     // is recording) and inherits any context — e.g. a sweep's scan-energy
@@ -475,7 +470,7 @@ pub fn solve_qep_with<E: TaskExecutor>(
     let outcome = solve_pool(&[ring], vec![plan.accumulator()], config, executor)
         .pop()
         .expect("one pool outcome per group");
-    let linear_solve_seconds = t_solve.elapsed().as_secs_f64();
+    let linear_solve_seconds = cbs_trace::seconds_between(t_solve, cbs_trace::now_ns());
 
     let _trace_ctx = trace.enter();
     extract_from_moments(problem, config, &plan.v_cols, outcome, linear_solve_seconds)
@@ -516,12 +511,7 @@ pub fn extract_from_moments(
     let mut histories = std::mem::take(&mut acc.histories);
     let shifted_solves = histories.len();
 
-    #[expect(
-        clippy::disallowed_types,
-        reason = "extraction wall-clock statistic; reported, never fingerprinted"
-    )]
-    let t_extract = std::time::Instant::now();
-    let trace_t0 = cbs_trace::now_ns();
+    let t_extract = cbs_trace::now_ns();
     // `Y(z̄) = conj Y(z)` needs a real right-hand side: `source_block`
     // always draws one, a caller-supplied block that is not real leaves the
     // mirrored moments incomplete.
@@ -638,8 +628,11 @@ pub fn extract_from_moments(
             .partial_cmp(&(b.lambda.abs(), b.lambda.arg()))
             .unwrap_or(std::cmp::Ordering::Equal)
     });
-    let extraction_seconds = t_extract.elapsed().as_secs_f64();
-    cbs_trace::record_span(Stage::Extraction, trace_t0, cbs_trace::now_ns());
+    // One pair of clock readings gives both the Extraction span and
+    // `extraction_seconds`.
+    let t_end = cbs_trace::now_ns();
+    cbs_trace::record_span(Stage::Extraction, t_extract, t_end);
+    let extraction_seconds = cbs_trace::seconds_between(t_extract, t_end);
 
     SsResult {
         eigenpairs,

@@ -10,10 +10,8 @@
 //! Hermiticity, localized non-local blocks) and qualitatively reasonable
 //! band widths, which is what the eigensolver experiments exercise.
 
-use serde::{Deserialize, Serialize};
-
 /// Chemical elements used by the paper's test systems.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Element {
     /// Aluminium (bulk electrode material).
     Al,
@@ -26,7 +24,7 @@ pub enum Element {
 }
 
 /// Parameters of one Kleinman-Bylander projector channel.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct KbChannel {
     /// Angular momentum (0 = s, 1 = p).
     pub l: usize,
@@ -38,7 +36,7 @@ pub struct KbChannel {
 }
 
 /// Empirical pseudopotential parameters of an element.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PseudoParams {
     /// Number of valence electrons contributed to the Fermi-level estimate.
     pub valence: f64,
@@ -123,7 +121,7 @@ impl Element {
 }
 
 /// One atom: element plus Cartesian position in bohr.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Atom {
     /// Chemical species.
     pub element: Element,
@@ -141,7 +139,7 @@ impl Atom {
 
 /// An atomic structure: the atoms of one unit cell of a 1-D periodic system,
 /// plus the cell extents.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AtomicStructure {
     /// Human-readable name (used in benchmark output).
     pub name: String,

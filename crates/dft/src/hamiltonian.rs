@@ -25,8 +25,6 @@
 //! `qep_factored`, the dense Bloch matrix) are built from it only when
 //! asked for.
 
-use serde::{Deserialize, Serialize};
-
 use cbs_grid::{CellShift, FdOrder, Grid3, KINETIC_PREFACTOR};
 use cbs_linalg::{CMatrix, Complex64};
 use cbs_sparse::{Block, CsrMatrix, RealStencil, StencilBlock, StencilBuilder};
@@ -35,7 +33,7 @@ use crate::atoms::AtomicStructure;
 use crate::pseudopotential::{channel_multiplicity, local_potential_on_grid, projector_on_grid};
 
 /// Options controlling the Hamiltonian assembly.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct HamiltonianParams {
     /// Finite-difference half-width (the paper uses `N_f = 4`).
     pub fd: FdOrder,

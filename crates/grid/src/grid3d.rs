@@ -7,10 +7,8 @@
 //! lateral directions sampled at the Γ point (bulk) or padded with vacuum
 //! (isolated wires such as carbon nanotubes).
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies which unit cell a stencil neighbour falls into.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CellShift {
     /// The previous unit cell (`n-1`); contributes to `H_{n,n-1}`.
     Previous,
@@ -21,7 +19,7 @@ pub enum CellShift {
 }
 
 /// A uniform 3-D grid over one unit cell.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Grid3 {
     /// Number of grid points along x.
     pub nx: usize,

@@ -59,7 +59,7 @@ pub const KINETIC_PREFACTOR: f64 = -0.5;
 /// `N·(6·N_f + 1) ≤ u32::MAX = 4 294 967 295`: about 171.8 million points
 /// at the paper's `N_f = 4`.  `cbs_dft::BlockHamiltonian::build` refuses a
 /// larger grid with a message naming this limit.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FdOrder {
     /// Half width `N_f` of the stencil (the paper uses 4, i.e. nine points).
     pub nf: usize,

@@ -10,15 +10,13 @@ use std::fmt;
 use std::iter::{Product, Sum};
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A complex number with `f64` real and imaginary parts.
 ///
 /// `#[repr(C)]` guarantees the `(re, im)` field order in memory, so slices
 /// of `Complex64` can be reinterpreted as interleaved `f64` pairs — the
 /// SIMD tile kernels in `cbs-sparse` rely on this.
 #[repr(C)]
-#[derive(Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default, PartialEq)]
 pub struct Complex64 {
     /// Real part.
     pub re: f64,

@@ -9,13 +9,11 @@
 
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use crate::complex::{c64, Complex64};
 use crate::vector::CVector;
 
 /// Dense row-major complex matrix.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CMatrix {
     nrows: usize,
     ncols: usize,

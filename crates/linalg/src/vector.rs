@@ -7,12 +7,10 @@
 
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 use crate::complex::{c64, Complex64};
 
 /// A dense complex vector.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CVector {
     data: Vec<Complex64>,
 }

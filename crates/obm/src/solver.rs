@@ -22,8 +22,6 @@
 //! which is exactly the behaviour the paper's Figure 4 contrasts against the
 //! Sakurai-Sugiura approach.
 
-use serde::{Deserialize, Serialize};
-
 use cbs_linalg::{generalized_eigen, CMatrix, CVector, Complex64};
 use cbs_solver::{bicg, SolverOptions};
 use cbs_sparse::{CsrMatrix, LinearOperator};
@@ -31,7 +29,7 @@ use cbs_sparse::{CsrMatrix, LinearOperator};
 use crate::interface::Interface;
 
 /// Options of the OBM solve.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ObmConfig {
     /// Inner radius of the reported annulus (matches the SS `λ_min`).
     pub lambda_min: f64,

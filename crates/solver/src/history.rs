@@ -1,9 +1,7 @@
 //! Convergence bookkeeping shared by all iterative solvers.
 
-use serde::{Deserialize, Serialize};
-
 /// Why an iterative solve stopped.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StopReason {
     /// The relative residual dropped below the tolerance.
     Converged,
@@ -22,7 +20,7 @@ pub enum StopReason {
 /// Record of one linear solve: per-iteration relative residuals plus the
 /// final state.  These are exactly the curves plotted in the paper's
 /// Figure 5.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ConvergenceHistory {
     /// Relative residual 2-norm after each iteration (index 0 = initial).
     pub residuals: Vec<f64>,
@@ -50,7 +48,7 @@ impl ConvergenceHistory {
 }
 
 /// Common knobs of the iterative solvers.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SolverOptions {
     /// Relative residual tolerance (the paper uses 1e-10).
     pub tolerance: f64,

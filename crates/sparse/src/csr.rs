@@ -4,8 +4,6 @@
 //! CSR and then only ever applied to vectors, which is the O(N) memory /
 //! O(nnz) time behaviour the paper's method relies on.
 
-use serde::{Deserialize, Serialize};
-
 use cbs_linalg::{CMatrix, CVector, Complex64};
 use cbs_trace::Stage;
 
@@ -114,7 +112,7 @@ impl CooBuilder {
 }
 
 /// A complex sparse matrix in compressed-sparse-row format.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CsrMatrix {
     nrows: usize,
     ncols: usize,

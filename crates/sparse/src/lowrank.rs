@@ -7,15 +7,13 @@
 //! O(N) application cost that the paper's Hamiltonian-times-vector kernel
 //! depends on.
 
-use serde::{Deserialize, Serialize};
-
 use cbs_linalg::Complex64;
 use cbs_trace::Stage;
 
 use crate::ops::LinearOperator;
 
 /// A sparse vector: sorted indices with matching values.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct SparseVec {
     indices: Vec<usize>,
     values: Vec<Complex64>,
@@ -98,7 +96,7 @@ impl SparseVec {
 }
 
 /// One rank-one term `c |u⟩⟨v|`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RankOneTerm {
     /// The output-side factor `u`.
     pub ket: SparseVec,
@@ -109,7 +107,7 @@ pub struct RankOneTerm {
 }
 
 /// A sum of rank-one terms acting between `C^ncols` and `C^nrows`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LowRankOp {
     nrows: usize,
     ncols: usize,

@@ -12,9 +12,9 @@
 //! round-tripping is what makes resumed sweeps reproduce uninterrupted ones
 //! down to the last bit.  A `checksum` line before the closing `end` holds
 //! the FNV-1a 64 hash of every byte before it, so a flipped digit is a
-//! [`CheckpointError::Malformed`] checkpoint, never a silently wrong band.  (The workspace's vendored `serde` is a marker-only
-//! shim, so the actual encoding is hand-rolled here; the structs still
-//! derive the markers like every other wire-ready type in the tree.)
+//! [`CheckpointError::Malformed`] checkpoint, never a silently wrong band.
+//! The encoding is hand-rolled here: nothing in the workspace serializes
+//! through a framework.
 
 use std::fmt::Write as _;
 use std::path::Path;

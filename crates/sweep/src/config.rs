@@ -1,7 +1,5 @@
 //! Knobs of the multi-energy sweep orchestrator.
 
-use serde::{Deserialize, Serialize};
-
 use cbs_core::SsConfig;
 
 /// Configuration of a [`crate::EnergySweep`].
@@ -9,7 +7,7 @@ use cbs_core::SsConfig;
 /// The per-energy eigensolver parameters live in [`ss`](Self::ss); the sweep
 /// has no knob of its own ([`initial_round`](Self::initial_round) is
 /// vestigial).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SweepConfig {
     /// The Sakurai-Sugiura parameters applied at every scan energy.
     pub ss: SsConfig,

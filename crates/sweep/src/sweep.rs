@@ -25,14 +25,13 @@ use cbs_core::{
 };
 use cbs_parallel::TaskExecutor;
 use cbs_sparse::LinearOperator;
-use cbs_trace::{Stage, TraceHandle};
-use serde::{Deserialize, Serialize};
+use cbs_trace::TraceHandle;
 
 use crate::checkpoint::{CheckpointError, SweepCheckpoint};
 use crate::config::SweepConfig;
 
 /// Per-energy solver counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EnergyStats {
     /// Primal BiCG iterations over the energy's solves.
     pub bicg_iterations: usize,
@@ -54,7 +53,7 @@ pub struct EnergyStats {
 
 /// One completed scan energy: its classified CBS points plus counters.  The
 /// unit of checkpointing.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct EnergyRecord {
     /// The scan energy (hartree).
     pub energy: f64,
@@ -207,8 +206,6 @@ impl<'a> EnergySweep<'a> {
         opts: RunOptions<'_>,
     ) -> Result<SweepResult, CheckpointError> {
         let RunOptions { checkpoint_path, resume } = opts;
-        let cpu_start = cbs_trace::cpu_totals();
-        let trace_t0 = cbs_trace::now_ns();
 
         // Ascending, bit-deduplicated grid: the canonical processing order.
         let mut grid: Vec<f64> = energies.to_vec();
@@ -274,7 +271,7 @@ impl<'a> EnergySweep<'a> {
         if !rest.is_empty() {
             self.solve_rest(rest, &plan, executor, &mut st, save)?;
         }
-        Ok(self.assemble(st, cpu_start, trace_t0))
+        Ok(self.assemble(st))
     }
 
     /// Solve `rest`, the grid's energies after the completed records,
@@ -312,13 +309,9 @@ impl<'a> EnergySweep<'a> {
             .collect();
         let accs = groups.iter().map(|_| plan.accumulator()).collect();
 
-        #[expect(
-            clippy::disallowed_types,
-            reason = "per-run wall-clock statistic; reported, never fingerprinted"
-        )]
-        let t0 = std::time::Instant::now();
+        let t0 = cbs_trace::now_ns();
         let outcomes = solve_pool(&groups, accs, ss, executor);
-        st.linear_solve_seconds += t0.elapsed().as_secs_f64();
+        st.linear_solve_seconds += cbs_trace::seconds_between(t0, cbs_trace::now_ns());
         drop(groups);
 
         for (i, (&energy, outcome)) in rest.iter().zip(outcomes).enumerate() {
@@ -348,33 +341,14 @@ impl<'a> EnergySweep<'a> {
     }
 
     /// Assign each record's points their `energy_index` (the record's
-    /// position in the grid) and aggregate the statistics; `cpu_start` / `trace_t0`
-    /// are the `cbs_trace::cpu_totals()` / `now_ns()` readings at the start
-    /// of the run.
-    fn assemble(
-        &self,
-        st: State,
-        cpu_start: [u64; cbs_trace::STAGE_COUNT],
-        trace_t0: u64,
-    ) -> SweepResult {
-        let cpu_end = cbs_trace::cpu_totals();
-        let cpu = |stage: Stage| cpu_end[stage as usize].wrapping_sub(cpu_start[stage as usize]);
-        // Span-merged wall attribution is available only while a trace
-        // session records; `None` leaves the wall fields zero.
-        let wall = cbs_trace::aggregate_window(trace_t0, cbs_trace::now_ns());
+    /// position in the grid) and aggregate the statistics.
+    fn assemble(&self, st: State) -> SweepResult {
         let mut records = st.records;
         let energies: Vec<f64> = records.iter().map(|r| r.energy).collect();
         let mut points = Vec::new();
         let mut stats = CbsStatistics {
             linear_solve_seconds: st.linear_solve_seconds,
             extraction_seconds: st.extraction_seconds,
-            // Per-stage nanosecond counters: the CPU-ns stage counters cover
-            // this run only (a resumed sweep reports post-resume time, like
-            // the wall-clock fields).
-            kernel_ns: cpu(Stage::Kernel),
-            precond_ns: cpu(Stage::IluFactor) + cpu(Stage::TriSweep),
-            kernel_wall_ns: wall.map_or(0, |w| w.wall(Stage::Kernel)),
-            precond_wall_ns: wall.map_or(0, |w| w.wall(Stage::IluFactor) + w.wall(Stage::TriSweep)),
             ..CbsStatistics::default()
         };
         for (index, rec) in records.iter_mut().enumerate() {

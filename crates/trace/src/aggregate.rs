@@ -4,8 +4,7 @@ use crate::{Span, Stage, STAGE_COUNT};
 
 /// Per-stage totals over a time window.
 ///
-/// * `cpu_ns` — span durations summed across threads (equals the always-on
-///   counter deltas when the window covers the same scopes).
+/// * `cpu_ns` — span durations summed across threads.
 /// * `wall_ns` — the measure of the *union* of the stage's span intervals
 ///   across all threads: how long at least one thread was inside the stage.
 ///   Under a serial executor `wall_ns == cpu_ns`; under a parallel executor

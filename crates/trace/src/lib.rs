@@ -12,20 +12,13 @@
 //! ([`SpanCtx`]) carries the scan-energy index and quadrature node of the
 //! enclosing solve.
 //!
-//! Recording is two-tier:
-//!
-//! * **Always on** — per-stage CPU-nanosecond counters accumulate in plain
-//!   thread-local cells and drain into process-global atomics when the
-//!   thread exits (the vendored rayon shim joins its scoped workers before
-//!   each dispatch returns, so a caller reading [`cpu_totals`] after a
-//!   parallel region sees every worker's contribution).  These counters
-//!   are the source of `CbsStatistics::{kernel_ns, precond_ns}` — CPU-ns
-//!   summed across threads, **not** wall time, under a parallel executor.
-//! * **Session-gated** — full span buffers are recorded only while a
-//!   [`TraceSession`] is active; the disabled hot path pays one relaxed
-//!   atomic load per instrumented scope.  Buffers are thread-local and
-//!   lock-free on the hot path; they drain into the global session store
-//!   when they fill, when the thread exits, and when the session finishes.
+//! A stage is timed only while a [`TraceSession`] records: outside one,
+//! [`timed`] runs its closure after one relaxed atomic load and reads no
+//! clock.  Spans are buffered per thread, lock-free on the hot path, and
+//! drain into the global session store when a buffer fills, when its
+//! thread exits, and when the session finishes.  A span carries its thread
+//! and its `{energy, node}` context, so concurrent work on other threads is
+//! never charged to a solve.
 //!
 //! A finished session yields a [`TraceReport`]: its spans, per-stage
 //! totals ([`TraceReport::stage_totals`]) with both CPU-ns (summed span
@@ -56,10 +49,7 @@
 //! report.save_chrome_trace(std::path::Path::new("trace.json")).unwrap();
 //! ```
 
-#![allow(
-    clippy::disallowed_types,
-    reason = "the timing crate: its spans and counters read the wall clock"
-)]
+#![allow(clippy::disallowed_types, reason = "the timing crate: its spans read the wall clock")]
 
 mod aggregate;
 mod chrome;
@@ -67,7 +57,7 @@ mod chrome;
 pub use aggregate::StageAgg;
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -201,17 +191,14 @@ pub fn now_ns() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
+/// Seconds between two [`now_ns`] readings, `t0_ns` then `t1_ns`.
+#[inline]
+pub fn seconds_between(t0_ns: u64, t1_ns: u64) -> f64 {
+    t1_ns.saturating_sub(t0_ns) as f64 * 1e-9
+}
+
 static SESSION_ACTIVE: AtomicBool = AtomicBool::new(false);
 static NEXT_THREAD: AtomicU32 = AtomicU32::new(0);
-
-static CPU_TOTALS: [AtomicU64; STAGE_COUNT] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
 
 /// The global session store thread buffers drain into.
 #[derive(Default)]
@@ -230,7 +217,7 @@ fn store() -> std::sync::MutexGuard<'static, SessionStore> {
 /// `true` while a [`TraceSession`] is recording.
 #[inline]
 pub fn session_active() -> bool {
-    SESSION_ACTIVE.load(Ordering::Relaxed)
+    SESSION_ACTIVE.load(Ordering::Relaxed) // source-rule: allow(D003) reason="a stale read only records or drops one span; begin and finish swap the flag with SeqCst"
 }
 
 // ---------------------------------------------------------------------------
@@ -244,7 +231,6 @@ struct ThreadBuf {
     tid: u32,
     label: &'static str,
     registered: bool,
-    cpu: [u64; STAGE_COUNT],
     spans: Vec<Span>,
     ctx: SpanCtx,
 }
@@ -252,10 +238,9 @@ struct ThreadBuf {
 impl ThreadBuf {
     fn new() -> Self {
         ThreadBuf {
-            tid: NEXT_THREAD.fetch_add(1, Ordering::Relaxed),
+            tid: NEXT_THREAD.fetch_add(1, Ordering::Relaxed), // source-rule: allow(D003) reason="a unique trace-local thread id; no other memory is ordered by it"
             label: "thread",
             registered: false,
-            cpu: [0; STAGE_COUNT],
             spans: Vec::new(),
             ctx: SpanCtx::NONE,
         }
@@ -282,22 +267,11 @@ impl ThreadBuf {
         }
         s.spans.append(&mut self.spans);
     }
-
-    /// Drain the always-on CPU counters into the global atomics.
-    fn flush_cpu(&mut self) {
-        for (total, cell) in CPU_TOTALS.iter().zip(self.cpu.iter_mut()) {
-            if *cell > 0 {
-                total.fetch_add(*cell, Ordering::Relaxed);
-                *cell = 0;
-            }
-        }
-    }
 }
 
 impl Drop for ThreadBuf {
     fn drop(&mut self) {
         self.flush_spans();
-        self.flush_cpu();
     }
 }
 
@@ -312,47 +286,26 @@ pub fn label_thread(label: &'static str) {
     let _ = TLS.try_with(|b| b.borrow_mut().label = label);
 }
 
-/// Record a completed `[start_ns, end_ns]` scope of `stage`: always adds to
-/// the CPU counters, and buffers a full [`Span`] (with the thread's current
-/// [`SpanCtx`]) when a session is active.
+/// Buffer a completed `[start_ns, end_ns]` scope of `stage` as a [`Span`]
+/// (with the thread's current [`SpanCtx`]) when a session is active;
+/// otherwise do nothing.
 #[inline]
 pub fn record_span(stage: Stage, start_ns: u64, end_ns: u64) {
-    let _ = TLS.try_with(|b| {
-        let mut b = b.borrow_mut();
-        b.cpu[stage as usize] += end_ns.saturating_sub(start_ns);
-        if SESSION_ACTIVE.load(Ordering::Relaxed) {
-            b.push_span(stage, start_ns, end_ns);
-        }
-    });
+    if session_active() {
+        let _ = TLS.try_with(|b| b.borrow_mut().push_span(stage, start_ns, end_ns));
+    }
 }
 
-/// Run `f` as one span of `stage` (see [`record_span`]).
+/// Run `f` as one span of `stage` (see [`record_span`]).  Without an active
+/// session `f` just runs: no clock is read.
 #[inline]
 pub fn timed<R>(stage: Stage, f: impl FnOnce() -> R) -> R {
-    let t0 = now_ns();
+    let t0 = session_active().then(now_ns);
     let out = f();
-    let t1 = now_ns();
-    record_span(stage, t0, t1);
-    out
-}
-
-/// The always-on per-stage CPU-nanosecond totals: global (flushed) counters
-/// plus the calling thread's unflushed cells.  Under a parallel executor
-/// these are CPU seconds summed across workers, not wall time; workers of
-/// the vendored rayon shim are joined (and therefore flushed) before any
-/// dispatch returns, so post-dispatch reads are complete.
-pub fn cpu_totals() -> [u64; STAGE_COUNT] {
-    let mut t = [0u64; STAGE_COUNT];
-    for (out, total) in t.iter_mut().zip(CPU_TOTALS.iter()) {
-        *out = total.load(Ordering::Relaxed);
+    if let Some(t0) = t0 {
+        record_span(stage, t0, now_ns());
     }
-    let _ = TLS.try_with(|b| {
-        let b = b.borrow();
-        for (out, cell) in t.iter_mut().zip(b.cpu.iter()) {
-            *out += cell;
-        }
-    });
-    t
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -453,7 +406,6 @@ impl Drop for SolveScope {
         let end = now_ns();
         let _ = TLS.try_with(|b| {
             let mut b = b.borrow_mut();
-            b.cpu[Stage::Solve as usize] += end.saturating_sub(self.start_ns);
             b.push_span(Stage::Solve, self.start_ns, end);
             b.ctx = prev;
         });
@@ -509,20 +461,6 @@ impl TraceSession {
     }
 }
 
-/// Windowed per-stage aggregation over the *live* session: CPU-ns and
-/// merged wall-ns of every span intersecting `[t0_ns, t1_ns]`, clipped to
-/// the window.  `None` when no session is active.  Callers use this to
-/// attribute one solve's window without finishing the session (e.g.
-/// `CbsStatistics`' wall-ns fields).
-pub fn aggregate_window(t0_ns: u64, t1_ns: u64) -> Option<StageAgg> {
-    if !session_active() {
-        return None;
-    }
-    let _ = TLS.try_with(|b| b.borrow_mut().flush_spans());
-    let s = store();
-    Some(aggregate::aggregate_spans(s.spans.iter(), t0_ns, t1_ns))
-}
-
 /// Everything a finished session recorded.
 pub struct TraceReport {
     /// All spans, unsorted (export sorts by start time).
@@ -565,11 +503,13 @@ mod tests {
     static SESSION_GATE: Mutex<()> = Mutex::new(());
 
     #[test]
-    fn cpu_totals_accumulate_without_a_session() {
-        let before = cpu_totals();
-        timed(Stage::Kernel, || std::hint::black_box((0..4096).sum::<u64>()));
-        let after = cpu_totals();
-        assert!(after[Stage::Kernel as usize] > before[Stage::Kernel as usize]);
+    fn timed_without_a_session_runs_f_and_records_nothing() {
+        let _gate = SESSION_GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let sum = timed(Stage::Kernel, || std::hint::black_box((0..4096).sum::<u64>()));
+        assert_eq!(sum, 4096 * 4095 / 2);
+        let session = TraceSession::begin(TraceLevel::Stage).expect("no concurrent session");
+        let report = session.finish();
+        assert!(report.spans.is_empty(), "a span timed before the session was recorded");
     }
 
     #[test]
@@ -594,10 +534,11 @@ mod tests {
 
     #[test]
     fn disabled_handle_is_inert() {
+        let _gate = SESSION_GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let handle = TraceHandle::disabled();
         assert!(!handle.is_enabled());
         let _scope = handle.solve_scope(0);
-        // No session: record_span must not buffer anything observable.
+        // No session: `timed` must not buffer anything observable.
         timed(Stage::Extraction, || ());
         assert!(!session_active());
     }

@@ -25,13 +25,9 @@ fn compare(sys: &paper::System) {
     let problem = QepProblem::new(&h00, &h01, sys.fermi, h.period());
     let config = paper::ss_config();
 
-    #[expect(
-        clippy::disallowed_types,
-        reason = "example wall-clock: reported runtime statistic, never fingerprinted"
-    )]
-    let t0 = std::time::Instant::now();
+    let t0 = cbs::trace::now_ns();
     let ss = solve_qep_with(&problem, &config, &SerialExecutor);
-    let ss_seconds = t0.elapsed().as_secs_f64();
+    let ss_seconds = cbs::trace::seconds_between(t0, cbs::trace::now_ns());
     // SS memory: the operator, the source block, the moment store the
     // solve accumulates into and the Hankel workspace.
     let plan = RingPlan::build(&problem, &config).unwrap_or_else(|e| panic!("{e}"));
@@ -42,13 +38,9 @@ fn compare(sys: &paper::System) {
         + m_hat * m_hat * 16;
 
     let (h00_csr, h01_csr) = (h.h00_csr(), h.h01_csr());
-    #[expect(
-        clippy::disallowed_types,
-        reason = "example wall-clock: reported runtime statistic, never fingerprinted"
-    )]
-    let t1 = std::time::Instant::now();
+    let t1 = cbs::trace::now_ns();
     let obm = obm_solve(&h00_csr, &h01_csr, sys.fermi, &ObmConfig::default());
-    let obm_seconds = t1.elapsed().as_secs_f64();
+    let obm_seconds = cbs::trace::seconds_between(t1, cbs::trace::now_ns());
 
     println!("-- {} (N = {}, E = {:.4} Ha) --", sys.name, h.dim(), sys.fermi);
     println!("   method    runtime [s]   memory [MB]   eigenvalues in annulus");

@@ -41,13 +41,9 @@ pub struct System {
 fn build(structure: AtomicStructure, estimate_fermi: bool) -> System {
     let grid = grid_for_structure(&structure, PAPER_SPACING_BOHR / GRID_SCALE);
     let params = HamiltonianParams { fd: FdOrder::PAPER, include_nonlocal: true };
-    #[expect(
-        clippy::disallowed_types,
-        reason = "example wall-clock: reported runtime statistic, never fingerprinted"
-    )]
-    let t0 = std::time::Instant::now();
+    let t0 = cbs::trace::now_ns();
     let hamiltonian = BlockHamiltonian::build(grid, &structure, params);
-    let setup_seconds = t0.elapsed().as_secs_f64();
+    let setup_seconds = cbs::trace::seconds_between(t0, cbs::trace::now_ns());
     let fermi = if estimate_fermi && grid.npoints() <= 600 {
         fermi_energy(&hamiltonian, structure.valence_electrons(), 3)
     } else {

@@ -33,8 +33,9 @@ pub use cbs_linalg as linalg;
 /// Sparse matrices and matrix-free operators (re-export of `cbs-sparse`).
 pub use cbs_sparse as sparse;
 
-/// Structured tracing: span recorder, per-stage attribution, Chrome trace
-/// export (re-export of `cbs-trace`).
+/// The workspace's one clock (`now_ns`) and its session-gated stage
+/// spans: per-stage attribution and Chrome trace export (re-export of
+/// `cbs-trace`).
 pub use cbs_trace as trace;
 
 /// Real-space grids and finite-difference stencils (re-export of `cbs-grid`).

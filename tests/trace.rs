@@ -6,10 +6,9 @@
 //!   records;
 //! * the serial and rayon executors agree bit-for-bit under a live
 //!   session (the spans do not perturb the solves they observe);
-//! * the session's per-stage aggregation reproduces the attribution columns
-//!   of `CbsStatistics` (CPU-ns counters, span-merged wall-ns and the
-//!   extraction seconds), and the attributed stage wall time fits inside
-//!   the run's wall clock;
+//! * the session's extraction time is `extraction_seconds` to rounding (one
+//!   pair of clock readings gives both), and the attributed stage wall time
+//!   fits inside the run's wall clock;
 //! * the Chrome trace-event export is well-formed.
 
 use std::sync::Mutex;
@@ -73,8 +72,7 @@ fn assert_same_sweep(a: &SweepResult, b: &SweepResult) {
 }
 
 /// Tracing the fig6-style Al(100) solve changes nothing: results are
-/// bitwise identical with the recorder off and on, the traced run fills the
-/// wall-ns attribution (the untraced run leaves it zero), and the session
+/// bitwise identical with the recorder off and on, and the session
 /// actually captured the solve's spans.
 #[test]
 fn al100_solve_is_bitwise_identical_with_tracing_on_and_off() {
@@ -86,8 +84,6 @@ fn al100_solve_is_bitwise_identical_with_tracing_on_and_off() {
 
     let off = sweep.run(&energies, &SerialExecutor);
     assert!(!off.cbs.points.is_empty(), "Al(100) test solve found no CBS points");
-    assert_eq!(off.stats.kernel_wall_ns, 0, "untraced run must not fill wall-ns");
-    assert_eq!(off.stats.precond_wall_ns, 0);
 
     let session = TraceSession::begin(TraceLevel::Stage).expect("another session is live");
     let on = sweep.run(&energies, &SerialExecutor);
@@ -96,10 +92,7 @@ fn al100_solve_is_bitwise_identical_with_tracing_on_and_off() {
     assert_same_points(&off.cbs, &on.cbs, "traced vs untraced");
     assert_eq!(off.stats.total_bicg_iterations, on.stats.total_bicg_iterations);
     assert_eq!(off.stats.total_matvecs, on.stats.total_matvecs);
-    // The always-on CPU counters agree run-to-run on identical work.
-    assert_eq!(off.stats.kernel_ns > 0, on.stats.kernel_ns > 0);
 
-    assert!(on.stats.kernel_wall_ns > 0, "traced run must fill kernel wall-ns");
     assert!(!report.spans.is_empty(), "session recorded no spans");
     for stage in [Stage::Solve, Stage::Kernel, Stage::Extraction] {
         assert!(report.spans.iter().any(|s| s.stage == stage), "no {} span", stage.name());
@@ -183,12 +176,10 @@ fn kill_resume_with_tracing_is_bit_identical() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The session's per-stage aggregation is the same accounting
-/// `CbsStatistics` reports: the span-summed CPU-ns match the counter-based
-/// `kernel_ns`/`precond_ns` and `extraction_seconds`, and the merged wall-ns
-/// match the `*_wall_ns` fields, within 5%, and the attributed stage wall
-/// time fits inside the run's wall clock.  The Chrome export of the same
-/// session is well-formed event by event.
+/// The session's Extraction CPU-ns is `CbsStatistics::extraction_seconds`
+/// to rounding, since one pair of clock readings gives both, and the
+/// attributed stage wall time fits inside the run's wall clock.  The
+/// Chrome export of the same session is well-formed event by event.
 #[test]
 fn aggregation_matches_stats_and_chrome_export_is_well_formed() {
     let _gate = SESSION_GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -204,37 +195,28 @@ fn aggregation_matches_stats_and_chrome_export_is_well_formed() {
     let report = session.finish();
     let agg = report.stage_totals();
 
-    // The stages run on disjoint code paths of one solve, so their merged
-    // wall time fits inside the run's wall clock (5% for clock jitter); an
-    // overshoot means double-counted or mis-clipped spans.
-    let attributed =
-        run.stats.kernel_wall_ns + run.stats.precond_wall_ns + agg.wall(Stage::Extraction);
+    // The stages run on disjoint code paths of one solve (only the kernels
+    // of the extraction's residual checks nest inside its span, which can
+    // only overcount), so their merged wall time fits inside the run's wall
+    // clock (5% for clock jitter); an overshoot means double-counted or
+    // mis-clipped spans.
+    let attributed: u64 = [Stage::Kernel, Stage::IluFactor, Stage::TriSweep, Stage::Extraction]
+        .into_iter()
+        .map(|stage| agg.wall(stage))
+        .sum();
     assert!(
         attributed as f64 <= 1.05 * wall_ns as f64,
         "attributed stage wall {attributed} ns exceeds the {wall_ns} ns run"
     );
 
-    let close = |a: u64, b: u64, what: &str| {
-        let hi = a.max(b) as f64;
-        let lo = a.min(b) as f64;
-        // Sub-millisecond stages are clock-granularity noise; skip those.
-        if hi >= 1e6 {
-            assert!((hi - lo) / hi <= 0.05, "{what}: {a} vs {b} ns differ by >5%");
-        }
-    };
-    close(agg.cpu(Stage::Kernel), run.stats.kernel_ns, "kernel cpu");
-    close(
-        agg.cpu(Stage::IluFactor) + agg.cpu(Stage::TriSweep),
-        run.stats.precond_ns,
-        "precond cpu",
-    );
-    let extraction_cpu = (run.stats.extraction_seconds * 1e9) as u64;
-    close(agg.cpu(Stage::Extraction), extraction_cpu, "extraction cpu");
-    close(agg.wall(Stage::Kernel), run.stats.kernel_wall_ns, "kernel wall");
-    close(
-        agg.wall(Stage::IluFactor) + agg.wall(Stage::TriSweep),
-        run.stats.precond_wall_ns,
-        "precond wall",
+    // Each extraction's span and seconds come from the same two readings,
+    // so the sums differ only by the rounding of the ns → s conversions.
+    let extraction_ns = agg.cpu(Stage::Extraction) as f64;
+    let stats_ns = run.stats.extraction_seconds * 1e9;
+    assert!(extraction_ns > 0.0, "no extraction time recorded");
+    assert!(
+        (extraction_ns - stats_ns).abs() <= 1e-9 * extraction_ns,
+        "session extraction {extraction_ns} ns vs extraction_seconds {stats_ns} ns"
     );
     // Serial run: wall == cpu per stage (no overlap to merge away).
     assert!(agg.wall(Stage::Kernel) <= agg.cpu(Stage::Kernel));
