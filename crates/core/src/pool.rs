@@ -182,7 +182,7 @@ mod tests {
     use cbs_linalg::{c64, CMatrix};
     use cbs_parallel::{RayonExecutor, SerialExecutor};
     use cbs_solver::StopReason;
-    use cbs_sparse::{AssembledPattern, CooBuilder, CsrMatrix, DenseOp, LinearOperator};
+    use cbs_sparse::{CooBuilder, CsrMatrix, DenseOp, LinearOperator};
     use rand::SeedableRng;
 
     /// Well-conditioned complex (so: never mirrored) dense blocks.
@@ -196,8 +196,8 @@ mod tests {
         (DenseOp::new(h00), DenseOp::new(CMatrix::random(n, n, &mut rng)))
     }
 
-    /// Sparse complex blocks an assembled pattern can be built from; the
-    /// phase of `coupling` decides where on the ring the hard nodes sit.
+    /// Sparse complex blocks; the phase of `coupling` decides where on the
+    /// ring the hard nodes sit.
     fn sparse_blocks(n: usize, coupling: Complex64) -> (CsrMatrix, CsrMatrix) {
         let (mut b00, mut b01) = (CooBuilder::new(n, n), CooBuilder::new(n, n));
         for i in 0..n {
@@ -344,22 +344,18 @@ mod tests {
 
     /// Complex blocks are no real stencil's views, so the ILU policy
     /// has nothing to split them by: it runs the matrix-free trajectory, bit
-    /// for bit, pattern attached or not.
+    /// for bit.
     #[test]
     fn ilu_policy_on_blocks_that_do_not_convert_runs_matrix_free() {
         let (h00, h01) = sparse_blocks(40, c64(0.25, -0.1));
-        let pattern = AssembledPattern::build(&h00, &h01);
-        let bare = QepProblem::new(&h00, &h01, 0.2, 1.0);
-        let attached = QepProblem::new(&h00, &h01, 0.2, 1.0).with_pattern(&pattern);
+        let qep = QepProblem::new(&h00, &h01, 0.2, 1.0);
         let cfg = |precond| SsConfig { precond, bicg_tolerance: 1e-10, ..config(6, 3) };
-        let mf = run_ring(&bare, &cfg(PrecondPolicy::MatrixFree), &SerialExecutor);
+        let mf = run_ring(&qep, &cfg(PrecondPolicy::MatrixFree), &SerialExecutor);
         assert!(mf.result.solve_histories.iter().all(ConvergenceHistory::converged));
-        for qep in [&bare, &attached] {
-            let ilu = cfg(PrecondPolicy::AssembledIlu0);
-            assert_bitwise_eq(&mf, &run_ring(qep, &ilu, &SerialExecutor));
-            assert_bitwise_eq(&mf, &run_ring(qep, &ilu, &RayonExecutor));
-        }
-        assert!(bare.real_stencil().is_none() && attached.real_stencil().is_none());
+        let ilu = cfg(PrecondPolicy::AssembledIlu0);
+        assert_bitwise_eq(&mf, &run_ring(&qep, &ilu, &SerialExecutor));
+        assert_bitwise_eq(&mf, &run_ring(&qep, &ilu, &RayonExecutor));
+        assert!(qep.real_stencil().is_none());
     }
 
     #[test]

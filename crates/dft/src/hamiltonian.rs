@@ -21,9 +21,9 @@
 //! `u32` indices, an explicit `H₀₁ᵀ`, and the projectors as real sparse
 //! factors), so the operator application stays O(N) in time and memory —
 //! the property the paper's method depends on — and the solve reads the
-//! same storage the Hamiltonian holds.  The complex forms (`h00_csr`,
-//! `qep_factored`, the dense Bloch matrix) are built from it only when
-//! asked for.
+//! same storage the Hamiltonian holds.  The complex forms (`h00_csr`, the
+//! dense Bloch matrix) and the benchmark's `qep_factored` are built from it
+//! only when asked for.
 
 use cbs_grid::{CellShift, FdOrder, Grid3, KINETIC_PREFACTOR};
 use cbs_linalg::{CMatrix, Complex64};
@@ -223,17 +223,14 @@ impl BlockHamiltonian {
         }
     }
 
-    /// The factored assembled form of this Hamiltonian's QEP, built on each
-    /// call: the union pattern of the **sparse-only** blocks (kinetic +
-    /// local potential — no projector expansion) paired with the non-local
-    /// projectors kept in factored low-rank form.  No solve reads it — the
-    /// ILU policy splits by the real stencil's diagonal ILU — but the repo
-    /// benchmark's per-layer replay refills and factors it, and the tests
-    /// use `pattern.assemble(E, z).ilu0()` as the oracle of that diagonal
-    /// ILU.
+    /// The QEP split as the repo benchmark's per-layer replay times it,
+    /// built on each call: a copy of the stencil's **sparse** rows (the
+    /// kinetic and local terms, no projectors) paired with the non-local
+    /// projectors in complex factored form (`cbs_sparse::vestige`).  No
+    /// solve reads it.  Released by ROADMAP 1(a).
     pub fn qep_factored(&self) -> (cbs_sparse::AssembledPattern, cbs_sparse::FactoredProjector) {
         (
-            self.stencil.assembled_pattern(),
+            cbs_sparse::AssembledPattern::new(&self.stencil),
             cbs_sparse::FactoredProjector::new(self.h00().projectors(), self.h01().projectors()),
         )
     }

@@ -4,9 +4,8 @@
 //! `LowRankOp`s, and every solve converted those with `RealStencil::try_new`.
 //! That assembly is kept here as the oracle: the stencil `build` stores is
 //! the converted one bit for bit — rows, projector factors, `P(z)` and its
-//! adjoint, the diagonal ILU's solves and the split applies, and the
-//! assembled pattern `qep_factored` reads from it — and its block views
-//! apply exactly the complex `CsrMatrix + LowRankOp` they replaced.
+//! adjoint, the diagonal ILU's solves and the split applies — and its block
+//! views apply exactly the complex `CsrMatrix + LowRankOp` they replaced.
 //!
 //! The fixtures hit every way two contributions meet on one stored entry:
 //! the 343-point Al(100) cell (`nx = 7 < 2·N_f + 1`: two x legs on one
@@ -25,8 +24,7 @@ use cbs_dft::{
 use cbs_grid::{CellShift, FdOrder, Grid3, KINETIC_PREFACTOR};
 use cbs_linalg::{c64, CVector, Complex64};
 use cbs_sparse::{
-    AssembledPattern, CooBuilder, CsrMatrix, LinearOperator, LowRankOp, Preconditioner,
-    RealStencil, StencilBlock,
+    CooBuilder, CsrMatrix, LinearOperator, LowRankOp, Preconditioner, RealStencil, StencilBlock,
 };
 
 /// The complex assembly `build` ran before it wrote the stencil itself.
@@ -187,19 +185,6 @@ fn assert_built_is_converted(what: &str, structure: &AtomicStructure, grid: Grid
         if include_nonlocal {
             assert!(coo[0].1.rank() > 0, "{what}: the fixture has projectors");
         }
-        // The assembled pattern the benchmark's replay and the tests' oracle
-        // refill, read from the stencil without its complex forms.
-        let (pattern, _) = h.qep_factored();
-        let old_pattern = AssembledPattern::build(&coo[0].0, &coo[1].0);
-        assert_eq!(pattern.row_ptr(), old_pattern.row_ptr(), "{what}: pattern rows");
-        assert_eq!(pattern.col_idx(), old_pattern.col_idx(), "{what}: pattern columns");
-        let (e, z) = (0.21, c64(0.3, -0.8));
-        assert_bitwise(
-            &format!("{what} assembled P(z)"),
-            pattern.assemble(e, z).values(),
-            old_pattern.assemble(e, z).values(),
-        );
-
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(n as u64);
         let nvecs = 9;
         let x = CVector::random(n * nvecs, &mut rng).into_vec();

@@ -16,9 +16,6 @@ use rayon::prelude::*;
 /// same engine code run serially, across threads, or (in later stages)
 /// across nodes.
 pub trait TaskExecutor: Sync {
-    /// Short human-readable name for reports and logs.
-    fn name(&self) -> &'static str;
-
     /// Apply `map` to every task, returning results in input order.
     fn execute<T, R, F>(&self, tasks: Vec<T>, map: F) -> Vec<R>
     where
@@ -52,10 +49,6 @@ pub trait TaskExecutor: Sync {
 pub struct SerialExecutor;
 
 impl TaskExecutor for SerialExecutor {
-    fn name(&self) -> &'static str {
-        "serial"
-    }
-
     fn execute<T, R, F>(&self, tasks: Vec<T>, map: F) -> Vec<R>
     where
         T: Send,
@@ -86,10 +79,6 @@ impl TaskExecutor for SerialExecutor {
 pub struct RayonExecutor;
 
 impl TaskExecutor for RayonExecutor {
-    fn name(&self) -> &'static str {
-        "rayon"
-    }
-
     fn execute<T, R, F>(&self, tasks: Vec<T>, map: F) -> Vec<R>
     where
         T: Send,

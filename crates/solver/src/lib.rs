@@ -9,8 +9,9 @@
 //!   with per-column deflation, a stop on the relative residual (also of
 //!   the system a split operator stands for), optional initial guesses (a vestige no
 //!   workspace solve uses) and an optional preconditioner (`M⁻¹` on the
-//!   primal residuals, `M⁻†` on the dual — e.g. `cbs_sparse::Ilu0` of the
-//!   assembled `P(z)`),
+//!   primal residuals, `M⁻†` on the dual — e.g. the stencil's diagonal ILU
+//!   `cbs_sparse::StencilDilu`; no workspace solve passes one, the ILU
+//!   policy splits the system by it instead),
 //! * [`bicg_dual`], [`bicg()`] — its width-1, unpreconditioned, unseeded
 //!   calls for single systems,
 //! * [`ConvergenceHistory`] / [`SolverOptions`] — the residual-history

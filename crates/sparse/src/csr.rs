@@ -1,8 +1,7 @@
-//! Compressed sparse row (CSR) storage for complex matrices.
-//!
-//! The real-space Kohn-Sham blocks `H₀₀` and `H₀₁` are assembled once into
-//! CSR and then only ever applied to vectors, which is the O(N) memory /
-//! O(nnz) time behaviour the paper's method relies on.
+//! Compressed sparse row (CSR) storage for complex matrices: the complex
+//! forms of a Hamiltonian's blocks, built from its real stencil on request
+//! (`StencilBlock::sparse_csr`), and complex test pencils.  Applied to
+//! vectors only, in O(nnz) time.
 
 use cbs_linalg::{CMatrix, CVector, Complex64};
 use cbs_trace::Stage;
@@ -343,10 +342,8 @@ impl LinearOperator for CsrMatrix {
 
 // --- Shared CSR kernels on raw (row_ptr, col_idx, values) triples. ---------
 //
-// `CsrMatrix` delegates here, and so does the assembled shifted operator
-// (`crate::assembled`), whose many per-node value arrays share one symbolic
-// pattern.  Both apply a block one column at a time (the
-// `LinearOperator` defaults): only the real stencil keeps fused
+// `CsrMatrix` delegates here.  It applies a block one column at a time
+// (the `LinearOperator` defaults): only the real stencil keeps fused
 // multi-column kernels.
 
 /// `y = A x` over a raw CSR triple (serial kernel).

@@ -163,7 +163,7 @@ impl LowRankOp {
 
     /// Accumulate `y_c += alpha · (A x_c)` for each of the `nvecs` columns
     /// without zeroing `y` — the kernel the factored projector uses to add
-    /// the low-rank part of `P(z)` on top of the assembled CSR part.  Per
+    /// the low-rank part of `P(z)` on top of its sparse part.  Per
     /// column the terms accumulate in the order of [`apply`](LinearOperator::apply)
     /// (terms outer, columns inner, slot-stable scatter).
     pub fn apply_block_accumulate(

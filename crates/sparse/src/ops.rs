@@ -6,10 +6,10 @@
 //! Kohn-Sham Hamiltonian densely: the QEP operator `P(z)` is only ever
 //! applied matrix-free.  This trait is the seam that makes the eigensolver
 //! generic over explicit CSR matrices, low-rank projector sums, the fused
-//! real stencil, the assembled `P(z)` and dense test matrices.  Only the
-//! real stencil (and the QEP composition over it) keeps fused multi-column
-//! kernels; every other operator is applied one column at a time through
-//! the trait defaults.
+//! real stencil (the one operator storage of a real Hamiltonian) and dense
+//! test matrices.  Only the real stencil (and the QEP composition over it)
+//! keeps fused multi-column kernels; every other operator is applied one
+//! column at a time through the trait defaults.
 
 use cbs_linalg::{CVector, Complex64};
 

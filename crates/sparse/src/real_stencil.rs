@@ -68,7 +68,6 @@ use std::ops::{Deref, Range};
 use cbs_linalg::Complex64;
 use cbs_trace::Stage;
 
-use crate::assembled::{guarded, pivot_floor};
 use crate::csr::CsrMatrix;
 use crate::lowrank::LowRankOp;
 use crate::ops::{LinearOperator, Preconditioner};
@@ -81,6 +80,27 @@ pub use blocks::{Block, StencilBlock, StencilBuilder};
 /// comfortably in L2, so re-streaming it once per column tile is served
 /// from cache.
 const ROW_BLOCK: usize = 512;
+
+/// Floor applied to vanishing diagonal-ILU pivots, *relative to the matrix
+/// scale* `max|aᵢⱼ|`, so a (near-)singular pivot row degrades the
+/// preconditioner gracefully instead of poisoning it: an absolute floor like
+/// 1e-300 would produce ~1e300-scale inverse pivots that overflow to Inf in
+/// the sweeps and turn into NaN downstream.  With `floor = 1e-14 ·
+/// max|aᵢⱼ|` the substituted pivot keeps every sweep finite (≲ 1e14× the
+/// matrix scale), and the BiCG's non-finite breakdown checks catch any
+/// remaining degeneracy as a breakdown rather than iterating on garbage.
+fn pivot_floor(scale: f64) -> f64 {
+    (scale * 1e-14).max(1e-300)
+}
+
+/// `pivot`, or the real `floor` where `|pivot|` falls below it.
+fn guarded(pivot: Complex64, floor: f64) -> Complex64 {
+    if pivot.abs() < floor {
+        Complex64::real(floor)
+    } else {
+        pivot
+    }
+}
 
 /// Real compressed-sparse-row storage: `f64` values, `u32` indices and row
 /// pointers.  Rows are matrix rows for the Hamiltonian blocks and rank-one
@@ -410,6 +430,13 @@ impl RealStencil {
             + self.v01.bytes()
     }
 
+    /// A copy of the sparse rows without the projector tails (the
+    /// benchmark's `AssembledPattern`, [`crate::vestige`]).
+    pub(crate) fn sparse_part(&self) -> Self {
+        let (h00, h01, h01t) = (self.h00.clone(), self.h01.clone(), self.h01t.clone());
+        Self { n: self.n, h00, h01, h01t, v00: RealLowRank::empty(), v01: RealLowRank::empty() }
+    }
+
     /// `Y = P(z) X` at scan energy `e` over column-major slabs of `nvecs`
     /// columns; `P(z)† = P(1/z̄)` goes through the same kernel.  Recorded
     /// as one `Stage::Kernel` span.
@@ -503,16 +530,12 @@ impl RealStencil {
     /// d̃ᵢ = aᵢᵢ − Σ_{j<i} aᵢⱼ aⱼᵢ / d̃ⱼ,
     /// ```
     ///
-    /// each floored by the scale-relative rule of the assembled [`Ilu0`]
-    /// (`1e-14 · max|aᵢⱼ|`) — the same preconditioner as
-    /// `AssembledPattern::assemble(e, z).ilu0()` on the pattern of these
-    /// blocks, stored as `n` complex pivots instead of `nnz` factors.  One
-    /// O(nnz) pass over the rows finds the scale, a second the pivots; the
-    /// projector tails take no part.  `aⱼᵢ` is read from row `i`, as
-    /// `−(h₀₀ + z·h₀₁ᵀ + z⁻¹·h₀₁)ᵢⱼ`: like the adjoint apply, this takes
-    /// `H₀₀ = H₀₀ᵀ`.
-    ///
-    /// [`Ilu0`]: crate::Ilu0
+    /// each floored at `1e-14 · max|aᵢⱼ|` (`pivot_floor`) and stored as
+    /// `n` complex pivots, not as `nnz` factors.  One O(nnz) pass over the
+    /// rows finds the scale, a second the pivots; the projector tails take
+    /// no part.  `aⱼᵢ` is read from row `i`, as `−(h₀₀ + z·h₀₁ᵀ +
+    /// z⁻¹·h₀₁)ᵢⱼ`: like the adjoint apply, this takes `H₀₀ = H₀₀ᵀ`.
+    /// `tests/common`'s textbook D-ILU is its reference.
     pub fn dilu(&self, e: f64, z: Complex64) -> StencilDilu<'_> {
         let shift = Shift::new(e, z);
         cbs_trace::timed(Stage::IluFactor, || {
@@ -1072,8 +1095,8 @@ impl Preconditioner for StencilDilu<'_> {
 mod tests {
     use super::*;
     use crate::ops::{adjoint_defect, LinearOperator};
-    use crate::{AssembledPattern, CooBuilder, SparseVec};
-    use cbs_linalg::{c64, CVector};
+    use crate::{CooBuilder, SparseVec};
+    use cbs_linalg::{c64, CMatrix, CVector};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -1399,29 +1422,6 @@ mod tests {
         a.iter().zip(b).map(|(x, y)| x.conj() * *y).sum()
     }
 
-    /// The stencil form and the assembled factors are one preconditioner:
-    /// `M⁻¹` and `M⁻†` agree to rounding on pencils whose coupling block
-    /// stores diagonal entries and shares columns with `H₀₀`, at a shift
-    /// and at its mirror `1/z̄`.
-    #[test]
-    fn dilu_is_the_assembled_diagonal_ilu() {
-        for (p, seed) in [(real_parts(80, 3, 90), 91), (coupled_parts(600, 4, 92), 93)] {
-            let s = stencil_of(&p);
-            let pattern = AssembledPattern::build(&p.0, &p.2);
-            let n = s.dim();
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let r = CVector::random(n * 3, &mut rng).into_vec();
-            for (e, z) in [(-9.0, c64(0.8, 0.45)), (-9.0, Complex64::ONE / c64(0.8, -0.45))] {
-                let stencil = precondition(&s.dilu(e, z), &r, 3);
-                let assembled = precondition(&pattern.assemble(e, z).ilu0(), &r, 3);
-                for (side, (got, want)) in stencil.iter().zip(&assembled).enumerate() {
-                    let err = relative_error(got, want);
-                    assert!(err <= 1e-12, "n {n} z {z:?} side {side}: {err:.2e}");
-                }
-            }
-        }
-    }
-
     #[test]
     fn dilu_adjoint_solve_is_the_adjoint_of_the_solve() {
         let s = stencil_of(&coupled_parts(120, 3, 94));
@@ -1488,21 +1488,21 @@ mod tests {
     }
 
     /// `E = h₀₀` on a first row whose coupling block stores no diagonal
-    /// entry: its pivot `E − h₀₀` is exactly zero.  The
-    /// scale-relative floor of the assembled factorization replaces it, so
-    /// both sweeps stay finite, and the floor is `1e-14 · max|aᵢⱼ|` of the
-    /// assembled refill.
+    /// entry: its pivot `E − h₀₀` is exactly zero.  The scale-relative
+    /// floor replaces it, so both sweeps stay finite, and the floor is
+    /// `1e-14 · max|aᵢⱼ|` of the sparse part of `P(z)`.
     #[test]
     fn dilu_floors_a_zero_pivot_and_stays_finite() {
         let (n, e, z) = (40, 0.7, c64(0.5, 0.8));
         let p = tridiagonal(n, 0.7);
         let s = stencil_of(&p);
         let m = s.dilu(e, z);
-        let scale = AssembledPattern::build(&p.0, &p.2)
-            .assemble(e, z)
-            .values()
-            .iter()
-            .fold(0.0f64, |m, v| m.max(v.abs()));
+        let [a, b] = [&p.0, &p.2].map(CsrMatrix::to_dense);
+        let scale = CMatrix::from_fn(n, n, |i, j| {
+            let diagonal = if i == j { e } else { 0.0 };
+            c64(diagonal, 0.0) - a[(i, j)] - z * b[(i, j)] - b[(j, i)] / z
+        })
+        .amax();
         let floored = 1.0 / m.side(false).inv_pivot(0).abs();
         assert!((floored - 1e-14 * scale).abs() <= 1e-12 * floored, "pivot 0 is {floored:e}");
         let mut rng = ChaCha8Rng::seed_from_u64(99);

@@ -24,7 +24,6 @@ use cbs_linalg::Complex64;
 use cbs_trace::Stage;
 
 use super::{RealCsr, RealLowRank, RealStencil};
-use crate::assembled::AssembledPattern;
 use crate::csr::CsrMatrix;
 use crate::lowrank::{LowRankOp, SparseVec};
 use crate::ops::LinearOperator;
@@ -97,16 +96,6 @@ impl RealCsr {
         Some(out)
     }
 
-    /// Row `i` as complex entries, conjugated when `conj` (as
-    /// `Complex64::conj` conjugates a real value: `−0.0` imaginary parts).
-    fn complex_row(&self, i: usize, conj: bool) -> impl Iterator<Item = (usize, Complex64)> + '_ {
-        let (idx, val) = self.row(i);
-        idx.iter().zip(val).map(move |(&c, &v)| {
-            let v = Complex64::real(v);
-            (c as usize, if conj { v.conj() } else { v })
-        })
-    }
-
     /// The rows as complex CSR of `n` columns.
     fn to_csr(&self, n: usize) -> CsrMatrix {
         CsrMatrix::from_sorted_rows(
@@ -120,7 +109,10 @@ impl RealCsr {
 
     /// Row `t` as a complex sparse vector.
     fn factor(&self, t: usize) -> SparseVec {
-        SparseVec::new(self.complex_row(t, false).collect())
+        let (idx, val) = self.row(t);
+        SparseVec::new(
+            idx.iter().zip(val).map(|(&c, &v)| (c as usize, Complex64::real(v))).collect(),
+        )
     }
 
     /// `y = A x` for one column, `A` these rows (real×complex, each row
@@ -296,18 +288,6 @@ impl RealStencil {
     /// `H₀₁ᵀ` and the projector factors not counted).
     pub fn nnz(&self) -> usize {
         self.h00.val.len() + self.h01.val.len()
-    }
-
-    /// [`AssembledPattern::build`] of the complex sparse parts, bit for bit,
-    /// read from the stored rows: `H₁₀ = H₀₁†` is the stored `H₀₁ᵀ` with
-    /// its values conjugated as [`CsrMatrix::adjoint`] conjugates them.
-    pub fn assembled_pattern(&self) -> AssembledPattern {
-        AssembledPattern::from_rows(
-            self.n,
-            |i| self.h00.complex_row(i, false),
-            |i| self.h01.complex_row(i, false),
-            |i| self.h01t.complex_row(i, true),
-        )
     }
 
     /// The stencil `h00` and `h01` are the `H₀₀` and `H₀₁` views of, if

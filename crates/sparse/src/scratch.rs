@@ -33,9 +33,8 @@ pub fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [Complex64]) -> R) -> R {
 
 /// Take an owned, zeroed scratch buffer of length `len` from the
 /// thread-local pool — the owned twin of [`with_scratch`] for buffers whose
-/// lifetime is tied to a value rather than a call scope (the assembled
-/// operator's per-node value array, an ILU factor's `lu` array, the
-/// stencil-form diagonal ILU's pivots).  Return it
+/// lifetime is tied to a value rather than a call scope (the stencil-form
+/// diagonal ILU's pivots).  Return it
 /// with [`recycle_scratch`]; dropping it instead merely forfeits the reuse.
 pub fn take_scratch(len: usize) -> Vec<Complex64> {
     let mut buf = POOL.with(|p| p.borrow_mut().pop()).unwrap_or_default();
@@ -58,14 +57,6 @@ pub(crate) fn take_scratch_for_overwrite(len: usize) -> Vec<Complex64> {
 /// whose allocation is worth keeping) to the current thread's pool.
 pub fn recycle_scratch(buf: Vec<Complex64>) {
     POOL.with(|p| p.borrow_mut().push(buf));
-}
-
-/// A pooled copy of `values` (crate-internal: the factor array of an
-/// [`Ilu0`](crate::Ilu0) that must leave its matrix intact).
-pub(crate) fn copy_to_scratch(values: &[Complex64]) -> Vec<Complex64> {
-    let mut buf = take_scratch(0);
-    buf.extend_from_slice(values);
-    buf
 }
 
 /// Capacities of the `Complex64` buffers pooled on the current thread.

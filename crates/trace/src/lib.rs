@@ -3,11 +3,11 @@
 //!
 //! # Span model
 //!
-//! Every instrumented scope of the pipeline — numeric pattern refill
-//! ([`Stage::Assemble`]), ILU(0) factorization ([`Stage::IluFactor`]),
-//! triangular sweeps ([`Stage::TriSweep`]), sparse/low-rank operator
-//! application ([`Stage::Kernel`]), one dual-BiCG solve ([`Stage::Solve`])
-//! and eigenpair extraction ([`Stage::Extraction`]) — records
+//! Every instrumented scope of the pipeline — diagonal-ILU pivots
+//! ([`Stage::IluFactor`]), triangular sweeps ([`Stage::TriSweep`]),
+//! sparse/low-rank operator application ([`Stage::Kernel`]), one dual-BiCG
+//! solve ([`Stage::Solve`]) and eigenpair extraction
+//! ([`Stage::Extraction`]) — records
 //! `(stage, start_ns, end_ns, thread, context)` where the context
 //! ([`SpanCtx`]) carries the scan-energy index and quadrature node of the
 //! enclosing solve.
@@ -65,41 +65,33 @@ use std::time::Instant;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum Stage {
-    /// Numeric refill of the assembled `P(z)` pattern.
-    Assemble = 0,
-    /// ILU(0) factorization of an assembled operator.
-    IluFactor = 1,
-    /// ILU(0) triangular solves (forward/backward sweeps).
-    TriSweep = 2,
+    /// The diagonal ILU's pivots, one pass over the stencil's rows.
+    IluFactor = 0,
+    /// Diagonal-ILU triangular sweeps (forward/backward, and the maps into
+    /// and out of the split system).
+    TriSweep = 1,
     /// Sparse / low-rank operator application (CSR gather-scatter, block
     /// SpMM tiles, projector terms).
-    Kernel = 3,
+    Kernel = 2,
     /// One dual-BiCG solve (a `(node, rhs)` job or a fused per-node block
     /// job).
-    Solve = 4,
+    Solve = 3,
     /// Eigenpair extraction from accumulated moments (Hankel SVD, projected
     /// eigenproblem, residual filtering).
-    Extraction = 5,
+    Extraction = 4,
 }
 
 /// Number of [`Stage`] variants (array-table size).
-pub const STAGE_COUNT: usize = 6;
+pub const STAGE_COUNT: usize = 5;
 
 impl Stage {
     /// Every stage, in `repr` order.
-    pub const ALL: [Stage; STAGE_COUNT] = [
-        Stage::Assemble,
-        Stage::IluFactor,
-        Stage::TriSweep,
-        Stage::Kernel,
-        Stage::Solve,
-        Stage::Extraction,
-    ];
+    pub const ALL: [Stage; STAGE_COUNT] =
+        [Stage::IluFactor, Stage::TriSweep, Stage::Kernel, Stage::Solve, Stage::Extraction];
 
     /// Stable name (the Chrome trace event name).
     pub fn name(self) -> &'static str {
         match self {
-            Stage::Assemble => "assemble",
             Stage::IluFactor => "ilu_factor",
             Stage::TriSweep => "tri_sweep",
             Stage::Kernel => "kernel",

@@ -3,24 +3,13 @@
 //! preserve every determinism guarantee (serial ≡ rayon bitwise, sweep
 //! kill/resume bit-identity).
 
-use rand::SeedableRng;
-
 use cbs::core::{solve_qep_with, QepProblem, SsConfig};
-use cbs::linalg::{c64, CMatrix};
 use cbs::parallel::{RayonExecutor, SerialExecutor};
 use cbs::sparse::DenseOp;
 use cbs::sweep::{EnergySweep, RunOptions, SweepCheckpoint, SweepConfig};
 
 mod common;
 use common::{fig6_config, fig6_hamiltonian};
-
-fn random_blocks(n: usize, seed: u64) -> (CMatrix, CMatrix) {
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-    let a = CMatrix::random(n, n, &mut rng);
-    let h00 = (&a + &a.adjoint()).scale(c64(0.5, 0.0));
-    let h01 = CMatrix::random(n, n, &mut rng).scale(c64(0.35, 0.0));
-    (h00, h01)
-}
 
 /// The block path on the fig6 Al(100) system cuts the operator-traversal
 /// count by ≈ N_rh× against solving each node's `N_rh` right-hand sides
@@ -86,7 +75,7 @@ fn fig6_per_node_policy_is_executor_independent() {
 /// counters.
 #[test]
 fn block_sweep_fuses_applies_and_resumes_bit_identically() {
-    let (h00, h01) = random_blocks(10, 82);
+    let (h00, h01) = common::random_blocks(10, 82);
     let op00 = DenseOp::new(h00);
     let op01 = DenseOp::new(h01);
     let energies: Vec<f64> = (0..10).map(|i| -0.25 + 0.05 * i as f64).collect();

@@ -1,6 +1,8 @@
 //! Fixtures shared by the integration tests: the fig6 Al(100) system at the
 //! bench resolution, the solver configuration every suite runs it under, the
-//! coarse (8,0) nanotube, and the checkpoint a killed sweep leaves behind.
+//! coarse (8,0) nanotube, a random dense pencil, the checkpoint a killed
+//! sweep leaves behind, and the textbook diagonal ILU that `RealStencil::dilu`
+//! is held to.
 //!
 //! One definition on purpose.  The node count is pinned at 12.  With the
 //! Laurent-centred moments, 8 nodes already find every pair of a 32-node
@@ -12,10 +14,14 @@
 //! real — only 6 of the 12 nodes are solved.
 #![allow(dead_code, reason = "each test crate uses its own subset")]
 
+use rand::SeedableRng;
+
 use cbs::core::SsConfig;
 use cbs::dft::{
     bulk_al_100, carbon_nanotube, grid_for_structure, BlockHamiltonian, HamiltonianParams,
 };
+use cbs::linalg::{c64, CMatrix, Complex64};
+use cbs::sparse::{Preconditioner, RealStencil};
 use cbs::sweep::SweepCheckpoint;
 
 /// Quadrature nodes per circle of [`fig6_config`].
@@ -60,4 +66,89 @@ pub fn fig6_config() -> SsConfig {
 /// checkpoint.
 pub fn killed_after(finished: &SweepCheckpoint, k: usize) -> SweepCheckpoint {
     SweepCheckpoint { records: finished.records[..k].to_vec(), ..finished.clone() }
+}
+
+/// Dense complex blocks of a QEP: a Hermitian `H₀₀` and a random `H₀₁`
+/// scaled by 0.35.
+pub fn random_blocks(n: usize, seed: u64) -> (CMatrix, CMatrix) {
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+    let a = CMatrix::random(n, n, &mut rng);
+    let h00 = (&a + &a.adjoint()).scale(c64(0.5, 0.0));
+    let h01 = CMatrix::random(n, n, &mut rng).scale(c64(0.35, 0.0));
+    (h00, h01)
+}
+
+/// The textbook diagonal ILU of the sparse part of `P(z)`, written from
+/// the definition on the dense `A = E − H₀₀ − z·H₀₁ − z⁻¹·H₀₁†` of a
+/// stencil's sparse rows (its projector terms take no part) with none of
+/// the stencil's kernels: `M = (D̃+L)·D̃⁻¹·(D̃+U)`, `L` and `U` the strict
+/// triangles of `A`, and `d̃ᵢ = aᵢᵢ − Σ_{j<i} aᵢⱼaⱼᵢ/d̃ⱼ`, a pivot below
+/// `1e-14·max|aᵢⱼ|` replaced by that floor.  The reference of
+/// `RealStencil::dilu`.
+pub struct TextbookDilu {
+    a: CMatrix,
+    /// The pivots `d̃ᵢ`.
+    pub pivots: Vec<Complex64>,
+    /// The pivot floor `1e-14·max|aᵢⱼ|`.
+    pub floor: f64,
+}
+
+impl TextbookDilu {
+    pub fn new(stencil: &RealStencil, energy: f64, z: Complex64) -> Self {
+        let [b00, b01] = [stencil.h00(), stencil.h01()].map(|b| b.sparse_csr().to_dense());
+        let n = stencil.dim();
+        let a = CMatrix::from_fn(n, n, |i, j| {
+            let e = if i == j { energy } else { 0.0 };
+            c64(e, 0.0) - b00[(i, j)] - z * b01[(i, j)] - b01[(j, i)].conj() / z
+        });
+        let floor = (1e-14 * a.amax()).max(1e-300);
+        let mut pivots: Vec<Complex64> = Vec::with_capacity(n);
+        for i in 0..n {
+            let d = (0..i).fold(a[(i, i)], |d, j| d - a[(i, j)] * a[(j, i)] / pivots[j]);
+            pivots.push(if d.abs() < floor { c64(floor, 0.0) } else { d });
+        }
+        Self { a, pivots, floor }
+    }
+
+    /// `M⁻¹r`, or `M⁻†r` when `adjoint`: `M† = (D̃*+L')·D̃*⁻¹·(D̃*+U')` is
+    /// the same form over `A†`, whose strict triangles are `L' = U†` and
+    /// `U' = L†`.  `(D̃+L)w = r` forward, then `(I + D̃⁻¹U)x = w` backward.
+    pub fn solve(&self, adjoint: bool, r: &[Complex64]) -> Vec<Complex64> {
+        let a = |i: usize, j: usize| if adjoint { self.a[(j, i)].conj() } else { self.a[(i, j)] };
+        let d = |i: usize| if adjoint { self.pivots[i].conj() } else { self.pivots[i] };
+        let n = r.len();
+        let mut x = r.to_vec();
+        for i in 0..n {
+            x[i] = (0..i).fold(x[i], |s, j| s - a(i, j) * x[j]) / d(i);
+        }
+        for i in (0..n).rev() {
+            let upper = (i + 1..n).fold(Complex64::ZERO, |s, j| s + a(i, j) * x[j]);
+            x[i] -= upper / d(i);
+        }
+        x
+    }
+
+    /// The larger relative distance of `m`'s `M⁻¹R` and `M⁻†R` (its block
+    /// sweeps over the `nvecs`-column slab `r`) from this oracle's, column
+    /// by column.
+    pub fn distance(&self, m: &dyn Preconditioner, r: &[Complex64], nvecs: usize) -> f64 {
+        let n = m.dim();
+        let mut worst = 0.0f64;
+        for adjoint in [false, true] {
+            let mut got = vec![c64(f64::NAN, f64::NAN); n * nvecs];
+            if adjoint {
+                m.solve_adjoint_block(r, &mut got, nvecs);
+            } else {
+                m.solve_block(r, &mut got, nvecs);
+            }
+            let want: Vec<Complex64> =
+                r.chunks_exact(n).flat_map(|c| self.solve(adjoint, c)).collect();
+            let diff: f64 = got.iter().zip(&want).map(|(g, w)| (*g - *w).norm_sqr()).sum();
+            let norm: f64 = want.iter().map(|w| w.norm_sqr()).sum();
+            let err = (diff / norm).sqrt();
+            // A NaN from either side sticks.
+            worst = if worst.is_nan() || err <= worst { worst } else { err };
+        }
+        worst
+    }
 }

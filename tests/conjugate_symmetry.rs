@@ -385,7 +385,7 @@ proptest! {
     /// non-zero imaginary part — a CSR value, a projector factor entry or a
     /// projector coefficient — flips the operator and everything built from
     /// it.  The problem's conjugate-symmetry decision reads its blocks
-    /// alone: an attached pattern or projector is not consulted.
+    /// alone: an attached projector is not consulted.
     #[test]
     fn one_complex_entry_anywhere_flips_is_real(
         n in 4usize..10,
@@ -427,13 +427,10 @@ proptest! {
         prop_assert!(dense.is_real() == (site != 0));
 
         // The problem decides from its blocks.
-        let pattern = cbs::sparse::AssembledPattern::build(&csr, &base);
-        prop_assert!(pattern.is_real() == (site != 0));
         prop_assert!(QepProblem::new(&base, &base, 0.1, 1.0).is_conjugate_symmetric());
         prop_assert!(QepProblem::new(&csr, &base, 0.1, 1.0).is_conjugate_symmetric() == (site != 0));
         prop_assert!(QepProblem::new(&base, &csr, 0.1, 1.0).is_conjugate_symmetric() == (site != 0));
         prop_assert!(QepProblem::new(&base, &base, 0.1, 1.0)
-                .with_pattern(&pattern)
                 .with_projector(&projector)
                 .is_conjugate_symmetric());
     }

@@ -6,20 +6,11 @@
 //! multi-energy driver's serial ≡ rayon check lives in
 //! `tests/sweep_determinism.rs`.
 
-use rand::SeedableRng;
-
 use cbs::core::{solve_qep_with, QepProblem, SsConfig};
-use cbs::linalg::{c64, CMatrix};
 use cbs::parallel::{RayonExecutor, SerialExecutor};
 use cbs::sparse::DenseOp;
 
-fn random_blocks(n: usize, seed: u64) -> (CMatrix, CMatrix) {
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-    let a = CMatrix::random(n, n, &mut rng);
-    let h00 = (&a + &a.adjoint()).scale(c64(0.5, 0.0));
-    let h01 = CMatrix::random(n, n, &mut rng).scale(c64(0.35, 0.0));
-    (h00, h01)
-}
+mod common;
 
 /// `SsConfig::small()` on a full ring (complex blocks):
 /// serial and rayon executors must agree on every projected moment bit and
@@ -27,7 +18,7 @@ fn random_blocks(n: usize, seed: u64) -> (CMatrix, CMatrix) {
 #[test]
 fn rayon_executor_reproduces_serial_solve_exactly() {
     let n = 14;
-    let (h00, h01) = random_blocks(n, 91);
+    let (h00, h01) = common::random_blocks(n, 91);
     let op00 = DenseOp::new(h00);
     let op01 = DenseOp::new(h01);
     let qep = QepProblem::new(&op00, &op01, 0.1, 1.0);

@@ -1,36 +1,19 @@
 //! Property-based tests (proptest) on the cross-crate invariants: operator
 //! adjoint consistency of the QEP, contour filtering, well-formed extraction
-//! output, and the bitwise equivalence of the block apply and the
-//! triangular sweeps with their column-by-column and textbook references.
+//! output, the bitwise equivalence of the block apply with its
+//! column-by-column reference, and the stencil's diagonal ILU against the
+//! textbook one (`tests/common`).
 
 use proptest::prelude::*;
 
 use cbs::core::{QepProblem, RingContour};
-use cbs::dft::{bulk_al_100, grid_for_structure, BlockHamiltonian, HamiltonianParams};
 use cbs::grid::Grid3;
 use cbs::linalg::{c64, CMatrix, CVector, Complex64};
 use cbs::sparse::{
-    AssembledPattern, CooBuilder, CsrMatrix, DenseOp, LinearOperator, LowRankOp, Preconditioner,
-    RealStencil, SparseVec,
+    CooBuilder, CsrMatrix, DenseOp, LinearOperator, LowRankOp, RealStencil, SparseVec,
 };
 
-/// A random square complex CSR matrix with a dominant diagonal and `per_row`
-/// extra off-diagonal entries per row (duplicates fold together).
-fn random_csr(n: usize, per_row: usize, rng: &mut rand_chacha::ChaCha8Rng) -> CsrMatrix {
-    use rand::Rng;
-    let mut b = CooBuilder::new(n, n);
-    for row in 0..n {
-        b.push(row, row, c64(rng.gen_range(2.0..6.0), rng.gen_range(-0.5..0.5)));
-        for _ in 0..per_row {
-            b.push(
-                row,
-                rng.gen_range(0..n),
-                c64(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)),
-            );
-        }
-    }
-    b.build()
-}
+mod common;
 
 fn laplacian_like(grid: Grid3, diag: f64) -> CsrMatrix {
     let n = grid.npoints();
@@ -49,82 +32,8 @@ fn laplacian_like(grid: Grid3, diag: f64) -> CsrMatrix {
     b.build()
 }
 
-/// Textbook one-column ILU(0) substitution `x = U⁻¹ L⁻¹ r` over a CSR
-/// triple holding `L` (strict lower, unit diagonal) and `U` in one array:
-/// rows ascending for `L`, descending for `U`, each row gathered left to
-/// right.  The oracle of the tri-sweep tests — independent of `Ilu0`'s
-/// kernels and tiling.
-fn oracle_solve(
-    row_ptr: &[usize],
-    col_idx: &[usize],
-    lu: &[Complex64],
-    r: &[Complex64],
-) -> Vec<Complex64> {
-    let n = r.len();
-    let mut x = r.to_vec();
-    for i in 0..n {
-        let mut acc = x[i];
-        for k in row_ptr[i]..row_ptr[i + 1] {
-            if col_idx[k] < i {
-                acc -= lu[k] * x[col_idx[k]];
-            }
-        }
-        x[i] = acc;
-    }
-    for i in (0..n).rev() {
-        let mut acc = x[i];
-        let mut pivot = None;
-        for k in row_ptr[i]..row_ptr[i + 1] {
-            match col_idx[k].cmp(&i) {
-                std::cmp::Ordering::Less => {}
-                std::cmp::Ordering::Equal => pivot = Some(lu[k]),
-                std::cmp::Ordering::Greater => acc -= lu[k] * x[col_idx[k]],
-            }
-        }
-        x[i] = acc / pivot.expect("stored diagonal");
-    }
-    x
-}
-
-/// Textbook one-column adjoint substitution `x = L⁻† U⁻† r` in column-scatter
-/// form: `U†` is lower triangular, so each finalized `w_j` is scattered down
-/// row `j` of `U` (ascending `j`); then `L†` likewise with `j` descending.
-/// A zero multiplicand scatters nothing (subtracting `v·0` could flip the
-/// sign of a zero or spread a non-finite factor).
-fn oracle_solve_adjoint(
-    row_ptr: &[usize],
-    col_idx: &[usize],
-    lu: &[Complex64],
-    r: &[Complex64],
-) -> Vec<Complex64> {
-    let n = r.len();
-    let diag = |j: usize| {
-        (row_ptr[j]..row_ptr[j + 1]).find(|&k| col_idx[k] == j).expect("stored diagonal")
-    };
-    let mut x = r.to_vec();
-    for j in 0..n {
-        let w = x[j] / lu[diag(j)].conj();
-        x[j] = w;
-        if w != Complex64::ZERO {
-            for k in (diag(j) + 1)..row_ptr[j + 1] {
-                x[col_idx[k]] -= lu[k].conj() * w;
-            }
-        }
-    }
-    for j in (0..n).rev() {
-        let w = x[j];
-        if w != Complex64::ZERO {
-            for k in row_ptr[j]..diag(j) {
-                x[col_idx[k]] -= lu[k].conj() * w;
-            }
-        }
-    }
-    x
-}
-
 /// A column-major `n × nvecs` slab of random right-hand sides with exact
-/// zeros sprinkled in and, from two columns up, one all-zero column — the
-/// inputs on which the adjoint sweeps' per-column zero-skip decides.
+/// zeros sprinkled in and, from two columns up, one all-zero column.
 fn slab_with_zeros(n: usize, nvecs: usize, rng: &mut rand_chacha::ChaCha8Rng) -> Vec<Complex64> {
     use rand::Rng;
     let mut r: Vec<Complex64> = CVector::random(n * nvecs, rng).into_vec();
@@ -136,38 +45,6 @@ fn slab_with_zeros(n: usize, nvecs: usize, rng: &mut rand_chacha::ChaCha8Rng) ->
         r[c * n..(c + 1) * n].fill(Complex64::ZERO);
     }
     r
-}
-
-/// All four sweeps of `P(E, z)`'s ILU(0) on `pattern`, as slabs of `nvecs`
-/// columns and column by column, against the textbook oracle — bit for bit.
-fn assert_tri_sweeps_match_the_oracle(
-    pattern: &AssembledPattern,
-    energy: f64,
-    z: Complex64,
-    nvecs: usize,
-    rng: &mut rand_chacha::ChaCha8Rng,
-) {
-    let n = pattern.dim();
-    let ilu = pattern.assemble(energy, z).ilu0();
-    let r = slab_with_zeros(n, nvecs, rng);
-    let (mut z_ref, mut zt_ref) = (Vec::new(), Vec::new());
-    for rc in r.chunks_exact(n) {
-        z_ref.extend(oracle_solve(pattern.row_ptr(), pattern.col_idx(), ilu.lu(), rc));
-        zt_ref.extend(oracle_solve_adjoint(pattern.row_ptr(), pattern.col_idx(), ilu.lu(), rc));
-    }
-    let mut z = vec![Complex64::ZERO; n * nvecs];
-    ilu.solve_block(&r, &mut z, nvecs);
-    assert!(z == z_ref, "blocked sweep not bitwise the oracle");
-    ilu.solve_adjoint_block(&r, &mut z, nvecs);
-    assert!(z == zt_ref, "blocked adjoint sweep not bitwise the oracle");
-    let mut col = vec![Complex64::ZERO; n];
-    for c in 0..nvecs {
-        let cols = c * n..(c + 1) * n;
-        ilu.solve(&r[cols.clone()], &mut col);
-        assert!(col[..] == z_ref[cols.clone()], "one-column sweep column {c}");
-        ilu.solve_adjoint(&r[cols.clone()], &mut col);
-        assert!(col[..] == zt_ref[cols], "one-column adjoint sweep column {c}");
-    }
 }
 
 /// A real `sparse + low-rank` block applied as the generic three-pass
@@ -197,11 +74,14 @@ impl LinearOperator for RealBlock {
 
 /// Random real blocks of a QEP: a symmetric `H₀₀` with `per_row` random
 /// couplings per row, an `H₀₁` populated on its last `n / 3` rows only, and
-/// `rank` random real projector terms on each.
+/// `rank` random real projector terms on each.  A `coupled` `H₀₁` also
+/// stores the diagonal of those rows and the columns `H₀₀` couples them
+/// to, so one `(i, j)` sits in two or (through `H₀₁ᵀ`) three blocks.
 fn random_real_blocks(
     n: usize,
     per_row: usize,
     rank: usize,
+    coupled: bool,
     rng: &mut rand_chacha::ChaCha8Rng,
 ) -> (RealBlock, RealBlock) {
     use rand::Rng;
@@ -209,12 +89,16 @@ fn random_real_blocks(
     let (mut a, mut b) = (CooBuilder::new(n, n), CooBuilder::new(n, n));
     for row in 0..n {
         a.push(row, row, c64(rng.gen_range(1.0..4.0), 0.0));
+        let boundary = row >= n - n / 3;
+        if coupled && boundary {
+            b.push(row, row, real(rng));
+        }
         for _ in 0..per_row {
             let (col, v) = (rng.gen_range(0..n), real(rng));
             a.push(row, col, v);
             a.push(col, row, v);
-            if row >= n - n / 3 {
-                b.push(row, rng.gen_range(0..n), real(rng));
+            if boundary {
+                b.push(row, if coupled { col } else { rng.gen_range(0..n) }, real(rng));
             }
         }
     }
@@ -331,27 +215,6 @@ proptest! {
         }
     }
 
-    /// The ILU(0) substitutions, on a slab or one column at a time, are
-    /// bitwise the textbook oracle for arbitrary sparsity and slab widths.
-    #[test]
-    fn blocked_and_parallel_tri_sweeps_are_bitwise_sequential(
-        seed in 0u64..1000,
-        n in 6usize..60,
-        per_row in 1usize..5,
-        nvecs in 1usize..17,
-        zre in -2.0f64..2.0,
-        zim in -2.0f64..2.0,
-        energy in -1.0f64..1.0,
-    ) {
-        prop_assume!(zre * zre + zim * zim > 0.05);
-        use rand::SeedableRng;
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        let h00 = random_csr(n, per_row, &mut rng);
-        let h01 = random_csr(n, per_row, &mut rng);
-        let pattern = AssembledPattern::build(&h00, &h01);
-        assert_tri_sweeps_match_the_oracle(&pattern, energy, c64(zre, zim), nvecs, &mut rng);
-    }
-
     /// The fused real stencil is the generic three-pass `P(z)` on random
     /// real sparse + low-rank blocks — to rounding, in both apply
     /// directions, at every block width — and keeps the block ≡
@@ -371,7 +234,7 @@ proptest! {
         use rand::SeedableRng;
         let z = c64(zre, zim);
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        let (g00, g01) = random_real_blocks(n, per_row, rank, &mut rng);
+        let (g00, g01) = random_real_blocks(n, per_row, rank, false, &mut rng);
         let stencil = RealStencil::try_new((&g00.sparse, &g00.lowrank), (&g01.sparse, &g01.lowrank))
             .expect("real blocks convert");
         let (h00, h01) = (stencil.h00(), stencil.h01());
@@ -543,53 +406,76 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(3))]
+/// The stencil `try_new` makes of two random real blocks.
+fn stencil_of(g00: &RealBlock, g01: &RealBlock) -> RealStencil {
+    RealStencil::try_new((&g00.sparse, &g00.lowrank), (&g01.sparse, &g01.lowrank))
+        .expect("real blocks convert")
+}
 
-    /// The same contract on a 3-D stencil of at least 1500 points: several
-    /// `ROW_BLOCK`s per sweep, periodic wrap-around entries.
-    #[test]
-    fn tri_sweeps_on_a_3d_stencil_are_bitwise_the_textbook_substitution(
-        seed in 0u64..1000,
-        nx in 11usize..14,
-        ny in 11usize..14,
-        nvecs in 1usize..17,
-        zre in 0.4f64..1.6,
-        zim in -1.0f64..1.0,
-    ) {
-        use rand::SeedableRng;
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        let grid = Grid3::isotropic(nx, ny, 13, 0.7);
-        prop_assert!(grid.npoints() >= 1500);
-        // Coupling along z only, as between neighbouring unit cells.
-        let mut b01 = CooBuilder::new(grid.npoints(), grid.npoints());
-        for (i, j, k, row) in grid.iter_points() {
-            if k + 1 == grid.nz {
-                b01.push(row, grid.index(i, j, 0), c64(-1.0, 0.2));
-            }
-        }
-        let pattern = AssembledPattern::build(&laplacian_like(grid, 6.5), &b01.build());
-        assert_tri_sweeps_match_the_oracle(&pattern, 0.1, c64(zre, zim), nvecs, &mut rng);
+/// `RealStencil::dilu` against the textbook D-ILU at a node `z` and at its
+/// mirror `1/z̄`: `M⁻¹` and `M⁻†` over an `nvecs`-column slab, within 1e-12
+/// relative.
+fn assert_dilu_is_the_textbook_dilu(
+    s: &RealStencil,
+    energy: f64,
+    z: Complex64,
+    nvecs: usize,
+    rng: &mut rand_chacha::ChaCha8Rng,
+) {
+    for shift in [z, Complex64::ONE / z.conj()] {
+        let r = CVector::random(s.dim() * nvecs, rng).into_vec();
+        let oracle = common::TextbookDilu::new(s, energy, shift);
+        let err = oracle.distance(&s.dilu(energy, shift), &r, nvecs);
+        assert!(err <= 1e-12, "n {} E {energy} z {shift:?}: {err:.2e}", s.dim());
     }
 }
 
-/// The real stencil: the 343-point Al(100) factored pattern at a quadrature
-/// node.  Streaming ≡ oracle for all four sweeps at every slab width, one as
-/// wide as the projector's rank included.  (The name predates the removal
-/// of the SMW preconditioner; it is kept so the test keeps its id.)
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The stencil's diagonal ILU is the textbook one on random real
+    /// pencils, plain or coupled, at every slab width; the projector terms
+    /// take no part in either.
+    #[test]
+    fn stencil_dilu_is_the_textbook_dilu(
+        seed in 0u64..1000,
+        n in 6usize..80,
+        per_row in 0usize..5,
+        rank in 0usize..4,
+        coupled in 0u8..2,
+        nvecs in 1usize..17,
+        zre in 0.3f64..1.6,
+        zim in -1.0f64..1.0,
+        energy in -12.0f64..-8.0,
+    ) {
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let (g00, g01) = random_real_blocks(n, per_row, rank, coupled == 1, &mut rng);
+        let s = stencil_of(&g00, &g01);
+        assert_dilu_is_the_textbook_dilu(&s, energy, c64(zre, zim), nvecs, &mut rng);
+    }
+}
+
+/// The same on coupled pencils of 80 and 600 points (the sweeps' row blocks
+/// and column tiles all exercised), and at `E = h₀₀` on a first row the
+/// coupling block leaves empty, where the pivot `E − h₀₀` is exactly zero:
+/// the oracle floors it, and the stencil agrees only if it floors it at
+/// the same value, since that pivot scales the whole solve by ~1e13.
 #[test]
-fn al100_tri_sweeps_and_smw_are_bitwise_the_oracle() {
+fn stencil_dilu_is_the_textbook_dilu_on_coupled_and_floored_pencils() {
     use rand::SeedableRng;
-    let structure = bulk_al_100(1);
-    let grid = grid_for_structure(&structure, 1.1);
-    let h = BlockHamiltonian::build(grid, &structure, HamiltonianParams::default());
-    let (pattern, projector) = h.qep_factored();
-    let n = pattern.dim();
-    assert_eq!(n, 343);
-    let (energy, z) = (0.1, RingContour::new(0.5, 12).outer_points()[0].z);
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(12);
-    assert!(projector.rank() > 8, "the wide slab must span several column tiles");
-    for nvecs in [9, 4, 1, projector.rank()] {
-        assert_tri_sweeps_match_the_oracle(&pattern, energy, z, nvecs, &mut rng);
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1701);
+    let z = c64(0.8, 0.45);
+    for (n, coupled) in [(80, false), (80, true), (600, true)] {
+        let (g00, g01) = random_real_blocks(n, 3, 2, coupled, &mut rng);
+        let s = stencil_of(&g00, &g01);
+        assert_dilu_is_the_textbook_dilu(&s, -9.0, z, 9, &mut rng);
+
+        let (_, h) = g00.sparse.row_entries(0).find(|&(j, _)| j == 0).expect("a stored h₀₀");
+        let oracle = common::TextbookDilu::new(&s, h.re, z);
+        assert_eq!(oracle.pivots[0], c64(oracle.floor, 0.0), "n {n}: the pivot is not floored");
+        let r = CVector::random(n * 3, &mut rng).into_vec();
+        let err = oracle.distance(&s.dilu(h.re, z), &r, 3);
+        assert!(err <= 1e-12, "n {n} floored: {err:.2e}");
     }
 }

@@ -13,12 +13,9 @@
 //! * the vestigial `SsConfig::auto` flag and `SweepConfig::initial_round`
 //!   change nothing.
 
-use rand::SeedableRng;
-
 use cbs::core::{classify_point, solve_qep_with, PrecondPolicy, SsConfig};
 use cbs::dft::{bulk_al_100, grid_for_structure, BlockHamiltonian, HamiltonianParams};
 use cbs::grid::Grid3;
-use cbs::linalg::{c64, CMatrix};
 use cbs::parallel::{RayonExecutor, SerialExecutor};
 use cbs::sparse::DenseOp;
 use cbs::sweep::{
@@ -27,14 +24,6 @@ use cbs::sweep::{
 };
 
 mod common;
-
-fn random_blocks(n: usize, seed: u64) -> (CMatrix, CMatrix) {
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-    let a = CMatrix::random(n, n, &mut rng);
-    let h00 = (&a + &a.adjoint()).scale(c64(0.5, 0.0));
-    let h01 = CMatrix::random(n, n, &mut rng).scale(c64(0.35, 0.0));
-    (h00, h01)
-}
 
 fn test_ss() -> SsConfig {
     SsConfig {
@@ -77,7 +66,7 @@ fn assert_same_cbs(a: &SweepResult, b: &SweepResult) {
 /// on both executors.
 #[test]
 fn cold_sweep_reproduces_per_energy_loop_on_both_executors() {
-    let (h00, h01) = random_blocks(10, 71);
+    let (h00, h01) = common::random_blocks(10, 71);
     let (op00, op01) = (DenseOp::new(h00), DenseOp::new(h01));
     let dense = EnergySweep::new(&op00, &op01, 1.6, SweepConfig::new(test_ss()));
     assert!(!dense.problem_at(0.0).is_conjugate_symmetric(), "complex blocks: the full ring");
@@ -148,7 +137,7 @@ fn assert_sweep_is_the_per_energy_loop(sweep: &EnergySweep<'_>, energies: &[f64]
 /// points, records, counters, and the checkpoint it leaves behind.
 #[test]
 fn checkpointed_sweep_resumes_bit_identically() {
-    let (h00, h01) = random_blocks(10, 73);
+    let (h00, h01) = common::random_blocks(10, 73);
     let op00 = DenseOp::new(h00);
     let op01 = DenseOp::new(h01);
     let energies: Vec<f64> = (0..12).map(|i| -0.25 + 0.05 * i as f64).collect();
@@ -202,7 +191,7 @@ fn checkpointed_sweep_resumes_bit_identically() {
 /// mismatch, never merged into the returned band structure.
 #[test]
 fn resume_refuses_records_that_are_not_a_grid_prefix() {
-    let (h00, h01) = random_blocks(10, 73);
+    let (h00, h01) = common::random_blocks(10, 73);
     let (op00, op01) = (DenseOp::new(h00), DenseOp::new(h01));
     let energies: Vec<f64> = (0..12).map(|i| -0.25 + 0.05 * i as f64).collect();
     let sweep = EnergySweep::new(&op00, &op01, 1.5, SweepConfig::new(test_ss()));
@@ -282,7 +271,7 @@ fn resume_refuses_seed_tables_of_another_problem() {
 /// checkpoint bytes, and each one resumes another's file.
 #[test]
 fn vestigial_auto_flag_is_inert() {
-    let (h00, h01) = random_blocks(10, 73);
+    let (h00, h01) = common::random_blocks(10, 73);
     let op00 = DenseOp::new(h00);
     let op01 = DenseOp::new(h01);
     let energies: Vec<f64> = (0..6).map(|i| -0.25 + 0.1 * i as f64).collect();

@@ -13,11 +13,8 @@
 
 use std::sync::Mutex;
 
-use rand::SeedableRng;
-
 use cbs::core::SsConfig;
 use cbs::dft::{bulk_al_100, grid_for_structure, BlockHamiltonian, HamiltonianParams};
-use cbs::linalg::{c64, CMatrix};
 use cbs::parallel::{RayonExecutor, SerialExecutor};
 use cbs::sparse::DenseOp;
 use cbs::sweep::{EnergySweep, RunOptions, SweepCheckpoint, SweepConfig, SweepResult};
@@ -38,14 +35,6 @@ mod common;
 
 fn al_ss() -> SsConfig {
     common::fig6_config()
-}
-
-fn random_blocks(n: usize, seed: u64) -> (CMatrix, CMatrix) {
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-    let a = CMatrix::random(n, n, &mut rng);
-    let h00 = (&a + &a.adjoint()).scale(c64(0.5, 0.0));
-    let h01 = CMatrix::random(n, n, &mut rng).scale(c64(0.35, 0.0));
-    (h00, h01)
 }
 
 fn assert_same_points(
@@ -139,7 +128,7 @@ fn serial_and_rayon_agree_under_stage_level_session() {
 #[test]
 fn kill_resume_with_tracing_is_bit_identical() {
     let _gate = SESSION_GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    let (h00, h01) = random_blocks(10, 77);
+    let (h00, h01) = common::random_blocks(10, 77);
     let op00 = DenseOp::new(h00);
     let op01 = DenseOp::new(h01);
     let energies: Vec<f64> = (0..12).map(|i| -0.25 + 0.05 * i as f64).collect();
