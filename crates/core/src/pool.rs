@@ -337,7 +337,6 @@ mod tests {
         assert_eq!(histories.len(), 8 * 2);
         for (idx, h) in histories.iter().enumerate() {
             assert_eq!(h.stop_reason, StopReason::Converged, "job {idx}");
-            assert_ne!(h.stop_reason, StopReason::ExternalStop, "job {idx}");
         }
         assert_bitwise_eq(&serial, &run_ring(&qep, &cfg, &RayonExecutor));
     }

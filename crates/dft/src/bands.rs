@@ -38,16 +38,20 @@ impl BandStructure {
     /// `k` is folded to `|k|` because the sampled Hamiltonians are real, so
     /// `E(−k) = E(k)`.
     ///
-    /// An empty band list (no k-points, or no bands at the matched
-    /// k-point) has no nearest band: the distance is `f64::INFINITY`.
+    /// A non-finite `k` has no closest k-point, and an empty band list (no
+    /// k-points, or no bands at the matched k-point) no nearest band: the
+    /// distance is then `f64::INFINITY`.
     pub fn distance_to_bands(&self, k: f64, energy: f64) -> f64 {
+        if !k.is_finite() {
+            return f64::INFINITY;
+        }
         let k = k.abs();
         let Some((idx, _)) = self
             .kpoints
             .iter()
             .enumerate()
             .map(|(i, &kk)| (i, (kk - k).abs()))
-            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
+            .min_by(|a, b| a.1.total_cmp(&b.1))
         else {
             return f64::INFINITY;
         };
@@ -71,7 +75,7 @@ pub fn band_structure(h: &BlockHamiltonian, nk: usize, n_bands: usize) -> BandSt
                 .into_iter()
                 .map(|z| z.re)
                 .collect();
-            evals.sort_by(|x, y| x.partial_cmp(y).unwrap());
+            evals.sort_by(f64::total_cmp);
             evals.truncate(n_bands.min(evals.len()));
             evals
         })
@@ -201,6 +205,16 @@ mod tests {
         // A k-point with no band values is equally bandless.
         let hollow = BandStructure { kpoints: vec![0.0], bands: vec![Vec::new()] };
         assert_eq!(hollow.distance_to_bands(0.0, 0.1), f64::INFINITY);
+    }
+
+    #[test]
+    fn distance_to_bands_of_a_non_finite_k_is_infinite() {
+        // Regression: a NaN `k` used to panic in the k-point search, and an
+        // infinite one matched the first k-point.
+        let bs = BandStructure { kpoints: vec![0.0, 0.5], bands: vec![vec![0.1], vec![0.3]] };
+        for k in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(bs.distance_to_bands(k, 0.1), f64::INFINITY, "k = {k}");
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Single-system entry points of the dual BiCG: the width-1 case of the
+//! The single-system entry point of the dual BiCG: the width-1 case of the
 //! block kernel in [`crate::block`].
 //!
 //! BiCG is the workhorse of the paper: the shifted QEP systems
@@ -33,30 +33,19 @@ impl BicgResult {
     }
 }
 
-/// Solve `A x = b` and `A† x̃ = b_dual` simultaneously with BiCG — the
-/// unpreconditioned, unseeded width-1 call of
-/// [`bicg_dual_block_precond`].
-pub fn bicg_dual<A: LinearOperator + ?Sized>(
-    a: &A,
-    b: &CVector,
-    b_dual: &CVector,
-    opts: &SolverOptions,
-) -> BicgResult {
-    let (b, b_dual) = (std::slice::from_ref(b), std::slice::from_ref(b_dual));
-    bicg_dual_block_precond(a, None::<&dyn Preconditioner>, b, b_dual, None, opts, None)
-        .columns
-        .pop()
-        .expect("a width-1 block has one column")
-}
-
-/// Solve a single system `A x = b` with BiCG (the dual right-hand side is
-/// taken equal to `b`, as in the paper where both systems share `V`).
+/// Solve a single system `A x = b` with BiCG — the unpreconditioned
+/// width-1 call of [`bicg_dual_block_precond`], whose dual right-hand side
+/// is `b` itself, as in the paper where both systems share `V`.
 pub fn bicg<A: LinearOperator + ?Sized>(
     a: &A,
     b: &CVector,
     opts: &SolverOptions,
 ) -> (CVector, ConvergenceHistory) {
-    let res = bicg_dual(a, b, b, opts);
+    let b = std::slice::from_ref(b);
+    let res = bicg_dual_block_precond(a, None::<&dyn Preconditioner>, b, b, None, opts, None)
+        .columns
+        .pop()
+        .expect("a width-1 block has one column");
     (res.x, res.history)
 }
 
@@ -75,32 +64,6 @@ mod tests {
             a[(i, i)] += c64(n as f64, 0.5);
         }
         a
-    }
-
-    #[test]
-    fn bicg_solves_primal_and_dual() {
-        let n = 40;
-        let a = random_diag_dominant(n, 201);
-        let op = DenseOp::new(a.clone());
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(202);
-        let x_true = CVector::random(n, &mut rng);
-        let b = a.matvec(&x_true);
-        let xd_true = CVector::random(n, &mut rng);
-        let bd = a.adjoint().matvec(&xd_true);
-
-        let opts = SolverOptions::default().with_tolerance(1e-12);
-        let res = bicg_dual(&op, &b, &bd, &opts);
-        assert!(
-            res.both_converged(),
-            "primal {:?} dual {:?}",
-            res.history.stop_reason,
-            res.dual_history.stop_reason
-        );
-        assert!((&res.x - &x_true).norm() / x_true.norm() < 1e-8);
-        assert!((&res.dual_x - &xd_true).norm() / xd_true.norm() < 1e-8);
-        // Residual history is monotone-ish and ends tiny.
-        assert!(res.history.final_residual() < 1e-12);
-        assert!(res.history.iterations() <= n + 2);
     }
 
     #[test]

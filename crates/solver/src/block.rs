@@ -10,8 +10,8 @@
 //! through the conjugated step sizes) and performs the primal and adjoint
 //! matvecs of all still-active columns through a single
 //! [`LinearOperator::apply_block`] traversal.  A single system is the
-//! width-1 block ([`bicg_dual`](crate::bicg_dual)); no preconditioner is the
-//! same loop with `z ≡ r`.
+//! width-1 block ([`bicg()`](crate::bicg())); no preconditioner is the same
+//! loop with `z ≡ r`.  Every column starts from zero.
 //!
 //! Two contracts, both locked by this file's tests against a textbook
 //! scalar recurrence kept as a `#[cfg(test)]` oracle:
@@ -22,10 +22,10 @@
 //!   stop reason and matvec count are those of a standalone solve of that
 //!   column — deflation included (a converged column freezes at exactly the
 //!   state the standalone solve would have returned).
-//! * **Slot-stable deflation.** A converged (or broken-down, or externally
-//!   stopped) column stops contributing work — it leaves the fused matvec —
-//!   but keeps its slot in the result, so downstream reductions that walk
-//!   the columns in order are independent of *when* each column converged.
+//! * **Slot-stable deflation.** A converged (or broken-down) column stops
+//!   contributing work — it leaves the fused matvec — but keeps its slot in
+//!   the result, so downstream reductions that walk the columns in order
+//!   are independent of *when* each column converged.
 //!
 //! The real saving is operator traffic: the result reports `traversals`,
 //! the number of fused block applies performed (one traversal each), which
@@ -56,6 +56,8 @@
 //! accumulator by accumulator, the operations of the separate `axpy` /
 //! `nrm2` / `dotc` calls it replaces, in the same order — so the fusion is
 //! bitwise invisible.
+
+use std::convert::Infallible;
 
 use cbs_linalg::vector::dotc;
 use cbs_linalg::{CVector, Complex64};
@@ -280,20 +282,10 @@ fn redirect(
 /// ends unconverged.  An operator that reports `None` runs the plain test,
 /// bit for bit.
 ///
-/// `seeds`, when present, supplies an optional initial guess `(x₀, x̃₀)`
-/// per column: the initial residuals are `r₀ = b - A x₀`, `r̃₀ = b̃ - A† x̃₀`
-/// (two operator applications, counted in the column's `matvecs` and fused
-/// over the seeded columns); `None` entries start from zero at no extra
-/// work.  Vestige, released by ROADMAP 1(a): every solve in the workspace
-/// passes `None` (scan energies are solved cold); the repo benchmark's
-/// one-node replay names the parameter.
-///
-/// `external_stop` is consulted once per lockstep iteration for every
-/// still-active column; returning `true` ends that column with
-/// [`StopReason::ExternalStop`].  Vestige, released by ROADMAP 1(a): it
-/// served the paper's majority-stop load-balancing rule, which is gone;
-/// every solve in the workspace passes `None`, and the repo benchmark's
-/// one-node replay names the parameter.
+/// Every column starts from `x₀ = x̃₀ = 0`.  `_seeds` and `_external_stop`
+/// admit only `None`: vestiges of a per-column initial guess and of an
+/// external stop that no solve uses any more, kept only because the repo
+/// benchmark's one-node replay names them (released by ROADMAP 1(a)).
 ///
 /// [`solve_adjoint_block`]: Preconditioner::solve_adjoint_block
 pub fn bicg_dual_block_precond<A: LinearOperator + ?Sized, M: Preconditioner + ?Sized>(
@@ -301,9 +293,9 @@ pub fn bicg_dual_block_precond<A: LinearOperator + ?Sized, M: Preconditioner + ?
     m: Option<&M>,
     b: &[CVector],
     b_dual: &[CVector],
-    seeds: Option<&[Option<(&CVector, &CVector)>]>,
+    _seeds: Option<Infallible>,
     opts: &SolverOptions,
-    external_stop: Option<&(dyn Fn(usize) -> bool + Sync)>,
+    _external_stop: Option<Infallible>,
 ) -> BlockBicgResult {
     let n = a.dim();
     if let Some(m) = m {
@@ -311,28 +303,17 @@ pub fn bicg_dual_block_precond<A: LinearOperator + ?Sized, M: Preconditioner + ?
     }
     let nvecs = b.len();
     assert_eq!(b_dual.len(), nvecs, "dual rhs count mismatch");
-    if let Some(s) = seeds {
-        assert_eq!(s.len(), nvecs, "seed count mismatch");
-    }
     let tol = opts.tolerance;
     let mut traversals = 0usize;
 
-    // --- Initial state: x₀ from the seed (or zero), r₀ = b. ---------------
+    // --- Initial state: x₀ = 0, r₀ = b. -----------------------------------
     let mut cols: Vec<Column> = (0..nvecs)
         .map(|c| {
             assert_eq!(b[c].len(), n, "rhs length mismatch");
             assert_eq!(b_dual[c].len(), n, "dual rhs length mismatch");
-            let (x, xt, matvecs) = match seeds.and_then(|s| s[c]) {
-                None => (CVector::zeros(n), CVector::zeros(n), 0),
-                Some((x0, xt0)) => {
-                    assert_eq!(x0.len(), n, "primal seed length mismatch");
-                    assert_eq!(xt0.len(), n, "dual seed length mismatch");
-                    (x0.clone(), xt0.clone(), 2)
-                }
-            };
             Column {
-                x,
-                xt,
+                x: CVector::zeros(n),
+                xt: CVector::zeros(n),
                 r: b[c].clone(),
                 rt: b_dual[c].clone(),
                 b_norm: b[c].norm().max(1e-300),
@@ -346,7 +327,7 @@ pub fn bicg_dual_block_precond<A: LinearOperator + ?Sized, M: Preconditioner + ?
                 history: Vec::new(),
                 dual_history: Vec::new(),
                 rho: Complex64::ZERO,
-                matvecs,
+                matvecs: 0,
                 stop: StopReason::MaxIterations,
                 active: true,
             }
@@ -361,20 +342,6 @@ pub fn bicg_dual_block_precond<A: LinearOperator + ?Sized, M: Preconditioner + ?
     let (mut q, mut qt) = (Vec::new(), Vec::new());
     let (mut z, mut zt) = (Vec::new(), Vec::new());
     let mut stage: Vec<Complex64> = Vec::new();
-
-    // Seed residuals r₀ = b - A x₀ through two fused applies over the
-    // seeded columns.
-    let seeded: Vec<usize> =
-        (0..nvecs).filter(|&c| seeds.is_some_and(|s| s[c].is_some())).collect();
-    if !seeded.is_empty() {
-        residuals(a, false, &cols, &seeded, b, &mut stage, &mut q);
-        residuals(a, true, &cols, &seeded, b_dual, &mut stage, &mut qt);
-        traversals += 2;
-        for (k, &c) in seeded.iter().enumerate() {
-            cols[c].r.as_mut_slice().copy_from_slice(slot(&q, n, k));
-            cols[c].rt.as_mut_slice().copy_from_slice(slot(&qt, n, k));
-        }
-    }
 
     // p₀ = z₀ = M⁻¹ r₀, p̃₀ = z̃₀ = M⁻† r̃₀ (one blocked pass over all
     // columns), or r₀, r̃₀ themselves.
@@ -400,7 +367,7 @@ pub fn bicg_dual_block_precond<A: LinearOperator + ?Sized, M: Preconditioner + ?
     }
 
     // --- Lockstep iteration: per-column recurrences, fused applies. -------
-    for iter in 0..opts.max_iterations {
+    for _ in 0..opts.max_iterations {
         // A column converges once both residuals meet the tolerance.  On a
         // split system they must meet it mapped out of the split too, and
         // then so must the true residuals `b − a x`, `b̃ − a† x̃` the
@@ -425,15 +392,12 @@ pub fn bicg_dual_block_precond<A: LinearOperator + ?Sized, M: Preconditioner + ?
             });
         }
 
-        // Top-of-loop checks: convergence, external stop, ρ breakdown.  A
-        // column that trips one freezes in place (deflation) but keeps its
-        // result slot; its slab slots go.
+        // Top-of-loop checks: convergence, ρ breakdown.  A column that trips
+        // one freezes in place (deflation) but keeps its result slot; its
+        // slab slots go.
         for (c, col) in cols.iter_mut().enumerate().filter(|(_, col)| col.active) {
             if passing.contains(&c) {
                 col.stop = StopReason::Converged;
-                col.active = false;
-            } else if external_stop.is_some_and(|cb| cb(iter)) {
-                col.stop = StopReason::ExternalStop;
                 col.active = false;
             } else if breaks_down(col.rho) {
                 col.stop = StopReason::Breakdown;
@@ -546,7 +510,7 @@ pub fn bicg_dual_block_precond<A: LinearOperator + ?Sized, M: Preconditioner + ?
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bicg::bicg_dual;
+    use crate::bicg::bicg;
     use cbs_linalg::{c64, CMatrix};
     use cbs_sparse::{CooBuilder, CsrMatrix, DenseOp};
     use rand::SeedableRng;
@@ -554,40 +518,25 @@ mod tests {
     /// The reference the kernel is held to, column by column and bit for
     /// bit: the textbook single-vector dual BiCG (Saad Alg. 7.3; the
     /// Templates' preconditioned form), written against the *scalar*
-    /// `apply` / `solve` entry points.  Test-only — production code has the
-    /// one block kernel above.
+    /// `apply` entry points and width-1 solves.  Test-only — production code
+    /// has the one block kernel above.
     fn scalar_oracle<A: LinearOperator + ?Sized, M: Preconditioner + ?Sized>(
         a: &A,
         m: Option<&M>,
         b: &CVector,
         b_dual: &CVector,
-        seed: Option<(&CVector, &CVector)>,
         opts: &SolverOptions,
-        external_stop: Option<&(dyn Fn(usize) -> bool + Sync)>,
     ) -> BicgResult {
         let n = a.dim();
         let mut matvecs = 0usize;
-        let (mut x, mut xt, mut r, mut rt) = match seed {
-            None => (CVector::zeros(n), CVector::zeros(n), b.clone(), b_dual.clone()),
-            Some((x0, xt0)) => {
-                let mut r = CVector::zeros(n);
-                let mut rt = CVector::zeros(n);
-                a.apply(x0.as_slice(), r.as_mut_slice());
-                a.apply_adjoint(xt0.as_slice(), rt.as_mut_slice());
-                matvecs = 2;
-                for i in 0..n {
-                    r[i] = b[i] - r[i];
-                    rt[i] = b_dual[i] - rt[i];
-                }
-                (x0.clone(), xt0.clone(), r, rt)
-            }
-        };
+        let (mut x, mut xt) = (CVector::zeros(n), CVector::zeros(n));
+        let (mut r, mut rt) = (b.clone(), b_dual.clone());
         let precondition = |r: &CVector, rt: &CVector| match m {
             None => (r.clone(), rt.clone()),
             Some(m) => {
                 let (mut z, mut zt) = (CVector::zeros(n), CVector::zeros(n));
-                m.solve(r.as_slice(), z.as_mut_slice());
-                m.solve_adjoint(rt.as_slice(), zt.as_mut_slice());
+                m.solve_block(r.as_slice(), z.as_mut_slice(), 1);
+                m.solve_adjoint_block(rt.as_slice(), zt.as_mut_slice(), 1);
                 (z, zt)
             }
         };
@@ -605,13 +554,9 @@ mod tests {
         let mut rho = rt.dot(&z);
         let mut stop = StopReason::MaxIterations;
 
-        for iter in 0..opts.max_iterations {
+        for _ in 0..opts.max_iterations {
             if res <= opts.tolerance && res_dual <= opts.tolerance {
                 stop = StopReason::Converged;
-                break;
-            }
-            if external_stop.is_some_and(|cb| cb(iter)) {
-                stop = StopReason::ExternalStop;
                 break;
             }
             if breaks_down(rho) {
@@ -677,21 +622,27 @@ mod tests {
                     .collect(),
             )
         }
+
+        /// `z = M⁻¹ r` (`adjoint`: `M⁻† r`) over the first `nvecs` columns.
+        fn divide(&self, adjoint: bool, r: &[Complex64], z: &mut [Complex64], nvecs: usize) {
+            let n = self.0.len();
+            for (zc, rc) in z.chunks_exact_mut(n).zip(r.chunks_exact(n)).take(nvecs) {
+                for ((zi, ri), di) in zc.iter_mut().zip(rc).zip(&self.0) {
+                    *zi = *ri / if adjoint { di.conj() } else { *di };
+                }
+            }
+        }
     }
 
     impl Preconditioner for Jacobi {
         fn dim(&self) -> usize {
             self.0.len()
         }
-        fn solve(&self, r: &[Complex64], z: &mut [Complex64]) {
-            for ((zi, ri), di) in z.iter_mut().zip(r).zip(&self.0) {
-                *zi = *ri / *di;
-            }
+        fn solve_block(&self, r: &[Complex64], z: &mut [Complex64], nvecs: usize) {
+            self.divide(false, r, z, nvecs);
         }
-        fn solve_adjoint(&self, r: &[Complex64], z: &mut [Complex64]) {
-            for ((zi, ri), di) in z.iter_mut().zip(r).zip(&self.0) {
-                *zi = *ri / di.conj();
-            }
+        fn solve_adjoint_block(&self, r: &[Complex64], z: &mut [Complex64], nvecs: usize) {
+            self.divide(true, r, z, nvecs);
         }
     }
 
@@ -700,11 +651,9 @@ mod tests {
         a: &A,
         b: &[CVector],
         b_dual: &[CVector],
-        seeds: Option<&[Option<(&CVector, &CVector)>]>,
         opts: &SolverOptions,
-        external_stop: Option<&(dyn Fn(usize) -> bool + Sync)>,
     ) -> BlockBicgResult {
-        bicg_dual_block_precond(a, None::<&Jacobi>, b, b_dual, seeds, opts, external_stop)
+        bicg_dual_block_precond(a, None::<&Jacobi>, b, b_dual, None, opts, None)
     }
 
     fn random_diag_dominant(n: usize, seed: u64) -> CMatrix {
@@ -744,21 +693,32 @@ mod tests {
     #[test]
     fn cold_block_is_bitwise_the_oracle_with_deflating_columns() {
         let n = 30;
-        let op = DenseOp::new(random_diag_dominant(n, 301));
+        let a = random_diag_dominant(n, 301);
+        let op = DenseOp::new(a.clone());
         let mut b = rhs_block(n, 4, 302);
         // A zero right-hand side converges before the first iteration: it
         // deflates at once while its neighbours keep iterating.
         b[2] = CVector::zeros(n);
-        let bd = rhs_block(n, 4, 303);
-        let opts = SolverOptions::default().with_tolerance(1e-11);
-        let block = block_plain(&op, &b, &bd, None, &opts, None);
+        let mut bd = rhs_block(n, 4, 303);
+        // One more column with known primal and dual solutions.
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(304);
+        let (x_true, xd_true) = (CVector::random(n, &mut rng), CVector::random(n, &mut rng));
+        b.push(a.matvec(&x_true));
+        bd.push(a.adjoint().matvec(&xd_true));
+        let opts = SolverOptions { tolerance: 1e-11, ..SolverOptions::default() };
+        let block = block_plain(&op, &b, &bd, &opts);
         for (c, col) in block.columns.iter().enumerate() {
-            let single = scalar_oracle(&op, None::<&Jacobi>, &b[c], &bd[c], None, &opts, None);
+            let single = scalar_oracle(&op, None::<&Jacobi>, &b[c], &bd[c], &opts);
             assert_bitwise_eq(col, &single);
         }
         assert!(block.columns.iter().enumerate().all(|(c, col)| c == 2 || col.both_converged()));
         let iters: Vec<usize> = block.columns.iter().map(|c| c.history.iterations()).collect();
         assert!(iters.iter().any(|&i| i != iters[0]), "no column deflated early: {iters:?}");
+        // Both the primal and the dual solutions solve their true systems.
+        let known = &block.columns[4];
+        assert!((&known.x - &x_true).norm() / x_true.norm() < 1e-8);
+        assert!((&known.dual_x - &xd_true).norm() / xd_true.norm() < 1e-8);
+        assert!(known.history.iterations() <= n + 2);
         // The fused traversal count is bounded by the slowest column.
         let max_matvecs = block.columns.iter().map(|c| c.history.matvecs).max().unwrap();
         assert!(block.traversals <= max_matvecs + 2);
@@ -767,73 +727,25 @@ mod tests {
 
     #[test]
     fn width_one_block_is_the_scalar_solver() {
+        // OBM's Green-column call: the dual right-hand side is the
+        // right-hand side, and only the final residual is kept.
         let n = 25;
         let op = DenseOp::new(random_diag_dominant(n, 216));
         let b = rhs_block(n, 2, 217);
-        let opts = SolverOptions::default();
-        let oracle = scalar_oracle(&op, None::<&Jacobi>, &b[0], &b[1], None, &opts, None);
-        assert_bitwise_eq(&bicg_dual(&op, &b[0], &b[1], &opts), &oracle);
-        // Unrecorded histories keep just the final residual.
-        let quiet = SolverOptions { record_history: false, ..opts };
-        let last = bicg_dual(&op, &b[0], &b[1], &quiet);
-        assert_eq!(last.x, oracle.x);
-        assert_eq!(last.history.residuals, [oracle.history.final_residual()]);
+        let quiet = SolverOptions { record_history: false, ..SolverOptions::default() };
+        let oracle = scalar_oracle(&op, None::<&Jacobi>, &b[0], &b[0], &quiet);
+        let (x, history) = bicg(&op, &b[0], &quiet);
+        assert_eq!(x, oracle.x);
+        assert_eq!(history.residuals, [oracle.history.final_residual()]);
+        assert_eq!(history.stop_reason, oracle.history.stop_reason);
+        assert_eq!(history.matvecs, oracle.history.matvecs);
 
         let a = shifted_laplacian(n, c64(0.2, 0.5));
         let jacobi = Jacobi::of(&a);
+        let opts = SolverOptions::default();
         let pre = bicg_dual_block_precond(&a, Some(&jacobi), &b[..1], &b[1..], None, &opts, None);
-        let oracle = scalar_oracle(&a, Some(&jacobi), &b[0], &b[1], None, &opts, None);
+        let oracle = scalar_oracle(&a, Some(&jacobi), &b[0], &b[1], &opts);
         assert_bitwise_eq(&pre.columns[0], &oracle);
-    }
-
-    #[test]
-    fn seeded_block_is_bitwise_the_oracle_and_a_good_seed_cuts_iterations() {
-        let n = 24;
-        let a = random_diag_dominant(n, 304);
-        let op = DenseOp::new(a.clone());
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(305);
-        let x_true = CVector::random(n, &mut rng);
-        let b = vec![CVector::random(n, &mut rng), a.matvec(&x_true), a.matvec(&x_true)];
-        let opts = SolverOptions::default().with_tolerance(1e-11);
-        let cold = block_plain(&op, &b, &b, None, &opts, None);
-        // Mixed seeding: column 0 cold, column 1 from its own exact
-        // solution, column 2 from a perturbed one (a stand-in for the
-        // previous scan energy's solution in a sweep).
-        let mut near = x_true.clone();
-        near.axpy(c64(1e-4, 0.0), &CVector::random(n, &mut rng));
-        let exact = &cold.columns[1];
-        let seeds: Vec<Option<(&CVector, &CVector)>> =
-            vec![None, Some((&exact.x, &exact.dual_x)), Some((&near, &cold.columns[2].dual_x))];
-        let warm = block_plain(&op, &b, &b, Some(&seeds), &opts, None);
-        for (c, col) in warm.columns.iter().enumerate() {
-            let single = scalar_oracle(&op, None::<&Jacobi>, &b[c], &b[c], seeds[c], &opts, None);
-            assert_bitwise_eq(col, &single);
-        }
-        assert_bitwise_eq(&warm.columns[0], &cold.columns[0]);
-        // The exactly-seeded column converges without iterating; its two
-        // seed-residual applications are accounted for.
-        assert_eq!(warm.columns[1].history.iterations(), 0);
-        assert_eq!(warm.columns[1].history.matvecs, 2);
-        assert!(warm.columns[2].both_converged());
-        assert!(warm.columns[2].history.iterations() < cold.columns[2].history.iterations());
-        assert!((&warm.columns[2].x - &x_true).norm() / x_true.norm() < 1e-8);
-    }
-
-    #[test]
-    fn externally_stopped_block_is_bitwise_the_oracle() {
-        let n = 26;
-        let op = DenseOp::new(random_diag_dominant(n, 306));
-        let b = rhs_block(n, 3, 307);
-        let opts = SolverOptions::default().with_tolerance(1e-14);
-        let stop = |iter: usize| iter >= 4;
-        let block = block_plain(&op, &b, &b, None, &opts, Some(&stop));
-        for (c, col) in block.columns.iter().enumerate() {
-            let single =
-                scalar_oracle(&op, None::<&Jacobi>, &b[c], &b[c], None, &opts, Some(&stop));
-            assert_bitwise_eq(col, &single);
-            assert_eq!(col.history.stop_reason, StopReason::ExternalStop);
-            assert!(col.history.iterations() <= 5);
-        }
     }
 
     #[test]
@@ -845,31 +757,18 @@ mod tests {
         let x_true: Vec<CVector> = (0..4).map(|_| CVector::random(n, &mut rng)).collect();
         let b: Vec<CVector> = x_true.iter().map(|x| a.matvec(x)).collect();
         let bd: Vec<CVector> = x_true.iter().map(|x| a.matvec_adjoint(x)).collect();
-        let opts = SolverOptions::default().with_tolerance(1e-11);
-
-        let cold = bicg_dual_block_precond(&a, Some(&jacobi), &b, &bd, None, &opts, None);
-        assert!(cold.all_converged());
-        for (c, pre) in cold.columns.iter().enumerate() {
-            let single = scalar_oracle(&a, Some(&jacobi), &b[c], &bd[c], None, &opts, None);
+        let opts = SolverOptions { tolerance: 1e-11, ..SolverOptions::default() };
+        let block = bicg_dual_block_precond(&a, Some(&jacobi), &b, &bd, None, &opts, None);
+        assert!(block.all_converged());
+        for (c, pre) in block.columns.iter().enumerate() {
+            let single = scalar_oracle(&a, Some(&jacobi), &b[c], &bd[c], &opts);
             assert_bitwise_eq(pre, &single);
             // Both the primal and the dual solutions solve their true systems.
             assert!((&pre.x - &x_true[c]).norm() / x_true[c].norm() < 1e-7);
             assert!((&pre.dual_x - &x_true[c]).norm() / x_true[c].norm() < 1e-7);
         }
-
-        // Mixed seeding exercises the seeded preconditioned start.
-        let donor = &cold.columns[2];
-        let seeds: Vec<Option<(&CVector, &CVector)>> =
-            vec![None, None, Some((&donor.x, &donor.dual_x)), None];
-        let warm = bicg_dual_block_precond(&a, Some(&jacobi), &b, &bd, Some(&seeds), &opts, None);
-        for (c, col) in warm.columns.iter().enumerate() {
-            let single = scalar_oracle(&a, Some(&jacobi), &b[c], &bd[c], seeds[c], &opts, None);
-            assert_bitwise_eq(col, &single);
-        }
-        assert_eq!(warm.columns[2].history.iterations(), 0);
-        assert_eq!(warm.columns[2].history.matvecs, 2);
         // The block path still fuses matvecs.
-        assert!(cold.traversals < cold.total_matvecs());
+        assert!(block.traversals < block.total_matvecs());
     }
 
     /// Passes `inner` through, except that the `poisoned` column of its
@@ -907,7 +806,7 @@ mod tests {
         let n = 40;
         let a = shifted_laplacian(n, c64(0.15, 0.35));
         let jacobi = Jacobi::of(&a);
-        let opts = SolverOptions::default().with_tolerance(1e-11).with_max_iterations(60);
+        let opts = SolverOptions { tolerance: 1e-11, max_iterations: 60, record_history: true };
         for (width, poisoned) in [(1usize, 0usize), (4, 1)] {
             let b = rhs_block(n, width, 317);
             for m in [None, Some(&jacobi)] {
@@ -965,81 +864,65 @@ mod tests {
 
     #[test]
     fn columns_leaving_mid_slab_keep_every_column_bitwise_the_oracle() {
-        // Nine columns that leave the slabs from the middle at different
-        // iterations: a zero right-hand side in slot 4 (before the first
-        // apply), warm starts at graded distances (converging early, each
-        // at its own iteration), slot 6 NaN-poisoned at its third apply
-        // (a breakdown after the apply), and, in a second run, an external
-        // stop for all.
-        let n = 48;
-        // Long-range couplings keep the preconditioned columns iterating
-        // too.
+        // Nine cold columns that leave the slabs from the middle at
+        // different iterations.  Each right-hand side lives on its own
+        // diagonal block, and BiCG on a block of size `s` ends within `s`
+        // iterations, so graded block sizes grade the leave iterations.
+        // Slot 4's right-hand side is zero (it leaves before the first
+        // apply) and slot 6 is NaN-poisoned at its third apply (a
+        // breakdown after the apply).
+        let sizes = [2, 9, 3, 7, 1, 5, 8, 4, 6];
+        let starts: Vec<usize> = sizes
+            .iter()
+            .scan(0, |end, &s| {
+                *end += s;
+                Some(*end - s)
+            })
+            .collect();
+        let n: usize = sizes.iter().sum();
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(321);
         let mut bld = CooBuilder::new(n, n);
-        for i in 0..n {
-            bld.push(i, i, c64(3.0, 0.35));
-            bld.push(i, (i + 1) % n, c64(-1.0, 0.1));
-            bld.push(i, (i + n - 1) % n, c64(-0.9, -0.2));
-            bld.push(i, (i + 7) % n, c64(0.6, 0.3));
-            bld.push(i, (5 * i + 3) % n, c64(-0.5, 0.2));
+        for (&size, &start) in sizes.iter().zip(&starts) {
+            let block = CMatrix::random(size, size, &mut rng);
+            for i in 0..size {
+                bld.push(start + i, start + i, block[(i, i)] + c64(3.0, 0.35));
+                for j in (0..size).filter(|&j| j != i) {
+                    bld.push(start + i, start + j, block[(i, j)]);
+                }
+            }
         }
         let a = bld.build();
         let jacobi = Jacobi::of(&a);
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(321);
-        let x_true: Vec<CVector> = (0..9).map(|_| CVector::random(n, &mut rng)).collect();
-        let mut b: Vec<CVector> = x_true.iter().map(|x| a.matvec(x)).collect();
-        let mut bd: Vec<CVector> = x_true.iter().map(|x| a.matvec_adjoint(x)).collect();
+        let on_block = |c: usize, rng: &mut rand_chacha::ChaCha8Rng| {
+            let mut v = CVector::zeros(n);
+            for (k, vk) in CVector::random(sizes[c], rng).as_slice().iter().enumerate() {
+                v[starts[c] + k] = *vk;
+            }
+            v
+        };
+        let mut b: Vec<CVector> = (0..9).map(|c| on_block(c, &mut rng)).collect();
+        let mut bd: Vec<CVector> = (0..9).map(|c| on_block(c, &mut rng)).collect();
         (b[4], bd[4]) = (CVector::zeros(n), CVector::zeros(n));
-        let near: Vec<CVector> = [1e-2, 1e-4, 1e-6, 1e-8]
-            .iter()
-            .zip([0, 2, 5, 7])
-            .map(|(&eps, c)| {
-                let mut x = x_true[c].clone();
-                x.axpy(c64(eps, 0.0), &CVector::random(n, &mut rng));
-                x
-            })
-            .collect();
-        let mut seeds: Vec<Option<(&CVector, &CVector)>> = vec![None; 9];
-        for (x, c) in near.iter().zip([0, 2, 5, 7]) {
-            seeds[c] = Some((x, x));
-        }
-        let opts = SolverOptions::default().with_tolerance(1e-11);
-        let stop = |iter: usize| iter >= 6;
+        let opts = SolverOptions { tolerance: 1e-11, ..SolverOptions::default() };
         for m in [None, Some(&jacobi)] {
             let label = format!("precond {}", m.is_some());
             let recorder = Tripwire { inner: &a, trigger: Vec::new(), seen: Vec::new().into() };
-            scalar_oracle(&recorder, m, &b[6], &bd[6], None, &opts, None);
+            scalar_oracle(&recorder, m, &b[6], &bd[6], &opts);
             let trigger = recorder.seen.into_inner().unwrap().swap_remove(2);
             let faulty = Tripwire { inner: &a, trigger, seen: Vec::new().into() };
-            for external_stop in [None, Some(&stop as &(dyn Fn(usize) -> bool + Sync))] {
-                let block = bicg_dual_block_precond(
-                    &faulty,
-                    m,
-                    &b,
-                    &bd,
-                    Some(&seeds),
-                    &opts,
-                    external_stop,
-                );
-                for (c, col) in block.columns.iter().enumerate() {
-                    let single =
-                        scalar_oracle(&faulty, m, &b[c], &bd[c], seeds[c], &opts, external_stop);
-                    assert_bitwise_eq(col, &single);
-                }
-                let cols = &block.columns;
-                assert_eq!(cols[4].history.iterations(), 0, "{label}");
-                assert_eq!(cols[6].history.stop_reason, StopReason::Breakdown, "{label}");
-                assert_eq!(cols[6].history.iterations(), 2, "{label}");
-                if external_stop.is_none() {
-                    assert!(cols.iter().enumerate().all(|(c, col)| c == 6 || col.both_converged()));
-                    let mut iters: Vec<usize> =
-                        cols.iter().map(|c| c.history.iterations()).collect();
-                    iters.sort_unstable();
-                    iters.dedup();
-                    assert!(iters.len() >= 6, "{label}: columns left together: {iters:?}");
-                } else {
-                    assert!(cols.iter().any(|c| c.history.stop_reason == StopReason::ExternalStop));
-                }
+            let block = bicg_dual_block_precond(&faulty, m, &b, &bd, None, &opts, None);
+            for (c, col) in block.columns.iter().enumerate() {
+                assert_bitwise_eq(col, &scalar_oracle(&faulty, m, &b[c], &bd[c], &opts));
             }
+            let cols = &block.columns;
+            assert_eq!(cols[4].history.iterations(), 0, "{label}");
+            assert_eq!(cols[6].history.stop_reason, StopReason::Breakdown, "{label}");
+            assert_eq!(cols[6].history.iterations(), 2, "{label}");
+            assert!(cols.iter().enumerate().all(|(c, col)| c == 6 || col.both_converged()));
+            let mut iters: Vec<usize> = cols.iter().map(|c| c.history.iterations()).collect();
+            iters.sort_unstable();
+            iters.dedup();
+            assert!(iters.len() >= 6, "{label}: columns left together: {iters:?}");
         }
     }
 
@@ -1089,19 +972,19 @@ mod tests {
         let b: Vec<CVector> = rhs_block(n, 3, 319).into_iter().map(zero_heavy).collect();
         let bd: Vec<CVector> = rhs_block(n, 3, 320).into_iter().map(zero_heavy).collect();
         let scale: Vec<f64> = (0..n).map(|i| if heavy(i) { 100.0 } else { 1.0 }).collect();
-        let opts = SolverOptions::default().with_tolerance(1e-10);
+        let opts = SolverOptions { tolerance: 1e-10, ..SolverOptions::default() };
         let tol = opts.tolerance;
         let run = |c: usize, nan_at: &(dyn Fn(usize) -> bool + Sync), opts: &SolverOptions| {
             let op = RowScaled { inner: &op, scale: &scale, nan_at, log: Vec::new().into() };
-            let mut out = block_plain(&op, &b[c..=c], &bd[c..=c], None, opts, None);
+            let mut out = block_plain(&op, &b[c..=c], &bd[c..=c], opts);
             (out.columns.pop().unwrap(), op.log.into_inner().unwrap())
         };
 
         let mut longer = 0;
-        let plain = block_plain(&op, &b, &bd, None, &opts, None);
+        let plain = block_plain(&op, &b, &bd, &opts);
         let mapped =
             RowScaled { inner: &op, scale: &scale, nan_at: &|_| false, log: Vec::new().into() };
-        let block = block_plain(&mapped, &b, &bd, None, &opts, None);
+        let block = block_plain(&mapped, &b, &bd, &opts);
         for (c, plain) in plain.columns.iter().enumerate() {
             // Alone, the column is the block's: the same recurrence as
             // without the map, run for longer ...
@@ -1163,7 +1046,7 @@ mod tests {
         let op = DenseOp::new(random_diag_dominant(n, 308));
         let b = rhs_block(n, nvecs, 309);
         let opts = SolverOptions { tolerance: 1e-300, max_iterations: 12, record_history: false };
-        let block = block_plain(&op, &b, &b, None, &opts, None);
+        let block = block_plain(&op, &b, &b, &opts);
         assert_eq!(block.traversals, 2 * 12);
         assert_eq!(block.total_matvecs(), nvecs * block.traversals);
     }
@@ -1171,7 +1054,7 @@ mod tests {
     #[test]
     fn empty_block_is_a_no_op() {
         let op = DenseOp::new(random_diag_dominant(8, 310));
-        let out = block_plain(&op, &[], &[], None, &SolverOptions::default(), None);
+        let out = block_plain(&op, &[], &[], &SolverOptions::default());
         assert!(out.columns.is_empty());
         assert_eq!(out.traversals, 0);
     }

@@ -9,11 +9,9 @@ pub enum StopReason {
     MaxIterations,
     /// The recurrence broke down (division by a vanishing inner product).
     Breakdown,
-    /// An external controller requested an early stop through
-    /// `bicg_dual_block_precond`'s `external_stop`.  Vestige, released by
-    /// ROADMAP 1(a): no library solve passes a controller since the paper's
-    /// majority-stop rule was deleted, and the repo benchmark's oracle still
-    /// matches the variant.
+    /// Never returned: no solve can be stopped from outside any more.  A
+    /// vestige kept only because the repo benchmark's oracle matches it
+    /// (released by ROADMAP 1(a)).
     ExternalStop,
 }
 
@@ -64,25 +62,6 @@ impl Default for SolverOptions {
     }
 }
 
-impl SolverOptions {
-    /// The settings used throughout the paper's experiments.
-    pub fn paper() -> Self {
-        Self { tolerance: 1e-10, max_iterations: 100_000, record_history: true }
-    }
-
-    /// Override the tolerance.
-    pub fn with_tolerance(mut self, tol: f64) -> Self {
-        self.tolerance = tol;
-        self
-    }
-
-    /// Override the iteration budget.
-    pub fn with_max_iterations(mut self, n: usize) -> Self {
-        self.max_iterations = n;
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,13 +76,5 @@ mod tests {
         assert_eq!(h.iterations(), 2);
         assert!(h.converged());
         assert!((h.final_residual() - 1e-11).abs() < 1e-20);
-    }
-
-    #[test]
-    fn options_builders() {
-        let o = SolverOptions::paper().with_tolerance(1e-8).with_max_iterations(5);
-        assert_eq!(o.max_iterations, 5);
-        assert_eq!(o.tolerance, 1e-8);
-        assert!(o.record_history);
     }
 }

@@ -6,14 +6,14 @@
 //!   one shifted system advanced in lockstep through fused block matvecs,
 //!   solving `A x = b` *and* `A† x̃ = b̃` in one sweep (the kernel the paper
 //!   uses to halve the cost of the contour quadrature, `P(z)† = P(1/z̄)`),
-//!   with per-column deflation, a stop on the relative residual (also of
-//!   the system a split operator stands for), optional initial guesses (a vestige no
-//!   workspace solve uses) and an optional preconditioner (`M⁻¹` on the
-//!   primal residuals, `M⁻†` on the dual — e.g. the stencil's diagonal ILU
-//!   `cbs_sparse::StencilDilu`; no workspace solve passes one, the ILU
-//!   policy splits the system by it instead),
-//! * [`bicg_dual`], [`bicg()`] — its width-1, unpreconditioned, unseeded
-//!   calls for single systems,
+//!   from a zero start, with per-column deflation, a stop on the relative
+//!   residual (also of the system a split operator stands for) and an
+//!   optional preconditioner (`M⁻¹` on the primal residuals, `M⁻†` on the
+//!   dual — e.g. the stencil's diagonal ILU `cbs_sparse::StencilDilu`; no
+//!   workspace solve passes one, the ILU policy splits the system by it
+//!   instead),
+//! * [`bicg()`] — its width-1, unpreconditioned call for a single system
+//!   (the Green-function columns of the OBM baseline),
 //! * [`ConvergenceHistory`] / [`SolverOptions`] — the residual-history
 //!   bookkeeping behind the paper's Figure 5 and Table 1.
 
@@ -23,6 +23,6 @@ pub mod bicg;
 pub mod block;
 pub mod history;
 
-pub use bicg::{bicg, bicg_dual, BicgResult};
+pub use bicg::{bicg, BicgResult};
 pub use block::{bicg_dual_block_precond, BlockBicgResult};
 pub use history::{ConvergenceHistory, SolverOptions, StopReason};

@@ -8,7 +8,7 @@
 //! * [`LinearOperator`] — the matrix-free operator trait all solvers consume,
 //! * [`CsrMatrix`] / [`CooBuilder`] — complex compressed-sparse-row storage,
 //! * [`LowRankOp`] / [`SparseVec`] — factored non-local projector operators,
-//! * [`Preconditioner`] — an approximate inverse applied as a solve,
+//! * [`Preconditioner`] — an approximate inverse applied as a block solve,
 //!   with its adjoint,
 //! * [`RealStencil`] — a *real* Hamiltonian's `H₀₀` and `H₀₁` as `f64`
 //!   rows with `u32` indices (explicit `H₀₁ᵀ`, projector terms as real
@@ -25,9 +25,10 @@
 //!   small reference problems.
 //!
 //! Only the stencil keeps fused multi-column kernels (its `P(z)`, its
-//! split and its diagonal ILU's sweeps); every other operator and
-//! preconditioner here applies or solves a slab one column at a time
-//! through the [`LinearOperator`] and [`Preconditioner`] defaults.
+//! split and its diagonal ILU's sweeps); every other operator here applies
+//! a slab one column at a time through the [`LinearOperator`] defaults.
+//! [`Preconditioner`] has no defaults: its one product implementation, the
+//! stencil's diagonal ILU, solves whole slabs.
 //!
 //! The stencil is the one operator storage.  [`AssembledPattern`],
 //! [`AssembledOp`] and [`FactoredProjector`] ([`vestige`]) are the names
@@ -50,5 +51,5 @@ pub use ops::{adjoint_defect, DenseOp, LinearOperator, Preconditioner};
 pub use real_stencil::{
     Block, RealStencil, SplitOperator, StencilBlock, StencilBuilder, StencilDilu,
 };
-pub use scratch::{recycle_scratch, take_scratch, with_scratch};
+pub use scratch::with_scratch;
 pub use vestige::{AssembledOp, AssembledPattern, FactoredProjector};

@@ -133,60 +133,30 @@ pub trait LinearOperator: Sync {
     }
 }
 
-/// Approximate inverse `M ≈ A⁻¹` applied as a solve, together with its
-/// adjoint — the seam the preconditioned dual-BiCG variants consume.
+/// Approximate inverse `M ≈ A⁻¹` applied as a block solve, together with
+/// its adjoint — the seam the preconditioned dual BiCG consumes.
 ///
 /// The adjoint solve is what keeps the paper's dual trick intact: with
 /// `M ≈ P(z)` (e.g. the diagonal ILU of its sparse part), `M† ≈ P(z)† =
 /// P(1/z̄)`, so the same factorization preconditions both the outer-circle
 /// system and its inner-circle dual.
+///
+/// Both solves work on `nvecs` column-major vectors: column `c` lives at
+/// `r[c*n..(c+1)*n]` / `z[c*n..(c+1)*n]` (the same slab convention as
+/// [`LinearOperator::apply_block`]).  Both slabs must hold at least `nvecs`
+/// columns; only the first `nvecs` of `z` are written, and each column's
+/// result must be bitwise that of a width-1 solve of the column — the block
+/// solver's parity contract with its per-column reference is test-locked on
+/// top of this seam.
 pub trait Preconditioner: Sync {
     /// Dimension of the (square) preconditioned operator.
     fn dim(&self) -> usize;
 
-    /// `z = M⁻¹ r`.  `z` is fully overwritten.
-    fn solve(&self, r: &[Complex64], z: &mut [Complex64]);
+    /// `Z = M⁻¹ R` over `nvecs` columns.
+    fn solve_block(&self, r: &[Complex64], z: &mut [Complex64], nvecs: usize);
 
-    /// `z = M⁻† r`.  `z` is fully overwritten.
-    fn solve_adjoint(&self, r: &[Complex64], z: &mut [Complex64]);
-
-    /// Multi-RHS solve over `nvecs` column-major vectors: column `c` lives
-    /// at `r[c*n..(c+1)*n]` / `z[c*n..(c+1)*n]` (the same slab convention
-    /// as [`LinearOperator::apply_block`]).  Both slabs must hold at least
-    /// `nvecs` columns; only the first `nvecs` of `z` are written.
-    ///
-    /// The default loops [`Preconditioner::solve`] per column (and returns
-    /// at once when `dim() == 0`), so every implementation is *bitwise*
-    /// equivalent to the per-column path out of the box.  The stencil's
-    /// diagonal ILU (`StencilDilu`) overrides it with fused sweeps, which
-    /// must preserve that bitwise equivalence — the block solver's parity
-    /// contract with the per-column reference solver is test-locked on top
-    /// of this seam.
-    fn solve_block(&self, r: &[Complex64], z: &mut [Complex64], nvecs: usize) {
-        let n = self.dim();
-        assert!(r.len() >= n * nvecs, "solve_block: r slab too short");
-        assert!(z.len() >= n * nvecs, "solve_block: z slab too short");
-        if n == 0 {
-            return;
-        }
-        for (rc, zc) in r.chunks_exact(n).zip(z.chunks_exact_mut(n)).take(nvecs) {
-            self.solve(rc, zc);
-        }
-    }
-
-    /// Multi-RHS adjoint solve; slab layout and bitwise contract as in
-    /// [`Preconditioner::solve_block`].
-    fn solve_adjoint_block(&self, r: &[Complex64], z: &mut [Complex64], nvecs: usize) {
-        let n = self.dim();
-        assert!(r.len() >= n * nvecs, "solve_adjoint_block: r slab too short");
-        assert!(z.len() >= n * nvecs, "solve_adjoint_block: z slab too short");
-        if n == 0 {
-            return;
-        }
-        for (rc, zc) in r.chunks_exact(n).zip(z.chunks_exact_mut(n)).take(nvecs) {
-            self.solve_adjoint(rc, zc);
-        }
-    }
+    /// `Z = M⁻† R` over `nvecs` columns.
+    fn solve_adjoint_block(&self, r: &[Complex64], z: &mut [Complex64], nvecs: usize);
 }
 
 impl<T: LinearOperator + ?Sized> LinearOperator for &T {
@@ -321,25 +291,6 @@ mod tests {
         assert!((&op.apply_adjoint_vec(&y) - &m.adjoint().matvec(&y)).norm() < 1e-13);
     }
 
-    /// `z = d ∘ r`: the smallest preconditioner that keeps the defaults.
-    struct Diagonal(Vec<Complex64>);
-
-    impl Preconditioner for Diagonal {
-        fn dim(&self) -> usize {
-            self.0.len()
-        }
-        fn solve(&self, r: &[Complex64], z: &mut [Complex64]) {
-            for ((zi, ri), di) in z.iter_mut().zip(r).zip(&self.0) {
-                *zi = *di * *ri;
-            }
-        }
-        fn solve_adjoint(&self, r: &[Complex64], z: &mut [Complex64]) {
-            for ((zi, ri), di) in z.iter_mut().zip(r).zip(&self.0) {
-                *zi = di.conj() * *ri;
-            }
-        }
-    }
-
     #[test]
     fn block_defaults_accept_empty_dimensions() {
         let empty = DenseOp::new(CMatrix::zeros(0, 0));
@@ -352,38 +303,6 @@ mod tests {
         wide.apply_block(&[], &mut y, 3);
         assert!(y.iter().all(|&v| v == Complex64::ZERO));
         wide.apply_adjoint_block(&y, &mut [], 3);
-        let none = Diagonal(Vec::new());
-        none.solve_block(&[], &mut [], 3);
-        none.solve_adjoint_block(&[], &mut [], 3);
-    }
-
-    #[test]
-    fn solve_block_defaults_solve_every_column_of_a_longer_slab() {
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(64);
-        let m = Diagonal(CVector::random(4, &mut rng).into_vec());
-        let r = CVector::random(4 * 3, &mut rng).into_vec();
-        let mut z = vec![Complex64::ONE; 4 * 3 + 1];
-        m.solve_block(&r, &mut z, 3);
-        let mut col = vec![Complex64::ZERO; 4];
-        for (c, rc) in r.chunks_exact(4).enumerate() {
-            m.solve(rc, &mut col);
-            assert_eq!(&z[c * 4..(c + 1) * 4], &col[..], "column {c}");
-        }
-        assert_eq!(z[12], Complex64::ONE, "only nvecs columns are written");
-    }
-
-    #[test]
-    #[should_panic(expected = "r slab too short")]
-    fn solve_block_default_rejects_a_short_slab() {
-        let m = Diagonal(vec![Complex64::ONE; 4]);
-        m.solve_block(&[Complex64::ONE; 7], &mut [Complex64::ZERO; 8], 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "z slab too short")]
-    fn solve_adjoint_block_default_rejects_a_short_slab() {
-        let m = Diagonal(vec![Complex64::ONE; 4]);
-        m.solve_adjoint_block(&[Complex64::ONE; 8], &mut [Complex64::ZERO; 7], 2);
     }
 
     #[test]

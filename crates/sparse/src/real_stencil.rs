@@ -1065,18 +1065,6 @@ impl Preconditioner for StencilDilu<'_> {
         self.stencil.n
     }
 
-    fn solve(&self, r: &[Complex64], z: &mut [Complex64]) {
-        assert_eq!(r.len(), self.stencil.n, "diagonal ILU solve: r length mismatch");
-        assert_eq!(z.len(), self.stencil.n, "diagonal ILU solve: z length mismatch");
-        self.solve_slab(false, r, z, 1);
-    }
-
-    fn solve_adjoint(&self, r: &[Complex64], z: &mut [Complex64]) {
-        assert_eq!(r.len(), self.stencil.n, "diagonal ILU adjoint solve: r length mismatch");
-        assert_eq!(z.len(), self.stencil.n, "diagonal ILU adjoint solve: z length mismatch");
-        self.solve_slab(true, r, z, 1);
-    }
-
     fn solve_block(&self, r: &[Complex64], z: &mut [Complex64], nvecs: usize) {
         self.solve_slab(false, r, z, nvecs);
     }

@@ -36,7 +36,7 @@ pub fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [Complex64]) -> R) -> R {
 /// lifetime is tied to a value rather than a call scope (the stencil-form
 /// diagonal ILU's pivots).  Return it
 /// with [`recycle_scratch`]; dropping it instead merely forfeits the reuse.
-pub fn take_scratch(len: usize) -> Vec<Complex64> {
+pub(crate) fn take_scratch(len: usize) -> Vec<Complex64> {
     let mut buf = POOL.with(|p| p.borrow_mut().pop()).unwrap_or_default();
     buf.clear();
     buf.resize(len, Complex64::ZERO);
@@ -55,7 +55,7 @@ pub(crate) fn take_scratch_for_overwrite(len: usize) -> Vec<Complex64> {
 
 /// Return a buffer obtained from [`take_scratch`] (or any `Vec<Complex64>`
 /// whose allocation is worth keeping) to the current thread's pool.
-pub fn recycle_scratch(buf: Vec<Complex64>) {
+pub(crate) fn recycle_scratch(buf: Vec<Complex64>) {
     POOL.with(|p| p.borrow_mut().push(buf));
 }
 

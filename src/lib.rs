@@ -56,6 +56,6 @@ pub use cbs_obm as obm;
 /// Task executors (re-export of `cbs-parallel`).
 pub use cbs_parallel as parallel;
 
-/// Batched, adaptive energy-sweep orchestration, every energy solved cold
+/// Batched energy-sweep orchestration, every energy solved cold
 /// (re-export of `cbs-sweep`).
 pub use cbs_sweep as sweep;
