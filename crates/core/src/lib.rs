@@ -25,7 +25,8 @@
 //!
 //! The `N_int x N_rh` independent shifted solves run through one road,
 //! [`solve_pool`]: a job per solved quadrature node (all of its right-hand
-//! sides in one block dual-BiCG, run to the configured tolerance), all of
+//! sides in one call of the block dual-BiCG, run to the configured
+//! tolerance, with the node's diagonal ILU under the ILU policy), all of
 //! them in one dispatch through any `cbs_parallel::TaskExecutor`, which
 //! [`solve_qep_with`] takes as its seam (`cbs_parallel::SerialExecutor`
 //! for a serial solve).
@@ -37,7 +38,6 @@ pub mod contour;
 pub mod policy;
 pub mod pool;
 pub mod qep;
-mod split;
 pub mod ss;
 
 pub use cbs::{

@@ -49,10 +49,10 @@ pub enum PrecondPolicy {
     /// The complex **diagonal ILU** of the sparse part of `P(z)` —
     /// `M = (D̃+L)D̃⁻¹(D̃+U)` with `L`, `U` the strict triangles of `P(z)` and
     /// only the pivots eliminated — built once per quadrature node and
-    /// applied on both the primal (`M⁻¹`) and dual (`M⁻†`, i.e. the
-    /// `P(1/z̄)` side) recurrences: the iteration-count lever.  It is `n`
-    /// pivots swept over the real stencil's rows, and BiCG runs on the
-    /// system they split, one row pass per apply.  Blocks that are not a
+    /// serving both the primal and the dual (the `P(1/z̄)` side) systems:
+    /// the iteration-count lever.  It is `n` pivots swept over the real
+    /// stencil's rows, and BiCG runs on the system they split, one row pass
+    /// per apply.  Blocks that are not a
     /// stencil's views (complex, dense or plain-CSR pencils) run
     /// this policy as [`MatrixFree`](Self::MatrixFree): a documented
     /// degradation.  (The name is the fingerprint's: the policy refilled

@@ -15,15 +15,14 @@
 //! operator (and, under the ILU policy on blocks that are a real
 //! stencil's views, its diagonal ILU) through [`QepProblem::node_solve`] under the
 //! configuration's [`PrecondPolicy`](crate::PrecondPolicy), and advances
-//! all of the group's right-hand sides in lockstep through
+//! all of the group's right-hand sides in lockstep through one call of
 //! `cbs_solver::bicg_dual_block_precond`'s fused block matvecs, to the
-//! configured tolerance or iteration cap.  There are two roads: the system
-//! the diagonal ILU splits (the `split` module: one row pass per apply, a
-//! stop on the mapped true residual, then one true-residual certificate per
-//! node), and plain BiCG on `P(z)` with no preconditioner.  A job drops its
-//! node's operator when it returns — so at most one per worker is alive,
-//! and the pivots are computed once per solved node, never per right-hand
-//! side.  The dispatch therefore holds *solved nodes x groups* jobs; an
+//! configured tolerance or iteration cap.  With a diagonal ILU that call
+//! runs BiCG on the system it splits (one row pass per apply, a stop on the
+//! mapped true residual, then one true-residual certificate per node);
+//! without one, on `P(z)` itself.  A job drops its node's operator when it
+//! returns — so at most one per worker is alive, and the pivots are
+//! computed once per solved node, never per right-hand side.  The dispatch therefore holds *solved nodes x groups* jobs; an
 //! executor wider than that idles (the remedy, should a wide-machine
 //! workload ever show it, is column tiles chosen from `executor.threads()`
 //! inside this one job runner).
@@ -43,11 +42,9 @@
 use cbs_linalg::{CVector, Complex64};
 use cbs_parallel::TaskExecutor;
 use cbs_solver::{bicg_dual_block_precond, ConvergenceHistory};
-use cbs_sparse::Preconditioner;
 use cbs_trace::TraceHandle;
 
 use crate::qep::QepProblem;
-use crate::split::solve_split;
 use crate::ss::{MomentAccumulator, SsConfig};
 
 /// The solution of one shifted system and its dual.
@@ -129,16 +126,8 @@ pub fn solve_pool<E: TaskExecutor>(
         let group = &groups[g];
         let _solve_span = group.trace.solve_scope(point_index);
         let (op, prec) = group.problem.node_solve(precond, z);
-        // A stencil node of the ILU policy runs BiCG on its split system;
-        // every other node on `P(z)`, unpreconditioned.
         let v = group.v_cols;
-        let res = match &prec {
-            Some(m) => solve_split(m, &op, v, &options),
-            None => {
-                let none = None::<&dyn Preconditioner>;
-                bicg_dual_block_precond(&op, none, v, v, None, &options, None)
-            }
-        };
+        let res = bicg_dual_block_precond(&op, prec.as_ref(), v, v, None, &options, None);
         let outcomes = res
             .columns
             .into_iter()
@@ -175,14 +164,16 @@ pub fn solve_pool<E: TaskExecutor>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::policy::PrecondPolicy;
     use crate::ss::{extract_from_moments, RingPlan, SsResult};
     use cbs_linalg::{c64, CMatrix};
     use cbs_parallel::{RayonExecutor, SerialExecutor};
     use cbs_solver::StopReason;
-    use cbs_sparse::{CooBuilder, CsrMatrix, DenseOp, LinearOperator};
+    use cbs_sparse::{
+        CooBuilder, CsrMatrix, DenseOp, LinearOperator, LowRankOp, Preconditioner, RealStencil,
+    };
     use rand::SeedableRng;
 
     /// Well-conditioned complex (so: never mirrored) dense blocks.
@@ -250,16 +241,25 @@ mod tests {
         Ring { moments, iterations, matvecs, traversals, solves, result }
     }
 
+    /// The pool's outcome for the one group `plan` makes of `qep`.
+    fn pool_one<E: TaskExecutor>(
+        qep: &QepProblem<'_>,
+        config: &SsConfig,
+        plan: &RingPlan,
+        executor: &E,
+    ) -> PoolOutcome {
+        let group =
+            PoolGroup { problem: qep, v_cols: &plan.v_cols, trace: TraceHandle::disabled() };
+        solve_pool(&[group], vec![plan.accumulator()], config, executor)
+            .pop()
+            .expect("one outcome per group")
+    }
+
     /// One single-ring group through the pool.
     fn run_ring<E: TaskExecutor>(qep: &QepProblem<'_>, config: &SsConfig, executor: &E) -> Ring {
         let plan = RingPlan::build(qep, config).unwrap();
         assert!(!plan.is_mirrored(), "these tests solve every node of the ring");
-        let group =
-            PoolGroup { problem: qep, v_cols: &plan.v_cols, trace: TraceHandle::disabled() };
-        let o = solve_pool(&[group], vec![plan.accumulator()], config, executor)
-            .pop()
-            .expect("one outcome per group");
-        ring_of(qep, config, &plan, o)
+        ring_of(qep, config, &plan, pool_one(qep, config, &plan, executor))
     }
 
     fn assert_bitwise_eq(a: &Ring, b: &Ring) {
@@ -380,5 +380,85 @@ mod tests {
             let alone = run_ring(qep, &cfg, &SerialExecutor);
             assert_bitwise_eq(&alone, &ring_of(qep, &cfg, &plan, together));
         }
+    }
+
+    /// A real chain pencil whose scan energy sits just below the spectrum
+    /// of `H₀₀`: `P(z)` is nearly singular there, its diagonal ILU has small
+    /// pivots, and `M_L⁻¹` concentrates `b̂` on their rows — so the split
+    /// residual, normalized by `‖b̂‖`, passes before the true one.  As a
+    /// stencil, so the ILU policy's nodes run on its split system.
+    pub(crate) fn chain_pencil(n: usize) -> RealStencil {
+        let (mut a, mut b) = (CooBuilder::new(n, n), CooBuilder::new(n, n));
+        for i in 0..n {
+            a.push(i, i, c64(2.5, 0.0));
+            if i + 1 < n {
+                a.push(i, i + 1, c64(-1.0, 0.0));
+                a.push(i + 1, i, c64(-1.0, 0.0));
+            }
+            b.push(i, (i + 7) % n, c64(0.4, 0.0));
+        }
+        let none = LowRankOp::new(n, n);
+        RealStencil::try_new((&a.build(), &none), (&b.build(), &none)).expect("a real pencil")
+    }
+
+    #[test]
+    fn a_split_residual_that_passes_early_keeps_iterating_to_the_true_tolerance() {
+        let pencil = chain_pencil(60);
+        let (h00, h01) = (pencil.h00(), pencil.h01());
+        let qep = QepProblem::new(&h00, &h01, 0.3, 1.0);
+        let config = SsConfig {
+            bicg_tolerance: 1e-10,
+            precond: PrecondPolicy::AssembledIlu0,
+            ..config(8, 3)
+        };
+        let plan = RingPlan::build(&qep, &config).expect("valid contour");
+        let serial = pool_one(&qep, &config, &plan, &SerialExecutor);
+        assert!(qep.real_stencil().is_some(), "stencil views: the split route runs");
+
+        // Every node, solved on its own as the pool solves it, converges and
+        // meets the tolerance in the true residual, recomputed here with the
+        // problem's own operator — some of its columns past an iteration
+        // where both split residuals already met it ...
+        let (tol, opts, v) = (config.bicg_tolerance, config.solver_options(), &plan.v_cols);
+        let mut per_node = Vec::new();
+        let mut early = 0;
+        for j in 0..serial.acc.n_nodes() {
+            let z = serial.acc.node_shift(j);
+            let (op, prec) = qep.node_solve(config.precond, z);
+            let Some(m) = &prec else { panic!("node {j} does not split") };
+            let solved = bicg_dual_block_precond(&op, Some(m), v, v, None, &opts, None);
+            let truth = qep.operator(z);
+            for (r, col) in solved.columns.into_iter().enumerate() {
+                let b = &v[r];
+                let primal = (&truth.apply_vec(&col.x) - b).norm() / b.norm();
+                let dual = (&truth.apply_adjoint_vec(&col.dual_x) - b).norm() / b.norm();
+                assert!(col.both_converged(), "node {j} rhs {r}");
+                assert!(
+                    primal <= tol && dual <= tol,
+                    "node {j} rhs {r}: {primal:.2e} / {dual:.2e}"
+                );
+                let (split, split_dual) = (&col.history.residuals, &col.dual_history.residuals);
+                let last = split.len() - 1;
+                early += usize::from((0..last).any(|i| split[i] <= tol && split_dual[i] <= tol));
+                per_node.push(col.history);
+            }
+        }
+        assert!(early > 0, "no split residual passed before the true one");
+
+        // ... and is the solve the pool ran, bit for bit, with its history
+        // ending on that residual.
+        let counters = |o: &PoolOutcome| [o.iterations, o.matvecs, o.traversals];
+        let (cold, moments) = (counters(&serial), serial.acc.stored());
+        let result = extract_from_moments(&qep, &config, v, serial, 0.0);
+        assert!(result.solve_histories.iter().all(|h| h.converged() && h.final_residual() <= tol));
+        // The mirrored ring reports each solved node's histories twice.
+        let half = per_node.len();
+        for (pooled, alone) in result.solve_histories.iter().zip(&per_node).take(half) {
+            assert_eq!(pooled.residuals, alone.residuals);
+        }
+
+        // Serial ≡ rayon, bitwise.
+        let rayon = pool_one(&qep, &config, &plan, &RayonExecutor);
+        assert_eq!((counters(&rayon), rayon.acc.stored()), (cold, moments));
     }
 }

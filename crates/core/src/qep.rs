@@ -30,13 +30,14 @@
 //! selects it: under [`PrecondPolicy::AssembledIlu0`],
 //! [`QepProblem::node_solve`] returns the stencil view and the diagonal ILU
 //! of its sparse part in stencil form ([`cbs_sparse::RealStencil::dilu`]:
-//! `n` pivots, no refill), and the solve pool runs BiCG on the system that
-//! ILU splits (`M_L⁻¹P(z)M_R⁻¹`, one row pass per apply; see `cbs_core`'s
-//! `split` module).  Blocks that are not stencil views — complex, dense or
-//! plain-CSR pencils, never a `cbs-dft` Hamiltonian — run that policy
-//! matrix-free and unpreconditioned: a documented degradation.  The stencil
-//! holds no scan energy, so the problems of a sweep all read the one the
-//! Hamiltonian stores.
+//! `n` pivots, no refill), and the solve pool hands both to the one BiCG
+//! call, which solves through the system that ILU splits
+//! (`M_L⁻¹P(z)M_R⁻¹`, one row pass per apply; see
+//! `cbs_solver::bicg_dual_block_precond`).  Blocks that are not stencil
+//! views — complex, dense or plain-CSR pencils, never a `cbs-dft`
+//! Hamiltonian — run that policy matrix-free and unpreconditioned: a
+//! documented degradation.  The stencil holds no scan energy, so the
+//! problems of a sweep all read the one the Hamiltonian stores.
 
 use std::sync::OnceLock;
 
@@ -141,9 +142,11 @@ impl<'a> QepProblem<'a> {
     /// The per-node solve context under a [`PrecondPolicy`]: the matrix-free
     /// view of `P(z)` and, for the ILU policy on stencil views, the
     /// diagonal ILU of its sparse part in stencil form — `n` pivots from one
-    /// O(nnz) pass, nothing refilled — by which the solve pool splits the
-    /// system ([`StencilDilu::split`]).  Its adjoint sweeps serve the dual
-    /// (`P(1/z̄)`) side from the same pivots.
+    /// O(nnz) pass, nothing refilled.  The two are the arguments of the
+    /// pool's one solver call, `cbs_solver::bicg_dual_block_precond(&op,
+    /// dilu.as_ref(), …)`, which solves through the system the ILU splits
+    /// (the [`cbs_sparse::Preconditioner`] the ILU is).  Its dual side
+    /// serves the `P(1/z̄)` systems from the same pivots.
     ///
     /// [`PrecondPolicy::MatrixFree`] never returns a preconditioner, and
     /// neither does [`PrecondPolicy::AssembledIlu0`] on blocks that are not

@@ -101,10 +101,10 @@ pub struct SsConfig {
     /// Seed of the random source block `V`.
     pub seed: u64,
     /// Preconditioning of the shifted solves, and the only input that
-    /// selects it: [`AssembledIlu0`](PrecondPolicy::AssembledIlu0) splits
-    /// every node by its diagonal ILU where the blocks are a real
-    /// stencil's views (every Hamiltonian `cbs-dft` builds) and runs matrix-free
-    /// where they do not; [`MatrixFree`](PrecondPolicy::MatrixFree), the
+    /// selects it: [`AssembledIlu0`](PrecondPolicy::AssembledIlu0) hands
+    /// every node's diagonal ILU to the solver, which runs BiCG on the
+    /// system it splits, where the blocks are a real stencil's views (every
+    /// Hamiltonian `cbs-dft` builds), and runs matrix-free where they do not; [`MatrixFree`](PrecondPolicy::MatrixFree), the
     /// [`paper`](Self::paper) default, never preconditions.  It changes the
     /// floating-point trajectory, so it **is** part of the sweep checkpoint
     /// fingerprint.
@@ -1044,7 +1044,7 @@ mod tests {
     fn the_compact_store_is_the_full_fold_it_replaced() {
         let (h00, h01) = random_qep(12, 509);
         let (d00, d01) = (DenseOp::new(h00), DenseOp::new(h01));
-        let pencil = crate::split::tests::chain_pencil(40);
+        let pencil = crate::pool::tests::chain_pencil(40);
         let (s00, s01) = (pencil.h00(), pencil.h01());
         let config = SsConfig {
             n_int: 8,

@@ -24,7 +24,8 @@ use cbs_dft::{
 use cbs_grid::{CellShift, FdOrder, Grid3, KINETIC_PREFACTOR};
 use cbs_linalg::{c64, CVector, Complex64};
 use cbs_sparse::{
-    CooBuilder, CsrMatrix, LinearOperator, LowRankOp, Preconditioner, RealStencil, StencilBlock,
+    CooBuilder, CsrMatrix, LinearOperator, LowRankOp, Preconditioner, RealStencil, SplitOperator,
+    StencilBlock, StencilDilu,
 };
 
 /// The complex assembly `build` ran before it wrote the stencil itself.
@@ -229,7 +230,7 @@ fn assert_built_is_converted(what: &str, structure: &AtomicStructure, grid: Grid
             }
             // The diagonal ILU's solves and the split system.
             let (m, m_ref) = (built.dilu(energy, z), converted.dilu(energy, z));
-            let solves = |m: &dyn Preconditioner| {
+            let solves = |m: &StencilDilu<'_>| {
                 [
                     run(&|y| m.solve_block(&x, y, nvecs)),
                     run(&|y| m.solve_adjoint_block(&x, y, nvecs)),
@@ -238,7 +239,7 @@ fn assert_built_is_converted(what: &str, structure: &AtomicStructure, grid: Grid
             for (side, (g, w)) in solves(&m).iter().zip(&solves(&m_ref)).enumerate() {
                 assert_bitwise(&format!("{tag} dilu side {side}"), g, w);
             }
-            let (split, split_ref) = (m.split(), m_ref.split());
+            let (split, split_ref) = (SplitOperator(&m), SplitOperator(&m_ref));
             assert_bitwise(
                 &format!("{tag} split apply"),
                 &run(&|y| split.apply_block(&x, y, nvecs)),
@@ -250,7 +251,7 @@ fn assert_built_is_converted(what: &str, structure: &AtomicStructure, grid: Grid
                 &run(&|y| split_ref.apply_adjoint_block(&x, y, nvecs)),
             );
             for dual in [false, true] {
-                let maps = |m: &cbs_sparse::StencilDilu<'_>| {
+                let maps = |m: &StencilDilu<'_>| {
                     let (mut b, mut u) = (x.clone(), x.clone());
                     m.split_rhs(dual, &mut b, nvecs);
                     m.unsplit(dual, &mut u, nvecs);

@@ -6,12 +6,13 @@
 //!   one shifted system advanced in lockstep through fused block matvecs,
 //!   solving `A x = b` *and* `A† x̃ = b̃` in one sweep (the kernel the paper
 //!   uses to halve the cost of the contour quadrature, `P(z)† = P(1/z̄)`),
-//!   from a zero start, with per-column deflation, a stop on the relative
-//!   residual (also of the system a split operator stands for) and an
-//!   optional preconditioner (`M⁻¹` on the primal residuals, `M⁻†` on the
-//!   dual — e.g. the stencil's diagonal ILU `cbs_sparse::StencilDilu`; no
-//!   workspace solve passes one, the ILU policy splits the system by it
-//!   instead),
+//!   from a zero start, with per-column deflation and a stop on the
+//!   relative residual.  It has one recurrence: a split preconditioner
+//!   `cbs_sparse::Preconditioner` (the stencil's diagonal ILU
+//!   `cbs_sparse::StencilDilu`, under the ILU policy) is solved through,
+//!   by running that recurrence on its split system, stopping on the
+//!   residuals of `A` the split ones stand for, and certifying the true
+//!   residuals of the returned solutions,
 //! * [`bicg()`] — its width-1, unpreconditioned call for a single system
 //!   (the Green-function columns of the OBM baseline),
 //! * [`ConvergenceHistory`] / [`SolverOptions`] — the residual-history

@@ -8,8 +8,9 @@
 //! * [`LinearOperator`] — the matrix-free operator trait all solvers consume,
 //! * [`CsrMatrix`] / [`CooBuilder`] — complex compressed-sparse-row storage,
 //! * [`LowRankOp`] / [`SparseVec`] — factored non-local projector operators,
-//! * [`Preconditioner`] — an approximate inverse applied as a block solve,
-//!   with its adjoint,
+//! * [`Preconditioner`] — a split preconditioner `M = M_L·M_R`: the maps
+//!   into and out of its split system `M_L⁻¹AM_R⁻¹` and that system's
+//!   apply ([`SplitOperator`]), for both the primal and the dual side,
 //! * [`RealStencil`] — a *real* Hamiltonian's `H₀₀` and `H₀₁` as `f64`
 //!   rows with `u32` indices (explicit `H₀₁ᵀ`, projector terms as real
 //!   sparse factors), and `P(z)` applied from them in one fused row pass
@@ -19,8 +20,8 @@
 //!   built from, and a QEP over the two views of one stencil
 //!   ([`LinearOperator::stencil_block`]) applies `P(z)` through it.
 //!   [`StencilDilu`] is the diagonal ILU of its sparse part, kept as `n`
-//!   pivots and swept over the stencil's rows, whose [`SplitOperator`]
-//!   folds `P(z)` into its two sweeps (Eisenstat's trick),
+//!   pivots and swept over the stencil's rows, a [`Preconditioner`] whose
+//!   split apply folds `P(z)` into its two sweeps (Eisenstat's trick),
 //! * [`DenseOp`] — a dense matrix as a [`LinearOperator`], for tests and
 //!   small reference problems.
 //!
@@ -28,7 +29,7 @@
 //! split and its diagonal ILU's sweeps); every other operator here applies
 //! a slab one column at a time through the [`LinearOperator`] defaults.
 //! [`Preconditioner`] has no defaults: its one product implementation, the
-//! stencil's diagonal ILU, solves whole slabs.
+//! stencil's diagonal ILU, maps and applies whole slabs.
 //!
 //! The stencil is the one operator storage.  [`AssembledPattern`],
 //! [`AssembledOp`] and [`FactoredProjector`] ([`vestige`]) are the names
@@ -47,9 +48,7 @@ pub mod vestige;
 
 pub use csr::{CooBuilder, CsrMatrix};
 pub use lowrank::{LowRankOp, RankOneTerm, SparseVec};
-pub use ops::{adjoint_defect, DenseOp, LinearOperator, Preconditioner};
-pub use real_stencil::{
-    Block, RealStencil, SplitOperator, StencilBlock, StencilBuilder, StencilDilu,
-};
+pub use ops::{adjoint_defect, DenseOp, LinearOperator, Preconditioner, SplitOperator};
+pub use real_stencil::{Block, RealStencil, StencilBlock, StencilBuilder, StencilDilu};
 pub use scratch::with_scratch;
 pub use vestige::{AssembledOp, AssembledPattern, FactoredProjector};

@@ -122,41 +122,72 @@ pub trait LinearOperator: Sync {
     fn stencil_block(&self) -> Option<StencilBlock<'_>> {
         None
     }
-
-    /// For an operator that stands for a split system `M_L⁻¹ A M_R⁻¹`:
-    /// `‖M_L r‖`, the norm of the residual of `A` that a residual `r` of
-    /// this system stands for — on the `dual` side `‖M_R† r‖`, of `A†`.  The
-    /// block dual BiCG converges a column only when these meet the tolerance
-    /// too.  The default `None` (the operator is the system) skips that test.
-    fn unsplit_residual_norm(&self, _dual: bool, _r: &[Complex64]) -> Option<f64> {
-        None
-    }
 }
 
-/// Approximate inverse `M ≈ A⁻¹` applied as a block solve, together with
-/// its adjoint — the seam the preconditioned dual BiCG consumes.
+/// A split preconditioner `M = M_L·M_R ≈ A`, and the split system
+/// `Â = M_L⁻¹ A M_R⁻¹` it defines: the seam the block dual BiCG
+/// (`cbs_solver::bicg_dual_block_precond`) solves through.  The solver runs
+/// its one recurrence on `Â` ([`SplitOperator`]) and the vectors cross as
 ///
-/// The adjoint solve is what keeps the paper's dual trick intact: with
+/// ```text
+/// right-hand sides   b̂ = M_L⁻¹b          dual: M_R⁻†b̃
+/// solutions          x = M_R⁻¹x̂           dual: x̃ = M_L⁻†ŷ
+/// residuals          r = M_L r̂            dual: r̃ = M_R†r̂̃
+/// ```
+///
+/// The dual side is what keeps the paper's dual trick intact: with
 /// `M ≈ P(z)` (e.g. the diagonal ILU of its sparse part), `M† ≈ P(z)† =
-/// P(1/z̄)`, so the same factorization preconditions both the outer-circle
-/// system and its inner-circle dual.
+/// P(1/z̄)`, so the same split serves the outer-circle system and its
+/// inner-circle dual.
 ///
-/// Both solves work on `nvecs` column-major vectors: column `c` lives at
-/// `r[c*n..(c+1)*n]` / `z[c*n..(c+1)*n]` (the same slab convention as
-/// [`LinearOperator::apply_block`]).  Both slabs must hold at least `nvecs`
-/// columns; only the first `nvecs` of `z` are written, and each column's
-/// result must be bitwise that of a width-1 solve of the column — the block
-/// solver's parity contract with its per-column reference is test-locked on
-/// top of this seam.
+/// The maps and the apply work on `nvecs` column-major vectors: column `c`
+/// lives at `x[c*n..(c+1)*n]` (the slab convention of
+/// [`LinearOperator::apply_block`]), and each column's result must be
+/// bitwise that of a width-1 call on the column — the block solver's
+/// parity contract rests on it.
 pub trait Preconditioner: Sync {
-    /// Dimension of the (square) preconditioned operator.
+    /// Dimension of the (square) system.
     fn dim(&self) -> usize;
 
-    /// `Z = M⁻¹ R` over `nvecs` columns.
-    fn solve_block(&self, r: &[Complex64], z: &mut [Complex64], nvecs: usize);
+    /// Right-hand sides into the split system, in place: `b̂ = M_L⁻¹b`, or
+    /// on the `dual` side `M_R⁻†b̃`.
+    fn split_rhs(&self, dual: bool, b: &mut [Complex64], nvecs: usize);
 
-    /// `Z = M⁻† R` over `nvecs` columns.
-    fn solve_adjoint_block(&self, r: &[Complex64], z: &mut [Complex64], nvecs: usize);
+    /// `Y = Â X`, or on the `dual` side `Y = Â† X = M_R⁻† A† M_L⁻† X`.
+    fn split_apply(&self, dual: bool, x: &[Complex64], y: &mut [Complex64], nvecs: usize);
+
+    /// Solutions out of the split system, in place: `x = M_R⁻¹x̂`, or on the
+    /// `dual` side `x̃ = M_L⁻†ŷ`.
+    fn unsplit(&self, dual: bool, x: &mut [Complex64], nvecs: usize);
+
+    /// `‖M_L r̂‖`, the norm of the residual of `A` that a residual `r̂` of
+    /// the split system stands for — on the `dual` side `‖M_R† r̂‖`, of `A†`.
+    fn unsplit_residual_norm(&self, dual: bool, r: &[Complex64]) -> f64;
+}
+
+/// The split system `Â` of a [`Preconditioner`] as a [`LinearOperator`]:
+/// every apply is one [`Preconditioner::split_apply`].
+pub struct SplitOperator<'a, M: ?Sized>(pub &'a M);
+
+impl<M: Preconditioner + ?Sized> LinearOperator for SplitOperator<'_, M> {
+    fn nrows(&self) -> usize {
+        self.0.dim()
+    }
+    fn ncols(&self) -> usize {
+        self.0.dim()
+    }
+    fn apply(&self, x: &[Complex64], y: &mut [Complex64]) {
+        self.0.split_apply(false, x, y, 1);
+    }
+    fn apply_adjoint(&self, x: &[Complex64], y: &mut [Complex64]) {
+        self.0.split_apply(true, x, y, 1);
+    }
+    fn apply_block(&self, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
+        self.0.split_apply(false, x, y, nvecs);
+    }
+    fn apply_adjoint_block(&self, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
+        self.0.split_apply(true, x, y, nvecs);
+    }
 }
 
 impl<T: LinearOperator + ?Sized> LinearOperator for &T {
@@ -186,9 +217,6 @@ impl<T: LinearOperator + ?Sized> LinearOperator for &T {
     }
     fn stencil_block(&self) -> Option<StencilBlock<'_>> {
         (**self).stencil_block()
-    }
-    fn unsplit_residual_norm(&self, dual: bool, r: &[Complex64]) -> Option<f64> {
-        (**self).unsplit_residual_norm(dual, r)
     }
 }
 

@@ -47,17 +47,16 @@
 //! The same rows precondition `P(z)` ([`RealStencil::dilu`]): the diagonal
 //! ILU of its sparse part, `M = (D̃+L)D̃⁻¹(D̃+U)` with `L`, `U` the strict
 //! triangles of `P(z)` itself, is `n` complex pivots plus two sweeps over
-//! the stored rows split at the diagonal — no per-node matrix.  The ILU
-//! policy splits by it rather than preconditioning with it
-//! ([`StencilDilu::split`]): BiCG runs on `Â = M_L⁻¹P(z)M_R⁻¹`
+//! the stored rows split at the diagonal — no per-node matrix.  It is a
+//! split [`Preconditioner`]: BiCG runs on `Â = M_L⁻¹P(z)M_R⁻¹`
 //! (`M_L = D̃+L`, `M_R = I+D̃⁻¹U`), and Eisenstat's trick folds the apply of
 //! `P(z)` into the two sweeps, so one apply of `Â` is one pass over the rows
 //! (the upper halves descending, the tails, the lower halves ascending)
 //! where `P(z)` and `M⁻¹` were two.  On the 12 167-point Al(100) cell with 4
 //! columns (2-core x86-64 host, best of 5 × 20 calls) `Â` costs about
 //! 1 040 µs against 710 µs for `P(z)` plus 810 µs for `M⁻¹`.  BiCG on `Â`
-//! sees the split residual `M_L⁻¹r`; the caller certifies the true one
-//! (`cbs-core`, one fused check per node).
+//! sees the split residual `M_L⁻¹r`; the solver certifies the true one
+//! (`cbs-solver`, one fused check per node).
 
 // A hot per-node module: `clippy.toml`'s allocation rule holds here.
 // Setup-time allocations carry an `expect` with the reason.
@@ -673,16 +672,18 @@ impl RealStencil {
 /// M_R⁻¹, i descending:  xᵢ = wᵢ + d̃ᵢ⁻¹ σᵢ(x)
 /// ```
 ///
-/// and `M⁻¹` is both ([`Preconditioner`]).  The adjoint side reads the rows
-/// at the shift `1/z̄` with every scalar conjugated: `conj(aⱼᵢ)` at `z` is
-/// the `(i, j)` entry of `P(1/z̄) = P(z)†`, so it gathers too and scatters
-/// nothing, and `M⁻†` is the same two sweeps there.
+/// and `M⁻¹` is both ([`solve_block`](Self::solve_block)).  The adjoint
+/// side reads the rows at the shift `1/z̄` with every scalar conjugated:
+/// `conj(aⱼᵢ)` at `z` is the `(i, j)` entry of `P(1/z̄) = P(z)†`, so it
+/// gathers too and scatters nothing, and `M⁻†` is the same two sweeps there.
 ///
-/// The ILU policy does not precondition with it, though: it splits
-/// ([`split`](Self::split)).  BiCG then runs on `Â = M_L⁻¹P(z)M_R⁻¹`, whose
+/// The solver does not precondition with `M⁻¹`, though: it splits by it
+/// ([`Preconditioner`]).  BiCG then runs on `Â = M_L⁻¹P(z)M_R⁻¹`, whose
 /// apply folds `P(z)` into the two sweeps (Eisenstat's trick), and the
 /// vectors cross into and out of the split system through
-/// [`split_rhs`](Self::split_rhs) and [`unsplit`](Self::unsplit).
+/// [`split_rhs`](Preconditioner::split_rhs) and
+/// [`unsplit`](Preconditioner::unsplit).  The two sweeps of `M⁻¹` stay for
+/// the textbook references that check them.
 ///
 /// Per column no update depends on the tile width, so every block pass
 /// equals the column-by-column loop bit for bit.
@@ -801,6 +802,17 @@ impl StencilDilu<'_> {
         });
     }
 
+    /// `Z = M⁻¹ R` over the first `nvecs` columns of the slabs: both sweeps.
+    pub fn solve_block(&self, r: &[Complex64], z: &mut [Complex64], nvecs: usize) {
+        self.solve_slab(false, r, z, nvecs);
+    }
+
+    /// `Z = M⁻† R` over the first `nvecs` columns of the slabs: both sweeps
+    /// of the dual side.
+    pub fn solve_adjoint_block(&self, r: &[Complex64], z: &mut [Complex64], nvecs: usize) {
+        self.solve_slab(true, r, z, nvecs);
+    }
+
     /// `z = r`, then both sweeps of `M⁻¹` (or `M⁻†`).
     fn solve_slab(&self, dual: bool, r: &[Complex64], z: &mut [Complex64], nvecs: usize) {
         let n = self.stencil.n;
@@ -815,71 +827,6 @@ impl StencilDilu<'_> {
             z.copy_from_slice(&r[..n * nvecs]);
             self.pass(Pass::Lower, &side, z, nvecs);
             self.pass(Pass::Upper { scaled: false }, &side, z, nvecs);
-        });
-    }
-
-    /// The split system's operator `Â = M_L⁻¹ P(z) M_R⁻¹`, whose adjoint is
-    /// `Â† = M_R⁻† P(z)† M_L⁻†`.  BiCG on `Â` builds the same iterates as
-    /// BiCG on `P(z)` preconditioned by `M` (in exact arithmetic: the
-    /// preconditioned recurrence does not depend on how `M` is split), but
-    /// one apply of `Â` is one pass over the stored rows where `P(z)` and
-    /// `M⁻¹` were two — Eisenstat's trick (SIAM J. Sci. Stat. Comput. 2,
-    /// 1981).  With `P = D + L + U − V` (`D` the stored diagonal, `V` the
-    /// projector tails) and `D+L+U = (D̃+L) + (D̃+U) + (D − 2D̃)`:
-    ///
-    /// ```text
-    /// t = M_R⁻¹ x̂                                  (upper sweep, descending)
-    /// u = D̃x̂ + (D − 2D̃)t − V t = (D − D̃)t − σ(t) − V t   (same rows, then tails)
-    /// Âx̂ = t + M_L⁻¹ u                             (lower sweep, ascending)
-    /// ```
-    ///
-    /// The dual side is the same kernel at the mirrored node,
-    /// `Â(z)† = D̃*·Â(1/z̄)·D̃*⁻¹`, with the two `D̃*` folded into the sweeps.
-    /// One `n × nvecs` slab for `u` comes from the scratch pool per apply.
-    pub fn split(&self) -> SplitOperator<'_> {
-        SplitOperator(self)
-    }
-
-    fn split_apply(&self, dual: bool, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
-        let n = self.stencil.n;
-        assert_eq!(x.len(), n * nvecs, "split apply: x slab length mismatch");
-        assert_eq!(y.len(), n * nvecs, "split apply: y slab length mismatch");
-        if n == 0 {
-            return;
-        }
-        let side = self.side(dual);
-        let shift = side.shift;
-        cbs_trace::timed(Stage::Kernel, || {
-            let mut u = crate::scratch::take_scratch_for_overwrite(n * nvecs);
-            self.row_blocks(true, |rows| {
-                for (j, w) in tiles(nvecs) {
-                    match w {
-                        8 => self.split_upper_tile::<8>(&side, dual, rows.clone(), x, y, &mut u, j),
-                        4 => self.split_upper_tile::<4>(&side, dual, rows.clone(), x, y, &mut u, j),
-                        2 => self.split_upper_tile::<2>(&side, dual, rows.clone(), x, y, &mut u, j),
-                        _ => self.split_upper_tile::<1>(&side, dual, rows.clone(), x, y, &mut u, j),
-                    }
-                }
-            });
-            for (j, w) in tiles(nvecs) {
-                match w {
-                    8 => self.stencil.tails::<8>(shift, y, &mut u, j),
-                    4 => self.stencil.tails::<4>(shift, y, &mut u, j),
-                    2 => self.stencil.tails::<2>(shift, y, &mut u, j),
-                    _ => self.stencil.tails::<1>(shift, y, &mut u, j),
-                }
-            }
-            self.row_blocks(false, |rows| {
-                for (j, w) in tiles(nvecs) {
-                    match w {
-                        8 => self.split_lower_tile::<8>(&side, dual, rows.clone(), &mut u, y, j),
-                        4 => self.split_lower_tile::<4>(&side, dual, rows.clone(), &mut u, y, j),
-                        2 => self.split_lower_tile::<2>(&side, dual, rows.clone(), &mut u, y, j),
-                        _ => self.split_lower_tile::<1>(&side, dual, rows.clone(), &mut u, y, j),
-                    }
-                }
-            });
-            crate::scratch::recycle_scratch(u);
         });
     }
 
@@ -963,6 +910,104 @@ impl StencilDilu<'_> {
             cbs_trace::timed(Stage::TriSweep, || f(&self.side(dual), z));
         }
     }
+}
+
+impl Drop for StencilDilu<'_> {
+    fn drop(&mut self) {
+        crate::scratch::recycle_scratch(std::mem::take(&mut self.scalars));
+    }
+}
+
+impl Preconditioner for StencilDilu<'_> {
+    fn dim(&self) -> usize {
+        self.stencil.n
+    }
+
+    /// Right-hand sides into the split system, in place over an
+    /// `nvecs`-column slab: `b̂ = M_L⁻¹b`, or on the dual side
+    /// `M_R⁻†b̃ = D̃*·(D̃* + U†)⁻¹b̃`.
+    fn split_rhs(&self, dual: bool, b: &mut [Complex64], nvecs: usize) {
+        let n = self.stencil.n;
+        self.map(dual, b, nvecs, |side, b| {
+            self.pass(Pass::Lower, side, b, nvecs);
+            if dual {
+                for column in b.chunks_exact_mut(n) {
+                    for (i, v) in column.iter_mut().enumerate() {
+                        *v = side.pivot(i) * *v;
+                    }
+                }
+            }
+        });
+    }
+
+    /// The split system's apply `Â = M_L⁻¹ P(z) M_R⁻¹`, whose adjoint is
+    /// `Â† = M_R⁻† P(z)† M_L⁻†`.  BiCG on `Â` builds the same iterates as
+    /// BiCG on `P(z)` preconditioned by `M` (in exact arithmetic: the
+    /// preconditioned recurrence does not depend on how `M` is split), but
+    /// one apply of `Â` is one pass over the stored rows where `P(z)` and
+    /// `M⁻¹` were two — Eisenstat's trick (SIAM J. Sci. Stat. Comput. 2,
+    /// 1981).  With `P = D + L + U − V` (`D` the stored diagonal, `V` the
+    /// projector tails) and `D+L+U = (D̃+L) + (D̃+U) + (D − 2D̃)`:
+    ///
+    /// ```text
+    /// t = M_R⁻¹ x̂                                  (upper sweep, descending)
+    /// u = D̃x̂ + (D − 2D̃)t − V t = (D − D̃)t − σ(t) − V t   (same rows, then tails)
+    /// Âx̂ = t + M_L⁻¹ u                             (lower sweep, ascending)
+    /// ```
+    ///
+    /// The dual side is the same kernel at the mirrored node,
+    /// `Â(z)† = D̃*·Â(1/z̄)·D̃*⁻¹`, with the two `D̃*` folded into the sweeps.
+    /// One `n × nvecs` slab for `u` comes from the scratch pool per apply.
+    fn split_apply(&self, dual: bool, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
+        let n = self.stencil.n;
+        assert_eq!(x.len(), n * nvecs, "split apply: x slab length mismatch");
+        assert_eq!(y.len(), n * nvecs, "split apply: y slab length mismatch");
+        if n == 0 {
+            return;
+        }
+        let side = self.side(dual);
+        let shift = side.shift;
+        cbs_trace::timed(Stage::Kernel, || {
+            let mut u = crate::scratch::take_scratch_for_overwrite(n * nvecs);
+            self.row_blocks(true, |rows| {
+                for (j, w) in tiles(nvecs) {
+                    match w {
+                        8 => self.split_upper_tile::<8>(&side, dual, rows.clone(), x, y, &mut u, j),
+                        4 => self.split_upper_tile::<4>(&side, dual, rows.clone(), x, y, &mut u, j),
+                        2 => self.split_upper_tile::<2>(&side, dual, rows.clone(), x, y, &mut u, j),
+                        _ => self.split_upper_tile::<1>(&side, dual, rows.clone(), x, y, &mut u, j),
+                    }
+                }
+            });
+            for (j, w) in tiles(nvecs) {
+                match w {
+                    8 => self.stencil.tails::<8>(shift, y, &mut u, j),
+                    4 => self.stencil.tails::<4>(shift, y, &mut u, j),
+                    2 => self.stencil.tails::<2>(shift, y, &mut u, j),
+                    _ => self.stencil.tails::<1>(shift, y, &mut u, j),
+                }
+            }
+            self.row_blocks(false, |rows| {
+                for (j, w) in tiles(nvecs) {
+                    match w {
+                        8 => self.split_lower_tile::<8>(&side, dual, rows.clone(), &mut u, y, j),
+                        4 => self.split_lower_tile::<4>(&side, dual, rows.clone(), &mut u, y, j),
+                        2 => self.split_lower_tile::<2>(&side, dual, rows.clone(), &mut u, y, j),
+                        _ => self.split_lower_tile::<1>(&side, dual, rows.clone(), &mut u, y, j),
+                    }
+                }
+            });
+            crate::scratch::recycle_scratch(u);
+        });
+    }
+
+    /// Solutions out of the split system, in place: `x = M_R⁻¹x̂`, or on the
+    /// dual side `x̃ = M_L⁻†ŷ`.
+    fn unsplit(&self, dual: bool, x: &mut [Complex64], nvecs: usize) {
+        self.map(dual, x, nvecs, |side, x| {
+            self.pass(Pass::Upper { scaled: dual }, side, x, nvecs);
+        });
+    }
 
     /// `‖M_L r̂‖`, or on the dual side `‖M_R† r̂‖ = ‖(D̃* + U†)·D̃*⁻¹r̂‖`: the
     /// norm of the residual of `P(z)` (of `P(z)†`) that a residual `r̂` of
@@ -970,7 +1015,7 @@ impl StencilDilu<'_> {
     /// triangles at the side's shift, `(M_L r̂)ᵢ = d̃ᵢr̂ᵢ − σᵢ(r̂)`; the dual
     /// side gathers from `s = D̃*⁻¹r̂` (a scratch-pool slab), whose diagonal
     /// term `d̃*ᵢsᵢ` is `r̂ᵢ` itself.  No tails, no solve.
-    fn unsplit_norm(&self, dual: bool, r: &[Complex64]) -> f64 {
+    fn unsplit_residual_norm(&self, dual: bool, r: &[Complex64]) -> f64 {
         assert_eq!(r.len(), self.stencil.n, "unsplit residual: length mismatch");
         let side = self.side(dual);
         cbs_trace::timed(Stage::TriSweep, || {
@@ -993,85 +1038,6 @@ impl StencilDilu<'_> {
             sum.sqrt()
         })
     }
-
-    /// Right-hand sides into the split system, in place over an
-    /// `nvecs`-column slab: `b̂ = M_L⁻¹b`, or on the dual side
-    /// `M_R⁻†b̃ = D̃*·(D̃* + U†)⁻¹b̃`.
-    pub fn split_rhs(&self, dual: bool, b: &mut [Complex64], nvecs: usize) {
-        let n = self.stencil.n;
-        self.map(dual, b, nvecs, |side, b| {
-            self.pass(Pass::Lower, side, b, nvecs);
-            if dual {
-                for column in b.chunks_exact_mut(n) {
-                    for (i, v) in column.iter_mut().enumerate() {
-                        *v = side.pivot(i) * *v;
-                    }
-                }
-            }
-        });
-    }
-
-    /// Solutions out of the split system, in place: `x = M_R⁻¹x̂`, or on the
-    /// dual side `x̃ = M_L⁻†ŷ`.
-    pub fn unsplit(&self, dual: bool, x: &mut [Complex64], nvecs: usize) {
-        self.map(dual, x, nvecs, |side, x| {
-            self.pass(Pass::Upper { scaled: dual }, side, x, nvecs);
-        });
-    }
-}
-
-impl Drop for StencilDilu<'_> {
-    fn drop(&mut self) {
-        crate::scratch::recycle_scratch(std::mem::take(&mut self.scalars));
-    }
-}
-
-/// The split operator `Â = M_L⁻¹ P(z) M_R⁻¹` of a node's diagonal ILU
-/// ([`StencilDilu::split`]): one pass over the stencil's rows per apply.
-/// It reports the residual norm of `P(z)`
-/// a split residual stands for
-/// ([`unsplit_residual_norm`](LinearOperator::unsplit_residual_norm)).
-pub struct SplitOperator<'a>(&'a StencilDilu<'a>);
-
-impl LinearOperator for SplitOperator<'_> {
-    fn nrows(&self) -> usize {
-        self.0.stencil.n
-    }
-    fn ncols(&self) -> usize {
-        self.0.stencil.n
-    }
-    fn apply(&self, x: &[Complex64], y: &mut [Complex64]) {
-        self.0.split_apply(false, x, y, 1);
-    }
-    fn apply_adjoint(&self, x: &[Complex64], y: &mut [Complex64]) {
-        self.0.split_apply(true, x, y, 1);
-    }
-    fn apply_block(&self, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
-        self.0.split_apply(false, x, y, nvecs);
-    }
-    fn apply_adjoint_block(&self, x: &[Complex64], y: &mut [Complex64], nvecs: usize) {
-        self.0.split_apply(true, x, y, nvecs);
-    }
-    fn memory_bytes(&self) -> usize {
-        self.0.stencil.memory_bytes() + 16 * self.0.scalars.len()
-    }
-    fn unsplit_residual_norm(&self, dual: bool, r: &[Complex64]) -> Option<f64> {
-        Some(self.0.unsplit_norm(dual, r))
-    }
-}
-
-impl Preconditioner for StencilDilu<'_> {
-    fn dim(&self) -> usize {
-        self.stencil.n
-    }
-
-    fn solve_block(&self, r: &[Complex64], z: &mut [Complex64], nvecs: usize) {
-        self.solve_slab(false, r, z, nvecs);
-    }
-
-    fn solve_adjoint_block(&self, r: &[Complex64], z: &mut [Complex64], nvecs: usize) {
-        self.solve_slab(true, r, z, nvecs);
-    }
 }
 
 #[cfg(test)]
@@ -1082,7 +1048,7 @@ impl Preconditioner for StencilDilu<'_> {
 )]
 mod tests {
     use super::*;
-    use crate::ops::{adjoint_defect, LinearOperator};
+    use crate::ops::{adjoint_defect, LinearOperator, SplitOperator};
     use crate::{CooBuilder, SparseVec};
     use cbs_linalg::{c64, CMatrix, CVector};
     use rand::{Rng, SeedableRng};
@@ -1398,7 +1364,7 @@ mod tests {
     }
 
     /// `(M⁻¹ R, M⁻† R)` over an `nvecs`-column slab.
-    fn precondition(m: &dyn Preconditioner, r: &[Complex64], nvecs: usize) -> [Vec<Complex64>; 2] {
+    fn precondition(m: &StencilDilu<'_>, r: &[Complex64], nvecs: usize) -> [Vec<Complex64>; 2] {
         // Poisoned outputs: the sweeps must overwrite every element.
         let mut out = [vec![c64(f64::NAN, f64::NAN); r.len()], vec![c64(f64::NAN, 0.0); r.len()]];
         m.solve_block(r, &mut out[0], nvecs);
@@ -1543,9 +1509,8 @@ mod tests {
     fn split_apply(m: &StencilDilu<'_>, x: &[Complex64], nvecs: usize) -> [Vec<Complex64>; 2] {
         // Poisoned outputs: the split apply must overwrite every element.
         let mut out = [vec![c64(f64::NAN, 0.0); x.len()], vec![c64(0.0, f64::NAN); x.len()]];
-        let op = m.split();
-        op.apply_block(x, &mut out[0], nvecs);
-        op.apply_adjoint_block(x, &mut out[1], nvecs);
+        m.split_apply(false, x, &mut out[0], nvecs);
+        m.split_apply(true, x, &mut out[1], nvecs);
         out
     }
 
@@ -1612,7 +1577,7 @@ mod tests {
             let s = stencil_of(&p);
             let m = s.dilu(e, z);
             let mut rng = ChaCha8Rng::seed_from_u64(seed + 10);
-            let defect = adjoint_defect(&m.split(), 8, &mut rng);
+            let defect = adjoint_defect(&SplitOperator(&m), 8, &mut rng);
             assert!(defect <= 1e-12, "n {} z {z:?}: {defect:.2e}", s.dim());
         }
     }
@@ -1656,7 +1621,7 @@ mod tests {
     /// solved in `x = M_R⁻¹x̂` with the mapped right-hand side,
     /// `Â x̂ = M_L⁻¹·P(z)·M_R⁻¹x̂` and `Â†ŷ = M_R⁻†·P(z)†·M_L⁻†ŷ` — and the
     /// split residual `b̂ − Âx̂` stands for `b − P(z)x`, whose norm the
-    /// split operator reports.
+    /// preconditioner reports.
     #[test]
     fn split_maps_round_trip() {
         for (p, e, z, seed) in split_fixtures() {
@@ -1685,11 +1650,11 @@ mod tests {
                 }
                 for c in 0..2 {
                     let col = c * n..(c + 1) * n;
-                    let mapped = m.split().unsplit_residual_norm(dual, &r_hat[col.clone()]);
+                    let mapped = m.unsplit_residual_norm(dual, &r_hat[col.clone()]);
                     let residual: Vec<Complex64> =
                         b[col.clone()].iter().zip(&px[col]).map(|(b, y)| *b - *y).collect();
                     let truth = CVector::from_vec(residual).norm();
-                    let err = (mapped.expect("the split operator maps") - truth).abs() / truth;
+                    let err = (mapped - truth).abs() / truth;
                     assert!(err <= 1e-12, "n {n} dual {dual} column {c}: {err:.2e}");
                 }
             }

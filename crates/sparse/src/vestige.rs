@@ -161,7 +161,6 @@ mod tests {
     use super::*;
     use crate::csr::{CooBuilder, CsrMatrix};
     use crate::lowrank::SparseVec;
-    use crate::ops::Preconditioner;
     use cbs_linalg::{c64, CVector};
     use rand::SeedableRng;
 

@@ -41,13 +41,14 @@ pub mod sweep;
 pub use checkpoint::{CheckpointError, SweepCheckpoint};
 pub use config::SweepConfig;
 pub use sweep::{
-    AutoDecision, EnergyRecord, EnergyStats, EnergySweep, ProbeSample, RunOptions, SweepResult,
+    AutoDecision, EnergyRecord, EnergyStats, EnergySweep, ProbeSample, RunOptions, SweepError,
+    SweepResult,
 };
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cbs_core::{SsConfig, PROPAGATING_TOLERANCE};
+    use cbs_core::{ContourError, SsConfig, PROPAGATING_TOLERANCE};
     use cbs_linalg::{c64, CMatrix};
     use cbs_parallel::SerialExecutor;
     use cbs_sparse::DenseOp;
@@ -143,6 +144,26 @@ mod tests {
         cp.records.truncate(1);
         let resume = RunOptions { resume: Some(cp), ..RunOptions::default() };
         let refused = sweep.run_with(&[], &SerialExecutor, resume);
-        assert!(matches!(refused, Err(CheckpointError::Mismatch(_))));
+        assert!(matches!(refused, Err(SweepError::Checkpoint(CheckpointError::Mismatch(_)))));
+    }
+
+    /// A NaN or infinite energy and an invalid contour are typed errors,
+    /// not a panic or an empty band.
+    #[test]
+    fn malformed_inputs_are_typed_errors() {
+        let (op00, op01) = random_blocks(8, 603, 0.35);
+        let ss = SsConfig { n_int: 8, n_mm: 2, n_rh: 2, ..SsConfig::small() };
+        let sweep = EnergySweep::new(&op00, &op01, 1.5, SweepConfig::new(ss));
+        let run = |energies: &[f64]| sweep.run_with(energies, &SerialExecutor, Default::default());
+        assert!(matches!(run(&[0.1, f64::NAN]), Err(SweepError::NonFiniteEnergy(e)) if e.is_nan()));
+        assert_eq!(run(&[f64::INFINITY]).err(), Some(SweepError::NonFiniteEnergy(f64::INFINITY)));
+
+        let bad = SsConfig { lambda_min: 1.5, ..ss };
+        let sweep = EnergySweep::new(&op00, &op01, 1.5, SweepConfig::new(bad));
+        let refused = sweep.run_with(&[0.1], &SerialExecutor, RunOptions::default()).err();
+        assert_eq!(
+            refused,
+            Some(SweepError::Contour(ContourError::InvalidLambdaMin { lambda_min: 1.5 }))
+        );
     }
 }

@@ -21,7 +21,7 @@ use std::path::Path;
 
 use cbs_core::{
     classify_point, extract_from_moments, solve_pool, BlockPolicy, CbsPoint, CbsStatistics,
-    ComplexBandStructure, PoolGroup, PrecondPolicy, QepProblem, RingPlan,
+    ComplexBandStructure, ContourError, PoolGroup, PrecondPolicy, QepProblem, RingPlan,
 };
 use cbs_parallel::TaskExecutor;
 use cbs_sparse::LinearOperator;
@@ -112,6 +112,37 @@ pub struct RunOptions<'p> {
     pub resume: Option<SweepCheckpoint>,
 }
 
+/// Why [`EnergySweep::run_with`] returned no result.
+#[derive(Clone, Debug, PartialEq)]
+pub enum SweepError {
+    /// The checkpoint to resume from does not match the sweep, or one
+    /// could not be saved.
+    Checkpoint(CheckpointError),
+    /// The configuration's contour parameters (`lambda_min`, `n_int`) are
+    /// invalid.
+    Contour(ContourError),
+    /// A scan energy is NaN or infinite (the first one in input order).
+    NonFiniteEnergy(f64),
+}
+
+impl std::fmt::Display for SweepError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Checkpoint(e) => e.fmt(f),
+            Self::Contour(e) => e.fmt(f),
+            Self::NonFiniteEnergy(e) => write!(f, "sweep error: scan energy {e} is not finite"),
+        }
+    }
+}
+
+impl std::error::Error for SweepError {}
+
+impl From<CheckpointError> for SweepError {
+    fn from(e: CheckpointError) -> Self {
+        Self::Checkpoint(e)
+    }
+}
+
 /// Mutable progress of one run (completed records, counters).
 struct State {
     records: Vec<EnergyRecord>,
@@ -183,9 +214,14 @@ impl<'a> EnergySweep<'a> {
 
     /// Run the sweep to completion with no checkpointing.  An empty grid
     /// returns an empty result.
+    ///
+    /// # Panics
+    ///
+    /// On a NaN or infinite energy and on invalid contour parameters in the
+    /// configuration: [`run_with`](Self::run_with) returns those as a
+    /// [`SweepError`].
     pub fn run<E: TaskExecutor>(&self, energies: &[f64], executor: &E) -> SweepResult {
-        self.run_with(energies, executor, RunOptions::default())
-            .expect("no checkpoint I/O involved")
+        self.run_with(energies, executor, RunOptions::default()).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Run with checkpointing or resume.
@@ -198,18 +234,24 @@ impl<'a> EnergySweep<'a> {
     /// of another configuration, period, ring, dimension or grid, or whose
     /// records are not a prefix of the grid, is
     /// [`CheckpointError::Mismatch`]; a failed save is
-    /// [`CheckpointError::Io`].
+    /// [`CheckpointError::Io`] (both as [`SweepError::Checkpoint`]).  A NaN
+    /// or infinite energy is [`SweepError::NonFiniteEnergy`], and invalid
+    /// contour parameters are [`SweepError::Contour`]; neither solves
+    /// anything.
     pub fn run_with<E: TaskExecutor>(
         &self,
         energies: &[f64],
         executor: &E,
         opts: RunOptions<'_>,
-    ) -> Result<SweepResult, CheckpointError> {
+    ) -> Result<SweepResult, SweepError> {
         let RunOptions { checkpoint_path, resume } = opts;
+        if let Some(&e) = energies.iter().find(|e| !e.is_finite()) {
+            return Err(SweepError::NonFiniteEnergy(e));
+        }
 
         // Ascending, bit-deduplicated grid: the canonical processing order.
         let mut grid: Vec<f64> = energies.to_vec();
-        grid.sort_by(|a, b| a.partial_cmp(b).expect("scan energies must not be NaN"));
+        grid.sort_by(f64::total_cmp);
         grid.dedup_by(|a, b| a.to_bits() == b.to_bits());
 
         // The plan (source block and node list) depends only on the
@@ -218,8 +260,8 @@ impl<'a> EnergySweep<'a> {
         // configuration, so one instance, built at any energy, serves every
         // scan energy of the sweep (and an empty grid): the full ring, or
         // its upper half for real blocks.
-        let plan = RingPlan::build(&self.problem_at(0.0), &self.config.ss)
-            .expect("invalid contour parameters (lambda_min, n_int) in sweep configuration");
+        let plan =
+            RingPlan::build(&self.problem_at(0.0), &self.config.ss).map_err(SweepError::Contour)?;
 
         let mut fingerprint = self.config.fingerprint(self.period);
         // Whether the ring is mirrored (real blocks) decides the node list,
@@ -236,14 +278,16 @@ impl<'a> EnergySweep<'a> {
             if cp.fingerprint != fingerprint {
                 return Err(CheckpointError::Mismatch(
                     "configuration fingerprint mismatch: cannot resume".into(),
-                ));
+                )
+                .into());
             }
             if cp.energies.len() != grid.len()
                 || !cp.energies.iter().zip(&grid).all(|(a, b)| same(a, b))
             {
                 return Err(CheckpointError::Mismatch(
                     "energy grid mismatch: cannot resume".into(),
-                ));
+                )
+                .into());
             }
             // Records complete in grid order, so a checkpoint this sweep
             // wrote holds the grid's first energies and nothing else.
@@ -252,7 +296,8 @@ impl<'a> EnergySweep<'a> {
             {
                 return Err(CheckpointError::Mismatch(
                     "checkpoint records are not a prefix of the energy grid: cannot resume".into(),
-                ));
+                )
+                .into());
             }
             st.records = cp.records;
         }

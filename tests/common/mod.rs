@@ -1,8 +1,9 @@
 //! Fixtures shared by the integration tests: the fig6 Al(100) system at the
 //! bench resolution, the solver configuration every suite runs it under, the
 //! coarse (8,0) nanotube, a random dense pencil, the checkpoint a killed
-//! sweep leaves behind, and the textbook diagonal ILU that `RealStencil::dilu`
-//! is held to.
+//! sweep leaves behind, the textbook diagonal ILU that `RealStencil::dilu`
+//! is held to, and the textbook preconditioned dual BiCG that the split
+//! route is held to.
 //!
 //! One definition on purpose.  The node count is pinned at 12.  With the
 //! Laurent-centred moments, 8 nodes already find every pair of a 32-node
@@ -20,8 +21,9 @@ use cbs::core::SsConfig;
 use cbs::dft::{
     bulk_al_100, carbon_nanotube, grid_for_structure, BlockHamiltonian, HamiltonianParams,
 };
-use cbs::linalg::{c64, CMatrix, Complex64};
-use cbs::sparse::{Preconditioner, RealStencil};
+use cbs::linalg::{c64, CMatrix, CVector, Complex64};
+use cbs::solver::{BicgResult, ConvergenceHistory, SolverOptions, StopReason};
+use cbs::sparse::{LinearOperator, RealStencil, StencilDilu};
 use cbs::sweep::SweepCheckpoint;
 
 /// Quadrature nodes per circle of [`fig6_config`].
@@ -131,8 +133,8 @@ impl TextbookDilu {
     /// The larger relative distance of `m`'s `M⁻¹R` and `M⁻†R` (its block
     /// sweeps over the `nvecs`-column slab `r`) from this oracle's, column
     /// by column.
-    pub fn distance(&self, m: &dyn Preconditioner, r: &[Complex64], nvecs: usize) -> f64 {
-        let n = m.dim();
+    pub fn distance(&self, m: &StencilDilu<'_>, r: &[Complex64], nvecs: usize) -> f64 {
+        let n = r.len() / nvecs;
         let mut worst = 0.0f64;
         for adjoint in [false, true] {
             let mut got = vec![c64(f64::NAN, f64::NAN); n * nvecs];
@@ -151,4 +153,76 @@ impl TextbookDilu {
         }
         worst
     }
+}
+
+/// The reference of the split route (`bicg_dual_block_precond` with a
+/// `StencilDilu`): the textbook dual BiCG on `a` preconditioned by the
+/// D-ILU's own sweeps, `M⁻¹` on the primal residuals and `M⁻†` on the dual
+/// (Saad, Alg. 7.3, in the Templates' preconditioned form), for one
+/// right-hand side `b` of both sides, through the scalar `apply` entry
+/// points, from a zero start.  It stops once both recurrence residuals meet
+/// the tolerance, or on a vanishing or non-finite `ρ` or `p̃†Ap`.  In exact
+/// arithmetic it builds the split route's iterates; the two stop on
+/// different residuals.
+pub fn preconditioned_bicg(
+    a: &dyn LinearOperator,
+    m: &StencilDilu<'_>,
+    b: &CVector,
+    opts: &SolverOptions,
+) -> BicgResult {
+    let n = a.dim();
+    let precondition = |r: &CVector, adjoint: bool| {
+        let mut z = CVector::zeros(n);
+        let solve =
+            if adjoint { StencilDilu::solve_adjoint_block } else { StencilDilu::solve_block };
+        solve(m, r.as_slice(), z.as_mut_slice(), 1);
+        z
+    };
+    let breaks_down = |v: Complex64| !(v.re.is_finite() && v.im.is_finite()) || v.abs() < 1e-290;
+    let (mut x, mut xt) = (CVector::zeros(n), CVector::zeros(n));
+    let (mut r, mut rt) = (b.clone(), b.clone());
+    let (mut p, mut pt) = (precondition(&r, false), precondition(&rt, true));
+    let mut rho = rt.dot(&p);
+    let (mut q, mut qt) = (CVector::zeros(n), CVector::zeros(n));
+    let b_norm = b.norm().max(1e-300);
+    let (mut history, mut dual_history) = (vec![b.norm() / b_norm], vec![b.norm() / b_norm]);
+    let converged = |h: &[f64]| h.last().is_some_and(|&res| res <= opts.tolerance);
+    let (mut stop, mut matvecs) = (StopReason::MaxIterations, 0);
+    for _ in 0..opts.max_iterations {
+        if converged(&history) && converged(&dual_history) {
+            break;
+        }
+        if breaks_down(rho) {
+            stop = StopReason::Breakdown;
+            break;
+        }
+        a.apply(p.as_slice(), q.as_mut_slice());
+        a.apply_adjoint(pt.as_slice(), qt.as_mut_slice());
+        matvecs += 2;
+        let denom = pt.dot(&q);
+        if breaks_down(denom) {
+            stop = StopReason::Breakdown;
+            break;
+        }
+        let alpha = rho / denom;
+        x.axpy(alpha, &p);
+        xt.axpy(alpha.conj(), &pt);
+        r.axpy(-alpha, &q);
+        rt.axpy(-alpha.conj(), &qt);
+        history.push(r.norm() / b_norm);
+        dual_history.push(rt.norm() / b_norm);
+        let (z, zt) = (precondition(&r, false), precondition(&rt, true));
+        let rho_new = rt.dot(&z);
+        let beta = rho_new / rho;
+        rho = rho_new;
+        for i in 0..n {
+            p[i] = z[i] + beta * p[i];
+            pt[i] = zt[i] + beta.conj() * pt[i];
+        }
+    }
+    let settle = |residuals: Vec<f64>| {
+        let stop_reason = if converged(&residuals) { StopReason::Converged } else { stop };
+        ConvergenceHistory { residuals, stop_reason, matvecs }
+    };
+    BicgResult { x, dual_x: xt, history: settle(history), dual_history: settle(dual_history) }
 }

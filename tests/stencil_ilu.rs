@@ -3,31 +3,38 @@
 //! part in stencil form (`RealStencil::dilu`: `n` pivots, no pattern refill)
 //! and runs BiCG on `M_L⁻¹P(z)M_R⁻¹`, one row pass per apply.
 //!
-//! The oracle is the preconditioned route: per solved node, BiCG on `P(z)`
-//! of the same blocks with their stencil hidden ([`Hidden`] forwards every
-//! operator method but `stencil_block`, so the generic composition applies
-//! them), preconditioned by the same diagonal ILU as a [`Preconditioner`]
-//! (`M⁻¹` on the primal residuals, `M⁻†` on the dual).
+//! The oracle is the textbook preconditioned dual BiCG of `tests/common`:
+//! per solved node and right-hand side, BiCG on `P(z)` of the same blocks
+//! with their stencil hidden ([`Hidden`] forwards every operator method but
+//! `stencil_block`, so the generic composition applies them),
+//! preconditioned by the same diagonal ILU's sweeps (`M⁻¹` on the primal
+//! residuals, `M⁻†` on the dual).
 //!
 //! * the stencil's diagonal ILU is the textbook one (`tests/common`) to
 //!   rounding (`M⁻¹`, `M⁻†`), on fig6 and on the nanotube;
-//! * node by node, the split route's solutions are the oracle's to the BiCG
-//!   tolerance, in as many iterations to within 3% — the two stop on
-//!   different residuals — with every solve converged in the true residual
-//!   and serial ≡ rayon bitwise, on fig6 and on the 605-point (8,0)
-//!   nanotube;
+//! * one road: per node, one call of `bicg_dual_block_precond` with the
+//!   node's diagonal ILU is bitwise the pool's solve of that node —
+//!   solutions (through the moments they fold into), histories with their
+//!   certified last entry, matvecs and traversals — on both executors;
+//! * node by node, those solutions are the oracle's to the BiCG tolerance,
+//!   in as many iterations to within 3% — the two stop on different
+//!   residuals — with every solve converged in the true residual, on fig6
+//!   and on the 605-point (8,0) nanotube;
 //! * problems and sweeps over `h.h00()` / `h.h01()` read the Hamiltonian's
 //!   own stencil, at every energy, and blocks that are not stencil views
 //!   run the ILU policy matrix-free.
 
 use rand::SeedableRng;
 
-use cbs::core::{solve_qep_with, source_block, PrecondPolicy, QepProblem, SsConfig, SsResult};
+use cbs::core::{
+    extract_from_moments, solve_qep_with, PoolOutcome, PrecondPolicy, QepProblem, RingPlan,
+    ShiftedSolveOutcome, SsConfig, SsResult,
+};
 use cbs::dft::BlockHamiltonian;
 use cbs::linalg::{c64, CVector, Complex64};
 use cbs::parallel::{RayonExecutor, SerialExecutor};
-use cbs::solver::{bicg_dual_block_precond, BlockBicgResult, ConvergenceHistory, SolverOptions};
-use cbs::sparse::{LinearOperator, Preconditioner, StencilDilu};
+use cbs::solver::{bicg_dual_block_precond, BlockBicgResult, ConvergenceHistory};
+use cbs::sparse::LinearOperator;
 use cbs::sweep::{EnergySweep, SweepConfig};
 
 mod common;
@@ -72,38 +79,105 @@ fn assert_bitwise(what: &str, a: &SsResult, b: &SsResult) {
         assert_eq!(p.psi, q.psi, "{what}");
     }
     assert_eq!(a.projected_moments, b.projected_moments, "{what}: projected moments");
+    assert_eq!(a.solve_histories.len(), b.solve_histories.len(), "{what}: history count");
     for (ha, hb) in a.solve_histories.iter().zip(&b.solve_histories) {
         assert_eq!(ha.residuals, hb.residuals, "{what}: histories");
+        assert_eq!((ha.stop_reason, ha.matvecs), (hb.stop_reason, hb.matvecs), "{what}");
     }
     assert_eq!(a.total_bicg_iterations, b.total_bicg_iterations, "{what}");
     assert_eq!(a.total_matvecs, b.total_matvecs, "{what}");
     assert_eq!(a.total_traversals, b.total_traversals, "{what}");
 }
 
-/// One node as the pool's split route solves it: BiCG on `M_L⁻¹P(z)M_R⁻¹`
-/// from the split right-hand sides, the solutions mapped back.  (The pool
-/// then certifies the true residuals, which ends each history on that
-/// residual and changes no iterate.)
-fn split_solve(m: &StencilDilu<'_>, v: &[CVector], opts: &SolverOptions) -> BlockBicgResult {
-    let rhs = |dual| -> Vec<CVector> {
-        let mut b = v.to_vec();
-        b.iter_mut().for_each(|b| m.split_rhs(dual, b.as_mut_slice(), 1));
-        b
-    };
-    let none = None::<&dyn Preconditioner>;
-    let mut solved =
-        bicg_dual_block_precond(&m.split(), none, &rhs(false), &rhs(true), None, opts, None);
-    for col in &mut solved.columns {
-        m.unsplit(false, col.x.as_mut_slice(), 1);
-        m.unsplit(true, col.dual_x.as_mut_slice(), 1);
-    }
-    solved
-}
-
 /// `‖P(x − y)‖ / ‖b‖`: how far apart two solutions of `P x = b` are, in
 /// the residual the BiCG tolerance bounds.
 fn residual_distance(p: &dyn LinearOperator, x: &CVector, y: &CVector, b: &CVector) -> f64 {
     p.apply_vec(&(x - y)).norm() / b.norm()
+}
+
+/// The ILU policy on `config`, the ring plan of `problem` under it, and
+/// each node the pool solves, in the pool's order, solved by one call with
+/// the node's diagonal ILU: `(z, result)`.
+fn one_call_per_node(
+    problem: &QepProblem<'_>,
+    config: &SsConfig,
+) -> (SsConfig, RingPlan, Vec<(Complex64, BlockBicgResult)>) {
+    let config = SsConfig { precond: PrecondPolicy::AssembledIlu0, ..*config };
+    let plan = RingPlan::build(problem, &config).expect("valid contour");
+    let (acc, v, opts) = (plan.accumulator(), &plan.v_cols, config.solver_options());
+    let solved = (0..acc.n_nodes())
+        .map(|j| {
+            let z = acc.node_shift(j);
+            let (op, m) = problem.node_solve(config.precond, z);
+            let m = m.expect("stencil views: the node splits");
+            (z, bicg_dual_block_precond(&op, Some(&m), v, v, None, &opts, None))
+        })
+        .collect();
+    (config, plan, solved)
+}
+
+/// The (8,0) nanotube's configuration.
+fn cnt80_config() -> SsConfig {
+    SsConfig {
+        n_int: 16,
+        n_mm: 6,
+        n_rh: 8,
+        // As in `tests/conjugate_symmetry.rs`: the two runs differ by the
+        // BiCG error, which the eigenvalues hugging the contour (|λ| ≈ 0.57
+        // against the 0.5 circle) amplify past 1e-8 at the default 1e-10.
+        bicg_tolerance: 1e-12,
+        bicg_max_iterations: 2_000,
+        residual_cutoff: 1e-4,
+        ..SsConfig::paper()
+    }
+}
+
+/// One road: per node, one call of `bicg_dual_block_precond` with the
+/// node's diagonal ILU, its outcomes folded as the pool folds them, is the
+/// pool's solve bit for bit — moments, eigenpairs, histories with their
+/// certified last entry, matvecs and traversals — on both executors.
+fn assert_one_call_per_node_is_the_pool(
+    what: &str,
+    h: &BlockHamiltonian,
+    energy: f64,
+    config: &SsConfig,
+) {
+    let (h00, h01) = (h.h00(), h.h01());
+    let problem = QepProblem::new(&h00, &h01, energy, h.period());
+    let (config, plan, solved) = one_call_per_node(&problem, config);
+    let pooled = solve_qep_with(&problem, &config, &SerialExecutor);
+    assert!(problem.real_stencil().is_some_and(|s| std::ptr::eq(s, h.stencil())), "{what}");
+    assert!(!pooled.eigenpairs.is_empty(), "{what}: the split route found no eigenpairs");
+    assert!(pooled.solve_histories.iter().all(ConvergenceHistory::converged), "{what}");
+
+    let mut acc = plan.accumulator();
+    let [mut iterations, mut matvecs, mut traversals, mut solves] = [0; 4];
+    for (point_index, (_, node)) in solved.into_iter().enumerate() {
+        traversals += node.traversals;
+        for (rhs_index, col) in node.columns.into_iter().enumerate() {
+            iterations += col.history.iterations();
+            matvecs += col.history.matvecs;
+            solves += 1;
+            let (x, dual_x, history, dual_history) =
+                (col.x, col.dual_x, col.history, col.dual_history);
+            let outcome =
+                ShiftedSolveOutcome { point_index, rhs_index, x, dual_x, history, dual_history };
+            acc.record(outcome, &plan.v_cols);
+        }
+    }
+    let one_call = PoolOutcome { acc, iterations, matvecs, traversals, solves };
+    let by_node = extract_from_moments(&problem, &config, &plan.v_cols, one_call, 0.0);
+    assert_bitwise(&format!("{what} serial"), &pooled, &by_node);
+    let rayon = solve_qep_with(&problem, &config, &RayonExecutor);
+    assert_bitwise(&format!("{what} rayon"), &rayon, &by_node);
+}
+
+#[test]
+fn fig6_and_cnt80_one_call_per_node_is_the_pool() {
+    let fig6 = common::fig6_hamiltonian();
+    assert_one_call_per_node_is_the_pool("fig6", &fig6, 0.15, &common::fig6_config());
+    let cnt80 = common::cnt80_hamiltonian();
+    assert_one_call_per_node_is_the_pool("cnt80", &cnt80, 0.2, &cnt80_config());
 }
 
 /// The split stencil route against the preconditioned oracle on one system,
@@ -115,46 +189,27 @@ fn assert_split_route_matches_preconditioned_bicg(
     config: &SsConfig,
 ) {
     assert!(h.h00().projectors().rank() > 0, "{what}: the system must carry projectors");
-    let config = SsConfig { precond: PrecondPolicy::AssembledIlu0, ..*config };
     let (h00, h01) = (h.h00(), h.h01());
     let (o00, o01) = (Hidden(h.h00()), Hidden(h.h01()));
     let stencil = QepProblem::new(&h00, &h01, energy, h.period());
     let hidden = QepProblem::new(&o00, &o01, energy, h.period());
 
-    let fused = solve_qep_with(&stencil, &config, &SerialExecutor);
-    assert!(stencil.real_stencil().is_some_and(|s| std::ptr::eq(s, h.stencil())), "{what}");
-    assert!(!fused.eigenpairs.is_empty(), "{what}: the split route found no eigenpairs");
-    assert!(fused.solve_histories.iter().all(ConvergenceHistory::converged), "{what}");
-
-    // Every solved node: the split route, which is the pool's (same
-    // histories up to the certified last entry), against the oracle.  In
+    // Every solved node, as the pool solves it, against the oracle.  In
     // exact arithmetic the two build the same iterates, but they stop on
     // different residuals: the oracle on its recurrence's, the split route
     // on the split and the mapped ones, confirmed on the true residual.
-    let (v, opts) = (source_block(h.dim(), &config), config.solver_options());
-    let tol = config.bicg_tolerance;
+    let (config, plan, solved) = one_call_per_node(&stencil, config);
+    let (v, opts, tol) = (&plan.v_cols, config.solver_options(), config.bicg_tolerance);
     let (mut it, mut it_ref, mut worst) = (0, 0, 0.0f64);
-    let n_rh = config.n_rh;
-    for (j, node) in
-        config.contour().outer_points().iter().take(config.n_int.div_ceil(2)).enumerate()
-    {
-        let (op, m) = stencil.node_solve(config.precond, node.z);
-        let dual_op = stencil.operator(Complex64::ONE / node.z.conj());
-        let split = split_solve(&m.expect("stencil views: the node splits"), &v, &opts);
-        let ilu = h.stencil().dilu(energy, node.z);
-        let oracle = bicg_dual_block_precond(
-            &hidden.operator(node.z),
-            Some(&ilu as &dyn Preconditioner),
-            &v,
-            &v,
-            None,
-            &opts,
-            None,
-        );
-        for (r, (s, o)) in split.columns.iter().zip(&oracle.columns).enumerate() {
-            let pooled = &fused.solve_histories[j * n_rh + r].residuals;
-            let own = &s.history.residuals;
-            assert_eq!(pooled[..pooled.len() - 1], own[..own.len() - 1], "{what} node {j} rhs {r}");
+    for (j, (z, node)) in solved.iter().enumerate() {
+        let (op, dual_op) = (stencil.operator(*z), stencil.operator(Complex64::ONE / z.conj()));
+        let (oracle_op, m) = (hidden.operator(*z), h.stencil().dilu(energy, *z));
+        for (r, s) in node.columns.iter().enumerate() {
+            let o = common::preconditioned_bicg(&oracle_op, &m, &v[r], &opts);
+            assert!(
+                s.both_converged(),
+                "{what} node {j} rhs {r}: the split route did not converge"
+            );
             assert!(o.both_converged(), "{what} node {j} rhs {r}: the oracle did not converge");
             it += s.history.iterations();
             it_ref += o.history.iterations();
@@ -171,10 +226,6 @@ fn assert_split_route_matches_preconditioned_bicg(
     eprintln!("{what}: iterations split {it} / oracle {it_ref}, worst distance {worst:.2e}");
     assert!(worst <= 2.0 * tol, "{what}: the solutions are {worst:.2e} apart");
     assert!(it.abs_diff(it_ref) * 100 <= 3 * it_ref, "{what}: {it} vs {it_ref} iterations");
-
-    // The determinism contract holds on the split route.
-    let rayon = solve_qep_with(&stencil, &config, &RayonExecutor);
-    assert_bitwise(&format!("{what} rayon"), &fused, &rayon);
 }
 
 // The two tests' names predate the oracle, which preconditioned with the
@@ -190,19 +241,7 @@ fn fig6_stencil_ilu_matches_assembled_ilu() {
 fn cnt80_stencil_ilu_matches_assembled_ilu() {
     let h = common::cnt80_hamiltonian();
     assert_eq!(h.dim(), 605);
-    let config = SsConfig {
-        n_int: 16,
-        n_mm: 6,
-        n_rh: 8,
-        // As in `tests/conjugate_symmetry.rs`: the two runs differ by the
-        // BiCG error, which the eigenvalues hugging the contour (|λ| ≈ 0.57
-        // against the 0.5 circle) amplify past 1e-8 at the default 1e-10.
-        bicg_tolerance: 1e-12,
-        bicg_max_iterations: 2_000,
-        residual_cutoff: 1e-4,
-        ..SsConfig::paper()
-    };
-    assert_split_route_matches_preconditioned_bicg("cnt80", &h, 0.2, &config);
+    assert_split_route_matches_preconditioned_bicg("cnt80", &h, 0.2, &cnt80_config());
 }
 
 /// On the two physical fixtures, the diagonal ILU swept over the stencil's

@@ -20,7 +20,7 @@ use cbs::parallel::{RayonExecutor, SerialExecutor};
 use cbs::sparse::DenseOp;
 use cbs::sweep::{
     CheckpointError, EnergyRecord, EnergySweep, RunOptions, SweepCheckpoint, SweepConfig,
-    SweepResult,
+    SweepError, SweepResult,
 };
 
 mod common;
@@ -181,7 +181,10 @@ fn checkpointed_sweep_resumes_bit_identically() {
     let other = cbs::sweep::EnergySweep::new(&op00, &op01, 1.5, SweepConfig::new(ss));
     let resume = RunOptions { resume: Some(finished), ..RunOptions::default() };
     let refused = other.run_with(&energies, &SerialExecutor, resume);
-    assert!(matches!(refused, Err(CheckpointError::Mismatch(_))), "another seed resumed");
+    assert!(
+        matches!(refused, Err(SweepError::Checkpoint(CheckpointError::Mismatch(_)))),
+        "another seed resumed"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -216,7 +219,10 @@ fn resume_refuses_records_that_are_not_a_grid_prefix() {
         let resume = Some(SweepCheckpoint::load(&path).unwrap());
         let options = RunOptions { resume, ..RunOptions::default() };
         let refused = sweep.run_with(&energies, &SerialExecutor, options);
-        assert!(matches!(refused, Err(CheckpointError::Mismatch(_))), "{what} records resumed");
+        assert!(
+            matches!(refused, Err(SweepError::Checkpoint(CheckpointError::Mismatch(_)))),
+            "{what} records resumed"
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -258,7 +264,10 @@ fn resume_refuses_seed_tables_of_another_problem() {
 
     // The same cell at another spacing: same period, same configuration.
     let refused = run(&finer, Some(cp.clone()), false);
-    assert!(matches!(refused, Err(CheckpointError::Mismatch(_))), "another spacing resumed");
+    assert!(
+        matches!(refused, Err(SweepError::Checkpoint(CheckpointError::Mismatch(_)))),
+        "another spacing resumed"
+    );
     // The checkpoint itself resumes the split route to the uninterrupted
     // sweep, bit for bit.
     let resumed = run(&fig6, Some(cp), false).expect("the checkpoint resumes");
