@@ -25,7 +25,7 @@
 //! always.  And for a real Hamiltonian `P(z̄) = conj P(z)`, so with a real
 //! source block the solutions at the lower half-plane nodes are the
 //! conjugates of those at their mirror images: the solver then lists only
-//! the `Im z > 0` nodes (see [`RingPlan`](crate::ss::RingPlan)) and never
+//! the `Im z > 0` nodes (see the [`ss`](crate::ss) module docs) and never
 //! solves the rest.  An odd `N` has one self-conjugate node at `θ = π`; it
 //! stays in the list with half its weights, because the extraction's
 //! `Ŝ_k ← Ŝ_k + conj Ŝ_k` counts every listed node twice.

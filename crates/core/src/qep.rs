@@ -117,8 +117,7 @@ impl<'a> QepProblem<'a> {
     ///
     /// For a real source block the solutions then satisfy
     /// `Y(z̄) = conj Y(z)`, so the ring quadrature keeps only its
-    /// `Im z > 0` nodes ([`RingPlan::build`](crate::ss::RingPlan::build))
-    /// and the extraction closes the sum with `Ŝ_k ← 2 Re Ŝ_k`.  This is a
+    /// `Im z > 0` nodes and the extraction closes the sum with `Ŝ_k ← 2 Re Ŝ_k`.  This is a
     /// property of the input, decided once per problem (the O(storage)
     /// scans are cached here) — there is no knob: complex blocks (a random
     /// Hermitian test pencil, a future `k_⊥ ≠ 0`) or an operator type that

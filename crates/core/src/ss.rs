@@ -5,15 +5,14 @@
 //!
 //! 1. Solve the `N_int` shifted systems `P(z_j^(1)) Y_j^(1) = V` with BiCG,
 //!    every one to the BiCG tolerance in one pool dispatch
-//!    ([`solve_pool`]); the dual solutions of the same iterations solve
-//!    `P(z_j^(1))† Y_j^(2) = V`, i.e. the systems at the inner-circle nodes
+//!    ([`solve_qeps_with`]); the dual solutions of the same iterations
+//!    solve `P(z_j^(1))† Y_j^(2) = V`, i.e. the systems at the inner-circle nodes
 //!    `z_j^(2) = 1/conj(z_j^(1))` (paper §3.2).
 //! 2. Accumulate the complex moments `Ŝ_k = Σ_j ω_j z_j^k Y_j` over both
 //!    circles for the `2 N_mm` powers `k = −s … N_mm`, `s = N_mm − 1`
 //!    (Laurent-centred on `k = 0`) — as vectors only for `k ≤ 0`, the basis
 //!    of step 3's eigenvectors — and the projected moments `µ̂_k = V† Ŝ_k`
-//!    for every `k`, each solution projected onto `V` as it is folded in
-//!    ([`MomentAccumulator`]).
+//!    for every `k`, each solution projected onto `V` as it is folded in.
 //! 3. Build the block Hankel matrices `T̂ = [µ̂_{i+j−s}]`,
 //!    `T̂^< = [µ̂_{i+j+1−s}]`, filter with an SVD at threshold `δ`, solve the
 //!    reduced `m̂ × m̂` eigenproblem and recover the eigenvectors as
@@ -48,7 +47,7 @@
 //! * `P(z̄) = conj P(z)` (real blocks, real `E`;
 //!   [`QepProblem::is_conjugate_symmetric`]): the lower half-plane nodes
 //!   of the ring mirror the upper ones — only the `Im z > 0` nodes are
-//!   listed ([`RingPlan::is_mirrored`]) and step 2 closes with
+//!   listed and step 2 closes with
 //!   `Ŝ_k ← Ŝ_k + conj Ŝ_k = 2 Re Ŝ_k`: the accumulator stores only the
 //!   real parts of the vectors, and the extraction takes `2 Re µ̂_k`.
 //! * a **real** source block `V` ([`source_block`]), which is what turns
@@ -64,12 +63,12 @@ use rand_chacha::ChaCha8Rng;
 
 use cbs_linalg::{svd, CMatrix, CVector, Complex64, Eigen, Svd};
 use cbs_parallel::TaskExecutor;
-use cbs_solver::{ConvergenceHistory, SolverOptions};
-use cbs_trace::{Stage, TraceHandle};
+use cbs_solver::{BlockBicgResult, ConvergenceHistory, SolverOptions};
+use cbs_trace::Stage;
 
 use crate::contour::{ContourError, QuadraturePoint, RingContour};
 use crate::policy::PrecondPolicy;
-use crate::pool::{solve_pool, PoolGroup, PoolOutcome, ShiftedSolveOutcome};
+use crate::pool::solve_qeps_with;
 use crate::qep::QepProblem;
 
 /// Parameters of the Sakurai-Sugiura solve (paper notation).
@@ -83,9 +82,11 @@ use crate::qep::QepProblem;
 pub struct SsConfig {
     /// Number of quadrature points per circle (`N_int`).
     pub n_int: usize,
-    /// Number of complex moments (`N_mm`).
+    /// Number of complex moments (`N_mm`).  With 0 nothing is extracted:
+    /// the result has no eigenpairs and `numerical_rank` 0.
     pub n_mm: usize,
-    /// Number of random right-hand sides / source vectors (`N_rh`).
+    /// Number of random right-hand sides / source vectors (`N_rh`).  With 0
+    /// nothing is solved or extracted: the same empty result as `N_mm` 0.
     pub n_rh: usize,
     /// Relative singular-value threshold `δ` for the low-rank filtering.
     pub delta: f64,
@@ -258,6 +259,11 @@ pub struct SsResult {
     pub timings: SsTimings,
     /// Eigenpairs discarded by the residual filter (diagnostics).
     pub discarded: usize,
+    /// Bytes of the moment store the solve accumulated into: `N_mm N_rh N`
+    /// reals on a mirrored ring (complex numbers on a full one) plus the
+    /// `2 N_mm` complex `N_rh × N_rh` projections.  The histories are not
+    /// counted.
+    pub moment_store_bytes: usize,
 }
 
 impl SsResult {
@@ -282,37 +288,32 @@ pub fn source_block(n: usize, config: &SsConfig) -> Vec<CVector> {
         .collect()
 }
 
-/// Streaming accumulator for step 2 of the method: folds each
-/// [`ShiftedSolveOutcome`] **in job order** into exactly what the extraction
-/// reads of the moments `Ŝ_k = Σ_j ω_j z_j^k Y_j`, `k = −s … N_mm` with
-/// `s = N_mm − 1` (primal + paired dual nodes; the module docs say why the
-/// powers are centred), and retains the primal convergence histories:
+/// Streaming accumulator for step 2 of the method: folds each node's block
+/// solve **in job order** into exactly what the extraction reads of the
+/// moments `Ŝ_k = Σ_j ω_j z_j^k Y_j`, `k = −s … N_mm` with `s = N_mm − 1`
+/// (primal + paired dual nodes; the module docs say why the powers are
+/// centred), and retains the primal convergence histories and the work
+/// counters:
 ///
 /// * the vectors `Ŝ_{−s} … Ŝ_0` (`N_rh` columns of length `N` each), the
 ///   basis the eigenvectors `ψ = Ŝ W₁Σ₁⁻¹φ` are recovered from.  On a
-///   mirrored ring ([`RingPlan::is_mirrored`]) only their real parts are
-///   kept — the extraction closes the ring with `Ŝ_k + conj Ŝ_k = 2 Re Ŝ_k`
-///   — accumulated with the real half of the complex axpy, so they are
-///   bitwise the real parts of the complex sum;
+///   mirrored ring only their real parts are kept — the extraction closes
+///   the ring with `Ŝ_k + conj Ŝ_k = 2 Re Ŝ_k` — accumulated with the real
+///   half of the complex axpy, so they are bitwise the real parts of the
+///   complex sum;
 /// * the projections `µ̂_k = V†Ŝ_k` (`N_rh × N_rh`) for every `k`, the
-///   entries of the block Hankel pair, summed from each outcome's
-///   `V†x` and `V†x̃`.
+///   entries of the block Hankel pair, summed from each solution's `V†x`
+///   and `V†x̃`.
 ///
 /// That is a quarter of `2 N_mm N_rh` complex length-`N` vectors on a
-/// mirrored ring and half of it on a full one ([`memory_bytes`]).
-///
-/// Factored out of [`solve_qep_with`] so that multi-group drivers (the
-/// `cbs-sweep` crate's cross-energy pool) can run one accumulator per group
-/// while the underlying solves of *all* groups share a single flattened
-/// task pool.  Built by [`RingPlan::accumulator`].
-///
-/// [`memory_bytes`]: Self::memory_bytes
-pub struct MomentAccumulator {
+/// mirrored ring and half of it on a full one
+/// ([`SsResult::moment_store_bytes`]).  The pooled round runs one per
+/// problem; [`RingPlan::accumulator`] builds it.
+pub(crate) struct MomentAccumulator {
     /// The listed `(outer, paired inner)` nodes of the ring.
     nodes: Vec<(QuadraturePoint, QuadraturePoint)>,
-    /// The node list is the upper half of a conjugate-symmetric ring
-    /// ([`RingPlan::is_mirrored`]): the extraction completes the moments
-    /// with their conjugates.
+    /// The node list is the upper half of a conjugate-symmetric ring: the
+    /// extraction completes the moments with their conjugates.
     mirrored: bool,
     /// Length `N` of one moment column.
     n: usize,
@@ -326,68 +327,60 @@ pub struct MomentAccumulator {
     mu: Vec<CMatrix>,
     /// Primal convergence histories in job order.
     histories: Vec<ConvergenceHistory>,
+    /// Operator traversals of the folded solves, one per fused block apply.
+    traversals: usize,
 }
 
 impl MomentAccumulator {
-    /// Number of primal quadrature nodes this accumulator integrates.
-    pub fn n_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// The primal shift of node `j` — what the pool solves for this
-    /// accumulator's jobs.
-    pub fn node_shift(&self, j: usize) -> Complex64 {
-        self.nodes[j].0.z
-    }
-
-    /// Bytes held by the moment store: `N_mm N_rh N` reals on a mirrored
-    /// ring (complex numbers on a full one) plus `2 N_mm` complex
-    /// `N_rh × N_rh` projections.  The histories are not counted.
-    pub fn memory_bytes(&self) -> usize {
+    /// Bytes held by the moment store ([`SsResult::moment_store_bytes`]).
+    fn memory_bytes(&self) -> usize {
         (self.re.len() + self.im.len()) * std::mem::size_of::<f64>()
             + self.mu.iter().map(CMatrix::memory_bytes).sum::<usize>()
     }
 
-    /// Fold one solve outcome of the source block `v_cols` into the
-    /// moments; the solution pair is dropped once it has contributed.  Must
-    /// be called in job order (`point_index * N_rh + rhs_index`) for
-    /// executor-independent results.
-    pub fn record(&mut self, outcome: ShiftedSolveOutcome, v_cols: &[CVector]) {
-        let (outer, inner) = self.nodes[outcome.point_index];
-        let (n, n_mm, rhs) = (self.n, self.n_mm(), outcome.rhs_index);
-        // The outcome's share of every µ̂_k, projected once: V†x and V†x̃.
-        let projected: Vec<(Complex64, Complex64)> =
-            v_cols.iter().map(|v| (v.dot(&outcome.x), v.dot(&outcome.dual_x))).collect();
-        // Accumulate the moments for this (j, rhs) pair, k = −s … N_mm:
-        //   primal:  + ω_j z_j^k  Y^(1)
-        //   dual:    + ω'_j z'^k  Y^(2)   (orientation sign in the weight)
-        let mut zk_primal = centred_weight(outer, n_mm);
-        let mut zk_dual = centred_weight(inner, n_mm);
-        for (k, mu_k) in self.mu.iter_mut().enumerate() {
-            if k < n_mm {
-                let start = (k * v_cols.len() + rhs) * n;
-                let (re, mut im) =
-                    (&mut self.re[start..start + n], self.im.get_mut(start..start + n));
-                // `CVector::axpy`'s `y += a·x`, one half at a time.
-                for (a, x) in [(zk_primal, &outcome.x), (zk_dual, &outcome.dual_x)] {
-                    for (y, x) in re.iter_mut().zip(x.iter()) {
-                        *y += a.re * x.re - a.im * x.im;
-                    }
-                    if let Some(im) = im.as_deref_mut() {
-                        for (y, x) in im.iter_mut().zip(x.iter()) {
-                            *y += a.re * x.im + a.im * x.re;
+    /// Fold listed node `j`'s block solve of the source block `v_cols` into
+    /// the moments, its columns in rhs order; each solution pair is dropped
+    /// once it has contributed.  Must be called in node order (overall job
+    /// order `j * N_rh + rhs`) for executor-independent results.
+    pub(crate) fn record(&mut self, j: usize, node: BlockBicgResult, v_cols: &[CVector]) {
+        let (outer, inner) = self.nodes[j];
+        let (n, n_mm) = (self.n, self.n_mm());
+        self.traversals += node.traversals;
+        for (rhs, col) in node.columns.into_iter().enumerate() {
+            // The column's share of every µ̂_k, projected once: V†x and V†x̃.
+            let projected: Vec<(Complex64, Complex64)> =
+                v_cols.iter().map(|v| (v.dot(&col.x), v.dot(&col.dual_x))).collect();
+            // Accumulate the moments for this (j, rhs) pair, k = −s … N_mm:
+            //   primal:  + ω_j z_j^k  Y^(1)
+            //   dual:    + ω'_j z'^k  Y^(2)   (orientation sign in the weight)
+            let mut zk_primal = centred_weight(outer, n_mm);
+            let mut zk_dual = centred_weight(inner, n_mm);
+            for (k, mu_k) in self.mu.iter_mut().enumerate() {
+                if k < n_mm {
+                    let start = (k * v_cols.len() + rhs) * n;
+                    let (re, mut im) =
+                        (&mut self.re[start..start + n], self.im.get_mut(start..start + n));
+                    // `CVector::axpy`'s `y += a·x`, one half at a time.
+                    for (a, x) in [(zk_primal, &col.x), (zk_dual, &col.dual_x)] {
+                        for (y, x) in re.iter_mut().zip(x.iter()) {
+                            *y += a.re * x.re - a.im * x.im;
+                        }
+                        if let Some(im) = im.as_deref_mut() {
+                            for (y, x) in im.iter_mut().zip(x.iter()) {
+                                *y += a.re * x.im + a.im * x.re;
+                            }
                         }
                     }
                 }
+                for (r, &(p, p_dual)) in projected.iter().enumerate() {
+                    mu_k[(r, rhs)] += zk_primal * p;
+                    mu_k[(r, rhs)] += zk_dual * p_dual;
+                }
+                zk_primal *= outer.z;
+                zk_dual *= inner.z;
             }
-            for (r, &(p, p_dual)) in projected.iter().enumerate() {
-                mu_k[(r, rhs)] += zk_primal * p;
-                mu_k[(r, rhs)] += zk_dual * p_dual;
-            }
-            zk_primal *= outer.z;
-            zk_dual *= inner.z;
+            self.histories.push(col.history);
         }
-        self.histories.push(outcome.history);
     }
 
     /// `N_mm`: the number of stored moment vectors per right-hand side.
@@ -442,80 +435,55 @@ pub(crate) fn centred_weight(p: QuadraturePoint, n_mm: usize) -> Complex64 {
 
 /// Solve the QEP for all eigenvalues in the annulus with the Sakurai-Sugiura
 /// method, the shifted systems dispatched through the given
-/// [`TaskExecutor`] (`SerialExecutor` for a serial solve): the ring as a
-/// one-group [`solve_pool`], then
-/// [`extract_from_moments`] — what a sweep does per scan energy.
+/// [`TaskExecutor`] (`SerialExecutor` for a serial solve): the one-problem
+/// round of [`solve_qeps_with`].
 ///
 /// All executors produce bit-identical results: the pool's moment
 /// accumulation always walks the solve outcomes in job order, independent
 /// of how they were scheduled.
+///
+/// # Panics
+///
+/// On invalid contour parameters in `config` (the [`ContourError`]).
 pub fn solve_qep_with<E: TaskExecutor>(
     problem: &QepProblem<'_>,
     config: &SsConfig,
     executor: &E,
 ) -> SsResult {
-    // The full two-circle node list, or — for a conjugate-symmetric problem
-    // — its upper half-plane nodes only.  The pool, the accumulator and the
-    // extraction all read the node list from the plan, so they do not fork
-    // on which one it is.
-    let plan = RingPlan::build(problem, config).unwrap_or_else(|e| panic!("{e}"));
-
-    let t_solve = cbs_trace::now_ns();
-
-    // The trace handle resolves against the active session (no-op when none
-    // is recording) and inherits any context — e.g. a sweep's scan-energy
-    // index — the calling thread has installed.
-    let trace = TraceHandle::resolve();
-    let ring = PoolGroup { problem, v_cols: &plan.v_cols, trace };
-    let outcome = solve_pool(&[ring], vec![plan.accumulator()], config, executor)
-        .pop()
-        .expect("one pool outcome per group");
-    let linear_solve_seconds = cbs_trace::seconds_between(t_solve, cbs_trace::now_ns());
-
-    let _trace_ctx = trace.enter();
-    extract_from_moments(problem, config, &plan.v_cols, outcome, linear_solve_seconds)
+    let mut round = solve_qeps_with(std::slice::from_ref(problem), config, executor)
+        .unwrap_or_else(|e| panic!("{e}"));
+    round.next().expect("one result per problem")
 }
 
 /// Steps 3-4 of the method: build the block Hankel matrices from the
 /// centred projected moments `µ̂_k`, `k = −s … N_mm` (`s = N_mm − 1`), of
-/// the pool `outcome`'s accumulator, filter with the SVD, solve the reduced
+/// the pool's accumulator `acc`, filter with the SVD, solve the reduced
 /// eigenproblem, recover the eigenvectors from its stored `Ŝ_{−s} … Ŝ_0`
-/// and residual-check the eigenpairs; the outcome's work counters are
+/// and residual-check the eigenpairs; the accumulator's work counters are
 /// carried into the result.  `N_mm` and `N_rh` are the
 /// accumulator's ([`RingPlan::build`] took them from the configuration).
-///
-/// Public so that multi-energy drivers (`cbs-sweep`) can run the extraction
-/// per energy on accumulators filled from a flattened cross-energy task
-/// pool; [`solve_qep_with`] is exactly a one-group [`solve_pool`] + this
-/// function.
 ///
 /// Moments that carry nothing to extract — all zero (a zero source block)
 /// or non-finite, so the block Hankel matrix has no finite positive `σ₁` —
 /// and a failed SVD or reduced eigensolve are not errors of the caller's:
 /// the result then has no eigenpairs and `numerical_rank` 0 (and no
-/// `hankel_singular_values` when the SVD itself failed).  So is a complex
-/// `v_cols` on a mirrored accumulator: the lower half-plane nodes mirror the
-/// upper ones only for a real source block, so such moments are not the
-/// ring's, and nothing is extracted from them (no SVD runs).
-pub fn extract_from_moments(
+/// `hankel_singular_values` when the SVD itself failed).
+pub(crate) fn extract_from_moments(
     problem: &QepProblem<'_>,
     config: &SsConfig,
-    v_cols: &[CVector],
-    outcome: PoolOutcome,
+    mut acc: MomentAccumulator,
     linear_solve_seconds: f64,
 ) -> SsResult {
-    let mut acc = outcome.acc;
+    let moment_store_bytes = acc.memory_bytes();
     let n = problem.dim();
     let contour = config.contour();
     let (m, n_rh, mirrored) = (acc.n_mm(), acc.n_rh(), acc.mirrored);
     let mut histories = std::mem::take(&mut acc.histories);
     let shifted_solves = histories.len();
+    let iterations = histories.iter().map(ConvergenceHistory::iterations).sum();
+    let matvecs: usize = histories.iter().map(|h| h.matvecs).sum();
 
     let t_extract = cbs_trace::now_ns();
-    // `Y(z̄) = conj Y(z)` needs a real right-hand side: `source_block`
-    // always draws one, a caller-supplied block that is not real leaves the
-    // mirrored moments incomplete.
-    let unmirrorable = mirrored && !v_cols.iter().all(|v| v.iter().all(|z| z.im == 0.0));
     let mut mu = std::mem::take(&mut acc.mu);
     if mirrored {
         // Close the quadrature sum over the lower half-plane nodes that
@@ -550,7 +518,7 @@ pub fn extract_from_moments(
     }
 
     // Low-rank filtering and the reduced eigenproblem.
-    let decomposition = if unmirrorable { None } else { svd(&t_hankel).ok() };
+    let decomposition = svd(&t_hankel).ok();
     let Reduced { rank, w1, sigma_inv, eig } = decomposition
         .as_ref()
         .and_then(|d| Reduced::filter(d, &t_shift, config.delta))
@@ -641,13 +609,14 @@ pub fn extract_from_moments(
         solve_histories: histories,
         shifted_solves,
         projected_moments: mu,
-        total_bicg_iterations: outcome.iterations,
-        total_matvecs: outcome.matvecs + extraction_matvecs,
-        total_traversals: outcome.traversals + extraction_matvecs,
+        total_bicg_iterations: iterations,
+        total_matvecs: matvecs + extraction_matvecs,
+        total_traversals: acc.traversals + extraction_matvecs,
         extraction_matvecs,
         operator_assemblies: 0,
         timings: SsTimings { linear_solve_seconds, extraction_seconds },
         discarded,
+        moment_store_bytes,
     }
 }
 
@@ -700,49 +669,63 @@ impl Reduced {
 /// already have.
 const REAL_AXIS_ROUNDING: f64 = 1e-10;
 
-/// Everything a solve precomputes once per `(problem dimension and
-/// symmetry, configuration)`: the source block, whether the ring is
-/// mirrored, and the node list its [`MomentAccumulator`]s integrate.
-///
-/// Shared between [`solve_qep_with`] (one energy) and the `cbs-sweep`
-/// orchestrator, which reuses one plan across every scan energy: the source
-/// block depends only on dimension and configuration, and whether the
-/// blocks are real does not depend on the energy.
-pub struct RingPlan {
+/// Everything a pooled round precomputes once for all of its problems:
+/// the source block, whether the ring is mirrored, and the node list its
+/// [`MomentAccumulator`]s integrate.  Only the problems' dimension and
+/// conjugate symmetry enter, and neither varies with the scan energy.
+pub(crate) struct RingPlan {
     /// The source block `V` ([`source_block`]).
     pub v_cols: Vec<CVector>,
     /// The listed `(outer, paired inner)` nodes.
     nodes: Vec<(QuadraturePoint, QuadraturePoint)>,
+    /// `true` when the nodes are only the `Im z > 0` half of the ring of
+    /// conjugate-symmetric problems: each also stands for its mirror image
+    /// `(z̄, ω̄)`, whose solutions are the conjugates of the node's own and
+    /// are folded in by the extraction, never solved.
     mirrored: bool,
     n_mm: usize,
 }
 
 impl RingPlan {
-    /// Build the plan for `problem` under `config`, rejecting invalid
-    /// contour parameters.  Only the problem's dimension and its conjugate
-    /// symmetry enter (a symmetric problem gets the mirrored half ring), so
-    /// the plan serves every scan energy of the same Hamiltonian blocks.
-    pub fn build(problem: &QepProblem<'_>, config: &SsConfig) -> Result<Self, ContourError> {
+    /// The plan shared by `problems` under `config`, rejecting invalid
+    /// contour parameters.  Conjugate-symmetric problems get the mirrored
+    /// half ring.
+    ///
+    /// # Panics
+    ///
+    /// When the problems do not all share one dimension and one conjugate
+    /// symmetry.
+    pub(crate) fn build(
+        problems: &[QepProblem<'_>],
+        config: &SsConfig,
+    ) -> Result<Self, ContourError> {
         let contour = RingContour::try_new(config.lambda_min, config.n_int)?;
-        let mirrored = problem.is_conjugate_symmetric();
+        let shape = |p: &QepProblem<'_>| (p.dim(), p.is_conjugate_symmetric());
+        let (n, mirrored) = problems.first().map_or((0, false), shape);
+        assert!(
+            problems.iter().all(|p| shape(p) == (n, mirrored)),
+            "the problems of one round must share dimension and conjugate symmetry"
+        );
         Ok(Self {
-            v_cols: source_block(problem.dim(), config),
+            v_cols: source_block(n, config),
             nodes: contour.solved_nodes(mirrored),
             mirrored,
             n_mm: config.n_mm,
         })
     }
 
-    /// `true` when the plan lists only the `Im z > 0` half of the ring of a
-    /// conjugate-symmetric problem: each node also stands for its mirror
-    /// image `(z̄, ω̄)`, whose solutions are the conjugates of the node's own
-    /// and are folded in by the extraction, never solved.
-    pub fn is_mirrored(&self) -> bool {
-        self.mirrored
+    /// Number of listed quadrature nodes, the jobs of one problem.
+    pub(crate) fn n_nodes(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// The primal shift of listed node `j`, the one its job solves.
+    pub(crate) fn node_shift(&self, j: usize) -> Complex64 {
+        self.nodes[j].0.z
     }
 
     /// Fresh zeroed moments over the plan's node list.
-    pub fn accumulator(&self) -> MomentAccumulator {
+    pub(crate) fn accumulator(&self) -> MomentAccumulator {
         let n = self.v_cols.first().map_or(0, CVector::len);
         let n_rh = self.v_cols.len();
         let vectors = self.n_mm * n_rh * n;
@@ -754,6 +737,7 @@ impl RingPlan {
             im: if self.mirrored { Vec::new() } else { vec![0.0; vectors] },
             mu: vec![CMatrix::zeros(n_rh, n_rh); 2 * self.n_mm],
             histories: Vec::with_capacity(self.nodes.len() * n_rh),
+            traversals: 0,
         }
     }
 }
@@ -763,6 +747,7 @@ mod tests {
     use super::*;
     use cbs_linalg::{c64, generalized_eigen};
     use cbs_parallel::SerialExecutor;
+    use cbs_solver::BicgResult;
     use cbs_sparse::DenseOp;
     use rand::SeedableRng;
 
@@ -917,119 +902,51 @@ mod tests {
         let (op00, op01) = (DenseOp::new(h00), DenseOp::new(h01));
         let qep = QepProblem::new(&op00, &op01, 0.1, 1.0);
         let config = SsConfig::small();
-        let plan = RingPlan::build(&qep, &config).unwrap();
-        let solve = |v_cols: &[CVector]| {
-            let group = PoolGroup { problem: &qep, v_cols, trace: TraceHandle::resolve() };
-            solve_pool(&[group], vec![plan.accumulator()], &config, &SerialExecutor).pop().unwrap()
-        };
-        let extract = |v_cols: &[CVector], out: PoolOutcome| {
-            extract_from_moments(&qep, &config, v_cols, out, 0.0)
+        let qeps = std::slice::from_ref(&qep);
+        let solve = |v_cols: Vec<CVector>| {
+            let mut plan = RingPlan::build(qeps, &config).unwrap();
+            plan.v_cols = v_cols;
+            let trace = cbs_trace::TraceHandle::disabled();
+            let outcome = crate::pool::solve_pool(qeps, &plan, trace, &config, &SerialExecutor);
+            (outcome.into_iter().next().unwrap(), plan)
         };
 
-        let zeros = vec![CVector::zeros(qep.dim()); config.n_rh];
-        let result = extract(&zeros, solve(&zeros));
+        let (zeros, _) = solve(vec![CVector::zeros(qep.dim()); config.n_rh]);
+        let result = extract_from_moments(&qep, &config, zeros, 0.0);
         assert!(result.eigenpairs.is_empty());
         assert_eq!(result.numerical_rank, 0);
         assert!(result.hankel_singular_values.iter().all(|&s| s == 0.0));
         assert_eq!(result.total_bicg_iterations, 0);
 
-        let v_cols = source_block(qep.dim(), &config);
-        let mut poisoned = solve(&v_cols);
+        let (mut poisoned, plan) = solve(source_block(qep.dim(), &config));
         let nan = CVector::from_vec(vec![c64(f64::NAN, 0.0); qep.dim()]);
-        let history = poisoned.acc.histories[0].clone();
-        let outcome = ShiftedSolveOutcome {
-            point_index: 0,
-            rhs_index: 0,
-            x: nan.clone(),
-            dual_x: nan,
-            history: history.clone(),
-            dual_history: history,
-        };
-        poisoned.acc.record(outcome, &v_cols);
-        let result = extract(&v_cols, poisoned);
+        let history = poisoned.histories[0].clone();
+        let (x, dual_x) = (nan.clone(), nan);
+        let column = BicgResult { x, dual_x, history: history.clone(), dual_history: history };
+        let node = BlockBicgResult { columns: vec![column], traversals: 0 };
+        poisoned.record(0, node, &plan.v_cols);
+        let result = extract_from_moments(&qep, &config, poisoned, 0.0);
         assert!(result.eigenpairs.is_empty());
         assert_eq!(result.numerical_rank, 0);
-    }
-
-    #[test]
-    fn a_complex_source_block_on_a_mirrored_ring_extracts_nothing() {
-        // Real blocks: the plan lists only the upper half of the ring, and
-        // the lower half is the conjugate of what a *real* block solves.  A
-        // complex block's moments cannot be closed that way; the contract
-        // is the degenerate-moment one — no eigenpairs, rank 0 — not a
-        // panic.
-        let (h00, h01) = random_qep(8, 508);
-        let real = |m: CMatrix| CMatrix::from_fn(8, 8, |i, j| Complex64::real(m[(i, j)].re));
-        let (op00, op01) = (DenseOp::new(real(h00)), DenseOp::new(real(h01)));
-        let qep = QepProblem::new(&op00, &op01, 0.1, 1.0);
-        let config = SsConfig::small();
-        let plan = RingPlan::build(&qep, &config).unwrap();
-        assert!(plan.is_mirrored());
-        let run = |v_cols: &[CVector]| {
-            let group = PoolGroup { problem: &qep, v_cols, trace: TraceHandle::disabled() };
-            let out = solve_pool(&[group], vec![plan.accumulator()], &config, &SerialExecutor);
-            extract_from_moments(&qep, &config, v_cols, out.into_iter().next().unwrap(), 0.0)
-        };
-
-        assert!(!run(&plan.v_cols).eigenpairs.is_empty(), "the real block finds the spectrum");
-        let complex: Vec<CVector> =
-            plan.v_cols.iter().map(|v| v.iter().map(|&x| x * c64(0.6, 0.8)).collect()).collect();
-        let result = run(&complex);
-        assert!(result.eigenpairs.is_empty());
-        assert_eq!(result.numerical_rank, 0);
-        assert!(result.hankel_singular_values.is_empty());
-        assert!(result.total_bicg_iterations > 0, "the solves ran");
-    }
-
-    /// Every solve outcome of the ring `plan` lists, node by node, each
-    /// node's block solved as the matrix-free pool solves it.
-    fn ring_outcomes(
-        qep: &QepProblem<'_>,
-        plan: &RingPlan,
-        config: &SsConfig,
-    ) -> Vec<ShiftedSolveOutcome> {
-        let (v, opts) = (&plan.v_cols, config.solver_options());
-        (0..plan.nodes.len())
-            .flat_map(|j| {
-                let op = qep.operator(plan.nodes[j].0.z);
-                let solved = cbs_solver::bicg_dual_block_precond(
-                    &op,
-                    None::<&dyn cbs_sparse::Preconditioner>,
-                    v,
-                    v,
-                    None,
-                    &opts,
-                    None,
-                );
-                solved.columns.into_iter().enumerate().map(move |(rhs_index, col)| {
-                    ShiftedSolveOutcome {
-                        point_index: j,
-                        rhs_index,
-                        x: col.x,
-                        dual_x: col.dual_x,
-                        history: col.history,
-                        dual_history: col.dual_history,
-                    }
-                })
-            })
-            .collect()
     }
 
     /// The fold the compact store replaced: every centred `Ŝ_k`,
     /// `k = −s … N_mm`, as `N_rh` complex vectors, from the same
     /// `centred_weight` the store starts at.
-    fn full_fold(plan: &RingPlan, outcomes: &[ShiftedSolveOutcome]) -> Vec<Vec<CVector>> {
+    fn full_fold(plan: &RingPlan, solved: &[BlockBicgResult]) -> Vec<Vec<CVector>> {
         let n = plan.v_cols[0].len();
         let mut s_moments = vec![vec![CVector::zeros(n); plan.v_cols.len()]; 2 * plan.n_mm];
-        for o in outcomes {
-            let (outer, inner) = plan.nodes[o.point_index];
-            let (mut zk_primal, mut zk_dual) =
-                (centred_weight(outer, plan.n_mm), centred_weight(inner, plan.n_mm));
-            for s_k in s_moments.iter_mut() {
-                s_k[o.rhs_index].axpy(zk_primal, &o.x);
-                s_k[o.rhs_index].axpy(zk_dual, &o.dual_x);
-                zk_primal *= outer.z;
-                zk_dual *= inner.z;
+        for (j, node) in solved.iter().enumerate() {
+            let (outer, inner) = plan.nodes[j];
+            for (rhs, o) in node.columns.iter().enumerate() {
+                let (mut zk_primal, mut zk_dual) =
+                    (centred_weight(outer, plan.n_mm), centred_weight(inner, plan.n_mm));
+                for s_k in s_moments.iter_mut() {
+                    s_k[rhs].axpy(zk_primal, &o.x);
+                    s_k[rhs].axpy(zk_dual, &o.dual_x);
+                    zk_primal *= outer.z;
+                    zk_dual *= inner.z;
+                }
             }
         }
         s_moments
@@ -1037,7 +954,7 @@ mod tests {
 
     /// The compact store against the full complex fold, on a mirrored ring
     /// (a real pencil applied through the real stencil) and a full one (a
-    /// dense complex pencil): its size is what `memory_bytes` reports, the
+    /// dense complex pencil): its size is what `moment_store_bytes` reports, the
     /// stored `Ŝ_k`, `k ≤ 0`, are the full fold's (its real parts on the
     /// mirrored ring) bit for bit, and every `µ̂_k` is `V†Ŝ_k` to rounding.
     #[test]
@@ -1056,19 +973,21 @@ mod tests {
         };
         let stencil = QepProblem::new(&s00, &s01, 1.5, 1.0);
         for (qep, mirrored) in [(stencil, true), (QepProblem::new(&d00, &d01, 0.1, 1.0), false)] {
-            let plan = RingPlan::build(&qep, &config).unwrap();
-            assert_eq!(plan.is_mirrored(), mirrored);
+            let plan = RingPlan::build(std::slice::from_ref(&qep), &config).unwrap();
+            assert_eq!(plan.mirrored, mirrored);
             // `N_mm N_rh` columns of reals (mirrored) or complex numbers,
             // plus `2 N_mm` complex `N_rh × N_rh` projections.
             let (n_mm, n_rh, scalar) = (config.n_mm, config.n_rh, if mirrored { 8 } else { 16 });
             let bytes = n_mm * n_rh * qep.dim() * scalar + 2 * n_mm * n_rh * n_rh * 16;
             assert_eq!(plan.accumulator().memory_bytes(), bytes);
-            let outcomes = ring_outcomes(&qep, &plan, &config);
+            let solved: Vec<BlockBicgResult> = (0..plan.n_nodes())
+                .map(|j| crate::pool::tests::one_node(&qep, &config, &plan, j))
+                .collect();
             assert_eq!(qep.real_stencil().is_some(), mirrored, "the solves ran on the stencil");
-            let reference = full_fold(&plan, &outcomes);
+            let reference = full_fold(&plan, &solved);
             let mut acc = plan.accumulator();
-            for o in outcomes {
-                acc.record(o, &plan.v_cols);
+            for (j, node) in solved.into_iter().enumerate() {
+                acc.record(j, node, &plan.v_cols);
             }
 
             let (columns, mu) = acc.stored();
@@ -1090,8 +1009,8 @@ mod tests {
                 assert!(error <= 1e-13 * exact.fro_norm(), "µ̂_{k}: {error:.2e}, {mirrored}");
             }
 
-            let outcome = PoolOutcome { acc, iterations: 0, matvecs: 0, traversals: 0, solves: 0 };
-            let result = extract_from_moments(&qep, &config, &plan.v_cols, outcome, 0.0);
+            let result = extract_from_moments(&qep, &config, acc, 0.0);
+            assert_eq!(result.moment_store_bytes, bytes);
             let real = result.projected_moments.iter().flat_map(CMatrix::as_slice);
             assert_eq!(real.clone().all(|z| z.im == 0.0), mirrored);
         }

@@ -306,15 +306,24 @@ impl RealLowRank {
     }
 }
 
-/// The column tiles of an `nvecs`-wide slab as `(first column, width)`,
-/// widest first from the 8/4/2/1 ladder.
-fn tiles(nvecs: usize) -> impl Iterator<Item = (usize, usize)> {
-    let mut j = 0;
-    std::iter::from_fn(move || {
-        let w = [8, 4, 2, 1].into_iter().find(|&w| j + w <= nvecs)?;
-        j += w;
-        Some((j - w, w))
-    })
+/// Run `$recv.$kernel::<W>($args…, j)` on the column tiles of an
+/// `$nvecs`-wide slab, in column order: tile `j .. j + W`, widest first from
+/// the 8/4/2/1 ladder, the one place the ladder is written.  Each width is
+/// its own monomorphised kernel.
+macro_rules! for_each_tile {
+    ($nvecs:expr, $recv:expr, $kernel:ident($($arg:expr),*)) => {{
+        let (nvecs, mut j) = ($nvecs, 0);
+        for_each_tile!(@ladder [8, 4, 2, 1] nvecs, j, $recv, $kernel($($arg),*));
+    }};
+    (@ladder [] $($rest:tt)*) => {};
+    (@ladder [$w:literal $(, $narrower:literal)*] $nvecs:ident, $j:ident, $recv:expr,
+        $kernel:ident($($arg:expr),*)) => {
+        while $nvecs - $j >= $w {
+            $recv.$kernel::<$w>($($arg,)* $j);
+            $j += $w;
+        }
+        for_each_tile!(@ladder [$($narrower),*] $nvecs, $j, $recv, $kernel($($arg),*));
+    };
 }
 
 /// Columns `j .. j + W` of a column-major slab with `n` rows.
@@ -457,23 +466,9 @@ impl RealStencil {
         cbs_trace::timed(Stage::Kernel, || {
             for r0 in (0..n).step_by(ROW_BLOCK) {
                 let rows = r0..(r0 + ROW_BLOCK).min(n);
-                for (j, w) in tiles(nvecs) {
-                    match w {
-                        8 => self.tile::<8>(rows.clone(), shift, x, y, j),
-                        4 => self.tile::<4>(rows.clone(), shift, x, y, j),
-                        2 => self.tile::<2>(rows.clone(), shift, x, y, j),
-                        _ => self.tile::<1>(rows.clone(), shift, x, y, j),
-                    }
-                }
+                for_each_tile!(nvecs, self, tile(rows.clone(), shift, x, y));
             }
-            for (j, w) in tiles(nvecs) {
-                match w {
-                    8 => self.tails::<8>(shift, x, y, j),
-                    4 => self.tails::<4>(shift, x, y, j),
-                    2 => self.tails::<2>(shift, x, y, j),
-                    _ => self.tails::<1>(shift, x, y, j),
-                }
-            }
+            for_each_tile!(nvecs, self, tails(shift, x, y));
         });
     }
 
@@ -767,14 +762,7 @@ impl StencilDilu<'_> {
     /// `pass` over a whole column-major slab, in place.
     fn pass(&self, pass: Pass, side: &Side<'_>, z: &mut [Complex64], nvecs: usize) {
         self.row_blocks(matches!(pass, Pass::Upper { .. }), |rows| {
-            for (j, w) in tiles(nvecs) {
-                match w {
-                    8 => self.pass_tile::<8>(pass, side, rows.clone(), z, j),
-                    4 => self.pass_tile::<4>(pass, side, rows.clone(), z, j),
-                    2 => self.pass_tile::<2>(pass, side, rows.clone(), z, j),
-                    _ => self.pass_tile::<1>(pass, side, rows.clone(), z, j),
-                }
-            }
+            for_each_tile!(nvecs, self, pass_tile(pass, side, rows.clone(), z));
         });
     }
 
@@ -970,32 +958,15 @@ impl Preconditioner for StencilDilu<'_> {
         cbs_trace::timed(Stage::Kernel, || {
             let mut u = crate::scratch::take_scratch_for_overwrite(n * nvecs);
             self.row_blocks(true, |rows| {
-                for (j, w) in tiles(nvecs) {
-                    match w {
-                        8 => self.split_upper_tile::<8>(&side, dual, rows.clone(), x, y, &mut u, j),
-                        4 => self.split_upper_tile::<4>(&side, dual, rows.clone(), x, y, &mut u, j),
-                        2 => self.split_upper_tile::<2>(&side, dual, rows.clone(), x, y, &mut u, j),
-                        _ => self.split_upper_tile::<1>(&side, dual, rows.clone(), x, y, &mut u, j),
-                    }
-                }
+                for_each_tile!(
+                    nvecs,
+                    self,
+                    split_upper_tile(&side, dual, rows.clone(), x, y, &mut u)
+                );
             });
-            for (j, w) in tiles(nvecs) {
-                match w {
-                    8 => self.stencil.tails::<8>(shift, y, &mut u, j),
-                    4 => self.stencil.tails::<4>(shift, y, &mut u, j),
-                    2 => self.stencil.tails::<2>(shift, y, &mut u, j),
-                    _ => self.stencil.tails::<1>(shift, y, &mut u, j),
-                }
-            }
+            for_each_tile!(nvecs, self.stencil, tails(shift, y, &mut u));
             self.row_blocks(false, |rows| {
-                for (j, w) in tiles(nvecs) {
-                    match w {
-                        8 => self.split_lower_tile::<8>(&side, dual, rows.clone(), &mut u, y, j),
-                        4 => self.split_lower_tile::<4>(&side, dual, rows.clone(), &mut u, y, j),
-                        2 => self.split_lower_tile::<2>(&side, dual, rows.clone(), &mut u, y, j),
-                        _ => self.split_lower_tile::<1>(&side, dual, rows.clone(), &mut u, y, j),
-                    }
-                }
+                for_each_tile!(nvecs, self, split_lower_tile(&side, dual, rows.clone(), &mut u, y));
             });
             crate::scratch::recycle_scratch(u);
         });

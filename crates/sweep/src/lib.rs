@@ -9,13 +9,13 @@
 //! `cbs_core::solve_qep_with`).  It runs them as the paper does, each
 //! energy solved independently and cold, but dispatched together:
 //!
-//! * **Flattening** — the grid's solves become one task pool dispatched
-//!   through the `cbs_parallel::TaskExecutor` seam — `(energy ×
-//!   quadrature-node)` block jobs, each advancing all `N_rh` right-hand
-//!   sides through fused block matvecs — so a sweep saturates a wide
-//!   executor even when one energy's grid is small.  Each energy is one
-//!   group of the shared `cbs_core::solve_pool`, and bit-identical to its
-//!   own `cbs_core::solve_qep_with`.
+//! * **Flattening** — the grid is one pooled round of
+//!   `cbs_core::solve_qeps_with`: one task pool dispatched through the
+//!   `cbs_parallel::TaskExecutor` seam — `(energy × quadrature-node)` block
+//!   jobs, each advancing all `N_rh` right-hand sides through fused block
+//!   matvecs — so a sweep saturates a wide executor even when one energy's
+//!   grid is small.  Each energy is bit-identical to its own
+//!   `cbs_core::solve_qep_with`.
 //! * **Checkpointing** — a [`SweepCheckpoint`] (format v22: finished
 //!   energies' results, bit-exact floats, a checksum) is written after
 //!   every extracted energy, in grid order, so a killed sweep leaves a
@@ -48,7 +48,7 @@ pub use sweep::{
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cbs_core::{ContourError, SsConfig, PROPAGATING_TOLERANCE};
+    use cbs_core::{solve_qep_with, ContourError, QepProblem, SsConfig, PROPAGATING_TOLERANCE};
     use cbs_linalg::{c64, CMatrix};
     use cbs_parallel::SerialExecutor;
     use cbs_sparse::DenseOp;
@@ -145,6 +145,35 @@ mod tests {
         let resume = RunOptions { resume: Some(cp), ..RunOptions::default() };
         let refused = sweep.run_with(&[], &SerialExecutor, resume);
         assert!(matches!(refused, Err(SweepError::Checkpoint(CheckpointError::Mismatch(_)))));
+    }
+
+    /// No source vectors (`N_rh` 0) or no moments (`N_mm` 0) leave nothing
+    /// to extract: `solve_qep_with` and the sweep return the documented
+    /// empty result — no eigenpairs, rank 0 — with the same counters, and
+    /// no panic.
+    #[test]
+    fn no_source_vectors_or_no_moments_is_an_empty_result() {
+        let (op00, op01) = random_blocks(8, 604, 0.35);
+        let base = SsConfig { n_int: 8, n_mm: 2, n_rh: 2, ..SsConfig::small() };
+        for ss in [SsConfig { n_rh: 0, ..base }, SsConfig { n_mm: 0, ..base }] {
+            let qep = QepProblem::new(&op00, &op01, 0.1, 1.5);
+            let alone = solve_qep_with(&qep, &ss, &SerialExecutor);
+            assert!(alone.eigenpairs.is_empty() && alone.numerical_rank == 0, "{ss:?}");
+            assert_eq!(alone.shifted_solves, 8 * ss.n_rh, "{ss:?}");
+            let sweep = EnergySweep::new(&op00, &op01, 1.5, SweepConfig::new(ss));
+            let run = sweep.run(&[0.1], &SerialExecutor);
+            assert!(run.cbs.points.is_empty(), "{ss:?}");
+            let stats = EnergyStats {
+                bicg_iterations: alone.total_bicg_iterations,
+                matvecs: alone.total_matvecs,
+                operator_traversals: alone.total_traversals,
+                solves: alone.shifted_solves,
+                accepted: 0,
+                discarded: 0,
+                numerical_rank: 0,
+            };
+            assert_eq!(run.records[0].stats, stats, "{ss:?}");
+        }
     }
 
     /// A NaN or infinite energy and an invalid contour are typed errors,

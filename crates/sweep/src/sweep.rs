@@ -2,10 +2,11 @@
 //!
 //! [`EnergySweep`] is the one multi-energy driver; it owns the whole
 //! Figures-6/11 workload.  It solves exactly the grid it is given
-//! (ascending, bit-deduplicated): the per-energy groups go through one
-//! flattened task pool (`cbs_core::solve_pool`), every solve from a zero
-//! initial guess as the paper does, and a checkpoint is written after every
-//! extracted energy so a killed sweep resumes bit-identically.
+//! (ascending, bit-deduplicated) as one pooled round of
+//! `cbs_core::solve_qeps_with`, every solve from a zero initial guess as the
+//! paper does, and writes a checkpoint after every extracted energy so a
+//! killed sweep resumes bit-identically.  What is left here is the grid,
+//! the resume, the checkpoint, the classification and the statistics.
 //!
 //! Determinism invariants, locked in by `tests/sweep_determinism.rs` at the
 //! workspace root:
@@ -20,8 +21,8 @@
 use std::path::Path;
 
 use cbs_core::{
-    classify_point, extract_from_moments, solve_pool, BlockPolicy, CbsPoint, CbsStatistics,
-    ComplexBandStructure, ContourError, PoolGroup, PrecondPolicy, QepProblem, RingPlan,
+    classify_point, solve_qeps_with, BlockPolicy, CbsPoint, CbsStatistics, ComplexBandStructure,
+    ContourError, PrecondPolicy, QepProblem, RingContour,
 };
 use cbs_parallel::TaskExecutor;
 use cbs_sparse::LinearOperator;
@@ -157,7 +158,7 @@ struct State {
 /// grid is released as one flat pool round, so memory is one moment
 /// accumulator per energy in flight (`N_mm·N_rh` length-`N` columns, real
 /// on a mirrored ring, plus `2·N_mm` projections of `N_rh×N_rh`;
-/// `MomentAccumulator::memory_bytes`), plus one node's solutions per
+/// `SsResult::moment_store_bytes`), plus one node's solutions per
 /// worker.  A checkpoint ([`RunOptions::checkpoint_path`]) is written as
 /// each energy is extracted, once the pool has returned: it holds finished
 /// energies' results only.
@@ -171,18 +172,21 @@ pub struct EnergySweep<'a> {
 impl<'a> EnergySweep<'a> {
     /// Build a sweep over the block Hamiltonian `h00`/`h01` with lattice
     /// period `period` (bohr).
+    ///
+    /// # Panics
+    ///
+    /// Where `cbs_core::QepProblem::new` does: on blocks that are not square
+    /// or not of one size, and on a period that is not positive.
     pub fn new(
         h00: &'a dyn LinearOperator,
         h01: &'a dyn LinearOperator,
         period: f64,
         config: SweepConfig,
     ) -> Self {
-        assert_eq!(h00.nrows(), h00.ncols(), "H00 must be square");
-        assert_eq!(h01.nrows(), h01.ncols(), "H01 must be square");
-        assert_eq!(h00.nrows(), h01.nrows(), "H00 and H01 must have the same size");
-        assert!(period > 0.0, "period must be positive");
-        assert!(config.ss.n_rh > 0, "need at least one right-hand side");
-        Self { h00, h01, period, config }
+        let sweep = Self { h00, h01, period, config };
+        // `QepProblem::new` checks the blocks and the period.
+        sweep.problem_at(0.0);
+        sweep
     }
 
     /// **Vestigial:** a no-op that keeps its dimension check.
@@ -254,19 +258,13 @@ impl<'a> EnergySweep<'a> {
         grid.sort_by(f64::total_cmp);
         grid.dedup_by(|a, b| a.to_bits() == b.to_bits());
 
-        // The plan (source block and node list) depends only on the
-        // Hamiltonian blocks — their dimension and whether they are real,
-        // neither of which varies with the scan energy — and the
-        // configuration, so one instance, built at any energy, serves every
-        // scan energy of the sweep (and an empty grid): the full ring, or
-        // its upper half for real blocks.
-        let plan =
-            RingPlan::build(&self.problem_at(0.0), &self.config.ss).map_err(SweepError::Contour)?;
+        let ss = &self.config.ss;
+        RingContour::try_new(ss.lambda_min, ss.n_int).map_err(SweepError::Contour)?;
 
         let mut fingerprint = self.config.fingerprint(self.period);
-        // Whether the ring is mirrored (real blocks) decides the node list,
-        // and so every record's counters.
-        fingerprint.push(plan.is_mirrored() as u64);
+        // Whether the ring is mirrored (real blocks, at every energy alike)
+        // decides the node list, and so every record's counters.
+        fingerprint.push(self.problem_at(0.0).is_conjugate_symmetric() as u64);
         // The dimension: the same cell at another grid spacing has the same
         // period and configuration, but is another problem.
         fingerprint.push(self.h00.nrows() as u64);
@@ -314,59 +312,36 @@ impl<'a> EnergySweep<'a> {
         };
         let rest = &grid[st.records.len()..];
         if !rest.is_empty() {
-            self.solve_rest(rest, &plan, executor, &mut st, save)?;
+            self.solve_rest(rest, executor, &mut st, save)?;
         }
         Ok(self.assemble(st))
     }
 
-    /// Solve `rest`, the grid's energies after the completed records,
-    /// through one flattened task pool and append their records in order,
-    /// calling `save` after each.  Each energy's group is independent of
-    /// its pool mates, so where a previous run was killed changes no bit of
-    /// the result.
+    /// Solve `rest`, the grid's energies after the completed records, as
+    /// one pooled round and append their records in order, calling `save`
+    /// after each.  Each energy is independent of its round mates, so where
+    /// a previous run was killed changes no bit of the result.
     fn solve_rest<E: TaskExecutor>(
         &self,
         rest: &[f64],
-        plan: &RingPlan,
         executor: &E,
         st: &mut State,
         save: impl Fn(&State) -> Result<(), CheckpointError>,
-    ) -> Result<(), CheckpointError> {
-        let ss = &self.config.ss;
-        // Trace context: each energy is tagged with the record index it is
-        // about to receive, its final `energy_index`.  The handle resolves
-        // to a no-op when no `cbs_trace::TraceSession` records.
-        let record_base = st.records.len();
-        let trace = TraceHandle::resolve();
-
+    ) -> Result<(), SweepError> {
         let problems: Vec<QepProblem<'_>> = rest.iter().map(|&e| self.problem_at(e)).collect();
-        // One pool group per energy: jobs energy-major in node order, each
-        // energy's moments folded in that order — bit-identical to solving
-        // the energies one by one, on every executor.
-        let groups: Vec<PoolGroup<'_, '_>> = problems
-            .iter()
-            .enumerate()
-            .map(|(i, problem)| PoolGroup {
-                problem,
-                v_cols: &plan.v_cols,
-                trace: trace.with_energy(record_base + i),
-            })
-            .collect();
-        let accs = groups.iter().map(|_| plan.accumulator()).collect();
-
-        let t0 = cbs_trace::now_ns();
-        let outcomes = solve_pool(&groups, accs, ss, executor);
-        st.linear_solve_seconds += cbs_trace::seconds_between(t0, cbs_trace::now_ns());
-        drop(groups);
-
-        for (i, (&energy, outcome)) in rest.iter().zip(outcomes).enumerate() {
-            let _extract_ctx = trace.with_energy(record_base + i).enter();
-            let solves = outcome.solves;
-            let result = extract_from_moments(&problems[i], ss, &plan.v_cols, outcome, 0.0);
+        // Trace context: the round tags its `i`-th energy with the installed
+        // index plus `i`, so installing the first one's record index tags
+        // every energy with its final `energy_index`.
+        let round = {
+            let _ctx = TraceHandle::resolve().with_energy(st.records.len()).enter();
+            solve_qeps_with(&problems, &self.config.ss, executor).map_err(SweepError::Contour)?
+        };
+        st.linear_solve_seconds += round.linear_solve_seconds();
+        for ((&energy, problem), result) in rest.iter().zip(&problems).zip(round) {
             st.extraction_seconds += result.timings.extraction_seconds;
             // `energy_index` is a placeholder until assembly.
             let points: Vec<CbsPoint> =
-                result.eigenpairs.iter().map(|p| classify_point(&problems[i], 0, p)).collect();
+                result.eigenpairs.iter().map(|p| classify_point(problem, 0, p)).collect();
             // Matvec / traversal totals come from the extraction result so
             // they include the counted residual-check applications, matching
             // `SsResult`'s accounting.
@@ -374,7 +349,7 @@ impl<'a> EnergySweep<'a> {
                 bicg_iterations: result.total_bicg_iterations,
                 matvecs: result.total_matvecs,
                 operator_traversals: result.total_traversals,
-                solves,
+                solves: result.shifted_solves,
                 accepted: result.eigenpairs.len(),
                 discarded: result.discarded,
                 numerical_rank: result.numerical_rank,

@@ -324,9 +324,9 @@ impl Drop for CtxScope {
     }
 }
 
-/// The tracing capability plumbed through `solve_pool` and
-/// `EnergySweep`: a `Copy` context carrier that is a
-/// no-op when tracing is disabled.
+/// The tracing capability plumbed through the pooled round of
+/// `cbs_core::solve_qeps_with`: a `Copy` context carrier that is a no-op
+/// when tracing is disabled.
 ///
 /// A handle is resolved once per solve ([`TraceHandle::resolve`]) on the
 /// dispatching thread and then moved into job closures, where
@@ -366,6 +366,16 @@ impl TraceHandle {
     /// Override the scan-energy index of the base context.
     pub fn with_energy(mut self, e: usize) -> Self {
         self.base = self.base.with_energy(e);
+        self
+    }
+
+    /// The handle of the `i`-th of consecutive scan energies: the base
+    /// context's energy index plus `i`, and still none when the base has
+    /// none.
+    pub fn energy_offset(mut self, i: usize) -> Self {
+        if self.base.energy != CTX_UNSET {
+            self.base = self.base.with_energy(self.base.energy as usize + i);
+        }
         self
     }
 
@@ -522,6 +532,18 @@ mod tests {
         assert_eq!(solve.len(), 1);
         assert!(solve[0].start_ns <= kernel[0].start_ns);
         assert!(solve[0].end_ns >= kernel[0].end_ns);
+    }
+
+    #[test]
+    fn energy_offset_shifts_an_installed_energy_only() {
+        let _gate = SESSION_GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let session = TraceSession::begin(TraceLevel::Stage).expect("no concurrent session");
+        let handle = TraceHandle::resolve();
+        drop(handle.with_energy(3).energy_offset(2).solve_scope(0));
+        drop(handle.energy_offset(2).solve_scope(1));
+        let report = session.finish();
+        let energies: Vec<u32> = report.spans.iter().map(|s| s.ctx.energy).collect();
+        assert_eq!(energies, [5, CTX_UNSET]);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 mod paper;
 
-use cbs::core::{solve_qep_with, QepProblem, RingPlan};
+use cbs::core::{solve_qep_with, QepProblem};
 use cbs::obm::{obm_solve, ObmConfig};
 use cbs::parallel::SerialExecutor;
 
@@ -32,13 +32,10 @@ fn compare(sys: &paper::System) {
     let ss = solve_qep_with(&problem, &config, &SerialExecutor);
     let ss_seconds = cbs::trace::seconds_between(t0, cbs::trace::now_ns());
     // SS memory: the operator, the source block, the moment store the
-    // solve accumulates into and the Hankel workspace.
-    let plan = RingPlan::build(&problem, &config).unwrap_or_else(|e| panic!("{e}"));
+    // solve accumulated into and the Hankel workspace.
     let m_hat = config.subspace_size();
-    let ss_bytes = h.memory_bytes()
-        + config.n_rh * h.dim() * 16
-        + plan.accumulator().memory_bytes()
-        + m_hat * m_hat * 16;
+    let ss_bytes =
+        h.memory_bytes() + config.n_rh * h.dim() * 16 + ss.moment_store_bytes + m_hat * m_hat * 16;
 
     let (h00_csr, h01_csr) = (h.h00_csr(), h.h01_csr());
     let t1 = cbs::trace::now_ns();

@@ -10,10 +10,7 @@
 use proptest::prelude::*;
 use rand::SeedableRng;
 
-use cbs::core::{
-    extract_from_moments, solve_pool, solve_qep_with, PoolGroup, PrecondPolicy, QepProblem,
-    RingPlan, SsConfig, SsResult,
-};
+use cbs::core::{solve_qep_with, PrecondPolicy, QepProblem, SsConfig, SsResult};
 use cbs::linalg::{c64, CMatrix, Complex64};
 use cbs::parallel::{RayonExecutor, SerialExecutor};
 use cbs::solver::ConvergenceHistory;
@@ -162,16 +159,6 @@ fn compare<A: LinearOperator, B: LinearOperator>(
     mirrored
 }
 
-/// One ring through the public pool and extraction, as `solve_qep_with`
-/// runs it.
-fn pooled(problem: &QepProblem<'_>, config: &SsConfig) -> SsResult {
-    let plan = RingPlan::build(problem, config).expect("valid contour");
-    let group =
-        PoolGroup { problem, v_cols: &plan.v_cols, trace: cbs::trace::TraceHandle::disabled() };
-    let outcome = solve_pool(&[group], vec![plan.accumulator()], config, &SerialExecutor).remove(0);
-    extract_from_moments(problem, config, &plan.v_cols, outcome, 0.0)
-}
-
 /// fig6 Al(100): matrix-free and ILU(0)-preconditioned, `n_int` even and
 /// odd.  The upper-half solves of the two runs are the very same systems.
 #[test]
@@ -202,12 +189,6 @@ fn fig6_mirrored_ring_is_the_full_contour_at_half_the_work() {
         let full = solve_qep_with(&oracle, &config, &SerialExecutor);
         let what = format!("fig6 ilu0 n_int {n_int}");
         assert_mirrored_matches_full(&what, &mirrored, &full, &config);
-
-        // The public pool and extraction: `solve_qep_with` bitwise on the
-        // mirrored ring, and the full contour's spectrum on the full one.
-        let (pooled_mirrored, pooled_full) = (pooled(&real, &config), pooled(&oracle, &config));
-        assert_bitwise(&format!("{what} pooled"), &mirrored, &pooled_mirrored);
-        assert_mirrored_matches_full(&what, &pooled_mirrored, &pooled_full, &config);
     }
 }
 

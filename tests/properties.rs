@@ -315,7 +315,7 @@ proptest! {
     }
 
     /// Extraction robustness: whatever the (n_int, n_mm, n_rh, λ_min,
-    /// energy) combination, `extract_from_moments` (via `solve_qep_with`) never
+    /// energy) combination, the extraction of `solve_qep_with` never
     /// emits a non-finite eigenvalue or residual, every returned pair lies
     /// inside the contour annulus, and the `(|λ|, arg λ)` sort key is a
     /// total order on the returned set — the invariants downstream

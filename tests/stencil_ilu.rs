@@ -13,9 +13,11 @@
 //! * the stencil's diagonal ILU is the textbook one (`tests/common`) to
 //!   rounding (`M⁻¹`, `M⁻†`), on fig6 and on the nanotube;
 //! * one road: per node, one call of `bicg_dual_block_precond` with the
-//!   node's diagonal ILU is bitwise the pool's solve of that node —
-//!   solutions (through the moments they fold into), histories with their
-//!   certified last entry, matvecs and traversals — on both executors;
+//!   node's diagonal ILU is bitwise the pool's solve of that node, as
+//!   `solve_qep_with` reports it — histories with their certified last
+//!   entry, stop reasons, matvecs and traversals — on both executors (the
+//!   fold of its solutions into the moments is `cbs-core`'s
+//!   `pool::tests::one_call_per_node_is_the_pool_under_the_ilu_policy`);
 //! * node by node, those solutions are the oracle's to the BiCG tolerance,
 //!   in as many iterations to within 3% — the two stop on different
 //!   residuals — with every solve converged in the true residual, on fig6
@@ -26,10 +28,7 @@
 
 use rand::SeedableRng;
 
-use cbs::core::{
-    extract_from_moments, solve_qep_with, PoolOutcome, PrecondPolicy, QepProblem, RingPlan,
-    ShiftedSolveOutcome, SsConfig, SsResult,
-};
+use cbs::core::{solve_qep_with, source_block, PrecondPolicy, QepProblem, SsConfig, SsResult};
 use cbs::dft::BlockHamiltonian;
 use cbs::linalg::{c64, CVector, Complex64};
 use cbs::parallel::{RayonExecutor, SerialExecutor};
@@ -95,25 +94,27 @@ fn residual_distance(p: &dyn LinearOperator, x: &CVector, y: &CVector, b: &CVect
     p.apply_vec(&(x - y)).norm() / b.norm()
 }
 
-/// The ILU policy on `config`, the ring plan of `problem` under it, and
-/// each node the pool solves, in the pool's order, solved by one call with
-/// the node's diagonal ILU: `(z, result)`.
+/// The ILU policy on `config`, the source block of `problem` under it,
+/// and each node the pool solves (the upper half of the ring: the blocks
+/// are real), in the pool's order, solved by one call with the node's
+/// diagonal ILU: `(z, result)`.
 fn one_call_per_node(
     problem: &QepProblem<'_>,
     config: &SsConfig,
-) -> (SsConfig, RingPlan, Vec<(Complex64, BlockBicgResult)>) {
+) -> (SsConfig, Vec<CVector>, Vec<(Complex64, BlockBicgResult)>) {
     let config = SsConfig { precond: PrecondPolicy::AssembledIlu0, ..*config };
-    let plan = RingPlan::build(problem, &config).expect("valid contour");
-    let (acc, v, opts) = (plan.accumulator(), &plan.v_cols, config.solver_options());
-    let solved = (0..acc.n_nodes())
-        .map(|j| {
-            let z = acc.node_shift(j);
-            let (op, m) = problem.node_solve(config.precond, z);
+    assert!(problem.is_conjugate_symmetric(), "the pool solves the upper half ring");
+    let (v, opts) = (source_block(problem.dim(), &config), config.solver_options());
+    let nodes = config.contour().outer_points();
+    let solved = nodes[..config.n_int.div_ceil(2)]
+        .iter()
+        .map(|node| {
+            let (op, m) = problem.node_solve(config.precond, node.z);
             let m = m.expect("stencil views: the node splits");
-            (z, bicg_dual_block_precond(&op, Some(&m), v, v, None, &opts, None))
+            (node.z, bicg_dual_block_precond(&op, Some(&m), &v, &v, None, &opts, None))
         })
         .collect();
-    (config, plan, solved)
+    (config, v, solved)
 }
 
 /// The (8,0) nanotube's configuration.
@@ -133,9 +134,9 @@ fn cnt80_config() -> SsConfig {
 }
 
 /// One road: per node, one call of `bicg_dual_block_precond` with the
-/// node's diagonal ILU, its outcomes folded as the pool folds them, is the
-/// pool's solve bit for bit — moments, eigenpairs, histories with their
-/// certified last entry, matvecs and traversals — on both executors.
+/// node's diagonal ILU is the pool's solve bit for bit, as `solve_qep_with`
+/// reports it — histories with their certified last entry, stop reasons,
+/// matvecs, iterations and traversals — on both executors.
 fn assert_one_call_per_node_is_the_pool(
     what: &str,
     h: &BlockHamiltonian,
@@ -144,32 +145,34 @@ fn assert_one_call_per_node_is_the_pool(
 ) {
     let (h00, h01) = (h.h00(), h.h01());
     let problem = QepProblem::new(&h00, &h01, energy, h.period());
-    let (config, plan, solved) = one_call_per_node(&problem, config);
+    let (config, _, solved) = one_call_per_node(&problem, config);
     let pooled = solve_qep_with(&problem, &config, &SerialExecutor);
     assert!(problem.real_stencil().is_some_and(|s| std::ptr::eq(s, h.stencil())), "{what}");
     assert!(!pooled.eigenpairs.is_empty(), "{what}: the split route found no eigenpairs");
     assert!(pooled.solve_histories.iter().all(ConvergenceHistory::converged), "{what}");
 
-    let mut acc = plan.accumulator();
-    let [mut iterations, mut matvecs, mut traversals, mut solves] = [0; 4];
-    for (point_index, (_, node)) in solved.into_iter().enumerate() {
+    // The pool reports node `j`'s histories at `j * N_rh + rhs` (and again
+    // at its mirror image, which it does not solve).
+    let [mut iterations, mut matvecs, mut traversals] = [0; 3];
+    let mut histories = pooled.solve_histories.iter();
+    for (j, (_, node)) in solved.iter().enumerate() {
         traversals += node.traversals;
-        for (rhs_index, col) in node.columns.into_iter().enumerate() {
+        for (r, col) in node.columns.iter().enumerate() {
+            let h = histories.next().expect("one history per solve");
+            assert_eq!(h.residuals, col.history.residuals, "{what}: node {j} rhs {r}");
+            assert_eq!(h.stop_reason, col.history.stop_reason, "{what}: node {j} rhs {r}");
+            assert_eq!(h.matvecs, col.history.matvecs, "{what}: node {j} rhs {r}");
             iterations += col.history.iterations();
             matvecs += col.history.matvecs;
-            solves += 1;
-            let (x, dual_x, history, dual_history) =
-                (col.x, col.dual_x, col.history, col.dual_history);
-            let outcome =
-                ShiftedSolveOutcome { point_index, rhs_index, x, dual_x, history, dual_history };
-            acc.record(outcome, &plan.v_cols);
         }
     }
-    let one_call = PoolOutcome { acc, iterations, matvecs, traversals, solves };
-    let by_node = extract_from_moments(&problem, &config, &plan.v_cols, one_call, 0.0);
-    assert_bitwise(&format!("{what} serial"), &pooled, &by_node);
+    assert_eq!(pooled.shifted_solves, solved.len() * config.n_rh, "{what}");
+    assert_eq!(pooled.total_bicg_iterations, iterations, "{what}");
+    let extraction = pooled.extraction_matvecs;
+    assert_eq!(pooled.total_matvecs, matvecs + extraction, "{what}");
+    assert_eq!(pooled.total_traversals, traversals + extraction, "{what}");
     let rayon = solve_qep_with(&problem, &config, &RayonExecutor);
-    assert_bitwise(&format!("{what} rayon"), &rayon, &by_node);
+    assert_bitwise(&format!("{what} rayon"), &pooled, &rayon);
 }
 
 #[test]
@@ -198,8 +201,8 @@ fn assert_split_route_matches_preconditioned_bicg(
     // exact arithmetic the two build the same iterates, but they stop on
     // different residuals: the oracle on its recurrence's, the split route
     // on the split and the mapped ones, confirmed on the true residual.
-    let (config, plan, solved) = one_call_per_node(&stencil, config);
-    let (v, opts, tol) = (&plan.v_cols, config.solver_options(), config.bicg_tolerance);
+    let (config, v, solved) = one_call_per_node(&stencil, config);
+    let (opts, tol) = (config.solver_options(), config.bicg_tolerance);
     let (mut it, mut it_ref, mut worst) = (0, 0, 0.0f64);
     for (j, (z, node)) in solved.iter().enumerate() {
         let (op, dual_op) = (stencil.operator(*z), stencil.operator(Complex64::ONE / z.conj()));

@@ -11,6 +11,7 @@
 //!   fits inside the run's wall clock;
 //! * the Chrome trace-event export is well-formed.
 
+use std::collections::BTreeSet;
 use std::sync::Mutex;
 
 use cbs::core::SsConfig;
@@ -18,7 +19,7 @@ use cbs::dft::{bulk_al_100, grid_for_structure, BlockHamiltonian, HamiltonianPar
 use cbs::parallel::{RayonExecutor, SerialExecutor};
 use cbs::sparse::DenseOp;
 use cbs::sweep::{EnergySweep, RunOptions, SweepCheckpoint, SweepConfig, SweepResult};
-use cbs::trace::{now_ns, Stage, TraceLevel, TraceSession, CTX_UNSET};
+use cbs::trace::{now_ns, Stage, TraceLevel, TraceReport, TraceSession, CTX_UNSET};
 
 /// `cbs_trace` sessions are process-global and exclusive; every test here
 /// needs sole ownership of the recorder — including the untraced control
@@ -52,6 +53,11 @@ fn assert_same_points(
         assert_eq!(p.propagating, q.propagating, "{what}");
         assert_eq!(p.residual.to_bits(), q.residual.to_bits(), "{what}");
     }
+}
+
+/// The scan-energy indices the spans of `stage` carry.
+fn span_energies(report: &TraceReport, stage: Stage) -> BTreeSet<u32> {
+    report.spans.iter().filter(|s| s.stage == stage).map(|s| s.ctx.energy).collect()
 }
 
 fn assert_same_sweep(a: &SweepResult, b: &SweepResult) {
@@ -91,7 +97,8 @@ fn al100_solve_is_bitwise_identical_with_tracing_on_and_off() {
 /// Serial and rayon executors agree bit-for-bit while a session records —
 /// the spans observe the solves without perturbing them, on either
 /// executor, and both executors' threads deliver spans into the same
-/// session, each solve span tagged with its energy and node.
+/// session, each solve span tagged with its energy and node, and every span
+/// with one of the grid's two energy indices.
 #[test]
 fn serial_and_rayon_agree_under_stage_level_session() {
     let _gate = SESSION_GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -111,6 +118,8 @@ fn serial_and_rayon_agree_under_stage_level_session() {
     let solves: Vec<_> = report.spans.iter().filter(|s| s.stage == Stage::Solve).collect();
     assert!(!solves.is_empty(), "session recorded no solve spans");
     assert!(solves.iter().all(|s| s.ctx.energy != CTX_UNSET && s.ctx.node != CTX_UNSET));
+    let tagged: BTreeSet<u32> = report.spans.iter().map(|s| s.ctx.energy).collect();
+    assert_eq!(tagged, BTreeSet::from([0, 1]), "energy indices of the spans");
     let labels: Vec<&str> = report.threads.iter().map(|&(_, l)| l).collect();
     assert!(labels.contains(&"serial"), "serial executor thread missing from {labels:?}");
     // The vendored rayon shim spawns scoped workers only when the machine
@@ -124,7 +133,8 @@ fn serial_and_rayon_agree_under_stage_level_session() {
 
 /// A checkpointed sweep killed partway and resumed while a session records
 /// is bit-identical to an uninterrupted untraced run: tracing is invisible
-/// to the checkpoint fingerprint and the resume path.
+/// to the checkpoint fingerprint and the resume path.  The resumed energies
+/// keep their grid indices in the spans.
 #[test]
 fn kill_resume_with_tracing_is_bit_identical() {
     let _gate = SESSION_GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -162,6 +172,9 @@ fn kill_resume_with_tracing_is_bit_identical() {
         report.spans.iter().any(|s| s.stage == Stage::Extraction),
         "no extraction spans recorded"
     );
+    let resumed_indices: BTreeSet<u32> = (5..=11).collect();
+    assert_eq!(span_energies(&report, Stage::Solve), resumed_indices, "solve spans");
+    assert_eq!(span_energies(&report, Stage::Extraction), resumed_indices, "extraction spans");
     std::fs::remove_dir_all(&dir).ok();
 }
 
