@@ -85,14 +85,19 @@ impl TaskExecutor for RayonExecutor {
         R: Send,
         F: Fn(T) -> R + Sync,
     {
-        // Register each worker in the trace thread registry before it runs
-        // its first task; the vendored rayon shim joins its scoped workers
-        // before the dispatch returns, so their buffers are flushed (and
-        // the labels drained) by the time the caller reads the session.
+        // Label each spawned worker in the trace thread registry before it
+        // runs its first task; the vendored rayon shim joins its scoped
+        // workers before the dispatch returns, so their buffers are flushed
+        // (and the labels drained) by the time the caller reads the session.
+        // The calling thread, which maps the first chunk itself, keeps its
+        // own label.
+        let caller = std::thread::current().id();
         tasks
             .into_par_iter()
             .map(|t| {
-                cbs_trace::label_thread("rayon");
+                if std::thread::current().id() != caller {
+                    cbs_trace::label_thread("rayon");
+                }
                 map(t)
             })
             .collect()

@@ -123,8 +123,9 @@ fn serial_and_rayon_agree_under_stage_level_session() {
     let labels: Vec<&str> = report.threads.iter().map(|&(_, l)| l).collect();
     assert!(labels.contains(&"serial"), "serial executor thread missing from {labels:?}");
     // The vendored rayon shim spawns scoped workers only when the machine
-    // has more than one hardware thread; on a single-CPU host it runs
-    // inline on the (already-registered) calling thread.
+    // has more than one hardware thread; the calling thread, which keeps
+    // its "serial" label, maps the first chunk, and on a single-CPU host
+    // every chunk.
     let hw = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     if hw > 1 {
         assert!(labels.contains(&"rayon"), "rayon worker threads missing from {labels:?}");
