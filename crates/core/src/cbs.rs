@@ -107,6 +107,9 @@ pub struct CbsStatistics {
     pub linear_solve_seconds: f64,
     /// Seconds in eigenpair extraction.
     pub extraction_seconds: f64,
+    /// Shifted solves whose primal + dual pair did not converge, over the
+    /// whole sweep.
+    pub unconverged: usize,
     /// Total eigenpairs accepted.
     pub accepted: usize,
     /// Total candidates discarded by the residual filter.

@@ -177,7 +177,7 @@ impl SsConfig {
         SolverOptions {
             tolerance: self.bicg_tolerance,
             max_iterations: self.bicg_max_iterations,
-            record_history: true,
+            ..SolverOptions::default()
         }
     }
 }
@@ -212,29 +212,26 @@ pub struct SsResult {
     pub numerical_rank: usize,
     /// Singular values of the block Hankel matrix (diagnostics).
     pub hankel_singular_values: Vec<f64>,
-    /// Per-quadrature-point convergence histories of the primal systems
-    /// (one entry per `(j, rhs)` pair) — the curves of the paper's Figure 5.
+    /// One record per shifted (primal + dual) BiCG solve run, in job order
+    /// `j * N_rh + rhs` over the listed nodes — the curves of the paper's
+    /// Figure 5.  Each is its pair's
+    /// ([`BicgResult::history`](cbs_solver::BicgResult::history)): the
+    /// larger of the two residuals after each iteration, converged only
+    /// when the outer node's system and its inner-circle twin's both are.
     ///
-    /// Always one entry per node of the *full* contour, in node order
-    /// (`n_int x n_rh` for the single ring): on a mirrored ring the entry of
-    /// node `N-1-j` is a clone of node `j`'s — the iterates are complex
-    /// conjugates, so the residual curve is the same.  The work counters
-    /// ([`shifted_solves`](Self::shifted_solves),
-    /// [`total_bicg_iterations`](Self::total_bicg_iterations), …) count only
-    /// the solves actually run.
+    /// Its length is the number of solves run: `n_int x n_rh` on a full
+    /// ring, and only the upper half's `⌈n_int/2⌉ x n_rh` on a mirrored
+    /// one, whose lower half is never solved.
     pub solve_histories: Vec<ConvergenceHistory>,
-    /// Shifted (primal + dual) BiCG solves actually run — half of
-    /// [`solve_histories`](Self::solve_histories)`.len()` on a mirrored
-    /// ring.
-    pub shifted_solves: usize,
     /// The projected complex moments `µ̂_k = V† Ŝ_k`, `k = −s … N_mm` with
     /// `s = N_mm − 1` (`2 N_mm` matrices of shape `N_rh x N_rh`).
     /// Diagnostics, and the quantity the deterministic-parallelism
     /// regression test compares bit-for-bit across executors.
     pub projected_moments: Vec<CMatrix>,
-    /// Total number of BiCG iterations summed over all systems **solved**
-    /// (mirrored nodes cost nothing and count nothing — likewise for the
-    /// matvec and traversal counters below).
+    /// Total number of BiCG iterations summed over
+    /// [`solve_histories`](Self::solve_histories) (mirrored nodes cost
+    /// nothing and count nothing — likewise for the matvec and traversal
+    /// counters below).
     pub total_bicg_iterations: usize,
     /// Total number of operator applications (matvec-equivalents: the
     /// per-column work, however the applies were fused), including the
@@ -292,8 +289,7 @@ pub fn source_block(n: usize, config: &SsConfig) -> Vec<CVector> {
 /// solve **in job order** into exactly what the extraction reads of the
 /// moments `Ŝ_k = Σ_j ω_j z_j^k Y_j`, `k = −s … N_mm` with `s = N_mm − 1`
 /// (primal + paired dual nodes; the module docs say why the powers are
-/// centred), and retains the primal convergence histories and the work
-/// counters:
+/// centred), and retains each solve's history and the work counters:
 ///
 /// * the vectors `Ŝ_{−s} … Ŝ_0` (`N_rh` columns of length `N` each), the
 ///   basis the eigenvectors `ψ = Ŝ W₁Σ₁⁻¹φ` are recovered from.  On a
@@ -325,7 +321,7 @@ pub(crate) struct MomentAccumulator {
     /// `µ̂_{i−s} = V†Ŝ_{i−s}` at index `i < 2 N_mm`, over the listed nodes
     /// only (the extraction takes `2 Re` of them on a mirrored ring).
     mu: Vec<CMatrix>,
-    /// Primal convergence histories in job order.
+    /// One history per solved column, in job order.
     histories: Vec<ConvergenceHistory>,
     /// Operator traversals of the folded solves, one per fused block apply.
     traversals: usize,
@@ -478,8 +474,7 @@ pub(crate) fn extract_from_moments(
     let n = problem.dim();
     let contour = config.contour();
     let (m, n_rh, mirrored) = (acc.n_mm(), acc.n_rh(), acc.mirrored);
-    let mut histories = std::mem::take(&mut acc.histories);
-    let shifted_solves = histories.len();
+    let histories = std::mem::take(&mut acc.histories);
     let iterations = histories.iter().map(ConvergenceHistory::iterations).sum();
     let matvecs: usize = histories.iter().map(|h| h.matvecs).sum();
 
@@ -494,16 +489,6 @@ pub(crate) fn extract_from_moments(
         for v in mu.iter_mut().flat_map(CMatrix::as_mut_slice) {
             *v = Complex64::real(2.0 * v.re);
         }
-        // Report one history per node of the full ring, in node order: the
-        // mirrored node's iterates are the conjugates of its twin's, so its
-        // residual curve *is* the twin's.
-        let n_int = config.n_int;
-        histories = (0..n_int)
-            .flat_map(|j| {
-                let twin = j.min(n_int - 1 - j);
-                histories[twin * n_rh..(twin + 1) * n_rh].to_vec()
-            })
-            .collect();
     }
     let dim = m * n_rh;
     // Block Hankel matrices: T̂[i][j] = µ̂_{i+j−s},  T̂^<[i][j] = µ̂_{i+j+1−s}
@@ -607,7 +592,6 @@ pub(crate) fn extract_from_moments(
         numerical_rank: rank,
         hankel_singular_values: decomposition.map_or_else(Vec::new, |d| d.singular_values),
         solve_histories: histories,
-        shifted_solves,
         projected_moments: mu,
         total_bicg_iterations: iterations,
         total_matvecs: matvecs + extraction_matvecs,
@@ -921,8 +905,7 @@ mod tests {
         let (mut poisoned, plan) = solve(source_block(qep.dim(), &config));
         let nan = CVector::from_vec(vec![c64(f64::NAN, 0.0); qep.dim()]);
         let history = poisoned.histories[0].clone();
-        let (x, dual_x) = (nan.clone(), nan);
-        let column = BicgResult { x, dual_x, history: history.clone(), dual_history: history };
+        let column = BicgResult { x: nan.clone(), dual_x: nan, history };
         let node = BlockBicgResult { columns: vec![column], traversals: 0 };
         poisoned.record(0, node, &plan.v_cols);
         let result = extract_from_moments(&qep, &config, poisoned, 0.0);

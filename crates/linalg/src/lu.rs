@@ -116,37 +116,6 @@ impl LuDecomposition {
         out
     }
 
-    /// Solve the adjoint system `A† x = b` using the same factorization
-    /// (`A† = U† L† P`, so solve `U† y = b`, `L† z = y`, `x = Pᵀ z`).
-    pub fn solve_adjoint(&self, b: &CVector) -> CVector {
-        assert_eq!(b.len(), self.n, "solve_adjoint: rhs length mismatch");
-        let n = self.n;
-        // Forward substitution with U† (lower triangular with conj pivots).
-        let mut y = CVector::zeros(n);
-        for i in 0..n {
-            let mut acc = b[i];
-            for j in 0..i {
-                acc -= self.lu[(j, i)].conj() * y[j];
-            }
-            y[i] = acc / self.lu[(i, i)].conj();
-        }
-        // Back substitution with L† (unit upper triangular).
-        let mut z = CVector::zeros(n);
-        for i in (0..n).rev() {
-            let mut acc = y[i];
-            for j in (i + 1)..n {
-                acc -= self.lu[(j, i)].conj() * z[j];
-            }
-            z[i] = acc;
-        }
-        // Undo the permutation: x[perm[i]] = z[i].
-        let mut x = CVector::zeros(n);
-        for i in 0..n {
-            x[self.perm[i]] = z[i];
-        }
-        x
-    }
-
     /// Explicit inverse (prefer `solve` when possible).
     pub fn inverse(&self) -> CMatrix {
         self.solve_matrix(&CMatrix::identity(self.n))
@@ -208,18 +177,6 @@ mod tests {
         let b = a.matvec(&x_true);
         let lu = LuDecomposition::new(&a).unwrap();
         let x = lu.solve(&b);
-        let err = (&x - &x_true).norm() / x_true.norm();
-        assert!(err < 1e-10, "relative error {err}");
-    }
-
-    #[test]
-    fn adjoint_solve_recovers_known_solution() {
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(12);
-        let a = CMatrix::random(10, 10, &mut rng);
-        let x_true = CVector::random(10, &mut rng);
-        let b = a.adjoint().matvec(&x_true);
-        let lu = LuDecomposition::new(&a).unwrap();
-        let x = lu.solve_adjoint(&b);
         let err = (&x - &x_true).norm() / x_true.norm();
         assert!(err < 1e-10, "relative error {err}");
     }

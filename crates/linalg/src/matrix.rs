@@ -62,20 +62,6 @@ impl CMatrix {
         Self { nrows, ncols, data }
     }
 
-    /// Build a matrix whose columns are the given vectors.
-    pub fn from_columns(cols: &[CVector]) -> Self {
-        let ncols = cols.len();
-        let nrows = if ncols > 0 { cols[0].len() } else { 0 };
-        let mut m = Self::zeros(nrows, ncols);
-        for (j, c) in cols.iter().enumerate() {
-            assert_eq!(c.len(), nrows, "ragged columns");
-            for i in 0..nrows {
-                m[(i, j)] = c[i];
-            }
-        }
-        m
-    }
-
     /// Diagonal matrix from a slice.
     pub fn from_diag(d: &[Complex64]) -> Self {
         let n = d.len();
@@ -177,20 +163,6 @@ impl CMatrix {
                 acc += *a * *b;
             }
             y[i] = acc;
-        }
-        y
-    }
-
-    /// Adjoint matrix-vector product `A† x`.
-    pub fn matvec_adj(&self, x: &CVector) -> CVector {
-        assert_eq!(x.len(), self.nrows, "matvec_adj: dimension mismatch");
-        let mut y = CVector::zeros(self.ncols);
-        for i in 0..self.nrows {
-            let xi = x[i].conj();
-            let row = self.row(i);
-            for (j, a) in row.iter().enumerate() {
-                y[j] += (xi * *a).conj();
-            }
         }
         y
     }
@@ -375,23 +347,11 @@ mod tests {
         let a = CMatrix::random(4, 6, &mut rng);
         let x = CVector::random(6, &mut rng);
         let y = a.matvec(&x);
-        let xm = CMatrix::from_columns(&[x]);
+        let xm = CMatrix::from_fn(6, 1, |i, _| x[i]);
         let ym = a.matmul(&xm);
         for i in 0..4 {
             assert!((y[i] - ym[(i, 0)]).abs() < 1e-13);
         }
-    }
-
-    #[test]
-    fn adjoint_consistency() {
-        // ⟨A x, y⟩ = ⟨x, A† y⟩
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
-        let a = CMatrix::random(5, 7, &mut rng);
-        let x = CVector::random(7, &mut rng);
-        let y = CVector::random(5, &mut rng);
-        let lhs = a.matvec(&x).dot(&y);
-        let rhs = x.dot(&a.matvec_adj(&y));
-        assert!((lhs - rhs).abs() < 1e-12);
     }
 
     #[test]

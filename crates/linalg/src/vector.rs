@@ -77,11 +77,6 @@ impl CVector {
         dotc(&self.data, &other.data)
     }
 
-    /// Unconjugated (bilinear) product `selfᵀ · other`.
-    pub fn dotu(&self, other: &Self) -> Complex64 {
-        dotu(&self.data, &other.data)
-    }
-
     /// In-place scaling by a complex scalar.
     pub fn scale(&mut self, alpha: Complex64) {
         scal(alpha, &mut self.data);
@@ -207,17 +202,6 @@ pub fn dotc(x: &[Complex64], y: &[Complex64]) -> Complex64 {
     acc
 }
 
-/// Unconjugated dot product `xᵀ · y`.
-#[inline]
-pub fn dotu(x: &[Complex64], y: &[Complex64]) -> Complex64 {
-    assert_eq!(x.len(), y.len(), "dotu: length mismatch");
-    let mut acc = Complex64::ZERO;
-    for (a, b) in x.iter().zip(y.iter()) {
-        acc += *a * *b;
-    }
-    acc
-}
-
 /// Euclidean norm of a complex slice.
 #[inline]
 pub fn nrm2(x: &[Complex64]) -> f64 {
@@ -234,15 +218,6 @@ pub fn axpy(alpha: Complex64, x: &[Complex64], y: &mut [Complex64]) {
     assert_eq!(x.len(), y.len(), "axpy: length mismatch");
     for (yi, xi) in y.iter_mut().zip(x.iter()) {
         *yi += alpha * *xi;
-    }
-}
-
-/// `y = alpha * x + y * beta`.
-#[inline]
-pub fn axpby(alpha: Complex64, x: &[Complex64], beta: Complex64, y: &mut [Complex64]) {
-    assert_eq!(x.len(), y.len(), "axpby: length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x.iter()) {
-        *yi = alpha * *xi + beta * *yi;
     }
 }
 
@@ -281,8 +256,6 @@ mod tests {
         let y = CVector::from_vec(vec![c64(3.0, 0.0), c64(1.0, 1.0)]);
         // x† y = (1-2i)(3) + (0+1i)(1+i) = 3 - 6i + i - 1 = 2 - 5i
         assert_eq!(x.dot(&y), c64(2.0, -5.0));
-        // xᵀ y = (1+2i)(3) + (0-1i)(1+i) = 3 + 6i - i + 1 = 4 + 5i
-        assert_eq!(x.dotu(&y), c64(4.0, 5.0));
         // ⟨x,x⟩ is real and equals ||x||²
         let xx = x.dot(&x);
         assert!((xx.im).abs() < 1e-15);
@@ -318,16 +291,6 @@ mod tests {
         let (u, n) = v.normalized();
         assert!((n - 5.0).abs() < 1e-15);
         assert!((u.norm() - 1.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn axpby_kernel() {
-        let x = vec![c64(1.0, 0.0); 3];
-        let mut y = vec![c64(0.0, 1.0); 3];
-        axpby(Complex64::real(2.0), &x, Complex64::real(0.5), &mut y);
-        for z in &y {
-            assert_eq!(*z, c64(2.0, 0.5));
-        }
     }
 
     #[test]

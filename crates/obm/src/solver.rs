@@ -118,7 +118,7 @@ pub fn obm_solve(
     let opts = SolverOptions {
         tolerance: config.green_tolerance,
         max_iterations: config.green_max_iterations,
-        record_history: false,
+        ..SolverOptions::default()
     };
 
     // --- Green-function columns at the interface indices. ---------------
@@ -133,9 +133,7 @@ pub fn obm_solve(
         for (c, &idx) in indices.iter().enumerate() {
             let e = CVector::unit(n, idx);
             let (x, hist) = bicg(&shifted, &e, &opts);
-            // Residual histories are not recorded here; each BiCG iteration
-            // performs two operator applications.
-            green_iterations += hist.matvecs / 2;
+            green_iterations += hist.iterations();
             cols.set_column(c, &x);
         }
         cols

@@ -13,29 +13,27 @@ use cbs_sparse::{LinearOperator, Preconditioner};
 use crate::block::bicg_dual_block_precond;
 use crate::history::{ConvergenceHistory, SolverOptions};
 
-/// Result of a dual BiCG solve.
+/// Result of a dual BiCG solve: one recurrence, one pair of solutions, one
+/// record.
 #[derive(Clone, Debug)]
 pub struct BicgResult {
     /// Solution of the primal system `A x = b`.
     pub x: CVector,
     /// Solution of the dual system `A† x̃ = b_dual`.
     pub dual_x: CVector,
-    /// Convergence history of the primal residual.
+    /// The pair's record: after each iteration the larger of the primal and
+    /// dual relative residuals, and [`StopReason::Converged`] only when both
+    /// met the tolerance.
+    ///
+    /// [`StopReason::Converged`]: crate::StopReason::Converged
     pub history: ConvergenceHistory,
-    /// Convergence history of the dual residual.
-    pub dual_history: ConvergenceHistory,
-}
-
-impl BicgResult {
-    /// `true` when both the primal and dual systems reached the tolerance.
-    pub fn both_converged(&self) -> bool {
-        self.history.converged() && self.dual_history.converged()
-    }
 }
 
 /// Solve a single system `A x = b` with BiCG — the unpreconditioned
 /// width-1 call of [`bicg_dual_block_precond`], whose dual right-hand side
-/// is `b` itself, as in the paper where both systems share `V`.
+/// is `b` itself, as in the paper where both systems share `V`.  The
+/// history is the pair's ([`BicgResult::history`]): the solve converges
+/// when `A† x̃ = b` does too.
 pub fn bicg<A: LinearOperator + ?Sized>(
     a: &A,
     b: &CVector,
@@ -93,7 +91,7 @@ mod tests {
         let op = DenseOp::new(a);
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(207);
         let b = CVector::random(30, &mut rng);
-        let opts = SolverOptions { tolerance: 1e-30, max_iterations: 2, record_history: true };
+        let opts = SolverOptions { tolerance: 1e-30, max_iterations: 2, ..Default::default() };
         let (_, hist) = bicg(&op, &b, &opts);
         assert_eq!(hist.stop_reason, StopReason::MaxIterations);
     }

@@ -16,11 +16,13 @@ pub enum StopReason {
 }
 
 /// Record of one linear solve: per-iteration relative residuals plus the
-/// final state.  These are exactly the curves plotted in the paper's
-/// Figure 5.
+/// final state, always recorded.  These are exactly the curves plotted in
+/// the paper's Figure 5.  A dual BiCG solve keeps one for its primal/dual
+/// pair ([`BicgResult::history`](crate::BicgResult::history)).
 #[derive(Clone, Debug)]
 pub struct ConvergenceHistory {
-    /// Relative residual 2-norm after each iteration (index 0 = initial).
+    /// Relative residual 2-norm after each iteration (index 0 = initial);
+    /// for a primal/dual pair, the larger of the two.
     pub residuals: Vec<f64>,
     /// Why the iteration stopped.
     pub stop_reason: StopReason,
@@ -52,7 +54,10 @@ pub struct SolverOptions {
     pub tolerance: f64,
     /// Maximum number of iterations.
     pub max_iterations: usize,
-    /// Record the residual history (cheap; on by default).
+    /// **Vestigial:** read by nothing — every solve records its history.
+    /// It survives only because the repo benchmark
+    /// (`benchmark/src/layers.rs`) names it in a struct literal; released
+    /// by ROADMAP 1(a).
     pub record_history: bool,
 }
 

@@ -16,7 +16,8 @@
 //! * [`bicg()`] — its width-1, unpreconditioned call for a single system
 //!   (the Green-function columns of the OBM baseline),
 //! * [`ConvergenceHistory`] / [`SolverOptions`] — the residual-history
-//!   bookkeeping behind the paper's Figure 5 and Table 1.
+//!   bookkeeping behind the paper's Figure 5 and Table 1: one history per
+//!   primal/dual pair, always recorded.
 
 #![warn(missing_docs)]
 

@@ -80,7 +80,7 @@ impl std::error::Error for CheckpointError {}
 // history), and any other version is refused with
 // [`CheckpointError::IncompatibleVersion`], never read with misaligned or
 // silently zeroed fields.
-const MAGIC: &str = "cbs-sweep-checkpoint v22";
+const MAGIC: &str = "cbs-sweep-checkpoint v23";
 
 /// Prefix shared by every version's magic line; anything with this prefix
 /// but the wrong version is an incompatible (not malformed) checkpoint.
@@ -159,12 +159,13 @@ impl SweepCheckpoint {
             let s = &r.stats;
             let _ = writeln!(
                 out,
-                "record {} {:x} {:x} {:x} {:x} {:x} {:x} {:x} {:x}",
+                "record {} {:x} {:x} {:x} {:x} {:x} {:x} {:x} {:x} {:x}",
                 hex(r.energy),
                 s.bicg_iterations,
                 s.matvecs,
                 s.operator_traversals,
                 s.solves,
+                s.unconverged,
                 s.accepted,
                 s.discarded,
                 s.numerical_rank,
@@ -249,6 +250,7 @@ impl SweepCheckpoint {
                 matvecs: t.usize()?,
                 operator_traversals: t.usize()?,
                 solves: t.usize()?,
+                unconverged: t.usize()?,
                 accepted: t.usize()?,
                 discarded: t.usize()?,
                 numerical_rank: t.usize()?,
@@ -323,6 +325,7 @@ mod tests {
                 matvecs: 22,
                 operator_traversals: 6,
                 solves: 4,
+                unconverged: 2,
                 accepted: 1,
                 discarded: 3,
                 numerical_rank: 5,
@@ -461,9 +464,9 @@ mod tests {
         // found *and* the one expected.
         let old = [
             "v4", "v5", "v6", "v7", "v8", "v9", "v10", "v11", "v12", "v13", "v14", "v15", "v16",
-            "v17", "v18", "v19", "v20", "v21",
+            "v17", "v18", "v19", "v20", "v21", "v22",
         ];
-        for version in old.into_iter().chain(["v23"]) {
+        for version in old.into_iter().chain(["v24"]) {
             let stale = format!("cbs-sweep-checkpoint {version}");
             match SweepCheckpoint::parse(&relabelled(version)) {
                 Err(CheckpointError::IncompatibleVersion { ref found }) => {
@@ -476,7 +479,7 @@ mod tests {
                 other => panic!("{version}: expected IncompatibleVersion, got {other:?}"),
             }
         }
-        assert!(SweepCheckpoint::parse(&relabelled("v22")).is_ok(), "v22 is the current format");
+        assert!(SweepCheckpoint::parse(&relabelled("v23")).is_ok(), "v23 is the current format");
     }
 
     /// The body of a serialized checkpoint: everything before its

@@ -16,7 +16,7 @@
 //!   matvecs — so a sweep saturates a wide executor even when one energy's
 //!   grid is small.  Each energy is bit-identical to its own
 //!   `cbs_core::solve_qep_with`.
-//! * **Checkpointing** — a [`SweepCheckpoint`] (format v22: finished
+//! * **Checkpointing** — a [`SweepCheckpoint`] (format v23: finished
 //!   energies' results, bit-exact floats, a checksum) is written after
 //!   every extracted energy, in grid order, so a killed sweep leaves a
 //!   prefix of the grid and resumes bit-identically ([`checkpoint`]).
@@ -48,10 +48,12 @@ pub use sweep::{
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cbs_core::{solve_qep_with, ContourError, QepProblem, SsConfig, PROPAGATING_TOLERANCE};
+    use cbs_core::{
+        solve_qep_with, ContourError, PrecondPolicy, QepProblem, SsConfig, PROPAGATING_TOLERANCE,
+    };
     use cbs_linalg::{c64, CMatrix};
     use cbs_parallel::SerialExecutor;
-    use cbs_sparse::DenseOp;
+    use cbs_sparse::{CooBuilder, DenseOp, LowRankOp, RealStencil};
     use rand::SeedableRng;
 
     fn random_blocks(n: usize, seed: u64, h01_scale: f64) -> (DenseOp, DenseOp) {
@@ -159,7 +161,7 @@ mod tests {
             let qep = QepProblem::new(&op00, &op01, 0.1, 1.5);
             let alone = solve_qep_with(&qep, &ss, &SerialExecutor);
             assert!(alone.eigenpairs.is_empty() && alone.numerical_rank == 0, "{ss:?}");
-            assert_eq!(alone.shifted_solves, 8 * ss.n_rh, "{ss:?}");
+            assert_eq!(alone.solve_histories.len(), 8 * ss.n_rh, "{ss:?}");
             let sweep = EnergySweep::new(&op00, &op01, 1.5, SweepConfig::new(ss));
             let run = sweep.run(&[0.1], &SerialExecutor);
             assert!(run.cbs.points.is_empty(), "{ss:?}");
@@ -167,13 +169,51 @@ mod tests {
                 bicg_iterations: alone.total_bicg_iterations,
                 matvecs: alone.total_matvecs,
                 operator_traversals: alone.total_traversals,
-                solves: alone.shifted_solves,
+                solves: alone.solve_histories.len(),
+                unconverged: 0,
                 accepted: 0,
                 discarded: 0,
                 numerical_rank: 0,
             };
             assert_eq!(run.records[0].stats, stats, "{ss:?}");
         }
+    }
+
+    /// A real chain pencil whose D-ILU pivot `(E − 2.5) − 1/(E − 2.5)` is
+    /// zero at `E = 1.5`: under the ILU policy every solve of that energy
+    /// runs to the cap, and the sweep's record says so; at `E = 1.0` every
+    /// solve converges.  The 8 listed nodes of the mirrored ring × 6
+    /// columns are 48 solves per energy.
+    #[test]
+    fn an_ilu_sweep_counts_its_unconverged_solves() {
+        let n = 12;
+        let (mut a, mut b) = (CooBuilder::new(n, n), CooBuilder::new(n, n));
+        for i in 0..n {
+            a.push(i, i, c64(2.5, 0.0));
+            if i + 1 < n {
+                a.push(i, i + 1, c64(-1.0, 0.0));
+                a.push(i + 1, i, c64(-1.0, 0.0));
+            }
+            b.push(i, (i + 7) % n, c64(0.4, 0.0));
+        }
+        let none = LowRankOp::new(n, n);
+        let pencil = RealStencil::try_new((&a.build(), &none), (&b.build(), &none)).unwrap();
+        let ss = SsConfig {
+            n_int: 16,
+            n_mm: 4,
+            n_rh: 6,
+            bicg_tolerance: 1e-10,
+            bicg_max_iterations: 300,
+            precond: PrecondPolicy::AssembledIlu0,
+            ..SsConfig::paper()
+        };
+        let (h00, h01) = (pencil.h00(), pencil.h01());
+        let run = EnergySweep::new(&h00, &h01, 1.0, SweepConfig::new(ss))
+            .run(&[1.0, 1.5], &SerialExecutor);
+        let counts: Vec<[usize; 2]> =
+            run.records.iter().map(|r| [r.stats.solves, r.stats.unconverged]).collect();
+        assert_eq!(counts, [[48, 0], [48, 48]]);
+        assert_eq!(run.stats.unconverged, 48);
     }
 
     /// A NaN or infinite energy and an invalid contour are typed errors,

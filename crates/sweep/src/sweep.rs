@@ -42,8 +42,12 @@ pub struct EnergyStats {
     /// Operator traversals performed, one per fused block apply (up to
     /// `N_rh`x below [`matvecs`](Self::matvecs)).
     pub operator_traversals: usize,
-    /// Shifted solves (each one primal + dual pair).
+    /// Shifted solves run (each one primal + dual pair): the length of the
+    /// energy's `SsResult::solve_histories`.
     pub solves: usize,
+    /// Of those, the solves whose pair did not converge (stop reason other
+    /// than `Converged`: the iteration cap, or a breakdown).
+    pub unconverged: usize,
     /// Eigenpairs accepted by the residual filter.
     pub accepted: usize,
     /// Candidates discarded by the residual filter.
@@ -349,7 +353,8 @@ impl<'a> EnergySweep<'a> {
                 bicg_iterations: result.total_bicg_iterations,
                 matvecs: result.total_matvecs,
                 operator_traversals: result.total_traversals,
-                solves: result.shifted_solves,
+                solves: result.solve_histories.len(),
+                unconverged: result.solve_histories.iter().filter(|h| !h.converged()).count(),
                 accepted: result.eigenpairs.len(),
                 discarded: result.discarded,
                 numerical_rank: result.numerical_rank,
@@ -382,6 +387,7 @@ impl<'a> EnergySweep<'a> {
             // Every solve is cold: the vestigial split reads total / 0.
             stats.cold_bicg_iterations += rec.stats.bicg_iterations;
             stats.cold_solves += rec.stats.solves;
+            stats.unconverged += rec.stats.unconverged;
             stats.accepted += rec.stats.accepted;
             stats.discarded += rec.stats.discarded;
         }

@@ -26,8 +26,8 @@
 //! and a Chrome trace-event JSON export (hand-rolled writer, no JSON
 //! dependency) viewable in `chrome://tracing` /
 //! [Perfetto](https://ui.perfetto.dev).  Per-iteration BiCG residuals are
-//! not traced: `SsResult::solve_histories` holds them per node and
-//! right-hand side.
+//! not traced: `SsResult::solve_histories` holds them per solved node and
+//! right-hand side, one record per dual-BiCG pair.
 //!
 //! # Determinism
 //!

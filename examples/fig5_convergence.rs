@@ -3,7 +3,11 @@
 //! Each system is solved on the serial and on the rayon executor, and the
 //! example panics unless every residual history of the two runs is
 //! bitwise equal (the deterministic-parallelism contract); it prints the
-//! histories once.
+//! histories once, one row per listed node: its first column's iteration
+//! count and final residual, the larger of the primal and the dual
+//! residual (one dual-BiCG solve serves the outer node `z_j` and its
+//! inner-circle twin `1/z̄_j`).  Both systems are real, so only the upper
+//! half of the ring, `j < N_int/2`, is solved; the lower half mirrors it.
 //!
 //! Run with: `cargo run --release --example fig5_convergence`
 
@@ -30,8 +34,8 @@ fn main() {
         println!("-- {}: BiCG convergence at each quadrature point z_j --", sys.name);
         println!("   j   iterations   final residual");
         let mut iters = Vec::new();
-        for j in 0..config.n_int {
-            let hist = &ss.solve_histories[j * config.n_rh];
+        for (j, node) in ss.solve_histories.chunks(config.n_rh).enumerate() {
+            let hist = &node[0];
             iters.push(hist.iterations());
             println!("  {:>2}   {:>10}   {:.3e}", j, hist.iterations(), hist.final_residual());
         }

@@ -161,9 +161,10 @@ impl TextbookDilu {
 /// (Saad, Alg. 7.3, in the Templates' preconditioned form), for one
 /// right-hand side `b` of both sides, through the scalar `apply` entry
 /// points, from a zero start.  It stops once both recurrence residuals meet
-/// the tolerance, or on a vanishing or non-finite `ρ` or `p̃†Ap`.  In exact
-/// arithmetic it builds the split route's iterates; the two stop on
-/// different residuals.
+/// the tolerance, or on a vanishing or non-finite `ρ` or `p̃†Ap`, and keeps
+/// one history for the pair: the larger residual after each iteration,
+/// converged only when both are.  In exact arithmetic it builds the split
+/// route's iterates; the two stop on different residuals.
 pub fn preconditioned_bicg(
     a: &dyn LinearOperator,
     m: &StencilDilu<'_>,
@@ -185,11 +186,12 @@ pub fn preconditioned_bicg(
     let mut rho = rt.dot(&p);
     let (mut q, mut qt) = (CVector::zeros(n), CVector::zeros(n));
     let b_norm = b.norm().max(1e-300);
-    let (mut history, mut dual_history) = (vec![b.norm() / b_norm], vec![b.norm() / b_norm]);
-    let converged = |h: &[f64]| h.last().is_some_and(|&res| res <= opts.tolerance);
+    let (mut res, mut res_dual) = (b.norm() / b_norm, b.norm() / b_norm);
+    let mut history = vec![res.max(res_dual)];
+    let converged = |res: f64, res_dual: f64| res <= opts.tolerance && res_dual <= opts.tolerance;
     let (mut stop, mut matvecs) = (StopReason::MaxIterations, 0);
     for _ in 0..opts.max_iterations {
-        if converged(&history) && converged(&dual_history) {
+        if converged(res, res_dual) {
             break;
         }
         if breaks_down(rho) {
@@ -209,8 +211,8 @@ pub fn preconditioned_bicg(
         xt.axpy(alpha.conj(), &pt);
         r.axpy(-alpha, &q);
         rt.axpy(-alpha.conj(), &qt);
-        history.push(r.norm() / b_norm);
-        dual_history.push(rt.norm() / b_norm);
+        (res, res_dual) = (r.norm() / b_norm, rt.norm() / b_norm);
+        history.push(res.max(res_dual));
         let (z, zt) = (precondition(&r, false), precondition(&rt, true));
         let rho_new = rt.dot(&z);
         let beta = rho_new / rho;
@@ -220,9 +222,7 @@ pub fn preconditioned_bicg(
             pt[i] = zt[i] + beta.conj() * pt[i];
         }
     }
-    let settle = |residuals: Vec<f64>| {
-        let stop_reason = if converged(&residuals) { StopReason::Converged } else { stop };
-        ConvergenceHistory { residuals, stop_reason, matvecs }
-    };
-    BicgResult { x, dual_x: xt, history: settle(history), dual_history: settle(dual_history) }
+    let stop_reason = if converged(res, res_dual) { StopReason::Converged } else { stop };
+    let history = ConvergenceHistory { residuals: history, stop_reason, matvecs };
+    BicgResult { x, dual_x: xt, history }
 }

@@ -107,10 +107,12 @@ fn assert_sweep_is_the_per_energy_loop(sweep: &EnergySweep<'_>, energies: &[f64]
                 [alone.total_bicg_iterations, alone.total_matvecs, alone.total_traversals],
                 "counters at E = {energy}"
             );
+            let unconverged = alone.solve_histories.iter().filter(|h| !h.converged()).count();
             assert_eq!(
-                [s.solves, s.accepted, s.discarded, s.numerical_rank],
+                [s.solves, s.unconverged, s.accepted, s.discarded, s.numerical_rank],
                 [
-                    alone.shifted_solves,
+                    alone.solve_histories.len(),
+                    unconverged,
                     alone.eigenpairs.len(),
                     alone.discarded,
                     alone.numerical_rank
@@ -167,10 +169,11 @@ fn checkpointed_sweep_resumes_bit_identically() {
     // Every format change bumps the version, and any other version is
     // refused with the dedicated error naming it.
     let text = String::from_utf8(finished_bytes).unwrap();
-    assert!(text.starts_with("cbs-sweep-checkpoint v22"), "unexpected magic in {path:?}");
-    let old = ["v3", "v11", "v12", "v13", "v14", "v15", "v16", "v17", "v18", "v19", "v20", "v21"];
+    assert!(text.starts_with("cbs-sweep-checkpoint v23"), "unexpected magic in {path:?}");
+    let old =
+        ["v3", "v11", "v12", "v13", "v14", "v15", "v16", "v17", "v18", "v19", "v20", "v21", "v22"];
     for old in old.map(|v| format!("cbs-sweep-checkpoint {v}")) {
-        match SweepCheckpoint::parse(&text.replacen("cbs-sweep-checkpoint v22", &old, 1)) {
+        match SweepCheckpoint::parse(&text.replacen("cbs-sweep-checkpoint v23", &old, 1)) {
             Err(CheckpointError::IncompatibleVersion { found }) => assert_eq!(found, old),
             other => panic!("{old} checkpoint accepted or misclassified: {other:?}"),
         }
