@@ -54,14 +54,17 @@ pub struct SolverOptions {
     pub tolerance: f64,
     /// Maximum number of iterations.
     pub max_iterations: usize,
-    /// **Vestigial:** read by nothing — every solve records its history.
+    /// **Vestigial:** read by nothing — every solve records its history,
+    /// so `false` is ignored (the deprecation says so at the call site).
     /// It survives only because the repo benchmark
     /// (`benchmark/src/layers.rs`) names it in a struct literal; released
     /// by ROADMAP 1(a).
+    #[deprecated(note = "ignored: every solve records its history")]
     pub record_history: bool,
 }
 
 impl Default for SolverOptions {
+    #[allow(deprecated, reason = "the vestigial field still needs a value")]
     fn default() -> Self {
         Self { tolerance: 1e-10, max_iterations: 10_000, record_history: true }
     }
