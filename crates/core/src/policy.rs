@@ -52,12 +52,12 @@ pub enum PrecondPolicy {
     /// serving both the primal and the dual (the `P(1/z̄)` side) systems:
     /// the iteration-count lever.  It is `n` pivots swept over the real
     /// stencil's rows, and BiCG runs on the system they split, one row pass
-    /// per apply.  Blocks that are not a
-    /// stencil's views (complex, dense or plain-CSR pencils) run
-    /// this policy as [`MatrixFree`](Self::MatrixFree): a documented
-    /// degradation.  (The name is the fingerprint's: the policy refilled
-    /// and factored an assembled CSR before checkpoint format v18, and
-    /// applied full ILU(0) factors before v13.)
+    /// per apply.  Its one degradation is [`MatrixFree`](Self::MatrixFree),
+    /// for every node of blocks that are not a stencil's views and for every
+    /// column whose split solve fails (`SsResult::split_fallbacks`).  (The
+    /// name is the fingerprint's: the policy refilled and factored an
+    /// assembled CSR before checkpoint format v18, and applied full ILU(0)
+    /// factors before v13.)
     AssembledIlu0 = 2,
 }
 

@@ -16,13 +16,18 @@
 //! A job is one quadrature node of one problem: it builds that node's
 //! operator (and, under the ILU policy on blocks that are a real
 //! stencil's views, its diagonal ILU) through [`QepProblem::node_solve`] under the
-//! configuration's [`PrecondPolicy`](crate::PrecondPolicy), and advances
+//! configuration's [`PrecondPolicy`], and advances
 //! all of the problem's right-hand sides in lockstep through one call of
 //! `cbs_solver::bicg_dual_block_precond`'s fused block matvecs, to the
 //! configured tolerance or iteration cap.  With a diagonal ILU that call
 //! runs BiCG on the system it splits (one row pass per apply, a stop on the
 //! mapped true residual, then one true-residual certificate per node);
-//! without one, on `P(z)` itself.  A job drops its node's operator when it
+//! without one, on `P(z)` itself.  The columns whose split solve fails its
+//! certificate (a zero pivot breaks them down at once, an unstable split
+//! runs them to the cap) are solved again on `P(z)` alone, by a second call
+//! over those columns of `V`: by the solver's column parity, bit for bit
+//! the matrix-free policy's solves ([`SsResult::split_fallbacks`] counts
+//! them).  A job drops its node's operator when it
 //! returns — so at most one per worker is alive, and the pivots are
 //! computed once per solved node, never per right-hand side.  The dispatch
 //! therefore holds *solved nodes x problems* jobs; an
@@ -42,11 +47,14 @@
 //! capped nothing on the mirrored half ring every real Hamiltonian runs on,
 //! and rarely anything on a full ring.
 
+use cbs_linalg::{CVector, Complex64};
 use cbs_parallel::TaskExecutor;
-use cbs_solver::{bicg_dual_block_precond, BlockBicgResult};
+use cbs_solver::{bicg_dual_block_precond, BlockBicgResult, SolverOptions};
+use cbs_sparse::StencilDilu;
 use cbs_trace::TraceHandle;
 
 use crate::contour::ContourError;
+use crate::policy::PrecondPolicy;
 use crate::qep::QepProblem;
 use crate::ss::{extract_from_moments, MomentAccumulator, RingPlan, SsConfig, SsResult};
 
@@ -72,18 +80,47 @@ pub(crate) fn solve_pool<E: TaskExecutor>(
     let jobs: Vec<(usize, usize)> =
         (0..problems.len()).flat_map(|p| (0..plan.n_nodes()).map(move |j| (p, j))).collect();
 
-    let run_job = |(p, j): (usize, usize)| -> (usize, usize, BlockBicgResult) {
+    let run_job = |(p, j): (usize, usize)| {
         let _solve_span = trace.energy_offset(p).solve_scope(j);
-        let (op, prec) = problems[p].node_solve(precond, plan.node_shift(j));
-        (p, j, bicg_dual_block_precond(&op, prec.as_ref(), v, v, None, &options, None))
+        (p, j, solve_node(&problems[p], precond, plan.node_shift(j), v, &options))
     };
 
     // The fold runs on the calling thread in input (= job) order on every
     // executor.
-    executor.execute_fold(jobs, run_job, accs, |mut accs, (p, j, node)| {
+    executor.execute_fold(jobs, run_job, accs, |mut accs, (p, j, (node, fallbacks))| {
+        accs[p].split_fallbacks += fallbacks;
         accs[p].record(j, node, v);
         accs
     })
+}
+
+/// One job's solve: node `z` of `problem` for the source block `v` under
+/// `precond`, by one call of the block dual BiCG (through the node's split
+/// system when the policy splits it) and, for the columns that call did not
+/// solve, one more on `P(z)` alone, spliced in (module docs).  Returns the
+/// node's result and how many of its columns fell back.
+pub(crate) fn solve_node(
+    problem: &QepProblem<'_>,
+    precond: PrecondPolicy,
+    z: Complex64,
+    v: &[CVector],
+    options: &SolverOptions,
+) -> (BlockBicgResult, usize) {
+    let (op, prec) = problem.node_solve(precond, z);
+    let mut node = bicg_dual_block_precond(&op, prec.as_ref(), v, v, None, options, None);
+    let failed: Vec<usize> =
+        (0..v.len()).filter(|&c| prec.is_some() && !node.columns[c].history.converged()).collect();
+    if !failed.is_empty() {
+        let rhs: Vec<CVector> = failed.iter().map(|&c| v[c].clone()).collect();
+        let none = None::<&StencilDilu<'_>>;
+        let again = bicg_dual_block_precond(&op, none, &rhs, &rhs, None, options, None);
+        node.traversals += again.traversals;
+        for (&c, mut col) in failed.iter().zip(again.columns) {
+            col.history.matvecs += node.columns[c].history.matvecs;
+            node.columns[c] = col;
+        }
+    }
+    (node, failed.len())
 }
 
 /// Solve several QEPs — typically the scan energies of one Hamiltonian —
@@ -265,8 +302,9 @@ pub(crate) mod tests {
             assert_eq!(ha.residuals, hb.residuals);
             assert_eq!((ha.stop_reason, ha.matvecs), (hb.stop_reason, hb.matvecs));
         }
-        let counters =
-            |r: &SsResult| [r.total_bicg_iterations, r.total_matvecs, r.total_traversals];
+        let counters = |r: &SsResult| {
+            [r.total_bicg_iterations, r.total_matvecs, r.total_traversals, r.split_fallbacks]
+        };
         assert_eq!(counters(a), counters(b));
     }
 
@@ -411,65 +449,70 @@ pub(crate) mod tests {
         RealStencil::try_new((&a.build(), &none), (&b.build(), &none)).expect("a real pencil")
     }
 
-    /// One road under the ILU policy: per node, one call of
-    /// `bicg_dual_block_precond` with the node's diagonal ILU, its outcomes
-    /// folded as the pool folds them, is the pool's solve bit for bit —
-    /// moments, eigenpairs, histories with their certified last entry,
-    /// matvecs and traversals — on both executors.
+    /// One road under the ILU policy: per node, one [`solve_node`] folded as
+    /// the pool folds them is the pool's solve bit for bit (moments,
+    /// eigenpairs, histories, matvecs, traversals and fallbacks) on both
+    /// executors.  Each of its columns is the split's solve where that
+    /// converged, and otherwise that column's matrix-free solve, bit for bit
+    /// (column parity), with the split attempt's matvecs added; each such
+    /// column is one fallback.  At `E = 1.0` every split solve converges,
+    /// and under a cap of 14 iterations only some do.  At `E = 1.5` the
+    /// chain's second D-ILU pivot, `(E − 2.5) − 1/(E − 2.5)`, is exactly
+    /// zero at every node, and it is kept: the split of every right-hand
+    /// side is not finite, so each split column breaks down before its
+    /// first iteration (the certificate's 2 matvecs) and all 48 fall back.
     #[test]
-    fn one_call_per_node_is_the_pool_under_the_ilu_policy() {
+    fn every_failed_split_solve_is_solved_again_matrix_free() {
         let pencil = chain_pencil(12);
         let (h00, h01) = (pencil.h00(), pencil.h01());
-        let qep = QepProblem::new(&h00, &h01, 1.0, 1.0);
-        let config = SsConfig {
-            n_mm: 4,
-            bicg_tolerance: 1e-10,
-            precond: PrecondPolicy::AssembledIlu0,
-            ..config(16, 6)
-        };
-        let plan = RingPlan::build(std::slice::from_ref(&qep), &config).unwrap();
-        assert!(qep.real_stencil().is_some(), "stencil views: the split route runs");
-
-        let mut by_node = plan.accumulator();
-        for j in 0..plan.n_nodes() {
-            by_node.record(j, one_node(&qep, &config, &plan, j), &plan.v_cols);
+        for (energy, cap, fallbacks) in
+            [(1.0, 20_000, Some(0)), (1.0, 14, None), (1.5, 300, Some(48))]
+        {
+            let qep = QepProblem::new(&h00, &h01, energy, 1.0);
+            let config = |precond| SsConfig {
+                n_mm: 4,
+                bicg_tolerance: 1e-10,
+                bicg_max_iterations: cap,
+                precond,
+                ..config(16, 6)
+            };
+            let (ilu, mf) =
+                (config(PrecondPolicy::AssembledIlu0), config(PrecondPolicy::MatrixFree));
+            let plan = RingPlan::build(std::slice::from_ref(&qep), &ilu).unwrap();
+            let (v, opts) = (&plan.v_cols, ilu.solver_options());
+            let mut by_node = plan.accumulator();
+            for j in 0..plan.n_nodes() {
+                let (node, fell_back) = solve_node(&qep, ilu.precond, plan.node_shift(j), v, &opts);
+                let (split, alone) =
+                    (one_node(&qep, &ilu, &plan, j), one_node(&qep, &mf, &plan, j));
+                let mut failed = 0;
+                for ((col, s), m) in node.columns.iter().zip(&split.columns).zip(&alone.columns) {
+                    let h = &s.history;
+                    let broke =
+                        (h.stop_reason, h.iterations(), h.matvecs) == (StopReason::Breakdown, 0, 2);
+                    assert!(broke || energy != 1.5, "node {j}: the split ran");
+                    let (record, attempt) = if h.converged() { (s, 0) } else { (m, h.matvecs) };
+                    failed += usize::from(!h.converged());
+                    assert_eq!((&col.x, &col.dual_x), (&record.x, &record.dual_x), "node {j}");
+                    assert_eq!(col.history.residuals, record.history.residuals, "node {j}");
+                    assert_eq!(col.history.matvecs, record.history.matvecs + attempt, "node {j}");
+                }
+                assert_eq!(fell_back, failed, "E {energy} node {j}");
+                by_node.split_fallbacks += fell_back;
+                by_node.record(j, node, v);
+            }
+            let by_node = ring_of(&qep, &ilu, by_node);
+            let (count, result) = (by_node.result.split_fallbacks, &by_node.result);
+            let expected = fallbacks.map_or(0 < count && count < 48, |k| count == k);
+            assert!(expected, "E {energy}, cap {cap}: {count} of 48 fell back");
+            assert!(result.solve_histories.iter().all(ConvergenceHistory::converged) || cap == 14);
+            assert!(!result.eigenpairs.is_empty(), "E {energy}: no eigenpairs");
+            let serial = ring_of(&qep, &ilu, pool_one(&qep, &ilu, &plan, &SerialExecutor));
+            assert_bitwise_eq(&by_node, &serial);
+            let rayon = ring_of(&qep, &ilu, pool_one(&qep, &ilu, &plan, &RayonExecutor));
+            assert_bitwise_eq(&by_node, &rayon);
+            assert_same_result(&by_node.result, &solve_qep_with(&qep, &ilu, &RayonExecutor));
         }
-        let by_node = ring_of(&qep, &config, by_node);
-        assert!(!by_node.result.eigenpairs.is_empty(), "the split route found no eigenpairs");
-        assert!(by_node.result.solve_histories.iter().all(ConvergenceHistory::converged));
-        let serial = ring_of(&qep, &config, pool_one(&qep, &config, &plan, &SerialExecutor));
-        assert_bitwise_eq(&by_node, &serial);
-        let rayon = ring_of(&qep, &config, pool_one(&qep, &config, &plan, &RayonExecutor));
-        assert_bitwise_eq(&by_node, &rayon);
-        assert_same_result(&by_node.result, &solve_qep_with(&qep, &config, &RayonExecutor));
-    }
-
-    /// At `E = 1.5` the chain pencil's second D-ILU pivot,
-    /// `(E − 2.5) − 1/(E − 2.5)`, is zero at every node: the floored pivot
-    /// keeps the sweeps finite, but the split system it leaves cannot be
-    /// solved.  Each of the 8 listed nodes × 6 columns reports one record,
-    /// and every one of the 48 says the pair did not converge; matrix-free,
-    /// the same 48 solves all converge.
-    #[test]
-    fn every_unconverged_split_solve_is_reported_once() {
-        let pencil = chain_pencil(12);
-        let (h00, h01) = (pencil.h00(), pencil.h01());
-        let qep = QepProblem::new(&h00, &h01, 1.5, 1.0);
-        let config = |precond| SsConfig {
-            n_mm: 4,
-            bicg_tolerance: 1e-10,
-            bicg_max_iterations: 300,
-            precond,
-            ..config(16, 6)
-        };
-        let ilu = solve_qep_with(&qep, &config(PrecondPolicy::AssembledIlu0), &SerialExecutor);
-        assert_eq!(ilu.solve_histories.len(), 48);
-        for (idx, h) in ilu.solve_histories.iter().enumerate() {
-            assert_ne!(h.stop_reason, StopReason::Converged, "job {idx}");
-        }
-        let mf = solve_qep_with(&qep, &config(PrecondPolicy::MatrixFree), &SerialExecutor);
-        assert_eq!(mf.solve_histories.len(), 48);
-        assert!(mf.solve_histories.iter().all(ConvergenceHistory::converged));
     }
 
     #[test]

@@ -30,14 +30,14 @@
 //! selects it: under [`PrecondPolicy::AssembledIlu0`],
 //! [`QepProblem::node_solve`] returns the stencil view and the diagonal ILU
 //! of its sparse part in stencil form ([`cbs_sparse::RealStencil::dilu`]:
-//! `n` pivots, no refill), and the solve pool hands both to the one BiCG
+//! `n` pivots, no refill), and the solve pool hands both to the BiCG
 //! call, which solves through the system that ILU splits
 //! (`M_L⁻¹P(z)M_R⁻¹`, one row pass per apply; see
-//! `cbs_solver::bicg_dual_block_precond`).  Blocks that are not stencil
-//! views — complex, dense or plain-CSR pencils, never a `cbs-dft`
-//! Hamiltonian — run that policy matrix-free and unpreconditioned: a
-//! documented degradation.  The stencil holds no scan energy, so the
-//! problems of a sweep all read the one the Hamiltonian stores.
+//! `cbs_solver::bicg_dual_block_precond`).  The policy's one degradation is
+//! matrix-free: at every node of blocks that are not stencil views (never a
+//! `cbs-dft` Hamiltonian), and for the columns a split does not solve.  The
+//! stencil holds no scan energy, so the problems of a sweep all read the
+//! one the Hamiltonian stores.
 
 use std::sync::OnceLock;
 
@@ -142,15 +142,16 @@ impl<'a> QepProblem<'a> {
     /// view of `P(z)` and, for the ILU policy on stencil views, the
     /// diagonal ILU of its sparse part in stencil form — `n` pivots from one
     /// O(nnz) pass, nothing refilled.  The two are the arguments of the
-    /// pool's one solver call, `cbs_solver::bicg_dual_block_precond(&op,
+    /// pool's solver call, `cbs_solver::bicg_dual_block_precond(&op,
     /// dilu.as_ref(), …)`, which solves through the system the ILU splits
     /// (the [`cbs_sparse::Preconditioner`] the ILU is).  Its dual side
-    /// serves the `P(1/z̄)` systems from the same pivots.
+    /// serves the `P(1/z̄)` systems from the same pivots; the pool solves
+    /// the columns that split does not solve again with `op` alone.
     ///
     /// [`PrecondPolicy::MatrixFree`] never returns a preconditioner, and
     /// neither does [`PrecondPolicy::AssembledIlu0`] on blocks that are not
-    /// stencil views (complex, dense or plain-CSR pencils): those run matrix-free,
-    /// the policy's documented degradation.
+    /// stencil views (complex, dense or plain-CSR pencils): those run
+    /// matrix-free, the policy's one degradation.
     pub fn node_solve(
         &self,
         policy: PrecondPolicy,

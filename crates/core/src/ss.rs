@@ -105,10 +105,11 @@ pub struct SsConfig {
     /// selects it: [`AssembledIlu0`](PrecondPolicy::AssembledIlu0) hands
     /// every node's diagonal ILU to the solver, which runs BiCG on the
     /// system it splits, where the blocks are a real stencil's views (every
-    /// Hamiltonian `cbs-dft` builds), and runs matrix-free where they do not; [`MatrixFree`](PrecondPolicy::MatrixFree), the
-    /// [`paper`](Self::paper) default, never preconditions.  It changes the
-    /// floating-point trajectory, so it **is** part of the sweep checkpoint
-    /// fingerprint.
+    /// Hamiltonian `cbs-dft` builds), and runs matrix-free where they do not
+    /// and for every column the split does not solve
+    /// ([`SsResult::split_fallbacks`]).  [`MatrixFree`](PrecondPolicy::MatrixFree),
+    /// the [`paper`](Self::paper) default, never preconditions.  It changes
+    /// the trajectory, so it **is** part of the sweep checkpoint fingerprint.
     pub precond: PrecondPolicy,
     /// **Vestigial:** read by nothing.  It survives only because the repo
     /// benchmark (`benchmark/src/workloads.rs`, out of bounds for library
@@ -130,17 +131,17 @@ impl SsConfig {
     /// The policy is the paper's, [`MatrixFree`](PrecondPolicy::MatrixFree):
     /// the shifted systems are solved by unpreconditioned dual BiCG on the
     /// real-space grid operator.  [`precond`](Self::precond) alone opts into
-    /// the diagonal ILU, and the recorded numbers are the reason to.  The
-    /// since-deleted sweep bench, as recorded in `CHANGES.md` with the
-    /// auto-tuner's removal (Al(100), 343 points, 8 energies, cold / warm):
-    /// full ILU(0) 0.259 / 0.245 s, matrix-free 0.563 / 0.491 s; ILU(0)
-    /// also won at 12 167 points (the `al12k_solve_ilu0` benchmark
-    /// workload).  The diagonal ILU that replaced it, swept over the real
-    /// stencil's rows, needs as many iterations and took a further 24% off
-    /// `al100_sweep8` (0.197 → 0.150 s) and 30% off `al12k_solve_ilu0`
-    /// (3.32 → 2.34 s; medians of ten alternated pairs), and running BiCG on
-    /// the system it splits another 19% and 27% (0.155 → 0.125 s,
-    /// 2.23 → 1.62 s).  The paper-figure examples set it.
+    /// the diagonal ILU split, and whether it pays depends on the system.
+    /// One serial solve each (2-core x86-64 host, both policies returning
+    /// the same pairs), matrix-free against split:
+    ///
+    /// | system | points | E (Ha) | matrix-free | split |
+    /// |---|---|---|---|---|
+    /// | Al(100) `al343` | 343 | 0.11 | 0.045 s | 0.018 s |
+    /// | (8,0) CNT `cnt80` | 2 527 | 0.2 | 1.95 s | 2.22 s |
+    /// | Al(100) `al12k` | 12 167 | 0.1 | 3.99 s | 1.71 s |
+    ///
+    /// The paper-figure examples set it for every system.
     pub fn paper() -> Self {
         Self {
             n_int: 32,
@@ -252,6 +253,11 @@ pub struct SsResult {
     /// survives only because the repo benchmark (`benchmark/src/layers.rs`)
     /// reads it; released by ROADMAP 1(a).
     pub operator_assemblies: usize,
+    /// Solves that the ILU policy's split system did not solve and the
+    /// pool solved again matrix-free on `P(z)`.  Their records are the
+    /// matrix-free solves', with the split attempts' matvecs added; the
+    /// attempts' traversals are counted too, their iterations are not.
+    pub split_fallbacks: usize,
     /// Timing breakdown.
     pub timings: SsTimings,
     /// Eigenpairs discarded by the residual filter (diagnostics).
@@ -325,6 +331,8 @@ pub(crate) struct MomentAccumulator {
     histories: Vec<ConvergenceHistory>,
     /// Operator traversals of the folded solves, one per fused block apply.
     traversals: usize,
+    /// [`SsResult::split_fallbacks`] of the folded solves.
+    pub(crate) split_fallbacks: usize,
 }
 
 impl MomentAccumulator {
@@ -598,6 +606,7 @@ pub(crate) fn extract_from_moments(
         total_traversals: acc.traversals + extraction_matvecs,
         extraction_matvecs,
         operator_assemblies: 0,
+        split_fallbacks: acc.split_fallbacks,
         timings: SsTimings { linear_solve_seconds, extraction_seconds },
         discarded,
         moment_store_bytes,
@@ -722,6 +731,7 @@ impl RingPlan {
             mu: vec![CMatrix::zeros(n_rh, n_rh); 2 * self.n_mm],
             histories: Vec::with_capacity(self.nodes.len() * n_rh),
             traversals: 0,
+            split_fallbacks: 0,
         }
     }
 }

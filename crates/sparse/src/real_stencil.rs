@@ -80,27 +80,6 @@ pub use blocks::{Block, StencilBlock, StencilBuilder};
 /// from cache.
 const ROW_BLOCK: usize = 512;
 
-/// Floor applied to vanishing diagonal-ILU pivots, *relative to the matrix
-/// scale* `max|aᵢⱼ|`, so a (near-)singular pivot row degrades the
-/// preconditioner gracefully instead of poisoning it: an absolute floor like
-/// 1e-300 would produce ~1e300-scale inverse pivots that overflow to Inf in
-/// the sweeps and turn into NaN downstream.  With `floor = 1e-14 ·
-/// max|aᵢⱼ|` the substituted pivot keeps every sweep finite (≲ 1e14× the
-/// matrix scale), and the BiCG's non-finite breakdown checks catch any
-/// remaining degeneracy as a breakdown rather than iterating on garbage.
-fn pivot_floor(scale: f64) -> f64 {
-    (scale * 1e-14).max(1e-300)
-}
-
-/// `pivot`, or the real `floor` where `|pivot|` falls below it.
-fn guarded(pivot: Complex64, floor: f64) -> Complex64 {
-    if pivot.abs() < floor {
-        Complex64::real(floor)
-    } else {
-        pivot
-    }
-}
-
 /// Real compressed-sparse-row storage: `f64` values, `u32` indices and row
 /// pointers.  Rows are matrix rows for the Hamiltonian blocks and rank-one
 /// terms for the projector factors.
@@ -524,33 +503,16 @@ impl RealStencil {
     /// d̃ᵢ = aᵢᵢ − Σ_{j<i} aᵢⱼ aⱼᵢ / d̃ⱼ,
     /// ```
     ///
-    /// each floored at `1e-14 · max|aᵢⱼ|` (`pivot_floor`) and stored as
-    /// `n` complex pivots, not as `nnz` factors.  One O(nnz) pass over the
-    /// rows finds the scale, a second the pivots; the projector tails take
-    /// no part.  `aⱼᵢ` is read from row `i`, as `−(h₀₀ + z·h₀₁ᵀ +
-    /// z⁻¹·h₀₁)ᵢⱼ`: like the adjoint apply, this takes `H₀₀ = H₀₀ᵀ`.
-    /// `tests/common`'s textbook D-ILU is its reference.
+    /// stored as `n` complex pivots, not as `nnz` factors, from one O(nnz)
+    /// pass over the rows; the projector tails take no part.  A zero pivot
+    /// is kept, not replaced: its inverse is not finite, nor is then the
+    /// split of any right-hand side, so the solver stops every column as
+    /// broken down before its first iteration.  `aⱼᵢ` is read from row `i`,
+    /// as `−(h₀₀ + z·h₀₁ᵀ + z⁻¹·h₀₁)ᵢⱼ`: like the adjoint apply, this takes
+    /// `H₀₀ = H₀₀ᵀ`.  `tests/common`'s textbook D-ILU is its reference.
     pub fn dilu(&self, e: f64, z: Complex64) -> StencilDilu<'_> {
         let shift = Shift::new(e, z);
         cbs_trace::timed(Stage::IluFactor, || {
-            let mut scale = 0.0f64;
-            for i in 0..self.n {
-                let rows = [&self.h00, &self.h01, &self.h01t].map(|m| m.row_range(i));
-                let mut diagonal_stored = false;
-                self.merged(rows, |j, v| {
-                    let a = if j == i {
-                        diagonal_stored = true;
-                        shift.entry(v) + e
-                    } else {
-                        shift.entry(v)
-                    };
-                    scale = scale.max(a.abs());
-                });
-                if !diagonal_stored {
-                    scale = scale.max(e.abs());
-                }
-            }
-            let floor = pivot_floor(scale);
             let n = self.n;
             let mut scalars = crate::scratch::take_scratch(3 * n);
             let (inv_pivots, rest) = scalars.split_at_mut(n);
@@ -563,7 +525,6 @@ impl RealStencil {
                     let (aij, aji) = (shift.entry([a, b, bt]), shift.entry([a, bt, b]));
                     pivot -= aij * inv_pivots[j] * aji;
                 });
-                let pivot = guarded(pivot, floor);
                 inv_pivots[i] = Complex64::ONE / pivot;
                 offsets[i] = diagonal - pivot;
                 pivots[i] = pivot;
@@ -1021,7 +982,7 @@ mod tests {
     use super::*;
     use crate::ops::{adjoint_defect, LinearOperator, SplitOperator};
     use crate::{CooBuilder, SparseVec};
-    use cbs_linalg::{c64, CMatrix, CVector};
+    use cbs_linalg::{c64, CVector};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -1410,31 +1371,6 @@ mod tests {
         let [_, dual] = precondition(&m, &apply(&s, e, Complex64::ONE / z.conj(), &x, 2), 2);
         assert!(relative_error(&solved, &x) <= 1e-12, "M⁻¹P(z) is not the identity");
         assert!(relative_error(&dual, &x) <= 1e-12, "M⁻†P(z)† is not the identity");
-    }
-
-    /// `E = h₀₀` on a first row whose coupling block stores no diagonal
-    /// entry: its pivot `E − h₀₀` is exactly zero.  The scale-relative
-    /// floor replaces it, so both sweeps stay finite, and the floor is
-    /// `1e-14 · max|aᵢⱼ|` of the sparse part of `P(z)`.
-    #[test]
-    fn dilu_floors_a_zero_pivot_and_stays_finite() {
-        let (n, e, z) = (40, 0.7, c64(0.5, 0.8));
-        let p = tridiagonal(n, 0.7);
-        let s = stencil_of(&p);
-        let m = s.dilu(e, z);
-        let [a, b] = [&p.0, &p.2].map(CsrMatrix::to_dense);
-        let scale = CMatrix::from_fn(n, n, |i, j| {
-            let diagonal = if i == j { e } else { 0.0 };
-            c64(diagonal, 0.0) - a[(i, j)] - z * b[(i, j)] - b[(j, i)] / z
-        })
-        .amax();
-        let floored = 1.0 / m.side(false).inv_pivot(0).abs();
-        assert!((floored - 1e-14 * scale).abs() <= 1e-12 * floored, "pivot 0 is {floored:e}");
-        let mut rng = ChaCha8Rng::seed_from_u64(99);
-        let r = CVector::random(n * 3, &mut rng).into_vec();
-        for side in precondition(&m, &r, 3).into_iter().chain(split_apply(&m, &r, 3)) {
-            assert!(side.iter().all(|v| v.is_finite()));
-        }
     }
 
     /// A node's diagonal ILU holds one `3n` buffer, its per-row scalars, and

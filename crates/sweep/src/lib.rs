@@ -179,13 +179,14 @@ mod tests {
         }
     }
 
-    /// A real chain pencil whose D-ILU pivot `(E − 2.5) − 1/(E − 2.5)` is
-    /// zero at `E = 1.5`: under the ILU policy every solve of that energy
-    /// runs to the cap, and the sweep's record says so; at `E = 1.0` every
-    /// solve converges.  The 8 listed nodes of the mirrored ring × 6
-    /// columns are 48 solves per energy.
+    /// A real chain pencil: the 8 listed nodes of the mirrored ring × 6
+    /// columns are 48 solves per energy.  Capped at 3 iterations none
+    /// converges, under either policy, and each record says so.  At the
+    /// default cap all converge, under the ILU policy too at `E = 1.5`,
+    /// where its D-ILU pivot `(E − 2.5) − 1/(E − 2.5)` is zero and every
+    /// split solve falls back to `P(z)`.
     #[test]
-    fn an_ilu_sweep_counts_its_unconverged_solves() {
+    fn a_sweep_counts_its_unconverged_solves() {
         let n = 12;
         let (mut a, mut b) = (CooBuilder::new(n, n), CooBuilder::new(n, n));
         for i in 0..n {
@@ -198,22 +199,25 @@ mod tests {
         }
         let none = LowRankOp::new(n, n);
         let pencil = RealStencil::try_new((&a.build(), &none), (&b.build(), &none)).unwrap();
-        let ss = SsConfig {
-            n_int: 16,
-            n_mm: 4,
-            n_rh: 6,
-            bicg_tolerance: 1e-10,
-            bicg_max_iterations: 300,
-            precond: PrecondPolicy::AssembledIlu0,
-            ..SsConfig::paper()
-        };
         let (h00, h01) = (pencil.h00(), pencil.h01());
-        let run = EnergySweep::new(&h00, &h01, 1.0, SweepConfig::new(ss))
-            .run(&[1.0, 1.5], &SerialExecutor);
-        let counts: Vec<[usize; 2]> =
-            run.records.iter().map(|r| [r.stats.solves, r.stats.unconverged]).collect();
-        assert_eq!(counts, [[48, 0], [48, 48]]);
-        assert_eq!(run.stats.unconverged, 48);
+        let (mf, ilu) = (PrecondPolicy::MatrixFree, PrecondPolicy::AssembledIlu0);
+        for (precond, cap, unconverged) in [(mf, 3, 48), (ilu, 3, 48), (ilu, 20_000, 0)] {
+            let ss = SsConfig {
+                n_int: 16,
+                n_mm: 4,
+                n_rh: 6,
+                bicg_tolerance: 1e-10,
+                bicg_max_iterations: cap,
+                precond,
+                ..SsConfig::paper()
+            };
+            let run = EnergySweep::new(&h00, &h01, 1.0, SweepConfig::new(ss))
+                .run(&[1.0, 1.5], &SerialExecutor);
+            let counts: Vec<[usize; 2]> =
+                run.records.iter().map(|r| [r.stats.solves, r.stats.unconverged]).collect();
+            assert_eq!(counts, [[48, unconverged]; 2], "{precond:?}, cap {cap}");
+            assert_eq!(run.stats.unconverged, 2 * unconverged);
+        }
     }
 
     /// A NaN or infinite energy and an invalid contour are typed errors,

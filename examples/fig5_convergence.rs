@@ -41,7 +41,7 @@ fn main() {
         }
         let max = iters.iter().max().copied().unwrap_or(0);
         let min = iters.iter().min().copied().unwrap_or(0);
-        println!("   spread: min {min}, max {max} (uniform convergence across z_j)");
+        println!("   spread: min {min}, max {max}");
     }
 }
 

@@ -84,15 +84,12 @@ pub fn random_blocks(n: usize, seed: u64) -> (CMatrix, CMatrix) {
 /// the definition on the dense `A = E − H₀₀ − z·H₀₁ − z⁻¹·H₀₁†` of a
 /// stencil's sparse rows (its projector terms take no part) with none of
 /// the stencil's kernels: `M = (D̃+L)·D̃⁻¹·(D̃+U)`, `L` and `U` the strict
-/// triangles of `A`, and `d̃ᵢ = aᵢᵢ − Σ_{j<i} aᵢⱼaⱼᵢ/d̃ⱼ`, a pivot below
-/// `1e-14·max|aᵢⱼ|` replaced by that floor.  The reference of
-/// `RealStencil::dilu`.
+/// triangles of `A`, and `d̃ᵢ = aᵢᵢ − Σ_{j<i} aᵢⱼaⱼᵢ/d̃ⱼ`.  The reference
+/// of `RealStencil::dilu`.
 pub struct TextbookDilu {
     a: CMatrix,
     /// The pivots `d̃ᵢ`.
-    pub pivots: Vec<Complex64>,
-    /// The pivot floor `1e-14·max|aᵢⱼ|`.
-    pub floor: f64,
+    pivots: Vec<Complex64>,
 }
 
 impl TextbookDilu {
@@ -103,13 +100,11 @@ impl TextbookDilu {
             let e = if i == j { energy } else { 0.0 };
             c64(e, 0.0) - b00[(i, j)] - z * b01[(i, j)] - b01[(j, i)].conj() / z
         });
-        let floor = (1e-14 * a.amax()).max(1e-300);
         let mut pivots: Vec<Complex64> = Vec::with_capacity(n);
         for i in 0..n {
-            let d = (0..i).fold(a[(i, i)], |d, j| d - a[(i, j)] * a[(j, i)] / pivots[j]);
-            pivots.push(if d.abs() < floor { c64(floor, 0.0) } else { d });
+            pivots.push((0..i).fold(a[(i, i)], |d, j| d - a[(i, j)] * a[(j, i)] / pivots[j]));
         }
-        Self { a, pivots, floor }
+        Self { a, pivots }
     }
 
     /// `M⁻¹r`, or `M⁻†r` when `adjoint`: `M† = (D̃*+L')·D̃*⁻¹·(D̃*+U')` is

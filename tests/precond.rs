@@ -11,14 +11,18 @@
 //! * an attached pattern or projector changes no bit under either policy,
 //!   and the default policy is matrix-free;
 //! * an ILU sweep checkpoints and resumes bit-identically, and the precond
-//!   policy is part of the resume fingerprint.
+//!   policy is part of the resume fingerprint;
+//! * on a scan slice through the chain pencil's zero D-ILU pivots, the ILU
+//!   policy loses no pair: each split solve that fails is solved again on
+//!   `P(z)`, bit for bit matrix-free's.
 
 use rand::SeedableRng;
 
-use cbs::core::{solve_qep_with, PrecondPolicy, QepProblem, SsConfig, SsResult};
-use cbs::linalg::{c64, CMatrix};
+use cbs::core::{solve_qep_with, solve_qeps_with, PrecondPolicy, QepProblem, SsConfig, SsResult};
+use cbs::linalg::{c64, CMatrix, Complex64};
 use cbs::parallel::{RayonExecutor, SerialExecutor};
-use cbs::sparse::DenseOp;
+use cbs::solver::ConvergenceHistory;
+use cbs::sparse::{CooBuilder, DenseOp, LowRankOp, RealStencil};
 use cbs::sweep::{EnergySweep, RunOptions, SweepCheckpoint, SweepConfig, SweepResult};
 
 mod common;
@@ -314,4 +318,77 @@ fn assembled_warm_sweep_resumes_bit_identically_and_fingerprints_the_policy() {
         )
         .is_err());
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The real chain pencil of `cbs-core`'s pool tests: `H₀₀` tridiagonal, 2.5
+/// on the diagonal and −1 beside it, and `H₀₁` one 0.4 per row, seven
+/// columns on.  Its first D-ILU pivots, `d̃₀ = E − 2.5` and
+/// `d̃₁ = d̃₀ − 1/d̃₀`, are exactly zero at every node at `E = 2.5` and at
+/// `E = 1.5, 3.5`.
+fn chain_pencil(n: usize) -> RealStencil {
+    let (mut a, mut b) = (CooBuilder::new(n, n), CooBuilder::new(n, n));
+    for i in 0..n {
+        a.push(i, i, c64(2.5, 0.0));
+        if i + 1 < n {
+            a.push(i, i + 1, c64(-1.0, 0.0));
+            a.push(i + 1, i, c64(-1.0, 0.0));
+        }
+        b.push(i, (i + 7) % n, c64(0.4, 0.0));
+    }
+    let none = LowRankOp::new(n, n);
+    RealStencil::try_new((&a.build(), &none), (&b.build(), &none)).expect("a real pencil")
+}
+
+/// The policy slice of the differential energy scan, on a grid fixed here:
+/// the chain pencil's three singular energies and their neighbours at
+/// ±0.05.  At every energy both policies find the same pairs (the same
+/// count, each eigenvalue within 1e-8 of one of the other's) and every
+/// solve converges.  At the singular energies all 48 split solves break
+/// down and fall back to `P(z)`, so the ILU policy's eigenpairs are
+/// matrix-free's bit for bit, and its serial and rayon results are equal
+/// bit for bit; at the neighbours none falls back.
+#[test]
+fn chain_policy_scan_slice_loses_no_pair_to_a_zero_pivot() {
+    const GRID: [f64; 9] = [1.45, 1.5, 1.55, 2.45, 2.5, 2.55, 3.45, 3.5, 3.55];
+    const SINGULAR: [f64; 3] = [1.5, 2.5, 3.5];
+    let pencil = chain_pencil(12);
+    let (h00, h01) = (pencil.h00(), pencil.h01());
+    let problems: Vec<QepProblem<'_>> =
+        GRID.iter().map(|&e| QepProblem::new(&h00, &h01, e, 1.0)).collect();
+    let config = |precond| SsConfig {
+        n_int: 16,
+        n_mm: 4,
+        n_rh: 6,
+        bicg_tolerance: 1e-10,
+        precond,
+        ..SsConfig::paper()
+    };
+    let (matrix_free, split) =
+        (config(PrecondPolicy::MatrixFree), config(PrecondPolicy::AssembledIlu0));
+    let mf: Vec<SsResult> =
+        solve_qeps_with(&problems, &matrix_free, &SerialExecutor).unwrap().collect();
+    let ilu: Vec<SsResult> = solve_qeps_with(&problems, &split, &SerialExecutor).unwrap().collect();
+    let rayon: Vec<SsResult> =
+        solve_qeps_with(&problems, &split, &RayonExecutor).unwrap().collect();
+
+    let near = |l: Complex64, of: &SsResult| of.lambdas().iter().any(|&m| (l - m).abs() <= 1e-8);
+    for (((e, m), i), r) in GRID.into_iter().zip(&mf).zip(&ilu).zip(&rayon) {
+        assert!(!m.eigenpairs.is_empty(), "E {e}: matrix-free found no pair");
+        assert_eq!(i.eigenpairs.len(), m.eigenpairs.len(), "E {e}: the pair counts differ");
+        assert!(i.lambdas().into_iter().all(|l| near(l, m)), "E {e}: ILU has a pair MF lacks");
+        assert!(m.lambdas().into_iter().all(|l| near(l, i)), "E {e}: MF has a pair ILU lacks");
+        for result in [m, i] {
+            assert!(result.solve_histories.iter().all(ConvergenceHistory::converged), "E {e}");
+        }
+        if !SINGULAR.contains(&e) {
+            assert_eq!(i.split_fallbacks, 0, "E {e}");
+            continue;
+        }
+        assert_eq!((i.split_fallbacks, i.solve_histories.len()), (48, 48), "E {e}");
+        for (p, q) in i.eigenpairs.iter().zip(&m.eigenpairs) {
+            assert_eq!((p.lambda, &p.psi), (q.lambda, &q.psi), "E {e}");
+            assert_eq!(p.residual.to_bits(), q.residual.to_bits(), "E {e}");
+        }
+        assert_same_trajectory(i, r, 6);
+    }
 }

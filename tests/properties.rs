@@ -456,13 +456,10 @@ proptest! {
     }
 }
 
-/// The same on coupled pencils of 80 and 600 points (the sweeps' row blocks
-/// and column tiles all exercised), and at `E = h₀₀` on a first row the
-/// coupling block leaves empty, where the pivot `E − h₀₀` is exactly zero:
-/// the oracle floors it, and the stencil agrees only if it floors it at
-/// the same value, since that pivot scales the whole solve by ~1e13.
+/// The same on coupled pencils of 80 and 600 points: the sweeps' row blocks
+/// and column tiles all exercised.
 #[test]
-fn stencil_dilu_is_the_textbook_dilu_on_coupled_and_floored_pencils() {
+fn stencil_dilu_is_the_textbook_dilu_on_coupled_pencils() {
     use rand::SeedableRng;
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1701);
     let z = c64(0.8, 0.45);
@@ -470,12 +467,5 @@ fn stencil_dilu_is_the_textbook_dilu_on_coupled_and_floored_pencils() {
         let (g00, g01) = random_real_blocks(n, 3, 2, coupled, &mut rng);
         let s = stencil_of(&g00, &g01);
         assert_dilu_is_the_textbook_dilu(&s, -9.0, z, 9, &mut rng);
-
-        let (_, h) = g00.sparse.row_entries(0).find(|&(j, _)| j == 0).expect("a stored h₀₀");
-        let oracle = common::TextbookDilu::new(&s, h.re, z);
-        assert_eq!(oracle.pivots[0], c64(oracle.floor, 0.0), "n {n}: the pivot is not floored");
-        let r = CVector::random(n * 3, &mut rng).into_vec();
-        let err = oracle.distance(&s.dilu(h.re, z), &r, 3);
-        assert!(err <= 1e-12, "n {n} floored: {err:.2e}");
     }
 }

@@ -15,9 +15,10 @@
 //! * one road: per node, one call of `bicg_dual_block_precond` with the
 //!   node's diagonal ILU is bitwise the pool's solve of that node, as
 //!   `solve_qep_with` reports it — histories with their certified last
-//!   entry, stop reasons, matvecs and traversals — on both executors (the
-//!   fold of its solutions into the moments is `cbs-core`'s
-//!   `pool::tests::one_call_per_node_is_the_pool_under_the_ilu_policy`);
+//!   entry, stop reasons, matvecs and traversals — on both executors: every
+//!   split solve converges here, so no column falls back (the fold into the
+//!   moments, and the fallback of the columns that fail, are `cbs-core`'s
+//!   `pool::tests::every_failed_split_solve_is_solved_again_matrix_free`);
 //! * node by node, those solutions are the oracle's to the BiCG tolerance,
 //!   in as many iterations to within 3% — the two stop on different
 //!   residuals — with every solve converged in the true residual, on fig6
