@@ -30,13 +30,20 @@
 //! them).  A job drops its node's operator when it
 //! returns — so at most one per worker is alive, and the pivots are
 //! computed once per solved node, never per right-hand side.  The dispatch
-//! therefore holds *solved nodes x problems* jobs; an
-//! executor wider than that idles (the remedy, should a wide-machine
-//! workload ever show it, is column tiles chosen from `executor.threads()`
-//! inside this one job runner).
+//! therefore holds *solved nodes x problems* jobs; an executor wider than
+//! that idles (the remedy, should a wide-machine workload ever show it, is
+//! column tiles chosen from the executor's width inside this one job
+//! runner, ROADMAP item 7(a)).
+//!
+//! Memory bound: a job's result is its node's `2·N_rh` solutions `x`, `x̃`
+//! of length `n`, and the fold adds them into the moments and drops them.
+//! Both executors stream the round, so the solutions alive at once are one
+//! node's on the serial executor and at most `2·threads` nodes' on the
+//! threaded one (`cbs_parallel`'s executor docs), never the round's
+//! *solved nodes x problems*.
 //!
 //! Determinism contract: jobs are listed problem-major in node order,
-//! executors return results in input order, and each problem's moment
+//! executors fold results in input order, and each problem's moment
 //! accumulator folds only its own nodes in that order, each node's columns
 //! in rhs order (overall `j * N_rh + rhs`), on the calling thread — so the
 //! accumulated moments (and everything extracted from them) are

@@ -141,14 +141,25 @@ fn gather<'a>(slab: &mut Vec<Complex64>, vecs: impl Iterator<Item = &'a CVector>
     }
 }
 
+/// `b_c` (`dual`: `b̃_c`) mapped into `split`'s split system, or as it is
+/// without one.
+fn mapped_rhs<M: Preconditioner + ?Sized>(split: Option<&M>, dual: bool, rhs: &CVector) -> CVector {
+    let mut rhs = rhs.clone();
+    if let Some(m) = split {
+        m.split_rhs(dual, rhs.as_mut_slice(), 1);
+    }
+    rhs
+}
+
 /// `b_c − A x_c` (`adjoint`: `b̃_c − A† x̃_c`) of the `listed` columns, one
-/// slot of `out` each, from one fused apply.
+/// slot of `out` each, from one fused apply; `rhs(c)` is column `c`'s
+/// right-hand side.
 fn residuals<A: LinearOperator + ?Sized>(
     a: &A,
     adjoint: bool,
     cols: &[Column],
     listed: &[usize],
-    rhs: &[CVector],
+    rhs: impl Fn(usize) -> CVector,
     stage: &mut Vec<Complex64>,
     out: &mut Vec<Complex64>,
 ) {
@@ -162,7 +173,7 @@ fn residuals<A: LinearOperator + ?Sized>(
         a.apply_block(stage, out, listed.len());
     }
     for (k, &c) in listed.iter().enumerate() {
-        for (y, &bi) in slot_mut(out, n, k).iter_mut().zip(rhs[c].as_slice()) {
+        for (y, &bi) in slot_mut(out, n, k).iter_mut().zip(rhs(c).as_slice()) {
             *y = bi - *y;
         }
     }
@@ -307,13 +318,7 @@ pub fn bicg_dual_block_precond<A: LinearOperator + ?Sized, M: Preconditioner + ?
     let Some(m) = m else { return recurrence(a, None::<&M>, b, b_dual, opts) };
     let (n, k) = (a.dim(), b.len());
     assert_eq!(m.dim(), n, "preconditioner dimension mismatch");
-    let split_rhs = |rhs: &[CVector], dual| -> Vec<CVector> {
-        let mut rhs = rhs.to_vec();
-        rhs.iter_mut().for_each(|v| m.split_rhs(dual, v.as_mut_slice(), 1));
-        rhs
-    };
-    let (b_hat, b_hat_dual) = (split_rhs(b, false), split_rhs(b_dual, true));
-    let mut solved = recurrence(&SplitOperator(m), Some(m), &b_hat, &b_hat_dual, opts);
+    let mut solved = recurrence(&SplitOperator(m), Some(m), b, b_dual, opts);
     for col in &mut solved.columns {
         m.unsplit(false, col.x.as_mut_slice(), 1);
         m.unsplit(true, col.dual_x.as_mut_slice(), 1);
@@ -348,8 +353,9 @@ pub fn bicg_dual_block_precond<A: LinearOperator + ?Sized, M: Preconditioner + ?
 }
 
 /// The one recurrence (module docs) on `a`.  When `split` is given, `a` is
-/// its split system, and a column stops only on the mapped residuals too
-/// ([`bicg_dual_block_precond`]).
+/// its split system, the right-hand sides `b`, `b̃` are mapped into it
+/// (column by column, as the recurrence needs them), and a column stops
+/// only on the mapped residuals too ([`bicg_dual_block_precond`]).
 fn recurrence<A: LinearOperator + ?Sized, M: Preconditioner + ?Sized>(
     a: &A,
     split: Option<&M>,
@@ -363,24 +369,25 @@ fn recurrence<A: LinearOperator + ?Sized, M: Preconditioner + ?Sized>(
     let tol = opts.tolerance;
     let mut traversals = 0usize;
 
-    // --- Initial state: x₀ = 0, r₀ = b. -----------------------------------
+    // --- Initial state: x₀ = 0, r₀ = b (mapped: b̂). ----------------------
     let mut cols: Vec<Column> = (0..nvecs)
         .map(|c| {
             assert_eq!(b[c].len(), n, "rhs length mismatch");
             assert_eq!(b_dual[c].len(), n, "dual rhs length mismatch");
+            let (r, rt) = (mapped_rhs(split, false, &b[c]), mapped_rhs(split, true, &b_dual[c]));
             Column {
                 x: CVector::zeros(n),
                 xt: CVector::zeros(n),
-                r: b[c].clone(),
-                rt: b_dual[c].clone(),
-                b_norm: b[c].norm().max(1e-300),
-                bt_norm: b_dual[c].norm().max(1e-300),
+                b_norm: r.norm().max(1e-300),
+                bt_norm: rt.norm().max(1e-300),
                 unsplit_norms: split.map(|m| {
                     [false, true].map(|dual| {
-                        let rhs = if dual { &b_dual[c] } else { &b[c] };
+                        let rhs = if dual { &rt } else { &r };
                         m.unsplit_residual_norm(dual, rhs.as_slice()).max(1e-300)
                     })
                 }),
+                r,
+                rt,
                 res: 0.0,
                 res_dual: 0.0,
                 history: Vec::new(),
@@ -426,8 +433,12 @@ fn recurrence<A: LinearOperator + ?Sized, M: Preconditioner + ?Sized>(
             })
             .collect();
         if passing.first().is_some_and(|&c| cols[c].unsplit_norms.is_some()) {
-            residuals(a, false, &cols, &passing, b, &mut stage, &mut q);
-            residuals(a, true, &cols, &passing, b_dual, &mut stage, &mut qt);
+            // Each mapped right-hand side is mapped again here, not kept
+            // through the recurrence.
+            let b_hat = |c| mapped_rhs(split, false, &b[c]);
+            let b_hat_dual = |c| mapped_rhs(split, true, &b_dual[c]);
+            residuals(a, false, &cols, &passing, b_hat, &mut stage, &mut q);
+            residuals(a, true, &cols, &passing, b_hat_dual, &mut stage, &mut qt);
             traversals += 2;
             let mut slots = 0..;
             passing.retain(|&c| {

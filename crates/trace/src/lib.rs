@@ -445,9 +445,10 @@ impl TraceSession {
     }
 
     /// Stop recording and drain every flushed buffer into a report.
-    /// (Worker threads of the vendored rayon shim are scoped, hence joined
-    /// — and flushed — before their dispatch returned; the calling thread
-    /// flushes here.)
+    /// (`cbs-parallel`'s threaded executor joins each of its workers by its
+    /// handle, which returns only after the worker's thread-local buffer
+    /// has flushed, before its dispatch returns; the calling thread flushes
+    /// here.)
     pub fn finish(self) -> TraceReport {
         let t1 = now_ns();
         let _ = TLS.try_with(|b| b.borrow_mut().flush_spans());
