@@ -65,21 +65,25 @@ pub struct BlockHamiltonian {
 /// the Hamiltonian's stencil.
 pub type BlockOp<'a> = StencilBlock<'a>;
 
-/// Refuse a grid whose `H₀₀` could store more entries than the stencil's
-/// `u32` indices address: at most `6·N_f + 1` per row (see [`FdOrder`]).
-fn check_stencil_size(grid: &Grid3, fd: FdOrder) {
+/// Refuse a grid with more points than the stencil's `u32` rows, columns
+/// and offsets address (see [`FdOrder`]).  A block's templates stay far
+/// below their `u32` entry limit at any grid size: per axis at most
+/// `2·N_f + 1` neighbourhoods (the interior and `N_f` wrapped rows at each
+/// side), each with its diagonal stored or not, and `6·N_f` off-diagonal
+/// entries per template.
+fn check_stencil_size(grid: &Grid3) {
+    const {
+        let templates = 2 * (2 * FdOrder::MAX_NF + 1).pow(3);
+        assert!(templates * 6 * FdOrder::MAX_NF <= RealStencil::MAX_ENTRIES);
+    };
     let n = grid.npoints();
-    let bound = n.checked_mul(6 * fd.nf + 1);
     assert!(
-        bound.is_some_and(|b| b <= RealStencil::MAX_ENTRIES),
-        "a {}x{}x{} grid ({n} points) at N_f = {} stores up to {n}·{} entries per block, past \
-         the real stencil's u32 limit of {} entries",
+        n <= RealStencil::MAX_DIM,
+        "a {}x{}x{} grid has {n} points, past the real stencil's u32 limit of {} points",
         grid.nx,
         grid.ny,
         grid.nz,
-        fd.nf,
-        6 * fd.nf + 1,
-        RealStencil::MAX_ENTRIES
+        RealStencil::MAX_DIM
     );
 }
 
@@ -87,7 +91,8 @@ impl BlockHamiltonian {
     /// Assemble the blocks for `structure` discretized on `grid`.
     ///
     /// Each grid row takes its x, y and z stencil legs, then its local
-    /// potential; the [`StencilBuilder`] merges them by column.  Panics if
+    /// potential; the [`StencilBuilder`] merges them by column and shares
+    /// one row template among the rows of one grid neighbourhood.  Panics if
     /// the grid is past the stencil's `u32` limit (see [`FdOrder`]), or if
     /// the finite-difference stencil or a projector would couple beyond
     /// nearest-neighbour cells — `nf > nz`, cutoff ≥ period, or a projector
@@ -103,9 +108,9 @@ impl BlockHamiltonian {
             params.fd.nf,
             grid.nz
         );
-        check_stencil_size(&grid, params.fd);
+        check_stencil_size(&grid);
         let n = grid.npoints();
-        let mut builder = StencilBuilder::new(n, n * (6 * params.fd.nf + 1));
+        let mut builder = StencilBuilder::new(n);
 
         // --- Kinetic energy -1/2 ∇² with the high-order stencil, and the
         // local pseudopotential on the diagonal of H₀₀. ---
@@ -510,37 +515,40 @@ mod tests {
         let h = tiny_hamiltonian(true);
         assert_eq!(h.memory_bytes(), h.stencil().memory_bytes());
         assert_eq!(h.h00().memory_bytes() + h.h01().memory_bytes(), h.memory_bytes());
-        // f64 values and u32 indices: 12 B per entry, under half of complex CSR.
+        // Shared row templates of f64 values and u32 offsets, a template id
+        // and a diagonal per row: under half of complex CSR even on a cell
+        // this small, where most rows sit near a wrapped boundary.
         let csr = h.h00_csr().storage_bytes() + h.h01_csr().storage_bytes();
         assert!(2 * h.memory_bytes() < csr, "{} vs {csr}", h.memory_bytes());
     }
 
-    /// The u32 limit at `N_f = 4` (25 entries per row): 512·512·655 points
-    /// fit, 512·512·656 do not.  Only the check runs — nothing is allocated.
+    /// The u32 limit on points: 65 537·4 369·15 = u32::MAX points fit,
+    /// 2 048·2 048·1 024 = 2³² do not.  Only the check runs — nothing is
+    /// allocated.
     #[test]
     fn stencil_size_check_sits_at_the_u32_limit() {
-        let grid = |nz| Grid3::isotropic(512, 512, nz, 1.0);
-        const { assert!(655 * 512 * 512 * 25 <= RealStencil::MAX_ENTRIES) };
-        check_stencil_size(&grid(655), FdOrder::PAPER);
-        let refused = std::panic::catch_unwind(|| check_stencil_size(&grid(656), FdOrder::PAPER));
+        let at_limit = Grid3::isotropic(65_537, 4_369, 15, 1.0);
+        assert_eq!(at_limit.npoints(), RealStencil::MAX_DIM);
+        check_stencil_size(&at_limit);
+        let past = Grid3::isotropic(2_048, 2_048, 1_024, 1.0);
+        assert_eq!(past.npoints(), RealStencil::MAX_DIM + 1);
+        let refused = std::panic::catch_unwind(|| check_stencil_size(&past));
         let message = refused.expect_err("past the limit");
         let message = message.downcast_ref::<String>().expect("a formatted message");
         assert!(message.contains("past the real stencil's u32 limit of 4294967295"), "{message}");
-        // A lower order stores fewer entries per row: the same grid fits.
-        check_stencil_size(&grid(656), FdOrder::new(3));
     }
 
-    /// `build` refuses such a grid before it computes anything.
+    /// `build` refuses a grid of 2³² points before it computes anything.
     #[test]
     #[should_panic(expected = "past the real stencil's u32 limit")]
     fn grid_past_the_u32_stencil_limit_is_refused() {
         let empty = AtomicStructure {
             name: "empty".into(),
             atoms: vec![],
-            lateral: (1024.0, 1024.0),
+            lateral: (2048.0, 2048.0),
             period: 1024.0,
         };
-        let grid = Grid3::isotropic(1024, 1024, 1024, 1.0);
+        let grid = Grid3::isotropic(2048, 2048, 1024, 1.0);
         BlockHamiltonian::build(grid, &empty, HamiltonianParams::default());
     }
 

@@ -316,3 +316,32 @@ fn cnt80_straddling_projectors() {
     assert_eq!(grid.npoints(), 2527, "the benchmark's cnt80 cell");
     assert_built_is_converted("cnt80", &s, grid, 4);
 }
+
+/// The benchmark's 12 167-point Al(100) cell: its rows collapse to one
+/// template per grid neighbourhood (at most 9 per axis at `N_f = 4`), so
+/// the three row blocks take under 1 MB where CSR took 4.09 MB, while
+/// `nnz` still counts every row's entries, as the per-entry rates divide
+/// by it.  The converted pencil shares its templates the same way.
+#[test]
+fn al100_12167_points_share_row_templates() {
+    let s = bulk_al_100(1);
+    let grid = grid_for_structure(&s, 0.34);
+    assert_eq!(grid.npoints(), 12_167, "the benchmark's al12k cell");
+    let params = HamiltonianParams::default();
+    let h = BlockHamiltonian::build(grid, &s, params);
+    let built = h.stencil();
+    assert_eq!(built.nnz(), 298_885, "logical entries of H₀₀ and H₀₁");
+    let [t00, t01, t01t] = built.row_templates();
+    assert!(t00 <= 729 && t01 <= 9 && t01t <= 9, "templates {:?}", built.row_templates());
+    assert!(built.row_bytes() <= 1_000_000, "row blocks {} B", built.row_bytes());
+    assert!(built.memory_bytes() <= 2_200_000, "stencil {} B", built.memory_bytes());
+    let debug = format!("{built:?}");
+    assert!(debug.contains(&format!("row_templates: [{t00}, {t01}, {t01t}]")), "{debug}");
+
+    let coo = coo_blocks(grid, &s, params);
+    let converted = RealStencil::try_new((&coo[0].0, &coo[0].1), (&coo[1].0, &coo[1].1))
+        .expect("the COO blocks convert");
+    assert_eq!(converted.row_templates(), built.row_templates());
+    assert_eq!(converted.memory_bytes(), built.memory_bytes());
+    assert_eq!(converted.nnz(), built.nnz());
+}

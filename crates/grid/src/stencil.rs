@@ -52,13 +52,16 @@ pub const KINETIC_PREFACTOR: f64 = -0.5;
 
 /// Description of the finite-difference order used by a Hamiltonian.
 ///
-/// **Size limit.**  A Hamiltonian is stored as a real stencil with `u32`
-/// column indices and entry counts, and its `H₀₀` keeps up to `6·N_f + 1`
-/// entries per grid row (three axes of `2·N_f + 1` legs sharing the
-/// diagonal).  A grid of `N` points therefore needs
-/// `N·(6·N_f + 1) ≤ u32::MAX = 4 294 967 295`: about 171.8 million points
-/// at the paper's `N_f = 4`.  `cbs_dft::BlockHamiltonian::build` refuses a
-/// larger grid with a message naming this limit.
+/// **Size limit.**  A Hamiltonian is stored as a real stencil of shared row
+/// templates: per grid row a `u32` template id and its diagonal value, per
+/// distinct grid neighbourhood one template of up to `6·N_f` off-diagonal
+/// entries (three axes of `2·N_f + 1` legs sharing the diagonal).  Rows,
+/// columns and column offsets are `u32`, so a grid of `N` points needs
+/// `N ≤ u32::MAX = 4 294 967 295`, at any `N_f`.  The templates stay tiny:
+/// per axis at most `2·N_f + 1` neighbourhoods, so at most 2·9³ templates
+/// per block at the paper's `N_f = 4`, whatever the grid size.
+/// `cbs_dft::BlockHamiltonian::build` refuses a larger grid with a message
+/// naming this limit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FdOrder {
     /// Half width `N_f` of the stencil (the paper uses 4, i.e. nine points).
@@ -69,9 +72,12 @@ impl FdOrder {
     /// The paper's nine-point stencil.
     pub const PAPER: FdOrder = FdOrder { nf: 4 };
 
+    /// The widest supported half width.
+    pub const MAX_NF: usize = 4;
+
     /// Construct, validating the supported range.
     pub fn new(nf: usize) -> Self {
-        assert!((1..=4).contains(&nf), "N_f must be in 1..=4");
+        assert!((1..=Self::MAX_NF).contains(&nf), "N_f must be in 1..=4");
         Self { nf }
     }
 

@@ -3,33 +3,44 @@
 //! `P(z) = −z⁻¹H₀₁† + (E − H₀₀) − z·H₀₁` carries its only complex numbers
 //! in the two scalars `z`, `z⁻¹` whenever the blocks are real — which is
 //! every Hamiltonian the real-space discretization produces at `k_⊥ = 0`.
-//! [`RealStencil`] stores `H₀₀`, `H₀₁` and an explicit `H₀₁ᵀ` as real CSR
-//! (`f64` values, `u32` indices: 12 B per entry against 24 B for the complex
-//! CSR) plus the projector tails as real sparse factors, and applies `P(z)`
-//! to a column-major block in **one row pass**: per row and column tile it
-//! accumulates `Σa·x`, `Σb·x`, `Σbᵀ·x` in real×complex arithmetic (4 flops
-//! per entry and column against 8) and writes
+//! [`RealStencil`] stores the rows of `H₀₀`, `H₀₁` and an explicit `H₀₁ᵀ`
+//! as **shared row templates** (`f64` values, `u32` indices) plus the
+//! projector tails as real sparse factors.  A row keeps only a template id
+//! and its own diagonal value; each distinct template — the row's column
+//! offsets, relative to the row, and its off-diagonal values — is stored
+//! once.  A grid Hamiltonian's rows are a constant-coefficient Laplacian
+//! plus a diagonal potential, so they collapse to one template per grid
+//! neighbourhood: 729 `H₀₀` templates and 5 each for `H₀₁` and `H₀₁ᵀ` at
+//! 12 167 points, where the rows take 0.45 MB against 4.09 MB as CSR.
+//! Rows that never repeat (a random pencil) get one template each through
+//! the same code.  The stencil applies `P(z)` to a column-major block in
+//! **one row pass**: per row and column tile it accumulates `Σa·x`, `Σb·x`,
+//! `Σbᵀ·x` in real×complex arithmetic (4 flops per entry and column against
+//! 8) and writes
 //!
 //! ```text
 //! y = E·x − accA − z·accB − z⁻¹·accBᵀ
 //! ```
 //!
 //! once — no scratch slab, no scatter (the transpose is stored, so `H₀₁†`
-//! is a gather too) and no combine pass.  The tiles come from an 8/4/2/1
+//! is a gather too) and no combine pass.  Each row sums its entries in
+//! ascending column order — below the diagonal, the diagonal, above it —
+//! exactly as a CSR row would.  The tiles come from an 8/4/2/1
 //! ladder, widest first (15 columns run as 8 + 4 + 2 + 1): an 8-wide tile
 //! reads each stored value and index once for eight independent accumulator
 //! chains.  The projector tails `−V₀₀`, `−z·V₀₁`, `−z⁻¹·V₀₁ᵀ` follow over
-//! the same tiles: per tile and term, one gather over the bra indices (the
-//! stencil rows' own `RealCsr::gather`) and one real axpy over the ket
-//! indices serve every column of the tile.
+//! the same tiles: per tile and term, one gather over the bra indices and
+//! one real axpy over the ket indices serve every column of the tile.
 //!
 //! The stencil is the Hamiltonian's only stored form, not a copy of it:
 //! `cbs-dft` writes the rows directly ([`StencilBuilder`]), and the two
 //! [`StencilBlock`] views are the block operators a QEP is built from, so a
 //! `cbs_core::QepProblem` over them borrows this stencil and converts
-//! nothing.  Every index and entry count is a `u32`
-//! ([`RealStencil::MAX_ENTRIES`]).  A pencil stored in complex form gets a
-//! stencil through [`RealStencil::try_new`], which returns `None` as soon
+//! nothing.  Every row, column and offset is a `u32`
+//! ([`RealStencil::MAX_DIM`]), and so is every entry count of the templates
+//! and projector factors ([`RealStencil::MAX_ENTRIES`]).  A pencil stored in
+//! complex form gets a stencil through [`RealStencil::try_new`], which
+//! shares the templates of its rows the same way and returns `None` as soon
 //! as one stored value has a non-zero imaginary part or a dimension / entry
 //! count does not fit `u32`; blocks that are not stencil views keep the
 //! problem's generic three-pass path.
@@ -75,157 +86,181 @@ mod blocks;
 pub use blocks::{Block, StencilBlock, StencilBuilder};
 
 /// Rows per cache block of the fused apply and the diagonal-ILU sweeps.
-/// One block's index + value stream (≈ `ROW_BLOCK · nnz/row · 12 B`) fits
-/// comfortably in L2, so re-streaming it once per column tile is served
-/// from cache.
+/// One block's per-row stream (template ids and diagonals) and the
+/// templates it reads fit comfortably in L2, so re-streaming them once per
+/// column tile is served from cache.
 const ROW_BLOCK: usize = 512;
 
-/// Real compressed-sparse-row storage: `f64` values, `u32` indices and row
-/// pointers.  Rows are matrix rows for the Hamiltonian blocks and rank-one
-/// terms for the projector factors.
+/// `acc_w += Σ_k val_k · x_w[low + off_k]` for the `W` columns of a tile,
+/// in entry order, the accumulators taken and returned by value.
+#[inline(always)]
+fn sum_entries<const W: usize, X: Deref<Target = [Complex64]>>(
+    mut acc: [Complex64; W],
+    low: usize,
+    off: &[u32],
+    val: &[f64],
+    x: &[X; W],
+) -> [Complex64; W] {
+    for (&c, &v) in off.iter().zip(val) {
+        let j = low + c as usize;
+        for w in 0..W {
+            let xv = x[w][j];
+            acc[w].re += v * xv.re;
+            acc[w].im += v * xv.im;
+        }
+    }
+    acc
+}
+
+/// Real compressed-sparse-row storage of the projector factors: `f64`
+/// values, `u32` indices and row pointers, one row per rank-one term.
 #[derive(Clone)]
 struct RealCsr {
     ptr: Vec<u32>,
     idx: Vec<u32>,
     val: Vec<f64>,
-    /// Square blocks only (empty for the projector factors): per row `i`,
-    /// the positions of its first entry in a column `≥ i` and of its first
-    /// in a column `> i` — where its strict lower triangle ends and its
-    /// strict upper one starts (they differ by the diagonal entry).
-    split: Vec<[u32; 2]>,
 }
 
 impl RealCsr {
-    /// Record the diagonal split of every row (columns ascending within a
-    /// row, as `CsrMatrix` and [`transpose`](Self::transpose) store them).
-    fn with_split(mut self) -> Self {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "stencil set-up, once per Hamiltonian -- not the per-node path"
-        )]
-        let split = (0..self.nrows())
-            .map(|i| {
-                let (lo, hi) = (self.ptr[i] as usize, self.ptr[i + 1] as usize);
-                let cols = &self.idx[lo..hi];
-                let at = |past: bool| {
-                    (lo + cols.partition_point(|&c| c < i as u32 || (past && c == i as u32))) as u32
-                };
-                [at(false), at(true)]
-            })
-            .collect();
-        self.split = split;
-        self
+    #[inline(always)]
+    fn row(&self, t: usize) -> (&[u32], &[f64]) {
+        let ks = self.ptr[t] as usize..self.ptr[t + 1] as usize;
+        (&self.idx[ks.clone()], &self.val[ks])
     }
 
-    /// The entry range of row `i`'s strict lower (`j < i`) or `upper`
-    /// (`j > i`) triangle.
+    /// `Σ_k val_k · x_w[idx_k]` over row `t`, for the `W` columns of a tile.
     #[inline(always)]
-    fn triangle(&self, i: usize, upper: bool) -> Range<usize> {
-        let [below, above] = self.split[i];
-        if upper {
-            above as usize..self.ptr[i + 1] as usize
-        } else {
-            self.ptr[i] as usize..below as usize
-        }
+    fn gather<const W: usize>(&self, t: usize, x: &[&[Complex64]; W]) -> [Complex64; W] {
+        let (idx, val) = self.row(t);
+        sum_entries([Complex64::ZERO; W], 0, idx, val, x)
+    }
+
+    fn bytes(&self) -> usize {
+        4 * (self.ptr.len() + self.idx.len()) + 8 * self.val.len()
+    }
+}
+
+/// One distinct row of a block, shared by every row with the same
+/// neighbourhood: its entries below the diagonal are `lo..mid` of the
+/// block's `off` / `val`, those above it `mid..hi`, and each entry's column
+/// is the row's lowest column `row + reach` plus its `off`.
+#[derive(Clone, Copy)]
+struct Template {
+    /// The row's lowest stored column minus the row, 0 when it stores
+    /// nothing below the diagonal.
+    reach: isize,
+    lo: u32,
+    mid: u32,
+    hi: u32,
+    /// Whether the row stores its diagonal entry, whose value is the row's
+    /// own.
+    diagonal: bool,
+}
+
+/// One block's rows — `H₀₀`, `H₀₁` or `H₀₁ᵀ` — as shared row templates
+/// (module docs): per row its template and its diagonal value, per template
+/// its column offsets and off-diagonal values.  Rows are strictly
+/// ascending in column, as CSR stores them, and read back in that order.
+#[derive(Clone)]
+struct TemplateRows {
+    /// Per row, the index of its template.
+    template: Vec<u32>,
+    /// Per row, its diagonal entry (0 where it stores none); empty when no
+    /// row stores one.
+    diag: Vec<f64>,
+    templates: Vec<Template>,
+    off: Vec<u32>,
+    val: Vec<f64>,
+    /// The template of an empty row, `u32::MAX` when no row is empty.
+    empty: u32,
+    /// Entries the rows store, diagonals included (each row counted in
+    /// full, however many rows share its template).
+    nnz: usize,
+}
+
+/// The strict lower or upper triangle of one row: entry `k` sits in column
+/// `low + off[k]`.
+#[derive(Clone, Copy)]
+struct Part<'a> {
+    low: usize,
+    off: &'a [u32],
+    val: &'a [f64],
+}
+
+impl Part<'_> {
+    fn is_empty(&self) -> bool {
+        self.off.is_empty()
+    }
+
+    /// `Σ_k val_k · x_w[low + off_k]` for the `W` columns of a tile.
+    #[inline(always)]
+    fn gather<const W: usize, X: Deref<Target = [Complex64]>>(&self, x: &[X; W]) -> [Complex64; W] {
+        sum_entries([Complex64::ZERO; W], self.low, self.off, self.val, x)
+    }
+}
+
+impl TemplateRows {
+    fn nrows(&self) -> usize {
+        self.template.len()
+    }
+
+    #[inline(always)]
+    fn template_of(&self, i: usize) -> Template {
+        self.templates[self.template[i] as usize]
+    }
+
+    #[inline(always)]
+    fn row_is_empty(&self, i: usize) -> bool {
+        self.template[i] == self.empty
+    }
+
+    /// Row `i`'s strict lower (`j < i`) or `upper` (`j > i`) triangle.
+    #[inline(always)]
+    fn part(&self, i: usize, upper: bool) -> Part<'_> {
+        let t = self.template_of(i);
+        let ks = if upper { t.mid..t.hi } else { t.lo..t.mid };
+        let ks = ks.start as usize..ks.end as usize;
+        Part { low: i.wrapping_add_signed(t.reach), off: &self.off[ks.clone()], val: &self.val[ks] }
     }
 
     /// The stored value at `(i, i)`, 0 where there is none.
     fn diagonal(&self, i: usize) -> f64 {
-        let [below, above] = self.split[i];
-        if above > below {
-            self.val[below as usize]
+        if self.template_of(i).diagonal {
+            self.diag[i]
         } else {
             0.0
         }
     }
 
-    /// The transpose of an `nrows × ncols` matrix (counting sort: each
-    /// transposed row keeps its entries in ascending original-row order).
-    fn transpose(&self, ncols: usize) -> Self {
-        #[expect(
-            clippy::disallowed_macros,
-            reason = "stencil set-up, once per Hamiltonian -- not the per-node path"
-        )]
-        let mut ptr = vec![0u32; ncols + 1];
-        for &c in &self.idx {
-            ptr[c as usize + 1] += 1;
-        }
-        for c in 0..ncols {
-            ptr[c + 1] += ptr[c];
-        }
-        let mut next = ptr.clone();
-        #[expect(
-            clippy::disallowed_macros,
-            reason = "stencil set-up, once per Hamiltonian -- not the per-node path"
-        )]
-        let mut idx = vec![0u32; self.idx.len()];
-        #[expect(
-            clippy::disallowed_macros,
-            reason = "stencil set-up, once per Hamiltonian -- not the per-node path"
-        )]
-        let mut val = vec![0.0; self.val.len()];
-        for i in 0..self.nrows() {
-            let (cols, vals) = self.row(i);
-            for (&c, &v) in cols.iter().zip(vals) {
-                let dst = next[c as usize] as usize;
-                idx[dst] = i as u32; // row counts fit u32: `ptr` does
-                val[dst] = v;
-                next[c as usize] += 1;
-            }
-        }
-        Self { ptr, idx, val, split: Vec::new() }
-    }
-
-    fn nrows(&self) -> usize {
-        self.ptr.len() - 1
-    }
-
-    #[inline(always)]
-    fn row_range(&self, i: usize) -> Range<usize> {
-        self.ptr[i] as usize..self.ptr[i + 1] as usize
-    }
-
-    #[inline(always)]
-    fn row_is_empty(&self, i: usize) -> bool {
-        self.ptr[i] == self.ptr[i + 1]
-    }
-
-    #[inline(always)]
-    fn row(&self, i: usize) -> (&[u32], &[f64]) {
-        let ks = self.row_range(i);
-        (&self.idx[ks.clone()], &self.val[ks])
-    }
-
-    /// `Σ_k val_k · x_w[idx_k]` over row `i`, for the `W` columns of a tile.
+    /// `Σ_j a_ij · x_w[j]` over row `i` in ascending column order, for the
+    /// `W` columns of a tile.
     #[inline(always)]
     fn gather<const W: usize, X: Deref<Target = [Complex64]>>(
         &self,
         i: usize,
         x: &[X; W],
     ) -> [Complex64; W] {
-        self.gather_range(self.row_range(i), x)
-    }
-
-    /// [`gather`](Self::gather) over the entries `ks` only (part of a row).
-    #[inline(always)]
-    fn gather_range<const W: usize, X: Deref<Target = [Complex64]>>(
-        &self,
-        ks: Range<usize>,
-        x: &[X; W],
-    ) -> [Complex64; W] {
-        let mut acc = [Complex64::ZERO; W];
-        for (&c, &v) in self.idx[ks.clone()].iter().zip(&self.val[ks]) {
+        let t = self.template_of(i);
+        let low = i.wrapping_add_signed(t.reach);
+        let (lo, mid, hi) = (t.lo as usize, t.mid as usize, t.hi as usize);
+        let (off, val) = (&self.off[lo..hi], &self.val[lo..hi]);
+        let (below, above) = (mid - lo, hi - lo);
+        let mut acc = sum_entries([Complex64::ZERO; W], low, &off[..below], &val[..below], x);
+        if t.diagonal {
+            let d = self.diag[i];
             for w in 0..W {
-                let xv = x[w][c as usize];
-                acc[w].re += v * xv.re;
-                acc[w].im += v * xv.im;
+                let xv = x[w][i];
+                acc[w].re += d * xv.re;
+                acc[w].im += d * xv.im;
             }
         }
-        acc
+        sum_entries(acc, low, &off[below..above], &val[below..above], x)
     }
 
     fn bytes(&self) -> usize {
-        4 * (self.ptr.len() + self.idx.len() + 2 * self.split.len()) + 8 * self.val.len()
+        4 * (self.template.len() + self.off.len())
+            + 8 * (self.diag.len() + self.val.len())
+            + std::mem::size_of::<Template>() * self.templates.len()
     }
 }
 
@@ -348,9 +383,9 @@ impl Shift {
 #[derive(Clone)]
 pub struct RealStencil {
     n: usize,
-    h00: RealCsr,
-    h01: RealCsr,
-    h01t: RealCsr,
+    h00: TemplateRows,
+    h01: TemplateRows,
+    h01t: TemplateRows,
     v00: RealLowRank,
     v01: RealLowRank,
 }
@@ -361,8 +396,10 @@ impl RealStencil {
     /// Hamiltonians with a [`StencilBuilder`] instead).
     ///
     /// `None` unless all four parts are square of one dimension, every
-    /// stored value is real (`im == 0.0`), and the dimension and entry
-    /// counts fit `u32`.
+    /// stored value is real (`im == 0.0`), the dimension fits `u32`
+    /// ([`MAX_DIM`](Self::MAX_DIM)) and the entry counts do
+    /// ([`MAX_ENTRIES`](Self::MAX_ENTRIES)).  The rows share their
+    /// templates as [`StencilBuilder::push_row`] shares them.
     pub fn try_new(h00: (&CsrMatrix, &LowRankOp), h01: (&CsrMatrix, &LowRankOp)) -> Option<Self> {
         let n = h00.0.nrows();
         let dims = [
@@ -371,36 +408,29 @@ impl RealStencil {
             (h00.1.nrows(), h00.1.ncols()),
             (h01.1.nrows(), h01.1.ncols()),
         ];
-        if dims != [(n, n); 4] {
+        if dims != [(n, n); 4] || n > Self::MAX_DIM {
             return None;
         }
-        Some(Self::from_blocks(
+        Self::from_blocks(
             n,
-            RealCsr::from_csr(h00.0)?,
-            RealCsr::from_csr(h01.0)?,
+            TemplateRows::from_csr(h00.0)?,
+            TemplateRows::from_csr(h01.0)?,
             RealLowRank::from_lowrank(h00.1)?,
             RealLowRank::from_lowrank(h01.1)?,
-        ))
+        )
     }
 
     /// The stencil of the `H₀₀` and `H₀₁` rows and projector terms: the
-    /// transpose `H₀₁ᵀ` and every row's diagonal split are derived here, for
-    /// a converted pencil and a built one alike.
+    /// transpose `H₀₁ᵀ` is derived here, for a converted pencil and a built
+    /// one alike; `None` when its templates pass `u32` entries.
     fn from_blocks(
         n: usize,
-        h00: RealCsr,
-        h01: RealCsr,
+        h00: TemplateRows,
+        h01: TemplateRows,
         v00: RealLowRank,
         v01: RealLowRank,
-    ) -> Self {
-        Self {
-            n,
-            h00: h00.with_split(),
-            h01t: h01.transpose(n).with_split(),
-            h01: h01.with_split(),
-            v00,
-            v01,
-        }
+    ) -> Option<Self> {
+        Some(Self { n, h00, h01t: h01.transpose(n)?, h01, v00, v01 })
     }
 
     /// Dimension of the blocks.
@@ -410,11 +440,7 @@ impl RealStencil {
 
     /// Storage of the real arrays in bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.h00.bytes()
-            + self.h01.bytes()
-            + self.h01t.bytes()
-            + self.v00.bytes()
-            + self.v01.bytes()
+        self.row_bytes() + self.v00.bytes() + self.v01.bytes()
     }
 
     /// A copy of the sparse rows without the projector tails (the
@@ -521,7 +547,7 @@ impl RealStencil {
                 let blocks = [&self.h00, &self.h01, &self.h01t];
                 let diagonal = shift.entry(blocks.map(|m| m.diagonal(i))) + e;
                 let mut pivot = diagonal;
-                self.merged(blocks.map(|m| m.triangle(i, false)), |j, [a, b, bt]| {
+                self.merged(i, |j, [a, b, bt]| {
                     let (aij, aji) = (shift.entry([a, b, bt]), shift.entry([a, bt, b]));
                     pivot -= aij * inv_pivots[j] * aji;
                 });
@@ -558,31 +584,33 @@ impl RealStencil {
         }
     }
 
-    /// Calls `f(j, [h₀₀ᵢⱼ, h₀₁ᵢⱼ, h₀₁ᵀᵢⱼ])` once per column `j` the entry
-    /// ranges `ks` (one per block, all of one row) store, ascending in `j`,
-    /// with 0 for a block that stores no `(i, j)`.
+    /// Calls `f(j, [h₀₀ᵢⱼ, h₀₁ᵢⱼ, h₀₁ᵀᵢⱼ])` once per column `j < i` that
+    /// row `i` of some block stores, ascending in `j`, with 0 for a block
+    /// that stores no `(i, j)`.
     #[inline(always)]
-    fn merged(&self, ks: [Range<usize>; 3], mut f: impl FnMut(usize, [f64; 3])) {
-        let blocks = [&self.h00, &self.h01, &self.h01t];
-        if ks[1].is_empty() && ks[2].is_empty() {
-            for k in ks[0].clone() {
-                f(self.h00.idx[k] as usize, [self.h00.val[k], 0.0, 0.0]);
+    fn merged(&self, i: usize, mut f: impl FnMut(usize, [f64; 3])) {
+        let parts = [&self.h00, &self.h01, &self.h01t].map(|m| m.part(i, false));
+        if parts[1].is_empty() && parts[2].is_empty() {
+            let a = parts[0];
+            for (&c, &v) in a.off.iter().zip(a.val) {
+                f(a.low + c as usize, [v, 0.0, 0.0]);
             }
             return;
         }
-        let mut at = ks.clone().map(|r| r.start);
+        let mut at = [0; 3];
         loop {
-            let heads: [Option<u32>; 3] =
-                std::array::from_fn(|s| (at[s] < ks[s].end).then(|| blocks[s].idx[at[s]]));
+            let heads: [Option<usize>; 3] = std::array::from_fn(|s| {
+                parts[s].off.get(at[s]).map(|&c| parts[s].low + c as usize)
+            });
             let Some(&j) = heads.iter().flatten().min() else { return };
             let mut v = [0.0; 3];
             for s in 0..3 {
                 if heads[s] == Some(j) {
-                    v[s] = blocks[s].val[at[s]];
+                    v[s] = parts[s].val[at[s]];
                     at[s] += 1;
                 }
             }
-            f(j as usize, v);
+            f(j, v);
         }
     }
 
@@ -596,12 +624,12 @@ impl RealStencil {
         Shift { z, zinv, .. }: Shift,
         x: &[X; W],
     ) -> [Complex64; W] {
-        let mut acc = self.h00.gather_range(self.h00.triangle(i, upper), x);
-        let (kb, kbt) = (self.h01.triangle(i, upper), self.h01t.triangle(i, upper));
+        let mut acc = self.h00.part(i, upper).gather(x);
+        let (kb, kbt) = (self.h01.part(i, upper), self.h01t.part(i, upper));
         // Interior rows couple to no neighbouring cell, as in `tile`.
         if !(kb.is_empty() && kbt.is_empty()) {
-            let b = self.h01.gather_range(kb, x);
-            let bt = self.h01t.gather_range(kbt, x);
+            let b = kb.gather(x);
+            let bt = kbt.gather(x);
             for w in 0..W {
                 acc[w] += z * b[w] + zinv * bt[w];
             }
@@ -1231,7 +1259,7 @@ mod tests {
         let n = 40;
         let mut rng = ChaCha8Rng::seed_from_u64(120);
         let mut coo = [CooBuilder::new(n, n), CooBuilder::new(n, n)];
-        let mut builder = StencilBuilder::new(n, 0);
+        let mut builder = StencilBuilder::new(n);
         for i in 0..n {
             let mut rows = [Vec::new(), Vec::new()];
             for (block, row) in rows.iter_mut().enumerate() {

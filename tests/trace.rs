@@ -122,10 +122,10 @@ fn serial_and_rayon_agree_under_stage_level_session() {
     assert_eq!(tagged, BTreeSet::from([0, 1]), "energy indices of the spans");
     let labels: Vec<&str> = report.threads.iter().map(|&(_, l)| l).collect();
     assert!(labels.contains(&"serial"), "serial executor thread missing from {labels:?}");
-    // The vendored rayon shim spawns scoped workers only when the machine
-    // has more than one hardware thread; the calling thread, which keeps
-    // its "serial" label, maps the first chunk, and on a single-CPU host
-    // every chunk.
+    // `RayonExecutor` is cbs-parallel's own scoped pool: the calling
+    // thread keeps its "serial" label and runs task 0, and the workers,
+    // labelled "rayon", exist only when more than one hardware thread is
+    // available (on a single-CPU host the calling thread runs every task).
     let hw = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     if hw > 1 {
         assert!(labels.contains(&"rayon"), "rayon worker threads missing from {labels:?}");
