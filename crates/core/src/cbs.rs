@@ -129,24 +129,27 @@ fn fold_k(k: f64, a: f64) -> f64 {
     kk
 }
 
-/// Convert one accepted QEP eigenpair into a classified [`CbsPoint`]: `k`
-/// from `λ`, its real part folded into the first Brillouin zone, and
-/// propagating when `|λ| = 1` within [`PROPAGATING_TOLERANCE`].
-/// `cbs_sweep::EnergySweep` classifies every accepted eigenpair with it.
+/// Classify one accepted eigenvalue `λ` of `problem`, with its QEP
+/// `residual`, as a [`CbsPoint`]: `k` from `λ`, its real part folded into
+/// the first Brillouin zone, and propagating when `|λ| = 1` within
+/// [`PROPAGATING_TOLERANCE`].  Everything but `λ` and the residual is
+/// derived, so `cbs_sweep::EnergySweep` stores only those two and builds
+/// every point with this function, resumed or not.
 pub fn classify_point(
     problem: &QepProblem<'_>,
     energy_index: usize,
-    pair: &crate::ss::QepEigenpair,
+    lambda: Complex64,
+    residual: f64,
 ) -> CbsPoint {
-    let (k_re, k_im) = problem.lambda_to_k(pair.lambda);
+    let (k_re, k_im) = problem.lambda_to_k(lambda);
     CbsPoint {
         energy: problem.energy,
         energy_index,
-        lambda: pair.lambda,
+        lambda,
         k_re: fold_k(k_re, problem.period),
         k_im,
-        propagating: (pair.lambda.abs() - 1.0).abs() < PROPAGATING_TOLERANCE,
-        residual: pair.residual,
+        propagating: (lambda.abs() - 1.0).abs() < PROPAGATING_TOLERANCE,
+        residual,
     }
 }
 

@@ -33,9 +33,9 @@
 use cbs_linalg::Complex64;
 
 /// Why a contour could not be constructed.  Returned by
-/// [`RingContour::try_new`]; the panicking constructor wraps it, so invalid
-/// parameters fail loudly at the boundary instead of producing NaN radii
-/// (`1/λ_min` for `λ_min = 0`) or empty node sets (`n_int = 0`) downstream.
+/// [`RingContour::try_new`], the one constructor, so invalid parameters
+/// fail loudly at the boundary instead of producing NaN radii (`1/λ_min`
+/// for `λ_min = 0`) or empty node sets (`n_int = 0`) downstream.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ContourError {
     /// `λ_min` outside the open interval `(0, 1)` (or not finite): the
@@ -92,15 +92,6 @@ pub struct RingContour {
 }
 
 impl RingContour {
-    /// Create a contour, validating `0 < λ_min < 1`.  Panics on invalid
-    /// parameters; [`try_new`](Self::try_new) is the non-panicking form.
-    pub fn new(lambda_min: f64, n_int: usize) -> Self {
-        match Self::try_new(lambda_min, n_int) {
-            Ok(c) => c,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Create a contour, rejecting invalid parameters with a typed
     /// [`ContourError`] instead of letting them poison the quadrature
     /// downstream (`λ_min ≥ 1` or `λ_min ≤ 0` would yield an empty annulus
@@ -207,7 +198,7 @@ mod tests {
 
     #[test]
     fn radii_and_point_counts() {
-        let c = RingContour::new(0.5, 32);
+        let c = RingContour::try_new(0.5, 32).unwrap();
         assert_eq!(c.outer_radius(), 2.0);
         assert_eq!(c.inner_radius(), 0.5);
         assert_eq!(c.outer_points().len(), 32);
@@ -225,7 +216,7 @@ mod tests {
 
     #[test]
     fn inner_nodes_are_inverse_conjugates_of_outer_nodes() {
-        let c = RingContour::new(0.5, 16);
+        let c = RingContour::try_new(0.5, 16).unwrap();
         let outer = c.outer_points();
         let inner = c.inner_points();
         let bits = |z: Complex64| (z.re.to_bits(), z.im.to_bits());
@@ -239,7 +230,7 @@ mod tests {
 
     #[test]
     fn membership_test() {
-        let c = RingContour::new(0.5, 8);
+        let c = RingContour::try_new(0.5, 8).unwrap();
         assert!(c.contains(c64(1.0, 0.0), 0.0));
         assert!(c.contains(c64(0.0, -1.5), 0.0));
         assert!(!c.contains(c64(0.1, 0.0), 0.0));
@@ -252,7 +243,7 @@ mod tests {
     fn quadrature_reproduces_moments_of_poles_inside() {
         // f_k(λ) = λ^k for λ in the annulus, 0 outside (up to the exponential
         // accuracy of the trapezoid rule).
-        let c = RingContour::new(0.5, 64);
+        let c = RingContour::try_new(0.5, 64).unwrap();
         for &lambda in &[c64(0.9, 0.3), c64(-1.2, 0.4), c64(0.0, 0.7)] {
             for k in 0..6usize {
                 let got = c.filter_value(k, lambda);
@@ -272,9 +263,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "λ_min = 1.5 must lie in (0, 1)")]
     fn invalid_lambda_min_rejected() {
-        let _ = RingContour::new(1.5, 8);
+        let _ = crate::SsConfig { lambda_min: 1.5, ..crate::SsConfig::small() }.contour();
     }
 
     /// Regression: the constructor must reject the parameter classes that
@@ -320,7 +311,7 @@ mod tests {
         // inherit the same symmetry.  This is what makes the moments of a
         // real-symmetric spectrum come out in conjugate pairs.
         for &n_int in &[8usize, 16, 32] {
-            let c = RingContour::new(0.5, n_int);
+            let c = RingContour::try_new(0.5, n_int).unwrap();
             for pts in [c.outer_points(), c.inner_points()] {
                 for j in 0..n_int {
                     let mirror = &pts[n_int - 1 - j];
@@ -337,7 +328,7 @@ mod tests {
         // N-th roots of unity rotated by half a step): the quadrature
         // integrates the constant to zero, i.e. f_0 vanishes for a
         // pole-free integrand.
-        let c = RingContour::new(0.5, 24);
+        let c = RingContour::try_new(0.5, 24).unwrap();
         for pts in [c.outer_points(), c.inner_points()] {
             let sum: Complex64 = pts.iter().map(|p| p.weight).fold(c64(0.0, 0.0), |a, w| a + w);
             assert!(sum.abs() < 1e-13, "weight sum {sum:?}");
@@ -348,7 +339,7 @@ mod tests {
     fn inner_circle_weights_carry_the_orientation_sign() {
         // The annulus integral subtracts the inner circle, so its weights
         // must be the negated trapezoid weights: ω'_j = -z'_j / N.
-        let c = RingContour::new(0.4, 12);
+        let c = RingContour::try_new(0.4, 12).unwrap();
         for p in c.inner_points() {
             let expect = -(p.z / 12.0);
             assert!((p.weight - expect).abs() < 1e-15);
@@ -361,7 +352,7 @@ mod tests {
 
     #[test]
     fn single_slice_reproduces_the_ring_nodes_bitwise() {
-        let contour = RingContour::new(0.5, 16);
+        let contour = RingContour::try_new(0.5, 16).unwrap();
         let nodes = contour.solved_nodes(false);
         let outer = contour.outer_points();
         assert_eq!(nodes.len(), outer.len());
@@ -403,7 +394,7 @@ mod tests {
             acc
         };
         for n_int in [2usize, 7, 8, 12, 13] {
-            let contour = RingContour::new(0.5, n_int);
+            let contour = RingContour::try_new(0.5, n_int).unwrap();
             let full = contour.solved_nodes(false);
             let half = contour.solved_nodes(true);
             assert_eq!(half.len(), n_int.div_ceil(2));
@@ -447,7 +438,7 @@ mod tests {
         // solution serve the inner circle; it must hold for every node and
         // every (valid) λ_min, with matching indices.
         for &lambda_min in &[0.3, 0.5, 0.8] {
-            let c = RingContour::new(lambda_min, 16);
+            let c = RingContour::try_new(lambda_min, 16).unwrap();
             for o in c.outer_points() {
                 let paired = c.paired_inner(&o);
                 assert_eq!(paired.index, o.index);

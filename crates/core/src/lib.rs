@@ -50,4 +50,6 @@ pub use contour::{ContourError, QuadraturePoint, RingContour};
 pub use policy::{BlockPolicy, PrecondPolicy};
 pub use pool::{solve_qeps_with, SsResults};
 pub use qep::{QepOperator, QepProblem};
-pub use ss::{solve_qep_with, source_block, QepEigenpair, SsConfig, SsResult, SsTimings};
+pub use ss::{
+    solve_qep_with, source_block, QepEigenpair, Saturation, SsConfig, SsResult, SsTimings,
+};

@@ -32,7 +32,7 @@
 //! eigenvalues; zero lies outside the annulus, so the negative powers are
 //! safe, and the node solves do not change at all.  Since
 //! `z̄^{−s} = conj z^{−s}`, the mirrored half ring below stays exact.  On
-//! the 343-point Al(100) cell at `N_int` 8 (`N_mm` 4, `N_rh` 4) it is the
+//! the 125-point Al(100) cell at `N_int` 8 (`N_mm` 4, `N_rh` 4) it is the
 //! difference between losing 18 of 320 reference pairs over 32 source-block
 //! seeds and finding all of them (`tests/centred_moments.rs`).
 //!
@@ -169,8 +169,12 @@ impl SsConfig {
     }
 
     /// The contour implied by this configuration.
+    ///
+    /// # Panics
+    ///
+    /// On contour parameters that [`RingContour::try_new`] refuses.
     pub fn contour(&self) -> RingContour {
-        RingContour::new(self.lambda_min, self.n_int)
+        RingContour::try_new(self.lambda_min, self.n_int).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Solver options handed to BiCG.
@@ -274,6 +278,37 @@ impl SsResult {
     pub fn lambdas(&self) -> Vec<Complex64> {
         self.eigenpairs.iter().map(|p| p.lambda).collect()
     }
+
+    /// Whether the subspace was saturated, read off the Hankel spectrum at
+    /// no cost: every one of its `N_mm·N_rh` columns in the numerical rank.
+    pub fn saturation(&self) -> Saturation {
+        let columns = self.hankel_singular_values.len();
+        if columns > 0 && self.numerical_rank == columns {
+            Saturation::Saturated { columns }
+        } else {
+            Saturation::Unsaturated { rank: self.numerical_rank, columns }
+        }
+    }
+}
+
+/// How much of the subspace the block Hankel matrix's numerical rank
+/// fills ([`SsResult::saturation`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Saturation {
+    /// The rank is every column: the annulus may hold more eigenvalues than
+    /// the subspace represents, and the result may miss some or all of
+    /// them.  More columns (`N_mm` or `N_rh`) resolve it.
+    Saturated {
+        /// The columns, `N_mm·N_rh`, all in the rank.
+        columns: usize,
+    },
+    /// The rank is below the column count (both 0 when the SVD failed).
+    Unsaturated {
+        /// The numerical rank `m̂`.
+        rank: usize,
+        /// The columns, `N_mm·N_rh`.
+        columns: usize,
+    },
 }
 
 /// The deterministic random source block `V` (`N_rh` columns of length `n`)

@@ -1,11 +1,19 @@
 //! Incremental sweep checkpointing.
 //!
-//! A [`SweepCheckpoint`] is written after every completed scan energy and
-//! restores a killed sweep **bit-identically**: it carries the completed
-//! [`EnergyRecord`]s (in completion order, which is grid order) and a
-//! bit-exact fingerprint of the configuration and energy grid, verified on
-//! resume.  Every solve starts cold, so finished energies' results are all
-//! a resume needs.
+//! A [`SweepCheckpoint`] is the sweep's running state, written after every
+//! completed scan energy, and restores a killed sweep **bit-identically**:
+//! it carries the completed [`EnergyRecord`]s (in completion order, which
+//! is grid order) and a bit-exact fingerprint of the configuration and
+//! energy grid, verified on resume.  Every solve starts cold, so finished
+//! energies' results are all a resume needs.
+//!
+//! It stores nothing it can derive.  A record line holds the energy and
+//! the counters; its `accepted` count is the number of `pair` lines that
+//! follow, each an accepted eigenpair's `λ` and residual.  A point's `k`
+//! and propagating flag are classified from `λ` on every resume.  The
+//! record keeps its energy although record `i` must be `grid[i]`: that is
+//! how a resume tells a record moved off the grid or out of order from a
+//! prefix of it.
 //!
 //! The on-disk format is a line-oriented text file in which every `f64` is
 //! stored as the 16-hex-digit bit pattern of `f64::to_bits` — exact
@@ -19,7 +27,6 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use cbs_core::CbsPoint;
 use cbs_linalg::c64;
 
 use crate::sweep::{EnergyRecord, EnergyStats};
@@ -80,7 +87,7 @@ impl std::error::Error for CheckpointError {}
 // history), and any other version is refused with
 // [`CheckpointError::IncompatibleVersion`], never read with misaligned or
 // silently zeroed fields.
-const MAGIC: &str = "cbs-sweep-checkpoint v23";
+const MAGIC: &str = "cbs-sweep-checkpoint v24";
 
 /// Prefix shared by every version's magic line; anything with this prefix
 /// but the wrong version is an incompatible (not malformed) checkpoint.
@@ -119,10 +126,6 @@ impl<'s> Tokens<'s> {
     fn usize(&mut self) -> Result<usize, CheckpointError> {
         Ok(self.u64()? as usize)
     }
-
-    fn bool(&mut self) -> Result<bool, CheckpointError> {
-        Ok(self.u64()? != 0)
-    }
 }
 
 /// FNV-1a, 64 bit, of `bytes`.
@@ -159,7 +162,7 @@ impl SweepCheckpoint {
             let s = &r.stats;
             let _ = writeln!(
                 out,
-                "record {} {:x} {:x} {:x} {:x} {:x} {:x} {:x} {:x} {:x}",
+                "record {} {:x} {:x} {:x} {:x} {:x} {:x} {:x} {:x}",
                 hex(r.energy),
                 s.bicg_iterations,
                 s.matvecs,
@@ -169,20 +172,10 @@ impl SweepCheckpoint {
                 s.accepted,
                 s.discarded,
                 s.numerical_rank,
-                r.points.len(),
             );
-            for p in &r.points {
-                let _ = writeln!(
-                    out,
-                    "point {} {} {} {} {} {:x} {}",
-                    hex(p.energy),
-                    hex(p.lambda.re),
-                    hex(p.lambda.im),
-                    hex(p.k_re),
-                    hex(p.k_im),
-                    p.propagating as u8,
-                    hex(p.residual),
-                );
+            for &(lambda, residual) in &r.pairs {
+                let _ =
+                    writeln!(out, "pair {} {} {}", hex(lambda.re), hex(lambda.im), hex(residual));
             }
         }
         sealed(out)
@@ -255,26 +248,43 @@ impl SweepCheckpoint {
                 discarded: t.usize()?,
                 numerical_rank: t.usize()?,
             };
-            let npoints = t.usize()?;
-            let mut points = Vec::new();
-            for _ in 0..npoints {
-                let mut t = lines.expect("point")?;
-                points.push(CbsPoint {
-                    energy: t.f64()?,
-                    energy_index: 0,
-                    lambda: c64(t.f64()?, t.f64()?),
-                    k_re: t.f64()?,
-                    k_im: t.f64()?,
-                    propagating: t.bool()?,
-                    residual: t.f64()?,
-                });
+            // `accepted` pair lines follow: one short is `Malformed`.
+            let mut pairs = Vec::new();
+            for _ in 0..stats.accepted {
+                let mut t = lines.expect("pair")?;
+                pairs.push((c64(t.f64()?, t.f64()?), t.f64()?));
             }
-            records.push(EnergyRecord { energy, stats, points });
+            records.push(EnergyRecord { energy, stats, pairs });
         }
         lines.expect("checksum")?;
         lines.expect("end")?;
 
         Ok(Self { fingerprint, energies, records })
+    }
+
+    /// Refuse to resume `saved` as this fresh sweep (no records yet) unless
+    /// fingerprint and grid match bit for bit and its records are a prefix
+    /// of the grid: [`CheckpointError::Mismatch`].
+    pub(crate) fn check_resumable(&self, saved: &Self) -> Result<(), CheckpointError> {
+        let same = |a: &f64, b: &f64| a.to_bits() == b.to_bits();
+        let mismatch =
+            |what: &str| Err(CheckpointError::Mismatch(format!("{what}: cannot resume")));
+        if saved.fingerprint != self.fingerprint {
+            return mismatch("configuration fingerprint mismatch");
+        }
+        if saved.energies.len() != self.energies.len()
+            || !saved.energies.iter().zip(&self.energies).all(|(a, b)| same(a, b))
+        {
+            return mismatch("energy grid mismatch");
+        }
+        // Records complete in grid order, so a checkpoint this sweep wrote
+        // holds the grid's first energies and nothing else.
+        if saved.records.len() > self.energies.len()
+            || !saved.records.iter().zip(&self.energies).all(|(r, e)| same(&r.energy, e))
+        {
+            return mismatch("checkpoint records are not a prefix of the energy grid");
+        }
+        Ok(())
     }
 
     /// Write atomically (temp file + rename) so a kill mid-save leaves the
@@ -309,15 +319,6 @@ mod tests {
     use super::*;
 
     fn sample() -> SweepCheckpoint {
-        let p = CbsPoint {
-            energy: 0.125,
-            energy_index: 0,
-            lambda: c64(0.5, -0.25),
-            k_re: 1.5,
-            k_im: -0.75,
-            propagating: true,
-            residual: 1e-9,
-        };
         let rec = EnergyRecord {
             energy: 0.125,
             stats: EnergyStats {
@@ -330,10 +331,9 @@ mod tests {
                 discarded: 3,
                 numerical_rank: 5,
             },
-            points: vec![p],
+            pairs: vec![(c64(0.5, -0.25), 1e-9)],
         };
-        let rec2 =
-            EnergyRecord { energy: 0.475, stats: EnergyStats::default(), points: Vec::new() };
+        let rec2 = EnergyRecord { energy: 0.475, stats: EnergyStats::default(), pairs: Vec::new() };
         SweepCheckpoint {
             fingerprint: vec![1, 2, 0xdeadbeef],
             energies: vec![-0.5, 0.125, 0.475],
@@ -355,14 +355,11 @@ mod tests {
         let (r0, c0) = (&back.records[0], &cp.records[0]);
         assert_eq!(r0.energy.to_bits(), c0.energy.to_bits());
         assert_eq!(r0.stats, c0.stats);
-        assert_eq!(r0.points.len(), 1);
-        let (p, q) = (&r0.points[0], &c0.points[0]);
-        assert_eq!(p.lambda.re.to_bits(), q.lambda.re.to_bits());
-        assert_eq!(p.lambda.im.to_bits(), q.lambda.im.to_bits());
-        assert_eq!(p.k_im.to_bits(), q.k_im.to_bits());
-        assert_eq!(p.propagating, q.propagating);
+        assert_eq!(r0.pairs.len(), 1);
+        let ((l, r), (m, s)) = (r0.pairs[0], c0.pairs[0]);
+        assert_eq!([l.re, l.im, r].map(f64::to_bits), [m.re, m.im, s].map(f64::to_bits));
         assert_eq!(back.records[1].energy.to_bits(), (0.475f64).to_bits());
-        assert!(back.records[1].points.is_empty());
+        assert!(back.records[1].pairs.is_empty());
         assert_eq!(back.serialize_to_string(), text);
     }
 
@@ -464,9 +461,9 @@ mod tests {
         // found *and* the one expected.
         let old = [
             "v4", "v5", "v6", "v7", "v8", "v9", "v10", "v11", "v12", "v13", "v14", "v15", "v16",
-            "v17", "v18", "v19", "v20", "v21", "v22",
+            "v17", "v18", "v19", "v20", "v21", "v22", "v23",
         ];
-        for version in old.into_iter().chain(["v24"]) {
+        for version in old.into_iter().chain(["v25"]) {
             let stale = format!("cbs-sweep-checkpoint {version}");
             match SweepCheckpoint::parse(&relabelled(version)) {
                 Err(CheckpointError::IncompatibleVersion { ref found }) => {
@@ -479,7 +476,7 @@ mod tests {
                 other => panic!("{version}: expected IncompatibleVersion, got {other:?}"),
             }
         }
-        assert!(SweepCheckpoint::parse(&relabelled("v23")).is_ok(), "v23 is the current format");
+        assert!(SweepCheckpoint::parse(&relabelled("v24")).is_ok(), "v24 is the current format");
     }
 
     /// The body of a serialized checkpoint: everything before its
@@ -489,10 +486,11 @@ mod tests {
     }
 
     /// A bit-flipped count or a file cut short is a malformed checkpoint,
-    /// never a panic: each count set to `u64::MAX` in turn, and the text
-    /// truncated after every line, all parse to `Malformed` — also when the
-    /// corrupt body is sealed with its own valid checksum, so the parser
-    /// itself meets the bad count.
+    /// never a panic: each count set to `u64::MAX` in turn, a record's
+    /// `accepted` count one above its pair lines, and the text truncated
+    /// after every line, all parse to `Malformed` — also when the corrupt
+    /// body is sealed with its own valid checksum, so the parser itself
+    /// meets the bad count.
     #[test]
     fn corrupt_counts_and_truncations_are_malformed() {
         let text = sample().serialize_to_string();
@@ -500,22 +498,26 @@ mod tests {
         let mut cases = Vec::new();
         for (at, line) in lines.iter().enumerate() {
             let tokens: Vec<&str> = line.split_whitespace().collect();
-            // The count fields of each line kind.
+            // The count fields of each line kind: a record's pair count is
+            // its `accepted`.
             let counts: Vec<usize> = match tokens[0] {
                 "fingerprint" | "grid" | "records" => vec![1],
-                "record" => vec![tokens.len() - 1],
+                "record" => vec![7],
                 _ => vec![],
             };
             for k in counts {
-                let mut flipped = tokens.clone();
-                flipped[k] = "ffffffffffffffff";
-                let mut corrupt = lines.clone();
-                let joined = flipped.join(" ");
-                corrupt[at] = &joined;
-                cases.push((format!("line {at} token {k}"), corrupt.join("\n") + "\n"));
+                let one_more = format!("{:x}", u64::from_str_radix(tokens[k], 16).unwrap() + 1);
+                for (how, count) in
+                    [("flipped", "ffffffffffffffff"), ("one more", one_more.as_str())]
+                {
+                    let mut corrupt = lines.clone();
+                    let joined = [&tokens[..k], &[count], &tokens[k + 1..]].concat().join(" ");
+                    corrupt[at] = &joined;
+                    cases.push((format!("line {at} token {k} {how}"), corrupt.join("\n") + "\n"));
+                }
             }
         }
-        assert_eq!(cases.len(), 5, "every count of the sample is flipped once");
+        assert_eq!(cases.len(), 10, "every count of the sample is flipped, and raised by one");
         for cut in 0..lines.len() {
             cases.push((format!("cut after {cut} lines"), lines[..cut].join("\n") + "\n"));
         }

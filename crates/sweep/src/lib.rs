@@ -16,10 +16,13 @@
 //!   matvecs — so a sweep saturates a wide executor even when one energy's
 //!   grid is small.  Each energy is bit-identical to its own
 //!   `cbs_core::solve_qep_with`.
-//! * **Checkpointing** — a [`SweepCheckpoint`] (format v23: finished
-//!   energies' results, bit-exact floats, a checksum) is written after
-//!   every extracted energy, in grid order, so a killed sweep leaves a
-//!   prefix of the grid and resumes bit-identically ([`checkpoint`]).
+//! * **Checkpointing** — a [`SweepCheckpoint`] (format v24: each finished
+//!   energy's counters and its accepted pairs' `λ` and residual,
+//!   bit-exact floats, a checksum) is the sweep's running state, saved
+//!   after every extracted energy, in grid order, so a killed sweep leaves
+//!   a prefix of the grid and resumes bit-identically ([`checkpoint`]).
+//!   Every point's `k` and class are derived from `λ` when the result is
+//!   assembled, resumed records' too.
 //!
 //! The sweep solves exactly the grid it is given.  A caller that wants a
 //! finer grid where the channel count changes runs the sweep again on the

@@ -7,6 +7,10 @@
 //! paper does, and writes a checkpoint after every extracted energy so a
 //! killed sweep resumes bit-identically.  What is left here is the grid,
 //! the resume, the checkpoint, the classification and the statistics.
+//! The sweep's running state is the [`SweepCheckpoint`] itself, and a
+//! record keeps only what the solve returned: the classification into
+//! [`CbsPoint`](cbs_core::CbsPoint)s is derived, once, when the result is
+//! assembled.
 //!
 //! Determinism invariants, locked in by `tests/sweep_determinism.rs` at the
 //! workspace root:
@@ -21,9 +25,10 @@
 use std::path::Path;
 
 use cbs_core::{
-    classify_point, solve_qeps_with, BlockPolicy, CbsPoint, CbsStatistics, ComplexBandStructure,
+    classify_point, solve_qeps_with, BlockPolicy, CbsStatistics, ComplexBandStructure,
     ContourError, PrecondPolicy, QepProblem, RingContour,
 };
+use cbs_linalg::Complex64;
 use cbs_parallel::TaskExecutor;
 use cbs_sparse::LinearOperator;
 use cbs_trace::TraceHandle;
@@ -56,17 +61,20 @@ pub struct EnergyStats {
     pub numerical_rank: usize,
 }
 
-/// One completed scan energy: its classified CBS points plus counters.  The
-/// unit of checkpointing.
+/// One completed scan energy as its solve returned it: the energy, the
+/// counters and each accepted eigenpair's `λ` and residual.  The unit of
+/// checkpointing.  A point's `k` and class are functions of `λ` and the
+/// period, so they are not stored: the sweep's result classifies every
+/// pair with `cbs_core::classify_point`.
 #[derive(Clone, Debug)]
 pub struct EnergyRecord {
     /// The scan energy (hartree).
     pub energy: f64,
-    /// Solver counters.
+    /// Solver counters; [`accepted`](EnergyStats::accepted) is the length
+    /// of [`pairs`](Self::pairs).
     pub stats: EnergyStats,
-    /// Classified solutions at this energy (`energy_index` is assigned at
-    /// assembly time).
-    pub points: Vec<CbsPoint>,
+    /// `(λ, residual)` of each accepted eigenpair, in the solve's order.
+    pub pairs: Vec<(Complex64, f64)>,
 }
 
 /// One probe measurement.  Vestige, released by ROADMAP 1(a).
@@ -146,13 +154,6 @@ impl From<CheckpointError> for SweepError {
     fn from(e: CheckpointError) -> Self {
         Self::Checkpoint(e)
     }
-}
-
-/// Mutable progress of one run (completed records, counters).
-struct State {
-    records: Vec<EnergyRecord>,
-    linear_solve_seconds: f64,
-    extraction_seconds: f64,
 }
 
 /// The batched multi-energy CBS driver.
@@ -273,79 +274,46 @@ impl<'a> EnergySweep<'a> {
         // period and configuration, but is another problem.
         fingerprint.push(self.h00.nrows() as u64);
 
-        let mut st =
-            State { records: Vec::new(), linear_solve_seconds: 0.0, extraction_seconds: 0.0 };
-        if let Some(cp) = resume {
-            let same = |a: &f64, b: &f64| a.to_bits() == b.to_bits();
-            if cp.fingerprint != fingerprint {
-                return Err(CheckpointError::Mismatch(
-                    "configuration fingerprint mismatch: cannot resume".into(),
-                )
-                .into());
+        let fresh = SweepCheckpoint { fingerprint, energies: grid, records: Vec::new() };
+        let mut cp = match resume {
+            Some(cp) => {
+                fresh.check_resumable(&cp)?;
+                cp
             }
-            if cp.energies.len() != grid.len()
-                || !cp.energies.iter().zip(&grid).all(|(a, b)| same(a, b))
-            {
-                return Err(CheckpointError::Mismatch(
-                    "energy grid mismatch: cannot resume".into(),
-                )
-                .into());
-            }
-            // Records complete in grid order, so a checkpoint this sweep
-            // wrote holds the grid's first energies and nothing else.
-            if cp.records.len() > grid.len()
-                || !cp.records.iter().zip(&grid).all(|(r, e)| same(&r.energy, e))
-            {
-                return Err(CheckpointError::Mismatch(
-                    "checkpoint records are not a prefix of the energy grid: cannot resume".into(),
-                )
-                .into());
-            }
-            st.records = cp.records;
-        }
-
-        let save = |st: &State| match checkpoint_path {
-            Some(path) => SweepCheckpoint {
-                fingerprint: fingerprint.clone(),
-                energies: grid.clone(),
-                records: st.records.clone(),
-            }
-            .save(path)
-            .map_err(|e| CheckpointError::Io(format!("checkpoint save failed: {e}"))),
-            None => Ok(()),
+            None => fresh,
         };
-        let rest = &grid[st.records.len()..];
-        if !rest.is_empty() {
-            self.solve_rest(rest, executor, &mut st, save)?;
-        }
-        Ok(self.assemble(st))
+        let timings = self.solve_rest(&mut cp, executor, checkpoint_path)?;
+        Ok(self.assemble(cp, timings))
     }
 
-    /// Solve `rest`, the grid's energies after the completed records, as
-    /// one pooled round and append their records in order, calling `save`
-    /// after each.  Each energy is independent of its round mates, so where
-    /// a previous run was killed changes no bit of the result.
+    /// Solve the grid's energies after `cp`'s records as one pooled round
+    /// and push their records in order, saving `cp` to `path` after each.
+    /// Each energy is independent of its round mates, so where a previous
+    /// run was killed changes no bit of the result.  Returns the round's
+    /// wall seconds in the timing fields of an otherwise zero
+    /// [`CbsStatistics`].
     fn solve_rest<E: TaskExecutor>(
         &self,
-        rest: &[f64],
+        cp: &mut SweepCheckpoint,
         executor: &E,
-        st: &mut State,
-        save: impl Fn(&State) -> Result<(), CheckpointError>,
-    ) -> Result<(), SweepError> {
+        path: Option<&Path>,
+    ) -> Result<CbsStatistics, SweepError> {
+        let mut timings = CbsStatistics::default();
+        let rest = cp.energies[cp.records.len()..].to_vec();
+        if rest.is_empty() {
+            return Ok(timings);
+        }
         let problems: Vec<QepProblem<'_>> = rest.iter().map(|&e| self.problem_at(e)).collect();
         // Trace context: the round tags its `i`-th energy with the installed
         // index plus `i`, so installing the first one's record index tags
         // every energy with its final `energy_index`.
         let round = {
-            let _ctx = TraceHandle::resolve().with_energy(st.records.len()).enter();
+            let _ctx = TraceHandle::resolve().with_energy(cp.records.len()).enter();
             solve_qeps_with(&problems, &self.config.ss, executor).map_err(SweepError::Contour)?
         };
-        st.linear_solve_seconds += round.linear_solve_seconds();
-        for ((&energy, problem), result) in rest.iter().zip(&problems).zip(round) {
-            st.extraction_seconds += result.timings.extraction_seconds;
-            // `energy_index` is a placeholder until assembly.
-            let points: Vec<CbsPoint> =
-                result.eigenpairs.iter().map(|p| classify_point(problem, 0, p)).collect();
+        timings.linear_solve_seconds = round.linear_solve_seconds();
+        for (energy, result) in rest.into_iter().zip(round) {
+            timings.extraction_seconds += result.timings.extraction_seconds;
             // Matvec / traversal totals come from the extraction result so
             // they include the counted residual-check applications, matching
             // `SsResult`'s accounting.
@@ -359,28 +327,24 @@ impl<'a> EnergySweep<'a> {
                 discarded: result.discarded,
                 numerical_rank: result.numerical_rank,
             };
-            st.records.push(EnergyRecord { energy, stats, points });
-            save(st)?;
+            let pairs = result.eigenpairs.iter().map(|p| (p.lambda, p.residual)).collect();
+            cp.records.push(EnergyRecord { energy, stats, pairs });
+            if let Some(path) = path {
+                cp.save(path)
+                    .map_err(|e| CheckpointError::Io(format!("checkpoint save failed: {e}")))?;
+            }
         }
-        Ok(())
+        Ok(timings)
     }
 
-    /// Assign each record's points their `energy_index` (the record's
-    /// position in the grid) and aggregate the statistics.
-    fn assemble(&self, st: State) -> SweepResult {
-        let mut records = st.records;
-        let energies: Vec<f64> = records.iter().map(|r| r.energy).collect();
+    /// The one place a `CbsPoint` is built: classify every record's pairs,
+    /// fresh or resumed, with the record's grid index, and add the records'
+    /// counters to the round's timings in `stats`.
+    fn assemble(&self, cp: SweepCheckpoint, mut stats: CbsStatistics) -> SweepResult {
         let mut points = Vec::new();
-        let mut stats = CbsStatistics {
-            linear_solve_seconds: st.linear_solve_seconds,
-            extraction_seconds: st.extraction_seconds,
-            ..CbsStatistics::default()
-        };
-        for (index, rec) in records.iter_mut().enumerate() {
-            for p in rec.points.iter_mut() {
-                p.energy_index = index;
-            }
-            points.extend(rec.points.iter().copied());
+        for (index, rec) in cp.records.iter().enumerate() {
+            let problem = self.problem_at(rec.energy);
+            points.extend(rec.pairs.iter().map(|&(l, r)| classify_point(&problem, index, l, r)));
             stats.total_bicg_iterations += rec.stats.bicg_iterations;
             stats.total_matvecs += rec.stats.matvecs;
             stats.operator_traversals += rec.stats.operator_traversals;
@@ -391,6 +355,7 @@ impl<'a> EnergySweep<'a> {
             stats.accepted += rec.stats.accepted;
             stats.discarded += rec.stats.discarded;
         }
-        SweepResult { cbs: ComplexBandStructure { points, energies }, stats, records, auto: None }
+        let cbs = ComplexBandStructure { points, energies: cp.energies };
+        SweepResult { cbs, stats, records: cp.records, auto: None }
     }
 }

@@ -10,12 +10,12 @@
 //!
 //! Run with: `cargo run --release --example energy_sweep`
 
-use cbs::core::SsConfig;
+use cbs::core::{ComplexBandStructure, SsConfig};
 use cbs::dft::{
     bulk_al_100, fermi_energy, grid_for_structure, BlockHamiltonian, HamiltonianParams,
 };
 use cbs::parallel::RayonExecutor;
-use cbs::sweep::{EnergyRecord, EnergySweep, RunOptions, SweepCheckpoint, SweepConfig};
+use cbs::sweep::{EnergySweep, RunOptions, SweepCheckpoint, SweepConfig};
 
 /// Most midpoints the refinement run solves.
 const MAX_REFINED: usize = 4;
@@ -45,19 +45,22 @@ fn main() {
     // 4. Refinement: one more sweep over the midpoints of adjacent energies
     //    whose channel counts differ.  An energy's result does not depend on
     //    the run that solves it, so the two runs merge into one table.
-    let channels = |r: &EnergyRecord| r.points.iter().filter(|p| p.propagating).count();
-    let midpoints: Vec<f64> = run
-        .records
+    //    Each row is (energy, propagating channels, states), read from the
+    //    band structure.
+    let rows = |cbs: &ComplexBandStructure, origin| -> Vec<(f64, usize, usize, &str)> {
+        let counts = cbs.channel_counts().into_iter().enumerate();
+        counts.map(|(i, (e, channels))| (e, channels, cbs.at_energy(i).count(), origin)).collect()
+    };
+    let mut table = rows(&run.cbs, "initial");
+    let midpoints: Vec<f64> = table
         .windows(2)
-        .filter(|w| channels(&w[0]) != channels(&w[1]))
-        .map(|w| 0.5 * (w[0].energy + w[1].energy))
+        .filter(|w| w[0].1 != w[1].1)
+        .map(|w| 0.5 * (w[0].0 + w[1].0))
         .take(MAX_REFINED)
         .collect();
     let refined = sweep.run(&midpoints, &RayonExecutor);
-    let mut table: Vec<(&EnergyRecord, &str)> =
-        run.records.iter().map(|r| (r, "initial")).collect();
-    table.extend(refined.records.iter().map(|r| (r, "refined")));
-    table.sort_by(|a, b| a.0.energy.total_cmp(&b.0.energy));
+    table.extend(rows(&refined.cbs, "refined"));
+    table.sort_by(|a, b| a.0.total_cmp(&b.0));
 
     let iterations = run.stats.total_bicg_iterations + refined.stats.total_bicg_iterations;
     println!(
@@ -67,8 +70,8 @@ fn main() {
         iterations as f64 / table.len() as f64,
     );
     println!("\n   E [Ha]      channels   states   origin");
-    for (r, origin) in &table {
-        println!("   {:>8.4}   {:>8}   {:>6}   {origin}", r.energy, channels(r), r.points.len());
+    for (energy, channels, states, origin) in &table {
+        println!("   {energy:>8.4}   {channels:>8}   {states:>6}   {origin}");
     }
 
     // 5. Resume the finished checkpoint of the uniform sweep (same

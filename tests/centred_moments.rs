@@ -1,4 +1,4 @@
-//! Laurent-centred moments on the fig6 Al(100) cell (343 points): at 8
+//! Laurent-centred moments on the fig6 Al(100) cell (125 points): at 8
 //! quadrature nodes, every source-block seed finds every eigenpair of a
 //! 32-node reference.  With the textbook powers `k = 0 … 2N_mm − 1` the
 //! same fan loses 18 of its 320 reference pairs, on 9 of the 32 seeds: the

@@ -33,7 +33,7 @@ pub const FIG6_N_INT: usize = 12;
 /// system: the upper half-plane half of the ring.
 pub const FIG6_SOLVED_NODES: usize = FIG6_N_INT / 2;
 
-/// The fig6 Al(100) system at the bench resolution (343 grid points).
+/// The fig6 Al(100) system at the bench resolution (125 grid points).
 pub fn fig6_hamiltonian() -> BlockHamiltonian {
     let s = bulk_al_100(1);
     let grid = grid_for_structure(&s, 1.5);

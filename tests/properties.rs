@@ -156,7 +156,7 @@ proptest! {
     ) {
         // Stay away from the contour circles themselves.
         prop_assume!((radius - 0.5).abs() > 0.08 && (radius - 2.0).abs() > 0.25);
-        let contour = RingContour::new(0.5, 96);
+        let contour = RingContour::try_new(0.5, 96).unwrap();
         let lambda = Complex64::polar(radius, angle);
         let got = contour.filter_value(k, lambda);
         if radius > 0.5 && radius < 2.0 {

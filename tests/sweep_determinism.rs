@@ -8,8 +8,11 @@
 //! * a checkpointed sweep killed after any number of energies (a prefix of
 //!   the grid) resumes to a result bit-identical to an uninterrupted run,
 //!   older checkpoint formats are refused by version, a checkpoint of
-//!   another problem by its fingerprint, and one whose records are not a
-//!   prefix of the grid as a mismatch;
+//!   another problem by its fingerprint, one whose records are not a
+//!   prefix of the grid as a mismatch, and a record short of its
+//!   `accepted` pairs as malformed;
+//! * every point of a resumed sweep is `classify_point` of the `λ` and
+//!   residual its record stores;
 //! * the vestigial `SsConfig::auto` flag and `SweepConfig::initial_round`
 //!   change nothing.
 
@@ -119,9 +122,9 @@ fn assert_sweep_is_the_per_energy_loop(sweep: &EnergySweep<'_>, energies: &[f64]
                 ],
                 "extraction at E = {energy}"
             );
-            assert_eq!(record.points.len(), alone.eigenpairs.len());
-            for (p, pair) in record.points.iter().zip(&alone.eigenpairs) {
-                let q = classify_point(&problem, index, pair);
+            assert_eq!(run.cbs.at_energy(index).count(), alone.eigenpairs.len());
+            for (p, pair) in run.cbs.at_energy(index).zip(&alone.eigenpairs) {
+                let q = classify_point(&problem, index, pair.lambda, pair.residual);
                 assert_eq!(p.energy_index, q.energy_index, "E = {energy}");
                 assert_eq!(p.lambda.re.to_bits(), q.lambda.re.to_bits(), "E = {energy}");
                 assert_eq!(p.lambda.im.to_bits(), q.lambda.im.to_bits(), "E = {energy}");
@@ -169,11 +172,13 @@ fn checkpointed_sweep_resumes_bit_identically() {
     // Every format change bumps the version, and any other version is
     // refused with the dedicated error naming it.
     let text = String::from_utf8(finished_bytes).unwrap();
-    assert!(text.starts_with("cbs-sweep-checkpoint v23"), "unexpected magic in {path:?}");
-    let old =
-        ["v3", "v11", "v12", "v13", "v14", "v15", "v16", "v17", "v18", "v19", "v20", "v21", "v22"];
+    assert!(text.starts_with("cbs-sweep-checkpoint v24"), "unexpected magic in {path:?}");
+    let old = [
+        "v3", "v11", "v12", "v13", "v14", "v15", "v16", "v17", "v18", "v19", "v20", "v21", "v22",
+        "v23",
+    ];
     for old in old.map(|v| format!("cbs-sweep-checkpoint {v}")) {
-        match SweepCheckpoint::parse(&text.replacen("cbs-sweep-checkpoint v23", &old, 1)) {
+        match SweepCheckpoint::parse(&text.replacen("cbs-sweep-checkpoint v24", &old, 1)) {
             Err(CheckpointError::IncompatibleVersion { found }) => assert_eq!(found, old),
             other => panic!("{old} checkpoint accepted or misclassified: {other:?}"),
         }
@@ -228,6 +233,68 @@ fn resume_refuses_records_that_are_not_a_grid_prefix() {
         );
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A resumed sweep stores each point's `λ` and residual only: every point
+/// it returns, resumed records' included, is bitwise `classify_point` of
+/// the pair its record stores, at the record's grid index.  On the fig6
+/// cell, where some states propagate, killed after each energy in turn.
+#[test]
+fn resumed_points_are_classified_from_the_stored_pairs() {
+    let h = common::fig6_hamiltonian();
+    let (h00, h01) = (h.h00(), h.h01());
+    let sweep = EnergySweep::new(&h00, &h01, h.period(), SweepConfig::new(common::fig6_config()));
+    let energies = [0.05, 0.11, 0.17];
+    let path = std::env::temp_dir().join(format!("cbs_sweep_classify_{}.cp", std::process::id()));
+    let options = RunOptions { checkpoint_path: Some(&path), ..RunOptions::default() };
+    let whole = sweep.run_with(&energies, &SerialExecutor, options).unwrap();
+    let finished = SweepCheckpoint::load(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert!(whole.cbs.propagating().count() > 0, "no propagating state to classify");
+    for k in 0..=energies.len() {
+        let resume = Some(common::killed_after(&finished, k));
+        let options = RunOptions { resume, ..RunOptions::default() };
+        let resumed = sweep.run_with(&energies, &SerialExecutor, options).unwrap();
+        assert_same_cbs(&whole, &resumed);
+        let stored = finished.records.iter().enumerate().flat_map(|(i, r)| {
+            r.pairs.iter().map(move |&(lambda, residual)| (i, lambda, residual))
+        });
+        assert_eq!(resumed.cbs.points.len(), stored.clone().count(), "killed after {k}");
+        for (p, (i, lambda, residual)) in resumed.cbs.points.iter().zip(stored) {
+            let q = classify_point(&sweep.problem_at(energies[i]), i, lambda, residual);
+            assert_eq!(p.energy_index, i, "killed after {k}");
+            assert_eq!(p.energy.to_bits(), q.energy.to_bits(), "killed after {k}");
+            assert_eq!(p.k_re.to_bits(), q.k_re.to_bits(), "killed after {k}");
+            assert_eq!(p.k_im.to_bits(), q.k_im.to_bits(), "killed after {k}");
+            assert_eq!(p.propagating, q.propagating, "killed after {k}");
+            assert_eq!(
+                [p.lambda.re, p.lambda.im, p.residual].map(f64::to_bits),
+                [lambda.re, lambda.im, residual].map(f64::to_bits),
+                "killed after {k}"
+            );
+        }
+    }
+}
+
+/// A record whose pair lines fall short of its `accepted` count — a
+/// finished checkpoint with one pair dropped, re-saved so its checksum is
+/// valid — is `Malformed`: it never resumes to a band with a state missing.
+#[test]
+fn a_record_short_of_its_accepted_pairs_does_not_resume() {
+    let (h00, h01) = common::random_blocks(10, 73);
+    let (op00, op01) = (DenseOp::new(h00), DenseOp::new(h01));
+    let energies = [-0.25, -0.2];
+    let sweep = EnergySweep::new(&op00, &op01, 1.5, SweepConfig::new(test_ss()));
+    let path = std::env::temp_dir().join(format!("cbs_sweep_short_{}.cp", std::process::id()));
+    let options = RunOptions { checkpoint_path: Some(&path), ..RunOptions::default() };
+    sweep.run_with(&energies, &SerialExecutor, options).unwrap();
+    let mut short = SweepCheckpoint::load(&path).unwrap();
+    assert!(short.records[0].stats.accepted > 0, "the first energy found no pair");
+    short.records[0].pairs.pop();
+    short.save(&path).unwrap();
+    let loaded = SweepCheckpoint::load(&path);
+    std::fs::remove_file(&path).ok();
+    assert!(matches!(loaded, Err(CheckpointError::Malformed(_))), "{loaded:?}");
 }
 
 /// A checkpoint resumes only the problem it was written for.  The fig6 cell
